@@ -8,18 +8,20 @@
 //! `parallel-cold` approaches N× over `serial-cold` (the workloads are
 //! embarrassingly parallel), with `parallel-memo` shaving launch
 //! simulation on top. `engine/profile-store/*` measures the third layer —
-//! loading presimulated `cactus_profiles() + prt_profiles()` sets from the
-//! store versus recomputing them — which exceeds the 2× engine-speedup
-//! target on any host, single-core included.
+//! reading presimulated `cactus_profiles() + prt_profiles()` sets back
+//! through `cactus-store` (open, one `get` per member, decode) versus
+//! recomputing them — which exceeds the 2× engine-speedup target on any
+//! host, single-core included.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cactus_bench::store::{load_set_in, save_set_in};
+use cactus_bench::store::{cactus_members, default_device, load, prt_members, save};
 use cactus_bench::{cactus_profiles, prt_profiles};
 use cactus_core::SuiteScale;
 use cactus_gpu::{par, Device, Gpu};
+use cactus_store::Store;
 use cactus_suites::Scale;
 
 /// One full pass over both profile sets with per-workload memoization
@@ -120,10 +122,13 @@ fn bench_memo_workloads(c: &mut Criterion) {
 fn bench_profile_store(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("cactus-engine-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cactus = cactus_profiles();
-    let prt = prt_profiles();
-    save_set_in(&dir, "cactus", &cactus).expect("populate store");
-    save_set_in(&dir, "prt", &prt).expect("populate store");
+    let entry = default_device();
+    {
+        let store = Store::open(&dir).expect("open store");
+        save(&store, entry, &cactus_profiles()).expect("populate store");
+        save(&store, entry, &prt_profiles()).expect("populate store");
+    }
+    let (cactus, prt) = (cactus_members(), prt_members());
 
     let mut g = c.benchmark_group("engine/profile-store");
     g.sample_size(3).measurement_time(Duration::from_secs(2));
@@ -132,8 +137,9 @@ fn bench_profile_store(c: &mut Criterion) {
     });
     g.bench_function("load", |b| {
         b.iter(|| {
-            let c = load_set_in(&dir, "cactus").expect("cactus set");
-            let p = load_set_in(&dir, "prt").expect("prt set");
+            let store = Store::open(&dir).expect("open store");
+            let c = load(&store, entry, &cactus).expect("cactus set");
+            let p = load(&store, entry, &prt).expect("prt set");
             (c.len(), p.len())
         });
     });

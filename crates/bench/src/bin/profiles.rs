@@ -1,9 +1,11 @@
 //! Populate the shared profile store: simulate the Cactus suite and the
-//! Parboil/Rodinia/Tango comparison set once (in parallel) and serialize
-//! the profiles to `results/profiles/`, so every fig/table binary that
-//! follows loads instead of re-simulating. Pass `--no-cache` (or set
-//! `CACTUS_NO_CACHE=1`) to force fresh simulation even when a valid store
-//! exists.
+//! Parboil/Rodinia/Tango comparison set once (in parallel) and append the
+//! profiles to the `cactus-store` under `results/profiles/`, so every
+//! fig/table binary that follows (and a `cactus-serve` started on the same
+//! directory) loads instead of re-simulating. Pass `--no-cache` (or set
+//! `CACTUS_NO_CACHE=1`) to force fresh simulation even when the store is
+//! warm. The closing `manifest digest` line covers every live record's
+//! key, version and bytes — equal digests mean identical store contents.
 
 use cactus_bench::store::{self, cactus_profiles_cached, prt_profiles_cached};
 use cactus_bench::{header, ProfiledWorkload};
@@ -11,9 +13,10 @@ use cactus_profiler::report;
 
 fn main() {
     header("Profile store");
+    let dir = cactus_store::default_dir();
     println!(
         "store: {}\nno-cache: {}",
-        store::store_dir().display(),
+        dir.display(),
         store::no_cache_requested()
     );
 
@@ -32,6 +35,10 @@ fn main() {
     report("cactus", &cactus);
     report("prt", &prt);
     println!("ready in {:.2} s", start.elapsed().as_secs_f64());
+    match cactus_store::Store::open(dir) {
+        Ok(store) => println!("manifest digest {:016x}", store.manifest_digest()),
+        Err(e) => println!("manifest digest unavailable: {e}"),
+    }
 
     // Launch-memoization effectiveness for whatever was freshly simulated
     // this run (store-loaded sets report `store`).

@@ -2,44 +2,40 @@
 //!
 //! Every fig/table binary consumes the same two profile sets — the Cactus
 //! suite and the Parboil/Rodinia/Tango comparison set, both at Profile
-//! scale. Re-simulating them in each binary dominated wall-clock time, so
-//! the store serializes the sets to `results/profiles/` (bit-exact; see
-//! [`cactus_profiler::store`]) keyed by catalog device id, scale, and the
-//! combined model version ([`cactus_gpu::MODEL_VERSION`] plus the
-//! per-device descriptor revision from the catalog):
+//! scale on the paper's RTX 3080. Re-simulating them in each binary
+//! dominated wall-clock time, so they are read through the one durable
+//! store the serving tier uses: a [`cactus_store::Store`] rooted at
+//! [`cactus_store::default_dir`], holding one record per workload under
+//! exactly the key, version and value bytes `cactus-serve` writes —
 //!
 //! ```text
-//! results/profiles/<device-id>/<scale>-v<model-version>.<device-rev>/cactus.profiles
-//! results/profiles/<device-id>/<scale>-v<model-version>.<device-rev>/prt.profiles
+//! key      rtx-3080/profile/<name>
+//! version  CatalogEntry::record_version()   (model version + device rev)
+//! value    cactus_profiler::store::write_profile (bit-exact text)
 //! ```
 //!
-//! [`cactus_profiles_cached`] / [`prt_profiles_cached`] load from the store
-//! when a valid entry exists and otherwise simulate (in parallel) and
-//! populate it. A model-parameter bump changes the path *and* the embedded
-//! version lines, so stale profiles can never be read back; the embedded
-//! `device_id` line additionally pins a set to the catalog id it was
-//! simulated for, so a file moved (or a catalog id renamed) across device
-//! directories is rejected rather than silently served as the wrong
-//! hardware. Pass `--no-cache` to any binary (or set `CACTUS_NO_CACHE=1`)
-//! to force re-simulation; the fresh result overwrites the store.
+//! — so a profile the daemon simulated is a hit for `fig3`, and `profiles`
+//! output is a hit for the daemon.
+//!
+//! [`cactus_profiles_cached`] / [`prt_profiles_cached`] walk their set's
+//! members in catalog order (known without simulating) and return the
+//! stored profiles when every member is present, current and parses. Any
+//! miss, stale version or corrupt record re-simulates the whole set (in
+//! parallel) and appends every member over whatever was there. Pass
+//! `--no-cache` to any binary (or set `CACTUS_NO_CACHE=1`) to skip the read
+//! and force that re-simulation. The store admits one writer per
+//! directory: when a running daemon (or another binary) holds it, the sets
+//! are simulated and not cached, with a note on stderr.
 
 use crate::ProfiledWorkload;
 use cactus_gpu::catalog::{self, CatalogEntry};
-use cactus_gpu::MODEL_VERSION;
 use cactus_profiler::store::{read_profile, write_profile};
-
-use std::path::{Path, PathBuf};
+use cactus_store::Store;
 
 /// Environment variable forcing re-simulation (any non-empty value but `0`).
 pub const NO_CACHE_ENV: &str = "CACTUS_NO_CACHE";
 
-/// Environment variable overriding the store directory.
-pub const STORE_DIR_ENV: &str = "CACTUS_PROFILE_STORE";
-
-/// Magic first line of a profile-set file.
-const SET_HEADER: &str = "cactus-profile-set v1";
-
-/// The scale both cached sets are simulated at.
+/// The scale both cached sets are simulated at, as the serving key spells it.
 const SCALE_SLUG: &str = "profile";
 
 /// True when the caller asked to bypass the store: `--no-cache` on the
@@ -50,45 +46,59 @@ pub fn no_cache_requested() -> bool {
         || std::env::var(NO_CACHE_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The store root: [`STORE_DIR_ENV`] if set, else `results/profiles/` under
-/// the workspace root.
-#[must_use]
-pub fn store_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var(STORE_DIR_ENV) {
-        return PathBuf::from(dir);
-    }
-    // crates/bench/ → workspace root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map_or_else(
-            || PathBuf::from("results/profiles"),
-            |ws| ws.join("results/profiles"),
-        )
-}
-
 /// Cactus-suite profiles at Profile scale, via the store.
 #[must_use]
 pub fn cactus_profiles_cached() -> Vec<ProfiledWorkload> {
-    cached("cactus", crate::cactus_profiles)
+    cached(&cactus_members(), crate::cactus_profiles)
 }
 
 /// Comparison-suite (PRT) profiles at Profile scale, via the store.
 #[must_use]
 pub fn prt_profiles_cached() -> Vec<ProfiledWorkload> {
-    cached("prt", crate::prt_profiles)
+    cached(&prt_members(), crate::prt_profiles)
 }
 
-fn cached(set: &str, compute: fn() -> Vec<ProfiledWorkload>) -> Vec<ProfiledWorkload> {
-    let dir = store_dir();
+/// `(suite, name)` of every Cactus workload, in the order
+/// [`crate::cactus_profiles`] returns them.
+#[must_use]
+pub fn cactus_members() -> Vec<(String, String)> {
+    cactus_core::suite()
+        .into_iter()
+        .map(|w| ("Cactus".to_owned(), w.abbr.to_owned()))
+        .collect()
+}
+
+/// `(suite, name)` of every comparison benchmark, in the order
+/// [`crate::prt_profiles`] returns them.
+#[must_use]
+pub fn prt_members() -> Vec<(String, String)> {
+    cactus_suites::all()
+        .into_iter()
+        .map(|b| (b.suite.name().to_owned(), b.name.to_owned()))
+        .collect()
+}
+
+fn cached(
+    members: &[(String, String)],
+    compute: fn() -> Vec<ProfiledWorkload>,
+) -> Vec<ProfiledWorkload> {
+    let dir = cactus_store::default_dir();
+    let store = Store::open(&dir)
+        .inspect_err(|e| eprintln!("profile store: {e}; simulating without caching"))
+        .ok();
+    let entry = default_device();
     if !no_cache_requested() {
-        if let Some(profiles) = load_set_in(&dir, set) {
+        if let Some(profiles) = store.as_ref().and_then(|s| load(s, entry, members)) {
             return profiles;
         }
     }
     let profiles = compute();
-    if let Err(e) = save_set_in(&dir, set, &profiles) {
-        eprintln!("profile store: could not write {set} set: {e}");
+    if let Some(store) = &store {
+        // Superseded records from earlier runs are reclaimed here; the
+        // daemon's background compactor does the same for its appends.
+        if let Err(e) = save(store, entry, &profiles).and_then(|()| store.maybe_compact()) {
+            eprintln!("profile store: could not cache the set: {e}");
+        }
     }
     profiles
 }
@@ -101,416 +111,194 @@ pub fn default_device() -> &'static CatalogEntry {
     catalog::by_id("rtx-3080").expect("rtx-3080 is in the catalog")
 }
 
-/// Path of one set file under `dir` for the default device (the paper's
-/// RTX 3080) at the current scale/version.
-#[must_use]
-pub fn set_path_in(dir: &Path, set: &str) -> PathBuf {
-    set_path_for(dir, default_device(), set)
+/// The serving key of `entry`'s Profile-scale profile of workload `name`.
+fn record_key(entry: &CatalogEntry, name: &str) -> String {
+    format!("{}/{SCALE_SLUG}/{name}", entry.id)
 }
 
-/// Path of one set file under `dir` for `entry`: keyed by the catalog id
-/// and the combined model version (global model version `.` per-device
-/// descriptor revision), so retuning one device invalidates only that
-/// device's sets.
-#[must_use]
-pub fn set_path_for(dir: &Path, entry: &CatalogEntry, set: &str) -> PathBuf {
-    dir.join(entry.id)
-        .join(format!("{SCALE_SLUG}-v{}", entry.store_version()))
-        .join(format!("{set}.profiles"))
-}
-
-/// Serialize one profile set to the default device's store path.
+/// Append every profile under its serving key
+/// (`<device>/profile/<name>`) at `entry`'s current record version, in
+/// slice order.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
-pub fn save_set_in(
-    dir: &Path,
-    set: &str,
-    profiles: &[ProfiledWorkload],
-) -> std::io::Result<PathBuf> {
-    save_set_for(dir, default_device(), set, profiles)
-}
-
-/// Serialize one profile set to `entry`'s store path. Returns the path
-/// written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_set_for(
-    dir: &Path,
+/// Propagates the first append failure.
+pub fn save(
+    store: &Store,
     entry: &CatalogEntry,
-    set: &str,
     profiles: &[ProfiledWorkload],
-) -> std::io::Result<PathBuf> {
-    let path = set_path_for(dir, entry, set);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = String::new();
-    out.push_str(SET_HEADER);
-    out.push('\n');
-    out.push_str(&format!("model_version {MODEL_VERSION}\n"));
-    out.push_str(&format!("device {}\n", entry.device().name));
-    out.push_str(&format!("device_id {}\n", entry.id));
-    out.push_str(&format!("device_rev {}\n", entry.rev));
-    out.push_str(&format!("scale {SCALE_SLUG}\n"));
-    out.push_str(&format!("entries {}\n", profiles.len()));
-    for p in profiles {
-        out.push_str(&format!("e {}\t{}\n", p.suite, p.name));
-        out.push_str(&write_profile(&p.profile));
-    }
-    // Write-then-rename so a crashed writer never leaves a torn set behind.
-    // The temp name is unique per writer (pid + sequence) so two concurrent
-    // savers cannot rename each other's half-written bytes into place, and
-    // it lives next to the target so the rename stays within one
-    // filesystem (atomicity of rename only holds there). The fsync before
-    // the swap means a crash right after the rename still leaves a fully
-    // durable file — rename-before-durable could surface an empty set
-    // after power loss.
-    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("profiles.tmp.{}.{seq}", std::process::id()));
-    let write = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut file, out.as_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, &path)
-    })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(path)
+) -> std::io::Result<()> {
+    profiles.iter().try_for_each(|p| {
+        store.append(
+            &record_key(entry, &p.name),
+            entry.record_version(),
+            write_profile(&p.profile).as_bytes(),
+        )
+    })
 }
 
-/// Load one profile set from the default device's store path. `None` means
-/// "simulate instead": missing file, version/device mismatch, or any parse
-/// failure.
+/// Read every member's profile back, in member order. `None` means
+/// "simulate instead": a member is absent, was recorded under another
+/// record version (a model or device-revision bump, a superseded
+/// placeholder), or does not read back as a profile.
 #[must_use]
-pub fn load_set_in(dir: &Path, set: &str) -> Option<Vec<ProfiledWorkload>> {
-    load_set_for(dir, default_device(), set)
-}
-
-/// Load one profile set from `entry`'s store path. The embedded
-/// `device_id` / `device_rev` lines must match `entry` exactly — a set
-/// simulated for one catalog id is never served as another, even if its
-/// file ends up under the wrong directory.
-#[must_use]
-pub fn load_set_for(dir: &Path, entry: &CatalogEntry, set: &str) -> Option<Vec<ProfiledWorkload>> {
-    let path = set_path_for(dir, entry, set);
-    let text = std::fs::read_to_string(&path).ok()?;
-    match parse_set(entry, &text) {
-        Ok(profiles) => Some(profiles),
-        Err(reason) => {
-            eprintln!("profile store: ignoring {}: {reason}", path.display());
-            None
-        }
-    }
-}
-
-fn parse_set(entry: &CatalogEntry, text: &str) -> Result<Vec<ProfiledWorkload>, String> {
-    let mut lines = text.lines();
-    let expect = |lines: &mut std::str::Lines<'_>, want: &str| -> Result<(), String> {
-        let got = lines
-            .next()
-            .ok_or_else(|| format!("missing {want:?} line"))?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(format!("expected {want:?}, got {got:?}"))
-        }
-    };
-    expect(&mut lines, SET_HEADER)?;
-    expect(&mut lines, &format!("model_version {MODEL_VERSION}"))?;
-    expect(&mut lines, &format!("device {}", entry.device().name))?;
-    expect(&mut lines, &format!("device_id {}", entry.id))?;
-    expect(&mut lines, &format!("device_rev {}", entry.rev))?;
-    expect(&mut lines, &format!("scale {SCALE_SLUG}"))?;
-
-    let entries_line = lines.next().ok_or("missing entries line")?;
-    let entries: usize = entries_line
-        .strip_prefix("entries ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| format!("bad entries line {entries_line:?}"))?;
-
-    let mut profiles = Vec::with_capacity(entries);
-    for _ in 0..entries {
-        let tag = lines.next().ok_or("truncated before entry tag")?;
-        let (suite, name) = tag
-            .strip_prefix("e ")
-            .and_then(|rest| rest.split_once('\t'))
-            .ok_or_else(|| format!("bad entry tag {tag:?}"))?;
-
-        // A profile block is its header, a `kernels <n>` line, and n kernel
-        // lines; re-join exactly that many lines and hand them to the
-        // profile parser.
-        let header = lines.next().ok_or("truncated before profile header")?;
-        let count_line = lines.next().ok_or("truncated before kernel count")?;
-        let count: usize = count_line
-            .strip_prefix("kernels ")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("bad kernel count line {count_line:?}"))?;
-        let mut block = String::new();
-        block.push_str(header);
-        block.push('\n');
-        block.push_str(count_line);
-        block.push('\n');
-        for _ in 0..count {
-            block.push_str(lines.next().ok_or("truncated inside profile")?);
-            block.push('\n');
-        }
-        let profile = read_profile(&block).map_err(|e| e.to_string())?;
-        profiles.push(ProfiledWorkload {
-            name: name.to_owned(),
-            suite: suite.to_owned(),
-            profile,
-            memo: None,
-        });
-    }
-    if lines.next().is_some() {
-        return Err("trailing data after final profile".to_owned());
-    }
-    Ok(profiles)
+pub fn load(
+    store: &Store,
+    entry: &CatalogEntry,
+    members: &[(String, String)],
+) -> Option<Vec<ProfiledWorkload>> {
+    members
+        .iter()
+        .map(|(suite, name)| {
+            let key = record_key(entry, name);
+            let warn = |reason: &dyn std::fmt::Display| {
+                eprintln!("profile store: ignoring {key}: {reason}");
+            };
+            let record = store.get(&key).inspect_err(|e| warn(e)).ok()??;
+            if record.version != entry.record_version() {
+                return None;
+            }
+            let text = String::from_utf8(record.value)
+                .inspect_err(|e| warn(e))
+                .ok()?;
+            let profile = read_profile(&text).inspect_err(|e| warn(e)).ok()?;
+            Some(ProfiledWorkload {
+                name: name.clone(),
+                suite: suite.clone(),
+                profile,
+                memo: None,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::prelude::*;
-    use cactus_profiler::Profile;
+    use cactus_core::SuiteScale;
+    use std::path::PathBuf;
 
+    /// Two suite members, simulated at tiny scale (the store never looks
+    /// inside a value, so the scale does not matter).
     fn sample_set() -> Vec<ProfiledWorkload> {
-        ["alpha", "beta"]
+        ["GMS", "GST"]
             .into_iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let mut gpu = Gpu::new(Device::rtx3080());
-                let n = 1u64 << (20 + i);
-                let k = KernelDesc::builder(format!("{name}_kernel"))
-                    .launch(LaunchConfig::linear(n, 256))
-                    .stream(AccessStream::read(n, 4, AccessPattern::Streaming))
-                    .build();
-                gpu.launch(&k);
-                gpu.launch(&k);
-                ProfiledWorkload {
-                    name: name.to_owned(),
-                    suite: "TestSuite".to_owned(),
-                    profile: Profile::from_records(gpu.records()),
-                    memo: None,
-                }
+            .map(|name| ProfiledWorkload {
+                name: name.to_owned(),
+                suite: "Cactus".to_owned(),
+                profile: cactus_core::run(name, SuiteScale::Tiny),
+                memo: None,
             })
             .collect()
     }
 
-    fn tmp_store(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("cactus-store-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn members_of(set: &[ProfiledWorkload]) -> Vec<(String, String)> {
+        set.iter()
+            .map(|p| (p.suite.clone(), p.name.clone()))
+            .collect()
     }
 
+    fn tmp_store(tag: &str) -> (Store, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("cactus-bench-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (Store::open(&dir).expect("open store"), dir)
+    }
+
+    /// Round trip, pinned on both sides to what `cactus-serve` reads and
+    /// writes: the record sits under the serving key at the catalog's
+    /// record version (serve's `store_level_is_consulted_before_simulation`
+    /// is the other half), and the loader returns it bit-identically.
     #[test]
     fn save_then_load_is_exact() {
-        let dir = tmp_store("roundtrip");
+        let (store, dir) = tmp_store("roundtrip");
         let set = sample_set();
-        let path = save_set_in(&dir, "cactus", &set).expect("save");
-        assert!(path.starts_with(&dir));
+        let entry = default_device();
+        save(&store, entry, &set).expect("save");
 
-        let loaded = load_set_in(&dir, "cactus").expect("load");
+        let record = store.get("rtx-3080/profile/GMS").expect("get");
+        let record = record.expect("saved under the serving key");
+        assert_eq!(record.version, entry.record_version());
+        assert_eq!(record.value, write_profile(&set[0].profile).as_bytes());
+
+        let loaded = load(&store, entry, &members_of(&set)).expect("load");
         assert_eq!(loaded.len(), set.len());
         for (a, b) in loaded.iter().zip(&set) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.suite, b.suite);
             assert_eq!(a.profile, b.profile);
         }
+        assert!(cactus_members().contains(&members_of(&set)[0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_store_is_a_clean_miss() {
-        let dir = tmp_store("missing");
-        assert!(load_set_in(&dir, "cactus").is_none());
+        let (store, dir) = tmp_store("missing");
+        let set = sample_set();
+        assert!(load(&store, default_device(), &members_of(&set)).is_none());
+        // One absent member is a miss for the whole set.
+        save(&store, default_device(), &set[..1]).expect("save half");
+        assert!(load(&store, default_device(), &members_of(&set)).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_mismatch_invalidates() {
-        let dir = tmp_store("version");
+        let (store, dir) = tmp_store("version");
         let set = sample_set();
-        let path = save_set_in(&dir, "prt", &set).expect("save");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let stale = text.replace(&format!("model_version {MODEL_VERSION}"), "model_version 0");
-        std::fs::write(&path, stale).expect("rewrite");
-        assert!(load_set_in(&dir, "prt").is_none());
+        let entry = default_device();
+        save(&store, entry, &set).expect("save");
+        // One member re-recorded at another version: stale, so a miss.
+        store
+            .append(
+                "rtx-3080/profile/GST",
+                entry.record_version() + 1,
+                write_profile(&set[1].profile).as_bytes(),
+            )
+            .expect("append");
+        assert!(load(&store, entry, &members_of(&set)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_profile_invalidates() {
-        let dir = tmp_store("corrupt");
+        let (store, dir) = tmp_store("corrupt");
         let set = sample_set();
-        let path = save_set_in(&dir, "cactus", &set).expect("save");
-        let text = std::fs::read_to_string(&path).expect("read back");
+        let entry = default_device();
+        save(&store, entry, &set).expect("save");
+        let text = write_profile(&set[0].profile);
         let truncated: String = text
             .lines()
             .take(text.lines().count() - 1)
             .map(|l| format!("{l}\n"))
             .collect();
-        std::fs::write(&path, truncated).expect("rewrite");
-        assert!(load_set_in(&dir, "cactus").is_none());
+        store
+            .append(
+                "rtx-3080/profile/GMS",
+                entry.record_version(),
+                truncated.as_bytes(),
+            )
+            .expect("append");
+        assert!(load(&store, entry, &members_of(&set)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Two threads race `save` against `load` on the same set. Because the
-    /// writer goes write-then-rename (and rename is atomic within a
-    /// filesystem), a reader must only ever observe a complete, valid set —
-    /// never a torn or half-written one. The writer alternates between two
-    /// sets of different shapes so a torn mix of old and new bytes cannot
-    /// accidentally parse.
-    #[test]
-    fn concurrent_save_and_load_never_tear() {
-        let dir = tmp_store("race");
-        let full = sample_set();
-        let half = vec![full[0].clone()];
-        // Seed the store so every load should succeed.
-        save_set_in(&dir, "cactus", &full).expect("seed save");
-
-        const ROUNDS: usize = 200;
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                for i in 0..ROUNDS {
-                    let set = if i % 2 == 0 { &half } else { &full };
-                    save_set_in(&dir, "cactus", set).expect("racing save");
-                }
-            });
-            let reader = scope.spawn(|| {
-                let mut seen = 0usize;
-                while seen < ROUNDS {
-                    // A None here would mean the reader caught a torn file
-                    // (the path exists for the whole race).
-                    let loaded = load_set_in(&dir, "cactus")
-                        .expect("reader observed a torn or missing profile set");
-                    match loaded.len() {
-                        1 => {
-                            assert_eq!(loaded[0].name, half[0].name);
-                            assert_eq!(loaded[0].profile, half[0].profile);
-                        }
-                        2 => {
-                            for (a, b) in loaded.iter().zip(&full) {
-                                assert_eq!(a.name, b.name);
-                                assert_eq!(a.profile, b.profile);
-                            }
-                        }
-                        n => panic!("loaded a set of unexpected size {n}"),
-                    }
-                    seen += 1;
-                }
-            });
-            writer.join().expect("writer thread");
-            reader.join().expect("reader thread");
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Two writers race each other. Unique temp names mean neither can
-    /// rename the other's in-progress bytes into place, so every
-    /// intermediate and final state parses as one of the two sets.
-    #[test]
-    fn concurrent_savers_never_publish_each_others_temp() {
-        let dir = tmp_store("two-writers");
-        let full = sample_set();
-        let half = vec![full[0].clone()];
-        const ROUNDS: usize = 50;
-        std::thread::scope(|scope| {
-            let a = scope.spawn(|| {
-                for _ in 0..ROUNDS {
-                    save_set_in(&dir, "cactus", &half).expect("writer a");
-                }
-            });
-            let b = scope.spawn(|| {
-                for _ in 0..ROUNDS {
-                    save_set_in(&dir, "cactus", &full).expect("writer b");
-                }
-            });
-            a.join().expect("writer a thread");
-            b.join().expect("writer b thread");
-        });
-        let loaded = load_set_in(&dir, "cactus").expect("final state parses");
-        assert!(loaded.len() == half.len() || loaded.len() == full.len());
-        let leftovers: Vec<_> = std::fs::read_dir(path_parent(&dir))
-            .expect("set dir")
-            .filter_map(Result::ok)
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp"))
-            .collect();
-        assert_eq!(leftovers, Vec::<String>::new(), "temp files cleaned up");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn path_parent(dir: &Path) -> PathBuf {
-        set_path_in(dir, "cactus")
-            .parent()
-            .expect("set path has a dir")
-            .to_path_buf()
-    }
-
-    #[test]
-    fn set_path_encodes_device_scale_and_version() {
-        let p = set_path_in(Path::new("/store"), "cactus");
-        let s = p.to_string_lossy();
-        assert!(s.contains("rtx-3080"), "{s}");
-        let entry = default_device();
-        assert!(
-            s.contains(&format!("profile-v{MODEL_VERSION}.{}", entry.rev)),
-            "{s}"
-        );
-        assert!(s.ends_with("cactus.profiles"), "{s}");
-        // A different catalog device keys a disjoint path.
-        let other = catalog::by_id("rtx-3060").expect("catalog entry");
-        let q = set_path_for(Path::new("/store"), other, "cactus");
-        assert_ne!(p, q);
-        assert!(q.to_string_lossy().contains("rtx-3060"));
-    }
-
-    /// The rename/move hazard the layout guards against: a set simulated
-    /// for one catalog id that ends up under another id's directory (a
-    /// catalog rename, a hand-copied store) must be rejected, not served
-    /// as the wrong hardware.
-    #[test]
-    fn device_id_mismatch_invalidates() {
-        let dir = tmp_store("device-mismatch");
-        let set = sample_set();
-        let saved = save_set_in(&dir, "cactus", &set).expect("save under rtx-3080");
-
-        let other = catalog::by_id("rtx-3060").expect("catalog entry");
-        let moved = set_path_for(&dir, other, "cactus");
-        std::fs::create_dir_all(moved.parent().expect("parent")).expect("mkdir");
-        std::fs::copy(&saved, &moved).expect("simulate a catalog rename");
-
-        assert!(
-            load_set_for(&dir, other, "cactus").is_none(),
-            "a set embedded with device_id rtx-3080 must not load as rtx-3060"
-        );
-        // The original keeps loading under its own id.
-        assert!(load_set_in(&dir, "cactus").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Per-device revision is part of the key: a set written at one rev is
-    /// invisible (clean miss) at another, so retuning one device never
-    /// serves its stale profiles.
+    /// Per-device revision is part of the record version: a set recorded at
+    /// one rev is invisible (clean miss) at another, so retuning one device
+    /// never serves its stale profiles.
     #[test]
     fn per_device_rev_keys_the_layout() {
-        let dir = tmp_store("rev-key");
+        let (store, dir) = tmp_store("rev-key");
         let set = sample_set();
-        save_set_in(&dir, "cactus", &set).expect("save");
         let entry = default_device();
+        save(&store, entry, &set).expect("save");
         let bumped = CatalogEntry {
             rev: entry.rev + 1,
             ..*entry
         };
-        assert!(load_set_for(&dir, &bumped, "cactus").is_none());
+        assert!(load(&store, &bumped, &members_of(&set)).is_none());
+        assert!(load(&store, entry, &members_of(&set)).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,14 +35,16 @@ usage: cactus-gateway [options]
                             catalog ids, e.g. \"rtx-3080,a100;uhd-630\"
                             (empty slot = full catalog; slot count must
                             match --fleet N)
-  --store-dir PATH          profile-store directory for --fleet backends
+  --store-dir PATH          profile-store root for --fleet backends; slot i
+                            opens PATH/slot-<i> (default: CACTUS_PROFILE_STORE,
+                            else workspace results/profiles)
   --workers N               gateway worker threads (default 8)
   --queue N                 accepted connections allowed to wait (default 128)
   --no-hedge                disable hedged requests
   --hedge-floor-ms MS       minimum hedge delay (default 20)
   --eject-after N           consecutive failures before ejection (default 2)
   --cooldown-ms MS          ejection cooldown before half-open (default 1000)
-  --health-interval-ms MS   active /healthz probe interval, 0 = passive only
+  --health-interval-ms MS   active /v1/healthz probe interval, 0 = passive only
                             (default 500)
   --port-file PATH          write the bound port here once listening
   --span-log PATH           append every finished span as a JSON line here

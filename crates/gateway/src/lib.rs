@@ -12,7 +12,7 @@
 //! * **Health-checked failover** ([`health`]) — consecutive transport
 //!   failures eject a backend from rotation; after a cooldown it re-enters
 //!   half-open and one successful trial request re-admits it. Passive
-//!   (data-path) detection always runs; active `/healthz` probing is
+//!   (data-path) detection always runs; active `/v1/healthz` probing is
 //!   optional.
 //! * **Retries with jittered backoff** ([`proxy`]) — idempotent `GET`s that
 //!   hit a transport error or `503` move to the next backend on the ring.
@@ -43,11 +43,10 @@
 //! Observability mirrors the backends: `/v1/metricsz` ([`metrics`]) exposes
 //! per-backend route counts, failures, health states, ejections, retries,
 //! hedge launches/wins, and latency quantiles, rendered by the same
-//! `cactus_obs::MetricsRegistry` exposition code the backends use (the
-//! legacy `/metricsz` spelling stays as an alias). Every request carries a
-//! trace id — propagated from `x-cactus-trace` or minted at the edge —
-//! that roots a `gateway.route` span, follows the request to the chosen
-//! backend, and is queryable at `/v1/tracez` on both tiers.
+//! `cactus_obs::MetricsRegistry` exposition code the backends use. Every
+//! request carries a trace id — propagated from `x-cactus-trace` or minted
+//! at the edge — that roots a `gateway.route` span, follows the request to
+//! the chosen backend, and is queryable at `/v1/tracez` on both tiers.
 
 pub mod capability;
 pub mod compare;

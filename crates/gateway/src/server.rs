@@ -18,8 +18,8 @@
 //! the work each request does — a proxied exchange instead of a local
 //! simulation. The gateway serves its own `/v1/healthz`, `/v1/metricsz`,
 //! `/v1/tracez`, a fleet-wide `/v1/devices` catalog view, and the
-//! cross-device `/v1/compare` synthesis locally (legacy unversioned
-//! spellings stay as aliases); every other `GET` is forwarded — after an
+//! cross-device `/v1/compare` synthesis locally; every other `GET` is
+//! forwarded (so an unversioned path earns a backend's `404`) — after an
 //! edge catalog check, so a request for a device the catalog has never
 //! heard of is answered `404` here instead of burning a backend attempt.
 //!
@@ -80,7 +80,7 @@ pub struct GatewayConfig {
     pub eject_after: u32,
     /// How long an ejected backend sits out before a half-open trial.
     pub cooldown: Duration,
-    /// Interval between active `/healthz` probes; `None` disables probing
+    /// Interval between active `/v1/healthz` probes; `None` disables probing
     /// (health is then driven purely by data-path outcomes).
     pub probe_interval: Option<Duration>,
     /// Timeout for one active probe.
@@ -437,8 +437,8 @@ fn handle_connection(
 }
 
 /// Dispatch one request: local endpoints (`/v1/healthz`, `/v1/metricsz`,
-/// `/v1/tracez`, and their legacy aliases) are answered by the gateway
-/// itself; everything else is forwarded under the request's span context.
+/// `/v1/tracez`, …) are answered by the gateway itself; everything else is
+/// forwarded under the request's span context.
 fn respond(
     router: &Arc<Router>,
     backend_addrs: &[SocketAddr],
@@ -458,13 +458,13 @@ fn respond(
         };
     }
     match request.path.as_str() {
-        "/healthz" | "/v1/healthz" => Forwarded {
+        "/v1/healthz" => Forwarded {
             status: 200,
             content_type: "text/plain; charset=utf-8".to_owned(),
             body: "ok\n".to_owned(),
             backend: None,
         },
-        "/metricsz" | "/v1/metricsz" => Forwarded {
+        "/v1/metricsz" => Forwarded {
             status: 200,
             content_type: "text/plain; charset=utf-8".to_owned(),
             body: render_metrics(&router.metrics, &router.health, &router.pool, backend_addrs),

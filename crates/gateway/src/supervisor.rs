@@ -42,12 +42,13 @@ impl Supervisor {
     /// first slot only if it names port 0; every slot binds ephemerally and
     /// then pins the resolved address).
     ///
-    /// When `base` carries a `store_dir`, each slot gets its own `slot-<i>`
-    /// subdirectory of it: the embedded store's segment files assume a
-    /// single writer per directory, so two backends sharing one tree would
-    /// corrupt each other. The subdirectory is pinned in the slot's config,
-    /// so a restarted backend reopens *its own* segments — which is what
-    /// makes kill/restart durability and anti-entropy testable in-process.
+    /// Each slot gets its own `slot-<i>` subdirectory of `base.store_dir`
+    /// (or of [`cactus_store::default_dir`] when that is `None`): the
+    /// embedded store admits a single writer per directory, so a second
+    /// backend on the same tree would be refused. The subdirectory is
+    /// pinned in the slot's config, so a restarted backend reopens *its
+    /// own* segments — which is what makes kill/restart durability and
+    /// anti-entropy testable in-process.
     ///
     /// # Errors
     ///
@@ -72,15 +73,16 @@ impl Supervisor {
         device_sets: &[Vec<String>],
         base: &ServeConfig,
     ) -> io::Result<Self> {
+        let store_root = base
+            .store_dir
+            .clone()
+            .unwrap_or_else(cactus_store::default_dir);
         let mut slots = Vec::with_capacity(device_sets.len());
         for (i, devices) in device_sets.iter().enumerate() {
             let mut config = base.clone();
             config.addr = "127.0.0.1:0".to_owned();
             config.devices = devices.clone();
-            config.store_dir = base
-                .store_dir
-                .as_ref()
-                .map(|dir| dir.join(format!("slot-{i}")));
+            config.store_dir = Some(store_root.join(format!("slot-{i}")));
             match Server::start(config.clone()) {
                 Ok(server) => {
                     // Pin the resolved port so a restart reuses it.
@@ -192,20 +194,33 @@ impl Supervisor {
 mod tests {
     use super::*;
     use cactus_serve::Client;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// A fleet config on a store root no other test (or test process)
+    /// shares — a store directory admits one open handle.
     fn base() -> ServeConfig {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         ServeConfig {
             workers: 1,
             queue: 8,
-            store_dir: Some(std::env::temp_dir().join("cactus-supervisor-test-store")),
+            store_dir: Some(std::env::temp_dir().join(format!(
+                "cactus-supervisor-test-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ))),
             ..ServeConfig::default()
         }
     }
 
+    fn clean_up(base: &ServeConfig) {
+        let _ = std::fs::remove_dir_all(base.store_dir.as_ref().expect("base sets a store dir"));
+    }
+
     #[test]
     fn fleet_spawns_on_distinct_ports_and_answers_health() {
-        let fleet = Supervisor::spawn_fleet(2, &base()).expect("spawn");
+        let base = base();
+        let fleet = Supervisor::spawn_fleet(2, &base).expect("spawn");
         let addrs = fleet.addrs();
         assert_eq!(addrs.len(), 2);
         assert_ne!(addrs[0], addrs[1]);
@@ -218,16 +233,18 @@ mod tests {
         }
         fleet.shutdown_all();
         assert!(!fleet.running(0) && !fleet.running(1));
+        clean_up(&base);
     }
 
     #[test]
     fn heterogeneous_slots_advertise_their_own_devices() {
+        let base = base();
         let fleet = Supervisor::spawn_heterogeneous(
             &[
                 vec!["rtx-3080".to_owned()],
                 vec!["uhd-630".to_owned(), "rtx-3060".to_owned()],
             ],
-            &base(),
+            &base,
         )
         .expect("spawn");
         let addrs = fleet.addrs();
@@ -246,11 +263,13 @@ mod tests {
             "slot 1 advertises exactly its configured device set"
         );
         fleet.shutdown_all();
+        clean_up(&base);
     }
 
     #[test]
     fn kill_and_restart_reuse_the_pinned_port() {
-        let fleet = Supervisor::spawn_fleet(1, &base()).expect("spawn");
+        let base = base();
+        let fleet = Supervisor::spawn_fleet(1, &base).expect("spawn");
         let addr = fleet.addrs()[0];
         fleet.kill(0);
         assert!(!fleet.running(0));
@@ -269,14 +288,17 @@ mod tests {
             .expect("healthz after restart");
         assert_eq!(reply.status, 200);
         fleet.shutdown_all();
+        clean_up(&base);
     }
 
     #[test]
     fn out_of_range_slot_ops_are_noops() {
-        let fleet = Supervisor::spawn_fleet(1, &base()).expect("spawn");
+        let base = base();
+        let fleet = Supervisor::spawn_fleet(1, &base).expect("spawn");
         fleet.kill(7);
         assert!(fleet.restart(7).is_ok());
         assert!(!fleet.running(7));
         fleet.shutdown_all();
+        clean_up(&base);
     }
 }

@@ -13,57 +13,52 @@
 //! 3. **Recovery** — the killed backend restarts on its pinned port; the
 //!    half-open trial re-admits it and traffic lands on it again.
 //!
-//! The fleet serves entirely from a seeded profile store (no simulations),
-//! so the test exercises routing machinery, not simulator throughput. The
-//! gateway runs passive-only health (no active probes) so the retry and
-//! ejection counts asserted below are deterministic consequences of the
-//! data path, not races against a prober.
+//! The fleet serves entirely from seeded profile stores (no simulations —
+//! asserted after phase 1), so the test exercises routing machinery, not
+//! simulator throughput. The gateway runs passive-only health (no active
+//! probes) so the retry and ejection counts asserted below are
+//! deterministic consequences of the data path, not races against a prober.
 
 use std::time::{Duration, Instant};
 
-use cactus_bench::store::save_set_in;
-use cactus_bench::ProfiledWorkload;
 use cactus_core::{workloads, SuiteScale};
 use cactus_gateway::{Gateway, GatewayConfig, HealthState, RoutePolicy, Supervisor};
-use cactus_serve::{Connection, ServeConfig};
+use cactus_profiler::store::write_profile;
+use cactus_serve::{Client, Connection, ServeConfig};
+use cactus_store::Store;
 
-/// Seed a store directory where every Cactus workload and 20 PRT
-/// benchmarks resolve at `rtx-3080/profile` scale without simulating. The
+/// Seed the three slot stores `spawn_fleet` will open under `dir` so every
+/// Cactus workload and 20 PRT benchmarks resolve at `rtx-3080/profile`
+/// scale without simulating, whichever backend a request lands on. The
 /// profile *content* is shared (one cheap tiny simulation) — the routing
 /// tier never looks inside it.
 fn seed_store(dir: &std::path::Path) -> Vec<String> {
-    let profile = cactus_core::run("GMS", SuiteScale::Tiny);
-    let mut names = Vec::new();
-
-    let cactus_set: Vec<ProfiledWorkload> = workloads::suite()
+    let record = write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
+    let version = cactus_gpu::by_id("rtx-3080")
+        .expect("catalog id")
+        .record_version();
+    let names: Vec<String> = workloads::suite()
         .into_iter()
-        .map(|w| {
-            names.push(w.abbr.to_owned());
-            ProfiledWorkload {
-                name: w.abbr.to_owned(),
-                suite: "Cactus".to_owned(),
-                profile: profile.clone(),
-                memo: None,
-            }
-        })
+        .map(|w| w.abbr.to_owned())
+        .chain(
+            cactus_suites::all()
+                .into_iter()
+                .take(20)
+                .map(|b| b.name.to_owned()),
+        )
         .collect();
-    save_set_in(dir, "cactus", &cactus_set).expect("seed cactus set");
-
-    let prt_set: Vec<ProfiledWorkload> = cactus_suites::all()
-        .into_iter()
-        .take(20)
-        .map(|b| {
-            names.push(b.name.to_owned());
-            ProfiledWorkload {
-                name: b.name.to_owned(),
-                suite: format!("{:?}", b.suite),
-                profile: profile.clone(),
-                memo: None,
-            }
-        })
-        .collect();
-    save_set_in(dir, "prt", &prt_set).expect("seed prt set");
-
+    for slot in 0..3 {
+        let store = Store::open(dir.join(format!("slot-{slot}"))).expect("open slot store");
+        for name in &names {
+            store
+                .append(
+                    &format!("rtx-3080/profile/{name}"),
+                    version,
+                    record.as_bytes(),
+                )
+                .expect("seed slot store");
+        }
+    }
     names
 }
 
@@ -154,6 +149,20 @@ fn failover_balance_and_recovery() {
         );
     }
 
+    // The module doc's "no simulations", as a check: every reply above came
+    // out of a seeded slot store.
+    let simulations: f64 = addrs
+        .iter()
+        .map(|&addr| {
+            Client::new(addr)
+                .metrics()
+                .expect("backend metrics")
+                .get("cactus_serve_simulations_total")
+                .expect("simulations counter")
+        })
+        .sum();
+    assert_eq!(simulations, 0.0, "the sweep must not simulate");
+
     // --- Phase 2: failover. Kill the busiest backend mid-run; every key
     // must still answer 200 via ejection + re-routing.
     let victim = routed
@@ -194,7 +203,7 @@ fn failover_balance_and_recovery() {
     );
 
     // The gateway's own scrape endpoint reports the same story.
-    let scrape = conn.get("/metricsz").expect("metricsz");
+    let scrape = conn.get("/v1/metricsz").expect("metricsz");
     assert_eq!(scrape.status, 200);
     let field = |name: &str| -> u64 {
         scrape
@@ -285,7 +294,7 @@ fn gateway_proxies_non_shard_routes_verbatim() {
     assert_eq!(missing.status, 404, "backend 404 forwarded verbatim");
     assert!(missing.body.contains("unknown route"));
 
-    let health = conn.get("/healthz").expect("gateway healthz");
+    let health = conn.get("/v1/healthz").expect("gateway healthz");
     assert_eq!(health.status, 200);
     assert_eq!(health.body, "ok\n", "healthz is answered locally");
 

@@ -23,38 +23,38 @@
 
 use std::time::Duration;
 
-use cactus_bench::store::save_set_for;
-use cactus_bench::ProfiledWorkload;
 use cactus_core::{workloads, SuiteScale};
 use cactus_gateway::{Gateway, GatewayConfig, HealthState, RoutePolicy, Supervisor};
+use cactus_profiler::store::write_profile;
 use cactus_serve::{Client, Connection, DeviceId, ServeConfig};
+use cactus_store::Store;
 
 fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
 }
 
-/// Seed `dir/slot-<i>` with one profile set per device the slot models, so
-/// every request resolves from the store without simulating.
+/// Seed `dir/slot-<i>` with every Cactus workload at Profile scale for each
+/// device the slot models, so every request resolves from the store
+/// without simulating.
 fn seed_slots(dir: &std::path::Path, slot_devices: &[Vec<String>]) -> Vec<String> {
-    let profile = cactus_core::run("GMS", SuiteScale::Tiny);
+    let record = write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
     let names: Vec<String> = workloads::suite()
         .into_iter()
         .map(|w| w.abbr.to_owned())
         .collect();
-    let set: Vec<ProfiledWorkload> = names
-        .iter()
-        .map(|name| ProfiledWorkload {
-            name: name.clone(),
-            suite: "Cactus".to_owned(),
-            profile: profile.clone(),
-            memo: None,
-        })
-        .collect();
     for (i, devices) in slot_devices.iter().enumerate() {
-        let slot_dir = dir.join(format!("slot-{i}"));
+        let store = Store::open(dir.join(format!("slot-{i}"))).expect("open slot store");
         for id in devices {
             let entry = cactus_gpu::by_id(id).expect("catalog id");
-            save_set_for(&slot_dir, entry, "cactus", &set).expect("seed slot store");
+            for name in &names {
+                store
+                    .append(
+                        &format!("{}/profile/{name}", entry.id),
+                        entry.record_version(),
+                        record.as_bytes(),
+                    )
+                    .expect("seed slot store");
+            }
         }
     }
     names

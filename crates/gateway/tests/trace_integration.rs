@@ -3,10 +3,9 @@
 //! BOTH tiers' `/v1/tracez`, and both tiers' `/v1/metricsz` must round-trip
 //! through the shared strict exposition parser.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use cactus_bench::store::save_set_in;
-use cactus_bench::ProfiledWorkload;
 use cactus_core::SuiteScale;
 use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy};
 use cactus_obs::{expo, SpanRecord, TraceId, TRACE_HEADER};
@@ -21,20 +20,26 @@ fn dev(slug: &str) -> DeviceId {
 /// one gateway. In-process rather than supervised, so the test can read the
 /// backend's tracer directly.
 fn start_pair() -> (Gateway, Server, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("cactus-trace-it-{}", std::process::id()));
+    // Unique per call: the tests of this binary run in parallel, and a
+    // store directory admits one open handle.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "cactus-trace-it-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let profile = cactus_core::run("GMS", SuiteScale::Tiny);
-    save_set_in(
-        &dir,
-        "cactus",
-        &[ProfiledWorkload {
-            name: "GMS".to_owned(),
-            suite: "Cactus".to_owned(),
-            profile,
-            memo: None,
-        }],
-    )
-    .expect("seed store");
+    cactus_store::Store::open(&dir)
+        .expect("open store")
+        .append(
+            "rtx-3080/profile/GMS",
+            cactus_gpu::by_id("rtx-3080")
+                .expect("catalog id")
+                .record_version(),
+            cactus_profiler::store::write_profile(&profile).as_bytes(),
+        )
+        .expect("seed store");
 
     let backend = Server::start(ServeConfig {
         workers: 2,
@@ -86,6 +91,11 @@ fn one_request_yields_one_trace_across_both_tiers() {
         .get_traced("/v1/profile/rtx-3080/profile/GMS", Some(trace))
         .expect("routed request");
     assert_eq!(reply.status, 200, "body: {}", reply.body);
+    assert_eq!(
+        backend.state().service.simulations(),
+        0,
+        "the seeded record must answer, not a Profile-scale simulation"
+    );
     assert_eq!(
         reply.header(TRACE_HEADER),
         Some(trace.to_string().as_str()),
@@ -174,19 +184,18 @@ fn both_metricsz_pages_parse_with_the_shared_parser() {
     let be = be_client.metrics().expect("backend page parses strictly");
     assert!(be.get("cactus_serve_requests_total").unwrap_or(0.0) >= 1.0);
     assert_eq!(be.get("cactus_serve_store_hits_total"), Some(1.0));
+    assert_eq!(be.get("cactus_serve_simulations_total"), Some(0.0));
 
     // Raw pages parse through the same free function (what obs-check runs).
     for (client, tier) in [(&gw_client, "gateway"), (&be_client, "serve")] {
-        for path in ["/v1/metricsz", "/metricsz"] {
-            let page = client.get(path).expect("scrape");
-            assert_eq!(page.status, 200, "{tier} {path}");
-            expo::parse(&page.body)
-                .unwrap_or_else(|e| panic!("{tier} {path} failed strict parse: {e}"));
-        }
-        // Legacy and versioned health aliases both answer.
-        for path in ["/healthz", "/v1/healthz"] {
-            assert_eq!(client.get(path).expect("healthz").status, 200, "{tier}");
-        }
+        let page = client.get("/v1/metricsz").expect("scrape");
+        assert_eq!(page.status, 200, "{tier}");
+        expo::parse(&page.body).unwrap_or_else(|e| panic!("{tier} failed strict parse: {e}"));
+        assert_eq!(
+            client.get("/v1/healthz").expect("healthz").status,
+            200,
+            "{tier}"
+        );
     }
 
     gateway.join();

@@ -10,8 +10,10 @@
 //!
 //! Each entry also carries a per-device revision, bumped whenever that
 //! device's descriptor changes without a global [`MODEL_VERSION`] bump.
-//! Stores key on `MODEL_VERSION` *and* the revision, so retuning one
-//! device invalidates only that device's cached profiles.
+//! Stored profile records are stamped with both, folded into one number by
+//! [`CatalogEntry::record_version`] — the one function that decides which
+//! record is current — so retuning one device invalidates only that
+//! device's stored profiles.
 
 use crate::device::Device;
 use crate::MODEL_VERSION;
@@ -24,7 +26,8 @@ pub struct CatalogEntry {
     /// store paths; never renamed.
     pub id: &'static str,
     /// Per-device descriptor revision; bumped when this device's parameters
-    /// change. Combines with the global [`MODEL_VERSION`] to key stores.
+    /// change. Combines with the global [`MODEL_VERSION`] into
+    /// [`record_version`](Self::record_version).
     pub rev: u32,
     /// Preset constructor for the descriptor.
     pub build: fn() -> Device,
@@ -37,11 +40,21 @@ impl CatalogEntry {
         (self.build)()
     }
 
-    /// The version tag profile stores key on: the global model version plus
-    /// this device's descriptor revision, e.g. `"2.1"`.
+    /// Human-readable version tag (the `/v1/devices` column): the global
+    /// model version plus this device's descriptor revision, e.g. `"2.1"`.
     #[must_use]
     pub fn store_version(&self) -> String {
         format!("{MODEL_VERSION}.{}", self.rev)
+    }
+
+    /// The version stamped on this device's profile records in the durable
+    /// store, and the only one a reader accepts as current: the global
+    /// model version and this device's revision folded into one `u32`
+    /// (e.g. `2001`). A `MODEL_VERSION` bump invalidates every device's
+    /// records, a `rev` bump only this device's.
+    #[must_use]
+    pub fn record_version(&self) -> u32 {
+        MODEL_VERSION * 1000 + self.rev
     }
 }
 
@@ -145,5 +158,6 @@ mod tests {
     fn store_version_combines_global_and_per_device() {
         let entry = by_id("rtx-3080").expect("catalog entry");
         assert_eq!(entry.store_version(), format!("{MODEL_VERSION}.1"));
+        assert_eq!(entry.record_version(), MODEL_VERSION * 1000 + 1);
     }
 }

@@ -18,24 +18,26 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cactus_bench::store::save_set_in;
-use cactus_bench::ProfiledWorkload;
 use cactus_core::SuiteScale;
+use cactus_profiler::store::write_profile;
 use cactus_serve::{Client, ServeConfig, Server};
+use cactus_store::Store;
 
-/// Seed a store directory with a profile set containing GMS, simulated at
-/// tiny scale (the store path embeds the set name, not the scale, so this
-/// is a cheap way to exercise the store-load path).
+/// Seed a store directory with GMS under the `rtx-3080/profile` key,
+/// simulated at tiny scale (the store never looks inside the value, so
+/// this is a cheap way to exercise the store-load path).
 fn seeded_store_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cactus-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let set: Vec<ProfiledWorkload> = vec![ProfiledWorkload {
-        name: "GMS".to_owned(),
-        suite: "Cactus".to_owned(),
-        profile: cactus_core::run("GMS", SuiteScale::Tiny),
-        memo: None,
-    }];
-    save_set_in(&dir, "cactus", &set).expect("seed store");
+    let entry = cactus_gpu::by_id("rtx-3080").expect("catalog id");
+    Store::open(&dir)
+        .expect("open store")
+        .append(
+            "rtx-3080/profile/GMS",
+            entry.record_version(),
+            write_profile(&cactus_core::run("GMS", SuiteScale::Tiny)).as_bytes(),
+        )
+        .expect("seed store");
     dir
 }
 
@@ -61,6 +63,15 @@ fn bench_serve_levels(c: &mut Criterion) {
     let dir = seeded_store_dir();
     let server = start_server(dir.clone(), 8);
     let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+
+    // The seeded record must be what answers: a fixture the server cannot
+    // see would silently time Profile-scale simulations instead.
+    server.state().cache.clear();
+    let seeded = client
+        .get("/v1/profile/rtx-3080/profile/GMS")
+        .expect("store-backed request");
+    assert_eq!(seeded.status, 200);
+    assert_eq!(server.state().service.simulations(), 0);
 
     let mut g = c.benchmark_group("serve");
     g.sample_size(10).measurement_time(Duration::from_secs(2));

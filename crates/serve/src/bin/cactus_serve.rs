@@ -39,7 +39,9 @@ usage: cactus-serve [options]
   --queue N            accepted connections allowed to wait (default 64)
   --cache N            response-cache entries, 0 disables (default 256)
   --retry-after SECS   Retry-After advertised on 503 (default 1)
-  --store-dir PATH     profile-store directory (default: workspace results/)
+  --store-dir PATH     profile-store directory, held exclusively while running
+                       (default: CACTUS_PROFILE_STORE, else workspace
+                       results/profiles — the one the fig/table bins use)
   --port-file PATH     write the bound port here once listening
   --span-log PATH      append every finished span as a JSON line here
   --devices ID,ID,...  catalog device ids this backend models and advertises

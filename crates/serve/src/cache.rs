@@ -5,7 +5,7 @@
 //! a hit costs one hash lookup and an `Arc` clone; the body bytes are shared
 //! with every concurrent reader. Only `200` responses are cached (callers
 //! enforce this), eviction is least-recently-*used* (get bumps recency), and
-//! hit/miss counters feed `/metricsz`.
+//! hit/miss counters feed `/v1/metricsz`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

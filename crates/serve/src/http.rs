@@ -259,10 +259,6 @@ pub struct Response {
     pub retry_after: Option<u32>,
     /// Trace id echoed back in the `x-cactus-trace` header, if assigned.
     pub trace: Option<TraceId>,
-    /// Additional response headers in wire order (deprecation notices,
-    /// `Link` relations). Names are static — handlers attach a fixed
-    /// vocabulary, never caller-controlled names.
-    pub extra_headers: Vec<(&'static str, String)>,
 }
 
 impl Response {
@@ -275,7 +271,6 @@ impl Response {
             body: body.into(),
             retry_after: None,
             trace: None,
-            extra_headers: Vec::new(),
         }
     }
 
@@ -288,7 +283,6 @@ impl Response {
             body: error.to_json(),
             retry_after: None,
             trace: None,
-            extra_headers: Vec::new(),
         }
     }
 
@@ -310,13 +304,6 @@ impl Response {
     #[must_use]
     pub fn traced(mut self, trace: TraceId) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Attach one additional response header (appended in call order).
-    #[must_use]
-    pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
-        self.extra_headers.push((name, value.into()));
         self
     }
 
@@ -356,9 +343,6 @@ impl Response {
         }
         if let Some(trace) = self.trace {
             head.push_str(&format!("{TRACE_HEADER}: {trace}\r\n"));
-        }
-        for (name, value) in &self.extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str("\r\n");
         // Head + body in one write_all: a separate small body write after
@@ -550,22 +534,6 @@ mod tests {
         let text = String::from_utf8(buf).expect("utf8");
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("retry-after: 7\r\n"));
-    }
-
-    #[test]
-    fn extra_headers_are_written_in_order() {
-        let mut buf = Vec::new();
-        Response::ok("ok\n", "text/plain")
-            .with_header("deprecation", "true")
-            .with_header("link", "</v1/healthz>; rel=\"successor-version\"")
-            .write_to(&mut buf)
-            .expect("write");
-        let text = String::from_utf8(buf).expect("utf8");
-        assert!(text.contains("deprecation: true\r\n"));
-        assert!(text.contains("link: </v1/healthz>; rel=\"successor-version\"\r\n"));
-        let dep = text.find("deprecation:").expect("deprecation header");
-        let link = text.find("link:").expect("link header");
-        assert!(dep < link, "headers keep call order");
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!
 //! 1. **Response cache** ([`cache`]) — an in-memory LRU of rendered bodies;
 //!    repeat requests never touch the simulator.
-//! 2. **Profile store** ([`service`] → `cactus_bench::store`) — previously
-//!    persisted profile sets are deserialized instead of re-simulated.
+//! 2. **Profile store** ([`service`] → `cactus_store::Store`) — profiles
+//!    already in the durable segment log (simulated by an earlier run of
+//!    this daemon, replicated by the gateway, or written by the fig/table
+//!    bins, which share the default directory) are decoded instead of
+//!    re-simulated. One process holds a store directory at a time.
 //! 3. **Live simulation** ([`service`] → `cactus_gpu::pool::GpuPool`) — a
 //!    pool of memoizing engines runs the workload, with **single-flight
 //!    coalescing** ([`singleflight`]): N concurrent requests for the same
@@ -19,14 +22,13 @@
 //! bounded queue drained by a worker pool; a full queue answers
 //! `503 + Retry-After` immediately (explicit backpressure instead of
 //! unbounded queueing), and shutdown drains in-flight requests before
-//! threads exit. Endpoints live on the versioned `/v1` surface (legacy
-//! unversioned spellings stay as aliases): `/v1/healthz` for liveness,
-//! `/v1/metricsz` ([`metrics`], rendered by the shared
-//! `cactus_obs::MetricsRegistry`) for request counts, latency quantiles,
-//! and every cache level's hit rates, and `/v1/tracez` for the span ring —
-//! each request carries one trace id (minted here or propagated from the
-//! gateway via `x-cactus-trace`) whose span tree covers cache, store, and
-//! simulation stages. Errors are the shared JSON envelope
+//! threads exit. Endpoints live on the versioned `/v1` surface, the only
+//! one: `/v1/healthz` for liveness, `/v1/metricsz` ([`metrics`], rendered
+//! by the shared `cactus_obs::MetricsRegistry`) for request counts, latency
+//! quantiles, and every cache level's hit rates, and `/v1/tracez` for the
+//! span ring — each request carries one trace id (minted here or propagated
+//! from the gateway via `x-cactus-trace`) whose span tree covers cache,
+//! store, and simulation stages. Errors are the shared JSON envelope
 //! (`cactus_obs::ApiError`).
 //!
 //! Two binaries ship with the crate: `cactus-serve` (the daemon, with

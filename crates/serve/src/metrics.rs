@@ -30,8 +30,6 @@ pub struct ServerMetrics {
     pub responses_busy: Counter,
     /// Responses with a 5xx status other than 503.
     pub responses_error: Counter,
-    /// Requests served through a deprecated pre-`/v1` path alias.
-    pub legacy_requests: Counter,
     /// Connections currently waiting in the accept queue.
     pub queue_depth: Gauge,
     /// Request-handling latency histogram (µs).
@@ -67,10 +65,6 @@ impl ServerMetrics {
             responses_error: registry.counter(
                 "cactus_serve_responses_error_total",
                 "5xx responses other than 503",
-            )?,
-            legacy_requests: registry.counter(
-                "cactus_serve_legacy_requests_total",
-                "requests served through a deprecated pre-/v1 path alias",
             )?,
             queue_depth: registry.gauge(
                 "cactus_serve_queue_depth",

@@ -1,10 +1,7 @@
 //! URL routing and response rendering for the versioned `/v1` surface.
 //!
-//! Every endpoint lives under `/v1/...`; the pre-versioning spellings
-//! (`/healthz`, `/metricsz`) stay as deprecated aliases — they answer with
-//! a `Deprecation: true` header, a `Link` to the `/v1` successor, and a
-//! tick of `cactus_serve_legacy_requests_total` so operators can watch the
-//! alias traffic drain before removal (policy in DESIGN.md §5k).
+//! Every endpoint lives under `/v1/...`; any other path answers the
+//! ordinary `404 unknown route` envelope.
 //! Errors are the shared JSON envelope (`{code, message, retryable}`) from
 //! [`cactus_obs::ApiError`]. Each profile endpoint resolves its
 //! `(device, scale, workload)` triple, consults the response cache under a
@@ -71,16 +68,6 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
     match req.path.as_str() {
         "/v1/healthz" => Response::ok(healthz_body(state), TEXT),
         "/v1/metricsz" => Response::ok(state.render_metrics(), TEXT),
-        "/healthz" => legacy(
-            state,
-            "/v1/healthz",
-            Response::ok(healthz_body(state), TEXT),
-        ),
-        "/metricsz" => legacy(
-            state,
-            "/v1/metricsz",
-            Response::ok(state.render_metrics(), TEXT),
-        ),
         "/v1/tracez" => tracez(state, req),
         "/v1/devices" => cached(state, "devices", CSV, || devices_catalog(state)),
         "/v1/workloads" => cached(state, "workloads", CSV, || workloads_catalog(state)),
@@ -102,7 +89,8 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
 /// `GET` answers the stored record verbatim whatever its model version
 /// (anti-entropy copies bytes; relevance is the *receiver's* concern) and
 /// never falls through to simulation. `POST` validates the body as a
-/// profile document and appends it at this node's `MODEL_VERSION`.
+/// profile document and appends it at the key device's current
+/// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version).
 fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>) -> Response {
     let segments: Vec<&str> = key.split('/').collect();
     if segments.len() != 3 || segments.iter().any(|s| s.is_empty()) {
@@ -205,7 +193,6 @@ fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Resp
                 body: workload_rejection_body(&findings),
                 retry_after: None,
                 trace: None,
-                extra_headers: Vec::new(),
             }
         }
         Err(WorkloadRejection::Conflict(msg)) => {
@@ -235,7 +222,6 @@ fn store_statz(state: &ServerState) -> String {
          appends {}\n\
          gets {}\n\
          compactions {}\n\
-         imported {}\n\
          truncations {}\n",
         store.dir().display(),
         store.manifest_digest(),
@@ -247,7 +233,6 @@ fn store_statz(state: &ServerState) -> String {
         s.appends,
         s.gets,
         s.compactions,
-        s.imported,
         s.truncations,
     )
 }
@@ -398,22 +383,13 @@ fn threshold_from_query(query: Option<&str>) -> Result<f64, String> {
     Ok(0.7)
 }
 
-/// `/v1/healthz` (and the deprecated `/healthz` alias): liveness plus the
-/// backend's modeled-device advertisement. Line one stays exactly `ok` so
+/// `/v1/healthz`: liveness plus the backend's modeled-device
+/// advertisement. Line one stays exactly `ok` so
 /// pre-catalog probes that match the first line keep working; line two is
 /// `devices <id> <id>...`, which the gateway parses to build its
 /// capability map.
 fn healthz_body(state: &ServerState) -> String {
     format!("ok\ndevices {}\n", state.service.modeled().join(" "))
-}
-
-/// Answer a deprecated pre-`/v1` alias: tick the legacy counter and stamp
-/// the response with `Deprecation: true` plus a `Link` to the successor.
-fn legacy(state: &ServerState, successor: &'static str, response: Response) -> Response {
-    state.metrics.legacy_requests.inc();
-    response
-        .with_header("Deprecation", "true")
-        .with_header("Link", format!("<{successor}>; rel=\"successor-version\""))
 }
 
 /// `/v1/devices`: the full device catalog with per-device roofline

@@ -30,7 +30,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cactus_gpu::MODEL_VERSION;
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{Gauge, MetricsRegistry, TraceId, Tracer};
 
@@ -68,8 +67,9 @@ pub struct ServeConfig {
     /// Per-connection read timeout; doubles as the keep-alive idle timeout
     /// (slow, silent, or idle clients).
     pub read_timeout: Duration,
-    /// Profile-store directory override (`None` = the workspace default,
-    /// honouring `CACTUS_PROFILE_STORE`).
+    /// Profile-store directory override (`None` =
+    /// [`cactus_store::default_dir`]: `CACTUS_PROFILE_STORE`, else the
+    /// workspace's `results/profiles/`, shared with the fig/table bins).
     pub store_dir: Option<PathBuf>,
     /// Catalog ids this backend models (one engine pool each, advertised on
     /// `/v1/healthz` and `/v1/devices`); empty = the full catalog.
@@ -143,7 +143,6 @@ struct ScrapedGauges {
     store_appends: Gauge,
     store_gets: Gauge,
     store_compactions: Gauge,
-    store_imported: Gauge,
     store_truncations: Gauge,
 }
 
@@ -219,10 +218,6 @@ impl ScrapedGauges {
                 "cactus_store_compactions_total",
                 "compaction passes since open",
             )?,
-            store_imported: registry.gauge(
-                "cactus_store_imported_total",
-                "records imported from the legacy filesystem tree",
-            )?,
             store_truncations: registry.gauge(
                 "cactus_store_truncations_total",
                 "torn segment tails truncated during recovery",
@@ -268,7 +263,6 @@ impl ServerState {
         self.scraped.store_appends.set(store.appends as f64);
         self.scraped.store_gets.set(store.gets as f64);
         self.scraped.store_compactions.set(store.compactions as f64);
-        self.scraped.store_imported.set(store.imported as f64);
         self.scraped.store_truncations.set(store.truncations as f64);
         self.registry.render()
     }
@@ -402,7 +396,7 @@ impl Server {
 }
 
 /// Warm the response cache from the durable store at startup. A record
-/// already at this binary's `MODEL_VERSION` is byte-identical to the
+/// at its key's current record version is byte-identical to the
 /// `/v1/profile` body it would produce, so a restarted daemon serves its
 /// persisted working set from the very first request — no re-simulation,
 /// no cold LRU.
@@ -416,7 +410,7 @@ fn warm_cache(state: &ServerState, capacity: usize) {
         if warmed >= capacity {
             break;
         }
-        if entry.version != MODEL_VERSION {
+        if Some(entry.version) != crate::service::current_version(&entry.key) {
             continue;
         }
         // Replicated records for devices this backend does not model are

@@ -10,12 +10,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cactus_bench::store;
 use cactus_core::{workloads, SuiteScale, Workload};
 use cactus_gpu::catalog;
 use cactus_gpu::engine::MemoStats;
 use cactus_gpu::pool::{GpuPool, PoolInstruments};
-use cactus_gpu::{Device, MODEL_VERSION};
+use cactus_gpu::Device;
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{Counter, MetricsRegistry, SpanCtx};
 use cactus_profiler::store as profile_store;
@@ -113,9 +112,17 @@ pub fn workload_by_name(name: &str) -> Option<ServableWorkload> {
 const WIR_KEY_PREFIX: &str = "wir/";
 
 /// Store version stamped on a profile record superseded by a workload
-/// re-submission. `cactus_gpu::MODEL_VERSION` starts at 1 and only grows,
-/// so 0 can never read as current and the record is always a store miss.
+/// re-submission. [`current_version`] is never 0 (`MODEL_VERSION` starts at
+/// 1 and only grows), so the record is always a store miss.
 const SUPERSEDED_VERSION: u32 = 0;
+
+/// The version a stored profile record must carry to be served: the
+/// [`record_version`](catalog::CatalogEntry::record_version) of the catalog
+/// device its `device/scale/workload` key starts with. `None` when the key
+/// names no catalog device (`wir/` definitions version by their own format).
+pub(crate) fn current_version(key: &str) -> Option<u32> {
+    catalog::by_id(key.split('/').next()?).map(catalog::CatalogEntry::record_version)
+}
 
 /// Why `POST /v1/workloads` refused a submission.
 pub enum WorkloadRejection {
@@ -367,8 +374,8 @@ pub struct ProfileService {
 
 impl ProfileService {
     /// A service modeling the full device catalog, backed by a store rooted
-    /// at `store_dir` (defaults to [`store::store_dir`] when `None`),
-    /// counting into a private registry.
+    /// at `store_dir` (defaults to [`cactus_store::default_dir`] when
+    /// `None`), counting into a private registry.
     #[must_use]
     pub fn new(store_dir: Option<PathBuf>) -> Self {
         // lint:allow(no_panic, fresh private registry cannot collide and the caller picked the dir)
@@ -380,8 +387,8 @@ impl ProfileService {
     /// traffic, engines created) register in `registry` under
     /// `cactus_serve_*` names. Registry counters are monotonic: they keep
     /// counting across [`ProfileService::reset`]. Opens (creating if
-    /// needed) the durable store under `store_dir`, importing any legacy
-    /// filesystem profile tree found there on first open.
+    /// needed) the durable store under `store_dir` and holds its
+    /// single-writer lock until the service drops.
     ///
     /// `devices` names the catalog ids this backend models — one engine
     /// pool per id; an empty slice models the full catalog. Requests for
@@ -391,7 +398,8 @@ impl ProfileService {
     /// # Errors
     ///
     /// Fails if a device id is not in the catalog, a metric name is
-    /// already registered, or the store cannot be opened/recovered.
+    /// already registered, or the store cannot be opened/recovered — in
+    /// particular when another process (or service) has the directory open.
     pub fn with_registry(
         store_dir: Option<PathBuf>,
         devices: &[String],
@@ -442,7 +450,7 @@ impl ProfileService {
                 )
             })
             .collect();
-        let dir = store_dir.unwrap_or_else(store::store_dir);
+        let dir = store_dir.unwrap_or_else(cactus_store::default_dir);
         let durable = Store::open(&dir)
             .map_err(|e| format!("cannot open profile store at {}: {e}", dir.display()))?;
         let wir = reload_wir(&durable);
@@ -529,11 +537,16 @@ impl ProfileService {
             ));
         }
         let key = triple.key();
+        let version = current_version(&key)
+            .ok_or_else(|| format!("device {:?} is not in the catalog", triple.device_slug))?;
         let (result, leader) = self.flight.run(&key, || {
             let store_hit = {
                 let mut span = ctx.map(|c| c.child("serve.store"));
-                let profile =
-                    self.load_from_store(&key, span.as_ref().map(cactus_obs::SpanGuard::ctx));
+                let profile = self.load_from_store(
+                    &key,
+                    version,
+                    span.as_ref().map(cactus_obs::SpanGuard::ctx),
+                );
                 if let Some(span) = &mut span {
                     span.tag("hit", if profile.is_some() { "true" } else { "false" });
                 }
@@ -551,7 +564,7 @@ impl ProfileService {
                 }
                 self.simulate(triple, span.as_ref().map(cactus_obs::SpanGuard::ctx))
             }?;
-            self.append_to_store(&key, &profile, ctx);
+            self.append_to_store(&key, version, &profile, ctx);
             Ok((Arc::new(profile), false))
         });
         let (profile, from_store) = result?;
@@ -563,10 +576,16 @@ impl ProfileService {
         Ok((profile, source))
     }
 
-    /// Probe the durable store for the triple's key. Records at a stale
-    /// `MODEL_VERSION` are misses — the caller re-simulates and the new
-    /// append supersedes them (compaction reclaims the bytes later).
-    fn load_from_store(&self, key: &str, ctx: Option<SpanCtx<'_>>) -> Option<Profile> {
+    /// Probe the durable store for the triple's key. Records at any version
+    /// but `version` (the key's [`current_version`]) are misses — the
+    /// caller re-simulates and the new append supersedes them (compaction
+    /// reclaims the bytes later).
+    fn load_from_store(
+        &self,
+        key: &str,
+        version: u32,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> Option<Profile> {
         let mut span = ctx.map(|c| c.child("store.get"));
         let record = match self.store.get(key) {
             Ok(record) => record?,
@@ -581,7 +600,7 @@ impl ProfileService {
         if let Some(span) = &mut span {
             span.tag("version", record.version.to_string());
         }
-        if record.version != MODEL_VERSION {
+        if record.version != version {
             return None;
         }
         let text = String::from_utf8(record.value).ok()?;
@@ -597,13 +616,19 @@ impl ProfileService {
     /// Append a freshly simulated profile to the durable store. Failures
     /// are logged, not fatal — serving beats durability here, and the next
     /// identical request simply simulates again.
-    fn append_to_store(&self, key: &str, profile: &Profile, ctx: Option<SpanCtx<'_>>) {
+    fn append_to_store(
+        &self,
+        key: &str,
+        version: u32,
+        profile: &Profile,
+        ctx: Option<SpanCtx<'_>>,
+    ) {
         let text = profile_store::write_profile(profile);
         let mut span = ctx.map(|c| c.child("store.append"));
         if let Some(span) = &mut span {
             span.tag("bytes", text.len().to_string());
         }
-        if let Err(e) = self.store.append(key, MODEL_VERSION, text.as_bytes()) {
+        if let Err(e) = self.store.append(key, version, text.as_bytes()) {
             eprintln!("cactus-serve: store append {key} failed: {e}");
             if let Some(span) = &mut span {
                 span.tag("error", e.to_string());
@@ -614,15 +639,15 @@ impl ProfileService {
     /// Validate and durably ingest one externally supplied record (the
     /// gateway's replication and anti-entropy pushes). Profile keys must
     /// parse as a `cactus-profile v1` document and are stored verbatim at
-    /// the current [`MODEL_VERSION`]; `wir/<name>` keys run the full
+    /// the key's [`current_version`]; `wir/<name>` keys run the full
     /// submission stack and register the workload exactly as
     /// `POST /v1/workloads` would — that is the repair path that lets a
     /// backend which missed a workload broadcast converge.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unparseable bodies, rejected
-    /// definitions, or store failures.
+    /// Returns a human-readable message for unparseable bodies, keys that
+    /// name no catalog device, rejected definitions, or store failures.
     pub fn ingest_record(&self, key: &str, text: &str) -> Result<(), String> {
         if let Some(name) = key.strip_prefix(WIR_KEY_PREFIX) {
             let def = validate_submission(text).map_err(|r| match r {
@@ -648,8 +673,10 @@ impl ProfileService {
                 });
         }
         profile_store::read_profile(text).map_err(|e| format!("body is not a profile: {e}"))?;
+        let version = current_version(key)
+            .ok_or_else(|| format!("key {key:?} does not start with a catalog device id"))?;
         self.store
-            .append(key, MODEL_VERSION, text.as_bytes())
+            .append(key, version, text.as_bytes())
             .map_err(|e| format!("store append failed: {e}"))
     }
 
@@ -741,7 +768,7 @@ impl ProfileService {
 
     /// Mark every stored profile of `workload` stale by appending a
     /// [`SUPERSEDED_VERSION`] placeholder over it. `load_from_store`
-    /// treats any version other than the current `MODEL_VERSION` as a
+    /// treats any version other than the key's [`current_version`] as a
     /// miss, so the next request re-simulates under the replacement
     /// definition and its fresh append supersedes the placeholder in turn.
     fn supersede_profiles(&self, workload: &str, ctx: Option<SpanCtx<'_>>) {
@@ -971,6 +998,7 @@ mod tests {
 
         // And the corpus survives a restart: a fresh service over the same
         // directory recovers the record without simulating.
+        drop(svc);
         let svc2 = ProfileService::new(Some(dir.clone()));
         let (p3, source3) = svc2.profile(&t, None).expect("profile after restart");
         assert_eq!(source3, ProfileSource::Store);
@@ -1063,27 +1091,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Seed `dir` with `profile` under `key` at `version`, the way the
+    /// fig/table bins (and every fixture) populate a store.
+    fn seed(dir: &std::path::Path, key: &str, version: u32, profile: &Profile) {
+        Store::open(dir)
+            .expect("open store")
+            .append(
+                key,
+                version,
+                profile_store::write_profile(profile).as_bytes(),
+            )
+            .expect("seed store");
+    }
+
+    /// A record under the serving key at the catalog's record version is
+    /// served without simulating, bit-identically — the same key and
+    /// version `cactus_bench::store` reads and writes (its
+    /// `save_then_load_is_exact` is the other half).
     #[test]
     fn store_level_is_consulted_before_simulation() {
-        let dir = std::env::temp_dir().join(format!("cactus-serve-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Populate the store with a tiny-simulated stand-in set; the store
-        // only keys rtx-3080/profile, which is what we request back.
-        let set: Vec<cactus_bench::ProfiledWorkload> = vec![cactus_bench::ProfiledWorkload {
-            name: "GMS".to_owned(),
-            suite: "Cactus".to_owned(),
-            profile: cactus_core::run("GMS", SuiteScale::Tiny),
-            memo: None,
-        }];
-        store::save_set_in(&dir, "cactus", &set).expect("seed store");
+        let dir = fresh_store_dir("store-level");
+        // A tiny-simulated stand-in under the rtx-3080/profile key, which
+        // is what we request back.
+        let seeded = cactus_core::run("GMS", SuiteScale::Tiny);
+        let entry = catalog::by_id("rtx-3080").expect("catalog id");
+        seed(
+            &dir,
+            "rtx-3080/profile/GMS",
+            entry.record_version(),
+            &seeded,
+        );
 
         let svc = ProfileService::new(Some(dir.clone()));
         let t = Triple::resolve("rtx-3080", "profile", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Store);
-        assert_eq!(*p, set[0].profile);
+        assert_eq!(*p, seeded);
         assert_eq!(svc.store_hits(), 1);
         assert_eq!(svc.simulations(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Only the catalog's record version is current: the same bytes one
+    /// version on (a bumped model or device revision) are a store miss.
+    #[test]
+    fn other_record_versions_are_store_misses() {
+        let dir = fresh_store_dir("stale-version");
+        let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
+        let entry = catalog::by_id("rtx-3080").expect("catalog id");
+        let profile = cactus_core::run("GMS", SuiteScale::Tiny);
+        seed(&dir, &t.key(), entry.record_version() + 1, &profile);
+
+        let svc = ProfileService::new(Some(dir.clone()));
+        let (p, source) = svc.profile(&t, None).expect("profile");
+        assert_eq!(source, ProfileSource::Simulated);
+        assert_eq!(*p, profile);
+        assert_eq!(svc.store_hits(), 0);
+        // The fresh append superseded the stale record.
+        let record = svc.store().get(&t.key()).expect("get").expect("present");
+        assert_eq!(record.version, entry.record_version());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

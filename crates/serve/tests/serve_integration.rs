@@ -4,10 +4,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use cactus_bench::store::save_set_in;
-use cactus_bench::ProfiledWorkload;
 use cactus_core::SuiteScale;
 use cactus_serve::client::ClientError;
 use cactus_serve::{Client, DeviceId, ProfileQuery, ServeConfig, Server, SimilarQuery};
@@ -17,13 +16,22 @@ fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
 }
 
-/// A server on an ephemeral port with a unique empty store directory.
-fn start(workers: usize, queue: usize) -> (Server, Client, std::path::PathBuf) {
+/// A store directory no other test (or test process) shares: a store
+/// admits one open handle, and tests remove their directory when done.
+fn fresh_dir() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "cactus-serve-it-{}-{workers}-{queue}",
-        std::process::id()
+        "cactus-serve-it-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A server on an ephemeral port with a unique empty store directory.
+fn start(workers: usize, queue: usize) -> (Server, Client, std::path::PathBuf) {
+    let dir = fresh_dir();
     let server = Server::start(ServeConfig {
         workers,
         queue,
@@ -52,6 +60,13 @@ fn healthz_metrics_and_unknown_routes() {
 
     // Unknown paths and bad triples are 404 with a hint; bad methods 405.
     assert_eq!(client.get("/nope").expect("404").status, 404);
+    // That includes the unversioned pre-`/v1` spellings.
+    let unversioned = client.get("/healthz").expect("404");
+    assert_eq!(unversioned.status, 404);
+    assert!(
+        unversioned.body.contains("unknown route"),
+        "{unversioned:?}"
+    );
     assert_eq!(
         client
             .get("/v1/profile/rtx-9999/tiny/GMS")
@@ -74,7 +89,7 @@ fn healthz_metrics_and_unknown_routes() {
         400
     );
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    write!(stream, "POST /healthz HTTP/1.1\r\n\r\n").expect("send");
+    write!(stream, "POST /v1/healthz HTTP/1.1\r\n\r\n").expect("send");
     let mut raw = String::new();
     let _ = stream.read_to_string(&mut raw);
     assert!(raw.starts_with("HTTP/1.1 405"), "got {raw:?}");
@@ -202,7 +217,7 @@ fn keep_alive_connection_reuses_one_stream() {
 
     let mut conn = client.connection();
     for _ in 0..3 {
-        let reply = conn.get("/healthz").expect("keep-alive request");
+        let reply = conn.get("/v1/healthz").expect("keep-alive request");
         assert_eq!(reply.status, 200);
     }
     assert_eq!(conn.dials(), 1, "three requests over one dial");
@@ -227,8 +242,7 @@ fn keep_alive_connection_reuses_one_stream() {
 /// connection must be rejected by the accept thread.
 #[test]
 fn saturated_pool_returns_503_with_retry_after() {
-    let dir = std::env::temp_dir().join(format!("cactus-serve-it-busy-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir();
     let server = Server::start(ServeConfig {
         workers: 1,
         queue: 1,
@@ -252,7 +266,7 @@ fn saturated_pool_returns_503_with_retry_after() {
     let client = Client::new(addr).with_timeout(Duration::from_secs(5));
     let mut saw_busy = false;
     for _ in 0..10 {
-        match client.get("/healthz") {
+        match client.get("/v1/healthz") {
             Ok(reply) if reply.status == 503 => {
                 assert_eq!(reply.retry_after_s(), Some(2), "503 must carry Retry-After");
                 saw_busy = true;
@@ -302,25 +316,23 @@ fn graceful_shutdown_drains_in_flight_requests() {
 }
 
 /// Profile-scale requests for rtx-3080 are served from durable storage
-/// when a legacy set exists, without simulating: the set is imported into
-/// the store on open and the startup warmer pre-loads the response cache
-/// from it, so the very first request is an LRU hit.
+/// when the store already holds them (as after `profiles`), without
+/// simulating: the startup warmer pre-loads the response cache from the
+/// store, so the very first request is an LRU hit.
 #[test]
 fn store_backed_profiles_skip_simulation() {
-    let dir = std::env::temp_dir().join(format!("cactus-serve-it-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir();
     let seeded = cactus_core::run("GMS", SuiteScale::Tiny);
-    save_set_in(
-        &dir,
-        "cactus",
-        &[ProfiledWorkload {
-            name: "GMS".to_owned(),
-            suite: "Cactus".to_owned(),
-            profile: seeded.clone(),
-            memo: None,
-        }],
-    )
-    .expect("seed store");
+    cactus_store::Store::open(&dir)
+        .expect("open store")
+        .append(
+            "rtx-3080/profile/GMS",
+            cactus_gpu::by_id("rtx-3080")
+                .expect("catalog id")
+                .record_version(),
+            cactus_profiler::store::write_profile(&seeded).as_bytes(),
+        )
+        .expect("seed store");
 
     let server = Server::start(ServeConfig {
         workers: 2,
@@ -343,7 +355,6 @@ fn store_backed_profiles_skip_simulation() {
     // never consulted at request time — it was read once at startup.
     assert_eq!(metric(&client, "cactus_serve_store_hits_total"), 0.0);
     assert!(metric(&client, "cactus_serve_cache_hits_total") >= 1.0);
-    assert!(metric(&client, "cactus_store_imported_total") >= 1.0);
 
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -566,8 +577,7 @@ fn similar_queries_ingest_search_and_trace_end_to_end() {
 /// catalog triples outside its subset with the 404 envelope.
 #[test]
 fn device_subset_is_advertised_and_gated() {
-    let dir = std::env::temp_dir().join(format!("cactus-serve-it-devices-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir();
     let server = Server::start(ServeConfig {
         workers: 2,
         queue: 16,
@@ -652,40 +662,6 @@ fn unknown_device_ids_fail_at_the_client() {
         "rtx-3080",
         "ids are canonicalized"
     );
-}
-
-/// The pre-`/v1` aliases still answer, but carry deprecation headers and
-/// tick the legacy counter; the `/v1` spellings carry neither.
-#[test]
-fn legacy_aliases_carry_deprecation_headers() {
-    let (server, client, dir) = start(2, 16);
-
-    let legacy = client.get("/healthz").expect("legacy alias");
-    assert_eq!(legacy.status, 200);
-    assert_eq!(legacy.body.lines().next(), Some("ok"));
-    assert_eq!(legacy.header("deprecation"), Some("true"));
-    assert_eq!(
-        legacy.header("link"),
-        Some("</v1/healthz>; rel=\"successor-version\"")
-    );
-
-    let legacy_metrics = client.get("/metricsz").expect("legacy metrics alias");
-    assert_eq!(legacy_metrics.status, 200);
-    assert_eq!(legacy_metrics.header("deprecation"), Some("true"));
-    assert_eq!(
-        legacy_metrics.header("link"),
-        Some("</v1/metricsz>; rel=\"successor-version\"")
-    );
-
-    let current = client.get("/v1/healthz").expect("v1 healthz");
-    assert_eq!(current.status, 200);
-    assert_eq!(current.header("deprecation"), None);
-    assert_eq!(current.header("link"), None);
-
-    assert_eq!(metric(&client, "cactus_serve_legacy_requests_total"), 2.0);
-
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `POST /v1/workloads` end to end: an invalid definition is refused with

@@ -27,7 +27,6 @@ fn opts() -> StoreOptions {
         // scans are part of what's measured, as in a long-lived daemon.
         segment_max_bytes: 64 * 1024,
         compact_min_dead_bytes: u64::MAX,
-        import_legacy: false,
     }
 }
 

@@ -9,8 +9,9 @@
 //!
 //! # On-disk format
 //!
-//! A store directory holds `segments/seg-<id>.log` files. Each segment is
-//! a sequence of records:
+//! A store directory holds `segments/seg-<id>.log` files plus the
+//! `segments/LOCK` file an open [`Store`] holds an exclusive advisory lock
+//! on. Each segment is a sequence of records:
 //!
 //! ```text
 //! [len: u32 le][crc: u32 le][payload: len bytes]
@@ -24,6 +25,10 @@
 //!
 //! # Invariants
 //!
+//! * **Single writer:** at most one [`Store`] is open on a directory at a
+//!   time, in this process or any other — a second [`Store::open`] fails
+//!   instead of interleaving records with the first (the fig/table bins
+//!   and `cactus-serve` share [`default_dir`]).
 //! * **Write-ahead ordering:** a record is `fdatasync`'d to its segment
 //!   *before* the in-memory index admits it. A crash can lose the tail of
 //!   the log but never yields an index entry without durable bytes.
@@ -45,14 +50,10 @@
 use cactus_obs::lock::{rank, RankedMutex};
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-mod import;
-
-pub use import::import_legacy_tree;
 
 /// Record header: `len` + `crc`, both little-endian `u32`s.
 const HEADER_BYTES: u64 = 8;
@@ -64,6 +65,24 @@ const MAX_PAYLOAD_BYTES: u32 = 64 << 20;
 /// First line of a rendered manifest.
 pub const MANIFEST_HEADER: &str = "cactus-store manifest v1";
 
+/// The store root the fig/table bins and an unconfigured `cactus-serve`
+/// share: the `CACTUS_PROFILE_STORE` environment variable if set, else
+/// `results/profiles/` under the workspace root.
+#[must_use]
+pub fn default_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("CACTUS_PROFILE_STORE") {
+        return PathBuf::from(dir);
+    }
+    // crates/store/ → workspace root.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .map_or_else(
+            || PathBuf::from("results/profiles"),
+            |ws| ws.join("results/profiles"),
+        )
+}
+
 /// Tuning knobs for [`Store::open_with`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -72,9 +91,6 @@ pub struct StoreOptions {
     /// [`Store::maybe_compact`] fires once dead bytes across sealed
     /// segments reach this threshold.
     pub compact_min_dead_bytes: u64,
-    /// Import a legacy `results/profiles/`-style tree from the store root
-    /// on first open (empty segment directory). See [`import_legacy_tree`].
-    pub import_legacy: bool,
 }
 
 impl Default for StoreOptions {
@@ -82,7 +98,6 @@ impl Default for StoreOptions {
         Self {
             segment_max_bytes: 4 << 20,
             compact_min_dead_bytes: 256 << 10,
-            import_legacy: true,
         }
     }
 }
@@ -129,8 +144,6 @@ pub struct StoreStats {
     pub gets: u64,
     /// Compaction passes that copied or dropped at least one segment.
     pub compactions: u64,
-    /// Records imported from a legacy filesystem tree at open.
-    pub imported: u64,
     /// Torn tails truncated by the recovery scan at open.
     pub truncations: u64,
 }
@@ -189,10 +202,12 @@ pub struct Store {
     appends: AtomicU64,
     gets: AtomicU64,
     compactions: AtomicU64,
-    imported: AtomicU64,
     truncations: AtomicU64,
     /// Test-only fault: the next append writes a torn prefix and errors.
     torn_append_armed: AtomicBool,
+    /// `segments/LOCK`, exclusively locked for this store's life; the lock
+    /// goes with the file when the store drops (or its process dies).
+    _lock: File,
 }
 
 impl Store {
@@ -207,17 +222,33 @@ impl Store {
 
     /// Open (or create) a store rooted at `dir`.
     ///
-    /// Scans `dir/segments/` in segment-id order rebuilding the index,
-    /// truncating any torn tail left by a crashed writer. If the store is
-    /// empty and `opts.import_legacy` is set, a legacy profile-set tree
-    /// under `dir` is imported so no corpus is lost on upgrade.
+    /// Takes the directory's single-writer lock, then scans
+    /// `dir/segments/` in segment-id order rebuilding the index,
+    /// truncating any torn tail left by a crashed writer.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from the recovery scan.
+    /// [`io::ErrorKind::ResourceBusy`] naming `dir` when another `Store`
+    /// (in this process or any other) has it open; otherwise propagates
+    /// filesystem errors from the recovery scan.
     pub fn open_with(dir: impl Into<PathBuf>, opts: StoreOptions) -> io::Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(dir.join("segments"))?;
+        let segments = dir.join("segments");
+        fs::create_dir_all(&segments)?;
+        let lock = File::create(segments.join("LOCK"))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ResourceBusy,
+                    format!(
+                        "store directory {} is already open (one writer per directory)",
+                        dir.display()
+                    ),
+                ));
+            }
+            Err(TryLockError::Error(e)) => return Err(e),
+        }
         let store = Self {
             dir,
             opts,
@@ -240,19 +271,11 @@ impl Store {
             appends: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            imported: AtomicU64::new(0),
             truncations: AtomicU64::new(0),
             torn_append_armed: AtomicBool::new(false),
+            _lock: lock,
         };
         store.recover()?;
-        if store.opts.import_legacy {
-            let empty = { store.index.lock().map.is_empty() };
-            if empty {
-                let root = store.dir.clone();
-                let n = import::import_legacy_tree(&store, &root)?;
-                store.imported.fetch_add(n, Ordering::Relaxed);
-            }
-        }
         Ok(store)
     }
 
@@ -569,7 +592,6 @@ impl Store {
         s.appends = self.appends.load(Ordering::Relaxed);
         s.gets = self.gets.load(Ordering::Relaxed);
         s.compactions = self.compactions.load(Ordering::Relaxed);
-        s.imported = self.imported.load(Ordering::Relaxed);
         s.truncations = self.truncations.load(Ordering::Relaxed);
         s
     }
@@ -893,7 +915,6 @@ mod tests {
         StoreOptions {
             segment_max_bytes: 256,
             compact_min_dead_bytes: 1,
-            import_legacy: false,
         }
     }
 
@@ -963,9 +984,29 @@ mod tests {
         assert_eq!(rec.value, b"durable");
         // The truncated segment accepts appends again.
         store.append("after", 1, b"clean tail").expect("append");
+        drop(store);
         let store2 = Store::open_with(&dir, small_opts()).expect("reopen again");
         assert_eq!(store2.stats().truncations, 0);
         assert!(store2.get("after").expect("get").is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_open_on_a_live_store_errors_until_drop() {
+        let dir = temp_store_dir("lock");
+        let store = Store::open_with(&dir, small_opts()).expect("open");
+        store.append("k", 1, b"v").expect("append");
+        let Err(err) = Store::open_with(&dir, small_opts()) else {
+            panic!("a second handle on a live store must be refused");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::ResourceBusy);
+        assert!(
+            err.to_string().contains(&dir.display().to_string()),
+            "error names the directory: {err}"
+        );
+        drop(store);
+        let reopened = Store::open_with(&dir, small_opts()).expect("open after drop");
+        assert!(reopened.get("k").expect("get").is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

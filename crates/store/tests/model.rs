@@ -65,7 +65,6 @@ fn opts() -> StoreOptions {
     StoreOptions {
         segment_max_bytes: 512,
         compact_min_dead_bytes: 1,
-        import_legacy: false,
     }
 }
 
