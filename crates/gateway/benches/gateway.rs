@@ -1,11 +1,15 @@
-//! Gateway proxy benchmarks: does hedging actually cut tail latency?
+//! Gateway proxy benchmarks: does hedging actually cut tail latency, and
+//! what does a proxied `GET` cost when nothing stalls?
 //!
-//! The fixture is a two-backend fleet of raw stub servers: the routing
-//! primary for the benched key is **bimodal** (fast, but every 10th request
-//! stalls ~25 ms — a shard with an occasional slow path), its ring
+//! The fixture is a two-backend fleet of raw keep-alive stub servers: the
+//! routing primary for the benched key is **bimodal** (fast, but every 10th
+//! request stalls ~25 ms — a shard with an occasional slow path), its ring
 //! neighbour is steadily fast. Two gateways front the same pair, one with
 //! hedging enabled (2 ms floor) and one without; the bench sweeps the same
-//! key through both and reports p50/p99 plus hedge launches and wins.
+//! key through both and reports p50/p99 plus hedge launches and wins. A
+//! third gateway, at the shipped policy, fronts the same pair for a key
+//! whose primary is the steady stub: the proxy's own cost per request, with
+//! the hedge armed and never launched.
 //!
 //! Expected shape: unhedged p99 ≈ the stall (~25 ms) because 1-in-10
 //! requests eats it in full; hedged p99 ≈ hedge threshold + the fast
@@ -36,25 +40,22 @@ struct Stub {
 impl Stub {
     fn spawn(slow_every: Option<u64>, stall: Duration) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("stub bind");
-        listener.set_nonblocking(true).expect("stub nonblocking");
         let addr = listener.local_addr().expect("stub addr");
         let shutdown = Arc::new(AtomicBool::new(false));
         let handle = {
             let shutdown = Arc::clone(&shutdown);
             let hits = Arc::new(AtomicU64::new(0));
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let hits = Arc::clone(&hits);
-                            // One thread per connection so an abandoned
-                            // hedge loser can't serialize later requests.
-                            std::thread::spawn(move || {
-                                serve_stub(stream, &hits, slow_every, stall);
-                            });
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                // Blocking accept: a sleep-poll here would be what the
+                // proxied-GET rows measure.
+                for stream in listener.incoming().flatten() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let hits = Arc::clone(&hits);
+                    // One thread per keep-alive connection, so a stalled
+                    // exchange never serializes the ones beside it.
+                    std::thread::spawn(move || serve_stub(stream, &hits, slow_every, stall));
                 }
             })
         };
@@ -67,65 +68,74 @@ impl Stub {
 
     fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the blocking accept so it sees the flag.
+        let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
 }
 
+/// Serve one connection until the peer closes it: keep-alive, one request
+/// at a time.
 fn serve_stub(mut stream: TcpStream, hits: &AtomicU64, slow_every: Option<u64>, stall: Duration) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let _ = stream.set_nodelay(true);
+    let body = "stub\n";
+    // Single write_all so Nagle + delayed-ACK can't stall the reply.
+    let wire = format!(
+        "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{}",
+        body.len(),
+        body
+    );
     let mut buf = [0u8; 2048];
     let mut head = Vec::new();
     loop {
         match stream.read(&mut buf) {
-            Ok(n) if n > 0 => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
+            Ok(n) if n > 0 => head.extend_from_slice(&buf[..n]),
             _ => return,
         }
+        if !head.windows(4).any(|w| w == b"\r\n\r\n") {
+            continue;
+        }
+        head.clear();
+        let n = hits.fetch_add(1, Ordering::Relaxed);
+        if slow_every.is_some_and(|every| n.is_multiple_of(every)) {
+            std::thread::sleep(stall);
+        }
+        if stream.write_all(wire.as_bytes()).is_err() {
+            return;
+        }
     }
-    let n = hits.fetch_add(1, Ordering::Relaxed);
-    if slow_every.is_some_and(|every| n.is_multiple_of(every)) {
-        std::thread::sleep(stall);
-    }
-    let body = "stub\n";
-    // Single write_all so Nagle + delayed-ACK can't stall the reply.
-    let wire = format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(wire.as_bytes());
 }
 
-/// Find a request path whose consistent-hash primary is backend 0 (the
-/// bimodal stub), using the same ring the gateway builds.
-fn path_routed_to_primary(addrs: &[SocketAddr]) -> String {
+/// Find a request path whose consistent-hash primary is `backend`, using
+/// the same ring the gateway builds.
+fn path_routed_to(addrs: &[SocketAddr], backend: usize) -> String {
     let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
     let ring = HashRing::new(&labels);
     (0..10_000)
         .map(|i| format!("/bench/key-{i}"))
-        .find(|path| ring.primary(&routing_key(path)) == 0)
-        .expect("some key routes to backend 0")
+        .find(|path| ring.primary(&routing_key(path)) == backend)
+        .expect("some key routes to the backend")
 }
 
-fn gateway_config(hedge: bool) -> GatewayConfig {
+fn gateway_config(policy: RoutePolicy) -> GatewayConfig {
     GatewayConfig {
         workers: 4,
         queue: 64,
         // Passive health only: probes would add jitter to the measurement.
         probe_interval: None,
         backend_timeout: Duration::from_secs(5),
-        policy: RoutePolicy {
-            hedge,
-            hedge_floor: Duration::from_millis(2),
-            ..RoutePolicy::default()
-        },
+        policy,
         ..GatewayConfig::default()
+    }
+}
+
+fn hedge_policy(hedge: bool) -> RoutePolicy {
+    RoutePolicy {
+        hedge,
+        hedge_floor: Duration::from_millis(2),
+        ..RoutePolicy::default()
     }
 }
 
@@ -149,14 +159,18 @@ fn bench_hedging(c: &mut Criterion) {
     let bimodal = Stub::spawn(Some(SLOW_EVERY), STALL);
     let fast = Stub::spawn(None, STALL);
     let addrs = vec![bimodal.addr, fast.addr];
-    let path = path_routed_to_primary(&addrs);
+    let path = path_routed_to(&addrs, 0);
+    let fast_path = path_routed_to(&addrs, 1);
 
-    let hedged = Gateway::start(gateway_config(true), addrs.clone()).expect("hedged gateway");
-    let unhedged = Gateway::start(gateway_config(false), addrs.clone()).expect("unhedged gateway");
+    let start = |policy| Gateway::start(gateway_config(policy), addrs.clone());
+    let hedged = start(hedge_policy(true)).expect("hedged gateway");
+    let unhedged = start(hedge_policy(false)).expect("unhedged gateway");
+    let steady = start(RoutePolicy::default()).expect("steady gateway");
 
     let timeout = Duration::from_secs(10);
     let mut hedged_conn = Connection::new(hedged.addr(), timeout);
     let mut unhedged_conn = Connection::new(unhedged.addr(), timeout);
+    let mut steady_conn = Connection::new(steady.addr(), timeout);
 
     // Warm the primary's latency window so the hedge threshold reflects its
     // typical (fast) behaviour rather than the floor default alone.
@@ -196,12 +210,22 @@ fn bench_hedging(c: &mut Criterion) {
     group.bench_function("proxied_get_unhedged", |b| {
         b.iter(|| unhedged_conn.get(&path).expect("reply"));
     });
+    group.bench_function("proxied_get_fast", |b| {
+        b.iter(|| steady_conn.get(&fast_path).expect("reply"));
+    });
     group.finish();
+    assert_eq!(
+        steady.router().metrics.hedges.get(),
+        0,
+        "a steadily fast primary must never launch a hedge"
+    );
 
     drop(hedged_conn);
     drop(unhedged_conn);
+    drop(steady_conn);
     hedged.join();
     unhedged.join();
+    steady.join();
     bimodal.stop();
     fast.stop();
 }

@@ -15,7 +15,7 @@ use std::net::SocketAddr;
 
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistryError};
-use cactus_serve::metrics::quantile;
+use cactus_serve::metrics::nearest_rank;
 
 use crate::connpool::ConnPool;
 use crate::health::{HealthState, HealthTracker};
@@ -61,16 +61,23 @@ impl LatencyRing {
     }
 
     /// The `q`-quantile (0.0..=1.0) of the current window, in microseconds;
-    /// `None` while the window is empty.
+    /// `None` while the window is empty. The sample
+    /// [`cactus_serve::metrics::quantile`] would read from the sorted
+    /// window, selected in O(n) from a stack copy outside the lock: this
+    /// runs on every hedge-armed forward.
     #[must_use]
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        let guard = self.samples.lock();
-        if guard.0.is_empty() {
+        let mut window = [0u64; LATENCY_WINDOW];
+        let len = {
+            let guard = self.samples.lock();
+            window[..guard.0.len()].copy_from_slice(&guard.0);
+            guard.0.len()
+        };
+        if len == 0 {
             return None;
         }
-        let mut sorted = guard.0.clone();
-        sorted.sort_unstable();
-        Some(quantile(&sorted, q))
+        let (_, nth, _) = window[..len].select_nth_unstable(nearest_rank(len, q));
+        Some(*nth)
     }
 
     /// Number of samples currently in the window.
@@ -328,7 +335,35 @@ pub fn render_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cactus_serve::metrics::quantile;
+    use proptest::prelude::*;
     use std::time::Duration;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Selection from the unsorted copy reads the very sample the
+        /// sorted-slice `quantile` reads — at every fill level, after the
+        /// ring wrapped, with heavy ties, and at both ends of `q`.
+        #[test]
+        fn ring_quantile_equals_quantile_of_the_sorted_window(
+            recorded in prop::collection::vec(
+                prop_oneof![0u64..8, 0u64..u64::MAX],
+                1..2 * LATENCY_WINDOW + 2,
+            ),
+            q in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..1.0],
+        ) {
+            let ring = LatencyRing::new();
+            for &us in &recorded {
+                ring.record(us);
+            }
+            let kept = recorded.len().min(LATENCY_WINDOW);
+            prop_assert_eq!(ring.len(), kept);
+            let mut sorted = recorded[recorded.len() - kept..].to_vec();
+            sorted.sort_unstable();
+            prop_assert_eq!(ring.quantile_us(q), Some(quantile(&sorted, q)));
+        }
+    }
 
     #[test]
     fn latency_ring_slides() {

@@ -7,10 +7,15 @@
 //! 1. **Filters by health** — ejected backends sink to the end of the list
 //!    as a last resort (if every backend is ejected, trying one anyway beats
 //!    a guaranteed 502, and doubles as an extra recovery probe).
-//! 2. **Hedges the first attempt** — if the primary has not answered within
-//!    a threshold derived from its own recent latency window (p-quantile
-//!    clamped to a floor/cap), a second identical request races it on the
-//!    next candidate. First response wins; the loser is abandoned.
+//! 2. **Hedges the first attempt** — the worker that took the request runs
+//!    the primary exchange itself and waits for the reply's *first byte*
+//!    under a threshold derived from the primary's own recent latency
+//!    window (p-quantile clamped to a floor/cap). Bytes in time: it reads
+//!    the reply and settles inline — no thread, no channel. Only a stall
+//!    spawns anything: the in-flight connection moves to a finisher thread,
+//!    an identical request races it on the next candidate, the first
+//!    usable reply wins, and the loser still reads its reply to the end
+//!    before its connection goes back to the pool.
 //! 3. **Retries retryable outcomes** — transport errors (which also feed the
 //!    ejection tracker) and `503` backpressure move to the next candidate
 //!    after a jittered exponential backoff. Any other status is the
@@ -21,9 +26,9 @@
 //!
 //! Tracing: [`Router::forward`] takes the request's span context and files
 //! one `proxy.attempt` span per backend attempt (tagged with the target,
-//! whether it was hedged, and the outcome), and propagates the trace id to
-//! the backend in the `x-cactus-trace` header so both tiers' span logs
-//! carry the same id. Synthesized errors (`no backends`, `all attempts
+//! whether a hedge was launched, and the outcome), and propagates the trace
+//! id to the backend in the `x-cactus-trace` header so both tiers' span
+//! logs carry the same id. Synthesized errors (`no backends`, `all attempts
 //! failed`) are the shared JSON envelope.
 
 use std::collections::HashSet;
@@ -33,7 +38,8 @@ use std::time::{Duration, Instant};
 
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{ApiError, SpanCtx, TraceId};
-use cactus_serve::client::{ClientError, HttpReply};
+use cactus_serve::client::{ClientError, HttpReply, Sent};
+use cactus_serve::Connection;
 
 use crate::capability::{device_for_target, CapabilityMap};
 use crate::connpool::ConnPool;
@@ -179,41 +185,36 @@ impl Router {
         self.replicated.lock().remove(key);
     }
 
-    /// One `GET path` exchange with backend `i` over the pool, outside the
-    /// retry/hedge machinery — the control-plane primitive replication and
-    /// anti-entropy build on. `Some(body)` on a 200, `None` otherwise.
+    /// One pooled exchange with backend `i` outside the retry/hedge
+    /// machinery and with no health report — the control-plane primitive
+    /// replication and anti-entropy build on. `None` on a transport error.
+    fn exchange(
+        &self,
+        i: usize,
+        method: &str,
+        path: &str,
+        body: &str,
+        trace: Option<TraceId>,
+    ) -> Option<HttpReply> {
+        let mut conn = self.pool.checkout(i);
+        let reply = conn.request(method, path, body, trace).ok()?;
+        self.pool.checkin(i, conn);
+        Some(reply)
+    }
+
+    /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise.
     #[must_use]
     pub fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
-        let mut conn = self.pool.checkout(i);
-        match conn.get_traced(path, trace) {
-            Ok(reply) if reply.status == 200 => {
-                self.pool.checkin(i, conn);
-                Some(reply.body)
-            }
-            Ok(_) => {
-                self.pool.checkin(i, conn);
-                None
-            }
-            Err(_) => None,
-        }
+        let reply = self.exchange(i, "GET", path, "", trace)?;
+        (reply.status == 200).then_some(reply.body)
     }
 
     /// Push one store record to backend `i` via
     /// `POST /v1/store/record/<key>`. True when the backend stored it.
     #[must_use]
     pub fn push_record(&self, i: usize, key: &str, body: &str, trace: Option<TraceId>) -> bool {
-        let mut conn = self.pool.checkout(i);
-        match conn.post_traced(&format!("/v1/store/record/{key}"), body, trace) {
-            Ok(reply) if reply.status == 200 => {
-                self.pool.checkin(i, conn);
-                true
-            }
-            Ok(_) => {
-                self.pool.checkin(i, conn);
-                false
-            }
-            Err(_) => false,
-        }
+        self.exchange(i, "POST", &format!("/v1/store/record/{key}"), body, trace)
+            .is_some_and(|reply| reply.status == 200)
     }
 
     /// The ring's failover order for `key`, with currently-ejected backends
@@ -278,19 +279,16 @@ impl Router {
             } else {
                 None
             };
-            let hedged = hedge_target.is_some();
-            let outcome = if let Some(hedge) = hedge_target {
-                self.hedged_attempt(path, target, hedge, trace)
-            } else {
-                let r = self.try_backend(target, path, trace);
-                (r, target)
+            let (outcome, winner, hedged) = match hedge_target {
+                Some(hedge) => self.hedged_attempt(path, target, hedge, trace),
+                None => (self.try_backend(target, path, trace), target, false),
             };
             if let Some(span) = span.as_mut() {
                 span.tag("hedged", hedged.to_string());
-                span.tag("winner", outcome.1.to_string());
+                span.tag("winner", winner.to_string());
                 span.tag(
                     "outcome",
-                    match &outcome.0 {
+                    match &outcome {
                         Attempt::Reply(reply) => reply.status.to_string(),
                         Attempt::Saturated(_) => "saturated".to_owned(),
                         Attempt::Failed => "failed".to_owned(),
@@ -298,7 +296,7 @@ impl Router {
                 );
             }
             match outcome {
-                (Attempt::Reply(reply), winner) => {
+                Attempt::Reply(reply) => {
                     self.metrics.forwarded.inc();
                     self.metrics.backends[winner].routed.inc();
                     return Forwarded {
@@ -311,8 +309,8 @@ impl Router {
                         backend: Some(winner),
                     };
                 }
-                (Attempt::Saturated(reply), _) => last_saturated = Some(reply),
-                (Attempt::Failed, _) => {}
+                Attempt::Saturated(reply) => last_saturated = Some(reply),
+                Attempt::Failed => {}
             }
         }
         // Attempts exhausted. A live-but-saturated fleet forwards its own
@@ -333,72 +331,85 @@ impl Router {
         }
     }
 
-    /// Race the primary against a delayed hedge on `hedge_target`. Returns
-    /// the winning outcome and which backend produced it.
+    /// The first attempt with a hedge armed: run the primary exchange on
+    /// this thread, and only if its first byte is not in by the hedge
+    /// threshold hand the in-flight connection to a finisher thread and
+    /// race it against `hedge_target`. Returns the winning outcome, which
+    /// backend produced it, and whether the hedge was launched.
     fn hedged_attempt(
         self: &Arc<Self>,
         path: &str,
         primary: usize,
         hedge_target: usize,
         trace: Option<TraceId>,
-    ) -> (Attempt, usize) {
-        let (tx, rx) = mpsc::channel::<(usize, Attempt)>();
-        let spawn = |target: usize, tx: mpsc::Sender<(usize, Attempt)>| {
-            let router = Arc::clone(self);
-            let path = path.to_owned();
-            std::thread::spawn(move || {
-                let outcome = router.try_backend(target, &path, trace);
-                let _ = tx.send((target, outcome));
-            });
-        };
-        spawn(primary, tx.clone());
-        match rx.recv_timeout(self.hedge_threshold(primary)) {
-            Ok((who, outcome)) => (outcome, who),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Primary is slow: launch the hedge and take whichever
-                // answers first with a usable reply.
-                self.metrics.hedges.inc();
-                spawn(hedge_target, tx.clone());
-                drop(tx);
-                let mut first_bad: Option<(usize, Attempt)> = None;
-                while let Ok((who, outcome)) = rx.recv() {
-                    match outcome {
-                        Attempt::Reply(_) => {
-                            if who == hedge_target {
-                                self.metrics.hedge_wins.inc();
-                            }
-                            return (outcome, who);
-                        }
-                        other => {
-                            if first_bad.is_none() {
-                                first_bad = Some((who, other));
-                            }
-                        }
-                    }
-                }
-                match first_bad {
-                    Some((who, outcome)) => (outcome, who),
-                    // Both sender clones dropped without a report — only
-                    // possible if a racer thread died; treat as failed.
-                    None => (Attempt::Failed, primary),
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => (Attempt::Failed, primary),
+    ) -> (Attempt, usize, bool) {
+        let mut conn = self.pool.checkout(primary);
+        let started = Instant::now();
+        let sent = conn.send("GET", path, "", trace, Some(self.hedge_threshold(primary)));
+        if !matches!(sent, Ok(Sent::InFlight)) {
+            let result = sent.and_then(|_| conn.finish());
+            return (self.settle(primary, conn, started, result), primary, false);
         }
+        // Primary is slow: launch the hedge and take whichever answers
+        // first with a usable reply.
+        self.metrics.hedges.inc();
+        let (tx, rx) = mpsc::channel::<(usize, Attempt)>();
+        {
+            let (router, tx) = (Arc::clone(self), tx.clone());
+            std::thread::spawn(move || {
+                let result = conn.finish();
+                let _ = tx.send((primary, router.settle(primary, conn, started, result)));
+            });
+        }
+        {
+            let (router, path) = (Arc::clone(self), path.to_owned());
+            std::thread::spawn(move || {
+                let _ = tx.send((hedge_target, router.try_backend(hedge_target, &path, trace)));
+            });
+        }
+        let mut first_bad: Option<(usize, Attempt)> = None;
+        while let Ok((who, outcome)) = rx.recv() {
+            if matches!(outcome, Attempt::Reply(_)) {
+                if who == hedge_target {
+                    self.metrics.hedge_wins.inc();
+                }
+                return (outcome, who, true);
+            }
+            first_bad.get_or_insert((who, outcome));
+        }
+        // Both senders gone without a usable reply. `None` is only possible
+        // if a racer thread died; treat as failed.
+        let (who, outcome) = first_bad.unwrap_or((primary, Attempt::Failed));
+        (outcome, who, true)
     }
 
-    /// One exchange with backend `i`, pooling the connection, propagating
-    /// the trace id, and feeding the health tracker and latency window.
+    /// One whole exchange with backend `i` over a pooled connection,
+    /// propagating the trace id.
     fn try_backend(&self, i: usize, path: &str, trace: Option<TraceId>) -> Attempt {
         let mut conn = self.pool.checkout(i);
         let started = Instant::now();
         let result = conn.get_traced(path, trace);
+        self.settle(i, conn, started, result)
+    }
+
+    /// Book one finished data-plane exchange with backend `i`: feed the
+    /// latency window and the health tracker, and check the connection
+    /// back in only once its reply has been read to the end.
+    fn settle(
+        &self,
+        i: usize,
+        conn: Connection,
+        started: Instant,
+        result: Result<HttpReply, ClientError>,
+    ) -> Attempt {
         match result {
             Ok(reply) => {
                 let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                // Connection first: whoever sees the sample can already
+                // check the drained connection out.
+                self.pool.checkin(i, conn);
                 self.metrics.backends[i].latency.record(us);
                 self.health.report_success(i);
-                self.pool.checkin(i, conn);
                 if reply.status == 503 {
                     Attempt::Saturated(reply)
                 } else {
@@ -416,7 +427,7 @@ impl Router {
                 Attempt::Failed
             }
             Err(ClientError::Api(_) | ClientError::Status(..)) => {
-                // Connection::get never yields these, but stay total.
+                // Connection never yields these, but stay total.
                 Attempt::Failed
             }
         }

@@ -19,7 +19,7 @@
 //! an error naming the line, never a silently dropped entry.
 
 use cactus_obs::lock::{rank, RankedMutex};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ use cactus_profiler::store::read_profile;
 use cactus_profiler::Profile;
 
 /// A parsed response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpReply {
     /// Status code.
     pub status: u16,
@@ -460,22 +460,7 @@ impl Client {
     ///
     /// Socket errors and unparseable response heads.
     pub fn get_traced(&self, path: &str, trace: Option<TraceId>) -> Result<HttpReply, ClientError> {
-        if self.keep_alive {
-            let mut guard = self.conn.lock();
-            return guard
-                .get_or_insert_with(|| Connection::new(self.addr, self.timeout))
-                .get_traced(path, trace);
-        }
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        // One write_all per request: fragment-per-write on a raw socket
-        // triggers Nagle + delayed-ACK stalls (~40 ms) on the peer.
-        let wire = request_wire("GET", path, self.addr, false, trace, "");
-        stream.write_all(wire.as_bytes())?;
-        let mut reader = BufReader::new(stream);
-        read_reply(&mut reader)
+        self.request("GET", path, "", trace)
     }
 
     /// Issue one `POST path` with a text body and parse the reply
@@ -490,19 +475,27 @@ impl Client {
         body: &str,
         trace: Option<TraceId>,
     ) -> Result<HttpReply, ClientError> {
+        self.request("POST", path, body, trace)
+    }
+
+    fn request(
+        &self,
+        method: &str,
+        path: &str,
+        body: &str,
+        trace: Option<TraceId>,
+    ) -> Result<HttpReply, ClientError> {
         if self.keep_alive {
             let mut guard = self.conn.lock();
             return guard
                 .get_or_insert_with(|| Connection::new(self.addr, self.timeout))
-                .post_traced(path, body, trace);
+                .request(method, path, body, trace);
         }
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let wire = request_wire("POST", path, self.addr, false, trace, body);
-        stream.write_all(wire.as_bytes())?;
-        let mut reader = BufReader::new(stream);
+        let mut reader = dial(self.addr, self.timeout)?;
+        // One write_all per request: fragment-per-write on a raw socket
+        // triggers Nagle + delayed-ACK stalls (~40 ms) on the peer.
+        let wire = request_wire(method, path, self.addr, false, trace, body);
+        reader.get_mut().write_all(wire.as_bytes())?;
         read_reply(&mut reader)
     }
 
@@ -673,6 +666,26 @@ fn request_wire(
     wire
 }
 
+/// Dial `addr` with `timeout` on connect, read and write.
+fn dial(addr: SocketAddr, timeout: Duration) -> std::io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    Ok(BufReader::new(stream))
+}
+
+/// What [`Connection::send`] saw while waiting for the reply to begin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sent {
+    /// The reply's first byte is buffered; [`Connection::finish`] reads it.
+    Ready,
+    /// The stall wait ran out with nothing read: the request is still in
+    /// flight, and [`Connection::finish`] waits for it under the
+    /// connection's full timeout.
+    InFlight,
+}
+
 /// A keep-alive connection: one `TcpStream` reused across sequential
 /// requests.
 ///
@@ -682,11 +695,22 @@ fn request_wire(
 /// stream (the server may have reaped it between requests) is retried once
 /// on a fresh dial; failures on fresh streams surface immediately, so a
 /// dead server is never masked.
+///
+/// An exchange is two halves — [`send`](Self::send) writes the request and
+/// waits for the reply to begin, [`finish`](Self::finish) reads it — so a
+/// caller can notice a stalled backend between them and move the
+/// connection to another thread with the request still in flight.
+/// [`get_traced`](Self::get_traced) and [`post_traced`](Self::post_traced)
+/// are the two halves back to back.
 #[derive(Debug)]
 pub struct Connection {
     addr: SocketAddr,
     timeout: Duration,
     stream: Option<BufReader<TcpStream>>,
+    /// The request written but not yet answered, and whether the stream it
+    /// went out on predates it — i.e. whether the one stale-stream redial
+    /// is still unspent.
+    in_flight: Option<(String, bool)>,
     dials: u64,
     reuses: u64,
 }
@@ -699,6 +723,7 @@ impl Connection {
             addr,
             timeout,
             stream: None,
+            in_flight: None,
             dials: 0,
             reuses: 0,
         }
@@ -710,11 +735,11 @@ impl Connection {
         self.addr
     }
 
-    /// Whether a live stream is currently held (i.e. the next request will
-    /// reuse it instead of dialing).
+    /// Whether a live, idle stream is currently held (i.e. the next request
+    /// will reuse it instead of dialing).
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
+        self.stream.is_some() && self.in_flight.is_none()
     }
 
     /// TCP connections dialed over this connection's lifetime.
@@ -771,61 +796,152 @@ impl Connection {
         self.request("POST", path, body, trace)
     }
 
-    fn request(
+    /// One whole exchange — [`send`](Self::send) with no stall wait, then
+    /// [`finish`](Self::finish).
+    ///
+    /// # Errors
+    ///
+    /// Socket errors (after the one stale-stream retry) and unparseable
+    /// response heads.
+    pub fn request(
         &mut self,
         method: &str,
         path: &str,
         body: &str,
         trace: Option<TraceId>,
     ) -> Result<HttpReply, ClientError> {
-        let reused = self.stream.is_some();
-        match self.try_request(method, path, body, trace) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                // A reused stream may have been closed server-side between
-                // requests; retry exactly once on a fresh dial.
-                self.stream = None;
-                if reused {
-                    self.try_request(method, path, body, trace)
-                } else {
-                    Err(e)
-                }
+        self.send(method, path, body, trace, None)?;
+        self.finish()
+    }
+
+    /// First half of an exchange: write the request (empty `body` = none)
+    /// and wait for the reply's first byte — at most `stall` when given and
+    /// shorter than the connection's timeout, else the full timeout. Nothing
+    /// of the reply is consumed either way.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors, after the one redial a reused stream is owed. A wait
+    /// that outlasts the full timeout is an error; outlasting `stall` is
+    /// [`Sent::InFlight`].
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &str,
+        trace: Option<TraceId>,
+        stall: Option<Duration>,
+    ) -> Result<Sent, ClientError> {
+        if self.in_flight.take().is_some() {
+            // An abandoned exchange left its reply unread on the stream.
+            self.stream = None;
+        }
+        let wire = request_wire(method, path, self.addr, true, trace, body);
+        let mut reused = self.stream.is_some();
+        let mut sent = self.begin(&wire, stall);
+        if sent.is_err() && reused {
+            // A reused stream may have been closed server-side between
+            // requests; retry exactly once on a fresh dial.
+            reused = false;
+            sent = self.begin(&wire, stall);
+        }
+        if sent.is_ok() {
+            self.in_flight = Some((wire, reused));
+        }
+        Ok(sent?)
+    }
+
+    /// Second half of an exchange: read the reply to the request
+    /// [`send`](Self::send) wrote, under the connection's full timeout.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors (after the one stale-stream retry, when `send` did not
+    /// already spend it) and unparseable response heads; an error when no
+    /// request is in flight.
+    pub fn finish(&mut self) -> Result<HttpReply, ClientError> {
+        let Some((wire, reused)) = self.in_flight.take() else {
+            return Err(ClientError::Io(std::io::Error::other(
+                "finish() without a request in flight",
+            )));
+        };
+        match self.read(reused) {
+            Err(_) if reused => {
+                self.begin(&wire, None)?;
+                self.read(false)
             }
+            reply => reply,
         }
     }
 
-    fn try_request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        trace: Option<TraceId>,
-    ) -> Result<HttpReply, ClientError> {
-        let reused = self.stream.is_some();
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            self.stream = Some(BufReader::new(stream));
-            self.dials += 1;
+    /// [`write_and_wait`] on the open stream, dialing when there is none.
+    /// The stream is dropped on any error.
+    fn begin(&mut self, wire: &str, stall: Option<Duration>) -> std::io::Result<Sent> {
+        let reader = match &mut self.stream {
+            Some(reader) => reader,
+            empty => {
+                let reader = empty.insert(dial(self.addr, self.timeout)?);
+                self.dials += 1;
+                reader
+            }
+        };
+        let stall = stall.filter(|s| *s < self.timeout);
+        let sent = write_and_wait(reader, wire, stall, self.timeout);
+        if sent.is_err() {
+            self.stream = None;
         }
-        // lint:allow(no_panic, ensure_connected() filled the stream on the line above)
-        let reader = self.stream.as_mut().expect("stream just ensured");
-        // Single write_all, same Nagle/delayed-ACK reasoning as Client::get.
-        let wire = request_wire(method, path, self.addr, true, trace, body);
-        reader.get_mut().write_all(wire.as_bytes())?;
-        reader.get_mut().flush()?;
+        sent
+    }
+
+    /// Read one reply off the stream, keeping it open unless the server
+    /// said `Connection: close` or the read failed.
+    fn read(&mut self, reused: bool) -> Result<HttpReply, ClientError> {
+        let Some(reader) = &mut self.stream else {
+            return Err(ClientError::Io(ErrorKind::NotConnected.into()));
+        };
         let reply = read_reply(reader);
         match &reply {
-            Ok(r) if !r.connection_close() => {
-                if reused {
-                    self.reuses += 1;
-                }
-            }
+            Ok(r) if !r.connection_close() => self.reuses += u64::from(reused),
             _ => self.stream = None,
         }
         reply
+    }
+}
+
+/// Write `wire` and block until the reply's first byte is buffered,
+/// consuming nothing. With `stall` set the wait runs under that read
+/// timeout instead of `timeout`, which is restored before returning.
+fn write_and_wait(
+    reader: &mut BufReader<TcpStream>,
+    wire: &str,
+    stall: Option<Duration>,
+    timeout: Duration,
+) -> std::io::Result<Sent> {
+    // Single write_all, same Nagle/delayed-ACK reasoning as Client.
+    reader.get_mut().write_all(wire.as_bytes())?;
+    if stall.is_some() {
+        reader.get_ref().set_read_timeout(stall)?;
+    }
+    let first = loop {
+        match reader.fill_buf() {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            other => break other.map(|buf| !buf.is_empty()),
+        }
+    };
+    if stall.is_some() {
+        reader.get_ref().set_read_timeout(Some(timeout))?;
+    }
+    match first {
+        Ok(true) => Ok(Sent::Ready),
+        Ok(false) => Err(ErrorKind::UnexpectedEof.into()),
+        // SO_RCVTIMEO expiry reads as WouldBlock on Linux, TimedOut elsewhere.
+        Err(e)
+            if stall.is_some()
+                && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
+            Ok(Sent::InFlight)
+        }
+        Err(e) => Err(e),
     }
 }
 
@@ -891,6 +1007,7 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::sync::mpsc;
 
     #[test]
     fn parses_reply_head_and_body() {
@@ -961,22 +1078,149 @@ mod tests {
         assert!(matches!(raw.into_error(), ClientError::Status(500, _)));
     }
 
-    /// Serve one canned response on an ephemeral port, return its address.
-    fn one_shot_server(body: &'static str) -> SocketAddr {
+    /// Run `script` over a listener on an ephemeral port, return its address.
+    fn scripted_server(script: impl FnOnce(TcpListener) + Send + 'static) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 2048];
-            let _ = stream.read(&mut buf);
-            let wire = format!(
-                "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-                body.len(),
-                body
-            );
-            let _ = stream.write_all(wire.as_bytes());
-        });
+        std::thread::spawn(move || script(listener));
         addr
+    }
+
+    fn accept(listener: &TcpListener) -> TcpStream {
+        listener.accept().expect("accept").0
+    }
+
+    /// Read one request head; panics when the peer closes first.
+    fn read_request(stream: &mut TcpStream) {
+        let mut head = Vec::new();
+        let mut buf = [0u8; 2048];
+        while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = stream.read(&mut buf).expect("request bytes");
+            assert!(n > 0, "peer closed mid-request");
+            head.extend_from_slice(&buf[..n]);
+        }
+    }
+
+    fn answer(stream: &mut TcpStream, body: &str, connection: &str) {
+        let wire = format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+            body.len(),
+        );
+        stream.write_all(wire.as_bytes()).expect("answer");
+    }
+
+    /// Serve one canned response on an ephemeral port, return its address.
+    fn one_shot_server(body: &'static str) -> SocketAddr {
+        scripted_server(move |listener| {
+            let mut stream = accept(&listener);
+            read_request(&mut stream);
+            answer(&mut stream, body, "close");
+        })
+    }
+
+    const STALL: Option<Duration> = Some(Duration::from_millis(10));
+    const NO_STALL: Option<Duration> = Some(Duration::from_secs(4));
+
+    fn connection(addr: SocketAddr) -> Connection {
+        Connection::new(addr, Duration::from_secs(5))
+    }
+
+    #[test]
+    fn a_stall_leaves_the_request_in_flight_and_finish_reads_it_whole() {
+        let (release, released) = mpsc::channel::<()>();
+        let addr = scripted_server(move |listener| {
+            let mut stream = accept(&listener);
+            for held_back in [true, false, false] {
+                read_request(&mut stream);
+                if held_back {
+                    released.recv().expect("release");
+                }
+                answer(&mut stream, "payload\n", "keep-alive");
+            }
+        });
+        let mut conn = connection(addr);
+        let sent = conn.send("GET", "/x", "", None, STALL).expect("send");
+        assert_eq!(sent, Sent::InFlight);
+        assert!(!conn.is_connected(), "an in-flight stream is not idle");
+        release.send(()).expect("release");
+        let stalled = conn.finish().expect("finish");
+        assert!(conn.is_connected());
+        // The same reply read in one go: the stalled wait consumed nothing.
+        let whole = conn.get("/x").expect("get");
+        assert_eq!(stalled, whole);
+        assert_eq!(whole.body, "payload\n");
+        let sent = conn.send("GET", "/x", "", None, NO_STALL).expect("send");
+        assert_eq!(sent, Sent::Ready);
+        assert_eq!(conn.finish().expect("finish"), whole);
+        assert_eq!((conn.dials(), conn.reuses()), (1, 2));
+        assert!(conn.finish().is_err(), "nothing left in flight");
+    }
+
+    #[test]
+    fn a_stale_reused_stream_is_redialed_once_in_the_wait_half() {
+        let (reaped_tx, reaped) = mpsc::channel::<()>();
+        let addr = scripted_server(move |listener| {
+            let mut first = accept(&listener);
+            read_request(&mut first);
+            answer(&mut first, "one\n", "keep-alive");
+            drop(first);
+            reaped_tx.send(()).expect("signal");
+            let mut second = accept(&listener);
+            for body in ["two\n", "three\n"] {
+                read_request(&mut second);
+                answer(&mut second, body, "keep-alive");
+            }
+        });
+        let mut conn = connection(addr);
+        assert_eq!(conn.get("/x").expect("first").body, "one\n");
+        reaped.recv().expect("server closed the idle stream");
+        let sent = conn.send("GET", "/x", "", None, NO_STALL).expect("send");
+        assert_eq!(sent, Sent::Ready);
+        assert_eq!(conn.dials(), 2, "redialed while waiting, not in finish");
+        assert_eq!(conn.finish().expect("second").body, "two\n");
+        assert_eq!(conn.reuses(), 0, "the redialed stream was fresh");
+        assert_eq!(conn.get("/x").expect("third").body, "three\n");
+        assert_eq!((conn.dials(), conn.reuses()), (2, 1));
+    }
+
+    #[test]
+    fn a_reused_stream_that_dies_in_flight_is_redialed_once_by_finish() {
+        let (kill, killed) = mpsc::channel::<()>();
+        let addr = scripted_server(move |listener| {
+            let mut first = accept(&listener);
+            read_request(&mut first);
+            answer(&mut first, "one\n", "keep-alive");
+            read_request(&mut first);
+            killed.recv().expect("kill");
+            drop(first);
+            let mut second = accept(&listener);
+            read_request(&mut second);
+            answer(&mut second, "two\n", "keep-alive");
+        });
+        let mut conn = connection(addr);
+        assert_eq!(conn.get("/x").expect("first").body, "one\n");
+        let sent = conn.send("GET", "/x", "", None, STALL).expect("send");
+        assert_eq!(sent, Sent::InFlight);
+        kill.send(()).expect("kill");
+        assert_eq!(conn.finish().expect("second").body, "two\n");
+        assert_eq!((conn.dials(), conn.reuses()), (2, 0));
+    }
+
+    #[test]
+    fn a_fresh_dial_that_fails_surfaces_without_a_redial() {
+        let (done, wait) = mpsc::channel::<()>();
+        let addr = scripted_server(move |listener| {
+            let mut stream = accept(&listener);
+            read_request(&mut stream);
+            drop(stream);
+            // The listener stays open: a redial would connect and count.
+            let _ = wait.recv();
+        });
+        let mut conn = connection(addr);
+        assert!(conn.send("GET", "/x", "", None, NO_STALL).is_err());
+        assert_eq!(conn.dials(), 1);
+        assert!(!conn.is_connected());
+        drop(done);
     }
 
     /// Regression: the old `metrics()` folded pages into a `HashMap`,

@@ -113,8 +113,15 @@ pub fn quantile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    sorted[nearest_rank(sorted.len(), q)]
+}
+
+/// The index [`quantile`] reads: the nearest rank of `q` (clamped to
+/// 0.0..=1.0) among `len` sorted samples; 0 when `len` is 0.
+#[must_use]
+pub fn nearest_rank(len: usize, q: f64) -> usize {
+    let last = len.saturating_sub(1);
+    ((q.clamp(0.0, 1.0) * last as f64).round() as usize).min(last)
 }
 
 #[cfg(test)]
