@@ -28,13 +28,13 @@ use std::sync::Arc;
 
 use cactus_analysis::roofline::Roofline;
 use cactus_gpu::by_id;
-use cactus_obs::{ApiError, SpanCtx};
+use cactus_obs::SpanCtx;
 use cactus_profiler::{store as profile_store, Profile};
-use cactus_serve::http::Request;
+use cactus_serve::http::{Request, Response};
+use cactus_serve::routes::CSV;
 
-use crate::proxy::{Forwarded, Router};
-use crate::server::routing_key;
-use crate::sync;
+use crate::proxy::Router;
+use crate::server::forward_replicated;
 
 /// One device's leg of the comparison.
 struct Leg {
@@ -44,7 +44,7 @@ struct Leg {
 }
 
 /// Answer `/v1/compare/<scale>/<workload>`. See the module docs.
-pub fn compare(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Forwarded {
+pub fn compare(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Response {
     router.metrics.compare_requests.inc();
     let response = compare_inner(router, request, ctx);
     if response.status != 200 {
@@ -53,14 +53,14 @@ pub fn compare(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> For
     response
 }
 
-fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Forwarded {
+fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Response {
     let rest = request
         .path
         .strip_prefix("/v1/compare/")
         .unwrap_or_default();
     let segs: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
     let [scale, workload] = segs.as_slice() else {
-        return envelope(
+        return Response::error(
             404,
             "compare expects /v1/compare/<scale>/<workload>?devices=a,b",
         );
@@ -74,10 +74,10 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
     };
     let format = param("format").unwrap_or("json");
     if format != "json" && format != "csv" {
-        return envelope(400, &format!("unknown format {format:?}; use json or csv"));
+        return Response::error(400, format!("unknown format {format:?}; use json or csv"));
     }
     let Some(raw_devices) = param("devices") else {
-        return envelope(400, "compare requires ?devices=<id>,<id>[,...]");
+        return Response::error(400, "compare requires ?devices=<id>,<id>[,...]");
     };
 
     // Resolve every requested slug against the catalog up front (the same
@@ -87,9 +87,9 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
     for slug in raw_devices.split(',').filter(|s| !s.is_empty()) {
         let Some(entry) = by_id(slug) else {
             let known = cactus_gpu::catalog::device_ids().join(", ");
-            return envelope(
+            return Response::error(
                 404,
-                &format!("unknown device {slug:?}; the catalog has: {known}"),
+                format!("unknown device {slug:?}; the catalog has: {known}"),
             );
         };
         if !ids.contains(&entry.id) {
@@ -97,7 +97,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
         }
     }
     if ids.len() < 2 {
-        return envelope(400, "compare needs at least two distinct devices");
+        return Response::error(400, "compare needs at least two distinct devices");
     }
 
     let mut span = ctx.child("gateway.compare");
@@ -109,7 +109,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
     // One leg per device, raced in parallel. Each leg is an ordinary
     // routed profile fetch: capability filtering keeps it on backends that
     // model the device, and a 200 feeds replication as usual.
-    let outcomes: Vec<(usize, Forwarded)> = std::thread::scope(|s| {
+    let mut outcomes: Vec<(usize, Response)> = std::thread::scope(|s| {
         let handles: Vec<_> = ids
             .iter()
             .enumerate()
@@ -118,45 +118,35 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
                 let router = Arc::clone(router);
                 s.spawn(move || {
                     router.metrics.compare_fanout.inc();
-                    let reply = router.forward(&target, &routing_key(&target), Some(leg_ctx));
-                    if reply.status == 200 {
-                        if let Some(winner) = reply.backend {
-                            sync::replicate_after_forward(&router, &target, winner, Some(leg_ctx));
-                        }
-                    }
-                    (i, reply)
+                    (i, forward_replicated(&router, &target, leg_ctx))
                 })
             })
             .collect();
-        let mut outcomes: Vec<(usize, Forwarded)> =
+        let mut outcomes: Vec<(usize, Response)> =
             handles.into_iter().filter_map(|h| h.join().ok()).collect();
         outcomes.sort_by_key(|(i, _)| *i);
         outcomes
     });
 
     // A failed leg fails the comparison; its response explains why.
-    if let Some((i, bad)) = outcomes.iter().find(|(_, r)| r.status != 200) {
-        span.tag("failed_device", ids[*i].to_owned());
-        return Forwarded {
-            status: bad.status,
-            content_type: bad.content_type.clone(),
-            body: bad.body.clone(),
-            backend: bad.backend,
-        };
+    if let Some(at) = outcomes.iter().position(|(_, r)| r.status != 200) {
+        let (i, bad) = outcomes.swap_remove(at);
+        span.tag("failed_device", ids[i].to_owned());
+        return bad;
     }
 
     let mut legs = Vec::with_capacity(ids.len());
     for (i, reply) in &outcomes {
         let id = ids[*i];
         let Ok(profile) = profile_store::read_profile(&reply.body) else {
-            return envelope(
+            return Response::error(
                 502,
-                &format!("backend returned an unparseable profile for device {id:?}"),
+                format!("backend returned an unparseable profile for device {id:?}"),
             );
         };
         // `by_id` succeeded above; the entry is still there.
         let Some(entry) = by_id(id) else {
-            return envelope(502, &format!("device {id:?} vanished from the catalog"));
+            return Response::error(502, format!("device {id:?} vanished from the catalog"));
         };
         legs.push(Leg {
             id,
@@ -165,20 +155,10 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> F
         });
     }
 
-    let body = match format {
-        "csv" => render_csv(scale, workload, &legs),
-        _ => render_json(scale, workload, &legs),
-    };
     span.tag("status", "200");
-    Forwarded {
-        status: 200,
-        content_type: if format == "csv" {
-            "text/csv; charset=utf-8".to_owned()
-        } else {
-            "application/json".to_owned()
-        },
-        body,
-        backend: None,
+    match format {
+        "csv" => Response::ok(render_csv(scale, workload, &legs), CSV),
+        _ => Response::ok(render_json(scale, workload, &legs), "application/json"),
     }
 }
 
@@ -377,15 +357,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-fn envelope(status: u16, message: &str) -> Forwarded {
-    Forwarded {
-        status,
-        content_type: "application/json".to_owned(),
-        body: ApiError::new(status, message).to_json(),
-        backend: None,
-    }
 }
 
 #[cfg(test)]

@@ -37,8 +37,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cactus_obs::lock::{rank, RankedMutex};
-use cactus_obs::{ApiError, SpanCtx, TraceId};
+use cactus_obs::{SpanCtx, TraceId};
 use cactus_serve::client::{ClientError, HttpReply, Sent};
+use cactus_serve::http::Response;
 use cactus_serve::Connection;
 
 use crate::capability::{device_for_target, CapabilityMap};
@@ -78,17 +79,6 @@ impl Default for RoutePolicy {
             hedge_cap: Duration::from_secs(2),
         }
     }
-}
-
-/// What the proxy hands back to the connection handler.
-#[derive(Debug)]
-pub struct Forwarded {
-    pub status: u16,
-    pub content_type: String,
-    pub body: String,
-    /// Ring index of the backend whose reply this is; `None` for
-    /// gateway-local and synthesized responses.
-    pub backend: Option<usize>,
 }
 
 /// The shared routing state: ring + health + pool + counters.
@@ -245,20 +235,28 @@ impl Router {
     /// Forward `GET path` for routing key `key` through the fleet,
     /// applying hedging and retries. Always produces a response: the
     /// backend's verbatim reply, or a synthesized `502` envelope when every
-    /// attempt failed. `ctx` (when present) receives one `proxy.attempt`
+    /// attempt failed — together with the ring index of the backend whose
+    /// answer won (`None` for synthesized responses and forwarded
+    /// backpressure). `ctx` (when present) receives one `proxy.attempt`
     /// span per attempt and supplies the trace id forwarded to backends.
-    pub fn forward(self: &Arc<Self>, path: &str, key: &str, ctx: Option<SpanCtx<'_>>) -> Forwarded {
+    pub fn forward(
+        self: &Arc<Self>,
+        path: &str,
+        key: &str,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> (Response, Option<usize>) {
         let trace = ctx.map(|c| c.trace());
         let device = device_for_target(path);
         let candidates = self.candidates_for(key, device.as_deref());
         if candidates.is_empty() {
-            return match device {
-                Some(d) if !self.ring.is_empty() => synth(
+            let synthesized = match device {
+                Some(d) if !self.ring.is_empty() => Response::error(
                     404,
-                    &format!("no backend in the fleet models device {d:?} (see /v1/devices)"),
+                    format!("no backend in the fleet models device {d:?} (see /v1/devices)"),
                 ),
-                _ => synth(502, "no backends configured"),
+                _ => Response::error(502, "no backends configured"),
             };
+            return (synthesized, None);
         }
         let mut rng = hash_str(key) | 1;
         let mut last_saturated: Option<HttpReply> = None;
@@ -299,15 +297,7 @@ impl Router {
                 Attempt::Reply(reply) => {
                     self.metrics.forwarded.inc();
                     self.metrics.backends[winner].routed.inc();
-                    return Forwarded {
-                        status: reply.status,
-                        content_type: reply
-                            .header("content-type")
-                            .unwrap_or("text/plain; charset=utf-8")
-                            .to_owned(),
-                        body: reply.body,
-                        backend: Some(winner),
-                    };
+                    return (reply.into(), Some(winner));
                 }
                 Attempt::Saturated(reply) => last_saturated = Some(reply),
                 Attempt::Failed => {}
@@ -315,19 +305,12 @@ impl Router {
         }
         // Attempts exhausted. A live-but-saturated fleet forwards its own
         // backpressure signal; a dead fleet gets a synthesized 502.
-        if let Some(reply) = last_saturated {
-            self.metrics.forwarded.inc();
-            Forwarded {
-                status: reply.status,
-                content_type: reply
-                    .header("content-type")
-                    .unwrap_or("text/plain; charset=utf-8")
-                    .to_owned(),
-                body: reply.body,
-                backend: None,
+        match last_saturated {
+            Some(reply) => {
+                self.metrics.forwarded.inc();
+                (reply.into(), None)
             }
-        } else {
-            synth(502, "all backends failed")
+            None => (Response::error(502, "all backends failed"), None),
         }
     }
 
@@ -458,16 +441,6 @@ impl Router {
     }
 }
 
-/// A gateway-synthesized error as the shared JSON envelope.
-fn synth(status: u16, message: &str) -> Forwarded {
-    Forwarded {
-        status,
-        content_type: "application/json".to_owned(),
-        body: ApiError::new(status, message).to_json(),
-        backend: None,
-    }
-}
-
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -514,7 +487,8 @@ mod tests {
                 ..RoutePolicy::default()
             },
         );
-        let out = r.forward("/v1/workloads", "v1/workloads", None);
+        let (out, winner) = r.forward("/v1/workloads", "v1/workloads", None);
+        assert_eq!(winner, None);
         assert_eq!(out.status, 502);
         assert!(
             out.body.contains("\"code\":502") && out.body.contains("\"retryable\":true"),
@@ -586,7 +560,7 @@ mod tests {
         );
         r.capabilities.record(0, vec!["rtx-3080".into()]);
         r.capabilities.record(1, vec!["rtx-3080".into()]);
-        let out = r.forward("/v1/profile/a100/tiny/GMS", "profile/a100/tiny/GMS", None);
+        let (out, _) = r.forward("/v1/profile/a100/tiny/GMS", "profile/a100/tiny/GMS", None);
         assert_eq!(out.status, 404);
         assert!(
             out.body.contains("models device") && out.body.contains("a100"),

@@ -1,5 +1,7 @@
-//! The gateway daemon: listener, worker pool, health thread, and the glue
-//! between incoming connections and the [`Router`](crate::proxy::Router).
+//! The gateway tier on the shared daemon skeleton
+//! ([`cactus_serve::daemon`]): configuration, the [`Handler`] that routes
+//! one request — local pages, the workload broadcast, or a forward through
+//! the [`Router`](crate::proxy::Router) — and the health thread.
 //!
 //! ```text
 //!                    ┌────────────── health thread ───────────────┐
@@ -8,41 +10,40 @@
 //!                    │ (each probe refreshes the capability map)  │
 //!                    └───────────────────┬────────────────────────┘
 //!                                        ▼
-//! accept ──try_send──► bounded queue ──► workers ──► Router::forward
-//!    │                                     │           ring → health →
-//!    └── full: 503 Retry-After ◄───────────┘           pool → hedge/retry
+//! daemon workers ──► GatewayHandler::respond ──► Router::forward
+//!                                                  ring → health →
+//!                                                  pool → hedge/retry
 //! ```
 //!
-//! The listener/queue/worker skeleton deliberately mirrors `cactus-serve`'s
-//! server (same backpressure and graceful-drain semantics); what differs is
-//! the work each request does — a proxied exchange instead of a local
-//! simulation. The gateway serves its own `/v1/healthz`, `/v1/metricsz`,
-//! `/v1/tracez`, a fleet-wide `/v1/devices` catalog view, and the
-//! cross-device `/v1/compare` synthesis locally; every other `GET` is
-//! forwarded (so an unversioned path earns a backend's `404`) — after an
-//! edge catalog check, so a request for a device the catalog has never
-//! heard of is answered `404` here instead of burning a backend attempt.
+//! The listener, queue, worker pool, backpressure, keep-alive loop and
+//! drain are `cactus-serve`'s, run unchanged; what differs is the work each
+//! request does — a proxied exchange instead of a local simulation. The
+//! gateway serves its own `/v1/healthz`, `/v1/metricsz`, `/v1/tracez`, a
+//! fleet-wide `/v1/devices` catalog view, and the cross-device
+//! `/v1/compare` synthesis locally; every other `GET` is forwarded (so an
+//! unversioned path earns a backend's `404`) — after an edge catalog
+//! check, so a request for a device the catalog has never heard of is
+//! answered `404` here instead of burning a backend attempt.
 //!
 //! Each request gets one trace id: propagated from the client's
-//! `x-cactus-trace` header when present, minted here otherwise. The id is
-//! echoed back to the client, forwarded to the chosen backend, and roots a
-//! `gateway.route` span whose `proxy.attempt` children record the failover
-//! path — so one request yields one id visible in both tiers' `/v1/tracez`.
+//! `x-cactus-trace` header when present, minted by the skeleton otherwise.
+//! The id is echoed back to the client, forwarded to the chosen backend,
+//! and roots a `gateway.route` span whose `proxy.attempt` children record
+//! the failover path — so one request yields one id visible in both tiers'
+//! `/v1/tracez`.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cactus_obs::lock::{rank, RankedMutex};
-use cactus_obs::{ApiError, TraceId, Tracer, TRACE_HEADER};
-use cactus_serve::http::{self, HttpError, Request};
-use cactus_serve::net;
-use cactus_serve::server::KEEP_ALIVE_MAX;
+use cactus_obs::{SpanCtx, TraceId, Tracer};
+use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits};
+use cactus_serve::http::{Request, Response};
+use cactus_serve::routes::{tracez, workload_rejection, CSV, TEXT};
 use cactus_serve::{parse_health_devices, Client};
 
 use crate::capability::device_for_target;
@@ -50,11 +51,10 @@ use crate::compare;
 use crate::connpool::ConnPool;
 use crate::health::{HealthState, HealthTracker};
 use crate::metrics::{render_metrics, GatewayMetrics};
-use crate::proxy::{Forwarded, RoutePolicy, Router};
+use crate::proxy::{RoutePolicy, Router};
 use crate::ring::HashRing;
 use crate::sync;
 
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 const HEALTH_TICK: Duration = Duration::from_millis(50);
 
 /// The cross-device comparison route (`cactus-lint` checks served routes
@@ -118,17 +118,45 @@ impl Default for GatewayConfig {
     }
 }
 
-/// A running gateway. Call [`Gateway::shutdown`] then [`Gateway::join`] to
-/// stop it; dropping the handle alone does not.
-pub struct Gateway {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    health_thread: Option<JoinHandle<()>>,
+/// The gateway's half of the daemon: what every worker needs to route one
+/// request.
+struct GatewayHandler {
     router: Arc<Router>,
     tracer: Arc<Tracer>,
     backend_addrs: Vec<SocketAddr>,
+}
+
+impl Handler for GatewayHandler {
+    fn respond(&self, request: &Request, trace: TraceId) -> Response {
+        let mut span = self.tracer.ctx(trace).child("gateway.route");
+        span.tag("path", request.path.clone());
+        let response = respond(&self.router, &self.backend_addrs, request, span.ctx());
+        span.tag("status", response.status.to_string());
+        response
+    }
+
+    fn observe(&self, event: Event) {
+        let m = &self.router.metrics;
+        match event {
+            Event::Accepted | Event::Dequeued => {}
+            Event::Rejected => {
+                m.requests.inc();
+                m.count_response(503);
+            }
+            Event::Request { .. } => m.requests.inc(),
+            Event::Responded { status, elapsed_us } => {
+                m.count_response(status);
+                m.latency.observe_us(elapsed_us);
+            }
+        }
+    }
+}
+
+/// A running gateway. Call [`Gateway::shutdown`] then [`Gateway::join`] to
+/// stop it; dropping the handle alone does not.
+pub struct Gateway {
+    daemon: Daemon<GatewayHandler>,
+    health_thread: JoinHandle<()>,
 }
 
 impl Gateway {
@@ -145,9 +173,7 @@ impl Gateway {
                 "gateway needs at least one backend",
             ));
         }
-        let listener = net::bind_reusable(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let bound = daemon::bind(&config.addr)?;
 
         // Ring labels are the backend address strings: stable across
         // restarts of the same fleet layout, independent of list order.
@@ -193,246 +219,73 @@ impl Gateway {
         if let Some(path) = &config.span_log {
             tracer = tracer.with_span_log(path)?;
         }
-        let tracer = Arc::new(tracer);
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue.max(1));
-        let rx = Arc::new(RankedMutex::new(
-            rank::WORKER_QUEUE,
-            "gateway.worker_queue",
-            rx,
-        ));
-
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let router = Arc::clone(&router);
-                let tracer = Arc::clone(&tracer);
-                let rx = Arc::clone(&rx);
-                let shutdown = Arc::clone(&shutdown);
-                let config = config.clone();
-                let backend_addrs = backends.clone();
-                std::thread::spawn(move || {
-                    worker_loop(&router, &tracer, &rx, &config, &backend_addrs, &shutdown);
-                })
-            })
-            .collect();
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let router = Arc::clone(&router);
-            let retry_after_s = config.retry_after_s;
-            std::thread::spawn(move || {
-                accept_loop(&listener, &tx, &router, retry_after_s, &shutdown)
-            })
-        };
+        let daemon = bound.serve(
+            Limits {
+                workers: config.workers,
+                queue: config.queue,
+                read_timeout: config.read_timeout,
+                retry_after_s: config.retry_after_s,
+            },
+            GatewayHandler {
+                router,
+                tracer: Arc::new(tracer),
+                backend_addrs: backends,
+            },
+        );
 
         let health_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let router = Arc::clone(&router);
-            let tracer = Arc::clone(&tracer);
-            let probe_interval = config.probe_interval;
-            let probe_timeout = config.probe_timeout;
-            let backend_addrs = backends.clone();
+            let handler = Arc::clone(daemon.handler());
+            let shutdown = daemon.shutdown_flag();
             std::thread::spawn(move || {
                 health_loop(
-                    &router,
-                    &tracer,
-                    &backend_addrs,
-                    probe_interval,
-                    probe_timeout,
+                    &handler,
+                    config.probe_interval,
+                    config.probe_timeout,
                     &shutdown,
                 );
             })
         };
-
         Ok(Self {
-            addr,
-            shutdown,
-            accept: Some(accept),
-            workers,
-            health_thread: Some(health_thread),
-            router,
-            tracer,
-            backend_addrs: backends,
+            daemon,
+            health_thread,
         })
     }
 
     /// The bound listener address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.addr()
     }
 
     /// The shared routing state (tests read health and counters through it).
     #[must_use]
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        &self.daemon.handler().router
     }
 
     /// The gateway's span sink (tests read span trees through it).
     #[must_use]
     pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
+        &self.daemon.handler().tracer
     }
 
     /// The fleet addresses the ring was built over, in ring-index order.
     #[must_use]
     pub fn backend_addrs(&self) -> &[SocketAddr] {
-        &self.backend_addrs
+        &self.daemon.handler().backend_addrs
     }
 
     /// Begin graceful shutdown: stop accepting, let workers drain.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.daemon.shutdown();
     }
 
     /// Shut down (if not already requested) and wait for every queued and
     /// in-flight request to be answered and all threads to exit.
-    pub fn join(mut self) {
-        self.shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(health) = self.health_thread.take() {
-            let _ = health.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    router: &Router,
-    retry_after_s: u32,
-    shutdown: &AtomicBool,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(stream)) => reject_busy(router, stream, retry_after_s),
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    // Dropping `tx` closes the queue; workers drain and exit.
-}
-
-/// Answer `503 + Retry-After` without occupying a worker.
-fn reject_busy(router: &Router, mut stream: TcpStream, retry_after_s: u32) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    // Drain the request head so closing does not RST away the 503.
-    let mut buf = [0u8; 1024];
-    loop {
-        match io::Read::read(&mut stream, &mut buf) {
-            Ok(n) if n > 0 => {
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    router.metrics.requests.inc();
-    router.metrics.count_response(503);
-    let body = ApiError::new(503, "gateway saturated").to_json();
-    let wire = format!(
-        "HTTP/1.1 503 {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nretry-after: {}\r\nconnection: close\r\n\r\n{}",
-        http::reason_phrase(503),
-        body.len(),
-        retry_after_s,
-        body
-    );
-    let _ = stream.write_all(wire.as_bytes());
-}
-
-fn worker_loop(
-    router: &Arc<Router>,
-    tracer: &Tracer,
-    rx: &RankedMutex<Receiver<TcpStream>>,
-    config: &GatewayConfig,
-    backend_addrs: &[SocketAddr],
-    shutdown: &AtomicBool,
-) {
-    loop {
-        let next = rx.lock().recv();
-        let Ok(stream) = next else { break };
-        handle_connection(router, tracer, &stream, config, backend_addrs, shutdown);
-    }
-}
-
-/// Serve sequential keep-alive requests from one client connection.
-fn handle_connection(
-    router: &Arc<Router>,
-    tracer: &Tracer,
-    stream: &TcpStream,
-    config: &GatewayConfig,
-    backend_addrs: &[SocketAddr],
-    shutdown: &AtomicBool,
-) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-
-    let mut reader = BufReader::new(stream);
-    let mut served = 0usize;
-    loop {
-        let request = http::read_request(&mut reader);
-        let start = Instant::now();
-        let (response, trace, client_close) = match request {
-            Ok(request) => {
-                router.metrics.requests.inc();
-                // Propagate the caller's trace id, or mint one at the edge.
-                let trace = request.trace_id().unwrap_or_else(TraceId::mint);
-                let response = {
-                    let mut span = tracer.ctx(trace).child("gateway.route");
-                    span.tag("path", request.path.clone());
-                    let response = respond(router, backend_addrs, &request, span.ctx());
-                    span.tag("status", response.status.to_string());
-                    response
-                };
-                (response, Some(trace), request.wants_close())
-            }
-            Err(HttpError::ClosedEarly | HttpError::Io(_)) => return,
-            Err(e) => {
-                router.metrics.requests.inc();
-                router.metrics.count_response(400);
-                let mut out = stream;
-                let _ = write_response(
-                    &mut out,
-                    &Forwarded {
-                        status: 400,
-                        content_type: "application/json".to_owned(),
-                        body: ApiError::new(400, format!("bad request: {e}")).to_json(),
-                        backend: None,
-                    },
-                    false,
-                    None,
-                );
-                return;
-            }
-        };
-
-        served += 1;
-        let keep_alive =
-            !client_close && served < KEEP_ALIVE_MAX && !shutdown.load(Ordering::SeqCst);
-        let mut out = stream;
-        let write_result = write_response(&mut out, &response, keep_alive, trace);
-        let _ = out.flush();
-        router.metrics.count_response(response.status);
-        let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        router.metrics.latency.observe_us(elapsed_us);
-        if !keep_alive || write_result.is_err() {
-            return;
-        }
+    pub fn join(self) {
+        self.daemon.join();
+        let _ = self.health_thread.join();
     }
 }
 
@@ -443,46 +296,23 @@ fn respond(
     router: &Arc<Router>,
     backend_addrs: &[SocketAddr],
     request: &Request,
-    ctx: cactus_obs::SpanCtx<'_>,
-) -> Forwarded {
+    ctx: SpanCtx<'_>,
+) -> Response {
     if request.method == "POST" && request.path == "/v1/workloads" {
         return broadcast_workload(backend_addrs, request, ctx);
     }
     if request.method != "GET" {
-        return Forwarded {
-            status: 405,
-            content_type: "application/json".to_owned(),
-            body: ApiError::new(405, "only GET is supported (POST only on /v1/workloads)")
-                .to_json(),
-            backend: None,
-        };
+        return Response::error(405, "only GET is supported (POST only on /v1/workloads)");
     }
     match request.path.as_str() {
-        "/v1/healthz" => Forwarded {
-            status: 200,
-            content_type: "text/plain; charset=utf-8".to_owned(),
-            body: "ok\n".to_owned(),
-            backend: None,
-        },
-        "/v1/metricsz" => Forwarded {
-            status: 200,
-            content_type: "text/plain; charset=utf-8".to_owned(),
-            body: render_metrics(&router.metrics, &router.health, &router.pool, backend_addrs),
-            backend: None,
-        },
-        "/v1/tracez" => tracez(ctx, request.query.as_deref()),
-        "/v1/store/manifest" => Forwarded {
-            status: 200,
-            content_type: "text/plain; charset=utf-8".to_owned(),
-            body: sync::fleet_manifest(router, backend_addrs),
-            backend: None,
-        },
-        "/v1/devices" => Forwarded {
-            status: 200,
-            content_type: "text/csv; charset=utf-8".to_owned(),
-            body: fleet_devices(router, backend_addrs),
-            backend: None,
-        },
+        "/v1/healthz" => Response::ok("ok\n", TEXT),
+        "/v1/metricsz" => Response::ok(
+            render_metrics(&router.metrics, &router.health, &router.pool, backend_addrs),
+            TEXT,
+        ),
+        "/v1/tracez" => tracez(ctx.tracer(), request.query.as_deref()),
+        "/v1/store/manifest" => Response::ok(sync::fleet_manifest(router, backend_addrs), TEXT),
+        "/v1/devices" => Response::ok(fleet_devices(router, backend_addrs), CSV),
         path if path.starts_with("/v1/compare/") => compare::compare(router, request, ctx),
         _ => {
             // Re-assemble the full target so query strings survive the
@@ -497,30 +327,26 @@ fn respond(
             if let Some(device) = device_for_target(&target) {
                 if cactus_gpu::by_id(&device).is_none() {
                     let known = cactus_gpu::catalog::device_ids().join(", ");
-                    return Forwarded {
-                        status: 404,
-                        content_type: "application/json".to_owned(),
-                        body: ApiError::new(
-                            404,
-                            format!("unknown device {device:?}; the catalog has: {known}"),
-                        )
-                        .to_json(),
-                        backend: None,
-                    };
+                    return Response::error(
+                        404,
+                        format!("unknown device {device:?}; the catalog has: {known}"),
+                    );
                 }
             }
-            let response = router.forward(&target, &routing_key(&target), Some(ctx));
-            // A 200 profile answer means the winning backend durably holds
-            // the record; copy it to the key's follower replica while the
-            // request is still warm (deduped per key per process).
-            if response.status == 200 {
-                if let Some(winner) = response.backend {
-                    sync::replicate_after_forward(router, &target, winner, Some(ctx));
-                }
-            }
-            response
+            forward_replicated(router, &target, ctx)
         }
     }
+}
+
+/// Forward `target` on its routing key. A 200 profile answer means the
+/// winning backend durably holds the record; copy it to the key's follower
+/// replica while the request is still warm (deduped per key per process).
+pub(crate) fn forward_replicated(router: &Arc<Router>, target: &str, ctx: SpanCtx<'_>) -> Response {
+    let (response, winner) = router.forward(target, &routing_key(target), Some(ctx));
+    if let (200, Some(winner)) = (response.status, winner) {
+        sync::replicate_after_forward(router, target, winner, Some(ctx));
+    }
+    response
 }
 
 /// `POST /v1/workloads`: validate the submitted IR definition at the edge,
@@ -541,62 +367,31 @@ fn respond(
 fn broadcast_workload(
     backend_addrs: &[SocketAddr],
     request: &Request,
-    ctx: cactus_obs::SpanCtx<'_>,
-) -> Forwarded {
+    ctx: SpanCtx<'_>,
+) -> Response {
     use cactus_serve::service::{validate_submission, WorkloadRejection};
     match validate_submission(&request.body) {
         Ok(_) => {}
-        Err(WorkloadRejection::Invalid(findings)) => {
-            return Forwarded {
-                status: 422,
-                content_type: "application/json".to_owned(),
-                body: cactus_serve::routes::workload_rejection_body(&findings),
-                backend: None,
-            }
-        }
-        Err(WorkloadRejection::Conflict(msg)) => {
-            return Forwarded {
-                status: 400,
-                content_type: "application/json".to_owned(),
-                body: ApiError::new(400, msg).to_json(),
-                backend: None,
-            }
-        }
-        Err(WorkloadRejection::Store(msg)) => {
-            return Forwarded {
-                status: 500,
-                content_type: "application/json".to_owned(),
-                body: ApiError::new(500, msg).to_json(),
-                backend: None,
-            }
-        }
+        Err(WorkloadRejection::Invalid(findings)) => return workload_rejection(&findings),
+        Err(WorkloadRejection::Conflict(msg)) => return Response::error(400, msg),
+        Err(WorkloadRejection::Store(msg)) => return Response::error(500, msg),
     }
-    let mut accepted: Option<Forwarded> = None;
-    let mut rejected: Option<Forwarded> = None;
+    let mut accepted: Option<Response> = None;
+    let mut rejected: Option<Response> = None;
     let mut accepts = 0usize;
     let mut failures = 0usize;
-    for (index, addr) in backend_addrs.iter().enumerate() {
+    for addr in backend_addrs {
         let mut span = ctx.child("proxy.attempt");
         span.tag("backend", addr.to_string());
         match Client::new(*addr).post_traced("/v1/workloads", &request.body, Some(ctx.trace())) {
             Ok(reply) => {
                 span.tag("status", reply.status.to_string());
-                let content_type = reply
-                    .header("content-type")
-                    .unwrap_or("text/plain; charset=utf-8")
-                    .to_owned();
-                let forwarded = Forwarded {
-                    status: reply.status,
-                    content_type,
-                    body: reply.body,
-                    backend: Some(index),
-                };
                 if reply.status == 200 {
                     accepts += 1;
-                    accepted.get_or_insert(forwarded);
+                    accepted.get_or_insert_with(|| reply.into());
                 } else {
                     failures += 1;
-                    rejected.get_or_insert(forwarded);
+                    rejected.get_or_insert_with(|| reply.into());
                 }
             }
             Err(e) => {
@@ -607,60 +402,19 @@ fn broadcast_workload(
     }
     match (accepted, failures) {
         (Some(ok), 0) => ok,
-        (Some(_), _) => Forwarded {
-            status: 502,
-            content_type: "application/json".to_owned(),
-            body: ApiError::new(
-                502,
-                format!(
-                    "workload accepted by {accepts} of {} backend(s); the rest were \
-                     unreachable or refused it — resubmit to converge the fleet",
-                    backend_addrs.len()
-                ),
-            )
-            .to_json(),
-            backend: None,
-        },
+        (Some(_), _) => Response::error(
+            502,
+            format!(
+                "workload accepted by {accepts} of {} backend(s); the rest were \
+                 unreachable or refused it — resubmit to converge the fleet",
+                backend_addrs.len()
+            ),
+        ),
         // Nothing accepted: a deterministic backend verdict (unexpected
         // after edge pre-validation, e.g. a version-skewed backend) beats
         // a generic 502.
-        (None, _) => rejected.unwrap_or_else(|| Forwarded {
-            status: 502,
-            content_type: "application/json".to_owned(),
-            body: ApiError::new(502, "no backend accepted the workload submission").to_json(),
-            backend: None,
-        }),
-    }
-}
-
-/// `/v1/tracez[?trace=ID]`: the gateway's span ring as JSON lines. The
-/// tracer is reached through the request's own span context.
-fn tracez(ctx: cactus_obs::SpanCtx<'_>, query: Option<&str>) -> Forwarded {
-    let filter = match query.and_then(|q| {
-        q.split('&')
-            .find_map(|pair| pair.strip_prefix("trace="))
-            .map(|v| TraceId::parse(v).ok_or(v))
-    }) {
-        Some(Err(bad)) => {
-            return Forwarded {
-                status: 400,
-                content_type: "application/json".to_owned(),
-                body: ApiError::new(
-                    400,
-                    format!("invalid trace id {bad:?}; expected 16 hex digits"),
-                )
-                .to_json(),
-                backend: None,
-            }
-        }
-        Some(Ok(id)) => Some(id),
-        None => None,
-    };
-    Forwarded {
-        status: 200,
-        content_type: "application/x-ndjson".to_owned(),
-        body: ctx.tracer().render(filter),
-        backend: None,
+        (None, _) => rejected
+            .unwrap_or_else(|| Response::error(502, "no backend accepted the workload submission")),
     }
 }
 
@@ -741,46 +495,22 @@ pub fn routing_key(target: &str) -> String {
     trimmed.to_owned()
 }
 
-/// Write a forwarded (or locally produced) response in the same wire shape
-/// `cactus-serve` uses, echoing the request's trace id. The gateway keeps
-/// its own writer because forwarded bodies carry the backend's content type
-/// verbatim.
-fn write_response<W: Write>(
-    out: &mut W,
-    response: &Forwarded,
-    keep_alive: bool,
-    trace: Option<TraceId>,
-) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let trace_header = trace.map_or(String::new(), |t| format!("{TRACE_HEADER}: {t}\r\n"));
-    // One write_all: fragment-per-write on a raw socket triggers Nagle +
-    // delayed-ACK stalls (~40 ms) on the peer.
-    let wire = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{}connection: {}\r\n\r\n{}",
-        response.status,
-        http::reason_phrase(response.status),
-        response.content_type,
-        response.body.len(),
-        trace_header,
-        connection,
-        response.body
-    );
-    out.write_all(wire.as_bytes())
-}
-
 /// The health thread: promote cooled-down ejections to half-open,
 /// (optionally) actively probe routable backends so failures are noticed
 /// even when no traffic is flowing, and run one store anti-entropy pass
 /// for every backend that just passed its half-open trial — a re-admitted
 /// backend may have missed replicated writes while it was away.
 fn health_loop(
-    router: &Arc<Router>,
-    tracer: &Tracer,
-    backend_addrs: &[SocketAddr],
+    gateway: &GatewayHandler,
     probe_interval: Option<Duration>,
     probe_timeout: Duration,
     shutdown: &AtomicBool,
 ) {
+    let GatewayHandler {
+        router,
+        tracer,
+        backend_addrs,
+    } = gateway;
     let health = &router.health;
     let mut last_probe = Instant::now();
     while !shutdown.load(Ordering::SeqCst) {

@@ -145,7 +145,11 @@ fn serve(mut stream: TcpStream, state: &StubState) {
             }
             Mode::Drop => return,
             Mode::Busy => {
-                let wire = format!("{}busy\n", head("503 Service Unavailable", 5));
+                // The status argument carries one extra header line.
+                let wire = format!(
+                    "{}busy\n",
+                    head("503 Service Unavailable\r\nretry-after: 2", 5)
+                );
                 let _ = stream.write_all(wire.as_bytes());
             }
             Mode::CloseAfterReply => {
@@ -372,6 +376,30 @@ fn an_immediate_503_is_retried_not_hedged_and_not_penalised() {
     assert_eq!(fleet.get(), fleet.neighbour.body(&fleet.path, 1));
     assert_eq!(fleet.hedges(), (0, 0));
     assert_eq!(fleet.counter(|m| m.retries.get()), 1);
+    assert_eq!(fleet.primary_failures(), 0);
+    let health = &fleet.gateway.router().health;
+    assert_eq!(health.state(PRIMARY), HealthState::Healthy);
+    assert_eq!(health.ejections(), 0);
+    fleet.stop();
+}
+
+#[test]
+fn a_saturated_fleet_forwards_its_503_with_the_backends_retry_after() {
+    let mut fleet = Fleet::start(QUIET_FLOOR);
+    fleet.primary.set(Mode::Busy);
+    fleet.neighbour.set(Mode::Busy);
+    let reply = fleet.client.get(&fleet.path).expect("gateway reply");
+    assert_eq!((reply.status, reply.body.as_str()), (503, "busy\n"));
+    assert_eq!(
+        reply.retry_after_s(),
+        Some(2),
+        "headers: {:?}",
+        reply.headers
+    );
+    // Backpressure is the fleet's answer, not a fault: all three attempts
+    // ran, none hedged, nobody was penalised.
+    assert_eq!(fleet.hedges(), (0, 0));
+    assert_eq!(fleet.counter(|m| m.retries.get()), 2);
     assert_eq!(fleet.primary_failures(), 0);
     let health = &fleet.gateway.router().health;
     assert_eq!(health.state(PRIMARY), HealthState::Healthy);

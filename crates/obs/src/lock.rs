@@ -41,7 +41,7 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// | rank | constant            | lock                                      |
 /// |-----:|---------------------|-------------------------------------------|
 /// |    5 | `SUPERVISOR`        | `gateway::supervisor` fleet slots          |
-/// |   10 | `WORKER_QUEUE`      | serve/gateway accept-queue receiver        |
+/// |   10 | `WORKER_QUEUE`      | `serve::daemon` accept-queue receiver      |
 /// |   20 | `SINGLEFLIGHT_MAP`  | `serve::singleflight` in-flight map        |
 /// |   30 | `SINGLEFLIGHT_SLOT` | `serve::singleflight` per-key result slot  |
 /// |   40 | `RESPONSE_CACHE`    | `serve::cache` LRU                         |

@@ -78,6 +78,24 @@ impl HttpReply {
     }
 }
 
+/// A backend's reply as the response the gateway forwards: status, content
+/// type and body verbatim, plus the backend's `Retry-After` so forwarded
+/// backpressure keeps its hint. Hop-by-hop headers (`connection`, the
+/// length, the trace echo) are the forwarding daemon's to set.
+impl From<HttpReply> for crate::http::Response {
+    fn from(reply: HttpReply) -> Self {
+        let content_type = reply
+            .header("content-type")
+            .unwrap_or(crate::routes::TEXT)
+            .to_owned();
+        Self {
+            status: reply.status,
+            retry_after: reply.retry_after_s(),
+            ..Self::ok(reply.body, content_type)
+        }
+    }
+}
+
 /// Client-side failures.
 #[derive(Debug)]
 pub enum ClientError {

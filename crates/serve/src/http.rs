@@ -16,6 +16,7 @@
 //! [`BufRead`], which lets a server read several sequential requests from
 //! one keep-alive connection without losing buffered bytes between them.
 
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
 use cactus_obs::{ApiError, TraceId, TRACE_HEADER};
@@ -246,13 +247,15 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     Ok((name.to_ascii_lowercase(), value.trim().to_owned()))
 }
 
-/// One response; the `Connection` header is chosen at write time.
+/// One response — the only response type of both tiers; the `Connection`
+/// header is chosen at write time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Type` header value.
-    pub content_type: &'static str,
+    /// `Content-Type` header value: a constant for locally rendered bodies,
+    /// owned when the gateway forwards a backend's verbatim.
+    pub content_type: Cow<'static, str>,
     /// Response body.
     pub body: String,
     /// Optional `Retry-After` header (seconds), used by 503 backpressure.
@@ -264,10 +267,10 @@ pub struct Response {
 impl Response {
     /// A `200 OK` with the given body and content type.
     #[must_use]
-    pub fn ok(body: impl Into<String>, content_type: &'static str) -> Self {
+    pub fn ok(body: impl Into<String>, content_type: impl Into<Cow<'static, str>>) -> Self {
         Self {
             status: 200,
-            content_type,
+            content_type: content_type.into(),
             body: body.into(),
             retry_after: None,
             trace: None,
@@ -279,7 +282,7 @@ impl Response {
     pub fn api_error(error: &ApiError) -> Self {
         Self {
             status: error.code,
-            content_type: "application/json",
+            content_type: Cow::Borrowed("application/json"),
             body: error.to_json(),
             retry_after: None,
             trace: None,
@@ -307,10 +310,22 @@ impl Response {
         self
     }
 
-    /// The standard reason phrase for [`Response::status`].
+    /// The standard reason phrase for [`Response::status`] (`Unknown` for
+    /// a forwarded backend status neither tier constructs itself).
     #[must_use]
     pub fn reason(&self) -> &'static str {
-        reason_phrase(self.status)
+        match self.status {
+            200 => "OK",
+            400 => "Bad Request",
+            404 => "Not Found",
+            405 => "Method Not Allowed",
+            422 => "Unprocessable Content",
+            500 => "Internal Server Error",
+            502 => "Bad Gateway",
+            503 => "Service Unavailable",
+            504 => "Gateway Timeout",
+            _ => "Unknown",
+        }
     }
 
     /// Serialize head + body to `out` with `connection: close` (one request
@@ -350,24 +365,6 @@ impl Response {
         head.push_str(&self.body);
         out.write_all(head.as_bytes())?;
         out.flush()
-    }
-}
-
-/// The standard reason phrase for a status code (shared with the gateway,
-/// which forwards backend statuses it never constructs itself).
-#[must_use]
-pub fn reason_phrase(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        422 => "Unprocessable Content",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Unknown",
     }
 }
 

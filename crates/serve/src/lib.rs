@@ -18,12 +18,14 @@
 //!    coalescing** ([`singleflight`]): N concurrent requests for the same
 //!    uncached triple cost exactly one simulation.
 //!
-//! The server ([`server`]) is std-only: a nonblocking accept loop feeds a
-//! bounded queue drained by a worker pool; a full queue answers
-//! `503 + Retry-After` immediately (explicit backpressure instead of
-//! unbounded queueing), and shutdown drains in-flight requests before
-//! threads exit. Endpoints live on the versioned `/v1` surface, the only
-//! one: `/v1/healthz` for liveness, `/v1/metricsz` ([`metrics`], rendered
+//! The socket side ([`daemon`]) is std-only and shared with
+//! `cactus-gateway` — one skeleton, one [`daemon::Handler`] per tier: a
+//! nonblocking accept loop feeds a bounded queue drained by a worker pool;
+//! a full queue answers `503 + Retry-After` immediately (explicit
+//! backpressure instead of unbounded queueing), a panicking handler is a
+//! `500`, and shutdown drains in-flight requests before threads exit.
+//! [`server`] is this tier's handler, state and compactor. Endpoints live
+//! on the versioned `/v1` surface, the only one: `/v1/healthz` for liveness, `/v1/metricsz` ([`metrics`], rendered
 //! by the shared `cactus_obs::MetricsRegistry`) for request counts, latency
 //! quantiles, and every cache level's hit rates, and `/v1/tracez` for the
 //! span ring — each request carries one trace id (minted here or propagated
@@ -38,6 +40,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod daemon;
 pub mod http;
 pub mod metrics;
 pub mod net;

@@ -13,7 +13,7 @@
 //! with `read_profile`), the rest serve CSV.
 
 use cactus_analysis::roofline::Roofline;
-use cactus_obs::{SpanCtx, TraceId};
+use cactus_obs::{SpanCtx, TraceId, Tracer};
 use cactus_profiler::{csv, store as profile_store};
 
 use crate::cache::CachedResponse;
@@ -39,9 +39,9 @@ pub const STORE_RECORD_ROUTE: &str = "/v1/store/record/{key}";
 pub const STORE_RECORD_TRIPLE_ROUTE: &str = "/v1/store/record/{device}/{scale}/{workload}";
 
 /// Content type of CSV bodies.
-const CSV: &str = "text/csv; charset=utf-8";
+pub const CSV: &str = "text/csv; charset=utf-8";
 /// Content type of plain-text bodies (health, profiles, metrics).
-pub(crate) const TEXT: &str = "text/plain; charset=utf-8";
+pub const TEXT: &str = "text/plain; charset=utf-8";
 
 /// Route one parsed request to a response. `ctx` is the request's
 /// `serve.request` span; handlers hang their sub-spans off it.
@@ -68,7 +68,7 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
     match req.path.as_str() {
         "/v1/healthz" => Response::ok(healthz_body(state), TEXT),
         "/v1/metricsz" => Response::ok(state.render_metrics(), TEXT),
-        "/v1/tracez" => tracez(state, req),
+        "/v1/tracez" => tracez(&state.tracer, req.query.as_deref()),
         "/v1/devices" => cached(state, "devices", CSV, || devices_catalog(state)),
         "/v1/workloads" => cached(state, "workloads", CSV, || workloads_catalog(state)),
         // Similarity responses are stateful (each query may grow the
@@ -129,12 +129,12 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
     }
 }
 
-/// Render the `422` body for a rejected submission: the shared error
-/// envelope extended with a `findings` array whose entries mirror
-/// `cactus-wir-check --format json`. Public so the gateway's edge
-/// pre-validation answers byte-identically to a backend's rejection.
+/// The `422` for a rejected submission: the shared error envelope extended
+/// with a `findings` array whose entries mirror `cactus-wir-check --format
+/// json`. Public so the gateway's edge pre-validation answers
+/// byte-identically to a backend's rejection.
 #[must_use]
-pub fn workload_rejection_body(findings: &[cactus_wir::Finding]) -> String {
+pub fn workload_rejection(findings: &[cactus_wir::Finding]) -> Response {
     let mut body = format!(
         "{{\"code\":422,\"message\":\"workload definition rejected: {} finding(s)\",\
          \"retryable\":false,\"findings\":[",
@@ -147,13 +147,16 @@ pub fn workload_rejection_body(findings: &[cactus_wir::Finding]) -> String {
         body.push_str(&f.to_json());
     }
     body.push_str("]}");
-    body
+    Response {
+        status: 422,
+        ..Response::ok(body, "application/json")
+    }
 }
 
 /// `POST /v1/workloads`: submit one `cactus-wir` definition. The body is
 /// the definition source; it runs the full static validator before
 /// anything durable happens. Rejections answer `422` with the findings as
-/// JSON (see [`workload_rejection_body`]); acceptance persists the source,
+/// JSON (see [`workload_rejection`]); acceptance persists the source,
 /// admits the workload into the triple routes, and invalidates the cached
 /// `/v1/workloads` listing. A re-submission under the same name replaces
 /// the definition, so every cached view of the workload's triples is
@@ -187,13 +190,7 @@ fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Resp
         }
         Err(WorkloadRejection::Invalid(findings)) => {
             span.tag("findings", findings.len().to_string());
-            Response {
-                status: 422,
-                content_type: "application/json",
-                body: workload_rejection_body(&findings),
-                retry_after: None,
-                trace: None,
-            }
+            workload_rejection(&findings)
         }
         Err(WorkloadRejection::Conflict(msg)) => {
             span.tag("error", msg.clone());
@@ -237,26 +234,21 @@ fn store_statz(state: &ServerState) -> String {
     )
 }
 
-/// `/v1/tracez[?trace=ID]`: the span ring as JSON lines, optionally
-/// filtered to one trace id.
-fn tracez(state: &ServerState, req: &Request) -> Response {
-    let filter = match trace_filter(req.query.as_deref()) {
-        Ok(f) => f,
-        Err(msg) => return Response::error(400, msg),
-    };
-    Response::ok(state.tracer.render(filter), "application/x-ndjson")
-}
-
-fn trace_filter(query: Option<&str>) -> Result<Option<TraceId>, String> {
-    let Some(query) = query else { return Ok(None) };
-    for pair in query.split('&') {
-        if let Some(value) = pair.strip_prefix("trace=") {
-            return TraceId::parse(value)
-                .map(Some)
-                .ok_or_else(|| format!("invalid trace id {value:?}; expected 16 hex digits"));
+/// `/v1/tracez[?trace=ID]`: `tracer`'s span ring as JSON lines, optionally
+/// filtered to one trace id. Both tiers' route tables answer with this.
+#[must_use]
+pub fn tracez(tracer: &Tracer, query: Option<&str>) -> Response {
+    let wanted = query.and_then(|q| q.split('&').find_map(|pair| pair.strip_prefix("trace=")));
+    let filter = match wanted.map(|v| TraceId::parse(v).ok_or(v)).transpose() {
+        Ok(filter) => filter,
+        Err(bad) => {
+            return Response::error(
+                400,
+                format!("invalid trace id {bad:?}; expected 16 hex digits"),
+            )
         }
-    }
-    Ok(None)
+    };
+    Response::ok(tracer.render(filter), "application/x-ndjson")
 }
 
 /// The `/v1/<endpoint>/<device>/<scale>/<workload>` family.

@@ -1,54 +1,28 @@
-//! The daemon: accept loop, bounded queue, worker pool, backpressure, and
-//! graceful shutdown.
-//!
-//! ```text
-//! accept thread ──try_send──► bounded queue ──recv──► worker pool (N threads)
-//!      │                        (cap = Q)                 │
-//!      └── queue full: write `503 Retry-After` ───────────┴── handle():
-//!                                                  LRU → store → single-flight sim
-//! ```
-//!
-//! The accept loop never blocks on a slow client: a connection either
-//! enqueues or is answered `503` immediately, so saturation degrades into
-//! fast, explicit pushback instead of unbounded queueing. Connections are
-//! keep-alive by default: a worker serves sequential requests from one
-//! stream until the client asks `Connection: close`, the idle read timeout
-//! fires, [`KEEP_ALIVE_MAX`] requests have been served, or shutdown begins
-//! (the last response then advertises `close`). Shutdown is graceful by
-//! construction — the accept thread exits and drops the queue sender, each
-//! worker drains what was already queued, finishes its in-flight
-//! connection, and exits on the closed channel; [`Server::join`] returns
-//! once every response has been written.
+//! The serve tier on the shared [`daemon`](crate::daemon) skeleton:
+//! configuration, the state every worker shares, the [`Handler`] that
+//! turns one request into the LRU → store → single-flight-simulation walk
+//! of [`routes`], startup cache warming, and the background compactor.
+//! The listener, queue, worker pool, backpressure and drain are the
+//! skeleton's; see its module docs.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{Gauge, MetricsRegistry, TraceId, Tracer};
 
 use crate::cache::{CachedResponse, ResponseCache};
-use crate::http::{self, HttpError, Response};
+pub use crate::daemon::KEEP_ALIVE_MAX;
+use crate::daemon::{self, Daemon, Event, Handler, Limits};
+use crate::http::{Request, Response};
 use crate::metrics::ServerMetrics;
-use crate::net;
 use crate::routes;
 use crate::service::ProfileService;
 use crate::similar::SimService;
-
-/// How long the accept loop sleeps between polls when idle. Accepted
-/// connections are processed back to back; this only bounds the latency of
-/// the first request after an idle period.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Requests served over one keep-alive connection before the server forces
-/// a close, bounding how long a single client can pin a worker.
-pub const KEEP_ALIVE_MAX: usize = 256;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -268,15 +242,49 @@ impl ServerState {
     }
 }
 
+impl Handler for ServerState {
+    fn respond(&self, request: &Request, trace: TraceId) -> Response {
+        // The serve.request span roots this tier's span tree; handlers hang
+        // sub-spans off its ctx.
+        let mut span = self.tracer.ctx(trace).child("serve.request");
+        span.tag("path", request.path.clone());
+        let response = routes::respond(self, request, span.ctx());
+        span.tag("status", response.status.to_string());
+        response
+    }
+
+    fn observe(&self, event: Event) {
+        let m = &self.metrics;
+        match event {
+            Event::Accepted => {
+                m.connections.inc();
+                m.queue_depth.add(1.0);
+            }
+            Event::Rejected => {
+                m.queue_depth.add(-1.0);
+                m.requests.inc();
+                m.count_status(503);
+            }
+            Event::Dequeued => m.queue_depth.add(-1.0),
+            Event::Request { reused } => {
+                m.requests.inc();
+                if reused {
+                    m.keepalive_reuses.inc();
+                }
+            }
+            Event::Responded { status, elapsed_us } => {
+                m.count_status(status);
+                m.record_latency_us(elapsed_us);
+            }
+        }
+    }
+}
+
 /// A running daemon. Dropping the handle does **not** stop the server; call
 /// [`Server::shutdown`] then [`Server::join`].
 pub struct Server {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
-    state: Arc<ServerState>,
+    daemon: Daemon<ServerState>,
+    compactor: JoinHandle<()>,
 }
 
 impl Server {
@@ -286,11 +294,7 @@ impl Server {
     ///
     /// Propagates bind failures.
     pub fn start(config: ServeConfig) -> io::Result<Self> {
-        // SO_REUSEADDR so a supervised restart can rebind its pinned port
-        // immediately (lingering TIME_WAIT sockets would otherwise block it).
-        let listener = net::bind_reusable(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let bound = daemon::bind(&config.addr)?;
 
         let registry = MetricsRegistry::new();
         let registered = || io::Error::other("fresh registry collided");
@@ -304,94 +308,62 @@ impl Server {
             tracer = tracer.with_span_log(path)?;
         }
 
-        let state = Arc::new(ServerState {
+        let limits = Limits {
+            workers: config.workers,
+            queue: config.queue,
+            read_timeout: config.read_timeout,
+            retry_after_s: config.retry_after_s,
+        };
+        let state = ServerState {
             service,
             cache: ResponseCache::new(config.cache_capacity),
             metrics,
             registry,
             tracer,
             sim: SimService::new(),
-            config: config.clone(),
+            config,
             scraped,
-        });
-        warm_cache(&state, config.cache_capacity);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue.max(1));
-        let rx = Arc::new(RankedMutex::new(
-            rank::WORKER_QUEUE,
-            "serve.worker_queue",
-            rx,
-        ));
-
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&state);
-                let rx = Arc::clone(&rx);
-                let shutdown = Arc::clone(&shutdown);
-                let read_timeout = config.read_timeout;
-                std::thread::spawn(move || worker_loop(&state, &rx, read_timeout, &shutdown))
-            })
-            .collect();
-
-        let accept = {
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || accept_loop(&listener, &tx, &state, &shutdown))
         };
+        warm_cache(&state);
+        let daemon = bound.serve(limits, state);
 
         let compactor = {
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
+            let state = Arc::clone(daemon.handler());
+            let shutdown = daemon.shutdown_flag();
             std::thread::spawn(move || compactor_loop(&state, &shutdown))
         };
-
-        Ok(Self {
-            addr,
-            shutdown,
-            accept: Some(accept),
-            workers,
-            compactor: Some(compactor),
-            state,
-        })
+        Ok(Self { daemon, compactor })
     }
 
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.addr()
     }
 
     /// Shared state (tests and benches read counters through this).
     #[must_use]
     pub fn state(&self) -> &Arc<ServerState> {
-        &self.state
+        self.daemon.handler()
     }
 
     /// Begin graceful shutdown: stop accepting, let workers drain.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.daemon.shutdown();
     }
 
     /// Shut down (if not already requested) and wait until every queued and
     /// in-flight request has been answered and all threads exited.
-    pub fn join(mut self) {
-        self.shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(compactor) = self.compactor.take() {
-            let _ = compactor.join();
-        }
+    pub fn join(self) {
+        self.daemon.join();
+        let _ = self.compactor.join();
     }
 
     /// Drop every cached response and pooled engine (benches use this to
     /// re-measure cold paths on a running server).
     pub fn reset_caches(&self) {
-        self.state.cache.clear();
-        self.state.service.reset();
+        self.state().cache.clear();
+        self.state().service.reset();
     }
 }
 
@@ -400,7 +372,8 @@ impl Server {
 /// `/v1/profile` body it would produce, so a restarted daemon serves its
 /// persisted working set from the very first request — no re-simulation,
 /// no cold LRU.
-fn warm_cache(state: &ServerState, capacity: usize) {
+fn warm_cache(state: &ServerState) {
+    let capacity = state.config.cache_capacity;
     if capacity == 0 {
         return;
     }
@@ -467,144 +440,6 @@ fn compactor_loop(state: &ServerState, shutdown: &AtomicBool) {
                 let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
                 span.tag("error", e.to_string());
             }
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    state: &ServerState,
-    shutdown: &AtomicBool,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.queue_depth.add(1.0);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        state.metrics.queue_depth.add(-1.0);
-                        reject_busy(state, stream);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    // Dropping `tx` here closes the queue: workers drain what is already
-    // enqueued, then exit on the closed channel.
-}
-
-/// Answer `503 + Retry-After` without occupying a worker.
-fn reject_busy(state: &ServerState, stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    // Drain the request head before answering: closing with unread bytes in
-    // the receive buffer sends an RST that can discard the in-flight 503.
-    let mut stream = stream;
-    let mut buf = [0u8; 1024];
-    loop {
-        match io::Read::read(&mut stream, &mut buf) {
-            Ok(n) if n > 0 => {
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    let response = Response::busy(state.config.retry_after_s);
-    state.metrics.requests.inc();
-    state.metrics.connections.inc();
-    state.metrics.count_status(response.status);
-    let _ = response.write_to(&mut stream);
-}
-
-fn worker_loop(
-    state: &ServerState,
-    rx: &RankedMutex<Receiver<TcpStream>>,
-    read_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
-    loop {
-        let next = rx.lock().recv();
-        let Ok(stream) = next else { break };
-        state.metrics.queue_depth.add(-1.0);
-        handle_connection(state, &stream, read_timeout, shutdown);
-    }
-}
-
-/// Serve sequential keep-alive requests from one connection until the
-/// client closes (or asks to), an error or idle timeout occurs, the
-/// per-connection request cap is reached, or shutdown begins.
-fn handle_connection(
-    state: &ServerState,
-    stream: &TcpStream,
-    read_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    state.metrics.connections.inc();
-
-    let mut reader = BufReader::new(stream);
-    let mut served = 0usize;
-    loop {
-        let request = http::read_request(&mut reader);
-        let start = Instant::now();
-        let (response, client_close) = match request {
-            Ok(request) => {
-                state.metrics.requests.inc();
-                if served > 0 {
-                    state.metrics.keepalive_reuses.inc();
-                }
-                // One trace id per request: propagated from the gateway via
-                // the x-cactus-trace header, or minted here when the client
-                // hit this tier directly. The serve.request span roots this
-                // tier's span tree; handlers hang sub-spans off its ctx.
-                let trace = request.trace_id().unwrap_or_else(TraceId::mint);
-                let mut span = state.tracer.ctx(trace).child("serve.request");
-                span.tag("path", request.path.clone());
-                // A panicking handler must not kill the worker thread;
-                // convert it into a 500 and keep serving.
-                let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    routes::respond(state, &request, span.ctx())
-                }))
-                .unwrap_or_else(|_| Response::error(500, "internal error: handler panicked"));
-                span.tag("status", response.status.to_string());
-                (response.traced(trace), request.wants_close())
-            }
-            // Clean close or idle timeout between requests: nothing to answer.
-            Err(HttpError::ClosedEarly | HttpError::Io(_)) => return,
-            // A malformed head gets its 400, then the connection closes
-            // (framing can no longer be trusted).
-            Err(e) => {
-                state.metrics.requests.inc();
-                let response = Response::error(400, format!("bad request: {e}"));
-                state.metrics.count_status(response.status);
-                let mut out = stream;
-                let _ = response.write_to(&mut out);
-                return;
-            }
-        };
-
-        served += 1;
-        let keep_alive =
-            !client_close && served < KEEP_ALIVE_MAX && !shutdown.load(Ordering::SeqCst);
-        let mut out = stream;
-        let write_result = response.write_conn(&mut out, keep_alive);
-        let _ = out.flush();
-        state.metrics.count_status(response.status);
-        let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        state.metrics.record_latency_us(elapsed_us);
-        if !keep_alive || write_result.is_err() {
-            return;
         }
     }
 }
