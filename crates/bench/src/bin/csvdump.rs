@@ -13,24 +13,16 @@ fn main() {
     let cactus = cactus_profiles_cached();
     let prt = prt_profiles_cached();
 
-    let mut cactus_doc = csv::kernel_header();
-    cactus_doc.push('\n');
+    let mut cactus_doc = format!("{}\n", csv::kernel_header());
     for p in &cactus {
-        for row in csv::kernel_rows(&p.name, &p.profile) {
-            cactus_doc.push_str(&row);
-            cactus_doc.push('\n');
-        }
+        csv::push_kernel_rows(&mut cactus_doc, &p.name, &p.profile);
     }
     std::fs::write(dir.join("cactus_kernels.csv"), &cactus_doc).expect("write");
     println!("cactus_kernels.csv: {} lines", cactus_doc.lines().count());
 
-    let mut prt_doc = csv::kernel_header();
-    prt_doc.push('\n');
+    let mut prt_doc = format!("{}\n", csv::kernel_header());
     for p in &prt {
-        for row in csv::kernel_rows(&p.name, &p.profile) {
-            prt_doc.push_str(&row);
-            prt_doc.push('\n');
-        }
+        csv::push_kernel_rows(&mut prt_doc, &p.name, &p.profile);
     }
     std::fs::write(dir.join("prt_kernels.csv"), &prt_doc).expect("write");
     println!("prt_kernels.csv: {} lines", prt_doc.lines().count());

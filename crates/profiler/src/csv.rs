@@ -1,67 +1,66 @@
 //! CSV emission for profiles — the counterpart of the paper artifact's
 //! `data/` files that its Python/R plotting scripts consume.
 
+use std::fmt::Write as _;
+use std::sync::LazyLock;
+
 use cactus_gpu::metrics::MetricId;
 
 use crate::Profile;
 
-/// CSV header for [`kernel_rows`]: kernel identity, totals, and the full
-/// metric vector in [`MetricId::ALL`] order.
-#[must_use]
-pub fn kernel_header() -> String {
-    let mut cols = vec![
-        "workload".to_owned(),
-        "kernel".to_owned(),
-        "invocations".to_owned(),
-        "total_time_s".to_owned(),
-        "time_share".to_owned(),
-        "warp_instructions".to_owned(),
-        "dram_transactions".to_owned(),
-    ];
-    cols.extend(
-        MetricId::ALL
-            .iter()
-            .map(|id| id.name().to_lowercase().replace([' ', '/'], "_")),
+static KERNEL_HEADER: LazyLock<String> = LazyLock::new(|| {
+    let mut header = String::from(
+        "workload,kernel,invocations,total_time_s,time_share,warp_instructions,dram_transactions",
     );
-    cols.join(",")
+    for id in MetricId::ALL {
+        header.push(',');
+        header.push_str(&id.name().to_lowercase().replace([' ', '/'], "_"));
+    }
+    header
+});
+
+/// CSV header for [`push_kernel_rows`]: kernel identity, totals, and the
+/// full metric vector in [`MetricId::ALL`] order. Built on first use.
+#[must_use]
+pub fn kernel_header() -> &'static str {
+    &KERNEL_HEADER
 }
 
-/// One CSV row per kernel of `profile`, in dominance order.
-#[must_use]
-pub fn kernel_rows(workload: &str, profile: &Profile) -> Vec<String> {
+/// Append one newline-terminated CSV row per kernel of `profile`, in
+/// dominance order.
+pub fn push_kernel_rows(out: &mut String, workload: &str, profile: &Profile) {
     let total = profile.total_time_s();
-    profile
-        .kernels()
-        .iter()
-        .map(|k| {
-            let mut fields = vec![
-                escape(workload),
-                escape(&k.name),
-                k.invocations.to_string(),
-                format!("{:e}", k.total_time_s),
-                format!("{:.6}", k.time_share(total)),
-                k.warp_instructions.to_string(),
-                format!("{:e}", k.dram_transactions),
-            ];
-            fields.extend(
-                MetricId::ALL
-                    .iter()
-                    .map(|&id| format!("{:e}", k.metrics.get(id))),
-            );
-            fields.join(",")
-        })
-        .collect()
+    for k in profile.kernels() {
+        push_field(out, workload);
+        out.push(',');
+        push_field(out, &k.name);
+        let _ = write!(
+            out,
+            ",{},{:e},{:.6},{},{:e}",
+            k.invocations,
+            k.total_time_s,
+            k.time_share(total),
+            k.warp_instructions,
+            k.dram_transactions
+        );
+        for id in MetricId::ALL {
+            let _ = write!(out, ",{:e}", k.metrics.get(id));
+        }
+        out.push('\n');
+    }
 }
 
 /// A complete CSV document (header + rows) for one profiled workload.
 #[must_use]
 pub fn to_csv(workload: &str, profile: &Profile) -> String {
-    let mut out = kernel_header();
+    // A row is its two names and 22 numeric fields, ~340 bytes of them.
+    let names: usize = profile.kernels().iter().map(|k| k.name.len()).sum();
+    let mut out = String::with_capacity(
+        kernel_header().len() + 1 + names + profile.kernel_count() * (workload.len() + 360),
+    );
+    out.push_str(kernel_header());
     out.push('\n');
-    for row in kernel_rows(workload, profile) {
-        out.push_str(&row);
-        out.push('\n');
-    }
+    push_kernel_rows(&mut out, workload, profile);
     out
 }
 
@@ -77,25 +76,39 @@ pub fn memo_header() -> String {
 /// `store` instead of `simulated`.
 #[must_use]
 pub fn memo_row(workload: &str, stats: Option<&cactus_gpu::engine::MemoStats>) -> String {
+    let mut row = String::new();
+    push_field(&mut row, workload);
     match stats {
-        Some(s) => format!(
-            "{},simulated,{},{},{},{:.6}",
-            escape(workload),
-            s.launches(),
-            s.hits,
-            s.misses,
-            s.hit_rate()
-        ),
-        None => format!("{},store,,,,", escape(workload)),
+        Some(s) => {
+            let _ = write!(
+                row,
+                ",simulated,{},{},{},{:.6}",
+                s.launches(),
+                s.hits,
+                s.misses,
+                s.hit_rate()
+            );
+        }
+        None => row.push_str(",store,,,,"),
     }
+    row
 }
 
-fn escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
+/// Append `s` as one CSV field: quoted, with quotes doubled, when it holds a
+/// comma, a quote or a newline; verbatim otherwise.
+pub fn push_field(out: &mut String, s: &str) {
+    if !s.contains([',', '"', '\n']) {
+        out.push_str(s);
+        return;
     }
+    out.push('"');
+    for piece in s.split_inclusive('"') {
+        out.push_str(piece);
+        if piece.ends_with('"') {
+            out.push('"');
+        }
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -115,11 +128,17 @@ mod tests {
         Profile::from_records(gpu.records())
     }
 
+    fn rows(p: &Profile) -> Vec<String> {
+        let mut out = String::new();
+        push_kernel_rows(&mut out, "T", p);
+        out.lines().map(str::to_owned).collect()
+    }
+
     #[test]
     fn header_and_rows_have_matching_arity() {
         let p = profile();
         let header_cols = kernel_header().split(',').count();
-        for row in kernel_rows("T", &p) {
+        for row in rows(&p) {
             // Quoted commas are escaped, so a naive split works only on
             // rows without them; count via the csv-aware splitter below.
             let cols = split_csv(&row).len();
@@ -142,7 +161,7 @@ mod tests {
     #[test]
     fn time_shares_sum_to_one() {
         let p = profile();
-        let total: f64 = kernel_rows("T", &p)
+        let total: f64 = rows(&p)
             .iter()
             .map(|row| split_csv(row)[4].parse::<f64>().unwrap())
             .sum();

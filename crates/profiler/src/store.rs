@@ -25,7 +25,7 @@
 use crate::{KernelStats, Profile};
 use cactus_gpu::metrics::KernelMetrics;
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Magic first line; bump the version when the format changes.
 pub const FORMAT_HEADER: &str = "cactus-profile v1";
@@ -62,29 +62,48 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Serialize a profile. Inverse of [`read_profile`].
+/// Bytes of one kernel line around its name: the tag, 20 hex words, three
+/// integers at their widest, the tabs and the newline.
+const KERNEL_LINE_BYTES: usize = 2 + 20 * 17 + 3 * 21 + 1;
+
+/// Serialize a profile. Inverse of [`read_profile`]. The document is
+/// appended field by field into one pre-sized buffer.
 #[must_use]
 pub fn write_profile(profile: &Profile) -> String {
     let kernels = profile.kernels();
-    let mut out = String::with_capacity(64 + kernels.len() * 400);
-    out.push_str(FORMAT_HEADER);
-    out.push('\n');
-    out.push_str(&format!("kernels {}\n", kernels.len()));
+    let names: usize = kernels.iter().map(|k| k.name.len()).sum();
+    let mut out = String::with_capacity(64 + names + kernels.len() * KERNEL_LINE_BYTES);
+    let _ = writeln!(out, "{FORMAT_HEADER}\nkernels {}", kernels.len());
     for k in kernels {
-        out.push('k');
-        out.push('\t');
-        out.push_str(&escape_name(&k.name));
-        out.push('\t');
-        out.push_str(&k.invocations.to_string());
-        out.push('\t');
+        out.push_str("k\t");
+        push_escaped_name(&mut out, &k.name);
+        let _ = write!(out, "\t{}", k.invocations);
         push_f64(&mut out, k.total_time_s);
-        out.push('\t');
-        out.push_str(&k.warp_instructions.to_string());
-        out.push('\t');
+        let _ = write!(out, "\t{}", k.warp_instructions);
         push_f64(&mut out, k.dram_transactions);
-        for word in metric_words(&k.metrics) {
-            out.push('\t');
-            out.push_str(&word);
+        // The 18 fields of `KernelMetrics`, in declaration order.
+        let m = &k.metrics;
+        push_f64(&mut out, m.duration_s);
+        let _ = write!(out, "\t{}", m.warp_instructions);
+        for x in [
+            m.dram_transactions,
+            m.gips,
+            m.instruction_intensity,
+            m.warp_occupancy,
+            m.sm_efficiency,
+            m.l1_hit_rate,
+            m.l2_hit_rate,
+            m.dram_read_throughput_gbps,
+            m.ldst_utilization,
+            m.sp_utilization,
+            m.fraction_branches,
+            m.fraction_ldst,
+            m.execution_stall,
+            m.pipe_stall,
+            m.sync_stall,
+            m.memory_stall,
+        ] {
+            push_f64(&mut out, x);
         }
         out.push('\n');
     }
@@ -113,10 +132,18 @@ pub fn read_profile(text: &str) -> Result<Profile, StoreError> {
             reason: format!("expected `kernels <count>`, got {count_line:?}"),
         })?;
 
-    let mut kernels = Vec::with_capacity(count);
+    // `count` is input: a kernel line is never shorter than its 23 tabs
+    // and a newline, so the text bounds what is worth reserving.
+    let mut kernels = Vec::with_capacity(count.min(text.len() / 24));
     for _ in 0..count {
         let (line_no, line) = lines.next().ok_or(StoreError::Truncated)?;
         kernels.push(parse_kernel_line(line, line_no + 1)?);
+    }
+    if let Some((line_no, _)) = lines.find(|(_, line)| !line.is_empty()) {
+        return Err(StoreError::Malformed {
+            line: line_no + 1,
+            reason: format!("content after the last of {count} declared kernel lines"),
+        });
     }
     Ok(Profile::from_kernel_stats(kernels))
 }
@@ -126,15 +153,19 @@ fn parse_kernel_line(line: &str, line_no: usize) -> Result<KernelStats, StoreErr
         line: line_no,
         reason,
     };
-    let fields: Vec<&str> = line.split('\t').collect();
     // tag, name, invocations, total_time, warp_insts, dram_txns, 18 metrics.
     const EXPECTED: usize = 6 + 18;
-    if fields.len() != EXPECTED || fields[0] != "k" {
-        return Err(err(format!(
+    let arity = || {
+        err(format!(
             "expected {EXPECTED} tab-separated kernel fields starting with `k`, got {}",
-            fields.len()
-        )));
+            line.split('\t').count()
+        ))
+    };
+    let mut fields = line.split('\t');
+    if fields.next() != Some("k") {
+        return Err(arity());
     }
+    let mut field = || fields.next().ok_or_else(arity);
     let parse_u64 = |s: &str, what: &str| {
         s.parse::<u64>()
             .map_err(|_| err(format!("bad {what}: {s:?}")))
@@ -143,33 +174,36 @@ fn parse_kernel_line(line: &str, line_no: usize) -> Result<KernelStats, StoreErr
         parse_f64_bits(s).ok_or_else(|| err(format!("bad {what} bits: {s:?}")))
     };
 
-    let name = unescape_name(fields[1]);
-    let invocations = parse_u64(fields[2], "invocation count")?;
-    let total_time_s = parse_f64(fields[3], "total time")?;
-    let warp_instructions = parse_u64(fields[4], "warp instructions")?;
-    let dram_transactions = parse_f64(fields[5], "dram transactions")?;
+    let name = unescape_name(field()?);
+    let invocations = parse_u64(field()?, "invocation count")?;
+    let total_time_s = parse_f64(field()?, "total time")?;
+    let warp_instructions = parse_u64(field()?, "warp instructions")?;
+    let dram_transactions = parse_f64(field()?, "dram transactions")?;
 
-    let m = &fields[6..];
+    // Struct fields evaluate in the order written: declaration order.
     let metrics = KernelMetrics {
-        duration_s: parse_f64(m[0], "duration_s")?,
-        warp_instructions: parse_u64(m[1], "metric warp_instructions")?,
-        dram_transactions: parse_f64(m[2], "metric dram_transactions")?,
-        gips: parse_f64(m[3], "gips")?,
-        instruction_intensity: parse_f64(m[4], "instruction_intensity")?,
-        warp_occupancy: parse_f64(m[5], "warp_occupancy")?,
-        sm_efficiency: parse_f64(m[6], "sm_efficiency")?,
-        l1_hit_rate: parse_f64(m[7], "l1_hit_rate")?,
-        l2_hit_rate: parse_f64(m[8], "l2_hit_rate")?,
-        dram_read_throughput_gbps: parse_f64(m[9], "dram_read_throughput_gbps")?,
-        ldst_utilization: parse_f64(m[10], "ldst_utilization")?,
-        sp_utilization: parse_f64(m[11], "sp_utilization")?,
-        fraction_branches: parse_f64(m[12], "fraction_branches")?,
-        fraction_ldst: parse_f64(m[13], "fraction_ldst")?,
-        execution_stall: parse_f64(m[14], "execution_stall")?,
-        pipe_stall: parse_f64(m[15], "pipe_stall")?,
-        sync_stall: parse_f64(m[16], "sync_stall")?,
-        memory_stall: parse_f64(m[17], "memory_stall")?,
+        duration_s: parse_f64(field()?, "duration_s")?,
+        warp_instructions: parse_u64(field()?, "metric warp_instructions")?,
+        dram_transactions: parse_f64(field()?, "metric dram_transactions")?,
+        gips: parse_f64(field()?, "gips")?,
+        instruction_intensity: parse_f64(field()?, "instruction_intensity")?,
+        warp_occupancy: parse_f64(field()?, "warp_occupancy")?,
+        sm_efficiency: parse_f64(field()?, "sm_efficiency")?,
+        l1_hit_rate: parse_f64(field()?, "l1_hit_rate")?,
+        l2_hit_rate: parse_f64(field()?, "l2_hit_rate")?,
+        dram_read_throughput_gbps: parse_f64(field()?, "dram_read_throughput_gbps")?,
+        ldst_utilization: parse_f64(field()?, "ldst_utilization")?,
+        sp_utilization: parse_f64(field()?, "sp_utilization")?,
+        fraction_branches: parse_f64(field()?, "fraction_branches")?,
+        fraction_ldst: parse_f64(field()?, "fraction_ldst")?,
+        execution_stall: parse_f64(field()?, "execution_stall")?,
+        pipe_stall: parse_f64(field()?, "pipe_stall")?,
+        sync_stall: parse_f64(field()?, "sync_stall")?,
+        memory_stall: parse_f64(field()?, "memory_stall")?,
     };
+    if fields.next().is_some() {
+        return Err(arity());
+    }
 
     Ok(KernelStats {
         name,
@@ -181,37 +215,14 @@ fn parse_kernel_line(line: &str, line_no: usize) -> Result<KernelStats, StoreErr
     })
 }
 
-/// The 18 metric fields of [`KernelMetrics`], serialized in declaration
-/// order.
-fn metric_words(m: &KernelMetrics) -> [String; 18] {
-    [
-        f64_bits(m.duration_s),
-        m.warp_instructions.to_string(),
-        f64_bits(m.dram_transactions),
-        f64_bits(m.gips),
-        f64_bits(m.instruction_intensity),
-        f64_bits(m.warp_occupancy),
-        f64_bits(m.sm_efficiency),
-        f64_bits(m.l1_hit_rate),
-        f64_bits(m.l2_hit_rate),
-        f64_bits(m.dram_read_throughput_gbps),
-        f64_bits(m.ldst_utilization),
-        f64_bits(m.sp_utilization),
-        f64_bits(m.fraction_branches),
-        f64_bits(m.fraction_ldst),
-        f64_bits(m.execution_stall),
-        f64_bits(m.pipe_stall),
-        f64_bits(m.sync_stall),
-        f64_bits(m.memory_stall),
-    ]
-}
-
-fn f64_bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
+/// Append a tab and the 16 lower-case hex digits of `x`'s IEEE-754 bits.
 fn push_f64(out: &mut String, x: f64) {
-    out.push_str(&f64_bits(x));
+    let bits = x.to_bits();
+    out.push('\t');
+    for shift in (0..16).rev() {
+        let nibble = (bits >> (shift * 4)) as u32 & 0xF;
+        out.push(char::from_digit(nibble, 16).unwrap_or('0'));
+    }
 }
 
 fn parse_f64_bits(s: &str) -> Option<f64> {
@@ -221,13 +232,26 @@ fn parse_f64_bits(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-fn escape_name(name: &str) -> String {
-    name.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
+/// Append `name` with backslash, tab and newline escaped.
+fn push_escaped_name(out: &mut String, name: &str) {
+    let mut rest = name;
+    while let Some(at) = rest.find(['\\', '\t', '\n']) {
+        let (plain, special) = rest.split_at(at);
+        out.push_str(plain);
+        out.push_str(match special.as_bytes().first() {
+            Some(b'\t') => "\\t",
+            Some(b'\n') => "\\n",
+            _ => "\\\\",
+        });
+        rest = special.get(1..).unwrap_or("");
+    }
+    out.push_str(rest);
 }
 
 fn unescape_name(escaped: &str) -> String {
+    if !escaped.contains('\\') {
+        return escaped.to_owned();
+    }
     let mut out = String::with_capacity(escaped.len());
     let mut chars = escaped.chars();
     while let Some(c) = chars.next() {
@@ -286,8 +310,12 @@ mod tests {
 
     #[test]
     fn names_with_escapes_roundtrip() {
-        assert_eq!(unescape_name(&escape_name("a\tb\\c\nd")), "a\tb\\c\nd");
-        assert_eq!(unescape_name(&escape_name("plain_kernel")), "plain_kernel");
+        for name in ["a\tb\\c\nd", "plain_kernel", "\\", "ends\\", "é\tü"] {
+            let mut escaped = String::new();
+            push_escaped_name(&mut escaped, name);
+            assert!(!escaped.contains(['\t', '\n']), "{escaped:?}");
+            assert_eq!(unescape_name(&escaped), name);
+        }
     }
 
     #[test]
@@ -312,10 +340,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_content_after_the_last_kernel_line() {
+        let good = write_profile(&sample_profile());
+        let kernels = sample_profile().kernel_count();
+        for extra in ["k\tnot\tcounted\n", "anything\n", " \n", "\n\nlate\n"] {
+            let err = read_profile(&format!("{good}{extra}")).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Malformed { line, .. } if *line >= kernels + 3),
+                "{extra:?}: {err}"
+            );
+        }
+        // Blank lines are not content.
+        assert_eq!(read_profile(&format!("{good}\n\n")), read_profile(&good));
+    }
+
+    #[test]
+    fn a_declared_count_larger_than_the_text_is_truncated_not_reserved() {
+        let text = format!("{FORMAT_HEADER}\nkernels {}\n", usize::MAX);
+        assert_eq!(read_profile(&text).unwrap_err(), StoreError::Truncated);
+    }
+
+    #[test]
     fn special_floats_roundtrip() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e-300] {
-            let bits = f64_bits(x);
-            let back = parse_f64_bits(&bits).expect("parse bits");
+            let mut field = String::new();
+            push_f64(&mut field, x);
+            assert_eq!(field, format!("\t{:016x}", x.to_bits()));
+            let back = parse_f64_bits(&field[1..]).expect("parse bits");
             assert_eq!(back.to_bits(), x.to_bits());
         }
     }

@@ -1,11 +1,13 @@
 //! The in-memory LRU response cache — the first level of the serving
 //! hierarchy (LRU → profile store → single-flight simulation).
 //!
-//! Entries are whole rendered responses keyed by canonical request path, so
-//! a hit costs one hash lookup and an `Arc` clone; the body bytes are shared
-//! with every concurrent reader. Only `200` responses are cached (callers
-//! enforce this), eviction is least-recently-*used* (get bumps recency), and
-//! hit/miss counters feed `/v1/metricsz`.
+//! Entries are whole rendered responses keyed by canonical request path. A
+//! hit is one hash lookup and an `Arc` clone under the lock; the entry is
+//! shared, the reply is not — [`CachedResponse::to_response`] copies the
+//! body into the `Response` it builds, once per reply and outside the lock.
+//! Only `200` responses are cached (callers enforce this), eviction is
+//! least-recently-*used* (get bumps recency), and hit/miss counters feed
+//! `/v1/metricsz`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +27,7 @@ pub struct CachedResponse {
 }
 
 impl CachedResponse {
-    /// Rehydrate the cached entry into a `200` response.
+    /// Rehydrate the cached entry into a `200` response (copies the body).
     #[must_use]
     pub fn to_response(&self) -> Response {
         Response::ok(self.body.clone(), self.content_type)

@@ -8,13 +8,16 @@
 //! canonical key, and falls through to [`ProfileService::profile`] (store,
 //! then coalesced simulation) on a miss — recording `serve.cache` /
 //! `serve.profile` spans under the caller's ctx as it goes. Bodies are
-//! text: the profile endpoint serves the bit-exact
-//! [`cactus_profiler::store`] serialization (so the typed client parses it
-//! with `read_profile`), the rest serve CSV.
+//! text: the profile endpoint serves the stored document itself — the
+//! bit-exact [`cactus_profiler::store`] serialization the service read from
+//! or rendered for the store (so the typed client parses it with
+//! `read_profile`) — and the rest render CSV from its parse.
 
 use cactus_analysis::roofline::Roofline;
 use cactus_obs::{SpanCtx, TraceId, Tracer};
-use cactus_profiler::{csv, store as profile_store};
+use std::fmt::Write as _;
+
+use cactus_profiler::csv;
 
 use crate::cache::CachedResponse;
 use crate::http::{Request, Response};
@@ -89,7 +92,7 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
 /// `GET` answers the stored record verbatim whatever its model version
 /// (anti-entropy copies bytes; relevance is the *receiver's* concern) and
 /// never falls through to simulation. `POST` validates the body as a
-/// profile document and appends it at the key device's current
+/// canonical profile document and appends it at the key device's current
 /// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version).
 fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>) -> Response {
     let segments: Vec<&str> = key.split('/').collect();
@@ -315,22 +318,25 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
     }
     let mut span = ctx.child("serve.profile");
     let outcome = state.service.profile(&triple, Some(span.ctx()));
-    let (profile, source) = match outcome {
+    let (resolved, source) = match outcome {
         Ok(p) => p,
         Err(msg) => {
             span.tag("source", "error");
             return Response::error(500, format!("simulation failed: {msg}"));
         }
     };
-    span.tag("source", format!("{source:?}").to_ascii_lowercase());
+    span.tag("source", source.label());
     drop(span);
 
+    let profile = &resolved.profile;
     let (body, content_type) = match endpoint {
-        "profile" => (profile_store::write_profile(&profile), TEXT),
-        "kernels" => (csv::to_csv(triple.workload.name(), &profile), CSV),
-        "roofline" => (roofline_csv(&triple, &profile), CSV),
+        // The stored document as it is: the one copy between the store's
+        // buffer (shared with coalesced callers) and the cached body.
+        "profile" => (resolved.document.clone(), TEXT),
+        "kernels" => (csv::to_csv(triple.workload.name(), profile), CSV),
+        "roofline" => (roofline_csv(&triple, profile), CSV),
         _ => (
-            dominant_csv(triple.workload.name(), &profile, threshold),
+            dominant_csv(triple.workload.name(), profile, threshold),
             CSV,
         ),
     };
@@ -439,9 +445,10 @@ fn roofline_csv(triple: &Triple, profile: &cactus_profiler::Profile) -> String {
     let mut out =
         String::from("kernel,instruction_intensity,gips,time_share,intensity_class,boundedness\n");
     for k in profile.kernels() {
-        out.push_str(&format!(
-            "{},{:.6},{:.6},{:.6},{},{}\n",
-            csv_escape(&k.name),
+        csv::push_field(&mut out, &k.name);
+        let _ = writeln!(
+            out,
+            ",{:.6},{:.6},{:.6},{},{}",
             k.metrics.instruction_intensity,
             k.metrics.gips,
             k.time_share(total),
@@ -449,7 +456,7 @@ fn roofline_csv(triple: &Triple, profile: &cactus_profiler::Profile) -> String {
                 .intensity_class(k.metrics.instruction_intensity)
                 .label(),
             roofline.boundedness_class(k.metrics.gips).label(),
-        ));
+        );
     }
     out
 }
@@ -463,23 +470,147 @@ fn dominant_csv(workload: &str, profile: &cactus_profiler::Profile, threshold: f
     let mut cumulative = 0.0;
     for k in profile.dominant_kernels(threshold) {
         cumulative += k.time_share(total);
-        out.push_str(&format!(
-            "{},{},{},{:e},{:.6},{:.6}\n",
-            csv_escape(workload),
-            csv_escape(&k.name),
+        csv::push_field(&mut out, workload);
+        out.push(',');
+        csv::push_field(&mut out, &k.name);
+        let _ = writeln!(
+            out,
+            ",{},{:e},{:.6},{:.6}",
             k.invocations,
             k.total_time_s,
             k.time_share(total),
             cumulative,
-        ));
+        );
     }
     out
 }
 
 pub(crate) fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
+    let mut out = String::with_capacity(s.len());
+    csv::push_field(&mut out, s);
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cactus_gpu::metrics::KernelMetrics;
+    use cactus_profiler::{KernelStats, Profile};
+    use proptest::prelude::*;
+
+    // The two private renderers as they were — one `format!` per row, one
+    // `String` per escaped field — kept as the oracles the single-buffer
+    // versions must match byte for byte.
+
+    fn escape_oracle(s: &str) -> String {
+        if s.contains([',', '"', '\n']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_owned()
+        }
+    }
+
+    fn roofline_oracle(triple: &Triple, profile: &Profile) -> String {
+        let roofline = Roofline::for_device(&triple.device);
+        let total = profile.total_time_s();
+        let mut out = String::from(
+            "kernel,instruction_intensity,gips,time_share,intensity_class,boundedness\n",
+        );
+        for k in profile.kernels() {
+            out.push_str(&format!(
+                "{},{:.6},{:.6},{:.6},{},{}\n",
+                escape_oracle(&k.name),
+                k.metrics.instruction_intensity,
+                k.metrics.gips,
+                k.time_share(total),
+                roofline
+                    .intensity_class(k.metrics.instruction_intensity)
+                    .label(),
+                roofline.boundedness_class(k.metrics.gips).label(),
+            ));
+        }
+        out
+    }
+
+    fn dominant_oracle(workload: &str, profile: &Profile, threshold: f64) -> String {
+        let total = profile.total_time_s();
+        let mut out =
+            String::from("workload,kernel,invocations,total_time_s,time_share,cumulative_share\n");
+        let mut cumulative = 0.0;
+        for k in profile.dominant_kernels(threshold) {
+            cumulative += k.time_share(total);
+            out.push_str(&format!(
+                "{},{},{},{:e},{:.6},{:.6}\n",
+                escape_oracle(workload),
+                escape_oracle(&k.name),
+                k.invocations,
+                k.total_time_s,
+                k.time_share(total),
+                cumulative,
+            ));
+        }
+        out
+    }
+
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            0.0f64..1e6,
+            proptest::sample::select(&[
+                f64::NAN,
+                f64::from_bits(0x7ff8_0000_dead_beef),
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                f64::from_bits(1),
+            ]),
+        ]
+    }
+
+    fn any_name() -> impl Strategy<Value = String> {
+        let alphabet = ['a', 'Z', '_', ' ', '\t', '\n', '\\', ',', '"', 'é'];
+        prop::collection::vec(proptest::sample::select(&alphabet), 0..10)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn any_kernel() -> impl Strategy<Value = KernelStats> {
+        (
+            any_name(),
+            prop_oneof![0u64..1000, proptest::sample::select(&[0, u64::MAX])],
+            any_f64(),
+            any_f64(),
+            any_f64(),
+        )
+            .prop_map(|(name, invocations, time, intensity, gips)| KernelStats {
+                name,
+                invocations,
+                total_time_s: time,
+                warp_instructions: invocations,
+                dram_transactions: time,
+                metrics: KernelMetrics {
+                    instruction_intensity: intensity,
+                    gips,
+                    ..KernelMetrics::default()
+                },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn roofline_and_dominant_match_their_oracles(
+            kernels in prop::collection::vec(any_kernel(), 0..6),
+            workload in any_name(),
+            threshold in 0.0f64..1.0,
+        ) {
+            let profile = Profile::from_kernel_stats(kernels);
+            let triple = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
+            prop_assert_eq!(roofline_csv(&triple, &profile), roofline_oracle(&triple, &profile));
+            prop_assert_eq!(
+                dominant_csv(&workload, &profile, threshold),
+                dominant_oracle(&workload, &profile, threshold)
+            );
+        }
     }
 }

@@ -355,12 +355,37 @@ pub enum ProfileSource {
     Coalesced,
 }
 
+impl ProfileSource {
+    /// The lower-case name spans and pages tag a request's source with.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            ProfileSource::Store => "store",
+            ProfileSource::Simulated => "simulated",
+            ProfileSource::Coalesced => "coalesced",
+        }
+    }
+}
+
+/// What [`ProfileService::profile`] resolves a triple to: the profile and
+/// the `cactus-profile v1` document that encodes it — the text the store
+/// held, or the text just rendered for the store — so `/v1/profile` serves
+/// the document instead of rendering the profile a second time.
+/// `read_profile(&document)` is `profile` by construction on both paths.
+#[derive(Debug)]
+pub struct ResolvedProfile {
+    /// The parsed (or freshly simulated) profile the CSV views render.
+    pub profile: Profile,
+    /// Its stored serialization, byte for byte.
+    pub document: String,
+}
+
 /// The store + simulation levels of the serving hierarchy, shared across
 /// worker threads.
 pub struct ProfileService {
     pools: Vec<(&'static str, GpuPool)>,
     /// In-flight lookups; the value carries whether the store satisfied it.
-    flight: SingleFlight<(Arc<Profile>, bool)>,
+    flight: SingleFlight<(Arc<ResolvedProfile>, bool)>,
     store: Arc<Store>,
     /// Workloads submitted through `POST /v1/workloads`, keyed by name.
     /// Held only for point lookups and inserts — never across a simulation.
@@ -528,7 +553,7 @@ impl ProfileService {
         &self,
         triple: &Triple,
         ctx: Option<SpanCtx<'_>>,
-    ) -> Result<(Arc<Profile>, ProfileSource), String> {
+    ) -> Result<(Arc<ResolvedProfile>, ProfileSource), String> {
         if !self.models(&triple.device_slug) {
             return Err(format!(
                 "device {:?} is not modeled by this backend; modeled: {}",
@@ -552,9 +577,9 @@ impl ProfileService {
                 }
                 profile
             };
-            if let Some(profile) = store_hit {
+            if let Some(resolved) = store_hit {
                 self.store_hits.inc();
-                return Ok((Arc::new(profile), true));
+                return Ok((Arc::new(resolved), true));
             }
             self.simulations.inc();
             let profile = {
@@ -564,28 +589,29 @@ impl ProfileService {
                 }
                 self.simulate(triple, span.as_ref().map(cactus_obs::SpanGuard::ctx))
             }?;
-            self.append_to_store(&key, version, &profile, ctx);
-            Ok((Arc::new(profile), false))
+            let document = self.append_to_store(&key, version, &profile, ctx);
+            Ok((Arc::new(ResolvedProfile { profile, document }), false))
         });
-        let (profile, from_store) = result?;
+        let (resolved, from_store) = result?;
         let source = match (leader, from_store) {
             (false, _) => ProfileSource::Coalesced,
             (true, true) => ProfileSource::Store,
             (true, false) => ProfileSource::Simulated,
         };
-        Ok((profile, source))
+        Ok((resolved, source))
     }
 
     /// Probe the durable store for the triple's key. Records at any version
-    /// but `version` (the key's [`current_version`]) are misses — the
-    /// caller re-simulates and the new append supersedes them (compaction
-    /// reclaims the bytes later).
+    /// but `version` (the key's [`current_version`]), records that are not
+    /// UTF-8 and records that do not parse are misses — the caller
+    /// re-simulates and the new append supersedes them (compaction reclaims
+    /// the bytes later). A hit keeps the record's text beside its parse.
     fn load_from_store(
         &self,
         key: &str,
         version: u32,
         ctx: Option<SpanCtx<'_>>,
-    ) -> Option<Profile> {
+    ) -> Option<ResolvedProfile> {
         let mut span = ctx.map(|c| c.child("store.get"));
         let record = match self.store.get(key) {
             Ok(record) => record?,
@@ -603,9 +629,9 @@ impl ProfileService {
         if record.version != version {
             return None;
         }
-        let text = String::from_utf8(record.value).ok()?;
-        match profile_store::read_profile(&text) {
-            Ok(profile) => Some(profile),
+        let document = String::from_utf8(record.value).ok()?;
+        match profile_store::read_profile(&document) {
+            Ok(profile) => Some(ResolvedProfile { profile, document }),
             Err(e) => {
                 eprintln!("cactus-serve: store record {key} does not parse: {e}");
                 None
@@ -613,16 +639,17 @@ impl ProfileService {
         }
     }
 
-    /// Append a freshly simulated profile to the durable store. Failures
-    /// are logged, not fatal — serving beats durability here, and the next
-    /// identical request simply simulates again.
+    /// Append a freshly simulated profile to the durable store and return
+    /// the document it rendered. Failures are logged, not fatal — serving
+    /// beats durability here, and the next identical request simply
+    /// simulates again.
     fn append_to_store(
         &self,
         key: &str,
         version: u32,
         profile: &Profile,
         ctx: Option<SpanCtx<'_>>,
-    ) {
+    ) -> String {
         let text = profile_store::write_profile(profile);
         let mut span = ctx.map(|c| c.child("store.append"));
         if let Some(span) = &mut span {
@@ -634,13 +661,16 @@ impl ProfileService {
                 span.tag("error", e.to_string());
             }
         }
+        text
     }
 
     /// Validate and durably ingest one externally supplied record (the
     /// gateway's replication and anti-entropy pushes). Profile keys must
-    /// parse as a `cactus-profile v1` document and are stored verbatim at
-    /// the key's [`current_version`]; `wir/<name>` keys run the full
-    /// submission stack and register the workload exactly as
+    /// be a canonical `cactus-profile v1` document — the exact bytes
+    /// `write_profile` renders for what the body parses to, because
+    /// `/v1/profile` serves stored bytes as they are — and are stored
+    /// verbatim at the key's [`current_version`]; `wir/<name>` keys run
+    /// the full submission stack and register the workload exactly as
     /// `POST /v1/workloads` would — that is the repair path that lets a
     /// backend which missed a workload broadcast converge.
     ///
@@ -672,7 +702,11 @@ impl ProfileService {
                     WorkloadRejection::Conflict(msg) | WorkloadRejection::Store(msg) => msg,
                 });
         }
-        profile_store::read_profile(text).map_err(|e| format!("body is not a profile: {e}"))?;
+        let parsed =
+            profile_store::read_profile(text).map_err(|e| format!("body is not a profile: {e}"))?;
+        if profile_store::write_profile(&parsed) != text {
+            return Err("body is not a canonical profile document".to_owned());
+        }
         let version = current_version(key)
             .ok_or_else(|| format!("key {key:?} does not start with a catalog device id"))?;
         self.store
@@ -981,7 +1015,7 @@ mod tests {
         let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
-        assert_eq!(*p, cactus_core::run("GMS", SuiteScale::Tiny));
+        assert_eq!(p.profile, cactus_core::run("GMS", SuiteScale::Tiny));
         assert_eq!(svc.simulations(), 1);
         assert_eq!(svc.store_hits(), 0);
         assert!(svc.engine_memo_stats().launches() > 0);
@@ -991,7 +1025,8 @@ mod tests {
         // store hit and the result is bit-identical.
         let (p2, source2) = svc.profile(&t, None).expect("profile again");
         assert_eq!(source2, ProfileSource::Store);
-        assert_eq!(*p2, *p);
+        assert_eq!(p2.profile, p.profile);
+        assert_eq!(p2.document, p.document);
         assert_eq!(svc.simulations(), 1, "store hit did not re-simulate");
         assert_eq!(svc.store_hits(), 1);
         assert_eq!(svc.engines(), 1, "engine was reused, not recreated");
@@ -1002,7 +1037,7 @@ mod tests {
         let svc2 = ProfileService::new(Some(dir.clone()));
         let (p3, source3) = svc2.profile(&t, None).expect("profile after restart");
         assert_eq!(source3, ProfileSource::Store);
-        assert_eq!(*p3, *p);
+        assert_eq!(p3.profile, p.profile);
         assert_eq!(svc2.simulations(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1017,7 +1052,7 @@ mod tests {
         {
             let mut root = tracer.ctx(trace).child("serve.profile");
             let (_, source) = svc.profile(&t, Some(root.ctx())).expect("profile");
-            root.tag("source", format!("{source:?}"));
+            root.tag("source", source.label());
         }
         let spans = tracer.spans_for(trace);
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
@@ -1126,9 +1161,115 @@ mod tests {
         let t = Triple::resolve("rtx-3080", "profile", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Store);
-        assert_eq!(*p, seeded);
+        assert_eq!(p.profile, seeded);
         assert_eq!(svc.store_hits(), 1);
         assert_eq!(svc.simulations(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrite the first kernel line of `doc` field by field.
+    fn mutate_first_kernel(doc: &str, edit: impl Fn(&mut Vec<String>)) -> String {
+        let mut done = false;
+        doc.split_inclusive('\n')
+            .map(|line| {
+                if done || !line.starts_with("k\t") {
+                    return line.to_owned();
+                }
+                done = true;
+                let mut fields: Vec<String> = line
+                    .trim_end_matches('\n')
+                    .split('\t')
+                    .map(str::to_owned)
+                    .collect();
+                edit(&mut fields);
+                format!("{}\n", fields.join("\t"))
+            })
+            .collect()
+    }
+
+    /// `/v1/profile` serves stored bytes as they are, so ingest admits only
+    /// the bytes `write_profile` would render: every way a document can
+    /// parse to the same profile and still differ is refused with nothing
+    /// appended, and the document itself still stores.
+    #[test]
+    fn ingest_refuses_every_non_canonical_spelling_of_a_profile() {
+        let dir = fresh_store_dir("canonical");
+        let svc = ProfileService::new(Some(dir.clone()));
+        let doc = profile_store::write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
+        let mut lines: Vec<&str> = doc.split_inclusive('\n').collect();
+        lines.swap(2, 3);
+        let mutations = [
+            ("trailing line", format!("{doc}one more line\n")),
+            ("crlf", doc.replace('\n', "\r\n")),
+            (
+                "upper-case hex",
+                mutate_first_kernel(&doc, |f| f[3] = f[3].to_ascii_uppercase()),
+            ),
+            (
+                "plus-prefixed integer",
+                mutate_first_kernel(&doc, |f| f[2].insert(0, '+')),
+            ),
+            (
+                "zero-padded integer",
+                mutate_first_kernel(&doc, |f| f[4].insert(0, '0')),
+            ),
+            ("kernels out of dominance order", lines.concat()),
+        ];
+        for (what, body) in &mutations {
+            assert_ne!(*body, doc, "{what}: the mutation changed nothing");
+            let err = svc
+                .ingest_record("rtx-3080/tiny/GMS", body)
+                .expect_err(what);
+            assert!(
+                err.contains("not a canonical profile document") || err.contains("not a profile"),
+                "{what}: {err}"
+            );
+            assert_eq!(svc.store().stats().appends, 0, "{what}: nothing appended");
+        }
+        // Every mutation but the trailing line parses to the same profile:
+        // only the byte comparison tells them from the real thing.
+        let parsed = profile_store::read_profile(&doc).expect("parses");
+        for (what, body) in &mutations[1..] {
+            assert_eq!(
+                profile_store::read_profile(body).as_ref(),
+                Ok(&parsed),
+                "{what}"
+            );
+        }
+
+        svc.ingest_record("rtx-3080/tiny/GMS", &doc)
+            .expect("the canonical document stores");
+        assert_eq!(svc.store().stats().appends, 1);
+        let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
+        let (resolved, source) = svc.profile(&t, None).expect("profile");
+        assert_eq!(source, ProfileSource::Store);
+        assert_eq!(resolved.document, doc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A CRC-valid record that does not parse is a miss, not a body: the
+    /// document is only ever served beside its own successful parse.
+    #[test]
+    fn an_unparseable_record_is_a_miss_that_resimulates() {
+        let dir = fresh_store_dir("unparseable");
+        let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
+        let entry = catalog::by_id("rtx-3080").expect("catalog id");
+        let good = profile_store::write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
+        {
+            let store = Store::open(&dir).expect("open store");
+            store
+                .append(
+                    &t.key(),
+                    entry.record_version(),
+                    format!("{good}trailing\n").as_bytes(),
+                )
+                .expect("seed store");
+        }
+        let svc = ProfileService::new(Some(dir.clone()));
+        let (resolved, source) = svc.profile(&t, None).expect("profile");
+        assert_eq!(source, ProfileSource::Simulated);
+        assert_eq!(resolved.document, good);
+        assert_eq!((svc.store_hits(), svc.simulations()), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1145,7 +1286,7 @@ mod tests {
         let svc = ProfileService::new(Some(dir.clone()));
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
-        assert_eq!(*p, profile);
+        assert_eq!(p.profile, profile);
         assert_eq!(svc.store_hits(), 0);
         // The fresh append superseded the stale record.
         let record = svc.store().get(&t.key()).expect("get").expect("present");

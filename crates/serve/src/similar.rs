@@ -403,15 +403,15 @@ pub fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
     // Resolve the profile *before* taking the simindex lock: the
     // single-flight and engine-pool ranks sit below SIMINDEX, and the
     // ranked-lock checker would flag the inverted order deterministically.
-    let (profile, source) = match state.service.profile(&triple, Some(span.ctx())) {
+    let (resolved, source) = match state.service.profile(&triple, Some(span.ctx())) {
         Ok(p) => p,
         Err(msg) => return Response::error(500, format!("simulation failed: {msg}")),
     };
-    span.tag("source", format!("{source:?}").to_ascii_lowercase());
+    span.tag("source", source.label());
 
     match state.sim.ingest_and_search(
         &triple,
-        &profile,
+        &resolved.profile,
         param(query, "kernel"),
         k,
         Some(span.ctx()),

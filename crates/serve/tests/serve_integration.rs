@@ -436,6 +436,93 @@ fn store_endpoints_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `/v1/profile` is the stored document: on a fresh simulation (the text
+/// just rendered for the store) and on a store hit (the text just read from
+/// it) the body, the raw record and a re-render of the body's parse are the
+/// same bytes — and the counters tick exactly once per path, as they did
+/// when the route rendered the profile itself.
+#[test]
+fn profile_view_is_the_stored_document_on_both_paths() {
+    let dir = fresh_dir();
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue: 16,
+        cache_capacity: 0, // every request reaches the service
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral loopback server");
+    let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+    let counters = |client: &Client| {
+        (
+            metric(client, "cactus_serve_simulations_total"),
+            metric(client, "cactus_serve_store_hits_total"),
+        )
+    };
+
+    let simulated = client.get("/v1/profile/rtx-3080/tiny/GMS").expect("cold");
+    assert_eq!(simulated.status, 200);
+    assert_eq!(counters(&client), (1.0, 0.0));
+    let hit = client.get("/v1/profile/rtx-3080/tiny/GMS").expect("warm");
+    assert_eq!(counters(&client), (1.0, 1.0));
+    let record = client
+        .get("/v1/store/record/rtx-3080/tiny/GMS")
+        .expect("record");
+    assert_eq!(counters(&client), (1.0, 1.0), "the raw route is not a hit");
+
+    let parsed = cactus_profiler::store::read_profile(&simulated.body).expect("body parses");
+    assert_eq!(parsed, cactus_core::run("GMS", SuiteScale::Tiny));
+    let rendered = cactus_profiler::store::write_profile(&parsed);
+    assert_eq!(simulated.body, rendered);
+    assert_eq!(hit.body, rendered);
+    assert_eq!(record.body, rendered);
+
+    // The CSV views render from the same parse on both paths.
+    let kernels = client.get("/v1/kernels/rtx-3080/tiny/GMS").expect("csv");
+    assert_eq!(kernels.body, cactus_profiler::csv::to_csv("GMS", &parsed));
+    assert_eq!(counters(&client), (1.0, 2.0));
+
+    // A non-canonical document never gets in to be served verbatim.
+    let before = client.get("/v1/store/statz").expect("statz").body;
+    let padded = client
+        .post_traced(
+            "/v1/store/record/rtx-3080/small/GMS",
+            &format!("{rendered}trailing line\n"),
+            None,
+        )
+        .expect("post");
+    assert_eq!(padded.status, 400, "{}", padded.body);
+    let crlf = client
+        .post_traced(
+            "/v1/store/record/rtx-3080/small/GMS",
+            &rendered.replace('\n', "\r\n"),
+            None,
+        )
+        .expect("post");
+    assert_eq!(crlf.status, 400);
+    assert!(
+        crlf.body
+            .contains("body is not a canonical profile document"),
+        "{}",
+        crlf.body
+    );
+    let after = client.get("/v1/store/statz").expect("statz").body;
+    let line = |page: &str, name: &str| {
+        page.lines()
+            .find(|l| l.starts_with(name))
+            .map(str::to_owned)
+    };
+    assert_eq!(line(&before, "appends "), Some("appends 1".to_owned()));
+    assert_eq!(line(&after, "appends "), line(&before, "appends "));
+    assert_eq!(
+        line(&after, "live_records "),
+        line(&before, "live_records ")
+    );
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `/v1/similar` end to end: the first reference query lazily fits the
 /// encoder and seeds the index from the profile's kernels, the query
 /// kernel comes back at distance zero, inline vector queries work once

@@ -6,8 +6,8 @@
 //! * `store/cold-open-10k` — open a 10k-record store from disk, i.e. the
 //!   full segment scan that rebuilds the in-memory index at daemon
 //!   startup.
-//! * `store/warm-get` — one indexed read (seek + header check + CRC) of a
-//!   hot key from the open store.
+//! * `store/warm-get` — one indexed read (one `pread` on the segment's
+//!   kept-open handle + header check + CRC) of a hot key from the open store.
 //!
 //! After the timed groups the harness sanity-checks the open store's
 //! accounting so a bench run doubles as a smoke test.

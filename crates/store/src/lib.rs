@@ -43,6 +43,30 @@
 //!   so replaying `victims … A, N, N+1` last-wins is equivalent to the
 //!   pre-compaction log.
 //!
+//! # Read path
+//!
+//! The index keeps one read-only handle per segment on disk, next to that
+//! segment's accounting and under the same `STORE_INDEX` lock: opened by
+//! the recovery scan, when an append creates the next active segment, and
+//! for a compaction's output; dropped when compaction drops the victim.
+//! [`Store::get`] takes the key's location and its segment's handle in one
+//! lock acquisition, then reads header and payload with one positional read
+//! (`pread`) outside the lock and verifies length, checksum and key.
+//!
+//! A reader therefore never sees a deleted file: it holds the handle it was
+//! given, an unlinked victim's bytes stay readable through it, and a sealed
+//! segment is immutable, so the record it was pointed at is still the
+//! record it reads — the key's live value when the index was probed. The
+//! one-retry loop `get` used to run for "compaction deleted the file under
+//! me" is unreachable and is gone; an error from `get` is a real I/O error
+//! or corruption.
+//!
+//! Open descriptors are bounded by the segment count — `live_bytes /
+//! segment_max_bytes + 1` sealed-or-active segments after a compaction
+//! (the shipped corpus of 756 triples is ≈ 2.5 MB: one segment), plus the
+//! writer's append handle and `LOCK`. There is no cap to configure.
+//! Positional reads come from `std::os::unix::fs::FileExt`.
+//!
 //! Lock ranks: the active-segment writer holds `STORE_WRITER` (42) and
 //! nests the `STORE_INDEX` (45) lock inside it, so index admission happens
 //! in append order; readers take only `STORE_INDEX`.
@@ -50,10 +74,13 @@
 use cactus_obs::lock::{rank, RankedMutex};
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions, TryLockError};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Record header: `len` + `crc`, both little-endian `u32`s.
 const HEADER_BYTES: u64 = 8;
@@ -170,19 +197,61 @@ struct Loc {
     crc: u32,
 }
 
-/// Per-segment accounting, maintained under the index lock.
-#[derive(Debug, Clone, Copy, Default)]
-struct SegInfo {
+/// One segment on disk: its accounting and the read handle every
+/// [`Store::get`] into it shares, both maintained under the index lock.
+#[derive(Debug)]
+struct Segment {
     live_records: u64,
     dead_records: u64,
     live_bytes: u64,
     dead_bytes: u64,
     sealed: bool,
+    /// Read-only handle; a reader clones the `Arc` and reads outside the lock.
+    file: Arc<File>,
 }
 
+impl Segment {
+    fn new(file: File, sealed: bool) -> Self {
+        Self {
+            live_records: 0,
+            dead_records: 0,
+            live_bytes: 0,
+            dead_bytes: 0,
+            sealed,
+            file: Arc::new(file),
+        }
+    }
+
+    /// `old`, a record of this segment, was superseded.
+    fn retire(&mut self, old: &Loc) {
+        let bytes = record_bytes_of(old);
+        self.live_records -= 1;
+        self.live_bytes -= bytes;
+        self.dead_records += 1;
+        self.dead_bytes += bytes;
+    }
+}
+
+#[derive(Default)]
 struct IndexState {
     map: HashMap<String, Loc>,
-    segments: BTreeMap<u64, SegInfo>,
+    segments: BTreeMap<u64, Segment>,
+}
+
+impl IndexState {
+    /// Point `key` at `loc` (a record of a segment already in `segments`)
+    /// and move whatever it superseded to its segment's dead column.
+    fn admit(&mut self, key: String, loc: Loc) {
+        if let Some(seg) = self.segments.get_mut(&loc.segment) {
+            seg.live_records += 1;
+            seg.live_bytes += record_bytes_of(&loc);
+        }
+        if let Some(old) = self.map.insert(key, loc) {
+            if let Some(seg) = self.segments.get_mut(&old.segment) {
+                seg.retire(&old);
+            }
+        }
+    }
 }
 
 struct WriterState {
@@ -260,14 +329,7 @@ impl Store {
                     next_id: 0,
                 },
             ),
-            index: RankedMutex::new(
-                rank::STORE_INDEX,
-                "store.index",
-                IndexState {
-                    map: HashMap::new(),
-                    segments: BTreeMap::new(),
-                },
-            ),
+            index: RankedMutex::new(rank::STORE_INDEX, "store.index", IndexState::default()),
             appends: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
@@ -312,11 +374,13 @@ impl Store {
         }
         ids.sort_unstable();
 
-        let mut map: HashMap<String, Loc> = HashMap::new();
-        let mut segments: BTreeMap<u64, SegInfo> = BTreeMap::new();
+        let mut index = IndexState::default();
         for &id in &ids {
             let path = self.segment_path(id);
-            let bytes = fs::read(&path)?;
+            // The handle the scan reads through is the one readers keep.
+            let mut file = File::open(&path)?;
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
             let (valid_len, records) = scan_segment(&bytes);
             if (valid_len as usize) < bytes.len() {
                 // Torn tail: a crashed writer got partway through a
@@ -327,11 +391,8 @@ impl Store {
                 f.sync_data()?;
                 self.truncations.fetch_add(1, Ordering::Relaxed);
             }
-            let mut info = SegInfo::default();
+            index.segments.insert(id, Segment::new(file, true));
             for rec in records {
-                let record_bytes = HEADER_BYTES + u64::from(rec.len);
-                info.live_records += 1;
-                info.live_bytes += record_bytes;
                 let loc = Loc {
                     segment: id,
                     offset: rec.offset,
@@ -339,23 +400,8 @@ impl Store {
                     version: rec.version,
                     crc: rec.crc,
                 };
-                if let Some(old) = map.insert(rec.key, loc) {
-                    let old_bytes = HEADER_BYTES + u64::from(old.len);
-                    if let Some(oi) = segments.get_mut(&old.segment) {
-                        oi.live_records -= 1;
-                        oi.live_bytes -= old_bytes;
-                        oi.dead_records += 1;
-                        oi.dead_bytes += old_bytes;
-                    } else if old.segment == id {
-                        info.live_records -= 1;
-                        info.live_bytes -= record_bytes_of(&old);
-                        info.dead_records += 1;
-                        info.dead_bytes += record_bytes_of(&old);
-                    }
-                }
+                index.admit(rec.key.to_owned(), loc);
             }
-            info.sealed = true;
-            segments.insert(id, info);
         }
 
         // The highest-id segment stays active; everything below is sealed.
@@ -366,14 +412,12 @@ impl Store {
                 .append(true)
                 .open(self.segment_path(last))?;
             let offset = file.metadata()?.len();
-            if let Some(info) = segments.get_mut(&last) {
-                info.sealed = false;
+            if let Some(seg) = index.segments.get_mut(&last) {
+                seg.sealed = false;
             }
             writer.active = Some((file, last, offset));
         }
-        let mut index = self.index.lock();
-        index.map = map;
-        index.segments = segments;
+        *self.index.lock() = index;
         Ok(())
     }
 
@@ -387,13 +431,8 @@ impl Store {
     /// bytes may still be on disk and are dropped by the next recovery
     /// scan if torn, or harmlessly replayed if complete).
     pub fn append(&self, key: &str, version: u32, value: &[u8]) -> io::Result<()> {
-        let payload = encode_payload(key, version, value)?;
-        let crc = crc32(&payload);
-        let len = payload.len() as u32;
-        let mut record = Vec::with_capacity(payload.len() + HEADER_BYTES as usize);
-        record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(&crc.to_le_bytes());
-        record.extend_from_slice(&payload);
+        let (record, crc) = encode_record(key, version, value)?;
+        let len = (record.len() - HEADER_BYTES as usize) as u32;
 
         let mut writer = self.writer.lock();
         // Rotate when the active segment is over the size threshold.
@@ -401,8 +440,8 @@ impl Store {
             if offset >= self.opts.segment_max_bytes {
                 file.sync_data()?;
                 let mut index = self.index.lock();
-                if let Some(info) = index.segments.get_mut(&id) {
-                    info.sealed = true;
+                if let Some(seg) = index.segments.get_mut(&id) {
+                    seg.sealed = true;
                 }
             } else {
                 writer.active = Some((file, id, offset));
@@ -411,10 +450,13 @@ impl Store {
         if writer.active.is_none() {
             let id = writer.next_id;
             writer.next_id += 1;
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.segment_path(id))?;
+            let path = self.segment_path(id);
+            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            let reader = File::open(&path)?;
+            self.index
+                .lock()
+                .segments
+                .insert(id, Segment::new(reader, false));
             writer.active = Some((file, id, 0));
         }
         let Some((file, id, offset)) = writer.active.as_mut() else {
@@ -444,27 +486,14 @@ impl Store {
 
         // Index admission happens inside the writer lock so index order
         // matches log order.
-        let mut index = self.index.lock();
-        let seg = *id;
-        let info = index.segments.entry(seg).or_default();
-        info.live_records += 1;
-        info.live_bytes += record.len() as u64;
-        if let Some(old) = index.map.insert(key.to_owned(), loc) {
-            let old_bytes = record_bytes_of(&old);
-            if let Some(oi) = index.segments.get_mut(&old.segment) {
-                oi.live_records -= 1;
-                oi.live_bytes -= old_bytes;
-                oi.dead_records += 1;
-                oi.dead_bytes += old_bytes;
-            }
-        }
-        drop(index);
+        self.index.lock().admit(key.to_owned(), loc);
         drop(writer);
         self.appends.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Read the live record for `key`, verifying its checksum.
+    /// Read the live record for `key`, verifying its length, checksum and
+    /// key: one index probe, one positional read (see the module docs).
     ///
     /// # Errors
     ///
@@ -472,59 +501,29 @@ impl Store {
     /// [`io::ErrorKind::InvalidData`].
     pub fn get(&self, key: &str) -> io::Result<Option<Record>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        // A compaction pass can repoint the loc and delete the old file
-        // between our index probe and the read; one retry re-probes.
-        for attempt in 0..2 {
-            let loc = {
-                let index = self.index.lock();
-                match index.map.get(key) {
-                    Some(loc) => *loc,
-                    None => return Ok(None),
-                }
+        let (loc, file) = {
+            let index = self.index.lock();
+            let Some(loc) = index.map.get(key) else {
+                return Ok(None);
             };
-            match self.read_record(&loc, key) {
-                Ok(rec) => return Ok(Some(rec)),
-                Err(e) if attempt == 0 => {
-                    let _ = e; // retry once against a fresh loc
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(io::Error::other("store get retry fell through"))
-    }
-
-    fn read_record(&self, loc: &Loc, key: &str) -> io::Result<Record> {
-        let mut file = File::open(self.segment_path(loc.segment))?;
-        file.seek(SeekFrom::Start(loc.offset))?;
-        let mut header = [0u8; HEADER_BYTES as usize];
-        file.read_exact(&mut header)?;
-        let len = le_u32(&header);
-        let crc = le_u32(header.get(4..).unwrap_or(&[]));
-        if len != loc.len || crc != loc.crc {
-            return Err(invalid(format!(
-                "record header mismatch for {key:?} in seg-{}",
-                loc.segment
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        file.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(invalid(format!(
-                "record checksum mismatch for {key:?} in seg-{}",
-                loc.segment
-            )));
-        }
-        let (got_key, version, value) = decode_payload(&payload)?;
-        if got_key != key {
-            return Err(invalid(format!(
-                "index pointed {key:?} at a record for {got_key:?}"
-            )));
-        }
-        Ok(Record {
+            let Some(seg) = index.segments.get(&loc.segment) else {
+                return Err(io::Error::other("index entry without its segment"));
+            };
+            (*loc, Arc::clone(&seg.file))
+        };
+        let RawRecord {
+            mut bytes,
             version,
-            value,
-            crc,
-        })
+            value_at,
+        } = read_record(&file, &loc, key)?;
+        // The value is the record's tail: shift it to the front of the
+        // buffer it was read into instead of copying it out.
+        bytes.drain(..value_at);
+        Ok(Some(Record {
+            version,
+            value: bytes,
+            crc: loc.crc,
+        }))
     }
 
     /// Every live `(key, version, crc)` sorted by key.
@@ -551,27 +550,25 @@ impl Store {
     /// same live records render the same digest.
     #[must_use]
     pub fn manifest(&self) -> String {
-        let entries = self.entries();
-        let mut body = String::new();
-        for e in &entries {
-            body.push_str(&format!("k\t{}\t{}\t{:08x}\n", e.key, e.version, e.crc));
-        }
-        let digest = fnv1a64(body.as_bytes());
-        format!(
-            "{MANIFEST_HEADER}\ndigest {digest:016x}\nentries {}\n{body}",
-            entries.len()
-        )
+        let (lines, entries) = self.manifest_lines();
+        let digest = fnv1a64(lines.as_bytes());
+        format!("{MANIFEST_HEADER}\ndigest {digest:016x}\nentries {entries}\n{lines}")
     }
 
     /// The manifest digest alone (see [`Store::manifest`]).
     #[must_use]
     pub fn manifest_digest(&self) -> u64 {
+        fnv1a64(self.manifest_lines().0.as_bytes())
+    }
+
+    /// The manifest's `k` lines — what the digest covers — and their count.
+    fn manifest_lines(&self) -> (String, usize) {
         let entries = self.entries();
-        let mut body = String::new();
+        let mut lines = String::new();
         for e in &entries {
-            body.push_str(&format!("k\t{}\t{}\t{:08x}\n", e.key, e.version, e.crc));
+            let _ = writeln!(lines, "k\t{}\t{}\t{:08x}", e.key, e.version, e.crc);
         }
-        fnv1a64(body.as_bytes())
+        (lines, entries.len())
     }
 
     /// Current counters.
@@ -634,23 +631,23 @@ impl Store {
         if let Some((file, id, _)) = writer.active.take() {
             file.sync_data()?;
             let mut index = self.index.lock();
-            if let Some(info) = index.segments.get_mut(&id) {
-                info.sealed = true;
+            if let Some(seg) = index.segments.get_mut(&id) {
+                seg.sealed = true;
             }
         }
 
         let active_floor = writer.next_id;
-        let victims: Vec<u64> = {
+        let victims: BTreeMap<u64, Arc<File>> = {
             let index = self.index.lock();
             index
                 .segments
                 .iter()
-                .filter(|(&id, info)| {
+                .filter(|(&id, seg)| {
                     id < active_floor
-                        && info.sealed
-                        && (info.dead_records > 0 || info.live_records == 0)
+                        && seg.sealed
+                        && (seg.dead_records > 0 || seg.live_records == 0)
                 })
-                .map(|(&id, _)| id)
+                .map(|(&id, seg)| (id, Arc::clone(&seg.file)))
                 .collect()
         };
         if victims.is_empty() {
@@ -660,76 +657,64 @@ impl Store {
         let compact_id = writer.next_id;
         writer.next_id += 1;
 
-        // Live records to carry over, in (segment, offset) log order.
-        let mut moves: Vec<(String, Loc)> = {
+        // Live records to carry over, each with its victim's handle, in
+        // (segment, offset) log order.
+        let mut moves: Vec<(String, Loc, &File)> = {
             let index = self.index.lock();
             index
                 .map
                 .iter()
-                .filter(|(_, loc)| victims.contains(&loc.segment))
-                .map(|(k, loc)| (k.clone(), *loc))
+                .filter_map(|(k, loc)| Some((k.clone(), *loc, &**victims.get(&loc.segment)?)))
                 .collect()
         };
-        moves.sort_by_key(|(_, loc)| (loc.segment, loc.offset));
+        moves.sort_by_key(|(_, loc, _)| (loc.segment, loc.offset));
 
         let mut victim_bytes = 0u64;
-        for &v in &victims {
-            victim_bytes += fs::metadata(self.segment_path(v))?.len();
+        for file in victims.values() {
+            victim_bytes += file.metadata()?.len();
         }
 
+        // Records move as the bytes they are: same header, same payload.
         let mut new_locs: Vec<(String, Loc)> = Vec::with_capacity(moves.len());
         let mut out_len = 0u64;
+        let mut output = None;
         if !moves.is_empty() {
+            let path = self.segment_path(compact_id);
             let mut out = OpenOptions::new()
                 .create_new(true)
                 .append(true)
-                .open(self.segment_path(compact_id))?;
-            for (key, loc) in &moves {
-                let rec = self.read_record(loc, key)?;
-                let payload = encode_payload(key, rec.version, &rec.value)?;
-                let mut buf = Vec::with_capacity(payload.len() + HEADER_BYTES as usize);
-                buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&rec.crc.to_le_bytes());
-                buf.extend_from_slice(&payload);
-                out.write_all(&buf)?;
-                new_locs.push((
-                    key.clone(),
-                    Loc {
-                        segment: compact_id,
-                        offset: out_len,
-                        len: payload.len() as u32,
-                        version: rec.version,
-                        crc: rec.crc,
-                    },
-                ));
-                out_len += buf.len() as u64;
+                .open(&path)?;
+            for (key, loc, file) in moves {
+                let record = read_record(file, &loc, &key)?.bytes;
+                out.write_all(&record)?;
+                let moved = Loc {
+                    segment: compact_id,
+                    offset: out_len,
+                    ..loc
+                };
+                out_len += record.len() as u64;
+                new_locs.push((key, moved));
             }
             out.sync_data()?;
+            output = Some(Segment::new(File::open(&path)?, true));
         }
+        let copied = new_locs.len();
 
         {
             let mut index = self.index.lock();
-            if !new_locs.is_empty() {
-                let mut info = SegInfo {
-                    sealed: true,
-                    ..SegInfo::default()
-                };
-                for (_, loc) in &new_locs {
-                    info.live_records += 1;
-                    info.live_bytes += record_bytes_of(loc);
-                }
-                index.segments.insert(compact_id, info);
+            if let Some(segment) = output {
+                index.segments.insert(compact_id, segment);
                 for (key, loc) in new_locs {
-                    index.map.insert(key, loc);
+                    index.admit(key, loc);
                 }
             }
-            for v in &victims {
+            // Dropping a victim drops the index's handle on it; a reader
+            // that already cloned the handle finishes on the unlinked file.
+            for v in victims.keys() {
                 index.segments.remove(v);
             }
         }
-        // Readers racing this deletion re-probe the index and land on the
-        // compaction segment.
-        for &v in &victims {
+        for &v in victims.keys() {
             fs::remove_file(self.segment_path(v))?;
         }
         drop(writer);
@@ -737,7 +722,7 @@ impl Store {
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(CompactReport {
             victims: victims.len(),
-            copied: moves.len(),
+            copied,
             reclaimed_bytes: victim_bytes.saturating_sub(out_len),
         })
     }
@@ -752,18 +737,18 @@ impl Store {
 }
 
 /// A record decoded by the recovery scan.
-struct ScannedRecord {
+struct ScannedRecord<'a> {
     offset: u64,
     len: u32,
     crc: u32,
-    key: String,
+    key: &'a str,
     version: u32,
 }
 
 /// Walk one segment's bytes; returns the byte length of the valid prefix
 /// and the records inside it. Stops at the first short, oversized, or
 /// checksum-mismatching record.
-fn scan_segment(bytes: &[u8]) -> (u64, Vec<ScannedRecord>) {
+fn scan_segment(bytes: &[u8]) -> (u64, Vec<ScannedRecord<'_>>) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + HEADER_BYTES as usize) {
@@ -782,6 +767,9 @@ fn scan_segment(bytes: &[u8]) -> (u64, Vec<ScannedRecord>) {
         let Ok((key, version, _)) = decode_payload(payload) else {
             break;
         };
+        let Ok(key) = std::str::from_utf8(key) else {
+            break;
+        };
         records.push(ScannedRecord {
             offset: pos as u64,
             len,
@@ -794,11 +782,57 @@ fn scan_segment(bytes: &[u8]) -> (u64, Vec<ScannedRecord>) {
     (pos as u64, records)
 }
 
+/// A record as it sits in its segment, verified by [`read_record`].
+struct RawRecord {
+    /// Header and payload.
+    bytes: Vec<u8>,
+    version: u32,
+    /// Where the value starts in `bytes`; it runs to the end.
+    value_at: usize,
+}
+
+/// Read the whole record at `loc` — header and payload — with one
+/// positional read, and verify its length and checksum against the index
+/// and the header, and its key against `key`.
+fn read_record(file: &File, loc: &Loc, key: &str) -> io::Result<RawRecord> {
+    let mut bytes = vec![0u8; HEADER_BYTES as usize + loc.len as usize];
+    file.read_exact_at(&mut bytes, loc.offset)?;
+    let (header, payload) = bytes.split_at(HEADER_BYTES as usize);
+    let crc = le_u32(header.get(4..).unwrap_or(&[]));
+    if le_u32(header) != loc.len || crc != loc.crc {
+        return Err(invalid(format!(
+            "record header mismatch for {key:?} in seg-{}",
+            loc.segment
+        )));
+    }
+    if crc32(payload) != crc {
+        return Err(invalid(format!(
+            "record checksum mismatch for {key:?} in seg-{}",
+            loc.segment
+        )));
+    }
+    let (got_key, version, value) = decode_payload(payload)?;
+    if got_key != key.as_bytes() {
+        return Err(invalid(format!(
+            "index pointed {key:?} at a record for {:?}",
+            String::from_utf8_lossy(got_key)
+        )));
+    }
+    let value_at = bytes.len() - value.len();
+    Ok(RawRecord {
+        bytes,
+        version,
+        value_at,
+    })
+}
+
 fn record_bytes_of(loc: &Loc) -> u64 {
     HEADER_BYTES + u64::from(loc.len)
 }
 
-fn encode_payload(key: &str, version: u32, value: &[u8]) -> io::Result<Vec<u8>> {
+/// One whole record for the log — header, then the payload it checksums —
+/// and that checksum.
+fn encode_record(key: &str, version: u32, value: &[u8]) -> io::Result<(Vec<u8>, u32)> {
     let key_bytes = key.as_bytes();
     if key_bytes.len() > usize::from(u16::MAX) {
         return Err(invalid(format!("key too long ({} bytes)", key_bytes.len())));
@@ -807,15 +841,24 @@ fn encode_payload(key: &str, version: u32, value: &[u8]) -> io::Result<Vec<u8>> 
     if total > MAX_PAYLOAD_BYTES as usize {
         return Err(invalid(format!("value too large ({} bytes)", value.len())));
     }
-    let mut payload = Vec::with_capacity(total);
-    payload.extend_from_slice(&(key_bytes.len() as u16).to_le_bytes());
-    payload.extend_from_slice(key_bytes);
-    payload.extend_from_slice(&version.to_le_bytes());
-    payload.extend_from_slice(value);
-    Ok(payload)
+    let mut record = Vec::with_capacity(HEADER_BYTES as usize + total);
+    record.extend_from_slice(&(total as u32).to_le_bytes());
+    record.extend_from_slice(&[0; 4]);
+    record.extend_from_slice(&(key_bytes.len() as u16).to_le_bytes());
+    record.extend_from_slice(key_bytes);
+    record.extend_from_slice(&version.to_le_bytes());
+    record.extend_from_slice(value);
+    let crc = crc32(record.get(HEADER_BYTES as usize..).unwrap_or(&[]));
+    if let Some(slot) = record.get_mut(4..HEADER_BYTES as usize) {
+        slot.copy_from_slice(&crc.to_le_bytes());
+    }
+    Ok((record, crc))
 }
 
-fn decode_payload(payload: &[u8]) -> io::Result<(String, u32, Vec<u8>)> {
+/// Split a payload into `(key, version, value)`, borrowing key and value.
+/// The key is bytes here: the scan checks it is UTF-8 before indexing it,
+/// and a read compares it with the key it was asked for.
+fn decode_payload(payload: &[u8]) -> io::Result<(&[u8], u32, &[u8])> {
     let key_len = payload
         .get(..2)
         .map(|b| usize::from(le_u16(b)))
@@ -823,16 +866,12 @@ fn decode_payload(payload: &[u8]) -> io::Result<(String, u32, Vec<u8>)> {
     let key = payload
         .get(2..2 + key_len)
         .ok_or_else(|| invalid("payload shorter than key".to_owned()))?;
-    let key = std::str::from_utf8(key)
-        .map_err(|_| invalid("record key is not UTF-8".to_owned()))?
-        .to_owned();
     let vstart = 2 + key_len;
     let version = payload
         .get(vstart..vstart + 4)
         .map(le_u32)
         .ok_or_else(|| invalid("payload shorter than version".to_owned()))?;
-    let value = payload.get(vstart + 4..).unwrap_or(&[]).to_vec();
-    Ok((key, version, value))
+    Ok((key, version, payload.get(vstart + 4..).unwrap_or(&[])))
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -859,32 +898,66 @@ fn le_u16(b: &[u8]) -> u16 {
     u16::from_le_bytes(raw)
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The classic byte-at-a-time CRC-32 table: entry `b` is the CRC of byte `b`.
+const CRC_BYTE_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0usize;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// Slice-by-8 lookup tables for [`crc32`] (8 KB of rodata): entry `[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, which is what lets
+/// eight input bytes fold in one step.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [CRC_BYTE_TABLE; 8];
+    let mut k = 1usize;
+    while k < 8 {
         let mut i = 0usize;
         while i < 256 {
-            let mut c = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                bit += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = CRC_BYTE_TABLE[(prev & 0xFF) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight bytes per
+/// step (slice-by-8); the values are those of the bytewise table loop.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let at = |table: &[u32; 256], word: u64, shift: u32| table[usize::from((word >> shift) as u8)];
+    let (words, tail) = data.as_chunks::<8>();
     let mut crc = u32::MAX;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = TABLE[idx & 0xFF] ^ (crc >> 8);
+    for w in words {
+        let w = u64::from_le_bytes(*w) ^ u64::from(crc);
+        crc = at(t7, w, 0)
+            ^ at(t6, w, 8)
+            ^ at(t5, w, 16)
+            ^ at(t4, w, 24)
+            ^ at(t3, w, 32)
+            ^ at(t2, w, 40)
+            ^ at(t1, w, 48)
+            ^ at(t0, w, 56);
+    }
+    for &b in tail {
+        crc = at(t0, u64::from(crc ^ u32::from(b)), 0) ^ (crc >> 8);
     }
     !crc
 }
