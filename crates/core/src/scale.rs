@@ -21,7 +21,9 @@ pub enum SuiteScale {
 }
 
 impl SuiteScale {
-    /// MD particles and steps.
+    /// MD particles and steps. `Tiny` is what every served and benchmarked
+    /// `tiny` GMS/LMR/LMC triple runs; `cactus_md::workloads::MdScale::tiny()`
+    /// (8 steps) is only that crate's unit-test scale.
     #[must_use]
     pub fn md(self) -> (usize, u32) {
         match self {

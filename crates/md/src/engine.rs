@@ -10,7 +10,7 @@ use cactus_gpu::Gpu;
 use crate::forces::{self, ForceStats};
 use crate::integrate;
 use crate::neighbor::NeighborList;
-use crate::pme::{self, PmeParams};
+use crate::pme::{PmeParams, PmeWorkspace};
 use crate::system::ParticleSystem;
 
 /// Short-range pair interaction style.
@@ -110,6 +110,8 @@ pub struct MdEngine {
     sys: ParticleSystem,
     config: MdConfig,
     neighbor_list: Option<NeighborList>,
+    /// Built by the first step that evaluates PME, reused by every later one.
+    pme: Option<PmeWorkspace>,
     step_count: u64,
 }
 
@@ -121,6 +123,7 @@ impl MdEngine {
             sys,
             config,
             neighbor_list: None,
+            pme: None,
             step_count: 0,
         }
     }
@@ -195,27 +198,13 @@ impl MdEngine {
         let stats = match self.config.pair_style {
             PairStyle::LjCut => {
                 let s = forces::lj_cut(&mut self.sys, nl, self.config.cutoff);
-                gpu.launch(&pair_kernel(
-                    taxonomy,
-                    "lj_cut",
-                    n,
-                    &s,
-                    self.sys.len(),
-                    false,
-                ));
+                gpu.launch(&pair_kernel(taxonomy, "lj_cut", &s, n, false));
                 s
             }
             PairStyle::LjCoulombCharmm => {
                 let alpha = self.config.pme.map_or(0.8, |p| p.alpha);
                 let s = forces::lj_coulomb_cut(&mut self.sys, nl, self.config.cutoff, alpha);
-                gpu.launch(&pair_kernel(
-                    taxonomy,
-                    "coul_long",
-                    n,
-                    &s,
-                    self.sys.len(),
-                    true,
-                ));
+                gpu.launch(&pair_kernel(taxonomy, "coul_long", &s, n, true));
                 s
             }
             PairStyle::Colloid => {
@@ -234,8 +223,8 @@ impl MdEngine {
                     pairs_in_cutoff: s.pairs_in_cutoff - big_pairs.pairs_in_cutoff,
                     pairs_examined: s.pairs_examined - big_pairs.pairs_examined,
                 };
-                gpu.launch(&pair_kernel(taxonomy, "colloid", n, &big_pairs, n, false));
-                gpu.launch(&pair_kernel(taxonomy, "lj_cut", n, &small_pairs, n, false));
+                gpu.launch(&pair_kernel(taxonomy, "colloid", &big_pairs, n, false));
+                gpu.launch(&pair_kernel(taxonomy, "lj_cut", &small_pairs, n, false));
                 s
             }
         };
@@ -255,7 +244,8 @@ impl MdEngine {
         // --- Long-range electrostatics ---------------------------------------
         if let Some(params) = self.config.pme {
             if self.sys.is_charged() {
-                let r = pme::pme_reciprocal(&mut self.sys, &params);
+                let pme = self.pme.get_or_insert_with(|| PmeWorkspace::new(params));
+                let r = pme.reciprocal(&mut self.sys);
                 potential += r.energy;
                 for k in pme_kernels(taxonomy, n, params.grid) {
                     gpu.launch(&k);
@@ -438,7 +428,6 @@ fn neighbor_kernels(
 fn pair_kernel(
     tax: KernelTaxonomy,
     style: &str,
-    n: usize,
     stats: &ForceStats,
     atoms: usize,
     coulomb: bool,
@@ -552,7 +541,6 @@ fn pair_kernel(
                 ));
         }
     }
-    let _ = n;
     builder.build()
 }
 

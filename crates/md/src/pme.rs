@@ -7,11 +7,15 @@
 //! gathering. Combined with the erfc-damped real-space term in
 //! [`crate::forces::lj_coulomb_cut`], the total Coulomb interaction is
 //! α-independent — the property the test suite checks.
+//!
+//! A [`PmeWorkspace`] holds the transform plan, the charge grid and the
+//! three field grids, so an evaluation allocates nothing; the Green's
+//! function is tabulated once per call on the folded octant of the grid.
 
 use std::f64::consts::PI;
 
-use crate::fft::Grid3;
-use crate::system::ParticleSystem;
+use crate::fft::{FftPlan, Grid3};
+use crate::system::{ParticleSystem, Vec3};
 
 /// PME parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,126 +44,182 @@ pub struct PmeResult {
     pub grid: usize,
 }
 
-/// Evaluate the reciprocal-space Ewald contribution, accumulating forces
-/// into `sys.forces`.
-///
-/// # Panics
-///
-/// Panics if `params.grid` is not a power of two.
-#[must_use]
-pub fn pme_reciprocal(sys: &mut ParticleSystem, params: &PmeParams) -> PmeResult {
-    let n = params.grid;
-    let l = sys.box_len;
-    let volume = l * l * l;
-    let alpha = params.alpha;
+/// The reciprocal-space solver: the parameters plus every buffer an
+/// evaluation touches, so that after construction a call allocates nothing.
+#[derive(Debug, Clone)]
+pub struct PmeWorkspace {
+    params: PmeParams,
+    plan: FftPlan,
+    rho: Grid3,
+    field: [Grid3; 3],
+    /// `kvec(m)` for every grid index, refilled per call (the box breathes
+    /// under a barostat).
+    kvec: Vec<f64>,
+    /// The Green's function on the folded octant `(n/2 + 1)³`, refilled per
+    /// call. `k²` is even in every component and `kvec(n − m) = −kvec(m)`
+    /// exactly, so the entry at `(fold(x), fold(y), fold(z))` is the very
+    /// `f64` the direct expression gives at `(x, y, z)`.
+    green: Vec<f64>,
+}
+
+/// Cloud-in-cell weights of one coordinate given in grid units, already
+/// wrapped to `[0, n)`.
+fn cic(coord: f64, n: usize) -> [(usize, f64); 2] {
+    let i0 = coord.floor() as usize % n;
+    let frac = coord - coord.floor();
+    [(i0, 1.0 - frac), ((i0 + 1) % n, frac)]
+}
+
+/// Per-axis cloud-in-cell weights of a position.
+fn cic3(p: &Vec3, l: f64, n: usize) -> [[(usize, f64); 2]; 3] {
     let nf = n as f64;
+    p.map(|c| cic(c.rem_euclid(l) / l * nf, n))
+}
 
-    // --- Spread: cloud-in-cell charge assignment -----------------------
-    let mut rho = Grid3::new(n);
-    let mut weights: Vec<[(usize, f64); 2]> = Vec::new(); // reused per axis
-    weights.resize(3, [(0, 0.0); 2]);
+/// The Ewald Green's function `4π·exp(−k²/4α²)/(V·k²)`.
+fn green(k2: f64, alpha: f64, volume: f64) -> f64 {
+    4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2)
+}
 
-    let cic = |coord: f64| -> [(usize, f64); 2] {
-        // coord is in grid units, already wrapped to [0, n).
-        let i0 = coord.floor() as usize % n;
-        let frac = coord - coord.floor();
-        [(i0, 1.0 - frac), ((i0 + 1) % n, frac)]
-    };
-
-    for (p, &q) in sys.positions.iter().zip(&sys.charges) {
-        if q == 0.0 {
-            continue;
+impl PmeWorkspace {
+    /// Allocate the grids and tabulate the transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.grid` is not a power of two.
+    #[must_use]
+    pub fn new(params: PmeParams) -> Self {
+        let n = params.grid;
+        let folded = n / 2 + 1;
+        Self {
+            params,
+            rho: Grid3::new(n),
+            field: [Grid3::new(n), Grid3::new(n), Grid3::new(n)],
+            plan: FftPlan::new(n),
+            kvec: vec![0.0; n],
+            green: vec![0.0; folded * folded * folded],
         }
-        for a in 0..3 {
-            let u = (p[a].rem_euclid(l)) / l * nf;
-            weights[a] = cic(u);
-        }
-        for &(ix, wx) in &weights[0] {
-            for &(iy, wy) in &weights[1] {
-                for &(iz, wz) in &weights[2] {
-                    rho.add(ix, iy, iz, q * wx * wy * wz);
-                }
+    }
+
+    /// Where `green` keeps the entry of grid cell `(x, y, z)`.
+    fn green_index(&self, x: usize, y: usize, z: usize) -> usize {
+        let half = self.params.grid / 2;
+        let fold = |m: usize| if m > half { self.params.grid - m } else { m };
+        (fold(x) * (half + 1) + fold(y)) * (half + 1) + fold(z)
+    }
+
+    /// Evaluate the reciprocal-space Ewald contribution, accumulating
+    /// forces into `sys.forces`.
+    pub fn reciprocal(&mut self, sys: &mut ParticleSystem) -> PmeResult {
+        let n = self.params.grid;
+        let alpha = self.params.alpha;
+        let l = sys.box_len;
+        let volume = l * l * l;
+
+        // --- Spread: cloud-in-cell charge assignment -------------------
+        self.rho.clear();
+        for (p, &q) in sys.positions.iter().zip(&sys.charges) {
+            if q == 0.0 {
+                continue;
             }
-        }
-    }
-
-    // --- Solve: forward FFT, Green's function, spectral gradient -------
-    rho.fft(false);
-
-    let kvec = |m: usize| -> f64 {
-        let m = m as isize;
-        let half = (n / 2) as isize;
-        let wrapped = if m >= half { m - n as isize } else { m };
-        2.0 * PI * wrapped as f64 / l
-    };
-
-    let mut phi = Grid3::new(n);
-    let mut field = [Grid3::new(n), Grid3::new(n), Grid3::new(n)];
-    let mut energy = 0.0;
-
-    for x in 0..n {
-        let kx = kvec(x);
-        for y in 0..n {
-            let ky = kvec(y);
-            for z in 0..n {
-                let kz = kvec(z);
-                let k2 = kx * kx + ky * ky + kz * kz;
-                if k2 <= 0.0 {
-                    continue;
-                }
-                let g = 4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2);
-                let (sr, si) = rho.get(x, y, z);
-                energy += 0.5 * g * (sr * sr + si * si);
-                let (pr, pi) = (g * sr, g * si);
-                phi.set(x, y, z, (pr, pi));
-                // E(k) = −i k φ(k): (−i)(pr + i·pi) k = (pi − i·pr) k
-                let ks = [kx, ky, kz];
-                for (axis, f) in field.iter_mut().enumerate() {
-                    f.set(x, y, z, (pi * ks[axis], -pr * ks[axis]));
-                }
-            }
-        }
-    }
-
-    // Self-energy correction (constant in positions).
-    let q2_sum: f64 = sys.charges.iter().map(|q| q * q).sum();
-    energy -= alpha / PI.sqrt() * q2_sum;
-
-    // --- Gather: inverse FFT the field grids, interpolate at particles --
-    // Our inverse FFT divides by n³; the spectral sum has no such factor,
-    // so scale back.
-    let scale = (n * n * n) as f64;
-    for f in &mut field {
-        f.fft(true);
-    }
-
-    for idx in 0..sys.len() {
-        let q = sys.charges[idx];
-        if q == 0.0 {
-            continue;
-        }
-        let p = sys.positions[idx];
-        for a in 0..3 {
-            let u = (p[a].rem_euclid(l)) / l * nf;
-            weights[a] = cic(u);
-        }
-        let mut e_here = [0.0; 3];
-        for &(ix, wx) in &weights[0] {
-            for &(iy, wy) in &weights[1] {
-                for &(iz, wz) in &weights[2] {
-                    let w = wx * wy * wz;
-                    for (axis, f) in field.iter().enumerate() {
-                        e_here[axis] += w * f.get(ix, iy, iz).0 * scale;
+            let [wx, wy, wz] = cic3(p, l, n);
+            for &(ix, wx) in &wx {
+                for &(iy, wy) in &wy {
+                    for &(iz, wz) in &wz {
+                        self.rho.add(ix, iy, iz, q * wx * wy * wz);
                     }
                 }
             }
         }
-        for a in 0..3 {
-            sys.forces[idx][a] += q * e_here[a];
-        }
-    }
 
-    PmeResult { energy, grid: n }
+        // --- Solve: forward FFT, Green's function, spectral gradient ---
+        self.rho.fft_planned(&self.plan, false);
+
+        let half = n / 2;
+        for (m, k) in self.kvec.iter_mut().enumerate() {
+            let wrapped = if m >= half {
+                m as isize - n as isize
+            } else {
+                m as isize
+            };
+            *k = 2.0 * PI * wrapped as f64 / l;
+        }
+        // The DC entry is a division by zero; it is never read.
+        let folded = &self.kvec[..=half];
+        let mut entries = self.green.iter_mut();
+        for &kx in folded {
+            for &ky in folded {
+                for (&kz, g) in folded.iter().zip(&mut entries) {
+                    *g = green(kx * kx + ky * ky + kz * kz, alpha, volume);
+                }
+            }
+        }
+
+        let mut energy = 0.0;
+        for x in 0..n {
+            let kx = self.kvec[x];
+            for y in 0..n {
+                let ky = self.kvec[y];
+                for z in 0..n {
+                    let kz = self.kvec[z];
+                    let k2 = kx * kx + ky * ky + kz * kz;
+                    if k2 <= 0.0 {
+                        // The grids are reused: the DC cell holds the last
+                        // call's real-space field until it is zeroed.
+                        for f in &mut self.field {
+                            f.set(x, y, z, (0.0, 0.0));
+                        }
+                        continue;
+                    }
+                    let g = self.green[self.green_index(x, y, z)];
+                    let (sr, si) = self.rho.get(x, y, z);
+                    energy += 0.5 * g * (sr * sr + si * si);
+                    let (pr, pi) = (g * sr, g * si);
+                    // E(k) = −i k φ(k): (−i)(pr + i·pi) k = (pi − i·pr) k
+                    let ks = [kx, ky, kz];
+                    for (axis, f) in self.field.iter_mut().enumerate() {
+                        f.set(x, y, z, (pi * ks[axis], -pr * ks[axis]));
+                    }
+                }
+            }
+        }
+
+        // Self-energy correction (constant in positions).
+        let q2_sum: f64 = sys.charges.iter().map(|q| q * q).sum();
+        energy -= alpha / PI.sqrt() * q2_sum;
+
+        // --- Gather: inverse FFT the field grids, interpolate at particles
+        // Our inverse FFT divides by n³; the spectral sum has no such
+        // factor, so scale back.
+        let scale = (n * n * n) as f64;
+        for f in &mut self.field {
+            f.fft_planned(&self.plan, true);
+        }
+
+        for idx in 0..sys.len() {
+            let q = sys.charges[idx];
+            if q == 0.0 {
+                continue;
+            }
+            let [wx, wy, wz] = cic3(&sys.positions[idx], l, n);
+            let mut e_here = [0.0; 3];
+            for &(ix, wx) in &wx {
+                for &(iy, wy) in &wy {
+                    for &(iz, wz) in &wz {
+                        let w = wx * wy * wz;
+                        for (axis, f) in self.field.iter().enumerate() {
+                            e_here[axis] += w * f.get(ix, iy, iz).0 * scale;
+                        }
+                    }
+                }
+            }
+            for a in 0..3 {
+                sys.forces[idx][a] += q * e_here[a];
+            }
+        }
+
+        PmeResult { energy, grid: n }
+    }
 }
 
 #[cfg(test)]
@@ -192,14 +252,80 @@ mod tests {
         let _ = forces::lj_cut(&mut lj_only, &nl, cutoff);
 
         let _ = forces::lj_coulomb_cut(&mut sys, &nl, cutoff, alpha);
-        let _ = pme_reciprocal(&mut sys, &PmeParams { grid, alpha });
+        let _ = PmeWorkspace::new(PmeParams { grid, alpha }).reciprocal(&mut sys);
         sys.forces[0][0] - lj_only.forces[0][0]
+    }
+
+    #[test]
+    fn folded_greens_function_has_the_direct_expressions_bits() {
+        let alpha = 0.8;
+        for (n, density) in [1, 2, 8, 32]
+            .into_iter()
+            .flat_map(|n| [(n, 0.3), (n, 0.05)])
+        {
+            let mut sys = SystemBuilder::new(64)
+                .density(density)
+                .build_protein_like(0.3);
+            let mut ws = PmeWorkspace::new(PmeParams { grid: n, alpha });
+            let _ = ws.reciprocal(&mut sys);
+
+            // The per-cell expressions of before the fold, verbatim.
+            let l = sys.box_len;
+            let volume = l * l * l;
+            let kvec = |m: usize| -> f64 {
+                let m = m as isize;
+                let half = (n / 2) as isize;
+                let wrapped = if m >= half { m - n as isize } else { m };
+                2.0 * PI * wrapped as f64 / l
+            };
+            for x in 0..n {
+                let kx = kvec(x);
+                for y in 0..n {
+                    let ky = kvec(y);
+                    for z in 0..n {
+                        let kz = kvec(z);
+                        let k2 = kx * kx + ky * ky + kz * kz;
+                        if k2 <= 0.0 {
+                            continue;
+                        }
+                        let g = 4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2);
+                        let folded = ws.green[ws.green_index(x, y, z)];
+                        assert_eq!(folded.to_bits(), g.to_bits(), "n={n} ({x}, {y}, {z})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_workspace_matches_a_fresh_one_bit_for_bit() {
+        let params = PmeParams::default();
+        let mut sys = SystemBuilder::new(300).build_protein_like(0.15);
+        let mut reused = PmeWorkspace::new(params);
+        for round in 0..4 {
+            // Move the particles and breathe the box between calls, as a
+            // barostatted run does.
+            for (i, p) in sys.positions.iter_mut().enumerate() {
+                p[i % 3] += 0.013 * (round + 1) as f64;
+            }
+            sys.box_len *= 1.0 + 0.002 * round as f64;
+
+            let mut fresh_sys = sys.clone();
+            sys.clear_forces();
+            fresh_sys.clear_forces();
+            let a = reused.reciprocal(&mut sys);
+            let b = PmeWorkspace::new(params).reciprocal(&mut fresh_sys);
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "round {round}");
+            for (fa, fb) in sys.forces.iter().zip(&fresh_sys.forces) {
+                assert_eq!(fa.map(f64::to_bits), fb.map(f64::to_bits), "round {round}");
+            }
+        }
     }
 
     #[test]
     fn reciprocal_energy_is_bounded_below_by_self_energy() {
         let mut sys = dipole_system(3.0);
-        let r = pme_reciprocal(&mut sys, &PmeParams::default());
+        let r = PmeWorkspace::new(PmeParams::default()).reciprocal(&mut sys);
         // The k-space sum is non-negative; only the self term is negative.
         let self_term = -PmeParams::default().alpha / PI.sqrt() * 2.0;
         assert!(r.energy >= self_term - 1e-9, "{}", r.energy);
@@ -233,7 +359,7 @@ mod tests {
     fn forces_sum_to_zero() {
         let mut sys = SystemBuilder::new(64).build_protein_like(0.3);
         sys.clear_forces();
-        let _ = pme_reciprocal(&mut sys, &PmeParams::default());
+        let _ = PmeWorkspace::new(PmeParams::default()).reciprocal(&mut sys);
         let mut net = [0.0; 3];
         for f in &sys.forces {
             for a in 0..3 {
@@ -249,13 +375,11 @@ mod tests {
     fn neutral_system_has_finite_energy() {
         let mut sys = SystemBuilder::new(128).build_protein_like(0.25);
         sys.clear_forces();
-        let r = pme_reciprocal(
-            &mut sys,
-            &PmeParams {
-                grid: 16,
-                alpha: 0.8,
-            },
-        );
+        let r = PmeWorkspace::new(PmeParams {
+            grid: 16,
+            alpha: 0.8,
+        })
+        .reciprocal(&mut sys);
         assert!(r.energy.is_finite());
         assert_eq!(r.grid, 16);
     }
@@ -264,12 +388,10 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_grid_panics() {
         let mut sys = dipole_system(2.0);
-        let _ = pme_reciprocal(
-            &mut sys,
-            &PmeParams {
-                grid: 20,
-                alpha: 0.8,
-            },
-        );
+        let _ = PmeWorkspace::new(PmeParams {
+            grid: 20,
+            alpha: 0.8,
+        })
+        .reciprocal(&mut sys);
     }
 }

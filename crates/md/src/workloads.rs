@@ -21,7 +21,9 @@ pub struct MdScale {
 }
 
 impl MdScale {
-    /// Test-sized scale (hundreds of particles, a handful of steps).
+    /// This crate's own test scale: 300 particles, 8 steps. It is *not* what
+    /// a served or benchmarked `tiny` triple runs — that is
+    /// `cactus_core::SuiteScale::Tiny.md()`, 300 particles for 10 steps.
     #[must_use]
     pub fn tiny() -> Self {
         Self {
