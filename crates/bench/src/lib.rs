@@ -2,8 +2,10 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation. Each `cargo run --release -p cactus-bench --bin
-//! <target>` prints the corresponding rows/series; `cargo bench` runs the
-//! Criterion microbenchmarks and ablations.
+//! <target>` prints the corresponding rows/series; `cargo bench -p
+//! cactus-bench --bench simulator` checks the device model's two cost
+//! contracts (batched vs scalar replay, analytic vs trace-driven cache
+//! model), each a ratio timed in one process.
 //!
 //! | Target | Paper artifact |
 //! |---|---|
@@ -21,7 +23,6 @@
 //! | `fig8` | Figure 8 — correlation analysis |
 //! | `fig9` | Figure 9 — FAMD + Ward dendrogram |
 
-pub mod gate;
 pub mod store;
 
 use cactus_analysis::roofline::{Roofline, RooflinePoint};

@@ -1,15 +1,14 @@
-//! Gateway proxy benchmarks: does hedging actually cut tail latency, and
-//! what does a proxied `GET` cost when nothing stalls?
+//! The hedging contract: does hedging actually cut tail latency?
 //!
 //! The fixture is a two-backend fleet of raw keep-alive stub servers: the
 //! routing primary for the benched key is **bimodal** (fast, but every 10th
 //! request stalls ~25 ms — a shard with an occasional slow path), its ring
 //! neighbour is steadily fast. Two gateways front the same pair, one with
 //! hedging enabled (2 ms floor) and one without; the bench sweeps the same
-//! key through both and reports p50/p99 plus hedge launches and wins. A
-//! third gateway, at the shipped policy, fronts the same pair for a key
-//! whose primary is the steady stub: the proxy's own cost per request, with
-//! the hedge armed and never launched.
+//! key through both, prints p50/p99 plus hedge launches and wins, and
+//! asserts hedged p99 < unhedged p99 — two sweeps of one process, so there
+//! is no baseline. (What a proxied `GET` costs when nothing stalls is
+//! `gateway.hop_us` in `BENCHMARK.json`.)
 //!
 //! Expected shape: unhedged p99 ≈ the stall (~25 ms) because 1-in-10
 //! requests eats it in full; hedged p99 ≈ hedge threshold + the fast
@@ -27,7 +26,6 @@ use cactus_gateway::server::routing_key;
 use cactus_gateway::{Gateway, GatewayConfig, HashRing, RoutePolicy};
 use cactus_serve::metrics::quantile;
 use cactus_serve::Connection;
-use criterion::{criterion_group, criterion_main, Criterion};
 
 /// A raw stub backend answering every `GET` with `200 stub`, optionally
 /// stalling every `slow_every`-th request.
@@ -46,8 +44,8 @@ impl Stub {
             let shutdown = Arc::clone(&shutdown);
             let hits = Arc::new(AtomicU64::new(0));
             std::thread::spawn(move || {
-                // Blocking accept: a sleep-poll here would be what the
-                // proxied-GET rows measure.
+                // Blocking accept: a sleep-poll here would show up in the
+                // swept latencies.
                 for stream in listener.incoming().flatten() {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
@@ -155,22 +153,19 @@ fn sweep(conn: &mut Connection, path: &str, n: usize) -> Vec<u64> {
     latencies
 }
 
-fn bench_hedging(c: &mut Criterion) {
+fn main() {
     let bimodal = Stub::spawn(Some(SLOW_EVERY), STALL);
     let fast = Stub::spawn(None, STALL);
     let addrs = vec![bimodal.addr, fast.addr];
     let path = path_routed_to(&addrs, 0);
-    let fast_path = path_routed_to(&addrs, 1);
 
     let start = |policy| Gateway::start(gateway_config(policy), addrs.clone());
     let hedged = start(hedge_policy(true)).expect("hedged gateway");
     let unhedged = start(hedge_policy(false)).expect("unhedged gateway");
-    let steady = start(RoutePolicy::default()).expect("steady gateway");
 
     let timeout = Duration::from_secs(10);
     let mut hedged_conn = Connection::new(hedged.addr(), timeout);
     let mut unhedged_conn = Connection::new(unhedged.addr(), timeout);
-    let mut steady_conn = Connection::new(steady.addr(), timeout);
 
     // Warm the primary's latency window so the hedge threshold reflects its
     // typical (fast) behaviour rather than the floor default alone.
@@ -200,35 +195,10 @@ fn bench_hedging(c: &mut Criterion) {
         quantile(&unhedged_lat, 0.99),
     );
 
-    let mut group = c.benchmark_group("gateway");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(3));
-    group.bench_function("proxied_get_hedged", |b| {
-        b.iter(|| hedged_conn.get(&path).expect("reply"));
-    });
-    group.bench_function("proxied_get_unhedged", |b| {
-        b.iter(|| unhedged_conn.get(&path).expect("reply"));
-    });
-    group.bench_function("proxied_get_fast", |b| {
-        b.iter(|| steady_conn.get(&fast_path).expect("reply"));
-    });
-    group.finish();
-    assert_eq!(
-        steady.router().metrics.hedges.get(),
-        0,
-        "a steadily fast primary must never launch a hedge"
-    );
-
     drop(hedged_conn);
     drop(unhedged_conn);
-    drop(steady_conn);
     hedged.join();
     unhedged.join();
-    steady.join();
     bimodal.stop();
     fast.stop();
 }
-
-criterion_group!(benches, bench_hedging);
-criterion_main!(benches);

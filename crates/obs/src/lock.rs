@@ -13,7 +13,8 @@
 //!
 //! In release builds without `lock-check`, [`RankedMutex::lock`] compiles to
 //! a plain `Mutex::lock` with poison recovery ([`CHECK_ENABLED`] is `false`
-//! and the serve bench asserts it): the rank and name are dormant metadata.
+//! and `tests/ranked_lock_passthrough.rs` asserts it): the rank and name are
+//! dormant metadata.
 //!
 //! Poisoning is always recovered (`unwrap_or_else(|e| e.into_inner())`): a
 //! panicking request handler must not take down every later request that
@@ -28,8 +29,8 @@ use std::panic::Location;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// `true` when acquisition-order checking is compiled in (debug builds or
-/// `--features lock-check`). Release benches assert this is `false` so the
-/// passthrough stays zero-overhead.
+/// `--features lock-check`). The release test run asserts this is `false` so
+/// the passthrough stays zero-overhead.
 pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check"));
 
 /// The workspace lock-rank table. A thread may only acquire locks in
@@ -335,6 +336,8 @@ mod tests {
         let gb = b.lock();
         drop(gb);
         drop(ga);
+        // The edge log only exists when checking is compiled in.
+        #[cfg(any(debug_assertions, feature = "lock-check"))]
         assert!(
             order_edges().contains(&("test.edges.outer", "test.edges.inner")),
             "nesting edge recorded"

@@ -5,7 +5,7 @@
 //! message — no contention or lucky interleaving required. These tests
 //! only exist when checking is compiled in (`debug_assertions` or the
 //! `lock-check` feature); release builds compile the passthrough path,
-//! which the serve bench asserts separately.
+//! which `ranked_lock_passthrough.rs` asserts separately.
 
 #![cfg(any(debug_assertions, feature = "lock-check"))]
 

@@ -1,23 +1,23 @@
-//! Similarity-index benchmarks at the 100k-vector scale the ISSUE targets:
+//! The similarity index at 100 k vectors. Four floors are printed:
 //!
-//! * `simindex/build-100k` — insert 100k clustered vectors from empty,
-//!   including every doubling repartition along the way.
-//! * `simindex/query-pruned-100k` — k-NN through the coarse-cell index
-//!   with triangle-inequality pruning.
-//! * `simindex/query-brute-100k` — the same queries scored against every
-//!   stored vector (the exactness baseline the pruned path must match).
-//! * `simindex/insert-incremental` — steady-state insert throughput into
-//!   the already-built index (nearest-cell assignment, no rebuild).
+//! * `build-100k` — insert 100 k clustered vectors from empty, including
+//!   every doubling repartition along the way.
+//! * `query-pruned-100k` — k-NN through the coarse-cell index with
+//!   triangle-inequality pruning.
+//! * `query-brute-100k` — the same queries scored against every stored
+//!   vector (the exactness baseline the pruned path must match).
+//! * `insert-incremental` — steady-state inserts of fresh vectors into the
+//!   built index (nearest-cell assignment, no rebuild).
 //!
-//! After the timed groups the harness asserts the pruning contract at
-//! scale: averaged over a fresh query batch, the pruned search probes
-//! fewer than 25% of the stored vectors while returning exactly the
-//! brute-force result.
+//! The contract is asserted, on the 100 000-vector index before anything
+//! else is inserted: averaged over the query batch, the pruned search
+//! probes fewer than 25% of the stored vectors while returning exactly the
+//! brute-force result. The 10 k-vector version of the same contract runs in
+//! tier-1 (`tests/index_props.rs`).
 
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +29,19 @@ const K: usize = 10;
 /// Behavioral families in the synthetic corpus — mirrors the paper's
 /// finding that real workloads concentrate into a handful of clusters.
 const FAMILIES: usize = 24;
+const QUERIES: usize = 256;
+/// Fresh vectors per timed `insert-incremental` sample.
+const INSERT_BATCH: usize = 1024;
+const INSERT_SAMPLES: usize = 4;
+
+/// Seconds the fastest of `samples` calls of `routine` took.
+fn floor_secs<R>(samples: usize, mut routine: impl FnMut() -> R) -> f64 {
+    (0..samples).fold(f64::INFINITY, |floor, _| {
+        let start = Instant::now();
+        black_box(routine());
+        floor.min(start.elapsed().as_secs_f64())
+    })
+}
 
 /// Deterministic clustered corpus: `FAMILIES` centers in a unit box, each
 /// vector a center plus small uniform jitter.
@@ -56,52 +69,35 @@ fn build(points: &[Vec<f64>]) -> SimIndex {
     index
 }
 
-fn bench_simindex(c: &mut Criterion) {
+fn main() {
     let points = corpus(N, 7);
-    let queries = corpus(256, 1312);
+    let queries = corpus(QUERIES, 1312);
+    let per_query = 1e6 / QUERIES as f64;
 
-    let mut g = c.benchmark_group("simindex");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-
-    g.bench_function("build-100k", |b| b.iter(|| build(black_box(&points)).len()));
+    let build_s = floor_secs(3, || build(black_box(&points)).len());
+    println!("simindex/build-100k          {build_s:>10.3} s");
 
     let mut index = build(&points);
-    let mut qi = 0usize;
-    g.bench_function("query-pruned-100k", |b| {
-        b.iter(|| {
-            let q = &queries[qi % queries.len()];
-            qi += 1;
-            index
-                .search(black_box(q), K)
-                .expect("search")
-                .neighbors
-                .len()
-        })
+    let pruned_s = floor_secs(5, || {
+        for q in &queries {
+            black_box(index.search(black_box(q), K).expect("search"));
+        }
     });
-
-    let mut qi = 0usize;
-    g.bench_function("query-brute-100k", |b| {
-        b.iter(|| {
-            let q = &queries[qi % queries.len()];
-            qi += 1;
-            index.brute_force(black_box(q), K).expect("brute").len()
-        })
+    println!(
+        "simindex/query-pruned-100k   {:>10.1} us/query",
+        pruned_s * per_query
+    );
+    let brute_s = floor_secs(3, || {
+        for q in &queries {
+            black_box(index.brute_force(black_box(q), K).expect("brute"));
+        }
     });
+    println!(
+        "simindex/query-brute-100k    {:>10.1} us/query",
+        brute_s * per_query
+    );
 
-    let mut fresh = corpus(4096, 2024).into_iter();
-    let mut next_id = N;
-    g.bench_function("insert-incremental", |b| {
-        b.iter(|| {
-            let v = fresh.next().unwrap_or_else(|| vec![0.5; DIM]);
-            let id = format!("x{next_id:07}");
-            next_id += 1;
-            index.insert(black_box(&id), &v).expect("insert")
-        })
-    });
-    g.finish();
-
-    // The acceptance contract, asserted where the 100k index already
-    // exists: pruned == brute force exactly, probing <25% of the store.
+    // The contract: pruned == brute force exactly, probing <25% of the store.
     let before = index.stats();
     let mut probed_total = 0usize;
     for q in &queries {
@@ -116,16 +112,10 @@ fn bench_simindex(c: &mut Criterion) {
         probed_total += pruned.probed;
     }
     let fraction = probed_total as f64 / (queries.len() * index.len()) as f64;
-    assert!(
-        fraction < 0.25,
-        "pruned search probed {:.1}% of {} vectors (budget 25%)",
-        fraction * 100.0,
-        index.len()
-    );
     let after = index.stats();
     println!(
-        "simindex summary: {} vectors in {} cells | verification probe fraction {:.2}% \
-         | lifetime probes {} pruned {} over {} queries",
+        "simindex verification: {} vectors in {} cells | probe fraction {:.2}% \
+         | probes {} pruned {} over {} queries",
         after.size,
         after.cells,
         fraction * 100.0,
@@ -133,7 +123,29 @@ fn bench_simindex(c: &mut Criterion) {
         after.pruned - before.pruned,
         after.queries - before.queries,
     );
-}
+    assert_eq!(after.size, N, "the contract is stated at 100k vectors");
+    assert!(
+        fraction < 0.25,
+        "pruned search probed {:.1}% of {} vectors (budget 25%)",
+        fraction * 100.0,
+        index.len()
+    );
 
-criterion_group!(benches, bench_simindex);
-criterion_main!(benches);
+    // Every timed insert is a fresh clustered vector under a fresh id: one
+    // batch per sample.
+    let fresh = corpus(INSERT_BATCH * INSERT_SAMPLES, 2024);
+    let mut batches = fresh.chunks(INSERT_BATCH);
+    let mut next_id = N;
+    let insert_s = floor_secs(INSERT_SAMPLES, || {
+        for v in batches.next().expect("one batch per sample") {
+            index
+                .insert(&format!("x{next_id:07}"), black_box(v))
+                .expect("insert");
+            next_id += 1;
+        }
+    });
+    println!(
+        "simindex/insert-incremental  {:>10.1} us/insert",
+        insert_s * 1e6 / INSERT_BATCH as f64
+    );
+}
