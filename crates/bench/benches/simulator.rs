@@ -1,14 +1,13 @@
-//! The device model's two cost contracts, each a ratio between two things
-//! timed in this process — so there is no baseline to record or refresh:
+//! The cache model's cost contract: the analytic hit rate the engine
+//! evaluates on every launch against replaying the equivalent trace through
+//! the set-associative simulator (the oracle the tests validate it with) —
+//! the cost side of the `--bin ablation` cache-model study — required
+//! ≥ 10⁴×. A ratio between two things timed in this process, so there is no
+//! baseline to record or refresh.
 //!
-//! * batched vs scalar replay of a 4 Mi-address trace (`SetAssocCache::
-//!   access_batch` against one `access` per address), required ≥ 4×;
-//! * the analytic cache model vs replaying the equivalent trace — the cost
-//!   side of the `--bin ablation` cache-model study — required ≥ 10⁴×.
-//!
-//! Both sides of a ratio are sampled alternately, so machine-phase drift
-//! hits both, and the ratio is taken between floors (fastest sample), the
-//! statistic least sensitive to whoever else is on the box.
+//! The two sides are sampled alternately, so machine-phase drift hits both,
+//! and the ratio is taken between floors (fastest sample), the statistic
+//! least sensitive to whoever else is on the box.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -18,7 +17,7 @@ use cactus_gpu::cache::{analytic, trace, SetAssocCache};
 use cactus_gpu::device::CacheGeometry;
 
 /// Seconds one call of `routine` took, on a `setup()` value built off the
-/// clock. The callers keep the floor (fastest sample) of each side.
+/// clock. `main` keeps the floor (fastest sample) of each side.
 fn secs<S, R>(setup: impl FnOnce() -> S, routine: impl FnOnce(S) -> R) -> f64 {
     let input = setup();
     let start = Instant::now();
@@ -28,7 +27,8 @@ fn secs<S, R>(setup: impl FnOnce() -> S, routine: impl FnOnce(S) -> R) -> f64 {
 
 const SAMPLES: usize = 10;
 
-/// The geometry the engine's L1 sector simulations use.
+/// A 128 KiB, 8-way cache at sector granularity, as the validation tests
+/// configure the simulator.
 const L1: CacheGeometry = CacheGeometry {
     size_bytes: 128 * 1024,
     line_bytes: 32,
@@ -36,48 +36,17 @@ const L1: CacheGeometry = CacheGeometry {
     associativity: 8,
 };
 
-fn scalar_replay(mut cache: SetAssocCache, addrs: &[u64]) -> f64 {
+fn replayed_hit_rate(mut cache: SetAssocCache, addrs: &[u64]) -> f64 {
     for &a in addrs {
         cache.access(a);
     }
     cache.hit_rate()
 }
 
-/// 4 Mi uniform addresses over a 64 MiB working set — the workload the
-/// batched path (partition each chunk by set, replay runs locally, compare
-/// tags SIMD-wide) was tuned on.
-fn replay_contract() {
-    let pattern = AccessPattern::RandomUniform {
-        working_set_bytes: 64 << 20,
-    };
-    let mut addrs = Vec::new();
-    trace::generate_into(&pattern, 32, 4 << 20, 42, &mut addrs);
-
-    let fresh = || SetAssocCache::new(L1);
-    let (mut scalar, mut batched) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SAMPLES {
-        scalar = scalar.min(secs(fresh, |cache| scalar_replay(cache, &addrs)));
-        batched = batched.min(secs(fresh, |mut cache| {
-            cache.access_batch(&addrs);
-            cache.hit_rate()
-        }));
-    }
-    let ratio = scalar / batched;
-    println!(
-        "cache/replay-4m: scalar {:.1} ms, batched {:.1} ms, batched speedup {ratio:.2}x",
-        scalar * 1e3,
-        batched * 1e3
-    );
-    assert!(
-        ratio >= 4.0,
-        "batched replay must be >=4x scalar, got {ratio:.2}x"
-    );
-}
-
 /// One kernel's worth of `RandomUniform` accesses (50 k over 4 MiB). One
 /// analytic evaluation is far below the clock's resolution, so a sample is
 /// `CALLS` of them.
-fn cache_model_contract() {
+fn main() {
     const CALLS: u32 = 10_000;
     let pattern = AccessPattern::RandomUniform {
         working_set_bytes: 1 << 22,
@@ -104,7 +73,7 @@ fn cache_model_contract() {
         model = model.min(calls / f64::from(CALLS));
         replay = replay.min(secs(
             || SetAssocCache::new(L1),
-            |cache| scalar_replay(cache, &addrs),
+            |cache| replayed_hit_rate(cache, &addrs),
         ));
     }
     let ratio = replay / model;
@@ -117,9 +86,4 @@ fn cache_model_contract() {
         ratio >= 1e4,
         "analytic model must be >=1e4x the trace replay, got {ratio:.2e}x"
     );
-}
-
-fn main() {
-    replay_contract();
-    cache_model_contract();
 }

@@ -107,13 +107,10 @@ fn cache_ablation() {
             sector_bytes: 32,
             associativity: 8,
         });
-        // Stream the trace in chunks through the batched replay path: the
-        // worker holds one reusable chunk buffer instead of materializing
-        // the whole trace.
-        let mut gen = trace::TraceGen::new(&pattern, 32, n, 17);
-        let mut chunk = Vec::new();
-        while gen.next_chunk(&mut chunk, 1 << 15) > 0 {
-            cache.access_batch(&chunk);
+        let mut addrs = Vec::new();
+        trace::generate_into(&pattern, 32, n, 17, &mut addrs);
+        for &a in &addrs {
+            cache.access(a);
         }
         let measured = cache.hit_rate();
         let predicted = analytic::hit_rate(&pattern, 4096.0, 32, n as f64);

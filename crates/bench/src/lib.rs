@@ -3,9 +3,8 @@
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation. Each `cargo run --release -p cactus-bench --bin
 //! <target>` prints the corresponding rows/series; `cargo bench -p
-//! cactus-bench --bench simulator` checks the device model's two cost
-//! contracts (batched vs scalar replay, analytic vs trace-driven cache
-//! model), each a ratio timed in one process.
+//! cactus-bench --bench simulator` checks the cache model's cost contract
+//! (analytic vs trace-driven), a ratio timed in one process.
 //!
 //! | Target | Paper artifact |
 //! |---|---|

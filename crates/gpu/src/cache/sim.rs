@@ -1,141 +1,31 @@
 //! Trace-driven set-associative LRU cache simulator.
 //!
-//! Two replay paths share one replacement policy:
-//!
-//! * [`SetAssocCache::access`] — scalar, one address at a time;
-//! * [`SetAssocCache::access_batch`] — data-oriented batch replay: the
-//!   address stream is partitioned per set into reusable buckets (a
-//!   counting sort over chunks), then each set's run is replayed locally so
-//!   the set's tags and ages stay hot in cache. The probe is a chunked
-//!   4-wide branchless tag compare and the LRU victim select is a
-//!   branchless min-scan; `line % sets` becomes a mask when the set count
-//!   is a power of two. Per-access hit/miss results are bit-identical to
-//!   the scalar path (sets are independent, and per-set order is
-//!   preserved by the partition).
+//! The reference the analytic model ([`super::analytic`]) is validated
+//! against: exact, one address at a time, and used only by the test suite,
+//! the `--bin ablation` cache study and `--bench simulator` — the engine
+//! never replays traces.
 
 use crate::device::CacheGeometry;
-
-/// Addresses per partition chunk in the batched path. Bounds the transient
-/// bucket memory at ~24 bytes per in-flight address while keeping the
-/// per-chunk set-bookkeeping cost amortized.
-const BATCH_CHUNK: usize = 1 << 15;
-
-/// Upper bound on the adaptive chunk length (see `batch_replay`): caps the
-/// bucket scratch at ~12 MB even for very large simulated caches.
-const BATCH_CHUNK_MAX: usize = 1 << 20;
-
-/// Below this many addresses a batch call falls through to the scalar loop:
-/// the partition bookkeeping would cost more than it saves.
-const BATCH_MIN: usize = 32;
-
-/// Reusable scratch for [`SetAssocCache::access_batch`]. All buffers are
-/// grown once and reused across calls; contents are transient per chunk.
-/// Invariant between calls: `counts` is all-zero (each chunk re-zeroes it
-/// after replay).
-#[derive(Debug, Clone, Default)]
-struct BatchScratch {
-    /// Per-set address count for the current chunk (size `sets`).
-    counts: Vec<u32>,
-    /// Per-set write cursor during the scatter (size `sets`); after the
-    /// scatter, `cursor[s]` is the end of set `s`'s bucket run.
-    cursor: Vec<u32>,
-    /// Bucket storage: lines grouped by set, per-set order preserved
-    /// (u64 fallback path).
-    bucket_lines: Vec<u64>,
-    /// Bucket storage for the quotient-compressed path: u32 line
-    /// quotients grouped by set, per-set order preserved.
-    bucket_q: Vec<u32>,
-    /// Original in-chunk position of each bucketed line; maintained only
-    /// when recording per-access outcomes.
-    bucket_idx: Vec<u32>,
-    /// Per-address `(quotient << 32) | set` computed in pass 1 and reused
-    /// by the scatter pass, so each address is divided exactly once per
-    /// chunk (the quotient half is truncated and only consumed when the
-    /// chunk qualifies for quotient compression).
-    chunk_sq: Vec<u64>,
-    /// Warm-run set indices deferred for paired replay (x86-64 fast path);
-    /// cleared every chunk.
-    warm_runs: Vec<u32>,
-}
-
-/// Set-index mapping for the batched path, hoisted out of the per-address
-/// loops: a mask for power-of-two set counts, otherwise an exact
-/// multiply-high reciprocal (round-up method, valid for every dividend) so
-/// the partition never runs a hardware divide. The scalar path keeps its
-/// plain `%` — it is the reference implementation.
-#[derive(Debug, Clone, Copy)]
-enum SetMap {
-    /// `sets` is a power of two: `set = line & mask`, `quotient = line >>
-    /// l`.
-    Mask { mask: u64, l: u32 },
-    /// General case: `set = line - (line / sets) * sets` with the quotient
-    /// computed as `((line*m >> 64) + ((line - (line*m >> 64)) >> 1)) >>
-    /// (l-1)`, where `m` is the low half of the 65-bit magic
-    /// `ceil(2^(64+l) / sets)` and `l = ceil(log2 sets)`.
-    Magic { d: u64, m: u64, l: u32 },
-}
-
-impl SetMap {
-    fn new(sets: usize) -> Self {
-        let d = sets as u64;
-        if d.is_power_of_two() {
-            SetMap::Mask {
-                mask: d - 1,
-                l: d.trailing_zeros(),
-            }
-        } else {
-            let l = 64 - (d - 1).leading_zeros();
-            let m = (1u128 << (64 + l)).div_ceil(u128::from(d)) as u64;
-            SetMap::Magic { d, m, l }
-        }
-    }
-
-    /// `(line / sets, line % sets)`, division-free.
-    #[inline]
-    fn div_rem(self, line: u64) -> (u64, usize) {
-        match self {
-            SetMap::Mask { mask, l } => (line >> l, (line & mask) as usize),
-            SetMap::Magic { d, m, l } => {
-                let q0 = ((u128::from(line) * u128::from(m)) >> 64) as u64;
-                let t = ((line - q0) >> 1).wrapping_add(q0);
-                let q = t >> (l - 1);
-                (q, (line - q * d) as usize)
-            }
-        }
-    }
-}
 
 /// A set-associative cache with true-LRU replacement, driven by byte
 /// addresses.
 ///
 /// Lines are allocated at `line_bytes` granularity. The simulator tracks hits
 /// and misses; it does not model data contents.
-///
-/// Recency is kept as compact per-set `u32` ages (a per-set counter stamps
-/// each touched way) rather than one global `u64` clock — half the stamp
-/// memory and the ages stay local to the set that owns them. When a set's
-/// counter would overflow, its ages are rank-compressed to `0..assoc` and
-/// counting resumes; LRU order is preserved exactly. The batched path
-/// renormalizes eagerly when a set's run could overflow mid-run — the
-/// rank compression is semantically transparent, so hit/miss streams are
-/// unaffected by when it happens.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    geometry: CacheGeometry,
     sets: usize,
     assoc: usize,
     line_shift: u32,
     /// `tags[set * assoc + way]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// Per-way recency ages, larger = more recently used; indexed like
-    /// `tags`.
-    ages: Vec<u32>,
-    /// Per-set age counters; the next stamp handed out in a set is
-    /// `set_clock[set] + 1`.
-    set_clock: Vec<u32>,
+    /// Stamp of each way's last touch, larger = more recently used; indexed
+    /// like `tags`.
+    ages: Vec<u64>,
+    /// Accesses so far; the next stamp handed out is `clock + 1`.
+    clock: u64,
     hits: u64,
     misses: u64,
-    batch: BatchScratch,
 }
 
 impl SetAssocCache {
@@ -155,35 +45,27 @@ impl SetAssocCache {
         let assoc = geometry.associativity as usize;
         assert!(sets > 0 && assoc > 0, "degenerate cache geometry");
         Self {
-            geometry,
             sets,
             assoc,
             line_shift: geometry.line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; sets * assoc],
             ages: vec![0; sets * assoc],
-            set_clock: vec![0; sets],
+            clock: 0,
             hits: 0,
             misses: 0,
-            batch: BatchScratch::default(),
         }
-    }
-
-    /// Geometry this cache was built from.
-    #[must_use]
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
     }
 
     /// Access one byte address; returns `true` on hit. Misses allocate.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line % self.sets as u64) as usize;
-        let stamp = self.next_stamp(set);
+        self.clock += 1;
         let base = set * self.assoc;
         let ways = &self.tags[base..base + self.assoc];
 
         if let Some(way) = ways.iter().position(|&t| t == line) {
-            self.ages[base + way] = stamp;
+            self.ages[base + way] = self.clock;
             self.hits += 1;
             return true;
         }
@@ -193,7 +75,7 @@ impl SetAssocCache {
             Some(w) => w,
             None => {
                 let mut lru_way = 0;
-                let mut lru_age = u32::MAX;
+                let mut lru_age = u64::MAX;
                 for (w, &age) in self.ages[base..base + self.assoc].iter().enumerate() {
                     if age < lru_age {
                         lru_age = age;
@@ -204,322 +86,9 @@ impl SetAssocCache {
             }
         };
         self.tags[base + victim] = line;
-        self.ages[base + victim] = stamp;
+        self.ages[base + victim] = self.clock;
         self.misses += 1;
         false
-    }
-
-    /// Replay a whole address stream, updating hit/miss counters.
-    ///
-    /// Semantically identical to calling [`access`] per address — same final
-    /// cache state, same counters, same per-access hit/miss outcomes (see
-    /// [`access_batch_record`]) — but the stream is partitioned per set and
-    /// each set's run replayed locally, which is several times faster on
-    /// long traces because a set's tags and ages stay resident while its
-    /// run replays.
-    ///
-    /// [`access`]: SetAssocCache::access
-    /// [`access_batch_record`]: SetAssocCache::access_batch_record
-    pub fn access_batch(&mut self, addrs: &[u64]) {
-        self.batch_replay::<false>(addrs, &mut Vec::new());
-    }
-
-    /// Like [`access_batch`], but also records the per-address hit/miss
-    /// outcome into `out` (cleared and resized to `addrs.len()`), in
-    /// original stream order.
-    ///
-    /// [`access_batch`]: SetAssocCache::access_batch
-    pub fn access_batch_record(&mut self, addrs: &[u64], out: &mut Vec<bool>) {
-        self.batch_replay::<true>(addrs, out);
-    }
-
-    /// Shared batched-replay implementation; `REC` selects outcome
-    /// recording at monomorphization time so the non-recording path carries
-    /// no per-access branch.
-    fn batch_replay<const REC: bool>(&mut self, addrs: &[u64], out: &mut Vec<bool>) {
-        if REC {
-            out.clear();
-            out.resize(addrs.len(), false);
-        }
-        if addrs.len() < BATCH_MIN {
-            // Tiny streams: the scalar loop wins.
-            for (i, &addr) in addrs.iter().enumerate() {
-                let hit = self.access(addr);
-                if REC {
-                    out[i] = hit;
-                }
-            }
-            return;
-        }
-
-        let sets = self.sets;
-        let assoc = self.assoc;
-        let shift = self.line_shift;
-        let set_map = SetMap::new(sets);
-
-        // Scale the chunk with the set count so per-set runs stay long
-        // enough to amortize the per-run state load/store (~16 addresses
-        // per occupied set on a uniform stream), bounded to keep the
-        // bucket scratch from outgrowing the host cache hierarchy.
-        let chunk_len = (16 * sets).clamp(BATCH_CHUNK, BATCH_CHUNK_MAX);
-
-        // Quotient compression: within a set, `line = q * sets + set`, so
-        // the quotient alone identifies a line and u32 quotients (4-byte
-        // compares, SIMD-friendly under baseline codegen) replace u64 tag
-        // compares — provided every quotient in play fits strictly below
-        // `u32::MAX` (the invalid sentinel). `q_limit` is the smallest
-        // line whose quotient does not; any chunk or resident tag at or
-        // above it falls back to the u64 kernels for exactness.
-        let q_limit = u64::from(u32::MAX).saturating_mul(sets as u64);
-        let q_eligible = matches!(assoc, 2 | 4 | 8 | 16);
-
-        let b = &mut self.batch;
-        b.counts.resize(sets, 0);
-        b.cursor.resize(sets, 0);
-        b.bucket_lines.resize(chunk_len, 0);
-        b.chunk_sq.resize(chunk_len, 0);
-        if q_eligible {
-            b.bucket_q.resize(chunk_len, 0);
-        }
-        if REC {
-            b.bucket_idx.resize(chunk_len, 0);
-        }
-
-        for (chunk_no, chunk) in addrs.chunks(chunk_len).enumerate() {
-            let out_base = chunk_no * chunk_len;
-
-            // Pass 1: per-set counts. `set_map` keeps the pass
-            // division-free (mask or multiply-high reciprocal), and the
-            // per-address set/quotient results are cached so the scatter
-            // pass never re-divides. `max_line` rides along to validate
-            // quotient compression for the chunk (a truncated cached
-            // quotient is then unused — the fallback path re-derives full
-            // lines from the addresses).
-            // `or_lines` over-approximates the chunk's max line; it only
-            // ever forces a (correct) u64-path fallback, never a wrong
-            // quotient — and an OR is cheaper than a compare-select.
-            let mut or_lines = 0u64;
-            let counts = &mut b.counts[..sets];
-            for (&addr, sq) in chunk.iter().zip(&mut b.chunk_sq) {
-                let line = addr >> shift;
-                let (q, set) = set_map.div_rem(line);
-                or_lines |= line;
-                *sq = (q << 32) | set as u64;
-                counts[set] += 1;
-            }
-            let use_q = q_eligible && or_lines < q_limit;
-
-            // Pass 2: exclusive prefix sum over set indices — bucket
-            // offsets. Replay order across sets is irrelevant (sets are
-            // independent); only per-set order matters.
-            let mut cum = 0u32;
-            for (cur, &cnt) in b.cursor.iter_mut().zip(&b.counts) {
-                *cur = cum;
-                cum += cnt;
-            }
-
-            // Pass 3: scatter quotients (or full lines on the fallback
-            // path) and, when recording, original positions into the
-            // buckets. Per-set order is preserved, which is what makes the
-            // replay bit-identical to the scalar path.
-            if use_q {
-                let cursor = &mut b.cursor[..sets];
-                let bucket_q = &mut b.bucket_q[..];
-                for (i, &sq) in b.chunk_sq[..chunk.len()].iter().enumerate() {
-                    let set = (sq as u32) as usize;
-                    let p = cursor[set] as usize;
-                    cursor[set] += 1;
-                    bucket_q[p] = (sq >> 32) as u32;
-                    if REC {
-                        b.bucket_idx[p] = i as u32;
-                    }
-                }
-            } else {
-                for (i, (&addr, &sq)) in chunk.iter().zip(&b.chunk_sq).enumerate() {
-                    let set = (sq as u32) as usize;
-                    let p = b.cursor[set] as usize;
-                    b.cursor[set] += 1;
-                    b.bucket_lines[p] = addr >> shift;
-                    if REC {
-                        b.bucket_idx[p] = i as u32;
-                    }
-                }
-            }
-
-            // Replay each occupied set's run locally, dispatching once per
-            // run to an associativity-specialized kernel.
-            for set in 0..sets {
-                let cnt = b.counts[set] as usize;
-                if cnt == 0 {
-                    continue;
-                }
-                let end = b.cursor[set] as usize;
-                let start = end - cnt;
-                let base = set * assoc;
-
-                let clock = &mut self.set_clock[set];
-                let tags = &mut self.tags[base..base + assoc];
-                let ages = &mut self.ages[base..base + assoc];
-                // Eager renormalization: if this run could overflow the
-                // set's stamp counter, rank-compress before replaying. The
-                // scalar path compresses exactly at the overflow point;
-                // compressing earlier preserves LRU order and therefore the
-                // hit/miss stream.
-                if ((u32::MAX - *clock) as usize) < cnt {
-                    renormalize_set(ages, clock);
-                }
-
-                // Fully-resident warm runs at the SIMD-friendly narrow
-                // associativities are deferred and replayed two-at-a-time
-                // after this loop, overlapping their dependency chains.
-                #[cfg(target_arch = "x86_64")]
-                if use_q && (assoc == 4 || assoc == 8) {
-                    let mut all_resident = true;
-                    for &t in tags.iter() {
-                        all_resident &= t != u64::MAX && t < q_limit;
-                    }
-                    if all_resident {
-                        b.warm_runs.push(set as u32);
-                        continue;
-                    }
-                }
-
-                let idxs = if REC { &b.bucket_idx[start..end] } else { &[] };
-                let run_hits = if use_q {
-                    // A resident tag written by the scalar path could sit
-                    // above the quotient limit; reconstruct the run's full
-                    // lines and take the u64 kernel in that (vanishingly
-                    // rare) case.
-                    let resident_ok = tags.iter().all(|&t| t == u64::MAX || t < q_limit);
-                    if resident_ok {
-                        let qs = &b.bucket_q[start..end];
-                        match assoc {
-                            2 => replay_q::<REC, 2>(
-                                set_map,
-                                sets as u64,
-                                set,
-                                tags,
-                                ages,
-                                clock,
-                                qs,
-                                idxs,
-                                out,
-                                out_base,
-                            ),
-                            4 => replay_q::<REC, 4>(
-                                set_map,
-                                sets as u64,
-                                set,
-                                tags,
-                                ages,
-                                clock,
-                                qs,
-                                idxs,
-                                out,
-                                out_base,
-                            ),
-                            8 => replay_q::<REC, 8>(
-                                set_map,
-                                sets as u64,
-                                set,
-                                tags,
-                                ages,
-                                clock,
-                                qs,
-                                idxs,
-                                out,
-                                out_base,
-                            ),
-                            _ => replay_q::<REC, 16>(
-                                set_map,
-                                sets as u64,
-                                set,
-                                tags,
-                                ages,
-                                clock,
-                                qs,
-                                idxs,
-                                out,
-                                out_base,
-                            ),
-                        }
-                    } else {
-                        for p in start..end {
-                            b.bucket_lines[p] = u64::from(b.bucket_q[p]) * sets as u64 + set as u64;
-                        }
-                        let lines = &b.bucket_lines[start..end];
-                        replay_dyn::<REC>(tags, ages, clock, lines, idxs, out, out_base)
-                    }
-                } else {
-                    let lines = &b.bucket_lines[start..end];
-                    match assoc {
-                        2 => replay_fixed::<REC, 2>(tags, ages, clock, lines, idxs, out, out_base),
-                        4 => replay_fixed::<REC, 4>(tags, ages, clock, lines, idxs, out, out_base),
-                        8 => replay_fixed::<REC, 8>(tags, ages, clock, lines, idxs, out, out_base),
-                        16 => {
-                            replay_fixed::<REC, 16>(tags, ages, clock, lines, idxs, out, out_base)
-                        }
-                        _ => replay_dyn::<REC>(tags, ages, clock, lines, idxs, out, out_base),
-                    }
-                };
-                self.hits += run_hits;
-                self.misses += cnt as u64 - run_hits;
-            }
-            #[cfg(target_arch = "x86_64")]
-            if !b.warm_runs.is_empty() {
-                let (h, n) = if assoc == 4 {
-                    replay_warm_pairs::<REC, 4>(
-                        set_map,
-                        sets as u64,
-                        &b.warm_runs,
-                        &b.counts,
-                        &b.cursor,
-                        &b.bucket_q,
-                        &b.bucket_idx,
-                        &mut self.tags,
-                        &mut self.ages,
-                        &mut self.set_clock,
-                        out,
-                        out_base,
-                    )
-                } else {
-                    replay_warm_pairs::<REC, 8>(
-                        set_map,
-                        sets as u64,
-                        &b.warm_runs,
-                        &b.counts,
-                        &b.cursor,
-                        &b.bucket_q,
-                        &b.bucket_idx,
-                        &mut self.tags,
-                        &mut self.ages,
-                        &mut self.set_clock,
-                        out,
-                        out_base,
-                    )
-                };
-                self.hits += h;
-                self.misses += n - h;
-                b.warm_runs.clear();
-            }
-
-            // Restore the all-zero invariant for the next chunk.
-            b.counts.fill(0);
-        }
-    }
-
-    /// Advance one set's age counter, rank-compressing the set's ages first
-    /// if the counter is about to overflow.
-    fn next_stamp(&mut self, set: usize) -> u32 {
-        if self.set_clock[set] == u32::MAX {
-            let base = set * self.assoc;
-            renormalize_set(
-                &mut self.ages[base..base + self.assoc],
-                &mut self.set_clock[set],
-            );
-        }
-        self.set_clock[set] += 1;
-        self.set_clock[set]
     }
 
     /// Number of hits so far.
@@ -550,983 +119,6 @@ impl SetAssocCache {
             self.hits as f64 / n as f64
         }
     }
-
-    /// Reset statistics but keep cache contents.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Return the cache to its just-constructed state — contents, recency,
-    /// and statistics — without reallocating, so one simulator instance can
-    /// be reused across many sweep configurations. Batch scratch buffers
-    /// are kept (they are transient per call and do not affect results).
-    pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.ages.fill(0);
-        self.set_clock.fill(0);
-        self.reset_stats();
-    }
-
-    /// Invalidate all lines and reset statistics (alias of [`reset`]
-    /// retained for existing callers).
-    ///
-    /// [`reset`]: SetAssocCache::reset
-    pub fn flush(&mut self) {
-        self.reset();
-    }
-
-    /// Force one set's age counter (test hook for overflow handling).
-    #[cfg(test)]
-    fn force_set_clock(&mut self, set: usize, value: u32) {
-        self.set_clock[set] = value;
-    }
-}
-
-/// Rank-compress one set's ages to `0..assoc`, preserving their relative
-/// order (ties — only possible among never-stamped ways — break by way
-/// index), and pull the set counter back accordingly. Runs once per
-/// ~4 × 10⁹ accesses to a set, so the O(assoc²) stable rank is cheaper
-/// than allocating a sort permutation.
-fn renormalize_set(ages: &mut [u32], clock: &mut u32) {
-    let n = ages.len();
-    let mut ranks = [0u32; 64];
-    if n <= ranks.len() {
-        for w in 0..n {
-            let mut rank = 0u32;
-            for (v, &other) in ages.iter().enumerate() {
-                rank += u32::from(other < ages[w] || (other == ages[w] && v < w));
-            }
-            ranks[w] = rank;
-        }
-        ages.copy_from_slice(&ranks[..n]);
-    } else {
-        // Degenerate associativity (> 64 ways): fall back to a sorted
-        // permutation.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&w| (ages[w], w));
-        for (rank, &w) in order.iter().enumerate() {
-            ages[w] = rank as u32;
-        }
-    }
-    *clock = n as u32;
-}
-
-/// Probe `A` u32 quotient tags for `qv`, returning a bitmask with bit `w`
-/// set when way `w` matches. On x86-64 the 4/8/16-way widths compile to
-/// explicit SSE2 compare + pack + movemask sequences (SSE2 is part of the
-/// x86-64 baseline, so no runtime dispatch is needed); elsewhere, and for
-/// 2-way sets, a scalar compare loop produces the same mask.
-#[inline]
-fn probe_q<const A: usize>(q: &[u32; A], qv: u32) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use core::arch::x86_64::{
-            _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_epi8, _mm_movemask_ps,
-            _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi32,
-        };
-        // SAFETY: SSE2 is unconditionally part of the x86-64 baseline, so
-        // the target feature is always available under this `cfg`; the
-        // unaligned vector loads read `o + 4 <= A` lanes of `q`, in bounds
-        // by the `A`-width dispatch below.
-        unsafe {
-            let needle = _mm_set1_epi32(qv as i32);
-            let quad = |o: usize| {
-                debug_assert!(o + 4 <= A);
-                _mm_loadu_si128(q.as_ptr().add(o).cast())
-            };
-            if A == 4 {
-                let c0 = _mm_cmpeq_epi32(quad(0), needle);
-                return _mm_movemask_ps(_mm_castsi128_ps(c0)) as u32;
-            }
-            if A == 8 {
-                let c0 = _mm_cmpeq_epi32(quad(0), needle);
-                let c1 = _mm_cmpeq_epi32(quad(4), needle);
-                let lo = _mm_packs_epi32(c0, c1);
-                return (_mm_movemask_epi8(_mm_packs_epi16(lo, lo)) as u32) & 0xFF;
-            }
-            if A == 16 {
-                let c0 = _mm_cmpeq_epi32(quad(0), needle);
-                let c1 = _mm_cmpeq_epi32(quad(4), needle);
-                let c2 = _mm_cmpeq_epi32(quad(8), needle);
-                let c3 = _mm_cmpeq_epi32(quad(12), needle);
-                let lo = _mm_packs_epi32(c0, c1);
-                let hi = _mm_packs_epi32(c2, c3);
-                return _mm_movemask_epi8(_mm_packs_epi16(lo, hi)) as u32;
-            }
-        }
-    }
-    let mut m = 0u32;
-    for w in 0..A {
-        m |= u32::from(q[w] == qv) << w;
-    }
-    m
-}
-
-/// Stamp out the warm-set SWAR replay loop at a given rank-word width
-/// (`u64` holds up to 8 one-byte ranks, `u128` up to 16).
-///
-/// `ranks` packs each way's recency rank (0 = LRU … A-1 = MRU) into one
-/// byte per way; unused high bytes hold the sentinel `0x7F`, which can
-/// neither read as zero (victim select) nor overflow into a neighbouring
-/// byte under the compare-add (`0x7F + 0x7F < 0x100`), and the decrement
-/// mask is clipped to the low `A` bytes so sentinels never drift. Per
-/// access:
-///
-/// * victim = the unique zero byte, found with the classic
-///   `(v - 0x01…01) & !v & 0x80…80` zero-byte scan (borrow propagation can
-///   only corrupt bytes *above* the first zero, and `trailing_zeros` takes
-///   the first);
-/// * recency update: bytes ranked above the touched way's rank `r` each
-///   drop by one — bytes with value `> r` are exactly those whose high bit
-///   sets under `+ (0x7F - r)` per byte — and the touched way becomes MRU
-///   (`A-1`). The word stays a permutation of `0..A`, mirroring the
-///   relative order of the scalar path's stamps exactly.
-macro_rules! define_warm_swar {
-    ($name:ident, $T:ty) => {
-        #[inline]
-        fn $name<const REC: bool, const A: usize>(
-            q: &mut [u32; A],
-            ranks: &mut [u8; A],
-            qs: &[u32],
-            idxs: &[u32],
-            out: &mut [bool],
-            out_base: usize,
-        ) -> u64 {
-            const WIDTH: usize = core::mem::size_of::<$T>();
-            debug_assert!(A <= WIDTH && A.is_power_of_two());
-            let ones: $T = <$T>::MAX / 0xFF;
-            let highs: $T = ones * 0x80;
-            let low_mask: $T = if A == WIDTH {
-                <$T>::MAX
-            } else {
-                ((1 as $T) << (8 * A)) - 1
-            };
-            let lowa: $T = ones & low_mask;
-            // Per-rank compare addend, tabulated so the hot loop's only
-            // multiply-free byte compare is a load (`r < A` always, but
-            // mask anyway to keep the indexing branchless and panic-free).
-            let mut addend = [0 as $T; A];
-            for (r, a) in addend.iter_mut().enumerate() {
-                *a = ones * (0x7F - r as $T);
-            }
-            let mut packed: $T = (ones * 0x7F) & !low_mask;
-            for (w, &r) in ranks.iter().enumerate() {
-                packed |= (r as $T) << (8 * w);
-            }
-
-            let mut run_hits = 0u64;
-            for (k, &qv) in qs.iter().enumerate() {
-                let hit_m = probe_q::<A>(q, qv);
-                let hit = hit_m != 0;
-                // Exactly one byte of `packed` is zero (the ranks are a
-                // permutation of 0..A), so `z` is never 0 on the miss path.
-                let z = packed.wrapping_sub(ones) & !packed & highs;
-                let vway = z.trailing_zeros() >> 3;
-                let way = (if hit { hit_m.trailing_zeros() } else { vway }) as usize & (A - 1);
-                let sh = (8 * way) as u32;
-                let r = ((packed >> sh) & 0xFF) as usize & (A - 1);
-                let gt = (packed + addend[r]) & highs;
-                packed -= (gt >> 7) & lowa;
-                packed = (packed & !((0xFF as $T) << sh)) | (((A - 1) as $T) << sh);
-                q[way] = qv;
-                run_hits += u64::from(hit);
-                if REC {
-                    out[out_base + idxs[k] as usize] = hit;
-                }
-            }
-
-            for (w, r) in ranks.iter_mut().enumerate() {
-                *r = ((packed >> (8 * w)) & 0xFF) as u8;
-            }
-            run_hits
-        }
-    };
-}
-
-define_warm_swar!(warm_swar_u64, u64);
-define_warm_swar!(warm_swar_u128, u128);
-
-/// Per-way lane-select masks for the SSE blend update: row `w` is all
-/// ones in lane `w`, zero elsewhere. `const`-evaluated so the replay
-/// kernels reference a compile-time table.
-#[cfg(target_arch = "x86_64")]
-const fn lane_masks<const A: usize>() -> [[u32; A]; A] {
-    let mut rows = [[0u32; A]; A];
-    let mut w = 0;
-    while w < A {
-        rows[w][w] = u32::MAX;
-        w += 1;
-    }
-    rows
-}
-
-/// x86-64 variant of the warm-set replay: same packed-rank recency logic
-/// as [`define_warm_swar`], but the quotient tags stay resident in SSE2
-/// registers for the whole run — the probe is a compare + pack + movemask
-/// over those registers and the way update is a mask blend, so the loop
-/// body performs no tag stores. (A store-based update would forward a
-/// 4-byte store into the next iteration's 16-byte probe loads, a
-/// store-forwarding stall on every access.)
-macro_rules! define_warm_sse {
-    ($name:ident, $T:ty) => {
-        #[cfg(target_arch = "x86_64")]
-        #[inline]
-        fn $name<const REC: bool, const A: usize>(
-            q: &mut [u32; A],
-            ranks: &mut [u8; A],
-            qs: &[u32],
-            idxs: &[u32],
-            out: &mut [bool],
-            out_base: usize,
-        ) -> u64 {
-            use core::arch::x86_64::{
-                __m128i, _mm_and_si128, _mm_andnot_si128, _mm_castsi128_ps, _mm_cmpeq_epi32,
-                _mm_loadu_si128, _mm_movemask_epi8, _mm_movemask_ps, _mm_or_si128, _mm_packs_epi16,
-                _mm_packs_epi32, _mm_set1_epi32, _mm_setzero_si128, _mm_storeu_si128,
-            };
-            const WIDTH: usize = core::mem::size_of::<$T>();
-            debug_assert!(A <= WIDTH && matches!(A, 4 | 8 | 16));
-            let ones: $T = <$T>::MAX / 0xFF;
-            let highs: $T = ones * 0x80;
-            let low_mask: $T = if A == WIDTH {
-                <$T>::MAX
-            } else {
-                ((1 as $T) << (8 * A)) - 1
-            };
-            let lowa: $T = ones & low_mask;
-            let sevenf: $T = ones * 0x7F;
-            let mut packed: $T = sevenf & !low_mask;
-            for (w, &r) in ranks.iter().enumerate() {
-                packed |= (r as $T) << (8 * w);
-            }
-            // Row w selects lane w across the tag registers; built at
-            // compile time so runs pay no table-initialization cost.
-            let mask_rows: &[[u32; A]; A] = const { &lane_masks::<A>() };
-
-            let mut run_hits = 0u64;
-            // SAFETY: SSE2 is part of the x86-64 baseline; every vector
-            // load/store covers lanes `0..A` of `q` or one A-lane row of
-            // `mask_rows`, in bounds because A ∈ {4, 8, 16} and `way` is
-            // masked to `0..A`.
-            unsafe {
-                let qp = q.as_mut_ptr().cast::<__m128i>();
-                let mut t0 = _mm_loadu_si128(qp);
-                let mut t1 = if A > 4 {
-                    _mm_loadu_si128(qp.add(1))
-                } else {
-                    _mm_setzero_si128()
-                };
-                let mut t2 = if A > 8 {
-                    _mm_loadu_si128(qp.add(2))
-                } else {
-                    _mm_setzero_si128()
-                };
-                let mut t3 = if A > 8 {
-                    _mm_loadu_si128(qp.add(3))
-                } else {
-                    _mm_setzero_si128()
-                };
-                for (k, &qv) in qs.iter().enumerate() {
-                    let needle = _mm_set1_epi32(qv as i32);
-                    let hit_m: u32 = if A == 4 {
-                        let c0 = _mm_cmpeq_epi32(t0, needle);
-                        _mm_movemask_ps(_mm_castsi128_ps(c0)) as u32
-                    } else if A == 8 {
-                        let c0 = _mm_cmpeq_epi32(t0, needle);
-                        let c1 = _mm_cmpeq_epi32(t1, needle);
-                        let lo = _mm_packs_epi32(c0, c1);
-                        (_mm_movemask_epi8(_mm_packs_epi16(lo, lo)) as u32) & 0xFF
-                    } else {
-                        let c0 = _mm_cmpeq_epi32(t0, needle);
-                        let c1 = _mm_cmpeq_epi32(t1, needle);
-                        let c2 = _mm_cmpeq_epi32(t2, needle);
-                        let c3 = _mm_cmpeq_epi32(t3, needle);
-                        let lo = _mm_packs_epi32(c0, c1);
-                        let hi = _mm_packs_epi32(c2, c3);
-                        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)) as u32
-                    };
-                    // The hit/miss split is a real branch on purpose: it
-                    // is strongly predictable at the extremes (miss-heavy
-                    // sweeps, hit-heavy hot sets) and each side's
-                    // loop-carried dependency chain through `packed` is
-                    // far shorter than a unified branchless body. On a
-                    // hit the tags are untouched (the matching lane
-                    // already holds `qv`); on a miss the victim's rank is
-                    // 0 by definition, so every other resident byte
-                    // simply decrements (`lowa` minus the victim's bit)
-                    // and no rank extraction or compare-add is needed.
-                    if hit_m != 0 {
-                        let way = hit_m.trailing_zeros() as usize & (A - 1);
-                        let sh = (8 * way) as u32;
-                        let r = (packed >> sh) & 0xFF;
-                        let gt = (packed + (sevenf - ones * r)) & highs;
-                        packed -= (gt >> 7) & lowa;
-                        packed = (packed & !((0xFF as $T) << sh)) | (((A - 1) as $T) << sh);
-                        run_hits += 1;
-                        if REC {
-                            out[out_base + idxs[k] as usize] = true;
-                        }
-                    } else {
-                        // One byte of `packed` is zero (ranks are a
-                        // permutation of 0..A), and subtracting 0x01 from
-                        // each byte sets the high bit only at that byte
-                        // and possibly at a borrow chain *above* it —
-                        // `trailing_zeros` takes the lowest, so the
-                        // `& !packed` of the classic zero-byte scan is
-                        // unnecessary. The victim's bit sits at 8·way + 7.
-                        let z = packed.wrapping_sub(ones) & highs;
-                        let tzb = z.trailing_zeros();
-                        let sh = tzb & !7;
-                        let way = (tzb >> 3) as usize & (A - 1);
-                        packed -= lowa ^ ((1 as $T) << sh);
-                        packed |= ((A - 1) as $T) << sh;
-                        let row = mask_rows[way].as_ptr().cast::<__m128i>();
-                        let m0 = _mm_loadu_si128(row);
-                        t0 = _mm_or_si128(_mm_andnot_si128(m0, t0), _mm_and_si128(m0, needle));
-                        if A > 4 {
-                            let m1 = _mm_loadu_si128(row.add(1));
-                            t1 = _mm_or_si128(_mm_andnot_si128(m1, t1), _mm_and_si128(m1, needle));
-                        }
-                        if A > 8 {
-                            let m2 = _mm_loadu_si128(row.add(2));
-                            t2 = _mm_or_si128(_mm_andnot_si128(m2, t2), _mm_and_si128(m2, needle));
-                            let m3 = _mm_loadu_si128(row.add(3));
-                            t3 = _mm_or_si128(_mm_andnot_si128(m3, t3), _mm_and_si128(m3, needle));
-                        }
-                        if REC {
-                            out[out_base + idxs[k] as usize] = false;
-                        }
-                    }
-                }
-                _mm_storeu_si128(qp, t0);
-                if A > 4 {
-                    _mm_storeu_si128(qp.add(1), t1);
-                }
-                if A > 8 {
-                    _mm_storeu_si128(qp.add(2), t2);
-                    _mm_storeu_si128(qp.add(3), t3);
-                }
-            }
-            for (w, r) in ranks.iter_mut().enumerate() {
-                *r = ((packed >> (8 * w)) & 0xFF) as u8;
-            }
-            run_hits
-        }
-    };
-}
-
-define_warm_sse!(warm_sse_u128, u128);
-
-/// Warm-set replay state for one set at associativity `A` ≤ 8 (x86-64):
-/// the u32 quotient tags live in two SSE2 registers and the recency ranks
-/// in one packed u64, so a whole run executes without touching the set's
-/// backing arrays. Factored as `load` / `step` / `store` so the caller can
-/// interleave two independent sets' runs instruction-by-instruction — each
-/// access's recency update is a short loop-carried dependency chain, and
-/// two chains from different sets overlap in the out-of-order window,
-/// roughly doubling replay throughput on miss-heavy streams.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct WarmLane<const A: usize> {
-    t0: core::arch::x86_64::__m128i,
-    t1: core::arch::x86_64::__m128i,
-    packed: u64,
-    run_hits: u64,
-}
-
-#[cfg(target_arch = "x86_64")]
-impl<const A: usize> WarmLane<A> {
-    const ONES: u64 = u64::MAX / 0xFF;
-    const HIGHS: u64 = Self::ONES * 0x80;
-    // `A >= 8` saturates so the constant also evaluates for the
-    // monomorphizations that are dispatched away at runtime.
-    const LOW_MASK: u64 = if A >= 8 {
-        u64::MAX
-    } else {
-        (1u64 << (8 * A)) - 1
-    };
-    const LOWA: u64 = Self::ONES & Self::LOW_MASK;
-    const SEVENF: u64 = Self::ONES * 0x7F;
-
-    #[inline(always)]
-    fn load(q: &[u32; A], ranks: &[u8; A]) -> Self {
-        use core::arch::x86_64::{_mm_loadu_si128, _mm_setzero_si128};
-        debug_assert!(A == 4 || A == 8);
-        let mut packed: u64 = Self::SEVENF & !Self::LOW_MASK;
-        for (w, &r) in ranks.iter().enumerate() {
-            packed |= u64::from(r) << (8 * w);
-        }
-        // SAFETY: SSE2 is part of the x86-64 baseline; the loads cover
-        // lanes 0..A of `q`, in bounds because A ∈ {4, 8}.
-        unsafe {
-            let qp = q.as_ptr().cast();
-            Self {
-                t0: _mm_loadu_si128(qp),
-                t1: if A > 4 {
-                    _mm_loadu_si128(qp.add(1))
-                } else {
-                    _mm_setzero_si128()
-                },
-                packed,
-                run_hits: 0,
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn step<const REC: bool>(
-        &mut self,
-        qv: u32,
-        k: usize,
-        idxs: &[u32],
-        out: &mut [bool],
-        out_base: usize,
-    ) {
-        use core::arch::x86_64::{
-            __m128i, _mm_and_si128, _mm_andnot_si128, _mm_castsi128_ps, _mm_cmpeq_epi32,
-            _mm_loadu_si128, _mm_movemask_epi8, _mm_movemask_ps, _mm_or_si128, _mm_packs_epi16,
-            _mm_packs_epi32, _mm_set1_epi32,
-        };
-        // SAFETY: SSE2 baseline; the mask-row load covers one A-lane row
-        // of the compile-time `lane_masks` table, and `way` is masked to
-        // `0..A`.
-        unsafe {
-            let needle = _mm_set1_epi32(qv as i32);
-            let hit_m: u32 = if A == 4 {
-                let c0 = _mm_cmpeq_epi32(self.t0, needle);
-                _mm_movemask_ps(_mm_castsi128_ps(c0)) as u32
-            } else {
-                let c0 = _mm_cmpeq_epi32(self.t0, needle);
-                let c1 = _mm_cmpeq_epi32(self.t1, needle);
-                let lo = _mm_packs_epi32(c0, c1);
-                (_mm_movemask_epi8(_mm_packs_epi16(lo, lo)) as u32) & 0xFF
-            };
-            // Same predictable hit/miss split and packed-rank updates as
-            // `define_warm_sse` — see its comments for the SWAR identities.
-            if hit_m != 0 {
-                let way = hit_m.trailing_zeros() as usize & (A - 1);
-                let sh = (8 * way) as u32;
-                let r = (self.packed >> sh) & 0xFF;
-                let gt = (self.packed + (Self::SEVENF - Self::ONES * r)) & Self::HIGHS;
-                self.packed -= (gt >> 7) & Self::LOWA;
-                self.packed = (self.packed & !(0xFFu64 << sh)) | (((A - 1) as u64) << sh);
-                self.run_hits += 1;
-                if REC {
-                    out[out_base + idxs[k] as usize] = true;
-                }
-            } else {
-                let z = self.packed.wrapping_sub(Self::ONES) & Self::HIGHS;
-                let tzb = z.trailing_zeros();
-                let sh = tzb & !7;
-                let way = (tzb >> 3) as usize & (A - 1);
-                self.packed -= Self::LOWA ^ (1u64 << sh);
-                self.packed |= ((A - 1) as u64) << sh;
-                let rows: &[[u32; A]; A] = const { &lane_masks::<A>() };
-                let row = rows[way].as_ptr().cast::<__m128i>();
-                let m0 = _mm_loadu_si128(row);
-                self.t0 = _mm_or_si128(_mm_andnot_si128(m0, self.t0), _mm_and_si128(m0, needle));
-                if A > 4 {
-                    let m1 = _mm_loadu_si128(row.add(1));
-                    self.t1 =
-                        _mm_or_si128(_mm_andnot_si128(m1, self.t1), _mm_and_si128(m1, needle));
-                }
-                if REC {
-                    out[out_base + idxs[k] as usize] = false;
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn store(self, q: &mut [u32; A], ranks: &mut [u8; A]) -> u64 {
-        use core::arch::x86_64::_mm_storeu_si128;
-        // SAFETY: SSE2 baseline; stores cover lanes 0..A of `q`.
-        unsafe {
-            let qp = q.as_mut_ptr().cast();
-            _mm_storeu_si128(qp, self.t0);
-            if A > 4 {
-                _mm_storeu_si128(qp.add(1), self.t1);
-            }
-        }
-        for (w, r) in ranks.iter_mut().enumerate() {
-            *r = ((self.packed >> (8 * w)) & 0xFF) as u8;
-        }
-        self.run_hits
-    }
-}
-
-/// Read one warm set's state out of the backing arrays into quotient tags
-/// and recency ranks. The caller guarantees every resident tag is valid
-/// and below the quotient limit.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn load_warm_set<const A: usize>(
-    set_map: SetMap,
-    base: usize,
-    tags: &[u64],
-    ages: &[u32],
-    clock: u32,
-) -> ([u32; A], [u8; A]) {
-    let mut q = [0u32; A];
-    let mut g = [0u32; A];
-    for w in 0..A {
-        let (quot, _) = set_map.div_rem(tags[base + w]);
-        q[w] = quot as u32;
-        g[w] = ages[base + w];
-    }
-    let mut ranks = [0u8; A];
-    if clock == A as u32 {
-        // Ages are `rank + 1` from a previous warm writeback.
-        for w in 0..A {
-            ranks[w] = (g[w] - 1) as u8;
-        }
-    } else {
-        for w in 0..A {
-            let mut r = 0u8;
-            for (v, &other) in g.iter().enumerate() {
-                r += u8::from(other < g[w] || (other == g[w] && v < w));
-            }
-            ranks[w] = r;
-        }
-    }
-    (q, ranks)
-}
-
-/// Write a warm run's final state back: tags reconstructed from the
-/// quotients, ages as `rank + 1` with the set clock at `A` (LRU order
-/// preserved exactly — downstream behaviour depends only on the order).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[allow(clippy::too_many_arguments)] // hot-path leaf; the args are the set's SoA columns
-fn store_warm_set<const A: usize>(
-    q: &[u32; A],
-    ranks: &[u8; A],
-    sets: u64,
-    set: usize,
-    base: usize,
-    tags: &mut [u64],
-    ages: &mut [u32],
-    clock: &mut u32,
-) {
-    for w in 0..A {
-        tags[base + w] = u64::from(q[w]) * sets + set as u64;
-        ages[base + w] = u32::from(ranks[w]) + 1;
-    }
-    *clock = A as u32;
-}
-
-/// Replay a chunk's deferred warm runs two sets at a time, interleaving
-/// the per-access steps of each pair so their dependency chains overlap.
-/// Returns `(hits, accesses)` over all runs replayed.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn replay_warm_pairs<const REC: bool, const A: usize>(
-    set_map: SetMap,
-    sets: u64,
-    runs: &[u32],
-    counts: &[u32],
-    cursor: &[u32],
-    bucket_q: &[u32],
-    bucket_idx: &[u32],
-    tags: &mut [u64],
-    ages: &mut [u32],
-    clocks: &mut [u32],
-    out: &mut [bool],
-    out_base: usize,
-) -> (u64, u64) {
-    let mut hits = 0u64;
-    let mut accesses = 0u64;
-    let run_of = |set: usize| {
-        let end = cursor[set] as usize;
-        let cnt = counts[set] as usize;
-        (end - cnt, end)
-    };
-    let mut it = runs.chunks_exact(2);
-    for pair in &mut it {
-        // lint:allow(no_panic, chunks_exact(2) guarantees both elements)
-        let (sa, sb) = (pair[0] as usize, pair[1] as usize);
-        let (start_a, end_a) = run_of(sa);
-        let (start_b, end_b) = run_of(sb);
-        let qa = &bucket_q[start_a..end_a];
-        let qb = &bucket_q[start_b..end_b];
-        let (ia, ib) = if REC {
-            (&bucket_idx[start_a..end_a], &bucket_idx[start_b..end_b])
-        } else {
-            (&[] as &[u32], &[] as &[u32])
-        };
-        let (mut qsa, mut ra) = load_warm_set::<A>(set_map, sa * A, tags, ages, clocks[sa]);
-        let (mut qsb, mut rb) = load_warm_set::<A>(set_map, sb * A, tags, ages, clocks[sb]);
-        let mut lane_a = WarmLane::<A>::load(&qsa, &ra);
-        let mut lane_b = WarmLane::<A>::load(&qsb, &rb);
-        let n = qa.len().min(qb.len());
-        for k in 0..n {
-            lane_a.step::<REC>(qa[k], k, ia, out, out_base);
-            lane_b.step::<REC>(qb[k], k, ib, out, out_base);
-        }
-        for (k, &qv) in qa.iter().enumerate().skip(n) {
-            lane_a.step::<REC>(qv, k, ia, out, out_base);
-        }
-        for (k, &qv) in qb.iter().enumerate().skip(n) {
-            lane_b.step::<REC>(qv, k, ib, out, out_base);
-        }
-        hits += lane_a.store(&mut qsa, &mut ra);
-        hits += lane_b.store(&mut qsb, &mut rb);
-        accesses += (qa.len() + qb.len()) as u64;
-        store_warm_set::<A>(&qsa, &ra, sets, sa, sa * A, tags, ages, &mut clocks[sa]);
-        store_warm_set::<A>(&qsb, &rb, sets, sb, sb * A, tags, ages, &mut clocks[sb]);
-    }
-    if let [set] = it.remainder() {
-        let set = *set as usize;
-        let (start, end) = run_of(set);
-        let qs = &bucket_q[start..end];
-        let idxs = if REC {
-            &bucket_idx[start..end]
-        } else {
-            &[] as &[u32]
-        };
-        let (mut q, mut ranks) = load_warm_set::<A>(set_map, set * A, tags, ages, clocks[set]);
-        let mut lane = WarmLane::<A>::load(&q, &ranks);
-        for (k, &qv) in qs.iter().enumerate() {
-            lane.step::<REC>(qv, k, idxs, out, out_base);
-        }
-        hits += lane.store(&mut q, &mut ranks);
-        accesses += qs.len() as u64;
-        store_warm_set::<A>(&q, &ranks, sets, set, set * A, tags, ages, &mut clocks[set]);
-    }
-    (hits, accesses)
-}
-
-/// Dispatch a warm-set run to the best replay kernel for the target: the
-/// register-resident SSE2 kernel on x86-64 for the SIMD-friendly widths,
-/// the portable SWAR kernel otherwise. All kernels produce bit-identical
-/// hit/miss streams.
-#[inline]
-fn warm_replay<const REC: bool, const A: usize>(
-    q: &mut [u32; A],
-    ranks: &mut [u8; A],
-    qs: &[u32],
-    idxs: &[u32],
-    out: &mut [bool],
-    out_base: usize,
-) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if A == 16 {
-            return warm_sse_u128::<REC, A>(q, ranks, qs, idxs, out, out_base);
-        }
-        if A >= 4 {
-            let mut lane = WarmLane::<A>::load(q, ranks);
-            for (k, &qv) in qs.iter().enumerate() {
-                lane.step::<REC>(qv, k, idxs, out, out_base);
-            }
-            return lane.store(q, ranks);
-        }
-    }
-    if A <= 8 {
-        warm_swar_u64::<REC, A>(q, ranks, qs, idxs, out, out_base)
-    } else {
-        warm_swar_u128::<REC, A>(q, ranks, qs, idxs, out, out_base)
-    }
-}
-
-/// Replay one set's bucketed run against its ways at a
-/// compile-time-known associativity, comparing u32 quotient-compressed
-/// tags (see `batch_replay` — within a set the quotient alone identifies a
-/// line). Returns the run's hit count.
-///
-/// The set's tags are compressed into a `[u32; A]` working copy for the
-/// run (invalid = `u32::MAX`, unambiguous because the caller has verified
-/// every quotient in play is strictly below it) and decompressed once at
-/// the end; 4-byte compares keep the probe a couple of vector
-/// instructions even under baseline codegen. Warm sets (no invalid ways —
-/// the steady state) replay in a tighter loop that skips the
-/// invalid-way scan; a set can only become warm mid-run, so the split is
-/// decided once per run without changing semantics.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn replay_q<const REC: bool, const A: usize>(
-    set_map: SetMap,
-    sets: u64,
-    set: usize,
-    tags: &mut [u64],
-    ages: &mut [u32],
-    clock: &mut u32,
-    qs: &[u32],
-    idxs: &[u32],
-    out: &mut [bool],
-    out_base: usize,
-) -> u64 {
-    if tags.len() != A || ages.len() != A {
-        // Unreachable: callers dispatch on `assoc == A`.
-        return 0;
-    }
-    let mut q = [0u32; A];
-    let mut g = [0u32; A];
-    let mut warm = true;
-    for w in 0..A {
-        let tag = tags[w];
-        if tag == u64::MAX {
-            q[w] = u32::MAX;
-            warm = false;
-        } else {
-            let (quot, _) = set_map.div_rem(tag);
-            q[w] = quot as u32;
-        }
-        g[w] = ages[w];
-    }
-    let mut stamp = *clock;
-    let mut run_hits = 0u64;
-
-    if warm {
-        // Warm sets replay on packed recency ranks instead of stamps: the
-        // per-way age is compressed to its rank in LRU order (0 = LRU,
-        // A-1 = MRU), one byte per way in a single machine word. A stamped
-        // way's age is unique within its set (stamps increase strictly and
-        // rank compression preserves distinctness), so in a warm set the
-        // rank order *is* the age order and replaying on ranks yields a
-        // bit-identical hit/miss stream. The victim select becomes
-        // "find the zero byte" and the recency update a constant ~10 ALU
-        // ops regardless of associativity — no minimum scan, no stamp
-        // overflow. Ranks are written back as ages `rank + 1` with the set
-        // clock at `A`, which preserves LRU order exactly (all downstream
-        // behaviour — scalar or batched — depends only on the order).
-        let mut ranks = [0u8; A];
-        if *clock == A as u32 {
-            // Steady state: a previous warm run wrote ages back as
-            // `rank + 1` with the clock at `A`, so the ranks read off
-            // directly without the O(A²) ordering pass.
-            for w in 0..A {
-                ranks[w] = (g[w] - 1) as u8;
-            }
-        } else {
-            for w in 0..A {
-                let mut r = 0u8;
-                for (v, &other) in g.iter().enumerate() {
-                    r += u8::from(other < g[w] || (other == g[w] && v < w));
-                }
-                ranks[w] = r;
-            }
-        }
-        run_hits = warm_replay::<REC, A>(&mut q, &mut ranks, qs, idxs, out, out_base);
-        for w in 0..A {
-            tags[w] = u64::from(q[w]) * sets + set as u64;
-            ages[w] = u32::from(ranks[w]) + 1;
-        }
-        *clock = A as u32;
-        return run_hits;
-    }
-    {
-        for (k, &qv) in qs.iter().enumerate() {
-            stamp += 1;
-            let mut hit_m = 0u32;
-            let mut inv_m = 0u32;
-            for w in 0..A {
-                hit_m |= u32::from(q[w] == qv) << w;
-                inv_m |= u32::from(q[w] == u32::MAX) << w;
-            }
-            let mut lru = 0u32;
-            let mut best_age = u32::MAX;
-            for w in 0..A {
-                let better = g[w] < best_age;
-                lru = if better { w as u32 } else { lru };
-                best_age = if better { g[w] } else { best_age };
-            }
-            let hit = hit_m != 0;
-            let mut way = if inv_m != 0 {
-                inv_m.trailing_zeros()
-            } else {
-                lru
-            };
-            way = if hit { hit_m.trailing_zeros() } else { way };
-            for w in 0..A {
-                let sel = w as u32 == way;
-                q[w] = if sel { qv } else { q[w] };
-                g[w] = if sel { stamp } else { g[w] };
-            }
-            run_hits += u64::from(hit);
-            if REC {
-                out[out_base + idxs[k] as usize] = hit;
-            }
-        }
-    }
-
-    for w in 0..A {
-        tags[w] = if q[w] == u32::MAX {
-            u64::MAX
-        } else {
-            u64::from(q[w]) * sets + set as u64
-        };
-        ages[w] = g[w];
-    }
-    *clock = stamp;
-    run_hits
-}
-
-/// Replay one set's bucketed run against its ways at a
-/// compile-time-known associativity. Returns the run's hit count.
-///
-/// Tags and ages are copied into fixed-size locals for the run, so the
-/// compiler keeps the whole set in registers: the probe compiles to
-/// chunked 4/8-wide vector tag compares feeding "which ways match" /
-/// "which ways are invalid" bit masks, the way update is a select (no
-/// indexed store), and memory is touched only at the run boundaries.
-/// `trailing_zeros` recovers the scalar path's first-match /
-/// first-invalid semantics; the LRU victim select is a branchless
-/// first-minimum scan matching the scalar tie-break.
-#[inline]
-fn replay_fixed<const REC: bool, const A: usize>(
-    tags: &mut [u64],
-    ages: &mut [u32],
-    clock: &mut u32,
-    lines: &[u64],
-    idxs: &[u32],
-    out: &mut [bool],
-    out_base: usize,
-) -> u64 {
-    if tags.len() != A || ages.len() != A {
-        // Unreachable: callers dispatch on `assoc == A`.
-        return 0;
-    }
-    let mut t = [0u64; A];
-    let mut g = [0u32; A];
-    t.copy_from_slice(tags);
-    g.copy_from_slice(ages);
-    let mut stamp = *clock;
-    let mut run_hits = 0u64;
-    for (k, &line) in lines.iter().enumerate() {
-        stamp += 1;
-
-        let mut hit_m = 0u32;
-        for w in 0..A {
-            hit_m |= u32::from(t[w] == line) << w;
-        }
-        let hit = hit_m != 0;
-        if A >= 16 && hit {
-            // Wide-set hit fast path: the tag is already in place, so only
-            // the matched way's age moves — skip the invalid scan and the
-            // LRU minimum entirely. (Narrow sets stay fully branchless;
-            // their scans are too cheap to be worth a branch.)
-            let way = hit_m.trailing_zeros();
-            for (w, age) in g.iter_mut().enumerate() {
-                *age = if w as u32 == way { stamp } else { *age };
-            }
-            run_hits += 1;
-            if REC {
-                out[out_base + idxs[k] as usize] = true;
-            }
-            continue;
-        }
-        let mut inv_m = 0u32;
-        for w in 0..A {
-            inv_m |= u32::from(t[w] == u64::MAX) << w;
-        }
-        // Branchless first-minimum scan (LRU victim), unrolled.
-        let mut lru = 0u32;
-        let mut best_age = u32::MAX;
-        for w in 0..A {
-            let better = g[w] < best_age;
-            lru = if better { w as u32 } else { lru };
-            best_age = if better { g[w] } else { best_age };
-        }
-        // Priority select, all conditional moves — no data-dependent
-        // branches. `trailing_zeros` recovers the scalar path's
-        // first-match / first-invalid semantics.
-        let mut way = if inv_m != 0 {
-            inv_m.trailing_zeros()
-        } else {
-            lru
-        };
-        way = if hit { hit_m.trailing_zeros() } else { way };
-
-        // Select-based way update (a hit rewrites the same tag): keeps
-        // `t`/`g` register-resident instead of forcing an indexed store.
-        for w in 0..A {
-            let sel = w as u32 == way;
-            t[w] = if sel { line } else { t[w] };
-            g[w] = if sel { stamp } else { g[w] };
-        }
-        run_hits += u64::from(hit);
-        if REC {
-            out[out_base + idxs[k] as usize] = hit;
-        }
-    }
-    tags.copy_from_slice(&t);
-    ages.copy_from_slice(&g);
-    *clock = stamp;
-    run_hits
-}
-
-/// Replay one set's bucketed run at a runtime associativity (the fallback
-/// for widths without a fixed-size specialization). Same semantics as
-/// [`replay_fixed`]. Returns the run's hit count.
-#[inline]
-fn replay_dyn<const REC: bool>(
-    tags: &mut [u64],
-    ages: &mut [u32],
-    clock: &mut u32,
-    lines: &[u64],
-    idxs: &[u32],
-    out: &mut [bool],
-    out_base: usize,
-) -> u64 {
-    let assoc = tags.len();
-    let mut run_hits = 0u64;
-    for (k, &line) in lines.iter().enumerate() {
-        *clock += 1;
-        let stamp = *clock;
-
-        let (hit, way) = if assoc <= 32 {
-            // One pass over the ways builds hit/invalid bit masks with no
-            // early-exit branches; `trailing_zeros` recovers the scalar
-            // path's first-match / first-invalid semantics.
-            let mut hit_m = 0u32;
-            let mut inv_m = 0u32;
-            for (w, &t) in tags.iter().enumerate() {
-                hit_m |= u32::from(t == line) << w;
-                inv_m |= u32::from(t == u64::MAX) << w;
-            }
-            if hit_m != 0 {
-                (true, hit_m.trailing_zeros() as usize)
-            } else if inv_m != 0 {
-                (false, inv_m.trailing_zeros() as usize)
-            } else {
-                (false, lru_way(ages))
-            }
-        } else {
-            // Very wide sets: plain scans with the same semantics.
-            match tags.iter().position(|&t| t == line) {
-                Some(way) => (true, way),
-                None => match tags.iter().position(|&t| t == u64::MAX) {
-                    Some(way) => (false, way),
-                    None => (false, lru_way(ages)),
-                },
-            }
-        };
-
-        // On a hit this rewrites the same tag — branchless on purpose.
-        tags[way] = line;
-        ages[way] = stamp;
-        run_hits += u64::from(hit);
-        if REC {
-            out[out_base + idxs[k] as usize] = hit;
-        }
-    }
-    run_hits
-}
-
-/// Branchless first-minimum scan over a set's ages (LRU victim).
-#[inline]
-fn lru_way(ages: &[u32]) -> usize {
-    let mut best = 0usize;
-    let mut best_age = u32::MAX;
-    for (w, &a) in ages.iter().enumerate() {
-        let better = a < best_age;
-        best = if better { w } else { best };
-        best_age = if better { a } else { best_age };
-    }
-    best
 }
 
 #[cfg(test)]
@@ -1594,194 +186,5 @@ mod tests {
         c.access(128); // C evicts B
         assert!(c.access(0), "A should survive");
         assert!(!c.access(64), "B should have been evicted");
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut c = small_cache();
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0));
-        assert_eq!(c.accesses(), 1);
-    }
-
-    #[test]
-    fn reset_allows_exact_reuse() {
-        let run = |c: &mut SetAssocCache| -> (u64, u64) {
-            for _ in 0..3 {
-                for line in 0..96u64 {
-                    c.access(line * 64 * 7);
-                }
-            }
-            (c.hits(), c.misses())
-        };
-        let mut reused = small_cache();
-        let first = run(&mut reused);
-        reused.reset();
-        assert_eq!(reused.accesses(), 0);
-        let second = run(&mut reused);
-        assert_eq!(first, second, "reset cache must replay identically");
-
-        let mut fresh = small_cache();
-        assert_eq!(run(&mut fresh), first, "reset equals fresh construction");
-    }
-
-    #[test]
-    fn age_counter_overflow_preserves_lru_order() {
-        let mut c = two_way_single_set();
-        c.access(0); // A, age 1
-        c.access(64); // B, age 2 — A is LRU
-                      // Next stamp would overflow: the set renormalizes (A → 0, B → 1)
-                      // before stamping.
-        c.force_set_clock(0, u32::MAX);
-        assert!(c.access(64), "B still resident across renormalization");
-        // A must still be the LRU victim.
-        c.access(128); // C evicts A
-        assert!(c.access(64), "B survives");
-        assert!(c.access(128), "C survives");
-        assert!(!c.access(0), "A was the LRU victim");
-    }
-
-    #[test]
-    fn repeated_overflow_is_stable() {
-        let mut c = two_way_single_set();
-        c.access(0);
-        c.access(64);
-        for round in 0..5 {
-            c.force_set_clock(0, u32::MAX);
-            // Touch A so the recency order flips each round.
-            let keep = if round % 2 == 0 { 0 } else { 64 };
-            assert!(c.access(keep), "round {round}");
-        }
-        // Last touched was A (round 4) → B is LRU.
-        c.access(128);
-        assert!(c.access(0), "A survives final eviction");
-        assert!(!c.access(64), "B evicted");
-    }
-
-    /// Scalar replay of a trace on a fresh clone, for comparison.
-    fn scalar_outcomes(c: &SetAssocCache, addrs: &[u64]) -> Vec<bool> {
-        let mut scalar = c.clone();
-        addrs.iter().map(|&a| scalar.access(a)).collect()
-    }
-
-    fn pseudo_trace(n: usize, lines: u64, stride: u64, seed: u64) -> Vec<u64> {
-        // Deterministic mixed-locality trace without pulling in an RNG.
-        let mut state = seed | 1;
-        (0..n)
-            .map(|i| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if i % 3 == 0 {
-                    (i as u64 % lines) * stride
-                } else {
-                    (state >> 33) % lines * stride
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_matches_scalar_per_access() {
-        let mut c = small_cache();
-        let trace = pseudo_trace(5000, 256, 64, 7);
-        let expect = scalar_outcomes(&c, &trace);
-        let mut got = Vec::new();
-        c.access_batch_record(&trace, &mut got);
-        assert_eq!(got, expect);
-        assert_eq!(c.hits(), expect.iter().filter(|&&h| h).count() as u64);
-    }
-
-    #[test]
-    fn batch_matches_scalar_on_non_pow2_sets() {
-        // 12 sets × 2 ways: exercises the modulo path.
-        let mut c = SetAssocCache::new(CacheGeometry {
-            size_bytes: 12 * 2 * 64,
-            line_bytes: 64,
-            sector_bytes: 32,
-            associativity: 2,
-        });
-        assert_eq!(c.geometry().sets(), 12);
-        let trace = pseudo_trace(4096, 300, 64, 11);
-        let expect = scalar_outcomes(&c, &trace);
-        let mut got = Vec::new();
-        c.access_batch_record(&trace, &mut got);
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn batch_and_scalar_can_interleave() {
-        let mut batched = small_cache();
-        let mut scalar = small_cache();
-        let t1 = pseudo_trace(2000, 128, 64, 3);
-        let t2 = pseudo_trace(2000, 512, 64, 5);
-        batched.access_batch(&t1);
-        for &a in &t1 {
-            scalar.access(a);
-        }
-        // Continue the same cache state scalar-vs-batched swapped.
-        for &a in &t2 {
-            batched.access(a);
-        }
-        scalar.access_batch(&t2);
-        assert_eq!(batched.hits(), scalar.hits());
-        assert_eq!(batched.misses(), scalar.misses());
-    }
-
-    #[test]
-    fn batch_renormalizes_past_stamp_overflow() {
-        let mut c = two_way_single_set();
-        c.access(0); // A, age 1
-        c.access(64); // B, age 2 — A is LRU
-        c.force_set_clock(0, u32::MAX - 3);
-        // An 8-access run cannot fit in the 3 remaining stamps: the batch
-        // path must renormalize eagerly and still preserve LRU order.
-        let run = [64u64, 64, 128, 64, 128, 64, 128, 64, 64, 64];
-        let mut got = Vec::new();
-        c.access_batch_record(&run, &mut got);
-        // Scalar reference on a fresh cache driven to the same state.
-        let mut s = two_way_single_set();
-        s.access(0);
-        s.access(64);
-        s.force_set_clock(0, u32::MAX - 3);
-        let expect: Vec<bool> = run.iter().map(|&a| s.access(a)).collect();
-        assert_eq!(got, expect);
-        assert_eq!(c.hits(), s.hits());
-        assert!(!c.access(0), "A was evicted by C across the overflow");
-    }
-
-    #[test]
-    fn reset_after_batch_allows_exact_reuse() {
-        let trace = pseudo_trace(40_000, 1024, 64, 13);
-        let mut c = small_cache();
-        c.access_batch(&trace);
-        let first = (c.hits(), c.misses());
-        c.reset();
-        assert_eq!(c.accesses(), 0);
-        c.access_batch(&trace);
-        assert_eq!(
-            (c.hits(), c.misses()),
-            first,
-            "reset must replay identically"
-        );
-
-        // And a reset batch cache equals a fresh scalar cache.
-        let mut fresh = small_cache();
-        for &a in &trace {
-            fresh.access(a);
-        }
-        assert_eq!((fresh.hits(), fresh.misses()), first);
-    }
-
-    #[test]
-    fn tiny_batches_use_scalar_fallback() {
-        let mut c = small_cache();
-        let trace: Vec<u64> = (0..8u64).map(|i| i * 64).collect();
-        let mut got = Vec::new();
-        c.access_batch_record(&trace, &mut got);
-        assert_eq!(got.len(), 8);
-        assert!(got.iter().all(|&h| !h), "cold misses");
-        assert_eq!(c.misses(), 8);
     }
 }

@@ -1,11 +1,9 @@
 //! Synthetic address-trace generation, used to validate the analytic cache
 //! model against the trace-driven simulator.
 //!
-//! Traces can be materialized at once ([`generate`] / [`generate_into`]) or
-//! streamed chunk-by-chunk through [`TraceGen`] so multi-million-entry
-//! traces replay in O(chunk) memory with zero steady-state allocation —
-//! pair [`TraceGen::next_chunk`] with
-//! [`SetAssocCache::access_batch`](super::SetAssocCache::access_batch).
+//! [`generate_into`] is the one entry point: it fills a caller-owned buffer
+//! with block base addresses, suitable for a [`super::SetAssocCache`]
+//! configured with `line_bytes == block_bytes`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,11 +31,10 @@ enum Kind {
     },
 }
 
-/// Incremental trace generator: emits the same address stream as
-/// [`generate`] for the same `(pattern, block_bytes, n, seed)`, but in
-/// caller-sized chunks written into a caller-owned buffer.
+/// Incremental trace generator: the address stream depends only on
+/// `(pattern, block_bytes, n, seed)`, not on how it is chunked.
 #[derive(Debug, Clone)]
-pub struct TraceGen {
+struct TraceGen {
     kind: Kind,
     block_bytes: u64,
     /// Next global index to emit.
@@ -49,8 +46,7 @@ pub struct TraceGen {
 
 impl TraceGen {
     /// Start a generator for `n` block-aligned addresses of `pattern`.
-    #[must_use]
-    pub fn new(pattern: &AccessPattern, block_bytes: u32, n: usize, seed: u64) -> Self {
+    fn new(pattern: &AccessPattern, block_bytes: u32, n: usize, seed: u64) -> Self {
         let bb = u64::from(block_bytes);
         let kind = match *pattern {
             AccessPattern::Streaming => Kind::Streaming,
@@ -84,19 +80,11 @@ impl TraceGen {
         }
     }
 
-    /// Addresses not yet emitted.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        (self.n - self.next) as usize
-    }
-
-    /// Emit up to `max` addresses into `buf` (cleared first). Returns the
-    /// number written; 0 means the trace is exhausted. `buf`'s capacity is
-    /// reused across calls, so a steady-state generate/replay loop does not
-    /// touch the allocator.
-    pub fn next_chunk(&mut self, buf: &mut Vec<u64>, max: usize) -> usize {
+    /// Emit up to `max` addresses into `buf` (cleared first, capacity
+    /// reused). Returns the number written; 0 means the trace is exhausted.
+    fn next_chunk(&mut self, buf: &mut Vec<u64>, max: usize) -> usize {
         buf.clear();
-        let count = self.remaining().min(max);
+        let count = ((self.n - self.next) as usize).min(max);
         if count == 0 {
             return 0;
         }
@@ -146,9 +134,8 @@ impl TraceGen {
 }
 
 /// Generate `n` block-aligned byte addresses following `pattern` into a
-/// caller-owned buffer (cleared first), reusing its capacity. Repeated
-/// sweep configurations can share one buffer instead of allocating a fresh
-/// multi-million-entry `Vec` per configuration.
+/// caller-owned buffer (cleared first), reusing its capacity, so repeated
+/// configurations can share one buffer.
 pub fn generate_into(
     pattern: &AccessPattern,
     block_bytes: u32,
@@ -156,27 +143,18 @@ pub fn generate_into(
     seed: u64,
     out: &mut Vec<u64>,
 ) {
-    let mut gen = TraceGen::new(pattern, block_bytes, n, seed);
-    let written = gen.next_chunk(out, n);
-    debug_assert_eq!(written, n.min(written));
-}
-
-/// Generate `n` block-aligned byte addresses following `pattern`.
-///
-/// Blocks are `block_bytes` wide; the addresses returned are block base
-/// addresses, suitable for a [`super::SetAssocCache`] configured with
-/// `line_bytes == block_bytes`. Prefer [`generate_into`] (or [`TraceGen`]
-/// for streaming) on hot paths.
-#[must_use]
-pub fn generate(pattern: &AccessPattern, block_bytes: u32, n: usize, seed: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    generate_into(pattern, block_bytes, n, seed, &mut out);
-    out
+    TraceGen::new(pattern, block_bytes, n, seed).next_chunk(out, n);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn generate(pattern: &AccessPattern, block_bytes: u32, n: usize, seed: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        generate_into(pattern, block_bytes, n, seed, &mut out);
+        out
+    }
 
     #[test]
     fn streaming_addresses_are_unique_and_ordered() {
@@ -244,7 +222,7 @@ mod tests {
                 chunked.extend_from_slice(&buf);
             }
             assert_eq!(chunked, whole, "pattern {pat:?}");
-            assert_eq!(gen.remaining(), 0);
+            assert_eq!(gen.next, gen.n);
         }
     }
 

@@ -12,35 +12,41 @@ use cactus_gpu::cache::analytic;
 use cactus_gpu::cache::trace;
 use cactus_gpu::cache::SetAssocCache;
 use cactus_gpu::device::CacheGeometry;
+use cactus_gpu::CATALOG;
 
 use proptest::prelude::*;
 
 const BLOCK: u32 = 32;
 
-/// Sector-granular cache with the given capacity in blocks.
-fn sector_cache(capacity_blocks: u64, associativity: u32) -> SetAssocCache {
-    SetAssocCache::new(CacheGeometry {
+/// Sector-granular geometry with the given capacity in blocks.
+fn sector_geometry(capacity_blocks: u64, associativity: u32) -> CacheGeometry {
+    CacheGeometry {
         size_bytes: capacity_blocks * u64::from(BLOCK),
         line_bytes: BLOCK,
         sector_bytes: BLOCK,
         associativity,
-    })
+    }
 }
 
-fn measured_hit_rate(pattern: &AccessPattern, capacity_blocks: u64, n: usize, seed: u64) -> f64 {
+fn replayed_hit_rate(pattern: &AccessPattern, geometry: CacheGeometry, n: usize, seed: u64) -> f64 {
     // One trace buffer per test thread, reused across every validation
-    // case; replay goes through the batched path (bit-identical to scalar,
-    // see tests/batch_equivalence.rs).
+    // case.
     thread_local! {
         static BUF: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
     }
     BUF.with(|buf| {
         let mut addrs = buf.borrow_mut();
         trace::generate_into(pattern, BLOCK, n, seed, &mut addrs);
-        let mut cache = sector_cache(capacity_blocks, 8);
-        cache.access_batch(&addrs);
+        let mut cache = SetAssocCache::new(geometry);
+        for &a in addrs.iter() {
+            cache.access(a);
+        }
         cache.hit_rate()
     })
+}
+
+fn measured_hit_rate(pattern: &AccessPattern, capacity_blocks: u64, n: usize, seed: u64) -> f64 {
+    replayed_hit_rate(pattern, sector_geometry(capacity_blocks, 8), n, seed)
 }
 
 fn analytic_hit_rate(pattern: &AccessPattern, capacity_blocks: u64, n: usize) -> f64 {
@@ -131,6 +137,58 @@ fn broadcast_matches_simulator() {
     assert!((m - a).abs() < 0.01, "measured {m}, analytic {a}");
 }
 
+/// The hand-picked cases above all run one 8-way geometry; this one runs
+/// every cache the catalog ships — each device's L1 and the smallest L2, at
+/// sector granularity with the device's own associativity (4- and 16-way,
+/// power-of-two and 384/768/1536-set caches alike).
+#[test]
+fn analytic_tracks_simulator_on_every_catalog_cache() {
+    let mut caches: Vec<(String, CacheGeometry)> = CATALOG
+        .iter()
+        .map(|e| (format!("{} L1", e.id), e.device().l1))
+        .collect();
+    let (id, l2) = CATALOG
+        .iter()
+        .map(|e| (e.id, e.device().l2))
+        .min_by_key(|(_, l2)| l2.size_bytes)
+        .expect("catalog is not empty");
+    caches.push((format!("{id} L2"), l2));
+
+    let bytes = |blocks: u64| blocks * u64::from(BLOCK);
+    let random = |blocks: u64| AccessPattern::RandomUniform {
+        working_set_bytes: bytes(blocks),
+    };
+    let sweep = |blocks: u64, sweeps: u32| AccessPattern::Sweep {
+        working_set_bytes: bytes(blocks),
+        sweeps,
+    };
+    for (name, cache) in caches {
+        let cap = cache.size_bytes / u64::from(BLOCK);
+        let geometry = sector_geometry(cap, cache.associativity);
+        let hot_cold = AccessPattern::HotCold {
+            hot_fraction: 0.85,
+            hot_bytes: bytes(cap / 4),
+            cold_bytes: bytes(cap * 8),
+        };
+        let cases = [
+            ("random 0.5x", random(cap / 2), cap * 40),
+            ("random 4x", random(cap * 4), cap * 40),
+            ("fitting sweep", sweep(cap * 3 / 4, 10), cap * 3 / 4 * 10),
+            ("thrashing sweep", sweep(cap * 3, 5), cap * 3 * 5),
+            ("hot-cold", hot_cold, cap * 40),
+        ];
+        for (seed, (case, pat, n)) in (0u64..).zip(cases) {
+            let n = n as usize;
+            let m = replayed_hit_rate(&pat, geometry, n, seed);
+            let a = analytic_hit_rate(&pat, cap, n);
+            assert!(
+                (m - a).abs() < 0.03,
+                "{name}, {case}: measured {m}, analytic {a}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -190,9 +248,7 @@ proptest! {
         let pat = AccessPattern::RandomUniform { working_set_bytes: 1 << 16 };
         let mut addrs = Vec::new();
         trace::generate_into(&pat, BLOCK, n, seed, &mut addrs);
-        let mut cache = sector_cache(cap, 4);
-        // Scalar replay on purpose: this property pins the scalar path's
-        // accounting, complementing the batched replay used above.
+        let mut cache = SetAssocCache::new(sector_geometry(cap, 4));
         for &a in &addrs {
             cache.access(a);
         }

@@ -3,11 +3,11 @@
 //! Four rule families run over a lexed (not parsed) view of the workspace:
 //!
 //! * [`rules::no_panic`] — daemon paths (`serve`, `gateway`, `obs`, and
-//!   the `gpu` cold-simulate files: `pool`, `engine`, `cache::sim`,
-//!   `cache::trace`) must not `unwrap()`, `expect()`, `panic!`, or index by
-//!   integer literal outside `#[cfg(test)]` code. The escape hatch is a
-//!   `// lint:allow(no_panic, reason)` comment on the same or preceding
-//!   line; the reason is mandatory.
+//!   the `gpu` cold-simulate files: `pool`, `engine`) must not `unwrap()`,
+//!   `expect()`, `panic!`, or index by integer literal outside
+//!   `#[cfg(test)]` code. The escape hatch is a `// lint:allow(no_panic,
+//!   reason)` comment on the same or preceding line; the reason is
+//!   mandatory.
 //! * [`rules::lock_order`] — every `.lock()`/`.read()`/`.write()` site is
 //!   an acquisition; `let`-bound guards live to the end of their brace
 //!   scope (or an explicit `drop(guard)`). Nested acquisitions become

@@ -2,9 +2,10 @@
 //!
 //! Applies to non-test code in the `serve`, `gateway`, `obs`, and
 //! `simindex` crates (the similarity index runs inside serve workers)
-//! plus the `gpu` files the daemon's cold-simulate path runs through: the
-//! engine pool, the launch engine, and the batched cache simulator/trace
-//! generator (every serve cache miss replays traces through them).
+//! plus the `gpu` files the daemon's cold-simulate path enters through: the
+//! engine pool and the launch engine (which resolves memory traffic through
+//! `cache::hierarchy` → `cache::analytic`; the trace-driven simulator and
+//! its trace generator are the test oracle, and no daemon links them).
 //! A panic in any of these unwinds a worker thread and silently shrinks
 //! the pool, so fallible paths must return errors instead. Flagged shapes:
 //!
@@ -25,14 +26,8 @@ const RULE: &str = "no_panic";
 const DAEMON_CRATES: &[&str] = &["serve", "gateway", "obs", "simindex", "store", "wir"];
 
 /// Individual `gpu` files on the daemon's cold-simulate path: the engine
-/// pool, the launch engine it hands out, and the batched cache
-/// simulator/trace generator every cache-miss simulation replays through.
-const DAEMON_FILES: &[&str] = &[
-    "crates/gpu/src/pool.rs",
-    "crates/gpu/src/engine.rs",
-    "crates/gpu/src/cache/sim.rs",
-    "crates/gpu/src/cache/trace.rs",
-];
+/// pool and the launch engine it hands out.
+const DAEMON_FILES: &[&str] = &["crates/gpu/src/pool.rs", "crates/gpu/src/engine.rs"];
 
 fn applies(f: &SourceFile) -> bool {
     if f.in_test_dir {

@@ -26,11 +26,11 @@ fn by_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
 fn no_panic_fires_on_each_shape_with_file_and_line() {
     let findings = fixture("ws_no_panic");
     let hits = by_rule(&findings, "no_panic");
-    // The batched simulator file is in scope by path (the gpu crate as a
-    // whole is not a daemon crate)…
+    // The launch engine is in scope by path (the gpu crate as a whole is
+    // not a daemon crate)…
     assert!(
         hits.iter()
-            .any(|f| f.file == "crates/gpu/src/cache/sim.rs" && f.line == 5),
+            .any(|f| f.file == "crates/gpu/src/engine.rs" && f.line == 5),
         "daemon-file unwrap missed: {findings:?}"
     );
     // …while gpu files off the cold-simulate path stay exempt.
