@@ -1,8 +1,7 @@
 //! Dump the per-kernel data files behind the figures (the counterpart of
 //! the paper artifact's `data/` directory) as CSV under `results/csv/`.
 
-use cactus_bench::header;
-use cactus_bench::store::{cactus_profiles_cached, prt_profiles_cached};
+use cactus_bench::{cactus_profiles, header, prt_profiles};
 use cactus_profiler::csv;
 
 fn main() {
@@ -10,8 +9,8 @@ fn main() {
     std::fs::create_dir_all(dir).expect("create results/csv");
 
     header("Dumping per-kernel CSV data files");
-    let cactus = cactus_profiles_cached();
-    let prt = prt_profiles_cached();
+    let cactus = cactus_profiles();
+    let prt = prt_profiles();
 
     let mut cactus_doc = format!("{}\n", csv::kernel_header());
     for p in &cactus {
@@ -26,16 +25,4 @@ fn main() {
     }
     std::fs::write(dir.join("prt_kernels.csv"), &prt_doc).expect("write");
     println!("prt_kernels.csv: {} lines", prt_doc.lines().count());
-
-    // Launch-memoization effectiveness per workload. Profiles that loaded
-    // from the store report `source=store` with empty counters (nothing was
-    // simulated); run with `--no-cache` for a fully simulated dump.
-    let mut memo_doc = csv::memo_header();
-    memo_doc.push('\n');
-    for p in cactus.iter().chain(prt.iter()) {
-        memo_doc.push_str(&csv::memo_row(&p.name, p.memo.as_ref()));
-        memo_doc.push('\n');
-    }
-    std::fs::write(dir.join("memo_stats.csv"), &memo_doc).expect("write");
-    println!("memo_stats.csv: {} lines", memo_doc.lines().count());
 }

@@ -2,12 +2,11 @@
 //! benchmarks — existing suites spend the majority of their time in one or
 //! just a few kernels.
 
-use cactus_bench::header;
-use cactus_bench::store::prt_profiles_cached;
+use cactus_bench::{header, prt_profiles};
 
 fn main() {
     header("Figure 2: PRT GPU-time distribution (top kernels per benchmark)");
-    let profiles = prt_profiles_cached();
+    let profiles = prt_profiles();
 
     println!(
         "{:<16} {:<9} {:>7} {:>7} {:>7} {:>9}",

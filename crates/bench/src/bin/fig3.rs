@@ -1,13 +1,12 @@
 //! Figure 3: cumulative distribution of GPU time spent in the most
 //! dominant kernels of the Cactus workloads.
 
-use cactus_bench::header;
-use cactus_bench::store::cactus_profiles_cached;
+use cactus_bench::{cactus_profiles, header};
 
 fn main() {
     header("Figure 3: Cactus cumulative kernel-time distribution");
     println!("Entry k = fraction of GPU time covered by the k most dominant kernels.\n");
-    let profiles = cactus_profiles_cached();
+    let profiles = cactus_profiles();
 
     print!("{:<5}", "k");
     for p in &profiles {

@@ -2,12 +2,11 @@
 //! Most workloads are unambiguous — all kernels on one side of the elbow —
 //! with `lud` and `alexnet` the mixed exceptions.
 
-use cactus_bench::store::prt_profiles_cached;
-use cactus_bench::{header, kernel_points, roofline, roofline_header, roofline_row};
+use cactus_bench::{header, kernel_points, prt_profiles, roofline, roofline_header, roofline_row};
 
 fn main() {
     let r = roofline();
-    let profiles = prt_profiles_cached();
+    let profiles = prt_profiles();
 
     let mut mixed = Vec::new();
     for suite in ["Parboil", "Rodinia", "Tango"] {

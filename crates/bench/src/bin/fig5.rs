@@ -2,13 +2,12 @@
 //! per application across all of its kernels.
 
 use cactus_analysis::roofline::RooflinePoint;
-use cactus_bench::store::cactus_profiles_cached;
-use cactus_bench::{header, roofline, roofline_header, roofline_row};
+use cactus_bench::{cactus_profiles, header, roofline, roofline_header, roofline_row};
 
 fn main() {
     header("Figure 5: Cactus per-application roofline (aggregate over all kernels)");
     let r = roofline();
-    let profiles = cactus_profiles_cached();
+    let profiles = cactus_profiles();
 
     println!("{}", roofline_header());
     let mut points = Vec::new();

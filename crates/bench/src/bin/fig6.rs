@@ -4,12 +4,13 @@
 //! and compute-intensive kernels, unlike the traditional suites.
 
 use cactus_analysis::roofline::Intensity;
-use cactus_bench::store::cactus_profiles_cached;
-use cactus_bench::{header, kernel_points, roofline, roofline_header, roofline_row};
+use cactus_bench::{
+    cactus_profiles, header, kernel_points, roofline, roofline_header, roofline_row,
+};
 
 fn main() {
     let r = roofline();
-    let profiles = cactus_profiles_cached();
+    let profiles = cactus_profiles();
     let md: Vec<_> = profiles
         .iter()
         .filter(|p| ["GMS", "LMR", "LMC"].contains(&p.name.as_str()))

@@ -3,14 +3,15 @@
 //! (c) dominant kernels. The ML apps show wide kernel diversity, with many
 //! dominant kernels bound by memory bandwidth (near the memory roof).
 
-use cactus_bench::store::cactus_profiles_cached;
-use cactus_bench::{header, kernel_points, roofline, roofline_header, roofline_row};
+use cactus_bench::{
+    cactus_profiles, header, kernel_points, roofline, roofline_header, roofline_row,
+};
 
 const ML: [&str; 5] = ["DCG", "NST", "RFL", "SPT", "LGT"];
 
 fn main() {
     let r = roofline();
-    let profiles = cactus_profiles_cached();
+    let profiles = cactus_profiles();
     let ml: Vec<_> = profiles
         .iter()
         .filter(|p| ML.contains(&p.name.as_str()))

@@ -4,16 +4,15 @@
 //! underlying metrics.
 
 use cactus_analysis::correlation::CorrelationMatrix;
-use cactus_bench::store::{cactus_profiles_cached, prt_profiles_cached};
-use cactus_bench::{all_kernel_metrics, header};
+use cactus_bench::{all_kernel_metrics, cactus_profiles, header, prt_profiles};
 use cactus_gpu::metrics::KernelMetrics;
 
 fn main() {
-    let cactus: Vec<KernelMetrics> = all_kernel_metrics(&cactus_profiles_cached())
+    let cactus: Vec<KernelMetrics> = all_kernel_metrics(&cactus_profiles())
         .into_iter()
         .map(|(_, m)| m)
         .collect();
-    let prt: Vec<KernelMetrics> = all_kernel_metrics(&prt_profiles_cached())
+    let prt: Vec<KernelMetrics> = all_kernel_metrics(&prt_profiles())
         .into_iter()
         .map(|(_, m)| m)
         .collect();

@@ -8,14 +8,13 @@ use std::collections::BTreeMap;
 use cactus_analysis::famd::Famd;
 use cactus_analysis::hclust::{self, Linkage};
 use cactus_analysis::matrix::Matrix;
-use cactus_bench::store::{cactus_profiles_cached, prt_profiles_cached};
-use cactus_bench::{dominant_kernel_metrics, header, roofline};
+use cactus_bench::{cactus_profiles, dominant_kernel_metrics, header, prt_profiles, roofline};
 use cactus_gpu::metrics::MetricId;
 
 fn main() {
     let r = roofline();
-    let cactus = cactus_profiles_cached();
-    let prt = prt_profiles_cached();
+    let cactus = cactus_profiles();
+    let prt = prt_profiles();
 
     // Collect the dominant kernels of every workload from both pools.
     let mut labels: Vec<String> = Vec::new(); // "workload/kernel"

@@ -1,8 +1,8 @@
 //! Table I: the Cactus benchmark suite — benchmarks, inputs, and basic
 //! execution characteristics.
 
-use cactus_bench::header;
-use cactus_core::{suite, SuiteScale};
+use cactus_bench::{cactus_profiles, header};
+use cactus_core::suite;
 use cactus_profiler::report::{render_summary_table, SummaryRow};
 
 fn main() {
@@ -12,9 +12,9 @@ fn main() {
          paper-input → reproduction-input mapping. Shapes — kernel counts and\n\
          their 70% sets — are the reproduced quantities.)\n"
     );
-    let rows: Vec<SummaryRow> = cactus_core::run_suite(SuiteScale::Profile)
-        .into_iter()
-        .map(|(w, p)| SummaryRow::from_profile(w.abbr, &p))
+    let rows: Vec<SummaryRow> = cactus_profiles()
+        .iter()
+        .map(|p| SummaryRow::from_profile(&p.name, &p.profile))
         .collect();
     print!("{}", render_summary_table(&rows));
 

@@ -21,16 +21,27 @@
 //! | `fig7` | Figure 7 — ML per-kernel rooflines |
 //! | `fig8` | Figure 8 — correlation analysis |
 //! | `fig9` | Figure 9 — FAMD + Ward dendrogram |
-
-pub mod store;
+//!
+//! Every profile a fig/table bin reads comes from [`resolve`]: the same
+//! [`ProfileService`] the `cactus-serve` daemon answers `/v1/profile`
+//! with, opened on [`cactus_store::default_dir`]. A stored record at the
+//! current record version is a hit; a missing, stale or unparseable one
+//! is simulated and appended on its own, so the next run (and a daemon
+//! started on the same directory) loads it. Point `CACTUS_PROFILE_STORE`
+//! at an empty directory for a fully simulated run.
 
 use cactus_analysis::roofline::{Roofline, RooflinePoint};
-use cactus_core::{SuiteScale, Workload};
-use cactus_gpu::engine::MemoStats;
 use cactus_gpu::metrics::KernelMetrics;
-use cactus_gpu::{Device, Gpu};
+use cactus_gpu::Device;
 use cactus_profiler::{KernelStats, Profile};
-use cactus_suites::{Benchmark, Scale};
+use cactus_serve::service::{ProfileService, Triple};
+
+/// The device every fig/table set is resolved on (the paper's platform).
+const DEVICE: &str = "rtx-3080";
+
+/// The scale every fig/table set is resolved at, as the serving key spells
+/// it.
+const SCALE: &str = "profile";
 
 /// A profiled workload, tagged with its origin.
 #[derive(Debug, Clone)]
@@ -41,10 +52,6 @@ pub struct ProfiledWorkload {
     pub suite: String,
     /// The aggregated profile.
     pub profile: Profile,
-    /// Launch-memoization counters from the simulation that produced the
-    /// profile; `None` when the profile was loaded from the store (no
-    /// simulation ran, so there is nothing to count).
-    pub memo: Option<MemoStats>,
 }
 
 impl ProfiledWorkload {
@@ -55,64 +62,100 @@ impl ProfiledWorkload {
     }
 }
 
-/// Run the full Cactus suite at profile scale. Fans out one workload per
-/// worker thread ([`cactus_gpu::par`]); identical output to
-/// [`cactus_profiles_serial`].
+/// Resolve `(device, scale, workload)` triples to profiles, in input
+/// order, through one [`ProfileService`] on [`cactus_store::default_dir`]
+/// ([`resolve_on`] that service).
+///
+/// The store admits one process per directory. When another one (a
+/// running daemon, say) holds it, the triples resolve through a service on
+/// a fresh directory under [`std::env::temp_dir`], removed before this
+/// returns — simulated, not cached — with a note on stderr.
+///
+/// # Panics
+///
+/// As [`resolve_on`], and if the fresh directory cannot be opened either.
 #[must_use]
-pub fn cactus_profiles() -> Vec<ProfiledWorkload> {
-    cactus_core::run_suite_with_stats(SuiteScale::Profile)
-        .into_iter()
-        .map(
-            |(w, profile, memo): (Workload, Profile, MemoStats)| ProfiledWorkload {
-                name: w.abbr.to_owned(),
-                suite: "Cactus".to_owned(),
-                profile,
-                memo: Some(memo),
-            },
-        )
-        .collect()
+pub fn resolve(triples: &[(&str, &str, &str)]) -> Vec<Profile> {
+    match ProfileService::new(Some(cactus_store::default_dir())) {
+        Ok(service) => resolve_on(&service, triples),
+        Err(e) => {
+            eprintln!("profile store: {e}; simulating without caching");
+            let dir = std::env::temp_dir().join(format!("cactus-bench-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let service = ProfileService::new(Some(dir.clone()))
+                .unwrap_or_else(|e| panic!("scratch profile store: {e}"));
+            let profiles = resolve_on(&service, triples);
+            drop(service);
+            let _ = std::fs::remove_dir_all(dir);
+            profiles
+        }
+    }
 }
 
-/// [`cactus_profiles`] on the calling thread only.
+/// Resolve `triples` through `service`, in input order: each triple is a
+/// store hit, or one simulation appended to the store on its own. The
+/// triples fan out across [`cactus_gpu::par`] worker threads, and the
+/// store gets one compaction check at the end.
+///
+/// # Panics
+///
+/// Panics if a triple does not name a catalog device, scale and workload
+/// that `service` models, or if its simulation fails.
 #[must_use]
-pub fn cactus_profiles_serial() -> Vec<ProfiledWorkload> {
-    cactus_core::run_suite_serial(SuiteScale::Profile)
+pub fn resolve_on(service: &ProfileService, triples: &[(&str, &str, &str)]) -> Vec<Profile> {
+    let profiles = cactus_gpu::par::parallel_map(triples.to_vec(), |(device, scale, workload)| {
+        let triple = Triple::resolve(device, scale, workload).unwrap_or_else(|e| panic!("{e}"));
+        let (resolved, _) = service
+            .profile(&triple, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", triple.key()));
+        resolved.profile.clone()
+    });
+    if let Err(e) = service.store().maybe_compact() {
+        eprintln!("profile store: compaction failed: {e}");
+    }
+    profiles
+}
+
+/// [`resolve`] every `(suite, name)` member at [`DEVICE`]/[`SCALE`].
+fn resolve_members(members: Vec<(String, String)>) -> Vec<ProfiledWorkload> {
+    let triples: Vec<(&str, &str, &str)> = members
+        .iter()
+        .map(|(_, name)| (DEVICE, SCALE, name.as_str()))
+        .collect();
+    let profiles = resolve(&triples);
+    members
         .into_iter()
-        .map(|(w, profile): (Workload, Profile)| ProfiledWorkload {
-            name: w.abbr.to_owned(),
-            suite: "Cactus".to_owned(),
+        .zip(profiles)
+        .map(|((suite, name), profile)| ProfiledWorkload {
+            name,
+            suite,
             profile,
-            memo: None,
         })
         .collect()
 }
 
-/// Run the Parboil/Rodinia/Tango comparison benchmarks at profile scale.
-/// Each benchmark simulates on its own device and worker thread; identical
-/// output to [`prt_profiles_serial`].
+/// The Cactus suite (Table I) at profile scale on the RTX 3080, in Table I
+/// order.
+#[must_use]
+pub fn cactus_profiles() -> Vec<ProfiledWorkload> {
+    resolve_members(
+        cactus_core::suite()
+            .into_iter()
+            .map(|w| ("Cactus".to_owned(), w.abbr.to_owned()))
+            .collect(),
+    )
+}
+
+/// The Parboil/Rodinia/Tango comparison benchmarks (Table III) at profile
+/// scale on the RTX 3080, in catalog order.
 #[must_use]
 pub fn prt_profiles() -> Vec<ProfiledWorkload> {
-    cactus_gpu::par::parallel_map(cactus_suites::all(), profile_prt_benchmark)
-}
-
-/// [`prt_profiles`] on the calling thread only.
-#[must_use]
-pub fn prt_profiles_serial() -> Vec<ProfiledWorkload> {
-    cactus_suites::all()
-        .into_iter()
-        .map(profile_prt_benchmark)
-        .collect()
-}
-
-fn profile_prt_benchmark(b: Benchmark) -> ProfiledWorkload {
-    let mut gpu = Gpu::new(Device::rtx3080());
-    b.run(&mut gpu, Scale::Profile);
-    ProfiledWorkload {
-        name: b.name.to_owned(),
-        suite: b.suite.name().to_owned(),
-        profile: Profile::from_records(gpu.records()),
-        memo: Some(gpu.memo_stats()),
-    }
+    resolve_members(
+        cactus_suites::all()
+            .into_iter()
+            .map(|b| (b.suite.name().to_owned(), b.name.to_owned()))
+            .collect(),
+    )
 }
 
 /// All per-kernel metric records of a set of profiled workloads, tagged

@@ -28,9 +28,7 @@ pub mod workloads;
 pub use scale::SuiteScale;
 pub use workloads::{suite, Domain, Workload};
 
-use cactus_gpu::engine::MemoStats;
 use cactus_gpu::{Device, Gpu};
-use cactus_profiler::report::SummaryRow;
 use cactus_profiler::Profile;
 
 /// Run one workload by abbreviation on a fresh RTX-3080-class device and
@@ -55,38 +53,12 @@ pub fn run_on(gpu: &mut Gpu, abbr: &str, scale: SuiteScale) -> Profile {
     Profile::from_records(&gpu.records()[start..])
 }
 
-/// Run the whole suite and produce one `(workload, profile)` pair per row
-/// of Table I.
-///
-/// Workloads are independent — each gets its own fresh device — so they fan
-/// out across worker threads ([`cactus_gpu::par`]; pin the count with
-/// `CACTUS_THREADS`). The result is bit-identical to [`run_suite_serial`].
+/// Run the whole suite on the calling thread, each workload on its own
+/// fresh device, and produce one `(workload, profile)` pair per row of
+/// Table I, in order. The reference the determinism tests compare fan-outs
+/// against; the fig/table bins resolve through the profile store instead.
 #[must_use]
 pub fn run_suite(scale: SuiteScale) -> Vec<(Workload, Profile)> {
-    run_suite_with_stats(scale)
-        .into_iter()
-        .map(|(w, p, _)| (w, p))
-        .collect()
-}
-
-/// [`run_suite`], additionally reporting each workload's launch-memoization
-/// counters ([`cactus_gpu::engine::MemoStats`]) so cache effectiveness is
-/// observable in suite reports and CSV dumps.
-#[must_use]
-pub fn run_suite_with_stats(scale: SuiteScale) -> Vec<(Workload, Profile, MemoStats)> {
-    cactus_gpu::par::parallel_map(suite(), |w| {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        w.run(&mut gpu, scale);
-        let p = Profile::from_records(gpu.records());
-        let stats = gpu.memo_stats();
-        (w, p, stats)
-    })
-}
-
-/// [`run_suite`] on the calling thread only, in Table I order. Reference
-/// implementation for determinism tests and serial-vs-parallel benchmarks.
-#[must_use]
-pub fn run_suite_serial(scale: SuiteScale) -> Vec<(Workload, Profile)> {
     suite()
         .into_iter()
         .map(|w| {
@@ -95,15 +67,6 @@ pub fn run_suite_serial(scale: SuiteScale) -> Vec<(Workload, Profile)> {
             let p = Profile::from_records(gpu.records());
             (w, p)
         })
-        .collect()
-}
-
-/// The Table I summary rows for the whole suite.
-#[must_use]
-pub fn table1(scale: SuiteScale) -> Vec<SummaryRow> {
-    run_suite(scale)
-        .into_iter()
-        .map(|(w, p)| SummaryRow::from_profile(w.abbr, &p))
         .collect()
 }
 
@@ -177,25 +140,6 @@ mod tests {
         };
         assert_ne!(kernels("LMR"), kernels("LMC"));
         assert_ne!(kernels("GST"), kernels("GRU"));
-    }
-
-    #[test]
-    fn run_suite_with_stats_reports_memo_counters() {
-        for (w, p, stats) in run_suite_with_stats(SuiteScale::Tiny) {
-            assert!(p.kernel_count() > 0, "{}", w.abbr);
-            // Every launch went through the memoized path, and distinct
-            // configurations (misses) can't exceed total launches.
-            assert!(stats.launches() > 0, "{}", w.abbr);
-            assert!(stats.misses >= 1, "{}", w.abbr);
-            assert!((0.0..=1.0).contains(&stats.hit_rate()), "{}", w.abbr);
-        }
-    }
-
-    #[test]
-    fn table1_has_one_row_per_workload() {
-        let rows = table1(SuiteScale::Tiny);
-        assert_eq!(rows.len(), 10);
-        assert!(rows.iter().all(|r| r.kernels_100 >= r.kernels_70));
     }
 
     #[test]

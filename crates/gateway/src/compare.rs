@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use cactus_analysis::roofline::Roofline;
 use cactus_gpu::by_id;
+use cactus_obs::api::json_escape;
 use cactus_obs::SpanCtx;
 use cactus_profiler::{store as profile_store, Profile};
 use cactus_serve::http::{Request, Response};
@@ -261,10 +262,10 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
     };
     let baseline_total = baseline.profile.total_time_s();
     let mut out = format!(
-        "{{\"scale\":{},\"workload\":{},\"baseline\":{},\"devices\":[",
-        json_str(scale),
-        json_str(workload),
-        json_str(baseline.id)
+        "{{\"scale\":\"{}\",\"workload\":\"{}\",\"baseline\":\"{}\",\"devices\":[",
+        json_escape(scale),
+        json_escape(workload),
+        json_escape(baseline.id)
     );
     for (i, leg) in legs.iter().enumerate() {
         if i > 0 {
@@ -272,12 +273,15 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
         }
         let total = leg.profile.total_time_s();
         out.push_str(&format!(
-            "{{\"device\":{},\"total_time_s\":{:e},\"speedup_vs_baseline\":{:.6},\
+            "{{\"device\":\"{}\",\"total_time_s\":{:e},\"speedup_vs_baseline\":{:.6},\
              \"dominant_kernel\":{}}}",
-            json_str(leg.id),
+            json_escape(leg.id),
             total,
             speedup(baseline_total, total),
-            dominant(leg).map_or_else(|| "null".to_owned(), |k| json_str(&k.name)),
+            dominant(leg).map_or_else(
+                || "null".to_owned(),
+                |k| format!("\"{}\"", json_escape(&k.name))
+            ),
         ));
     }
     out.push_str("],\"kernels\":[");
@@ -286,8 +290,8 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"kernel\":{},\"bottleneck_shift\":{},\"per_device\":[",
-            json_str(kernel),
+            "{{\"kernel\":\"{}\",\"bottleneck_shift\":{},\"per_device\":[",
+            json_escape(kernel),
             shifted(legs, kernel)
         ));
         let mut first = true;
@@ -301,18 +305,18 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
             first = false;
             let total = leg.profile.total_time_s();
             out.push_str(&format!(
-                "{{\"device\":{},\"instruction_intensity\":{:.6},\"gips\":{:.6},\
-                 \"time_share\":{:.6},\"intensity_class\":{},\"boundedness\":{}}}",
-                json_str(leg.id),
+                "{{\"device\":\"{}\",\"instruction_intensity\":{:.6},\"gips\":{:.6},\
+                 \"time_share\":{:.6},\"intensity_class\":\"{}\",\"boundedness\":\"{}\"}}",
+                json_escape(leg.id),
                 k.metrics.instruction_intensity,
                 k.metrics.gips,
                 k.time_share(total),
-                json_str(
+                json_escape(
                     leg.roofline
                         .intensity_class(k.metrics.instruction_intensity)
                         .label()
                 ),
-                json_str(leg.roofline.boundedness_class(k.metrics.gips).label()),
+                json_escape(leg.roofline.boundedness_class(k.metrics.gips).label()),
             ));
         }
         out.push_str("]}");
@@ -338,25 +342,6 @@ fn csv_escape(s: &str) -> String {
     } else {
         s.to_owned()
     }
-}
-
-/// Minimal JSON string rendering (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -425,7 +410,12 @@ mod tests {
 
     #[test]
     fn json_strings_escape_specials() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let body = render_json("tiny", "a\"b\\c\n", &[leg("rtx-3080", "GMS")]);
+        assert!(
+            body.starts_with(
+                "{\"scale\":\"tiny\",\"workload\":\"a\\\"b\\\\c\\n\",\"baseline\":\"rtx-3080\","
+            ),
+            "{body}"
+        );
     }
 }

@@ -326,13 +326,6 @@ impl Gpu {
         self.memo.len()
     }
 
-    /// Drop all cached simulation results and reset the hit/miss counters.
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
-        self.memo_hits = 0;
-        self.memo_misses = 0;
-    }
-
     /// The execution trace so far, in launch order.
     #[must_use]
     pub fn records(&self) -> &[LaunchRecord] {
@@ -537,22 +530,6 @@ mod tests {
         assert_eq!(gpu.scratch.fingerprint.capacity(), fp_cap);
         assert_eq!(gpu.scratch.streams.capacity(), st_cap);
         assert_eq!(gpu.memo_hits(), 1);
-    }
-
-    #[test]
-    fn memo_survives_reset_trace_and_clears_on_demand() {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        let k = copy_kernel(1 << 20);
-        gpu.launch(&k);
-        gpu.reset_trace();
-        gpu.launch(&k);
-        assert_eq!(gpu.memo_hits(), 1, "cache must survive reset_trace");
-
-        gpu.clear_memo();
-        assert_eq!(gpu.memo_len(), 0);
-        assert_eq!(gpu.memo_hits() + gpu.memo_misses(), 0);
-        gpu.launch(&k);
-        assert_eq!(gpu.memo_misses(), 1);
     }
 
     #[test]

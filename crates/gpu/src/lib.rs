@@ -35,8 +35,10 @@
 //! * [`par`] — deterministic parallel fan-out used by the suite runners.
 //! * [`pool`] — a thread-safe checkout pool of engines whose memo caches
 //!   stay warm across requests (the substrate of the `cactus-serve` daemon).
-//! * [`tracefile`] — serialization of execution traces (the paper's
-//!   future-work "simulator-compatible instruction traces").
+//!
+//! A run's launch stream leaves the engine as [`engine::Gpu::take_desc_log`]
+//! and is serialized by `cactus-wir`'s `capture` (the paper's future-work
+//! "simulator-compatible instruction traces").
 //!
 //! ## Example
 //!
@@ -67,7 +69,6 @@ pub mod metrics;
 pub mod par;
 pub mod pool;
 pub mod timing;
-pub mod tracefile;
 
 /// Version of the performance model's parameters and equations. Bump this
 /// whenever a change to the device descriptors, cache models, or timing

@@ -51,9 +51,7 @@ use crate::engine::{Gpu, MemoStats};
 /// The serve tier registers one set of counters and hands a clone to every
 /// device pool via [`GpuPool::instrument`]; the counters then sum memo
 /// traffic and engine creation fleet-wide while each pool's own
-/// [`GpuPool::memo_stats`] stays per-device (and resettable). Counters are
-/// monotonic by design — [`GpuPool::reset`] zeroes the local stats but never
-/// rolls the instruments back.
+/// [`GpuPool::memo_stats`] stays per-device.
 #[derive(Debug, Clone)]
 pub struct PoolInstruments {
     /// Launches replayed from a warm memo cache.
@@ -147,15 +145,6 @@ impl GpuPool {
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
         self.stats.lock().memo
-    }
-
-    /// Drop all idle engines (and their memo caches) and zero the pool-wide
-    /// counters. Engines currently checked out are unaffected and fold
-    /// their deltas into the zeroed counters when returned.
-    pub fn reset(&self) {
-        self.idle.lock().clear();
-        let mut stats = self.stats.lock();
-        stats.memo = MemoStats::default();
     }
 
     fn check_in(&self, mut gpu: Gpu, baseline: MemoStats) {
@@ -293,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn instruments_sum_across_checkouts_and_survive_reset() {
+    fn instruments_sum_across_checkouts() {
         let registry = cactus_obs::MetricsRegistry::new();
         let instruments = PoolInstruments {
             memo_hits: registry.counter("hits", "").unwrap(),
@@ -316,29 +305,5 @@ mod tests {
         assert_eq!(instruments.memo_hits.get(), 1);
         assert_eq!(instruments.memo_misses.get(), 1);
         assert_eq!(instruments.engines_created.get(), 1);
-        pool.reset();
-        assert_eq!(pool.memo_stats(), MemoStats::default());
-        assert_eq!(
-            instruments.memo_misses.get(),
-            1,
-            "registry counters are monotonic across pool resets"
-        );
-    }
-
-    #[test]
-    fn reset_clears_counters_and_idle_engines() {
-        let pool = GpuPool::new(Device::rtx3080());
-        {
-            let mut gpu = pool.checkout();
-            gpu.launch(&kernel(1 << 18));
-        }
-        pool.reset();
-        assert_eq!(pool.idle(), 0);
-        assert_eq!(pool.memo_stats(), MemoStats::default());
-        {
-            let mut gpu = pool.checkout();
-            gpu.launch(&kernel(1 << 18));
-        }
-        assert_eq!(pool.memo_stats().misses, 1, "fresh engine after reset");
     }
 }

@@ -147,18 +147,4 @@ proptest! {
         let (small, big) = (run(n), run(n * factor));
         prop_assert!(big >= small * (1.0 - 1e-3), "{small} -> {big}");
     }
-
-    /// The trace serializer round-trips arbitrary launches.
-    #[test]
-    fn trace_roundtrip(kernel in arb_kernel()) {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        gpu.launch(&kernel);
-        let text = cactus_gpu::tracefile::serialize(gpu.records());
-        let parsed = cactus_gpu::tracefile::parse(&text).expect("roundtrip");
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(
-            parsed[0].metrics.warp_instructions,
-            gpu.records()[0].metrics.warp_instructions
-        );
-    }
 }

@@ -57,7 +57,6 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// |   70 | `HEALTH`            | `gateway::health` backend states           |
 /// |   80 | `LATENCY_WINDOW`    | `gateway::metrics` sliding latency ring    |
 /// |   85 | `SIMINDEX`          | `serve::similar` similarity-index state    |
-/// |   90 | `CLIENT_CONN`       | `serve::client` keep-alive connection      |
 /// |   95 | `METRICS_REGISTRY`  | `obs::registry` name map (cold path)       |
 /// |  100 | `TRACER`            | `obs::trace` span ring (innermost leaf)    |
 pub mod rank {
@@ -77,7 +76,6 @@ pub mod rank {
     pub const HEALTH: u32 = 70;
     pub const LATENCY_WINDOW: u32 = 80;
     pub const SIMINDEX: u32 = 85;
-    pub const CLIENT_CONN: u32 = 90;
     pub const METRICS_REGISTRY: u32 = 95;
     pub const TRACER: u32 = 100;
 }

@@ -64,36 +64,6 @@ pub fn to_csv(workload: &str, profile: &Profile) -> String {
     out
 }
 
-/// CSV header for [`memo_row`]: per-workload launch-memoization counters.
-#[must_use]
-pub fn memo_header() -> String {
-    "workload,source,launches,memo_hits,memo_misses,memo_hit_rate".to_owned()
-}
-
-/// One CSV row of launch-memoization effectiveness for `workload`.
-/// `stats = None` means the profile came from the store without
-/// simulating; the counter columns are left empty and the source reads
-/// `store` instead of `simulated`.
-#[must_use]
-pub fn memo_row(workload: &str, stats: Option<&cactus_gpu::engine::MemoStats>) -> String {
-    let mut row = String::new();
-    push_field(&mut row, workload);
-    match stats {
-        Some(s) => {
-            let _ = write!(
-                row,
-                ",simulated,{},{},{},{:.6}",
-                s.launches(),
-                s.hits,
-                s.misses,
-                s.hit_rate()
-            );
-        }
-        None => row.push_str(",store,,,,"),
-    }
-    row
-}
-
 /// Append `s` as one CSV field: quoted, with quotes doubled, when it holds a
 /// comma, a quote or a newline; verbatim otherwise.
 pub fn push_field(out: &mut String, s: &str) {
@@ -166,17 +136,6 @@ mod tests {
             .map(|row| split_csv(row)[4].parse::<f64>().unwrap())
             .sum();
         assert!((total - 1.0).abs() < 1e-3, "shares sum to {total}");
-    }
-
-    #[test]
-    fn memo_rows_match_header_arity() {
-        let header_cols = memo_header().split(',').count();
-        let stats = cactus_gpu::engine::MemoStats { hits: 3, misses: 1 };
-        for row in [memo_row("GMS", Some(&stats)), memo_row("LMR", None)] {
-            assert_eq!(split_csv(&row).len(), header_cols, "{row}");
-        }
-        assert!(memo_row("GMS", Some(&stats)).contains(",simulated,4,3,1,0.750000"));
-        assert!(memo_row("LMR", None).contains(",store,,,,"));
     }
 
     /// Minimal RFC-4180 splitter for the tests.

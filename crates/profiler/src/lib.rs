@@ -12,8 +12,9 @@
 //!   (the paper uses 70 %), and the cumulative time distribution behind
 //!   Figures 2 and 3.
 //! * [`report`] — Table I-style summary rows.
-//! * [`store`] — bit-exact profile (de)serialization backing the shared
-//!   profile store in `cactus-bench`.
+//! * [`store`] — bit-exact profile (de)serialization: the value of every
+//!   profile record in the `cactus-store` that `cactus-serve` (and through
+//!   it every fig/table bin) reads and writes.
 //!
 //! ## Example
 //!

@@ -1,7 +1,5 @@
 //! Table I-style summary rows and human-readable profile reports.
 
-use cactus_gpu::engine::MemoStats;
-
 use crate::Profile;
 
 /// One Table I row: a benchmark's basic execution characteristics.
@@ -97,42 +95,6 @@ pub fn render_kernel_table(profile: &Profile) -> String {
     out
 }
 
-/// Render per-workload launch-memoization effectiveness as a fixed-width
-/// table: launches simulated vs replayed from the engine's memo cache.
-/// Workloads whose profiles were loaded from the store carry no counters
-/// (`None`) and report as `store`.
-#[must_use]
-pub fn render_memo_table(rows: &[(String, Option<MemoStats>)]) -> String {
-    let name_w = rows
-        .iter()
-        .map(|(name, _)| name.len())
-        .chain(std::iter::once("Workload".len()))
-        .max()
-        .unwrap_or(8);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<name_w$} {:>10} {:>10} {:>10} {:>9}\n",
-        "Workload", "Launches", "Memo hits", "Misses", "Hit rate"
-    ));
-    for (name, stats) in rows {
-        match stats {
-            Some(s) => out.push_str(&format!(
-                "{:<name_w$} {:>10} {:>10} {:>10} {:>8.1}%\n",
-                name,
-                s.launches(),
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-            )),
-            None => out.push_str(&format!(
-                "{:<name_w$} {:>10} {:>10} {:>10} {:>9}\n",
-                name, "store", "-", "-", "-"
-            )),
-        }
-    }
-    out
-}
-
 fn truncate(s: &str, n: usize) -> String {
     if s.len() <= n {
         s.to_owned()
@@ -185,24 +147,6 @@ mod tests {
         let kt = render_kernel_table(&p);
         assert!(kt.contains("alpha"));
         assert!(kt.contains("beta"));
-    }
-
-    #[test]
-    fn memo_table_renders_simulated_and_store_rows() {
-        let rows = vec![
-            (
-                "GMS".to_owned(),
-                Some(MemoStats {
-                    hits: 90,
-                    misses: 10,
-                }),
-            ),
-            ("LMR".to_owned(), None),
-        ];
-        let t = render_memo_table(&rows);
-        assert!(t.contains("GMS"));
-        assert!(t.contains("90.0%"), "{t}");
-        assert!(t.contains("store"), "{t}");
     }
 
     #[test]

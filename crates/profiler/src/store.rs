@@ -1,8 +1,8 @@
 //! Exact serialization of [`Profile`]s for the shared profile store.
 //!
-//! The fig/table binaries in `cactus-bench` all consume the same simulated
-//! profiles; the store lets one run simulate the suite and every later
-//! binary load the result instead of re-simulating. The format is a
+//! The daemon and the fig/table binaries in `cactus-bench` all consume the
+//! same simulated profiles; the store lets one run simulate a triple and
+//! every later reader load the result instead of re-simulating. The format is a
 //! line-oriented text format with **bit-exact** float round-tripping: every
 //! `f64` is written as the 16-hex-digit encoding of its IEEE-754 bits, so a
 //! loaded profile compares equal (`==`) to the profile that was saved —

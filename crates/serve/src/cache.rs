@@ -143,11 +143,6 @@ impl ResponseCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        self.inner.lock().map.clear();
-    }
-
     /// Drop one cached response (used to invalidate derived listings when
     /// a submission changes what they would contain).
     pub fn remove(&self, key: &str) {
@@ -230,15 +225,5 @@ mod tests {
         assert!(cache.get("profile/rtx-3080/tiny/gnn").is_none());
         assert!(cache.get("dominant/rtx-3080/tiny/gnn?t=0.700").is_none());
         assert!(cache.get("profile/rtx-3080/tiny/gms").is_some());
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = ResponseCache::new(2);
-        cache.put("/a", resp("A"));
-        let _ = cache.get("/a");
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 1);
     }
 }

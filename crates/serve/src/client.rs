@@ -2,12 +2,11 @@
 //! `loadgen` binary, and the gateway's backend connection pool.
 //!
 //! Two transports share one reply parser: [`Client`] opens a fresh
-//! connection per request by default (`Connection: close`) and can be built
-//! with `keep_alive(true)` to hold one reusable stream internally, while
-//! [`Connection`] keeps one `TcpStream` alive across sequential requests,
-//! honoring the server's `Connection: close` and transparently redialing
-//! once when a pooled stream turns out to have been reaped by the server's
-//! idle timeout. The profile endpoint's body is the bit-exact
+//! connection per request (`Connection: close`), while [`Connection`]
+//! keeps one `TcpStream` alive across sequential requests, honoring the
+//! server's `Connection: close` and transparently redialing once when a
+//! pooled stream turns out to have been reaped by the server's idle
+//! timeout. The profile endpoint's body is the bit-exact
 //! `cactus_profiler::store` serialization, so [`Client::profile`] hands
 //! back a fully typed [`Profile`] without a JSON layer.
 //!
@@ -18,7 +17,6 @@
 //! exposition parser in `cactus_obs` — a malformed or duplicated sample is
 //! an error naming the line, never a silently dropped entry.
 
-use cactus_obs::lock::{rank, RankedMutex};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -372,79 +370,20 @@ fn parse_similar(body: &str) -> Result<Vec<SimilarHit>, ClientError> {
     Ok(hits)
 }
 
-/// Configures a [`Client`] before construction.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientBuilder {
-    addr: SocketAddr,
-    timeout: Duration,
-    keep_alive: bool,
-}
-
-impl ClientBuilder {
-    /// Override the connect/read/write timeout (default 30 s).
-    #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Hold one internal keep-alive stream across requests instead of
-    /// dialing per request (default off).
-    #[must_use]
-    pub fn keep_alive(mut self, keep_alive: bool) -> Self {
-        self.keep_alive = keep_alive;
-        self
-    }
-
-    /// Finish building.
-    #[must_use]
-    pub fn build(self) -> Client {
-        Client {
-            addr: self.addr,
-            timeout: self.timeout,
-            keep_alive: self.keep_alive,
-            conn: RankedMutex::new(rank::CLIENT_CONN, "serve.client_conn", None),
-        }
-    }
-}
-
 /// A client bound to one server address.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
-    keep_alive: bool,
-    /// The internal stream when built with `keep_alive(true)`; dialed
-    /// lazily, serialized behind the lock.
-    conn: RankedMutex<Option<Connection>>,
-}
-
-impl Clone for Client {
-    fn clone(&self) -> Self {
-        // The clone shares configuration, not the live stream.
-        Self {
-            addr: self.addr,
-            timeout: self.timeout,
-            keep_alive: self.keep_alive,
-            conn: RankedMutex::new(rank::CLIENT_CONN, "serve.client_conn", None),
-        }
-    }
 }
 
 impl Client {
     /// A client for `addr` with a 30 s I/O timeout.
     #[must_use]
     pub fn new(addr: SocketAddr) -> Self {
-        Self::builder(addr).build()
-    }
-
-    /// Start configuring a client for `addr`.
-    #[must_use]
-    pub fn builder(addr: SocketAddr) -> ClientBuilder {
-        ClientBuilder {
+        Self {
             addr,
             timeout: Duration::from_secs(30),
-            keep_alive: false,
         }
     }
 
@@ -503,12 +442,6 @@ impl Client {
         body: &str,
         trace: Option<TraceId>,
     ) -> Result<HttpReply, ClientError> {
-        if self.keep_alive {
-            let mut guard = self.conn.lock();
-            return guard
-                .get_or_insert_with(|| Connection::new(self.addr, self.timeout))
-                .request(method, path, body, trace);
-        }
         let mut reader = dial(self.addr, self.timeout)?;
         // One write_all per request: fragment-per-write on a raw socket
         // triggers Nagle + delayed-ACK stalls (~40 ms) on the peer.
@@ -1248,9 +1181,7 @@ mod tests {
     fn metrics_rejects_duplicate_samples() {
         let addr =
             one_shot_server("cactus_serve_requests_total 1\ncactus_serve_requests_total 2\n");
-        let client = Client::builder(addr)
-            .timeout(Duration::from_secs(5))
-            .build();
+        let client = Client::new(addr).with_timeout(Duration::from_secs(5));
         let err = client.metrics().expect_err("duplicates must not parse");
         match err {
             ClientError::Parse(msg) => {

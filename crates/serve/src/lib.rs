@@ -52,7 +52,7 @@ pub mod similar;
 pub mod singleflight;
 
 pub use client::{
-    parse_health_devices, Client, ClientBuilder, CompareRow, Connection, DeviceEntry, DeviceId,
-    ProfileQuery, SimilarHit, SimilarQuery,
+    parse_health_devices, Client, CompareRow, Connection, DeviceEntry, DeviceId, ProfileQuery,
+    SimilarHit, SimilarQuery,
 };
 pub use server::{ServeConfig, Server};

@@ -358,13 +358,6 @@ impl Server {
         self.daemon.join();
         let _ = self.compactor.join();
     }
-
-    /// Drop every cached response and pooled engine (benches use this to
-    /// re-measure cold paths on a running server).
-    pub fn reset_caches(&self) {
-        self.state().cache.clear();
-        self.state().service.reset();
-    }
 }
 
 /// Warm the response cache from the durable store at startup. A record

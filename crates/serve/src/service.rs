@@ -401,19 +401,20 @@ impl ProfileService {
     /// A service modeling the full device catalog, backed by a store rooted
     /// at `store_dir` (defaults to [`cactus_store::default_dir`] when
     /// `None`), counting into a private registry.
-    #[must_use]
-    pub fn new(store_dir: Option<PathBuf>) -> Self {
-        // lint:allow(no_panic, fresh private registry cannot collide and the caller picked the dir)
+    ///
+    /// # Errors
+    ///
+    /// Fails when the store cannot be opened or recovered — in particular
+    /// when another process (or service) has the directory open.
+    pub fn new(store_dir: Option<PathBuf>) -> Result<Self, String> {
         Self::with_registry(store_dir, &[], &MetricsRegistry::new())
-            .expect("fresh registry has no collisions")
     }
 
     /// A service whose counters (store hits, simulations, engine memo
     /// traffic, engines created) register in `registry` under
-    /// `cactus_serve_*` names. Registry counters are monotonic: they keep
-    /// counting across [`ProfileService::reset`]. Opens (creating if
-    /// needed) the durable store under `store_dir` and holds its
-    /// single-writer lock until the service drops.
+    /// `cactus_serve_*` names. Opens (creating if needed) the durable store
+    /// under `store_dir` and holds its single-writer lock until the service
+    /// drops.
     ///
     /// `devices` names the catalog ids this backend models — one engine
     /// pool per id; an empty slice models the full catalog. Requests for
@@ -948,16 +949,6 @@ impl ProfileService {
     pub fn engines(&self) -> u64 {
         self.pools.iter().map(|(_, pool)| pool.engines()).sum()
     }
-
-    /// Drop every pooled engine (and its memo cache) and zero the pool-local
-    /// memo stats. Used by benches to measure cold paths. Registry counters
-    /// (store hits, simulations, memo traffic) are monotonic and keep their
-    /// values — Prometheus semantics; consumers measure deltas.
-    pub fn reset(&self) {
-        for (_, pool) in &self.pools {
-            pool.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1011,7 +1002,7 @@ mod tests {
     #[test]
     fn simulation_matches_direct_run_and_counts_once() {
         let dir = fresh_store_dir("counts-once");
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
@@ -1034,7 +1025,7 @@ mod tests {
         // And the corpus survives a restart: a fresh service over the same
         // directory recovers the record without simulating.
         drop(svc);
-        let svc2 = ProfileService::new(Some(dir.clone()));
+        let svc2 = ProfileService::new(Some(dir.clone())).expect("open service");
         let (p3, source3) = svc2.profile(&t, None).expect("profile after restart");
         assert_eq!(source3, ProfileSource::Store);
         assert_eq!(p3.profile, p.profile);
@@ -1047,7 +1038,7 @@ mod tests {
         let tracer = cactus_obs::Tracer::new(64);
         let trace = cactus_obs::TraceId::mint();
         let dir = fresh_store_dir("span-tree");
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
         {
             let mut root = tracer.ctx(trace).child("serve.profile");
@@ -1111,6 +1102,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The store admits one writer per directory: a second service on it
+    /// is an error naming the store, not a panic.
+    #[test]
+    fn a_second_service_on_the_same_store_is_an_error() {
+        let dir = fresh_store_dir("locked");
+        let first = ProfileService::new(Some(dir.clone())).expect("open service");
+        let err = match ProfileService::new(Some(dir.clone())) {
+            Ok(_) => panic!("the store is held by the first service"),
+            Err(e) => e,
+        };
+        assert!(err.contains("profile store"), "{err}");
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        drop(first);
+        ProfileService::new(Some(dir.clone())).expect("reopens once released");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unknown_config_device_fails_construction() {
         let dir = fresh_store_dir("bad-config");
@@ -1126,8 +1134,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Seed `dir` with `profile` under `key` at `version`, the way the
-    /// fig/table bins (and every fixture) populate a store.
+    /// Seed `dir` with `profile` under `key` at `version`, the way an
+    /// earlier run (or a replication push) leaves a store.
     fn seed(dir: &std::path::Path, key: &str, version: u32, profile: &Profile) {
         Store::open(dir)
             .expect("open store")
@@ -1140,9 +1148,7 @@ mod tests {
     }
 
     /// A record under the serving key at the catalog's record version is
-    /// served without simulating, bit-identically — the same key and
-    /// version `cactus_bench::store` reads and writes (its
-    /// `save_then_load_is_exact` is the other half).
+    /// served without simulating, bit-identically.
     #[test]
     fn store_level_is_consulted_before_simulation() {
         let dir = fresh_store_dir("store-level");
@@ -1157,7 +1163,7 @@ mod tests {
             &seeded,
         );
 
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let t = Triple::resolve("rtx-3080", "profile", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Store);
@@ -1194,7 +1200,7 @@ mod tests {
     #[test]
     fn ingest_refuses_every_non_canonical_spelling_of_a_profile() {
         let dir = fresh_store_dir("canonical");
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let doc = profile_store::write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
         let mut lines: Vec<&str> = doc.split_inclusive('\n').collect();
         lines.swap(2, 3);
@@ -1265,7 +1271,7 @@ mod tests {
                 )
                 .expect("seed store");
         }
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let (resolved, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
         assert_eq!(resolved.document, good);
@@ -1283,7 +1289,7 @@ mod tests {
         let profile = cactus_core::run("GMS", SuiteScale::Tiny);
         seed(&dir, &t.key(), entry.record_version() + 1, &profile);
 
-        let svc = ProfileService::new(Some(dir.clone()));
+        let svc = ProfileService::new(Some(dir.clone())).expect("open service");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
         assert_eq!(p.profile, profile);

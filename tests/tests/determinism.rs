@@ -7,14 +7,26 @@
 
 use cactus_core::SuiteScale;
 use cactus_gpu::prelude::*;
+use cactus_profiler::Profile;
 use cactus_suites::Scale;
 
-/// The parallel suite runner must return exactly what the serial runner
-/// returns: same workload order, bit-identical profiles.
+/// One fresh device per Table I workload, the shape every suite fan-out
+/// (the fig/table resolver's included) gives each member.
+fn run_fresh(w: &cactus_core::Workload) -> Profile {
+    let mut gpu = Gpu::new(Device::rtx3080());
+    w.run(&mut gpu, SuiteScale::Tiny);
+    Profile::from_records(gpu.records())
+}
+
+/// Fanning the suite out over `par::parallel_map` must return exactly what
+/// the serial runner returns: same workload order, bit-identical profiles.
 #[test]
 fn parallel_suite_matches_serial() {
-    let parallel = cactus_core::run_suite(SuiteScale::Tiny);
-    let serial = cactus_core::run_suite_serial(SuiteScale::Tiny);
+    let parallel = cactus_gpu::par::parallel_map(cactus_core::suite(), |w| {
+        let p = run_fresh(&w);
+        (w, p)
+    });
+    let serial = cactus_core::run_suite(SuiteScale::Tiny);
     assert_eq!(parallel.len(), serial.len());
     for ((pw, pp), (sw, sp)) in parallel.iter().zip(&serial) {
         assert_eq!(pw.abbr, sw.abbr, "workload order must match");
@@ -83,10 +95,10 @@ fn parallel_memoized_suite_matches_cold_serial() {
             (w.abbr, p)
         })
         .collect();
-    let engine = cactus_core::run_suite(SuiteScale::Tiny);
+    let engine = cactus_gpu::par::parallel_map(cactus_core::suite(), |w| (w.abbr, run_fresh(&w)));
     assert_eq!(baseline.len(), engine.len());
-    for ((ba, bp), (ew, ep)) in baseline.iter().zip(&engine) {
-        assert_eq!(*ba, ew.abbr);
+    for ((ba, bp), (ea, ep)) in baseline.iter().zip(&engine) {
+        assert_eq!(ba, ea);
         assert_eq!(bp, ep, "{ba}: engine output differs from cold baseline");
     }
 }
