@@ -361,6 +361,26 @@ mod tests {
         assert!(losses.iter().all(|l| l.is_finite()));
     }
 
+    /// Whether a step explores is drawn before any Q value is read, so new
+    /// weights change the Q values and the losses but not one launch.
+    #[test]
+    fn weights_never_reach_the_launch_stream() {
+        let run = |reinit: bool| {
+            let mut app = DqnFlappy::new(MlScale::tiny(), 49);
+            if reinit {
+                app.conv1 = Conv2d::new(1, 16, 4, 2, 1, 1050);
+                app.fc2 = Linear::new(64, 2, 1053);
+            }
+            let mut gpu = Gpu::new(Device::rtx3080());
+            gpu.enable_desc_log();
+            let losses = app.run(&mut gpu);
+            (losses, gpu.take_desc_log())
+        };
+        let (base, perturbed) = (run(false), run(true));
+        assert_ne!(base.0, perturbed.0, "the new weights change the losses");
+        assert!(base.1 == perturbed.1, "but not the launch stream");
+    }
+
     #[test]
     fn dqn_launches_many_small_forward_passes() {
         let mut gpu = Gpu::new(Device::rtx3080());

@@ -3,7 +3,7 @@
 use cactus_gpu::Gpu;
 
 use super::conv;
-use super::{bilinear_sample, map_tensor, matmul_into, normalized_coords, zip_same};
+use super::{bilinear_sample, conv_shape, map_tensor, matmul_into, normalized_coords, zip_same};
 use super::{Graph, NormScope, Op, VarId};
 use crate::kernels;
 use crate::tensor::Tensor;
@@ -20,14 +20,16 @@ impl Graph {
         assert_eq!(self.nodes[loss].value.len(), 1, "loss must be scalar");
         self.acc_grad(loss, Tensor::full(&[1], 1.0));
 
-        for rec_idx in (0..self.tape.len()).rev() {
-            let out = self.tape[rec_idx].out;
-            let Some(gout) = self.nodes[out].grad.clone() else {
+        // The ops only touch `nodes`: the tape is lent out for the pass
+        // rather than cloned op by op.
+        let tape = std::mem::take(&mut self.tape);
+        for rec in tape.iter().rev() {
+            let Some(gout) = self.nodes[rec.out].grad.clone() else {
                 continue;
             };
-            let op = self.tape[rec_idx].op.clone();
-            self.backward_op(gpu, &op, &gout, out);
+            self.backward_op(gpu, &rec.op, &gout, rec.out);
         }
+        self.tape = tape;
     }
 
     #[allow(clippy::too_many_lines)]
@@ -226,26 +228,32 @@ impl Graph {
                 self.acc_grad(*a, ga);
             }
             Op::Conv2d { x, w, stride, pad } => {
-                let xv = self.nodes[*x].value.clone();
-                let wv = self.nodes[*w].value.clone();
-                let (_, _, h, ww_) = conv::dims4(&xv);
-                let (_, _, kh, kw) = conv::dims4(&wv);
-                let dx = conv::conv_dgrad(gout, &wv, *stride, *pad, (h, ww_));
-                let dw = conv::conv_wgrad(&xv, gout, *stride, *pad, (kh, kw));
-                let s = self.conv_shape_for(&xv, &wv, gout);
+                let (dx, dw, s) = {
+                    let (xv, wv) = (&self.nodes[*x].value, &self.nodes[*w].value);
+                    let (_, _, h, ww_) = conv::dims4(xv);
+                    let (_, _, kh, kw) = conv::dims4(wv);
+                    (
+                        conv::conv_dgrad(gout, wv, *stride, *pad, (h, ww_)),
+                        conv::conv_wgrad(xv, gout, *stride, *pad, (kh, kw)),
+                        conv_shape(xv, wv, gout),
+                    )
+                };
                 kernels::conv2d_dgrad(gpu, &s);
                 kernels::conv2d_wgrad(gpu, &s);
                 self.acc_grad(*x, dx);
                 self.acc_grad(*w, dw);
             }
             Op::ConvT2d { x, w, stride, pad } => {
-                let xv = self.nodes[*x].value.clone();
-                let wv = self.nodes[*w].value.clone();
-                let (_, _, kh, kw) = conv::dims4(&wv);
-                // dX of a transposed conv is a plain forward conv of dout.
-                let dx = conv::conv_fwd(gout, &wv, *stride, *pad);
-                let dw = conv::conv_wgrad(gout, &xv, *stride, *pad, (kh, kw));
-                let s = self.conv_shape_for(&xv, &wv, gout);
+                let (dx, dw, s) = {
+                    let (xv, wv) = (&self.nodes[*x].value, &self.nodes[*w].value);
+                    let (_, _, kh, kw) = conv::dims4(wv);
+                    // dX of a transposed conv is a plain forward conv of dout.
+                    (
+                        conv::conv_fwd(gout, wv, *stride, *pad),
+                        conv::conv_wgrad(gout, xv, *stride, *pad, (kh, kw)),
+                        conv_shape(xv, wv, gout),
+                    )
+                };
                 kernels::conv2d_fwd(gpu, &s);
                 kernels::conv2d_wgrad(gpu, &s);
                 self.acc_grad(*x, dx);
@@ -424,22 +432,6 @@ impl Graph {
                 self.acc_grad(*x, dx);
                 self.acc_grad(*theta, dtheta);
             }
-        }
-    }
-
-    fn conv_shape_for(&self, xv: &Tensor, wv: &Tensor, gout: &Tensor) -> kernels::ConvShape {
-        let (n, c, _, _) = conv::dims4(xv);
-        let (_, _, kh, kw) = conv::dims4(wv);
-        let (_, oc, oh, ow) = conv::dims4(gout);
-        kernels::ConvShape {
-            n,
-            c,
-            oc,
-            kh,
-            kw,
-            oh,
-            ow,
-            stride: 1,
         }
     }
 }

@@ -36,10 +36,6 @@ pub enum NormScope {
 struct Node {
     value: Tensor,
     grad: Option<Tensor>,
-    /// Reserved for a future no-grad fast path; all op outputs currently
-    /// participate in backward.
-    #[allow(dead_code)]
-    requires_grad: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -193,25 +189,21 @@ impl Graph {
 
     /// Register a non-trainable input.
     pub fn input(&mut self, value: Tensor) -> VarId {
-        self.push_node(value, false)
+        self.push_node(value)
     }
 
     /// Register a trainable parameter.
     pub fn param(&mut self, value: Tensor) -> VarId {
-        self.push_node(value, true)
+        self.push_node(value)
     }
 
-    fn push_node(&mut self, value: Tensor, requires_grad: bool) -> VarId {
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            requires_grad,
-        });
+    fn push_node(&mut self, value: Tensor) -> VarId {
+        self.nodes.push(Node { value, grad: None });
         self.nodes.len() - 1
     }
 
     fn push_op(&mut self, op: Op, value: Tensor) -> VarId {
-        let out = self.push_node(value, true);
+        let out = self.push_node(value);
         self.tape.push(OpRecord { op, out });
         out
     }
@@ -259,7 +251,6 @@ impl Graph {
             .map(|&p| Node {
                 value: self.nodes[p].value.clone(),
                 grad: None,
-                requires_grad: true,
             })
             .collect();
         self.nodes = kept;
@@ -548,8 +539,9 @@ impl Graph {
         stride: usize,
         pad: usize,
     ) -> VarId {
-        let out = conv::conv_fwd(&self.nodes[x].value, &self.nodes[w].value, stride, pad);
-        let s = self.conv_shape(x, w, &out);
+        let (xv, wv) = (&self.nodes[x].value, &self.nodes[w].value);
+        let out = conv::conv_fwd(xv, wv, stride, pad);
+        let s = conv_shape(xv, wv, &out);
         kernels::conv2d_fwd(gpu, &s);
         self.push_op(Op::Conv2d { x, w, stride, pad }, out)
     }
@@ -570,29 +562,9 @@ impl Graph {
         let oh = (h - 1) * stride + kh - 2 * pad;
         let ow = (ww - 1) * stride + kw - 2 * pad;
         let out = conv::conv_dgrad(xv, wv, stride, pad, (oh, ow));
-        let s = self.conv_shape(x, w, &out);
+        let s = conv_shape(xv, wv, &out);
         kernels::conv2d_dgrad(gpu, &s);
         self.push_op(Op::ConvT2d { x, w, stride, pad }, out)
-    }
-
-    fn conv_shape(&self, x: VarId, w: VarId, out: &Tensor) -> kernels::ConvShape {
-        let xv = &self.nodes[x].value;
-        let wv = &self.nodes[w].value;
-        let (n, c, _, _) = conv::dims4(xv);
-        let (_, _, kh, kw) = conv::dims4(wv);
-        let (_, oc, oh, ow) = conv::dims4(out);
-        kernels::ConvShape {
-            n,
-            c,
-            oc,
-            kh,
-            kw,
-            oh,
-            ow,
-            // The kernel-selection sizing works on output geometry; the
-            // effective stride of the lowered implicit-GEMM is 1.
-            stride: 1,
-        }
     }
 
     /// Max pooling with square window `k` and stride `k`.
@@ -863,6 +835,26 @@ impl Graph {
 // -----------------------------------------------------------------------
 // Shared math helpers (also used by backward.rs)
 // -----------------------------------------------------------------------
+
+/// Launch geometry of a convolution with input `xv`, weights `wv` and
+/// output (or output gradient) `out`.
+pub(crate) fn conv_shape(xv: &Tensor, wv: &Tensor, out: &Tensor) -> kernels::ConvShape {
+    let (n, c, _, _) = conv::dims4(xv);
+    let (_, _, kh, kw) = conv::dims4(wv);
+    let (_, oc, oh, ow) = conv::dims4(out);
+    kernels::ConvShape {
+        n,
+        c,
+        oc,
+        kh,
+        kw,
+        oh,
+        ow,
+        // The kernel-selection sizing works on output geometry; the
+        // effective stride of the lowered implicit-GEMM is 1.
+        stride: 1,
+    }
+}
 
 pub(crate) fn map_tensor(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     Tensor::from_vec(t.shape(), t.data().iter().map(|&x| f(x)).collect())

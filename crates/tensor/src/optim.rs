@@ -55,6 +55,7 @@ impl Optimizer for Sgd {
         if self.velocity.len() <= self.slot {
             self.velocity.resize(self.slot + 1, Vec::new());
         }
+        let (lr, momentum) = (self.lr, self.momentum);
         let v = &mut self.velocity[self.slot];
         if v.len() != param.len() {
             *v = vec![0.0; param.len()];
@@ -65,8 +66,8 @@ impl Optimizer for Sgd {
             .zip(grad.data())
             .zip(v.iter_mut())
         {
-            *vel = self.momentum * *vel + g;
-            *p -= self.lr * *vel;
+            *vel = momentum * *vel + g;
+            *p -= lr * *vel;
         }
         kernels::sgd_step(gpu, param.len());
         self.slot += 1;
@@ -130,16 +131,18 @@ impl Optimizer for Adam {
             self.m[self.slot] = vec![0.0; param.len()];
             self.v[self.slot] = vec![0.0; param.len()];
         }
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let t = self.t.max(1) as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
+        let bc1 = 1.0 - beta1.powi(t);
+        let bc2 = 1.0 - beta2.powi(t);
         let (m, v) = (&mut self.m[self.slot], &mut self.v[self.slot]);
-        for (i, (p, &g)) in param.data_mut().iter_mut().zip(grad.data()).enumerate() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((p, &g), (m, v)) in param.data_mut().iter_mut().zip(grad.data()).zip(moments) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
         }
         kernels::adam_step(gpu, param.len());
         self.slot += 1;
