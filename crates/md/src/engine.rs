@@ -245,8 +245,7 @@ impl MdEngine {
         if let Some(params) = self.config.pme {
             if self.sys.is_charged() {
                 let pme = self.pme.get_or_insert_with(|| PmeWorkspace::new(params));
-                let r = pme.reciprocal(&mut self.sys);
-                potential += r.energy;
+                potential += pme.reciprocal(&mut self.sys);
                 for k in pme_kernels(taxonomy, n, params.grid) {
                     gpu.launch(&k);
                 }
