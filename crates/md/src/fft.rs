@@ -59,10 +59,11 @@ fn rows<const R: usize>(
     })
 }
 
-/// Copy the `n`-cell lines `lines[j]` of `slab` into column `j` of the
+/// Copy the `n`-cell lines `lines[j]` of `slab` (an x-slab, or a whole
+/// grid whose Z line `(x, y)` is line `x·n + y`) into column `j` of the
 /// `n × m` `block` (`m = lines.len()`, `lines` ascending), one 2×2 tile
 /// (two lines, two cells) per step.
-fn lines_to_columns(slab: &[f64], lines: &[usize], block: &mut [f64], n: usize) {
+pub(crate) fn lines_to_columns(slab: &[f64], lines: &[usize], block: &mut [f64], n: usize) {
     let m = lines.len();
     for (p, pair) in lines.chunks(2).enumerate() {
         let j = 2 * p;
