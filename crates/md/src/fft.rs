@@ -8,12 +8,13 @@
 //! index, so that all `width` lines advance together under one twiddle with
 //! unit-stride inner loops. It does two radix-2 stages per sweep over the
 //! block, and it skips every butterfly group whose rows are all `+0.0`. A
-//! 1-D line is the `width = 1` case; [`Grid3`] keeps its real and imaginary
-//! parts in separate arrays and runs every axis as row passes (Z through a
-//! transposed x-slab). All of these reorder *which cell* is computed when,
-//! or skip a computation whose result is already stored: every cell still
-//! sees the operations, operands and order of a per-line transform, bit for
-//! bit.
+//! 1-D line is the `width = 1` case; the PME solve keeps its grids' real
+//! and imaginary parts in separate arrays and runs every axis as row passes
+//! (Z on Z lines copied into the columns of a block by
+//! [`lines_to_columns`]). All of these reorder *which cell* is computed
+//! when, or skip a computation whose result is already stored: every cell
+//! still sees the operations, operands and order of a per-line transform,
+//! bit for bit.
 
 use std::f64::consts::PI;
 
@@ -59,17 +60,17 @@ fn rows<const R: usize>(
     })
 }
 
-/// Copy the `n`-cell lines `lines[j]` of `slab` (an x-slab, or a whole
-/// grid whose Z line `(x, y)` is line `x·n + y`) into column `j` of the
+/// Copy the `n`-cell lines `lines[j]` of `grid` (a whole grid whose Z line
+/// `(x, y)` is line `x·n + y`) into column `j` of the
 /// `n × m` `block` (`m = lines.len()`, `lines` ascending), one 2×2 tile
 /// (two lines, two cells) per step.
-pub(crate) fn lines_to_columns(slab: &[f64], lines: &[usize], block: &mut [f64], n: usize) {
+pub(crate) fn lines_to_columns(grid: &[f64], lines: &[usize], block: &mut [f64], n: usize) {
     let m = lines.len();
     for (p, pair) in lines.chunks(2).enumerate() {
         let j = 2 * p;
-        let a = &slab[pair[0] * n..][..n];
+        let a = &grid[pair[0] * n..][..n];
         if let [_, yb] = *pair {
-            let cells = a.chunks_exact(2).zip(slab[yb * n..][..n].chunks_exact(2));
+            let cells = a.chunks_exact(2).zip(grid[yb * n..][..n].chunks_exact(2));
             for (rows, (a, b)) in block.chunks_exact_mut(2 * m).zip(cells) {
                 let (r0, r1) = rows.split_at_mut(m);
                 (r0[j], r0[j + 1]) = (a[0], b[0]);
@@ -78,31 +79,6 @@ pub(crate) fn lines_to_columns(slab: &[f64], lines: &[usize], block: &mut [f64],
         } else {
             for (row, &v) in block.chunks_exact_mut(m).zip(a) {
                 row[j] = v;
-            }
-        }
-    }
-}
-
-/// The inverse of [`lines_to_columns`]: column `j` of `block` back into
-/// line `lines[j]` of `slab`.
-fn columns_to_lines(block: &[f64], lines: &[usize], slab: &mut [f64], n: usize) {
-    let m = lines.len();
-    for (p, pair) in lines.chunks(2).enumerate() {
-        let j = 2 * p;
-        if let [ya, yb] = *pair {
-            let (head, tail) = slab.split_at_mut(yb * n);
-            let cells = head[ya * n..][..n]
-                .chunks_exact_mut(2)
-                .zip(tail[..n].chunks_exact_mut(2));
-            for (rows, (a, b)) in block.chunks_exact(2 * m).zip(cells) {
-                let (r0, r1) = rows.split_at(m);
-                (a[0], b[0]) = (r0[j], r0[j + 1]);
-                (a[1], b[1]) = (r1[j], r1[j + 1]);
-            }
-        } else {
-            let line = &mut slab[pair[0] * n..][..n];
-            for (v, row) in line.iter_mut().zip(block.chunks_exact(m)) {
-                *v = row[j];
             }
         }
     }
@@ -238,7 +214,13 @@ impl FftPlan {
     /// per row: whether the row has a live cell. A group of rows that are
     /// all dead is skipped (its butterflies would write the `+0.0` already
     /// there); every row a computed group writes is live afterwards.
-    fn row_pass(&self, re: &mut [f64], im: &mut [f64], inverse: bool, live: &mut [bool]) {
+    pub(crate) fn row_pass(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        inverse: bool,
+        live: &mut [bool],
+    ) {
         let n = self.n;
         let width = re.len() / n;
         assert!(
@@ -300,52 +282,6 @@ impl FftPlan {
             half = next;
         }
     }
-
-    /// [`row_pass`](Self::row_pass) on the liveness flags of `scratch`.
-    pub(crate) fn transform_rows(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        inverse: bool,
-        scratch: &mut FftScratch,
-    ) {
-        self.row_pass(re, im, inverse, &mut scratch.live);
-    }
-
-    /// The Z and Y passes of one x-slab: `n` rows of `n` cells, row `y`
-    /// the Z line `(y, 0..n)`. Z lines are contiguous, so the live ones are
-    /// transposed into the scratch block (`n` rows of one cell per line),
-    /// row-passed and transposed back; dead lines stay `+0.0`. The Y pass
-    /// is a row pass over the slab itself.
-    pub(crate) fn transform_slab(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        inverse: bool,
-        scratch: &mut FftScratch,
-    ) {
-        let n = self.n;
-        assert!(
-            re.len() == n * n && im.len() == n * n,
-            "a slab holds n² cells"
-        );
-        scratch.lines.clear();
-        for y in 0..n {
-            let line = y * n..(y + 1) * n;
-            if is_live(&re[line.clone()], &im[line]) {
-                scratch.lines.push(y);
-            }
-        }
-        let lines = &scratch.lines;
-        let cells = n * lines.len();
-        let (block_re, block_im) = (&mut scratch.re[..cells], &mut scratch.im[..cells]);
-        lines_to_columns(re, lines, block_re, n);
-        lines_to_columns(im, lines, block_im, n);
-        self.row_pass(block_re, block_im, inverse, &mut scratch.live);
-        columns_to_lines(block_re, lines, re, n);
-        columns_to_lines(block_im, lines, im, n);
-        self.row_pass(re, im, inverse, &mut scratch.live);
-    }
 }
 
 /// In-place iterative radix-2 Cooley–Tukey FFT. `inverse` applies the
@@ -357,138 +293,6 @@ impl FftPlan {
 /// Panics if the length is not a power of two.
 pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
     FftPlan::new(data.len()).transform(data, inverse);
-}
-
-/// The buffers a side-`n` transform borrows besides its cells: the Z-pass
-/// block (one x-slab's live Z lines, transposed), one liveness flag per
-/// row, and the indices of the slab's live Z lines. Sized once, so a
-/// caller that keeps it transforms without allocating.
-#[derive(Debug, Clone)]
-pub(crate) struct FftScratch {
-    re: Vec<f64>,
-    im: Vec<f64>,
-    live: Vec<bool>,
-    lines: Vec<usize>,
-}
-
-impl FftScratch {
-    /// Scratch for side-`n` transforms.
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            re: vec![0.0; n * n],
-            im: vec![0.0; n * n],
-            live: vec![false; n],
-            lines: Vec::with_capacity(n),
-        }
-    }
-
-    /// Capacities of every buffer, for no-reallocation checks.
-    #[cfg(test)]
-    pub(crate) fn capacities(&self) -> [usize; 4] {
-        [
-            self.re.capacity(),
-            self.im.capacity(),
-            self.live.capacity(),
-            self.lines.capacity(),
-        ]
-    }
-}
-
-/// A cubic complex grid with FFT transforms along every axis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid3 {
-    n: usize,
-    re: Vec<f64>,
-    im: Vec<f64>,
-}
-
-impl Grid3 {
-    /// A zeroed `n × n × n` grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two(), "grid side must be a power of two");
-        Self {
-            n,
-            re: vec![0.0; n * n * n],
-            im: vec![0.0; n * n * n],
-        }
-    }
-
-    /// Grid side length.
-    #[must_use]
-    pub fn side(&self) -> usize {
-        self.n
-    }
-
-    fn idx(&self, x: usize, y: usize, z: usize) -> usize {
-        (x * self.n + y) * self.n + z
-    }
-
-    /// Read one cell.
-    #[must_use]
-    pub fn get(&self, x: usize, y: usize, z: usize) -> Complex {
-        let i = self.idx(x, y, z);
-        (self.re[i], self.im[i])
-    }
-
-    /// Write one cell.
-    pub fn set(&mut self, x: usize, y: usize, z: usize, v: Complex) {
-        let i = self.idx(x, y, z);
-        self.re[i] = v.0;
-        self.im[i] = v.1;
-    }
-
-    /// Add into one cell.
-    pub fn add(&mut self, x: usize, y: usize, z: usize, v: f64) {
-        let i = self.idx(x, y, z);
-        self.re[i] += v;
-    }
-
-    /// The real and imaginary parts of every cell, cell `(x, y, z)` at
-    /// `(x·n + y)·n + z`.
-    pub(crate) fn cells(&self) -> (&[f64], &[f64]) {
-        (&self.re, &self.im)
-    }
-
-    /// Zero the grid.
-    pub fn clear(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-    }
-
-    /// Forward (or inverse) 3-D FFT, applied axis by axis. Tabulates a
-    /// plan per call; see [`fft_planned`](Self::fft_planned).
-    pub fn fft(&mut self, inverse: bool) {
-        self.fft_planned(&FftPlan::new(self.n), inverse);
-    }
-
-    /// [`fft`](Self::fft) on a caller-kept plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's length is not the grid side.
-    pub fn fft_planned(&mut self, plan: &FftPlan, inverse: bool) {
-        self.transform(plan, inverse, &mut FftScratch::new(self.n));
-    }
-
-    /// [`fft_planned`](Self::fft_planned) on caller-kept scratch.
-    pub(crate) fn transform(&mut self, plan: &FftPlan, inverse: bool, scratch: &mut FftScratch) {
-        let n = self.n;
-        assert_eq!(plan.n, n, "plan length must match the grid side");
-        let slabs = self
-            .re
-            .chunks_exact_mut(n * n)
-            .zip(self.im.chunks_exact_mut(n * n));
-        for (re, im) in slabs {
-            plan.transform_slab(re, im, inverse, scratch);
-        }
-        // X: one row pass over the n planes of n² cells.
-        plan.transform_rows(&mut self.re, &mut self.im, inverse, scratch);
-    }
 }
 
 #[cfg(test)]
@@ -807,21 +611,6 @@ mod tests {
             .collect()
     }
 
-    fn grid_bits(g: &Grid3) -> Vec<(u64, u64)> {
-        g.re.iter()
-            .zip(&g.im)
-            .map(|(re, im)| (re.to_bits(), im.to_bits()))
-            .collect()
-    }
-
-    fn grid_from(n: usize, cells: &[Complex]) -> Grid3 {
-        Grid3 {
-            n,
-            re: cells.iter().map(|c| c.0).collect(),
-            im: cells.iter().map(|c| c.1).collect(),
-        }
-    }
-
     #[test]
     fn planned_line_transform_is_bit_identical_to_the_reference() {
         for n in [1, 2, 4, 8, 16, 32, 64] {
@@ -843,8 +632,13 @@ mod tests {
 
     #[test]
     fn planned_grid_transform_is_bit_identical_to_the_reference() {
+        // A 3-D transform as row passes over split storage (Z one line at a
+        // time, Y per x-slab at width n, X over the whole grid at width n²),
+        // and the interleaved planned transform `pme::reference` runs on,
+        // against the per-line original.
         for n in [1, 2, 4, 8, 16, 32] {
             let plan = FftPlan::new(n);
+            let mut live = vec![false; n];
             let inputs = oracle_inputs(n * n * n).into_iter().chain(sparse_grids(n));
             for (family, input) in inputs.enumerate() {
                 for inverse in [false, true] {
@@ -853,16 +647,21 @@ mod tests {
                     let mut interleaved = per_line.clone();
                     reference::grid_fft(&mut per_line, inverse);
                     interleaved.fft_planned(&plan, inverse);
-                    assert_eq!(bits(&interleaved.data), bits(&per_line.data));
-
-                    let mut planned = grid_from(n, &input);
-                    let mut one_shot = planned.clone();
-                    planned.fft_planned(&plan, inverse);
-                    one_shot.fft(inverse);
                     let want = bits(&per_line.data);
                     let at = format!("n={n} family={family} inverse={inverse}");
-                    assert_eq!(grid_bits(&planned), want, "{at}");
-                    assert_eq!(grid_bits(&one_shot), want, "{at}");
+                    assert_eq!(bits(&interleaved.data), want, "{at}");
+
+                    let mut re: Vec<f64> = input.iter().map(|c| c.0).collect();
+                    let mut im: Vec<f64> = input.iter().map(|c| c.1).collect();
+                    for (re, im) in re.chunks_exact_mut(n).zip(im.chunks_exact_mut(n)) {
+                        plan.row_pass(re, im, inverse, &mut live);
+                    }
+                    for (re, im) in re.chunks_exact_mut(n * n).zip(im.chunks_exact_mut(n * n)) {
+                        plan.row_pass(re, im, inverse, &mut live);
+                    }
+                    plan.row_pass(&mut re, &mut im, inverse, &mut live);
+                    let rows: Vec<Complex> = re.into_iter().zip(im).collect();
+                    assert_eq!(bits(&rows), want, "{at}");
                 }
             }
         }
@@ -916,7 +715,7 @@ mod tests {
         // no gathered column) transforms nothing and does not panic.
         let plan = FftPlan::new(8);
         for inverse in [false, true] {
-            plan.transform_rows(&mut [], &mut [], inverse, &mut FftScratch::new(8));
+            plan.row_pass(&mut [], &mut [], inverse, &mut [false; 8]);
         }
     }
 
@@ -989,34 +788,5 @@ mod tests {
     fn non_power_of_two_panics() {
         let mut d = vec![(0.0, 0.0); 6];
         fft_inplace(&mut d, false);
-    }
-
-    #[test]
-    fn grid3_roundtrip() {
-        let mut g = Grid3::new(8);
-        g.set(1, 2, 3, (2.5, 0.0));
-        g.set(7, 0, 4, (-1.0, 0.5));
-        let orig = g.clone();
-        g.fft(false);
-        g.fft(true);
-        for x in 0..8 {
-            for y in 0..8 {
-                for z in 0..8 {
-                    let a = g.get(x, y, z);
-                    let b = orig.get(x, y, z);
-                    assert!((a.0 - b.0).abs() < 1e-10 && (a.1 - b.1).abs() < 1e-10);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn grid3_dc_bin_is_total_mass() {
-        let mut g = Grid3::new(4);
-        g.add(0, 0, 0, 3.0);
-        g.add(2, 1, 3, 4.0);
-        g.fft(false);
-        let dc = g.get(0, 0, 0);
-        assert!((dc.0 - 7.0).abs() < 1e-10);
     }
 }

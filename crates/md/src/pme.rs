@@ -8,17 +8,23 @@
 //! [`crate::forces::lj_coulomb_cut`], the total Coulomb interaction is
 //! α-independent — the property the test suite checks.
 //!
-//! A [`PmeWorkspace`] holds the transform plan, the charge grid, the field
-//! grids and the transform scratch, so an evaluation allocates nothing;
-//! the Green's function is tabulated once per call on the folded octant of
-//! the grid. The three real field components travel as two complex grids,
-//! `Ex + i·Ey` and `Ez`, and their inverse runs X → Y → Z: X over the whole
-//! grids, Y only on the x-slabs and Z only on the Z lines the force gather
-//! reads.
+//! A [`PmeWorkspace`] holds the transform plan, the grids and the tables,
+//! so an evaluation allocates nothing. The charge grid is real, so its
+//! spectrum is Hermitian and the solve keeps only the half `kz ≤ n/2`
+//! (`h = n/2 + 1` planes, cell `(x·n + y)·h + kz`): the forward transform,
+//! the spectral loop and the inverse X pass touch about half the cells of
+//! a whole grid. The Green's function is a product of per-axis Gaussians,
+//! tabulated once per call on the folded octant. The inverse runs X → Y →
+//! Z on two half grids, the potential `φ` and `Ex`: X over the whole of
+//! both; then, on the x-slabs the force gather reads, `Ey = −i·ky·φ` is
+//! formed and all three are Y-transformed; Z runs only on the gathered Z
+//! lines, each extended to its full Hermitian spectrum, with `Ex + i·Ey`
+//! in one column and `Ez = −i·kz·φ` in the next.
 
 use std::f64::consts::PI;
+use std::ops::Range;
 
-use crate::fft::{lines_to_columns, FftPlan, FftScratch, Grid3};
+use crate::fft::{lines_to_columns, FftPlan};
 use crate::system::{ParticleSystem, Vec3};
 
 /// PME parameters.
@@ -48,48 +54,59 @@ const UNMARKED: usize = usize::MAX;
 pub struct PmeWorkspace {
     params: PmeParams,
     plan: FftPlan,
-    rho: Grid3,
-    /// `Ex + i·Ey`, then `Ez`.
-    fields: [Field; 2],
+    /// The real charge grid, cell `(x·n + y)·n + z`: `+0.0` off the marked
+    /// Z lines, which are the only ones a call clears and spreads into.
+    rho: Vec<f64>,
+    /// The charge's half spectrum, then the potential `φ`, then `φ`
+    /// X-transformed (and Y-transformed on the gathered x-slabs).
+    phi: Cells,
+    /// `Ex` on the half grid, transformed alongside `phi`.
+    ex: Cells,
+    /// `Ey` of one x-slab: `n` rows (`y`) of `h` cells.
+    ey: Cells,
+    /// `n` rows of one cell per column: the forward Z pass's `m` columns,
+    /// one per marked line, then the inverse's `2m` (`Ex + i·Ey` of line
+    /// `lines[j]` in column `2j`, its `Ez` in `2j + 1`).
+    block: Cells,
     /// `kvec(m)` for every grid index, refilled per call (the box breathes
     /// under a barostat).
     kvec: Vec<f64>,
+    /// `exp(−kvec(m)²/4α²)` for `m ≤ n/2`, refilled per call.
+    gauss: Vec<f64>,
     /// The Green's function on the folded octant `(n/2 + 1)³`, refilled per
     /// call. `k²` is even in every component and `kvec(n − m) = −kvec(m)`
-    /// exactly, so the entry at `(fold(x), fold(y), fold(z))` is the very
-    /// `f64` the direct expression gives at `(x, y, z)` (see [`fold`]).
+    /// exactly, so the entry at `(fold(x), fold(y), fold(z))` serves
+    /// `(x, y, z)` (see [`fold`]).
     green: Vec<f64>,
-    /// Per Z line `(x, y)` (`x·n + y`): its column in the fields' blocks
-    /// when a charged particle's stencil holds it, [`UNMARKED`] otherwise.
+    /// Per Z line `(x, y)` (`x·n + y`): its index in `lines` when a charged
+    /// particle's stencil holds it, [`UNMARKED`] otherwise.
     slot: Vec<usize>,
-    /// The stencils' Z lines in increasing order: the only lines the
-    /// inverse Z pass transforms, on the only x-slabs the Y pass does.
+    /// The stencils' Z lines in increasing order: the only lines the Z
+    /// passes transform, on the only x-slabs the Y passes do.
     lines: Vec<usize>,
-    scratch: FftScratch,
+    /// The row pass's liveness flags, one per row.
+    live: Vec<bool>,
 }
 
-/// One complex field, from the spectral loop to the gather: the whole grid
-/// the spectral loop fills and the X and Y passes transform in place, and
-/// the `n × m` block the Z pass finishes the `m` gathered Z lines in (row
-/// `z`, column `j` is cell `z` of line `lines[j]`).
+/// Complex cells in split storage.
 #[derive(Debug, Clone)]
-struct Field {
+struct Cells {
     re: Vec<f64>,
     im: Vec<f64>,
-    block_re: Vec<f64>,
-    block_im: Vec<f64>,
 }
 
-impl Field {
-    fn new(n: usize) -> Self {
-        // Room for every Z line in the block; a call touches `n × m` cells.
-        let cells = n * n * n;
+impl Cells {
+    fn new(len: usize) -> Self {
         Self {
-            re: vec![0.0; cells],
-            im: vec![0.0; cells],
-            block_re: vec![0.0; cells],
-            block_im: vec![0.0; cells],
+            re: vec![0.0; len],
+            im: vec![0.0; len],
         }
+    }
+
+    /// Row-pass `cells`: `n` rows of `cells.len() / n`.
+    fn row_pass(&mut self, cells: Range<usize>, plan: &FftPlan, inverse: bool, live: &mut [bool]) {
+        let (re, im) = (&mut self.re[cells.clone()], &mut self.im[cells]);
+        plan.row_pass(re, im, inverse, live);
     }
 }
 
@@ -116,9 +133,20 @@ fn fold(m: usize, n: usize) -> usize {
     }
 }
 
-/// The Ewald Green's function `4π·exp(−k²/4α²)/(V·k²)`.
-fn green(k2: f64, alpha: f64, volume: f64) -> f64 {
-    4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2)
+/// The spectral derivative factor of grid index `m` (wave number `k`) of an
+/// `n`-point axis: `k`, but zero on the Nyquist index `n/2`. There `kvec`
+/// is not negated under `m → n − m`, so `−i·k·φ` would be anti-Hermitian
+/// along that axis and invert to a purely imaginary field, which in exact
+/// arithmetic contributes nothing to the real force. Zeroing it keeps every
+/// field component Hermitian, which both the half spectrum and the packed
+/// `Ex + i·Ey` column assume. (At `n = 1` the Nyquist index is 0, whose
+/// `kvec` is `−2π/L`, not 0.)
+fn derivative(m: usize, k: f64, n: usize) -> f64 {
+    if m == n / 2 {
+        0.0
+    } else {
+        k
+    }
 }
 
 impl PmeWorkspace {
@@ -130,17 +158,22 @@ impl PmeWorkspace {
     #[must_use]
     pub fn new(params: PmeParams) -> Self {
         let n = params.grid;
-        let folded = n / 2 + 1;
+        let h = n / 2 + 1;
         Self {
             params,
-            rho: Grid3::new(n),
-            fields: [Field::new(n), Field::new(n)],
             plan: FftPlan::new(n),
+            rho: vec![0.0; n * n * n],
+            phi: Cells::new(n * n * h),
+            ex: Cells::new(n * n * h),
+            ey: Cells::new(n * h),
+            // Room for two columns per Z line; a call touches `n × 2m`.
+            block: Cells::new(2 * n * n * n),
             kvec: vec![0.0; n],
-            green: vec![0.0; folded * folded * folded],
+            gauss: vec![0.0; h],
+            green: vec![0.0; h * h * h],
             slot: vec![UNMARKED; n * n],
             lines: Vec::with_capacity(n * n),
-            scratch: FftScratch::new(n),
+            live: vec![false; n],
         }
     }
 
@@ -156,31 +189,16 @@ impl PmeWorkspace {
         let q2_sum: f64 = sys.charges.iter().map(|q| q * q).sum();
         energy -= self.params.alpha / PI.sqrt() * q2_sum;
 
-        // --- Inverse: X over both whole grids, Y on the stencils' x-slabs,
-        // Z on their lines (copied into the block, which the gather reads).
         let m = self.lines.len();
         if m == 0 {
             return energy;
         }
-        for f in &mut self.fields {
-            self.plan
-                .transform_rows(&mut f.re, &mut f.im, true, &mut self.scratch);
-            for slab_lines in self.lines.chunk_by(|a, b| a / n == b / n) {
-                let x = slab_lines[0] / n;
-                let slab = x * n * n..(x + 1) * n * n;
-                let (re, im) = (&mut f.re[slab.clone()], &mut f.im[slab]);
-                self.plan.transform_rows(re, im, true, &mut self.scratch);
-            }
-            let (re, im) = (&mut f.block_re[..n * m], &mut f.block_im[..n * m]);
-            lines_to_columns(&f.re, &self.lines, re, n);
-            lines_to_columns(&f.im, &self.lines, im, n);
-            self.plan.transform_rows(re, im, true, &mut self.scratch);
-        }
+        self.invert();
 
         // --- Gather: interpolate at the particles. Our inverse FFT divides
         // by n³; the spectral sum has no such factor, so scale back.
         let scale = (n * n * n) as f64;
-        let [exy, ez] = &self.fields;
+        let (re, im) = (&self.block.re, &self.block.im);
         for idx in 0..sys.len() {
             let q = sys.charges[idx];
             if q == 0.0 {
@@ -190,11 +208,11 @@ impl PmeWorkspace {
             let mut e_here = [0.0; 3];
             for &(ix, wx) in &wx {
                 for &(iy, wy) in &wy {
-                    let column = self.slot[ix * n + iy];
+                    let column = 2 * self.slot[ix * n + iy];
                     for &(iz, wz) in &wz {
                         let w = wx * wy * wz;
-                        let cell = iz * m + column;
-                        let e = [exy.block_re[cell], exy.block_im[cell], ez.block_re[cell]];
+                        let cell = iz * 2 * m + column;
+                        let e = [re[cell], im[cell], re[cell + 1]];
                         for (sum, e) in e_here.iter_mut().zip(e) {
                             *sum += w * e * scale;
                         }
@@ -209,22 +227,25 @@ impl PmeWorkspace {
         energy
     }
 
-    /// Spread the charges, transform them and fill the two field grids with
-    /// the spectral gradient; returns the k-space energy. Marks the Z lines
-    /// the gather will read.
+    /// Spread the charges, transform them to the half spectrum and
+    /// overwrite it with `φ`, filling `ex` with `Ex`; returns the k-space
+    /// energy. Marks the Z lines the gather will read.
     fn spectrum(&mut self, sys: &ParticleSystem) -> f64 {
         let n = self.params.grid;
+        let h = n / 2 + 1;
+        let half = n / 2;
         let alpha = self.params.alpha;
         let l = sys.box_len;
         let volume = l * l * l;
 
         // --- Spread: cloud-in-cell charge assignment -------------------
-        // The stencils' (x, y) lines are the only Z lines the gather reads.
+        // The stencils' (x, y) lines are the only Z lines the gather reads,
+        // and the only ones holding charge.
         for &line in &self.lines {
             self.slot[line] = UNMARKED;
+            self.rho[line * n..][..n].fill(0.0);
         }
         self.lines.clear();
-        self.rho.clear();
         for (p, &q) in sys.positions.iter().zip(&sys.charges) {
             if q == 0.0 {
                 continue;
@@ -242,86 +263,164 @@ impl PmeWorkspace {
             for &(ix, wx) in &wx {
                 for &(iy, wy) in &wy {
                     for &(iz, wz) in &wz {
-                        self.rho.add(ix, iy, iz, q * wx * wy * wz);
+                        self.rho[(ix * n + iy) * n + iz] += q * wx * wy * wz;
                     }
                 }
             }
         }
         self.lines.sort_unstable();
-        for (column, &line) in self.lines.iter().enumerate() {
-            self.slot[line] = column;
+        for (j, &line) in self.lines.iter().enumerate() {
+            self.slot[line] = j;
         }
 
-        // --- Solve: forward FFT, Green's function ----------------------
-        self.rho.transform(&self.plan, false, &mut self.scratch);
+        // --- Forward, real to half-complex: Z on the marked lines (a
+        // complex transform of the real line, of which `kz ≤ n/2` is kept:
+        // the rest is its conjugate mirror), Y on their x-slabs, X over the
+        // whole half grid.
+        let m = self.lines.len();
+        let (re, im) = (&mut self.block.re[..n * m], &mut self.block.im[..n * m]);
+        lines_to_columns(&self.rho, &self.lines, re, n);
+        im.fill(0.0);
+        self.plan.row_pass(re, im, false, &mut self.live);
+        self.phi.re.fill(0.0);
+        self.phi.im.fill(0.0);
+        for kz in 0..h {
+            let row = kz * m..(kz + 1) * m;
+            let cells = self.block.re[row.clone()].iter().zip(&self.block.im[row]);
+            for (&line, (&re, &im)) in self.lines.iter().zip(cells) {
+                (self.phi.re[line * h + kz], self.phi.im[line * h + kz]) = (re, im);
+            }
+        }
+        for slab_lines in self.lines.chunk_by(|a, b| a / n == b / n) {
+            let x = slab_lines[0] / n;
+            let slab = x * n * h..(x + 1) * n * h;
+            self.phi.row_pass(slab, &self.plan, false, &mut self.live);
+        }
+        self.phi
+            .row_pass(0..n * n * h, &self.plan, false, &mut self.live);
 
-        let half = n / 2;
-        for (m, k) in self.kvec.iter_mut().enumerate() {
-            let wrapped = if m >= half {
-                m as isize - n as isize
+        // --- Green's function: `exp(−k²/4α²)` is the product of one
+        // Gaussian per axis, so a call evaluates `n/2 + 1` `exp`.
+        for (i, k) in self.kvec.iter_mut().enumerate() {
+            let wrapped = if i >= half {
+                i as isize - n as isize
             } else {
-                m as isize
+                i as isize
             };
             *k = 2.0 * PI * wrapped as f64 / l;
         }
+        let folded = &self.kvec[..h];
+        for (g, &k) in self.gauss.iter_mut().zip(folded) {
+            *g = (-(k * k) / (4.0 * alpha * alpha)).exp();
+        }
         // The DC entry is a division by zero; it is never read.
-        let folded = &self.kvec[..=half];
+        let c = 4.0 * PI / volume;
         let mut entries = self.green.iter_mut();
-        for &kx in folded {
-            for &ky in folded {
-                for (&kz, g) in folded.iter().zip(&mut entries) {
-                    *g = green(kx * kx + ky * ky + kz * kz, alpha, volume);
+        for (&kx, &gx) in folded.iter().zip(&self.gauss) {
+            for (&ky, &gy) in folded.iter().zip(&self.gauss) {
+                let (kxy2, gxy) = (kx * kx + ky * ky, gx * gy);
+                for ((&kz, &gz), g) in folded.iter().zip(&self.gauss).zip(&mut entries) {
+                    *g = c * (gxy * gz) / (kxy2 + kz * kz);
                 }
             }
         }
 
-        // --- Spectral gradient, packed, cell by cell in x→y→z order (the
-        // order `energy` is summed in). `E(k) = −i·k·φ(k)` is
-        // `(pi − i·pr)·k` per axis, so the two grids get
-        // `Ex + i·Ey = (pi·kx + pr·ky, pi·ky − pr·kx)` and
-        // `Ez = (pi·kz, −pr·kz)`. On its own axis's Nyquist index `n/2`
-        // each derivative factor is zeroed: `kvec` is not negated under
-        // `m → n − m` there, so that plane of the component is
-        // anti-Hermitian and inverts to a purely imaginary field, which
-        // the real part the gather reads drops in exact arithmetic —
-        // packed, it would land in the partner's slot. (At `n = 1` the
-        // Nyquist index is 0, whose `kvec` is `−2π/L`, not 0.)
-        let derivative = |m: usize, k: f64| if m == half { 0.0 } else { k };
-        let (rho_re, rho_im) = self.rho.cells();
-        let [exy, ez] = &mut self.fields;
+        // --- Spectral loop, one Z line at a time: `φ = g·ρ = (pr, pi)`
+        // over `ρ` in place, and `Ex = −i·kx·φ = (pi·kx, −pr·kx)`. The
+        // planes `kz = 0` and `n/2` are their own mirrors; every other
+        // plane also stands for its mirror `n − kz`, so its energy counts
+        // twice.
         let kvec = &self.kvec[..n];
-        let side = half + 1;
         let mut energy = 0.0;
         for (x, &kx) in kvec.iter().enumerate() {
-            let dx = derivative(x, kx);
+            let dx = derivative(x, kx, n);
             for (y, &ky) in kvec.iter().enumerate() {
-                let dy = derivative(y, ky);
                 let kxy2 = kx * kx + ky * ky;
-                let green_row = &self.green[(fold(x, n) * side + fold(y, n)) * side..][..side];
-                // One Z line; `[..n]` lets the cell indices below go unchecked.
-                let start = (x * n + y) * n;
-                let (sr, si) = (&rho_re[start..][..n], &rho_im[start..][..n]);
-                let (xy_re, xy_im) = (&mut exy.re[start..][..n], &mut exy.im[start..][..n]);
-                let (z_re, z_im) = (&mut ez.re[start..][..n], &mut ez.im[start..][..n]);
-                for z in 0..n {
+                let green_row = &self.green[(fold(x, n) * h + fold(y, n)) * h..][..h];
+                // `[..h]` lets the cell indices below go unchecked.
+                let start = (x * n + y) * h;
+                let (p_re, p_im) = (
+                    &mut self.phi.re[start..][..h],
+                    &mut self.phi.im[start..][..h],
+                );
+                let (x_re, x_im) = (&mut self.ex.re[start..][..h], &mut self.ex.im[start..][..h]);
+                for z in 0..h {
                     let kz = kvec[z];
                     if kxy2 + kz * kz <= 0.0 {
                         // The grids are reused: the DC cell holds the last
                         // call's real-space field until it is zeroed.
-                        (xy_re[z], xy_im[z], z_re[z], z_im[z]) = (0.0, 0.0, 0.0, 0.0);
+                        (p_re[z], p_im[z], x_re[z], x_im[z]) = (0.0, 0.0, 0.0, 0.0);
                         continue;
                     }
-                    let g = green_row[fold(z, n)];
-                    let (sr, si) = (sr[z], si[z]);
-                    energy += 0.5 * g * (sr * sr + si * si);
+                    let g = green_row[z];
+                    let (sr, si) = (p_re[z], p_im[z]);
+                    let weight = if z == 0 || z == half { 0.5 } else { 1.0 };
+                    energy += weight * g * (sr * sr + si * si);
                     let (pr, pi) = (g * sr, g * si);
-                    let dz = derivative(z, kz);
-                    (xy_re[z], xy_im[z]) = (pi * dx + pr * dy, pi * dy - pr * dx);
-                    (z_re[z], z_im[z]) = (pi * dz, -pr * dz);
+                    (p_re[z], p_im[z]) = (pr, pi);
+                    (x_re[z], x_im[z]) = (pi * dx, -pr * dx);
                 }
             }
         }
         energy
+    }
+
+    /// The inverse, X → Y → Z, pruned to what the gather reads: leaves the
+    /// real-space `Ex + i·Ey` and `Ez` of line `lines[j]` in columns `2j`
+    /// and `2j + 1` of the `n × 2m` block.
+    fn invert(&mut self) {
+        let n = self.params.grid;
+        let h = n / 2 + 1;
+        let width = 2 * self.lines.len();
+        let kvec = &self.kvec[..n];
+        let plan = &self.plan;
+        self.ex.row_pass(0..n * n * h, plan, true, &mut self.live);
+        self.phi.row_pass(0..n * n * h, plan, true, &mut self.live);
+        for slab_lines in self.lines.chunk_by(|a, b| a / n == b / n) {
+            let x = slab_lines[0] / n;
+            let slab = x * n * h..(x + 1) * n * h;
+            // `Ey = −i·ky·φ = (pi·ky, −pr·ky)`: `ky` is constant along x,
+            // so it commutes with the X transform.
+            let phi = (&self.phi.re[slab.clone()], &self.phi.im[slab.clone()]);
+            let rows = self
+                .ey
+                .re
+                .chunks_exact_mut(h)
+                .zip(self.ey.im.chunks_exact_mut(h));
+            let from = phi.0.chunks_exact(h).zip(phi.1.chunks_exact(h));
+            for (y, ((e_re, e_im), (p_re, p_im))) in rows.zip(from).enumerate() {
+                let dy = derivative(y, kvec[y], n);
+                for z in 0..h {
+                    (e_re[z], e_im[z]) = (p_im[z] * dy, -p_re[z] * dy);
+                }
+            }
+            self.ex.row_pass(slab.clone(), plan, true, &mut self.live);
+            self.ey.row_pass(0..n * h, plan, true, &mut self.live);
+            self.phi.row_pass(slab.clone(), plan, true, &mut self.live);
+
+            // Z: each line's full spectrum, `kz > n/2` the conjugate of
+            // `n − kz`; `Ez = −i·kz·φ = (pi·kz, −pr·kz)`.
+            for &line in slab_lines {
+                let column = 2 * self.slot[line];
+                let row = line % n * h;
+                let at = slab.start + row;
+                let ex = (&self.ex.re[at..][..h], &self.ex.im[at..][..h]);
+                let ey = (&self.ey.re[row..][..h], &self.ey.im[row..][..h]);
+                let phi = (&self.phi.re[at..][..h], &self.phi.im[at..][..h]);
+                for kz in 0..n {
+                    let (k, conj) = if kz < h { (kz, 1.0) } else { (n - kz, -1.0) };
+                    let dz = derivative(k, kvec[k], n);
+                    let (xr, xi) = (ex.0[k], conj * ex.1[k]);
+                    let (yr, yi) = (ey.0[k], conj * ey.1[k]);
+                    let (zr, zi) = (phi.1[k] * dz, conj * (-phi.0[k] * dz));
+                    let cell = kz * width + column;
+                    (self.block.re[cell], self.block.im[cell]) = (xr - yi, xi + yr);
+                    (self.block.re[cell + 1], self.block.im[cell + 1]) = (zr, zi);
+                }
+            }
+        }
+        self.block
+            .row_pass(0..n * width, plan, true, &mut self.live);
     }
 }
 
@@ -329,16 +428,22 @@ impl PmeWorkspace {
 mod reference {
     //! `PmeWorkspace` as it was before split storage and pruned transforms,
     //! kept verbatim over the interleaved reference grid as the oracle:
-    //! three separate field grids, each inverted whole (it returned the
-    //! energy inside a struct that also echoed the grid side). Its energy
-    //! is the `to_bits` oracle; its forces bound the packed inverse's.
+    //! three separate whole-spectrum field grids, each inverted whole (it
+    //! returned the energy inside a struct that also echoed the grid side),
+    //! and the Green's function as one `exp` per cell. Its energy and
+    //! forces bound the half-spectrum solve's.
 
     use std::f64::consts::PI;
 
-    use super::{cic3, green, PmeParams};
+    use super::{cic3, PmeParams};
     use crate::fft::reference::Grid3;
     use crate::fft::FftPlan;
     use crate::system::ParticleSystem;
+
+    /// The Ewald Green's function `4π·exp(−k²/4α²)/(V·k²)`.
+    pub(super) fn green(k2: f64, alpha: f64, volume: f64) -> f64 {
+        4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2)
+    }
 
     pub(super) struct PmeWorkspace {
         params: PmeParams,
@@ -518,7 +623,14 @@ mod tests {
     }
 
     #[test]
-    fn folded_greens_function_has_the_direct_expressions_bits() {
+    fn folded_greens_function_is_the_direct_expression_within_1e_13() {
+        // The two sides round the argument `−k²/4α²` differently (one sum
+        // of squares, or three per-axis terms), and `exp` turns an absolute
+        // error `δ` of its argument into a relative error `δ`. An argument
+        // `a` rounds to within about `a · 2⁻⁵²`, so the bound grows with
+        // |k|: at this test's largest, the corner (15, 15, 15) of n = 32 at
+        // density 0.3 with `a` ≈ 290, that is ≈ 6.5e-14. The product of
+        // three `exp` adds only a few ulps. Measured worst: 5.7e-14, there.
         let alpha = 0.8;
         for (n, density) in [1, 2, 8, 32]
             .into_iter()
@@ -530,7 +642,6 @@ mod tests {
             let mut ws = PmeWorkspace::new(PmeParams { grid: n, alpha });
             let _ = ws.reciprocal(&mut sys);
 
-            // The per-cell expressions of before the fold, verbatim.
             let l = sys.box_len;
             let volume = l * l * l;
             let kvec = |m: usize| -> f64 {
@@ -539,20 +650,18 @@ mod tests {
                 let wrapped = if m >= half { m - n as isize } else { m };
                 2.0 * PI * wrapped as f64 / l
             };
+            let side = n / 2 + 1;
             for x in 0..n {
-                let kx = kvec(x);
                 for y in 0..n {
-                    let ky = kvec(y);
                     for z in 0..n {
-                        let kz = kvec(z);
-                        let k2 = kx * kx + ky * ky + kz * kz;
+                        let k2 = kvec(x) * kvec(x) + kvec(y) * kvec(y) + kvec(z) * kvec(z);
                         if k2 <= 0.0 {
                             continue;
                         }
-                        let g = 4.0 * PI * (-k2 / (4.0 * alpha * alpha)).exp() / (volume * k2);
-                        let side = n / 2 + 1;
+                        let g = reference::green(k2, alpha, volume);
                         let folded = ws.green[(fold(x, n) * side + fold(y, n)) * side + fold(z, n)];
-                        assert_eq!(folded.to_bits(), g.to_bits(), "n={n} ({x}, {y}, {z})");
+                        let at = format!("n={n} ({x}, {y}, {z}): {folded} vs {g}");
+                        assert!((folded - g).abs() <= 1e-13 * g, "{at}");
                     }
                 }
             }
@@ -623,10 +732,20 @@ mod tests {
             .fold(0.0, |max, f| f.abs().max(max))
     }
 
+    /// Asserts `energy` lies within `1e-12` of the oracle's k-space sum:
+    /// the total cancels against the self term, which both sides subtract
+    /// identically.
+    fn assert_energy_matches(energy: f64, oracle: f64, sys: &ParticleSystem, alpha: f64, at: &str) {
+        let q2_sum: f64 = sys.charges.iter().map(|q| q * q).sum();
+        let k_space = oracle + alpha / PI.sqrt() * q2_sum;
+        let at = format!("{at}: energy {energy} vs {oracle}");
+        assert!((energy - oracle).abs() <= 1e-12 * k_space.abs(), "{at}");
+    }
+
     /// `rounds` evaluations on one reused workspace and one reused oracle,
     /// moving the particles and breathing the box between calls; asserts
-    /// the energy has the oracle's bits and every force lies within
-    /// `1e-12·max|f|` of the oracle's.
+    /// the k-space energy within `1e-12` of the oracle's and every force
+    /// within `1e-12·max|f|` of the oracle's.
     fn assert_matches_the_reference(start: &ParticleSystem, params: PmeParams, rounds: usize) {
         let mut ws = PmeWorkspace::new(params);
         let mut oracle = reference::PmeWorkspace::new(params);
@@ -640,11 +759,8 @@ mod tests {
             let mut want = sys.clone();
             let at = format!("n={} round={round}", params.grid);
             let energy = ws.reciprocal(&mut sys);
-            assert_eq!(
-                energy.to_bits(),
-                oracle.reciprocal(&mut want).to_bits(),
-                "{at}"
-            );
+            let oracle_energy = oracle.reciprocal(&mut want);
+            assert_energy_matches(energy, oracle_energy, &sys, params.alpha, &at);
             let tolerance = 1e-12 * max_force(&want);
             for (got, want) in sys.forces.iter().zip(&want.forces) {
                 for (g, w) in got.iter().zip(want) {
@@ -667,17 +783,17 @@ mod tests {
     fn at_grids_1_and_2_every_field_mode_is_nyquist_and_no_force_acts() {
         // Every mode of a 1- or 2-point grid other than DC has the Nyquist
         // index n/2 on some axis, and its other axes' kvec are 0: the
-        // packed fields are zero. The oracle's are purely imaginary (the
-        // ±1 twiddles keep the transformed charge real), so the real part
-        // its gather reads is ±0 as well. Without the Nyquist zeroing the
-        // packed Ey would leak into Ex here.
+        // field components are zero. The oracle's are purely imaginary
+        // (the ±1 twiddles keep the transformed charge real), so the real
+        // part its gather reads is ±0 as well. Without the Nyquist zeroing
+        // the packed Ey would leak into Ex here.
         for start in layouts() {
             for grid in [1, 2] {
                 let params = PmeParams { grid, alpha: 0.8 };
                 let (mut sys, mut want) = (start.clone(), start.clone());
                 let energy = PmeWorkspace::new(params).reciprocal(&mut sys);
                 let oracle = reference::PmeWorkspace::new(params).reciprocal(&mut want);
-                assert_eq!(energy.to_bits(), oracle.to_bits(), "n={grid}");
+                assert_energy_matches(energy, oracle, &sys, params.alpha, &format!("n={grid}"));
                 for f in sys.forces.iter().chain(&want.forces).flatten() {
                     assert!(*f == 0.0, "n={grid}: {f}");
                 }
@@ -687,35 +803,43 @@ mod tests {
 
     #[test]
     fn the_packed_grid_inverts_to_the_two_separate_fields() {
-        // `Ex + i·Ey` inverted whole as one grid, against the oracle's Ex
-        // and Ey inverted as two: the real part is Ex and the imaginary
-        // part Ey in every cell, not only in those the gather reads.
+        // With every Z line marked, the block holds the whole real-space
+        // field: `Ex + i·Ey` in one column, with `Ey` formed from `φ` after
+        // the X pass, and `Ez` formed from `φ` in the Z pass in the next.
+        // Against the oracle's three fields inverted separately, in every
+        // cell, not only in those the gather reads.
         for start in layouts() {
             for grid in [8, 32] {
+                let n = grid;
                 let params = PmeParams { grid, alpha: 0.8 };
                 let mut ws = PmeWorkspace::new(params);
                 let _ = ws.spectrum(&start);
-                let mut packed = crate::fft::reference::Grid3::new(grid);
-                let exy = &ws.fields[0];
-                for (cell, v) in packed.data.iter_mut().zip(exy.re.iter().zip(&exy.im)) {
-                    *cell = (*v.0, *v.1);
+                ws.lines.clear();
+                ws.lines.extend(0..n * n);
+                for (j, &line) in ws.lines.iter().enumerate() {
+                    ws.slot[line] = j;
                 }
-                packed.fft_planned(&ws.plan, true);
+                ws.invert();
 
                 let mut oracle = reference::PmeWorkspace::new(params);
                 let _ = oracle.reciprocal(&mut start.clone());
-                let [ex, ey, _] = &oracle.field;
-                let max = ex
-                    .data
+                let fields = &oracle.field;
+                let max = fields
                     .iter()
-                    .chain(&ey.data)
+                    .flat_map(|f| &f.data)
                     .fold(0.0, |m: f64, c| c.0.abs().max(m));
                 assert!(max > 0.0, "n={grid}: the layout has a field");
-                let cells = packed.data.iter().zip(ex.data.iter().zip(&ey.data));
-                for (i, (got, (x, y))) in cells.enumerate() {
-                    let at = format!("n={grid} cell {i}: {got:?} vs ({}, {})", x.0, y.0);
-                    assert!((got.0 - x.0).abs() <= 1e-12 * max, "{at}");
-                    assert!((got.1 - y.0).abs() <= 1e-12 * max, "{at}");
+                let block = &ws.block;
+                for (line, (x, y)) in (0..n).flat_map(|x| (0..n).map(move |y| (x, y))).enumerate() {
+                    for z in 0..n {
+                        let cell = z * 2 * n * n + 2 * line;
+                        let got = [block.re[cell], block.im[cell], block.re[cell + 1]];
+                        let want = fields.each_ref().map(|f| f.get(x, y, z).0);
+                        let at = format!("n={grid} ({x}, {y}, {z}): {got:?} vs {want:?}");
+                        for (g, w) in got.iter().zip(want) {
+                            assert!((g - w).abs() <= 1e-12 * max, "{at}");
+                        }
+                    }
                 }
             }
         }
@@ -748,13 +872,11 @@ mod tests {
         // Every buffer is sized by `new`: no call grows one, whatever
         // lines and slabs it finds marked.
         let capacities = |ws: &PmeWorkspace| {
-            let fields = ws
-                .fields
-                .each_ref()
-                .map(|f| [&f.re, &f.im, &f.block_re, &f.block_im].map(Vec::capacity));
-            let tables = [&ws.kvec, &ws.green].map(Vec::capacity);
+            let grids =
+                [&ws.phi, &ws.ex, &ws.ey, &ws.block].map(|c| [&c.re, &c.im].map(Vec::capacity));
+            let tables = [&ws.rho, &ws.kvec, &ws.gauss, &ws.green].map(Vec::capacity);
             let lines = [&ws.slot, &ws.lines].map(Vec::capacity);
-            (ws.scratch.capacities(), fields, tables, lines)
+            (grids, tables, lines, ws.live.capacity())
         };
         let mut ws = PmeWorkspace::new(PmeParams::default());
         let before = capacities(&ws);
