@@ -15,9 +15,9 @@
 //! * [`pca`] and [`famd`] — principal component analysis and Factor
 //!   Analysis of Mixed Data (quantitative + qualitative variables), the
 //!   denoising front-end of the paper's clustering.
-//! * [`hclust`] — agglomerative hierarchical clustering (Ward/average/
-//!   complete/single linkage via Lance–Williams updates) and dendrogram
-//!   utilities behind Figure 9.
+//! * [`hclust`] — agglomerative hierarchical clustering with Ward's
+//!   linkage (Lance–Williams updates) and dendrogram utilities behind
+//!   Figure 9.
 //! * [`survey`] — the Figure 1 literature-survey dataset.
 
 pub mod correlation;

@@ -7,7 +7,7 @@
 //! 4. FAMD-denoised vs. raw-feature Ward clustering.
 
 use cactus_analysis::famd::Famd;
-use cactus_analysis::hclust::{self, Linkage};
+use cactus_analysis::hclust;
 use cactus_analysis::matrix::Matrix;
 use cactus_bench::header;
 use cactus_gpu::access::AccessPattern;
@@ -187,8 +187,8 @@ fn clustering_ablation() {
 
     let famd = Famd::fit(&quant, &qual);
     let coords = famd.coordinates(famd.dims_for_ratio(0.7).max(2));
-    let denoised = hclust::cluster(&coords, Linkage::Ward).cut(2);
-    let raw = hclust::cluster(&quant, Linkage::Ward).cut(2);
+    let denoised = hclust::cluster(&coords).cut(2);
+    let raw = hclust::cluster(&quant).cut(2);
     println!(
         "Planted two-group data with 10 noise dimensions:\n\
          \x20 FAMD + Ward pairwise agreement: {:.3}\n\

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use cactus_analysis::famd::Famd;
-use cactus_analysis::hclust::{self, Linkage};
+use cactus_analysis::hclust;
 use cactus_analysis::matrix::Matrix;
 use cactus_bench::{cactus_profiles, dominant_kernel_metrics, header, prt_profiles, roofline};
 use cactus_gpu::metrics::MetricId;
@@ -53,7 +53,7 @@ fn main() {
     ));
 
     // Ward clustering, cut into the paper's six primary clusters.
-    let dend = hclust::cluster(&coords, Linkage::Ward);
+    let dend = hclust::cluster(&coords);
     let assignment = dend.cut(6);
 
     // Cluster composition.

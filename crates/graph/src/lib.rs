@@ -15,12 +15,8 @@
 //! Observation 3 (GST runs 12 distinct kernels, GRU 8).
 
 pub mod bfs;
-pub mod cc;
 pub mod csr;
 pub mod generators;
-pub mod pagerank;
 
 pub use bfs::{gunrock_bfs, BfsRun};
-pub use cc::{connected_components, CcRun};
 pub use csr::CsrGraph;
-pub use pagerank::{pagerank, PageRankRun};

@@ -190,13 +190,16 @@ impl FftPlan {
         &self.twiddles[usize::from(inverse)][half - 1..2 * half - 1]
     }
 
-    /// Transform one contiguous line in place. `inverse` applies the
-    /// conjugate transform *and* the 1/n normalization.
+    /// Transform one contiguous line in place (a `width = 1` row pass).
+    /// `inverse` applies the conjugate transform *and* the 1/n
+    /// normalization. Test-only: production PME runs [`FftPlan::row_pass`]
+    /// on whole blocks.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not as long as the plan was tabulated for.
-    pub fn transform(&self, data: &mut [Complex], inverse: bool) {
+    #[cfg(test)]
+    pub(crate) fn transform(&self, data: &mut [Complex], inverse: bool) {
         assert_eq!(data.len(), self.n, "line length must match the plan");
         if self.n <= 1 {
             return;
@@ -284,14 +287,15 @@ impl FftPlan {
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT. `inverse` applies the
-/// conjugate transform *and* the 1/n normalization. Tabulates a plan per
-/// call; callers that transform repeatedly keep an [`FftPlan`].
+/// In-place iterative radix-2 Cooley–Tukey FFT of one line, tabulating a
+/// plan per call: the tests' entry point. `inverse` applies the conjugate
+/// transform *and* the 1/n normalization.
 ///
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
+#[cfg(test)]
+pub(crate) fn fft_inplace(data: &mut [Complex], inverse: bool) {
     FftPlan::new(data.len()).transform(data, inverse);
 }
 
@@ -546,6 +550,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The three input families the oracle has always run on, `len` cells
     /// each: dense complex; sparse real, as cloud-in-cell spreading leaves a
@@ -788,5 +793,29 @@ mod tests {
     fn non_power_of_two_panics() {
         let mut d = vec![(0.0, 0.0); 6];
         fft_inplace(&mut d, false);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// FFT roundtrip restores arbitrary signals, and Parseval holds.
+        #[test]
+        fn fft_roundtrip_and_parseval(
+            values in prop::collection::vec(-10.0f64..10.0, 64)
+        ) {
+            let mut data: Vec<Complex> = values.iter().map(|&v| (v, -v * 0.5)).collect();
+            let orig = data.clone();
+            let time_energy: f64 = data.iter().map(|&(r, i)| r * r + i * i).sum();
+
+            fft_inplace(&mut data, false);
+            let freq_energy: f64 =
+                data.iter().map(|&(r, i)| r * r + i * i).sum::<f64>() / data.len() as f64;
+            prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
+
+            fft_inplace(&mut data, true);
+            for (a, b) in data.iter().zip(&orig) {
+                prop_assert!((a.0 - b.0).abs() < 1e-8 && (a.1 - b.1).abs() < 1e-8);
+            }
+        }
     }
 }

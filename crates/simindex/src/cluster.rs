@@ -13,7 +13,7 @@
 //! local — no other cluster is touched — and the member lists always stay
 //! a partition of the assigned slots (property-tested).
 
-use cactus_analysis::hclust::{self, Linkage};
+use cactus_analysis::hclust;
 
 use crate::index::{dist, SimIndex};
 
@@ -245,7 +245,7 @@ impl ClusterSet {
                 }
             }
         }
-        let labels = hclust::cluster_distances(&d, Linkage::Ward).cut(2);
+        let labels = hclust::cluster_distances(&d).cut(2);
 
         let mut keep: Vec<usize> = Vec::new();
         let mut split: Vec<usize> = Vec::new();

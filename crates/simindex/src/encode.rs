@@ -3,9 +3,8 @@
 //! Mirrors the Figure 9 batch pipeline exactly: the quantitative row is
 //! the 13 Table IV metrics, the two qualitative variables are the roofline
 //! intensity and boundedness labels, and the fitted [`FamdModel`] carries
-//! the frozen normalization statistics (versioned with
-//! `cactus_gpu::MODEL_VERSION` through its text form) so query-time
-//! encoding is bit-identical to index-time encoding. An [`Encoder`] is
+//! the frozen normalization statistics so query-time encoding is
+//! bit-identical to index-time encoding. An [`Encoder`] is
 //! fitted once on a seed corpus and then projects any later profile — or
 //! an inline [`MetricId::ALL`]-order vector — into the same truncated
 //! principal space the index stores.
@@ -98,19 +97,6 @@ impl Encoder {
         let dims = famd.dims_for_ratio(VARIANCE_RATIO).max(2);
         Self {
             model: famd.into_model(),
-            roofline,
-            dims,
-        }
-    }
-
-    /// Rehydrate an encoder from a serialized [`FamdModel`] (e.g. one
-    /// loaded through [`FamdModel::from_text`], which enforces the
-    /// `MODEL_VERSION` stamp).
-    #[must_use]
-    pub fn from_model(roofline: Roofline, model: FamdModel) -> Self {
-        let dims = model.dims_for_ratio(VARIANCE_RATIO).max(2);
-        Self {
-            model,
             roofline,
             dims,
         }
@@ -230,22 +216,5 @@ mod tests {
             *slot = f64::NAN;
         }
         assert_eq!(enc.encode_vector(&v), Err(EncodeError::NonFinite));
-    }
-
-    #[test]
-    fn model_round_trip_preserves_encoding() {
-        let enc = Encoder::fit(test_roofline(), &corpus(15));
-        let text = enc.model().to_text();
-        let reloaded = Encoder::from_model(
-            test_roofline(),
-            cactus_analysis::famd::FamdModel::from_text(&text).expect("reload"),
-        );
-        assert_eq!(enc.dims(), reloaded.dims());
-        let m = corpus(3).pop().expect("non-empty");
-        let a = enc.encode_metrics(&m);
-        let b = reloaded.encode_metrics(&m);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }

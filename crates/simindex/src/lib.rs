@@ -9,9 +9,8 @@
 //! Four pieces, one per module:
 //!
 //! * [`encode`] — the feature pipeline. A frozen [`encode::Encoder`]
-//!   (fitted `cactus_analysis::famd::FamdModel` + roofline labels,
-//!   versioned with `cactus_gpu::MODEL_VERSION`) projects a
-//!   `KernelMetrics` record or an inline `MetricId::ALL`-order vector into
+//!   (fitted `cactus_analysis::famd::FamdModel` + roofline labels)
+//!   projects a `KernelMetrics` record or an inline `MetricId::ALL`-order vector into
 //!   the truncated FAMD space, bit-identically at index time and query
 //!   time.
 //! * [`index`] — the pruned **exact** nearest-neighbor index

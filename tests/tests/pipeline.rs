@@ -3,7 +3,7 @@
 //! crate boundaries.
 
 use cactus_analysis::famd::Famd;
-use cactus_analysis::hclust::{self, Linkage};
+use cactus_analysis::hclust;
 use cactus_analysis::matrix::Matrix;
 use cactus_analysis::roofline::Roofline;
 use cactus_core::SuiteScale;
@@ -50,7 +50,7 @@ fn full_characterization_pipeline() {
     let coords = famd.coordinates(dims);
     assert_eq!(coords.rows(), n);
 
-    let dend = hclust::cluster(&coords, Linkage::Ward);
+    let dend = hclust::cluster(&coords);
     let k = 3.min(n);
     let assignment = dend.cut(k);
     assert_eq!(assignment.len(), n);
