@@ -1,7 +1,6 @@
 //! Principal Component Analysis on standardized observations.
 
 use crate::matrix::{eigen_symmetric, Matrix};
-use crate::stats;
 
 /// Result of a PCA.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +17,8 @@ pub struct Pca {
 impl Pca {
     /// Fraction of total variance explained by the first `k` components.
     #[must_use]
-    pub fn explained_ratio(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn explained_ratio(&self, k: usize) -> f64 {
         let total: f64 = self.explained_variance.iter().sum();
         if total <= 0.0 {
             return 0.0;
@@ -58,24 +58,6 @@ impl Pca {
     }
 }
 
-/// Run PCA on a data matrix (rows = observations, columns = features),
-/// standardizing each column to zero mean and unit variance first
-/// (correlation-matrix PCA). Constant columns contribute nothing.
-#[must_use]
-pub fn fit_standardized(data: &Matrix) -> Pca {
-    let (n, p) = (data.rows(), data.cols());
-    // Standardize columns.
-    let mut z = Matrix::zeros(n, p);
-    for c in 0..p {
-        let col = data.col(c);
-        let zc = stats::zscore(&col);
-        for (r, v) in zc.into_iter().enumerate() {
-            z[(r, c)] = v;
-        }
-    }
-    fit_centered(&z)
-}
-
 /// Run PCA on an already centered/scaled data matrix.
 #[must_use]
 pub fn fit_centered(z: &Matrix) -> Pca {
@@ -92,6 +74,24 @@ pub fn fit_centered(z: &Matrix) -> Pca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
+
+    /// Run PCA on a data matrix (rows = observations, columns = features),
+    /// standardizing each column to zero mean and unit variance first
+    /// (correlation-matrix PCA). Constant columns contribute nothing.
+    fn fit_standardized(data: &Matrix) -> Pca {
+        let (n, p) = (data.rows(), data.cols());
+        // Standardize columns.
+        let mut z = Matrix::zeros(n, p);
+        for c in 0..p {
+            let col = data.col(c);
+            let zc = stats::zscore(&col);
+            for (r, v) in zc.into_iter().enumerate() {
+                z[(r, c)] = v;
+            }
+        }
+        fit_centered(&z)
+    }
 
     /// Two perfectly correlated features → one component carries all
     /// variance.

@@ -1,11 +1,11 @@
 //! Developer tool: print the per-kernel breakdown of one or more Cactus
-//! workloads (by abbreviation) or `prt:<name>` suite benchmarks at profile
-//! scale. Used to verify and tune the GPU-time distributions.
+//! workloads (by abbreviation) or Parboil/Rodinia/Tango benchmarks (by
+//! name; a `prt:` prefix is accepted and ignored) at profile scale on the
+//! RTX 3080, resolved through the profile store. Used to verify and tune
+//! the GPU-time distributions.
 
-use cactus_core::SuiteScale;
-use cactus_gpu::{Device, Gpu};
-use cactus_profiler::{report, Profile};
-use cactus_suites::Scale;
+use cactus_bench::resolve;
+use cactus_profiler::report;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -14,15 +14,11 @@ fn main() {
     } else {
         args
     };
-    for t in targets {
-        let profile = if let Some(name) = t.strip_prefix("prt:") {
-            let b = cactus_suites::by_name(name).expect("unknown suite benchmark");
-            let mut gpu = Gpu::new(Device::rtx3080());
-            b.run(&mut gpu, Scale::Profile);
-            Profile::from_records(gpu.records())
-        } else {
-            cactus_core::run(&t, SuiteScale::Profile)
-        };
+    let triples: Vec<(&str, &str, &str)> = targets
+        .iter()
+        .map(|t| ("rtx-3080", "profile", t.strip_prefix("prt:").unwrap_or(t)))
+        .collect();
+    for (t, profile) in targets.iter().zip(resolve(&triples)) {
         println!("\n=== {t} ===");
         print!("{}", report::render_kernel_table(&profile));
         println!(

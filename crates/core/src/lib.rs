@@ -45,14 +45,6 @@ pub fn run(abbr: &str, scale: SuiteScale) -> Profile {
     Profile::from_records(gpu.records())
 }
 
-/// Run one workload on an existing device (the trace accumulates).
-pub fn run_on(gpu: &mut Gpu, abbr: &str, scale: SuiteScale) -> Profile {
-    let w = workloads::by_abbr(abbr).unwrap_or_else(|| panic!("unknown Cactus workload {abbr:?}"));
-    let start = gpu.records().len();
-    w.run(gpu, scale);
-    Profile::from_records(&gpu.records()[start..])
-}
-
 /// Run the whole suite on the calling thread, each workload on its own
 /// fresh device, and produce one `(workload, profile)` pair per row of
 /// Table I, in order. The reference the determinism tests compare fan-outs

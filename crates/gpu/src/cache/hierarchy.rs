@@ -62,12 +62,6 @@ impl TrafficResult {
     pub fn dram_read_bytes(&self, device: &Device) -> f64 {
         self.dram_read_transactions * f64::from(device.dram_transaction_bytes)
     }
-
-    /// DRAM write bytes given the device transaction size.
-    #[must_use]
-    pub fn dram_write_bytes(&self, device: &Device) -> f64 {
-        self.dram_write_transactions * f64::from(device.dram_transaction_bytes)
-    }
 }
 
 /// Per-stream traffic staged by [`MemoryModel::resolve_with`] before the

@@ -10,132 +10,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::access::AccessPattern;
 
-/// Pattern parameters pre-resolved to block counts, so the per-address
-/// loop carries no re-derivation.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Streaming,
-    Random {
-        blocks: u64,
-    },
-    Sweep {
-        blocks: u64,
-    },
-    HotCold {
-        hot_fraction: f64,
-        hot_blocks: u64,
-        cold_blocks: u64,
-    },
-    Broadcast {
-        blocks: u64,
-    },
-}
-
-/// Incremental trace generator: the address stream depends only on
-/// `(pattern, block_bytes, n, seed)`, not on how it is chunked.
-#[derive(Debug, Clone)]
-struct TraceGen {
-    kind: Kind,
-    block_bytes: u64,
-    /// Next global index to emit.
-    next: u64,
-    /// Total addresses to emit.
-    n: u64,
-    rng: StdRng,
-}
-
-impl TraceGen {
-    /// Start a generator for `n` block-aligned addresses of `pattern`.
-    fn new(pattern: &AccessPattern, block_bytes: u32, n: usize, seed: u64) -> Self {
-        let bb = u64::from(block_bytes);
-        let kind = match *pattern {
-            AccessPattern::Streaming => Kind::Streaming,
-            AccessPattern::RandomUniform { working_set_bytes } => Kind::Random {
-                blocks: (working_set_bytes / bb).max(1),
-            },
-            AccessPattern::Sweep {
-                working_set_bytes, ..
-            } => Kind::Sweep {
-                blocks: (working_set_bytes / bb).max(1),
-            },
-            AccessPattern::HotCold {
-                hot_fraction,
-                hot_bytes,
-                cold_bytes,
-            } => Kind::HotCold {
-                hot_fraction: hot_fraction.clamp(0.0, 1.0),
-                hot_blocks: (hot_bytes / bb).max(1),
-                cold_blocks: (cold_bytes / bb).max(1),
-            },
-            AccessPattern::Broadcast { bytes } => Kind::Broadcast {
-                blocks: (bytes / bb).max(1),
-            },
-        };
-        Self {
-            kind,
-            block_bytes: bb,
-            next: 0,
-            n: n as u64,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Emit up to `max` addresses into `buf` (cleared first, capacity
-    /// reused). Returns the number written; 0 means the trace is exhausted.
-    fn next_chunk(&mut self, buf: &mut Vec<u64>, max: usize) -> usize {
-        buf.clear();
-        let count = ((self.n - self.next) as usize).min(max);
-        if count == 0 {
-            return 0;
-        }
-        buf.reserve(count);
-        let bb = self.block_bytes;
-        let start = self.next;
-        match self.kind {
-            Kind::Streaming => {
-                for i in start..start + count as u64 {
-                    buf.push(i * bb);
-                }
-            }
-            Kind::Random { blocks } => {
-                for _ in 0..count {
-                    buf.push(self.rng.gen_range(0..blocks) * bb);
-                }
-            }
-            Kind::Sweep { blocks } => {
-                for i in start..start + count as u64 {
-                    buf.push((i % blocks) * bb);
-                }
-            }
-            Kind::HotCold {
-                hot_fraction,
-                hot_blocks,
-                cold_blocks,
-            } => {
-                for _ in 0..count {
-                    if self.rng.gen_bool(hot_fraction) {
-                        buf.push(self.rng.gen_range(0..hot_blocks) * bb);
-                    } else {
-                        // Cold region sits above the hot region in the
-                        // address space.
-                        buf.push((hot_blocks + self.rng.gen_range(0..cold_blocks)) * bb);
-                    }
-                }
-            }
-            Kind::Broadcast { blocks } => {
-                for i in start..start + count as u64 {
-                    buf.push((i % blocks) * bb);
-                }
-            }
-        }
-        self.next += count as u64;
-        count
-    }
-}
-
 /// Generate `n` block-aligned byte addresses following `pattern` into a
 /// caller-owned buffer (cleared first), reusing its capacity, so repeated
-/// configurations can share one buffer.
+/// configurations can share one buffer. The stream depends only on
+/// `(pattern, block_bytes, n, seed)`.
 pub fn generate_into(
     pattern: &AccessPattern,
     block_bytes: u32,
@@ -143,7 +21,43 @@ pub fn generate_into(
     seed: u64,
     out: &mut Vec<u64>,
 ) {
-    TraceGen::new(pattern, block_bytes, n, seed).next_chunk(out, n);
+    out.clear();
+    out.reserve(n);
+    let bb = u64::from(block_bytes);
+    let blocks = |bytes: u64| (bytes / bb).max(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    match *pattern {
+        AccessPattern::Streaming => out.extend((0..n as u64).map(|i| i * bb)),
+        AccessPattern::RandomUniform { working_set_bytes } => {
+            let blocks = blocks(working_set_bytes);
+            out.extend((0..n).map(|_| rng.gen_range(0..blocks) * bb));
+        }
+        AccessPattern::Sweep {
+            working_set_bytes: bytes,
+            ..
+        }
+        | AccessPattern::Broadcast { bytes } => {
+            let blocks = blocks(bytes);
+            out.extend((0..n as u64).map(|i| (i % blocks) * bb));
+        }
+        AccessPattern::HotCold {
+            hot_fraction,
+            hot_bytes,
+            cold_bytes,
+        } => {
+            let hot_fraction = hot_fraction.clamp(0.0, 1.0);
+            let (hot_blocks, cold_blocks) = (blocks(hot_bytes), blocks(cold_bytes));
+            out.extend((0..n).map(|_| {
+                if rng.gen_bool(hot_fraction) {
+                    rng.gen_range(0..hot_blocks) * bb
+                } else {
+                    // Cold region sits above the hot region in the address
+                    // space.
+                    (hot_blocks + rng.gen_range(0..cold_blocks)) * bb
+                }
+            }));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -193,37 +107,6 @@ mod tests {
             working_set_bytes: 1 << 16,
         };
         assert_eq!(generate(&pat, 32, 1000, 7), generate(&pat, 32, 1000, 7));
-    }
-
-    #[test]
-    fn chunked_generation_matches_one_shot() {
-        for pat in [
-            AccessPattern::Streaming,
-            AccessPattern::RandomUniform {
-                working_set_bytes: 1 << 14,
-            },
-            AccessPattern::Sweep {
-                working_set_bytes: 1 << 12,
-                sweeps: 3,
-            },
-            AccessPattern::HotCold {
-                hot_fraction: 0.7,
-                hot_bytes: 1 << 10,
-                cold_bytes: 1 << 14,
-            },
-            AccessPattern::Broadcast { bytes: 1 << 8 },
-        ] {
-            let whole = generate(&pat, 32, 10_000, 9);
-            let mut gen = TraceGen::new(&pat, 32, 10_000, 9);
-            let mut chunked = Vec::new();
-            let mut buf = Vec::new();
-            // Deliberately odd chunk size to exercise boundaries.
-            while gen.next_chunk(&mut buf, 777) > 0 {
-                chunked.extend_from_slice(&buf);
-            }
-            assert_eq!(chunked, whole, "pattern {pat:?}");
-            assert_eq!(gen.next, gen.n);
-        }
     }
 
     #[test]

@@ -107,16 +107,6 @@ pub fn device_ids() -> Vec<&'static str> {
     CATALOG.iter().map(|entry| entry.id).collect()
 }
 
-/// The catalog id a device descriptor belongs to, matched by marketing
-/// name; `None` for ad-hoc descriptors built outside the catalog.
-#[must_use]
-pub fn id_for_device(device: &Device) -> Option<&'static str> {
-    CATALOG
-        .iter()
-        .find(|entry| entry.device().name == device.name)
-        .map(|entry| entry.id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +140,6 @@ mod tests {
         for entry in CATALOG {
             let device = entry.device();
             assert!(device.peak_gips() > 0.0, "{}", entry.id);
-            assert_eq!(id_for_device(&device), Some(entry.id));
         }
     }
 

@@ -349,12 +349,6 @@ impl Device {
     pub fn latency_bound_threshold_gips(&self) -> f64 {
         self.peak_gips() * 0.01
     }
-
-    /// Total warp-issue slots per second across the device.
-    #[must_use]
-    pub fn issue_slots_per_s(&self) -> f64 {
-        self.peak_gips() * 1e9
-    }
 }
 
 #[cfg(test)]

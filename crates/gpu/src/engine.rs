@@ -353,12 +353,6 @@ impl Gpu {
     pub fn reset_trace(&mut self) {
         self.records.clear();
     }
-
-    /// Take ownership of the trace, leaving the device empty.
-    #[must_use]
-    pub fn take_records(&mut self) -> Vec<LaunchRecord> {
-        std::mem::take(&mut self.records)
-    }
 }
 
 #[cfg(test)]
@@ -402,15 +396,6 @@ mod tests {
         gpu.reset_trace();
         assert!(gpu.records().is_empty());
         assert_eq!(gpu.total_gpu_time_s(), 0.0);
-    }
-
-    #[test]
-    fn take_records_transfers_ownership() {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        gpu.launch(&copy_kernel(1 << 20));
-        let records = gpu.take_records();
-        assert_eq!(records.len(), 1);
-        assert!(gpu.records().is_empty());
     }
 
     #[test]

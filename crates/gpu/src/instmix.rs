@@ -88,12 +88,6 @@ impl InstructionMix {
         }
     }
 
-    /// Global-memory instructions (loads + stores).
-    #[must_use]
-    pub fn global_ldst(&self) -> u64 {
-        self.load + self.store
-    }
-
     /// Merge another mix into this one.
     pub fn add(&mut self, other: &Self) {
         self.fp32 += other.fp32;

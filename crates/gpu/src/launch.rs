@@ -66,12 +66,6 @@ impl LaunchConfig {
         self.grid_blocks * u64::from(self.warps_per_block())
     }
 
-    /// Total threads in the grid.
-    #[must_use]
-    pub fn total_threads(&self) -> u64 {
-        self.grid_blocks * u64::from(self.threads_per_block)
-    }
-
     /// Compute theoretical occupancy on `device`.
     #[must_use]
     pub fn occupancy(&self, device: &Device) -> Occupancy {
@@ -191,7 +185,6 @@ mod tests {
     fn linear_covers_all_threads() {
         let lc = LaunchConfig::linear(1000, 256);
         assert_eq!(lc.grid_blocks, 4);
-        assert_eq!(lc.total_threads(), 1024);
         assert_eq!(lc.warps_per_block(), 8);
     }
 

@@ -15,26 +15,13 @@ use crate::csr::CsrGraph;
 /// R-MAT generator: `2^scale` vertices, `edge_factor * 2^scale` directed
 /// edges, with the canonical (a, b, c, d) = (0.57, 0.19, 0.19, 0.05)
 /// partition probabilities used for social-network-like graphs.
-#[must_use]
-pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> CsrGraph {
-    rmat_with_params(scale, edge_factor, 0.57, 0.19, 0.19, seed)
-}
-
-/// R-MAT with explicit partition probabilities (`d = 1 − a − b − c`).
 ///
 /// # Panics
 ///
-/// Panics if `a + b + c > 1` or `scale ≥ 32`.
+/// Panics if `scale ≥ 32`.
 #[must_use]
-pub fn rmat_with_params(
-    scale: u32,
-    edge_factor: u32,
-    a: f64,
-    b: f64,
-    c: f64,
-    seed: u64,
-) -> CsrGraph {
-    assert!(a + b + c <= 1.0 + 1e-12, "partition probabilities exceed 1");
+pub fn rmat(scale: u32, edge_factor: u32, seed: u64) -> CsrGraph {
+    let (a, b, c) = (0.57, 0.19, 0.19);
     assert!(scale < 32, "scale must be < 32");
     let n = 1u32 << scale;
     let m = u64::from(edge_factor) * u64::from(n);
@@ -145,11 +132,5 @@ mod tests {
         for v in 0..g.num_vertices() {
             assert!(g.out_degree(v) >= 2, "vertex {v}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "partition probabilities")]
-    fn invalid_rmat_params_panic() {
-        let _ = rmat_with_params(4, 2, 0.6, 0.3, 0.3, 1);
     }
 }

@@ -96,12 +96,6 @@ impl SourceFile {
         }
         verdict
     }
-
-    /// The non-trivia tokens, for rules that walk token shapes.
-    #[must_use]
-    pub fn significant(&self) -> Vec<&Token> {
-        self.tokens.iter().filter(|t| !t.is_trivia()).collect()
-    }
 }
 
 /// All scanned files under one root.

@@ -140,12 +140,6 @@ impl MdEngine {
         &self.config
     }
 
-    /// Steps taken so far.
-    #[must_use]
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count
-    }
-
     /// Run `steps` steps, launching kernels on `gpu`; returns the stats of
     /// the final step.
     pub fn run(&mut self, gpu: &mut Gpu, steps: u32) -> StepStats {
@@ -754,7 +748,7 @@ mod tests {
         let mut engine = MdEngine::new(sys, MdConfig::default());
         let mut gpu = gpu();
         let stats = engine.run(&mut gpu, 5);
-        assert_eq!(engine.steps_taken(), 5);
+        assert_eq!(engine.step_count, 5);
         assert!(stats.pairs > 0);
         assert!(!gpu.records().is_empty());
     }

@@ -303,7 +303,8 @@ pub fn erfc_scaled(x: f64) -> f64 {
 
 /// Complementary error function (Abramowitz–Stegun 7.1.26, |ε| ≤ 1.5e-7).
 #[must_use]
-pub fn erfc(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn erfc(x: f64) -> f64 {
     let ax = x.abs();
     let value = erfc_scaled(ax) * (-ax * ax).exp();
     if x < 0.0 {

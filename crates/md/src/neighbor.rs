@@ -236,12 +236,6 @@ impl NeighborList {
         self.neighbors.len() as u64
     }
 
-    /// The cutoff + skin radius used for the build.
-    #[must_use]
-    pub fn build_radius(&self) -> f64 {
-        self.cutoff
-    }
-
     /// Cells per box edge used during binning (a proxy for the binning
     /// kernel's footprint).
     #[must_use]

@@ -150,12 +150,6 @@ impl ParticleSystem {
         p
     }
 
-    /// Net charge.
-    #[must_use]
-    pub fn total_charge(&self) -> f64 {
-        self.charges.iter().sum()
-    }
-
     /// Zero all force accumulators.
     pub fn clear_forces(&mut self) {
         for f in &mut self.forces {
@@ -379,7 +373,7 @@ mod tests {
     fn protein_like_is_charged_and_neutral() {
         let sys = SystemBuilder::new(500).build_protein_like(0.2);
         assert!(sys.is_charged());
-        assert!(sys.total_charge().abs() < 1e-9);
+        assert!(sys.charges.iter().sum::<f64>().abs() < 1e-9);
         assert_eq!(sys.bonds.len(), 99);
         assert_eq!(sys.angles.len(), 98);
     }

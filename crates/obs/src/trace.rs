@@ -120,12 +120,6 @@ impl TraceId {
             Ok(v) => Some(Self(v)),
         }
     }
-
-    /// Raw value (for tests and hashing).
-    #[must_use]
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for TraceId {

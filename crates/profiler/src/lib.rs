@@ -74,16 +74,6 @@ impl KernelStats {
             self.total_time_s / app_total_s
         }
     }
-
-    /// Mean time per invocation (`tᵢ`).
-    #[must_use]
-    pub fn mean_invocation_time_s(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.total_time_s / self.invocations as f64
-        }
-    }
 }
 
 /// A profiled application: kernels aggregated by name and ranked by total
@@ -349,7 +339,7 @@ mod tests {
         for _ in 0..3 {
             gpu.launch(&kernel("small", 1 << 18));
         }
-        gpu.take_records()
+        gpu.records().to_vec()
     }
 
     #[test]

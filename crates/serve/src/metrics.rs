@@ -92,17 +92,6 @@ impl ServerMetrics {
         };
         counter.inc();
     }
-
-    /// Latency quantile estimates (p50, p90, p99) in microseconds; zeros
-    /// when nothing was recorded yet.
-    #[must_use]
-    pub fn latency_quantiles_us(&self) -> (u64, u64, u64) {
-        (
-            self.latency.quantile_us(0.50),
-            self.latency.quantile_us(0.90),
-            self.latency.quantile_us(0.99),
-        )
-    }
 }
 
 /// Nearest-rank quantile over an already-sorted slice (0 when empty). Used
@@ -135,12 +124,12 @@ mod tests {
     #[test]
     fn quantile_estimates_bound_the_truth() {
         let m = metrics();
-        assert_eq!(m.latency_quantiles_us(), (0, 0, 0));
+        assert_eq!(m.latency.quantile_us(0.50), 0);
         for us in 1..=100 {
             m.record_latency_us(us);
         }
-        let (p50, p90, p99) = m.latency_quantiles_us();
-        for (est, truth) in [(p50, 50), (p90, 90), (p99, 99)] {
+        for (q, truth) in [(0.50, 50), (0.90, 90), (0.99, 99)] {
+            let est = m.latency.quantile_us(q);
             assert!(est >= truth, "estimate {est} undershoots {truth}");
             assert!(est <= 2 * truth, "estimate {est} overshoots 2x{truth}");
         }

@@ -52,11 +52,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
 }
 
-/// Request shutdown from code (tests; equivalent to receiving a signal).
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +60,7 @@ mod tests {
     fn flag_round_trips() {
         install_handlers();
         assert!(!shutdown_requested() || cfg!(not(unix)));
-        request_shutdown();
+        SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
         assert!(shutdown_requested());
     }
 }

@@ -79,7 +79,9 @@ use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[cfg(test)]
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Record header: `len` + `crc`, both little-endian `u32`s.
@@ -273,6 +275,7 @@ pub struct Store {
     compactions: AtomicU64,
     truncations: AtomicU64,
     /// Test-only fault: the next append writes a torn prefix and errors.
+    #[cfg(test)]
     torn_append_armed: AtomicBool,
     /// `segments/LOCK`, exclusively locked for this store's life; the lock
     /// goes with the file when the store drops (or its process dies).
@@ -334,6 +337,7 @@ impl Store {
             gets: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             truncations: AtomicU64::new(0),
+            #[cfg(test)]
             torn_append_armed: AtomicBool::new(false),
             _lock: lock,
         };
@@ -463,6 +467,7 @@ impl Store {
             return Err(io::Error::other("store writer lost its active segment"));
         };
 
+        #[cfg(test)]
         if self.torn_append_armed.swap(false, Ordering::Relaxed) {
             // Test-only fault: crash mid-record. Write a prefix, force it
             // to disk, and fail without admitting the record — exactly the
@@ -731,7 +736,8 @@ impl Store {
     /// writes half its record, syncs, and errors — simulating a crash
     /// mid-write for the recovery tests.
     #[doc(hidden)]
-    pub fn arm_torn_append(&self) {
+    #[cfg(test)]
+    pub(crate) fn arm_torn_append(&self) {
         self.torn_append_armed.store(true, Ordering::Relaxed);
     }
 }

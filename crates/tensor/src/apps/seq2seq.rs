@@ -11,7 +11,6 @@
 
 use cactus_gpu::Gpu;
 
-use crate::apps::dcgan::MlScale;
 use crate::datasets;
 use crate::graph::{Graph, VarId};
 use crate::layers::{Embedding, GruCell, Linear};
@@ -55,18 +54,6 @@ impl SeqScale {
             vocab: 128,
             hidden: 64,
             iterations: 3,
-        }
-    }
-
-    /// Derive from the generic [`MlScale`].
-    #[must_use]
-    pub fn from_ml(scale: MlScale) -> Self {
-        Self {
-            batch: scale.batch.max(2),
-            len: 6,
-            vocab: 64,
-            hidden: 16,
-            iterations: scale.iterations,
         }
     }
 }

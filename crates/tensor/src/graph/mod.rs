@@ -235,29 +235,6 @@ impl Graph {
         self.nodes[id].grad.as_ref()
     }
 
-    /// Clear gradients on every node.
-    pub fn zero_grads(&mut self) {
-        for n in &mut self.nodes {
-            n.grad = None;
-        }
-    }
-
-    /// Drop the tape and all intermediate nodes, keeping only the listed
-    /// parameters (returned with fresh ids, in order). Used between
-    /// training iterations.
-    pub fn retain_params(&mut self, params: &[VarId]) -> Vec<VarId> {
-        let kept: Vec<Node> = params
-            .iter()
-            .map(|&p| Node {
-                value: self.nodes[p].value.clone(),
-                grad: None,
-            })
-            .collect();
-        self.nodes = kept;
-        self.tape.clear();
-        (0..self.nodes.len()).collect()
-    }
-
     /// Number of nodes currently held.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -1042,18 +1019,5 @@ mod tests {
         let b = g.input(Tensor::from_vec(&[2, 2], vec![9.0, 8.0, 7.0, 6.0]));
         let c = g.concat_cols(&mut gp, a, b);
         assert_eq!(g.value(c).data(), &[1.0, 9.0, 8.0, 3.0, 7.0, 6.0]);
-    }
-
-    #[test]
-    fn retain_params_resets_tape() {
-        let mut g = Graph::new();
-        let mut gp = gpu();
-        let p = g.param(Tensor::full(&[2], 1.5));
-        let x = g.input(Tensor::full(&[2], 2.0));
-        let _ = g.mul(&mut gp, p, x);
-        let kept = g.retain_params(&[p]);
-        assert_eq!(kept, vec![0]);
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.value(0).data(), &[1.5, 1.5]);
     }
 }

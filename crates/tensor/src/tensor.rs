@@ -135,7 +135,8 @@ impl Tensor {
 
     /// Element at a 4-D index (NCHW).
     #[must_use]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
         let (_, ch, hh, ww) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
         self.data[((n * ch + c) * hh + h) * ww + w]
     }
@@ -158,7 +159,8 @@ impl Tensor {
 
     /// Maximum absolute element (0 for empty tensors).
     #[must_use]
-    pub fn max_abs(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 

@@ -32,7 +32,7 @@ fn run_native(abbr: &str) -> (Vec<LaunchRecord>, Vec<KernelDesc>) {
     gpu.enable_desc_log();
     workload.run(&mut gpu, SuiteScale::Tiny);
     let descs = gpu.take_desc_log();
-    (gpu.take_records(), descs)
+    (gpu.records().to_vec(), descs)
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn interpreted_defs_replay_native_traces_bit_identically() {
         assert!(cactus_wir::check(&def).is_empty(), "{abbr} must validate");
         let mut gpu = Gpu::new(Device::rtx3080());
         cactus_wir::run(&def, None, &mut gpu).expect("exec");
-        let replayed = gpu.take_records();
+        let replayed = gpu.records().to_vec();
         assert_eq!(native.len(), replayed.len(), "{abbr}: launch count differs");
         // LaunchRecord derives PartialEq over name, metrics, and timing:
         // equality here is bit-for-bit profile equivalence.

@@ -18,6 +18,13 @@ fn run_fresh(w: &cactus_core::Workload) -> Profile {
     Profile::from_records(gpu.records())
 }
 
+/// Run the Table I workload `abbr` at tiny scale on `gpu` and profile it.
+fn run_on(gpu: &mut Gpu, abbr: &str) -> Profile {
+    let w = cactus_core::workloads::by_abbr(abbr).expect("Table I workload");
+    w.run(gpu, SuiteScale::Tiny);
+    Profile::from_records(gpu.records())
+}
+
 /// Fanning the suite out over `par::parallel_map` must return exactly what
 /// the serial runner returns: same workload order, bit-identical profiles.
 #[test]
@@ -63,10 +70,10 @@ fn memoized_run_matches_cold_run() {
     for abbr in ["GMS", "GRU"] {
         let mut cold = Gpu::new(Device::rtx3080());
         cold.set_memoization(false);
-        let cold_profile = cactus_core::run_on(&mut cold, abbr, SuiteScale::Tiny);
+        let cold_profile = run_on(&mut cold, abbr);
 
         let mut memo = Gpu::new(Device::rtx3080());
-        let memo_profile = cactus_core::run_on(&mut memo, abbr, SuiteScale::Tiny);
+        let memo_profile = run_on(&mut memo, abbr);
 
         assert_eq!(memo.memo_misses() as usize, memo.memo_len());
         assert!(
@@ -91,7 +98,7 @@ fn parallel_memoized_suite_matches_cold_serial() {
         .map(|w| {
             let mut gpu = Gpu::new(Device::rtx3080());
             gpu.set_memoization(false);
-            let p = cactus_core::run_on(&mut gpu, w.abbr, SuiteScale::Tiny);
+            let p = run_on(&mut gpu, w.abbr);
             (w.abbr, p)
         })
         .collect();
