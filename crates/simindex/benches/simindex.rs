@@ -18,17 +18,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+#[path = "../tests/common/corpus.rs"]
+mod corpus;
 
-use cactus_simindex::SimIndex;
+use corpus::{build, corpus, exact_probe_fraction};
 
 const N: usize = 100_000;
-const DIM: usize = 6;
 const K: usize = 10;
-/// Behavioral families in the synthetic corpus — mirrors the paper's
-/// finding that real workloads concentrate into a handful of clusters.
-const FAMILIES: usize = 24;
 const QUERIES: usize = 256;
 /// Fresh vectors per timed `insert-incremental` sample.
 const INSERT_BATCH: usize = 1024;
@@ -41,32 +37,6 @@ fn floor_secs<R>(samples: usize, mut routine: impl FnMut() -> R) -> f64 {
         black_box(routine());
         floor.min(start.elapsed().as_secs_f64())
     })
-}
-
-/// Deterministic clustered corpus: `FAMILIES` centers in a unit box, each
-/// vector a center plus small uniform jitter.
-fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let centers: Vec<Vec<f64>> = (0..FAMILIES)
-        .map(|_| (0..DIM).map(|_| rng.gen_range(-4.0..4.0)).collect())
-        .collect();
-    (0..n)
-        .map(|i| {
-            let center = &centers[i % FAMILIES];
-            center
-                .iter()
-                .map(|&c| c + rng.gen_range(-0.25..0.25))
-                .collect()
-        })
-        .collect()
-}
-
-fn build(points: &[Vec<f64>]) -> SimIndex {
-    let mut index = SimIndex::new(DIM);
-    for (i, v) in points.iter().enumerate() {
-        index.insert(&format!("k{i:06}"), v).expect("insert");
-    }
-    index
 }
 
 fn main() {
@@ -99,19 +69,7 @@ fn main() {
 
     // The contract: pruned == brute force exactly, probing <25% of the store.
     let before = index.stats();
-    let mut probed_total = 0usize;
-    for q in &queries {
-        let pruned = index.search(q, K).expect("search");
-        let brute = index.brute_force(q, K).expect("brute");
-        assert_eq!(pruned.neighbors, brute, "pruned search must be exact");
-        assert_eq!(
-            pruned.probed + pruned.pruned,
-            index.len(),
-            "every stored vector is either probed or pruned"
-        );
-        probed_total += pruned.probed;
-    }
-    let fraction = probed_total as f64 / (queries.len() * index.len()) as f64;
+    let fraction = exact_probe_fraction(&mut index, &queries, K);
     let after = index.stats();
     println!(
         "simindex verification: {} vectors in {} cells | probe fraction {:.2}% \

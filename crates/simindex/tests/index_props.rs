@@ -15,10 +15,11 @@
 //!   scale of the same contract is `benches/simindex.rs`).
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use cactus_simindex::{ClusterConfig, ClusterSet, SimIndex};
+
+#[path = "common/corpus.rs"]
+mod corpus;
 
 /// A coarse-grid coordinate: multiples of 0.25 in [-2, 2], so distinct
 /// points frequently sit at exactly equal distances from a query.
@@ -109,38 +110,11 @@ proptest! {
     }
 }
 
-/// `benches/simindex.rs`'s corpus: 24 family centers in a box, each vector a
-/// center plus small uniform jitter, in 6 dimensions.
-fn clustered_corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let centers: Vec<Vec<f64>> = (0..24)
-        .map(|_| (0..6).map(|_| rng.gen_range(-4.0..4.0)).collect())
-        .collect();
-    (0..n)
-        .map(|i| {
-            centers[i % centers.len()]
-                .iter()
-                .map(|&c| c + rng.gen_range(-0.25..0.25))
-                .collect()
-        })
-        .collect()
-}
-
 #[test]
 fn pruned_search_stays_exact_within_its_probe_budget_at_10k() {
-    let mut index = SimIndex::new(6);
-    for (i, v) in clustered_corpus(10_000, 7).iter().enumerate() {
-        index.insert(&format!("k{i:06}"), v).expect("insert");
-    }
-    let queries = clustered_corpus(256, 1312);
-    let mut probed = 0usize;
-    for q in &queries {
-        let pruned = index.search(q, 10).expect("search");
-        assert_eq!(pruned.neighbors, index.brute_force(q, 10).expect("brute"));
-        assert_eq!(pruned.probed + pruned.pruned, index.len());
-        probed += pruned.probed;
-    }
-    let fraction = probed as f64 / (queries.len() * index.len()) as f64;
+    let mut index = corpus::build(&corpus::corpus(10_000, 7));
+    let queries = corpus::corpus(256, 1312);
+    let fraction = corpus::exact_probe_fraction(&mut index, &queries, 10);
     assert!(
         fraction < 0.25,
         "pruned search probed {:.1}% of {} vectors (budget 25%)",
