@@ -49,8 +49,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: cactus-lint [--root PATH] [--format text|json]\n\n\
-Static analysis for the Cactus serving stack: no-panic daemon paths,\n\
-lock-order cycles, /v1 surface consistency, metric/span name hygiene.";
+Static analysis for the Cactus serving stack: the forbid table (no-panic\n\
+daemon paths and per-path bans), lock-order cycles, /v1 surface\n\
+consistency, metric/span name hygiene.";
 
 fn main() -> ExitCode {
     let args = match parse_args() {

@@ -1,13 +1,19 @@
 //! `cactus-lint`: workspace static analyzer for the Cactus serving stack.
 //!
-//! Four rule families run over a lexed (not parsed) view of the workspace:
+//! Four rule families run over a lexed (not parsed) view of the workspace
+//! (plus, for `forbid`'s text rows, the named non-Rust files read as text):
 //!
-//! * [`rules::no_panic`] — daemon paths (`serve`, `gateway`, `obs`, and
-//!   the `gpu` cold-simulate files: `pool`, `engine`) must not `unwrap()`,
-//!   `expect()`, `panic!`, or index by integer literal outside
-//!   `#[cfg(test)]` code. The escape hatch is a `// lint:allow(no_panic,
-//!   reason)` comment on the same or preceding line; the reason is
-//!   mandatory.
+//! * [`rules::forbid`] — one table of rows, each a rule name, a path set,
+//!   the shapes forbidden there and the reason. Token rows match lexed
+//!   `.rs` code (`no_panic`: daemon paths — the `serve`, `gateway`, `obs`,
+//!   `simindex`, `store` and `wir` crates plus the `gpu` cold-simulate
+//!   files `pool` and `engine` — must not `unwrap()`, `expect()`, `panic!`
+//!   or index by integer literal outside `#[cfg(test)]` code; further rows
+//!   pin the daemon loop, the MD/tensor arithmetic, the cache oracle and
+//!   the store internals to where they belong). A hit yields to a
+//!   `// lint:allow(rule, reason)` comment on the same or preceding line;
+//!   the reason is mandatory. Text rows match docs, YAML and results line
+//!   by line, and absent rows name paths that must not exist.
 //! * [`rules::lock_order`] — every `.lock()`/`.read()`/`.write()` site is
 //!   an acquisition; `let`-bound guards live to the end of their brace
 //!   scope (or an explicit `drop(guard)`). Nested acquisitions become
@@ -40,7 +46,7 @@ pub use scan::Workspace;
 #[must_use]
 pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
-    findings.extend(rules::no_panic::check(ws));
+    findings.extend(rules::forbid::check(ws));
     findings.extend(rules::lock_order::check(ws));
     findings.extend(rules::surface::check(ws));
     findings.extend(rules::names::check(ws));

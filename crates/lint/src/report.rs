@@ -7,7 +7,8 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule family: `no_panic`, `lock_order`, `surface`, or `names`.
+    /// Rule: a `forbid` row's name (`no_panic`, …), `lock_order`,
+    /// `surface`, or `names`.
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,

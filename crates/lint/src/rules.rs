@@ -1,9 +1,9 @@
 //! The four rule families. Each module exposes
 //! `check(&Workspace) -> Vec<Finding>`.
 
+pub mod forbid;
 pub mod lock_order;
 pub mod names;
-pub mod no_panic;
 pub mod surface;
 
 use crate::lexer::Token;

@@ -105,9 +105,13 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-/// Directories never scanned: build output, vendored shims (not our code),
+/// Directories never lexed: build output, vendored shims (not our code),
 /// lint fixtures (deliberately bad), VCS internals.
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git"];
+
+/// Directories a text walk skips: build output and lint fixtures. Vendored
+/// shims are read, since a tombstone there is as live as anywhere.
+const TEXT_SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
 impl Workspace {
     /// Scan every `.rs` file under `root`, skipping [`SKIP_DIRS`] and
@@ -120,20 +124,15 @@ impl Workspace {
     /// are skipped rather than failing the whole scan.
     pub fn scan(root: &Path) -> io::Result<Self> {
         let mut paths = Vec::new();
-        walk(root, &mut paths)?;
+        walk(root, SKIP_DIRS, &mut paths)?;
+        paths.retain(|p| p.to_string_lossy().ends_with(".rs"));
         paths.sort();
         let mut files = Vec::new();
         for path in paths {
             let Ok(text) = fs::read_to_string(&path) else {
                 continue;
             };
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
+            let rel = rel_path(root, &path);
             files.push(SourceFile::from_text(path, rel, text));
         }
         Ok(Self {
@@ -141,19 +140,47 @@ impl Workspace {
             files,
         })
     }
+
+    /// Every file at or under root-relative `rel`, of any type, as
+    /// `(relative path, absolute path)`: a missing path yields none, and a
+    /// directory walk skips [`TEXT_SKIP_DIRS`] and hidden directories.
+    pub(crate) fn text_files(&self, rel: &str) -> io::Result<Vec<(String, PathBuf)>> {
+        let start = self.root.join(rel);
+        let mut paths = Vec::new();
+        if start.is_dir() {
+            walk(&start, TEXT_SKIP_DIRS, &mut paths)?;
+        } else if start.is_file() {
+            paths.push(start);
+        }
+        Ok(paths
+            .into_iter()
+            .map(|p| (rel_path(&self.root, &p), p))
+            .collect())
+    }
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// `path` relative to `root`, `/`-separated.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Collect every file under `dir`, skipping `skip` and hidden directories.
+fn walk(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
+            if skip.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, out)?;
-        } else if name.ends_with(".rs") {
+            walk(&path, skip, out)?;
+        } else {
             out.push(path);
         }
     }

@@ -1,0 +1,3 @@
+//! Control fixture: the oracle's own module names itself.
+
+pub struct SetAssocCache;

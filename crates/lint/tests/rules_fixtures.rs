@@ -60,6 +60,48 @@ fn no_panic_fires_on_each_shape_with_file_and_line() {
     assert!(!lines.contains(&21) && !lines.contains(&29));
 }
 
+/// One seeded hit per `forbid` row outside `no_panic`, each at its own
+/// file and line; the allowed trig line, test-only fused arithmetic and the
+/// exempt files beside each hit stay quiet.
+#[test]
+fn forbid_rows_fire_with_file_and_line() {
+    let findings = fixture("ws_forbid");
+    let got: Vec<(&str, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("one_perf_ruler", "DESIGN.md", 3),
+            ("cache_oracle", "crates/bench/src/bin/fig2.rs", 3),
+            ("store_internals", "crates/bench/src/lib.rs", 4),
+            ("one_daemon_loop", "crates/gateway/src/server.rs", 3),
+            ("fft_arith", "crates/md/src/fft.rs", 9),
+            ("per_cpu_code", "crates/md/src/fft.rs", 19),
+            ("pme_arith", "crates/md/src/pme.rs", 4),
+            // After the test module: scoped by the item, not by the
+            // file's first test attribute.
+            ("tensor_arith", "crates/tensor/src/tensor.rs", 12),
+            ("one_trace_format", "results/fig1.txt", 2),
+            ("one_perf_ruler", "vendor/criterion", 0),
+        ],
+        "findings: {findings:?}"
+    );
+    assert!(
+        findings[4].message.contains("`mul_add`"),
+        "message names the match: {}",
+        findings[4].message
+    );
+}
+
+/// Comments, string contents and test modules never trip a token row.
+#[test]
+fn forbid_ignores_comments_strings_and_test_code() {
+    let findings = fixture("ws_forbid_clean");
+    assert!(findings.is_empty(), "findings: {findings:?}");
+}
+
 #[test]
 fn lock_cycle_is_reported_with_both_sites() {
     let findings = fixture("ws_lock_cycle");

@@ -172,6 +172,7 @@ impl FftPlan {
             let mut len = 2;
             while len <= n {
                 let ang = sign * 2.0 * PI / len as f64;
+                // lint:allow(fft_arith, the one trig line: each stage's (cos, sin) seeds its table)
                 let wlen = (ang.cos(), ang.sin());
                 let mut w: Complex = (1.0, 0.0);
                 for _ in 0..len / 2 {

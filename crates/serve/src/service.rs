@@ -177,7 +177,7 @@ fn submission_policy(def: &cactus_wir::WorkloadDef) -> Vec<Finding> {
 /// The language-level validator plus the serve submission policy, exactly
 /// as `register_wir` applies them.
 fn submission_findings(def: &cactus_wir::WorkloadDef) -> Vec<Finding> {
-    let mut findings = cactus_wir::check_with(def, &cactus_wir::CostCeilings::default());
+    let mut findings = cactus_wir::check(def);
     if findings.is_empty() {
         findings = submission_policy(def);
     }
@@ -244,7 +244,7 @@ fn reload_wir(store: &Store) -> BTreeMap<String, Arc<WirWorkload>> {
             eprintln!("cactus-serve: stored definition {} is not UTF-8", entry.key);
             continue;
         };
-        match cactus_wir::analyze(&source, &cactus_wir::CostCeilings::default()) {
+        match cactus_wir::analyze(&source) {
             Ok(def) if def.name == name => {
                 map.insert(
                     name.to_owned(),

@@ -811,8 +811,7 @@ fn workload_submission_validates_persists_and_serves() {
         .get("/v1/profile/rtx-3080/tiny/gnn")
         .expect("gnn profile");
     assert_eq!(served.status, 200, "{}", served.body);
-    let def =
-        cactus_wir::analyze(&gnn, &cactus_wir::CostCeilings::default()).expect("gnn validates");
+    let def = cactus_wir::analyze(&gnn).expect("gnn validates");
     let mut gpu = cactus_gpu::Gpu::new(cactus_gpu::Device::rtx3080());
     cactus_wir::run(&def, Some("tiny"), &mut gpu).expect("interpret");
     let local = cactus_profiler::Profile::from_records(gpu.records());

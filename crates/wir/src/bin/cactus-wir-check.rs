@@ -1,20 +1,18 @@
 //! `cactus-wir-check` — run the static validator over workload IR files.
 //!
 //! ```text
-//! cactus-wir-check [--format text|json] [--max-launches N]
-//!                  [--max-warp-instructions N] [--max-bytes N] <file>…
+//! cactus-wir-check [--format text|json] <file>…
 //! ```
 //!
 //! Exit status: 0 when every file validates with zero findings, 1 when any
 //! finding was reported, 2 on usage or I/O errors.
 
-use cactus_wir::{analyze, render_json, render_text, CostCeilings};
+use cactus_wir::{analyze, render_json, render_text};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = "text".to_owned();
-    let mut ceilings = CostCeilings::default();
     let mut files: Vec<String> = Vec::new();
     let mut i = 0usize;
     while i < args.len() {
@@ -26,27 +24,6 @@ fn main() -> ExitCode {
                     i += 1;
                 }
                 _ => return usage("--format requires `text` or `json`"),
-            },
-            "--max-launches" => match parse_u64(args.get(i + 1)) {
-                Some(v) => {
-                    ceilings.max_launches = v;
-                    i += 1;
-                }
-                None => return usage("--max-launches requires an integer"),
-            },
-            "--max-warp-instructions" => match parse_u64(args.get(i + 1)) {
-                Some(v) => {
-                    ceilings.max_warp_instructions = v;
-                    i += 1;
-                }
-                None => return usage("--max-warp-instructions requires an integer"),
-            },
-            "--max-bytes" => match parse_u64(args.get(i + 1)) {
-                Some(v) => {
-                    ceilings.max_bytes = v;
-                    i += 1;
-                }
-                None => return usage("--max-bytes requires an integer"),
             },
             "--help" | "-h" => return usage(""),
             other if other.starts_with("--") => {
@@ -69,7 +46,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let findings = match analyze(&text, &ceilings) {
+        let findings = match analyze(&text) {
             Ok(_) => Vec::new(),
             Err(findings) => findings,
         };
@@ -91,17 +68,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_u64(arg: Option<&String>) -> Option<u64> {
-    arg.and_then(|s| s.parse::<u64>().ok())
-}
-
 fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("cactus-wir-check: {error}");
     }
-    eprintln!(
-        "usage: cactus-wir-check [--format text|json] [--max-launches N] \
-         [--max-warp-instructions N] [--max-bytes N] <file>..."
-    );
+    eprintln!("usage: cactus-wir-check [--format text|json] <file>...");
     ExitCode::from(2)
 }

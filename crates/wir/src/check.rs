@@ -15,7 +15,7 @@
 //!    declared class, the class set has exactly one `else`) and
 //!    termination (the phase-call graph is acyclic).
 //! 5. `cost` — static resource estimation (launches, warp instructions,
-//!    bytes moved) against configurable ceilings, without unrolling.
+//!    bytes moved) against fixed ceilings, without unrolling.
 //! 6. `determinism` — stochastic access patterns require a `seed`.
 //!
 //! Passes 2–6 are pure functions of the AST; none executes the workload.
@@ -40,13 +40,13 @@ pub const PASSES: [&str; 6] = [
 /// family at profile scale with head-room while rejecting definitions
 /// whose simulation would monopolize a serve worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostCeilings {
+struct CostCeilings {
     /// Maximum kernel launches per run.
-    pub max_launches: u64,
+    max_launches: u64,
     /// Maximum total warp instructions across the run.
-    pub max_warp_instructions: u64,
+    max_warp_instructions: u64,
     /// Maximum total bytes moved across the run.
-    pub max_bytes: u64,
+    max_bytes: u64,
 }
 
 impl Default for CostCeilings {
@@ -60,9 +60,9 @@ impl Default for CostCeilings {
 }
 
 /// Parse and validate in one step: the entry point serve and the CLI use.
-pub fn analyze(src: &str, ceilings: &CostCeilings) -> Result<WorkloadDef, Vec<Finding>> {
+pub fn analyze(src: &str) -> Result<WorkloadDef, Vec<Finding>> {
     let def = parse(src).map_err(|f| vec![f])?;
-    let findings = check_with(&def, ceilings);
+    let findings = check(&def);
     if findings.is_empty() {
         Ok(def)
     } else {
@@ -70,16 +70,16 @@ pub fn analyze(src: &str, ceilings: &CostCeilings) -> Result<WorkloadDef, Vec<Fi
     }
 }
 
-/// Validate a parsed definition under the default ceilings.
+/// Validate a parsed definition. Returns the findings of the first pass
+/// that produced any (or none if all passes are clean).
 #[must_use]
 pub fn check(def: &WorkloadDef) -> Vec<Finding> {
     check_with(def, &CostCeilings::default())
 }
 
-/// Validate a parsed definition. Returns the findings of the first pass
-/// that produced any (or none if all passes are clean).
-#[must_use]
-pub fn check_with(def: &WorkloadDef, ceilings: &CostCeilings) -> Vec<Finding> {
+/// [`check`] under explicit ceilings, which only this module's tests
+/// tighten.
+fn check_with(def: &WorkloadDef, ceilings: &CostCeilings) -> Vec<Finding> {
     let passes: [fn(&WorkloadDef, &CostCeilings) -> Vec<Finding>; 5] =
         [types, geometry, selection, cost, determinism];
     for pass in passes {
@@ -1018,7 +1018,7 @@ mod tests {
     }
 
     fn first_pass(src: &str) -> (String, Vec<Finding>) {
-        match analyze(src, &CostCeilings::default()) {
+        match analyze(src) {
             Ok(_) => (String::new(), Vec::new()),
             Err(findings) => {
                 let pass = findings

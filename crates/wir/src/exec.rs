@@ -17,8 +17,8 @@ use cactus_gpu::prelude::{
 };
 use std::collections::HashMap;
 
-/// Hard backstop on launches per execution, independent of the (softer,
-/// configurable) cost-pass ceiling.
+/// Hard backstop on launches per execution, independent of the (softer)
+/// cost-pass ceiling.
 pub const MAX_LAUNCHES: u64 = 10_000_000;
 
 /// Hard backstop on interpreter steps per execution: every statement
@@ -46,22 +46,12 @@ impl std::fmt::Display for ExecError {
 /// definition declares no scales). Returns the number of kernel launches
 /// issued.
 pub fn run(def: &WorkloadDef, scale: Option<&str>, gpu: &mut Gpu) -> Result<u64, ExecError> {
-    run_with_budget(def, scale, gpu, MAX_LAUNCHES)
+    run_with_limits(def, scale, gpu, MAX_LAUNCHES, MAX_STEPS)
 }
 
-/// [`run`] with an explicit launch budget (tests and embedders that want a
-/// tighter backstop than [`MAX_LAUNCHES`]).
-pub fn run_with_budget(
-    def: &WorkloadDef,
-    scale: Option<&str>,
-    gpu: &mut Gpu,
-    budget: u64,
-) -> Result<u64, ExecError> {
-    run_with_limits(def, scale, gpu, budget, MAX_STEPS)
-}
-
-/// [`run`] with explicit launch *and* step budgets.
-pub fn run_with_limits(
+/// [`run`] with explicit launch and step budgets, which only this
+/// module's tests tighten.
+fn run_with_limits(
     def: &WorkloadDef,
     scale: Option<&str>,
     gpu: &mut Gpu,
@@ -373,7 +363,7 @@ workload "sel" {
         let src = "workload \"big\" { kernel k { } run { repeat 100 { launch k; } } }";
         let def = parse(src).expect("parse");
         let mut gpu = Gpu::new(Device::rtx3080());
-        let err = run_with_budget(&def, None, &mut gpu, 10).expect_err("budget");
+        let err = run_with_limits(&def, None, &mut gpu, 10, MAX_STEPS).expect_err("budget");
         assert!(err.message.contains("launch budget"), "{err}");
         assert_eq!(gpu.records().len(), 10);
     }

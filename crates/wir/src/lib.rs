@@ -32,8 +32,8 @@ pub mod parser;
 pub mod printer;
 
 pub use ast::WorkloadDef;
-pub use check::{analyze, check, check_with, CostCeilings, PASSES};
-pub use exec::{run, run_with_budget, run_with_limits, ExecError, MAX_LAUNCHES, MAX_STEPS};
+pub use check::{analyze, check, PASSES};
+pub use exec::{run, ExecError, MAX_LAUNCHES, MAX_STEPS};
 pub use parser::parse;
 pub use printer::print;
 

@@ -2,14 +2,14 @@
 //!
 //! Every file under `tests/fixtures/` carries a `# expect <pass> <line>`
 //! header and is crafted to trip **exactly one** validator pass. Because
-//! `check_with` stops at the first pass with findings, asserting the pass
+//! `check` stops at the first pass with findings, asserting the pass
 //! name here proves both that the intended pass fires *and* that no
 //! earlier pass does. The second half of the file asserts the inverse for
 //! `defs/*.wir`: the four shipped family definitions validate with zero
 //! findings and the GNN definition actually dispatches both select arms.
 
 use cactus_gpu::{Device, Gpu};
-use cactus_wir::{analyze, CostCeilings, PASSES};
+use cactus_wir::{analyze, PASSES};
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -57,7 +57,7 @@ fn every_pass_has_a_fixture_and_each_fixture_trips_only_its_pass() {
             PASSES.contains(&pass.as_str()),
             "{name}: unknown pass `{pass}`"
         );
-        let findings = analyze(&src, &CostCeilings::default())
+        let findings = analyze(&src)
             .err()
             .unwrap_or_else(|| panic!("{name}: expected findings, validated clean"));
         assert!(!findings.is_empty(), "{name}: no findings");
@@ -92,7 +92,7 @@ fn shipped_definitions_validate_with_zero_findings() {
             continue;
         }
         let src = std::fs::read_to_string(&path).expect("read def");
-        let def = analyze(&src, &CostCeilings::default())
+        let def = analyze(&src)
             .unwrap_or_else(|f| panic!("{}: expected zero findings, got {f:?}", path.display()));
         names.push(def.name.clone());
     }
@@ -107,7 +107,7 @@ fn shipped_definitions_validate_with_zero_findings() {
 #[test]
 fn gnn_scales_dispatch_both_gather_variants() {
     let src = std::fs::read_to_string(defs_dir().join("gnn.wir")).expect("gnn def");
-    let def = analyze(&src, &CostCeilings::default()).expect("gnn validates");
+    let def = analyze(&src).expect("gnn validates");
     // tiny: average degree 8 < 16 -> low_degree; profile: degree 32 -> high.
     for (scale, expect, absent) in [
         ("tiny", "gnn_gather_local", "gnn_gather_scatter"),
