@@ -197,6 +197,14 @@ const ROWS: &[Row] = &[
                  PME solve have no per-CPU path and no unchecked code",
     },
     Row {
+        rule: "ffi_home",
+        paths: DAEMON,
+        except: &["crates/serve/src/net.rs", "crates/serve/src/signal.rs"],
+        shape: Shape::Tokens(Scope::All, &["unsafe"]),
+        reason: "daemon code reaches the C library only through serve's net.rs (bind, poll) \
+                 and signal.rs (signal); add the call there behind a safe wrapper",
+    },
+    Row {
         rule: "tensor_arith",
         paths: &["crates/tensor/src/**"],
         except: &[],
