@@ -27,7 +27,16 @@ pub const LATENCY_WINDOW: usize = 512;
 /// overwritten, quantiles are computed over whatever is present.
 #[derive(Debug)]
 pub struct LatencyRing {
-    samples: RankedMutex<(Vec<u64>, usize)>,
+    window: RankedMutex<Window>,
+}
+
+/// The samples in arrival order (a ring once full) and the same samples
+/// sorted, kept in step by [`LatencyRing::record`].
+#[derive(Debug)]
+struct Window {
+    ring: Vec<u64>,
+    next: usize,
+    sorted: Vec<u64>,
 }
 
 impl Default for LatencyRing {
@@ -40,50 +49,61 @@ impl LatencyRing {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            samples: RankedMutex::new(
+            window: RankedMutex::new(
                 rank::LATENCY_WINDOW,
                 "gateway.latency_ring",
-                (Vec::with_capacity(LATENCY_WINDOW), 0),
+                Window {
+                    ring: Vec::with_capacity(LATENCY_WINDOW),
+                    next: 0,
+                    sorted: Vec::with_capacity(LATENCY_WINDOW),
+                },
             ),
         }
     }
 
-    /// Record one latency sample in microseconds.
+    /// Record one latency sample in microseconds. Once the window is full
+    /// the oldest sample leaves the sorted copy and `us` enters it in one
+    /// shift of the elements between the two positions.
     pub fn record(&self, us: u64) {
-        let mut guard = self.samples.lock();
-        let (samples, next) = &mut *guard;
-        if samples.len() < LATENCY_WINDOW {
-            samples.push(us);
+        let mut guard = self.window.lock();
+        let Window { ring, next, sorted } = &mut *guard;
+        let at = sorted.partition_point(|&x| x < us);
+        if ring.len() < LATENCY_WINDOW {
+            ring.push(us);
+            sorted.insert(at, us);
+            return;
+        }
+        let evicted = std::mem::replace(&mut ring[*next], us);
+        *next = (*next + 1) % LATENCY_WINDOW;
+        // Equal samples are interchangeable: any match is the one to drop.
+        let gone = sorted
+            .binary_search(&evicted)
+            .unwrap_or_else(|i| i.min(sorted.len() - 1));
+        if at > gone {
+            sorted.copy_within(gone + 1..at, gone);
+            sorted[at - 1] = us;
         } else {
-            samples[*next] = us;
-            *next = (*next + 1) % LATENCY_WINDOW;
+            sorted.copy_within(at..gone, at + 1);
+            sorted[at] = us;
         }
     }
 
     /// The `q`-quantile (0.0..=1.0) of the current window, in microseconds;
     /// `None` while the window is empty. The sample
     /// [`cactus_serve::metrics::quantile`] would read from the sorted
-    /// window, selected in O(n) from a stack copy outside the lock: this
-    /// runs on every hedge-armed forward.
+    /// window, read in O(1) from the sorted copy: this runs on every
+    /// hedge-armed forward.
     #[must_use]
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        let mut window = [0u64; LATENCY_WINDOW];
-        let len = {
-            let guard = self.samples.lock();
-            window[..guard.0.len()].copy_from_slice(&guard.0);
-            guard.0.len()
-        };
-        if len == 0 {
-            return None;
-        }
-        let (_, nth, _) = window[..len].select_nth_unstable(nearest_rank(len, q));
-        Some(*nth)
+        let guard = self.window.lock();
+        let sorted = &guard.sorted;
+        sorted.get(nearest_rank(sorted.len(), q)).copied()
     }
 
     /// Number of samples currently in the window.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.lock().0.len()
+        self.window.lock().ring.len()
     }
 
     /// True when no sample has been recorded yet.
