@@ -2,10 +2,15 @@
 //! survive losing a profile's owning shard with zero client-visible errors
 //! (the follower replica holds the record), and a restarted owner must be
 //! repaired back to a converged fleet manifest by one anti-entropy pass.
+//! Write-path replication runs once per key however often the key is read,
+//! which a stub fleet that logs every request pins exactly.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy, Supervisor};
+use cactus_gateway::{Gateway, GatewayConfig, HashRing, RoutePolicy, Supervisor};
 use cactus_serve::{Client, ServeConfig};
 
 fn fleet_config(store_dir: &std::path::Path) -> ServeConfig {
@@ -175,4 +180,154 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
     gateway.join();
     fleet.shutdown_all();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A keep-alive stub backend that logs `METHOD path` for every request
+/// and answers each with a `200`: a profile or record body for a `GET`,
+/// `stored` for a `POST`.
+struct LoggingStub {
+    addr: SocketAddr,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl LoggingStub {
+    fn spawn() -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("stub bind");
+        let addr = listener.local_addr().expect("stub addr");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let accept_log = Arc::clone(&log);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let log = Arc::clone(&accept_log);
+                std::thread::spawn(move || serve_logged(stream, &log));
+            }
+        });
+        Self { addr, log }
+    }
+
+    /// How many logged requests equal `line`.
+    fn count(&self, line: &str) -> usize {
+        self.log
+            .lock()
+            .expect("log lock")
+            .iter()
+            .filter(|l| *l == line)
+            .count()
+    }
+}
+
+fn serve_logged(stream: TcpStream, log: &Mutex<Vec<String>>) {
+    let mut writer = stream.try_clone().expect("clone stub stream");
+    let mut reader = BufReader::new(stream);
+    loop {
+        let mut request_line = String::new();
+        if reader.read_line(&mut request_line).unwrap_or(0) == 0 {
+            return;
+        }
+        let mut length = 0usize;
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    length = value.trim().parse().unwrap_or(0);
+                }
+            }
+        }
+        let mut body = vec![0u8; length];
+        if reader.read_exact(&mut body).is_err() {
+            return;
+        }
+        let mut words = request_line.split_whitespace();
+        let (method, path) = (words.next().unwrap_or(""), words.next().unwrap_or(""));
+        log.lock()
+            .expect("log lock")
+            .push(format!("{method} {path}"));
+        let answer = match method {
+            "POST" => "stored\n",
+            _ if path.starts_with("/v1/store/record/") => "record bytes\n",
+            _ => "profile bytes\n",
+        };
+        let reply = format!(
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{answer}",
+            answer.len()
+        );
+        if writer.write_all(reply.as_bytes()).is_err() {
+            return;
+        }
+    }
+}
+
+/// Repeat reads of one profile replicate it once: one record read on the
+/// winner and one push to the follower, however many times the key is
+/// served. A read while the follower is unroutable replicates nothing and
+/// leaves the key unclaimed, so the first read after it returns does the
+/// copy.
+#[test]
+fn repeat_reads_replicate_a_profile_exactly_once() {
+    let stubs: Vec<LoggingStub> = (0..3).map(|_| LoggingStub::spawn()).collect();
+    let addrs: Vec<SocketAddr> = stubs.iter().map(|s| s.addr).collect();
+    let config = GatewayConfig {
+        workers: 2,
+        probe_interval: None,
+        cooldown: Duration::from_secs(3600),
+        policy: RoutePolicy {
+            hedge: false,
+            ..RoutePolicy::default()
+        },
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::start(config, addrs.clone()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(10));
+
+    let path = "/v1/profile/rtx-3080/tiny/GMS";
+    let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
+    // The stubs advertise no device set, so every backend is capable and
+    // the replica set is the ring's first two.
+    let order = HashRing::new(&labels).candidates("profile/rtx-3080/tiny/GMS");
+    let (winner, follower, bystander) = (order[0], order[1], order[2]);
+    let record_read = "GET /v1/store/record/rtx-3080/tiny/GMS";
+    let push = "POST /v1/store/record/rtx-3080/tiny/GMS";
+    let replications = |client: &Client| {
+        client
+            .metrics()
+            .expect("gateway metrics")
+            .get("cactus_gateway_store_replications_total")
+            .unwrap_or(0.0)
+    };
+
+    // The follower is ejected: nothing to copy to, and nothing claimed.
+    let health = &gateway.router().health;
+    health.report_failure(follower);
+    health.report_failure(follower);
+    assert!(!health.available(follower), "follower ejected");
+    for _ in 0..3 {
+        assert_eq!(client.get(path).expect("read").status, 200);
+    }
+    assert_eq!(stubs[winner].count(record_read), 0);
+    assert_eq!(replications(&client), 0.0);
+
+    // Back in rotation: the next read copies the record, later ones don't.
+    health.report_success(follower);
+    let reads = 8;
+    for _ in 0..reads {
+        assert_eq!(client.get(path).expect("read").status, 200);
+    }
+    assert_eq!(stubs[winner].count(&format!("GET {path}")), 3 + reads);
+    assert_eq!(stubs[winner].count(record_read), 1, "one source read");
+    assert_eq!(stubs[follower].count(push), 1, "one push to the follower");
+    for i in [follower, bystander] {
+        assert_eq!(stubs[i].count(&format!("GET {path}")), 0);
+        assert_eq!(stubs[i].count(record_read), 0);
+    }
+    assert_eq!(stubs[winner].count(push) + stubs[bystander].count(push), 0);
+    assert_eq!(replications(&client), 1.0);
+
+    gateway.join();
 }
