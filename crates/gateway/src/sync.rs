@@ -82,26 +82,24 @@ pub fn parse_manifest(text: &str) -> Option<Vec<ManifestEntry>> {
 /// The store key for a forwarded target path, when that path names a
 /// profile triple (`/v1/profile/<device>/<scale>/<workload>`): the triple
 /// joined with `/`, exactly the key `cactus-serve` appends under after a
-/// simulation. Non-profile paths return `None` — only profile responses
-/// imply a freshly stored record worth replicating.
+/// simulation, borrowed from `target`. Non-profile paths return `None` —
+/// only profile responses imply a freshly stored record worth replicating.
 #[must_use]
-pub fn store_key_for(target: &str) -> Option<String> {
+pub fn store_key_for(target: &str) -> Option<&str> {
     let path = target.split('?').next().unwrap_or(target);
     // lint:allow(surface, path *prefix* of the served /v1/profile triple route, not a consumed path)
     let rest = path.strip_prefix("/v1/profile/")?;
-    let parts: Vec<&str> = rest.split('/').collect();
-    if parts.len() == 3 && parts.iter().all(|p| !p.is_empty()) {
-        Some(parts.join("/"))
-    } else {
-        None
-    }
+    let mut parts = rest.split('/');
+    let triple = parts.by_ref().take(3).filter(|p| !p.is_empty()).count() == 3;
+    (triple && parts.next().is_none()).then_some(rest)
 }
 
 /// After backend `winner` answered `target` with a `200`: copy the backing
 /// store record to the other replica-set members (skipping unroutable
 /// ones), once per key per process lifetime. Runs synchronously on the
 /// request path — one pooled GET plus at most one POST per follower, and
-/// only the first time a key is served.
+/// only the first time a key is served. Every later serve of the key costs
+/// one borrowed set lookup: the dedupe check runs before anything else.
 pub fn replicate_after_forward(
     router: &Arc<Router>,
     target: &str,
@@ -111,25 +109,27 @@ pub fn replicate_after_forward(
     let Some(key) = store_key_for(target) else {
         return;
     };
-    let ring_key = format!("profile/{key}");
+    if router.is_replicated(key) {
+        return;
+    }
     let followers: Vec<usize> = router
-        .replica_set(&ring_key)
+        .replica_set(&format!("profile/{key}"))
         .into_iter()
         .filter(|&i| i != winner && router.health.available(i))
         .collect();
-    if followers.is_empty() || router.mark_replicated(&ring_key) {
+    if followers.is_empty() || router.mark_replicated(key) {
         return;
     }
     let trace = ctx.map(|c| c.trace());
     let mut span = ctx.map(|c| c.child("store.sync"));
     if let Some(span) = span.as_mut() {
         span.tag("mode", "replicate");
-        span.tag("key", key.clone());
+        span.tag("key", key.to_owned());
     }
     let Some(body) = router.fetch(winner, &format!("/v1/store/record/{key}"), trace) else {
         // The winner answered the profile but not the record read (e.g. it
         // died in between). Un-mark so a later read retries the copy.
-        router.unmark_replicated(&ring_key);
+        router.unmark_replicated(key);
         if let Some(span) = span.as_mut() {
             span.tag("error", "source read failed");
         }
@@ -137,7 +137,7 @@ pub fn replicate_after_forward(
     };
     let mut pushed = 0u64;
     for i in followers {
-        if router.push_record(i, &key, &body, trace) {
+        if router.push_record(i, key, &body, trace) {
             pushed += 1;
             router.metrics.store_replications.inc();
         } else {
@@ -370,11 +370,11 @@ mod tests {
     #[test]
     fn store_key_only_matches_profile_triples() {
         assert_eq!(
-            store_key_for("/v1/profile/rtx-3080/tiny/GMS").as_deref(),
+            store_key_for("/v1/profile/rtx-3080/tiny/GMS"),
             Some("rtx-3080/tiny/GMS")
         );
         assert_eq!(
-            store_key_for("/v1/profile/rtx-3080/tiny/GMS?verbose=1").as_deref(),
+            store_key_for("/v1/profile/rtx-3080/tiny/GMS?verbose=1"),
             Some("rtx-3080/tiny/GMS"),
             "query strings are stripped"
         );
