@@ -78,16 +78,15 @@ impl HashRing {
     pub fn candidates(&self, key: &str) -> Vec<usize> {
         let h = hash_str(key);
         let start = self.points.partition_point(|&(p, _)| p < h);
-        let mut seen = vec![false; self.backends];
+        let (before, after) = self.points.split_at(start);
         let mut order = Vec::with_capacity(self.backends);
-        for i in 0..self.points.len() {
-            let (_, backend) = self.points[(start + i) % self.points.len()];
-            if !seen[backend] {
-                seen[backend] = true;
+        for &(_, backend) in after.iter().chain(before) {
+            if order.len() == self.backends {
+                break;
+            }
+            // At most fleet-size entries to scan: cheaper than a `seen` set.
+            if !order.contains(&backend) {
                 order.push(backend);
-                if order.len() == self.backends {
-                    break;
-                }
             }
         }
         order
@@ -171,6 +170,36 @@ mod tests {
             moved > 0 && moved < total / 2,
             "~1/3 of keys should move, moved {moved}/{total}"
         );
+    }
+
+    /// The walk `candidates` had, with a `seen` vector beside the order.
+    fn seen_set_walk(ring: &HashRing, key: &str) -> Vec<usize> {
+        let start = ring.points.partition_point(|&(p, _)| p < hash_str(key));
+        let mut seen = vec![false; ring.backends];
+        let mut order = Vec::new();
+        for i in 0..ring.points.len() {
+            let (_, backend) = ring.points[(start + i) % ring.points.len()];
+            if !seen[backend] {
+                seen[backend] = true;
+                order.push(backend);
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn candidates_equal_the_seen_set_walk() {
+        for n in 1..8 {
+            let ring = HashRing::new(&labels(n));
+            for i in 0..500 {
+                let key = format!("profile/device-{}/tiny/wl-{i}", i % 5);
+                assert_eq!(
+                    ring.candidates(&key),
+                    seen_set_walk(&ring, &key),
+                    "{n}: {key}"
+                );
+            }
+        }
     }
 
     #[test]
