@@ -75,22 +75,29 @@ impl CapabilityMap {
 /// Extract the catalog device id a request targets, if the path addresses
 /// one: triple endpoints (`/v1/<ep>/<device>/<scale>/<workload>`), the
 /// similarity endpoint (`/v1/similar?device=...`), and store record pushes
-/// (`/v1/store/record/<device>/<scale>/<workload>`).
+/// (`/v1/store/record/<device>/<scale>/<workload>`). Borrowed from
+/// `target`: the gateway parses it once per forward and allocates nothing.
 #[must_use]
-pub fn device_for_target(target: &str) -> Option<String> {
+pub fn device_for_target(target: &str) -> Option<&str> {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
-    let segs: Vec<&str> = path.trim_matches('/').split('/').collect();
-    match segs.as_slice() {
-        ["v1", "similar"] => query?.split('&').find_map(|pair| {
+    // Seven slots tell every shape below from a longer path.
+    let mut segs = path.trim_matches('/').split('/');
+    let segs: [Option<&str>; 7] = std::array::from_fn(|_| segs.next());
+    match segs {
+        [Some("v1"), Some("similar"), None, ..] => query?.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
-            (k == "device" && !v.is_empty()).then(|| v.to_owned())
+            (k == "device" && !v.is_empty()).then_some(v)
         }),
-        ["v1", "store", "record", device, _, _] => Some((*device).to_owned()),
-        ["v1", ep, device, _, _] if *ep != "store" && *ep != "compare" => {
-            Some((*device).to_owned())
+        [Some("v1"), Some("store"), Some("record"), Some(device), Some(_), Some(_), None] => {
+            Some(device)
+        }
+        [Some("v1"), Some(ep), Some(device), Some(_), Some(_), None, None]
+            if ep != "store" && ep != "compare" =>
+        {
+            Some(device)
         }
         _ => None,
     }
@@ -157,11 +164,7 @@ mod tests {
             ("/v1/devices", None),
             ("/v1/store/manifest", None),
         ] {
-            assert_eq!(
-                device_for_target(target).as_deref(),
-                want,
-                "target {target}"
-            );
+            assert_eq!(device_for_target(target), want, "target {target}");
         }
     }
 }

@@ -119,7 +119,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
                 let router = Arc::clone(router);
                 s.spawn(move || {
                     router.metrics.compare_fanout.inc();
-                    (i, forward_replicated(&router, &target, leg_ctx))
+                    (i, forward_replicated(&router, &target, Some(id), leg_ctx))
                 })
             })
             .collect();
