@@ -41,7 +41,8 @@ usage: cactus-gateway [options]
   --workers N               gateway worker threads (default 8)
   --queue N                 accepted connections allowed to wait (default 128)
   --no-hedge                disable hedged requests
-  --hedge-floor-ms MS       minimum hedge delay (default 20)
+  --hedge-floor-ms MS       minimum hedge delay (default 20, at most the
+                            2000 ms hedge cap)
   --eject-after N           consecutive failures before ejection (default 2)
   --cooldown-ms MS          ejection cooldown before half-open (default 1000)
   --health-interval-ms MS   active /v1/healthz probe interval, 0 = passive only
@@ -132,6 +133,11 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    parsed
+        .config
+        .policy
+        .validate()
+        .map_err(|msg| format!("--hedge-floor-ms: {msg}"))?;
     if parsed.backends.is_empty() && parsed.fleet == 0 {
         return Err("need --backend (repeatable) or --fleet N".to_owned());
     }
@@ -250,4 +256,30 @@ fn run(args: Args) -> ExitCode {
     }
     eprintln!("cactus-gateway: drained, exiting");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Parsed, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn a_hedge_floor_above_the_cap_is_rejected() {
+        let err = parse(&["--backend", "127.0.0.1:7001", "--hedge-floor-ms", "3000"])
+            .err()
+            .expect("3 s floor over a 2 s cap");
+        assert!(
+            err.contains("--hedge-floor-ms") && err.contains("hedge cap 2s"),
+            "{err}"
+        );
+        let Ok(Parsed::Run(args)) =
+            parse(&["--backend", "127.0.0.1:7001", "--hedge-floor-ms", "2000"])
+        else {
+            panic!("a floor equal to the cap is accepted");
+        };
+        assert_eq!(args.config.policy.hedge_floor, Duration::from_secs(2));
+    }
 }
