@@ -19,6 +19,7 @@ use cactus_gateway::metrics::GatewayMetrics;
 use cactus_gateway::server::routing_key;
 use cactus_gateway::{Gateway, GatewayConfig, HashRing, HealthState, RoutePolicy};
 use cactus_obs::TraceId;
+use cactus_serve::http::MAX_HEAD_BYTES;
 use cactus_serve::Connection;
 
 /// How a stub treats the data requests it reads.
@@ -36,6 +37,10 @@ enum Mode {
     CloseAfterReply,
     /// Send the head and half the body, the rest after this gap.
     SlowBody(Duration),
+    /// Declare a `content-length` of `usize::MAX`.
+    HugeLength,
+    /// Send a head one padding header past `MAX_HEAD_BYTES`.
+    HugeHead,
 }
 
 struct StubState {
@@ -163,6 +168,14 @@ fn serve(mut stream: TcpStream, state: &StubState) {
                 let _ = stream.write_all(first.as_bytes());
                 std::thread::sleep(gap);
                 let _ = stream.write_all(rest.as_bytes());
+            }
+            Mode::HugeLength => {
+                let _ =
+                    stream.write_all(format!("{}{body}", head("200 OK", usize::MAX)).as_bytes());
+            }
+            Mode::HugeHead => {
+                let padded = format!("200 OK\r\nx-padding: {}", "p".repeat(MAX_HEAD_BYTES));
+                let _ = stream.write_all(format!("{}{body}", head(&padded, body.len())).as_bytes());
             }
         }
     }
@@ -443,5 +456,42 @@ fn a_slow_body_after_a_prompt_first_byte_is_read_to_the_end() {
     assert_eq!(fleet.primary_failures(), 0);
     assert_eq!(fleet.counter(|m| m.retries.get()), 0);
     assert_eq!(fleet.neighbour.hits(), 0);
+    fleet.stop();
+}
+
+#[test]
+fn a_reply_past_the_message_bounds_fails_over_and_charges_the_primary() {
+    for mode in [Mode::HugeLength, Mode::HugeHead] {
+        let mut fleet = Fleet::start(QUIET_FLOOR);
+        fleet.primary.set(mode);
+        assert_eq!(
+            fleet.get(),
+            fleet.neighbour.body(&fleet.path, 1),
+            "{mode:?}: the healthy backend's 200"
+        );
+        assert_eq!(fleet.primary_failures(), 1, "{mode:?}");
+        assert_eq!(fleet.counter(|m| m.retries.get()), 1, "{mode:?}");
+        assert_eq!(
+            fleet.counter(|m| m.responses_5xx.get()),
+            0,
+            "{mode:?}: no handler panicked into a 500"
+        );
+        fleet.stop();
+    }
+}
+
+#[test]
+fn a_hedged_primary_whose_late_reply_is_past_the_bounds_is_charged_a_failure() {
+    let mut fleet = Fleet::start(STALL_FLOOR);
+    fleet.primary.set(Mode::Hold);
+    assert_eq!(fleet.get(), fleet.neighbour.body(&fleet.path, 1));
+    assert_eq!(fleet.hedges(), (1, 1));
+    // The finisher reads the held reply only now, and must book it.
+    fleet.primary.set(Mode::HugeLength);
+    let metrics = &fleet.gateway.router().metrics;
+    wait_until("the primary's failure", || {
+        metrics.backends[PRIMARY].failures.get() == 1
+    });
+    assert_eq!(fleet.counter(|m| m.responses_5xx.get()), 0);
     fleet.stop();
 }

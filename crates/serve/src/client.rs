@@ -1,12 +1,14 @@
 //! Typed client for the daemon, used by the integration tests, the
 //! `loadgen` binary, and the gateway's backend connection pool.
 //!
-//! Two transports share one reply parser: [`Client`] opens a fresh
-//! connection per request (`Connection: close`), while [`Connection`]
-//! keeps one `TcpStream` alive across sequential requests, honoring the
-//! server's `Connection: close` and transparently redialing once when a
-//! pooled stream turns out to have been reaped by the server's idle
-//! timeout. The profile endpoint's body is the bit-exact
+//! One transport: [`Connection`] keeps one `TcpStream` alive across
+//! sequential requests, honoring the server's `Connection: close` and
+//! transparently redialing once when a pooled stream turns out to have been
+//! reaped by the server's idle timeout; a [`Client`] call is one exchange on
+//! a fresh `Connection`. Replies are read by [`crate::http::read_reply`],
+//! under the same head and body bounds the server applies to requests, so
+//! a malformed, oversized or unframeable reply is [`ClientError::Parse`].
+//! The profile endpoint's body is the bit-exact
 //! `cactus_profiler::store` serialization, so [`Client::profile`] hands
 //! back a fully typed [`Profile`] without a JSON layer.
 //!
@@ -25,72 +27,16 @@ use cactus_obs::{expo, ApiError, Exposition, TraceId, TRACE_HEADER};
 use cactus_profiler::store::read_profile;
 use cactus_profiler::Profile;
 
-/// A parsed response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpReply {
-    /// Status code.
-    pub status: u16,
-    /// Lowercased header name/value pairs, in wire order.
-    pub headers: Vec<(String, String)>,
-    /// Response body.
-    pub body: String,
-}
+pub use crate::http::HttpReply;
+use crate::http::{read_reply, HttpError};
 
 impl HttpReply {
-    /// First header value with the given (case-insensitive) name.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        // Stored names are lower case, so a case-insensitive match is an
-        // exact one, and no lower-cased copy of `name` is needed.
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The `Retry-After` header, parsed to seconds.
-    #[must_use]
-    pub fn retry_after_s(&self) -> Option<u32> {
-        self.header("retry-after")?.trim().parse().ok()
-    }
-
-    /// The trace id echoed in the `x-cactus-trace` header, if any.
-    #[must_use]
-    pub fn trace_id(&self) -> Option<TraceId> {
-        self.header(TRACE_HEADER).and_then(TraceId::parse)
-    }
-
-    /// Whether the server will close the connection after this reply.
-    #[must_use]
-    pub fn connection_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-    }
-
     /// Convert a non-200 reply into the most structured error available:
     /// the parsed envelope when the body is one, the raw body otherwise.
     fn into_error(self) -> ClientError {
         match ApiError::from_json(&self.body) {
             Some(envelope) => ClientError::Api(envelope),
             None => ClientError::Status(self.status, self.body),
-        }
-    }
-}
-
-/// A backend's reply as the response the gateway forwards: status, content
-/// type and body verbatim, plus the backend's `Retry-After` so forwarded
-/// backpressure keeps its hint. Hop-by-hop headers (`connection`, the
-/// length, the trace echo) are the forwarding daemon's to set.
-impl From<HttpReply> for crate::http::Response {
-    fn from(reply: HttpReply) -> Self {
-        let content_type = reply
-            .header("content-type")
-            .unwrap_or(crate::routes::TEXT)
-            .to_owned();
-        Self {
-            status: reply.status,
-            retry_after: reply.retry_after_s(),
-            ..Self::ok(reply.body, content_type)
         }
     }
 }
@@ -104,7 +50,8 @@ pub enum ClientError {
     Api(ApiError),
     /// The server answered non-200 without a parseable envelope.
     Status(u16, String),
-    /// A 200 body that did not parse as the expected type.
+    /// A reply the message reader rejected (malformed, oversized or
+    /// unframeable), or a 200 body that did not parse as the expected type.
     Parse(String),
 }
 
@@ -138,6 +85,20 @@ impl std::error::Error for ClientError {}
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+/// A reply cut short is a transport failure; one the reader rejected is a
+/// parse failure.
+impl From<HttpError> for ClientError {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Io(e) => ClientError::Io(e),
+            HttpError::ClosedEarly => {
+                ClientError::Io(std::io::Error::new(ErrorKind::UnexpectedEof, e.to_string()))
+            }
+            other => ClientError::Parse(other.to_string()),
+        }
     }
 }
 
@@ -418,7 +379,7 @@ impl Client {
     ///
     /// Socket errors and unparseable response heads.
     pub fn get_traced(&self, path: &str, trace: Option<TraceId>) -> Result<HttpReply, ClientError> {
-        self.request("GET", path, "", trace)
+        self.connection().get_traced(path, trace)
     }
 
     /// Issue one `POST path` with a text body and parse the reply
@@ -433,22 +394,7 @@ impl Client {
         body: &str,
         trace: Option<TraceId>,
     ) -> Result<HttpReply, ClientError> {
-        self.request("POST", path, body, trace)
-    }
-
-    fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: &str,
-        trace: Option<TraceId>,
-    ) -> Result<HttpReply, ClientError> {
-        let mut reader = dial(self.addr, self.timeout)?;
-        // One write_all per request: fragment-per-write on a raw socket
-        // triggers Nagle + delayed-ACK stalls (~40 ms) on the peer.
-        let wire = request_wire(method, path, self.addr, false, trace, body);
-        reader.get_mut().write_all(wire.as_bytes())?;
-        read_reply(&mut reader)
+        self.connection().post_traced(path, body, trace)
     }
 
     /// `GET /v1/healthz`, true on `200 ok`.
@@ -593,26 +539,25 @@ impl Client {
     }
 }
 
-/// Serialize one full request — head plus optional body — as a single
-/// string (single `write_all`, see call sites). An empty `body` emits no
-/// `content-length` header, matching the server's GET-only fast path.
+/// Serialize one full keep-alive request — head plus optional body — as a
+/// single string (single `write_all`, see call sites). An empty `body`
+/// emits no `content-length` header, matching the server's GET-only fast
+/// path.
 fn request_wire(
     method: &str,
     path: &str,
     addr: SocketAddr,
-    keep_alive: bool,
     trace: Option<TraceId>,
     body: &str,
 ) -> String {
     use std::fmt::Write as _;
-    let connection = if keep_alive { "keep-alive" } else { "close" };
     // Sized once and formatted in place: the head is well under 160 bytes
     // beyond the path.
     let mut wire = String::with_capacity(160 + method.len() + path.len() + body.len());
     // Writing into a `String` cannot fail.
     let _ = write!(
         wire,
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\nconnection: {connection}\r\n"
+        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\nconnection: keep-alive\r\n"
     );
     if let Some(trace) = trace {
         let _ = write!(wire, "{TRACE_HEADER}: {trace}\r\n");
@@ -795,7 +740,7 @@ impl Connection {
             // An abandoned exchange left its reply unread on the stream.
             self.stream = None;
         }
-        let wire = request_wire(method, path, self.addr, true, trace, body);
+        let wire = request_wire(method, path, self.addr, trace, body);
         let mut reused = self.stream.is_some();
         let mut sent = self.begin(&wire, stall);
         if sent.is_err() && reused {
@@ -858,7 +803,7 @@ impl Connection {
         let Some(reader) = &mut self.stream else {
             return Err(ClientError::Io(ErrorKind::NotConnected.into()));
         };
-        let reply = read_reply(reader);
+        let reply = read_reply(reader).map_err(ClientError::from);
         match &reply {
             Ok(r) if !r.connection_close() => self.reuses += u64::from(reused),
             _ => self.stream = None,
@@ -877,7 +822,8 @@ fn write_and_wait(
     wire: &str,
     stall: Option<Duration>,
 ) -> std::io::Result<Sent> {
-    // Single write_all, same Nagle/delayed-ACK reasoning as Client.
+    // One write_all per request: fragment-per-write on a raw socket
+    // triggers Nagle + delayed-ACK stalls (~40 ms) on the peer.
     reader.get_mut().write_all(wire.as_bytes())?;
     if let Some(stall) = stall {
         if reader.buffer().is_empty() && !crate::net::readable_within(reader.get_ref(), stall)? {
@@ -895,79 +841,6 @@ fn write_and_wait(
     } else {
         Err(ErrorKind::UnexpectedEof.into())
     }
-}
-
-/// Read one full reply (status line, headers, body) from a buffered stream,
-/// leaving the reader positioned after the body so the stream can carry the
-/// next keep-alive exchange. The body length comes from `Content-Length`;
-/// without one the body is everything until EOF (close-delimited).
-///
-/// The head is gathered line by line into one byte buffer straight from
-/// the reader's buffer, then parsed in one pass: the status line as soon as
-/// it is in (a bad one fails before any header is awaited), the headers
-/// once the blank line has arrived.
-fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, ClientError> {
-    let mut head = Vec::with_capacity(256);
-    if reader.read_until(b'\n', &mut head)? == 0 {
-        return Err(ClientError::Io(std::io::Error::new(
-            ErrorKind::UnexpectedEof,
-            "connection closed before a status line",
-        )));
-    }
-    let status_line = head_str(&head)?.trim_end_matches(['\r', '\n']);
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Parse(format!("bad status line {status_line:?}")))?;
-    let headers_at = head.len();
-    loop {
-        let line_at = head.len();
-        if reader.read_until(b'\n', &mut head)? == 0 {
-            return Err(ClientError::Parse("reply head truncated".to_owned()));
-        }
-        if head[line_at..].iter().all(|&b| b == b'\r' || b == b'\n') {
-            break;
-        }
-    }
-
-    let headers: Vec<(String, String)> = head_str(&head[headers_at..])?
-        .lines()
-        .filter_map(|line| line.trim_end_matches('\r').split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok());
-    let body = match content_length {
-        Some(len) => {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8(buf).map_err(|_| ClientError::Parse("non-UTF-8 body".to_owned()))?
-        }
-        None => {
-            let mut buf = String::new();
-            reader.read_to_string(&mut buf)?;
-            buf
-        }
-    };
-    Ok(HttpReply {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// A reply head's bytes as text: a non-UTF-8 head is the same I/O error
-/// `BufRead::read_line` reports.
-fn head_str(bytes: &[u8]) -> Result<&str, ClientError> {
-    std::str::from_utf8(bytes).map_err(|_| {
-        ClientError::Io(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "stream did not contain valid UTF-8",
-        ))
-    })
 }
 
 #[cfg(test)]
@@ -1000,84 +873,34 @@ mod tests {
         assert!(second.connection_close());
     }
 
-    /// The line-by-line parser `read_reply` replaced: the oracle for it.
-    fn read_reply_by_lines<R: BufRead>(reader: &mut R) -> Result<HttpReply, ClientError> {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io(ErrorKind::UnexpectedEof.into()));
-        }
-        let status_line = line.trim_end_matches(['\r', '\n']).to_owned();
-        let status: u16 = status_line
-            .split_ascii_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Parse(format!("bad status line {status_line:?}")))?;
-        let mut headers = Vec::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(ClientError::Parse("reply head truncated".to_owned()));
-            }
-            let trimmed = line.trim_end_matches(['\r', '\n']);
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((n, v)) = trimmed.split_once(':') {
-                headers.push((n.trim().to_ascii_lowercase(), v.trim().to_owned()));
-            }
-        }
-        let content_length = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok());
-        let body = match content_length {
-            Some(len) => {
-                let mut buf = vec![0u8; len];
-                reader.read_exact(&mut buf)?;
-                String::from_utf8(buf)
-                    .map_err(|_| ClientError::Parse("non-UTF-8 body".to_owned()))?
-            }
-            None => {
-                let mut buf = String::new();
-                reader.read_to_string(&mut buf)?;
-                buf
-            }
-        };
-        Ok(HttpReply {
-            status,
-            headers,
-            body,
-        })
-    }
-
-    /// Which way a parse went: the reply, or the error's variant and kind.
-    fn outcome(r: Result<HttpReply, ClientError>) -> Result<HttpReply, String> {
-        r.map_err(|e| match e {
-            ClientError::Io(io) => format!("io {:?}", io.kind()),
-            ClientError::Parse(_) => "parse".to_owned(),
-            other => format!("{other}"),
-        })
-    }
+    /// Odd header blocks, after either start line: the same header-line
+    /// rule, terminator rule, framing headers and body bounds apply.
+    const ODD_HEADERS: &[&str] = &[
+        "Content-Type: text/plain\r\n",
+        "content-length: 5\r\n",
+        "CONTENT-LENGTH:  3 \n",
+        "Content-Length: x\r\n",
+        "Retry-After: 2\r\n",
+        "connection: close\r\n",
+        "no colon here\r\n",
+        "x-cactus-trace:: a:b\r\n",
+        "  Spaced-Name :  v  \r\r\n",
+        "X-\u{3b1}: \u{3b2}\r\n",
+        "Transfer-Encoding: chunked\r\n",
+    ];
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// On well-formed, odd and torn replies alike, the one-pass parser
-        /// returns what the line-by-line one did, and leaves the reader at
-        /// the same place for the next keep-alive reply.
+        /// A header block is accepted behind a status line exactly when it
+        /// is accepted behind a request line, to the same header list or
+        /// the same error, and leaves the reader at the same place — except
+        /// that without a `Content-Length` the reply runs to EOF while the
+        /// request has no body.
         #[test]
-        fn read_reply_matches_the_line_by_line_parser(
-            status in proptest::sample::select(&[
-                "HTTP/1.1 200 OK\r\n", "HTTP/1.1 503 Busy\n", "HTTP/1.1 404 Not Found\r\r\n",
-                "garbage\r\n", "HTTP/1.1 70000 Big\r\n", "", "HTTP/1.1 \u{e9}200 OK\r\n",
-            ]),
+        fn a_reply_head_reads_like_a_request_head(
             headers in proptest::prelude::prop::collection::vec(
-                proptest::sample::select(&[
-                    "Content-Type: text/plain\r\n", "content-length: 5\r\n",
-                    "CONTENT-LENGTH:  3 \n", "Content-Length: x\r\n", "Retry-After: 2\r\n",
-                    "connection: close\r\n", "no colon here\r\n", "x-cactus-trace:: a:b\r\n",
-                    "  Spaced-Name :  v  \r\r\n", "X-\u{3b1}: \u{3b2}\r\n",
-                ]),
+                proptest::sample::select(ODD_HEADERS),
                 0..6,
             ),
             blank in proptest::sample::select(&["\r\n", "\n", "\r\r\n", ""]),
@@ -1085,14 +908,100 @@ mod tests {
                 "", "abc", "hello", "abcHTTP/1.1 200 OK\r\ncontent-length: 1\r\n\r\nz",
             ]),
         ) {
-            let raw = format!("{status}{}{blank}{body}", headers.concat());
-            let (mut new, mut old) = (raw.as_bytes(), raw.as_bytes());
+            let block = format!("{}{blank}{body}", headers.concat());
+            let (reply_wire, request_wire) =
+                (format!("HTTP/1.1 200 OK\r\n{block}"), format!("GET / HTTP/1.1\r\n{block}"));
+            let (mut reply_rest, mut request_rest) =
+                (reply_wire.as_bytes(), request_wire.as_bytes());
+            let reply = read_reply(&mut reply_rest);
+            let request = crate::http::read_request(&mut request_rest);
             proptest::prop_assert_eq!(
-                outcome(read_reply(&mut new)),
-                outcome(read_reply_by_lines(&mut old))
+                reply.as_ref().map(|r| &r.headers).map_err(ToString::to_string),
+                request.as_ref().map(|r| &r.headers).map_err(ToString::to_string)
             );
-            proptest::prop_assert_eq!(new, old);
+            match (&reply, &request) {
+                (Ok(reply), Ok(request)) if request.header("content-length").is_none() => {
+                    proptest::prop_assert!(request.body.is_empty());
+                    proptest::prop_assert_eq!(reply.body.as_bytes(), request_rest);
+                    proptest::prop_assert!(reply_rest.is_empty());
+                }
+                (Ok(reply), Ok(request)) => {
+                    proptest::prop_assert_eq!(&reply.body, &request.body);
+                    proptest::prop_assert_eq!(reply_rest, request_rest);
+                }
+                _ => proptest::prop_assert_eq!(reply_rest, request_rest),
+            }
         }
+
+        /// The reply-side twin of the request parser's totality property:
+        /// arbitrary bytes are a reply or a typed error, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_read_reply(
+            raw in proptest::prelude::prop::collection::vec(0u32..256, 0..256),
+        ) {
+            let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
+            // A reply or a typed error — reaching this line is the property.
+            let _ = read_reply(&mut bytes.as_slice());
+        }
+    }
+
+    #[test]
+    fn status_lines_are_read_strictly() {
+        for (line, status) in [
+            ("HTTP/1.1 200 OK\r\n", Some(200)),
+            ("HTTP/1.1 503 Busy\n", Some(503)),
+            ("HTTP/1.0 404 Not Found\r\r\n", Some(404)),
+            ("HTTP/1.1 204\r\n", Some(204)),
+            ("garbage\r\n", None),
+            ("HTTP/1.1 70000 Big\r\n", None),
+            ("HTTP/1.1 +20 Signed\r\n", None),
+            ("HTTP/1.1  200 Spaced\r\n", None),
+            ("HTTP/1.1 \u{e9}200 OK\r\n", None),
+            ("SMTP/1.1 200 OK\r\n", None),
+        ] {
+            let wire = format!("{line}content-length: 0\r\n\r\n");
+            match read_reply(&mut wire.as_bytes()) {
+                Ok(reply) => assert_eq!(Some(reply.status), status, "{line:?}"),
+                Err(HttpError::Malformed(msg)) => {
+                    assert_eq!(status, None, "{line:?}: {msg}");
+                    assert!(msg.starts_with("malformed status line"), "{msg}");
+                }
+                Err(other) => panic!("{line:?}: {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_reply(&mut "".as_bytes()),
+            Err(HttpError::ClosedEarly)
+        ));
+    }
+
+    #[test]
+    fn replies_past_the_bounds_are_parse_errors() {
+        let huge_length = "HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nx";
+        let huge_head = format!(
+            "HTTP/1.1 200 OK\r\nx-pad: {}\r\ncontent-length: 0\r\n\r\n",
+            "p".repeat(crate::http::MAX_HEAD_BYTES)
+        );
+        let huge_body = format!(
+            "HTTP/1.1 200 OK\r\n\r\n{}",
+            "b".repeat(crate::http::MAX_BODY_BYTES + 1)
+        );
+        let chunked = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n1\r\nx\r\n0\r\n\r\n";
+        for wire in [huge_length, &huge_head, &huge_body, chunked] {
+            let err = read_reply(&mut wire.as_bytes()).map_err(ClientError::from);
+            assert!(
+                matches!(err, Err(ClientError::Parse(_))),
+                "{:?}: {err:?}",
+                &wire[..wire.len().min(60)]
+            );
+        }
+        // A close-delimited body of exactly the cap is still a reply.
+        let at_cap = format!(
+            "HTTP/1.1 200 OK\r\n\r\n{}",
+            "b".repeat(crate::http::MAX_BODY_BYTES)
+        );
+        let reply = read_reply(&mut at_cap.as_bytes()).expect("a body at the cap");
+        assert_eq!(reply.body.len(), crate::http::MAX_BODY_BYTES);
     }
 
     #[test]

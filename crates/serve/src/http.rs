@@ -1,32 +1,38 @@
-//! A deliberately small HTTP/1.1 implementation over std TCP streams.
+//! A deliberately small HTTP/1.1 implementation over std TCP streams: the
+//! one place either tier reads an HTTP message.
 //!
 //! The daemon needs exactly one request shape — `GET <path>` with a handful
 //! of headers it may consult — and writes one response per request, so this
 //! module implements that slice directly instead of pulling in a server
-//! framework (the workspace builds with no registry access). Request heads
-//! are capped at [`MAX_HEAD_BYTES`]; anything larger, non-UTF-8, or not
-//! HTTP-shaped surfaces as an [`HttpError`] which the server maps to a
-//! `400`.
+//! framework (the workspace builds with no registry access). Requests
+//! ([`read_request`]) and replies ([`read_reply`]) share one reader: heads
+//! are capped at [`MAX_HEAD_BYTES`] and bodies at [`MAX_BODY_BYTES`], so no
+//! peer-chosen length is allocated before it is checked; anything larger,
+//! non-UTF-8, or not HTTP-shaped surfaces as an [`HttpError`], which the
+//! server maps to a `400` and the client to a parse error.
 //!
 //! Parsing is strict where laxness would be exploitable: the request line
 //! must be exactly `METHOD SP TARGET SP HTTP/1.x` with single spaces and no
-//! tabs (whitespace smuggling in the target is rejected), and header lines
+//! tabs (whitespace smuggling in the target is rejected), header lines
 //! split on the *first* `:` only, so values containing `:` (URLs, IPv6
-//! literals, timestamps) survive intact. [`read_request`] takes any
-//! [`BufRead`], which lets a server read several sequential requests from
-//! one keep-alive connection without losing buffered bytes between them.
+//! literals, timestamps) survive intact, and `Transfer-Encoding` is
+//! rejected. Only the start line and the framing of a message without
+//! `Content-Length` depend on direction: such a request has no body, such
+//! a reply runs to EOF. Both readers take any [`BufRead`] and leave it
+//! exactly past the message, so one keep-alive stream carries several.
 
 use std::borrow::Cow;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use cactus_obs::{ApiError, TraceId, TRACE_HEADER};
 
-/// Upper bound on the request head (request line + headers), in bytes.
+/// Upper bound on a message head (start line + headers), in bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// Upper bound on a request body (`Content-Length`), in bytes. Only the
-/// store-record ingestion endpoint accepts bodies; profile documents are
-/// well under this.
+/// Upper bound on a message body, in bytes, in either direction: a
+/// request's `Content-Length` (only the store-record ingestion endpoint
+/// accepts bodies), and a reply's declared or close-delimited body. Profile
+/// documents are well under this.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// A parsed request.
@@ -49,19 +55,14 @@ impl Request {
     /// First header value with the given (case-insensitive) name.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header_in(&self.headers, name)
     }
 
     /// Whether the client asked for the connection to be closed after this
     /// response (`Connection: close`).
     #[must_use]
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        close_in(&self.headers)
     }
 
     /// The trace id carried by the `x-cactus-trace` header, if present and
@@ -69,20 +70,93 @@ impl Request {
     /// mints a fresh id rather than propagating garbage).
     #[must_use]
     pub fn trace_id(&self) -> Option<TraceId> {
-        self.header(TRACE_HEADER).and_then(TraceId::parse)
+        trace_in(&self.headers)
     }
 }
 
-/// Why a request head could not be parsed.
+/// A parsed reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HttpReply {
+    /// Status code.
+    pub status: u16,
+    /// Header name/value pairs, as in [`Request::headers`].
+    pub headers: Vec<(String, String)>,
+    /// Response body.
+    pub body: String,
+}
+
+impl HttpReply {
+    /// First header value with the given (case-insensitive) name.
+    #[must_use]
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_in(&self.headers, name)
+    }
+
+    /// The `Retry-After` header, parsed to seconds.
+    #[must_use]
+    pub fn retry_after_s(&self) -> Option<u32> {
+        self.header("retry-after")?.parse().ok()
+    }
+
+    /// The trace id echoed in the `x-cactus-trace` header, if any.
+    #[must_use]
+    pub fn trace_id(&self) -> Option<TraceId> {
+        trace_in(&self.headers)
+    }
+
+    /// Whether the server will close the connection after this reply.
+    #[must_use]
+    pub fn connection_close(&self) -> bool {
+        close_in(&self.headers)
+    }
+}
+
+/// A backend's reply as the response the gateway forwards: status, content
+/// type and body verbatim, plus the backend's `Retry-After` so forwarded
+/// backpressure keeps its hint. Hop-by-hop headers (`connection`, the
+/// length, the trace echo) are the forwarding daemon's to set.
+impl From<HttpReply> for Response {
+    fn from(reply: HttpReply) -> Self {
+        let content_type = reply
+            .header("content-type")
+            .unwrap_or(crate::routes::TEXT)
+            .to_owned();
+        Self {
+            status: reply.status,
+            retry_after: reply.retry_after_s(),
+            ..Self::ok(reply.body, content_type)
+        }
+    }
+}
+
+/// The one header lookup: stored names are lower case, so a
+/// case-insensitive match needs no lower-cased copy of `name`.
+fn header_in<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+fn close_in(headers: &[(String, String)]) -> bool {
+    header_in(headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+}
+
+fn trace_in(headers: &[(String, String)]) -> Option<TraceId> {
+    header_in(headers, TRACE_HEADER).and_then(TraceId::parse)
+}
+
+/// Why a message could not be read.
 #[derive(Debug)]
 pub enum HttpError {
     /// Underlying socket error (including read timeouts).
     Io(std::io::Error),
-    /// The peer closed before sending a full head.
+    /// The peer closed before sending a full message.
     ClosedEarly,
     /// The head exceeded [`MAX_HEAD_BYTES`].
     HeadTooLarge,
-    /// The request line or a header line was not well-formed.
+    /// A start line, header line, framing header or body was not
+    /// well-formed; the text names which.
     Malformed(String),
 }
 
@@ -90,53 +164,22 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::Io(e) => write!(f, "i/o error: {e}"),
-            HttpError::ClosedEarly => write!(f, "connection closed before a full request head"),
-            HttpError::HeadTooLarge => write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes"),
-            HttpError::Malformed(line) => write!(f, "malformed request line {line:?}"),
+            HttpError::ClosedEarly => write!(f, "connection closed before a full message"),
+            HttpError::HeadTooLarge => write!(f, "message head exceeds {MAX_HEAD_BYTES} bytes"),
+            HttpError::Malformed(what) => f.write_str(what),
         }
     }
 }
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-/// Read one `\n`-terminated line into `line`, charging its length against
-/// `budget`. EOF before the terminator is [`HttpError::ClosedEarly`].
-fn read_line_bounded<R: BufRead>(
-    reader: &mut R,
-    line: &mut Vec<u8>,
-    budget: &mut usize,
-) -> Result<(), HttpError> {
-    line.clear();
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Err(HttpError::ClosedEarly);
-        }
-        let (taken, done) = match buf.iter().position(|&b| b == b'\n') {
-            Some(at) => (at + 1, true),
-            None => (buf.len(), false),
-        };
-        if taken > *budget {
-            return Err(HttpError::HeadTooLarge);
-        }
-        *budget -= taken;
-        line.extend_from_slice(&buf[..taken]);
-        reader.consume(taken);
-        if done {
-            return Ok(());
+        // Only `read_exact` reports EOF as an error: a body cut short.
+        if e.kind() == ErrorKind::UnexpectedEof {
+            HttpError::ClosedEarly
+        } else {
+            HttpError::Io(e)
         }
     }
-}
-
-/// Decode a head line as UTF-8 and strip the trailing `\r\n`/`\n`.
-fn decode_line(raw: &[u8]) -> Result<String, HttpError> {
-    let text = std::str::from_utf8(raw)
-        .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in request head".to_owned()))?;
-    Ok(text.trim_end_matches(['\r', '\n']).to_owned())
 }
 
 /// Read and parse one request from `reader`. The reader is positioned
@@ -150,31 +193,10 @@ fn decode_line(raw: &[u8]) -> Result<String, HttpError> {
 ///
 /// See [`HttpError`].
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let mut raw = Vec::new();
-
-    read_line_bounded(reader, &mut raw, &mut budget)?;
-    let request_line = decode_line(&raw)?;
-    let (method, target) = parse_request_line(&request_line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        read_line_bounded(reader, &mut raw, &mut budget)?;
-        if raw == b"\r\n" || raw == b"\n" {
-            break;
-        }
-        let line = decode_line(&raw)?;
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let body = read_body(reader, &headers)?;
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
-        None => (target.to_owned(), None),
-    };
+    let ((method, path, query), headers) = read_head(reader, parse_request_line)?;
+    let body = read_body(reader, &headers, false)?;
     Ok(Request {
-        method: method.to_ascii_uppercase(),
+        method,
         path,
         query,
         headers,
@@ -182,45 +204,116 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
     })
 }
 
-/// Read the declared body, if any. Transfer encodings are not supported —
-/// a `Transfer-Encoding` header is malformed here (the framing could not
-/// be trusted otherwise).
+/// Read and parse one reply from `reader`, like [`read_request`], except
+/// that a reply without `Content-Length` is close-delimited: its body is
+/// the rest of the stream, up to [`MAX_BODY_BYTES`].
+///
+/// # Errors
+///
+/// See [`HttpError`].
+pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
+    let (status, headers) = read_head(reader, parse_status_line)?;
+    let body = read_body(reader, &headers, true)?;
+    Ok(HttpReply {
+        status,
+        headers,
+        body,
+    })
+}
+
+/// One head, gathered into one buffer under [`MAX_HEAD_BYTES`]: the start
+/// line, parsed by `start` as soon as it is in (a bad one fails before any
+/// header is awaited), then each header line as it arrives, up to the
+/// blank line.
+fn read_head<R: BufRead, T>(
+    reader: &mut R,
+    start: fn(&str) -> Result<T, HttpError>,
+) -> Result<(T, Vec<(String, String)>), HttpError> {
+    let mut head = Vec::with_capacity(256);
+    gather_line(reader, &mut head)?;
+    let first = start(head_line(&head)?)?;
+    let mut headers = Vec::new();
+    loop {
+        let at = head.len();
+        gather_line(reader, &mut head)?;
+        match &head[at..] {
+            b"\r\n" | b"\n" => return Ok((first, headers)),
+            line => headers.push(parse_header_line(head_line(line)?)?),
+        }
+    }
+}
+
+/// Append one `\n`-terminated line to `head` straight from the reader's
+/// buffer. EOF before the terminator is [`HttpError::ClosedEarly`].
+fn gather_line<R: BufRead>(reader: &mut R, head: &mut Vec<u8>) -> Result<(), HttpError> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Err(HttpError::ClosedEarly);
+        }
+        let (taken, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => (at + 1, true),
+            None => (buf.len(), false),
+        };
+        if head.len() + taken > MAX_HEAD_BYTES {
+            return Err(HttpError::HeadTooLarge);
+        }
+        head.extend_from_slice(&buf[..taken]);
+        reader.consume(taken);
+        if done {
+            return Ok(());
+        }
+    }
+}
+
+/// A head line as text, without its trailing `\r\n`/`\n`.
+fn head_line(raw: &[u8]) -> Result<&str, HttpError> {
+    std::str::from_utf8(raw)
+        .map(|text| text.trim_end_matches(['\r', '\n']))
+        .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in a message head".to_owned()))
+}
+
+/// Read the body `headers` frame: `Content-Length` bytes, else none — or,
+/// when `to_eof`, the rest of the stream. Transfer encodings are not
+/// supported — a `Transfer-Encoding` header is malformed here (the framing
+/// could not be trusted otherwise).
 fn read_body<R: BufRead>(
     reader: &mut R,
     headers: &[(String, String)],
+    to_eof: bool,
 ) -> Result<String, HttpError> {
-    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
-        return Err(HttpError::Malformed(
-            "transfer-encoding is not supported".to_owned(),
-        ));
+    let malformed = |what: String| Err(HttpError::Malformed(what));
+    if header_in(headers, "transfer-encoding").is_some() {
+        return malformed("transfer-encoding is not supported".to_owned());
     }
-    let Some((_, value)) = headers.iter().find(|(n, _)| n == "content-length") else {
-        return Ok(String::new());
-    };
-    let length: usize = value
-        .parse()
-        .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
-    if length > MAX_BODY_BYTES {
-        return Err(HttpError::Malformed(format!(
-            "content-length {length} exceeds {MAX_BODY_BYTES}"
-        )));
-    }
-    let mut body = vec![0u8; length];
-    std::io::Read::read_exact(reader, &mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            HttpError::ClosedEarly
-        } else {
-            HttpError::Io(e)
+    let mut body = Vec::new();
+    if let Some(value) = header_in(headers, "content-length") {
+        let Ok(length) = value.parse::<usize>() else {
+            return malformed(format!("bad content-length {value:?}"));
+        };
+        if length > MAX_BODY_BYTES {
+            return malformed(format!("content-length {length} exceeds {MAX_BODY_BYTES}"));
         }
-    })?;
-    String::from_utf8(body).map_err(|_| HttpError::Malformed("non-UTF-8 body".to_owned()))
+        body.resize(length, 0);
+        reader.read_exact(&mut body)?;
+    } else if to_eof {
+        // One byte past the cap tells "exactly the cap" from "over it".
+        reader
+            .take(MAX_BODY_BYTES as u64 + 1)
+            .read_to_end(&mut body)?;
+        if body.len() > MAX_BODY_BYTES {
+            return malformed(format!("close-delimited body exceeds {MAX_BODY_BYTES}"));
+        }
+    }
+    String::from_utf8(body).or_else(|_| malformed("non-UTF-8 body".to_owned()))
 }
 
 /// Strict request-line parse: exactly `METHOD SP TARGET SP HTTP/1.x`, single
 /// spaces, no tabs or other embedded whitespace (so a target can never smuggle
-/// a second token past a lax downstream parser).
-fn parse_request_line(line: &str) -> Result<(&str, &str), HttpError> {
-    let malformed = || HttpError::Malformed(line.to_owned());
+/// a second token past a lax downstream parser). Yields the uppercased
+/// method, the path and the query.
+fn parse_request_line(line: &str) -> Result<(String, String, Option<String>), HttpError> {
+    let malformed = || HttpError::Malformed(format!("malformed request line {line:?}"));
     if line.contains(|c: char| c.is_ascii_whitespace() && c != ' ') {
         return Err(malformed());
     }
@@ -229,17 +322,30 @@ fn parse_request_line(line: &str) -> Result<(&str, &str), HttpError> {
         (Some(method), Some(target), Some(version), None)
             if !method.is_empty() && !target.is_empty() && version.starts_with("HTTP/1.") =>
         {
-            Ok((method, target))
+            let (path, query) = match target.split_once('?') {
+                Some((p, q)) => (p, Some(q.to_owned())),
+                None => (target, None),
+            };
+            Ok((method.to_ascii_uppercase(), path.to_owned(), query))
         }
         _ => Err(malformed()),
     }
+}
+
+/// Status-line parse: `HTTP/1.x SP <three digits>`, then any reason phrase.
+fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+    line.strip_prefix("HTTP/1.")
+        .and_then(|rest| rest.split(' ').nth(1))
+        .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| HttpError::Malformed(format!("malformed status line {line:?}")))
 }
 
 /// Split one header line on the first `:` — values keep any further colons
 /// (URLs, IPv6 literals). Names must be non-empty and whitespace-free;
 /// obsolete line folding (a line starting with whitespace) is rejected.
 fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
-    let malformed = || HttpError::Malformed(line.to_owned());
+    let malformed = || HttpError::Malformed(format!("malformed header line {line:?}"));
     let (name, value) = line.split_once(':').ok_or_else(malformed)?;
     if name.is_empty() || name.contains(|c: char| c.is_ascii_whitespace()) {
         return Err(malformed());

@@ -33,6 +33,9 @@
 //! store, and simulation stages. Errors are the shared JSON envelope
 //! (`cactus_obs::ApiError`).
 //!
+//! Every HTTP message either tier reads goes through [`http`]'s one bounded
+//! reader; [`client`] has one transport, the keep-alive [`Connection`].
+//!
 //! Two binaries ship with the crate: `cactus-serve` (the daemon, with
 //! signal-driven graceful shutdown via [`signal`]) and `loadgen` (a
 //! closed-loop load generator reporting throughput and latency through the

@@ -147,6 +147,22 @@ fn a_panicking_handler_answers_500_and_its_worker_lives_on() {
 }
 
 #[test]
+fn a_bad_header_line_gets_a_400_that_names_the_header_line() {
+    let daemon = start(1, 8);
+    let mut conn = Conn::open(&daemon);
+    conn.send("GET /ok HTTP/1.1\r\nno-colon-here\r\n\r\n");
+    let reply = conn.reply().expect("the 400");
+    assert_eq!(reply.status, 400);
+    let envelope = ApiError::from_json(&reply.body).expect("envelope");
+    assert_eq!(
+        envelope.message,
+        "bad request: malformed header line \"no-colon-here\""
+    );
+    assert!(conn.reply().is_none(), "the stream closes after a 400");
+    daemon.join();
+}
+
+#[test]
 fn a_malformed_head_gets_400_then_eof_and_counts_as_a_request() {
     let daemon = start(1, 8);
     let mut conn = Conn::open(&daemon);
