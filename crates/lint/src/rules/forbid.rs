@@ -205,6 +205,23 @@ const ROWS: &[Row] = &[
                  and signal.rs (signal); add the call there behind a safe wrapper",
     },
     Row {
+        rule: "one_http_codec",
+        paths: &["crates/serve/src/**", "crates/gateway/src/**"],
+        except: &["crates/serve/src/http.rs"],
+        shape: Shape::Tokens(
+            Scope::NonTest,
+            &[
+                ". read_until (",
+                ". read_line (",
+                ". read_to_string (",
+                ". read_to_end (",
+                ". read_exact (",
+            ],
+        ),
+        reason: "HTTP messages are read by serve's http.rs alone (read_request, read_reply), \
+                 under its head and body bounds; call those instead",
+    },
+    Row {
         rule: "tensor_arith",
         paths: &["crates/tensor/src/**"],
         except: &[],

@@ -81,6 +81,7 @@ fn forbid_rows_fire_with_file_and_line() {
             ("per_cpu_code", "crates/md/src/fft.rs", 19),
             ("pme_arith", "crates/md/src/pme.rs", 4),
             ("ffi_home", "crates/serve/src/client.rs", 4),
+            ("one_http_codec", "crates/serve/src/client.rs", 8),
             // After the test module: scoped by the item, not by the
             // file's first test attribute.
             ("tensor_arith", "crates/tensor/src/tensor.rs", 12),
