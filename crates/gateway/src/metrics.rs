@@ -362,9 +362,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Selection from the unsorted copy reads the very sample the
-        /// sorted-slice `quantile` reads — at every fill level, after the
-        /// ring wrapped, with heavy ties, and at both ends of `q`.
+        /// The O(1) read from the ring's kept-sorted window is the very
+        /// sample the sorted-slice `quantile` reads from a freshly sorted
+        /// copy of the recorded tail — at every fill level, after the ring
+        /// wrapped, with heavy ties, and at both ends of `q`.
         #[test]
         fn ring_quantile_equals_quantile_of_the_sorted_window(
             recorded in prop::collection::vec(
