@@ -26,7 +26,10 @@ fn main() {
     report("cactus", &cactus_profiles());
     report("prt", &prt_profiles());
     match cactus_store::Store::open(dir) {
-        Ok(store) => println!("manifest digest {:016x}", store.manifest_digest()),
+        Ok(store) => println!(
+            "manifest digest {:016x}",
+            cactus_store::manifest_digest(&store.entries())
+        ),
         Err(e) => println!("manifest digest unavailable: {e}"),
     }
 }

@@ -28,18 +28,21 @@ use std::sync::Arc;
 
 use cactus_analysis::roofline::Roofline;
 use cactus_gpu::by_id;
+use cactus_gpu::catalog::CatalogEntry;
 use cactus_obs::api::json_escape;
 use cactus_obs::SpanCtx;
 use cactus_profiler::{store as profile_store, Profile};
 use cactus_serve::http::{Request, Response};
 use cactus_serve::routes::CSV;
+use cactus_serve::wire::{self, CompareRow};
+use cactus_serve::DeviceId;
 
 use crate::proxy::Router;
 use crate::server::forward_replicated;
 
 /// One device's leg of the comparison.
 struct Leg {
-    id: &'static str,
+    id: DeviceId,
     profile: Profile,
     roofline: Roofline,
 }
@@ -84,7 +87,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     // Resolve every requested slug against the catalog up front (the same
     // edge check forwarded requests get), de-duplicating while preserving
     // request order — the first device is the speedup baseline.
-    let mut ids: Vec<&'static str> = Vec::new();
+    let mut ids: Vec<&'static CatalogEntry> = Vec::new();
     for slug in raw_devices.split(',').filter(|s| !s.is_empty()) {
         let Some(entry) = by_id(slug) else {
             let known = cactus_gpu::catalog::device_ids().join(", ");
@@ -93,8 +96,8 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
                 format!("unknown device {slug:?}; the catalog has: {known}"),
             );
         };
-        if !ids.contains(&entry.id) {
-            ids.push(entry.id);
+        if !ids.iter().any(|e| e.id == entry.id) {
+            ids.push(entry);
         }
     }
     if ids.len() < 2 {
@@ -104,7 +107,10 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     let mut span = ctx.child("gateway.compare");
     span.tag("scale", (*scale).to_owned());
     span.tag("workload", (*workload).to_owned());
-    span.tag("devices", ids.join(","));
+    span.tag(
+        "devices",
+        ids.iter().map(|e| e.id).collect::<Vec<_>>().join(","),
+    );
     let leg_ctx = span.ctx();
 
     // One leg per device, raced in parallel. Each leg is an ordinary
@@ -114,7 +120,8 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
         let handles: Vec<_> = ids
             .iter()
             .enumerate()
-            .map(|(i, id)| {
+            .map(|(i, entry)| {
+                let id = entry.id;
                 let target = format!("/v1/profile/{id}/{scale}/{workload}");
                 let router = Arc::clone(router);
                 s.spawn(move || {
@@ -132,25 +139,24 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     // A failed leg fails the comparison; its response explains why.
     if let Some(at) = outcomes.iter().position(|(_, r)| r.status != 200) {
         let (i, bad) = outcomes.swap_remove(at);
-        span.tag("failed_device", ids[i].to_owned());
+        span.tag("failed_device", ids[i].id);
         return bad;
     }
 
     let mut legs = Vec::with_capacity(ids.len());
     for (i, reply) in &outcomes {
-        let id = ids[*i];
+        let entry = ids[*i];
         let Ok(profile) = profile_store::read_profile(&reply.body) else {
             return Response::error(
                 502,
-                format!("backend returned an unparseable profile for device {id:?}"),
+                format!(
+                    "backend returned an unparseable profile for device {:?}",
+                    entry.id
+                ),
             );
         };
-        // `by_id` succeeded above; the entry is still there.
-        let Some(entry) = by_id(id) else {
-            return Response::error(502, format!("device {id:?} vanished from the catalog"));
-        };
         legs.push(Leg {
-            id,
+            id: DeviceId::from(entry),
             roofline: Roofline::for_device(&entry.device()),
             profile,
         });
@@ -163,35 +169,47 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     }
 }
 
-/// Kernel names in presentation order: the baseline device's profile order,
-/// then any kernel the baseline lacks, in the order other devices list it.
-fn kernel_order(legs: &[Leg]) -> Vec<String> {
-    let mut order: Vec<String> = Vec::new();
-    for leg in legs {
-        for k in leg.profile.kernels() {
-            if !order.contains(&k.name) {
-                order.push(k.name.clone());
-            }
-        }
+/// One row per `(leg, kernel)`, in each leg's own profile order: columns
+/// 2–7 are formatted exactly like the backend's /v1/roofline rows, so one
+/// device's slice of the table is byte-identical to asking it directly. A
+/// kernel is flagged when its boundedness class differs between any two
+/// devices that ran it — the comparison's headline signal: the kernel hits
+/// a different wall on different hardware.
+fn compare_rows(legs: &[Leg]) -> Vec<CompareRow> {
+    let mut rows: Vec<CompareRow> = legs
+        .iter()
+        .flat_map(|leg| {
+            let total = leg.profile.total_time_s();
+            leg.profile.kernels().iter().map(move |k| CompareRow {
+                device: leg.id,
+                kernel: k.name.clone(),
+                instruction_intensity: k.metrics.instruction_intensity,
+                gips: k.metrics.gips,
+                time_share: k.time_share(total),
+                intensity_class: (leg.roofline)
+                    .intensity_class(k.metrics.instruction_intensity)
+                    .label()
+                    .to_owned(),
+                boundedness: leg
+                    .roofline
+                    .boundedness_class(k.metrics.gips)
+                    .label()
+                    .to_owned(),
+                bottleneck_shift: false,
+            })
+        })
+        .collect();
+    let shifted: Vec<bool> = rows
+        .iter()
+        .map(|r| {
+            rows.iter()
+                .any(|o| o.kernel == r.kernel && o.boundedness != r.boundedness)
+        })
+        .collect();
+    for (row, shift) in rows.iter_mut().zip(shifted) {
+        row.bottleneck_shift = shift;
     }
-    order
-}
-
-/// The boundedness label for `kernel` on `leg`, if the leg ran it.
-fn boundedness_of(leg: &Leg, kernel: &str) -> Option<&'static str> {
-    let k = leg.profile.kernels().iter().find(|k| k.name == kernel)?;
-    Some(leg.roofline.boundedness_class(k.metrics.gips).label())
-}
-
-/// Did `kernel`'s boundedness class change between any two devices that ran
-/// it? That is the comparison's headline signal: the kernel hits a
-/// different wall on different hardware.
-fn shifted(legs: &[Leg], kernel: &str) -> bool {
-    let mut labels = legs.iter().filter_map(|l| boundedness_of(l, kernel));
-    match labels.next() {
-        Some(first) => labels.any(|l| l != first),
-        None => false,
-    }
+    rows
 }
 
 /// The leg's dominant kernel: largest total time, ties broken by name so
@@ -213,7 +231,10 @@ fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
     let mut out = format!("# compare: {scale}/{workload}\n");
     out.push_str(&format!(
         "# devices: {}\n# baseline: {}\n",
-        legs.iter().map(|l| l.id).collect::<Vec<_>>().join(" "),
+        legs.iter()
+            .map(|l| l.id.as_str())
+            .collect::<Vec<_>>()
+            .join(" "),
         baseline.id
     ));
     for leg in legs {
@@ -228,31 +249,7 @@ fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
             out.push_str(&format!("# dominant_kernel {} {}\n", leg.id, k.name));
         }
     }
-    out.push_str(
-        "device,kernel,instruction_intensity,gips,time_share,intensity_class,\
-         boundedness,bottleneck_shift\n",
-    );
-    // Per-device rows in that device's own profile order: columns 2–7 are
-    // formatted exactly like the backend's /v1/roofline rows, so one
-    // device's slice of this table is byte-identical to asking it directly.
-    for leg in legs {
-        let total = leg.profile.total_time_s();
-        for k in leg.profile.kernels() {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.6},{},{},{}\n",
-                leg.id,
-                csv_escape(&k.name),
-                k.metrics.instruction_intensity,
-                k.metrics.gips,
-                k.time_share(total),
-                leg.roofline
-                    .intensity_class(k.metrics.instruction_intensity)
-                    .label(),
-                leg.roofline.boundedness_class(k.metrics.gips).label(),
-                shifted(legs, &k.name),
-            ));
-        }
-    }
+    wire::write_compare(&mut out, &compare_rows(legs));
     out
 }
 
@@ -265,7 +262,7 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
         "{{\"scale\":\"{}\",\"workload\":\"{}\",\"baseline\":\"{}\",\"devices\":[",
         json_escape(scale),
         json_escape(workload),
-        json_escape(baseline.id)
+        json_escape(baseline.id.as_str())
     );
     for (i, leg) in legs.iter().enumerate() {
         if i > 0 {
@@ -275,7 +272,7 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
         out.push_str(&format!(
             "{{\"device\":\"{}\",\"total_time_s\":{:e},\"speedup_vs_baseline\":{:.6},\
              \"dominant_kernel\":{}}}",
-            json_escape(leg.id),
+            json_escape(leg.id.as_str()),
             total,
             speedup(baseline_total, total),
             dominant(leg).map_or_else(
@@ -285,38 +282,39 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
         ));
     }
     out.push_str("],\"kernels\":[");
-    for (ki, kernel) in kernel_order(legs).iter().enumerate() {
+    // Kernels in order of first appearance: the baseline's profile order,
+    // then any kernel the baseline lacks, in the order other devices list
+    // it; each with its rows in device order.
+    let rows = compare_rows(legs);
+    let mut kernels: Vec<&str> = Vec::new();
+    for r in &rows {
+        if !kernels.contains(&r.kernel.as_str()) {
+            kernels.push(&r.kernel);
+        }
+    }
+    for (ki, kernel) in kernels.into_iter().enumerate() {
         if ki > 0 {
             out.push(',');
         }
+        let per_device: Vec<&CompareRow> = rows.iter().filter(|r| r.kernel == kernel).collect();
         out.push_str(&format!(
             "{{\"kernel\":\"{}\",\"bottleneck_shift\":{},\"per_device\":[",
             json_escape(kernel),
-            shifted(legs, kernel)
+            per_device.first().is_some_and(|r| r.bottleneck_shift)
         ));
-        let mut first = true;
-        for leg in legs {
-            let Some(k) = leg.profile.kernels().iter().find(|k| &k.name == kernel) else {
-                continue;
-            };
-            if !first {
+        for (i, r) in per_device.into_iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            let total = leg.profile.total_time_s();
             out.push_str(&format!(
                 "{{\"device\":\"{}\",\"instruction_intensity\":{:.6},\"gips\":{:.6},\
                  \"time_share\":{:.6},\"intensity_class\":\"{}\",\"boundedness\":\"{}\"}}",
-                json_escape(leg.id),
-                k.metrics.instruction_intensity,
-                k.metrics.gips,
-                k.time_share(total),
-                json_escape(
-                    leg.roofline
-                        .intensity_class(k.metrics.instruction_intensity)
-                        .label()
-                ),
-                json_escape(leg.roofline.boundedness_class(k.metrics.gips).label()),
+                json_escape(r.device.as_str()),
+                r.instruction_intensity,
+                r.gips,
+                r.time_share,
+                json_escape(&r.intensity_class),
+                json_escape(&r.boundedness),
             ));
         }
         out.push_str("]}");
@@ -335,15 +333,6 @@ fn speedup(baseline: f64, total: f64) -> f64 {
     }
 }
 
-/// Same quoting rule as the backends' CSV renderers.
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,7 +340,7 @@ mod tests {
     fn leg(id: &'static str, workload: &str) -> Leg {
         let entry = by_id(id).expect("catalog id");
         Leg {
-            id,
+            id: DeviceId::from(entry),
             roofline: Roofline::for_device(&entry.device()),
             profile: cactus_core::run(workload, cactus_core::SuiteScale::Tiny),
         }
@@ -373,16 +362,10 @@ mod tests {
             "device,kernel,instruction_intensity,gips,time_share,intensity_class,\
              boundedness,bottleneck_shift"
         );
-        // Every kernel of every device appears exactly once.
-        let rows: Vec<&str> = body
-            .lines()
-            .filter(|l| !l.starts_with('#') && *l != header)
-            .collect();
+        // Every kernel of every device appears exactly once, and reads back.
+        let rows = wire::read_compare(&body).expect("the typed reader reads it");
         let kernels = legs[0].profile.kernels().len() + legs[1].profile.kernels().len();
         assert_eq!(rows.len(), kernels);
-        for row in rows {
-            assert_eq!(row.split(',').count(), 8, "8 columns in {row:?}");
-        }
     }
 
     #[test]
@@ -399,12 +382,8 @@ mod tests {
     #[test]
     fn identical_legs_never_shift() {
         let legs = [leg("rtx-3080", "GMS"), leg("rtx-3080", "GMS")];
-        for k in legs[0].profile.kernels() {
-            assert!(
-                !shifted(&legs, &k.name),
-                "{} shifted against itself",
-                k.name
-            );
+        for r in compare_rows(&legs) {
+            assert!(!r.bottleneck_shift, "{} shifted against itself", r.kernel);
         }
     }
 

@@ -32,52 +32,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use cactus_obs::{SpanCtx, TraceId, Tracer};
+use cactus_store::{manifest_digest, parse_manifest, Entry};
 
 use crate::proxy::Router;
-
-/// One `k` line of a backend's store manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    pub key: String,
-    pub version: u32,
-    /// CRC-32 of the record payload — doubles as a cheap value digest, so
-    /// two replicas holding `(key, version, crc)`-equal entries hold
-    /// byte-identical records.
-    pub crc: u32,
-}
-
-/// Parse a `cactus-store manifest v1` document (see `cactus_store`'s
-/// `Store::manifest`) into its entries. Returns `None` when the header is
-/// wrong or any `k` line is malformed — a partial parse could make
-/// anti-entropy conclude records exist that don't.
-#[must_use]
-pub fn parse_manifest(text: &str) -> Option<Vec<ManifestEntry>> {
-    let mut lines = text.lines();
-    if lines.next()? != "cactus-store manifest v1" {
-        return None;
-    }
-    let mut entries = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with("digest ") || line.starts_with("entries ") {
-            continue;
-        }
-        let mut fields = line.split('\t');
-        if fields.next()? != "k" {
-            return None;
-        }
-        let key = fields.next()?.to_owned();
-        let version = fields.next()?.parse::<u32>().ok()?;
-        let crc = u32::from_str_radix(fields.next()?, 16).ok()?;
-        if fields.next().is_some() {
-            return None;
-        }
-        entries.push(ManifestEntry { key, version, crc });
-    }
-    Some(entries)
-}
 
 /// The store key for a forwarded target path, when that path names a
 /// profile triple (`/v1/profile/<device>/<scale>/<workload>`): the triple
@@ -165,10 +122,7 @@ pub fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) ->
     // aborts the pass (it will re-run on the next re-admission) — guessing
     // "empty" would be correct but wasteful, and the backend just answered
     // a trial request, so unreadable means it flapped again.
-    let Some(own) = router
-        .fetch(readmitted, "/v1/store/manifest", trace)
-        .and_then(|m| parse_manifest(&m))
-    else {
+    let Some(own) = manifest_of(router, readmitted, trace) else {
         span.tag("error", "manifest unreadable");
         return 0;
     };
@@ -177,26 +131,14 @@ pub fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) ->
         .map(|e| (e.key, (e.version, e.crc)))
         .collect();
 
-    // Union the live peers' manifests: key -> (version, crc, holder),
-    // keeping the highest version seen (last-wins, matching the store).
-    let mut fleet: BTreeMap<String, (u32, u32, usize)> = BTreeMap::new();
+    // Union the live peers' manifests.
+    let mut fleet = Latest::new();
     for peer in 0..n {
         if peer == readmitted || !router.health.available(peer) {
             continue;
         }
-        let Some(entries) = router
-            .fetch(peer, "/v1/store/manifest", trace)
-            .and_then(|m| parse_manifest(&m))
-        else {
-            continue;
-        };
-        for e in entries {
-            match fleet.get(&e.key) {
-                Some(&(v, _, _)) if v >= e.version => {}
-                _ => {
-                    fleet.insert(e.key, (e.version, e.crc, peer));
-                }
-            }
+        if let Some(entries) = manifest_of(router, peer, trace) {
+            latest(&mut fleet, &entries, peer);
         }
     }
 
@@ -248,13 +190,7 @@ pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> Str
     // Reachability is "gave us a parseable manifest just now", not the
     // health state: a half-open backend counts, a hung-but-Healthy one
     // doesn't. That keeps `missing` honest about what is actually on disk.
-    let mut manifests: Vec<Option<Vec<ManifestEntry>>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let manifest = router
-            .fetch(i, "/v1/store/manifest", None)
-            .and_then(|m| parse_manifest(&m));
-        manifests.push(manifest);
-    }
+    let manifests: Vec<Option<Vec<Entry>>> = (0..n).map(|i| manifest_of(router, i, None)).collect();
     for (i, addr) in backend_addrs.iter().enumerate() {
         let state = if router.health.available(i) {
             "healthy"
@@ -263,11 +199,7 @@ pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> Str
         };
         match &manifests[i] {
             Some(entries) => {
-                let mut body = String::new();
-                for e in entries {
-                    let _ = writeln!(body, "k\t{}\t{}\t{:08x}", e.key, e.version, e.crc);
-                }
-                let digest = cactus_store::fnv1a64(body.as_bytes());
+                let digest = manifest_digest(entries);
                 let _ = writeln!(
                     out,
                     "backend {i} {addr} {state} digest={digest:016x} entries={}",
@@ -280,19 +212,13 @@ pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> Str
         }
     }
 
-    // Authoritative view per key: highest version wins, ties keep the
-    // first holder's crc (converged replicas agree anyway).
-    let mut keys: BTreeMap<String, (u32, u32)> = BTreeMap::new();
+    // Authoritative view per key (converged replicas agree on the crc).
+    let mut keys = Latest::new();
     let mut holders: BTreeMap<(String, u32, u32), Vec<usize>> = BTreeMap::new();
     for (i, manifest) in manifests.iter().enumerate() {
         let Some(entries) = manifest else { continue };
+        latest(&mut keys, entries, i);
         for e in entries {
-            match keys.get(&e.key) {
-                Some(&(v, _)) if v >= e.version => {}
-                _ => {
-                    keys.insert(e.key.clone(), (e.version, e.crc));
-                }
-            }
             holders
                 .entry((e.key.clone(), e.version, e.crc))
                 .or_default()
@@ -300,7 +226,7 @@ pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> Str
         }
     }
     let mut missing = 0usize;
-    for (key, &(version, crc)) in &keys {
+    for (key, &(version, crc, _)) in &keys {
         let replicas = router.replica_set(&format!("profile/{key}"));
         let have = holders
             .get(&(key.clone(), version, crc))
@@ -321,6 +247,24 @@ pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> Str
     out
 }
 
+/// Backend `i`'s store manifest, `None` when it cannot be fetched or read.
+fn manifest_of(router: &Router, i: usize, trace: Option<TraceId>) -> Option<Vec<Entry>> {
+    parse_manifest(&router.fetch(i, "/v1/store/manifest", trace)?)
+}
+
+/// Per key, the `(version, crc, holder)` of its highest version seen.
+type Latest = BTreeMap<String, (u32, u32, usize)>;
+
+/// Fold `holder`'s entries into `seen`: a higher version replaces, a tie
+/// keeps the first holder (last-wins, matching the store).
+fn latest(seen: &mut Latest, entries: &[Entry], holder: usize) {
+    for e in entries {
+        if seen.get(&e.key).is_none_or(|&(v, _, _)| v < e.version) {
+            seen.insert(e.key.clone(), (e.version, e.crc, holder));
+        }
+    }
+}
+
 fn join_indices(indices: &[usize]) -> String {
     if indices.is_empty() {
         return "-".to_owned();
@@ -335,37 +279,6 @@ fn join_indices(indices: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_a_round_tripped_manifest() {
-        let text = "cactus-store manifest v1\ndigest 00000000deadbeef\nentries 2\nk\ta/b/c\t2\t0000abcd\nk\tx/y/z\t1\tffffffff\n";
-        let entries = parse_manifest(text).expect("parse");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].key, "a/b/c");
-        assert_eq!(entries[0].version, 2);
-        assert_eq!(entries[0].crc, 0x0000_abcd);
-        assert_eq!(entries[1].crc, 0xffff_ffff);
-    }
-
-    #[test]
-    fn rejects_malformed_manifests() {
-        assert!(parse_manifest("not a manifest\n").is_none());
-        assert!(
-            parse_manifest("cactus-store manifest v1\nk\tonly-key\n").is_none(),
-            "short k line"
-        );
-        assert!(
-            parse_manifest("cactus-store manifest v1\nk\ta\tnot-a-number\t00000000\n").is_none(),
-            "bad version"
-        );
-        assert!(
-            parse_manifest("cactus-store manifest v1\nk\ta\t1\tzzzz\n").is_none(),
-            "bad crc"
-        );
-        let empty =
-            parse_manifest("cactus-store manifest v1\ndigest cbf29ce484222325\nentries 0\n");
-        assert_eq!(empty.expect("empty manifest parses"), Vec::new());
-    }
 
     #[test]
     fn store_key_only_matches_profile_triples() {

@@ -7,7 +7,11 @@
 use std::time::Duration;
 
 use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy, Supervisor};
-use cactus_serve::{Client, ServeConfig};
+use cactus_serve::{Client, DeviceId, ServeConfig};
+
+fn dev(slug: &str) -> DeviceId {
+    DeviceId::resolve(slug).expect("catalog id")
+}
 
 fn gnn_source() -> String {
     std::fs::read_to_string(
@@ -99,6 +103,31 @@ fn gateway_submission_is_fleet_wide_and_deterministic() {
         "{}",
         kernels.body
     );
+
+    // A demangled name holds commas and quotes, and a WIR `name` may hold
+    // a line break: the compare table quotes it, and the typed client reads
+    // it back verbatim on every device.
+    let kernel = "void gemm<float, 4>(\"x\")\nrow";
+    let quoted = "workload \"quoted\" {\n\
+         kernel big { name \"void gemm<float, 4>(\\\"x\\\")\\nrow\"; mix { fp32 = 100000; } }\n\
+         kernel small { mix { int = 1000; } }\n\
+         run { repeat 4 { launch big; launch small; } }\n\
+         }\n";
+    let reply = client
+        .post_traced("/v1/workloads", quoted, None)
+        .expect("post quoted via gateway");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let devices = [dev("rtx-3080"), dev("uhd-630")];
+    let rows = client
+        .compare("tiny", "quoted", &devices)
+        .expect("typed compare of a quoted kernel name");
+    for device in devices {
+        assert!(
+            rows.iter()
+                .any(|r| r.device == device && r.kernel == kernel),
+            "{device} lost the quoted kernel: {rows:?}"
+        );
+    }
 
     gateway.join();
     fleet.shutdown_all();

@@ -1,5 +1,8 @@
-//! CSV emission for profiles — the counterpart of the paper artifact's
-//! `data/` files that its Python/R plotting scripts consume.
+//! CSV for profiles — the counterpart of the paper artifact's `data/`
+//! files that its Python/R plotting scripts consume — and the one RFC-4180
+//! field codec every CSV body of the fleet is written and read with:
+//! [`push_field`] quotes a field, [`read_table`] reads the records back,
+//! quoted commas, doubled quotes and line breaks included.
 
 use std::fmt::Write as _;
 use std::sync::LazyLock;
@@ -81,10 +84,69 @@ pub fn push_field(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The rows of a table body: every record after the first line equal to
+/// `header`, each as wide as `header`. The lines before it are the body's
+/// preamble (`#` lines that may hold names raw) and are not read. Fields
+/// read back as [`push_field`] wrote them: a quoted field may hold commas,
+/// doubled quotes and line breaks; a quote anywhere else is an error.
+///
+/// # Errors
+///
+/// No header line, or the first malformed or mis-sized row, by number.
+pub fn read_table(body: &str, header: &str) -> Result<Vec<Vec<String>>, String> {
+    let rest = std::iter::once(0)
+        .chain(body.match_indices('\n').map(|(at, _)| at + 1))
+        .find_map(|at| {
+            let after = body.get(at..)?.strip_prefix(header)?;
+            after
+                .strip_prefix('\n')
+                .or(after.is_empty().then_some(after))
+        })
+        .ok_or_else(|| format!("no {header:?} header line"))?;
+    let width = header.split(',').count();
+    let mut rows = Vec::new();
+    let mut chars = rest.chars().peekable();
+    while chars.peek().is_some() {
+        let bad = |what: &str| format!("row {}: {what}", rows.len() + 1);
+        let mut row = Vec::new();
+        loop {
+            let mut field = String::new();
+            if chars.next_if_eq(&'"').is_some() {
+                loop {
+                    match chars.next() {
+                        Some('"') if chars.next_if_eq(&'"').is_none() => break,
+                        Some(c) => field.push(c),
+                        None => return Err(bad("a quoted field never closes")),
+                    }
+                }
+            } else {
+                while let Some(c) = chars.next_if(|&c| c != ',' && c != '\n') {
+                    if c == '"' {
+                        return Err(bad("a quote inside an unquoted field"));
+                    }
+                    field.push(c);
+                }
+            }
+            row.push(field);
+            match chars.next() {
+                Some(',') => {}
+                Some('\n') | None => break,
+                Some(_) => return Err(bad("text after a closing quote")),
+            }
+        }
+        if row.len() != width {
+            return Err(bad(&format!("{} fields, want {width}", row.len())));
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cactus_gpu::prelude::*;
+    use proptest::prelude::*;
 
     fn profile() -> Profile {
         let mut gpu = Gpu::new(Device::rtx3080());
@@ -98,34 +160,28 @@ mod tests {
         Profile::from_records(gpu.records())
     }
 
-    fn rows(p: &Profile) -> Vec<String> {
-        let mut out = String::new();
-        push_kernel_rows(&mut out, "T", p);
-        out.lines().map(str::to_owned).collect()
+    /// The kernel table of `p`, read back: every row at the header's width.
+    fn rows(p: &Profile) -> Vec<Vec<String>> {
+        read_table(&to_csv("T", p), kernel_header()).expect("kernel table reads back")
     }
 
     #[test]
     fn header_and_rows_have_matching_arity() {
         let p = profile();
-        let header_cols = kernel_header().split(',').count();
-        for row in rows(&p) {
-            // Quoted commas are escaped, so a naive split works only on
-            // rows without them; count via the csv-aware splitter below.
-            let cols = split_csv(&row).len();
-            assert_eq!(cols, header_cols, "{row}");
-        }
+        assert_eq!(rows(&p).len(), p.kernel_count());
+        let mut out = String::new();
+        push_kernel_rows(&mut out, "T", &p);
+        let header = format!("{}\n", kernel_header());
+        assert_eq!(format!("{header}{out}"), to_csv("T", &p));
     }
 
     #[test]
     fn commas_in_kernel_names_are_quoted() {
         let p = profile();
-        let doc = to_csv("T", &p);
-        assert!(doc.contains("\"with,comma\""));
-        // Every line parses back to the header arity.
-        let header_cols = kernel_header().split(',').count();
-        for line in doc.lines().skip(1) {
-            assert_eq!(split_csv(line).len(), header_cols);
-        }
+        assert!(to_csv("T", &p).contains("\"with,comma\""));
+        let mut names: Vec<String> = rows(&p).into_iter().map(|r| r[1].clone()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["plain", "with,comma"]);
     }
 
     #[test]
@@ -133,31 +189,66 @@ mod tests {
         let p = profile();
         let total: f64 = rows(&p)
             .iter()
-            .map(|row| split_csv(row)[4].parse::<f64>().unwrap())
+            .map(|row| row[4].parse::<f64>().unwrap())
             .sum();
         assert!((total - 1.0).abs() < 1e-3, "shares sum to {total}");
     }
 
-    /// Minimal RFC-4180 splitter for the tests.
-    fn split_csv(line: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut cur = String::new();
-        let mut quoted = false;
-        let mut chars = line.chars().peekable();
-        while let Some(c) = chars.next() {
-            match c {
-                '"' if quoted && chars.peek() == Some(&'"') => {
-                    cur.push('"');
-                    chars.next();
+    #[test]
+    fn read_table_skips_the_preamble_and_checks_widths() {
+        let body = "# name a,\"b\n# more\nx,y\n1,\"p,\"\"q\"\"\nr\"\n,\n";
+        assert_eq!(
+            read_table(body, "x,y"),
+            Ok(vec![
+                vec!["1".to_owned(), "p,\"q\"\nr".to_owned()],
+                vec![String::new(), String::new()],
+            ])
+        );
+        assert!(read_table("x,y\n1,2,3\n", "x,y")
+            .unwrap_err()
+            .contains("row 1"));
+        assert!(read_table("x,y\n1,\"2\n", "x,y").is_err(), "unclosed quote");
+        assert!(read_table("x,y\n1,2\"\n", "x,y").is_err(), "bare quote");
+        assert!(
+            read_table("x,y\n1,\"2\"3\n", "x,y").is_err(),
+            "text after quote"
+        );
+        assert!(read_table("# x,y\n", "x,y").is_err(), "no header line");
+        assert_eq!(read_table("x,y", "x,y"), Ok(Vec::new()));
+    }
+
+    /// The alphabet of the renderer tests' names: CSV's specials, the
+    /// profile document's escapes, and a multi-byte character.
+    fn any_text() -> impl Strategy<Value = String> {
+        let alphabet = ['a', 'Z', '_', ' ', '\t', '\n', '\\', ',', '"', 'é'];
+        prop::collection::vec(proptest::sample::select(&alphabet), 0..10)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn records_read_back_exactly(
+            records in prop::collection::vec(prop::collection::vec(any_text(), 3), 0..5),
+        ) {
+            let mut text = String::from("x,y,z\n");
+            for record in &records {
+                for (i, field) in record.iter().enumerate() {
+                    if i > 0 {
+                        text.push(',');
+                    }
+                    push_field(&mut text, field);
                 }
-                '"' => quoted = !quoted,
-                ',' if !quoted => {
-                    out.push(std::mem::take(&mut cur));
-                }
-                other => cur.push(other),
+                text.push('\n');
             }
+            prop_assert_eq!(read_table(&text, "x,y,z"), Ok(records));
         }
-        out.push(cur);
-        out
+
+        #[test]
+        fn reading_arbitrary_text_never_panics(text in any_text(), header in any_text()) {
+            let _ = read_table(&text, &header);
+            let _ = read_table(&format!("{header}\n{text}"), &header);
+        }
     }
 }

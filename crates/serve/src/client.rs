@@ -23,12 +23,14 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use cactus_gpu::catalog::CatalogEntry;
 use cactus_obs::{expo, ApiError, Exposition, TraceId, TRACE_HEADER};
 use cactus_profiler::store::read_profile;
 use cactus_profiler::Profile;
 
 pub use crate::http::HttpReply;
 use crate::http::{read_reply, HttpError};
+use crate::wire::{self, CompareRow, DeviceEntry, SimilarHit};
 
 impl HttpReply {
     /// Convert a non-200 reply into the most structured error available:
@@ -119,7 +121,7 @@ impl DeviceId {
     /// answer, so callers handle local and remote rejection identically.
     pub fn resolve(slug: &str) -> Result<Self, ClientError> {
         match cactus_gpu::by_id(slug) {
-            Some(entry) => Ok(Self(entry.id)),
+            Some(entry) => Ok(Self::from(entry)),
             None => Err(ClientError::Api(ApiError::new(
                 404,
                 format!(
@@ -134,6 +136,13 @@ impl DeviceId {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         self.0
+    }
+}
+
+/// A catalog entry's id needs no resolving.
+impl From<&CatalogEntry> for DeviceId {
+    fn from(entry: &CatalogEntry) -> Self {
+        Self(entry.id)
     }
 }
 
@@ -175,161 +184,6 @@ pub struct SimilarQuery<'a> {
     pub kernel: Option<&'a str>,
     /// Neighbors to return (`None` = the server default).
     pub k: Option<usize>,
-}
-
-/// One `/v1/devices` catalog row: a device's identity, roofline ceilings,
-/// and whether the answering backend models it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceEntry {
-    /// Canonical catalog id.
-    pub id: DeviceId,
-    /// Whether the answering backend models this device.
-    pub modeled: bool,
-    /// Marketing name (`RTX 3080`).
-    pub name: String,
-    /// Store version tag (`<model-version>.<device-rev>`).
-    pub store_version: String,
-    /// Streaming multiprocessors.
-    pub sm_count: u32,
-    /// Peak instruction throughput ceiling (GIPS).
-    pub peak_gips: f64,
-    /// Peak DRAM transaction throughput ceiling (Gtxn/s).
-    pub peak_gtxn_per_s: f64,
-    /// Roofline elbow (instructions per transaction).
-    pub elbow_intensity: f64,
-    /// DRAM bandwidth (GB/s).
-    pub dram_bandwidth_gbps: f64,
-    /// Last-level cache capacity (bytes).
-    pub l2_bytes: u64,
-}
-
-/// One `/v1/compare` kernel row: one kernel's roofline placement on one
-/// device. Columns 2–7 are byte-identical to that device's
-/// `/v1/roofline` row for the same kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRow {
-    /// Device this row was simulated on.
-    pub device: DeviceId,
-    /// Kernel name.
-    pub kernel: String,
-    /// Instructions per DRAM transaction.
-    pub instruction_intensity: f64,
-    /// Achieved instruction throughput (GIPS).
-    pub gips: f64,
-    /// Share of the workload's total GPU time.
-    pub time_share: f64,
-    /// Roofline elbow side on this device (`memory` / `compute`).
-    pub intensity_class: String,
-    /// Ceiling classification on this device (`bandwidth` / `latency`).
-    pub boundedness: String,
-    /// True when this kernel's boundedness differs across the compared
-    /// devices (the bottleneck shifts with the hardware).
-    pub bottleneck_shift: bool,
-}
-
-/// Parse the `/v1/devices` CSV body.
-fn parse_devices(body: &str) -> Result<Vec<DeviceEntry>, ClientError> {
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("device,") {
-            continue;
-        }
-        let bad = || ClientError::Parse(format!("bad devices row {line:?}"));
-        let cols: Vec<&str> = line.split(',').collect();
-        let [id, modeled, name, version, sm_count, gips, gtxn, elbow, dram, l2] = cols.as_slice()
-        else {
-            return Err(bad());
-        };
-        out.push(DeviceEntry {
-            id: DeviceId::resolve(id)?,
-            modeled: modeled.parse().map_err(|_| bad())?,
-            name: (*name).to_owned(),
-            store_version: (*version).to_owned(),
-            sm_count: sm_count.parse().map_err(|_| bad())?,
-            peak_gips: gips.parse().map_err(|_| bad())?,
-            peak_gtxn_per_s: gtxn.parse().map_err(|_| bad())?,
-            elbow_intensity: elbow.parse().map_err(|_| bad())?,
-            dram_bandwidth_gbps: dram.parse().map_err(|_| bad())?,
-            l2_bytes: l2.parse().map_err(|_| bad())?,
-        });
-    }
-    Ok(out)
-}
-
-/// Parse the `/v1/compare?format=csv` body (`#` comments, header, then
-/// one row per `(device, kernel)` pair).
-fn parse_compare(body: &str) -> Result<Vec<CompareRow>, ClientError> {
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("device,") {
-            continue;
-        }
-        let bad = || ClientError::Parse(format!("bad compare row {line:?}"));
-        let cols: Vec<&str> = line.split(',').collect();
-        let [device, kernel, intensity, gips, share, class, bound, shift] = cols.as_slice() else {
-            return Err(bad());
-        };
-        out.push(CompareRow {
-            device: DeviceId::resolve(device)?,
-            kernel: (*kernel).to_owned(),
-            instruction_intensity: intensity.parse().map_err(|_| bad())?,
-            gips: gips.parse().map_err(|_| bad())?,
-            time_share: share.parse().map_err(|_| bad())?,
-            intensity_class: (*class).to_owned(),
-            boundedness: (*bound).to_owned(),
-            bottleneck_shift: shift.parse().map_err(|_| bad())?,
-        });
-    }
-    Ok(out)
-}
-
-/// Parse the `devices <id> <id>...` advertisement line from a
-/// `/v1/healthz` body; `None` when the body carries no such line (an old
-/// server, or a gateway's own health page).
-#[must_use]
-pub fn parse_health_devices(body: &str) -> Option<Vec<String>> {
-    body.lines()
-        .find_map(|line| line.strip_prefix("devices "))
-        .map(|ids| ids.split_whitespace().map(str::to_owned).collect())
-}
-
-/// One row of a `/v1/similar` reply.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimilarHit {
-    /// 1-based rank (ascending by distance).
-    pub rank: usize,
-    /// Stored profile id (`device/scale/workload/kernel`).
-    pub id: String,
-    /// Euclidean distance in the encoded metric space.
-    pub distance: f64,
-}
-
-/// Parse the `/v1/similar` CSV body (`#` comments, header, then
-/// `rank,id,distance` rows).
-fn parse_similar(body: &str) -> Result<Vec<SimilarHit>, ClientError> {
-    let mut hits = Vec::new();
-    for line in body.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("rank,") {
-            continue;
-        }
-        let bad = || ClientError::Parse(format!("bad similar row {line:?}"));
-        let (rank, rest) = line.split_once(',').ok_or_else(bad)?;
-        let (id, distance) = rest.rsplit_once(',').ok_or_else(bad)?;
-        let id = if id.starts_with('"') && id.ends_with('"') && id.len() >= 2 {
-            id[1..id.len() - 1].replace("\"\"", "\"")
-        } else {
-            id.to_owned()
-        };
-        hits.push(SimilarHit {
-            rank: rank.parse().map_err(|_| bad())?,
-            id,
-            distance: distance.parse().map_err(|_| bad())?,
-        });
-    }
-    Ok(hits)
 }
 
 /// A client bound to one server address.
@@ -397,6 +251,15 @@ impl Client {
         self.connection().post_traced(path, body, trace)
     }
 
+    /// `GET path`: the body of a `200`, or the reply as an error.
+    fn get_ok(&self, path: &str) -> Result<String, ClientError> {
+        let reply = self.get(path)?;
+        if reply.status != 200 {
+            return Err(reply.into_error());
+        }
+        Ok(reply.body)
+    }
+
     /// `GET /v1/healthz`, true on `200 ok`.
     ///
     /// # Errors
@@ -414,11 +277,7 @@ impl Client {
     /// Transport errors, non-200 statuses (as [`ClientError::Api`] when the
     /// server sent the envelope), and unparseable bodies.
     pub fn devices(&self) -> Result<Vec<DeviceEntry>, ClientError> {
-        let reply = self.get("/v1/devices")?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        parse_devices(&reply.body)
+        wire::read_devices(&self.get_ok("/v1/devices")?)
     }
 
     /// `GET /v1/compare/<scale>/<workload>?devices=...&format=csv` as
@@ -436,14 +295,10 @@ impl Client {
         devices: &[DeviceId],
     ) -> Result<Vec<CompareRow>, ClientError> {
         let ids: Vec<&str> = devices.iter().map(|d| d.as_str()).collect();
-        let reply = self.get(&format!(
+        wire::read_compare(&self.get_ok(&format!(
             "/v1/compare/{scale}/{workload}?devices={}&format=csv",
             ids.join(",")
-        ))?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        parse_compare(&reply.body)
+        ))?)
     }
 
     /// `GET /v1/metricsz` strictly parsed through the shared exposition
@@ -455,11 +310,7 @@ impl Client {
     /// duplicate or unparsable samples are [`ClientError::Parse`] (with
     /// the offending line), never silently dropped.
     pub fn metrics(&self) -> Result<Exposition, ClientError> {
-        let reply = self.get("/v1/metricsz")?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        expo::parse(&reply.body).map_err(|e| ClientError::Parse(e.to_string()))
+        expo::parse(&self.get_ok("/v1/metricsz")?).map_err(|e| ClientError::Parse(e.to_string()))
     }
 
     /// Fetch one profile as a typed [`Profile`].
@@ -474,11 +325,8 @@ impl Client {
             scale,
             workload,
         } = query;
-        let reply = self.get(&format!("/v1/profile/{device}/{scale}/{workload}"))?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        read_profile(&reply.body).map_err(|e| ClientError::Parse(e.to_string()))
+        read_profile(&self.get_ok(&format!("/v1/profile/{device}/{scale}/{workload}"))?)
+            .map_err(|e| ClientError::Parse(e.to_string()))
     }
 
     /// Reference similarity query: ingest-and-search one profile's kernels
@@ -503,11 +351,7 @@ impl Client {
         if let Some(k) = k {
             path.push_str(&format!("&k={k}"));
         }
-        let reply = self.get(&path)?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        parse_similar(&reply.body)
+        wire::read_similar(&self.get_ok(&path)?)
     }
 
     /// Inline similarity query: search for an explicit `MetricId::ALL`-order
@@ -531,11 +375,7 @@ impl Client {
         if let Some(k) = k {
             path.push_str(&format!("&k={k}"));
         }
-        let reply = self.get(&path)?;
-        if reply.status != 200 {
-            return Err(reply.into_error());
-        }
-        parse_similar(&reply.body)
+        wire::read_similar(&self.get_ok(&path)?)
     }
 }
 
@@ -1009,23 +849,6 @@ mod tests {
         assert!(read_reply(&mut "HTTP/1.1 200 OK\r\n".as_bytes()).is_err());
         assert!(read_reply(&mut "garbage\r\n\r\nbody".as_bytes()).is_err());
         assert!(read_reply(&mut "".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn similar_csv_parses_rows_and_skips_comments() {
-        let body = "# query: rtx-3080/tiny/GMS/force\n\
-                    # index: 12 vectors in 3 cells, 2 clusters\n\
-                    # search: k=2 probed=5 pruned=7\n\
-                    rank,id,distance\n\
-                    1,rtx-3080/tiny/GMS/force,0.000000\n\
-                    2,\"rtx-3080/tiny/GMS/odd,name\",1.250000\n";
-        let hits = parse_similar(body).expect("parse");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].rank, 1);
-        assert_eq!(hits[0].id, "rtx-3080/tiny/GMS/force");
-        assert_eq!(hits[0].distance, 0.0);
-        assert_eq!(hits[1].id, "rtx-3080/tiny/GMS/odd,name");
-        assert!(parse_similar("rank,id,distance\nnot-a-row\n").is_err());
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //!
 //! Every HTTP message either tier reads goes through [`http`]'s one bounded
 //! reader; [`client`] has one transport, the keep-alive [`Connection`].
+//! Every table body and the health page is written and read by [`wire`].
 //!
 //! Two binaries ship with the crate: `cactus-serve` (the daemon, with
 //! signal-driven graceful shutdown via [`signal`]) and `loadgen` (a
@@ -53,9 +54,8 @@ pub mod service;
 pub mod signal;
 pub mod similar;
 pub mod singleflight;
+pub mod wire;
 
-pub use client::{
-    parse_health_devices, Client, CompareRow, Connection, DeviceEntry, DeviceId, ProfileQuery,
-    SimilarHit, SimilarQuery,
-};
+pub use client::{Client, Connection, DeviceId, ProfileQuery, SimilarQuery};
 pub use server::{ServeConfig, Server};
+pub use wire::{parse_health_devices, CompareRow, DeviceEntry, SimilarHit};

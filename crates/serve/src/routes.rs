@@ -23,6 +23,7 @@ use crate::cache::CachedResponse;
 use crate::http::{Request, Response};
 use crate::server::ServerState;
 use crate::service::{Triple, WorkloadRejection, SCALE_SLUGS};
+use crate::wire::{self, DeviceEntry};
 
 /// The endpoint family served under
 /// `/v1/<endpoint>/<device>/<scale>/<workload>`. `cactus-lint`'s surface
@@ -69,7 +70,7 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
         return submit_workload(state, req, ctx);
     }
     match req.path.as_str() {
-        "/v1/healthz" => Response::ok(healthz_body(state), TEXT),
+        "/v1/healthz" => Response::ok(wire::healthz_body(&state.service.modeled()), TEXT),
         "/v1/metricsz" => Response::ok(state.render_metrics(), TEXT),
         "/v1/tracez" => tracez(&state.tracer, req.query.as_deref()),
         "/v1/devices" => cached(state, "devices", CSV, || devices_catalog(state)),
@@ -80,7 +81,10 @@ pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
         "/v1/similar/stats" => crate::similar::stats(state),
         // Store pages are stateful (appends and compaction move them),
         // so they bypass the response cache too.
-        "/v1/store/manifest" => Response::ok(state.service.store().manifest(), TEXT),
+        "/v1/store/manifest" => Response::ok(
+            cactus_store::write_manifest(&state.service.store().entries()),
+            TEXT,
+        ),
         "/v1/store/statz" => Response::ok(store_statz(state), TEXT),
         _ => route_triple(state, req, ctx),
     }
@@ -224,7 +228,7 @@ fn store_statz(state: &ServerState) -> String {
          compactions {}\n\
          truncations {}\n",
         store.dir().display(),
-        store.manifest_digest(),
+        cactus_store::manifest_digest(&store.entries()),
         s.segments,
         s.live_records,
         s.dead_records,
@@ -381,38 +385,14 @@ fn threshold_from_query(query: Option<&str>) -> Result<f64, String> {
     Ok(0.7)
 }
 
-/// `/v1/healthz`: liveness plus the backend's modeled-device
-/// advertisement. Line one stays exactly `ok` so
-/// pre-catalog probes that match the first line keep working; line two is
-/// `devices <id> <id>...`, which the gateway parses to build its
-/// capability map.
-fn healthz_body(state: &ServerState) -> String {
-    format!("ok\ndevices {}\n", state.service.modeled().join(" "))
-}
-
 /// `/v1/devices`: the full device catalog with per-device roofline
 /// ceilings, flagged with whether *this* backend models each entry.
 fn devices_catalog(state: &ServerState) -> String {
-    let mut out = String::from(
-        "device,modeled,name,store_version,sm_count,peak_gips,peak_gtxn_per_s,\
-         elbow_intensity,dram_bandwidth_gbps,l2_bytes\n",
+    let mut out = String::new();
+    wire::write_devices(
+        &mut out,
+        &DeviceEntry::catalog(|id| state.service.models(id)),
     );
-    for entry in cactus_gpu::CATALOG {
-        let device = entry.device();
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{}\n",
-            entry.id,
-            state.service.models(entry.id),
-            csv_escape(&device.name),
-            entry.store_version(),
-            device.sm_count,
-            device.peak_gips(),
-            device.peak_gtxn_per_s(),
-            device.elbow_intensity(),
-            device.dram_bandwidth_gbps,
-            device.l2.size_bytes,
-        ));
-    }
     out
 }
 
@@ -432,7 +412,9 @@ fn workloads_catalog(state: &ServerState) -> String {
         out.push_str(&format!("{},{}\n", b.suite.name(), b.name));
     }
     for name in state.service.wir_names() {
-        out.push_str(&format!("WIR,{}\n", csv_escape(&name)));
+        out.push_str("WIR,");
+        csv::push_field(&mut out, &name);
+        out.push('\n');
     }
     out
 }
@@ -482,12 +464,6 @@ fn dominant_csv(workload: &str, profile: &cactus_profiler::Profile, threshold: f
             cumulative,
         );
     }
-    out
-}
-
-pub(crate) fn csv_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    csv::push_field(&mut out, s);
     out
 }
 

@@ -35,16 +35,13 @@ use cactus_gpu::metrics::KernelMetrics;
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::SpanCtx;
 use cactus_profiler::Profile;
-use cactus_simindex::{proxy, ClusterConfig, ClusterSet, Encoder, IndexStats, Neighbor, SimIndex};
+use cactus_simindex::{proxy, ClusterConfig, ClusterSet, Encoder, IndexStats, SimIndex};
 
 use crate::http::{Request, Response};
+use crate::routes::{CSV, TEXT};
 use crate::server::ServerState;
 use crate::service::Triple;
-
-/// Content type of similarity CSV bodies.
-const CSV: &str = "text/csv; charset=utf-8";
-/// Content type of the stats body.
-const TEXT: &str = "text/plain; charset=utf-8";
+use crate::wire::{self, SimilarHit};
 
 /// Neighbors returned when `k` is not given.
 const K_DEFAULT: usize = 5;
@@ -94,7 +91,7 @@ pub struct SimSnapshot {
 struct SimilarReport {
     query: String,
     k: usize,
-    neighbors: Vec<Neighbor>,
+    hits: Vec<SimilarHit>,
     probed: usize,
     pruned: usize,
     size: usize,
@@ -302,7 +299,14 @@ impl SimService {
         Ok(SimilarReport {
             query,
             k,
-            neighbors: result.neighbors,
+            hits: (1..)
+                .zip(result.neighbors)
+                .map(|(rank, n)| SimilarHit {
+                    rank,
+                    id: n.id,
+                    distance: n.dist,
+                })
+                .collect(),
             probed: result.probed,
             pruned: result.pruned,
             size: fitted.index.len(),
@@ -382,7 +386,7 @@ pub fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
             )
         }
     };
-    let triple = match Triple::resolve(device, scale, workload) {
+    let triple = match state.service.resolve_triple(device, scale, workload) {
         Ok(t) => t,
         Err(msg) => return Response::error(404, msg),
     };
@@ -442,16 +446,7 @@ fn render_similar(report: &SimilarReport) -> String {
         "# search: k={} probed={} pruned={}",
         report.k, report.probed, report.pruned
     );
-    out.push_str("rank,id,distance\n");
-    for (i, n) in report.neighbors.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{},{},{:.6}",
-            i + 1,
-            crate::routes::csv_escape(&n.id),
-            n.dist
-        );
-    }
+    wire::write_similar(&mut out, &report.hits);
     out
 }
 

@@ -11,6 +11,16 @@ use cactus_core::SuiteScale;
 use cactus_serve::client::ClientError;
 use cactus_serve::{Client, DeviceId, ProfileQuery, ServeConfig, Server, SimilarQuery};
 
+/// A kernel name with every CSV special: a comma, a quote, a line break.
+const QUOTED_KERNEL: &str = "void gemm<float, 4>(\"x\")\nrow";
+
+/// A workload whose dominant kernel is [`QUOTED_KERNEL`].
+const QUOTED_WIR: &str = "workload \"quoted\" {\n\
+     kernel big { name \"void gemm<float, 4>(\\\"x\\\")\\nrow\"; mix { fp32 = 100000; } }\n\
+     kernel small { mix { int = 1000; } }\n\
+     run { repeat 4 { launch big; launch small; } }\n\
+     }\n";
+
 /// Resolve a catalog id for query literals.
 fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
@@ -641,6 +651,28 @@ fn similar_queries_ingest_search_and_trace_end_to_end() {
     );
     assert!(metric(&client, "cactus_simindex_queries_total") >= 4.0);
     assert!(metric(&client, "cactus_simindex_inserts_total") >= 1.0);
+
+    // A demangled name holds commas and quotes, and a WIR `name` may hold
+    // a line break: the id comes back verbatim, though the body's `# query`
+    // line carries the break raw.
+    let reply = client
+        .post_traced("/v1/workloads", QUOTED_WIR, None)
+        .expect("post quoted");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let quoted = client
+        .similar(SimilarQuery {
+            device: dev("rtx-3080"),
+            scale: "tiny",
+            workload: "quoted",
+            kernel: None,
+            k: Some(3),
+        })
+        .expect("similar on a quoted kernel name");
+    let own_id = format!("rtx-3080/tiny/quoted/{QUOTED_KERNEL}");
+    assert!(
+        quoted.iter().any(|h| h.id == own_id && h.distance == 0.0),
+        "the quoted kernel must match itself verbatim: {quoted:?}"
+    );
 
     // The traced request's span tree is in the ring.
     let tracez = client

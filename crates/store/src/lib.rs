@@ -74,7 +74,6 @@
 use cactus_obs::lock::{rank, RankedMutex};
 
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -152,6 +151,56 @@ pub struct Entry {
     pub version: u32,
     /// Payload CRC of the live record.
     pub crc: u32,
+}
+
+/// The manifest's `k\t<key>\t<version>\t<crc>` lines: what its digest
+/// covers.
+fn manifest_lines(entries: &[Entry]) -> String {
+    let line = |e: &Entry| format!("k\t{}\t{}\t{:08x}\n", e.key, e.version, e.crc);
+    entries.iter().map(line).collect()
+}
+
+/// FNV-1a over `entries`' manifest lines: two replicas holding the same
+/// live records have the same digest, whatever their segment layout.
+#[must_use]
+pub fn manifest_digest(entries: &[Entry]) -> u64 {
+    fnv1a64(manifest_lines(entries).as_bytes())
+}
+
+/// Render a manifest page: [`MANIFEST_HEADER`], `digest <hex>`,
+/// `entries <n>`, then one `k` line per entry. Inverse of
+/// [`parse_manifest`] for keys without a tab or a line break, which every
+/// served key is.
+#[must_use]
+pub fn write_manifest(entries: &[Entry]) -> String {
+    let (lines, n) = (manifest_lines(entries), entries.len());
+    let digest = fnv1a64(lines.as_bytes());
+    format!("{MANIFEST_HEADER}\ndigest {digest:016x}\nentries {n}\n{lines}")
+}
+
+/// The entries of a page [`write_manifest`] rendered. `None` when the
+/// header is wrong or any `k` line is malformed — a partial parse could
+/// make anti-entropy conclude records exist that don't.
+#[must_use]
+pub fn parse_manifest(text: &str) -> Option<Vec<Entry>> {
+    let mut lines = text.lines();
+    if lines.next()? != MANIFEST_HEADER {
+        return None;
+    }
+    lines
+        .filter(|l| !l.is_empty() && !l.starts_with("digest ") && !l.starts_with("entries "))
+        .map(|line| {
+            let ["k", key, version, crc] = line.split('\t').collect::<Vec<_>>()[..] else {
+                return None;
+            };
+            let (version, crc) = (version.parse().ok()?, u32::from_str_radix(crc, 16).ok()?);
+            Some(Entry {
+                key: key.to_owned(),
+                version,
+                crc,
+            })
+        })
+        .collect()
 }
 
 /// Point-in-time store counters for the metrics scrape and `/v1/store/statz`.
@@ -549,33 +598,6 @@ impl Store {
         out
     }
 
-    /// Render the manifest page: header, digest, entry count, then one
-    /// `k\t<key>\t<version>\t<crc>` line per live key in sorted order. The
-    /// digest is FNV-1a over the entry lines, so two replicas holding the
-    /// same live records render the same digest.
-    #[must_use]
-    pub fn manifest(&self) -> String {
-        let (lines, entries) = self.manifest_lines();
-        let digest = fnv1a64(lines.as_bytes());
-        format!("{MANIFEST_HEADER}\ndigest {digest:016x}\nentries {entries}\n{lines}")
-    }
-
-    /// The manifest digest alone (see [`Store::manifest`]).
-    #[must_use]
-    pub fn manifest_digest(&self) -> u64 {
-        fnv1a64(self.manifest_lines().0.as_bytes())
-    }
-
-    /// The manifest's `k` lines — what the digest covers — and their count.
-    fn manifest_lines(&self) -> (String, usize) {
-        let entries = self.entries();
-        let mut lines = String::new();
-        for e in &entries {
-            let _ = writeln!(lines, "k\t{}\t{}\t{:08x}", e.key, e.version, e.crc);
-        }
-        (lines, entries.len())
-    }
-
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
@@ -970,7 +992,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// FNV-1a, 64-bit — the manifest digest.
 #[must_use]
-pub fn fnv1a64(data: &[u8]) -> u64 {
+fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);
@@ -982,6 +1004,7 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_store_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1134,6 +1157,74 @@ mod tests {
     }
 
     #[test]
+    fn parses_a_round_tripped_manifest() {
+        let text = "cactus-store manifest v1\ndigest 00000000deadbeef\nentries 2\nk\ta/b/c\t2\t0000abcd\nk\tx/y/z\t1\tffffffff\n";
+        let entries = parse_manifest(text).expect("parse");
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].key, "a/b/c");
+        assert_eq!(entries[0].version, 2);
+        assert_eq!(entries[0].crc, 0x0000_abcd);
+        assert_eq!(entries[1].crc, 0xffff_ffff);
+    }
+
+    #[test]
+    fn rejects_malformed_manifests() {
+        assert!(parse_manifest("not a manifest\n").is_none());
+        assert!(
+            parse_manifest("cactus-store manifest v1\nk\tonly-key\n").is_none(),
+            "short k line"
+        );
+        assert!(
+            parse_manifest("cactus-store manifest v1\nk\ta\tnot-a-number\t00000000\n").is_none(),
+            "bad version"
+        );
+        assert!(
+            parse_manifest("cactus-store manifest v1\nk\ta\t1\tzzzz\n").is_none(),
+            "bad crc"
+        );
+        let empty =
+            parse_manifest("cactus-store manifest v1\ndigest cbf29ce484222325\nentries 0\n");
+        assert_eq!(empty.expect("empty manifest parses"), Vec::new());
+    }
+
+    /// Keys over the renderer tests' alphabet less the manifest's two
+    /// separators, tab and line break (no served key holds either).
+    fn any_key() -> impl Strategy<Value = String> {
+        let alphabet = ['a', 'Z', '_', '7', ' ', '/', '\r', '\\', ',', '"', 'é'];
+        prop::collection::vec(proptest::sample::select(&alphabet), 0..12)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn any_text() -> impl Strategy<Value = String> {
+        let alphabet = ['a', 'k', '7', ' ', '\t', '\n', '\\', ',', '"', 'é'];
+        prop::collection::vec(proptest::sample::select(&alphabet), 0..24)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_manifest_inverts_write_manifest(
+            raw in prop::collection::vec((any_key(), 0u32..u32::MAX, 0u32..u32::MAX), 0..6),
+        ) {
+            let entries: Vec<Entry> = raw
+                .into_iter()
+                .map(|(key, version, crc)| Entry { key, version, crc })
+                .collect();
+            prop_assert_eq!(parse_manifest(&write_manifest(&entries)), Some(entries));
+        }
+
+        /// Arbitrary text, with and without the header, parses to `Some`
+        /// or `None`.
+        #[test]
+        fn parsing_arbitrary_text_never_panics(text in any_text()) {
+            let _ = parse_manifest(&text);
+            let _ = parse_manifest(&format!("{MANIFEST_HEADER}\n{text}"));
+        }
+    }
+
+    #[test]
     fn manifest_digest_tracks_content_not_layout() {
         let dir_a = temp_store_dir("manifest-a");
         let dir_b = temp_store_dir("manifest-b");
@@ -1145,13 +1236,13 @@ mod tests {
         a.append("x", 2, b"three").expect("append");
         b.append("x", 2, b"three").expect("append");
         b.append("y", 1, b"two").expect("append");
-        assert_eq!(a.manifest_digest(), b.manifest_digest());
+        assert_eq!(manifest_digest(&a.entries()), manifest_digest(&b.entries()));
         a.compact().expect("compact");
-        assert_eq!(a.manifest_digest(), b.manifest_digest());
-        let m = a.manifest();
+        assert_eq!(manifest_digest(&a.entries()), manifest_digest(&b.entries()));
+        let m = write_manifest(&a.entries());
         assert!(m.starts_with(MANIFEST_HEADER));
         assert!(m.contains("entries 2"));
-        assert!(m.contains(&format!("digest {:016x}", a.manifest_digest())));
+        assert!(m.contains(&format!("digest {:016x}", manifest_digest(&a.entries()))));
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
     }
