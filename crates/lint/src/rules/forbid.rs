@@ -60,9 +60,11 @@ struct Row {
 
 /// Daemon paths: a panic here unwinds a worker thread and silently
 /// shrinks the pool. The six crates' whole `src/` trees (the similarity
-/// index, the store and the WIR validator run inside serve workers), plus
-/// the two `gpu` files the cold-simulate path enters through: the engine
-/// pool and the launch engine. The engine resolves memory traffic through
+/// index, the store and the WIR validator run inside serve workers), the
+/// two `gpu` files the cold-simulate path enters through (the engine pool
+/// and the launch engine), and the two `profiler` codecs every body a
+/// daemon reads off the wire goes through (the profile document and the
+/// CSV fields). The engine resolves memory traffic through
 /// `cache::hierarchy` → `cache::analytic`; the trace-driven simulator is a
 /// test oracle no daemon links.
 const DAEMON: &[&str] = &[
@@ -74,6 +76,8 @@ const DAEMON: &[&str] = &[
     "crates/wir/src/**",
     "crates/gpu/src/pool.rs",
     "crates/gpu/src/engine.rs",
+    "crates/profiler/src/store.rs",
+    "crates/profiler/src/csv.rs",
 ];
 
 const ROWS: &[Row] = &[
@@ -220,6 +224,14 @@ const ROWS: &[Row] = &[
         ),
         reason: "HTTP messages are read by serve's http.rs alone (read_request, read_reply), \
                  under its head and body bounds; call those instead",
+    },
+    Row {
+        rule: "one_csv_codec",
+        paths: &["crates/*/src/**"],
+        except: &["crates/profiler/src/csv.rs"],
+        shape: Shape::Tokens(Scope::NonTest, &["\"\\\"\\\"\""]),
+        reason: "CSV fields are quoted and unquoted by cactus_profiler::csv alone \
+                 (push_field, read_table); call those instead",
     },
     Row {
         rule: "tensor_arith",

@@ -76,6 +76,7 @@ fn forbid_rows_fire_with_file_and_line() {
             ("one_perf_ruler", "DESIGN.md", 3),
             ("cache_oracle", "crates/bench/src/bin/fig2.rs", 3),
             ("store_internals", "crates/bench/src/lib.rs", 4),
+            ("one_csv_codec", "crates/gateway/src/compare.rs", 4),
             ("one_daemon_loop", "crates/gateway/src/server.rs", 3),
             ("fft_arith", "crates/md/src/fft.rs", 9),
             ("per_cpu_code", "crates/md/src/fft.rs", 19),
@@ -91,9 +92,9 @@ fn forbid_rows_fire_with_file_and_line() {
         "findings: {findings:?}"
     );
     assert!(
-        findings[4].message.contains("`mul_add`"),
+        findings[5].message.contains("`mul_add`"),
         "message names the match: {}",
-        findings[4].message
+        findings[5].message
     );
 }
 
