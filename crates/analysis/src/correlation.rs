@@ -18,7 +18,7 @@ impl CorrelationMatrix {
     /// Compute the correlation of each `rows` metric against each `cols`
     /// metric over the kernel population.
     #[must_use]
-    pub fn compute(kernels: &[KernelMetrics], rows: &[MetricId], cols: &[MetricId]) -> Self {
+    pub(crate) fn compute(kernels: &[KernelMetrics], rows: &[MetricId], cols: &[MetricId]) -> Self {
         let series = |id: MetricId| -> Vec<f64> { kernels.iter().map(|k| k.get(id)).collect() };
         let values = rows
             .iter()
@@ -50,21 +50,9 @@ impl CorrelationMatrix {
         &self.rows
     }
 
-    /// Column metric ids.
-    #[must_use]
-    pub fn cols(&self) -> &[MetricId] {
-        &self.cols
-    }
-
-    /// Coefficient at (row, col).
-    #[must_use]
-    pub fn value(&self, row: usize, col: usize) -> f64 {
-        self.values[row][col]
-    }
-
     /// Banding of the coefficient at (row, col).
     #[must_use]
-    pub fn band(&self, row: usize, col: usize) -> CorrelationBand {
+    pub(crate) fn band(&self, row: usize, col: usize) -> CorrelationBand {
         CorrelationBand::of(self.values[row][col])
     }
 
@@ -157,9 +145,9 @@ mod tests {
                 MetricId::InstructionIntensity,
             ],
         );
-        assert!((m.value(0, 0) - 1.0).abs() < 1e-9, "gips vs occupancy");
+        assert!((m.values[0][0] - 1.0).abs() < 1e-9, "gips vs occupancy");
         assert!(
-            (m.value(0, 1) + 1.0).abs() < 1e-9,
+            (m.values[0][1] + 1.0).abs() < 1e-9,
             "gips vs sm eff (negative)"
         );
         assert_eq!(m.band(0, 0), CorrelationBand::Strong);
@@ -185,7 +173,7 @@ mod tests {
     fn figure8_shape() {
         let m = CorrelationMatrix::primary_vs_table_iv(&population());
         assert_eq!(m.rows().len(), 4);
-        assert_eq!(m.cols().len(), 13);
+        assert_eq!(m.cols.len(), 13);
         let txt = m.render();
         assert!(txt.contains("GIPS"));
         assert!(txt.contains('='));

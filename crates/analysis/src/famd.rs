@@ -12,7 +12,7 @@
 //! Fitting and transforming are split: [`Famd::fit`] learns a reusable
 //! [`FamdModel`] — the frozen normalization statistics (per-column mean/std,
 //! per-category proportions) plus the principal axes — and keeps the
-//! training scores for the figure pipelines. [`FamdModel::encode`] projects
+//! training scores for the figure pipelines. `FamdModel::encode` projects
 //! any later observation into the same space, bit-identically to the scores
 //! the fit produced for its own rows, so an online index
 //! (`cactus-simindex`) and the batch figure generators share one encoder.
@@ -40,7 +40,7 @@ struct Category {
 }
 
 /// The reusable half of a FAMD fit: frozen normalization statistics and the
-/// principal axes, without the training scores. [`FamdModel::encode`]
+/// principal axes, without the training scores. `FamdModel::encode`
 /// projects a new observation into the fitted space; the result for a
 /// training row is bit-identical to the score row [`Famd::fit`] computed.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,30 +59,6 @@ impl FamdModel {
         self.quant.len() + self.quals.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Explained variance per principal dimension, descending.
-    #[must_use]
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained_variance
-    }
-
-    /// Number of dimensions needed to retain `ratio` of the variance (same
-    /// rule as [`Pca::components_for_ratio`]).
-    #[must_use]
-    pub fn dims_for_ratio(&self, ratio: f64) -> usize {
-        let total: f64 = self.explained_variance.iter().sum();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut acc = 0.0;
-        for (i, v) in self.explained_variance.iter().enumerate() {
-            acc += v / total;
-            if acc >= ratio - 1e-12 {
-                return i + 1;
-            }
-        }
-        self.explained_variance.len()
-    }
-
     /// Encode one observation (`quant_row` in fit column order, `qual_row`
     /// one label per fitted qualitative variable) into the normalized
     /// indicator space — z-scores against the frozen means/stds, scaled
@@ -91,7 +67,7 @@ impl FamdModel {
     /// `-p·scale` terms), which is exactly how a dropped constant category
     /// encoded at fit time.
     #[must_use]
-    pub fn encode_raw(&self, quant_row: &[f64], qual_row: &[&str]) -> Vec<f64> {
+    pub(crate) fn encode_raw(&self, quant_row: &[f64], qual_row: &[&str]) -> Vec<f64> {
         let mut z = Vec::with_capacity(self.encoded_cols());
         for (stats, &x) in self.quant.iter().zip(quant_row) {
             z.push(if stats.std > 0.0 {
@@ -123,7 +99,7 @@ impl FamdModel {
     /// encode the missing entries as if absent (mean / unseen category);
     /// extra entries are ignored.
     #[must_use]
-    pub fn encode(&self, quant_row: &[f64], qual_row: &[&str]) -> Vec<f64> {
+    pub(crate) fn encode(&self, quant_row: &[f64], qual_row: &[&str]) -> Vec<f64> {
         let z = self.encode_raw(quant_row, qual_row);
         let dims = self.components.cols();
         let mut out = vec![0.0; dims];
@@ -140,7 +116,7 @@ impl FamdModel {
         out
     }
 
-    /// [`FamdModel::encode`] truncated to the first `k` dimensions.
+    /// `FamdModel::encode` truncated to the first `k` dimensions.
     #[must_use]
     pub fn encode_truncated(&self, quant_row: &[f64], qual_row: &[&str], k: usize) -> Vec<f64> {
         let mut coords = self.encode(quant_row, qual_row);
@@ -235,18 +211,6 @@ impl Famd {
         Famd { pca, model }
     }
 
-    /// The underlying PCA of the encoded table.
-    #[must_use]
-    pub fn pca(&self) -> &Pca {
-        &self.pca
-    }
-
-    /// The reusable encoder: frozen normalization statistics + axes.
-    #[must_use]
-    pub fn model(&self) -> &FamdModel {
-        &self.model
-    }
-
     /// Extract the encoder, dropping the training scores.
     #[must_use]
     pub fn into_model(self) -> FamdModel {
@@ -286,7 +250,7 @@ mod tests {
         let quant = Matrix::from_rows(4, 2, vec![1.0, 2.0, 2.0, 4.0, 3.0, 6.0, 4.0, 8.0]);
         let famd = Famd::fit(&quant, &[]);
         assert_eq!(famd.encoded_cols(), 2);
-        assert!(famd.pca().explained_ratio(1) > 0.999);
+        assert!(famd.pca.explained_ratio(1) > 0.999);
     }
 
     #[test]
@@ -364,10 +328,10 @@ mod tests {
     fn encode_reproduces_training_scores_bitwise() {
         let (quant, qual) = golden_table();
         let famd = Famd::fit(&quant, &qual);
-        let scores = &famd.pca().scores;
+        let scores = &famd.pca.scores;
         for r in 0..quant.rows() {
             let qual_row: Vec<&str> = qual.iter().map(|col| col[r].as_str()).collect();
-            let coords = famd.model().encode(quant.row(r), &qual_row);
+            let coords = famd.model.encode(quant.row(r), &qual_row);
             assert_eq!(coords.len(), scores.cols());
             for (c, &v) in coords.iter().enumerate() {
                 assert!(

@@ -28,12 +28,6 @@ pub struct Dendrogram {
 }
 
 impl Dendrogram {
-    /// Number of leaves.
-    #[must_use]
-    pub fn leaves(&self) -> usize {
-        self.n
-    }
-
     /// Merge steps in the order they were performed.
     #[must_use]
     pub fn merges(&self) -> &[Merge] {
@@ -265,7 +259,7 @@ mod tests {
     #[test]
     fn merge_count_and_sizes() {
         let dend = cluster(&two_blobs());
-        assert_eq!(dend.leaves(), 6);
+        assert_eq!(dend.n, 6);
         assert_eq!(dend.merges().len(), 5);
         assert_eq!(dend.merges().last().unwrap().size, 6);
     }
@@ -304,7 +298,7 @@ mod tests {
     fn single_point_dendrogram() {
         let m = Matrix::from_rows(1, 2, vec![1.0, 2.0]);
         let dend = cluster(&m);
-        assert_eq!(dend.leaves(), 1);
+        assert_eq!(dend.n, 1);
         assert!(dend.merges().is_empty());
         assert_eq!(dend.cut(3), vec![0]);
         assert!(dend.render(&["only".to_owned()]).contains("only"));

@@ -26,7 +26,7 @@ impl Matrix {
 
     /// Identity matrix.
     #[must_use]
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -53,19 +53,19 @@ impl Matrix {
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// One row as a slice.
     #[must_use]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// One column, copied.
     #[must_use]
-    pub fn col(&self, c: usize) -> Vec<f64> {
+    pub(crate) fn col(&self, c: usize) -> Vec<f64> {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
@@ -107,7 +107,7 @@ impl Matrix {
     /// Covariance matrix of the columns (observations are rows), using the
     /// population normalization `1/n`.
     #[must_use]
-    pub fn covariance(&self) -> Matrix {
+    pub(crate) fn covariance(&self) -> Matrix {
         let n = self.rows.max(1) as f64;
         let means: Vec<f64> = (0..self.cols)
             .map(|c| self.col(c).iter().sum::<f64>() / n)

@@ -4,7 +4,7 @@ use crate::matrix::{eigen_symmetric, Matrix};
 
 /// Result of a PCA.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Pca {
+pub(crate) struct Pca {
     /// Explained variance per component, descending.
     pub explained_variance: Vec<f64>,
     /// Component loadings: columns are principal axes in feature space.
@@ -29,7 +29,7 @@ impl Pca {
     /// The number of components needed to explain at least `ratio` of the
     /// variance.
     #[must_use]
-    pub fn components_for_ratio(&self, ratio: f64) -> usize {
+    pub(crate) fn components_for_ratio(&self, ratio: f64) -> usize {
         let total: f64 = self.explained_variance.iter().sum();
         if total <= 0.0 {
             return 0;
@@ -46,7 +46,7 @@ impl Pca {
 
     /// Scores truncated to the first `k` components.
     #[must_use]
-    pub fn truncated_scores(&self, k: usize) -> Matrix {
+    pub(crate) fn truncated_scores(&self, k: usize) -> Matrix {
         let k = k.min(self.scores.cols());
         let mut out = Matrix::zeros(self.scores.rows(), k);
         for r in 0..self.scores.rows() {
@@ -60,7 +60,7 @@ impl Pca {
 
 /// Run PCA on an already centered/scaled data matrix.
 #[must_use]
-pub fn fit_centered(z: &Matrix) -> Pca {
+pub(crate) fn fit_centered(z: &Matrix) -> Pca {
     let cov = z.covariance();
     let eig = eigen_symmetric(&cov);
     let scores = z.matmul(&eig.vectors);

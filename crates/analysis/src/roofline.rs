@@ -138,7 +138,7 @@ impl Roofline {
 
     /// Distance below the applicable roof, as a fraction (0 = on the roof).
     #[must_use]
-    pub fn roof_gap(&self, point: &RooflinePoint) -> f64 {
+    pub(crate) fn roof_gap(&self, point: &RooflinePoint) -> f64 {
         let roof = self.roof(point.intensity);
         if roof <= 0.0 {
             return 1.0;

@@ -12,7 +12,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Population variance; 0 for slices with fewer than two elements.
 #[must_use]
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -61,7 +61,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// The paper's Figure 8 banding of |PCC| values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CorrelationBand {
+pub(crate) enum CorrelationBand {
     /// `0 ≤ |PCC| < 0.2` — no correlation (white in Figure 8).
     None,
     /// `0.2 ≤ |PCC| < 0.5` — weak correlation (gray).
@@ -73,7 +73,7 @@ pub enum CorrelationBand {
 impl CorrelationBand {
     /// Classify a correlation coefficient by its absolute value.
     #[must_use]
-    pub fn of(pcc: f64) -> Self {
+    pub(crate) fn of(pcc: f64) -> Self {
         let a = pcc.abs();
         if a >= 0.5 {
             CorrelationBand::Strong
@@ -87,14 +87,14 @@ impl CorrelationBand {
     /// Is this band at least weak (the paper counts "correlated (strongly
     /// or weakly)" metrics)?
     #[must_use]
-    pub fn is_correlated(&self) -> bool {
+    pub(crate) fn is_correlated(&self) -> bool {
         !matches!(self, CorrelationBand::None)
     }
 
     /// Single-character glyph used in text renderings of Figure 8:
     /// `#` strong, `+` weak, `.` none.
     #[must_use]
-    pub fn glyph(&self) -> char {
+    pub(crate) fn glyph(&self) -> char {
         match self {
             CorrelationBand::Strong => '#',
             CorrelationBand::Weak => '+',

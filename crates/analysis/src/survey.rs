@@ -9,13 +9,13 @@
 //! most popular suites — is machine-checkable.
 
 /// Survey years covered by Figure 1.
-pub const YEARS: [u16; 11] = [
+pub(crate) const YEARS: [u16; 11] = [
     2010, 2011, 2012, 2013, 2014, 2015, 2016, 2017, 2018, 2019, 2020,
 ];
 
 /// One benchmark suite's per-year paper counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuiteSeries {
+pub(crate) struct SuiteSeries {
     /// Suite name.
     pub name: &'static str,
     /// Papers per year, aligned with [`YEARS`].
@@ -25,14 +25,14 @@ pub struct SuiteSeries {
 impl SuiteSeries {
     /// Total papers across the decade.
     #[must_use]
-    pub fn total(&self) -> u32 {
+    pub(crate) fn total(&self) -> u32 {
         self.counts.iter().map(|&c| u32::from(c)).sum()
     }
 }
 
 /// The survey dataset (values transcribed approximately from Figure 1).
 #[must_use]
-pub fn dataset() -> Vec<SuiteSeries> {
+pub(crate) fn dataset() -> Vec<SuiteSeries> {
     vec![
         SuiteSeries {
             name: "Rodinia",

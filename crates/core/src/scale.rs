@@ -22,8 +22,8 @@ pub enum SuiteScale {
 
 impl SuiteScale {
     /// MD particles and steps. `Tiny` is what every served and benchmarked
-    /// `tiny` GMS/LMR/LMC triple runs; `cactus_md::workloads::MdScale::tiny()`
-    /// (8 steps) is only that crate's unit-test scale.
+    /// `tiny` GMS/LMR/LMC triple runs; `cactus-md`'s unit tests run 8 steps
+    /// instead.
     #[must_use]
     pub fn md(self) -> (usize, u32) {
         match self {
@@ -36,7 +36,7 @@ impl SuiteScale {
     /// R-MAT scale exponent (vertices = 2^scale) for the social-network
     /// BFS input.
     #[must_use]
-    pub fn social_scale(self) -> u32 {
+    pub(crate) fn social_scale(self) -> u32 {
         match self {
             SuiteScale::Tiny => 11,
             SuiteScale::Small => 14,
@@ -46,7 +46,7 @@ impl SuiteScale {
 
     /// Road-network grid side.
     #[must_use]
-    pub fn road_side(self) -> u32 {
+    pub(crate) fn road_side(self) -> u32 {
         match self {
             SuiteScale::Tiny => 48,
             SuiteScale::Small => 256,
@@ -56,7 +56,7 @@ impl SuiteScale {
 
     /// ML batch size / image side / iterations.
     #[must_use]
-    pub fn ml(self) -> (usize, usize, usize) {
+    pub(crate) fn ml(self) -> (usize, usize, usize) {
         match self {
             SuiteScale::Tiny => (2, 8, 2),
             SuiteScale::Small => (4, 16, 2),

@@ -26,14 +26,14 @@ pub struct CapabilityMap {
 impl CapabilityMap {
     /// An all-unknown map for `n` backends.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             sets: RankedMutex::new(rank::CAPABILITY, "gateway.capability", vec![None; n]),
         }
     }
 
     /// Record the advertised device set for backend `i` (idempotent).
-    pub fn record(&self, i: usize, devices: Vec<String>) {
+    pub(crate) fn record(&self, i: usize, devices: Vec<String>) {
         let mut sets = self.sets.lock();
         if let Some(slot) = sets.get_mut(i) {
             *slot = Some(devices.into_iter().collect());
@@ -42,7 +42,7 @@ impl CapabilityMap {
 
     /// Does backend `i` model `device`? Unknown backends answer `true`.
     #[must_use]
-    pub fn capable(&self, i: usize, device: &str) -> bool {
+    pub(crate) fn capable(&self, i: usize, device: &str) -> bool {
         let sets = self.sets.lock();
         match sets.get(i) {
             Some(Some(set)) => set.contains(device),
@@ -60,7 +60,7 @@ impl CapabilityMap {
     /// Union of every observed set — what the fleet as a whole can serve.
     /// `None` when no backend has been observed yet.
     #[must_use]
-    pub fn fleet_devices(&self) -> Option<Vec<String>> {
+    pub(crate) fn fleet_devices(&self) -> Option<Vec<String>> {
         let sets = self.sets.lock();
         let mut union = BTreeSet::new();
         let mut observed = false;
@@ -78,7 +78,7 @@ impl CapabilityMap {
 /// (`/v1/store/record/<device>/<scale>/<workload>`). Borrowed from
 /// `target`: the gateway parses it once per forward and allocates nothing.
 #[must_use]
-pub fn device_for_target(target: &str) -> Option<&str> {
+pub(crate) fn device_for_target(target: &str) -> Option<&str> {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),

@@ -2,7 +2,7 @@
 //!
 //! The gateway fans one profile fetch per requested device out to the
 //! owning backends in parallel (each leg goes through the full
-//! device-aware [`Router::forward`] machinery — capability filtering,
+//! device-aware `Router::forward` machinery — capability filtering,
 //! failover, hedging — and feeds replication exactly like a direct client
 //! request), then synthesizes one cross-device table:
 //!
@@ -48,7 +48,7 @@ struct Leg {
 }
 
 /// Answer `/v1/compare/<scale>/<workload>`. See the module docs.
-pub fn compare(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Response {
+pub(crate) fn compare(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> Response {
     router.metrics.compare_requests.inc();
     let response = compare_inner(router, request, ctx);
     if response.status != 200 {

@@ -29,7 +29,7 @@ impl ConnPool {
     /// A pool over `addrs`, keeping at most `max_idle` idle connections per
     /// backend; `timeout` applies to connect/read/write on each connection.
     #[must_use]
-    pub fn new(addrs: Vec<SocketAddr>, timeout: Duration, max_idle: usize) -> Self {
+    pub(crate) fn new(addrs: Vec<SocketAddr>, timeout: Duration, max_idle: usize) -> Self {
         let idle = addrs
             .iter()
             .map(|_| RankedMutex::new(rank::CONN_POOL, "gateway.connpool", Vec::new()))
@@ -44,28 +44,10 @@ impl ConnPool {
         }
     }
 
-    /// The address of backend `i`.
-    #[must_use]
-    pub fn addr(&self, i: usize) -> SocketAddr {
-        self.addrs[i]
-    }
-
-    /// Number of backends.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// True when the pool fronts no backends.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
     /// Take an idle connection to backend `i`, or a fresh (lazily dialing)
     /// one if none is pooled.
     #[must_use]
-    pub fn checkout(&self, i: usize) -> Connection {
+    pub(crate) fn checkout(&self, i: usize) -> Connection {
         if let Some(conn) = self.idle[i].lock().pop() {
             self.reuses.fetch_add(1, Ordering::Relaxed);
             return conn;
@@ -76,7 +58,7 @@ impl ConnPool {
 
     /// Return a connection to backend `i`'s idle stack. Dead connections
     /// and overflow beyond `max_idle` are dropped (the socket closes).
-    pub fn checkin(&self, i: usize, conn: Connection) {
+    pub(crate) fn checkin(&self, i: usize, conn: Connection) {
         if !conn.is_connected() {
             return;
         }
@@ -88,7 +70,7 @@ impl ConnPool {
 
     /// Drop every pooled connection to backend `i` (e.g. after ejection, so
     /// recovery trials start from fresh sockets).
-    pub fn evict(&self, i: usize) {
+    pub(crate) fn evict(&self, i: usize) {
         self.idle[i].lock().clear();
     }
 
@@ -133,7 +115,7 @@ mod tests {
     fn evict_clears_idle_stack() {
         let p = pool(4);
         p.evict(0); // empty evict is a no-op
-        assert_eq!(p.len(), 1);
-        assert!(!p.is_empty());
+        assert_eq!(p.addrs.len(), 1);
+        assert!(!p.addrs.is_empty());
     }
 }

@@ -62,7 +62,7 @@ impl HealthTracker {
     /// eject a backend; it becomes `HalfOpen` once `cooldown` has elapsed
     /// (checked by [`tick`](Self::tick)).
     #[must_use]
-    pub fn new(backends: usize, eject_after: u32, cooldown: Duration) -> Self {
+    pub(crate) fn new(backends: usize, eject_after: u32, cooldown: Duration) -> Self {
         Self {
             backends: RankedMutex::new(
                 rank::HEALTH,
@@ -101,7 +101,7 @@ impl HealthTracker {
     /// draining the pending flags. The health thread feeds these to the
     /// store anti-entropy sync.
     #[must_use]
-    pub fn take_readmitted(&self) -> Vec<usize> {
+    pub(crate) fn take_readmitted(&self) -> Vec<usize> {
         let mut backends = self.backends.lock();
         let mut out = Vec::new();
         for (i, b) in backends.iter_mut().enumerate() {
@@ -134,7 +134,7 @@ impl HealthTracker {
 
     /// Move every `Ejected` backend whose cooldown has elapsed to
     /// `HalfOpen`. Called periodically by the gateway's health thread.
-    pub fn tick(&self) {
+    pub(crate) fn tick(&self) {
         let mut backends = self.backends.lock();
         for b in backends.iter_mut() {
             if b.state == HealthState::Ejected

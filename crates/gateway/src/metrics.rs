@@ -21,7 +21,7 @@ use crate::connpool::ConnPool;
 use crate::health::{HealthState, HealthTracker};
 
 /// Samples kept per sliding latency window.
-pub const LATENCY_WINDOW: usize = 512;
+pub(crate) const LATENCY_WINDOW: usize = 512;
 
 /// A fixed-size sliding window of microsecond latencies; old samples are
 /// overwritten, quantiles are computed over whatever is present.
@@ -47,7 +47,7 @@ impl Default for LatencyRing {
 
 impl LatencyRing {
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             window: RankedMutex::new(
                 rank::LATENCY_WINDOW,
@@ -64,7 +64,7 @@ impl LatencyRing {
     /// Record one latency sample in microseconds. Once the window is full
     /// the oldest sample leaves the sorted copy and `us` enters it in one
     /// shift of the elements between the two positions.
-    pub fn record(&self, us: u64) {
+    pub(crate) fn record(&self, us: u64) {
         let mut guard = self.window.lock();
         let Window { ring, next, sorted } = &mut *guard;
         let at = sorted.partition_point(|&x| x < us);
@@ -94,7 +94,7 @@ impl LatencyRing {
     /// window, read in O(1) from the sorted copy: this runs on every
     /// hedge-armed forward.
     #[must_use]
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_us(&self, q: f64) -> Option<u64> {
         let guard = self.window.lock();
         let sorted = &guard.sorted;
         sorted.get(nearest_rank(sorted.len(), q)).copied()
@@ -181,7 +181,7 @@ impl GatewayMetrics {
     /// Register every gateway metric for a fleet of `backends` in a fresh
     /// private registry.
     #[must_use]
-    pub fn new(backends: usize) -> Self {
+    pub(crate) fn new(backends: usize) -> Self {
         // lint:allow(no_panic, fresh private registry cannot collide)
         Self::register(&MetricsRegistry::new(), backends).expect("fresh registry has no collisions")
     }
@@ -192,7 +192,10 @@ impl GatewayMetrics {
     ///
     /// Fails if any `cactus_gateway_*` name is already registered (one
     /// gateway per registry).
-    pub fn register(registry: &MetricsRegistry, backends: usize) -> Result<Self, RegistryError> {
+    pub(crate) fn register(
+        registry: &MetricsRegistry,
+        backends: usize,
+    ) -> Result<Self, RegistryError> {
         let backend_metrics = (0..backends)
             .map(|i| {
                 Ok(BackendMetrics {
@@ -300,14 +303,8 @@ impl GatewayMetrics {
         })
     }
 
-    /// The registry these metrics render through.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Bump the response-class counter for `status`.
-    pub fn count_response(&self, status: u16) {
+    pub(crate) fn count_response(&self, status: u16) {
         let counter = match status {
             200..=299 => &self.responses_2xx,
             400..=499 => &self.responses_4xx,
@@ -331,7 +328,7 @@ fn state_code(state: HealthState) -> u8 {
 /// comment lines map ring indices to fleet addresses (comments are skipped
 /// by the exposition parser).
 #[must_use]
-pub fn render_metrics(
+pub(crate) fn render_metrics(
     metrics: &GatewayMetrics,
     health: &HealthTracker,
     pool: &ConnPool,

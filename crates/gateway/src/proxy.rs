@@ -24,7 +24,7 @@
 //! Retries are only safe because the data plane is GET-only (idempotent);
 //! the gateway rejects other methods before reaching this module.
 //!
-//! Tracing: [`Router::forward`] takes the request's span context and files
+//! Tracing: `Router::forward` takes the request's span context and files
 //! one `proxy.attempt` span per backend attempt (tagged with the target,
 //! whether a hedge was launched, and the outcome), and propagates the trace
 //! id to the backend in the `x-cactus-trace` header so both tiers' span
@@ -127,7 +127,7 @@ enum Attempt {
 
 impl Router {
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         ring: HashRing,
         health: Arc<HealthTracker>,
         pool: Arc<ConnPool>,
@@ -158,7 +158,7 @@ impl Router {
     /// does not model the key's device could never serve (or re-derive) the
     /// record, so it is not a legitimate replica home.
     #[must_use]
-    pub fn replica_set(&self, key: &str) -> Vec<usize> {
+    pub(crate) fn replica_set(&self, key: &str) -> Vec<usize> {
         // Replication keys are `profile/<device>/<scale>/<workload>`.
         let device = {
             let segs: Vec<&str> = key.split('/').collect();
@@ -189,14 +189,14 @@ impl Router {
     /// True when `key`'s record was already pushed to its follower this
     /// process lifetime; marks it when not. One CAS-style check so repeat
     /// reads don't re-push.
-    pub fn mark_replicated(&self, key: &str) -> bool {
+    pub(crate) fn mark_replicated(&self, key: &str) -> bool {
         !self.replicated.lock().insert(key.to_owned())
     }
 
     /// Forget a [`mark_replicated`](Self::mark_replicated) claim — used
     /// when the copy that claimed the key could not read the source record,
     /// so a later read retries the replication.
-    pub fn unmark_replicated(&self, key: &str) {
+    pub(crate) fn unmark_replicated(&self, key: &str) {
         self.replicated.lock().remove(key);
     }
 
@@ -219,7 +219,7 @@ impl Router {
 
     /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise.
     #[must_use]
-    pub fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
+    pub(crate) fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
         let reply = self.exchange(i, "GET", path, "", trace)?;
         (reply.status == 200).then_some(reply.body)
     }
@@ -227,26 +227,27 @@ impl Router {
     /// Push one store record to backend `i` via
     /// `POST /v1/store/record/<key>`. True when the backend stored it.
     #[must_use]
-    pub fn push_record(&self, i: usize, key: &str, body: &str, trace: Option<TraceId>) -> bool {
+    pub(crate) fn push_record(
+        &self,
+        i: usize,
+        key: &str,
+        body: &str,
+        trace: Option<TraceId>,
+    ) -> bool {
         self.exchange(i, "POST", &format!("/v1/store/record/{key}"), body, trace)
             .is_some_and(|reply| reply.status == 200)
     }
 
     /// The ring's failover order for `key`, with currently-ejected backends
-    /// moved to the back (kept as last resorts rather than dropped).
-    #[must_use]
-    pub fn candidates(&self, key: &str) -> Vec<usize> {
-        self.candidates_for(key, None)
-    }
-
-    /// [`candidates`](Self::candidates) restricted to backends that model
-    /// `device`. Incapable backends are *dropped*, not demoted: a backend
-    /// without the device's model answers a guaranteed 404, so routing to
-    /// it is never better than failing over — and "last resort" semantics
+    /// moved to the back (kept as last resorts rather than dropped), and,
+    /// given a `device`, only the backends that model it. Incapable
+    /// backends are *dropped*, not demoted: a backend without the device's
+    /// model answers a guaranteed 404, so routing to it is never better
+    /// than failing over — and "last resort" semantics
     /// would let a capable-but-slow shard's traffic leak onto a shard that
     /// cannot answer it at all.
     #[must_use]
-    pub fn candidates_for(&self, key: &str, device: Option<&str>) -> Vec<usize> {
+    pub(crate) fn candidates_for(&self, key: &str, device: Option<&str>) -> Vec<usize> {
         let mut order = self.ring.candidates(key);
         if let Some(d) = device {
             order.retain(|&i| self.capabilities.capable(i, d));
@@ -272,7 +273,7 @@ impl Router {
     /// answer won (`None` for synthesized responses and forwarded
     /// backpressure). `ctx` (when present) receives one `proxy.attempt`
     /// span per attempt and supplies the trace id forwarded to backends.
-    pub fn forward(
+    pub(crate) fn forward(
         self: &Arc<Self>,
         path: &str,
         key: &str,
@@ -541,12 +542,12 @@ mod tests {
     fn candidates_push_ejected_backends_to_the_back() {
         let r = router(dead_addrs(3), RoutePolicy::default());
         let key = "profile/rtx-3080/tiny/GMS";
-        let order = r.candidates(key);
+        let order = r.candidates_for(key, None);
         let primary = order[0];
         r.health.report_failure(primary);
         r.health.report_failure(primary);
         assert_eq!(r.health.state(primary), HealthState::Ejected);
-        let reordered = r.candidates(key);
+        let reordered = r.candidates_for(key, None);
         assert_eq!(
             *reordered.last().expect("non-empty"),
             primary,

@@ -1,6 +1,6 @@
 //! Consistent-hash ring over the backend fleet.
 //!
-//! Each backend contributes [`VNODES`] virtual points to a 64-bit ring;
+//! Each backend contributes `VNODES` virtual points to a 64-bit ring;
 //! a key routes to the first point clockwise from its hash. Two properties
 //! make this the right shape for profile sharding:
 //!
@@ -19,7 +19,7 @@
 /// Virtual points per backend. High enough that the per-backend share of a
 /// uniform keyspace concentrates near 1/N, low enough that ring
 /// construction and lookup stay trivial.
-pub const VNODES: usize = 128;
+pub(crate) const VNODES: usize = 128;
 
 /// An immutable consistent-hash ring over `n` backends.
 #[derive(Debug, Clone)]
@@ -48,15 +48,9 @@ impl HashRing {
         }
     }
 
-    /// Number of backends on the ring.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.backends
-    }
-
     /// True when the ring has no backends.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.backends == 0
     }
 
@@ -96,7 +90,7 @@ impl HashRing {
 /// FNV-1a folded through a splitmix64 finalizer: FNV alone clusters nearby
 /// strings; the finalizer spreads the points uniformly around the ring.
 #[must_use]
-pub fn hash_str(s: &str) -> u64 {
+pub(crate) fn hash_str(s: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in s.bytes() {
         h ^= u64::from(b);

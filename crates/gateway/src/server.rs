@@ -1,7 +1,7 @@
 //! The gateway tier on the shared daemon skeleton
 //! ([`cactus_serve::daemon`]): configuration, the [`Handler`] that routes
 //! one request — local pages, the workload broadcast, or a forward through
-//! the [`Router`](crate::proxy::Router) — and the health thread.
+//! the [`Router`] — and the health thread.
 //!
 //! ```text
 //!                    ┌────────────── health thread ───────────────┐
@@ -153,8 +153,8 @@ impl Handler for GatewayHandler {
     }
 }
 
-/// A running gateway. Call [`Gateway::shutdown`] then [`Gateway::join`] to
-/// stop it; dropping the handle alone does not.
+/// A running gateway. Call [`Gateway::join`] to stop it; dropping the
+/// handle alone does not.
 pub struct Gateway {
     daemon: Daemon<GatewayHandler>,
     health_thread: JoinHandle<()>,
@@ -274,17 +274,6 @@ impl Gateway {
     #[must_use]
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.daemon.handler().tracer
-    }
-
-    /// The fleet addresses the ring was built over, in ring-index order.
-    #[must_use]
-    pub fn backend_addrs(&self) -> &[SocketAddr] {
-        &self.daemon.handler().backend_addrs
-    }
-
-    /// Begin graceful shutdown: stop accepting, let workers drain.
-    pub fn shutdown(&self) {
-        self.daemon.shutdown();
     }
 
     /// Shut down (if not already requested) and wait for every queued and

@@ -12,7 +12,7 @@
 //! [`rank::SUPERVISOR`], the outermost lock in the workspace order), so the
 //! signal handler, the admin path, and the tests can all drive the fleet
 //! through a shared reference. Servers are taken *out* of the table before
-//! being joined: a slow drain never blocks `addrs()`/`running()` readers.
+//! being joined: a slow drain never blocks `addrs()` readers.
 //!
 //! The supervisor is how the failover story gets exercised end to end: the
 //! integration suite kills a live backend mid-run (clients must see zero
@@ -109,28 +109,10 @@ impl Supervisor {
         })
     }
 
-    /// Number of slots (running or not).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.lock().len()
-    }
-
-    /// True when the supervisor manages no slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
-    }
-
     /// Every slot's pinned address, in slot order (stable across restarts).
     #[must_use]
     pub fn addrs(&self) -> Vec<SocketAddr> {
         self.slots.lock().iter().map(|s| s.addr).collect()
-    }
-
-    /// Whether slot `i` currently has a running server.
-    #[must_use]
-    pub fn running(&self, i: usize) -> bool {
-        self.slots.lock().get(i).is_some_and(|s| s.server.is_some())
     }
 
     /// Gracefully stop slot `i` (drains in-flight requests, then joins all
@@ -197,6 +179,15 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// Whether slot `i` currently has a running server.
+    fn running(fleet: &Supervisor, i: usize) -> bool {
+        fleet
+            .slots
+            .lock()
+            .get(i)
+            .is_some_and(|s| s.server.is_some())
+    }
+
     /// A fleet config on a store root no other test (or test process)
     /// shares — a store directory admits one open handle.
     fn base() -> ServeConfig {
@@ -232,7 +223,7 @@ mod tests {
             assert_eq!(reply.status, 200);
         }
         fleet.shutdown_all();
-        assert!(!fleet.running(0) && !fleet.running(1));
+        assert!(!running(&fleet, 0) && !running(&fleet, 1));
         clean_up(&base);
     }
 
@@ -272,7 +263,7 @@ mod tests {
         let fleet = Supervisor::spawn_fleet(1, &base).expect("spawn");
         let addr = fleet.addrs()[0];
         fleet.kill(0);
-        assert!(!fleet.running(0));
+        assert!(!running(&fleet, 0));
         assert!(
             Client::new(addr)
                 .with_timeout(Duration::from_millis(500))
@@ -297,7 +288,7 @@ mod tests {
         let fleet = Supervisor::spawn_fleet(1, &base).expect("spawn");
         fleet.kill(7);
         assert!(fleet.restart(7).is_ok());
-        assert!(!fleet.running(7));
+        assert!(!running(&fleet, 7));
         fleet.shutdown_all();
         clean_up(&base);
     }

@@ -3,14 +3,14 @@
 //! The gateway treats each backend's embedded `cactus-store` as one replica
 //! of a fleet-wide keyspace. Two mechanisms keep replicas converged:
 //!
-//! * **Write-path replication** ([`replicate_after_forward`]) — after a
+//! * **Write-path replication** (`replicate_after_forward`) — after a
 //!   profile request is answered with a `200` by some backend, that backend
 //!   durably holds the record. The gateway fetches the raw record bytes
 //!   back over `GET /v1/store/record/<key>` and pushes them to every other
-//!   member of the key's [replica set](crate::proxy::Router::replica_set)
+//!   member of the key's replica set
 //!   that is currently routable, so losing the owner does not lose the
 //!   profile. A per-process seen-set de-duplicates repeat reads.
-//! * **Anti-entropy** ([`anti_entropy`]) — when an ejected backend passes
+//! * **Anti-entropy** (`anti_entropy`) — when an ejected backend passes
 //!   its half-open trial and re-enters the fleet, it may have missed writes.
 //!   The health thread diffs its store manifest against every live peer's
 //!   and streams over each record the re-admitted backend should replicate
@@ -21,7 +21,7 @@
 //! tagged with their `mode`, so `/v1/tracez` distinguishes a write-path
 //! copy from a repair.
 //!
-//! [`fleet_manifest`] renders the combined view at `/v1/store/manifest`:
+//! `fleet_manifest` renders the combined view at `/v1/store/manifest`:
 //! per-backend digests plus a per-key replica/holder matrix whose trailing
 //! `missing <n>` line counts replica slots (on reachable backends) that
 //! still lack their record — `missing 0` is the fleet's convergence check.
@@ -42,7 +42,7 @@ use crate::proxy::Router;
 /// simulation, borrowed from `target`. Non-profile paths return `None` —
 /// only profile responses imply a freshly stored record worth replicating.
 #[must_use]
-pub fn store_key_for(target: &str) -> Option<&str> {
+pub(crate) fn store_key_for(target: &str) -> Option<&str> {
     let path = target.split('?').next().unwrap_or(target);
     // lint:allow(surface, path *prefix* of the served /v1/profile triple route, not a consumed path)
     let rest = path.strip_prefix("/v1/profile/")?;
@@ -57,7 +57,7 @@ pub fn store_key_for(target: &str) -> Option<&str> {
 /// request path — one pooled GET plus at most one POST per follower, and
 /// only the first time a key is served. Every later serve of the key costs
 /// one borrowed set lookup: the dedupe check runs before anything else.
-pub fn replicate_after_forward(
+pub(crate) fn replicate_after_forward(
     router: &Arc<Router>,
     target: &str,
     winner: usize,
@@ -110,7 +110,7 @@ pub fn replicate_after_forward(
 /// peer's and stream over each record it replicates but lacks. Returns the
 /// number of records pushed. Called from the health thread with a freshly
 /// minted trace so the repair is visible in `/v1/tracez`.
-pub fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) -> u64 {
+pub(crate) fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) -> u64 {
     let n = router.metrics.backends.len();
     let mut span = tracer.ctx(TraceId::mint()).child("store.sync");
     span.tag("mode", "anti-entropy");
@@ -184,7 +184,7 @@ pub fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) ->
 /// slots on *reachable* backends that lack their record. `missing 0` with
 /// every backend reachable means the fleet has converged.
 #[must_use]
-pub fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> String {
+pub(crate) fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> String {
     let n = backend_addrs.len();
     let mut out = String::from("cactus-gateway store manifest v1\n");
     // Reachability is "gave us a parseable manifest just now", not the

@@ -119,21 +119,15 @@ impl AccessStream {
 
     /// Total 32-byte transactions generated by the stream (before caching).
     #[must_use]
-    pub fn transactions(&self) -> f64 {
+    pub(crate) fn transactions(&self) -> f64 {
         self.warp_accesses as f64 * self.transactions_per_access
-    }
-
-    /// Total bytes moved by the stream at the L1 interface.
-    #[must_use]
-    pub fn bytes(&self, sector_bytes: u32) -> f64 {
-        self.transactions() * f64::from(sector_bytes)
     }
 }
 
 /// Transactions per warp access for a coalesced access of
 /// `bytes_per_thread` bytes per lane: 32 lanes × bytes / 32-byte sectors.
 #[must_use]
-pub fn coalesced_transactions(bytes_per_thread: u32) -> f64 {
+pub(crate) fn coalesced_transactions(bytes_per_thread: u32) -> f64 {
     (f64::from(bytes_per_thread) * 32.0 / 32.0).max(1.0)
 }
 
@@ -154,7 +148,7 @@ mod tests {
         let s = AccessStream::read(1 << 20, 4, AccessPattern::Streaming);
         assert_eq!(s.warp_accesses, 1 << 15);
         assert!((s.transactions() - (4 << 15) as f64).abs() < 1e-6);
-        assert!((s.bytes(32) - (128 << 15) as f64).abs() < 1e-3);
+        assert!((s.transactions() * 32.0 - (128 << 15) as f64).abs() < 1e-3);
     }
 
     #[test]

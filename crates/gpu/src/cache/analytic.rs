@@ -121,7 +121,7 @@ fn uniform_hit(distinct: f64, capacity: f64, accesses: f64) -> f64 {
 /// blocks. Returns the per-class steady-state hit probabilities `(h_hot,
 /// h_cold)`.
 #[must_use]
-pub fn che_two_class(f: f64, dh: f64, dc: f64, c: f64) -> (f64, f64) {
+pub(crate) fn che_two_class(f: f64, dh: f64, dc: f64, c: f64) -> (f64, f64) {
     let ph = if dh > 0.0 { f / dh } else { 0.0 };
     let pc = if dc > 0.0 { (1.0 - f) / dc } else { 0.0 };
     let occupied = |t: f64| dh * (1.0 - (-ph * t).exp()) + dc * (1.0 - (-pc * t).exp());

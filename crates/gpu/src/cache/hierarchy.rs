@@ -13,7 +13,7 @@ use crate::device::Device;
 
 /// Resolved memory traffic of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TrafficResult {
+pub(crate) struct TrafficResult {
     /// Transactions that probed L1 (reads only; stores bypass).
     pub l1_accesses: f64,
     /// Transactions that hit in L1.
@@ -33,7 +33,7 @@ pub struct TrafficResult {
 impl TrafficResult {
     /// L1 hit rate in `[0, 1]` (0 when there were no L1 accesses).
     #[must_use]
-    pub fn l1_hit_rate(&self) -> f64 {
+    pub(crate) fn l1_hit_rate(&self) -> f64 {
         if self.l1_accesses <= 0.0 {
             0.0
         } else {
@@ -43,7 +43,7 @@ impl TrafficResult {
 
     /// L2 hit rate in `[0, 1]` (0 when there were no L2 accesses).
     #[must_use]
-    pub fn l2_hit_rate(&self) -> f64 {
+    pub(crate) fn l2_hit_rate(&self) -> f64 {
         if self.l2_accesses <= 0.0 {
             0.0
         } else {
@@ -53,23 +53,23 @@ impl TrafficResult {
 
     /// Total DRAM transactions (reads + writes).
     #[must_use]
-    pub fn dram_transactions(&self) -> f64 {
+    pub(crate) fn dram_transactions(&self) -> f64 {
         self.dram_read_transactions + self.dram_write_transactions
     }
 
     /// DRAM read bytes given the device transaction size.
     #[must_use]
-    pub fn dram_read_bytes(&self, device: &Device) -> f64 {
+    pub(crate) fn dram_read_bytes(&self, device: &Device) -> f64 {
         self.dram_read_transactions * f64::from(device.dram_transaction_bytes)
     }
 }
 
-/// Per-stream traffic staged by [`MemoryModel::resolve_with`] before the
+/// Per-stream traffic staged by `MemoryModel::resolve_with` before the
 /// fold into a [`TrafficResult`]. One entry per non-empty access stream;
 /// the staging buffer lives in the engine's launch scratch so repeated
 /// launches reuse its capacity instead of allocating.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StreamTraffic {
+pub(crate) struct StreamTraffic {
     /// Transactions issued by the stream.
     pub txns: f64,
     /// L1 hit rate (reads; 0 for writes, which bypass L1).
@@ -84,28 +84,20 @@ pub struct StreamTraffic {
 
 /// The analytic memory-hierarchy model.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MemoryModel;
+pub(crate) struct MemoryModel;
 
 impl MemoryModel {
-    /// Resolve a launch's access streams into per-level traffic.
-    ///
-    /// Convenience wrapper over [`MemoryModel::resolve_with`] with a
-    /// throwaway staging buffer; hot callers (the engine's memo-miss path)
-    /// thread a reusable buffer instead.
-    #[must_use]
-    pub fn resolve(device: &Device, streams: &[AccessStream]) -> TrafficResult {
-        Self::resolve_with(device, streams, &mut Vec::new())
-    }
-
-    /// [`MemoryModel::resolve`] with caller-owned per-stream staging.
+    /// Resolve a launch's access streams into per-level traffic, with
+    /// caller-owned per-stream staging (the engine's memo-miss path threads
+    /// one reusable buffer).
     ///
     /// Stage 1 walks the streams and records each one's per-level hit rates
     /// in `stage` (cleared first, capacity reused); stage 2 folds the staged
     /// entries into the aggregate in stream order. The fold performs the
     /// same floating-point operations in the same order as a fused loop, so
-    /// the result is bit-identical to [`MemoryModel::resolve`].
+    /// the result is bit-identical to the fused loop's.
     #[must_use]
-    pub fn resolve_with(
+    pub(crate) fn resolve_with(
         device: &Device,
         streams: &[AccessStream],
         stage: &mut Vec<StreamTraffic>,
@@ -193,10 +185,15 @@ mod tests {
         Device::rtx3080()
     }
 
+    /// The model with a throwaway staging buffer.
+    fn resolve(device: &Device, streams: &[AccessStream]) -> TrafficResult {
+        MemoryModel::resolve_with(device, streams, &mut Vec::new())
+    }
+
     #[test]
     fn streaming_read_misses_everywhere() {
         let streams = [AccessStream::read(1 << 22, 4, AccessPattern::Streaming)];
-        let r = MemoryModel::resolve(&device(), &streams);
+        let r = resolve(&device(), &streams);
         assert!(r.l1_hit_rate() < 1e-9);
         assert!(r.l2_hit_rate() < 1e-9);
         let expected = (1 << 22) as f64 / 32.0 * 4.0;
@@ -215,7 +212,7 @@ mod tests {
                 working_set_bytes: 64 * 1024,
             },
         )];
-        let r = MemoryModel::resolve(&device(), &streams);
+        let r = resolve(&device(), &streams);
         assert!(r.l1_hit_rate() > 0.99, "l1 {}", r.l1_hit_rate());
         // Only the cold misses reach DRAM: ~2048 sectors.
         assert!(r.dram_read_transactions < 4096.0);
@@ -231,7 +228,7 @@ mod tests {
                 working_set_bytes: 2 * 1024 * 1024,
             },
         )];
-        let r = MemoryModel::resolve(&device(), &streams);
+        let r = resolve(&device(), &streams);
         assert!(r.l1_hit_rate() < 0.15, "l1 {}", r.l1_hit_rate());
         assert!(r.l2_hit_rate() > 0.95, "l2 {}", r.l2_hit_rate());
         let total_txn = (1 << 24) as f64 / 32.0 * 4.0;
@@ -241,7 +238,7 @@ mod tests {
     #[test]
     fn writes_bypass_l1() {
         let streams = [AccessStream::write(1 << 20, 4, AccessPattern::Streaming)];
-        let r = MemoryModel::resolve(&device(), &streams);
+        let r = resolve(&device(), &streams);
         assert_eq!(r.l1_accesses, 0.0);
         assert!(r.l2_accesses > 0.0);
         assert!(r.dram_write_transactions > 0.0);
@@ -254,7 +251,7 @@ mod tests {
             AccessStream::read(1 << 20, 4, AccessPattern::Streaming),
             AccessStream::write(1 << 20, 4, AccessPattern::Streaming),
         ];
-        let r = MemoryModel::resolve(&device(), &streams);
+        let r = resolve(&device(), &streams);
         assert!(r.dram_read_transactions > 0.0);
         assert!(r.dram_write_transactions > 0.0);
         assert!(
@@ -276,7 +273,7 @@ mod tests {
             ),
             AccessStream::write(1 << 20, 4, AccessPattern::Streaming),
         ];
-        let base = MemoryModel::resolve(&device(), &streams);
+        let base = resolve(&device(), &streams);
         let mut stage = Vec::new();
         let a = MemoryModel::resolve_with(&device(), &streams, &mut stage);
         assert_eq!(a, base);
@@ -289,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_streams_default_latency() {
-        let r = MemoryModel::resolve(&device(), &[]);
+        let r = resolve(&device(), &[]);
         assert_eq!(r.dram_transactions(), 0.0);
         assert!((r.avg_read_latency_cycles - device().latencies.l1_hit).abs() < 1e-9);
     }

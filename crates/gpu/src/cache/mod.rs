@@ -22,5 +22,5 @@ pub mod hierarchy;
 pub mod sim;
 pub mod trace;
 
-pub use hierarchy::{MemoryModel, StreamTraffic, TrafficResult};
+pub(crate) use hierarchy::{MemoryModel, StreamTraffic, TrafficResult};
 pub use sim::SetAssocCache;

@@ -22,20 +22,20 @@ pub struct CacheGeometry {
 impl CacheGeometry {
     /// Number of cache lines.
     #[must_use]
-    pub fn lines(&self) -> u64 {
+    pub(crate) fn lines(&self) -> u64 {
         self.size_bytes / u64::from(self.line_bytes)
     }
 
     /// Number of sets.
     #[must_use]
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         (self.lines() / u64::from(self.associativity)).max(1)
     }
 }
 
 /// Characteristic load-to-use latencies, in core clock cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Latencies {
+pub(crate) struct Latencies {
     /// Dependent-issue latency of a simple ALU instruction.
     pub alu: f64,
     /// Dependent-issue latency of a special-function (SFU) instruction.
@@ -53,7 +53,7 @@ pub struct Latencies {
 impl Latencies {
     /// Latencies representative of the Ampere generation.
     #[must_use]
-    pub fn ampere() -> Self {
+    pub(crate) fn ampere() -> Self {
         Self {
             alu: 4.0,
             sfu: 8.0,
@@ -106,7 +106,7 @@ pub struct Device {
     /// L2-to-SM aggregate bandwidth in GB/s.
     pub l2_bandwidth_gbps: f64,
     /// Characteristic latencies.
-    pub latencies: Latencies,
+    pub(crate) latencies: Latencies,
     /// Fixed per-launch front-end overhead in core cycles (pipeline fill and
     /// drain; kernel launch gaps are excluded, matching how Nsight reports
     /// kernel durations).
@@ -248,7 +248,7 @@ impl Device {
     /// GDDR6 at 360 GB/s, 3 MB L2). The discrete half of the
     /// discrete-vs-integrated contrast pair.
     #[must_use]
-    pub fn rtx3060() -> Self {
+    pub(crate) fn rtx3060() -> Self {
         Self {
             name: "RTX 3060".to_owned(),
             sm_count: 28,
@@ -270,7 +270,7 @@ impl Device {
     /// with a small 512 KB last-level cache — the "tiny L2, a fraction of
     /// the DRAM bandwidth" end of the heterogeneity spectrum.
     #[must_use]
-    pub fn uhd630() -> Self {
+    pub(crate) fn uhd630() -> Self {
         Self {
             name: "UHD 630".to_owned(),
             sm_count: 3,
@@ -309,7 +309,7 @@ impl Device {
 
     /// Core clock in Hz.
     #[must_use]
-    pub fn clock_hz(&self) -> f64 {
+    pub(crate) fn clock_hz(&self) -> f64 {
         self.clock_ghz * 1e9
     }
 

@@ -84,15 +84,7 @@ pub struct LaunchRecord {
     /// Metric record (Table IV + roofline coordinates).
     pub metrics: KernelMetrics,
     /// Timing internals (bound classification, wave structure).
-    pub timing: Timing,
-}
-
-impl LaunchRecord {
-    /// Kernel duration in seconds.
-    #[must_use]
-    pub fn duration_s(&self) -> f64 {
-        self.metrics.duration_s
-    }
+    pub(crate) timing: Timing,
 }
 
 /// Words per access stream in a launch fingerprint: direction,
@@ -101,7 +93,7 @@ impl LaunchRecord {
 const STREAM_FINGERPRINT_WORDS: usize = 7;
 
 /// Exact fingerprint of everything [`timing::simulate`] and
-/// [`MemoryModel::resolve`] read from a kernel descriptor. The kernel *name*
+/// [`MemoryModel::resolve_with`] read from a kernel descriptor. The kernel *name*
 /// is deliberately excluded — two kernels with identical launch geometry,
 /// instruction mix, and access streams simulate identically — and the device
 /// is excluded because a fingerprint never leaves the `Gpu` whose device
@@ -313,7 +305,7 @@ impl Gpu {
 
     /// Both memo counters as one snapshot.
     #[must_use]
-    pub fn memo_stats(&self) -> MemoStats {
+    pub(crate) fn memo_stats(&self) -> MemoStats {
         MemoStats {
             hits: self.memo_hits,
             misses: self.memo_misses,
@@ -338,15 +330,6 @@ impl Gpu {
         self.records.iter().map(|r| r.metrics.duration_s).sum()
     }
 
-    /// Total warp instructions across all launches.
-    #[must_use]
-    pub fn total_warp_instructions(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.metrics.warp_instructions)
-            .sum()
-    }
-
     /// Drop the trace (e.g. after a warm-up phase, mirroring how the paper
     /// profiles only a steady-state region). The memo cache survives — a
     /// post-warm-up run replays warm-up kernels from cache.
@@ -363,7 +346,11 @@ mod tests {
     use crate::launch::LaunchConfig;
 
     fn copy_kernel(n: u64) -> KernelDesc {
-        KernelDesc::builder("copy")
+        named_copy_kernel("copy", n)
+    }
+
+    fn named_copy_kernel(name: &str, n: u64) -> KernelDesc {
+        KernelDesc::builder(name)
             .launch(LaunchConfig::linear(n, 256))
             .stream(AccessStream::read(n, 4, AccessPattern::Streaming))
             .stream(AccessStream::write(n, 4, AccessPattern::Streaming))
@@ -376,7 +363,7 @@ mod tests {
         gpu.launch(&copy_kernel(1 << 20));
         gpu.launch(&copy_kernel(1 << 21));
         assert_eq!(gpu.records().len(), 2);
-        assert!(gpu.records()[1].duration_s() > gpu.records()[0].duration_s());
+        assert!(gpu.records()[1].metrics.duration_s > gpu.records()[0].metrics.duration_s);
     }
 
     #[test]
@@ -386,7 +373,10 @@ mod tests {
         let t1 = gpu.total_gpu_time_s();
         gpu.launch(&copy_kernel(1 << 20));
         assert!((gpu.total_gpu_time_s() - 2.0 * t1).abs() < 1e-12);
-        assert!(gpu.total_warp_instructions() > 0);
+        assert!(gpu
+            .records()
+            .iter()
+            .any(|r| r.metrics.warp_instructions > 0));
     }
 
     #[test]
@@ -464,12 +454,7 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&b));
 
         // Different name, same everything else → same fingerprint.
-        let renamed = KernelDesc::builder("other_name")
-            .launch(*a.launch())
-            .mix(*a.mix())
-            .streams(a.streams().iter().copied())
-            .dependency_fraction(a.dependency_fraction())
-            .build();
+        let renamed = named_copy_kernel("other_name", 1 << 18);
         assert_eq!(fingerprint(&a), fingerprint(&renamed));
 
         // Pattern parameters are part of the key.
@@ -521,12 +506,7 @@ mod tests {
     fn renamed_kernel_records_its_own_name_on_memo_hit() {
         let mut gpu = Gpu::new(Device::rtx3080());
         let a = copy_kernel(1 << 20);
-        let b = KernelDesc::builder("copy_v2")
-            .launch(*a.launch())
-            .mix(*a.mix())
-            .streams(a.streams().iter().copied())
-            .dependency_fraction(a.dependency_fraction())
-            .build();
+        let b = named_copy_kernel("copy_v2", 1 << 20);
         gpu.launch(&a);
         gpu.launch(&b);
         assert_eq!(gpu.memo_hits(), 1);

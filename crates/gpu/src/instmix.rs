@@ -53,7 +53,7 @@ impl InstructionMix {
 
     /// Total warp instructions in the launch.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.fp32
             + self.special
             + self.int
@@ -67,7 +67,7 @@ impl InstructionMix {
 
     /// Fraction of branch instructions (a Table IV metric).
     #[must_use]
-    pub fn fraction_branches(&self) -> f64 {
+    pub(crate) fn fraction_branches(&self) -> f64 {
         let t = self.total();
         if t == 0 {
             0.0
@@ -79,42 +79,12 @@ impl InstructionMix {
     /// Fraction of memory (load/store, global + shared) instructions
     /// (a Table IV metric).
     #[must_use]
-    pub fn fraction_ldst(&self) -> f64 {
+    pub(crate) fn fraction_ldst(&self) -> f64 {
         let t = self.total();
         if t == 0 {
             0.0
         } else {
             (self.load + self.store + self.shared) as f64 / t as f64
-        }
-    }
-
-    /// Merge another mix into this one.
-    pub fn add(&mut self, other: &Self) {
-        self.fp32 += other.fp32;
-        self.special += other.special;
-        self.int += other.int;
-        self.branch += other.branch;
-        self.load += other.load;
-        self.store += other.store;
-        self.shared += other.shared;
-        self.sync += other.sync;
-        self.misc += other.misc;
-    }
-
-    /// Scale every class by an integer factor (e.g. per-iteration mix ×
-    /// iteration count).
-    #[must_use]
-    pub fn scaled(&self, factor: u64) -> Self {
-        Self {
-            fp32: self.fp32 * factor,
-            special: self.special * factor,
-            int: self.int * factor,
-            branch: self.branch * factor,
-            load: self.load * factor,
-            store: self.store * factor,
-            shared: self.shared * factor,
-            sync: self.sync * factor,
-            misc: self.misc * factor,
         }
     }
 }
@@ -151,12 +121,6 @@ impl InstructionMix {
         self.load = n;
         self
     }
-    /// Set global-store count.
-    #[must_use]
-    pub fn with_store(mut self, n: u64) -> Self {
-        self.store = n;
-        self
-    }
     /// Set shared-memory count.
     #[must_use]
     pub fn with_shared(mut self, n: u64) -> Self {
@@ -183,16 +147,16 @@ mod tests {
 
     #[test]
     fn total_sums_all_classes() {
-        let mix = InstructionMix::new()
+        let mut mix = InstructionMix::new()
             .with_fp32(10)
             .with_int(5)
             .with_branch(2)
             .with_load(3)
-            .with_store(1)
             .with_shared(4)
             .with_sync(1)
             .with_special(2)
             .with_misc(2);
+        mix.store = 1;
         assert_eq!(mix.total(), 30);
     }
 
@@ -218,13 +182,5 @@ mod tests {
         let mix = InstructionMix::elementwise(3200, 3);
         assert_eq!(mix.fp32, 300);
         assert_eq!(mix.branch, 100);
-    }
-
-    #[test]
-    fn add_and_scale_agree() {
-        let a = InstructionMix::elementwise(1024, 2);
-        let mut twice = a;
-        twice.add(&a);
-        assert_eq!(twice, a.scaled(2));
     }
 }

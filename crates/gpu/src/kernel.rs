@@ -99,13 +99,6 @@ impl KernelDescBuilder {
         self
     }
 
-    /// Add several memory access streams.
-    #[must_use]
-    pub fn streams(mut self, streams: impl IntoIterator<Item = AccessStream>) -> Self {
-        self.streams.extend(streams);
-        self
-    }
-
     /// Set the dependency fraction (default 0.35). Higher values model
     /// tighter dependency chains (e.g. reductions, pointer chasing).
     #[must_use]

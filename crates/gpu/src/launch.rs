@@ -3,7 +3,7 @@
 use crate::device::Device;
 
 /// Threads per warp on every device this crate models.
-pub const WARP_SIZE: u32 = 32;
+pub(crate) const WARP_SIZE: u32 = 32;
 
 /// A CUDA-style kernel launch configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,7 @@ impl LaunchConfig {
 
     /// Warps per block.
     #[must_use]
-    pub fn warps_per_block(&self) -> u32 {
+    pub(crate) fn warps_per_block(&self) -> u32 {
         self.threads_per_block.div_ceil(WARP_SIZE)
     }
 
@@ -139,18 +139,12 @@ pub struct Occupancy {
 }
 
 impl Occupancy {
-    /// Total waves, counting a partial tail wave as one.
-    #[must_use]
-    pub fn waves(&self) -> u64 {
-        self.full_waves + u64::from(self.tail_blocks > 0)
-    }
-
     /// Effective number of waves weighting the tail by its duration
     /// contribution (a tail wave still takes a full wave of time on the SMs
     /// it occupies, but for grids smaller than one wave the device is simply
     /// underfilled).
     #[must_use]
-    pub fn effective_waves(&self) -> f64 {
+    pub(crate) fn effective_waves(&self) -> f64 {
         self.full_waves as f64 + if self.tail_blocks > 0 { 1.0 } else { 0.0 }
     }
 
@@ -158,7 +152,7 @@ impl Occupancy {
     /// This is the backbone of the paper's "SM efficiency" metric: small
     /// grids leave most SMs idle.
     #[must_use]
-    pub fn sm_utilization(&self, sm_count: u32) -> f64 {
+    pub(crate) fn sm_utilization(&self, sm_count: u32) -> f64 {
         let waves = self.effective_waves();
         if waves == 0.0 {
             return 0.0;

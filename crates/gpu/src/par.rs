@@ -19,19 +19,19 @@
 //! `0`, negative, non-numeric garbage, or a number too large for `usize` —
 //! falls back to the machine's available parallelism (itself falling back
 //! to 1 if the OS cannot report it). A huge-but-parseable value is honored
-//! as given; [`parallel_map_threads`] clamps the worker count to the item
+//! as given; `parallel_map_threads` clamps the worker count to the item
 //! count, so over-asking never spawns idle threads.
 
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "CACTUS_THREADS";
+pub(crate) const THREADS_ENV: &str = "CACTUS_THREADS";
 
 /// Worker threads to use: `CACTUS_THREADS` if set to a positive integer
 /// (after trimming), otherwise the machine's available parallelism. See the
 /// module docs for the exact fallback rules.
 #[must_use]
-pub fn max_threads() -> usize {
+pub(crate) fn max_threads() -> usize {
     if let Ok(value) = std::env::var(THREADS_ENV) {
         if let Ok(n) = value.trim().parse::<usize>() {
             if n > 0 {
@@ -42,7 +42,7 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Map `f` over `items` on up to [`max_threads`] worker threads, returning
+/// Map `f` over `items` on up to `max_threads` worker threads, returning
 /// results in input order. Output is identical to
 /// `items.into_iter().map(f).collect()`.
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
@@ -59,7 +59,7 @@ where
 /// # Panics
 ///
 /// Propagates the first panic raised inside `f`.
-pub fn parallel_map_threads<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+pub(crate) fn parallel_map_threads<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,

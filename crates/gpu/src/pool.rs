@@ -103,12 +103,6 @@ impl GpuPool {
         self
     }
 
-    /// The device every pooled engine simulates.
-    #[must_use]
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
     /// Take exclusive use of an engine (an idle one if available, otherwise
     /// a new one). Never blocks on other checkouts.
     #[must_use]
@@ -133,12 +127,6 @@ impl GpuPool {
     #[must_use]
     pub fn engines(&self) -> u64 {
         self.stats.lock().created
-    }
-
-    /// Engines currently idle (not checked out).
-    #[must_use]
-    pub fn idle(&self) -> usize {
-        self.idle.lock().len()
     }
 
     /// Memo hits/misses accumulated by all *completed* checkouts.
@@ -237,7 +225,7 @@ mod tests {
             gpu.launch(&kernel(1 << 20));
         }
         assert_eq!(pool.engines(), 1);
-        assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.idle.lock().len(), 1);
         {
             let mut gpu = pool.checkout();
             gpu.launch(&kernel(1 << 20));
@@ -256,10 +244,10 @@ mod tests {
         {
             let _a = pool.checkout();
             let _b = pool.checkout();
-            assert_eq!(pool.idle(), 0);
+            assert_eq!(pool.idle.lock().len(), 0);
         }
         assert_eq!(pool.engines(), 2);
-        assert_eq!(pool.idle(), 2);
+        assert_eq!(pool.idle.lock().len(), 2);
     }
 
     #[test]
@@ -278,7 +266,7 @@ mod tests {
         // However the threads interleaved, every launch was counted and at
         // least the first one on each fresh engine was a miss.
         assert!(stats.misses >= 1);
-        assert_eq!(pool.idle() as u64, pool.engines());
+        assert_eq!(pool.idle.lock().len() as u64, pool.engines());
     }
 
     #[test]

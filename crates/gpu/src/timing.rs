@@ -40,7 +40,7 @@ pub enum Bound {
 
 /// Full timing result for one launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timing {
+pub(crate) struct Timing {
     /// Kernel duration in seconds (includes fixed launch overhead).
     pub duration_s: f64,
     /// Duration in core cycles.
@@ -61,7 +61,7 @@ pub struct Timing {
 
 /// Compute the timing and the full metric record for one launch.
 #[must_use]
-pub fn simulate(
+pub(crate) fn simulate(
     device: &Device,
     launch: &LaunchConfig,
     mix: &InstructionMix,
@@ -219,6 +219,11 @@ mod tests {
         Device::rtx3080()
     }
 
+    /// The model with a throwaway staging buffer.
+    fn resolve(device: &Device, streams: &[AccessStream]) -> TrafficResult {
+        MemoryModel::resolve_with(device, streams, &mut Vec::new())
+    }
+
     /// A large compute-heavy kernel with negligible memory traffic should
     /// approach the 516.8 GIPS compute roof.
     #[test]
@@ -227,7 +232,7 @@ mod tests {
         let lc = LaunchConfig::linear(1 << 24, 256);
         let warps = lc.total_warps();
         let mix = InstructionMix::new().with_fp32(warps * 2000);
-        let traffic = MemoryModel::resolve(&d, &[]);
+        let traffic = resolve(&d, &[]);
         let (t, m) = simulate(&d, &lc, &mix, 0.2, &traffic);
         assert_eq!(t.bound, Bound::Issue);
         assert!(m.gips > 0.9 * d.peak_gips(), "gips {}", m.gips);
@@ -242,16 +247,16 @@ mod tests {
         let n = 1u64 << 26;
         let lc = LaunchConfig::linear(n, 256);
         let warps = lc.total_warps();
-        let mix = InstructionMix::new()
+        let mut mix = InstructionMix::new()
             .with_load(warps * 2)
-            .with_store(warps)
             .with_fp32(warps * 2)
             .with_int(warps * 4);
+        mix.store = warps;
         let streams = [
             AccessStream::read(n, 8, AccessPattern::Streaming),
             AccessStream::write(n, 4, AccessPattern::Streaming),
         ];
-        let traffic = MemoryModel::resolve(&d, &streams);
+        let traffic = resolve(&d, &streams);
         let (t, m) = simulate(&d, &lc, &mix, 0.3, &traffic);
         assert_eq!(t.bound, Bound::Dram);
         let roof = m.instruction_intensity * d.peak_gtxn_per_s();
@@ -284,7 +289,7 @@ mod tests {
                 working_set_bytes: 64 << 20,
             },
         )];
-        let traffic = MemoryModel::resolve(&d, &streams);
+        let traffic = resolve(&d, &streams);
         let (t, m) = simulate(&d, &lc, &mix, 0.6, &traffic);
         assert_eq!(t.bound, Bound::Latency);
         assert!(m.sm_efficiency < 0.05, "sm eff {}", m.sm_efficiency);
@@ -302,7 +307,7 @@ mod tests {
             .with_sync(warps * 2)
             .with_branch(warps * 5);
         let streams = [AccessStream::read(1 << 20, 4, AccessPattern::Streaming)];
-        let traffic = MemoryModel::resolve(&d, &streams);
+        let traffic = resolve(&d, &streams);
         let (_, m) = simulate(&d, &lc, &mix, 0.4, &traffic);
         let total = m.memory_stall + m.execution_stall + m.sync_stall + m.pipe_stall;
         assert!((0.0..=1.0).contains(&total), "total stall {total}");
@@ -327,7 +332,7 @@ mod tests {
                 .with_load(warps * 16)
         };
         let streams = [AccessStream::read(n, 4, AccessPattern::Streaming)];
-        let traffic = MemoryModel::resolve(&d, &streams);
+        let traffic = resolve(&d, &streams);
 
         // Same total work; 64-thread blocks with huge register use (low
         // occupancy) vs. 256-thread blocks (full occupancy).
@@ -348,7 +353,7 @@ mod tests {
         let d = device();
         let lc = LaunchConfig::new(1, 32);
         let mix = InstructionMix::new().with_fp32(1);
-        let traffic = MemoryModel::resolve(&d, &[]);
+        let traffic = resolve(&d, &[]);
         let (t, _) = simulate(&d, &lc, &mix, 0.0, &traffic);
         assert!(t.duration_cycles >= d.launch_overhead_cycles);
     }

@@ -46,7 +46,7 @@ impl CsrGraph {
     /// doubling the edge list and calling the test-only `from_edges`, without
     /// materializing the doubled list.
     #[must_use]
-    pub fn from_edges_undirected(num_vertices: u32, edges: &[(u32, u32)]) -> Self {
+    pub(crate) fn from_edges_undirected(num_vertices: u32, edges: &[(u32, u32)]) -> Self {
         let n = num_vertices as usize;
         let mut degree = vec![0u64; n];
         for &(u, v) in edges {
@@ -83,7 +83,7 @@ impl CsrGraph {
 
     /// Number of directed edges.
     #[must_use]
-    pub fn num_edges(&self) -> u64 {
+    pub(crate) fn num_edges(&self) -> u64 {
         self.targets.len() as u64
     }
 
@@ -95,7 +95,7 @@ impl CsrGraph {
 
     /// Neighbors of a vertex.
     #[must_use]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         &self.targets[lo..hi]

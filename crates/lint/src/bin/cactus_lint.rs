@@ -51,7 +51,8 @@ fn parse_args() -> Result<Args, String> {
 const USAGE: &str = "usage: cactus-lint [--root PATH] [--format text|json]\n\n\
 Static analysis for the Cactus serving stack: the forbid table (no-panic\n\
 daemon paths and per-path bans), lock-order cycles, /v1 surface\n\
-consistency, metric/span name hygiene.";
+consistency, metric/span name hygiene, and reach (no `pub` item that\n\
+nothing outside its crate names).";
 
 fn main() -> ExitCode {
     let args = match parse_args() {

@@ -17,7 +17,7 @@
 
 /// What a token is, as coarsely as the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Spaces, tabs, newlines.
     Whitespace,
     /// `// …` (newline not included).
@@ -46,7 +46,7 @@ pub enum TokenKind {
 /// One token: a kind plus its byte span and the 1-based line it starts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// Byte offset of the first byte, inclusive.
     pub start: usize,
     /// Byte offset past the last byte, exclusive.
@@ -66,7 +66,7 @@ impl Token {
     /// Whitespace or comment — insignificant to every rule except the
     /// `lint:allow` scanner (which reads comments).
     #[must_use]
-    pub fn is_trivia(&self) -> bool {
+    pub(crate) fn is_trivia(&self) -> bool {
         matches!(
             self.kind,
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment

@@ -1,6 +1,6 @@
 //! `cactus-lint`: workspace static analyzer for the Cactus serving stack.
 //!
-//! Four rule families run over a lexed (not parsed) view of the workspace
+//! Five rule families run over a lexed (not parsed) view of the workspace
 //! (plus, for `forbid`'s text rows, the named non-Rust files read as text):
 //!
 //! * [`rules::forbid`] — one table of rows, each a rule name, a path set,
@@ -27,6 +27,11 @@
 //! * [`rules::names`] — metric registrations are unique workspace-wide,
 //!   match `^cactus_[a-z0-9_]+$` (after normalizing `{i}` interpolations),
 //!   and counters end in `_total`.
+//! * [`rules::reach`] — a `pub` item in a crate's non-bin `src/` must be
+//!   named somewhere outside that `src/` (another crate, a bin, `tests/`,
+//!   `benches/`, `examples/` or `benchmark/src`); otherwise it belongs at
+//!   `pub(crate)`, where rustc's `dead_code` lint sees it. Types a `pub`
+//!   signature, field or variant exposes are exempt.
 //!
 //! The library is dependency-free and never panics on arbitrary input;
 //! the `cactus-lint` binary renders findings as text or JSON and exits
@@ -50,6 +55,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     findings.extend(rules::lock_order::check(ws));
     findings.extend(rules::surface::check(ws));
     findings.extend(rules::names::check(ws));
+    findings.extend(rules::reach::check(ws));
     report::sort(&mut findings);
     findings
 }

@@ -8,7 +8,7 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule: a `forbid` row's name (`no_panic`, …), `lock_order`,
-    /// `surface`, or `names`.
+    /// `surface`, `names`, or `reach`.
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,
@@ -19,7 +19,7 @@ pub struct Finding {
 
 impl Finding {
     #[must_use]
-    pub fn new(rule: &'static str, file: &str, line: u32, message: String) -> Self {
+    pub(crate) fn new(rule: &'static str, file: &str, line: u32, message: String) -> Self {
         Self {
             rule,
             file: file.to_owned(),
@@ -30,7 +30,7 @@ impl Finding {
 }
 
 /// Sort findings for deterministic output: by file, line, rule, message.
-pub fn sort(findings: &mut [Finding]) {
+pub(crate) fn sort(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });

@@ -1,9 +1,10 @@
-//! The four rule families. Each module exposes
+//! The five rule families. Each module exposes
 //! `check(&Workspace) -> Vec<Finding>`.
 
 pub mod forbid;
 pub mod lock_order;
 pub mod names;
+pub mod reach;
 pub mod surface;
 
 use crate::lexer::Token;

@@ -298,7 +298,7 @@ const ROWS: &[Row] = &[
 
 /// Run every row over the workspace.
 #[must_use]
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for row in ROWS {
         match row.shape {

@@ -45,7 +45,7 @@ struct LiveGuard {
 
 /// Run the rule: extract edges per file, then find cycles globally.
 #[must_use]
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut graph: BTreeMap<String, Vec<Edge>> = BTreeMap::new();
     for f in ws.files.iter().filter(|f| !f.in_test_dir) {
         collect_edges(f, &mut graph);

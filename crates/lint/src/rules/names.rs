@@ -24,7 +24,7 @@ const RULE: &str = "names";
 const KINDS: &[&str] = &["counter", "gauge", "histogram"];
 
 #[must_use]
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     // normalized name -> first registration site (file, line).
     let mut seen: BTreeMap<String, (String, u32)> = BTreeMap::new();

@@ -27,10 +27,11 @@ const RULE: &str = "surface";
 
 /// Files that *define* the surface; their literals are served, not
 /// consumed.
-const SERVED_FILES: &[&str] = &["crates/serve/src/routes.rs", "crates/gateway/src/server.rs"];
+pub(crate) const SERVED_FILES: &[&str] =
+    &["crates/serve/src/routes.rs", "crates/gateway/src/server.rs"];
 
 #[must_use]
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     check_routes(ws, &mut findings);
     check_spans(ws, &mut findings);

@@ -11,7 +11,7 @@ use crate::lexer::{lex, Token, TokenKind};
 
 /// Outcome of checking a finding against the allow comments around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Allow {
+pub(crate) enum Allow {
     /// No allow comment applies; report the finding.
     No,
     /// `// lint:allow(rule, reason)` with a non-empty reason covers it.
@@ -76,7 +76,7 @@ impl SourceFile {
 
     /// Whether byte `offset` falls inside a `#[cfg(test)]` item.
     #[must_use]
-    pub fn in_test_region(&self, offset: usize) -> bool {
+    pub(crate) fn in_test_region(&self, offset: usize) -> bool {
         self.test_regions
             .iter()
             .any(|&(start, end)| offset >= start && offset < end)
@@ -84,7 +84,7 @@ impl SourceFile {
 
     /// Check the allow comments for `rule` on `line` or the line above it.
     #[must_use]
-    pub fn allow(&self, rule: &str, line: u32) -> Allow {
+    pub(crate) fn allow(&self, rule: &str, line: u32) -> Allow {
         let mut verdict = Allow::No;
         for a in &self.allows {
             if a.rule == rule && (a.line == line || a.line + 1 == line) {
@@ -114,7 +114,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git"];
 const TEXT_SKIP_DIRS: &[&str] = &["target", "fixtures"];
 
 impl Workspace {
-    /// Scan every `.rs` file under `root`, skipping [`SKIP_DIRS`] and
+    /// Scan every `.rs` file under `root`, skipping `SKIP_DIRS` and
     /// hidden directories. Files are sorted by relative path so findings
     /// are deterministic.
     ///
@@ -204,18 +204,31 @@ fn find_test_regions(text: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
                 j = skip_attr(text, &sig, j);
             }
             // The item body: first `{` at bracket depth 0 opens a
-            // brace-matched region; a `;` at depth 0 ends a braceless item.
+            // brace-matched region; a `;` at depth 0 ends a braceless item,
+            // and a `,` or an unmatched closing bracket ends a gated field,
+            // argument or match arm.
             let mut depth_paren = 0i32;
+            let mut depth_angle = 0i32;
             let mut end = text.len();
             while j < sig.len() {
                 match sig[j].text(text) {
                     "(" | "[" => depth_paren += 1,
+                    "<" => depth_angle += 1,
+                    ">" if depth_angle > 0 && sig[j - 1].text(text) != "-" => depth_angle -= 1,
+                    ")" | "]" | "}" if depth_paren == 0 => {
+                        end = sig[j].start;
+                        break;
+                    }
                     ")" | "]" => depth_paren -= 1,
                     "{" if depth_paren == 0 => {
                         end = match_brace(text, &sig, j);
                         break;
                     }
                     ";" if depth_paren == 0 => {
+                        end = sig[j].end;
+                        break;
+                    }
+                    "," if depth_paren == 0 && depth_angle == 0 => {
                         end = sig[j].end;
                         break;
                     }
@@ -357,6 +370,16 @@ mod tests {
         let f = file(src);
         assert_eq!(f.test_regions.len(), 1);
         assert!(!f.in_test_region(src.find("live").unwrap_or(0)));
+    }
+
+    #[test]
+    fn cfg_test_field_ends_at_its_comma() {
+        let src = "struct S {\n    #[cfg(test)]\n    torn: Vec<(u8, u8)>,\n    live: u8,\n}\nfn after() {}\n";
+        let f = file(src);
+        assert_eq!(f.test_regions.len(), 1);
+        assert!(f.in_test_region(src.find("torn").unwrap_or(0)));
+        assert!(!f.in_test_region(src.find("live").unwrap_or(0)));
+        assert!(!f.in_test_region(src.find("after").unwrap_or(0)));
     }
 
     #[test]

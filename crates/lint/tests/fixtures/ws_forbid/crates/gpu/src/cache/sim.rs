@@ -1,3 +1,3 @@
 //! Control fixture: the oracle's own module names itself.
 
-pub struct SetAssocCache;
+pub(crate) struct SetAssocCache;

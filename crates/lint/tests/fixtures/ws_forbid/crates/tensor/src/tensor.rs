@@ -8,6 +8,6 @@ mod tests {
     }
 }
 
-pub fn f(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn f(a: f32, b: f32, c: f32) -> f32 {
     a.mul_add(b, c)
 }

@@ -1,6 +1,6 @@
 //! Control fixture: fused arithmetic inside test code only.
 
-pub fn f(a: f32, b: f32, c: f32) -> f32 {
+pub(crate) fn f(a: f32, b: f32, c: f32) -> f32 {
     a * b + c
 }
 

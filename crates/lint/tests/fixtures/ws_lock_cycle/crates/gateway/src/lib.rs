@@ -3,25 +3,25 @@
 
 use std::sync::Mutex;
 
-pub struct Shards {
+pub(crate) struct Shards {
     alpha: Mutex<u32>,
     beta: Mutex<u32>,
 }
 
 impl Shards {
-    pub fn alpha_then_beta(&self) -> u32 {
+    pub(crate) fn alpha_then_beta(&self) -> u32 {
         let a = self.alpha.lock().unwrap_or_else(|e| e.into_inner());
         let b = self.beta.lock().unwrap_or_else(|e| e.into_inner());
         *a + *b
     }
 
-    pub fn beta_then_alpha(&self) -> u32 {
+    pub(crate) fn beta_then_alpha(&self) -> u32 {
         let b = self.beta.lock().unwrap_or_else(|e| e.into_inner());
         let a = self.alpha.lock().unwrap_or_else(|e| e.into_inner());
         *a - *b
     }
 
-    pub fn sequential_is_fine(&self) -> u32 {
+    pub(crate) fn sequential_is_fine(&self) -> u32 {
         let a = self.alpha.lock().unwrap_or_else(|e| e.into_inner());
         let first = *a;
         drop(a);

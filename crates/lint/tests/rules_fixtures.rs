@@ -184,6 +184,36 @@ fn rogue_span_name_fires() {
     );
 }
 
+/// A `pub` item only its own crate calls, and one another crate names only
+/// in a comment, are findings; a `pub(crate)` item, a `pub` item in test
+/// code, a type only a `pub fn` signature names and an item another crate's
+/// `tests/` names are not.
+#[test]
+fn reach_flags_pub_items_nothing_outside_names() {
+    let findings = fixture("ws_reach");
+    let got: Vec<(&str, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("reach", "crates/alpha/src/lib.rs", 4),
+            ("reach", "crates/alpha/src/lib.rs", 9),
+        ],
+        "findings: {findings:?}"
+    );
+    assert!(
+        findings[0].message.contains("`pub fn only_here`")
+            && findings[0].message.contains("crates/alpha/src/lib.rs:4")
+            && findings[0]
+                .message
+                .contains("no caller outside crate `alpha`"),
+        "message names the item, its site and its crate: {}",
+        findings[0].message
+    );
+}
+
 /// The live workspace must stay clean: this is the same check CI runs via
 /// `cargo run -p cactus-lint`, kept here so `cargo test` alone catches
 /// regressions.

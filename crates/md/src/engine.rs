@@ -26,7 +26,7 @@ pub enum PairStyle {
 
 /// Which production code's kernel taxonomy the lowering mimics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelTaxonomy {
+pub(crate) enum KernelTaxonomy {
     /// Gromacs 2021 (`nbnxn_*`, `pme_*`, fused NPT scaling).
     Gromacs,
     /// LAMMPS 2020 (`pair_*`, `neigh_*`, `pppm_*`, `fix_*`).
@@ -35,7 +35,7 @@ pub enum KernelTaxonomy {
 
 /// Temperature coupling parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thermostat {
+pub(crate) struct Thermostat {
     /// Target temperature.
     pub target: f64,
     /// `dt / tau` coupling strength.
@@ -44,7 +44,7 @@ pub struct Thermostat {
 
 /// Pressure coupling parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Barostat {
+pub(crate) struct Barostat {
     /// Target pressure.
     pub target: f64,
     /// `dt / tau` coupling strength.
@@ -63,13 +63,13 @@ pub struct MdConfig {
     /// Short-range pair style.
     pub pair_style: PairStyle,
     /// Kernel naming/decomposition taxonomy.
-    pub taxonomy: KernelTaxonomy,
+    pub(crate) taxonomy: KernelTaxonomy,
     /// Long-range electrostatics (only meaningful for charged systems).
     pub pme: Option<PmeParams>,
     /// Optional temperature coupling.
-    pub thermostat: Option<Thermostat>,
+    pub(crate) thermostat: Option<Thermostat>,
     /// Optional pressure coupling.
-    pub barostat: Option<Barostat>,
+    pub(crate) barostat: Option<Barostat>,
     /// Rebuild the neighbor list every this many steps.
     pub neighbor_every: u32,
     /// Reduce energies/temperature every this many steps.
@@ -151,7 +151,7 @@ impl MdEngine {
     }
 
     /// Advance one step.
-    pub fn step(&mut self, gpu: &mut Gpu) -> StepStats {
+    pub(crate) fn step(&mut self, gpu: &mut Gpu) -> StepStats {
         let n = self.sys.len();
         let taxonomy = self.config.taxonomy;
         let mut potential = 0.0;

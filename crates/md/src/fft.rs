@@ -1,7 +1,7 @@
 //! In-crate radix-2 complex FFT (1-D and 3-D), the numerical core of the
 //! PME reciprocal-space solver.
 //!
-//! Everything runs on an [`FftPlan`]: the bit-reversal swaps and every
+//! Everything runs on an `FftPlan`: the bit-reversal swaps and every
 //! stage's twiddle factors are tabulated once per length, and a transform
 //! is table look-ups and butterflies only. There is one kernel, the *row
 //! pass*: a block of `n` rows of `width` cells, transformed along the row
@@ -11,7 +11,7 @@
 //! 1-D line is the `width = 1` case; the PME solve keeps its grids' real
 //! and imaginary parts in separate arrays and runs every axis as row passes
 //! (Z on Z lines copied into the columns of a block by
-//! [`lines_to_columns`]). All of these reorder *which cell* is computed
+//! `lines_to_columns`). All of these reorder *which cell* is computed
 //! when, or skip a computation whose result is already stored: every cell
 //! still sees the operations, operands and order of a per-line transform,
 //! bit for bit.
@@ -19,7 +19,7 @@
 use std::f64::consts::PI;
 
 /// A complex number as `(re, im)`.
-pub type Complex = (f64, f64);
+pub(crate) type Complex = (f64, f64);
 
 #[inline(always)]
 fn cmul(a: Complex, b: Complex) -> Complex {
@@ -133,7 +133,7 @@ fn butterfly_rows<const R: usize>(
 
 /// Precomputed tables for radix-2 transforms of one length.
 #[derive(Debug, Clone)]
-pub struct FftPlan {
+pub(crate) struct FftPlan {
     n: usize,
     /// The `(i, j)` pairs, `i < j`, the bit-reversal permutation exchanges.
     swaps: Vec<(usize, usize)>,
@@ -154,7 +154,7 @@ impl FftPlan {
     ///
     /// Panics if `n` is not a power of two.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "FFT length must be a power of two");
         let mut swaps = Vec::new();
         // A single point has nothing to reverse (and no bit to shift by).

@@ -227,7 +227,7 @@ pub fn colloid(sys: &mut ParticleSystem, nl: &NeighborList, cutoff_factor: f64) 
 
 /// Harmonic bond forces. Returns the bonded potential energy.
 #[must_use]
-pub fn bonds(sys: &mut ParticleSystem) -> f64 {
+pub(crate) fn bonds(sys: &mut ParticleSystem) -> f64 {
     let mut energy = 0.0;
     let box_len = sys.box_len;
     let inv_box = 1.0 / box_len;
@@ -256,7 +256,7 @@ pub fn bonds(sys: &mut ParticleSystem) -> f64 {
 
 /// Harmonic angle forces. Returns the angular potential energy.
 #[must_use]
-pub fn angles(sys: &mut ParticleSystem) -> f64 {
+pub(crate) fn angles(sys: &mut ParticleSystem) -> f64 {
     let mut energy = 0.0;
     let box_len = sys.box_len;
     let inv_box = 1.0 / box_len;
@@ -295,7 +295,7 @@ pub fn angles(sys: &mut ParticleSystem) -> f64 {
 /// Gaussian multiply it back in, sharing one `exp` per pair.
 #[inline]
 #[must_use]
-pub fn erfc_scaled(x: f64) -> f64 {
+pub(crate) fn erfc_scaled(x: f64) -> f64 {
     let t = 1.0 / (1.0 + 0.3275911 * x);
     t * (0.254829592
         + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))))

@@ -3,7 +3,7 @@
 use crate::system::ParticleSystem;
 
 /// First velocity-Verlet half-kick plus drift: `v += f/m·dt/2; x += v·dt`.
-pub fn verlet_first_half(sys: &mut ParticleSystem, dt: f64) {
+pub(crate) fn verlet_first_half(sys: &mut ParticleSystem, dt: f64) {
     for i in 0..sys.len() {
         let inv_m = 1.0 / sys.masses[i];
         for a in 0..3 {
@@ -15,7 +15,7 @@ pub fn verlet_first_half(sys: &mut ParticleSystem, dt: f64) {
 }
 
 /// Second velocity-Verlet half-kick: `v += f/m·dt/2` with the new forces.
-pub fn verlet_second_half(sys: &mut ParticleSystem, dt: f64) {
+pub(crate) fn verlet_second_half(sys: &mut ParticleSystem, dt: f64) {
     for i in 0..sys.len() {
         let inv_m = 1.0 / sys.masses[i];
         for a in 0..3 {
@@ -43,7 +43,7 @@ pub fn berendsen_thermostat(sys: &mut ParticleSystem, target_t: f64, dt_over_tau
 /// Berendsen-style barostat: isotropically rescale the box and positions
 /// toward `target_virial_pressure` using the instantaneous ideal-gas +
 /// virial estimate. Returns the linear box scale factor.
-pub fn berendsen_barostat(
+pub(crate) fn berendsen_barostat(
     sys: &mut ParticleSystem,
     virial: f64,
     target_pressure: f64,

@@ -7,7 +7,7 @@
 //! electrostatics built on an in-crate radix-2 FFT, and a velocity-Verlet
 //! integrator with Berendsen-style temperature and pressure coupling.
 //!
-//! Every step of [`engine::MdEngine::step`] both advances the simulation on
+//! Every step of `engine::MdEngine::step` both advances the simulation on
 //! the CPU *and* launches the kernel sequence the corresponding production
 //! code (Gromacs 2021 / LAMMPS 2020) launches on a GPU, with footprints
 //! derived from the step's actual pair counts, grid sizes and atom counts.

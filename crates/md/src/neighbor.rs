@@ -44,7 +44,7 @@ impl NeighborList {
     ///
     /// Panics if the largest pair radius is not positive.
     #[must_use]
-    pub fn build_multi(sys: &ParticleSystem, cutoff_factor: f64, skin: f64) -> Self {
+    pub(crate) fn build_multi(sys: &ParticleSystem, cutoff_factor: f64, skin: f64) -> Self {
         let max_sigma = sys.sigmas.iter().fold(1.0f64, |m, &s| m.max(s));
         let r = cutoff_factor * max_sigma + skin;
         assert!(r > 0.0, "max pair radius must be positive");
@@ -226,20 +226,20 @@ impl NeighborList {
     /// Particle count of the system the list was built for. Every stored
     /// neighbor index is `< num_particles()`.
     #[must_use]
-    pub fn num_particles(&self) -> usize {
+    pub(crate) fn num_particles(&self) -> usize {
         self.num_particles
     }
 
     /// Total number of stored pairs.
     #[must_use]
-    pub fn num_pairs(&self) -> u64 {
+    pub(crate) fn num_pairs(&self) -> u64 {
         self.neighbors.len() as u64
     }
 
     /// Cells per box edge used during binning (a proxy for the binning
     /// kernel's footprint).
     #[must_use]
-    pub fn cells_per_side(&self) -> usize {
+    pub(crate) fn cells_per_side(&self) -> usize {
         self.cells_per_side
     }
 }

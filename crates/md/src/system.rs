@@ -28,7 +28,7 @@ fn nearest(x: f64) -> f64 {
 /// of their hot path (one multiply per axis instead of one divide).
 #[inline]
 #[must_use]
-pub fn min_image_disp(pi: &Vec3, pj: &Vec3, box_len: f64, inv_box: f64) -> Vec3 {
+pub(crate) fn min_image_disp(pi: &Vec3, pj: &Vec3, box_len: f64, inv_box: f64) -> Vec3 {
     let mut d = [0.0; 3];
     for a in 0..3 {
         let x = pj[a] - pi[a];
@@ -39,7 +39,7 @@ pub fn min_image_disp(pi: &Vec3, pj: &Vec3, box_len: f64, inv_box: f64) -> Vec3 
 
 /// A harmonic bond between two particles.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bond {
+pub(crate) struct Bond {
     /// First particle index.
     pub i: u32,
     /// Second particle index.
@@ -52,7 +52,7 @@ pub struct Bond {
 
 /// A harmonic angle between three particles.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Angle {
+pub(crate) struct Angle {
     /// Outer particle.
     pub i: u32,
     /// Center particle.
@@ -83,27 +83,21 @@ pub struct ParticleSystem {
     /// Cubic box edge length.
     pub box_len: f64,
     /// Harmonic bonds.
-    pub bonds: Vec<Bond>,
+    pub(crate) bonds: Vec<Bond>,
     /// Harmonic angles.
-    pub angles: Vec<Angle>,
+    pub(crate) angles: Vec<Angle>,
 }
 
 impl ParticleSystem {
     /// Number of particles.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.positions.len()
-    }
-
-    /// True when the system holds no particles.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
     }
 
     /// True when any particle carries charge (decides whether PME runs).
     #[must_use]
-    pub fn is_charged(&self) -> bool {
+    pub(crate) fn is_charged(&self) -> bool {
         self.charges.iter().any(|&q| q.abs() > 1e-12)
     }
 
@@ -120,7 +114,7 @@ impl ParticleSystem {
 
     /// Instantaneous kinetic energy.
     #[must_use]
-    pub fn kinetic_energy(&self) -> f64 {
+    pub(crate) fn kinetic_energy(&self) -> f64 {
         self.velocities
             .iter()
             .zip(&self.masses)
@@ -140,7 +134,7 @@ impl ParticleSystem {
 
     /// Total momentum.
     #[must_use]
-    pub fn total_momentum(&self) -> Vec3 {
+    pub(crate) fn total_momentum(&self) -> Vec3 {
         let mut p = [0.0; 3];
         for (v, &m) in self.velocities.iter().zip(&self.masses) {
             for a in 0..3 {
@@ -168,7 +162,7 @@ impl ParticleSystem {
     }
 
     /// Remove center-of-mass momentum (so thermostats don't feed drift).
-    pub fn remove_com_momentum(&mut self) {
+    pub(crate) fn remove_com_momentum(&mut self) {
         let p = self.total_momentum();
         let m_total: f64 = self.masses.iter().sum();
         if m_total <= 0.0 {

@@ -20,28 +20,6 @@ pub struct MdScale {
     pub steps: u32,
 }
 
-impl MdScale {
-    /// This crate's own test scale: 300 particles, 8 steps. It is *not* what
-    /// a served or benchmarked `tiny` triple runs — that is
-    /// `cactus_core::SuiteScale::Tiny.md()`, 300 particles for 10 steps.
-    #[must_use]
-    pub fn tiny() -> Self {
-        Self {
-            atoms: 300,
-            steps: 8,
-        }
-    }
-
-    /// The default profiling scale used by the benchmark harness.
-    #[must_use]
-    pub fn default_profile() -> Self {
-        Self {
-            atoms: 16_000,
-            steps: 30,
-        }
-    }
-}
-
 /// GMS: Gromacs-style NPT equilibration of a solvated protein-like system.
 #[must_use]
 pub fn gromacs_npt(scale: MdScale, seed: u64) -> MdEngine {
@@ -143,6 +121,14 @@ mod tests {
     use cactus_profiler::Profile;
     use std::collections::BTreeSet;
 
+    /// This crate's own test scale: 300 particles, 8 steps. It is *not*
+    /// what a served or benchmarked `tiny` triple runs — that is
+    /// `cactus_core::SuiteScale::Tiny.md()`, 300 particles for 10 steps.
+    const TINY: MdScale = MdScale {
+        atoms: 300,
+        steps: 8,
+    };
+
     fn kernel_names(engine: &mut MdEngine, steps: u32) -> (BTreeSet<String>, Profile) {
         let mut gpu = Gpu::new(Device::rtx3080());
         let _ = engine.run(&mut gpu, steps);
@@ -156,7 +142,7 @@ mod tests {
 
     #[test]
     fn gms_executes_nine_kernels() {
-        let mut e = gromacs_npt(MdScale::tiny(), 1);
+        let mut e = gromacs_npt(TINY, 1);
         let (names, profile) = kernel_names(&mut e, 12);
         assert_eq!(names.len(), 9, "{names:?}");
         assert_eq!(profile.kernel_count(), 9);
@@ -164,14 +150,14 @@ mod tests {
 
     #[test]
     fn lmr_executes_fifteen_kernels() {
-        let mut e = lammps_rhodopsin(MdScale::tiny(), 2);
+        let mut e = lammps_rhodopsin(TINY, 2);
         let (names, _) = kernel_names(&mut e, 12);
         assert_eq!(names.len(), 15, "{names:?}");
     }
 
     #[test]
     fn lmc_executes_nine_kernels() {
-        let mut e = lammps_colloid(MdScale::tiny(), 3);
+        let mut e = lammps_colloid(TINY, 3);
         let (names, _) = kernel_names(&mut e, 25);
         assert_eq!(names.len(), 9, "{names:?}");
     }
@@ -180,8 +166,8 @@ mod tests {
     fn lmr_and_lmc_share_code_but_differ_in_kernels() {
         // The paper's Observation 3: same code base (LAMMPS), different
         // inputs → different kernel sets.
-        let mut r = lammps_rhodopsin(MdScale::tiny(), 4);
-        let mut c = lammps_colloid(MdScale::tiny(), 4);
+        let mut r = lammps_rhodopsin(TINY, 4);
+        let mut c = lammps_colloid(TINY, 4);
         let (rn, _) = kernel_names(&mut r, 10);
         let (cn, _) = kernel_names(&mut c, 10);
         assert_ne!(rn, cn);
@@ -195,9 +181,9 @@ mod tests {
     fn workloads_stay_numerically_sane() {
         let mut gpu = Gpu::new(Device::rtx3080());
         for mut engine in [
-            gromacs_npt(MdScale::tiny(), 7),
-            lammps_rhodopsin(MdScale::tiny(), 7),
-            lammps_colloid(MdScale::tiny(), 7),
+            gromacs_npt(TINY, 7),
+            lammps_rhodopsin(TINY, 7),
+            lammps_colloid(TINY, 7),
         ] {
             let stats = engine.run(&mut gpu, 15);
             assert!(stats.temperature.is_finite() && stats.temperature > 0.0);

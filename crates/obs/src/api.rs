@@ -35,13 +35,6 @@ impl ApiError {
         }
     }
 
-    /// Override the retryable flag.
-    #[must_use]
-    pub fn retryable(mut self, retryable: bool) -> Self {
-        self.retryable = retryable;
-        self
-    }
-
     /// Render the JSON envelope body (with trailing newline, like every
     /// other body the servers emit).
     #[must_use]
@@ -144,7 +137,7 @@ mod tests {
 
     #[test]
     fn envelope_roundtrip_with_escapes() {
-        let e = ApiError::new(400, "bad \"query\"\nline two").retryable(false);
+        let e = ApiError::new(400, "bad \"query\"\nline two");
         let parsed = ApiError::from_json(&e.to_json()).expect("parses");
         assert_eq!(parsed, e);
     }

@@ -1,12 +1,11 @@
 //! Prometheus-style text exposition: the one renderer and the one strict
 //! parser shared by every tier.
 //!
-//! Rendering lives on [`MetricsRegistry::render`](crate::registry::MetricsRegistry::render);
-//! [`render`] here is a thin alias so call sites can depend on the module
-//! rather than the registry type. Parsing is deliberately strict: the old
-//! client folded `/metricsz` into a `HashMap`, silently dropping duplicate
-//! and unparsable lines, which is exactly how a formatting regression in one
-//! tier goes unnoticed until a dashboard lies. [`parse`] instead errors on
+//! Rendering lives on [`MetricsRegistry::render`](crate::registry::MetricsRegistry::render).
+//! Parsing is deliberately strict: the old client folded `/metricsz` into a
+//! `HashMap`, silently dropping duplicate and unparsable lines, which is
+//! exactly how a formatting regression in one tier goes unnoticed until a
+//! dashboard lies. [`parse`] instead errors on
 //! the first malformed or duplicated sample, with the line number, and is
 //! the same code path used by the typed client, the integration tests, and
 //! the `obs-check` CI binary.
@@ -14,19 +13,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::registry::MetricsRegistry;
-
-/// Render a registry in text exposition format (alias for
-/// [`MetricsRegistry::render`]).
-#[must_use]
-pub fn render(registry: &MetricsRegistry) -> String {
-    registry.render()
-}
-
 /// One parsed sample: the full sample key (metric name plus any `{...}`
 /// label set, verbatim) and its value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Sample key, e.g. `cactus_serve_requests_total` or
     /// `cactus_serve_latency_us_bucket{le="8"}`.
     pub key: String,
@@ -46,12 +36,6 @@ impl Exposition {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<f64> {
         self.index.get(key).copied()
-    }
-
-    /// All samples in document order.
-    #[must_use]
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
     }
 
     /// Number of samples.
@@ -147,6 +131,7 @@ pub fn parse(text: &str) -> Result<Exposition, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
 
     #[test]
     fn roundtrip_through_registry() {
@@ -159,7 +144,7 @@ mod tests {
         h.observe_us(5);
         h.observe_us(900);
 
-        let text = render(&reg);
+        let text = reg.render();
         let expo = parse(&text).expect("own output parses");
         assert_eq!(expo.get("reqs_total"), Some(7.0));
         assert_eq!(expo.get("depth"), Some(3.5));

@@ -8,28 +8,28 @@
 //! text format, and a slow request could not be attributed to cache-miss vs.
 //! simulate vs. proxy hop. This crate centralizes all of it:
 //!
-//! * [`registry`] — a lock-cheap [`MetricsRegistry`](registry::MetricsRegistry)
+//! * [`registry`] — a lock-cheap [`MetricsRegistry`]
 //!   of named counters, gauges, and latency histograms. Registration (cold
 //!   path) takes a mutex once and rejects name collisions; the handles it
 //!   returns are `Arc`ed atomics, so the hot path is a single relaxed
 //!   atomic op. Histograms use fixed power-of-two buckets, giving bounded
 //!   memory and quantiles with a guaranteed ≤2× overestimate.
 //! * [`expo`] — one Prometheus-style text exposition
-//!   [renderer](expo::render) shared verbatim by every `/v1/metricsz`
+//!   renderer shared verbatim by every `/v1/metricsz`
 //!   endpoint, and a [strict parser](expo::parse) that errors on malformed
 //!   or duplicated samples instead of silently dropping them. The same
 //!   parser backs the typed client, the tests, and the CI smoke checks, so
 //!   a formatting regression in any tier fails loudly everywhere.
-//! * [`trace`] — structured tracing: a [`TraceId`](trace::TraceId) minted at
+//! * [`trace`] — structured tracing: a [`TraceId`] minted at
 //!   the edge and propagated via the `x-cactus-trace` header, a
-//!   [`Tracer`](trace::Tracer) holding a bounded ring of finished spans
+//!   [`Tracer`] holding a bounded ring of finished spans
 //!   (served at `/v1/tracez`) and optionally appending each span to a JSONL
-//!   log, and [`SpanCtx`](trace::SpanCtx)/[`SpanGuard`](trace::SpanGuard)
+//!   log, and [`SpanCtx`]/[`SpanGuard`]
 //!   for threading parent/child structure through the request path. One
 //!   request yields one span tree: `gateway.route` → `proxy.attempt` →
 //!   `serve.request` → `serve.cache|serve.profile` →
 //!   `serve.store|serve.simulate` → `engine.launch`.
-//! * [`lock`] — [`RankedMutex`](lock::RankedMutex), the rank-ordered mutex
+//! * [`lock`] — [`RankedMutex`], the rank-ordered mutex
 //!   every long-lived lock in the stack is built on. Under
 //!   `debug_assertions` or `--features lock-check` it tracks a per-thread
 //!   acquisition stack and panics on rank inversion with both sites; in

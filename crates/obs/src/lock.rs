@@ -2,7 +2,7 @@
 //! defense (`cactus-lint` is the static half).
 //!
 //! Every long-lived mutex in the serving stack is a [`RankedMutex`] carrying
-//! a [`rank`](rank) from the table below. Under `debug_assertions` or the
+//! a [`rank`] from the table below. Under `debug_assertions` or the
 //! `lock-check` feature, each thread keeps a stack of the locks it holds and
 //! every acquisition is checked against it: taking a lock whose rank is not
 //! strictly greater than every held rank panics immediately with both
@@ -76,7 +76,7 @@ pub mod rank {
     pub const HEALTH: u32 = 70;
     pub const LATENCY_WINDOW: u32 = 80;
     pub const SIMINDEX: u32 = 85;
-    pub const METRICS_REGISTRY: u32 = 95;
+    pub(crate) const METRICS_REGISTRY: u32 = 95;
     pub const TRACER: u32 = 100;
 }
 
@@ -108,7 +108,7 @@ mod check {
         id: u64,
     }
 
-    pub fn acquire(rank: u32, name: &'static str, at: &'static Location<'static>) -> Token {
+    pub(crate) fn acquire(rank: u32, name: &'static str, at: &'static Location<'static>) -> Token {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(worst) = held
@@ -137,14 +137,14 @@ mod check {
         })
     }
 
-    pub fn release(token: &Token) {
+    pub(crate) fn release(token: &Token) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             held.retain(|h| h.id != token.id);
         });
     }
 
-    pub fn order_edges() -> Vec<(&'static str, &'static str)> {
+    pub(crate) fn order_edges() -> Vec<(&'static str, &'static str)> {
         EDGES
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -161,12 +161,16 @@ mod check {
     pub struct Token;
 
     #[inline(always)]
-    pub fn acquire(_rank: u32, _name: &'static str, _at: &'static Location<'static>) -> Token {
+    pub(crate) fn acquire(
+        _rank: u32,
+        _name: &'static str,
+        _at: &'static Location<'static>,
+    ) -> Token {
         Token
     }
 
     #[inline(always)]
-    pub fn release(_token: &Token) {}
+    pub(crate) fn release(_token: &Token) {}
 }
 
 /// The nesting pairs observed so far: every `(outer, inner)` lock-name edge
@@ -218,25 +222,6 @@ impl<T> RankedMutex<T> {
             guard: Some(guard),
             token,
         }
-    }
-
-    /// Consume the mutex and return the value, recovering from poisoning.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// This lock's rank in the workspace order.
-    #[must_use]
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// This lock's name in panics and the order graph.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -321,9 +306,8 @@ mod tests {
         let m = RankedMutex::new(rank::RESPONSE_CACHE, "test.cache", 7u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 8);
-        assert_eq!(m.rank(), rank::RESPONSE_CACHE);
-        assert_eq!(m.name(), "test.cache");
-        assert_eq!(m.into_inner(), 8);
+        assert_eq!(m.rank, rank::RESPONSE_CACHE);
+        assert_eq!(m.name, "test.cache");
     }
 
     #[test]

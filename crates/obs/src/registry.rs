@@ -24,7 +24,7 @@ use crate::lock::{rank, RankedMutex};
 /// Number of log2 buckets. Bucket 0 holds `v == 0`; bucket `i` holds
 /// `(2^(i-1), 2^i]`; the last bucket is a catch-all for anything larger
 /// than `2^(BUCKETS-2)` µs (~9.5 hours), far beyond any request latency.
-pub const BUCKETS: usize = 36;
+pub(crate) const BUCKETS: usize = 36;
 
 /// Errors returned by metric registration (never by updates).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +97,7 @@ impl Gauge {
 
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -127,7 +127,7 @@ fn bucket_index(v: u64) -> usize {
 
 /// Upper bound of bucket `i` in µs (`2^(i-1)` for `i ≥ 1`, 0 for bucket 0).
 #[must_use]
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -143,15 +143,9 @@ impl Histogram {
         self.0.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
     /// Sum of all observations in µs.
     #[must_use]
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }
 
@@ -186,7 +180,7 @@ impl Histogram {
     /// Snapshot of cumulative bucket counts paired with their upper bounds,
     /// for exposition rendering.
     #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(BUCKETS);
         let mut cum = 0u64;
         for (i, b) in self.0.buckets.iter().enumerate() {
@@ -373,7 +367,7 @@ fn push_sample(out: &mut String, name: &str, value: &str) {
 /// Render an `f64` the way the exposition format expects: integral values
 /// without a trailing `.0`, everything else in shortest round-trip form.
 #[must_use]
-pub fn format_f64(v: f64) -> String {
+pub(crate) fn format_f64(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{v:.0}")
     } else {
@@ -465,7 +459,7 @@ mod tests {
         for v in 1..=100u64 {
             h.observe_us(v);
         }
-        assert_eq!(h.count(), 100);
+        assert_eq!(h.0.count.load(Ordering::Relaxed), 100);
         assert_eq!(h.sum_us(), 5050);
         // The estimate must never undershoot the true quantile and must
         // overshoot by at most 2×.

@@ -50,7 +50,7 @@ use crate::lock::{rank, RankedMutex};
 /// | `store.get`     | store, one indexed record read + CRC check         |
 /// | `store.compact` | store, one background compaction pass              |
 /// | `store.sync`    | gateway, replication or anti-entropy record push   |
-pub const SPAN_NAMES: &[&str] = &[
+pub(crate) const SPAN_NAMES: &[&str] = &[
     "gateway.route",
     "gateway.compare",
     "proxy.attempt",
@@ -150,7 +150,7 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// One-line JSON form, shared by `/v1/tracez` and the JSONL span log.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"trace\":\"{}\",\"span\":{},\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
             self.trace, self.span_id, self.parent_id, self.name, self.start_us, self.dur_us
@@ -297,7 +297,7 @@ impl<'a> SpanCtx<'a> {
     }
 
     /// Open a child span. The span measures until the guard drops. `name`
-    /// must come from [`SPAN_NAMES`]; `cactus-lint` enforces this statically
+    /// must come from `SPAN_NAMES`; `cactus-lint` enforces this statically
     /// and debug builds assert it at runtime.
     #[must_use]
     pub fn child(&self, name: &'static str) -> SpanGuard<'a> {

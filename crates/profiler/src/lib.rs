@@ -224,7 +224,7 @@ impl Profile {
 
     /// Total DRAM transactions.
     #[must_use]
-    pub fn total_dram_transactions(&self) -> f64 {
+    pub(crate) fn total_dram_transactions(&self) -> f64 {
         self.kernels.iter().map(|k| k.dram_transactions).sum()
     }
 
@@ -232,7 +232,7 @@ impl Profile {
     /// kernel": per-kernel instruction totals weighted by the kernel's share
     /// of GPU time.
     #[must_use]
-    pub fn weighted_avg_warp_instructions(&self) -> f64 {
+    pub(crate) fn weighted_avg_warp_instructions(&self) -> f64 {
         if self.total_time_s <= 0.0 {
             return 0.0;
         }

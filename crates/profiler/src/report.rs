@@ -37,7 +37,7 @@ impl SummaryRow {
 /// Format an instruction count the way Table I does (e.g. `306 B`, `43 M`,
 /// `40 K`).
 #[must_use]
-pub fn human_count(n: f64) -> String {
+pub(crate) fn human_count(n: f64) -> String {
     let a = n.abs();
     if a >= 1e9 {
         format!("{:.1} B", n / 1e9)

@@ -121,38 +121,32 @@ impl ResponseCache {
 
     /// Cached entry count.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map.len()
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lookups answered from the cache.
     #[must_use]
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Lookups that fell through to the next level.
     #[must_use]
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Drop one cached response (used to invalidate derived listings when
     /// a submission changes what they would contain).
-    pub fn remove(&self, key: &str) {
+    pub(crate) fn remove(&self, key: &str) {
         self.inner.lock().map.remove(key);
     }
 
     /// Drop every cached response whose key satisfies `pred` (used to
     /// invalidate all rendered views of a workload when a re-submission
     /// replaces its definition).
-    pub fn remove_where(&self, pred: impl Fn(&str) -> bool) {
+    pub(crate) fn remove_where(&self, pred: impl Fn(&str) -> bool) {
         self.inner.lock().map.retain(|k, _| !pred(k));
     }
 }
@@ -208,7 +202,7 @@ mod tests {
         let cache = ResponseCache::new(0);
         cache.put("/a", resp("A"));
         assert!(cache.get("/a").is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! of headers it may consult — and writes one response per request, so this
 //! module implements that slice directly instead of pulling in a server
 //! framework (the workspace builds with no registry access). Requests
-//! ([`read_request`]) and replies ([`read_reply`]) share one reader: heads
-//! are capped at [`MAX_HEAD_BYTES`] and bodies at [`MAX_BODY_BYTES`], so no
+//! ([`read_request`]) and replies (`read_reply`) share one reader: heads
+//! are capped at [`MAX_HEAD_BYTES`] and bodies at `MAX_BODY_BYTES`, so no
 //! peer-chosen length is allocated before it is checked; anything larger,
 //! non-UTF-8, or not HTTP-shaped surfaces as an [`HttpError`], which the
 //! server maps to a `400` and the client to a parse error.
@@ -33,7 +33,7 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// request's `Content-Length` (only the store-record ingestion endpoint
 /// accepts bodies), and a reply's declared or close-delimited body. Profile
 /// documents are well under this.
-pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,16 +52,10 @@ pub struct Request {
 }
 
 impl Request {
-    /// First header value with the given (case-insensitive) name.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        header_in(&self.headers, name)
-    }
-
     /// Whether the client asked for the connection to be closed after this
     /// response (`Connection: close`).
     #[must_use]
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         close_in(&self.headers)
     }
 
@@ -98,15 +92,9 @@ impl HttpReply {
         self.header("retry-after")?.parse().ok()
     }
 
-    /// The trace id echoed in the `x-cactus-trace` header, if any.
-    #[must_use]
-    pub fn trace_id(&self) -> Option<TraceId> {
-        trace_in(&self.headers)
-    }
-
     /// Whether the server will close the connection after this reply.
     #[must_use]
-    pub fn connection_close(&self) -> bool {
+    pub(crate) fn connection_close(&self) -> bool {
         close_in(&self.headers)
     }
 }
@@ -186,7 +174,7 @@ impl From<std::io::Error> for HttpError {
 /// exactly past the head's terminating blank line — plus any declared
 /// body — on success, so a keep-alive server can call this again on the
 /// same reader for the next request. Bodies are read eagerly when a
-/// `Content-Length` header is present (capped at [`MAX_BODY_BYTES`]) and
+/// `Content-Length` header is present (capped at `MAX_BODY_BYTES`) and
 /// must be UTF-8; the API's only body-bearing requests carry profile text.
 ///
 /// # Errors
@@ -211,7 +199,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
 /// # Errors
 ///
 /// See [`HttpError`].
-pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
+pub(crate) fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
     let (status, headers) = read_head(reader, parse_status_line)?;
     let body = read_body(reader, &headers, true)?;
     Ok(HttpReply {
@@ -385,7 +373,7 @@ impl Response {
 
     /// A structured-error response: the shared `/v1` JSON envelope.
     #[must_use]
-    pub fn api_error(error: &ApiError) -> Self {
+    pub(crate) fn api_error(error: &ApiError) -> Self {
         Self {
             status: error.code,
             content_type: Cow::Borrowed("application/json"),
@@ -403,7 +391,7 @@ impl Response {
 
     /// The `503 Service Unavailable` backpressure response.
     #[must_use]
-    pub fn busy(retry_after_s: u32) -> Self {
+    pub(crate) fn busy(retry_after_s: u32) -> Self {
         let mut r = Self::error(503, "server saturated, retry later");
         r.retry_after = Some(retry_after_s);
         r
@@ -419,7 +407,7 @@ impl Response {
     /// The standard reason phrase for [`Response::status`] (`Unknown` for
     /// a forwarded backend status neither tier constructs itself).
     #[must_use]
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             400 => "Bad Request",
@@ -440,7 +428,7 @@ impl Response {
     /// # Errors
     ///
     /// Propagates socket write errors.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
+    pub(crate) fn write_to<W: Write>(&self, out: &mut W) -> std::io::Result<()> {
         self.write_conn(out, false)
     }
 
@@ -490,9 +478,9 @@ mod tests {
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/v1/profile/a/b/c");
         assert_eq!(r.query.as_deref(), Some("x=1"));
-        assert_eq!(r.header("host"), Some("h"));
+        assert_eq!(header_in(&r.headers, "host"), Some("h"));
         // Values containing ':' survive the first-colon split.
-        assert_eq!(r.header("X-Ref"), Some("http://e:8080/p"));
+        assert_eq!(header_in(&r.headers, "X-Ref"), Some("http://e:8080/p"));
         assert!(!r.wants_close());
     }
 

@@ -14,7 +14,7 @@ use cactus_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistryError};
 /// Thread-safe request/latency counters for one server, registered in its
 /// metrics registry under `cactus_serve_*` names.
 #[derive(Debug, Clone)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     /// Requests parsed and handled (a keep-alive connection contributes one
     /// per request it carries).
     pub requests: Counter,
@@ -43,7 +43,7 @@ impl ServerMetrics {
     ///
     /// Fails if any `cactus_serve_*` name is already registered (one server
     /// per registry).
-    pub fn register(registry: &MetricsRegistry) -> Result<Self, RegistryError> {
+    pub(crate) fn register(registry: &MetricsRegistry) -> Result<Self, RegistryError> {
         Ok(Self {
             requests: registry
                 .counter("cactus_serve_requests_total", "requests parsed and handled")?,
@@ -78,12 +78,12 @@ impl ServerMetrics {
     }
 
     /// Record the handling latency of one request, in microseconds.
-    pub fn record_latency_us(&self, us: u64) {
+    pub(crate) fn record_latency_us(&self, us: u64) {
         self.latency.observe_us(us);
     }
 
     /// Tally one written response under the right status-class counter.
-    pub fn count_status(&self, status: u16) {
+    pub(crate) fn count_status(&self, status: u16) {
         let counter = match status {
             200..=299 => &self.responses_ok,
             503 => &self.responses_busy,

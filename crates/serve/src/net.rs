@@ -9,7 +9,7 @@
 //! `extern "C"` against the C library `std` already links instead of
 //! pulling in a libc crate; other platforms fall back to the std bind.
 //!
-//! [`readable_within`] is the gateway's hedge stall timer: one `poll(2)` on
+//! `readable_within` is the gateway's hedge stall timer: one `poll(2)` on
 //! Linux, whose timeout is a high-resolution timer, where `SO_RCVTIMEO`
 //! counts in jiffies and costs two `setsockopt` calls per wait. Other
 //! platforms keep the `SO_RCVTIMEO` wait, through a `peek`.
@@ -24,7 +24,7 @@ use std::time::Duration;
 /// # Errors
 ///
 /// Address resolution and socket/bind/listen failures.
-pub fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
+pub(crate) fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
     let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
     })?;
@@ -47,7 +47,7 @@ pub fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
 ///
 /// `poll(2)` failures other than `EINTR` (which resumes the wait), or on
 /// other platforms the read-timeout calls around the `peek`.
-pub fn readable_within(stream: &TcpStream, wait: Duration) -> io::Result<bool> {
+pub(crate) fn readable_within(stream: &TcpStream, wait: Duration) -> io::Result<bool> {
     #[cfg(target_os = "linux")]
     {
         linux::poll_readable(stream, wait)
@@ -120,7 +120,7 @@ mod linux {
         fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
     }
 
-    pub fn poll_readable(stream: &TcpStream, wait: Duration) -> io::Result<bool> {
+    pub(crate) fn poll_readable(stream: &TcpStream, wait: Duration) -> io::Result<bool> {
         // No deadline past `Instant`'s range: such a wait is unbounded anyway.
         let deadline = Instant::now().checked_add(wait);
         let mut left = wait;
@@ -149,7 +149,7 @@ mod linux {
         }
     }
 
-    pub fn bind_v4_reusable(addr: SocketAddrV4) -> io::Result<TcpListener> {
+    pub(crate) fn bind_v4_reusable(addr: SocketAddrV4) -> io::Result<TcpListener> {
         // SAFETY: plain syscall wrappers over a fd we own exclusively until
         // `from_raw_fd`; on any failure the fd is closed before returning.
         unsafe {

@@ -5,7 +5,7 @@
 //! Errors are the shared JSON envelope (`{code, message, retryable}`) from
 //! [`cactus_obs::ApiError`]. Each profile endpoint resolves its
 //! `(device, scale, workload)` triple, consults the response cache under a
-//! canonical key, and falls through to [`ProfileService::profile`] (store,
+//! canonical key, and falls through to `ProfileService::profile` (store,
 //! then coalesced simulation) on a miss — recording `serve.cache` /
 //! `serve.profile` spans under the caller's ctx as it goes. Bodies are
 //! text: the profile endpoint serves the stored document itself — the
@@ -29,7 +29,7 @@ use crate::wire::{self, DeviceEntry};
 /// `/v1/<endpoint>/<device>/<scale>/<workload>`. `cactus-lint`'s surface
 /// rule parses this const to cross-check client paths and tests against
 /// the routes actually served — keep it in sync with the dispatch in
-/// [`route_triple`].
+/// `route_triple`.
 pub const TRIPLE_ENDPOINTS: [&str; 4] = ["profile", "kernels", "roofline", "dominant"];
 
 /// Raw durable-store record routes: `GET` reads the stored record
@@ -38,8 +38,8 @@ pub const TRIPLE_ENDPOINTS: [&str; 4] = ["profile", "kernels", "roofline", "domi
 /// both spellings so `cactus-lint`'s surface rule accepts consumer paths
 /// built from a joined `device/scale/workload` key or from the triple's
 /// parts.
-pub const STORE_RECORD_ROUTE: &str = "/v1/store/record/{key}";
-/// Triple-shaped spelling of [`STORE_RECORD_ROUTE`].
+pub(crate) const STORE_RECORD_ROUTE: &str = "/v1/store/record/{key}";
+/// Triple-shaped spelling of `STORE_RECORD_ROUTE`.
 pub const STORE_RECORD_TRIPLE_ROUTE: &str = "/v1/store/record/{device}/{scale}/{workload}";
 
 /// Content type of CSV bodies.
@@ -50,7 +50,7 @@ pub const TEXT: &str = "text/plain; charset=utf-8";
 /// Route one parsed request to a response. `ctx` is the request's
 /// `serve.request` span; handlers hang their sub-spans off it.
 #[must_use]
-pub fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
+pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let record_key = req.path.strip_prefix("/v1/store/record/");
     let workloads_post = req.method == "POST" && req.path == "/v1/workloads";
     if req.method != "GET" && !(req.method == "POST" && record_key.is_some()) && !workloads_post {

@@ -1,4 +1,4 @@
-//! The serve tier on the shared [`daemon`](crate::daemon) skeleton:
+//! The serve tier on the shared [`daemon`] skeleton:
 //! configuration, the state every worker shares, the [`Handler`] that
 //! turns one request into the LRU → store → single-flight-simulation walk
 //! of [`routes`], startup cache warming, and the background compactor.
@@ -79,14 +79,14 @@ pub struct ServerState {
     /// The LRU response cache (first level).
     pub cache: ResponseCache,
     /// Request counters and the latency histogram.
-    pub metrics: ServerMetrics,
+    pub(crate) metrics: ServerMetrics,
     /// The central registry every `cactus_serve_*` metric lives in; renders
     /// `/v1/metricsz` through the shared exposition code.
     pub registry: MetricsRegistry,
     /// Span ring (and optional JSONL log) behind `/v1/tracez`.
     pub tracer: Tracer,
     /// The online kernel-similarity service behind `/v1/similar`.
-    pub sim: SimService,
+    pub(crate) sim: SimService,
     config: ServeConfig,
     /// Values owned elsewhere (cache, service, config), mirrored into
     /// registry gauges at scrape time so one renderer covers everything.
@@ -204,7 +204,7 @@ impl ServerState {
     /// Render the `/v1/metricsz` body via the shared exposition renderer,
     /// refreshing the scrape-time gauges first.
     #[must_use]
-    pub fn render_metrics(&self) -> String {
+    pub(crate) fn render_metrics(&self) -> String {
         self.scraped.queue_capacity.set(self.config.queue as f64);
         self.scraped.workers.set(self.config.workers as f64);
         self.scraped.cache_hits.set(self.cache.hits() as f64);

@@ -27,23 +27,23 @@ use crate::singleflight::SingleFlight;
 
 /// The device ids the catalog exposes, as URL slugs (catalog order).
 #[must_use]
-pub fn device_slugs() -> Vec<&'static str> {
+pub(crate) fn device_slugs() -> Vec<&'static str> {
     catalog::device_ids()
 }
 
 /// The scale presets the service exposes, as URL slugs.
-pub const SCALE_SLUGS: [&str; 3] = ["tiny", "small", "profile"];
+pub(crate) const SCALE_SLUGS: [&str; 3] = ["tiny", "small", "profile"];
 
 /// Look up a device preset by its URL slug (case-insensitive), against
 /// the full device catalog.
 #[must_use]
-pub fn device_by_slug(slug: &str) -> Option<Device> {
+pub(crate) fn device_by_slug(slug: &str) -> Option<Device> {
     catalog::by_id(slug).map(catalog::CatalogEntry::device)
 }
 
 /// Look up a suite scale by its URL slug (case-insensitive).
 #[must_use]
-pub fn scale_by_slug(slug: &str) -> Option<SuiteScale> {
+pub(crate) fn scale_by_slug(slug: &str) -> Option<SuiteScale> {
     match slug.to_ascii_lowercase().as_str() {
         "tiny" => Some(SuiteScale::Tiny),
         "small" => Some(SuiteScale::Small),
@@ -63,7 +63,7 @@ fn scale_slug(scale: SuiteScale) -> &'static str {
 /// A workload submitted through `POST /v1/workloads` as a `cactus-wir`
 /// definition: the validated AST plus the canonical source it was parsed
 /// from (the source is what the store persists and `/v1/workloads` echoes).
-pub struct WirWorkload {
+pub(crate) struct WirWorkload {
     /// The definition's `workload "<name>"` header, used as the URL slug.
     pub name: String,
     /// Source text as submitted (the durable store holds these bytes).
@@ -74,7 +74,7 @@ pub struct WirWorkload {
 
 /// A servable workload: a Cactus suite member, a PRT comparison benchmark,
 /// or a submitted IR definition.
-pub enum ServableWorkload {
+pub(crate) enum ServableWorkload {
     /// One of the ten Cactus workloads (keyed by abbreviation).
     Cactus(Workload),
     /// One Parboil/Rodinia/Tango benchmark (keyed by name).
@@ -87,7 +87,7 @@ impl ServableWorkload {
     /// Canonical name: the Cactus abbreviation, the PRT benchmark name, or
     /// the IR definition's workload name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             ServableWorkload::Cactus(w) => w.abbr,
             ServableWorkload::Prt(b) => b.name,
@@ -99,7 +99,7 @@ impl ServableWorkload {
 /// Resolve a workload by name: Cactus abbreviations match
 /// case-insensitively (`gms` → `GMS`), PRT benchmarks by exact name.
 #[must_use]
-pub fn workload_by_name(name: &str) -> Option<ServableWorkload> {
+pub(crate) fn workload_by_name(name: &str) -> Option<ServableWorkload> {
     if let Some(w) = workloads::by_abbr(&name.to_ascii_uppercase()) {
         return Some(ServableWorkload::Cactus(w));
     }
@@ -278,7 +278,7 @@ pub struct Triple {
     /// The resolved scale.
     pub scale: SuiteScale,
     /// The resolved workload.
-    pub workload: ServableWorkload,
+    pub(crate) workload: ServableWorkload,
 }
 
 impl Triple {
@@ -299,7 +299,7 @@ impl Triple {
     ///
     /// Returns a human-readable message naming the unknown segment and the
     /// valid options.
-    pub fn resolve_with(
+    pub(crate) fn resolve_with(
         device: &str,
         scale: &str,
         workload: &str,
@@ -358,7 +358,7 @@ pub enum ProfileSource {
 impl ProfileSource {
     /// The lower-case name spans and pages tag a request's source with.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ProfileSource::Store => "store",
             ProfileSource::Simulated => "simulated",
@@ -426,7 +426,7 @@ impl ProfileService {
     /// Fails if a device id is not in the catalog, a metric name is
     /// already registered, or the store cannot be opened/recovered — in
     /// particular when another process (or service) has the directory open.
-    pub fn with_registry(
+    pub(crate) fn with_registry(
         store_dir: Option<PathBuf>,
         devices: &[String],
         registry: &MetricsRegistry,
@@ -527,13 +527,13 @@ impl ProfileService {
 
     /// The catalog ids this backend models, in construction order.
     #[must_use]
-    pub fn modeled(&self) -> Vec<&'static str> {
+    pub(crate) fn modeled(&self) -> Vec<&'static str> {
         self.pools.iter().map(|(id, _)| *id).collect()
     }
 
     /// Whether this backend models the given catalog id.
     #[must_use]
-    pub fn models(&self, device_slug: &str) -> bool {
+    pub(crate) fn models(&self, device_slug: &str) -> bool {
         self.pools
             .iter()
             .any(|(id, _)| id.eq_ignore_ascii_case(device_slug))
@@ -679,7 +679,7 @@ impl ProfileService {
     ///
     /// Returns a human-readable message for unparseable bodies, keys that
     /// name no catalog device, rejected definitions, or store failures.
-    pub fn ingest_record(&self, key: &str, text: &str) -> Result<(), String> {
+    pub(crate) fn ingest_record(&self, key: &str, text: &str) -> Result<(), String> {
         if let Some(name) = key.strip_prefix(WIR_KEY_PREFIX) {
             let def = validate_submission(text).map_err(|r| match r {
                 WorkloadRejection::Invalid(findings) => format!(
@@ -726,7 +726,7 @@ impl ProfileService {
     /// [`WorkloadRejection::Invalid`] carries validator findings (nothing
     /// was persisted); [`WorkloadRejection::Conflict`] a built-in name
     /// collision; [`WorkloadRejection::Store`] a persistence failure.
-    pub fn register_wir(
+    pub(crate) fn register_wir(
         &self,
         source: &str,
         ctx: Option<SpanCtx<'_>>,
@@ -836,7 +836,7 @@ impl ProfileService {
     /// # Errors
     ///
     /// Returns a human-readable message naming the unknown segment.
-    pub fn resolve_triple(
+    pub(crate) fn resolve_triple(
         &self,
         device: &str,
         scale: &str,
@@ -849,19 +849,19 @@ impl ProfileService {
 
     /// Look up one submitted definition by name.
     #[must_use]
-    pub fn wir_workload(&self, name: &str) -> Option<Arc<WirWorkload>> {
+    pub(crate) fn wir_workload(&self, name: &str) -> Option<Arc<WirWorkload>> {
         self.wir.lock().get(name).cloned()
     }
 
     /// Names of every registered submitted definition, sorted.
     #[must_use]
-    pub fn wir_names(&self) -> Vec<String> {
+    pub(crate) fn wir_names(&self) -> Vec<String> {
         self.wir.lock().keys().cloned().collect()
     }
 
     /// Registered submitted definitions.
     #[must_use]
-    pub fn wir_count(&self) -> usize {
+    pub(crate) fn wir_count(&self) -> usize {
         self.wir.lock().len()
     }
 
@@ -936,18 +936,12 @@ impl ProfileService {
     /// Aggregated launch-memo counters across every engine pool (completed
     /// checkouts only).
     #[must_use]
-    pub fn engine_memo_stats(&self) -> MemoStats {
+    pub(crate) fn engine_memo_stats(&self) -> MemoStats {
         self.pools
             .iter()
             .fold(MemoStats::default(), |acc, (_, pool)| {
                 acc.merged(&pool.memo_stats())
             })
-    }
-
-    /// Total engines created across all pools.
-    #[must_use]
-    pub fn engines(&self) -> u64 {
-        self.pools.iter().map(|(_, pool)| pool.engines()).sum()
     }
 }
 
@@ -1020,7 +1014,14 @@ mod tests {
         assert_eq!(p2.document, p.document);
         assert_eq!(svc.simulations(), 1, "store hit did not re-simulate");
         assert_eq!(svc.store_hits(), 1);
-        assert_eq!(svc.engines(), 1, "engine was reused, not recreated");
+        assert_eq!(
+            svc.pools
+                .iter()
+                .map(|(_, pool)| pool.engines())
+                .sum::<u64>(),
+            1,
+            "engine was reused, not recreated"
+        );
 
         // And the corpus survives a restart: a fresh service over the same
         // directory recovers the record without simulating.

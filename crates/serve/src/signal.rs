@@ -16,8 +16,8 @@ static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
 mod unix {
     use super::{Ordering, SHUTDOWN_REQUESTED};
 
-    pub const SIGINT: i32 = 2;
-    pub const SIGTERM: i32 = 15;
+    pub(crate) const SIGINT: i32 = 2;
+    pub(crate) const SIGTERM: i32 = 15;
 
     extern "C" {
         /// `signal(2)` from the C library `std` links anyway.
@@ -29,7 +29,7 @@ mod unix {
         SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         // SAFETY: `on_signal` is an `extern "C" fn(i32)` whose address is a
         // valid sighandler_t, and it performs only an atomic store.
         let handler = on_signal as *const () as usize;

@@ -12,10 +12,10 @@
 //!
 //! Two query forms:
 //!
-//! * `?vector=v1,...,v15&k=N` — an inline [`MetricId::ALL`]-order metric
+//! * `?vector=v1,...,v15&k=N` — an inline `MetricId::ALL`-order metric
 //!   vector, encoded and searched without touching the profile service;
 //! * `?device=&scale=&workload=[&kernel=][&k=N]` — a reference query:
-//!   the triple resolves through [`ProfileService`] (store → coalesced
+//!   the triple resolves through `ProfileService` (store → coalesced
 //!   simulation) *before* the simindex lock is taken (lock order: the
 //!   single-flight and pool ranks all sit below `SIMINDEX`), the
 //!   profile's kernels are idempotently ingested under ids
@@ -55,7 +55,7 @@ const PROXY_BUDGET: f64 = 1.0;
 /// The per-server similarity service: everything mutable sits behind one
 /// ranked lock so worker threads ingest and query without tearing the
 /// index/cluster pair apart.
-pub struct SimService {
+pub(crate) struct SimService {
     state: RankedMutex<SimState>,
 }
 
@@ -76,15 +76,13 @@ struct Fitted {
 /// Scrape-time counters mirrored into registry gauges (all zero until
 /// the encoder is fitted).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimSnapshot {
+pub(crate) struct SimSnapshot {
     /// Index counters (size, cells, probes, ...).
     pub index: IndexStats,
     /// Online clusters.
     pub clusters: usize,
     /// Bounded local re-cluster passes.
     pub reclusters: u64,
-    /// Truncated dimensionality of the encoded space (0 = unfitted).
-    pub dims: usize,
 }
 
 /// One answered similarity query.
@@ -139,7 +137,7 @@ impl Default for SimService {
 impl SimService {
     /// An empty, unfitted service.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: RankedMutex::new(rank::SIMINDEX, "serve.simindex", SimState { fitted: None }),
         }
@@ -147,7 +145,7 @@ impl SimService {
 
     /// Counters for the metrics scrape; takes and releases the lock.
     #[must_use]
-    pub fn snapshot(&self) -> SimSnapshot {
+    pub(crate) fn snapshot(&self) -> SimSnapshot {
         let guard = self.state.lock();
         guard
             .fitted
@@ -156,7 +154,6 @@ impl SimService {
                 index: f.index.stats(),
                 clusters: f.clusters.len(),
                 reclusters: f.clusters.reclusters(),
-                dims: f.encoder.dims(),
             })
     }
 
@@ -318,7 +315,7 @@ impl SimService {
     /// The `/v1/similar/stats` body: `key value` lines plus the greedy
     /// proxy subset covering every cluster within [`PROXY_BUDGET`].
     #[must_use]
-    pub fn stats_page(&self) -> String {
+    pub(crate) fn stats_page(&self) -> String {
         let guard = self.state.lock();
         let mut out = String::new();
         let Some(fitted) = guard.fitted.as_ref() else {
@@ -352,7 +349,7 @@ impl SimService {
 
 /// Handle `GET /v1/similar`.
 #[must_use]
-pub fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
+pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let query = req.query.as_deref();
     let k = match k_from_query(query) {
         Ok(k) => k,
@@ -427,7 +424,7 @@ pub fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response
 
 /// Handle `GET /v1/similar/stats`.
 #[must_use]
-pub fn stats(state: &ServerState) -> Response {
+pub(crate) fn stats(state: &ServerState) -> Response {
     Response::ok(state.sim.stats_page(), TEXT)
 }
 
@@ -519,6 +516,5 @@ mod tests {
         assert!(svc.stats_page().starts_with("fitted false"));
         let snap = svc.snapshot();
         assert_eq!(snap.index.size, 0);
-        assert_eq!(snap.dims, 0);
     }
 }

@@ -4,7 +4,7 @@
 //! When a burst of requests arrives for the same uncached (device, scale,
 //! workload) triple, simulating it once per request would multiply the most
 //! expensive step of the serving hierarchy by the burst size. A
-//! [`SingleFlight`] group keys each in-flight computation; the first caller
+//! `SingleFlight` group keys each in-flight computation; the first caller
 //! for a key becomes the **leader** and runs the closure, every concurrent
 //! caller for the same key becomes a **follower** and blocks on a condvar
 //! until the leader publishes the shared result. Once published, the key is
@@ -51,7 +51,7 @@ impl<T: Clone> Drop for LeaderGuard<'_, T> {
 
 /// A group of keyed, coalesced computations.
 #[derive(Debug)]
-pub struct SingleFlight<T: Clone> {
+pub(crate) struct SingleFlight<T: Clone> {
     inflight: RankedMutex<HashMap<String, Arc<Slot<T>>>>,
 }
 
@@ -70,14 +70,14 @@ impl<T: Clone> Default for SingleFlight<T> {
 impl<T: Clone> SingleFlight<T> {
     /// An empty group.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Run `compute` for `key`, coalescing with any concurrent call for the
     /// same key. Returns the shared result and whether this caller was the
     /// leader (i.e. actually ran `compute`).
-    pub fn run<F>(&self, key: &str, compute: F) -> (Result<T, String>, bool)
+    pub(crate) fn run<F>(&self, key: &str, compute: F) -> (Result<T, String>, bool)
     where
         F: FnOnce() -> Result<T, String>,
     {
@@ -122,18 +122,6 @@ impl<T: Clone> SingleFlight<T> {
         }
     }
 
-    /// Keys currently in flight.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inflight.lock().len()
-    }
-
-    /// True when nothing is in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn publish(&self, key: &str, slot: &Arc<Slot<T>>, result: Result<T, String>) {
         *slot.result.lock() = Some(result);
         slot.ready.notify_all();
@@ -153,7 +141,10 @@ mod tests {
         let (result, leader) = flight.run("k", || Ok(7));
         assert_eq!(result, Ok(7));
         assert!(leader);
-        assert!(flight.is_empty(), "key retired after completion");
+        assert!(
+            flight.inflight.lock().is_empty(),
+            "key retired after completion"
+        );
         // A later call starts a fresh flight.
         let (result, leader) = flight.run("k", || Ok(8));
         assert_eq!(result, Ok(8));
@@ -192,7 +183,7 @@ mod tests {
         for (result, _) in &results {
             assert_eq!(*result, Ok(1), "every caller sees the leader's value");
         }
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().is_empty());
     }
 
     #[test]
@@ -209,7 +200,7 @@ mod tests {
         let flight: SingleFlight<u32> = SingleFlight::new();
         let (result, _) = flight.run("bad", || Err("boom".to_owned()));
         assert_eq!(result, Err("boom".to_owned()));
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().is_empty());
     }
 
     #[test]
@@ -238,6 +229,6 @@ mod tests {
             (Ok(42), true) => {}
             other => panic!("unexpected outcome {other:?}"),
         }
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().is_empty());
     }
 }

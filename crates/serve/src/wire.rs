@@ -115,7 +115,7 @@ pub fn write_devices(out: &mut String, rows: &[DeviceEntry]) {
 /// # Errors
 ///
 /// [`ClientError::Parse`]: no header, a malformed row, an unknown device.
-pub fn read_devices(body: &str) -> Result<Vec<DeviceEntry>, ClientError> {
+pub(crate) fn read_devices(body: &str) -> Result<Vec<DeviceEntry>, ClientError> {
     read_rows(
         body,
         DEVICES_HEADER,
@@ -218,7 +218,7 @@ pub struct SimilarHit {
 }
 
 /// Append the `/v1/similar` table: its header, then one row per hit.
-pub fn write_similar(out: &mut String, hits: &[SimilarHit]) {
+pub(crate) fn write_similar(out: &mut String, hits: &[SimilarHit]) {
     out.push_str(SIMILAR_HEADER);
     out.push('\n');
     for h in hits {
@@ -233,7 +233,7 @@ pub fn write_similar(out: &mut String, hits: &[SimilarHit]) {
 /// # Errors
 ///
 /// [`ClientError::Parse`]: no header or a malformed row.
-pub fn read_similar(body: &str) -> Result<Vec<SimilarHit>, ClientError> {
+pub(crate) fn read_similar(body: &str) -> Result<Vec<SimilarHit>, ClientError> {
     read_rows(body, SIMILAR_HEADER, "similar", |[rank, id, distance]| {
         Some(SimilarHit {
             rank: rank.parse().ok()?,
@@ -247,7 +247,7 @@ pub fn read_similar(body: &str) -> Result<Vec<SimilarHit>, ClientError> {
 /// first line keep working; line two `devices <id> <id>...`, the devices
 /// this backend models, which the gateway builds its capability map from.
 #[must_use]
-pub fn healthz_body(devices: &[&str]) -> String {
+pub(crate) fn healthz_body(devices: &[&str]) -> String {
     format!("ok\ndevices {}\n", devices.join(" "))
 }
 

@@ -120,7 +120,7 @@ impl ClusterSet {
 
     /// Centroid of cluster `c`.
     #[must_use]
-    pub fn centroid(&self, c: usize) -> &[f64] {
+    pub(crate) fn centroid(&self, c: usize) -> &[f64] {
         self.clusters
             .get(c)
             .map_or(&[], |cl| cl.centroid.as_slice())

@@ -48,14 +48,14 @@ impl fmt::Display for EncodeError {
 
 /// The quantitative FAMD row for one kernel: Table IV metric values.
 #[must_use]
-pub fn metric_row(m: &KernelMetrics) -> Vec<f64> {
+pub(crate) fn metric_row(m: &KernelMetrics) -> Vec<f64> {
     MetricId::TABLE_IV.iter().map(|&id| m.get(id)).collect()
 }
 
 /// The qualitative FAMD row for one kernel: roofline intensity and
 /// boundedness labels.
 #[must_use]
-pub fn qual_row(m: &KernelMetrics, roofline: &Roofline) -> [&'static str; 2] {
+pub(crate) fn qual_row(m: &KernelMetrics, roofline: &Roofline) -> [&'static str; 2] {
     [
         roofline.intensity_class(m.instruction_intensity).label(),
         roofline.boundedness_class(m.gips).label(),
@@ -100,12 +100,6 @@ impl Encoder {
             roofline,
             dims,
         }
-    }
-
-    /// The underlying frozen model.
-    #[must_use]
-    pub fn model(&self) -> &FamdModel {
-        &self.model
     }
 
     /// Truncated dimensionality of the encoded space — what the index
@@ -188,7 +182,7 @@ mod tests {
     fn fit_retains_at_least_two_dims() {
         let enc = Encoder::fit(test_roofline(), &corpus(20));
         assert!(enc.dims() >= 2);
-        assert!(enc.dims() <= enc.model().encoded_cols());
+        assert!(enc.dims() <= enc.model.encoded_cols());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   `d(q, p) ≥ |d(q, c) − d(p, c)|`, both terms already known — skip `p`
 //!   when that lower bound exceeds the kth-best distance.
 //!
-//! Both prunes compare against `kth + ε·(1 + kth)` (see [`prune_margin`]):
+//! Both prunes compare against `kth + ε·(1 + kth)` (see `prune_margin`):
 //! the bound and the true distance are each computed with a few ulps of
 //! rounding, and the margin keeps a point whose float lower bound lands
 //! fractionally above the kth distance from being wrongly skipped. A
@@ -154,12 +154,6 @@ impl SimIndex {
         }
     }
 
-    /// Vector dimensionality.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Stored vectors.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -180,13 +174,13 @@ impl SimIndex {
 
     /// The id stored at `slot`.
     #[must_use]
-    pub fn id(&self, slot: usize) -> Option<&str> {
+    pub(crate) fn id(&self, slot: usize) -> Option<&str> {
         self.entries.get(slot).map(|e| e.id.as_str())
     }
 
     /// The vector stored at `slot`.
     #[must_use]
-    pub fn vector(&self, slot: usize) -> Option<&[f64]> {
+    pub(crate) fn vector(&self, slot: usize) -> Option<&[f64]> {
         self.entries.get(slot).map(|e| e.v.as_slice())
     }
 
@@ -428,7 +422,7 @@ impl SimIndex {
 /// force, clustering, and proxy selection — bit-identical comparisons
 /// everywhere.
 #[must_use]
-pub fn dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| {

@@ -6,7 +6,7 @@
 //! is set cover (NP-hard); the classic greedy — repeatedly take the kernel
 //! covering the most still-uncovered centroids, ties broken by id — gives
 //! the standard ln(n) approximation and is deterministic. Candidates are
-//! all stored kernels while the index is small; past [`MEDOID_CUTOFF`]
+//! all stored kernels while the index is small; past `MEDOID_CUTOFF`
 //! only each cluster's medoid is considered, which keeps selection
 //! O(clusters²) instead of O(n·clusters) on a large index. A centroid no
 //! candidate reaches within the budget falls back to its own cluster

@@ -91,7 +91,7 @@ const HEADER_BYTES: u64 = 8;
 const MAX_PAYLOAD_BYTES: u32 = 64 << 20;
 
 /// First line of a rendered manifest.
-pub const MANIFEST_HEADER: &str = "cactus-store manifest v1";
+pub(crate) const MANIFEST_HEADER: &str = "cactus-store manifest v1";
 
 /// The store root the fig/table bins and an unconfigured `cactus-serve`
 /// share: the `CACTUS_PROFILE_STORE` environment variable if set, else
@@ -167,10 +167,10 @@ pub fn manifest_digest(entries: &[Entry]) -> u64 {
     fnv1a64(manifest_lines(entries).as_bytes())
 }
 
-/// Render a manifest page: [`MANIFEST_HEADER`], `digest <hex>`,
+/// Render a manifest page: `MANIFEST_HEADER`, `digest <hex>`,
 /// `entries <n>`, then one `k` line per entry. Inverse of
-/// [`parse_manifest`] for keys without a tab or a line break, which every
-/// served key is.
+/// [`parse_manifest`] for keys without a tab or a line break, which
+/// [`Store::append`] refuses.
 #[must_use]
 pub fn write_manifest(entries: &[Entry]) -> String {
     let (lines, n) = (manifest_lines(entries), entries.len());
@@ -480,10 +480,19 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; on error the index is unchanged (the
-    /// bytes may still be on disk and are dropped by the next recovery
-    /// scan if torn, or harmlessly replayed if complete).
+    /// `InvalidInput`, before any byte is written, for a key holding a tab
+    /// or a line break: its manifest `k` line would not parse back, and
+    /// the whole manifest with it. Otherwise propagates filesystem errors;
+    /// on error the index is unchanged (the bytes may still be on disk and
+    /// are dropped by the next recovery scan if torn, or harmlessly
+    /// replayed if complete).
     pub fn append(&self, key: &str, version: u32, value: &[u8]) -> io::Result<()> {
+        if key.contains(['\t', '\r', '\n']) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("key {key:?} holds a tab or a line break"),
+            ));
+        }
         let (record, crc) = encode_record(key, version, value)?;
         let len = (record.len() - HEADER_BYTES as usize) as u32;
 
@@ -1025,6 +1034,21 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn append_refuses_a_key_the_manifest_cannot_carry() {
+        let dir = temp_store_dir("manifest-key");
+        let store = Store::open_with(&dir, small_opts()).expect("open");
+        store.append("a/b/c", 1, b"kept").expect("append");
+        let before = store.stats();
+        for key in ["a\tb", "a\rb", "a\nb"] {
+            let err = store.append(key, 1, b"x").expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{key:?}");
+        }
+        assert_eq!(store.stats(), before, "nothing written");
+        assert!(parse_manifest(&write_manifest(&store.entries())).is_some());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn warps(n: u64) -> u64 {
 /// shared-memory tiling over a `ws_bytes` working set. Lands right of the
 /// roofline elbow.
 #[must_use]
-pub fn compute_kernel(
+pub(crate) fn compute_kernel(
     name: &str,
     threads: u64,
     flops_per_thread: u64,
@@ -62,7 +62,7 @@ pub fn compute_kernel(
 /// `write_bytes_per_thread` per thread with few FLOPs. Lands on the memory
 /// side, on or near the bandwidth roof at scale.
 #[must_use]
-pub fn streaming_kernel(
+pub(crate) fn streaming_kernel(
     name: &str,
     threads: u64,
     read_bytes_per_thread: u32,
@@ -101,7 +101,7 @@ pub fn streaming_kernel(
 /// coalesced random reads over a working set. Deep on the memory side,
 /// often latency-limited.
 #[must_use]
-pub fn gather_kernel(
+pub(crate) fn gather_kernel(
     name: &str,
     threads: u64,
     accesses_per_thread: u64,
@@ -132,7 +132,7 @@ pub fn gather_kernel(
 
 /// A shared-memory reduction kernel.
 #[must_use]
-pub fn reduction_kernel(name: &str, threads: u64) -> KernelDesc {
+pub(crate) fn reduction_kernel(name: &str, threads: u64) -> KernelDesc {
     let w = warps(threads);
     KernelDesc::builder(name)
         .launch(LaunchConfig::linear(threads, 256).with_shared_mem(4096))

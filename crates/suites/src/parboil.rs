@@ -18,7 +18,7 @@ fn n_of(scale: Scale, tiny: usize, profile: usize) -> usize {
 
 /// Registry of the Parboil benchmarks.
 #[must_use]
-pub fn benchmarks() -> Vec<Benchmark> {
+pub(crate) fn benchmarks() -> Vec<Benchmark> {
     let b = |name, runner| Benchmark {
         name,
         suite: Suite::Parboil,

@@ -25,7 +25,7 @@ fn n_of(scale: Scale, tiny: u64, profile: u64) -> u64 {
 
 /// Registry of the Tango benchmarks.
 #[must_use]
-pub fn benchmarks() -> Vec<Benchmark> {
+pub(crate) fn benchmarks() -> Vec<Benchmark> {
     let b = |name, runner| Benchmark {
         name,
         suite: Suite::Tango,

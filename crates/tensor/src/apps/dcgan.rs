@@ -35,16 +35,6 @@ impl MlScale {
             iterations: 2,
         }
     }
-
-    /// Profiling scale used by the benchmark harness.
-    #[must_use]
-    pub fn default_profile() -> Self {
-        Self {
-            batch: 8,
-            image: 16,
-            iterations: 3,
-        }
-    }
 }
 
 /// Per-iteration losses.

@@ -25,7 +25,7 @@ use crate::tensor::Tensor;
 /// The flappy-bird environment, on a unit square with a fixed-width screen
 /// rasterization.
 #[derive(Debug, Clone)]
-pub struct FlappyEnv {
+pub(crate) struct FlappyEnv {
     /// Bird altitude in `[0, 1]`.
     pub bird_y: f64,
     /// Bird vertical velocity.
@@ -45,7 +45,7 @@ const BIRD_X: f64 = 0.3;
 impl FlappyEnv {
     /// New environment with deterministic pipe placement per seed.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         let mut env = Self {
             bird_y: 0.5,
             bird_v: 0.0,
@@ -58,7 +58,7 @@ impl FlappyEnv {
     }
 
     /// Reset the episode.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.bird_y = 0.5;
         self.bird_v = 0.0;
         self.steps = 0;
@@ -70,7 +70,7 @@ impl FlappyEnv {
     /// Advance one tick; `flap` applies the upward impulse. Returns
     /// `(reward, done)`: +0.1 per tick survived, +1 for passing a pipe,
     /// −1 on crash.
-    pub fn step(&mut self, flap: bool) -> (f64, bool) {
+    pub(crate) fn step(&mut self, flap: bool) -> (f64, bool) {
         const GRAVITY: f64 = 0.004;
         const IMPULSE: f64 = -0.035;
         const SCROLL: f64 = 0.02;
@@ -112,7 +112,7 @@ impl FlappyEnv {
 
     /// Rasterize to a `[1, 1, size, size]` grayscale screen.
     #[must_use]
-    pub fn render(&self, size: usize) -> Tensor {
+    pub(crate) fn render(&self, size: usize) -> Tensor {
         let mut t = Tensor::zeros(&[1, 1, size, size]);
         let s = size as f64;
         // Pipes: vertical bars with a gap.

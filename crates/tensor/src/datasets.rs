@@ -14,7 +14,7 @@ use crate::tensor::Tensor;
 /// (sums of random Gaussian blobs), shaped `[n, 3, size, size]` and scaled
 /// to `[-1, 1]` — the DCGAN input distribution.
 #[must_use]
-pub fn celeba_like(n: usize, size: usize, seed: u64) -> Tensor {
+pub(crate) fn celeba_like(n: usize, size: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Tensor::zeros(&[n, 3, size, size]);
     for img in 0..n {
@@ -84,7 +84,7 @@ const GLYPHS: [[u8; 7]; 10] = [
 /// rendered from glyphs with random shift and slight rotation, so a spatial
 /// transformer has geometric nuisance to remove.
 #[must_use]
-pub fn mnist_like(n: usize, size: usize, seed: u64) -> (Tensor, Vec<usize>) {
+pub(crate) fn mnist_like(n: usize, size: usize, seed: u64) -> (Tensor, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Tensor::zeros(&[n, 1, size, size]);
     let mut labels = Vec::with_capacity(n);
@@ -118,7 +118,7 @@ pub fn mnist_like(n: usize, size: usize, seed: u64) -> (Tensor, Vec<usize>) {
 
 /// A structured "content" image (smooth gradient + shapes).
 #[must_use]
-pub fn content_image(size: usize, seed: u64) -> Tensor {
+pub(crate) fn content_image(size: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Tensor::zeros(&[1, 3, size, size]);
     let cx = rng.gen_range(0.25..0.75) * size as f32;
@@ -139,7 +139,7 @@ pub fn content_image(size: usize, seed: u64) -> Tensor {
 
 /// A high-frequency "style" image (oriented stripes + texture noise).
 #[must_use]
-pub fn style_image(size: usize, seed: u64) -> Tensor {
+pub(crate) fn style_image(size: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     let freq = rng.gen_range(0.5..1.5);
     let mut t = Tensor::zeros(&[1, 3, size, size]);
@@ -161,7 +161,7 @@ pub fn style_image(size: usize, seed: u64) -> Tensor {
 /// vocabulary) — a mapping a seq2seq model can actually learn. Token 0 is
 /// BOS, token 1 is EOS.
 #[must_use]
-pub fn translation_corpus(
+pub(crate) fn translation_corpus(
     sentences: usize,
     vocab: usize,
     len: usize,

@@ -25,7 +25,7 @@ const NR: usize = 8;
 
 /// Output spatial size of a strided, padded convolution.
 #[must_use]
-pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
+pub(crate) fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
     (input + 2 * pad - kernel) / stride + 1
 }
 
@@ -212,7 +212,7 @@ fn tile<const R: usize>(a: &[f32], b: &[f32]) -> [[f32; NR]; R] {
 /// of every image side by side (columns `(b, oy, ox)`), packed `NR`
 /// columns at a time.
 #[must_use]
-pub fn conv_fwd(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
+pub(crate) fn conv_fwd(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
     let (n, ic, h, ww) = dims4(x);
     let (oc, ic2, kh, kw) = dims4(w);
     assert_eq!(ic, ic2, "channel mismatch");
@@ -257,7 +257,7 @@ pub fn conv_fwd(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
 /// the taps with `ky mod s = py` and `kx mod s = px`, each through exactly
 /// one `(oy, ox)`; any other tap would multiply a padding zero.
 #[must_use]
-pub fn conv_dgrad(
+pub(crate) fn conv_dgrad(
     dout: &Tensor,
     w: &Tensor,
     stride: usize,
@@ -361,7 +361,7 @@ pub fn conv_dgrad(
 /// `dw` image by image: the batch cannot join the reduction, because each
 /// image's sum is rounded before it is added.
 #[must_use]
-pub fn conv_wgrad(
+pub(crate) fn conv_wgrad(
     x: &Tensor,
     dout: &Tensor,
     stride: usize,
@@ -405,7 +405,7 @@ pub fn conv_wgrad(
 ///
 /// Panics if the tensor is not 4-D.
 #[must_use]
-pub fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
+pub(crate) fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
     let s = t.shape();
     assert_eq!(s.len(), 4, "expected a 4-D tensor, got {s:?}");
     (s[0], s[1], s[2], s[3])

@@ -25,7 +25,7 @@ pub type VarId = usize;
 /// Whether a normalization op normalizes per-channel over the batch
 /// (batch norm) or per-sample-and-channel (instance norm).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NormScope {
+pub(crate) enum NormScope {
     /// Normalize over (N, H, W) per channel.
     Batch,
     /// Normalize over (H, W) per sample and channel.
@@ -214,37 +214,10 @@ impl Graph {
         &self.nodes[id].value
     }
 
-    /// Overwrite a node's value in place (used by optimizers and
-    /// environment feeds). Shape must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn set_value(&mut self, id: VarId, value: Tensor) {
-        assert_eq!(
-            self.nodes[id].value.shape(),
-            value.shape(),
-            "set_value must preserve shape"
-        );
-        self.nodes[id].value = value;
-    }
-
     /// Gradient accumulated at a node, if any.
     #[must_use]
     pub fn grad(&self, id: VarId) -> Option<&Tensor> {
         self.nodes[id].grad.as_ref()
-    }
-
-    /// Number of nodes currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the graph holds no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     fn acc_grad(&mut self, id: VarId, g: Tensor) {

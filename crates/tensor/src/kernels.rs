@@ -21,7 +21,7 @@ fn warps(n: u64) -> u64 {
 
 /// GEMM: `C[m×n] += A[m×k] · B[k×n]`, with cuBLAS-style tile selection and
 /// `nn`/`tn`/`nt` layout suffixes.
-pub fn gemm(gpu: &mut Gpu, m: usize, n: usize, k: usize, ta: bool, tb: bool) {
+pub(crate) fn gemm(gpu: &mut Gpu, m: usize, n: usize, k: usize, ta: bool, tb: bool) {
     let (m64, n64, k64) = (m as u64, n as u64, k as u64);
     let layout = match (ta, tb) {
         (false, false) => "nn",
@@ -126,7 +126,7 @@ pub fn gemm(gpu: &mut Gpu, m: usize, n: usize, k: usize, ta: bool, tb: bool) {
 
 /// Convolution algorithm chosen for a shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvAlgo {
+pub(crate) enum ConvAlgo {
     /// 1×1 kernels lower to a plain implicit GEMM.
     ImplicitGemm1x1,
     /// 3×3 stride-1 uses Winograd.
@@ -137,7 +137,7 @@ pub enum ConvAlgo {
 
 /// The algorithm cuDNN-style selection picks for a convolution shape.
 #[must_use]
-pub fn conv_algo(kh: usize, kw: usize, stride: usize) -> ConvAlgo {
+pub(crate) fn conv_algo(kh: usize, kw: usize, stride: usize) -> ConvAlgo {
     if kh == 1 && kw == 1 {
         ConvAlgo::ImplicitGemm1x1
     } else if kh == 3 && kw == 3 && stride == 1 {
@@ -149,7 +149,7 @@ pub fn conv_algo(kh: usize, kw: usize, stride: usize) -> ConvAlgo {
 
 /// Shared sizing for the convolution kernel family.
 #[derive(Debug, Clone, Copy)]
-pub struct ConvShape {
+pub(crate) struct ConvShape {
     /// Batch size.
     pub n: usize,
     /// Input channels.
@@ -225,7 +225,7 @@ fn conv_kernel(name: String, s: &ConvShape, flop_scale: f64) -> KernelDesc {
 }
 
 /// Forward convolution.
-pub fn conv2d_fwd(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_fwd(gpu: &mut Gpu, s: &ConvShape) {
     let (name, scale) = match conv_algo(s.kh, s.kw, s.stride) {
         ConvAlgo::ImplicitGemm1x1 => ("ampere_scudnn_128x64_relu_interior_nn".to_owned(), 1.0),
         ConvAlgo::Winograd => (
@@ -239,19 +239,19 @@ pub fn conv2d_fwd(gpu: &mut Gpu, s: &ConvShape) {
 
 /// Backward-data convolution (also used as the forward pass of transposed
 /// convolutions, as cuDNN does).
-pub fn conv2d_dgrad(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_dgrad(gpu: &mut Gpu, s: &ConvShape) {
     gpu.launch(&conv_kernel("dgrad2d_alg1_1_engine".to_owned(), s, 1.0));
 }
 
 /// Backward-filter convolution.
-pub fn conv2d_wgrad(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_wgrad(gpu: &mut Gpu, s: &ConvShape) {
     gpu.launch(&conv_kernel("wgrad_alg0_engine_NHWC".to_owned(), s, 1.0));
 }
 
 /// Elementwise kernel over `n` elements reading `arity` inputs and
 /// performing `flops` FP32 ops per element. PyTorch's TensorIterator emits
 /// a vectorized variant when the size is 4-aligned.
-pub fn elementwise(gpu: &mut Gpu, op: &str, n: usize, arity: usize, flops: u64) {
+pub(crate) fn elementwise(gpu: &mut Gpu, op: &str, n: usize, arity: usize, flops: u64) {
     let n64 = n as u64;
     let w = warps(n64);
     let name = if n.is_multiple_of(4) {
@@ -282,7 +282,7 @@ pub fn elementwise(gpu: &mut Gpu, op: &str, n: usize, arity: usize, flops: u64) 
 }
 
 /// Reduction of `n` elements; big reductions run the two-pass variant.
-pub fn reduce(gpu: &mut Gpu, what: &str, n: usize) {
+pub(crate) fn reduce(gpu: &mut Gpu, what: &str, n: usize) {
     let n64 = (n as u64).max(1);
     let w = warps(n64);
     let name = if n64 > 1 << 16 {
@@ -311,7 +311,7 @@ pub fn reduce(gpu: &mut Gpu, what: &str, n: usize) {
 }
 
 /// Softmax over `rows × cols`; small rows use the warp-level kernel.
-pub fn softmax(gpu: &mut Gpu, rows: usize, cols: usize, backward: bool, log: bool) {
+pub(crate) fn softmax(gpu: &mut Gpu, rows: usize, cols: usize, backward: bool, log: bool) {
     let total = (rows * cols) as u64;
     let w = warps(total);
     let dir = if backward { "backward" } else { "forward" };
@@ -340,7 +340,7 @@ pub fn softmax(gpu: &mut Gpu, rows: usize, cols: usize, backward: bool, log: boo
 
 /// Batch/instance-norm forward: statistics collection + transform
 /// (two launches, matching cuDNN).
-pub fn batchnorm_fwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
+pub(crate) fn batchnorm_fwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
     let total = (n * c * hw) as u64;
     let w = warps(total);
     gpu.launch(
@@ -380,7 +380,7 @@ pub fn batchnorm_fwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
 }
 
 /// Batch/instance-norm backward: gradient reduction + elementwise apply.
-pub fn batchnorm_bwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
+pub(crate) fn batchnorm_bwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
     let total = (n * c * hw) as u64;
     let w = warps(total);
     gpu.launch(
@@ -416,7 +416,7 @@ pub fn batchnorm_bwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
 
 /// Embedding gather: `n_idx` Zipf-skewed lookups of `dim`-wide rows from a
 /// `vocab × dim` table.
-pub fn embedding_fwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
+pub(crate) fn embedding_fwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
     let total = (n_idx * dim) as u64;
     let w = warps(total);
     let kd = KernelDesc::builder("indexSelectLargeIndex_kernel")
@@ -443,7 +443,7 @@ pub fn embedding_fwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
 }
 
 /// Embedding backward: scatter-add of gradients into the table.
-pub fn embedding_bwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
+pub(crate) fn embedding_bwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
     let total = (n_idx * dim) as u64;
     let w = warps(total);
     let kd = KernelDesc::builder("embedding_backward_feature_kernel")
@@ -471,7 +471,7 @@ pub fn embedding_bwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
 }
 
 /// Max-pool forward (`backward` flips to the backward kernel).
-pub fn maxpool(gpu: &mut Gpu, n_out: usize, window: usize, backward: bool) {
+pub(crate) fn maxpool(gpu: &mut Gpu, n_out: usize, window: usize, backward: bool) {
     let total = n_out as u64;
     let w = warps(total);
     let name = if backward {
@@ -498,7 +498,7 @@ pub fn maxpool(gpu: &mut Gpu, n_out: usize, window: usize, backward: bool) {
 }
 
 /// Grid-sample (bilinear) forward/backward for spatial transformers.
-pub fn grid_sample(gpu: &mut Gpu, n_out: usize, input_bytes: u64, backward: bool) {
+pub(crate) fn grid_sample(gpu: &mut Gpu, n_out: usize, input_bytes: u64, backward: bool) {
     let total = n_out as u64;
     let w = warps(total);
     let name = if backward {
@@ -529,7 +529,7 @@ pub fn grid_sample(gpu: &mut Gpu, n_out: usize, input_bytes: u64, backward: bool
 }
 
 /// Affine grid generation for spatial transformers.
-pub fn affine_grid(gpu: &mut Gpu, n_points: usize) {
+pub(crate) fn affine_grid(gpu: &mut Gpu, n_points: usize) {
     let total = n_points as u64;
     let kd = KernelDesc::builder("affine_grid_generator_kernel")
         .launch(LaunchConfig::linear(total, 256))
@@ -545,7 +545,7 @@ pub fn affine_grid(gpu: &mut Gpu, n_points: usize) {
 }
 
 /// Tensor copy / concatenation.
-pub fn copy(gpu: &mut Gpu, what: &str, n: usize) {
+pub(crate) fn copy(gpu: &mut Gpu, what: &str, n: usize) {
     let total = (n as u64).max(1);
     let kd = KernelDesc::builder(format!("CatArrayBatchedCopy_{what}"))
         .launch(LaunchConfig::linear(total, 256))
@@ -559,7 +559,7 @@ pub fn copy(gpu: &mut Gpu, what: &str, n: usize) {
 /// Fused Adam parameter update over `n` parameters: reads parameter,
 /// gradient and both moments, writes all but the gradient — the heavily
 /// memory-bound optimizer kernel that dominates LGT-style training.
-pub fn adam_step(gpu: &mut Gpu, n: usize) {
+pub(crate) fn adam_step(gpu: &mut Gpu, n: usize) {
     let total = (n as u64).max(1);
     let w = warps(total);
     let kd = KernelDesc::builder("multi_tensor_apply_adam_kernel")
@@ -583,7 +583,7 @@ pub fn adam_step(gpu: &mut Gpu, n: usize) {
 }
 
 /// Fused SGD (+momentum) update.
-pub fn sgd_step(gpu: &mut Gpu, n: usize) {
+pub(crate) fn sgd_step(gpu: &mut Gpu, n: usize) {
     let total = (n as u64).max(1);
     let w = warps(total);
     let kd = KernelDesc::builder("sgd_momentum_update_kernel")

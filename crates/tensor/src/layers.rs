@@ -29,7 +29,7 @@ fn update_param(
 
 /// Fully connected layer `[in] → [out]` with bias.
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub(crate) struct Linear {
     /// Weight `[in, out]`.
     pub weight: Tensor,
     /// Bias `[out]`.
@@ -41,7 +41,7 @@ pub struct Linear {
 impl Linear {
     /// Xavier-initialized linear layer.
     #[must_use]
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
         Self {
             weight: Tensor::randn(&[in_dim, out_dim], std, seed),
@@ -52,7 +52,7 @@ impl Linear {
     }
 
     /// Forward `x[n,in] → [n,out]`.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -62,7 +62,7 @@ impl Linear {
     }
 
     /// Apply accumulated gradients.
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
@@ -70,7 +70,7 @@ impl Linear {
 
 /// 2-D convolution layer.
 #[derive(Debug, Clone)]
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     /// Weight `[oc, ic, k, k]`.
     pub weight: Tensor,
     /// Bias `[oc]`.
@@ -86,7 +86,14 @@ pub struct Conv2d {
 impl Conv2d {
     /// He-initialized convolution.
     #[must_use]
-    pub fn new(ic: usize, oc: usize, k: usize, stride: usize, pad: usize, seed: u64) -> Self {
+    pub(crate) fn new(
+        ic: usize,
+        oc: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Self {
         let std = (2.0 / (ic * k * k) as f32).sqrt();
         Self {
             weight: Tensor::randn(&[oc, ic, k, k], std, seed),
@@ -99,7 +106,7 @@ impl Conv2d {
     }
 
     /// Forward NCHW convolution.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -109,7 +116,7 @@ impl Conv2d {
     }
 
     /// Apply accumulated gradients.
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
@@ -117,7 +124,7 @@ impl Conv2d {
 
 /// Transposed 2-D convolution layer (upsampling).
 #[derive(Debug, Clone)]
-pub struct ConvTranspose2d {
+pub(crate) struct ConvTranspose2d {
     /// Weight `[ic, oc, k, k]`.
     pub weight: Tensor,
     /// Bias `[oc]`.
@@ -133,7 +140,14 @@ pub struct ConvTranspose2d {
 impl ConvTranspose2d {
     /// He-initialized transposed convolution.
     #[must_use]
-    pub fn new(ic: usize, oc: usize, k: usize, stride: usize, pad: usize, seed: u64) -> Self {
+    pub(crate) fn new(
+        ic: usize,
+        oc: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Self {
         let std = (2.0 / (ic * k * k) as f32).sqrt();
         Self {
             weight: Tensor::randn(&[ic, oc, k, k], std, seed),
@@ -146,7 +160,7 @@ impl ConvTranspose2d {
     }
 
     /// Forward NCHW transposed convolution.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -156,20 +170,19 @@ impl ConvTranspose2d {
     }
 
     /// Apply accumulated gradients.
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
 }
 
-/// Batch or instance normalization layer.
+/// Batch normalization layer.
 #[derive(Debug, Clone)]
-pub struct Norm2d {
+pub(crate) struct Norm2d {
     /// Scale `[c]`.
     pub gamma: Tensor,
     /// Shift `[c]`.
     pub beta: Tensor,
-    instance: bool,
     g_id: Option<VarId>,
     b_id: Option<VarId>,
 }
@@ -177,40 +190,26 @@ pub struct Norm2d {
 impl Norm2d {
     /// Batch normalization over `c` channels.
     #[must_use]
-    pub fn batch(c: usize) -> Self {
+    pub(crate) fn batch(c: usize) -> Self {
         Self {
             gamma: Tensor::full(&[c], 1.0),
             beta: Tensor::zeros(&[c]),
-            instance: false,
             g_id: None,
             b_id: None,
         }
     }
 
-    /// Instance normalization over `c` channels.
-    #[must_use]
-    pub fn instance(c: usize) -> Self {
-        Self {
-            instance: true,
-            ..Self::batch(c)
-        }
-    }
-
     /// Forward normalization.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
         let gamma = g.param(self.gamma.clone());
         let beta = g.param(self.beta.clone());
         self.g_id = Some(gamma);
         self.b_id = Some(beta);
-        if self.instance {
-            g.instancenorm2d(gpu, x, gamma, beta)
-        } else {
-            g.batchnorm2d(gpu, x, gamma, beta)
-        }
+        g.batchnorm2d(gpu, x, gamma, beta)
     }
 
     /// Apply accumulated gradients.
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         update_param(g, opt, gpu, self.g_id.take(), &mut self.gamma);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.beta);
     }
@@ -218,7 +217,7 @@ impl Norm2d {
 
 /// Token-embedding layer.
 #[derive(Debug, Clone)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     /// Table `[vocab, dim]`.
     pub table: Tensor,
     t_id: Option<VarId>,
@@ -227,7 +226,7 @@ pub struct Embedding {
 impl Embedding {
     /// Gaussian-initialized embedding table.
     #[must_use]
-    pub fn new(vocab: usize, dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(vocab: usize, dim: usize, seed: u64) -> Self {
         Self {
             table: Tensor::randn(&[vocab, dim], 0.1, seed),
             t_id: None,
@@ -235,14 +234,14 @@ impl Embedding {
     }
 
     /// Gather `indices` → `[len, dim]`.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, indices: &[usize]) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, indices: &[usize]) -> VarId {
         let t = g.param(self.table.clone());
         self.t_id = Some(t);
         g.embedding(gpu, t, indices)
     }
 
     /// Apply accumulated gradients.
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         update_param(g, opt, gpu, self.t_id.take(), &mut self.table);
     }
 }
@@ -250,7 +249,7 @@ impl Embedding {
 /// A GRU cell built from the framework's primitive ops (matmul, sigmoid,
 /// tanh, Hadamard products), as PyTorch does without the fused cuDNN RNN.
 #[derive(Debug, Clone)]
-pub struct GruCell {
+pub(crate) struct GruCell {
     /// Update-gate input weights.
     pub wz: Linear,
     /// Update-gate hidden weights.
@@ -268,7 +267,7 @@ pub struct GruCell {
 impl GruCell {
     /// A GRU cell `[in] → [hidden]`.
     #[must_use]
-    pub fn new(in_dim: usize, hidden: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, hidden: usize, seed: u64) -> Self {
         Self {
             wz: Linear::new(in_dim, hidden, seed),
             uz: Linear::new(hidden, hidden, seed + 1),
@@ -280,7 +279,7 @@ impl GruCell {
     }
 
     /// One step: `h' = h̃ + z ⊙ (h − h̃)`.
-    pub fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId, h: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId, h: VarId) -> VarId {
         let z_in = self.wz.forward(g, gpu, x);
         let z_h = self.uz.forward(g, gpu, h);
         let z_pre = g.add(gpu, z_in, z_h);
@@ -304,7 +303,7 @@ impl GruCell {
     }
 
     /// Apply accumulated gradients (fixed order: z, r, h gates).
-    pub fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
         self.wz.update(g, opt, gpu);
         self.uz.update(g, opt, gpu);
         self.wr.update(g, opt, gpu);
@@ -406,11 +405,8 @@ mod tests {
         let mut gpu = gpu();
         let mut g = Graph::new();
         let mut bn = Norm2d::batch(4);
-        let mut inn = Norm2d::instance(4);
         let x = g.input(Tensor::randn(&[2, 4, 4, 4], 3.0, 5));
-        let y1 = bn.forward(&mut g, &mut gpu, x);
-        let y2 = inn.forward(&mut g, &mut gpu, x);
-        assert!(g.value(y1).mean().abs() < 1e-4);
-        assert!(g.value(y2).mean().abs() < 1e-4);
+        let y = bn.forward(&mut g, &mut gpu, x);
+        assert!(g.value(y).mean().abs() < 1e-4);
     }
 }

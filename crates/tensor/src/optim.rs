@@ -1,7 +1,7 @@
 //! Optimizers: SGD with momentum and Adam, each lowering to its fused
 //! update kernel.
 //!
-//! Optimizer state is keyed by the order of [`Optimizer::update`] calls
+//! Optimizer state is keyed by the order of `Optimizer::update` calls
 //! within a step (`begin_step` resets the slot counter), so applications
 //! must update their layers in a fixed order every iteration — the same
 //! contract PyTorch's parameter groups impose.
@@ -12,7 +12,7 @@ use crate::kernels;
 use crate::tensor::Tensor;
 
 /// Common optimizer interface.
-pub trait Optimizer {
+pub(crate) trait Optimizer {
     /// Start a new optimization step (resets the per-step slot counter and
     /// advances time-dependent state such as Adam's bias correction).
     fn begin_step(&mut self);
@@ -25,7 +25,7 @@ pub trait Optimizer {
 
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
-pub struct Sgd {
+pub(crate) struct Sgd {
     lr: f32,
     momentum: f32,
     velocity: Vec<Vec<f32>>,
@@ -35,7 +35,7 @@ pub struct Sgd {
 impl Sgd {
     /// SGD with the given learning rate and momentum coefficient.
     #[must_use]
-    pub fn new(lr: f32, momentum: f32) -> Self {
+    pub(crate) fn new(lr: f32, momentum: f32) -> Self {
         Self {
             lr,
             momentum,
@@ -80,7 +80,7 @@ impl Optimizer for Sgd {
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
@@ -95,13 +95,13 @@ impl Adam {
     /// Adam with the given learning rate and the standard betas
     /// (0.9, 0.999).
     #[must_use]
-    pub fn new(lr: f32) -> Self {
+    pub(crate) fn new(lr: f32) -> Self {
         Self::with_betas(lr, 0.9, 0.999)
     }
 
     /// Adam with explicit betas (DCGAN uses β₁ = 0.5).
     #[must_use]
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
+    pub(crate) fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
         Self {
             lr,
             beta1,

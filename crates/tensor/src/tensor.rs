@@ -22,7 +22,7 @@ impl Tensor {
 
     /// Tensor filled with one value.
     #[must_use]
-    pub fn full(shape: &[usize], value: f32) -> Self {
+    pub(crate) fn full(shape: &[usize], value: f32) -> Self {
         Self {
             shape: shape.to_vec(),
             data: vec![value; shape.iter().product()],
@@ -69,20 +69,9 @@ impl Tensor {
         }
     }
 
-    /// Uniform(lo, hi) tensor from a seeded RNG.
-    #[must_use]
-    pub fn uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = shape.iter().product();
-        Self {
-            shape: shape.to_vec(),
-            data: (0..n).map(|_| rng.gen_range(lo..hi)).collect(),
-        }
-    }
-
     /// Shape.
     #[must_use]
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         &self.shape
     }
 
@@ -115,7 +104,7 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     #[must_use]
-    pub fn reshaped(&self, shape: &[usize]) -> Self {
+    pub(crate) fn reshaped(&self, shape: &[usize]) -> Self {
         assert_eq!(
             self.len(),
             shape.iter().product::<usize>(),
@@ -129,7 +118,7 @@ impl Tensor {
 
     /// Element at a 2-D index (row-major).
     #[must_use]
-    pub fn at2(&self, r: usize, c: usize) -> f32 {
+    pub(crate) fn at2(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.shape[1] + c]
     }
 
@@ -143,13 +132,13 @@ impl Tensor {
 
     /// Sum of elements.
     #[must_use]
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
     /// Mean of elements (0 for empty tensors).
     #[must_use]
-    pub fn mean(&self) -> f32 {
+    pub(crate) fn mean(&self) -> f32 {
         if self.data.is_empty() {
             0.0
         } else {
@@ -166,7 +155,7 @@ impl Tensor {
 
     /// Bytes occupied by the data.
     #[must_use]
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<f32>()) as u64
     }
 }
@@ -212,12 +201,6 @@ mod tests {
     #[test]
     fn randn_is_deterministic() {
         assert_eq!(Tensor::randn(&[16], 1.0, 5), Tensor::randn(&[16], 1.0, 5));
-    }
-
-    #[test]
-    fn uniform_bounds() {
-        let t = Tensor::uniform(&[1000], -2.0, 3.0, 9);
-        assert!(t.data().iter().all(|&x| (-2.0..3.0).contains(&x)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Surface spelling, as lexed and printed.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CmpOp::Lt => "<",
             CmpOp::Le => "<=",
@@ -176,19 +176,6 @@ pub enum Stmt {
     },
 }
 
-impl Stmt {
-    /// The 1-based line the statement starts on.
-    #[must_use]
-    pub fn line(&self) -> u32 {
-        match self {
-            Stmt::Launch { line, .. }
-            | Stmt::Call { line, .. }
-            | Stmt::Repeat { line, .. }
-            | Stmt::Select { line, .. } => *line,
-        }
-    }
-}
-
 /// One parsed `workload "name" { … }` definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadDef {
@@ -207,15 +194,9 @@ pub struct WorkloadDef {
 }
 
 impl WorkloadDef {
-    /// Look up a kernel declaration by schedule identifier.
-    #[must_use]
-    pub fn kernel(&self, id: &str) -> Option<&KernelDef> {
-        self.kernels.iter().find(|k| k.id == id)
-    }
-
     /// Look up a phase body by identifier.
     #[must_use]
-    pub fn phase(&self, id: &str) -> Option<&Vec<Stmt>> {
+    pub(crate) fn phase(&self, id: &str) -> Option<&Vec<Stmt>> {
         self.phases
             .iter()
             .find(|(name, _, _)| name == id)
@@ -224,7 +205,7 @@ impl WorkloadDef {
 
     /// Look up a scale block by name.
     #[must_use]
-    pub fn scale(&self, name: &str) -> Option<&ScaleBlock> {
+    pub(crate) fn scale(&self, name: &str) -> Option<&ScaleBlock> {
         self.scales.iter().find(|s| s.name == name)
     }
 }

@@ -1,7 +1,7 @@
 //! Expression evaluation shared by the validator and the interpreter.
 //!
 //! All arithmetic runs in `i128` with explicit overflow, division-by-zero,
-//! and unknown-variable errors — never a panic. An [`Env`] is built once
+//! and unknown-variable errors — never a panic. An `Env` is built once
 //! per (definition, scale) pair: parameters first (each may reference the
 //! ones before it), then the chosen scale block's variables (which may
 //! reference parameters and earlier variables in the same block).
@@ -10,14 +10,14 @@ use crate::ast::{CmpOp, Cond, Expr, WorkloadDef};
 
 /// Evaluation environment: name → value bindings in declaration order.
 #[derive(Debug, Clone, Default)]
-pub struct Env {
+pub(crate) struct Env {
     vars: Vec<(String, i128)>,
 }
 
 impl Env {
     /// Look up a binding.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<i128> {
+    pub(crate) fn get(&self, name: &str) -> Option<i128> {
         self.vars
             .iter()
             .rev()
@@ -26,7 +26,7 @@ impl Env {
     }
 
     /// Bind (or shadow) a name.
-    pub fn set(&mut self, name: &str, value: i128) {
+    pub(crate) fn set(&mut self, name: &str, value: i128) {
         self.vars.push((name.to_owned(), value));
     }
 }
@@ -34,7 +34,7 @@ impl Env {
 /// Build the environment for `def` under the named scale (`None` when the
 /// definition declares no scale blocks). Errors carry the line of the
 /// binding that failed.
-pub fn build_env(def: &WorkloadDef, scale: Option<&str>) -> Result<Env, (u32, String)> {
+pub(crate) fn build_env(def: &WorkloadDef, scale: Option<&str>) -> Result<Env, (u32, String)> {
     let mut env = Env::default();
     for p in &def.params {
         let v = eval(&p.expr, &env).map_err(|e| (p.line, format!("param {}: {e}", p.name)))?;
@@ -71,7 +71,7 @@ pub fn build_env(def: &WorkloadDef, scale: Option<&str>) -> Result<Env, (u32, St
 
 /// Evaluate an expression. Errors are human-readable fragments suitable
 /// for embedding in a finding message.
-pub fn eval(e: &Expr, env: &Env) -> Result<i128, String> {
+pub(crate) fn eval(e: &Expr, env: &Env) -> Result<i128, String> {
     match e {
         Expr::Int(v) => Ok(i128::from(*v)),
         Expr::Var(name) => env
@@ -110,19 +110,19 @@ fn bin(e: &Expr, env: &Env, a: &Expr, b: &Expr) -> Result<i128, String> {
 }
 
 /// Evaluate into `u64`, rejecting negative results.
-pub fn eval_u64(e: &Expr, env: &Env) -> Result<u64, String> {
+pub(crate) fn eval_u64(e: &Expr, env: &Env) -> Result<u64, String> {
     let v = eval(e, env)?;
     u64::try_from(v).map_err(|_| format!("value {v} is out of range (expected 0..2^64)"))
 }
 
 /// Evaluate into `u32`, rejecting negative or oversized results.
-pub fn eval_u32(e: &Expr, env: &Env) -> Result<u32, String> {
+pub(crate) fn eval_u32(e: &Expr, env: &Env) -> Result<u32, String> {
     let v = eval(e, env)?;
     u32::try_from(v).map_err(|_| format!("value {v} is out of range (expected 0..2^32)"))
 }
 
 /// Evaluate a class condition under an environment.
-pub fn eval_cond(c: &Cond, env: &Env) -> Result<bool, String> {
+pub(crate) fn eval_cond(c: &Cond, env: &Env) -> Result<bool, String> {
     let l = eval(&c.lhs, env)?;
     let r = eval(&c.rhs, env)?;
     Ok(match c.op {
@@ -136,7 +136,7 @@ pub fn eval_cond(c: &Cond, env: &Env) -> Result<bool, String> {
 }
 
 /// Every variable name an expression references, appended to `out`.
-pub fn collect_vars<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
+pub(crate) fn collect_vars<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
     match e {
         Expr::Int(_) => {}
         Expr::Var(name) => out.push(name.as_str()),

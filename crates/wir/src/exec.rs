@@ -2,10 +2,10 @@
 //! a `cactus_gpu::Gpu`, producing the same `LaunchRecord` trace a
 //! hardcoded workload runner would.
 //!
-//! Execution is meant to follow a clean [`crate::check`] run; it still
-//! defends itself (launch budget, step budget, recursion bound, evaluation
-//! errors surfaced as [`ExecError`]) so a library caller skipping
-//! validation cannot wedge or panic a daemon worker. The step budget is
+//! Execution is meant to follow a clean [`crate::check`](fn@crate::check)
+//! run; it still defends itself (launch budget, step budget, recursion
+//! bound, evaluation errors surfaced as [`ExecError`]) so a library caller
+//! skipping validation cannot wedge or panic a daemon worker. The step budget is
 //! the backstop the launch budget can't be: a repeat whose body launches
 //! nothing (`repeat HUGE { repeat 0 { launch k; } }`) never decrements the
 //! launch budget, so iterations themselves are metered too.
@@ -19,12 +19,12 @@ use std::collections::HashMap;
 
 /// Hard backstop on launches per execution, independent of the (softer)
 /// cost-pass ceiling.
-pub const MAX_LAUNCHES: u64 = 10_000_000;
+pub(crate) const MAX_LAUNCHES: u64 = 10_000_000;
 
 /// Hard backstop on interpreter steps per execution: every statement
 /// executed and every repeat iteration entered charges one step, so loops
 /// whose bodies launch nothing still terminate in bounded time.
-pub const MAX_STEPS: u64 = 50_000_000;
+pub(crate) const MAX_STEPS: u64 = 50_000_000;
 
 /// Maximum phase-call nesting during execution.
 const MAX_DEPTH: u32 = 64;

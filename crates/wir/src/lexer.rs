@@ -3,12 +3,12 @@
 //! Follows the `cactus-lint` lexer tradition: hand-rolled, std-only, and
 //! *total* — every input byte lands in exactly one token or in trivia
 //! (whitespace and `#` line comments), and malformed bytes become
-//! [`TokenKind::Error`] tokens instead of aborting the scan. The parser
+//! `TokenKind::Error` tokens instead of aborting the scan. The parser
 //! turns `Error` tokens into line-accurate findings.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Keyword or name: `[A-Za-z_][A-Za-z0-9_]*`.
     Ident,
     /// Unsigned integer literal, optionally with `_` separators.
@@ -29,7 +29,7 @@ pub enum TokenKind {
 /// 1-based line it starts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     pub start: usize,
     pub end: usize,
     pub line: u32,
@@ -38,7 +38,7 @@ pub struct Token {
 impl Token {
     /// The token's text, sliced out of the source it was lexed from.
     #[must_use]
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
+    pub(crate) fn text<'a>(&self, src: &'a str) -> &'a str {
         src.get(self.start..self.end).unwrap_or("")
     }
 }
@@ -46,7 +46,7 @@ impl Token {
 /// Lex `src` into tokens. Never fails: unknown bytes become
 /// [`TokenKind::Error`] tokens and the scan continues on the next byte.
 #[must_use]
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
@@ -182,7 +182,7 @@ fn is_punct_byte(b: u8) -> bool {
     )
 }
 
-/// Decode the escapes inside a [`TokenKind::Str`] token's text (including
+/// Decode the escapes inside a `TokenKind::Str` token's text (including
 /// its surrounding quotes). Unknown escapes pass the escaped byte through.
 #[must_use]
 pub fn unescape(raw: &str) -> String {

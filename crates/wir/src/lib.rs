@@ -6,8 +6,8 @@
 //! This crate makes that shape declarative: a small text format
 //! ("workload IR") parsed by a hand-rolled, total, panic-free parser in
 //! the `cactus-lint` lexer tradition, validated by a **multi-pass static
-//! analyzer** ([`check`]), and executed against `cactus_gpu`'s engine by a
-//! deterministic interpreter ([`exec`]).
+//! analyzer** ([`check`](fn@check)), and executed against `cactus_gpu`'s
+//! engine by a deterministic interpreter ([`exec`]).
 //!
 //! The validator is the load-bearing piece: `POST /v1/workloads` on
 //! `cactus-serve` accepts definitions from the network, so nothing
@@ -33,7 +33,7 @@ pub mod printer;
 
 pub use ast::WorkloadDef;
 pub use check::{analyze, check, PASSES};
-pub use exec::{run, ExecError, MAX_LAUNCHES, MAX_STEPS};
+pub use exec::{run, ExecError};
 pub use parser::parse;
 pub use printer::print;
 
@@ -99,7 +99,7 @@ pub fn render_json(file: &str, findings: &[Finding]) -> String {
 
 /// Escape a string for embedding in a JSON string literal.
 #[must_use]
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -166,7 +166,7 @@ fn cond_str(c: &Cond) -> String {
 
 /// Fully parenthesized expression rendering.
 #[must_use]
-pub fn expr(e: &Expr) -> String {
+pub(crate) fn expr(e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
         Expr::Var(name) => name.clone(),

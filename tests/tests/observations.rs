@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use cactus_analysis::correlation::CorrelationMatrix;
 use cactus_analysis::roofline::{Intensity, Roofline};
-use cactus_core::SuiteScale;
+use cactus_core::{Domain, SuiteScale};
 use cactus_gpu::metrics::KernelMetrics;
 use cactus_gpu::{Device, Gpu};
 use cactus_profiler::Profile;
@@ -151,6 +151,29 @@ fn obs_6_cactus_mixes_kernel_classes() {
         }
     }
     assert!(mixed >= 4, "only {mixed}/10 Cactus apps mix kernel classes");
+}
+
+/// Observation 7: every ML app except LGT mixes compute- and
+/// memory-intensive kernels.
+#[test]
+fn obs_7_ml_apps_but_lgt_mix_kernel_classes() {
+    let r = Roofline::for_device(&Device::rtx3080());
+    for (w, p) in cactus_core::run_suite(SuiteScale::Small) {
+        if w.domain != Domain::MachineLearning {
+            continue;
+        }
+        let classes: BTreeSet<Intensity> = p
+            .kernels()
+            .iter()
+            .map(|k| r.intensity_class(k.metrics.instruction_intensity))
+            .collect();
+        assert_eq!(
+            classes.len() > 1,
+            w.abbr != "LGT",
+            "{}: kernel classes {classes:?}",
+            w.abbr
+        );
+    }
 }
 
 /// Observation 9: Cactus's primary metrics correlate with at least as many
