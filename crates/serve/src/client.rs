@@ -849,6 +849,16 @@ mod tests {
         assert_eq!(reply.body.len(), crate::http::MAX_BODY_BYTES);
     }
 
+    /// A backend cannot smuggle a header into the head the gateway writes:
+    /// a bare CR inside a reply's header value is a parse error, which the
+    /// router fails over from, not a value it relays.
+    #[test]
+    fn a_bare_cr_in_a_reply_header_is_a_parse_error() {
+        let wire = "HTTP/1.1 200 OK\r\ncontent-type: text/plain\rx-injected: 1\r\ncontent-length: 2\r\n\r\nok";
+        let err = read_reply(&mut wire.as_bytes()).map_err(ClientError::from);
+        assert!(matches!(err, Err(ClientError::Parse(_))), "{err:?}");
+    }
+
     #[test]
     fn rejects_torn_replies() {
         assert!(read_reply(&mut "HTTP/1.1 200 OK\r\n".as_bytes()).is_err());

@@ -331,11 +331,16 @@ fn parse_status_line(line: &str) -> Result<u16, HttpError> {
 
 /// Split one header line on the first `:` — values keep any further colons
 /// (URLs, IPv6 literals). Names must be non-empty and whitespace-free;
-/// obsolete line folding (a line starting with whitespace) is rejected.
+/// obsolete line folding (a line starting with whitespace) is rejected, and
+/// so is any C0 control byte but HTAB in a name or value (RFC 9110 §5.5): a
+/// bare CR or a NUL would otherwise reach a head the gateway writes.
 fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     let malformed = || HttpError::Malformed(format!("malformed header line {line:?}"));
     let (name, value) = line.split_once(':').ok_or_else(malformed)?;
-    if name.is_empty() || name.contains(|c: char| c.is_ascii_whitespace()) {
+    if name.is_empty()
+        || name.contains(|c: char| c.is_ascii_whitespace())
+        || line.bytes().any(|b| b < b' ' && b != b'\t')
+    {
         return Err(malformed());
     }
     Ok((name.to_ascii_lowercase(), value.trim().to_owned()))
@@ -542,6 +547,25 @@ mod tests {
                 String::from_utf8_lossy(raw)
             );
         }
+    }
+
+    #[test]
+    fn rejects_control_bytes_in_header_lines() {
+        for raw in [
+            &b"GET / HTTP/1.1\r\nX-A: v\rx-injected: 1\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-A: v\0w\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-A: v\x1bw\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX\x01A: v\r\n\r\n"[..],
+        ] {
+            assert!(
+                matches!(parse(raw), Err(HttpError::Malformed(_))),
+                "should reject {:?}",
+                String::from_utf8_lossy(raw)
+            );
+        }
+        // HTAB is the one control byte a value may hold.
+        let tabbed = parse(b"GET / HTTP/1.1\r\nX-A: a\tb\r\n\r\n").expect("parse");
+        assert_eq!(header_in(&tabbed.headers, "x-a"), Some("a\tb"));
     }
 
     #[test]
