@@ -33,7 +33,7 @@ use cactus_obs::api::json_escape;
 use cactus_obs::SpanCtx;
 use cactus_profiler::{store as profile_store, Profile};
 use cactus_serve::http::{Request, Response};
-use cactus_serve::routes::CSV;
+use cactus_serve::routes::{CSV, JSON};
 use cactus_serve::wire::{self, CompareRow};
 use cactus_serve::DeviceId;
 
@@ -165,7 +165,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     span.tag("status", "200");
     match format {
         "csv" => Response::ok(render_csv(scale, workload, &legs), CSV),
-        _ => Response::ok(render_json(scale, workload, &legs), "application/json"),
+        _ => Response::ok(render_json(scale, workload, &legs), JSON),
     }
 }
 

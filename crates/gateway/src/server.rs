@@ -310,16 +310,13 @@ fn respond(
         "/v1/devices" => Response::ok(fleet_devices(router, backend_addrs), CSV),
         path if path.starts_with("/v1/compare/") => compare::compare(router, request, ctx),
         _ => {
-            // Re-assemble the full target so query strings survive the
-            // trip to the backend.
-            let target = match &request.query {
-                Some(q) => format!("{}?{q}", request.path),
-                None => request.path.clone(),
-            };
+            // The full target as sent, so query strings survive the trip
+            // to the backend.
+            let target = request.target();
             // Edge catalog check: a device id the catalog has never heard
             // of can't be answered by any backend — reject here with the
             // envelope instead of spending fleet attempts on it.
-            let device = device_for_target(&target);
+            let device = device_for_target(target);
             if let Some(device) = device {
                 if cactus_gpu::by_id(device).is_none() {
                     let known = cactus_gpu::catalog::device_ids().join(", ");
@@ -329,7 +326,7 @@ fn respond(
                     );
                 }
             }
-            forward_replicated(router, &target, device, ctx)
+            forward_replicated(router, target, device, ctx)
         }
     }
 }

@@ -407,7 +407,7 @@ fn a_saturated_fleet_forwards_its_503_with_the_backends_retry_after() {
         reply.retry_after_s(),
         Some(2),
         "headers: {:?}",
-        reply.headers
+        reply.headers()
     );
     // Backpressure is the fleet's answer, not a fault: all three attempts
     // ran, none hedged, nobody was penalised.

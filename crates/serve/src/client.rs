@@ -5,7 +5,7 @@
 //! sequential requests, honoring the server's `Connection: close` and
 //! transparently redialing once when a pooled stream turns out to have been
 //! reaped by the server's idle timeout; a [`Client`] call is one exchange on
-//! a fresh `Connection`. Replies are read by `crate::http::read_reply`,
+//! a fresh `Connection`. Replies are read by `crate::http::read_reply_into`,
 //! under the same head and body bounds the server applies to requests, so
 //! a malformed, oversized or unframeable reply is [`ClientError::Parse`].
 //! The profile endpoint's body is the bit-exact
@@ -29,7 +29,7 @@ use cactus_profiler::store::read_profile;
 use cactus_profiler::Profile;
 
 pub use crate::http::HttpReply;
-use crate::http::{read_reply, HttpError};
+use crate::http::{read_reply_into, Head, HttpError};
 use crate::wire::{self, CompareRow, DeviceEntry, SimilarHit};
 
 impl HttpReply {
@@ -379,21 +379,20 @@ impl Client {
     }
 }
 
-/// Serialize one full keep-alive request — head plus optional body — as a
-/// single string (single `write_all`, see call sites). An empty `body`
-/// emits no `content-length` header, matching the server's GET-only fast
-/// path.
+/// Serialize one full keep-alive request — head plus optional body — into
+/// `wire` (emptied first; a buffer the connection keeps), for a single
+/// `write_all` (see call sites). An empty `body` emits no `content-length`
+/// header, matching the server's GET-only fast path.
 fn request_wire(
+    wire: &mut String,
     method: &str,
     path: &str,
     addr: SocketAddr,
     trace: Option<TraceId>,
     body: &str,
-) -> String {
+) {
     use std::fmt::Write as _;
-    // Sized once and formatted in place: the head is well under 160 bytes
-    // beyond the path.
-    let mut wire = String::with_capacity(160 + method.len() + path.len() + body.len());
+    wire.clear();
     // Writing into a `String` cannot fail.
     let _ = write!(
         wire,
@@ -407,7 +406,6 @@ fn request_wire(
     }
     wire.push_str("\r\n");
     wire.push_str(body);
-    wire
 }
 
 /// Dial `addr` with `timeout` on connect, read and write.
@@ -430,8 +428,9 @@ pub enum Sent {
     InFlight,
 }
 
-/// A keep-alive connection: one `TcpStream` reused across sequential
-/// requests.
+/// A keep-alive connection: one `TcpStream`, and the buffers its requests
+/// are written from and its reply heads read into, reused across
+/// sequential requests.
 ///
 /// The stream dials lazily on the first request. After each reply the
 /// connection stays open unless the server answered `Connection: close`, in
@@ -451,10 +450,15 @@ pub struct Connection {
     addr: SocketAddr,
     timeout: Duration,
     stream: Option<BufReader<TcpStream>>,
-    /// The request written but not yet answered, and whether the stream it
-    /// went out on predates it — i.e. whether the one stale-stream redial
-    /// is still unspent.
-    in_flight: Option<(String, bool)>,
+    /// The last request written; while `in_flight`, the one not yet
+    /// answered.
+    wire: String,
+    /// Whether a request is written but not yet answered, and if so whether
+    /// the stream it went out on predates it — i.e. whether the one
+    /// stale-stream redial is still unspent.
+    in_flight: Option<bool>,
+    /// The last reply's head.
+    head: Head,
     dials: u64,
     reuses: u64,
 }
@@ -467,7 +471,9 @@ impl Connection {
             addr,
             timeout,
             stream: None,
+            wire: String::new(),
             in_flight: None,
+            head: Head::default(),
             dials: 0,
             reuses: 0,
         }
@@ -580,17 +586,17 @@ impl Connection {
             // An abandoned exchange left its reply unread on the stream.
             self.stream = None;
         }
-        let wire = request_wire(method, path, self.addr, trace, body);
+        request_wire(&mut self.wire, method, path, self.addr, trace, body);
         let mut reused = self.stream.is_some();
-        let mut sent = self.begin(&wire, stall);
+        let mut sent = self.begin(stall);
         if sent.is_err() && reused {
             // A reused stream may have been closed server-side between
             // requests; retry exactly once on a fresh dial.
             reused = false;
-            sent = self.begin(&wire, stall);
+            sent = self.begin(stall);
         }
         if sent.is_ok() {
-            self.in_flight = Some((wire, reused));
+            self.in_flight = Some(reused);
         }
         Ok(sent?)
     }
@@ -604,23 +610,23 @@ impl Connection {
     /// already spend it) and unparseable response heads; an error when no
     /// request is in flight.
     pub fn finish(&mut self) -> Result<HttpReply, ClientError> {
-        let Some((wire, reused)) = self.in_flight.take() else {
+        let Some(reused) = self.in_flight.take() else {
             return Err(ClientError::Io(std::io::Error::other(
                 "finish() without a request in flight",
             )));
         };
         match self.read(reused) {
             Err(_) if reused => {
-                self.begin(&wire, None)?;
+                self.begin(None)?;
                 self.read(false)
             }
             reply => reply,
         }
     }
 
-    /// [`write_and_wait`] on the open stream, dialing when there is none.
-    /// The stream is dropped on any error.
-    fn begin(&mut self, wire: &str, stall: Option<Duration>) -> std::io::Result<Sent> {
+    /// [`write_and_wait`] of the request in `wire` on the open stream,
+    /// dialing when there is none. The stream is dropped on any error.
+    fn begin(&mut self, stall: Option<Duration>) -> std::io::Result<Sent> {
         let reader = match &mut self.stream {
             Some(reader) => reader,
             empty => {
@@ -630,7 +636,7 @@ impl Connection {
             }
         };
         let stall = stall.filter(|s| *s < self.timeout);
-        let sent = write_and_wait(reader, wire, stall);
+        let sent = write_and_wait(reader, &self.wire, stall);
         if sent.is_err() {
             self.stream = None;
         }
@@ -643,7 +649,7 @@ impl Connection {
         let Some(reader) = &mut self.stream else {
             return Err(ClientError::Io(ErrorKind::NotConnected.into()));
         };
-        let reply = read_reply(reader).map_err(ClientError::from);
+        let reply = read_reply_into(reader, &mut self.head).map_err(ClientError::from);
         match &reply {
             Ok(r) if !r.connection_close() => self.reuses += u64::from(reused),
             _ => self.stream = None,
@@ -686,6 +692,7 @@ fn write_and_wait(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::read_reply;
     use std::io::Read;
     use std::net::TcpListener;
     use std::sync::mpsc;
@@ -756,13 +763,13 @@ mod tests {
             let reply = read_reply(&mut reply_rest);
             let request = crate::http::read_request(&mut request_rest);
             proptest::prop_assert_eq!(
-                reply.as_ref().map(|r| &r.headers).map_err(ToString::to_string),
-                request.as_ref().map(|r| &r.headers).map_err(ToString::to_string)
+                reply.as_ref().map(|r| r.headers()).map_err(ToString::to_string),
+                request.as_ref().map(|r| r.headers()).map_err(ToString::to_string)
             );
             match (&reply, &request) {
                 (Ok(reply), Ok(request))
                     if !request
-                        .headers
+                        .headers()
                         .iter()
                         .any(|(k, _)| k.eq_ignore_ascii_case("content-length")) =>
                 {
@@ -870,8 +877,8 @@ mod tests {
     fn envelope_bodies_become_api_errors() {
         let reply = HttpReply {
             status: 503,
-            headers: vec![],
             body: ApiError::new(503, "saturated").to_json(),
+            ..HttpReply::default()
         };
         match reply.into_error() {
             ClientError::Api(e) => {
@@ -882,8 +889,8 @@ mod tests {
         }
         let raw = HttpReply {
             status: 500,
-            headers: vec![],
             body: "plain text\n".to_owned(),
+            ..HttpReply::default()
         };
         assert!(matches!(raw.into_error(), ClientError::Status(500, _)));
     }

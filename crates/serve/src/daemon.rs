@@ -280,18 +280,21 @@ fn handle_connection<H: Handler>(
     let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
 
+    // One request and one head buffer per connection, refilled in place.
     let mut reader = BufReader::new(stream);
+    let mut request = Request::default();
+    let mut head = Vec::new();
     let mut served = 0usize;
     loop {
-        let request = match http::read_request(&mut reader) {
+        let parsed = match http::read_request_into(&mut reader, &mut request) {
             // Clean close or idle timeout between requests: nothing to answer.
             Err(HttpError::ClosedEarly | HttpError::Io(_)) => return,
             parsed => parsed,
         };
         let start = Instant::now();
         handler.observe(Event::Request { reused: served > 0 });
-        let (response, client_close) = match request {
-            Ok(request) => {
+        let (response, client_close) = match parsed {
+            Ok(()) => {
                 // One trace id per request: propagated by the caller (the
                 // gateway, toward a backend) or minted at this edge.
                 let trace = request.trace_id().unwrap_or_else(TraceId::mint);
@@ -313,7 +316,7 @@ fn handle_connection<H: Handler>(
         let keep_alive =
             !client_close && served < KEEP_ALIVE_MAX && !shutdown.load(Ordering::SeqCst);
         let mut out = stream;
-        let written = response.write_conn(&mut out, keep_alive);
+        let written = response.write_reusing(&mut out, keep_alive, &mut head);
         handler.observe(Event::Responded {
             status: response.status,
             elapsed_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),

@@ -5,26 +5,39 @@
 //! of headers it may consult — and writes one response per request, so this
 //! module implements that slice directly instead of pulling in a server
 //! framework (the workspace builds with no registry access). Requests
-//! ([`read_request`]) and replies (`read_reply`) share one reader: heads
-//! are capped at [`MAX_HEAD_BYTES`] and bodies at `MAX_BODY_BYTES`, so no
-//! peer-chosen length is allocated before it is checked; anything larger,
-//! non-UTF-8, or not HTTP-shaped surfaces as an [`HttpError`], which the
-//! server maps to a `400` and the client to a parse error.
+//! ([`read_request`]) and replies (`read_reply_into`) share one reader:
+//! heads are capped at [`MAX_HEAD_BYTES`] and bodies at `MAX_BODY_BYTES`,
+//! so no peer-chosen length is allocated before it is checked; anything
+//! larger, non-UTF-8, or not HTTP-shaped surfaces as an [`HttpError`],
+//! which the server maps to a `400` and the client to a parse error.
 //!
 //! Parsing is strict where laxness would be exploitable: the request line
 //! must be exactly `METHOD SP TARGET SP HTTP/1.x` with single spaces and no
 //! tabs (whitespace smuggling in the target is rejected), header lines
 //! split on the *first* `:` only, so values containing `:` (URLs, IPv6
-//! literals, timestamps) survive intact, and `Transfer-Encoding` is
-//! rejected. Only the start line and the framing of a message without
-//! `Content-Length` depend on direction: such a request has no body, such
-//! a reply runs to EOF. Both readers take any [`BufRead`] and leave it
-//! exactly past the message, so one keep-alive stream carries several.
+//! literals, timestamps) survive intact, no header line may hold a control
+//! byte but HTAB, and `Transfer-Encoding` is rejected. Only the start line
+//! and the framing of a message without `Content-Length` depend on
+//! direction: such a request has no body, such a reply runs to EOF. Both
+//! readers take any [`BufRead`] and leave it exactly past the message, so
+//! one keep-alive stream carries several.
+//!
+//! Buffers belong to the connection, not the message. A head is read into
+//! one buffer, its header names are lowercased in place, and each header is
+//! kept as two ranges into it ([`Headers`]); a `Content-Length` body is
+//! read straight into its final `String`. The daemon refills one
+//! [`Request`] per connection (`read_request_into`) and formats every
+//! response head into one reused buffer, which leaves with the body in one
+//! vectored write; a client `Connection` keeps its reply head the same way.
 
 use std::borrow::Cow;
-use std::io::{BufRead, ErrorKind, Read, Write};
+use std::fmt;
+use std::io::{BufRead, ErrorKind, IoSlice, Read, Write};
+use std::ops::Range;
 
 use cactus_obs::{ApiError, TraceId, TRACE_HEADER};
+
+use crate::routes::{CSV, JSON, NDJSON, TEXT};
 
 /// Upper bound on a message head (start line + headers), in bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -35,8 +48,122 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// documents are well under this.
 pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-/// A parsed request.
+/// One message head as read: the start line and header lines in one
+/// buffer, header names lowercased in place, and each header's name and
+/// trimmed value as ranges into it. Reading a head refills the buffers and
+/// keeps their capacity.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct Head {
+    text: String,
+    fields: Vec<Field>,
+}
+
+/// Where one header line's name and value sit in its [`Head`].
 #[derive(Debug, Clone, PartialEq, Eq)]
+struct Field {
+    name: Range<usize>,
+    value: Range<usize>,
+}
+
+impl Head {
+    /// Read one head into this buffer: the start line, parsed by `start` as
+    /// soon as it is in (a bad one fails before any header is awaited), then
+    /// each header line as it arrives, up to the blank line.
+    fn read<R: BufRead, T>(
+        &mut self,
+        reader: &mut R,
+        start: fn(&str) -> Result<T, HttpError>,
+    ) -> Result<T, HttpError> {
+        let mut bytes = std::mem::take(&mut self.text).into_bytes();
+        bytes.clear();
+        self.fields.clear();
+        gather_line(reader, &mut bytes)?;
+        let first = start(head_line(&bytes)?)?;
+        loop {
+            let at = bytes.len();
+            gather_line(reader, &mut bytes)?;
+            let field = match &bytes[at..] {
+                b"\r\n" | b"\n" => break,
+                line => parse_header_line(head_line(line)?, at)?,
+            };
+            bytes[field.name.clone()].make_ascii_lowercase();
+            self.fields.push(field);
+        }
+        // Every line was checked to be UTF-8 as it came in.
+        self.text = String::from_utf8(bytes).map_err(|_| non_utf8_head())?;
+        Ok(first)
+    }
+
+    fn at(&self, range: &Range<usize>) -> &str {
+        &self.text[range.clone()]
+    }
+
+    /// The one header lookup: stored names are lower case, so a
+    /// case-insensitive match needs no lower-cased copy of `name`.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|f| self.at(&f.name).eq_ignore_ascii_case(name))
+            .map(|f| self.at(&f.value))
+    }
+
+    fn close(&self) -> bool {
+        self.get("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+}
+
+impl fmt::Debug for Head {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Headers { head: self }.fmt(f)
+    }
+}
+
+/// A message's headers in wire order, names lowercased and values trimmed
+/// of surrounding whitespace, borrowed from the head they were read into.
+#[derive(Clone, Copy)]
+pub struct Headers<'a> {
+    head: &'a Head,
+}
+
+impl<'a> Headers<'a> {
+    /// How many header lines the head held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.head.fields.len()
+    }
+
+    /// Whether the head held no header line.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.head.fields.is_empty()
+    }
+
+    /// `(name, value)` pairs in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let head = self.head;
+        head.fields
+            .iter()
+            .map(move |f| (head.at(&f.name), head.at(&f.value)))
+    }
+}
+
+impl PartialEq for Headers<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Headers<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A parsed request. One `Request` per connection is refilled in place by
+/// `read_request_into`, so its strings keep their capacity from one
+/// request to the next.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Request method, uppercased (`GET`, `POST`, …).
     pub method: String,
@@ -44,19 +171,31 @@ pub struct Request {
     pub path: String,
     /// Raw query string after `?`, if any.
     pub query: Option<String>,
-    /// Header name/value pairs in wire order, names lowercased, values
-    /// trimmed of surrounding whitespace.
-    pub headers: Vec<(String, String)>,
     /// Request body (empty unless the client sent a `Content-Length`).
     pub body: String,
+    head: Head,
+    target: Range<usize>,
 }
 
 impl Request {
+    /// The header lines, in wire order.
+    #[must_use]
+    pub fn headers(&self) -> Headers<'_> {
+        Headers { head: &self.head }
+    }
+
+    /// The request target as sent: the path, then `?` and the query when
+    /// there is one.
+    #[must_use]
+    pub fn target(&self) -> &str {
+        self.head.at(&self.target)
+    }
+
     /// Whether the client asked for the connection to be closed after this
     /// response (`Connection: close`).
     #[must_use]
     pub(crate) fn wants_close(&self) -> bool {
-        close_in(&self.headers)
+        self.head.close()
     }
 
     /// The trace id carried by the `x-cactus-trace` header, if present and
@@ -64,26 +203,31 @@ impl Request {
     /// mints a fresh id rather than propagating garbage).
     #[must_use]
     pub fn trace_id(&self) -> Option<TraceId> {
-        trace_in(&self.headers)
+        self.head.get(TRACE_HEADER).and_then(TraceId::parse)
     }
 }
 
 /// A parsed reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HttpReply {
     /// Status code.
     pub status: u16,
-    /// Header name/value pairs, as in [`Request::headers`].
-    pub headers: Vec<(String, String)>,
     /// Response body.
     pub body: String,
+    pub(crate) head: Head,
 }
 
 impl HttpReply {
     /// First header value with the given (case-insensitive) name.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        header_in(&self.headers, name)
+        self.head.get(name)
+    }
+
+    /// The header lines, in wire order.
+    #[must_use]
+    pub fn headers(&self) -> Headers<'_> {
+        Headers { head: &self.head }
     }
 
     /// The `Retry-After` header, parsed to seconds.
@@ -95,43 +239,29 @@ impl HttpReply {
     /// Whether the server will close the connection after this reply.
     #[must_use]
     pub(crate) fn connection_close(&self) -> bool {
-        close_in(&self.headers)
+        self.head.close()
     }
 }
 
 /// A backend's reply as the response the gateway forwards: status, content
 /// type and body verbatim, plus the backend's `Retry-After` so forwarded
 /// backpressure keeps its hint. Hop-by-hop headers (`connection`, the
-/// length, the trace echo) are the forwarding daemon's to set.
+/// length, the trace echo) are the forwarding daemon's to set. A content
+/// type either tier writes itself is forwarded as that constant; any other
+/// is copied.
 impl From<HttpReply> for Response {
     fn from(reply: HttpReply) -> Self {
-        let content_type = reply
-            .header("content-type")
-            .unwrap_or(crate::routes::TEXT)
-            .to_owned();
+        let content_type = reply.header("content-type").unwrap_or(TEXT);
+        let content_type = [TEXT, CSV, JSON, NDJSON]
+            .into_iter()
+            .find(|known| *known == content_type)
+            .map_or_else(|| Cow::Owned(content_type.to_owned()), Cow::Borrowed);
         Self {
             status: reply.status,
             retry_after: reply.retry_after_s(),
             ..Self::ok(reply.body, content_type)
         }
     }
-}
-
-/// The one header lookup: stored names are lower case, so a
-/// case-insensitive match needs no lower-cased copy of `name`.
-fn header_in<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
-}
-
-fn close_in(headers: &[(String, String)]) -> bool {
-    header_in(headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
-}
-
-fn trace_in(headers: &[(String, String)]) -> Option<TraceId> {
-    header_in(headers, TRACE_HEADER).and_then(TraceId::parse)
 }
 
 /// Why a message could not be read.
@@ -148,8 +278,8 @@ pub enum HttpError {
     Malformed(String),
 }
 
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for HttpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::ClosedEarly => write!(f, "connection closed before a full message"),
@@ -161,12 +291,7 @@ impl std::fmt::Display for HttpError {
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
-        // Only `read_exact` reports EOF as an error: a body cut short.
-        if e.kind() == ErrorKind::UnexpectedEof {
-            HttpError::ClosedEarly
-        } else {
-            HttpError::Io(e)
-        }
+        HttpError::Io(e)
     }
 }
 
@@ -181,54 +306,62 @@ impl From<std::io::Error> for HttpError {
 ///
 /// See [`HttpError`].
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let ((method, path, query), headers) = read_head(reader, parse_request_line)?;
-    let body = read_body(reader, &headers, false)?;
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-    })
+    let mut request = Request::default();
+    read_request_into(reader, &mut request)?;
+    Ok(request)
+}
+
+/// [`read_request`] into `request`, reusing its buffers. After an error
+/// `request` holds no message worth reading.
+pub(crate) fn read_request_into<R: BufRead>(
+    reader: &mut R,
+    request: &mut Request,
+) -> Result<(), HttpError> {
+    let line = request.head.read(reader, parse_request_line)?;
+    let head = &request.head;
+    refill(&mut request.method, head.at(&line.method));
+    request.method.make_ascii_uppercase();
+    refill(&mut request.path, head.at(&line.path));
+    match (line.query, &mut request.query) {
+        (Some(query), Some(kept)) => refill(kept, head.at(&query)),
+        (query, kept) => *kept = query.map(|q| head.at(&q).to_owned()),
+    }
+    request.target = line.target;
+    read_body(reader, &request.head, false, &mut request.body)
+}
+
+fn refill(kept: &mut String, text: &str) {
+    kept.clear();
+    kept.push_str(text);
 }
 
 /// Read and parse one reply from `reader`, like [`read_request`], except
 /// that a reply without `Content-Length` is close-delimited: its body is
-/// the rest of the stream, up to [`MAX_BODY_BYTES`].
+/// the rest of the stream, up to [`MAX_BODY_BYTES`]. The head is read into
+/// `head`, a buffer the caller keeps between replies; the reply carries an
+/// exact-size copy of it.
 ///
 /// # Errors
 ///
 /// See [`HttpError`].
-pub(crate) fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
-    let (status, headers) = read_head(reader, parse_status_line)?;
-    let body = read_body(reader, &headers, true)?;
+pub(crate) fn read_reply_into<R: BufRead>(
+    reader: &mut R,
+    head: &mut Head,
+) -> Result<HttpReply, HttpError> {
+    let status = head.read(reader, parse_status_line)?;
+    let mut body = String::new();
+    read_body(reader, head, true, &mut body)?;
     Ok(HttpReply {
         status,
-        headers,
         body,
+        head: head.clone(),
     })
 }
 
-/// One head, gathered into one buffer under [`MAX_HEAD_BYTES`]: the start
-/// line, parsed by `start` as soon as it is in (a bad one fails before any
-/// header is awaited), then each header line as it arrives, up to the
-/// blank line.
-fn read_head<R: BufRead, T>(
-    reader: &mut R,
-    start: fn(&str) -> Result<T, HttpError>,
-) -> Result<(T, Vec<(String, String)>), HttpError> {
-    let mut head = Vec::with_capacity(256);
-    gather_line(reader, &mut head)?;
-    let first = start(head_line(&head)?)?;
-    let mut headers = Vec::new();
-    loop {
-        let at = head.len();
-        gather_line(reader, &mut head)?;
-        match &head[at..] {
-            b"\r\n" | b"\n" => return Ok((first, headers)),
-            line => headers.push(parse_header_line(head_line(line)?)?),
-        }
-    }
+/// [`read_reply_into`] with a head buffer of its own.
+#[cfg(test)]
+pub(crate) fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
+    read_reply_into(reader, &mut Head::default())
 }
 
 /// Append one `\n`-terminated line to `head` straight from the reader's
@@ -254,53 +387,74 @@ fn gather_line<R: BufRead>(reader: &mut R, head: &mut Vec<u8>) -> Result<(), Htt
     }
 }
 
+fn non_utf8_head() -> HttpError {
+    HttpError::Malformed("non-UTF-8 bytes in a message head".to_owned())
+}
+
 /// A head line as text, without its trailing `\r\n`/`\n`.
 fn head_line(raw: &[u8]) -> Result<&str, HttpError> {
     std::str::from_utf8(raw)
         .map(|text| text.trim_end_matches(['\r', '\n']))
-        .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in a message head".to_owned()))
+        .map_err(|_| non_utf8_head())
 }
 
-/// Read the body `headers` frame: `Content-Length` bytes, else none — or,
-/// when `to_eof`, the rest of the stream. Transfer encodings are not
-/// supported — a `Transfer-Encoding` header is malformed here (the framing
-/// could not be trusted otherwise).
+/// Read the body `head` frames into `body` (emptied first, capacity
+/// kept): `Content-Length` bytes, straight into the string's own buffer
+/// with no zero-fill and no second copy, else none — or, when `to_eof`,
+/// the rest of the stream. Transfer encodings are not supported — a
+/// `Transfer-Encoding` header is malformed here (the framing could not be
+/// trusted otherwise).
 fn read_body<R: BufRead>(
     reader: &mut R,
-    headers: &[(String, String)],
+    head: &Head,
     to_eof: bool,
-) -> Result<String, HttpError> {
+    body: &mut String,
+) -> Result<(), HttpError> {
     let malformed = |what: String| Err(HttpError::Malformed(what));
-    if header_in(headers, "transfer-encoding").is_some() {
+    if head.get("transfer-encoding").is_some() {
         return malformed("transfer-encoding is not supported".to_owned());
     }
-    let mut body = Vec::new();
-    if let Some(value) = header_in(headers, "content-length") {
+    let mut bytes = std::mem::take(body).into_bytes();
+    bytes.clear();
+    if let Some(value) = head.get("content-length") {
         let Ok(length) = value.parse::<usize>() else {
             return malformed(format!("bad content-length {value:?}"));
         };
         if length > MAX_BODY_BYTES {
             return malformed(format!("content-length {length} exceeds {MAX_BODY_BYTES}"));
         }
-        body.resize(length, 0);
-        reader.read_exact(&mut body)?;
+        bytes.reserve_exact(length);
+        reader.take(length as u64).read_to_end(&mut bytes)?;
+        if bytes.len() < length {
+            return Err(HttpError::ClosedEarly);
+        }
     } else if to_eof {
         // One byte past the cap tells "exactly the cap" from "over it".
         reader
             .take(MAX_BODY_BYTES as u64 + 1)
-            .read_to_end(&mut body)?;
-        if body.len() > MAX_BODY_BYTES {
+            .read_to_end(&mut bytes)?;
+        if bytes.len() > MAX_BODY_BYTES {
             return malformed(format!("close-delimited body exceeds {MAX_BODY_BYTES}"));
         }
     }
-    String::from_utf8(body).or_else(|_| malformed("non-UTF-8 body".to_owned()))
+    *body =
+        String::from_utf8(bytes).map_err(|_| HttpError::Malformed("non-UTF-8 body".to_owned()))?;
+    Ok(())
+}
+
+/// Where a request line's parts sit in the head (it starts at offset 0).
+struct RequestLine {
+    method: Range<usize>,
+    target: Range<usize>,
+    path: Range<usize>,
+    query: Option<Range<usize>>,
 }
 
 /// Strict request-line parse: exactly `METHOD SP TARGET SP HTTP/1.x`, single
 /// spaces, no tabs or other embedded whitespace (so a target can never smuggle
-/// a second token past a lax downstream parser). Yields the uppercased
-/// method, the path and the query.
-fn parse_request_line(line: &str) -> Result<(String, String, Option<String>), HttpError> {
+/// a second token past a lax downstream parser). Yields where the method,
+/// the target, its path and its query sit.
+fn parse_request_line(line: &str) -> Result<RequestLine, HttpError> {
     let malformed = || HttpError::Malformed(format!("malformed request line {line:?}"));
     if line.contains(|c: char| c.is_ascii_whitespace() && c != ' ') {
         return Err(malformed());
@@ -310,11 +464,18 @@ fn parse_request_line(line: &str) -> Result<(String, String, Option<String>), Ht
         (Some(method), Some(target), Some(version), None)
             if !method.is_empty() && !target.is_empty() && version.starts_with("HTTP/1.") =>
         {
-            let (path, query) = match target.split_once('?') {
-                Some((p, q)) => (p, Some(q.to_owned())),
-                None => (target, None),
+            let at = method.len() + 1;
+            let target = at..at + target.len();
+            let (path, query) = match line[target.clone()].find('?') {
+                Some(q) => (at..at + q, Some(at + q + 1..target.end)),
+                None => (target.clone(), None),
             };
-            Ok((method.to_ascii_uppercase(), path.to_owned(), query))
+            Ok(RequestLine {
+                method: 0..method.len(),
+                target,
+                path,
+                query,
+            })
         }
         _ => Err(malformed()),
     }
@@ -329,12 +490,13 @@ fn parse_status_line(line: &str) -> Result<u16, HttpError> {
         .ok_or_else(|| HttpError::Malformed(format!("malformed status line {line:?}")))
 }
 
-/// Split one header line on the first `:` — values keep any further colons
-/// (URLs, IPv6 literals). Names must be non-empty and whitespace-free;
-/// obsolete line folding (a line starting with whitespace) is rejected, and
-/// so is any C0 control byte but HTAB in a name or value (RFC 9110 §5.5): a
-/// bare CR or a NUL would otherwise reach a head the gateway writes.
-fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
+/// Split one header line, which starts at offset `at` of its head, on the
+/// first `:` — values keep any further colons (URLs, IPv6 literals). Names
+/// must be non-empty and whitespace-free; obsolete line folding (a line
+/// starting with whitespace) is rejected, and so is any C0 control byte but
+/// HTAB in a name or value (RFC 9110 §5.5): a bare CR or a NUL would
+/// otherwise reach a head the gateway writes.
+fn parse_header_line(line: &str, at: usize) -> Result<Field, HttpError> {
     let malformed = || HttpError::Malformed(format!("malformed header line {line:?}"));
     let (name, value) = line.split_once(':').ok_or_else(malformed)?;
     if name.is_empty()
@@ -343,7 +505,11 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
     {
         return Err(malformed());
     }
-    Ok((name.to_ascii_lowercase(), value.trim().to_owned()))
+    let start = at + name.len() + 1 + (value.len() - value.trim_start().len());
+    Ok(Field {
+        name: at..at + name.len(),
+        value: start..start + value.trim().len(),
+    })
 }
 
 /// One response — the only response type of both tiers; the `Connection`
@@ -381,7 +547,7 @@ impl Response {
     pub(crate) fn api_error(error: &ApiError) -> Self {
         Self {
             status: error.code,
-            content_type: Cow::Borrowed("application/json"),
+            content_type: Cow::Borrowed(JSON),
             body: error.to_json(),
             retry_after: None,
             trace: None,
@@ -437,15 +603,35 @@ impl Response {
         self.write_conn(out, false)
     }
 
-    /// Serialize head + body to `out`, advertising `keep-alive` or `close`
-    /// (one write syscall via buffering).
+    /// Serialize head + body to `out`, advertising `keep-alive` or `close`.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors.
     pub fn write_conn<W: Write>(&self, out: &mut W, keep_alive: bool) -> std::io::Result<()> {
+        self.write_reusing(out, keep_alive, &mut Vec::new())
+    }
+
+    /// [`Response::write_conn`], formatting the head into `head` (emptied
+    /// first), a buffer the caller keeps between responses. Head and body
+    /// leave in one vectored write, so the body is never copied: a
+    /// separate small body write after the head could stall ~40 ms in
+    /// Nagle + delayed-ACK on a raw socket.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket write errors.
+    pub(crate) fn write_reusing<W: Write>(
+        &self,
+        out: &mut W,
+        keep_alive: bool,
+        head: &mut Vec<u8>,
+    ) -> std::io::Result<()> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let mut head = format!(
+        head.clear();
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
             self.status,
             self.reason(),
@@ -453,18 +639,33 @@ impl Response {
             self.body.len()
         );
         if let Some(secs) = self.retry_after {
-            head.push_str(&format!("retry-after: {secs}\r\n"));
+            let _ = write!(head, "retry-after: {secs}\r\n");
         }
         if let Some(trace) = self.trace {
-            head.push_str(&format!("{TRACE_HEADER}: {trace}\r\n"));
+            let _ = write!(head, "{TRACE_HEADER}: {trace}\r\n");
         }
-        head.push_str("\r\n");
-        // Head + body in one write_all: a separate small body write after
-        // the head can stall ~40 ms in Nagle + delayed-ACK on a raw socket.
-        head.push_str(&self.body);
-        out.write_all(head.as_bytes())?;
+        head.extend_from_slice(b"\r\n");
+        write_all_vectored(
+            out,
+            &mut [IoSlice::new(head), IoSlice::new(self.body.as_bytes())],
+        )?;
         out.flush()
     }
+}
+
+/// `write_all` over several buffers: `write_vectored` until every byte is
+/// out.
+fn write_all_vectored<W: Write>(out: &mut W, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match out.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -483,9 +684,9 @@ mod tests {
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/v1/profile/a/b/c");
         assert_eq!(r.query.as_deref(), Some("x=1"));
-        assert_eq!(header_in(&r.headers, "host"), Some("h"));
+        assert_eq!(r.head.get("host"), Some("h"));
         // Values containing ':' survive the first-colon split.
-        assert_eq!(header_in(&r.headers, "X-Ref"), Some("http://e:8080/p"));
+        assert_eq!(r.head.get("X-Ref"), Some("http://e:8080/p"));
         assert!(!r.wants_close());
     }
 
@@ -565,7 +766,7 @@ mod tests {
         }
         // HTAB is the one control byte a value may hold.
         let tabbed = parse(b"GET / HTTP/1.1\r\nX-A: a\tb\r\n\r\n").expect("parse");
-        assert_eq!(header_in(&tabbed.headers, "x-a"), Some("a\tb"));
+        assert_eq!(tabbed.head.get("x-a"), Some("a\tb"));
     }
 
     #[test]
@@ -684,5 +885,400 @@ mod tests {
         );
         let bad = b"GET / HTTP/1.1\r\nx-cactus-trace: nope\r\n\r\n";
         assert_eq!(parse(bad).expect("parse").trace_id(), None);
+    }
+
+    #[test]
+    fn a_reused_request_reads_each_message_afresh() {
+        let raw = b"POST /a?x=1 HTTP/1.1\r\nContent-Length: 5\r\nX-Long-Header-Name: v\r\n\r\nhelloget /b HTTP/1.1\r\nHost: h\r\n\r\n";
+        let mut reader = &raw[..];
+        let mut request = Request::default();
+        read_request_into(&mut reader, &mut request).expect("first");
+        assert_eq!(
+            (request.method.as_str(), request.target()),
+            ("POST", "/a?x=1")
+        );
+        read_request_into(&mut reader, &mut request).expect("second");
+        assert_eq!(request.method, "GET");
+        assert_eq!(request.path, "/b");
+        assert_eq!(request.query, None);
+        assert_eq!(request.target(), "/b");
+        assert_eq!(request.body, "");
+        assert_eq!(
+            request.headers().iter().collect::<Vec<_>>(),
+            [("host", "h")]
+        );
+        assert!(reader.is_empty());
+    }
+
+    #[test]
+    fn a_vectored_write_survives_short_writes() {
+        /// Takes at most three bytes per call, from the first buffer only.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let response = Response::ok("hello, body\n", "text/plain").traced(TraceId::mint());
+        let mut whole = Vec::new();
+        response.write_conn(&mut whole, true).expect("write");
+        let mut trickle = Trickle(Vec::new());
+        response.write_conn(&mut trickle, true).expect("write");
+        assert_eq!(trickle.0, whole);
+    }
+
+    /// The reader this module had before heads were read in place, kept
+    /// verbatim as the oracle of the one above.
+    mod oracle {
+        use super::super::{HttpError, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+        use std::io::{BufRead, ErrorKind, Read};
+
+        #[derive(Debug, PartialEq, Eq)]
+        pub(super) struct Request {
+            pub method: String,
+            pub path: String,
+            pub query: Option<String>,
+            pub headers: Vec<(String, String)>,
+            pub body: String,
+        }
+
+        #[derive(Debug, PartialEq, Eq)]
+        pub(super) struct HttpReply {
+            pub status: u16,
+            pub headers: Vec<(String, String)>,
+            pub body: String,
+        }
+
+        fn header_in<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+            headers
+                .iter()
+                .find(|(n, _)| n.eq_ignore_ascii_case(name))
+                .map(|(_, v)| v.as_str())
+        }
+
+        fn io(e: std::io::Error) -> HttpError {
+            if e.kind() == ErrorKind::UnexpectedEof {
+                HttpError::ClosedEarly
+            } else {
+                HttpError::Io(e)
+            }
+        }
+
+        /// Read and parse one request from `reader`. The reader is positioned
+        /// exactly past the head's terminating blank line — plus any declared
+        /// body — on success, so a keep-alive server can call this again on the
+        /// same reader for the next request. Bodies are read eagerly when a
+        /// `Content-Length` header is present (capped at `MAX_BODY_BYTES`) and
+        /// must be UTF-8; the API's only body-bearing requests carry profile text.
+        ///
+        /// # Errors
+        ///
+        /// See [`HttpError`].
+        pub(super) fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
+            let ((method, path, query), headers) = read_head(reader, parse_request_line)?;
+            let body = read_body(reader, &headers, false)?;
+            Ok(Request {
+                method,
+                path,
+                query,
+                headers,
+                body,
+            })
+        }
+
+        /// Read and parse one reply from `reader`, like [`read_request`], except
+        /// that a reply without `Content-Length` is close-delimited: its body is
+        /// the rest of the stream, up to [`MAX_BODY_BYTES`].
+        ///
+        /// # Errors
+        ///
+        /// See [`HttpError`].
+        pub(super) fn read_reply<R: BufRead>(reader: &mut R) -> Result<HttpReply, HttpError> {
+            let (status, headers) = read_head(reader, parse_status_line)?;
+            let body = read_body(reader, &headers, true)?;
+            Ok(HttpReply {
+                status,
+                headers,
+                body,
+            })
+        }
+
+        /// One head, gathered into one buffer under [`MAX_HEAD_BYTES`]: the start
+        /// line, parsed by `start` as soon as it is in (a bad one fails before any
+        /// header is awaited), then each header line as it arrives, up to the
+        /// blank line.
+        fn read_head<R: BufRead, T>(
+            reader: &mut R,
+            start: fn(&str) -> Result<T, HttpError>,
+        ) -> Result<(T, Vec<(String, String)>), HttpError> {
+            let mut head = Vec::with_capacity(256);
+            gather_line(reader, &mut head)?;
+            let first = start(head_line(&head)?)?;
+            let mut headers = Vec::new();
+            loop {
+                let at = head.len();
+                gather_line(reader, &mut head)?;
+                match &head[at..] {
+                    b"\r\n" | b"\n" => return Ok((first, headers)),
+                    line => headers.push(parse_header_line(head_line(line)?)?),
+                }
+            }
+        }
+
+        /// Append one `\n`-terminated line to `head` straight from the reader's
+        /// buffer. EOF before the terminator is [`HttpError::ClosedEarly`].
+        fn gather_line<R: BufRead>(reader: &mut R, head: &mut Vec<u8>) -> Result<(), HttpError> {
+            loop {
+                let buf = reader.fill_buf().map_err(io)?;
+                if buf.is_empty() {
+                    return Err(HttpError::ClosedEarly);
+                }
+                let (taken, done) = match buf.iter().position(|&b| b == b'\n') {
+                    Some(at) => (at + 1, true),
+                    None => (buf.len(), false),
+                };
+                if head.len() + taken > MAX_HEAD_BYTES {
+                    return Err(HttpError::HeadTooLarge);
+                }
+                head.extend_from_slice(&buf[..taken]);
+                reader.consume(taken);
+                if done {
+                    return Ok(());
+                }
+            }
+        }
+
+        /// A head line as text, without its trailing `\r\n`/`\n`.
+        fn head_line(raw: &[u8]) -> Result<&str, HttpError> {
+            std::str::from_utf8(raw)
+                .map(|text| text.trim_end_matches(['\r', '\n']))
+                .map_err(|_| HttpError::Malformed("non-UTF-8 bytes in a message head".to_owned()))
+        }
+
+        /// Read the body `headers` frame: `Content-Length` bytes, else none — or,
+        /// when `to_eof`, the rest of the stream. Transfer encodings are not
+        /// supported — a `Transfer-Encoding` header is malformed here (the framing
+        /// could not be trusted otherwise).
+        fn read_body<R: BufRead>(
+            reader: &mut R,
+            headers: &[(String, String)],
+            to_eof: bool,
+        ) -> Result<String, HttpError> {
+            let malformed = |what: String| Err(HttpError::Malformed(what));
+            if header_in(headers, "transfer-encoding").is_some() {
+                return malformed("transfer-encoding is not supported".to_owned());
+            }
+            let mut body = Vec::new();
+            if let Some(value) = header_in(headers, "content-length") {
+                let Ok(length) = value.parse::<usize>() else {
+                    return malformed(format!("bad content-length {value:?}"));
+                };
+                if length > MAX_BODY_BYTES {
+                    return malformed(format!("content-length {length} exceeds {MAX_BODY_BYTES}"));
+                }
+                body.resize(length, 0);
+                reader.read_exact(&mut body).map_err(io)?;
+            } else if to_eof {
+                // One byte past the cap tells "exactly the cap" from "over it".
+                reader
+                    .take(MAX_BODY_BYTES as u64 + 1)
+                    .read_to_end(&mut body)?;
+                if body.len() > MAX_BODY_BYTES {
+                    return malformed(format!("close-delimited body exceeds {MAX_BODY_BYTES}"));
+                }
+            }
+            String::from_utf8(body).or_else(|_| malformed("non-UTF-8 body".to_owned()))
+        }
+
+        /// Strict request-line parse: exactly `METHOD SP TARGET SP HTTP/1.x`, single
+        /// spaces, no tabs or other embedded whitespace (so a target can never smuggle
+        /// a second token past a lax downstream parser). Yields the uppercased
+        /// method, the path and the query.
+        fn parse_request_line(line: &str) -> Result<(String, String, Option<String>), HttpError> {
+            let malformed = || HttpError::Malformed(format!("malformed request line {line:?}"));
+            if line.contains(|c: char| c.is_ascii_whitespace() && c != ' ') {
+                return Err(malformed());
+            }
+            let mut parts = line.split(' ');
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(method), Some(target), Some(version), None)
+                    if !method.is_empty()
+                        && !target.is_empty()
+                        && version.starts_with("HTTP/1.") =>
+                {
+                    let (path, query) = match target.split_once('?') {
+                        Some((p, q)) => (p, Some(q.to_owned())),
+                        None => (target, None),
+                    };
+                    Ok((method.to_ascii_uppercase(), path.to_owned(), query))
+                }
+                _ => Err(malformed()),
+            }
+        }
+
+        /// Status-line parse: `HTTP/1.x SP <three digits>`, then any reason phrase.
+        fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+            line.strip_prefix("HTTP/1.")
+                .and_then(|rest| rest.split(' ').nth(1))
+                .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|code| code.parse().ok())
+                .ok_or_else(|| HttpError::Malformed(format!("malformed status line {line:?}")))
+        }
+
+        /// Split one header line on the first `:` — values keep any further colons
+        /// (URLs, IPv6 literals). Names must be non-empty and whitespace-free;
+        /// obsolete line folding (a line starting with whitespace) is rejected, and
+        /// so is any C0 control byte but HTAB in a name or value (RFC 9110 §5.5): a
+        /// bare CR or a NUL would otherwise reach a head the gateway writes.
+        fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
+            let malformed = || HttpError::Malformed(format!("malformed header line {line:?}"));
+            let (name, value) = line.split_once(':').ok_or_else(malformed)?;
+            if name.is_empty()
+                || name.contains(|c: char| c.is_ascii_whitespace())
+                || line.bytes().any(|b| b < b' ' && b != b'\t')
+            {
+                return Err(malformed());
+            }
+            Ok((name.to_ascii_lowercase(), value.trim().to_owned()))
+        }
+    }
+
+    /// Start lines, header lines and bodies — well-formed, odd and broken —
+    /// so that generated streams reach every branch of both readers.
+    const STARTS: &[&str] = &[
+        "GET /a HTTP/1.1\r\n",
+        "get /v1/p?x=1&t=2 HTTP/1.0\r\n",
+        "POST /b?c HTTP/1.1\r\n",
+        "HTTP/1.1 200 OK\r\n",
+        "HTTP/1.0 503 Busy\n",
+        "GET  / HTTP/1.1\r\n",
+        "",
+    ];
+    const HEADER_LINES: &[&str] = &[
+        "Host: h\r\n",
+        "X-Cactus-Trace: 00000000deadbeef\r\n",
+        "content-length: 3\r\n",
+        "Content-Length: 0\r\n",
+        "CONTENT-LENGTH:  5 \n",
+        "content-length: x\r\n",
+        "transfer-encoding: chunked\r\n",
+        "connection: close\r\n",
+        "Retry-After: 2\r\n",
+        "x-ref: http://e:8080/p\r\n",
+        "X-\u{3b1}: \u{3b2}\r\n",
+        "x-sp: \u{a0}v\u{3000}\r\n",
+        "x-tab:\ta\tb \r\n",
+        "x-e: \u{e9}\r\r\n",
+        "no colon\r\n",
+        ": empty\r\n",
+        "bad name: v\r\n",
+        " folded\r\n",
+        "x-cr: a\rb\r\n",
+        "x-nul: a\0b\r\n",
+    ];
+    const BODIES: &[&str] = &["", "abc", "hello", "abcde", "\u{e9}\u{e9}"];
+
+    /// One message: a start line, header lines (one in six with raw bytes
+    /// spliced in), a terminator and a body.
+    fn message() -> impl proptest::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let line = (
+            proptest::sample::select(HEADER_LINES),
+            0u32..6,
+            0u32..64,
+            prop::collection::vec(0u32..256, 1..4),
+        )
+            .prop_map(|(line, pick, at, raw)| {
+                let mut line = line.as_bytes().to_vec();
+                if pick == 0 {
+                    let at = at as usize % (line.len() + 1);
+                    line.splice(at..at, raw.into_iter().map(|b| b as u8));
+                }
+                line
+            });
+        (
+            proptest::sample::select(STARTS),
+            prop::collection::vec(line, 0..6),
+            proptest::sample::select(&["\r\n", "\n", "\r\r\n", ""]),
+            proptest::sample::select(BODIES),
+        )
+            .prop_map(|(start, lines, blank, body)| {
+                let mut raw = start.as_bytes().to_vec();
+                raw.extend(lines.concat());
+                raw.extend_from_slice(blank.as_bytes());
+                raw.extend_from_slice(body.as_bytes());
+                raw
+            })
+    }
+
+    /// A stream of one to three messages.
+    fn stream() -> impl proptest::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        prop::collection::vec(message(), 1..4).prop_map(|messages| messages.concat())
+    }
+
+    fn pairs(headers: Headers<'_>) -> Vec<(String, String)> {
+        headers
+            .iter()
+            .map(|(n, v)| (n.to_owned(), v.to_owned()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8192))]
+
+        /// Over one stream of messages read until the first error, one
+        /// reused `Request` reads what the old reader read — method, path,
+        /// query, headers, body and the position left behind — or both fail.
+        #[test]
+        fn the_request_reader_reads_what_the_old_one_read(raw in stream()) {
+            let (mut new_rest, mut old_rest) = (&raw[..], &raw[..]);
+            let mut request = Request::default();
+            loop {
+                let new = read_request_into(&mut new_rest, &mut request);
+                let old = oracle::read_request(&mut old_rest);
+                match (new, old) {
+                    (Ok(()), Ok(old)) => {
+                        let query = request.query.clone();
+                        proptest::prop_assert_eq!(
+                            (&request.method, &request.path, &query, pairs(request.headers()), &request.body),
+                            (&old.method, &old.path, &old.query, old.headers, &old.body)
+                        );
+                        let target = old.query.map_or(old.path.clone(), |q| format!("{}?{q}", old.path));
+                        proptest::prop_assert_eq!(request.target(), target);
+                        proptest::prop_assert_eq!(new_rest, old_rest);
+                    }
+                    (Err(_), Err(_)) => break,
+                    (new, old) => proptest::prop_assert!(false, "new {:?} vs old {:?}", new.map(|()| &request), old),
+                }
+            }
+        }
+
+        /// The same for replies, each head read into one kept buffer.
+        #[test]
+        fn the_reply_reader_reads_what_the_old_one_read(raw in stream()) {
+            let (mut new_rest, mut old_rest) = (&raw[..], &raw[..]);
+            let mut head = Head::default();
+            loop {
+                let new = read_reply_into(&mut new_rest, &mut head);
+                let old = oracle::read_reply(&mut old_rest);
+                match (new, old) {
+                    (Ok(new), Ok(old)) => {
+                        proptest::prop_assert_eq!(
+                            (new.status, pairs(new.headers()), &new.body),
+                            (old.status, old.headers, &old.body)
+                        );
+                        proptest::prop_assert_eq!(new_rest, old_rest);
+                    }
+                    (Err(_), Err(_)) => break,
+                    (new, old) => proptest::prop_assert!(false, "new {:?} vs old {:?}", new, old),
+                }
+            }
+        }
     }
 }

@@ -46,6 +46,10 @@ pub const STORE_RECORD_TRIPLE_ROUTE: &str = "/v1/store/record/{device}/{scale}/{
 pub const CSV: &str = "text/csv; charset=utf-8";
 /// Content type of plain-text bodies (health, profiles, metrics).
 pub const TEXT: &str = "text/plain; charset=utf-8";
+/// Content type of JSON bodies (the error envelope, comparison documents).
+pub const JSON: &str = "application/json";
+/// Content type of `/v1/tracez`'s JSON lines.
+pub(crate) const NDJSON: &str = "application/x-ndjson";
 
 /// Route one parsed request to a response. `ctx` is the request's
 /// `serve.request` span; handlers hang their sub-spans off it.
@@ -156,7 +160,7 @@ pub fn workload_rejection(findings: &[cactus_wir::Finding]) -> Response {
     body.push_str("]}");
     Response {
         status: 422,
-        ..Response::ok(body, "application/json")
+        ..Response::ok(body, JSON)
     }
 }
 
@@ -255,7 +259,7 @@ pub fn tracez(tracer: &Tracer, query: Option<&str>) -> Response {
             )
         }
     };
-    Response::ok(tracer.render(filter), "application/x-ndjson")
+    Response::ok(tracer.render(filter), NDJSON)
 }
 
 /// The `/v1/<endpoint>/<device>/<scale>/<workload>` family.

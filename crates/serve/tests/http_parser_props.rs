@@ -65,8 +65,8 @@ proptest! {
             request.query.as_deref(),
             (with_query == 1).then_some(query)
         );
-        prop_assert_eq!(request.headers.len(), headers.len());
-        for ((parsed_name, parsed_value), (name, value)) in request.headers.iter().zip(&headers) {
+        prop_assert_eq!(request.headers().len(), headers.len());
+        for ((parsed_name, parsed_value), (name, value)) in request.headers().iter().zip(&headers) {
             prop_assert_eq!(parsed_name, &name.to_ascii_lowercase());
             prop_assert_eq!(parsed_value, value.trim());
         }
