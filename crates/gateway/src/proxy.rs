@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cactus_obs::lock::{rank, RankedMutex};
-use cactus_obs::{SpanCtx, TraceId};
+use cactus_obs::{SpanCtx, TagValue, TraceId};
 use cactus_serve::client::{ClientError, HttpReply, Sent};
 use cactus_serve::http::Response;
 use cactus_serve::Connection;
@@ -303,8 +303,8 @@ impl Router {
             }
             let mut span = ctx.map(|c| c.child("proxy.attempt"));
             if let Some(span) = span.as_mut() {
-                span.tag("attempt", attempt.to_string());
-                span.tag("backend", target.to_string());
+                span.tag("attempt", attempt);
+                span.tag("backend", target);
             }
             let hedge_target = if attempt == 0 && self.policy.hedge {
                 candidates.get(1).copied()
@@ -316,14 +316,14 @@ impl Router {
                 None => (self.try_backend(target, path, trace), target, false),
             };
             if let Some(span) = span.as_mut() {
-                span.tag("hedged", hedged.to_string());
-                span.tag("winner", winner.to_string());
+                span.tag("hedged", hedged);
+                span.tag("winner", winner);
                 span.tag(
                     "outcome",
                     match &outcome {
-                        Attempt::Reply(reply) => reply.status.to_string(),
-                        Attempt::Saturated(_) => "saturated".to_owned(),
-                        Attempt::Failed => "failed".to_owned(),
+                        Attempt::Reply(reply) => TagValue::from(reply.status),
+                        Attempt::Saturated(_) => TagValue::from("saturated"),
+                        Attempt::Failed => TagValue::from("failed"),
                     },
                 );
             }

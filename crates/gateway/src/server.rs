@@ -132,7 +132,7 @@ impl Handler for GatewayHandler {
         let mut span = self.tracer.ctx(trace).child("gateway.route");
         span.tag("path", request.path.clone());
         let response = respond(&self.router, &self.backend_addrs, request, span.ctx());
-        span.tag("status", response.status.to_string());
+        span.tag("status", response.status);
         response
     }
 
@@ -384,7 +384,7 @@ fn broadcast_workload(
         span.tag("backend", addr.to_string());
         match Client::new(*addr).post_traced("/v1/workloads", &request.body, Some(ctx.trace())) {
             Ok(reply) => {
-                span.tag("status", reply.status.to_string());
+                span.tag("status", reply.status);
                 if reply.status == 200 {
                     accepts += 1;
                     accepted.get_or_insert_with(|| reply.into());

@@ -102,7 +102,7 @@ pub(crate) fn replicate_after_forward(
         }
     }
     if let Some(span) = span.as_mut() {
-        span.tag("pushed", pushed.to_string());
+        span.tag("pushed", pushed);
     }
 }
 
@@ -114,7 +114,7 @@ pub(crate) fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: us
     let n = router.metrics.backends.len();
     let mut span = tracer.ctx(TraceId::mint()).child("store.sync");
     span.tag("mode", "anti-entropy");
-    span.tag("backend", readmitted.to_string());
+    span.tag("backend", readmitted);
     let trace = Some(span.ctx().trace());
     router.metrics.store_syncs.inc();
 
@@ -173,7 +173,7 @@ pub(crate) fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: us
             router.metrics.store_sync_records.inc();
         }
     }
-    span.tag("pushed", pushed.to_string());
+    span.tag("pushed", pushed);
     pushed
 }
 

@@ -277,7 +277,7 @@ impl Fleet {
         let attempts: Vec<_> = spans.iter().filter(|s| s.name == "proxy.attempt").collect();
         assert_eq!(attempts.len(), 1, "one attempt expected in {spans:?}");
         let tag = attempts[0].tags.iter().find(|(k, _)| *k == "hedged");
-        tag.expect("hedged tag").1.clone()
+        tag.expect("hedged tag").1.to_string()
     }
 
     fn stop(self) {

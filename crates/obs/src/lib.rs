@@ -51,4 +51,4 @@ pub use api::{ApiError, TRACE_HEADER};
 pub use expo::{parse, Exposition};
 pub use lock::{RankedGuard, RankedMutex};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, RegistryError};
-pub use trace::{SpanCtx, SpanGuard, SpanRecord, TraceId, Tracer};
+pub use trace::{SpanCtx, SpanGuard, SpanRecord, TagValue, TraceId, Tracer};

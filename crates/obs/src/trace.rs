@@ -12,9 +12,15 @@
 //! Span start times are microsecond offsets from the tracer's epoch, so
 //! within one process spans of a trace can be ordered and nested
 //! (`start_us` / `dur_us`) without any wall-clock agreement between tiers.
+//!
+//! Tags are typed ([`TagValue`]): a `&'static str`, an integer or a `bool`
+//! is kept as given, so filing a span formats nothing and allocates only
+//! its tag list; text is made only when `/v1/tracez` or the span log
+//! renders the span.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
@@ -128,6 +134,73 @@ impl fmt::Display for TraceId {
     }
 }
 
+/// One tag's value, kept as the caller gave it and formatted only when its
+/// span is rendered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TagValue {
+    /// Text known at compile time (`"true"`, a route label, …).
+    Str(&'static str),
+    /// An unsigned integer (a count, a status, a backend index).
+    Uint(u64),
+    /// A flag.
+    Bool(bool),
+    /// Text made at run time (a path, a key, an error message).
+    Owned(String),
+}
+
+impl From<&'static str> for TagValue {
+    fn from(value: &'static str) -> Self {
+        Self::Str(value)
+    }
+}
+
+impl From<String> for TagValue {
+    fn from(value: String) -> Self {
+        Self::Owned(value)
+    }
+}
+
+impl From<bool> for TagValue {
+    fn from(value: bool) -> Self {
+        Self::Bool(value)
+    }
+}
+
+impl From<u64> for TagValue {
+    fn from(value: u64) -> Self {
+        Self::Uint(value)
+    }
+}
+
+impl From<u32> for TagValue {
+    fn from(value: u32) -> Self {
+        Self::Uint(u64::from(value))
+    }
+}
+
+impl From<u16> for TagValue {
+    fn from(value: u16) -> Self {
+        Self::Uint(u64::from(value))
+    }
+}
+
+impl From<usize> for TagValue {
+    fn from(value: usize) -> Self {
+        Self::Uint(u64::try_from(value).unwrap_or(u64::MAX))
+    }
+}
+
+impl fmt::Display for TagValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Str(s) => f.write_str(s),
+            Self::Uint(n) => write!(f, "{n}"),
+            Self::Bool(b) => write!(f, "{b}"),
+            Self::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
 /// A finished span, as stored in the ring and written to the span log.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -144,11 +217,12 @@ pub struct SpanRecord {
     /// Duration in µs.
     pub dur_us: u64,
     /// Free-form key/value annotations (`hit=true`, `backend=1`, …).
-    pub tags: Vec<(&'static str, String)>,
+    pub tags: Vec<(&'static str, TagValue)>,
 }
 
 impl SpanRecord {
     /// One-line JSON form, shared by `/v1/tracez` and the JSONL span log.
+    /// Every tag value is a JSON string, whatever its type.
     #[must_use]
     pub(crate) fn to_json(&self) -> String {
         let mut out = format!(
@@ -164,7 +238,14 @@ impl SpanRecord {
                 out.push('"');
                 out.push_str(k);
                 out.push_str("\":\"");
-                out.push_str(&json_escape(v));
+                match v {
+                    TagValue::Str(text) => out.push_str(&json_escape(text)),
+                    TagValue::Owned(text) => out.push_str(&json_escape(text)),
+                    // Digits and `true`/`false` need no escaping.
+                    TagValue::Uint(_) | TagValue::Bool(_) => {
+                        let _ = write!(out, "{v}");
+                    }
+                }
                 out.push('"');
             }
             out.push('}');
@@ -226,11 +307,6 @@ impl Tracer {
             trace,
             parent: 0,
         }
-    }
-
-    /// Microseconds since the tracer's epoch.
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     fn record(&self, span: SpanRecord) {
@@ -305,14 +381,16 @@ impl<'a> SpanCtx<'a> {
             SPAN_NAMES.contains(&name),
             "span name {name:?} is not in trace::SPAN_NAMES"
         );
+        // One clock read serves both the offset and the duration's start.
+        let started = Instant::now();
         SpanGuard {
             tracer: self.tracer,
             trace: self.trace,
             span_id: self.tracer.next_span.fetch_add(1, Ordering::Relaxed),
             parent_id: self.parent,
             name,
-            start_us: self.tracer.now_us(),
-            started: Instant::now(),
+            start_us: micros(started.saturating_duration_since(self.tracer.epoch)),
+            started,
             tags: Vec::new(),
         }
     }
@@ -327,12 +405,14 @@ pub struct SpanGuard<'a> {
     name: &'static str,
     start_us: u64,
     started: Instant,
-    tags: Vec<(&'static str, String)>,
+    tags: Vec<(&'static str, TagValue)>,
 }
 
 impl<'a> SpanGuard<'a> {
-    /// Annotate the span (`hit=true`, `backend=2`, …).
-    pub fn tag(&mut self, key: &'static str, value: impl Into<String>) {
+    /// Annotate the span (`hit=true`, `backend=2`, …). The value is kept
+    /// as given — a `&'static str`, an integer, a `bool` or an owned
+    /// `String` — and formatted only when the span is rendered.
+    pub fn tag(&mut self, key: &'static str, value: impl Into<TagValue>) {
         self.tags.push((key, value.into()));
     }
 
@@ -349,7 +429,7 @@ impl<'a> SpanGuard<'a> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let dur_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let dur_us = micros(self.started.elapsed());
         self.tracer.record(SpanRecord {
             trace: self.trace,
             span_id: self.span_id,
@@ -360,6 +440,11 @@ impl Drop for SpanGuard<'_> {
             tags: std::mem::take(&mut self.tags),
         });
     }
+}
+
+/// Whole microseconds, saturating.
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -474,5 +559,89 @@ mod tests {
         assert_eq!(logged.lines().count(), 2);
         assert!(logged.contains(&trace.to_string()));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The renderer from before tags were typed, kept as the oracle of
+    /// `SpanRecord::to_json`: it takes every tag value as its string.
+    fn old_to_json(record: &SpanRecord, tags: &[(&'static str, String)]) -> String {
+        let mut out = format!(
+            "{{\"trace\":\"{}\",\"span\":{},\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
+            record.trace, record.span_id, record.parent_id, record.name, record.start_us, record.dur_us
+        );
+        if !tags.is_empty() {
+            out.push_str(",\"tags\":{");
+            for (i, (k, v)) in tags.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                out.push_str(k);
+                out.push_str("\":\"");
+                out.push_str(&json_escape(v));
+                out.push('"');
+            }
+            out.push('}');
+        }
+        out.push('}');
+        out
+    }
+
+    const TEXTS: &[&str] = &[
+        "",
+        "plain",
+        "/v1/profile/rtx-3080/tiny/GMS?t=0.700",
+        "quote \" and \\ backslash",
+        "line\nbreak\ttab\rcr",
+        "\u{1}\u{1f}\u{7f}",
+        "\u{fc}n\u{ef}c\u{f8}d\u{e9} \u{2713}",
+    ];
+
+    /// Typed tags render to the bytes the old renderer made of their
+    /// strings: every kind of value, with every text and number, in spans
+    /// of one to five tags.
+    #[test]
+    fn typed_tags_render_like_their_strings() {
+        const KEYS: [&str; 5] = ["hit", "key", "status", "backend", "path"];
+        const NUMBERS: [u64; 5] = [0, 7, 200, 503, u64::MAX];
+        let tracer = Tracer::new(4096);
+        let trace = TraceId::mint();
+        let mut filed = 0;
+        for (t, &text) in TEXTS.iter().enumerate() {
+            for (n, &number) in NUMBERS.iter().enumerate() {
+                for len in 1..=5 {
+                    let mut span = tracer.ctx(trace).child("serve.request");
+                    for i in 0..len {
+                        let key = KEYS[(t + n + i) % KEYS.len()];
+                        match (t + n + i) % 5 {
+                            0 => span.tag(key, text),
+                            1 => span.tag(key, text.to_owned()),
+                            2 => span.tag(key, number),
+                            3 => span.tag(key, number % 2 == 0),
+                            _ => span.tag(key, usize::try_from(number % 1000).unwrap_or(0)),
+                        }
+                    }
+                    drop(span);
+                    filed += 1;
+                }
+            }
+        }
+        let records = tracer.spans_for(trace);
+        assert_eq!(records.len(), filed);
+        for record in &records {
+            let strings: Vec<(&'static str, String)> = record
+                .tags
+                .iter()
+                .map(|(k, v)| (*k, v.to_string()))
+                .collect();
+            assert_eq!(record.to_json(), old_to_json(record, &strings));
+        }
+    }
+
+    /// A tag is stored in no more room than a `(&str, String)` tag took, so
+    /// the ring's resident size does not grow.
+    #[test]
+    fn a_typed_tag_is_no_larger_than_a_string_tag() {
+        use std::mem::size_of;
+        assert!(size_of::<(&str, TagValue)>() <= size_of::<(&str, String)>());
     }
 }

@@ -112,8 +112,8 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
     }
     if req.method == "POST" {
         let mut span = ctx.child("store.sync");
-        span.tag("key", key);
-        span.tag("bytes", req.body.len().to_string());
+        span.tag("key", key.to_owned());
+        span.tag("bytes", req.body.len());
         return match state.service.ingest_record(key, &req.body) {
             Ok(()) => Response::ok("stored\n", TEXT),
             Err(msg) => {
@@ -123,10 +123,10 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
         };
     }
     let mut span = ctx.child("store.get");
-    span.tag("key", key);
+    span.tag("key", key.to_owned());
     match state.service.store().get(key) {
         Ok(Some(record)) => {
-            span.tag("version", record.version.to_string());
+            span.tag("version", record.version);
             match String::from_utf8(record.value) {
                 Ok(body) => Response::ok(body, TEXT),
                 Err(_) => Response::error(500, "stored record is not UTF-8"),
@@ -174,11 +174,11 @@ pub fn workload_rejection(findings: &[cactus_wir::Finding]) -> Response {
 /// dropped too (the service supersedes the stored profiles itself).
 fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let mut span = ctx.child("serve.workload");
-    span.tag("bytes", req.body.len().to_string());
+    span.tag("bytes", req.body.len());
     match state.service.register_wir(&req.body, Some(span.ctx())) {
         Ok((name, replaced)) => {
-            span.tag("workload", &name);
-            span.tag("replaced", if replaced { "true" } else { "false" });
+            span.tag("workload", name.clone());
+            span.tag("replaced", replaced);
             state.cache.remove("workloads");
             if replaced {
                 // Cached /v1/{profile,kernels,roofline,dominant} bodies for
@@ -200,7 +200,7 @@ fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Resp
             )
         }
         Err(WorkloadRejection::Invalid(findings)) => {
-            span.tag("findings", findings.len().to_string());
+            span.tag("findings", findings.len());
             workload_rejection(&findings)
         }
         Err(WorkloadRejection::Conflict(msg)) => {
@@ -318,7 +318,7 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         let mut span = ctx.child("serve.cache");
         span.tag("key", key.clone());
         let hit = state.cache.get(&key);
-        span.tag("hit", if hit.is_some() { "true" } else { "false" });
+        span.tag("hit", hit.is_some());
         hit
     };
     if let Some(hit) = cache_hit {

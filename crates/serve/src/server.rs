@@ -249,7 +249,7 @@ impl Handler for ServerState {
         let mut span = self.tracer.ctx(trace).child("serve.request");
         span.tag("path", request.path.clone());
         let response = routes::respond(self, request, span.ctx());
-        span.tag("status", response.status.to_string());
+        span.tag("status", response.status);
         response
     }
 
@@ -425,9 +425,9 @@ fn compactor_loop(state: &ServerState, shutdown: &AtomicBool) {
             Ok(None) => {}
             Ok(Some(report)) => {
                 let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
-                span.tag("victims", report.victims.to_string());
-                span.tag("copied", report.copied.to_string());
-                span.tag("reclaimed_bytes", report.reclaimed_bytes.to_string());
+                span.tag("victims", report.victims);
+                span.tag("copied", report.copied);
+                span.tag("reclaimed_bytes", report.reclaimed_bytes);
             }
             Err(e) => {
                 let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");

@@ -574,7 +574,7 @@ impl ProfileService {
                     span.as_ref().map(cactus_obs::SpanGuard::ctx),
                 );
                 if let Some(span) = &mut span {
-                    span.tag("hit", if profile.is_some() { "true" } else { "false" });
+                    span.tag("hit", profile.is_some());
                 }
                 profile
             };
@@ -586,7 +586,7 @@ impl ProfileService {
             let profile = {
                 let mut span = ctx.map(|c| c.child("serve.simulate"));
                 if let Some(span) = &mut span {
-                    span.tag("key", &key);
+                    span.tag("key", key.clone());
                 }
                 self.simulate(triple, span.as_ref().map(cactus_obs::SpanGuard::ctx))
             }?;
@@ -625,7 +625,7 @@ impl ProfileService {
             }
         };
         if let Some(span) = &mut span {
-            span.tag("version", record.version.to_string());
+            span.tag("version", record.version);
         }
         if record.version != version {
             return None;
@@ -654,7 +654,7 @@ impl ProfileService {
         let text = profile_store::write_profile(profile);
         let mut span = ctx.map(|c| c.child("store.append"));
         if let Some(span) = &mut span {
-            span.tag("bytes", text.len().to_string());
+            span.tag("bytes", text.len());
         }
         if let Err(e) = self.store.append(key, version, text.as_bytes()) {
             eprintln!("cactus-serve: store append {key} failed: {e}");
@@ -751,8 +751,8 @@ impl ProfileService {
             let mut span = ctx.map(|c| c.child("wir.check"));
             let findings = submission_findings(&def);
             if let Some(span) = &mut span {
-                span.tag("workload", &def.name);
-                span.tag("findings", findings.len().to_string());
+                span.tag("workload", def.name.clone());
+                span.tag("findings", findings.len());
             }
             if !findings.is_empty() {
                 return Err(reject(findings));
@@ -766,7 +766,7 @@ impl ProfileService {
         {
             let mut span = ctx.map(|c| c.child("store.append"));
             if let Some(span) = &mut span {
-                span.tag("bytes", source.len().to_string());
+                span.tag("bytes", source.len());
             }
             if let Err(e) = self
                 .store
@@ -825,8 +825,8 @@ impl ProfileService {
             }
         }
         if let Some(span) = &mut span {
-            span.tag("workload", workload);
-            span.tag("records", superseded.to_string());
+            span.tag("workload", workload.to_owned());
+            span.tag("records", superseded);
         }
     }
 
@@ -891,22 +891,22 @@ impl ProfileService {
                     .map(|s| s.ctx().child("wir.exec"))
                     .or_else(|| ctx.map(|c| c.child("wir.exec")));
                 if let Some(exec) = &mut exec {
-                    exec.tag("workload", &w.name);
+                    exec.tag("workload", w.name.clone());
                     exec.tag("scale", scale_slug(triple.scale));
                 }
                 let launches = cactus_wir::run(&w.def, Some(scale_slug(triple.scale)), &mut gpu)
                     .map_err(|e| format!("wir exec failed at line {}: {}", e.line, e.message))?;
                 self.wir_exec_kernels.add(launches);
                 if let Some(exec) = &mut exec {
-                    exec.tag("launches", launches.to_string());
+                    exec.tag("launches", launches);
                 }
             }
         }
         if let Some(span) = &mut span {
             let delta = gpu.memo_delta();
-            span.tag("device", &triple.device_slug);
-            span.tag("memo_hits", delta.hits.to_string());
-            span.tag("memo_misses", delta.misses.to_string());
+            span.tag("device", triple.device_slug.clone());
+            span.tag("memo_hits", delta.hits);
+            span.tag("memo_misses", delta.misses);
         }
         Ok(Profile::from_records(gpu.records()))
     }

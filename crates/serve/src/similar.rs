@@ -217,8 +217,8 @@ impl SimService {
                 }
             }
             if let Some(span) = &mut span {
-                span.tag("kernels", kernels.len().to_string());
-                span.tag("added", added.to_string());
+                span.tag("kernels", kernels.len());
+                span.tag("added", added);
             }
         }
         if reclusters > 0 {
@@ -226,7 +226,7 @@ impl SimService {
             // loop; this records that (and how often) they fired.
             if let Some(c) = ctx {
                 let mut span = c.child("simindex.recluster");
-                span.tag("events", reclusters.to_string());
+                span.tag("events", reclusters);
             }
         }
 
@@ -289,9 +289,9 @@ impl SimService {
             .search(q, k)
             .map_err(|e| SimError::Internal(e.to_string()))?;
         if let Some(span) = &mut span {
-            span.tag("k", k.to_string());
-            span.tag("probed", result.probed.to_string());
-            span.tag("pruned", result.pruned.to_string());
+            span.tag("k", k);
+            span.tag("probed", result.probed);
+            span.tag("pruned", result.pruned);
         }
         Ok(SimilarReport {
             query,
