@@ -160,23 +160,15 @@ impl Router {
     #[must_use]
     pub(crate) fn replica_set(&self, key: &str) -> Vec<usize> {
         // Replication keys are `profile/<device>/<scale>/<workload>`.
-        let device = {
-            let segs: Vec<&str> = key.split('/').collect();
-            match segs.as_slice() {
-                ["profile", device, _, _] => Some((*device).to_owned()),
-                _ => None,
-            }
+        let mut segs = key.split('/');
+        let device = match std::array::from_fn::<_, 5, _>(|_| segs.next()) {
+            [Some("profile"), Some(device), Some(_), Some(_), None] => Some(device),
+            _ => None,
         };
-        self.ring
-            .candidates(key)
-            .into_iter()
-            .filter(|&i| {
-                device
-                    .as_deref()
-                    .is_none_or(|d| self.capabilities.capable(i, d))
-            })
-            .take(2)
-            .collect()
+        let mut set = self.ring.candidates(key);
+        set.retain(|&i| device.is_none_or(|d| self.capabilities.capable(i, d)));
+        set.truncate(2);
+        set
     }
 
     /// True when the store record `key` (`<device>/<scale>/<workload>`) was

@@ -32,6 +32,7 @@
 //! the failover path — so one request yields one id visible in both tiers'
 //! `/v1/tracez`.
 
+use std::borrow::Cow;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -446,8 +447,9 @@ fn fleet_devices(router: &Router, backend_addrs: &[SocketAddr]) -> String {
 /// triple so repeated queries about one profile land on the backend whose
 /// index already ingested it; anything else keys on the whole path
 /// (inline-vector and stats queries thereby share one backend's index).
+/// Borrowed from `target` except for a similarity query's triple.
 #[must_use]
-pub fn routing_key(target: &str) -> String {
+pub fn routing_key(target: &str) -> Cow<'_, str> {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
@@ -461,13 +463,13 @@ pub fn routing_key(target: &str) -> String {
             })
         };
         if let (Some(d), Some(s), Some(w)) = (param("device"), param("scale"), param("workload")) {
-            return format!("similar/{d}/{s}/{w}");
+            return Cow::Owned(format!("similar/{d}/{s}/{w}"));
         }
-        return trimmed.to_owned();
+        return Cow::Borrowed(trimmed);
     }
     match trimmed.strip_prefix("v1/") {
-        Some(tuple) if tuple.split('/').count() == 4 => tuple.to_owned(),
-        _ => trimmed.to_owned(),
+        Some(tuple) if tuple.split('/').count() == 4 => Cow::Borrowed(tuple),
+        _ => Cow::Borrowed(trimmed),
     }
 }
 

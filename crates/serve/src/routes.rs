@@ -264,9 +264,13 @@ pub fn tracez(tracer: &Tracer, query: Option<&str>) -> Response {
 
 /// The `/v1/<endpoint>/<device>/<scale>/<workload>` family.
 fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
-    let segments: Vec<&str> = req.path.trim_matches('/').split('/').collect();
-    let (endpoint, device, scale, workload) = match segments.as_slice() {
-        ["v1", endpoint, device, scale, workload] => (*endpoint, *device, *scale, *workload),
+    // Six slots tell the five-segment shape from a longer path.
+    let mut segments = req.path.trim_matches('/').split('/');
+    let segments: [Option<&str>; 6] = std::array::from_fn(|_| segments.next());
+    let (endpoint, device, scale, workload) = match segments {
+        [Some("v1"), Some(endpoint), Some(device), Some(scale), Some(workload), None] => {
+            (endpoint, device, scale, workload)
+        }
         _ => {
             return Response::error(
                 404,
@@ -290,13 +294,13 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         Ok(t) => t,
         Err(msg) => return Response::error(404, msg),
     };
-    if !state.service.models(&triple.device_slug) {
+    if !state.service.models(triple.device_slug()) {
         return Response::error(
             404,
             format!(
                 "device {:?} is in the catalog but not modeled by this backend; modeled \
                  devices: {} (see /v1/devices)",
-                triple.device_slug,
+                triple.device_slug(),
                 state.service.modeled().join(", "),
             ),
         );
@@ -308,22 +312,27 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         Ok(t) => t,
         Err(msg) => return Response::error(400, msg),
     };
-    let key = if endpoint == "dominant" {
-        format!("{endpoint}/{}?t={threshold:.3}", triple.key())
-    } else {
-        format!("{endpoint}/{}", triple.key())
-    };
+    // The one string a hit builds: `<endpoint>/<device>/<scale>/<workload>`.
+    let mut key = String::with_capacity(64);
+    key.push_str(endpoint);
+    key.push('/');
+    triple.push_key(&mut key);
+    if endpoint == "dominant" {
+        let _ = write!(key, "?t={threshold:.3}");
+    }
 
-    let cache_hit = {
-        let mut span = ctx.child("serve.cache");
-        span.tag("key", key.clone());
-        let hit = state.cache.get(&key);
-        span.tag("hit", hit.is_some());
-        hit
-    };
-    if let Some(hit) = cache_hit {
+    let mut span = ctx.child("serve.cache");
+    let hit = state.cache.get(&key);
+    if let Some(hit) = hit {
+        // A hit needs the key no more: the span takes it.
+        span.tag("key", key);
+        span.tag("hit", true);
+        drop(span);
         return hit.to_response();
     }
+    span.tag("key", key.clone());
+    span.tag("hit", false);
+    drop(span);
     let mut span = ctx.child("serve.profile");
     let outcome = state.service.profile(&triple, Some(span.ctx()));
     let (resolved, source) = match outcome {
@@ -426,7 +435,7 @@ fn workloads_catalog(state: &ServerState) -> String {
 /// Per-kernel roofline coordinates and classifications on the requested
 /// device's roofline.
 fn roofline_csv(triple: &Triple, profile: &cactus_profiler::Profile) -> String {
-    let roofline = Roofline::for_device(&triple.device);
+    let roofline = Roofline::for_device(&triple.device());
     let total = profile.total_time_s();
     let mut out =
         String::from("kernel,instruction_intensity,gips,time_share,intensity_class,boundedness\n");
@@ -491,7 +500,7 @@ mod tests {
     }
 
     fn roofline_oracle(triple: &Triple, profile: &Profile) -> String {
-        let roofline = Roofline::for_device(&triple.device);
+        let roofline = Roofline::for_device(&triple.device());
         let total = profile.total_time_s();
         let mut out = String::from(
             "kernel,instruction_intensity,gips,time_share,intensity_class,boundedness\n",

@@ -8,10 +8,10 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cactus_core::{workloads, SuiteScale, Workload};
-use cactus_gpu::catalog;
+use cactus_gpu::catalog::{self, CatalogEntry};
 use cactus_gpu::engine::MemoStats;
 use cactus_gpu::pool::{GpuPool, PoolInstruments};
 use cactus_gpu::Device;
@@ -34,22 +34,12 @@ pub(crate) fn device_slugs() -> Vec<&'static str> {
 /// The scale presets the service exposes, as URL slugs.
 pub(crate) const SCALE_SLUGS: [&str; 3] = ["tiny", "small", "profile"];
 
-/// Look up a device preset by its URL slug (case-insensitive), against
-/// the full device catalog.
-#[must_use]
-pub(crate) fn device_by_slug(slug: &str) -> Option<Device> {
-    catalog::by_id(slug).map(catalog::CatalogEntry::device)
-}
-
 /// Look up a suite scale by its URL slug (case-insensitive).
 #[must_use]
 pub(crate) fn scale_by_slug(slug: &str) -> Option<SuiteScale> {
-    match slug.to_ascii_lowercase().as_str() {
-        "tiny" => Some(SuiteScale::Tiny),
-        "small" => Some(SuiteScale::Small),
-        "profile" => Some(SuiteScale::Profile),
-        _ => None,
-    }
+    [SuiteScale::Tiny, SuiteScale::Small, SuiteScale::Profile]
+        .into_iter()
+        .find(|&scale| scale_slug(scale).eq_ignore_ascii_case(slug))
 }
 
 fn scale_slug(scale: SuiteScale) -> &'static str {
@@ -76,9 +66,9 @@ pub(crate) struct WirWorkload {
 /// or a submitted IR definition.
 pub(crate) enum ServableWorkload {
     /// One of the ten Cactus workloads (keyed by abbreviation).
-    Cactus(Workload),
+    Cactus(&'static Workload),
     /// One Parboil/Rodinia/Tango benchmark (keyed by name).
-    Prt(Benchmark),
+    Prt(&'static Benchmark),
     /// A validated `cactus-wir` definition (keyed by its workload name).
     Wir(Arc<WirWorkload>),
 }
@@ -96,14 +86,24 @@ impl ServableWorkload {
     }
 }
 
+/// The built-in catalogs, built once: the Cactus suite and the PRT
+/// comparison suites.
+fn builtins() -> &'static (Vec<Workload>, Vec<Benchmark>) {
+    static BUILTINS: OnceLock<(Vec<Workload>, Vec<Benchmark>)> = OnceLock::new();
+    BUILTINS.get_or_init(|| (workloads::suite(), cactus_suites::all()))
+}
+
 /// Resolve a workload by name: Cactus abbreviations match
 /// case-insensitively (`gms` → `GMS`), PRT benchmarks by exact name.
 #[must_use]
 pub(crate) fn workload_by_name(name: &str) -> Option<ServableWorkload> {
-    if let Some(w) = workloads::by_abbr(&name.to_ascii_uppercase()) {
+    let (cactus, prt) = builtins();
+    if let Some(w) = cactus.iter().find(|w| w.abbr.eq_ignore_ascii_case(name)) {
         return Some(ServableWorkload::Cactus(w));
     }
-    cactus_suites::by_name(name).map(ServableWorkload::Prt)
+    prt.iter()
+        .find(|b| b.name == name)
+        .map(ServableWorkload::Prt)
 }
 
 /// Store-key prefix for submitted IR definitions. Lives in the same
@@ -269,12 +269,12 @@ fn reload_wir(store: &Store) -> BTreeMap<String, Arc<WirWorkload>> {
     map
 }
 
-/// A fully resolved, canonicalized request triple.
+/// A fully resolved, canonicalized request triple. Resolving one builds
+/// nothing: the device is its catalog entry, the workload a built-in
+/// catalog member or a shared submitted definition.
 pub struct Triple {
-    /// Device preset slug (canonical lowercase form).
-    pub device_slug: String,
-    /// The resolved device.
-    pub device: Device,
+    /// The device's catalog entry.
+    entry: &'static CatalogEntry,
     /// The resolved scale.
     pub scale: SuiteScale,
     /// The resolved workload.
@@ -305,8 +305,7 @@ impl Triple {
         workload: &str,
         extra: impl FnOnce(&str) -> Option<ServableWorkload>,
     ) -> Result<Self, String> {
-        let device_slug = device.to_ascii_lowercase();
-        let resolved_device = device_by_slug(&device_slug).ok_or_else(|| {
+        let entry = catalog::by_id(device).ok_or_else(|| {
             format!(
                 "unknown device {device:?}; expected one of {}",
                 device_slugs().join(", ")
@@ -324,23 +323,41 @@ impl Triple {
                 format!("unknown workload {workload:?}; see /v1/workloads for the catalog")
             })?;
         Ok(Self {
-            device_slug,
-            device: resolved_device,
+            entry,
             scale: resolved_scale,
             workload: resolved_workload,
         })
+    }
+
+    /// The device's canonical (lowercase) catalog id.
+    #[must_use]
+    pub(crate) fn device_slug(&self) -> &'static str {
+        self.entry.id
+    }
+
+    /// The device descriptor, built on each call: only rendering a miss
+    /// and fitting a similarity encoder need one.
+    #[must_use]
+    pub(crate) fn device(&self) -> Device {
+        self.entry.device()
     }
 
     /// Canonical `device/scale/workload` key, shared by the response cache
     /// and the single-flight group.
     #[must_use]
     pub fn key(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.device_slug,
-            scale_slug(self.scale),
-            self.workload.name()
-        )
+        let mut key = String::new();
+        self.push_key(&mut key);
+        key
+    }
+
+    /// Append [`Triple::key`] to `out`.
+    pub(crate) fn push_key(&self, out: &mut String) {
+        out.push_str(self.entry.id);
+        out.push('/');
+        out.push_str(scale_slug(self.scale));
+        out.push('/');
+        out.push_str(self.workload.name());
     }
 }
 
@@ -555,16 +572,16 @@ impl ProfileService {
         triple: &Triple,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<(Arc<ResolvedProfile>, ProfileSource), String> {
-        if !self.models(&triple.device_slug) {
+        if !self.models(triple.device_slug()) {
             return Err(format!(
                 "device {:?} is not modeled by this backend; modeled: {}",
-                triple.device_slug,
+                triple.device_slug(),
                 self.modeled().join(", ")
             ));
         }
         let key = triple.key();
         let version = current_version(&key)
-            .ok_or_else(|| format!("device {:?} is not in the catalog", triple.device_slug))?;
+            .ok_or_else(|| format!("device {:?} is not in the catalog", triple.device_slug()))?;
         let (result, leader) = self.flight.run(&key, || {
             let store_hit = {
                 let mut span = ctx.map(|c| c.child("serve.store"));
@@ -871,7 +888,7 @@ impl ProfileService {
     /// unreachable for registered definitions, but the error path stays —
     /// the interpreter is the final authority).
     fn simulate(&self, triple: &Triple, ctx: Option<SpanCtx<'_>>) -> Result<Profile, String> {
-        let pool = self.pool(&triple.device_slug);
+        let pool = self.pool(triple.device_slug());
         let mut gpu = pool.checkout();
         let mut span = ctx.map(|c| c.child("engine.launch"));
         match &triple.workload {
@@ -904,7 +921,7 @@ impl ProfileService {
         }
         if let Some(span) = &mut span {
             let delta = gpu.memo_delta();
-            span.tag("device", triple.device_slug.clone());
+            span.tag("device", triple.device_slug());
             span.tag("memo_hits", delta.hits);
             span.tag("memo_misses", delta.misses);
         }
@@ -952,17 +969,17 @@ mod tests {
     #[test]
     fn slug_resolution_round_trips() {
         for slug in device_slugs() {
-            assert!(device_by_slug(slug).is_some(), "{slug}");
+            assert!(catalog::by_id(slug).is_some(), "{slug}");
         }
         for slug in SCALE_SLUGS {
             assert!(scale_by_slug(slug).is_some(), "{slug}");
         }
-        assert!(device_by_slug("RTX-3080").is_some(), "case-insensitive");
-        assert!(device_by_slug("h100").is_none());
+        assert!(catalog::by_id("RTX-3080").is_some(), "case-insensitive");
+        assert!(catalog::by_id("h100").is_none());
         assert!(scale_by_slug("huge").is_none());
         // The new catalog parts resolve like the founding four.
-        assert!(device_by_slug("rtx-3060").is_some());
-        assert!(device_by_slug("uhd-630").is_some());
+        assert!(catalog::by_id("rtx-3060").is_some());
+        assert!(catalog::by_id("uhd-630").is_some());
     }
 
     #[test]

@@ -180,11 +180,11 @@ impl SimService {
         let mut guard = self.state.lock();
         if guard.fitted.is_none() {
             let corpus: Vec<KernelMetrics> = kernels.iter().map(|kp| kp.metrics).collect();
-            let encoder = Encoder::fit(Roofline::for_device(&triple.device), &corpus);
+            let encoder = Encoder::fit(Roofline::for_device(&triple.device()), &corpus);
             let dims = encoder.dims();
             guard.fitted = Some(Fitted {
                 encoder,
-                device_slug: triple.device_slug.clone(),
+                device_slug: triple.device_slug().to_owned(),
                 index: SimIndex::new(dims),
                 clusters: ClusterSet::new(dims, ClusterConfig::default()),
             });
@@ -387,13 +387,13 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
         Ok(t) => t,
         Err(msg) => return Response::error(404, msg),
     };
-    if !state.service.models(&triple.device_slug) {
+    if !state.service.models(triple.device_slug()) {
         return Response::error(
             404,
             format!(
                 "device {:?} is in the catalog but not modeled by this backend; modeled \
                  devices: {} (see /v1/devices)",
-                triple.device_slug,
+                triple.device_slug(),
                 state.service.modeled().join(", "),
             ),
         );
