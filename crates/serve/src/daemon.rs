@@ -12,9 +12,11 @@
 //! exchange) and which counters tick are the handler's, everything about
 //! the socket is here.
 //!
-//! The accept loop never blocks on a slow client: a connection either
-//! enqueues or is answered `503` immediately, so saturation degrades into
-//! fast, explicit pushback instead of unbounded queueing. Connections are
+//! The accept loop blocks in `accept` and never on a slow client: a
+//! connection either enqueues or is answered `503` immediately, so
+//! saturation degrades into fast, explicit pushback instead of unbounded
+//! queueing. Shutdown wakes the blocked `accept` with a connection of its
+//! own. Connections are
 //! keep-alive by default: a worker serves sequential requests from one
 //! stream until the client asks `Connection: close`, the idle read timeout
 //! fires, [`KEEP_ALIVE_MAX`] requests have been served, or shutdown begins
@@ -25,7 +27,7 @@
 //! once every response has been written.
 
 use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -39,10 +41,9 @@ use cactus_obs::TraceId;
 use crate::http::{self, HttpError, Request, Response};
 use crate::net;
 
-/// How long the accept loop sleeps between polls when idle. Accepted
-/// connections are processed back to back; this only bounds the latency of
-/// the first request after an idle period.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// How long the accept loop backs off after a failed `accept` (fd
+/// exhaustion, an aborted handshake) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Requests served over one keep-alive connection before the daemon forces
 /// a close, bounding how long a single client can pin a worker.
@@ -115,7 +116,6 @@ pub fn bind(addr: &str) -> io::Result<Bound> {
     // SO_REUSEADDR so a supervised restart can rebind its pinned port
     // immediately (lingering TIME_WAIT sockets would otherwise block it).
     let listener = net::bind_reusable(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     Ok(Bound { listener, addr })
 }
@@ -188,20 +188,41 @@ impl<H> Daemon<H> {
         Arc::clone(&self.shutdown)
     }
 
-    /// Begin graceful shutdown: stop accepting, let workers drain.
+    /// Begin graceful shutdown: stop accepting, let workers drain. The
+    /// accept thread, blocked in `accept`, is woken by a connection to the
+    /// listener, which it closes unserved.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake(self.addr);
     }
 
     /// Shut down (if not already requested) and wait until every queued and
     /// in-flight request has been answered and all threads exited.
     pub fn join(self) {
-        self.shutdown();
+        self.shutdown.store(true, Ordering::SeqCst);
+        // A wake-up that could not connect (no free descriptor, say) is
+        // retried until the accept thread has seen the flag.
+        while !wake(self.addr) && !self.accept.is_finished() {
+            std::thread::sleep(ACCEPT_BACKOFF);
+        }
         let _ = self.accept.join();
         for worker in self.workers {
             let _ = worker.join();
         }
     }
+}
+
+/// Connect to the listener at `addr` (an unspecified address through
+/// loopback) so that a blocked `accept` returns. True once connected.
+fn wake(addr: SocketAddr) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&target, Duration::from_secs(1)).is_ok()
 }
 
 fn accept_loop<H: Handler>(
@@ -211,8 +232,15 @@ fn accept_loop<H: Handler>(
     retry_after_s: u32,
     shutdown: &AtomicBool,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: the connection that woke a
+        // shutting-down daemon is closed unserved, like any still queued
+        // in the listener's backlog.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 handler.observe(Event::Accepted);
                 match tx.try_send(stream) {
@@ -221,9 +249,9 @@ fn accept_loop<H: Handler>(
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
-            // `WouldBlock` is the idle case; anything else (fd exhaustion,
-            // an aborted handshake) is transient too.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // Fd exhaustion or an aborted handshake: transient, but back
+            // off rather than spin on it.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Dropping `tx` here closes the queue: workers drain what is already
