@@ -71,7 +71,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     };
 
     let param = |name: &str| {
-        request.query.as_deref()?.split('&').find_map(|pair| {
+        request.query()?.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == name && !v.is_empty()).then_some(v)
         })

@@ -294,10 +294,10 @@ fn respond(
     request: &Request,
     ctx: SpanCtx<'_>,
 ) -> Response {
-    if request.method == "POST" && request.path == "/v1/workloads" {
+    if request.method() == "POST" && request.path == "/v1/workloads" {
         return broadcast_workload(backend_addrs, request, ctx);
     }
-    if request.method != "GET" {
+    if request.method() != "GET" {
         return Response::error(405, "only GET is supported (POST only on /v1/workloads)");
     }
     match request.path.as_str() {
@@ -306,7 +306,7 @@ fn respond(
             render_metrics(&router.metrics, &router.health, &router.pool, backend_addrs),
             TEXT,
         ),
-        "/v1/tracez" => tracez(ctx.tracer(), request.query.as_deref()),
+        "/v1/tracez" => tracez(ctx.tracer(), request.query()),
         "/v1/store/manifest" => Response::ok(sync::fleet_manifest(router, backend_addrs), TEXT),
         "/v1/devices" => Response::ok(fleet_devices(router, backend_addrs), CSV),
         path if path.starts_with("/v1/compare/") => compare::compare(router, request, ctx),

@@ -54,7 +54,7 @@ pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// keeps their capacity.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub(crate) struct Head {
-    text: String,
+    bytes: Vec<u8>,
     fields: Vec<Field>,
 }
 
@@ -72,30 +72,33 @@ impl Head {
     fn read<R: BufRead, T>(
         &mut self,
         reader: &mut R,
-        start: fn(&str) -> Result<T, HttpError>,
+        start: fn(&[u8]) -> Result<T, HttpError>,
     ) -> Result<T, HttpError> {
-        let mut bytes = std::mem::take(&mut self.text).into_bytes();
-        bytes.clear();
+        self.bytes.clear();
         self.fields.clear();
-        gather_line(reader, &mut bytes)?;
-        let first = start(head_line(&bytes)?)?;
+        // Room for a typical head up front; a kept buffer already has it.
+        self.bytes.reserve(256);
+        self.fields.reserve(8);
+        gather_line(reader, &mut self.bytes)?;
+        let first = start(head_line(&self.bytes)?)?;
         loop {
-            let at = bytes.len();
-            gather_line(reader, &mut bytes)?;
-            let field = match &bytes[at..] {
+            let at = self.bytes.len();
+            gather_line(reader, &mut self.bytes)?;
+            let field = match &self.bytes[at..] {
                 b"\r\n" | b"\n" => break,
                 line => parse_header_line(head_line(line)?, at)?,
             };
-            bytes[field.name.clone()].make_ascii_lowercase();
+            self.bytes[field.name.clone()].make_ascii_lowercase();
             self.fields.push(field);
         }
-        // Every line was checked to be UTF-8 as it came in.
-        self.text = String::from_utf8(bytes).map_err(|_| non_utf8_head())?;
         Ok(first)
     }
 
+    /// The text at `range`, a range a parse of this head's text produced:
+    /// every line was checked to be UTF-8 as it came in, and a range
+    /// starts and ends on character boundaries, so this never falls back.
     fn at(&self, range: &Range<usize>) -> &str {
-        &self.text[range.clone()]
+        std::str::from_utf8(&self.bytes[range.clone()]).unwrap_or_default()
     }
 
     /// The one header lookup: stored names are lower case, so a
@@ -103,7 +106,7 @@ impl Head {
     fn get(&self, name: &str) -> Option<&str> {
         self.fields
             .iter()
-            .find(|f| self.at(&f.name).eq_ignore_ascii_case(name))
+            .find(|f| self.bytes[f.name.clone()].eq_ignore_ascii_case(name.as_bytes()))
             .map(|f| self.at(&f.value))
     }
 
@@ -161,34 +164,43 @@ impl fmt::Debug for Headers<'_> {
 }
 
 /// A parsed request. One `Request` per connection is refilled in place by
-/// `read_request_into`, so its strings keep their capacity from one
+/// `read_request_into`, so its buffers keep their capacity from one
 /// request to the next.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
-    /// Request method, uppercased (`GET`, `POST`, …).
-    pub method: String,
-    /// Request target path, without the query string.
+    /// Request target path, without the query string. The one part of the
+    /// head copied out of it: it is read as a field (`benchmark/` does too).
     pub path: String,
-    /// Raw query string after `?`, if any.
-    pub query: Option<String>,
     /// Request body (empty unless the client sent a `Content-Length`).
     pub body: String,
     head: Head,
-    target: Range<usize>,
+    line: RequestLine,
 }
 
 impl Request {
-    /// The header lines, in wire order.
+    /// Request method, uppercased (`GET`, `POST`, …).
     #[must_use]
-    pub fn headers(&self) -> Headers<'_> {
-        Headers { head: &self.head }
+    pub fn method(&self) -> &str {
+        self.head.at(&self.line.method)
+    }
+
+    /// Raw query string after `?`, if any.
+    #[must_use]
+    pub fn query(&self) -> Option<&str> {
+        self.line.query.as_ref().map(|q| self.head.at(q))
     }
 
     /// The request target as sent: the path, then `?` and the query when
     /// there is one.
     #[must_use]
     pub fn target(&self) -> &str {
-        self.head.at(&self.target)
+        self.head.at(&self.line.target)
+    }
+
+    /// The header lines, in wire order.
+    #[must_use]
+    pub fn headers(&self) -> Headers<'_> {
+        Headers { head: &self.head }
     }
 
     /// Whether the client asked for the connection to be closed after this
@@ -318,21 +330,11 @@ pub(crate) fn read_request_into<R: BufRead>(
     request: &mut Request,
 ) -> Result<(), HttpError> {
     let line = request.head.read(reader, parse_request_line)?;
-    let head = &request.head;
-    refill(&mut request.method, head.at(&line.method));
-    request.method.make_ascii_uppercase();
-    refill(&mut request.path, head.at(&line.path));
-    match (line.query, &mut request.query) {
-        (Some(query), Some(kept)) => refill(kept, head.at(&query)),
-        (query, kept) => *kept = query.map(|q| head.at(&q).to_owned()),
-    }
-    request.target = line.target;
+    request.head.bytes[line.method.clone()].make_ascii_uppercase();
+    request.path.clear();
+    request.path.push_str(request.head.at(&line.path));
+    request.line = line;
     read_body(reader, &request.head, false, &mut request.body)
-}
-
-fn refill(kept: &mut String, text: &str) {
-    kept.clear();
-    kept.push_str(text);
 }
 
 /// Read and parse one reply from `reader`, like [`read_request`], except
@@ -391,11 +393,26 @@ fn non_utf8_head() -> HttpError {
     HttpError::Malformed("non-UTF-8 bytes in a message head".to_owned())
 }
 
-/// A head line as text, without its trailing `\r\n`/`\n`.
-fn head_line(raw: &[u8]) -> Result<&str, HttpError> {
-    std::str::from_utf8(raw)
-        .map(|text| text.trim_end_matches(['\r', '\n']))
-        .map_err(|_| non_utf8_head())
+/// A head line without its trailing `\r\n`/`\n`, checked to be UTF-8 (an
+/// all-ASCII line, the usual one, needs no further look).
+fn head_line(raw: &[u8]) -> Result<&[u8], HttpError> {
+    let end = raw.len()
+        - raw
+            .iter()
+            .rev()
+            .take_while(|&&b| matches!(b, b'\r' | b'\n'))
+            .count();
+    let line = &raw[..end];
+    if !line.is_ascii() && std::str::from_utf8(line).is_err() {
+        return Err(non_utf8_head());
+    }
+    Ok(line)
+}
+
+/// A line [`head_line`] checked (or a part of one cut at ASCII bytes), as
+/// text.
+fn text(line: &[u8]) -> &str {
+    std::str::from_utf8(line).unwrap_or_default()
 }
 
 /// Read the body `head` frames into `body` (emptied first, capacity
@@ -443,6 +460,7 @@ fn read_body<R: BufRead>(
 }
 
 /// Where a request line's parts sit in the head (it starts at offset 0).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RequestLine {
     method: Range<usize>,
     target: Range<usize>,
@@ -454,35 +472,43 @@ struct RequestLine {
 /// spaces, no tabs or other embedded whitespace (so a target can never smuggle
 /// a second token past a lax downstream parser). Yields where the method,
 /// the target, its path and its query sit.
-fn parse_request_line(line: &str) -> Result<RequestLine, HttpError> {
-    let malformed = || HttpError::Malformed(format!("malformed request line {line:?}"));
-    if line.contains(|c: char| c.is_ascii_whitespace() && c != ' ') {
+fn parse_request_line(line: &[u8]) -> Result<RequestLine, HttpError> {
+    let malformed = || HttpError::Malformed(format!("malformed request line {:?}", text(line)));
+    // One pass: the two separating spaces, the target's first `?`, and no
+    // other whitespace anywhere.
+    let (mut spaces, mut query) = ([0usize; 2], None);
+    let mut seen = 0;
+    for (i, &b) in line.iter().enumerate() {
+        match b {
+            b' ' if seen < 2 => {
+                spaces[seen] = i;
+                seen += 1;
+            }
+            b'?' if seen == 1 && query.is_none() => query = Some(i),
+            _ if b.is_ascii_whitespace() => return Err(malformed()),
+            _ => {}
+        }
+    }
+    let [before_target, before_version] = spaces;
+    if seen < 2
+        || before_target == 0
+        || before_version == before_target + 1
+        || !line[before_version + 1..].starts_with(b"HTTP/1.")
+    {
         return Err(malformed());
     }
-    let mut parts = line.split(' ');
-    match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(method), Some(target), Some(version), None)
-            if !method.is_empty() && !target.is_empty() && version.starts_with("HTTP/1.") =>
-        {
-            let at = method.len() + 1;
-            let target = at..at + target.len();
-            let (path, query) = match line[target.clone()].find('?') {
-                Some(q) => (at..at + q, Some(at + q + 1..target.end)),
-                None => (target.clone(), None),
-            };
-            Ok(RequestLine {
-                method: 0..method.len(),
-                target,
-                path,
-                query,
-            })
-        }
-        _ => Err(malformed()),
-    }
+    let target = before_target + 1..before_version;
+    Ok(RequestLine {
+        method: 0..before_target,
+        path: target.start..query.unwrap_or(target.end),
+        query: query.map(|q| q + 1..target.end),
+        target,
+    })
 }
 
 /// Status-line parse: `HTTP/1.x SP <three digits>`, then any reason phrase.
-fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+fn parse_status_line(line: &[u8]) -> Result<u16, HttpError> {
+    let line = text(line);
     line.strip_prefix("HTTP/1.")
         .and_then(|rest| rest.split(' ').nth(1))
         .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
@@ -496,19 +522,29 @@ fn parse_status_line(line: &str) -> Result<u16, HttpError> {
 /// starting with whitespace) is rejected, and so is any C0 control byte but
 /// HTAB in a name or value (RFC 9110 §5.5): a bare CR or a NUL would
 /// otherwise reach a head the gateway writes.
-fn parse_header_line(line: &str, at: usize) -> Result<Field, HttpError> {
-    let malformed = || HttpError::Malformed(format!("malformed header line {line:?}"));
-    let (name, value) = line.split_once(':').ok_or_else(malformed)?;
-    if name.is_empty()
-        || name.contains(|c: char| c.is_ascii_whitespace())
-        || line.bytes().any(|b| b < b' ' && b != b'\t')
-    {
-        return Err(malformed());
+fn parse_header_line(line: &[u8], at: usize) -> Result<Field, HttpError> {
+    let malformed = || HttpError::Malformed(format!("malformed header line {:?}", text(line)));
+    // One pass: the first `:`, no whitespace before it, and no control
+    // byte but HTAB anywhere.
+    let mut colon = None;
+    for (i, &b) in line.iter().enumerate() {
+        if (b < b' ' && b != b'\t') || (colon.is_none() && b.is_ascii_whitespace()) {
+            return Err(malformed());
+        }
+        if b == b':' && colon.is_none() {
+            colon = Some(i);
+        }
     }
-    let start = at + name.len() + 1 + (value.len() - value.trim_start().len());
+    let name_len = match colon {
+        Some(0) | None => return Err(malformed()),
+        Some(len) => len,
+    };
+    let value = text(&line[name_len + 1..]);
+    let trimmed = value.trim_start();
+    let start = at + name_len + 1 + (value.len() - trimmed.len());
     Ok(Field {
-        name: at..at + name.len(),
-        value: start..start + value.trim().len(),
+        name: at..at + name_len,
+        value: start..start + trimmed.trim_end().len(),
     })
 }
 
@@ -681,9 +717,9 @@ mod tests {
         let raw =
             b"GET /v1/profile/a/b/c?x=1 HTTP/1.1\r\nHost: h\r\nX-Ref: http://e:8080/p\r\n\r\n";
         let r = parse(raw).expect("parse");
-        assert_eq!(r.method, "GET");
+        assert_eq!(r.method(), "GET");
         assert_eq!(r.path, "/v1/profile/a/b/c");
-        assert_eq!(r.query.as_deref(), Some("x=1"));
+        assert_eq!(r.query(), Some("x=1"));
         assert_eq!(r.head.get("host"), Some("h"));
         // Values containing ':' survive the first-colon split.
         assert_eq!(r.head.get("X-Ref"), Some("http://e:8080/p"));
@@ -699,7 +735,7 @@ mod tests {
     #[test]
     fn method_is_uppercased() {
         let raw = b"get / HTTP/1.0\r\n\r\n";
-        assert_eq!(parse(raw).expect("parse").method, "GET");
+        assert_eq!(parse(raw).expect("parse").method(), "GET");
     }
 
     #[test]
@@ -793,7 +829,7 @@ mod tests {
         let raw = b"POST /v1/store/record/a/b/c HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /next HTTP/1.1\r\n\r\n";
         let mut reader = &raw[..];
         let first = read_request(&mut reader).expect("post");
-        assert_eq!(first.method, "POST");
+        assert_eq!(first.method(), "POST");
         assert_eq!(first.body, "hello");
         // The reader sits exactly past the body: keep-alive still works.
         let second = read_request(&mut reader).expect("next");
@@ -893,14 +929,11 @@ mod tests {
         let mut reader = &raw[..];
         let mut request = Request::default();
         read_request_into(&mut reader, &mut request).expect("first");
-        assert_eq!(
-            (request.method.as_str(), request.target()),
-            ("POST", "/a?x=1")
-        );
+        assert_eq!((request.method(), request.target()), ("POST", "/a?x=1"));
         read_request_into(&mut reader, &mut request).expect("second");
-        assert_eq!(request.method, "GET");
+        assert_eq!(request.method(), "GET");
         assert_eq!(request.path, "/b");
-        assert_eq!(request.query, None);
+        assert_eq!(request.query(), None);
         assert_eq!(request.target(), "/b");
         assert_eq!(request.body, "");
         assert_eq!(
@@ -1244,10 +1277,9 @@ mod tests {
                 let old = oracle::read_request(&mut old_rest);
                 match (new, old) {
                     (Ok(()), Ok(old)) => {
-                        let query = request.query.clone();
                         proptest::prop_assert_eq!(
-                            (&request.method, &request.path, &query, pairs(request.headers()), &request.body),
-                            (&old.method, &old.path, &old.query, old.headers, &old.body)
+                            (request.method(), &request.path, request.query(), pairs(request.headers()), &request.body),
+                            (old.method.as_str(), &old.path, old.query.as_deref(), old.headers, &old.body)
                         );
                         let target = old.query.map_or(old.path.clone(), |q| format!("{}?{q}", old.path));
                         proptest::prop_assert_eq!(request.target(), target);

@@ -56,14 +56,15 @@ pub(crate) const NDJSON: &str = "application/x-ndjson";
 #[must_use]
 pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let record_key = req.path.strip_prefix("/v1/store/record/");
-    let workloads_post = req.method == "POST" && req.path == "/v1/workloads";
-    if req.method != "GET" && !(req.method == "POST" && record_key.is_some()) && !workloads_post {
+    let workloads_post = req.method() == "POST" && req.path == "/v1/workloads";
+    if req.method() != "GET" && !(req.method() == "POST" && record_key.is_some()) && !workloads_post
+    {
         return Response::error(
             405,
             format!(
                 "method {} not allowed; use GET (POST is accepted only on /v1/workloads and \
                  {STORE_RECORD_ROUTE})",
-                req.method
+                req.method()
             ),
         );
     }
@@ -76,7 +77,7 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     match req.path.as_str() {
         "/v1/healthz" => Response::ok(wire::healthz_body(&state.service.modeled()), TEXT),
         "/v1/metricsz" => Response::ok(state.render_metrics(), TEXT),
-        "/v1/tracez" => tracez(&state.tracer, req.query.as_deref()),
+        "/v1/tracez" => tracez(&state.tracer, req.query()),
         "/v1/devices" => cached(state, "devices", CSV, || devices_catalog(state)),
         "/v1/workloads" => cached(state, "workloads", CSV, || workloads_catalog(state)),
         // Similarity responses are stateful (each query may grow the
@@ -110,7 +111,7 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
             "store record keys have the shape <device>/<scale>/<workload>",
         );
     }
-    if req.method == "POST" {
+    if req.method() == "POST" {
         let mut span = ctx.child("store.sync");
         span.tag("key", key.to_owned());
         span.tag("bytes", req.body.len());
@@ -308,7 +309,7 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
 
     // The dominance threshold is the one endpoint parameter; normalize it
     // into the cache key so distinct thresholds cache separately.
-    let threshold = match threshold_from_query(req.query.as_deref()) {
+    let threshold = match threshold_from_query(req.query()) {
         Ok(t) => t,
         Err(msg) => return Response::error(400, msg),
     };
@@ -321,18 +322,22 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         let _ = write!(key, "?t={threshold:.3}");
     }
 
-    let mut span = ctx.child("serve.cache");
-    let hit = state.cache.get(&key);
-    if let Some(hit) = hit {
+    let cache_hit = {
+        let mut span = ctx.child("serve.cache");
+        let hit = state.cache.get(&key);
         // A hit needs the key no more: the span takes it.
-        span.tag("key", key);
-        span.tag("hit", true);
-        drop(span);
+        let tagged = if hit.is_some() {
+            std::mem::take(&mut key)
+        } else {
+            key.clone()
+        };
+        span.tag("key", tagged);
+        span.tag("hit", hit.is_some());
+        hit
+    };
+    if let Some(hit) = cache_hit {
         return hit.to_response();
     }
-    span.tag("key", key.clone());
-    span.tag("hit", false);
-    drop(span);
     let mut span = ctx.child("serve.profile");
     let outcome = state.service.profile(&triple, Some(span.ctx()));
     let (resolved, source) = match outcome {

@@ -350,7 +350,7 @@ impl SimService {
 /// Handle `GET /v1/similar`.
 #[must_use]
 pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
-    let query = req.query.as_deref();
+    let query = req.query();
     let k = match k_from_query(query) {
         Ok(k) => k,
         Err(msg) => return Response::error(400, msg),

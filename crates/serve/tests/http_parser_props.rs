@@ -59,10 +59,10 @@ proptest! {
 
         let mut reader = BufReader::new(wire.as_bytes());
         let request = read_request(&mut reader).expect("well-formed head must parse");
-        prop_assert_eq!(&request.method, "GET");
+        prop_assert_eq!(request.method(), "GET");
         prop_assert_eq!(&request.path, &path);
         prop_assert_eq!(
-            request.query.as_deref(),
+            request.query(),
             (with_query == 1).then_some(query)
         );
         prop_assert_eq!(request.headers().len(), headers.len());
