@@ -15,16 +15,15 @@
 //! The accept loop blocks in `accept` and never on a slow client: a
 //! connection either enqueues or is answered `503` immediately, so
 //! saturation degrades into fast, explicit pushback instead of unbounded
-//! queueing. Shutdown wakes the blocked `accept` with a connection of its
-//! own. Connections are
-//! keep-alive by default: a worker serves sequential requests from one
-//! stream until the client asks `Connection: close`, the idle read timeout
-//! fires, [`KEEP_ALIVE_MAX`] requests have been served, or shutdown begins
-//! (the last response then advertises `close`). Shutdown is graceful by
-//! construction — the accept thread exits and drops the queue sender, each
-//! worker drains what was already queued, finishes its in-flight
-//! connection, and exits on the closed channel; [`Daemon::join`] returns
-//! once every response has been written.
+//! queueing; shutdown wakes the blocked `accept` with a connection of its
+//! own. Connections are keep-alive by default: a worker serves sequential
+//! requests from one stream until the client asks `Connection: close`, the
+//! idle read timeout fires, [`KEEP_ALIVE_MAX`] requests have been served,
+//! or shutdown begins (the last response then advertises `close`).
+//! Shutdown is graceful by construction — the accept thread exits and
+//! drops the queue sender, each worker drains what was already queued,
+//! finishes its in-flight connection, and exits on the closed channel;
+//! [`Daemon::join`] returns once every response has been written.
 
 use std::io::{self, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
