@@ -182,6 +182,92 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A follower that is down for a moment too short to be ejected misses
+/// the write-path pushes of every key written meanwhile. The repair pass
+/// after each probe round refills it once it answers again: the fleet
+/// converges without any backend being ejected and re-admitted.
+#[test]
+fn a_follower_restarted_inside_the_ejection_window_is_repaired() {
+    let dir = std::env::temp_dir().join(format!("cactus-store-window-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let fleet = Supervisor::spawn_fleet(3, &fleet_config(&dir)).expect("spawn fleet");
+    let config = GatewayConfig {
+        // No ejection can happen: the dead follower stays routable, so
+        // nothing but the repair pass can refill it.
+        eject_after: u32::MAX,
+        ..gateway_config()
+    };
+    let gateway = Gateway::start(config, fleet.addrs()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(120));
+
+    // Three tiny profiles whose replica set is (another backend, f). Every
+    // backend models every device, so the replica set is the ring's first
+    // two candidates; f is a backend that follows at least five of these
+    // fifteen triples, as some backend must.
+    let labels: Vec<String> = fleet.addrs().iter().map(ToString::to_string).collect();
+    let ring = HashRing::new(&labels);
+    let follower = |(d, w): &(&str, &str)| ring.candidates(&format!("profile/{d}/tiny/{w}"))[1];
+    let all: Vec<(&str, &str)> = ["GMS", "SPT", "LGT"]
+        .iter()
+        .flat_map(|&w| {
+            ["rtx-3080", "a100", "gtx-1080", "rtx-2080-ti", "rtx-3060"]
+                .iter()
+                .map(move |&d| (d, w))
+        })
+        .collect();
+    let f = (0..3)
+        .max_by_key(|&b| all.iter().filter(|t| follower(t) == b).count())
+        .expect("three backends");
+    let triples: Vec<(&str, &str)> = all
+        .iter()
+        .copied()
+        .filter(|t| follower(t) == f)
+        .take(3)
+        .collect();
+    assert_eq!(triples.len(), 3, "keys with follower {f}: {triples:?}");
+
+    fleet.kill(f);
+    for (device, workload) in &triples {
+        let reply = client
+            .get(&format!("/v1/profile/{device}/tiny/{workload}"))
+            .expect("write with the follower down");
+        assert_eq!(reply.status, 200, "{device} {workload}: {}", reply.body);
+    }
+    let keys: Vec<String> = triples
+        .iter()
+        .map(|(d, w)| format!("{d}/tiny/{w}"))
+        .collect();
+    fleet.restart(f).expect("restart follower");
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let manifest = client
+            .get("/v1/store/manifest")
+            .expect("fleet manifest")
+            .body;
+        if !manifest.contains("digest=-") && manifest.contains("\nmissing 0\n") {
+            for key in &keys {
+                assert!(
+                    holders_of(&manifest, key).contains(&f),
+                    "{key} not on {f}:\n{manifest}"
+                );
+            }
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "fleet did not converge within 5 s:\n{manifest}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert_eq!(gateway.router().health.ejections(), 0, "no ejection");
+
+    gateway.join();
+    fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A keep-alive stub backend that logs `METHOD path` for every request
 /// and answers each with a `200`: a profile or record body for a `GET`,
 /// `stored` for a `POST`.
