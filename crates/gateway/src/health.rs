@@ -42,10 +42,6 @@ struct Backend {
     state: HealthState,
     consecutive_failures: u32,
     ejected_at: Option<Instant>,
-    /// Set when a `HalfOpen` trial succeeds; drained by
-    /// [`HealthTracker::take_readmitted`] so the health thread can run one
-    /// anti-entropy sync per re-admission.
-    readmit_pending: bool,
 }
 
 /// Tracks health for a fixed fleet of backends, indexed by ring position.
@@ -72,7 +68,6 @@ impl HealthTracker {
                         state: HealthState::Healthy,
                         consecutive_failures: 0,
                         ejected_at: None,
-                        readmit_pending: false,
                     })
                     .collect(),
             ),
@@ -87,30 +82,9 @@ impl HealthTracker {
     pub fn report_success(&self, i: usize) {
         let mut backends = self.backends.lock();
         let b = &mut backends[i];
-        if b.state == HealthState::HalfOpen {
-            // The backend was away and may have missed writes; flag it for
-            // an anti-entropy sync pass.
-            b.readmit_pending = true;
-        }
         b.consecutive_failures = 0;
         b.ejected_at = None;
         b.state = HealthState::Healthy;
-    }
-
-    /// Backends re-admitted (HalfOpen → Healthy) since the last call,
-    /// draining the pending flags. The health thread feeds these to the
-    /// store anti-entropy sync.
-    #[must_use]
-    pub(crate) fn take_readmitted(&self) -> Vec<usize> {
-        let mut backends = self.backends.lock();
-        let mut out = Vec::new();
-        for (i, b) in backends.iter_mut().enumerate() {
-            if b.readmit_pending {
-                b.readmit_pending = false;
-                out.push(i);
-            }
-        }
-        out
     }
 
     /// Record a failed exchange (transport error) with backend `i`.
@@ -212,20 +186,6 @@ mod tests {
             "one trial failure re-ejects"
         );
         assert_eq!(h.ejections(), 2);
-    }
-
-    #[test]
-    fn readmission_is_flagged_once_and_drained() {
-        let h = HealthTracker::new(2, 1, Duration::from_millis(0));
-        assert!(h.take_readmitted().is_empty(), "nothing pending at start");
-        // Ordinary successes on healthy backends never flag a sync.
-        h.report_success(0);
-        assert!(h.take_readmitted().is_empty());
-        h.report_failure(0);
-        h.tick();
-        h.report_success(0);
-        assert_eq!(h.take_readmitted(), vec![0], "trial success flags a sync");
-        assert!(h.take_readmitted().is_empty(), "flag drained");
     }
 
     #[test]

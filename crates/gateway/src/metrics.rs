@@ -160,9 +160,9 @@ pub struct GatewayMetrics {
     pub store_replications: Counter,
     /// Replica pushes that failed (transport error or non-200).
     pub store_replication_failures: Counter,
-    /// Anti-entropy passes run for re-admitted backends.
+    /// Store repair passes run (one per probe round).
     pub store_syncs: Counter,
-    /// Records copied to re-admitted backends by anti-entropy.
+    /// Records copied by repair passes.
     pub store_sync_records: Counter,
     /// `/v1/compare` requests answered (any status).
     pub compare_requests: Counter,
@@ -276,11 +276,11 @@ impl GatewayMetrics {
             )?,
             store_syncs: registry.counter(
                 "cactus_gateway_store_syncs_total",
-                "anti-entropy passes for re-admitted backends",
+                "store repair passes run, one per probe round",
             )?,
             store_sync_records: registry.counter(
                 "cactus_gateway_store_sync_records_total",
-                "records copied by anti-entropy",
+                "records copied by store repair passes",
             )?,
             compare_requests: registry.counter(
                 "cactus_gateway_compare_requests_total",

@@ -152,8 +152,8 @@ impl Router {
 
     /// The replica set for `key`: the first two *capable* backends in raw
     /// ring order, independent of current health. Health-independence is
-    /// the point — the set names where a record *should* live, so
-    /// anti-entropy can repair a backend that was down when the record was
+    /// the point — the set names where a record *should* live, so the
+    /// repair pass can refill a backend that was down when the record was
     /// written. Capability-dependence is equally the point: a backend that
     /// does not model the key's device could never serve (or re-derive) the
     /// record, so it is not a legitimate replica home.
@@ -194,7 +194,7 @@ impl Router {
 
     /// One pooled exchange with backend `i` outside the retry/hedge
     /// machinery and with no health report — the control-plane primitive
-    /// replication and anti-entropy build on. `None` on a transport error.
+    /// replication and repair build on. `None` on a transport error.
     fn exchange(
         &self,
         i: usize,

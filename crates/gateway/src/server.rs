@@ -8,6 +8,7 @@
 //!                    │ tick(): Ejected → HalfOpen after cooldown  │
 //!                    │ active probes: GET /v1/healthz per backend │
 //!                    │ (each probe refreshes the capability map)  │
+//!                    │ then one store repair pass (sync::repair)  │
 //!                    └───────────────────┬────────────────────────┘
 //!                                        ▼
 //! daemon workers ──► GatewayHandler::respond ──► Router::forward
@@ -82,8 +83,10 @@ pub struct GatewayConfig {
     pub eject_after: u32,
     /// How long an ejected backend sits out before a half-open trial.
     pub cooldown: Duration,
-    /// Interval between active `/v1/healthz` probes; `None` disables probing
-    /// (health is then driven purely by data-path outcomes).
+    /// Interval between active `/v1/healthz` probes, each round followed by
+    /// one store repair pass; `None` disables both (health is then driven
+    /// purely by data-path outcomes, and the gateway sends no background
+    /// traffic).
     pub probe_interval: Option<Duration>,
     /// Timeout for one active probe.
     pub probe_timeout: Duration,
@@ -362,8 +365,8 @@ pub(crate) fn forward_replicated(
 /// non-200 leaves the fleet divergent, and the client is told so: a `200`
 /// is returned only when *every* backend accepted; otherwise the gateway
 /// answers a retryable `502` naming the split (re-POSTing the same
-/// definition is idempotent and converges the stragglers, and anti-entropy
-/// replays `wir/` records into re-admitted backends as well).
+/// definition is idempotent and converges the stragglers, and the repair
+/// pass copies a `wir/` record to a backend that lacks it as well).
 fn broadcast_workload(
     backend_addrs: &[SocketAddr],
     request: &Request,
@@ -473,11 +476,12 @@ pub fn routing_key(target: &str) -> Cow<'_, str> {
     }
 }
 
-/// The health thread: promote cooled-down ejections to half-open,
-/// (optionally) actively probe routable backends so failures are noticed
-/// even when no traffic is flowing, and run one store anti-entropy pass
-/// for every backend that just passed its half-open trial — a re-admitted
-/// backend may have missed replicated writes while it was away.
+/// The health thread: promote cooled-down ejections to half-open and,
+/// every `probe_interval`, actively probe routable backends so failures
+/// are noticed even when no traffic is flowing, then run one store repair
+/// pass over the backends available after that round — whichever of them
+/// missed a replicated write is refilled. Without a probe interval the
+/// thread only ticks: no probes and no repairs.
 fn health_loop(
     gateway: &GatewayHandler,
     probe_interval: Option<Duration>,
@@ -519,12 +523,8 @@ fn health_loop(
                         _ => health.report_failure(i),
                     }
                 }
+                sync::repair(router, tracer);
             }
-        }
-        // Re-admissions are flagged by the data path and the probes alike;
-        // each one gets exactly one repair pass here, off the request path.
-        for i in router.health.take_readmitted() {
-            let _ = sync::anti_entropy(router, tracer, i);
         }
         std::thread::sleep(HEALTH_TICK);
     }

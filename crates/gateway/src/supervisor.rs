@@ -48,7 +48,7 @@ impl Supervisor {
     /// backend on the same tree would be refused. The subdirectory is
     /// pinned in the slot's config, so a restarted backend reopens *its
     /// own* segments — which is what makes kill/restart durability and
-    /// anti-entropy testable in-process.
+    /// store repair testable in-process.
     ///
     /// # Errors
     ///

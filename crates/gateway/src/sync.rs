@@ -1,30 +1,32 @@
-//! Store replication and anti-entropy repair across the backend fleet.
+//! Store replication and repair across the backend fleet.
 //!
 //! The gateway treats each backend's embedded `cactus-store` as one replica
-//! of a fleet-wide keyspace. Two mechanisms keep replicas converged:
+//! of a fleet-wide keyspace. Two paths copy records between replicas:
 //!
-//! * **Write-path replication** (`replicate_after_forward`) — after a
-//!   profile request is answered with a `200` by some backend, that backend
+//! * **The write path** (`replicate_after_forward`) — after a profile
+//!   request is answered with a `200` by some backend, that backend
 //!   durably holds the record. The gateway fetches the raw record bytes
 //!   back over `GET /v1/store/record/<key>` and pushes them to every other
-//!   member of the key's replica set
-//!   that is currently routable, so losing the owner does not lose the
-//!   profile. A per-process seen-set de-duplicates repeat reads.
-//! * **Anti-entropy** (`anti_entropy`) — when an ejected backend passes
-//!   its half-open trial and re-enters the fleet, it may have missed writes.
-//!   The health thread diffs its store manifest against every live peer's
-//!   and streams over each record the re-admitted backend should replicate
-//!   but lacks (missing key, or stale version).
+//!   member of the key's replica set that is currently routable, so losing
+//!   the owner does not lose the profile. A per-process seen-set
+//!   de-duplicates repeat reads.
+//! * **The repair pass** (`repair`) — after every probe round the health
+//!   thread reads each available backend's manifest and makes the pushes
+//!   `plan` decides: it fills a replica slot that lacks the record or
+//!   raises a lower version, for *settled* keys only — no reachable
+//!   backend holds the key at version 0 (the tombstone a workload
+//!   re-submission writes) and its highest version has one CRC. So what a
+//!   write-path push missed is refilled one round after the target answers.
 //!
 //! Both paths move records through the same two control-plane primitives
 //! (`Router::fetch` / `Router::push_record`) and file `store.sync` spans
 //! tagged with their `mode`, so `/v1/tracez` distinguishes a write-path
 //! copy from a repair.
 //!
-//! `fleet_manifest` renders the combined view at `/v1/store/manifest`:
-//! per-backend digests plus a per-key replica/holder matrix whose trailing
-//! `missing <n>` line counts replica slots (on reachable backends) that
-//! still lack their record — `missing 0` is the fleet's convergence check.
+//! `fleet_manifest` renders the same `plan` at `/v1/store/manifest`:
+//! per-backend digests, a per-key replica/holder matrix, `missing <n>`
+//! (the pushes the plan makes) and `unsettled <n>` (the keys it leaves
+//! alone). `missing 0` is the fleet's convergence check.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -106,163 +108,182 @@ pub(crate) fn replicate_after_forward(
     }
 }
 
-/// Repair one re-admitted backend: diff its manifest against every live
-/// peer's and stream over each record it replicates but lacks. Returns the
-/// number of records pushed. Called from the health thread with a freshly
-/// minted trace so the repair is visible in `/v1/tracez`.
-pub(crate) fn anti_entropy(router: &Arc<Router>, tracer: &Tracer, readmitted: usize) -> u64 {
-    let n = router.metrics.backends.len();
-    let mut span = tracer.ctx(TraceId::mint()).child("store.sync");
-    span.tag("mode", "anti-entropy");
-    span.tag("backend", readmitted);
-    let trace = Some(span.ctx().trace());
-    router.metrics.store_syncs.inc();
+/// One key's line on the fleet manifest page, and its pushes: the highest
+/// version, the CRC of that version's lowest-indexed holder, the replica
+/// set, the reachable backends that hold that exact record (the first is
+/// the pushes' source), and the backends the record is pushed to.
+#[derive(Debug, PartialEq, Eq)]
+struct Row {
+    key: String,
+    version: u32,
+    crc: u32,
+    replicas: Vec<usize>,
+    have: Vec<usize>,
+    settled: bool,
+    push_to: Vec<usize>,
+}
 
-    // What the re-admitted backend holds right now. An unreadable manifest
-    // aborts the pass (it will re-run on the next re-admission) — guessing
-    // "empty" would be correct but wasteful, and the backend just answered
-    // a trial request, so unreadable means it flapped again.
-    let Some(own) = manifest_of(router, readmitted, trace) else {
-        span.tag("error", "manifest unreadable");
-        return 0;
-    };
-    let held: BTreeMap<String, (u32, u32)> = own
-        .into_iter()
-        .map(|e| (e.key, (e.version, e.crc)))
-        .collect();
+/// What the fleet's stores say should be copied, one row per key.
+#[derive(Debug, Default)]
+struct Plan {
+    rows: Vec<Row>,
+}
 
-    // Union the live peers' manifests.
-    let mut fleet = Latest::new();
-    for peer in 0..n {
-        if peer == readmitted || !router.health.available(peer) {
-            continue;
-        }
-        if let Some(entries) = manifest_of(router, peer, trace) {
-            latest(&mut fleet, &entries, peer);
-        }
+impl Plan {
+    /// The pushes: replica slots on reachable backends that lack a record.
+    fn missing(&self) -> usize {
+        self.rows.iter().map(|r| r.push_to.len()).sum()
     }
 
-    let mut pushed = 0u64;
-    for (key, &(version, crc, holder)) in &fleet {
-        // Version 0 marks a profile superseded by a workload
-        // re-submission; the next request re-simulates it, so there is
-        // nothing worth replicating (and the receiver would refuse the
-        // placeholder body anyway).
-        if version == 0 {
-            continue;
+    /// Keys left alone because the reachable stores disagree on them.
+    fn unsettled(&self) -> usize {
+        self.rows.iter().filter(|r| !r.settled).count()
+    }
+}
+
+/// The fleet's one repair decision, from each backend's manifest (`None`
+/// when unreachable) and the replica set of a profile key. A settled key
+/// (module doc) is pushed from its lowest-indexed holder to each reachable
+/// replica (every backend for a `wir/` key) that lacks its highest record.
+/// An unsettled key — two definitions tied at one version, or a record
+/// beside a tombstone — is left for a re-submission to resolve.
+fn plan(manifests: &[Option<Vec<Entry>>], replica_set: impl Fn(&str) -> Vec<usize>) -> Plan {
+    let mut holdings: BTreeMap<&str, Vec<(usize, u32, u32)>> = BTreeMap::new();
+    for (i, entries) in manifests.iter().enumerate() {
+        for e in entries.iter().flatten() {
+            holdings
+                .entry(&e.key)
+                .or_default()
+                .push((i, e.version, e.crc));
         }
-        // Workload definitions (`wir/<name>` keys) are broadcast to every
-        // backend at submission time, so they replicate unconditionally —
-        // this is the repair path for a backend that missed the broadcast.
-        // Profiles replicate only to the key's replica set.
-        if !key.starts_with("wir/") {
-            let ring_key = format!("profile/{key}");
-            if !router.replica_set(&ring_key).contains(&readmitted) {
-                continue;
-            }
-        }
-        match held.get(key) {
-            Some(&(v, c)) if v > version || (v == version && c == crc) => continue,
-            _ => {}
-        }
-        let Some(body) = router.fetch(holder, &format!("/v1/store/record/{key}"), trace) else {
+    }
+    let mut plan = Plan::default();
+    for (key, held) in holdings {
+        // The last maximum of the reversed list: the lowest-indexed holder.
+        let Some(&(_, version, crc)) = held.iter().rev().max_by_key(|h| h.1) else {
             continue;
         };
-        if router.push_record(readmitted, key, &body, trace) {
-            pushed += 1;
-            router.metrics.store_sync_records.inc();
+        let settled = held
+            .iter()
+            .all(|&(_, v, c)| v != 0 && (v < version || c == crc));
+        let have: Vec<usize> = held
+            .iter()
+            .filter(|&&(_, v, c)| (v, c) == (version, crc))
+            .map(|&(i, _, _)| i)
+            .collect();
+        let replicas = if key.starts_with("wir/") {
+            (0..manifests.len()).collect()
+        } else {
+            replica_set(key)
+        };
+        let push_to = replicas
+            .iter()
+            .copied()
+            .filter(|&i| {
+                settled && !have.contains(&i) && manifests.get(i).is_some_and(Option::is_some)
+            })
+            .collect();
+        plan.rows.push(Row {
+            key: key.to_owned(),
+            version,
+            crc,
+            replicas,
+            have,
+            settled,
+            push_to,
+        });
+    }
+    plan
+}
+
+/// Each backend's store manifest, `None` when `ask(i)` is false or it
+/// cannot be fetched or read.
+fn manifests(router: &Router, ask: impl Fn(usize) -> bool) -> Vec<Option<Vec<Entry>>> {
+    let read = |i| parse_manifest(&router.fetch(i, "/v1/store/manifest", None)?);
+    (0..router.metrics.backends.len())
+        .map(|i| ask(i).then(|| read(i)).flatten())
+        .collect()
+}
+
+/// The replica set of a profile key (`<device>/<scale>/<workload>`).
+fn profile_replicas(router: &Router) -> impl Fn(&str) -> Vec<usize> + '_ {
+    |key| router.replica_set(&format!("profile/{key}"))
+}
+
+/// One repair pass over the backends available now: make the pushes
+/// `plan` decides, under one `store.sync` span (mode `repair`) with a
+/// freshly minted trace when there are any.
+pub(crate) fn repair(router: &Router, tracer: &Tracer) {
+    router.metrics.store_syncs.inc();
+    let plan = plan(
+        &manifests(router, |i| router.health.available(i)),
+        profile_replicas(router),
+    );
+    if plan.missing() == 0 {
+        return;
+    }
+    let mut span = tracer.ctx(TraceId::mint()).child("store.sync");
+    span.tag("mode", "repair");
+    let trace = Some(span.ctx().trace());
+    let mut pushed = 0u64;
+    for row in &plan.rows {
+        let path = format!("/v1/store/record/{}", row.key);
+        let source = row.have.first().filter(|_| !row.push_to.is_empty());
+        let Some(body) = source.and_then(|&i| router.fetch(i, &path, trace)) else {
+            continue;
+        };
+        for &to in &row.push_to {
+            if router.push_record(to, &row.key, &body, trace) {
+                pushed += 1;
+                router.metrics.store_sync_records.inc();
+            }
         }
     }
     span.tag("pushed", pushed);
-    pushed
 }
 
-/// Render the fleet-wide store manifest served at the gateway's
-/// `/v1/store/manifest`: one `backend` line per ring slot (with its digest
-/// when reachable), one `k` line per known key mapping it to its replica
-/// set and current holders, and a final `missing <n>` count of replica
-/// slots on *reachable* backends that lack their record. `missing 0` with
-/// every backend reachable means the fleet has converged.
+/// The gateway's `/v1/store/manifest`, rendered from the `plan` over every
+/// backend that gives a manifest now: one `backend` line per ring slot,
+/// one `k` line per key (replica set and holders), then `missing <n>` and
+/// `unsettled <n>`. `missing 0` with every backend reachable means the
+/// fleet has converged.
 #[must_use]
-pub(crate) fn fleet_manifest(router: &Arc<Router>, backend_addrs: &[SocketAddr]) -> String {
-    let n = backend_addrs.len();
+pub(crate) fn fleet_manifest(router: &Router, backend_addrs: &[SocketAddr]) -> String {
     let mut out = String::from("cactus-gateway store manifest v1\n");
     // Reachability is "gave us a parseable manifest just now", not the
     // health state: a half-open backend counts, a hung-but-Healthy one
     // doesn't. That keeps `missing` honest about what is actually on disk.
-    let manifests: Vec<Option<Vec<Entry>>> = (0..n).map(|i| manifest_of(router, i, None)).collect();
-    for (i, addr) in backend_addrs.iter().enumerate() {
+    let manifests = manifests(router, |_| true);
+    for ((i, addr), entries) in backend_addrs.iter().enumerate().zip(&manifests) {
         let state = if router.health.available(i) {
             "healthy"
         } else {
             "down"
         };
-        match &manifests[i] {
-            Some(entries) => {
-                let digest = manifest_digest(entries);
-                let _ = writeln!(
-                    out,
-                    "backend {i} {addr} {state} digest={digest:016x} entries={}",
-                    entries.len()
-                );
-            }
-            None => {
-                let _ = writeln!(out, "backend {i} {addr} {state} digest=- entries=-");
-            }
-        }
-    }
-
-    // Authoritative view per key (converged replicas agree on the crc).
-    let mut keys = Latest::new();
-    let mut holders: BTreeMap<(String, u32, u32), Vec<usize>> = BTreeMap::new();
-    for (i, manifest) in manifests.iter().enumerate() {
-        let Some(entries) = manifest else { continue };
-        latest(&mut keys, entries, i);
-        for e in entries {
-            holders
-                .entry((e.key.clone(), e.version, e.crc))
-                .or_default()
-                .push(i);
-        }
-    }
-    let mut missing = 0usize;
-    for (key, &(version, crc, _)) in &keys {
-        let replicas = router.replica_set(&format!("profile/{key}"));
-        let have = holders
-            .get(&(key.clone(), version, crc))
-            .cloned()
-            .unwrap_or_default();
-        missing += replicas
-            .iter()
-            .filter(|&&r| manifests[r].is_some() && !have.contains(&r))
-            .count();
+        let (digest, count) = match entries {
+            Some(e) => (format!("{:016x}", manifest_digest(e)), e.len().to_string()),
+            None => ("-".to_owned(), "-".to_owned()),
+        };
         let _ = writeln!(
             out,
-            "k {key} v{version} crc={crc:08x} replicas={} have={}",
-            join_indices(&replicas),
-            join_indices(&have)
+            "backend {i} {addr} {state} digest={digest} entries={count}"
         );
     }
-    let _ = writeln!(out, "missing {missing}");
-    out
-}
-
-/// Backend `i`'s store manifest, `None` when it cannot be fetched or read.
-fn manifest_of(router: &Router, i: usize, trace: Option<TraceId>) -> Option<Vec<Entry>> {
-    parse_manifest(&router.fetch(i, "/v1/store/manifest", trace)?)
-}
-
-/// Per key, the `(version, crc, holder)` of its highest version seen.
-type Latest = BTreeMap<String, (u32, u32, usize)>;
-
-/// Fold `holder`'s entries into `seen`: a higher version replaces, a tie
-/// keeps the first holder (last-wins, matching the store).
-fn latest(seen: &mut Latest, entries: &[Entry], holder: usize) {
-    for e in entries {
-        if seen.get(&e.key).is_none_or(|&(v, _, _)| v < e.version) {
-            seen.insert(e.key.clone(), (e.version, e.crc, holder));
-        }
+    let plan = plan(&manifests, profile_replicas(router));
+    for row in &plan.rows {
+        let _ = writeln!(
+            out,
+            "k {} v{} crc={:08x} replicas={} have={}",
+            row.key,
+            row.version,
+            row.crc,
+            join_indices(&row.replicas),
+            join_indices(&row.have)
+        );
     }
+    let _ = writeln!(out, "missing {}", plan.missing());
+    let _ = writeln!(out, "unsettled {}", plan.unsettled());
+    out
 }
 
 fn join_indices(indices: &[usize]) -> String {
@@ -296,5 +317,255 @@ mod tests {
         assert_eq!(store_key_for("/v1/profile/rtx-3080/tiny"), None);
         assert_eq!(store_key_for("/v1/profile/a//c"), None);
         assert_eq!(store_key_for("/v1/workloads"), None);
+    }
+
+    const PROFILE: &str = "rtx-3080/tiny/GMS";
+    const WIR: &str = "wir/x";
+
+    /// What one backend may hold of a key: absent, the tombstone, two
+    /// definitions tied at version 1, and a higher version.
+    const HOLDINGS: [Option<(u32, u32)>; 5] = [
+        None,
+        Some((0, 0xdead)),
+        Some((1, 0xa)),
+        Some((1, 0xb)),
+        Some((2, 0xa)),
+    ];
+
+    type Manifests = Vec<Option<Vec<Entry>>>;
+
+    fn entry(key: &str, (version, crc): (u32, u32)) -> Entry {
+        Entry {
+            key: key.to_owned(),
+            version,
+            crc,
+        }
+    }
+
+    fn held(manifests: &Manifests, i: usize, key: &str) -> Option<(u32, u32)> {
+        manifests[i]
+            .as_ref()?
+            .iter()
+            .find(|e| e.key == key)
+            .map(|e| (e.version, e.crc))
+    }
+
+    /// Every push of `plan` as `(key, source, target)`.
+    fn pushes(plan: &Plan) -> Vec<(&str, usize, usize)> {
+        let mut out = Vec::new();
+        for r in &plan.rows {
+            out.extend(r.push_to.iter().map(|&to| (r.key.as_str(), r.have[0], to)));
+        }
+        out
+    }
+
+    /// The fleet after every push of `plan`: each target holds its
+    /// source's record.
+    fn apply(manifests: &Manifests, plan: &Plan) -> Manifests {
+        let mut out = manifests.clone();
+        for (key, from, to) in pushes(plan) {
+            let record = held(manifests, from, key).expect("source holds the key");
+            let target = out[to].as_mut().expect("targets are reachable");
+            target.retain(|e| e.key != key);
+            target.push(entry(key, record));
+        }
+        out
+    }
+
+    /// Plan `manifests` and assert P1–P4.
+    fn checked(manifests: &Manifests, replicas: &dyn Fn(&str) -> Vec<usize>) -> Plan {
+        let plan = plan(manifests, replicas);
+        let row = |key: &str| plan.rows.iter().find(|r| r.key == key).expect("row");
+        // P1: a push carries the key's highest record, never a tombstone,
+        // and only fills a gap or raises a live version.
+        for push @ (key, from, to) in pushes(&plan) {
+            let (version, crc) = held(manifests, from, key).expect("source");
+            let r = row(key);
+            assert!(
+                r.settled && (version, crc) == (r.version, r.crc),
+                "{push:?}"
+            );
+            assert_ne!(version, 0, "{push:?} writes a tombstone");
+            assert!(
+                manifests[to].is_some(),
+                "{push:?} to an unreachable backend"
+            );
+            if let Some((v, _)) = held(manifests, to, key) {
+                assert!(
+                    v != 0 && v < version,
+                    "{push:?} lands on v{v} in {manifests:?}"
+                );
+            }
+        }
+        // P2: once applied, nothing is left to push.
+        let after = apply(manifests, &plan);
+        let again = super::plan(&after, replicas);
+        assert_eq!(again.missing(), 0, "{manifests:?} -> {after:?}: {again:?}");
+        // P3: `missing` is the pushes, and the rows agree.
+        let empty_slots: usize = plan
+            .rows
+            .iter()
+            .filter(|r| r.settled)
+            .map(|r| {
+                r.replicas
+                    .iter()
+                    .filter(|&&i| manifests[i].is_some() && !r.have.contains(&i))
+                    .count()
+            })
+            .sum();
+        assert_eq!(plan.missing(), pushes(&plan).len());
+        assert_eq!(plan.missing(), empty_slots, "{manifests:?}");
+        // P4: every reachable replica slot of a settled key holds its
+        // highest record.
+        for r in plan.rows.iter().filter(|r| r.settled) {
+            for &i in r.replicas.iter().filter(|&&i| manifests[i].is_some()) {
+                assert_eq!(held(&after, i, &r.key), Some((r.version, r.crc)), "{r:?}");
+            }
+        }
+        plan
+    }
+
+    /// P5: backend `i` renamed `perm[i]` plans the same records and counts.
+    fn assert_relabelling_invariant(
+        manifests: &Manifests,
+        replicas: &dyn Fn(&str) -> Vec<usize>,
+        plan: &Plan,
+    ) {
+        for perm in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let mut renamed = vec![None; manifests.len()];
+            for (i, m) in manifests.iter().enumerate() {
+                renamed[perm[i]] = m.clone();
+            }
+            let renamed_replicas = |key: &str| replicas(key).into_iter().map(|i| perm[i]).collect();
+            let other = checked(&renamed, &renamed_replicas);
+            assert_eq!(other.missing(), plan.missing(), "{perm:?} {manifests:?}");
+            assert_eq!(
+                other.unsettled(),
+                plan.unsettled(),
+                "{perm:?} {manifests:?}"
+            );
+            for (a, b) in plan.rows.iter().zip(&other.rows) {
+                assert_eq!(a.settled, b.settled);
+                if a.settled {
+                    assert_eq!((a.version, a.crc), (b.version, b.crc), "{perm:?}");
+                }
+            }
+            let targets = |p: &Plan, map: &dyn Fn(usize) -> usize| {
+                let mut t: Vec<(String, usize)> = pushes(p)
+                    .into_iter()
+                    .map(|(key, _, to)| (key.to_owned(), map(to)))
+                    .collect();
+                t.sort();
+                t
+            };
+            assert_eq!(targets(plan, &|i| perm[i]), targets(&other, &|i| i));
+        }
+    }
+
+    /// Every one-key fleet of 3 backends: each backend unreachable or
+    /// holding one of `HOLDINGS`, for each replica pair of a profile key
+    /// and for a `wir/` key (every backend).
+    #[test]
+    fn plan_is_safe_convergent_and_label_free_on_every_small_fleet() {
+        let states: Vec<Option<Option<(u32, u32)>>> = std::iter::once(None)
+            .chain(HOLDINGS.iter().map(|&h| Some(h)))
+            .collect();
+        let cases: [(&str, Vec<usize>); 4] = [
+            (PROFILE, vec![0, 1]),
+            (PROFILE, vec![0, 2]),
+            (PROFILE, vec![1, 2]),
+            (WIR, Vec::new()),
+        ];
+        let mut planned = 0;
+        for (key, pair) in &cases {
+            let replicas = |_: &str| pair.clone();
+            for a in &states {
+                for b in &states {
+                    for c in &states {
+                        let manifests: Manifests = [a, b, c]
+                            .iter()
+                            .map(|s| s.map(|h| h.map(|h| entry(key, h)).into_iter().collect()))
+                            .collect();
+                        let plan = checked(&manifests, &replicas);
+                        assert_relabelling_invariant(&manifests, &replicas, &plan);
+                        planned += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(planned, 4 * 6 * 6 * 6);
+    }
+
+    /// Two keys on one fleet plan exactly as each key alone.
+    #[test]
+    fn keys_are_planned_independently() {
+        let holdings = &HOLDINGS[..4];
+        let mut states = vec![None];
+        for &p in holdings {
+            for &w in holdings {
+                states.push(Some((p, w)));
+            }
+        }
+        let replicas = |_: &str| vec![0, 1];
+        let only = |manifests: &Manifests, key: &str| -> Manifests {
+            manifests
+                .iter()
+                .map(|m| {
+                    m.as_ref()
+                        .map(|m| m.iter().filter(|e| e.key == key).cloned().collect())
+                })
+                .collect()
+        };
+        for a in &states {
+            for b in &states {
+                for c in &states {
+                    let manifests: Manifests = [a, b, c]
+                        .iter()
+                        .map(|s| {
+                            s.map(|(p, w)| {
+                                let p = p.map(|h| entry(PROFILE, h));
+                                let w = w.map(|h| entry(WIR, h));
+                                p.into_iter().chain(w).collect()
+                            })
+                        })
+                        .collect();
+                    let both = checked(&manifests, &replicas);
+                    let alone: Vec<Row> = [PROFILE, WIR]
+                        .into_iter()
+                        .flat_map(|key| plan(&only(&manifests, key), replicas).rows)
+                        .collect();
+                    assert_eq!(both.rows, alone, "{manifests:?}");
+                }
+            }
+        }
+    }
+
+    /// Every re-submission stores its definition at the same format
+    /// version, so a backend that missed one ties with the rest: copying
+    /// either definition could overwrite the newer one.
+    #[test]
+    fn a_wir_tie_between_two_definitions_is_left_alone() {
+        let manifests = vec![
+            Some(vec![entry(WIR, (1, 0xa))]),
+            Some(vec![entry(WIR, (1, 0xb))]),
+            Some(Vec::new()),
+        ];
+        let plan = plan(&manifests, |_| Vec::new());
+        assert_eq!(plan.missing(), 0, "{plan:?}");
+        assert_eq!(plan.unsettled(), 1);
+    }
+
+    /// A tombstone says the profile next to it was superseded: repairing
+    /// either slot would bring the superseded profile back.
+    #[test]
+    fn a_tombstone_next_to_a_live_version_is_left_alone() {
+        let manifests = vec![
+            Some(vec![entry(PROFILE, (0, 0xdead))]),
+            Some(vec![entry(PROFILE, (2001, 0xa))]),
+            Some(Vec::new()),
+        ];
+        let plan = plan(&manifests, |_| vec![0, 2]);
+        assert_eq!(plan.missing(), 0, "{plan:?}");
+        assert_eq!(plan.unsettled(), 1);
     }
 }

@@ -531,7 +531,7 @@ impl Connection {
 
     /// Issue one `POST path` with a text body, reusing the open stream
     /// when possible. Used by the gateway to push store records to
-    /// backends (replication and anti-entropy sync).
+    /// backends (write-path replication and the repair pass).
     ///
     /// # Errors
     ///

@@ -34,7 +34,7 @@ pub const TRIPLE_ENDPOINTS: [&str; 4] = ["profile", "kernels", "roofline", "domi
 
 /// Raw durable-store record routes: `GET` reads the stored record
 /// verbatim (no simulation fallthrough), `POST` ingests one — the
-/// gateway's replication and anti-entropy pushes land here. Listed in
+/// gateway's replication and repair pushes land here. Listed in
 /// both spellings so `cactus-lint`'s surface rule accepts consumer paths
 /// built from a joined `device/scale/workload` key or from the triple's
 /// parts.
@@ -96,10 +96,10 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
 }
 
 /// `GET`/`POST /v1/store/record/<device>/<scale>/<workload>`: the raw
-/// durable-store surface used by gateway replication and anti-entropy.
+/// durable-store surface used by gateway replication and repair.
 ///
 /// `GET` answers the stored record verbatim whatever its model version
-/// (anti-entropy copies bytes; relevance is the *receiver's* concern) and
+/// (repair copies bytes; relevance is the *receiver's* concern) and
 /// never falls through to simulation. `POST` validates the body as a
 /// canonical profile document and appends it at the key device's current
 /// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version).

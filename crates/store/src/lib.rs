@@ -180,7 +180,7 @@ pub fn write_manifest(entries: &[Entry]) -> String {
 
 /// The entries of a page [`write_manifest`] rendered. `None` when the
 /// header is wrong or any `k` line is malformed — a partial parse could
-/// make anti-entropy conclude records exist that don't.
+/// make the gateway's repair pass conclude records exist that don't.
 #[must_use]
 pub fn parse_manifest(text: &str) -> Option<Vec<Entry>> {
     let mut lines = text.lines();
