@@ -245,8 +245,8 @@ fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
             leg.id,
             speedup(baseline_total, total)
         ));
-        if let Some(k) = dominant(leg) {
-            out.push_str(&format!("# dominant_kernel {} {}\n", leg.id, k.name));
+        if let Some(name) = dominant(leg).map(|k| wire::comment_text(&k.name)) {
+            out.push_str(&format!("# dominant_kernel {} {name}\n", leg.id));
         }
     }
     wire::write_compare(&mut out, &compare_rows(legs));

@@ -105,28 +105,44 @@ fn gateway_submission_is_fleet_wide_and_deterministic() {
     );
 
     // A demangled name holds commas and quotes, and a WIR `name` may hold
-    // a line break: the compare table quotes it, and the typed client reads
-    // it back verbatim on every device.
-    let kernel = "void gemm<float, 4>(\"x\")\nrow";
+    // a line break, even one followed by the table's header: the compare
+    // table quotes it, its `# dominant_kernel` line escapes the break, and
+    // the typed client reads it back verbatim on every device.
     let quoted = "workload \"quoted\" {\n\
          kernel big { name \"void gemm<float, 4>(\\\"x\\\")\\nrow\"; mix { fp32 = 100000; } }\n\
          kernel small { mix { int = 1000; } }\n\
          run { repeat 4 { launch big; launch small; } }\n\
          }\n";
-    let reply = client
-        .post_traced("/v1/workloads", quoted, None)
-        .expect("post quoted via gateway");
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    let devices = [dev("rtx-3080"), dev("uhd-630")];
-    let rows = client
-        .compare("tiny", "quoted", &devices)
-        .expect("typed compare of a quoted kernel name");
-    for device in devices {
-        assert!(
-            rows.iter()
-                .any(|r| r.device == device && r.kernel == kernel),
-            "{device} lost the quoted kernel: {rows:?}"
-        );
+    let forged = "workload \"forged\" {\n\
+         kernel big { name \"x\\ndevice,kernel,instruction_intensity,gips,time_share,\
+         intensity_class,boundedness,bottleneck_shift\"; mix { fp32 = 100000; } }\n\
+         kernel small { mix { int = 1000; } }\n\
+         run { repeat 4 { launch big; launch small; } }\n\
+         }\n";
+    for (source, workload, kernel) in [
+        (quoted, "quoted", "void gemm<float, 4>(\"x\")\nrow"),
+        (
+            forged,
+            "forged",
+            "x\ndevice,kernel,instruction_intensity,gips,time_share,\
+             intensity_class,boundedness,bottleneck_shift",
+        ),
+    ] {
+        let reply = client
+            .post_traced("/v1/workloads", source, None)
+            .expect("post quoted via gateway");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let devices = [dev("rtx-3080"), dev("uhd-630")];
+        let rows = client
+            .compare("tiny", workload, &devices)
+            .expect("typed compare of a quoted kernel name");
+        for device in devices {
+            assert!(
+                rows.iter()
+                    .any(|r| r.device == device && r.kernel == kernel),
+                "{device} lost the quoted kernel: {rows:?}"
+            );
+        }
     }
 
     gateway.join();

@@ -432,7 +432,7 @@ pub(crate) fn stats(state: &ServerState) -> Response {
 /// then `rank,id,distance` rows ascending by `(distance, id)`.
 fn render_similar(report: &SimilarReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# query: {}", report.query);
+    let _ = writeln!(out, "# query: {}", wire::comment_text(&report.query));
     let _ = writeln!(
         out,
         "# index: {} vectors in {} cells, {} clusters",

@@ -5,6 +5,7 @@
 //! skips the `#` preamble a route may write before the header. Floats print
 //! `{:.6}`, so the property kept is `write(read(write(x))) == write(x)`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use cactus_profiler::csv::{push_field, read_table};
@@ -16,6 +17,27 @@ const DEVICES_HEADER: &str = "device,modeled,name,store_version,sm_count,peak_gi
 const COMPARE_HEADER: &str = "device,kernel,instruction_intensity,gips,time_share,\
                               intensity_class,boundedness,bottleneck_shift";
 const SIMILAR_HEADER: &str = "rank,id,distance";
+
+/// `text` for a `#` preamble line, with `\`, line feed and carriage
+/// return written as `\\`, `\n` and `\r`: a kernel name cannot end the
+/// line and forge the header a reader looks for. Text without them is
+/// returned as it is.
+#[must_use]
+pub fn comment_text(text: &str) -> Cow<'_, str> {
+    if !text.contains(['\\', '\n', '\r']) {
+        return Cow::Borrowed(text);
+    }
+    let mut out = String::with_capacity(text.len() + 2);
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+    Cow::Owned(out)
+}
 
 /// The rows of `body`'s table under `header`, each read by `row`; anything
 /// unreadable is a [`ClientError::Parse`] naming `what`.
@@ -264,6 +286,19 @@ pub fn parse_health_devices(body: &str) -> Option<Vec<String>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn comment_text_escapes_only_line_breaks_and_backslashes() {
+        let plain = "void gemm<float, 4>(\"x\")";
+        assert!(matches!(comment_text(plain), Cow::Borrowed(t) if t == plain));
+        assert_eq!(comment_text("a\\b\nc\rd"), "a\\\\b\\nc\\rd");
+        let forged = format!("x\n{SIMILAR_HEADER}");
+        let body = format!(
+            "# query: {}\n{SIMILAR_HEADER}\n1,a,0\n",
+            comment_text(&forged)
+        );
+        assert_eq!(read_similar(&body).expect("one row").len(), 1);
+    }
 
     #[test]
     fn similar_csv_parses_rows_and_skips_comments() {

@@ -21,6 +21,16 @@ const QUOTED_WIR: &str = "workload \"quoted\" {\n\
      run { repeat 4 { launch big; launch small; } }\n\
      }\n";
 
+/// A kernel name that carries the similarity table's header line.
+const FORGED_KERNEL: &str = "x\nrank,id,distance";
+
+/// A workload whose dominant kernel is [`FORGED_KERNEL`].
+const FORGED_WIR: &str = "workload \"forged\" {\n\
+     kernel big { name \"x\\nrank,id,distance\"; mix { fp32 = 100000; } }\n\
+     kernel small { mix { int = 1000; } }\n\
+     run { repeat 4 { launch big; launch small; } }\n\
+     }\n";
+
 /// Resolve a catalog id for query literals.
 fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
@@ -653,26 +663,32 @@ fn similar_queries_ingest_search_and_trace_end_to_end() {
     assert!(metric(&client, "cactus_simindex_inserts_total") >= 1.0);
 
     // A demangled name holds commas and quotes, and a WIR `name` may hold
-    // a line break: the id comes back verbatim, though the body's `# query`
-    // line carries the break raw.
-    let reply = client
-        .post_traced("/v1/workloads", QUOTED_WIR, None)
-        .expect("post quoted");
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    let quoted = client
-        .similar(SimilarQuery {
-            device: dev("rtx-3080"),
-            scale: "tiny",
-            workload: "quoted",
-            kernel: None,
-            k: Some(3),
-        })
-        .expect("similar on a quoted kernel name");
-    let own_id = format!("rtx-3080/tiny/quoted/{QUOTED_KERNEL}");
-    assert!(
-        quoted.iter().any(|h| h.id == own_id && h.distance == 0.0),
-        "the quoted kernel must match itself verbatim: {quoted:?}"
-    );
+    // a line break, even one followed by the table's header: the id comes
+    // back verbatim, and the body's `# query` line carries the break
+    // escaped, so it cannot forge the header.
+    for (source, workload, kernel) in [
+        (QUOTED_WIR, "quoted", QUOTED_KERNEL),
+        (FORGED_WIR, "forged", FORGED_KERNEL),
+    ] {
+        let reply = client
+            .post_traced("/v1/workloads", source, None)
+            .expect("post quoted");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let quoted = client
+            .similar(SimilarQuery {
+                device: dev("rtx-3080"),
+                scale: "tiny",
+                workload,
+                kernel: None,
+                k: Some(3),
+            })
+            .expect("similar on a quoted kernel name");
+        let own_id = format!("rtx-3080/tiny/{workload}/{kernel}");
+        assert!(
+            quoted.iter().any(|h| h.id == own_id && h.distance == 0.0),
+            "the quoted kernel must match itself verbatim: {quoted:?}"
+        );
+    }
 
     // The traced request's span tree is in the ring.
     let tracez = client
