@@ -209,6 +209,14 @@ const ROWS: &[Row] = &[
                  and signal.rs (signal); add the call there behind a safe wrapper",
     },
     Row {
+        rule: "one_repair_decision",
+        paths: &["crates/gateway/src/**"],
+        except: &["crates/gateway/src/sync.rs"],
+        shape: Shape::Tokens(Scope::NonTest, &["parse_manifest", ". push_record ("]),
+        reason: "which backend lacks which record is decided by gateway::sync::plan alone; \
+                 read manifests and push records through sync.rs",
+    },
+    Row {
         rule: "one_http_codec",
         paths: &["crates/serve/src/**", "crates/gateway/src/**"],
         except: &["crates/serve/src/http.rs"],

@@ -78,6 +78,7 @@ fn forbid_rows_fire_with_file_and_line() {
             ("store_internals", "crates/bench/src/lib.rs", 4),
             ("one_csv_codec", "crates/gateway/src/compare.rs", 4),
             ("one_daemon_loop", "crates/gateway/src/server.rs", 3),
+            ("one_repair_decision", "crates/gateway/src/server.rs", 6),
             ("fft_arith", "crates/md/src/fft.rs", 9),
             ("per_cpu_code", "crates/md/src/fft.rs", 19),
             ("pme_arith", "crates/md/src/pme.rs", 4),
@@ -92,9 +93,9 @@ fn forbid_rows_fire_with_file_and_line() {
         "findings: {findings:?}"
     );
     assert!(
-        findings[5].message.contains("`mul_add`"),
+        findings[6].message.contains("`mul_add`"),
         "message names the match: {}",
-        findings[5].message
+        findings[6].message
     );
 }
 
