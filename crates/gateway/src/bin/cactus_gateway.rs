@@ -45,8 +45,9 @@ usage: cactus-gateway [options]
                             2000 ms hedge cap)
   --eject-after N           consecutive failures before ejection (default 2)
   --cooldown-ms MS          ejection cooldown before half-open (default 1000)
-  --health-interval-ms MS   active /v1/healthz probe interval, 0 = passive only
-                            (default 500)
+  --health-interval-ms MS   active /v1/healthz probe interval, each round
+                            followed by a store repair pass; 0 = passive
+                            only, no repair (default 500)
   --port-file PATH          write the bound port here once listening
   --span-log PATH           append every finished span as a JSON line here
   --help                    show this help

@@ -1,7 +1,8 @@
-//! Store replication and anti-entropy acceptance: a 3-backend fleet must
+//! Store replication and repair acceptance: a 3-backend fleet must
 //! survive losing a profile's owning shard with zero client-visible errors
-//! (the follower replica holds the record), and a restarted owner must be
-//! repaired back to a converged fleet manifest by one anti-entropy pass.
+//! (the follower replica holds the record), and a restarted owner, or a
+//! follower restarted before it could be ejected, must be repaired back to
+//! a converged fleet manifest by the repair pass after a probe round.
 //! Write-path replication runs once per key however often the key is read,
 //! which a stub fleet that logs every request pins exactly.
 
