@@ -46,8 +46,9 @@ usage: cactus-gateway [options]
   --eject-after N           consecutive failures before ejection (default 2)
   --cooldown-ms MS          ejection cooldown before half-open (default 1000)
   --health-interval-ms MS   active /v1/healthz probe interval, each round
-                            followed by a store repair pass; 0 = passive
-                            only, no repair (default 500)
+                            followed by a store repair pass, the only
+                            replica copy; 0 = passive only: no repair, so
+                            no replica copies (default 500)
   --port-file PATH          write the bound port here once listening
   --span-log PATH           append every finished span as a JSON line here
   --help                    show this help

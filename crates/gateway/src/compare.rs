@@ -3,8 +3,8 @@
 //! The gateway fans one profile fetch per requested device out to the
 //! owning backends in parallel (each leg goes through the full
 //! device-aware `Router::forward` machinery — capability filtering,
-//! failover, hedging — and feeds replication exactly like a direct client
-//! request), then synthesizes one cross-device table:
+//! failover, hedging — exactly like a direct client request), then
+//! synthesizes one cross-device table:
 //!
 //! * per-kernel roofline placement on every device (intensity class and
 //!   boundedness, computed against each device's own roofline);
@@ -38,7 +38,7 @@ use cactus_serve::wire::{self, CompareRow};
 use cactus_serve::DeviceId;
 
 use crate::proxy::Router;
-use crate::server::forward_replicated;
+use crate::server::routing_key;
 
 /// One device's leg of the comparison.
 struct Leg {
@@ -115,7 +115,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
 
     // One leg per device, raced in parallel. Each leg is an ordinary
     // routed profile fetch: capability filtering keeps it on backends that
-    // model the device, and a 200 feeds replication as usual.
+    // model the device.
     let mut outcomes: Vec<(usize, Response)> = std::thread::scope(|s| {
         let handles: Vec<_> = ids
             .iter()
@@ -126,7 +126,10 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
                 let router = Arc::clone(router);
                 s.spawn(move || {
                     router.metrics.compare_fanout.inc();
-                    (i, forward_replicated(&router, &target, Some(id), leg_ctx))
+                    (
+                        i,
+                        router.forward(&target, &routing_key(&target), Some(id), Some(leg_ctx)),
+                    )
                 })
             })
             .collect();

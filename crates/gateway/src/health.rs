@@ -79,7 +79,7 @@ impl HealthTracker {
 
     /// Record a successful exchange with backend `i`. A `HalfOpen` backend
     /// passes its trial and returns to `Healthy`.
-    pub fn report_success(&self, i: usize) {
+    pub(crate) fn report_success(&self, i: usize) {
         let mut backends = self.backends.lock();
         let b = &mut backends[i];
         b.consecutive_failures = 0;
@@ -90,7 +90,7 @@ impl HealthTracker {
     /// Record a failed exchange (transport error) with backend `i`.
     /// `Healthy` backends eject after `eject_after` consecutive failures;
     /// a `HalfOpen` backend fails its trial and re-ejects immediately.
-    pub fn report_failure(&self, i: usize) {
+    pub(crate) fn report_failure(&self, i: usize) {
         let mut backends = self.backends.lock();
         let b = &mut backends[i];
         b.consecutive_failures = b.consecutive_failures.saturating_add(1);
@@ -121,7 +121,7 @@ impl HealthTracker {
 
     /// Whether backend `i` may receive traffic (`Healthy` or `HalfOpen`).
     #[must_use]
-    pub fn available(&self, i: usize) -> bool {
+    pub(crate) fn available(&self, i: usize) -> bool {
         self.state(i) != HealthState::Ejected
     }
 

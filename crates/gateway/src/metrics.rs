@@ -156,14 +156,13 @@ pub struct GatewayMetrics {
     pub hedges: Counter,
     /// Hedge requests whose response won the race.
     pub hedge_wins: Counter,
-    /// Store records pushed to follower replicas after a profile forward.
+    /// Store records pushed to replicas by repair passes.
     pub store_replications: Counter,
-    /// Replica pushes that failed (transport error or non-200).
+    /// Repair source reads and pushes that failed (transport error or
+    /// non-200).
     pub store_replication_failures: Counter,
     /// Store repair passes run (one per probe round).
     pub store_syncs: Counter,
-    /// Records copied by repair passes.
-    pub store_sync_records: Counter,
     /// `/v1/compare` requests answered (any status).
     pub compare_requests: Counter,
     /// Per-device profile fetches fanned out by `/v1/compare`.
@@ -268,19 +267,15 @@ impl GatewayMetrics {
             )?,
             store_replications: registry.counter(
                 "cactus_gateway_store_replications_total",
-                "store records pushed to follower replicas",
+                "store records pushed to replicas by repair passes",
             )?,
             store_replication_failures: registry.counter(
                 "cactus_gateway_store_replication_failures_total",
-                "replica pushes that failed",
+                "repair source reads and pushes that failed",
             )?,
             store_syncs: registry.counter(
                 "cactus_gateway_store_syncs_total",
                 "store repair passes run, one per probe round",
-            )?,
-            store_sync_records: registry.counter(
-                "cactus_gateway_store_sync_records_total",
-                "records copied by store repair passes",
             )?,
             compare_requests: registry.counter(
                 "cactus_gateway_compare_requests_total",

@@ -31,12 +31,10 @@
 //! logs carry the same id. Synthesized errors (`no backends`, `all attempts
 //! failed`) are the shared JSON envelope.
 
-use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{SpanCtx, TagValue, TraceId};
 use cactus_serve::client::{ClientError, HttpReply, Sent};
 use cactus_serve::http::Response;
@@ -109,11 +107,6 @@ pub struct Router {
     /// ring's failover order so requests never reach an incapable backend.
     pub capabilities: CapabilityMap,
     policy: RoutePolicy,
-    /// Store keys (`<device>/<scale>/<workload>`) whose profile record has
-    /// already been pushed to its follower replica this process lifetime —
-    /// replication is idempotent, so this is purely a de-duplication of
-    /// repeat reads.
-    replicated: RankedMutex<HashSet<String>>,
 }
 
 enum Attempt {
@@ -142,11 +135,6 @@ impl Router {
             metrics,
             capabilities: CapabilityMap::new(n),
             policy,
-            replicated: RankedMutex::new(
-                rank::REPLICATED_KEYS,
-                "gateway.replicated_keys",
-                HashSet::new(),
-            ),
         }
     }
 
@@ -171,30 +159,11 @@ impl Router {
         set
     }
 
-    /// True when the store record `key` (`<device>/<scale>/<workload>`) was
-    /// already claimed for replication this process lifetime. A borrowed
-    /// lookup: repeat reads of a key allocate nothing here.
-    pub(crate) fn is_replicated(&self, key: &str) -> bool {
-        self.replicated.lock().contains(key)
-    }
-
-    /// True when `key`'s record was already pushed to its follower this
-    /// process lifetime; marks it when not. One CAS-style check so repeat
-    /// reads don't re-push.
-    pub(crate) fn mark_replicated(&self, key: &str) -> bool {
-        !self.replicated.lock().insert(key.to_owned())
-    }
-
-    /// Forget a [`mark_replicated`](Self::mark_replicated) claim — used
-    /// when the copy that claimed the key could not read the source record,
-    /// so a later read retries the replication.
-    pub(crate) fn unmark_replicated(&self, key: &str) {
-        self.replicated.lock().remove(key);
-    }
-
     /// One pooled exchange with backend `i` outside the retry/hedge
     /// machinery and with no health report — the control-plane primitive
-    /// replication and repair build on. `None` on a transport error.
+    /// health probes, the repair pass and the fleet manifest build on.
+    /// `None` on a transport error, or when no byte of the reply arrives
+    /// within `stall`.
     fn exchange(
         &self,
         i: usize,
@@ -202,17 +171,31 @@ impl Router {
         path: &str,
         body: &str,
         trace: Option<TraceId>,
+        stall: Option<Duration>,
     ) -> Option<HttpReply> {
         let mut conn = self.pool.checkout(i);
-        let reply = conn.request(method, path, body, trace).ok()?;
+        if conn.send(method, path, body, trace, stall).ok()? == Sent::InFlight {
+            return None;
+        }
+        let reply = conn.finish().ok()?;
         self.pool.checkin(i, conn);
         Some(reply)
+    }
+
+    /// `GET /v1/healthz` on backend `i`, `None` unless the reply begins
+    /// within `timeout`. It runs over the pool: a backend serves one
+    /// keep-alive connection per worker, so a probe on a fresh connection
+    /// can wait behind workers that idle pooled connections hold, and
+    /// eject a backend that answers every request it is sent.
+    #[must_use]
+    pub(crate) fn probe(&self, i: usize, timeout: Duration) -> Option<HttpReply> {
+        self.exchange(i, "GET", "/v1/healthz", "", None, Some(timeout))
     }
 
     /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise.
     #[must_use]
     pub(crate) fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
-        let reply = self.exchange(i, "GET", path, "", trace)?;
+        let reply = self.exchange(i, "GET", path, "", trace, None)?;
         (reply.status == 200).then_some(reply.body)
     }
 
@@ -226,8 +209,15 @@ impl Router {
         body: &str,
         trace: Option<TraceId>,
     ) -> bool {
-        self.exchange(i, "POST", &format!("/v1/store/record/{key}"), body, trace)
-            .is_some_and(|reply| reply.status == 200)
+        self.exchange(
+            i,
+            "POST",
+            &format!("/v1/store/record/{key}"),
+            body,
+            trace,
+            None,
+        )
+        .is_some_and(|reply| reply.status == 200)
     }
 
     /// The ring's failover order for `key`, with currently-ejected backends
@@ -261,9 +251,7 @@ impl Router {
     /// (the path's [`device_for_target`](crate::capability::device_for_target),
     /// which the caller has already parsed). Always produces a response: the
     /// backend's verbatim reply, or a synthesized `502` envelope when every
-    /// attempt failed — together with the ring index of the backend whose
-    /// answer won (`None` for synthesized responses and forwarded
-    /// backpressure). `ctx` (when present) receives one `proxy.attempt`
+    /// attempt failed. `ctx` (when present) receives one `proxy.attempt`
     /// span per attempt and supplies the trace id forwarded to backends.
     pub(crate) fn forward(
         self: &Arc<Self>,
@@ -271,18 +259,17 @@ impl Router {
         key: &str,
         device: Option<&str>,
         ctx: Option<SpanCtx<'_>>,
-    ) -> (Response, Option<usize>) {
+    ) -> Response {
         let trace = ctx.map(|c| c.trace());
         let candidates = self.candidates_for(key, device);
         if candidates.is_empty() {
-            let synthesized = match device {
+            return match device {
                 Some(d) if !self.ring.is_empty() => Response::error(
                     404,
                     format!("no backend in the fleet models device {d:?} (see /v1/devices)"),
                 ),
                 _ => Response::error(502, "no backends configured"),
             };
-            return (synthesized, None);
         }
         let mut rng = hash_str(key) | 1;
         let mut last_saturated: Option<HttpReply> = None;
@@ -323,7 +310,7 @@ impl Router {
                 Attempt::Reply(reply) => {
                     self.metrics.forwarded.inc();
                     self.metrics.backends[winner].routed.inc();
-                    return (reply.into(), Some(winner));
+                    return reply.into();
                 }
                 Attempt::Saturated(reply) => last_saturated = Some(reply),
                 Attempt::Failed => {}
@@ -334,9 +321,9 @@ impl Router {
         match last_saturated {
             Some(reply) => {
                 self.metrics.forwarded.inc();
-                (reply.into(), None)
+                reply.into()
             }
-            None => (Response::error(502, "all backends failed"), None),
+            None => Response::error(502, "all backends failed"),
         }
     }
 
@@ -513,8 +500,7 @@ mod tests {
                 ..RoutePolicy::default()
             },
         );
-        let (out, winner) = r.forward("/v1/workloads", "v1/workloads", None, None);
-        assert_eq!(winner, None);
+        let out = r.forward("/v1/workloads", "v1/workloads", None, None);
         assert_eq!(out.status, 502);
         assert!(
             out.body.contains("\"code\":502") && out.body.contains("\"retryable\":true"),
@@ -586,7 +572,7 @@ mod tests {
         );
         r.capabilities.record(0, vec!["rtx-3080".into()]);
         r.capabilities.record(1, vec!["rtx-3080".into()]);
-        let (out, _) = r.forward(
+        let out = r.forward(
             "/v1/profile/a100/tiny/GMS",
             "profile/a100/tiny/GMS",
             Some("a100"),

@@ -84,11 +84,12 @@ pub struct GatewayConfig {
     /// How long an ejected backend sits out before a half-open trial.
     pub cooldown: Duration,
     /// Interval between active `/v1/healthz` probes, each round followed by
-    /// one store repair pass; `None` disables both (health is then driven
-    /// purely by data-path outcomes, and the gateway sends no background
-    /// traffic).
+    /// one store repair pass — the only code that copies store records
+    /// between backends. `None` disables both: health is then driven purely
+    /// by data-path outcomes, the gateway sends no background traffic, and
+    /// no record is copied to a replica.
     pub probe_interval: Option<Duration>,
-    /// Timeout for one active probe.
+    /// How long one active probe waits for its reply to begin.
     pub probe_timeout: Duration,
     /// Idle keep-alive connections pooled per backend.
     pub max_idle_conns: usize,
@@ -330,26 +331,9 @@ fn respond(
                     );
                 }
             }
-            forward_replicated(router, target, device, ctx)
+            router.forward(target, &routing_key(target), device, Some(ctx))
         }
     }
-}
-
-/// Forward `target`, which addresses `device`, on its routing key. A 200
-/// profile answer means the winning backend durably holds the record; copy
-/// it to the key's follower replica while the request is still warm
-/// (deduped per key per process).
-pub(crate) fn forward_replicated(
-    router: &Arc<Router>,
-    target: &str,
-    device: Option<&str>,
-    ctx: SpanCtx<'_>,
-) -> Response {
-    let (response, winner) = router.forward(target, &routing_key(target), device, Some(ctx));
-    if let (200, Some(winner)) = (response.status, winner) {
-        sync::replicate_after_forward(router, target, winner, Some(ctx));
-    }
-    response
 }
 
 /// `POST /v1/workloads`: validate the submitted IR definition at the edge,
@@ -479,9 +463,9 @@ pub fn routing_key(target: &str) -> Cow<'_, str> {
 /// The health thread: promote cooled-down ejections to half-open and,
 /// every `probe_interval`, actively probe routable backends so failures
 /// are noticed even when no traffic is flowing, then run one store repair
-/// pass over the backends available after that round — whichever of them
-/// missed a replicated write is refilled. Without a probe interval the
-/// thread only ticks: no probes and no repairs.
+/// pass over the backends available after that round: the one place
+/// records are copied between replicas. Without a probe interval the
+/// thread only ticks: no probes, no repairs and so no replica copies.
 fn health_loop(
     gateway: &GatewayHandler,
     probe_interval: Option<Duration>,
@@ -500,17 +484,14 @@ fn health_loop(
         if let Some(interval) = probe_interval {
             if last_probe.elapsed() >= interval {
                 last_probe = Instant::now();
-                for (i, &addr) in backend_addrs.iter().enumerate() {
+                for i in 0..backend_addrs.len() {
                     // Ejected backends sit out their cooldown; probing them
                     // early would tell us nothing tick() doesn't.
                     if health.state(i) == HealthState::Ejected {
                         continue;
                     }
-                    let probe = Client::new(addr)
-                        .with_timeout(probe_timeout)
-                        .get("/v1/healthz");
-                    match probe {
-                        Ok(reply) if reply.status == 200 => {
+                    match router.probe(i, probe_timeout) {
+                        Some(reply) if reply.status == 200 => {
                             health.report_success(i);
                             // The body advertises the backend's modeled
                             // devices; refreshing on every probe keeps the

@@ -1,27 +1,20 @@
 //! Store replication and repair across the backend fleet.
 //!
 //! The gateway treats each backend's embedded `cactus-store` as one replica
-//! of a fleet-wide keyspace. Two paths copy records between replicas:
+//! of a fleet-wide keyspace. One path copies records between replicas: the
+//! repair pass (`repair`), run by the health thread after every probe
+//! round over the backends available then. It reads each one's manifest
+//! and makes the pushes `plan` decides: it fills a replica slot that lacks
+//! the record or raises a lower version, for *settled* keys only — no
+//! reachable backend holds the key at version 0 (the tombstone a workload
+//! re-submission writes) and its highest version has one CRC. A freshly
+//! simulated profile therefore reaches its follower one probe round after
+//! the owner stored it, and a replica that was down is refilled one round
+//! after it answers again. Serving a profile copies nothing.
 //!
-//! * **The write path** (`replicate_after_forward`) — after a profile
-//!   request is answered with a `200` by some backend, that backend
-//!   durably holds the record. The gateway fetches the raw record bytes
-//!   back over `GET /v1/store/record/<key>` and pushes them to every other
-//!   member of the key's replica set that is currently routable, so losing
-//!   the owner does not lose the profile. A per-process seen-set
-//!   de-duplicates repeat reads.
-//! * **The repair pass** (`repair`) — after every probe round the health
-//!   thread reads each available backend's manifest and makes the pushes
-//!   `plan` decides: it fills a replica slot that lacks the record or
-//!   raises a lower version, for *settled* keys only — no reachable
-//!   backend holds the key at version 0 (the tombstone a workload
-//!   re-submission writes) and its highest version has one CRC. So what a
-//!   write-path push missed is refilled one round after the target answers.
-//!
-//! Both paths move records through the same two control-plane primitives
-//! (`Router::fetch` / `Router::push_record`) and file `store.sync` spans
-//! tagged with their `mode`, so `/v1/tracez` distinguishes a write-path
-//! copy from a repair.
+//! A pass moves records through the two control-plane primitives
+//! (`Router::fetch` / `Router::push_record`) under one `store.sync` span,
+//! and counts each push as a replication or a failure.
 //!
 //! `fleet_manifest` renders the same `plan` at `/v1/store/manifest`:
 //! per-backend digests, a per-key replica/holder matrix, `missing <n>`
@@ -31,82 +24,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::sync::Arc;
 
-use cactus_obs::{SpanCtx, TraceId, Tracer};
+use cactus_obs::{TraceId, Tracer};
 use cactus_store::{manifest_digest, parse_manifest, Entry};
 
 use crate::proxy::Router;
-
-/// The store key for a forwarded target path, when that path names a
-/// profile triple (`/v1/profile/<device>/<scale>/<workload>`): the triple
-/// joined with `/`, exactly the key `cactus-serve` appends under after a
-/// simulation, borrowed from `target`. Non-profile paths return `None` —
-/// only profile responses imply a freshly stored record worth replicating.
-#[must_use]
-pub(crate) fn store_key_for(target: &str) -> Option<&str> {
-    let path = target.split('?').next().unwrap_or(target);
-    // lint:allow(surface, path *prefix* of the served /v1/profile triple route, not a consumed path)
-    let rest = path.strip_prefix("/v1/profile/")?;
-    let mut parts = rest.split('/');
-    let triple = parts.by_ref().take(3).filter(|p| !p.is_empty()).count() == 3;
-    (triple && parts.next().is_none()).then_some(rest)
-}
-
-/// After backend `winner` answered `target` with a `200`: copy the backing
-/// store record to the other replica-set members (skipping unroutable
-/// ones), once per key per process lifetime. Runs synchronously on the
-/// request path — one pooled GET plus at most one POST per follower, and
-/// only the first time a key is served. Every later serve of the key costs
-/// one borrowed set lookup: the dedupe check runs before anything else.
-pub(crate) fn replicate_after_forward(
-    router: &Arc<Router>,
-    target: &str,
-    winner: usize,
-    ctx: Option<SpanCtx<'_>>,
-) {
-    let Some(key) = store_key_for(target) else {
-        return;
-    };
-    if router.is_replicated(key) {
-        return;
-    }
-    let followers: Vec<usize> = router
-        .replica_set(&format!("profile/{key}"))
-        .into_iter()
-        .filter(|&i| i != winner && router.health.available(i))
-        .collect();
-    if followers.is_empty() || router.mark_replicated(key) {
-        return;
-    }
-    let trace = ctx.map(|c| c.trace());
-    let mut span = ctx.map(|c| c.child("store.sync"));
-    if let Some(span) = span.as_mut() {
-        span.tag("mode", "replicate");
-        span.tag("key", key.to_owned());
-    }
-    let Some(body) = router.fetch(winner, &format!("/v1/store/record/{key}"), trace) else {
-        // The winner answered the profile but not the record read (e.g. it
-        // died in between). Un-mark so a later read retries the copy.
-        router.unmark_replicated(key);
-        if let Some(span) = span.as_mut() {
-            span.tag("error", "source read failed");
-        }
-        return;
-    };
-    let mut pushed = 0u64;
-    for i in followers {
-        if router.push_record(i, key, &body, trace) {
-            pushed += 1;
-            router.metrics.store_replications.inc();
-        } else {
-            router.metrics.store_replication_failures.inc();
-        }
-    }
-    if let Some(span) = span.as_mut() {
-        span.tag("pushed", pushed);
-    }
-}
 
 /// One key's line on the fleet manifest page, and its pushes: the highest
 /// version, the CRC of that version's lowest-indexed holder, the replica
@@ -211,8 +133,10 @@ fn profile_replicas(router: &Router) -> impl Fn(&str) -> Vec<usize> + '_ {
 }
 
 /// One repair pass over the backends available now: make the pushes
-/// `plan` decides, under one `store.sync` span (mode `repair`) with a
-/// freshly minted trace when there are any.
+/// `plan` decides, under one `store.sync` span with a freshly minted trace
+/// when there are any. Each push that lands counts as a replication; a
+/// failed source read or push counts as a replication failure and is
+/// tagged `failed` on the span.
 pub(crate) fn repair(router: &Router, tracer: &Tracer) {
     router.metrics.store_syncs.inc();
     let plan = plan(
@@ -223,23 +147,30 @@ pub(crate) fn repair(router: &Router, tracer: &Tracer) {
         return;
     }
     let mut span = tracer.ctx(TraceId::mint()).child("store.sync");
-    span.tag("mode", "repair");
     let trace = Some(span.ctx().trace());
-    let mut pushed = 0u64;
-    for row in &plan.rows {
+    let (mut pushed, mut failed) = (0u64, 0u64);
+    for row in plan.rows.iter().filter(|r| !r.push_to.is_empty()) {
         let path = format!("/v1/store/record/{}", row.key);
-        let source = row.have.first().filter(|_| !row.push_to.is_empty());
-        let Some(body) = source.and_then(|&i| router.fetch(i, &path, trace)) else {
+        let Some(body) = row
+            .have
+            .first()
+            .and_then(|&i| router.fetch(i, &path, trace))
+        else {
+            failed += 1;
             continue;
         };
         for &to in &row.push_to {
             if router.push_record(to, &row.key, &body, trace) {
                 pushed += 1;
-                router.metrics.store_sync_records.inc();
+            } else {
+                failed += 1;
             }
         }
     }
+    router.metrics.store_replications.add(pushed);
+    router.metrics.store_replication_failures.add(failed);
     span.tag("pushed", pushed);
+    span.tag("failed", failed);
 }
 
 /// The gateway's `/v1/store/manifest`, rendered from the `plan` over every
@@ -300,24 +231,6 @@ fn join_indices(indices: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn store_key_only_matches_profile_triples() {
-        assert_eq!(
-            store_key_for("/v1/profile/rtx-3080/tiny/GMS"),
-            Some("rtx-3080/tiny/GMS")
-        );
-        assert_eq!(
-            store_key_for("/v1/profile/rtx-3080/tiny/GMS?verbose=1"),
-            Some("rtx-3080/tiny/GMS"),
-            "query strings are stripped"
-        );
-        assert_eq!(store_key_for("/v1/kernels/rtx-3080/tiny/GMS"), None);
-        // lint:allow(surface, deliberately malformed path exercising the rejection branch)
-        assert_eq!(store_key_for("/v1/profile/rtx-3080/tiny"), None);
-        assert_eq!(store_key_for("/v1/profile/a//c"), None);
-        assert_eq!(store_key_for("/v1/workloads"), None);
-    }
 
     const PROFILE: &str = "rtx-3080/tiny/GMS";
     const WIR: &str = "wir/x";

@@ -1,10 +1,11 @@
 //! Store replication and repair acceptance: a 3-backend fleet must
 //! survive losing a profile's owning shard with zero client-visible errors
-//! (the follower replica holds the record), and a restarted owner, or a
-//! follower restarted before it could be ejected, must be repaired back to
-//! a converged fleet manifest by the repair pass after a probe round.
-//! A profile read is one backend request and copies nothing, which a stub
-//! fleet that logs every request pins exactly.
+//! (the repair pass copied the record to the follower replica), and a
+//! restarted owner, or a follower restarted before it could be ejected,
+//! must be repaired back to a converged fleet manifest by the repair pass
+//! after a probe round. A profile read is one backend request and copies
+//! nothing, and a repair push that fails is counted; stub fleets that log
+//! every request pin both exactly.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -13,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use cactus_gateway::{Gateway, GatewayConfig, HashRing, RoutePolicy, Supervisor};
 use cactus_serve::{Client, ServeConfig};
+use cactus_store::{write_manifest, Entry};
 
 fn fleet_config(store_dir: &std::path::Path) -> ServeConfig {
     ServeConfig {
@@ -73,7 +75,7 @@ fn holders_of(manifest: &str, key: &str) -> Vec<usize> {
 }
 
 #[test]
-fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
+fn killed_owner_serves_from_follower_and_repair_refills_it() {
     let dir = std::env::temp_dir().join(format!("cactus-store-repl-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -82,39 +84,45 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
     let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(120));
 
     // Write one profile through the gateway: the owning shard simulates and
-    // stores it, and the gateway synchronously copies the record to the
-    // follower replica before the 200 reaches us.
+    // stores it, and a repair pass within a probe round or two copies the
+    // record to the follower replica.
     let key = "rtx-3080/tiny/GMS";
     let first = client
         .get("/v1/profile/rtx-3080/tiny/GMS")
         .expect("initial write-through");
     assert_eq!(first.status, 200, "body: {}", first.body);
 
-    let manifest = client
-        .get("/v1/store/manifest")
-        .expect("fleet manifest")
-        .body;
-    assert!(
-        manifest.starts_with("cactus-gateway store manifest v1\n"),
-        "unexpected manifest:\n{manifest}"
-    );
-    let replicas = replicas_of(&manifest, key);
-    assert_eq!(replicas.len(), 2, "two-way replication: {manifest}");
-    let holders = holders_of(&manifest, key);
-    for r in &replicas {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let replicas = loop {
+        let manifest = client
+            .get("/v1/store/manifest")
+            .expect("fleet manifest")
+            .body;
         assert!(
-            holders.contains(r),
-            "replica {r} lacks the record right after the write:\n{manifest}"
+            manifest.starts_with("cactus-gateway store manifest v1\n"),
+            "unexpected manifest:\n{manifest}"
         );
-    }
-    assert!(
-        manifest.contains("\nmissing 0\n"),
-        "fleet not converged after the first write:\n{manifest}"
-    );
+        let replicas = replicas_of(&manifest, key);
+        assert_eq!(replicas.len(), 2, "two-way replication: {manifest}");
+        let holders = holders_of(&manifest, key);
+        if manifest.contains("\nmissing 0\n") && replicas.iter().all(|r| holders.contains(r)) {
+            break replicas;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the follower was not refilled within 5 s of the write:\n{manifest}\n{:?}",
+            client.metrics().map(|m| (
+                m.get("cactus_gateway_store_syncs_total"),
+                m.get("cactus_gateway_store_replication_failures_total"),
+                m.get("cactus_gateway_store_replications_total")
+            ))
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    };
     let owner = replicas[0];
 
     // Lose the owner. Every read must still succeed: the ring retries onto
-    // the follower, whose store holds the replicated record.
+    // the follower, whose store holds the repaired record.
     fleet.kill(owner);
     for i in 0..10 {
         let reply = client
@@ -124,7 +132,7 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
     }
 
     // Write more profiles while the owner is down — some of their replica
-    // sets will name the dead backend, which anti-entropy must repair.
+    // sets will name the dead backend, which the repair pass must refill.
     for device in ["rtx-2080-ti", "a100", "gtx-1080"] {
         let reply = client
             .get(&format!("/v1/profile/{device}/tiny/GMS"))
@@ -133,8 +141,8 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
     }
 
     // Restart the owner and wait for the gateway to re-admit and repair it:
-    // half-open trial passes -> anti-entropy streams the missed records ->
-    // the fleet manifest reports every replica slot filled.
+    // half-open trial passes -> the repair pass copies the missed records
+    // -> the fleet manifest reports every replica slot filled.
     fleet.restart(owner).expect("restart owner");
     let deadline = Instant::now() + Duration::from_secs(30);
     let converged = loop {
@@ -168,14 +176,14 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
         "restarted owner not repaired:\n{converged}"
     );
 
-    // So is write-path replication (the repair pass was awaited above).
+    // The repair pass's pushes are counted as replications.
     let metrics = client.metrics().expect("gateway metrics");
     assert!(
         metrics
             .get("cactus_gateway_store_replications_total")
             .unwrap_or(0.0)
             >= 1.0,
-        "write-path replication counted"
+        "repair pushes counted"
     );
 
     gateway.join();
@@ -184,7 +192,7 @@ fn killed_owner_serves_from_follower_and_antientropy_repairs_it() {
 }
 
 /// A follower that is down for a moment too short to be ejected misses
-/// the write-path pushes of every key written meanwhile. The repair pass
+/// the repair pushes of every key written meanwhile. The repair pass
 /// after each probe round refills it once it answers again: the fleet
 /// converges without any backend being ejected and re-admitted.
 #[test]
@@ -269,24 +277,33 @@ fn a_follower_restarted_inside_the_ejection_window_is_repaired() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A keep-alive stub backend that logs `METHOD path` for every request
-/// and answers each with a `200`: a profile or record body for a `GET`,
-/// `stored` for a `POST`.
+/// A keep-alive stub backend that logs `METHOD path` for every request.
+/// A `GET` of the store manifest answers the stub's manifest; any other
+/// `GET` answers `200` with a profile or record body; a `POST` answers the
+/// stub's push status.
 struct LoggingStub {
     addr: SocketAddr,
     log: Arc<Mutex<Vec<String>>>,
 }
 
 impl LoggingStub {
+    /// A stub with an empty store that stores every push.
     fn spawn() -> Self {
+        Self::holding(&[], 200)
+    }
+
+    /// A stub whose store manifest lists `entries` and that answers every
+    /// record push with `push_status`.
+    fn holding(entries: &[Entry], push_status: u16) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").expect("stub bind");
         let addr = listener.local_addr().expect("stub addr");
         let log = Arc::new(Mutex::new(Vec::new()));
         let accept_log = Arc::clone(&log);
+        let manifest: Arc<str> = write_manifest(entries).into();
         std::thread::spawn(move || {
             for stream in listener.incoming().flatten() {
-                let log = Arc::clone(&accept_log);
-                std::thread::spawn(move || serve_logged(stream, &log));
+                let (log, manifest) = (Arc::clone(&accept_log), Arc::clone(&manifest));
+                std::thread::spawn(move || serve_logged(stream, &log, &manifest, push_status));
             }
         });
         Self { addr, log }
@@ -298,7 +315,7 @@ impl LoggingStub {
     }
 }
 
-fn serve_logged(stream: TcpStream, log: &Mutex<Vec<String>>) {
+fn serve_logged(stream: TcpStream, log: &Mutex<Vec<String>>, manifest: &str, push_status: u16) {
     let mut writer = stream.try_clone().expect("clone stub stream");
     let mut reader = BufReader::new(stream);
     loop {
@@ -331,13 +348,14 @@ fn serve_logged(stream: TcpStream, log: &Mutex<Vec<String>>) {
         log.lock()
             .expect("log lock")
             .push(format!("{method} {path}"));
-        let answer = match method {
-            "POST" => "stored\n",
-            _ if path.starts_with("/v1/store/record/") => "record bytes\n",
-            _ => "profile bytes\n",
+        let (status, answer) = match (method, path) {
+            ("POST", _) => (push_status, "stored\n"),
+            (_, "/v1/store/manifest") => (200, manifest),
+            (_, p) if p.starts_with("/v1/store/record/") => (200, "record bytes\n"),
+            _ => (200, "profile bytes\n"),
         };
         let reply = format!(
-            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{answer}",
+            "HTTP/1.1 {status} stub\r\ncontent-type: text/plain\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{answer}",
             answer.len()
         );
         if writer.write_all(reply.as_bytes()).is_err() {
@@ -382,6 +400,106 @@ fn a_profile_read_is_one_backend_request() {
     let mut expected = vec![Vec::new(); stubs.len()];
     expected[owner] = vec![format!("GET {path}"); reads];
     assert_eq!(logged, expected, "per-backend request logs, owner {owner}");
+
+    gateway.join();
+}
+
+/// A repair push the target refuses is counted as a replication failure,
+/// and the slot stays missing: backend 0 holds a record that backend 1,
+/// the other member of its replica set, answers with a `500`.
+#[test]
+fn a_failed_repair_push_is_counted_and_the_slot_stays_missing() {
+    let key = "rtx-3080/tiny/GMS";
+    let record = Entry {
+        key: key.to_owned(),
+        version: 1,
+        crc: 0xa,
+    };
+    let stubs = [
+        LoggingStub::holding(&[record], 200),
+        LoggingStub::holding(&[], 500),
+    ];
+    let config = GatewayConfig {
+        workers: 2,
+        probe_interval: Some(Duration::from_millis(100)),
+        policy: RoutePolicy {
+            hedge: false,
+            ..RoutePolicy::default()
+        },
+        ..GatewayConfig::default()
+    };
+    let gateway =
+        Gateway::start(config, stubs.iter().map(|s| s.addr).collect()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(10));
+    let metric = |name: &str| {
+        client
+            .metrics()
+            .expect("gateway metrics")
+            .get(name)
+            .unwrap_or(0.0)
+    };
+
+    // The third pass has begun once the first two have run to the end.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metric("cactus_gateway_store_syncs_total") < 3.0 {
+        assert!(Instant::now() < deadline, "two repair passes within 5 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(metric("cactus_gateway_store_replication_failures_total") >= 1.0);
+    assert_eq!(metric("cactus_gateway_store_replications_total"), 0.0);
+    let manifest = client
+        .get("/v1/store/manifest")
+        .expect("fleet manifest")
+        .body;
+    assert_eq!(holders_of(&manifest, key), vec![0], "{manifest}");
+    assert!(manifest.contains("\nmissing 1\n"), "{manifest}");
+
+    gateway.join();
+}
+
+/// A backend serves one keep-alive connection per worker. One whose only
+/// worker holds the connection the gateway pooled after a forward still
+/// answers every probe round, so it stays available to the repair pass
+/// and is never ejected.
+#[test]
+fn a_backend_whose_only_worker_holds_a_pooled_connection_stays_available() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("stub bind");
+    let addr = listener.local_addr().expect("stub addr");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let serve_log = Arc::clone(&log);
+    let manifest = write_manifest(&[]);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            serve_logged(stream, &serve_log, &manifest, 200);
+        }
+    });
+    let config = GatewayConfig {
+        workers: 2,
+        eject_after: 1,
+        probe_interval: Some(Duration::from_millis(50)),
+        probe_timeout: Duration::from_millis(200),
+        ..GatewayConfig::default()
+    };
+    let gateway = Gateway::start(config, vec![addr]).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(10));
+    assert_eq!(
+        client
+            .get("/v1/profile/rtx-3080/tiny/GMS")
+            .expect("read")
+            .status,
+        200
+    );
+
+    let probes = || {
+        let log = log.lock().expect("log lock");
+        log.iter().filter(|l| *l == "GET /v1/healthz").count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while probes() < 6 {
+        assert!(Instant::now() < deadline, "five probe rounds within 5 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(gateway.router().health.ejections(), 0);
 
     gateway.join();
 }

@@ -53,7 +53,6 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// |   55 | `ENGINE_POOL_STATS` | `gpu::pool` checkout counters              |
 /// |   60 | `CONN_POOL`         | `gateway::connpool` per-backend idle list  |
 /// |   62 | `CAPABILITY`        | `gateway::capability` modeled-device map   |
-/// |   65 | `REPLICATED_KEYS`   | `gateway::proxy` already-replicated key set|
 /// |   70 | `HEALTH`            | `gateway::health` backend states           |
 /// |   80 | `LATENCY_WINDOW`    | `gateway::metrics` sliding latency ring    |
 /// |   85 | `SIMINDEX`          | `serve::similar` similarity-index state    |
@@ -72,7 +71,6 @@ pub mod rank {
     pub const ENGINE_POOL_STATS: u32 = 55;
     pub const CONN_POOL: u32 = 60;
     pub const CAPABILITY: u32 = 62;
-    pub const REPLICATED_KEYS: u32 = 65;
     pub const HEALTH: u32 = 70;
     pub const LATENCY_WINDOW: u32 = 80;
     pub const SIMINDEX: u32 = 85;

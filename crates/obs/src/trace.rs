@@ -55,7 +55,7 @@ use crate::lock::{rank, RankedMutex};
 /// | `store.append`  | store, one durable record append (fsync included)  |
 /// | `store.get`     | store, one indexed record read + CRC check         |
 /// | `store.compact` | store, one background compaction pass              |
-/// | `store.sync`    | gateway, replication or repair record push         |
+/// | `store.sync`    | gateway repair pass; serve, one pushed record ingest |
 pub(crate) const SPAN_NAMES: &[&str] = &[
     "gateway.route",
     "gateway.compare",

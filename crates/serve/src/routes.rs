@@ -34,7 +34,7 @@ pub const TRIPLE_ENDPOINTS: [&str; 4] = ["profile", "kernels", "roofline", "domi
 
 /// Raw durable-store record routes: `GET` reads the stored record
 /// verbatim (no simulation fallthrough), `POST` ingests one — the
-/// gateway's replication and repair pushes land here. Listed in
+/// gateway's repair pushes land here. Listed in
 /// both spellings so `cactus-lint`'s surface rule accepts consumer paths
 /// built from a joined `device/scale/workload` key or from the triple's
 /// parts.
@@ -96,7 +96,7 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
 }
 
 /// `GET`/`POST /v1/store/record/<device>/<scale>/<workload>`: the raw
-/// durable-store surface used by gateway replication and repair.
+/// durable-store surface the gateway's repair pass uses.
 ///
 /// `GET` answers the stored record verbatim whatever its model version
 /// (repair copies bytes; relevance is the *receiver's* concern) and

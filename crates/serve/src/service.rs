@@ -683,7 +683,7 @@ impl ProfileService {
     }
 
     /// Validate and durably ingest one externally supplied record (the
-    /// gateway's replication and repair pushes). Profile keys must
+    /// gateway's repair pushes). Profile keys must
     /// be a canonical `cactus-profile v1` document — the exact bytes
     /// `write_profile` renders for what the body parses to, because
     /// `/v1/profile` serves stored bytes as they are — and are stored

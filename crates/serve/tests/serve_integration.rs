@@ -383,7 +383,7 @@ fn store_backed_profiles_skip_simulation() {
 /// The raw store surface end to end: manifest and statz pages render, a
 /// record GET answers the stored bytes verbatim, and a record POST
 /// ingests a document that later profile requests serve without
-/// simulating (the path gateway replication and anti-entropy use).
+/// simulating (the path the gateway's repair pass uses).
 #[test]
 fn store_endpoints_round_trip() {
     let (server, client, dir) = start(2, 16);
