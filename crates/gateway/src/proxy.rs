@@ -209,15 +209,9 @@ impl Router {
         body: &str,
         trace: Option<TraceId>,
     ) -> bool {
-        self.exchange(
-            i,
-            "POST",
-            &format!("/v1/store/record/{key}"),
-            body,
-            trace,
-            None,
-        )
-        .is_some_and(|reply| reply.status == 200)
+        let path = format!("/v1/store/record/{key}");
+        self.exchange(i, "POST", &path, body, trace, None)
+            .is_some_and(|reply| reply.status == 200)
     }
 
     /// The ring's failover order for `key`, with currently-ejected backends
