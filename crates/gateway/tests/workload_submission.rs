@@ -2,12 +2,15 @@
 //! once through the gateway becomes servable on every backend (the
 //! broadcast persists it fleet-wide), its profile is deterministic across
 //! repeated reads, and a seeded-defect definition is refused at the edge
-//! with the validator's line-accurate findings.
+//! with the validator's line-accurate findings. The broadcast reaches a
+//! backend over the gateway's pooled connections, so it never waits for a
+//! worker that an idle pooled connection holds.
 
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy, Supervisor};
-use cactus_serve::{Client, DeviceId, ServeConfig};
+use cactus_serve::{Client, DeviceId, ServeConfig, Server};
 
 fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
@@ -147,5 +150,70 @@ fn gateway_submission_is_fleet_wide_and_deterministic() {
 
     gateway.join();
     fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A backend serves one keep-alive connection per worker. Two concurrent
+/// reads leave two idle pooled connections on a 2-worker backend, each
+/// held by one of its workers; a workload broadcast on a fresh connection
+/// would wait out the backend's read timeout before a worker took it.
+#[test]
+fn a_workload_post_does_not_wait_behind_pooled_connections() {
+    let dir = std::env::temp_dir().join(format!("cactus-wir-pooled-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend = Server::start(ServeConfig {
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start backend");
+    let gateway = Gateway::start(
+        GatewayConfig {
+            workers: 4,
+            probe_interval: None,
+            policy: RoutePolicy {
+                hedge: false,
+                ..RoutePolicy::default()
+            },
+            ..GatewayConfig::default()
+        },
+        vec![backend.addr()],
+    )
+    .expect("start gateway");
+    let addr = gateway.addr();
+
+    // Two cold reads in flight at once: each needs its own backend
+    // connection, and both stay pooled afterwards.
+    let barrier = Arc::new(Barrier::new(2));
+    let readers: Vec<_> = ["LMR", "GMS"]
+        .into_iter()
+        .map(|workload| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let client = Client::new(addr).with_timeout(Duration::from_secs(120));
+                barrier.wait();
+                client
+                    .get(&format!("/v1/profile/rtx-3080/small/{workload}"))
+                    .expect("cold read")
+                    .status
+            })
+        })
+        .collect();
+    for reader in readers {
+        assert_eq!(reader.join().expect("reader thread"), 200);
+    }
+    assert_eq!(gateway.router().pool.dials(), 2, "one connection per read");
+
+    let client = Client::new(addr).with_timeout(Duration::from_secs(30));
+    let started = Instant::now();
+    let reply = client
+        .post_traced("/v1/workloads", &gnn_source(), None)
+        .expect("post gnn via gateway");
+    let took = started.elapsed();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(took < Duration::from_secs(1), "the broadcast took {took:?}");
+
+    gateway.join();
+    backend.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
