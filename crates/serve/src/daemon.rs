@@ -44,6 +44,9 @@ use crate::net;
 /// exhaustion, an aborted handshake) before it tries again.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
+/// How long a refused connection's request head is drained, in total.
+const REJECT_DRAIN: Duration = Duration::from_millis(250);
+
 /// Requests served over one keep-alive connection before the daemon forces
 /// a close, bounding how long a single client can pin a worker.
 pub const KEEP_ALIVE_MAX: usize = 256;
@@ -260,12 +263,18 @@ fn accept_loop<H: Handler>(
 /// Answer `503 + Retry-After` without occupying a worker.
 fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream, retry_after_s: u32) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     // Drain the request head before answering: closing with unread bytes in
     // the receive buffer sends an RST that can discard the in-flight 503.
+    // The whole drain is bounded, so a client that trickles its head holds
+    // the accept thread for at most `REJECT_DRAIN`.
+    let deadline = Instant::now() + REJECT_DRAIN;
     let mut buf = [0u8; 1024];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut buf) {
             Ok(n) if n > 0 => {
                 if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {

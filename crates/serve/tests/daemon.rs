@@ -4,8 +4,9 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cactus_obs::{ApiError, TraceId};
 use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits, KEEP_ALIVE_MAX};
@@ -262,6 +263,46 @@ fn a_full_queue_answers_503_without_occupying_a_worker() {
     assert_eq!(stub.count(|e| matches!(e, Event::Rejected)), 1);
     // The refusal never reached the request path.
     assert_eq!(stub.count(|e| matches!(e, Event::Request { .. })), 2);
+}
+
+/// A refused client that trickles its head, a byte every 100 ms and never
+/// the blank line, holds the accept thread for a bounded drain only: a
+/// fresh client is refused promptly while the trickle goes on.
+#[test]
+fn a_trickling_refused_client_does_not_hold_the_accept_thread() {
+    let daemon = start(1, 1);
+    let mut pinned = Conn::open(&daemon);
+    pinned.send("GET /block HTTP/1.1\r\nhost: t\r\n\r\n");
+    daemon.handler().entered.wait();
+    let queued = Conn::open(&daemon);
+
+    let trickling = Arc::new(AtomicBool::new(true));
+    let trickler = {
+        let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+        let trickling = Arc::clone(&trickling);
+        std::thread::spawn(move || {
+            // Write errors once the daemon gives up on the stream are
+            // expected; the schedule runs to its end either way.
+            for &byte in b"GET /ok HTTP/1.1\r\nhost: trickle\r\n".iter().take(20) {
+                let _ = stream.write_all(&[byte]);
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            trickling.store(false, Ordering::SeqCst);
+        })
+    };
+
+    let started = Instant::now();
+    let reply = Conn::open(&daemon).get("/ok");
+    let took = started.elapsed();
+    assert_eq!(reply.status, 503);
+    assert!(took < Duration::from_secs(1), "refused after {took:?}");
+    assert!(trickling.load(Ordering::SeqCst), "the trickle ended first");
+
+    daemon.handler().release.wait();
+    assert_eq!(pinned.reply().expect("pinned reply").status, 200);
+    drop((pinned, queued));
+    trickler.join().expect("trickler thread");
+    daemon.join();
 }
 
 #[test]
