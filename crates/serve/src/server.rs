@@ -1,7 +1,7 @@
 //! The serve tier on the shared [`daemon`] skeleton:
 //! configuration, the state every worker shares, the [`Handler`] that
 //! turns one request into the LRU → store → single-flight-simulation walk
-//! of [`routes`], startup cache warming, and the background compactor.
+//! of [`routes`], and the background compactor.
 //! The listener, queue, worker pool, backpressure and drain are the
 //! skeleton's; see its module docs.
 
@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use cactus_obs::{Gauge, MetricsRegistry, TraceId, Tracer};
 
-use crate::cache::{CachedResponse, ResponseCache};
+use crate::cache::ResponseCache;
 pub use crate::daemon::KEEP_ALIVE_MAX;
 use crate::daemon::{self, Daemon, Event, Handler, Limits};
 use crate::http::{Request, Response};
@@ -324,7 +324,6 @@ impl Server {
             config,
             scraped,
         };
-        warm_cache(&state);
         let daemon = bound.serve(limits, state);
 
         let compactor = {
@@ -357,48 +356,6 @@ impl Server {
     pub fn join(self) {
         self.daemon.join();
         let _ = self.compactor.join();
-    }
-}
-
-/// Warm the response cache from the durable store at startup. A record
-/// at its key's current record version is byte-identical to the
-/// `/v1/profile` body it would produce, so a restarted daemon serves its
-/// persisted working set from the very first request — no re-simulation,
-/// no cold LRU.
-fn warm_cache(state: &ServerState) {
-    let capacity = state.config.cache_capacity;
-    if capacity == 0 {
-        return;
-    }
-    let store = state.service.store();
-    let mut warmed = 0usize;
-    for entry in store.entries() {
-        if warmed >= capacity {
-            break;
-        }
-        if Some(entry.version) != crate::service::current_version(&entry.key) {
-            continue;
-        }
-        // Replicated records for devices this backend does not model are
-        // unreachable through the routes; do not spend cache slots on them.
-        let device = entry.key.split('/').next().unwrap_or_default();
-        if !state.service.models(device) {
-            continue;
-        }
-        let Ok(Some(record)) = store.get(&entry.key) else {
-            continue;
-        };
-        let Ok(body) = String::from_utf8(record.value) else {
-            continue;
-        };
-        state.cache.put(
-            &format!("profile/{}", entry.key),
-            CachedResponse {
-                content_type: routes::TEXT,
-                body,
-            },
-        );
-        warmed += 1;
     }
 }
 

@@ -337,8 +337,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
 /// Profile-scale requests for rtx-3080 are served from durable storage
 /// when the store already holds them (as after `profiles`), without
-/// simulating: the startup warmer pre-loads the response cache from the
-/// store, so the very first request is an LRU hit.
+/// simulating: the first request is a store hit, parsed before it is
+/// served, and the second an LRU hit.
 #[test]
 fn store_backed_profiles_skip_simulation() {
     let dir = fresh_dir();
@@ -371,10 +371,51 @@ fn store_backed_profiles_skip_simulation() {
         .expect("store-backed profile");
     assert_eq!(served, seeded, "store round-trip must be bit-exact");
     assert_eq!(metric(&client, "cactus_serve_simulations_total"), 0.0);
-    // The warmer answered from the LRU, so the store level itself was
-    // never consulted at request time — it was read once at startup.
-    assert_eq!(metric(&client, "cactus_serve_store_hits_total"), 0.0);
-    assert!(metric(&client, "cactus_serve_cache_hits_total") >= 1.0);
+    // Nothing is cached at startup: the store answered the first request.
+    assert_eq!(metric(&client, "cactus_serve_store_hits_total"), 1.0);
+    assert_eq!(metric(&client, "cactus_serve_cache_hits_total"), 0.0);
+    let again = client
+        .get("/v1/profile/rtx-3080/profile/GMS")
+        .expect("cached profile");
+    assert_eq!(again.status, 200);
+    assert_eq!(metric(&client, "cactus_serve_store_hits_total"), 1.0);
+    assert_eq!(metric(&client, "cactus_serve_cache_hits_total"), 1.0);
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored record at its key's current version that `read_profile`
+/// rejects is never served, from the cache or the store: the first request
+/// re-simulates and answers the serial simulation's document.
+#[test]
+fn an_unparseable_stored_record_is_never_served() {
+    let dir = fresh_dir();
+    cactus_store::Store::open(&dir)
+        .expect("open store")
+        .append(
+            "rtx-3080/tiny/GMS",
+            cactus_gpu::by_id("rtx-3080")
+                .expect("catalog id")
+                .record_version(),
+            b"cactus-profile v1\nnot a profile\n",
+        )
+        .expect("seed store");
+
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+
+    let served = client
+        .get("/v1/profile/rtx-3080/tiny/GMS")
+        .expect("profile");
+    assert_eq!(served.status, 200, "{}", served.body);
+    let serial = cactus_profiler::store::write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
+    assert_eq!(served.body, serial, "an unparsed stored byte was served");
 
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
