@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cactus_gateway::server::routing_key;
-use cactus_gateway::{Gateway, GatewayConfig, HashRing, RoutePolicy};
+use cactus_gateway::{Gateway, GatewayConfig, HashRing};
 use cactus_serve::metrics::quantile;
 use cactus_serve::Connection;
 
@@ -117,23 +117,15 @@ fn path_routed_to(addrs: &[SocketAddr], backend: usize) -> String {
         .expect("some key routes to the backend")
 }
 
-fn gateway_config(policy: RoutePolicy) -> GatewayConfig {
+fn gateway_config(hedge: bool) -> GatewayConfig {
     GatewayConfig {
         workers: 4,
         queue: 64,
         // Passive health only: probes would add jitter to the measurement.
         probe_interval: None,
-        backend_timeout: Duration::from_secs(5),
-        policy,
-        ..GatewayConfig::default()
-    }
-}
-
-fn hedge_policy(hedge: bool) -> RoutePolicy {
-    RoutePolicy {
         hedge,
         hedge_floor: Duration::from_millis(2),
-        ..RoutePolicy::default()
+        ..GatewayConfig::default()
     }
 }
 
@@ -159,9 +151,9 @@ fn main() {
     let addrs = vec![bimodal.addr, fast.addr];
     let path = path_routed_to(&addrs, 0);
 
-    let start = |policy| Gateway::start(gateway_config(policy), addrs.clone());
-    let hedged = start(hedge_policy(true)).expect("hedged gateway");
-    let unhedged = start(hedge_policy(false)).expect("unhedged gateway");
+    let start = |hedge| Gateway::start(gateway_config(hedge), addrs.clone());
+    let hedged = start(true).expect("hedged gateway");
+    let unhedged = start(false).expect("unhedged gateway");
 
     let timeout = Duration::from_secs(10);
     let mut hedged_conn = Connection::new(hedged.addr(), timeout);

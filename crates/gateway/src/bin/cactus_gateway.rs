@@ -86,7 +86,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             return Ok(Parsed::Help);
         }
         if flag == "--no-hedge" {
-            parsed.config.policy.hedge = false;
+            parsed.config.hedge = false;
             continue;
         }
         let mut value = || {
@@ -119,8 +119,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             "--workers" => parsed.config.workers = parse_num(&flag, &value()?)?,
             "--queue" => parsed.config.queue = parse_num(&flag, &value()?)?,
             "--hedge-floor-ms" => {
-                parsed.config.policy.hedge_floor =
-                    Duration::from_millis(parse_num(&flag, &value()?)?);
+                parsed.config.hedge_floor = Duration::from_millis(parse_num(&flag, &value()?)?);
             }
             "--eject-after" => parsed.config.eject_after = parse_num(&flag, &value()?)?,
             "--cooldown-ms" => {
@@ -137,7 +136,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     }
     parsed
         .config
-        .policy
         .validate()
         .map_err(|msg| format!("--hedge-floor-ms: {msg}"))?;
     if parsed.backends.is_empty() && parsed.fleet == 0 {
@@ -282,6 +280,6 @@ mod tests {
         else {
             panic!("a floor equal to the cap is accepted");
         };
-        assert_eq!(args.config.policy.hedge_floor, Duration::from_secs(2));
+        assert_eq!(args.config.hedge_floor, Duration::from_secs(2));
     }
 }

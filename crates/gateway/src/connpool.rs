@@ -6,6 +6,9 @@
 //! itself re-dials lazily, so a checked-out handle is always usable. The
 //! pool is bounded per backend so a burst doesn't strand hundreds of idle
 //! sockets.
+//!
+//! The pool is the one place the gateway builds a connection to a backend:
+//! every exchange, forward or control-plane, checks one out here.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,22 +17,31 @@ use std::time::Duration;
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_serve::Connection;
 
+/// Read and write timeout of a pooled connection: one exchange's bound
+/// once connected. Cold profile simulations can be slow, so it is generous.
+const BACKEND_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long a health probe waits for its reply to begin, and the bound on
+/// every pooled dial: a backend whose accept queue is full costs a probe
+/// round (or a forward attempt) this long, not [`BACKEND_TIMEOUT`].
+pub(crate) const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Idle keep-alive connections pooled per backend.
+const MAX_IDLE_CONNS: usize = 8;
+
 /// Per-backend stacks of idle keep-alive connections.
 #[derive(Debug)]
 pub struct ConnPool {
     addrs: Vec<SocketAddr>,
     idle: Vec<RankedMutex<Vec<Connection>>>,
-    timeout: Duration,
-    max_idle: usize,
     dials: AtomicU64,
     reuses: AtomicU64,
 }
 
 impl ConnPool {
-    /// A pool over `addrs`, keeping at most `max_idle` idle connections per
-    /// backend; `timeout` applies to connect/read/write on each connection.
+    /// A pool over `addrs`.
     #[must_use]
-    pub(crate) fn new(addrs: Vec<SocketAddr>, timeout: Duration, max_idle: usize) -> Self {
+    pub(crate) fn new(addrs: Vec<SocketAddr>) -> Self {
         let idle = addrs
             .iter()
             .map(|_| RankedMutex::new(rank::CONN_POOL, "gateway.connpool", Vec::new()))
@@ -37,8 +49,6 @@ impl ConnPool {
         Self {
             addrs,
             idle,
-            timeout,
-            max_idle: max_idle.max(1),
             dials: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
@@ -53,17 +63,18 @@ impl ConnPool {
             return conn;
         }
         self.dials.fetch_add(1, Ordering::Relaxed);
-        Connection::new(self.addrs[i], self.timeout)
+        Connection::new(self.addrs[i], BACKEND_TIMEOUT).with_dial_timeout(PROBE_TIMEOUT)
     }
 
     /// Return a connection to backend `i`'s idle stack. Dead connections
-    /// and overflow beyond `max_idle` are dropped (the socket closes).
+    /// and overflow beyond [`MAX_IDLE_CONNS`] are dropped (the socket
+    /// closes).
     pub(crate) fn checkin(&self, i: usize, conn: Connection) {
         if !conn.is_connected() {
             return;
         }
         let mut idle = self.idle[i].lock();
-        if idle.len() < self.max_idle {
+        if idle.len() < MAX_IDLE_CONNS {
             idle.push(conn);
         }
     }
@@ -91,17 +102,13 @@ impl ConnPool {
 mod tests {
     use super::*;
 
-    fn pool(max_idle: usize) -> ConnPool {
-        ConnPool::new(
-            vec!["127.0.0.1:9".parse().expect("addr")],
-            Duration::from_millis(50),
-            max_idle,
-        )
+    fn pool() -> ConnPool {
+        ConnPool::new(vec!["127.0.0.1:9".parse().expect("addr")])
     }
 
     #[test]
     fn checkout_without_idle_counts_a_dial() {
-        let p = pool(4);
+        let p = pool();
         let c = p.checkout(0);
         assert_eq!(p.dials(), 1);
         assert_eq!(p.reuses(), 0);
@@ -113,7 +120,7 @@ mod tests {
 
     #[test]
     fn evict_clears_idle_stack() {
-        let p = pool(4);
+        let p = pool();
         p.evict(0); // empty evict is a no-op
         assert_eq!(p.addrs.len(), 1);
         assert!(!p.addrs.is_empty());

@@ -61,7 +61,7 @@ pub mod sync;
 
 pub use capability::CapabilityMap;
 pub use health::{HealthState, HealthTracker};
-pub use proxy::{RoutePolicy, Router};
+pub use proxy::Router;
 pub use ring::HashRing;
 pub use server::{Gateway, GatewayConfig};
 pub use supervisor::Supervisor;

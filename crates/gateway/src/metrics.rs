@@ -405,7 +405,7 @@ mod tests {
             "127.0.0.1:7001".parse().expect("addr"),
             "127.0.0.1:7002".parse().expect("addr"),
         ];
-        let pool = ConnPool::new(addrs.clone(), Duration::from_secs(1), 4);
+        let pool = ConnPool::new(addrs.clone());
         let body = render_metrics(&m, &health, &pool, &addrs);
         assert!(body.contains("cactus_gateway_requests_forwarded_total 3"));
         assert!(body.contains("cactus_gateway_backend_0_routed_total 2"));
@@ -427,7 +427,7 @@ mod tests {
             "127.0.0.1:7001".parse().expect("addr"),
             "127.0.0.1:7002".parse().expect("addr"),
         ];
-        let pool = ConnPool::new(addrs.clone(), Duration::from_secs(1), 4);
+        let pool = ConnPool::new(addrs.clone());
         let page = render_metrics(&m, &health, &pool, &addrs);
         let expo = cactus_obs::parse(&page).expect("strict parse of own page");
         assert_eq!(expo.get("cactus_gateway_requests_total"), Some(7.0));

@@ -31,6 +31,7 @@
 //! logs carry the same id. Synthesized errors (`no backends`, `all attempts
 //! failed`) are the shared JSON envelope.
 
+use std::io;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,60 +42,25 @@ use cactus_serve::http::Response;
 use cactus_serve::Connection;
 
 use crate::capability::CapabilityMap;
-use crate::connpool::ConnPool;
+use crate::connpool::{ConnPool, PROBE_TIMEOUT};
 use crate::health::HealthTracker;
 use crate::metrics::GatewayMetrics;
 use crate::ring::{hash_str, HashRing};
 
-/// Retry/hedge tuning; embedded in the gateway config.
-#[derive(Debug, Clone)]
-pub struct RoutePolicy {
-    /// Total backend attempts per request (first try + retries).
-    pub max_attempts: u32,
-    /// First backoff delay; doubles per retry.
-    pub backoff_base: Duration,
-    /// Ceiling on any single backoff delay.
-    pub backoff_cap: Duration,
-    /// Master switch for hedged requests.
-    pub hedge: bool,
-    /// Latency quantile of the primary's window that arms the hedge timer.
-    pub hedge_quantile: f64,
-    /// Minimum hedge delay (also the default while the window is empty).
-    pub hedge_floor: Duration,
-    /// Maximum hedge delay.
-    pub hedge_cap: Duration,
-}
+/// Total backend attempts per request (first try + retries).
+const MAX_ATTEMPTS: usize = 3;
 
-impl RoutePolicy {
-    /// Check the policy's invariants: a hedge floor no higher than the cap.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the violated bound.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.hedge_floor > self.hedge_cap {
-            return Err(format!(
-                "hedge floor {:?} is above the hedge cap {:?}",
-                self.hedge_floor, self.hedge_cap
-            ));
-        }
-        Ok(())
-    }
-}
+/// First backoff delay before a retry; doubles per retry.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
-impl Default for RoutePolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-            hedge: true,
-            hedge_quantile: 0.9,
-            hedge_floor: Duration::from_millis(20),
-            hedge_cap: Duration::from_secs(2),
-        }
-    }
-}
+/// Ceiling on any single backoff delay.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+
+/// Latency quantile of the primary's window that arms the hedge timer.
+const HEDGE_QUANTILE: f64 = 0.9;
+
+/// Maximum hedge delay; a configured hedge floor may not exceed it.
+pub(crate) const HEDGE_CAP: Duration = Duration::from_secs(2);
 
 /// The shared routing state: ring + health + pool + counters.
 #[derive(Debug)]
@@ -106,7 +72,8 @@ pub struct Router {
     /// Which catalog devices each backend models; consulted before the
     /// ring's failover order so requests never reach an incapable backend.
     pub capabilities: CapabilityMap,
-    policy: RoutePolicy,
+    /// The minimum hedge delay; `None` when hedging is off.
+    hedge_floor: Option<Duration>,
 }
 
 enum Attempt {
@@ -125,7 +92,7 @@ impl Router {
         health: Arc<HealthTracker>,
         pool: Arc<ConnPool>,
         metrics: Arc<GatewayMetrics>,
-        policy: RoutePolicy,
+        hedge_floor: Option<Duration>,
     ) -> Self {
         let n = metrics.backends.len();
         Self {
@@ -134,7 +101,7 @@ impl Router {
             pool,
             metrics,
             capabilities: CapabilityMap::new(n),
-            policy,
+            hedge_floor,
         }
     }
 
@@ -160,11 +127,14 @@ impl Router {
     }
 
     /// One pooled exchange with backend `i` outside the retry/hedge
-    /// machinery and with no health report — the control-plane primitive
-    /// health probes, the repair pass and the fleet manifest build on.
-    /// `None` on a transport error, or when no byte of the reply arrives
-    /// within `stall`.
-    fn exchange(
+    /// machinery and with no health report: the one way every
+    /// gateway→backend exchange but a forward's reaches a backend (probes,
+    /// the workload broadcast, the repair pass, the fleet manifest). A
+    /// backend serves one keep-alive connection per worker, so an exchange
+    /// on a fresh connection could wait behind workers that idle pooled
+    /// connections hold. An error when no byte of the reply arrives within
+    /// `stall`.
+    pub(crate) fn exchange(
         &self,
         i: usize,
         method: &str,
@@ -172,30 +142,28 @@ impl Router {
         body: &str,
         trace: Option<TraceId>,
         stall: Option<Duration>,
-    ) -> Option<HttpReply> {
+    ) -> Result<HttpReply, ClientError> {
         let mut conn = self.pool.checkout(i);
-        if conn.send(method, path, body, trace, stall).ok()? == Sent::InFlight {
-            return None;
+        if conn.send(method, path, body, trace, stall)? == Sent::InFlight {
+            return Err(ClientError::Io(io::ErrorKind::TimedOut.into()));
         }
-        let reply = conn.finish().ok()?;
+        let reply = conn.finish()?;
         self.pool.checkin(i, conn);
-        Some(reply)
+        Ok(reply)
     }
 
     /// `GET /v1/healthz` on backend `i`, `None` unless the reply begins
-    /// within `timeout`. It runs over the pool: a backend serves one
-    /// keep-alive connection per worker, so a probe on a fresh connection
-    /// can wait behind workers that idle pooled connections hold, and
-    /// eject a backend that answers every request it is sent.
+    /// within [`PROBE_TIMEOUT`].
     #[must_use]
-    pub(crate) fn probe(&self, i: usize, timeout: Duration) -> Option<HttpReply> {
-        self.exchange(i, "GET", "/v1/healthz", "", None, Some(timeout))
+    pub(crate) fn probe(&self, i: usize) -> Option<HttpReply> {
+        self.exchange(i, "GET", "/v1/healthz", "", None, Some(PROBE_TIMEOUT))
+            .ok()
     }
 
     /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise.
     #[must_use]
     pub(crate) fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
-        let reply = self.exchange(i, "GET", path, "", trace, None)?;
+        let reply = self.exchange(i, "GET", path, "", trace, None).ok()?;
         (reply.status == 200).then_some(reply.body)
     }
 
@@ -211,7 +179,7 @@ impl Router {
     ) -> bool {
         let path = format!("/v1/store/record/{key}");
         self.exchange(i, "POST", &path, body, trace, None)
-            .is_some_and(|reply| reply.status == 200)
+            .is_ok_and(|reply| reply.status == 200)
     }
 
     /// The ring's failover order for `key`, with currently-ejected backends
@@ -267,25 +235,23 @@ impl Router {
         }
         let mut rng = hash_str(key) | 1;
         let mut last_saturated: Option<HttpReply> = None;
-        let attempts = (self.policy.max_attempts as usize).max(1);
-        for attempt in 0..attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             let target = candidates[attempt % candidates.len()];
             if attempt > 0 {
                 self.metrics.retries.inc();
-                std::thread::sleep(self.backoff(attempt, &mut rng));
+                std::thread::sleep(backoff(attempt, &mut rng));
             }
             let mut span = ctx.map(|c| c.child("proxy.attempt"));
             if let Some(span) = span.as_mut() {
                 span.tag("attempt", attempt);
                 span.tag("backend", target);
             }
-            let hedge_target = if attempt == 0 && self.policy.hedge {
-                candidates.get(1).copied()
-            } else {
-                None
+            let hedge = match (attempt, self.hedge_floor, candidates.get(1)) {
+                (0, Some(floor), Some(&next)) => Some((next, floor)),
+                _ => None,
             };
-            let (outcome, winner, hedged) = match hedge_target {
-                Some(hedge) => self.hedged_attempt(path, target, hedge, trace),
+            let (outcome, winner, hedged) = match hedge {
+                Some((next, floor)) => self.hedged_attempt(path, target, next, floor, trace),
                 None => (self.try_backend(target, path, trace), target, false),
             };
             if let Some(span) = span.as_mut() {
@@ -331,11 +297,13 @@ impl Router {
         path: &str,
         primary: usize,
         hedge_target: usize,
+        hedge_floor: Duration,
         trace: Option<TraceId>,
     ) -> (Attempt, usize, bool) {
         let mut conn = self.pool.checkout(primary);
         let started = Instant::now();
-        let sent = conn.send("GET", path, "", trace, Some(self.hedge_threshold(primary)));
+        let threshold = self.hedge_threshold(primary, hedge_floor);
+        let sent = conn.send("GET", path, "", trace, Some(threshold));
         if !matches!(sent, Ok(Sent::InFlight)) {
             let result = sent.and_then(|_| conn.finish());
             return (self.settle(primary, conn, started, result), primary, false);
@@ -424,28 +392,26 @@ impl Router {
     }
 
     /// How long to wait on the primary before launching the hedge: the
-    /// configured quantile of the primary's own latency window, clamped to
-    /// `[hedge_floor, hedge_cap]`; the floor alone while the window is cold.
-    fn hedge_threshold(&self, primary: usize) -> Duration {
+    /// [`HEDGE_QUANTILE`] of the primary's own latency window, clamped to
+    /// `[floor, HEDGE_CAP]`; the floor alone while the window is cold.
+    fn hedge_threshold(&self, primary: usize, floor: Duration) -> Duration {
         let observed = self.metrics.backends[primary]
             .latency
-            .quantile_us(self.policy.hedge_quantile)
-            .map_or(self.policy.hedge_floor, Duration::from_micros);
-        observed.clamp(self.policy.hedge_floor, self.policy.hedge_cap)
+            .quantile_us(HEDGE_QUANTILE)
+            .map_or(floor, Duration::from_micros);
+        observed.clamp(floor, HEDGE_CAP)
     }
+}
 
-    /// Jittered exponential backoff before retry `attempt` (1-based):
-    /// uniform over `(0, base * 2^(attempt-1)]`, capped.
-    fn backoff(&self, attempt: usize, rng: &mut u64) -> Duration {
-        let exp = u32::try_from(attempt.saturating_sub(1)).unwrap_or(u32::MAX);
-        let ceiling = self
-            .policy
-            .backoff_base
-            .saturating_mul(2u32.saturating_pow(exp))
-            .min(self.policy.backoff_cap);
-        let ceiling_us = u64::try_from(ceiling.as_micros()).unwrap_or(u64::MAX);
-        Duration::from_micros(xorshift(rng) % ceiling_us.max(1))
-    }
+/// Jittered exponential backoff before retry `attempt` (1-based): uniform
+/// over `(0, BACKOFF_BASE * 2^(attempt-1)]`, capped at [`BACKOFF_CAP`].
+fn backoff(attempt: usize, rng: &mut u64) -> Duration {
+    let exp = u32::try_from(attempt.saturating_sub(1)).unwrap_or(u32::MAX);
+    let ceiling = BACKOFF_BASE
+        .saturating_mul(2u32.saturating_pow(exp))
+        .min(BACKOFF_CAP);
+    let ceiling_us = u64::try_from(ceiling.as_micros()).unwrap_or(u64::MAX);
+    Duration::from_micros(xorshift(rng) % ceiling_us.max(1))
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -463,15 +429,16 @@ mod tests {
     use crate::health::HealthState;
     use std::net::SocketAddr;
 
-    fn router(addrs: Vec<SocketAddr>, policy: RoutePolicy) -> Arc<Router> {
+    /// A router over `addrs` with hedging off.
+    fn router(addrs: Vec<SocketAddr>) -> Arc<Router> {
         let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
         let n = addrs.len();
         Arc::new(Router::new(
             HashRing::new(&labels),
             Arc::new(HealthTracker::new(n, 2, Duration::from_secs(60))),
-            Arc::new(ConnPool::new(addrs, Duration::from_millis(50), 4)),
+            Arc::new(ConnPool::new(addrs)),
             Arc::new(GatewayMetrics::new(n)),
-            policy,
+            None,
         ))
     }
 
@@ -485,15 +452,7 @@ mod tests {
 
     #[test]
     fn all_dead_backends_synthesize_502_and_eject() {
-        let r = router(
-            dead_addrs(2),
-            RoutePolicy {
-                hedge: false,
-                backoff_base: Duration::from_micros(100),
-                backoff_cap: Duration::from_micros(200),
-                ..RoutePolicy::default()
-            },
-        );
+        let r = router(dead_addrs(2));
         let out = r.forward("/v1/workloads", "v1/workloads", None, None);
         assert_eq!(out.status, 502);
         assert!(
@@ -512,7 +471,7 @@ mod tests {
 
     #[test]
     fn candidates_push_ejected_backends_to_the_back() {
-        let r = router(dead_addrs(3), RoutePolicy::default());
+        let r = router(dead_addrs(3));
         let key = "profile/rtx-3080/tiny/GMS";
         let order = r.candidates_for(key, None);
         let primary = order[0];
@@ -530,7 +489,7 @@ mod tests {
 
     #[test]
     fn incapable_backends_are_dropped_not_demoted() {
-        let r = router(dead_addrs(3), RoutePolicy::default());
+        let r = router(dead_addrs(3));
         r.capabilities.record(0, vec!["uhd-630".into()]);
         r.capabilities.record(1, vec!["rtx-3080".into()]);
         r.capabilities.record(2, vec!["rtx-3080".into()]);
@@ -557,13 +516,7 @@ mod tests {
 
     #[test]
     fn fleet_without_the_device_synthesizes_404() {
-        let r = router(
-            dead_addrs(2),
-            RoutePolicy {
-                hedge: false,
-                ..RoutePolicy::default()
-            },
-        );
+        let r = router(dead_addrs(2));
         r.capabilities.record(0, vec!["rtx-3080".into()]);
         r.capabilities.record(1, vec!["rtx-3080".into()]);
         let out = r.forward(
@@ -615,9 +568,9 @@ mod tests {
                 // Zero cooldown: a tick moves every ejected backend to
                 // half-open, and no health thread ticks behind the test.
                 Arc::new(HealthTracker::new(n, 1, Duration::ZERO)),
-                Arc::new(ConnPool::new(dead_addrs(n), Duration::from_millis(50), 4)),
+                Arc::new(ConnPool::new(dead_addrs(n))),
                 Arc::new(GatewayMetrics::new(n)),
-                RoutePolicy::default(),
+                None,
             );
             let device = (with_device == 1).then_some("rtx-3080");
             for (want, tick) in [(2, true), (1, false)] {
@@ -646,11 +599,10 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_jittered() {
-        let r = router(dead_addrs(1), RoutePolicy::default());
         let mut rng = 42u64;
         for attempt in 1..6 {
-            let d = r.backoff(attempt, &mut rng);
-            assert!(d <= r.policy.backoff_cap, "attempt {attempt}: {d:?}");
+            let d = backoff(attempt, &mut rng);
+            assert!(d <= BACKOFF_CAP, "attempt {attempt}: {d:?}");
         }
     }
 }

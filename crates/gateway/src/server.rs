@@ -6,8 +6,9 @@
 //! ```text
 //!                    ┌────────────── health thread ───────────────┐
 //!                    │ tick(): Ejected → HalfOpen after cooldown  │
-//!                    │ active probes: GET /v1/healthz per backend │
-//!                    │ (each probe refreshes the capability map)  │
+//!                    │ probe round: GET /v1/healthz per backend   │
+//!                    │ (the first runs before serving; each probe │
+//!                    │ refreshes the capability map)              │
 //!                    │ then one store repair pass (sync::repair)  │
 //!                    └───────────────────┬────────────────────────┘
 //!                                        ▼
@@ -46,25 +47,37 @@ use cactus_obs::{SpanCtx, TraceId, Tracer};
 use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits};
 use cactus_serve::http::{Request, Response};
 use cactus_serve::routes::{tracez, workload_rejection, CSV, TEXT};
+use cactus_serve::server::TRACE_CAPACITY;
 use cactus_serve::wire::{self, parse_health_devices, DeviceEntry};
-use cactus_serve::Client;
 
 use crate::capability::device_for_target;
 use crate::compare;
 use crate::connpool::ConnPool;
 use crate::health::{HealthState, HealthTracker};
 use crate::metrics::{render_metrics, GatewayMetrics};
-use crate::proxy::{RoutePolicy, Router};
+use crate::proxy::{Router, HEDGE_CAP};
 use crate::ring::HashRing;
 use crate::sync;
 
 const HEALTH_TICK: Duration = Duration::from_millis(50);
 
+/// Client-side read timeout (also the keep-alive idle timeout).
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// `Retry-After` seconds advertised on a local `503`.
+const RETRY_AFTER_S: u32 = 1;
+
 /// The cross-device comparison route (`cactus-lint` checks served routes
 /// against client-consumed paths, so the pattern lives here as a literal).
 pub const COMPARE_ROUTE: &str = "/v1/compare/{scale}/{workload}";
 
-/// Gateway tuning knobs.
+/// Gateway tuning knobs: the values a deployment sets. Everything else
+/// is a constant — the listener's read timeout (`READ_TIMEOUT`, 5 s) and
+/// `Retry-After` (`RETRY_AFTER_S`, 1 s), the pooled connections' I/O
+/// timeout (60 s), dial and probe bound (`PROBE_TIMEOUT`, 500 ms) and idle
+/// cap (8 per backend), the retry policy (3 attempts, backoff from 10 ms
+/// capped at 200 ms), the hedge quantile (p90) and cap (`HEDGE_CAP`, 2 s),
+/// and the `/v1/tracez` ring ([`TRACE_CAPACITY`] spans).
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -74,31 +87,23 @@ pub struct GatewayConfig {
     /// Accepted connections that may wait for a worker before the gateway
     /// answers `503`.
     pub queue: usize,
-    /// Client-side read timeout (also the keep-alive idle timeout).
-    pub read_timeout: Duration,
-    /// Per-exchange timeout toward a backend (connect + request + reply).
-    /// Cold profile simulations can be slow; keep this generous.
-    pub backend_timeout: Duration,
     /// Consecutive failures before a backend is ejected.
     pub eject_after: u32,
     /// How long an ejected backend sits out before a half-open trial.
     pub cooldown: Duration,
-    /// Interval between active `/v1/healthz` probes, each round followed by
+    /// Interval between active `/v1/healthz` probe rounds, each followed by
     /// one store repair pass — the only code that copies store records
-    /// between backends. `None` disables both: health is then driven purely
-    /// by data-path outcomes, the gateway sends no background traffic, and
-    /// no record is copied to a replica.
+    /// between backends. `None` leaves only the round `Gateway::start` runs
+    /// before serving: health is then driven by data-path outcomes, the
+    /// gateway sends no background traffic, and no record is copied to a
+    /// replica.
     pub probe_interval: Option<Duration>,
-    /// How long one active probe waits for its reply to begin.
-    pub probe_timeout: Duration,
-    /// Idle keep-alive connections pooled per backend.
-    pub max_idle_conns: usize,
-    /// `Retry-After` seconds advertised on a local `503`.
-    pub retry_after_s: u32,
-    /// Retry and hedging policy.
-    pub policy: RoutePolicy,
-    /// Finished spans kept in the `/v1/tracez` ring buffer.
-    pub trace_capacity: usize,
+    /// Whether a forward's first attempt hedges on the next candidate when
+    /// the primary stalls.
+    pub hedge: bool,
+    /// Minimum hedge delay (also the delay while a backend's latency window
+    /// is empty); at most the 2 s hedge cap.
+    pub hedge_floor: Duration,
     /// Optional JSONL span log: every finished span is appended here.
     pub span_log: Option<PathBuf>,
 }
@@ -109,18 +114,31 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 8,
             queue: 128,
-            read_timeout: Duration::from_secs(5),
-            backend_timeout: Duration::from_secs(60),
             eject_after: 2,
             cooldown: Duration::from_secs(1),
             probe_interval: Some(Duration::from_millis(500)),
-            probe_timeout: Duration::from_millis(500),
-            max_idle_conns: 8,
-            retry_after_s: 1,
-            policy: RoutePolicy::default(),
-            trace_capacity: 2048,
+            hedge: true,
+            hedge_floor: Duration::from_millis(20),
             span_log: None,
         }
+    }
+}
+
+impl GatewayConfig {
+    /// Check the values that come from outside the program: a hedge floor
+    /// no higher than the hedge cap.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the violated bound.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.hedge_floor > HEDGE_CAP {
+            return Err(format!(
+                "hedge floor {:?} is above the hedge cap {HEDGE_CAP:?}",
+                self.hedge_floor
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -166,13 +184,13 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Bind the listener, build the ring over `backends`, and spawn the
-    /// worker pool and health thread.
+    /// Bind the listener, build the ring over `backends`, run the first
+    /// probe round, and spawn the worker pool and health thread.
     ///
     /// # Errors
     ///
     /// Propagates bind failures; rejects an empty backend list and a
-    /// policy that fails [`RoutePolicy::validate`].
+    /// config that fails [`GatewayConfig::validate`].
     pub fn start(config: GatewayConfig, backends: Vec<SocketAddr>) -> io::Result<Self> {
         if backends.is_empty() {
             return Err(io::Error::new(
@@ -181,7 +199,6 @@ impl Gateway {
             ));
         }
         config
-            .policy
             .validate()
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         let bound = daemon::bind(&config.addr)?;
@@ -189,44 +206,27 @@ impl Gateway {
         // Ring labels are the backend address strings: stable across
         // restarts of the same fleet layout, independent of list order.
         let labels: Vec<String> = backends.iter().map(ToString::to_string).collect();
-        let health = Arc::new(HealthTracker::new(
-            backends.len(),
-            config.eject_after,
-            config.cooldown,
-        ));
-        let pool = Arc::new(ConnPool::new(
-            backends.clone(),
-            config.backend_timeout,
-            config.max_idle_conns,
-        ));
-        let metrics = Arc::new(GatewayMetrics::new(backends.len()));
         let router = Arc::new(Router::new(
             HashRing::new(&labels),
-            Arc::clone(&health),
-            pool,
-            metrics,
-            config.policy.clone(),
+            Arc::new(HealthTracker::new(
+                backends.len(),
+                config.eject_after,
+                config.cooldown,
+            )),
+            Arc::new(ConnPool::new(backends.clone())),
+            Arc::new(GatewayMetrics::new(backends.len())),
+            config.hedge.then_some(config.hedge_floor),
         ));
 
-        // One synchronous capability-discovery pass before traffic flows:
-        // each backend that answers `/v1/healthz` tells us which catalog
-        // devices it models. Backends that don't answer stay "unknown"
-        // (optimistically routable); active probes refresh the map later,
-        // so a backend restarted with a different device set is re-learned.
-        for (i, &backend) in backends.iter().enumerate() {
-            let probe = Client::new(backend)
-                .with_timeout(config.probe_timeout)
-                .get("/v1/healthz");
-            if let Ok(reply) = probe {
-                if reply.status == 200 {
-                    if let Some(devices) = parse_health_devices(&reply.body) {
-                        router.capabilities.record(i, devices);
-                    }
-                }
-            }
-        }
+        // Capability discovery is the first probe round, run before traffic
+        // flows: each backend that answers `/v1/healthz` tells us which
+        // catalog devices it models. Backends that don't answer stay
+        // "unknown" (optimistically routable) and take one failure; later
+        // rounds refresh the map, so a backend restarted with a different
+        // device set is re-learned.
+        probe_round(&router, backends.len());
 
-        let mut tracer = Tracer::new(config.trace_capacity);
+        let mut tracer = Tracer::new(TRACE_CAPACITY);
         if let Some(path) = &config.span_log {
             tracer = tracer.with_span_log(path)?;
         }
@@ -235,8 +235,8 @@ impl Gateway {
             Limits {
                 workers: config.workers,
                 queue: config.queue,
-                read_timeout: config.read_timeout,
-                retry_after_s: config.retry_after_s,
+                read_timeout: READ_TIMEOUT,
+                retry_after_s: RETRY_AFTER_S,
             },
             GatewayHandler {
                 router,
@@ -248,14 +248,7 @@ impl Gateway {
         let health_thread = {
             let handler = Arc::clone(daemon.handler());
             let shutdown = daemon.shutdown_flag();
-            std::thread::spawn(move || {
-                health_loop(
-                    &handler,
-                    config.probe_interval,
-                    config.probe_timeout,
-                    &shutdown,
-                );
-            })
+            std::thread::spawn(move || health_loop(&handler, config.probe_interval, &shutdown))
         };
         Ok(Self {
             daemon,
@@ -299,7 +292,7 @@ fn respond(
     ctx: SpanCtx<'_>,
 ) -> Response {
     if request.method() == "POST" && request.path == "/v1/workloads" {
-        return broadcast_workload(backend_addrs, request, ctx);
+        return broadcast_workload(router, backend_addrs, request, ctx);
     }
     if request.method() != "GET" {
         return Response::error(405, "only GET is supported (POST only on /v1/workloads)");
@@ -352,6 +345,7 @@ fn respond(
 /// definition is idempotent and converges the stragglers, and the repair
 /// pass copies a `wir/` record to a backend that lacks it as well).
 fn broadcast_workload(
+    router: &Router,
     backend_addrs: &[SocketAddr],
     request: &Request,
     ctx: SpanCtx<'_>,
@@ -367,10 +361,11 @@ fn broadcast_workload(
     let mut rejected: Option<Response> = None;
     let mut accepts = 0usize;
     let mut failures = 0usize;
-    for addr in backend_addrs {
+    for (i, addr) in backend_addrs.iter().enumerate() {
         let mut span = ctx.child("proxy.attempt");
         span.tag("backend", addr.to_string());
-        match Client::new(*addr).post_traced("/v1/workloads", &request.body, Some(ctx.trace())) {
+        let trace = Some(ctx.trace());
+        match router.exchange(i, "POST", "/v1/workloads", &request.body, trace, None) {
             Ok(reply) => {
                 span.tag("status", reply.status);
                 if reply.status == 200 {
@@ -460,50 +455,48 @@ pub fn routing_key(target: &str) -> Cow<'_, str> {
     }
 }
 
+/// One probe round: `GET /v1/healthz` on each of the `backends`, over the
+/// pool, reported to the health tracker. A `200` also records the device
+/// set its body advertises, so the capability map stays right across
+/// restarts that change a backend's devices. Ejected backends sit out
+/// their cooldown; probing them early would tell nothing `tick` doesn't.
+fn probe_round(router: &Router, backends: usize) {
+    let health = &router.health;
+    for i in 0..backends {
+        if health.state(i) == HealthState::Ejected {
+            continue;
+        }
+        match router.probe(i) {
+            Some(reply) if reply.status == 200 => {
+                health.report_success(i);
+                if let Some(devices) = parse_health_devices(&reply.body) {
+                    router.capabilities.record(i, devices);
+                }
+            }
+            _ => health.report_failure(i),
+        }
+    }
+}
+
 /// The health thread: promote cooled-down ejections to half-open and,
-/// every `probe_interval`, actively probe routable backends so failures
-/// are noticed even when no traffic is flowing, then run one store repair
-/// pass over the backends available after that round: the one place
-/// records are copied between replicas. Without a probe interval the
-/// thread only ticks: no probes, no repairs and so no replica copies.
-fn health_loop(
-    gateway: &GatewayHandler,
-    probe_interval: Option<Duration>,
-    probe_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
+/// every `probe_interval`, run a probe round so failures are noticed even
+/// when no traffic is flowing, then one store repair pass over the
+/// backends available after that round: the one place records are copied
+/// between replicas. Without a probe interval the thread only ticks: no
+/// probes, no repairs and so no replica copies.
+fn health_loop(gateway: &GatewayHandler, probe_interval: Option<Duration>, shutdown: &AtomicBool) {
     let GatewayHandler {
         router,
         tracer,
         backend_addrs,
     } = gateway;
-    let health = &router.health;
     let mut last_probe = Instant::now();
     while !shutdown.load(Ordering::SeqCst) {
-        health.tick();
+        router.health.tick();
         if let Some(interval) = probe_interval {
             if last_probe.elapsed() >= interval {
                 last_probe = Instant::now();
-                for i in 0..backend_addrs.len() {
-                    // Ejected backends sit out their cooldown; probing them
-                    // early would tell us nothing tick() doesn't.
-                    if health.state(i) == HealthState::Ejected {
-                        continue;
-                    }
-                    match router.probe(i, probe_timeout) {
-                        Some(reply) if reply.status == 200 => {
-                            health.report_success(i);
-                            // The body advertises the backend's modeled
-                            // devices; refreshing on every probe keeps the
-                            // capability map right across restarts that
-                            // change a backend's device set.
-                            if let Some(devices) = parse_health_devices(&reply.body) {
-                                router.capabilities.record(i, devices);
-                            }
-                        }
-                        _ => health.report_failure(i),
-                    }
-                }
+                probe_round(router, backend_addrs.len());
                 sync::repair(router, tracer);
             }
         }
@@ -554,11 +547,7 @@ mod tests {
     #[test]
     fn gateway_rejects_a_hedge_floor_above_the_cap() {
         let config = GatewayConfig {
-            policy: RoutePolicy {
-                hedge_floor: Duration::from_secs(3),
-                hedge_cap: Duration::from_secs(2),
-                ..RoutePolicy::default()
-            },
+            hedge_floor: Duration::from_secs(3),
             ..GatewayConfig::default()
         };
         let backend = "127.0.0.1:1".parse().expect("addr");

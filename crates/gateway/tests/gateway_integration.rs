@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use cactus_core::{workloads, SuiteScale};
-use cactus_gateway::{Gateway, GatewayConfig, HealthState, RoutePolicy, Supervisor};
+use cactus_gateway::{Gateway, GatewayConfig, HealthState, Supervisor};
 use cactus_profiler::store::write_profile;
 use cactus_serve::{Client, Connection, ServeConfig};
 use cactus_store::Store;
@@ -113,13 +113,7 @@ fn failover_balance_and_recovery() {
             // sweep and assertions; short enough that recovery is quick.
             cooldown: Duration::from_secs(2),
             probe_interval: None, // passive-only: see module docs
-            backend_timeout: Duration::from_secs(30),
-            policy: RoutePolicy {
-                hedge: false,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(10),
-                ..RoutePolicy::default()
-            },
+            hedge: false,
             ..GatewayConfig::default()
         },
         addrs.clone(),

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use cactus_gateway::metrics::GatewayMetrics;
 use cactus_gateway::server::routing_key;
-use cactus_gateway::{Gateway, GatewayConfig, HashRing, HealthState, RoutePolicy};
+use cactus_gateway::{Gateway, GatewayConfig, HashRing, HealthState};
 use cactus_obs::TraceId;
 use cactus_serve::http::MAX_HEAD_BYTES;
 use cactus_serve::Connection;
@@ -226,14 +226,8 @@ impl Fleet {
                 // Passive health only: probes would add requests and
                 // connections the counts below do not expect.
                 probe_interval: None,
-                backend_timeout: Duration::from_secs(5),
-                policy: RoutePolicy {
-                    hedge: true,
-                    hedge_floor,
-                    backoff_base: Duration::from_millis(1),
-                    backoff_cap: Duration::from_millis(2),
-                    ..RoutePolicy::default()
-                },
+                hedge: true,
+                hedge_floor,
                 ..GatewayConfig::default()
             },
             addrs,

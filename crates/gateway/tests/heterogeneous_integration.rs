@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use cactus_core::{workloads, SuiteScale};
-use cactus_gateway::{Gateway, GatewayConfig, HealthState, RoutePolicy, Supervisor};
+use cactus_gateway::{Gateway, GatewayConfig, HealthState, Supervisor};
 use cactus_profiler::store::write_profile;
 use cactus_serve::{Client, Connection, DeviceId, ServeConfig};
 use cactus_store::Store;
@@ -102,13 +102,7 @@ fn heterogeneous_fleet_routes_compares_and_fails_over_by_capability() {
             eject_after: 2,
             cooldown: Duration::from_secs(5),
             probe_interval: None, // capabilities come from startup discovery
-            backend_timeout: Duration::from_secs(30),
-            policy: RoutePolicy {
-                hedge: false,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(10),
-                ..RoutePolicy::default()
-            },
+            hedge: false,
             ..GatewayConfig::default()
         },
         fleet.addrs(),

@@ -12,7 +12,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cactus_gateway::{Gateway, GatewayConfig, HashRing, RoutePolicy, Supervisor};
+use cactus_gateway::{Gateway, GatewayConfig, HashRing, Supervisor};
 use cactus_serve::{Client, ServeConfig};
 use cactus_store::{write_manifest, Entry};
 
@@ -33,11 +33,7 @@ fn gateway_config() -> GatewayConfig {
         eject_after: 1,
         cooldown: Duration::from_millis(200),
         probe_interval: Some(Duration::from_millis(100)),
-        probe_timeout: Duration::from_millis(500),
-        policy: RoutePolicy {
-            hedge: false,
-            ..RoutePolicy::default()
-        },
+        hedge: false,
         ..GatewayConfig::default()
     }
 }
@@ -370,10 +366,7 @@ fn a_profile_read_is_one_backend_request() {
     let config = GatewayConfig {
         workers: 2,
         probe_interval: None,
-        policy: RoutePolicy {
-            hedge: false,
-            ..RoutePolicy::default()
-        },
+        hedge: false,
         ..GatewayConfig::default()
     };
     let gateway = Gateway::start(config, addrs.clone()).expect("start gateway");
@@ -417,10 +410,7 @@ fn a_failed_repair_push_is_counted_and_the_slot_stays_missing() {
     let config = GatewayConfig {
         workers: 2,
         probe_interval: Some(Duration::from_millis(100)),
-        policy: RoutePolicy {
-            hedge: false,
-            ..RoutePolicy::default()
-        },
+        hedge: false,
         ..GatewayConfig::default()
     };
     let gateway =
@@ -472,7 +462,6 @@ fn a_backend_whose_only_worker_holds_a_pooled_connection_stays_available() {
         workers: 2,
         eject_after: 1,
         probe_interval: Some(Duration::from_millis(50)),
-        probe_timeout: Duration::from_millis(200),
         ..GatewayConfig::default()
     };
     let gateway = Gateway::start(config, vec![addr]).expect("start gateway");
@@ -497,4 +486,49 @@ fn a_backend_whose_only_worker_holds_a_pooled_connection_stays_available() {
     assert_eq!(gateway.router().health.ejections(), 0);
 
     gateway.join();
+}
+
+/// A backend whose accept queue is full takes no connection: a dial to it
+/// times out. Every pooled dial is bounded by the probe timeout, so such a
+/// backend neither stalls startup nor wedges the health thread: repair
+/// passes keep running beside it, and it is taken out of rotation.
+#[test]
+fn a_backend_with_a_full_accept_queue_does_not_wedge_the_health_thread() {
+    let live = LoggingStub::spawn();
+    // A listener that never accepts, its backlog filled with parked
+    // connections until one more dial times out.
+    let stuck = TcpListener::bind("127.0.0.1:0").expect("stuck bind");
+    let stuck_addr = stuck.local_addr().expect("stuck addr");
+    let mut parked = Vec::new();
+    while let Ok(conn) = TcpStream::connect_timeout(&stuck_addr, Duration::from_millis(200)) {
+        parked.push(conn);
+        assert!(parked.len() < 4096, "the backlog never filled");
+    }
+
+    let config = GatewayConfig {
+        workers: 2,
+        probe_interval: Some(Duration::from_millis(50)),
+        ..GatewayConfig::default()
+    };
+    let started = Instant::now();
+    let gateway = Gateway::start(config, vec![live.addr, stuck_addr]).expect("start gateway");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "startup took {took:?}");
+
+    std::thread::sleep(Duration::from_secs(3));
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(10));
+    let syncs = client
+        .metrics()
+        .expect("gateway metrics")
+        .get("cactus_gateway_store_syncs_total")
+        .unwrap_or(0.0);
+    assert!(syncs >= 3.0, "{syncs} repair passes in 3 s");
+    assert_ne!(
+        gateway.router().health.state(1),
+        cactus_gateway::HealthState::Healthy,
+        "the stuck backend stayed in rotation"
+    );
+
+    gateway.join();
+    drop((parked, stuck));
 }

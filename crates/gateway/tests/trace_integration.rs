@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use cactus_core::SuiteScale;
-use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy};
+use cactus_gateway::{Gateway, GatewayConfig};
 use cactus_obs::{expo, SpanRecord, TraceId, TRACE_HEADER};
 use cactus_serve::{Client, DeviceId, ServeConfig, Server};
 
@@ -45,8 +45,8 @@ fn start_pair() -> (Gateway, Server, std::path::PathBuf) {
         workers: 2,
         queue: 16,
         store_dir: Some(dir.clone()),
-        // Disable the response cache (and with it the startup warmer) so a
-        // routed request exercises the store path and files its span tree.
+        // Disable the response cache so a routed request exercises the
+        // store path and files its span tree.
         cache_capacity: 0,
         ..ServeConfig::default()
     })
@@ -56,10 +56,7 @@ fn start_pair() -> (Gateway, Server, std::path::PathBuf) {
         GatewayConfig {
             workers: 2,
             probe_interval: None,
-            policy: RoutePolicy {
-                hedge: false,
-                ..RoutePolicy::default()
-            },
+            hedge: false,
             ..GatewayConfig::default()
         },
         vec![backend.addr()],

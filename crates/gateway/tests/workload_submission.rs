@@ -9,7 +9,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use cactus_gateway::{Gateway, GatewayConfig, RoutePolicy, Supervisor};
+use cactus_gateway::{Gateway, GatewayConfig, Supervisor};
 use cactus_serve::{Client, DeviceId, ServeConfig, Server};
 
 fn dev(slug: &str) -> DeviceId {
@@ -41,10 +41,7 @@ fn gateway_submission_is_fleet_wide_and_deterministic() {
     let gateway = Gateway::start(
         GatewayConfig {
             workers: 2,
-            policy: RoutePolicy {
-                hedge: false,
-                ..RoutePolicy::default()
-            },
+            hedge: false,
             ..GatewayConfig::default()
         },
         fleet.addrs(),
@@ -171,10 +168,7 @@ fn a_workload_post_does_not_wait_behind_pooled_connections() {
         GatewayConfig {
             workers: 4,
             probe_interval: None,
-            policy: RoutePolicy {
-                hedge: false,
-                ..RoutePolicy::default()
-            },
+            hedge: false,
             ..GatewayConfig::default()
         },
         vec![backend.addr()],

@@ -408,9 +408,13 @@ fn request_wire(
     wire.push_str(body);
 }
 
-/// Dial `addr` with `timeout` on connect, read and write.
-fn dial(addr: SocketAddr, timeout: Duration) -> std::io::Result<BufReader<TcpStream>> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+/// Dial `addr` within `connect`, with `timeout` on read and write.
+fn dial(
+    addr: SocketAddr,
+    connect: Duration,
+    timeout: Duration,
+) -> std::io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect_timeout(&addr, connect)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -449,6 +453,9 @@ pub enum Sent {
 pub struct Connection {
     addr: SocketAddr,
     timeout: Duration,
+    /// Bound on one dial; the I/O `timeout` unless
+    /// [`with_dial_timeout`](Self::with_dial_timeout) set it.
+    dial_timeout: Duration,
     stream: Option<BufReader<TcpStream>>,
     /// The last request written; while `in_flight`, the one not yet
     /// answered.
@@ -464,12 +471,14 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// A lazily-dialed keep-alive connection to `addr`.
+    /// A lazily-dialed keep-alive connection to `addr`, with `timeout` on
+    /// connect, read and write.
     #[must_use]
     pub fn new(addr: SocketAddr, timeout: Duration) -> Self {
         Self {
             addr,
             timeout,
+            dial_timeout: timeout,
             stream: None,
             wire: String::new(),
             in_flight: None,
@@ -477,6 +486,14 @@ impl Connection {
             dials: 0,
             reuses: 0,
         }
+    }
+
+    /// Bound every dial by `dial` instead of the I/O timeout, so a peer
+    /// whose accept queue is full costs at most `dial` per attempt.
+    #[must_use]
+    pub fn with_dial_timeout(mut self, dial: Duration) -> Self {
+        self.dial_timeout = dial;
+        self
     }
 
     /// The remote address this connection dials.
@@ -630,7 +647,7 @@ impl Connection {
         let reader = match &mut self.stream {
             Some(reader) => reader,
             empty => {
-                let reader = empty.insert(dial(self.addr, self.timeout)?);
+                let reader = empty.insert(dial(self.addr, self.dial_timeout, self.timeout)?);
                 self.dials += 1;
                 reader
             }

@@ -24,6 +24,10 @@ use crate::routes;
 use crate::service::ProfileService;
 use crate::similar::SimService;
 
+/// Finished spans kept in the in-memory ring behind `/v1/tracez`, on
+/// both tiers.
+pub const TRACE_CAPACITY: usize = 2048;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -48,8 +52,6 @@ pub struct ServeConfig {
     /// Catalog ids this backend models (one engine pool each, advertised on
     /// `/v1/healthz` and `/v1/devices`); empty = the full catalog.
     pub devices: Vec<String>,
-    /// Spans retained in the in-memory ring served by `/v1/tracez`.
-    pub trace_capacity: usize,
     /// Append every finished span as one JSON line to this file (`None`
     /// disables the log; the in-memory ring is always on).
     pub span_log: Option<PathBuf>,
@@ -66,7 +68,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(5),
             store_dir: None,
             devices: Vec::new(),
-            trace_capacity: 2048,
             span_log: None,
         }
     }
@@ -303,7 +304,7 @@ impl Server {
         let service =
             ProfileService::with_registry(config.store_dir.clone(), &config.devices, &registry)
                 .map_err(io::Error::other)?;
-        let mut tracer = Tracer::new(config.trace_capacity);
+        let mut tracer = Tracer::new(TRACE_CAPACITY);
         if let Some(path) = &config.span_log {
             tracer = tracer.with_span_log(path)?;
         }
