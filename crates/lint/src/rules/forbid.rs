@@ -217,6 +217,15 @@ const ROWS: &[Row] = &[
                  read manifests and push records through sync.rs",
     },
     Row {
+        rule: "one_backend_path",
+        paths: &["crates/gateway/src/**"],
+        except: &["crates/gateway/src/connpool.rs"],
+        shape: Shape::Tokens(Scope::NonTest, &["Client : : new", "Connection : : new"]),
+        reason: "every gateway→backend exchange goes through the connection pool \
+                 (Router's pooled exchange); a fresh connection waits behind the backend \
+                 workers that idle pooled connections hold",
+    },
+    Row {
         rule: "one_http_codec",
         paths: &["crates/serve/src/**", "crates/gateway/src/**"],
         except: &["crates/serve/src/http.rs"],

@@ -5,3 +5,7 @@ fn accept_loop() {}
 fn readmit(router: &Router) -> bool {
     router.push_record(0, "k", "", None)
 }
+
+fn announce(addr: std::net::SocketAddr) {
+    let _ = cactus_serve::Client::new(addr).get("/v1/healthz");
+}

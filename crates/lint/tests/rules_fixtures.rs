@@ -79,6 +79,7 @@ fn forbid_rows_fire_with_file_and_line() {
             ("one_csv_codec", "crates/gateway/src/compare.rs", 4),
             ("one_daemon_loop", "crates/gateway/src/server.rs", 3),
             ("one_repair_decision", "crates/gateway/src/server.rs", 6),
+            ("one_backend_path", "crates/gateway/src/server.rs", 10),
             ("fft_arith", "crates/md/src/fft.rs", 9),
             ("per_cpu_code", "crates/md/src/fft.rs", 19),
             ("pme_arith", "crates/md/src/pme.rs", 4),
@@ -93,9 +94,9 @@ fn forbid_rows_fire_with_file_and_line() {
         "findings: {findings:?}"
     );
     assert!(
-        findings[6].message.contains("`mul_add`"),
+        findings[7].message.contains("`mul_add`"),
         "message names the match: {}",
-        findings[6].message
+        findings[7].message
     );
 }
 
