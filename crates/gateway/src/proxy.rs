@@ -127,13 +127,13 @@ impl Router {
     }
 
     /// One pooled exchange with backend `i` outside the retry/hedge
-    /// machinery and with no health report: the one way every
-    /// gateway→backend exchange but a forward's reaches a backend (probes,
-    /// the workload broadcast, the repair pass, the fleet manifest). A
-    /// backend serves one keep-alive connection per worker, so an exchange
-    /// on a fresh connection could wait behind workers that idle pooled
-    /// connections hold. An error when no byte of the reply arrives within
-    /// `stall`.
+    /// machinery and with no health report. Every gateway→backend exchange
+    /// other than a forward goes through here: probes, the workload
+    /// broadcast, the repair pass and the fleet manifest. A backend serves
+    /// one keep-alive connection per worker, so an exchange on a fresh
+    /// connection could wait behind workers that idle pooled connections
+    /// hold. `TimedOut` when no byte of the reply arrives within `stall`;
+    /// the connection is then dropped with its reply unread.
     pub(crate) fn exchange(
         &self,
         i: usize,

@@ -219,11 +219,8 @@ impl Gateway {
         ));
 
         // Capability discovery is the first probe round, run before traffic
-        // flows: each backend that answers `/v1/healthz` tells us which
-        // catalog devices it models. Backends that don't answer stay
-        // "unknown" (optimistically routable) and take one failure; later
-        // rounds refresh the map, so a backend restarted with a different
-        // device set is re-learned.
+        // flows. A backend that does not answer stays "unknown"
+        // (optimistically routable) and takes one failure.
         probe_round(&router, backends.len());
 
         let mut tracer = Tracer::new(TRACE_CAPACITY);
