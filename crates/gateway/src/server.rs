@@ -330,29 +330,26 @@ fn respond(
 /// then broadcast it to every backend so the workload becomes routable
 /// wherever the hash ring may land its profile requests.
 ///
-/// Pre-validation runs the exact stack every backend runs
-/// ([`cactus_serve::service::validate_submission`]), so a deterministic
-/// rejection (`422` with the findings envelope, or a `400` name conflict)
-/// is answered here before any backend persists anything — the fleet never
-/// ends up half-registered over a verdict the gateway could have reached
-/// itself. During the fan-out, any backend that is unreachable or answers
-/// non-200 leaves the fleet divergent, and the client is told so: a `200`
-/// is returned only when *every* backend accepted; otherwise the gateway
-/// answers a retryable `502` naming the split (re-POSTing the same
-/// definition is idempotent and converges the stragglers, and the repair
-/// pass copies a `wir/` record to a backend that lacks it as well).
+/// Pre-validation runs the one admission stack every backend runs
+/// ([`cactus_serve::service::validate_submission`]) and answers a refusal
+/// with the backends' own renderer
+/// ([`cactus_serve::routes::workload_rejection`]), so a deterministic
+/// rejection is answered here, byte for byte as a backend would, before any
+/// backend persists anything. During the fan-out, any backend that is
+/// unreachable or answers non-200 leaves the fleet divergent, and the
+/// client is told so: a `200` is returned only when *every* backend
+/// accepted; otherwise the gateway answers a retryable `502` naming the
+/// split. Re-POSTing the same definition is idempotent and converges the
+/// stragglers; so does the repair pass, which copies the `wir/<name>`
+/// record to every backend that lacks it, where it passes the same stack.
 fn broadcast_workload(
     router: &Router,
     backend_addrs: &[SocketAddr],
     request: &Request,
     ctx: SpanCtx<'_>,
 ) -> Response {
-    use cactus_serve::service::{validate_submission, WorkloadRejection};
-    match validate_submission(&request.body) {
-        Ok(_) => {}
-        Err(WorkloadRejection::Invalid(findings)) => return workload_rejection(&findings),
-        Err(WorkloadRejection::Conflict(msg)) => return Response::error(400, msg),
-        Err(WorkloadRejection::Store(msg)) => return Response::error(500, msg),
+    if let Err(rejection) = cactus_serve::service::validate_submission(&request.body, None) {
+        return workload_rejection(&rejection);
     }
     let mut accepted: Option<Response> = None;
     let mut rejected: Option<Response> = None;

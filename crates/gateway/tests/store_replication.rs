@@ -3,7 +3,8 @@
 //! (the repair pass copied the record to the follower replica), and a
 //! restarted owner, or a follower restarted before it could be ejected,
 //! must be repaired back to a converged fleet manifest by the repair pass
-//! after a probe round. A profile read is one backend request and copies
+//! after a probe round. A definition posted to one backend reaches every
+//! backend the same way. A profile read is one backend request and copies
 //! nothing, and a repair push that fails is counted; stub fleets that log
 //! every request pin both exactly.
 
@@ -531,4 +532,67 @@ fn a_backend_with_a_full_accept_queue_does_not_wedge_the_health_thread() {
 
     gateway.join();
     drop((parked, stuck));
+}
+
+/// A definition POSTed to one backend directly reaches every backend
+/// through the repair pass alone: each passes it through its own admission
+/// stack and lists the workload, the fleet manifest reports no missing
+/// replica, and no repair push failed.
+#[test]
+fn repair_copies_a_definition_to_every_backend() {
+    let dir = std::env::temp_dir().join(format!("cactus-store-wir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = Supervisor::spawn_fleet(3, &fleet_config(&dir)).expect("spawn fleet");
+    let gateway = Gateway::start(gateway_config(), fleet.addrs()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(10));
+    let backends: Vec<Client> = fleet
+        .addrs()
+        .into_iter()
+        .map(|addr| Client::new(addr).with_timeout(Duration::from_secs(10)))
+        .collect();
+
+    let gnn = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../wir/defs/gnn.wir"),
+    )
+    .expect("gnn def");
+    let reply = backends[0]
+        .post_traced("/v1/workloads", &gnn, None)
+        .expect("post to backend 0");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let listing: Vec<bool> = backends
+            .iter()
+            .map(|b| {
+                b.get("/v1/workloads")
+                    .expect("backend catalog")
+                    .body
+                    .contains("WIR,gnn")
+            })
+            .collect();
+        let manifest = client
+            .get("/v1/store/manifest")
+            .expect("fleet manifest")
+            .body;
+        if listing.iter().all(|&listed| listed) && manifest.contains("\nmissing 0\n") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "not every backend admitted gnn within 2 s: listed {listing:?}\n{manifest}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let metrics = client.metrics().expect("gateway metrics");
+    let metric = |name: &str| metrics.get(name).unwrap_or(0.0);
+    assert_eq!(
+        metric("cactus_gateway_store_replication_failures_total"),
+        0.0
+    );
+    assert!(metric("cactus_gateway_store_replications_total") >= 2.0);
+
+    gateway.join();
+    fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
 }

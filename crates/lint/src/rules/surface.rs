@@ -113,10 +113,12 @@ fn is_served(path: &str, served: &BTreeSet<String>, endpoints: &[String]) -> boo
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
     if segments.len() == 5 && segments.first() == Some(&"v1") {
         let endpoint = segments.get(1).copied().unwrap_or("");
-        return endpoint.contains('{') || endpoints.iter().any(|e| e == endpoint);
+        if endpoint.contains('{') || endpoints.iter().any(|e| e == endpoint) {
+            return true;
+        }
     }
-    // A non-triple path with interpolated segments may match any served
-    // literal of the same shape.
+    // Any other path may match a served literal of the same shape, either
+    // side's `{…}` segments matching anything.
     served.iter().any(|s| wildcard_eq(path, s))
 }
 

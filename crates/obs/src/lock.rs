@@ -46,6 +46,7 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// |   20 | `SINGLEFLIGHT_MAP`  | `serve::singleflight` in-flight map        |
 /// |   30 | `SINGLEFLIGHT_SLOT` | `serve::singleflight` per-key result slot  |
 /// |   40 | `RESPONSE_CACHE`    | `serve::cache` LRU                         |
+/// |   41 | `WIR_ADMISSION`     | `serve::service` IR admission counter      |
 /// |   42 | `STORE_WRITER`      | `store` active-segment writer              |
 /// |   45 | `STORE_INDEX`       | `store` key→location index                 |
 /// |   47 | `WIR_REGISTRY`      | `serve::service` submitted IR definitions  |
@@ -64,6 +65,7 @@ pub mod rank {
     pub const SINGLEFLIGHT_MAP: u32 = 20;
     pub const SINGLEFLIGHT_SLOT: u32 = 30;
     pub const RESPONSE_CACHE: u32 = 40;
+    pub const WIR_ADMISSION: u32 = 41;
     pub const STORE_WRITER: u32 = 42;
     pub const STORE_INDEX: u32 = 45;
     pub const WIR_REGISTRY: u32 = 47;

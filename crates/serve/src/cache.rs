@@ -4,7 +4,9 @@
 //! Entries are whole rendered responses keyed by canonical request path.
 //! Only `200` responses are cached (callers enforce this), eviction is
 //! exactly least-recently-*used* (a hit and a put both count as a use), and
-//! hit/miss counters feed `/v1/metricsz`.
+//! hit/miss counters feed `/v1/metricsz`. Eviction is the only way out:
+//! every key names immutable content — a submitted workload's triple keys
+//! carry its admission number — so nothing is ever invalidated.
 //!
 //! Every operation is O(1) under the lock: the entries sit in a dense slab
 //! threaded by index into one recency list, newest to oldest, and the map
@@ -119,8 +121,9 @@ impl Inner {
         self.map.insert(key, i);
     }
 
-    /// Drop the entry in slot `i`. The last slot moves into the hole, so
-    /// the slab stays dense; its neighbours and its map entry follow it.
+    /// Drop the entry in slot `i` (the oldest: eviction is the only
+    /// removal). The last slot moves into the hole, so the slab stays
+    /// dense; its neighbours and its map entry follow it.
     fn remove_at(&mut self, i: usize) {
         self.unlink(i);
         let gone = self.nodes.swap_remove(i);
@@ -220,31 +223,6 @@ impl ResponseCache {
     pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Drop one cached response (used to invalidate derived listings when
-    /// a submission changes what they would contain).
-    pub(crate) fn remove(&self, key: &str) {
-        let mut inner = self.inner.lock();
-        if let Some(i) = inner.map.get(key).copied() {
-            inner.remove_at(i);
-        }
-    }
-
-    /// Drop every cached response whose key satisfies `pred` (used to
-    /// invalidate all rendered views of a workload when a re-submission
-    /// replaces its definition).
-    pub(crate) fn remove_where(&self, pred: impl Fn(&str) -> bool) {
-        let mut inner = self.inner.lock();
-        let mut i = 0;
-        while i < inner.nodes.len() {
-            if pred(&inner.nodes[i].key) {
-                // The last slot moves into `i`: look at it next.
-                inner.remove_at(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -301,22 +279,6 @@ mod tests {
         assert_eq!(cache.len(), 0);
     }
 
-    #[test]
-    fn remove_where_drops_only_matching_keys() {
-        let cache = ResponseCache::new(8);
-        cache.put("profile/rtx-3080/tiny/gnn", resp("old"));
-        cache.put("dominant/rtx-3080/tiny/gnn?t=0.700", resp("old"));
-        cache.put("profile/rtx-3080/tiny/gms", resp("keep"));
-        cache.remove_where(|k| {
-            k.split('?')
-                .next()
-                .is_some_and(|path| path.ends_with("/gnn"))
-        });
-        assert!(cache.get("profile/rtx-3080/tiny/gnn").is_none());
-        assert!(cache.get("dominant/rtx-3080/tiny/gnn?t=0.700").is_none());
-        assert!(cache.get("profile/rtx-3080/tiny/gms").is_some());
-    }
-
     /// The cache before it kept a recency list: a clock stamp per entry
     /// and an O(len) scan for the oldest stamp on a full put. Kept as the
     /// oracle of the list's eviction order.
@@ -365,10 +327,6 @@ mod tests {
                     .insert(key.to_owned(), (self.clock, body.to_owned()));
             }
 
-            pub(super) fn remove(&mut self, key: &str) {
-                self.map.remove(key);
-            }
-
             pub(super) fn keys(&self) -> Vec<String> {
                 let mut keys: Vec<String> = self.map.keys().cloned().collect();
                 keys.sort();
@@ -403,7 +361,7 @@ mod tests {
         }
     }
 
-    /// Over random traces of gets, puts and removes, the recency list hits,
+    /// Over random traces of gets and puts, the recency list hits,
     /// misses and evicts exactly as the stamp-scan oracle does, at every
     /// capacity the serving path meets (disabled, tiny, and the default).
     #[test]
@@ -419,53 +377,26 @@ mod tests {
                     rng ^= rng >> 7;
                     rng ^= rng << 17;
                     let key = format!("/k/{}", (rng >> 8) % keyspace);
-                    match rng % 16 {
-                        0..=6 => {
-                            let got = cache.get(&key).map(|hit| hit.body.clone());
-                            assert_eq!(
-                                got,
-                                oracle.get(&key),
-                                "cap {capacity} seed {seed} step {step}"
-                            );
-                        }
-                        7..=14 => {
-                            let body = format!("{key}@{step}");
-                            cache.put(&key, resp(&body));
-                            oracle.put(&key, &body);
-                            assert_eq!(
-                                keys(&cache),
-                                oracle.keys(),
-                                "cap {capacity} seed {seed} step {step}"
-                            );
-                        }
-                        _ => {
-                            cache.remove(&key);
-                            oracle.remove(&key);
-                        }
+                    if rng % 16 < 7 {
+                        let got = cache.get(&key).map(|hit| hit.body.clone());
+                        assert_eq!(
+                            got,
+                            oracle.get(&key),
+                            "cap {capacity} seed {seed} step {step}"
+                        );
+                    } else {
+                        let body = format!("{key}@{step}");
+                        cache.put(&key, resp(&body));
+                        oracle.put(&key, &body);
+                        assert_eq!(
+                            keys(&cache),
+                            oracle.keys(),
+                            "cap {capacity} seed {seed} step {step}"
+                        );
                     }
                 }
                 assert_list_consistent(&cache);
             }
         }
-    }
-
-    #[test]
-    fn remove_where_keeps_the_list_consistent() {
-        let cache = ResponseCache::new(16);
-        for i in 0..16 {
-            cache.put(&format!("/k/{i}"), resp("x"));
-        }
-        let _ = cache.get("/k/3");
-        cache.remove_where(|k| k.ends_with('1') || k.ends_with('5'));
-        assert_list_consistent(&cache);
-        assert_eq!(cache.len(), 12);
-        for i in 100..104 {
-            cache.put(&format!("/k/{i}"), resp("y"));
-        }
-        // Full again: the next put evicts the oldest survivor, /k/0.
-        cache.put("/k/200", resp("z"));
-        assert!(cache.get("/k/0").is_none());
-        assert!(cache.get("/k/3").is_some());
-        assert_list_consistent(&cache);
     }
 }

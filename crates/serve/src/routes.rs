@@ -34,13 +34,14 @@ pub const TRIPLE_ENDPOINTS: [&str; 4] = ["profile", "kernels", "roofline", "domi
 
 /// Raw durable-store record routes: `GET` reads the stored record
 /// verbatim (no simulation fallthrough), `POST` ingests one — the
-/// gateway's repair pushes land here. Listed in
-/// both spellings so `cactus-lint`'s surface rule accepts consumer paths
-/// built from a joined `device/scale/workload` key or from the triple's
-/// parts.
+/// gateway's repair pushes land here. Listed in every spelling so
+/// `cactus-lint`'s surface rule accepts consumer paths built from a joined
+/// key, from a triple's parts, or from a submitted workload's name.
 pub(crate) const STORE_RECORD_ROUTE: &str = "/v1/store/record/{key}";
 /// Triple-shaped spelling of `STORE_RECORD_ROUTE`.
 pub const STORE_RECORD_TRIPLE_ROUTE: &str = "/v1/store/record/{device}/{scale}/{workload}";
+/// `STORE_RECORD_ROUTE` for a submitted definition's `wir/<name>` key.
+pub const STORE_RECORD_WIR_ROUTE: &str = "/v1/store/record/wir/{name}";
 
 /// Content type of CSV bodies.
 pub const CSV: &str = "text/csv; charset=utf-8";
@@ -78,14 +79,15 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
         "/v1/healthz" => Response::ok(wire::healthz_body(&state.service.modeled()), TEXT),
         "/v1/metricsz" => Response::ok(state.render_metrics(), TEXT),
         "/v1/tracez" => tracez(&state.tracer, req.query()),
-        "/v1/devices" => cached(state, "devices", CSV, || devices_catalog(state)),
-        "/v1/workloads" => cached(state, "workloads", CSV, || workloads_catalog(state)),
-        // Similarity responses are stateful (each query may grow the
-        // index), so they bypass the response cache.
+        // Only the triple views are cached, under keys that name immutable
+        // content; these pages are rendered per request. `/v1/workloads`
+        // changes whenever a POST or a repair push admits a definition,
+        // similarity queries may grow the index, and appends and
+        // compaction move the store pages.
+        "/v1/devices" => Response::ok(devices_catalog(state), CSV),
+        "/v1/workloads" => Response::ok(workloads_catalog(state), CSV),
         "/v1/similar" => crate::similar::similar(state, req, ctx),
         "/v1/similar/stats" => crate::similar::stats(state),
-        // Store pages are stateful (appends and compaction move them),
-        // so they bypass the response cache too.
         "/v1/store/manifest" => Response::ok(
             cactus_store::write_manifest(&state.service.store().entries()),
             TEXT,
@@ -95,20 +97,28 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     }
 }
 
-/// `GET`/`POST /v1/store/record/<device>/<scale>/<workload>`: the raw
-/// durable-store surface the gateway's repair pass uses.
+/// `GET`/`POST /v1/store/record/<key>`: the raw durable-store surface the
+/// gateway's repair pass uses, for both key shapes the store holds —
+/// `<device>/<scale>/<workload>` profiles and `wir/<name>` definitions.
 ///
-/// `GET` answers the stored record verbatim whatever its model version
-/// (repair copies bytes; relevance is the *receiver's* concern) and
-/// never falls through to simulation. `POST` validates the body as a
-/// canonical profile document and appends it at the key device's current
-/// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version).
+/// `GET` answers the stored record verbatim whatever its version (repair
+/// copies bytes; relevance is the *receiver's* concern) and never falls
+/// through to simulation. `POST` ingests through
+/// `ProfileService::ingest_record`: a canonical profile document at the
+/// key device's current
+/// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version),
+/// or a definition admitted as `POST /v1/workloads` admits it.
 fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>) -> Response {
     let segments: Vec<&str> = key.split('/').collect();
-    if segments.len() != 3 || segments.iter().any(|s| s.is_empty()) {
+    let shaped = match segments.as_slice() {
+        ["wir", name] => !name.is_empty(),
+        [_, _, _] => segments.iter().all(|s| !s.is_empty()),
+        _ => false,
+    };
+    if !shaped {
         return Response::error(
             404,
-            "store record keys have the shape <device>/<scale>/<workload>",
+            "store record keys have the shape <device>/<scale>/<workload> or wir/<name>",
         );
     }
     if req.method() == "POST" {
@@ -141,12 +151,18 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
     }
 }
 
-/// The `422` for a rejected submission: the shared error envelope extended
-/// with a `findings` array whose entries mirror `cactus-wir-check --format
-/// json`. Public so the gateway's edge pre-validation answers
-/// byte-identically to a backend's rejection.
+/// The response for a refused submission, on both tiers: `422` with the
+/// shared error envelope extended by a `findings` array whose entries
+/// mirror `cactus-wir-check --format json`, `400` for a built-in name
+/// conflict, `500` for a store failure. Public so the gateway's edge
+/// pre-validation answers byte-identically to a backend's rejection.
 #[must_use]
-pub fn workload_rejection(findings: &[cactus_wir::Finding]) -> Response {
+pub fn workload_rejection(rejection: &WorkloadRejection) -> Response {
+    let findings = match rejection {
+        WorkloadRejection::Invalid(findings) => findings,
+        WorkloadRejection::Conflict(msg) => return Response::error(400, msg.clone()),
+        WorkloadRejection::Store(msg) => return Response::error(500, msg.clone()),
+    };
     let mut body = format!(
         "{{\"code\":422,\"message\":\"workload definition rejected: {} finding(s)\",\
          \"retryable\":false,\"findings\":[",
@@ -166,13 +182,13 @@ pub fn workload_rejection(findings: &[cactus_wir::Finding]) -> Response {
 }
 
 /// `POST /v1/workloads`: submit one `cactus-wir` definition. The body is
-/// the definition source; it runs the full static validator before
-/// anything durable happens. Rejections answer `422` with the findings as
-/// JSON (see [`workload_rejection`]); acceptance persists the source,
-/// admits the workload into the triple routes, and invalidates the cached
-/// `/v1/workloads` listing. A re-submission under the same name replaces
-/// the definition, so every cached view of the workload's triples is
-/// dropped too (the service supersedes the stored profiles itself).
+/// the definition source; it passes the whole admission stack before
+/// anything durable happens. A rejection answers [`workload_rejection`];
+/// acceptance persists the source and admits the workload into the triple
+/// routes. A re-submission under the same name replaces the definition
+/// under a new admission number, which the cache keys of its triples
+/// carry, so nothing cached for the old definition is read again (the
+/// service supersedes the stored profiles itself).
 fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let mut span = ctx.child("serve.workload");
     span.tag("bytes", req.body.len());
@@ -180,18 +196,6 @@ fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Resp
         Ok((name, replaced)) => {
             span.tag("workload", name.clone());
             span.tag("replaced", replaced);
-            state.cache.remove("workloads");
-            if replaced {
-                // Cached /v1/{profile,kernels,roofline,dominant} bodies for
-                // the old definition would otherwise outlive it; `dominant`
-                // keys carry a `?t=` suffix, hence the split.
-                let suffix = format!("/{name}");
-                state.cache.remove_where(|key| {
-                    key.split('?')
-                        .next()
-                        .is_some_and(|path| path.ends_with(suffix.as_str()))
-                });
-            }
             Response::ok(
                 format!(
                     "{} workload {name:?}; profiles at /v1/profile/<device>/<scale>/{name}\n",
@@ -200,17 +204,14 @@ fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Resp
                 TEXT,
             )
         }
-        Err(WorkloadRejection::Invalid(findings)) => {
-            span.tag("findings", findings.len());
-            workload_rejection(&findings)
-        }
-        Err(WorkloadRejection::Conflict(msg)) => {
-            span.tag("error", msg.clone());
-            Response::error(400, msg)
-        }
-        Err(WorkloadRejection::Store(msg)) => {
-            span.tag("error", msg.clone());
-            Response::error(500, msg)
+        Err(rejection) => {
+            match &rejection {
+                WorkloadRejection::Invalid(findings) => span.tag("findings", findings.len()),
+                WorkloadRejection::Conflict(msg) | WorkloadRejection::Store(msg) => {
+                    span.tag("error", msg.clone());
+                }
+            }
+            workload_rejection(&rejection)
         }
     }
 }
@@ -278,7 +279,7 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
                 "unknown route; try /v1/healthz, /v1/metricsz, /v1/tracez, /v1/devices, \
                  /v1/workloads (GET catalog, POST a cactus-wir definition), /v1/similar, \
                  /v1/similar/stats, /v1/store/manifest, /v1/store/statz, \
-                 /v1/store/record/<device>/<scale>/<workload>, or \
+                 /v1/store/record/{<device>/<scale>/<workload>|wir/<name>}, or \
                  /v1/{profile|kernels|roofline|dominant}/<device>/<scale>/<workload>",
             )
         }
@@ -317,7 +318,7 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
     let mut key = String::with_capacity(64);
     key.push_str(endpoint);
     key.push('/');
-    triple.push_key(&mut key);
+    triple.push_flight_key(&mut key);
     if endpoint == "dominant" {
         let _ = write!(key, "?t={threshold:.3}");
     }
@@ -364,28 +365,6 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
     };
     let cached_value = state.cache.put(&key, CachedResponse { content_type, body });
     cached_value.to_response()
-}
-
-/// Run `render` unless `key` is already cached; cache the result.
-fn cached(
-    state: &ServerState,
-    key: &str,
-    content_type: &'static str,
-    render: impl FnOnce() -> String,
-) -> Response {
-    if let Some(hit) = state.cache.get(key) {
-        return hit.to_response();
-    }
-    state
-        .cache
-        .put(
-            key,
-            CachedResponse {
-                content_type,
-                body: render(),
-            },
-        )
-        .to_response()
 }
 
 fn threshold_from_query(query: Option<&str>) -> Result<f64, String> {

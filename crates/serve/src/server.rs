@@ -215,7 +215,7 @@ impl ServerState {
         self.scraped.memo_hit_rate.set(memo.hit_rate());
         self.scraped
             .wir_definitions
-            .set(self.service.wir_count() as f64);
+            .set(self.service.wir_names().len() as f64);
         let sim = self.sim.snapshot();
         self.scraped.simindex_size.set(sim.index.size as f64);
         self.scraped.simindex_cells.set(sim.index.cells as f64);

@@ -7,6 +7,7 @@
 //! starting cold.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -50,13 +51,12 @@ fn scale_slug(scale: SuiteScale) -> &'static str {
     }
 }
 
-/// A workload submitted through `POST /v1/workloads` as a `cactus-wir`
-/// definition: the validated AST plus the canonical source it was parsed
-/// from (the source is what the store persists and `/v1/workloads` echoes).
+/// A `cactus-wir` definition this service admitted.
 pub(crate) struct WirWorkload {
-    /// The definition's `workload "<name>"` header, used as the URL slug.
-    pub name: String,
-    /// Source text as submitted (the durable store holds these bytes).
+    /// Drawn from the service's admission counter; the response-cache and
+    /// single-flight keys of the workload's triples carry it.
+    pub admission: u64,
+    /// Source text as submitted: the bytes stored under `wir/<name>`.
     pub source: String,
     /// The validated definition the interpreter executes.
     pub def: cactus_wir::WorkloadDef,
@@ -81,7 +81,7 @@ impl ServableWorkload {
         match self {
             ServableWorkload::Cactus(w) => w.abbr,
             ServableWorkload::Prt(b) => b.name,
-            ServableWorkload::Wir(w) => &w.name,
+            ServableWorkload::Wir(w) => &w.def.name,
         }
     }
 }
@@ -134,6 +134,20 @@ pub enum WorkloadRejection {
     Store(String),
 }
 
+impl std::fmt::Display for WorkloadRejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadRejection::Invalid(findings) => write!(
+                f,
+                "definition rejected with {} finding(s); first: {}",
+                findings.len(),
+                findings.first().map(Finding::to_string).unwrap_or_default()
+            ),
+            WorkloadRejection::Conflict(msg) | WorkloadRejection::Store(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Serve-side submission policy, layered on top of the language-level
 /// validator: the name must be usable as a URL path segment, and a
 /// definition that declares scales must declare every scale the routes can
@@ -174,99 +188,49 @@ fn submission_policy(def: &cactus_wir::WorkloadDef) -> Vec<Finding> {
     findings
 }
 
-/// The language-level validator plus the serve submission policy, exactly
-/// as `register_wir` applies them.
-fn submission_findings(def: &cactus_wir::WorkloadDef) -> Vec<Finding> {
-    let mut findings = cactus_wir::check(def);
-    if findings.is_empty() {
-        findings = submission_policy(def);
-    }
-    findings
-}
-
-/// The built-in-name collision check, shared by `register_wir` and
-/// [`validate_submission`].
-fn builtin_conflict(def: &cactus_wir::WorkloadDef) -> Option<String> {
-    workload_by_name(&def.name).is_some().then(|| {
-        format!(
-            "workload name {:?} is taken by a built-in catalog entry",
-            def.name
-        )
-    })
-}
-
-/// Run the full submission validation stack — parse, the multi-pass
-/// validator under default ceilings, the serve submission policy, and the
-/// built-in-name conflict check — without touching any state. The gateway
-/// pre-validates with this exact function before broadcasting a
-/// `POST /v1/workloads`, so the edge's verdict always matches every
-/// backend's and a deterministic rejection never reaches the fleet.
+/// The one admission stack, for every way a definition arrives — a `POST`,
+/// a repair push, the startup reload and the gateway's edge check: parse,
+/// the validator's passes, the serve policy, the built-in name check. It
+/// touches no state, so the edge's verdict is every backend's. Under `ctx`
+/// it records the `wir.parse` and `wir.check` spans.
 ///
 /// # Errors
 ///
-/// The same [`WorkloadRejection`] variants `register_wir` returns
-/// (`Store` is never produced here).
-pub fn validate_submission(source: &str) -> Result<cactus_wir::WorkloadDef, WorkloadRejection> {
-    let def = cactus_wir::parse(source).map_err(|f| WorkloadRejection::Invalid(vec![f]))?;
-    let findings = submission_findings(&def);
-    if !findings.is_empty() {
-        return Err(WorkloadRejection::Invalid(findings));
+/// [`WorkloadRejection::Invalid`] or [`WorkloadRejection::Conflict`].
+pub fn validate_submission(
+    source: &str,
+    ctx: Option<SpanCtx<'_>>,
+) -> Result<cactus_wir::WorkloadDef, WorkloadRejection> {
+    let def = {
+        let mut span = ctx.map(|c| c.child("wir.parse"));
+        cactus_wir::parse(source).map_err(|f| {
+            if let Some(span) = &mut span {
+                span.tag("error", f.to_string());
+            }
+            WorkloadRejection::Invalid(vec![f])
+        })?
+    };
+    {
+        let mut span = ctx.map(|c| c.child("wir.check"));
+        let mut findings = cactus_wir::check(&def);
+        if findings.is_empty() {
+            findings = submission_policy(&def);
+        }
+        if let Some(span) = &mut span {
+            span.tag("workload", def.name.clone());
+            span.tag("findings", findings.len());
+        }
+        if !findings.is_empty() {
+            return Err(WorkloadRejection::Invalid(findings));
+        }
     }
-    if let Some(msg) = builtin_conflict(&def) {
-        return Err(WorkloadRejection::Conflict(msg));
+    if workload_by_name(&def.name).is_some() {
+        return Err(WorkloadRejection::Conflict(format!(
+            "workload name {:?} is taken by a built-in catalog entry",
+            def.name
+        )));
     }
     Ok(def)
-}
-
-/// Rebuild the submitted-workload registry from the durable store at
-/// startup. Records that no longer parse or validate under the current
-/// binary are skipped with a warning — they stay in the store untouched,
-/// so an upgraded validator quarantines rather than destroys them.
-fn reload_wir(store: &Store) -> BTreeMap<String, Arc<WirWorkload>> {
-    let mut map = BTreeMap::new();
-    for entry in store.entries() {
-        let Some(name) = entry.key.strip_prefix(WIR_KEY_PREFIX) else {
-            continue;
-        };
-        if entry.version != cactus_wir::FORMAT_VERSION {
-            eprintln!(
-                "cactus-serve: skipping stored definition {} at format v{} (binary speaks v{})",
-                entry.key,
-                entry.version,
-                cactus_wir::FORMAT_VERSION
-            );
-            continue;
-        }
-        let Ok(Some(record)) = store.get(&entry.key) else {
-            continue;
-        };
-        let Ok(source) = String::from_utf8(record.value) else {
-            eprintln!("cactus-serve: stored definition {} is not UTF-8", entry.key);
-            continue;
-        };
-        match cactus_wir::analyze(&source) {
-            Ok(def) if def.name == name => {
-                map.insert(
-                    name.to_owned(),
-                    Arc::new(WirWorkload {
-                        name: name.to_owned(),
-                        source,
-                        def,
-                    }),
-                );
-            }
-            Ok(def) => eprintln!(
-                "cactus-serve: stored definition {} names workload {:?}; skipping",
-                entry.key, def.name
-            ),
-            Err(findings) => eprintln!(
-                "cactus-serve: stored definition {} no longer validates ({} finding(s)); skipping",
-                entry.key,
-                findings.len()
-            ),
-        }
-    }
-    map
 }
 
 /// A fully resolved, canonicalized request triple. Resolving one builds
@@ -342,22 +306,32 @@ impl Triple {
         self.entry.device()
     }
 
-    /// Canonical `device/scale/workload` key, shared by the response cache
-    /// and the single-flight group.
+    /// The durable store's `device/scale/workload` key. It names the
+    /// workload, never an admission, so every backend, the
+    /// `/v1/store/record/…` routes and a restart agree on it.
     #[must_use]
     pub fn key(&self) -> String {
-        let mut key = String::new();
-        self.push_key(&mut key);
-        key
+        format!(
+            "{}/{}/{}",
+            self.entry.id,
+            scale_slug(self.scale),
+            self.workload.name()
+        )
     }
 
-    /// Append [`Triple::key`] to `out`.
-    pub(crate) fn push_key(&self, out: &mut String) {
+    /// Append the key the response cache and the single-flight group file
+    /// the triple under: [`Triple::key`], then `@<admission>` for a
+    /// submitted workload. A re-submission's triples thus key afresh, and
+    /// nothing derived from the replaced definition is looked up again.
+    pub(crate) fn push_flight_key(&self, out: &mut String) {
         out.push_str(self.entry.id);
         out.push('/');
         out.push_str(scale_slug(self.scale));
         out.push('/');
         out.push_str(self.workload.name());
+        if let ServableWorkload::Wir(w) = &self.workload {
+            let _ = write!(out, "@{}", w.admission);
+        }
     }
 }
 
@@ -404,9 +378,14 @@ pub struct ProfileService {
     /// In-flight lookups; the value carries whether the store satisfied it.
     flight: SingleFlight<(Arc<ResolvedProfile>, bool)>,
     store: Arc<Store>,
-    /// Workloads submitted through `POST /v1/workloads`, keyed by name.
-    /// Held only for point lookups and inserts — never across a simulation.
+    /// Admitted definitions, keyed by name. Held only for point lookups
+    /// and inserts, never across a store write: resolving a name never
+    /// waits on an fsync.
     wir: RankedMutex<BTreeMap<String, Arc<WirWorkload>>>,
+    /// The last admission number handed out. Its lock, ranked below the
+    /// store's, covers a definition's persist, supersede and registry swap,
+    /// and the check-then-append of a submitted workload's profile.
+    admissions: RankedMutex<u64>,
     store_hits: Counter,
     simulations: Counter,
     workloads_submitted: Counter,
@@ -496,12 +475,12 @@ impl ProfileService {
         let dir = store_dir.unwrap_or_else(cactus_store::default_dir);
         let durable = Store::open(&dir)
             .map_err(|e| format!("cannot open profile store at {}: {e}", dir.display()))?;
-        let wir = reload_wir(&durable);
-        Ok(Self {
+        let service = Self {
             pools,
             flight: SingleFlight::new(),
             store: Arc::new(durable),
-            wir: RankedMutex::new(rank::WIR_REGISTRY, "serve.wir_registry", wir),
+            wir: RankedMutex::new(rank::WIR_REGISTRY, "serve.wir_registry", BTreeMap::new()),
+            admissions: RankedMutex::new(rank::WIR_ADMISSION, "serve.wir_admission", 0),
             store_hits: registry
                 .counter(
                     "cactus_serve_store_hits_total",
@@ -532,7 +511,9 @@ impl ProfileService {
                     "kernel launches interpreted from IR definitions",
                 )
                 .map_err(reg)?,
-        })
+        };
+        service.reload_wir();
+        Ok(service)
     }
 
     /// The durable store behind this service (shared with the server's
@@ -582,7 +563,9 @@ impl ProfileService {
         let key = triple.key();
         let version = current_version(&key)
             .ok_or_else(|| format!("device {:?} is not in the catalog", triple.device_slug()))?;
-        let (result, leader) = self.flight.run(&key, || {
+        let mut flight_key = String::with_capacity(key.len() + 8);
+        triple.push_flight_key(&mut flight_key);
+        let (result, leader) = self.flight.run(&flight_key, || {
             let store_hit = {
                 let mut span = ctx.map(|c| c.child("serve.store"));
                 let profile = self.load_from_store(
@@ -607,7 +590,7 @@ impl ProfileService {
                 }
                 self.simulate(triple, span.as_ref().map(cactus_obs::SpanGuard::ctx))
             }?;
-            let document = self.append_to_store(&key, version, &profile, ctx);
+            let document = self.append_to_store(&key, version, &profile, &triple.workload, ctx);
             Ok((Arc::new(ResolvedProfile { profile, document }), false))
         });
         let (resolved, from_store) = result?;
@@ -660,12 +643,15 @@ impl ProfileService {
     /// Append a freshly simulated profile to the durable store and return
     /// the document it rendered. Failures are logged, not fatal — serving
     /// beats durability here, and the next identical request simply
-    /// simulates again.
+    /// simulates again. A submitted workload's profile is appended only if
+    /// its admission is still the registered one, checked under the
+    /// admission lock a replacement holds.
     fn append_to_store(
         &self,
         key: &str,
         version: u32,
         profile: &Profile,
+        workload: &ServableWorkload,
         ctx: Option<SpanCtx<'_>>,
     ) -> String {
         let text = profile_store::write_profile(profile);
@@ -673,12 +659,27 @@ impl ProfileService {
         if let Some(span) = &mut span {
             span.tag("bytes", text.len());
         }
+        let admitted = match workload {
+            ServableWorkload::Wir(w) => {
+                let admissions = self.admissions.lock();
+                let current = self.wir_workload(&w.def.name);
+                if current.is_none_or(|c| c.admission != w.admission) {
+                    if let Some(span) = &mut span {
+                        span.tag("superseded", true);
+                    }
+                    return text;
+                }
+                Some(admissions)
+            }
+            ServableWorkload::Cactus(_) | ServableWorkload::Prt(_) => None,
+        };
         if let Err(e) = self.store.append(key, version, text.as_bytes()) {
             eprintln!("cactus-serve: store append {key} failed: {e}");
             if let Some(span) = &mut span {
                 span.tag("error", e.to_string());
             }
         }
+        drop(admitted);
         text
     }
 
@@ -687,10 +688,10 @@ impl ProfileService {
     /// be a canonical `cactus-profile v1` document — the exact bytes
     /// `write_profile` renders for what the body parses to, because
     /// `/v1/profile` serves stored bytes as they are — and are stored
-    /// verbatim at the key's [`current_version`]; `wir/<name>` keys run
-    /// the full submission stack and register the workload exactly as
-    /// `POST /v1/workloads` would — that is the repair path that lets a
-    /// backend which missed a workload broadcast converge.
+    /// verbatim at the key's [`current_version`]. A `wir/<name>` body
+    /// passes [`validate_submission`], must name the key's workload, and is
+    /// then persisted and admitted exactly as `POST /v1/workloads` would:
+    /// that is how a backend which missed a workload broadcast converges.
     ///
     /// # Errors
     ///
@@ -698,14 +699,7 @@ impl ProfileService {
     /// name no catalog device, rejected definitions, or store failures.
     pub(crate) fn ingest_record(&self, key: &str, text: &str) -> Result<(), String> {
         if let Some(name) = key.strip_prefix(WIR_KEY_PREFIX) {
-            let def = validate_submission(text).map_err(|r| match r {
-                WorkloadRejection::Invalid(findings) => format!(
-                    "definition rejected with {} finding(s); first: {}",
-                    findings.len(),
-                    findings.first().map(Finding::to_string).unwrap_or_default()
-                ),
-                WorkloadRejection::Conflict(msg) | WorkloadRejection::Store(msg) => msg,
-            })?;
+            let def = validate_submission(text, None).map_err(|r| r.to_string())?;
             if def.name != name {
                 return Err(format!(
                     "definition names workload {:?} but the key says {name:?}",
@@ -713,12 +707,9 @@ impl ProfileService {
                 ));
             }
             return self
-                .register_wir(text, None)
-                .map(|_| ())
-                .map_err(|r| match r {
-                    WorkloadRejection::Invalid(_) => "definition failed re-validation".to_owned(),
-                    WorkloadRejection::Conflict(msg) | WorkloadRejection::Store(msg) => msg,
-                });
+                .persist_and_admit(def, text, None)
+                .map(drop)
+                .map_err(|r| r.to_string());
         }
         let parsed =
             profile_store::read_profile(text).map_err(|e| format!("body is not a profile: {e}"))?;
@@ -732,64 +723,47 @@ impl ProfileService {
             .map_err(|e| format!("store append failed: {e}"))
     }
 
-    /// Validate and register one submitted IR definition: parse, run the
-    /// full static validator, apply the serve submission policy, persist
-    /// the source durably, and admit the workload into the routing
-    /// registry. Returns the workload name and whether it replaced an
-    /// earlier submission of the same name.
+    /// `POST /v1/workloads`: [`validate_submission`], then persist, then
+    /// admit. Returns the workload name and whether a definition of that
+    /// name was admitted before.
     ///
     /// # Errors
     ///
-    /// [`WorkloadRejection::Invalid`] carries validator findings (nothing
-    /// was persisted); [`WorkloadRejection::Conflict`] a built-in name
-    /// collision; [`WorkloadRejection::Store`] a persistence failure.
+    /// The [`WorkloadRejection`]; nothing was admitted.
     pub(crate) fn register_wir(
         &self,
         source: &str,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<(String, bool), WorkloadRejection> {
-        let reject = |findings: Vec<Finding>| {
-            self.workloads_rejected.inc();
-            WorkloadRejection::Invalid(findings)
-        };
-        let def = {
-            let mut span = ctx.map(|c| c.child("wir.parse"));
-            match cactus_wir::parse(source) {
-                Ok(def) => def,
-                Err(f) => {
-                    if let Some(span) = &mut span {
-                        span.tag("error", f.to_string());
-                    }
-                    return Err(reject(vec![f]));
-                }
-            }
-        };
-        {
-            let mut span = ctx.map(|c| c.child("wir.check"));
-            let findings = submission_findings(&def);
-            if let Some(span) = &mut span {
-                span.tag("workload", def.name.clone());
-                span.tag("findings", findings.len());
-            }
-            if !findings.is_empty() {
-                return Err(reject(findings));
-            }
+        let admitted = validate_submission(source, ctx)
+            .and_then(|def| self.persist_and_admit(def, source, ctx));
+        match admitted {
+            Ok(_) => self.workloads_submitted.inc(),
+            Err(_) => self.workloads_rejected.inc(),
         }
-        if let Some(msg) = builtin_conflict(&def) {
-            self.workloads_rejected.inc();
-            return Err(WorkloadRejection::Conflict(msg));
-        }
-        let key = format!("{WIR_KEY_PREFIX}{}", def.name);
+        admitted
+    }
+
+    /// Persist a validated definition under `wir/<name>`, then
+    /// [`admit`](Self::admit) it, both under the admission lock.
+    fn persist_and_admit(
+        &self,
+        def: cactus_wir::WorkloadDef,
+        source: &str,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> Result<(String, bool), WorkloadRejection> {
+        let name = def.name.clone();
+        let mut admissions = self.admissions.lock();
         {
             let mut span = ctx.map(|c| c.child("store.append"));
             if let Some(span) = &mut span {
                 span.tag("bytes", source.len());
             }
+            let key = format!("{WIR_KEY_PREFIX}{name}");
             if let Err(e) = self
                 .store
                 .append(&key, cactus_wir::FORMAT_VERSION, source.as_bytes())
             {
-                self.workloads_rejected.inc();
                 if let Some(span) = &mut span {
                     span.tag("error", e.to_string());
                 }
@@ -798,24 +772,84 @@ impl ProfileService {
                 )));
             }
         }
-        let name = def.name.clone();
-        let workload = Arc::new(WirWorkload {
-            name: name.clone(),
+        let replaced = self.admit(&mut admissions, def, source, ctx);
+        Ok((name, replaced))
+    }
+
+    /// Admit a validated definition under the admission lock, held as
+    /// `admissions`. A byte-identical re-submission keeps the admitted
+    /// entry and its stored profiles. A changed one supersedes the name's
+    /// stored profiles *before* its new admission enters the registry, so
+    /// no request that resolves it can read them. Returns whether a
+    /// definition of that name was admitted before.
+    fn admit(
+        &self,
+        admissions: &mut u64,
+        def: cactus_wir::WorkloadDef,
+        source: &str,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> bool {
+        let prev = self.wir_workload(&def.name);
+        if prev.as_ref().is_some_and(|p| p.source == source) {
+            return true;
+        }
+        if prev.is_some() {
+            self.supersede_profiles(&def.name, ctx);
+        }
+        *admissions += 1;
+        let workload = WirWorkload {
+            admission: *admissions,
             source: source.to_owned(),
             def,
-        });
-        let prev = self.wir.lock().insert(name.clone(), workload);
-        let replaced = prev.is_some();
-        if prev.is_some_and(|p| p.source != source) {
-            // A *changed* definition's old profiles are stale the moment
-            // the registry swaps; supersede them so no triple keeps
-            // serving results computed from the replaced definition. A
-            // byte-identical resubmission would re-derive the same bytes,
-            // so its stored profiles stay valid.
-            self.supersede_profiles(&name, ctx);
+        };
+        self.wir
+            .lock()
+            .insert(workload.def.name.clone(), Arc::new(workload));
+        prev.is_some()
+    }
+
+    /// Rebuild the registry at startup: each `wir/<name>` record at
+    /// [`cactus_wir::FORMAT_VERSION`] passes [`validate_submission`] and
+    /// the key's name check, then is admitted (no second persist). A
+    /// record that fails stays in the store with a warning, so an upgraded
+    /// validator quarantines rather than destroys it.
+    fn reload_wir(&self) {
+        let mut admissions = self.admissions.lock();
+        for entry in self.store.entries() {
+            let Some(name) = entry.key.strip_prefix(WIR_KEY_PREFIX) else {
+                continue;
+            };
+            if entry.version != cactus_wir::FORMAT_VERSION {
+                eprintln!(
+                    "cactus-serve: skipping stored definition {} at format v{} (binary speaks v{})",
+                    entry.key,
+                    entry.version,
+                    cactus_wir::FORMAT_VERSION
+                );
+                continue;
+            }
+            let record = self.store.get(&entry.key).ok().flatten();
+            let Some(source) = record.and_then(|r| String::from_utf8(r.value).ok()) else {
+                eprintln!(
+                    "cactus-serve: stored definition {} is unreadable",
+                    entry.key
+                );
+                continue;
+            };
+            match validate_submission(&source, None) {
+                Ok(def) if def.name == name => {
+                    self.admit(&mut admissions, def, &source, None);
+                }
+                Ok(def) => eprintln!(
+                    "cactus-serve: stored definition {} names workload {:?}; skipping",
+                    entry.key, def.name
+                ),
+                Err(rejection) => eprintln!(
+                    "cactus-serve: stored definition {} is not admitted ({rejection}); skipping",
+                    entry.key
+                ),
+            }
         }
-        self.workloads_submitted.inc();
-        Ok((name, replaced))
     }
 
     /// Mark every stored profile of `workload` stale by appending a
@@ -876,12 +910,6 @@ impl ProfileService {
         self.wir.lock().keys().cloned().collect()
     }
 
-    /// Registered submitted definitions.
-    #[must_use]
-    pub(crate) fn wir_count(&self) -> usize {
-        self.wir.lock().len()
-    }
-
     /// Run the triple's workload on a pooled engine. Built-in workloads are
     /// infallible; IR definitions are interpreted under a `wir.exec` span
     /// and surface interpreter failures (the static validator makes these
@@ -908,7 +936,7 @@ impl ProfileService {
                     .map(|s| s.ctx().child("wir.exec"))
                     .or_else(|| ctx.map(|c| c.child("wir.exec")));
                 if let Some(exec) = &mut exec {
-                    exec.tag("workload", w.name.clone());
+                    exec.tag("workload", w.def.name.clone());
                     exec.tag("scale", scale_slug(triple.scale));
                 }
                 let launches = cactus_wir::run(&w.def, Some(scale_slug(triple.scale)), &mut gpu)

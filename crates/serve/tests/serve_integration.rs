@@ -890,7 +890,7 @@ fn workload_submission_validates_persists_and_serves() {
     );
     assert_eq!(metric(&client, "cactus_wir_definitions"), 1.0);
 
-    // The cached catalog was invalidated and now lists the submission.
+    // The catalog, rendered per request, now lists the submission.
     let catalog = client.get("/v1/workloads").expect("catalog");
     assert!(catalog.body.contains("WIR,gnn"), "{}", catalog.body);
 
@@ -946,10 +946,11 @@ fn workload_submission_validates_persists_and_serves() {
 }
 
 /// Replacing a definition by re-POSTing under the same name must not keep
-/// serving results computed from the old definition: cached responses are
-/// dropped and stored profiles superseded, so the next read re-simulates
-/// under the replacement. A byte-identical resubmission keeps the stored
-/// profiles (same bytes would be re-derived anyway).
+/// serving results computed from the old definition: the replacement's
+/// triples key the response cache by its new admission and the stored
+/// profiles are superseded, so the next read re-simulates under the
+/// replacement. A byte-identical resubmission keeps the admitted entry and
+/// its stored profiles (same bytes would be re-derived anyway).
 #[test]
 fn replacing_a_definition_invalidates_cached_and_stored_profiles() {
     let (server, client, dir) = start(4, 16);
@@ -971,8 +972,8 @@ fn replacing_a_definition_invalidates_cached_and_stored_profiles() {
     assert_eq!(dominant.status, 200, "{}", dominant.body);
     assert_eq!(metric(&client, "cactus_serve_simulations_total"), 1.0);
 
-    // Byte-identical resubmission replaces the registry entry but keeps
-    // the stored profile: the re-read is a store hit, not a simulation.
+    // A byte-identical resubmission keeps the admitted entry and the
+    // stored profile: the re-read is not a simulation.
     let reply = client
         .post_traced("/v1/workloads", v1, None)
         .expect("repost v1");
@@ -1008,6 +1009,181 @@ fn replacing_a_definition_invalidates_cached_and_stored_profiles() {
         "derived views must be invalidated too"
     );
     assert_eq!(metric(&client, "cactus_serve_simulations_total"), 2.0);
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shipped GNN definition's source.
+fn gnn_source() -> String {
+    std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../wir/defs/gnn.wir"),
+    )
+    .expect("gnn def")
+}
+
+/// The `live_records` and `appends` lines of `/v1/store/statz`.
+fn store_counts(client: &Client) -> Vec<String> {
+    let statz = client.get("/v1/store/statz").expect("statz").body;
+    statz
+        .lines()
+        .filter(|l| l.starts_with("live_records") || l.starts_with("appends"))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// A repair push of `wir/<name>` is a way in for a definition: it passes
+/// the admission stack, is listed and served, and reads back byte for
+/// byte. An invalid body, or one naming another workload than its key,
+/// answers `400` and stores nothing.
+#[test]
+fn a_definition_pushed_as_a_store_record_is_admitted() {
+    let (server, client, dir) = start(2, 16);
+    let gnn = gnn_source();
+
+    let before = store_counts(&client);
+    let invalid = "workload \"gnn\" {\n  run { launch ghost; }\n}\n";
+    for (path, body) in [
+        ("/v1/store/record/wir/gnn", invalid),
+        ("/v1/store/record/wir/other", gnn.as_str()),
+    ] {
+        let reply = client.post_traced(path, body, None).expect("push");
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+    }
+    assert_eq!(store_counts(&client), before, "nothing stored");
+    let missing = client.get("/v1/store/record/wir/gnn").expect("get");
+    assert_eq!(missing.status, 404, "{}", missing.body);
+
+    let reply = client
+        .post_traced("/v1/store/record/wir/gnn", &gnn, None)
+        .expect("push gnn");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let catalog = client.get("/v1/workloads").expect("catalog");
+    assert!(catalog.body.contains("WIR,gnn"), "{}", catalog.body);
+    let profile = client
+        .get("/v1/profile/rtx-3080/tiny/gnn")
+        .expect("gnn profile");
+    assert_eq!(profile.status, 200, "{}", profile.body);
+    let record = client.get("/v1/store/record/wir/gnn").expect("get gnn");
+    assert_eq!(record.status, 200, "{}", record.body);
+    assert_eq!(record.body, gnn, "the record is the source as pushed");
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The profile, dominant report and stored record of `swap` at
+/// rtx-3080/tiny as `client` serves them.
+fn swap_views(client: &Client) -> [String; 3] {
+    [
+        "/v1/profile/rtx-3080/tiny/swap",
+        "/v1/dominant/rtx-3080/tiny/swap",
+        "/v1/store/record/rtx-3080/tiny/swap",
+    ]
+    .map(|path| {
+        let reply = client.get(path).expect(path);
+        assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+        reply.body
+    })
+}
+
+/// A definition replaced while a request is simulating the old one: the
+/// simulation finishes and answers its own request, but nothing derived
+/// from it is served, stored or reloaded afterwards — every view equals
+/// that of a server that only ever saw the replacement.
+#[test]
+fn a_replacement_during_a_simulation_is_never_served() {
+    const V1: &str = "workload \"swap\" { kernel a { mix { int = 1000; } } \
+                      run { repeat 400000 { launch a; } } }";
+    const V2: &str = "workload \"swap\" { kernel a { mix { int = 1000; } } \
+                      run { repeat 8 { launch a; } } }";
+    let expected = {
+        let (server, client, dir) = start(2, 16);
+        let reply = client.post_traced("/v1/workloads", V2, None).expect("v2");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let views = swap_views(&client);
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+        views
+    };
+
+    let (server, client, dir) = start(4, 16);
+    let reply = client.post_traced("/v1/workloads", V1, None).expect("v1");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let slow = {
+        let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+        std::thread::spawn(move || {
+            let reply = client
+                .get("/v1/profile/rtx-3080/tiny/swap")
+                .expect("v1 profile");
+            (reply, std::time::Instant::now())
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while metric(&client, "cactus_serve_simulations_total") < 1.0 {
+        assert!(std::time::Instant::now() < deadline, "v1 never simulated");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let reply = client.post_traced("/v1/workloads", V2, None).expect("v2");
+    let replaced_at = std::time::Instant::now();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let (v1, finished_at) = slow.join().expect("slow reader");
+    assert!(
+        finished_at > replaced_at,
+        "the v1 simulation ended before the replacement's 200: nothing was raced"
+    );
+    assert_eq!(v1.status, 200, "{}", v1.body);
+    assert_ne!(v1.body, expected[0], "v1 and v2 profile differently");
+
+    assert_eq!(swap_views(&client), expected, "after the replacement");
+    server.join();
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue: 16,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("restart");
+    let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+    assert_eq!(swap_views(&client), expected, "after a restart");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The startup reload runs the whole admission stack: a stored definition
+/// that passes the language-level validator but not the serve policy (it
+/// declares two of the three scales) is not admitted, exactly as a POST
+/// of the same text is refused.
+#[test]
+fn the_startup_reload_applies_the_serve_policy() {
+    let two_scales = "workload \"twoscale\" { scale tiny { n = 1; } scale small { n = 2; } \
+                      kernel k { mix { int = n; } } run { launch k; } }";
+    assert!(cactus_wir::analyze(two_scales).is_ok());
+    let dir = fresh_dir();
+    cactus_store::Store::open(&dir)
+        .expect("open store")
+        .append(
+            "wir/twoscale",
+            cactus_wir::FORMAT_VERSION,
+            two_scales.as_bytes(),
+        )
+        .expect("seed store");
+
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue: 16,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+    let catalog = client.get("/v1/workloads").expect("catalog");
+    assert!(!catalog.body.contains("twoscale"), "{}", catalog.body);
+    assert_eq!(metric(&client, "cactus_wir_definitions"), 0.0);
+    let reply = client
+        .post_traced("/v1/workloads", two_scales, None)
+        .expect("post");
+    assert_eq!(reply.status, 422, "{}", reply.body);
 
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -36,28 +36,16 @@ pub const PASSES: [&str; 6] = [
     "determinism",
 ];
 
-/// Ceilings for the static cost pass. The defaults admit every shipped
-/// family at profile scale with head-room while rejecting definitions
-/// whose simulation would monopolize a serve worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CostCeilings {
-    /// Maximum kernel launches per run.
-    max_launches: u64,
-    /// Maximum total warp instructions across the run.
-    max_warp_instructions: u64,
-    /// Maximum total bytes moved across the run.
-    max_bytes: u64,
-}
+// Ceilings of the static cost pass, per run at each declared scale. They
+// admit every shipped family at profile scale with head-room while
+// rejecting definitions whose simulation would monopolize a serve worker.
 
-impl Default for CostCeilings {
-    fn default() -> Self {
-        CostCeilings {
-            max_launches: 1_000_000,
-            max_warp_instructions: 100_000_000_000_000,
-            max_bytes: 1_000_000_000_000_000,
-        }
-    }
-}
+/// Total kernel launches across the run.
+const CEILING_LAUNCHES: u64 = 1_000_000;
+/// Total warp instructions across the run.
+const CEILING_WARP_INSTRUCTIONS: u64 = 100_000_000_000_000;
+/// Total bytes moved across the run.
+const CEILING_BYTES: u64 = 1_000_000_000_000_000;
 
 /// Parse and validate in one step: the entry point serve and the CLI use.
 pub fn analyze(src: &str) -> Result<WorkloadDef, Vec<Finding>> {
@@ -74,16 +62,10 @@ pub fn analyze(src: &str) -> Result<WorkloadDef, Vec<Finding>> {
 /// that produced any (or none if all passes are clean).
 #[must_use]
 pub fn check(def: &WorkloadDef) -> Vec<Finding> {
-    check_with(def, &CostCeilings::default())
-}
-
-/// [`check`] under explicit ceilings, which only this module's tests
-/// tighten.
-fn check_with(def: &WorkloadDef, ceilings: &CostCeilings) -> Vec<Finding> {
-    let passes: [fn(&WorkloadDef, &CostCeilings) -> Vec<Finding>; 5] =
+    let passes: [fn(&WorkloadDef) -> Vec<Finding>; 5] =
         [types, geometry, selection, cost, determinism];
     for pass in passes {
-        let findings = pass(def, ceilings);
+        let findings = pass(def);
         if !findings.is_empty() {
             return findings;
         }
@@ -101,7 +83,7 @@ fn finding(pass: &'static str, line: u32, message: impl Into<String>) -> Finding
 
 // ---------------------------------------------------------------- types --
 
-fn types(def: &WorkloadDef, _ceilings: &CostCeilings) -> Vec<Finding> {
+fn types(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "types";
     let mut out = Vec::new();
     let mut seen: HashMap<String, &'static str> = HashMap::new();
@@ -398,7 +380,7 @@ fn catalog_limits() -> (u32, u32, u32) {
     (max_tpb, max_regs, max_smem)
 }
 
-fn geometry(def: &WorkloadDef, _ceilings: &CostCeilings) -> Vec<Finding> {
+fn geometry(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "geometry";
     let mut out = Vec::new();
     let (max_tpb, max_regs, max_smem) = catalog_limits();
@@ -606,7 +588,7 @@ fn scale_envs(
 
 // ------------------------------------------------------------ selection --
 
-fn selection(def: &WorkloadDef, _ceilings: &CostCeilings) -> Vec<Finding> {
+fn selection(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "selection";
     let mut out = Vec::new();
     if !def.classes.is_empty() {
@@ -779,7 +761,7 @@ impl Cost {
     }
 }
 
-fn cost(def: &WorkloadDef, ceilings: &CostCeilings) -> Vec<Finding> {
+fn cost(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "cost";
     let mut out = Vec::new();
     for (scale, env) in scale_envs(def, &mut out, PASS) {
@@ -804,34 +786,34 @@ fn cost(def: &WorkloadDef, ceilings: &CostCeilings) -> Vec<Finding> {
             &label,
             0,
         );
-        if total.launches > u128::from(ceilings.max_launches) {
+        if total.launches > u128::from(CEILING_LAUNCHES) {
             out.push(finding(
                 PASS,
                 def.run_line,
                 format!(
                     "{label}estimated {} kernel launches exceeds the ceiling of {} (max_launches)",
-                    total.launches, ceilings.max_launches
+                    total.launches, CEILING_LAUNCHES
                 ),
             ));
         }
-        if total.warp_instructions > u128::from(ceilings.max_warp_instructions) {
+        if total.warp_instructions > u128::from(CEILING_WARP_INSTRUCTIONS) {
             out.push(finding(
                 PASS,
                 def.run_line,
                 format!(
                     "{label}estimated {} warp instructions exceeds the ceiling of {} \
                      (max_warp_instructions)",
-                    total.warp_instructions, ceilings.max_warp_instructions
+                    total.warp_instructions, CEILING_WARP_INSTRUCTIONS
                 ),
             ));
         }
-        if total.bytes > u128::from(ceilings.max_bytes) {
+        if total.bytes > u128::from(CEILING_BYTES) {
             out.push(finding(
                 PASS,
                 def.run_line,
                 format!(
                     "{label}estimated {} bytes moved exceeds the ceiling of {} (max_bytes)",
-                    total.bytes, ceilings.max_bytes
+                    total.bytes, CEILING_BYTES
                 ),
             ));
         }
@@ -980,7 +962,7 @@ fn body_cost<'a>(
 
 // ---------------------------------------------------------- determinism --
 
-fn determinism(def: &WorkloadDef, _ceilings: &CostCeilings) -> Vec<Finding> {
+fn determinism(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "determinism";
     let mut out = Vec::new();
     if def.seed.is_some() {
@@ -1121,46 +1103,64 @@ workload "clean" {
         assert!(findings.iter().any(|f| f.message.contains("cycle")));
     }
 
+    /// Each ceiling admits an estimate equal to it and rejects one past it,
+    /// with exactly one finding naming the ceiling.
     #[test]
-    fn cost_ceilings_are_configurable() {
-        let src =
-            "workload \"cc\" { kernel k { mix { int = 10; } } run { repeat 10 { launch k; } } }";
-        let def = parse(src).expect("parse");
-        assert!(check(&def).is_empty());
-        let tight = CostCeilings {
-            max_launches: 5,
-            ..CostCeilings::default()
+    fn cost_ceilings_reject_one_past_each_bound() {
+        let run = |mix: u64, stream: &str, repeats: u64| {
+            analyze(&format!(
+                "workload \"cc\" {{ kernel k {{ mix {{ int = {mix}; }} {stream} }} \
+                 run {{ repeat {repeats} {{ launch k; }} }} }}"
+            ))
         };
-        let findings = check_with(&def, &tight);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].pass, "cost");
-        assert!(findings[0].message.contains("max_launches"));
+        assert!(run(1, "", CEILING_LAUNCHES).is_ok());
+        assert!(run(CEILING_WARP_INSTRUCTIONS, "", 1).is_ok());
+        let over = [
+            ("max_launches", run(1, "", CEILING_LAUNCHES + 1)),
+            (
+                "max_warp_instructions",
+                run(CEILING_WARP_INSTRUCTIONS + 1, "", 1),
+            ),
+            (
+                "max_bytes",
+                // 4·10^13 accesses × 8 transactions × 32 B ≈ 10^16 bytes,
+                // under the instruction ceiling.
+                run(
+                    1,
+                    "read accesses 40000000000000 tpa 8.0 pattern streaming;",
+                    1,
+                ),
+            ),
+        ];
+        for (ceiling, result) in over {
+            let findings = result.expect_err(ceiling);
+            assert_eq!(findings.len(), 1, "{ceiling}: {findings:?}");
+            assert_eq!(findings[0].pass, "cost");
+            assert!(findings[0].message.contains(ceiling), "{findings:?}");
+        }
     }
 
+    /// A `select` costs its worst arm: two arms that fit the instruction
+    /// ceiling one at a time pass however large their sum, and one arm past
+    /// it fails wherever it sits.
     #[test]
     fn select_cost_takes_the_worst_arm() {
-        let src = r#"
-workload "sel" {
-  param n = 1;
-  class a when n < 2;
-  class b else;
-  kernel cheap { mix { int = 1; } }
-  kernel pricey { mix { int = 100; } }
-  run {
-    select on class {
-      a -> launch cheap;
-      b -> launch pricey;
-    }
-  }
-}
-"#;
-        let def = parse(src).expect("parse");
-        let tight = CostCeilings {
-            max_warp_instructions: 50,
-            ..CostCeilings::default()
+        let sel = |a: u64, b: u64| {
+            analyze(&format!(
+                "workload \"sel\" {{ param n = 1; class a when n < 2; class b else; \
+                 kernel ka {{ mix {{ int = {a}; }} }} kernel kb {{ mix {{ int = {b}; }} }} \
+                 run {{ select on class {{ a -> launch ka; b -> launch kb; }} }} }}"
+            ))
         };
-        let findings = check_with(&def, &tight);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("warp instructions"));
+        let half = CEILING_WARP_INSTRUCTIONS / 2 + 1;
+        assert!(sel(half, half).is_ok(), "the arms are not summed");
+        for (a, b) in [
+            (1, CEILING_WARP_INSTRUCTIONS + 1),
+            (CEILING_WARP_INSTRUCTIONS + 1, 1),
+        ] {
+            let findings = sel(a, b).expect_err("one arm is over the ceiling");
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].message.contains("warp instructions"));
+        }
     }
 }
