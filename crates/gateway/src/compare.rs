@@ -215,17 +215,6 @@ fn compare_rows(legs: &[Leg]) -> Vec<CompareRow> {
     rows
 }
 
-/// The leg's dominant kernel: largest total time, ties broken by name so
-/// the answer is deterministic.
-fn dominant(leg: &Leg) -> Option<&cactus_profiler::KernelStats> {
-    leg.profile.kernels().iter().min_by(|a, b| {
-        b.total_time_s
-            .partial_cmp(&a.total_time_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.name.cmp(&b.name))
-    })
-}
-
 fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
     let Some(baseline) = legs.first() else {
         return String::new();
@@ -248,7 +237,13 @@ fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
             leg.id,
             speedup(baseline_total, total)
         ));
-        if let Some(name) = dominant(leg).map(|k| wire::comment_text(&k.name)) {
+        // A profile lists its kernels in dominance order: the first dominates.
+        if let Some(name) = leg
+            .profile
+            .kernels()
+            .first()
+            .map(|k| wire::comment_text(&k.name))
+        {
             out.push_str(&format!("# dominant_kernel {} {name}\n", leg.id));
         }
     }
@@ -278,7 +273,7 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
             json_escape(leg.id.as_str()),
             total,
             speedup(baseline_total, total),
-            dominant(leg).map_or_else(
+            leg.profile.kernels().first().map_or_else(
                 || "null".to_owned(),
                 |k| format!("\"{}\"", json_escape(&k.name))
             ),

@@ -40,6 +40,7 @@ pub mod csv;
 pub mod report;
 pub mod store;
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use cactus_gpu::engine::LaunchRecord;
@@ -76,8 +77,18 @@ impl KernelStats {
     }
 }
 
+/// The paper's dominance order: total GPU time descending, name as the
+/// tiebreaker. It is a total order ([`f64::total_cmp`]): a NaN total ranks
+/// first or last by its sign bit and `0.0` before `-0.0`, so sorting the
+/// kernels of any document cannot panic.
+fn dominance(a: &KernelStats, b: &KernelStats) -> Ordering {
+    b.total_time_s
+        .total_cmp(&a.total_time_s)
+        .then_with(|| a.name.cmp(&b.name))
+}
+
 /// A profiled application: kernels aggregated by name and ranked by total
-/// GPU time (the paper's dominance order).
+/// GPU time (the paper's dominance order, a total order).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Profile {
     kernels: Vec<KernelStats>,
@@ -161,14 +172,7 @@ impl Profile {
             })
             .collect();
 
-        // Dominance order: total time descending, name as tiebreaker for
-        // determinism.
-        kernels.sort_by(|a, b| {
-            b.total_time_s
-                .partial_cmp(&a.total_time_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        kernels.sort_by(dominance);
         let total_time_s = kernels.iter().map(|k| k.total_time_s).sum();
         Self {
             kernels,
@@ -184,12 +188,7 @@ impl Profile {
     /// [`Profile::from_records`].
     #[must_use]
     pub fn from_kernel_stats(mut kernels: Vec<KernelStats>) -> Self {
-        kernels.sort_by(|a, b| {
-            b.total_time_s
-                .partial_cmp(&a.total_time_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        kernels.sort_by(dominance);
         let total_time_s = kernels.iter().map(|k| k.total_time_s).sum();
         Self {
             kernels,

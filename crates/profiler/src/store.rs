@@ -372,6 +372,48 @@ mod tests {
         }
     }
 
+    /// A stored document with NaN totals among more kernels than the sort
+    /// inserts, in no order, reads NaN first: the comparator is a total
+    /// order.
+    #[test]
+    fn nan_total_times_read_in_dominance_order() {
+        let nan = format!("{:016x}", f64::NAN.to_bits());
+        let mut document = format!("{FORMAT_HEADER}\nkernels 40\n");
+        for i in 0..40 {
+            // Totals 0..40 in a scrambled order, every third one NaN.
+            let kernel = KernelStats {
+                name: format!("k{i:02}"),
+                invocations: 1,
+                total_time_s: f64::from(i * 7 % 40),
+                warp_instructions: 0,
+                dram_transactions: 0.0,
+                metrics: KernelMetrics::default(),
+            };
+            let one = write_profile(&Profile::from_kernel_stats(vec![kernel]));
+            let mut fields: Vec<&str> = one
+                .lines()
+                .nth(2)
+                .expect("kernel line")
+                .split('\t')
+                .collect();
+            if i % 3 == 0 {
+                fields[3] = &nan;
+            }
+            document.push_str(&(fields.join("\t") + "\n"));
+        }
+        let profile = read_profile(&document).expect("reads");
+        let nans = profile
+            .kernels()
+            .iter()
+            .take_while(|k| k.total_time_s.is_nan())
+            .count();
+        assert_eq!(nans, 14);
+        let rest = &profile.kernels()[nans..];
+        assert!(rest
+            .windows(2)
+            .all(|w| w[0].total_time_s > w[1].total_time_s));
+    }
+
     /// Names over the renderer tests' alphabet: what the document escapes,
     /// what CSV quotes, a carriage return and a multi-byte character.
     fn any_name() -> impl Strategy<Value = String> {
@@ -398,10 +440,20 @@ mod tests {
         ]
     }
 
+    /// A total time: mostly ordinary, sometimes NaN or `-0.0`, the two
+    /// values a partial order cannot place.
+    fn any_total() -> impl Strategy<Value = f64> {
+        (0u64..10, 0.0f64..1e9).prop_map(|(pick, time)| match pick {
+            0 => f64::NAN,
+            1 => -0.0,
+            _ => time,
+        })
+    }
+
     /// A kernel with arbitrary fields.
     fn any_kernel() -> impl Strategy<Value = KernelStats> {
         (
-            (any_name(), 0u64..u64::MAX, 0u64..u64::MAX, 0.0f64..1e9),
+            (any_name(), 0u64..u64::MAX, 0u64..u64::MAX, any_total()),
             prop::collection::vec(any_f64(), 17),
         )
             .prop_map(|((name, invocations, warps, time), x)| {
@@ -447,23 +499,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// `read(write(x)) == x`; the document spells every bit, so its
-        /// bytes also tell `-0.0` from `0.0`, which `==` does not.
+        /// `write(read(write(x))) == write(x)`, and the totals agree bit
+        /// for bit: the document spells every bit, so its bytes also tell
+        /// `-0.0` from `0.0` and compare NaN totals, which `==` does not.
+        /// Past 20 kernels the sort merges runs instead of inserting, which
+        /// is where an order that is not total makes it panic.
         #[test]
-        fn read_inverts_write(kernels in prop::collection::vec(any_kernel(), 0..6)) {
+        fn read_inverts_write(kernels in prop::collection::vec(any_kernel(), 0..48)) {
             let profile = Profile::from_kernel_stats(kernels);
             let document = write_profile(&profile);
             let back = read_profile(&document).expect("own output reads");
             prop_assert_eq!(write_profile(&back), document);
-            prop_assert_eq!(back, profile);
+            prop_assert_eq!(back.total_time_s().to_bits(), profile.total_time_s().to_bits());
         }
 
         /// Arbitrary text, and a real document cut anywhere and continued
         /// with arbitrary text, read as `Ok` or `Err`.
         #[test]
         fn reading_arbitrary_text_never_panics(
-            kernels in prop::collection::vec(any_kernel(), 0..3),
-            cut in 0usize..4096,
+            kernels in prop::collection::vec(any_kernel(), 0..48),
+            cut in 0usize..32768,
             tail in any_name(),
         ) {
             let document = write_profile(&Profile::from_kernel_stats(kernels));
