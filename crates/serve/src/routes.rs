@@ -308,8 +308,10 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         );
     }
 
-    // The dominance threshold is the one endpoint parameter; normalize it
-    // into the cache key so distinct thresholds cache separately.
+    // The dominance threshold is the one endpoint parameter; the key carries
+    // it exactly (`Display` is the shortest string that reads back as the
+    // same `f64`, so `0.70` and `0.7` share an entry), because thresholds
+    // that agree to any fixed number of decimals can select different sets.
     let threshold = match threshold_from_query(req.query()) {
         Ok(t) => t,
         Err(msg) => return Response::error(400, msg),
@@ -320,7 +322,7 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
     key.push('/');
     triple.push_flight_key(&mut key);
     if endpoint == "dominant" {
-        let _ = write!(key, "?t={threshold:.3}");
+        let _ = write!(key, "?t={threshold}");
     }
 
     let cache_hit = {

@@ -169,6 +169,41 @@ fn profile_round_trip_matches_local_simulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two thresholds that agree to three decimals but straddle a cumulative
+/// share get different dominant sets, and each is served its own, whichever
+/// was asked first.
+#[test]
+fn dominant_thresholds_close_together_are_cached_apart() {
+    let (server, client, dir) = start(2, 16);
+    let local = cactus_core::run("GMS", SuiteScale::Tiny);
+    let share = local.cumulative_distribution()[1];
+    let (above, below) = (share + 1e-5, share - 1e-5);
+    assert_eq!(format!("{above:.3}"), format!("{below:.3}"));
+    for threshold in [above, below] {
+        let reply = client
+            .get(&format!(
+                "/v1/dominant/rtx-3080/tiny/GMS?threshold={threshold}"
+            ))
+            .expect("dominant");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let served: Vec<&str> = reply
+            .body
+            .lines()
+            .skip(1)
+            .filter_map(|row| row.split(',').nth(1))
+            .collect();
+        let expected: Vec<&str> = local
+            .dominant_kernels(threshold)
+            .iter()
+            .map(|k| k.name.as_str())
+            .collect();
+        assert_eq!(served, expected, "threshold {threshold}");
+    }
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The acceptance criterion: 8 concurrent clients requesting the same
 /// uncached triple produce exactly one simulation and byte-identical
 /// bodies; a second wave is served entirely from the response cache.
