@@ -7,7 +7,8 @@
 //! half-read on a pooled connection. Interleavings are forced through the
 //! stubs (a held reply is released by the test, never by a timer); the only
 //! clocks are the hedge floor the gateway is configured with and the slow
-//! body's gap.
+//! body's gap. The stubs' bodies are never profiles, which the compare
+//! test relies on.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -487,5 +488,26 @@ fn a_hedged_primary_whose_late_reply_is_past_the_bounds_is_charged_a_failure() {
         metrics.backends[PRIMARY].failures.get() == 1
     });
     assert_eq!(fleet.counter(|m| m.responses_5xx.get()), 0);
+    fleet.stop();
+}
+
+/// A compare leg is a profile fetch, and a stub's `200` body is no profile:
+/// the comparison answers `502` naming the first such leg's device.
+#[test]
+fn a_compare_leg_whose_body_is_not_a_profile_answers_502_naming_its_device() {
+    let mut fleet = Fleet::start(QUIET_FLOOR);
+    let reply = fleet
+        .client
+        .get("/v1/compare/tiny/GMS?devices=a100,rtx-3080")
+        .expect("gateway reply");
+    assert_eq!(reply.status, 502, "body: {}", reply.body);
+    assert!(
+        reply.body.contains("unparseable profile for device")
+            && reply.body.contains("a100")
+            && !reply.body.contains("rtx-3080"),
+        "body: {}",
+        reply.body
+    );
+    assert_eq!(fleet.primary.hits() + fleet.neighbour.hits(), 2);
     fleet.stop();
 }
