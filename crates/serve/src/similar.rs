@@ -237,16 +237,10 @@ impl SimService {
                     kernel: name.to_owned(),
                 }
             })?,
-            None => {
-                let Some(dominant) = kernels.iter().max_by(|a, b| {
-                    a.total_time_s
-                        .total_cmp(&b.total_time_s)
-                        .then_with(|| b.name.cmp(&a.name))
-                }) else {
-                    return Err(SimError::Internal("no dominant kernel".to_owned()));
-                };
-                dominant
-            }
+            // A profile lists its kernels in dominance order.
+            None => kernels
+                .first()
+                .ok_or_else(|| SimError::Internal("no dominant kernel".to_owned()))?,
         };
         let q = fitted.encoder.encode_metrics(&target.metrics);
         let query = format!("{}/{}", triple.key(), target.name);
