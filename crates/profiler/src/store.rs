@@ -921,6 +921,29 @@ mod tests {
         );
     }
 
+    /// Each field of the first kernel line emptied, dropped, doubled or
+    /// followed by a stray tab: where one-char edits rarely land, on the
+    /// arity and field-end errors.
+    #[test]
+    fn reader_equals_reference_on_every_field_edit() {
+        let document = write_profile(&sample_profile());
+        let lines: Vec<&str> = document.split_inclusive('\n').collect();
+        let (head, kernel, tail) = (lines[..2].concat(), lines[2], lines[3..].concat());
+        let fields: Vec<&str> = kernel.trim_end_matches('\n').split('\t').collect();
+        for at in 0..fields.len() {
+            for edit in 0..4 {
+                let mut edited: Vec<String> = fields.iter().map(|f| (*f).to_owned()).collect();
+                match edit {
+                    0 => edited[at].clear(),
+                    1 => drop(edited.remove(at)),
+                    2 => edited.insert(at, fields[at].to_owned()),
+                    _ => edited[at].push('\t'),
+                }
+                agrees(&format!("{head}{}\n{tail}", edited.join("\t")));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
