@@ -133,8 +133,7 @@ pub fn read_profile(text: &str) -> Result<Profile, StoreError> {
     };
 
     r.start_line();
-    let header = text.starts_with(FORMAT_HEADER);
-    if !(header && r.end_line(FORMAT_HEADER.len())) {
+    if !(text.starts_with(FORMAT_HEADER) && r.end_line(FORMAT_HEADER.len())) {
         return Err(StoreError::BadHeader(r.rest_of_line(0).to_owned()));
     }
 
