@@ -1185,6 +1185,85 @@ fn a_replacement_during_a_simulation_is_never_served() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `swap` before and after a replacement that changes its kernel's mix.
+const SWAP_INT: &str = "workload \"swap\" { kernel a { mix { int = 1000; } } \
+                        run { repeat 4 { launch a; } } }";
+const SWAP_FP32: &str = "workload \"swap\" { kernel a { mix { fp32 = 1000; } } \
+                         run { repeat 4 { launch a; } } }";
+
+/// The id a `/v1/similar` body's `# query:` line names, and its first
+/// `rank,id,distance` row.
+fn similar_top(client: &Client, workload: &str) -> (String, String) {
+    let path = format!("/v1/similar?device=rtx-3080&scale=tiny&workload={workload}&k=3");
+    let reply = client.get(&path).expect("similar");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let lines = reply.body.lines();
+    let query = lines
+        .clone()
+        .find_map(|l| l.strip_prefix("# query: "))
+        .unwrap_or_else(|| panic!("no query line: {}", reply.body));
+    let row = lines
+        .skip_while(|l| *l != "rank,id,distance")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no rows: {}", reply.body));
+    (query.to_owned(), row.to_owned())
+}
+
+/// A point of the similarity index names the definition it was measured
+/// from: after `swap` is replaced by a definition with another mix, the
+/// reference query finds the replacement's own kernel at distance zero,
+/// not the replaced definition's vector.
+#[test]
+fn a_replacement_is_its_own_nearest_kernel() {
+    let (server, client, dir) = start(2, 16);
+    // GMS fits the encoder, so both definitions land in one space.
+    similar_top(&client, "GMS");
+    let reply = client
+        .post_traced("/v1/workloads", SWAP_INT, None)
+        .expect("v1");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let (replaced, _) = similar_top(&client, "swap");
+    let reply = client
+        .post_traced("/v1/workloads", SWAP_FP32, None)
+        .expect("v2");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let (query, row) = similar_top(&client, "swap");
+    assert_eq!(row, format!("1,{query},0.000000"));
+    assert_ne!(query, replaced, "the two definitions share an id");
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Right after a replacement, before any read, nothing is stored for the
+/// replacement's triples: the record route does not answer `200` with a
+/// body that is not the replacement's profile.
+#[test]
+fn a_replacement_has_no_stored_record_before_its_first_read() {
+    let (server, client, dir) = start(2, 16);
+    let reply = client
+        .post_traced("/v1/workloads", SWAP_INT, None)
+        .expect("v1");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let profile = client
+        .get("/v1/profile/rtx-3080/tiny/swap")
+        .expect("v1 profile");
+    assert_eq!(profile.status, 200, "{}", profile.body);
+    let reply = client
+        .post_traced("/v1/workloads", SWAP_FP32, None)
+        .expect("v2");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let record = client
+        .get("/v1/store/record/rtx-3080/tiny/swap")
+        .expect("record");
+    assert_ne!(record.status, 200, "{:?}", record.body);
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The startup reload runs the whole admission stack: a stored definition
 /// that passes the language-level validator but not the serve policy (it
 /// declares two of the three scales) is not admitted, exactly as a POST
