@@ -91,12 +91,7 @@ impl HashRing {
 /// strings; the finalizer spreads the points uniformly around the ring.
 #[must_use]
 pub(crate) fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
+    splitmix64(cactus_store::fnv1a64(s.as_bytes()))
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -193,6 +188,23 @@ mod tests {
                     "{n}: {key}"
                 );
             }
+        }
+    }
+
+    /// `hash_str` as it was, with its own FNV-1a loop: ring positions, and
+    /// so every key's owners, must not move.
+    #[test]
+    fn hash_str_equals_its_inline_fnv() {
+        let inline = |s: &str| {
+            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+            for b in s.bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            splitmix64(h)
+        };
+        for key in ["", "a", "127.0.0.1:7000#5", "profile/rtx-3080/tiny/GMS"] {
+            assert_eq!(hash_str(key), inline(key), "{key:?}");
         }
     }
 

@@ -5,9 +5,8 @@
 //! repair pass (`repair`), run by the health thread after every probe
 //! round over the backends available then. It reads each one's manifest
 //! and makes the pushes `plan` decides: it fills a replica slot that lacks
-//! the record or raises a lower version, for *settled* keys only — no
-//! reachable backend holds the key at version 0 (the tombstone a workload
-//! re-submission writes) and its highest version has one CRC. A freshly
+//! the record or raises a lower version, for *settled* keys only — those
+//! whose highest version the reachable backends hold with one CRC. A freshly
 //! simulated profile therefore reaches its follower one probe round after
 //! the owner stored it, and a replica that was down is refilled one round
 //! after it answers again. Serving a profile copies nothing.
@@ -67,8 +66,8 @@ impl Plan {
 /// when unreachable) and the replica set of a profile key. A settled key
 /// (module doc) is pushed from its lowest-indexed holder to each reachable
 /// replica (every backend for a `wir/` key) that lacks its highest record.
-/// An unsettled key — two definitions tied at one version, or a record
-/// beside a tombstone — is left for a re-submission to resolve.
+/// An unsettled key — two definitions tied at one version — is left for a
+/// re-submission to resolve.
 fn plan(manifests: &[Option<Vec<Entry>>], replica_set: impl Fn(&str) -> Vec<usize>) -> Plan {
     let mut holdings: BTreeMap<&str, Vec<(usize, u32, u32)>> = BTreeMap::new();
     for (i, entries) in manifests.iter().enumerate() {
@@ -85,9 +84,7 @@ fn plan(manifests: &[Option<Vec<Entry>>], replica_set: impl Fn(&str) -> Vec<usiz
         let Some(&(_, version, crc)) = held.iter().rev().max_by_key(|h| h.1) else {
             continue;
         };
-        let settled = held
-            .iter()
-            .all(|&(_, v, c)| v != 0 && (v < version || c == crc));
+        let settled = held.iter().all(|&(_, v, c)| v < version || c == crc);
         let have: Vec<usize> = held
             .iter()
             .filter(|&&(_, v, c)| (v, c) == (version, crc))
@@ -127,9 +124,14 @@ fn manifests(router: &Router, ask: impl Fn(usize) -> bool) -> Vec<Option<Vec<Ent
         .collect()
 }
 
-/// The replica set of a profile key (`<device>/<scale>/<workload>`).
+/// The replica set of a profile key: `<device>/<scale>/<workload>`, plus
+/// `@<digest>` for a submitted workload, which is dropped so the record
+/// replicates to the owners of the route its triple is read on.
 fn profile_replicas(router: &Router) -> impl Fn(&str) -> Vec<usize> + '_ {
-    |key| router.replica_set(&format!("profile/{key}"))
+    |key| {
+        let triple = key.split_once('@').map_or(key, |(triple, _)| triple);
+        router.replica_set(&format!("profile/{triple}"))
+    }
 }
 
 /// One repair pass over the backends available now: make the pushes
@@ -235,15 +237,10 @@ mod tests {
     const PROFILE: &str = "rtx-3080/tiny/GMS";
     const WIR: &str = "wir/x";
 
-    /// What one backend may hold of a key: absent, the tombstone, two
-    /// definitions tied at version 1, and a higher version.
-    const HOLDINGS: [Option<(u32, u32)>; 5] = [
-        None,
-        Some((0, 0xdead)),
-        Some((1, 0xa)),
-        Some((1, 0xb)),
-        Some((2, 0xa)),
-    ];
+    /// What one backend may hold of a key: absent, two definitions tied at
+    /// version 1, and a higher version.
+    const HOLDINGS: [Option<(u32, u32)>; 4] =
+        [None, Some((1, 0xa)), Some((1, 0xb)), Some((2, 0xa))];
 
     type Manifests = Vec<Option<Vec<Entry>>>;
 
@@ -289,8 +286,8 @@ mod tests {
     fn checked(manifests: &Manifests, replicas: &dyn Fn(&str) -> Vec<usize>) -> Plan {
         let plan = plan(manifests, replicas);
         let row = |key: &str| plan.rows.iter().find(|r| r.key == key).expect("row");
-        // P1: a push carries the key's highest record, never a tombstone,
-        // and only fills a gap or raises a live version.
+        // P1: a push carries the key's highest record, and only fills a
+        // gap or raises a lower version.
         for push @ (key, from, to) in pushes(&plan) {
             let (version, crc) = held(manifests, from, key).expect("source");
             let r = row(key);
@@ -298,16 +295,12 @@ mod tests {
                 r.settled && (version, crc) == (r.version, r.crc),
                 "{push:?}"
             );
-            assert_ne!(version, 0, "{push:?} writes a tombstone");
             assert!(
                 manifests[to].is_some(),
                 "{push:?} to an unreachable backend"
             );
             if let Some((v, _)) = held(manifests, to, key) {
-                assert!(
-                    v != 0 && v < version,
-                    "{push:?} lands on v{v} in {manifests:?}"
-                );
+                assert!(v < version, "{push:?} lands on v{v} in {manifests:?}");
             }
         }
         // P2: once applied, nothing is left to push.
@@ -406,16 +399,15 @@ mod tests {
                 }
             }
         }
-        assert_eq!(planned, 4 * 6 * 6 * 6);
+        assert_eq!(planned, 4 * 5 * 5 * 5);
     }
 
     /// Two keys on one fleet plan exactly as each key alone.
     #[test]
     fn keys_are_planned_independently() {
-        let holdings = &HOLDINGS[..4];
         let mut states = vec![None];
-        for &p in holdings {
-            for &w in holdings {
+        for p in HOLDINGS {
+            for w in HOLDINGS {
                 states.push(Some((p, w)));
             }
         }
@@ -468,17 +460,33 @@ mod tests {
         assert_eq!(plan.unsettled(), 1);
     }
 
-    /// A tombstone says the profile next to it was superseded: repairing
-    /// either slot would bring the superseded profile back.
+    /// A submitted workload's record replicates to the owners of the route
+    /// its triple is read on: the digest is not part of the ring key.
     #[test]
-    fn a_tombstone_next_to_a_live_version_is_left_alone() {
-        let manifests = vec![
-            Some(vec![entry(PROFILE, (0, 0xdead))]),
-            Some(vec![entry(PROFILE, (2001, 0xa))]),
-            Some(Vec::new()),
-        ];
-        let plan = plan(&manifests, |_| vec![0, 2]);
-        assert_eq!(plan.missing(), 0, "{plan:?}");
-        assert_eq!(plan.unsettled(), 1);
+    fn a_digest_keyed_record_replicates_with_its_route() {
+        let addrs: Vec<SocketAddr> = (0..4)
+            .map(|i| format!("127.0.0.1:{}", 1 + i).parse().expect("addr"))
+            .collect();
+        let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
+        let router = Router::new(
+            crate::ring::HashRing::new(&labels),
+            std::sync::Arc::new(crate::health::HealthTracker::new(
+                4,
+                2,
+                std::time::Duration::from_secs(60),
+            )),
+            std::sync::Arc::new(crate::connpool::ConnPool::new(addrs)),
+            std::sync::Arc::new(crate::metrics::GatewayMetrics::new(4)),
+            None,
+        );
+        let replicas = profile_replicas(&router);
+        for name in ["gnn", "swap", "x"] {
+            let route = router.replica_set(&format!("profile/rtx-3080/tiny/{name}"));
+            assert_eq!(replicas(&format!("rtx-3080/tiny/{name}")), route);
+            assert_eq!(
+                replicas(&format!("rtx-3080/tiny/{name}@0123456789abcdef")),
+                route
+            );
+        }
     }
 }

@@ -46,7 +46,7 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// |   20 | `SINGLEFLIGHT_MAP`  | `serve::singleflight` in-flight map        |
 /// |   30 | `SINGLEFLIGHT_SLOT` | `serve::singleflight` per-key result slot  |
 /// |   40 | `RESPONSE_CACHE`    | `serve::cache` LRU                         |
-/// |   41 | `WIR_ADMISSION`     | `serve::service` IR admission counter      |
+/// |   41 | `WIR_ADMISSION`     | `serve::service` definition persist + swap |
 /// |   42 | `STORE_WRITER`      | `store` active-segment writer              |
 /// |   45 | `STORE_INDEX`       | `store` key→location index                 |
 /// |   47 | `WIR_REGISTRY`      | `serve::service` submitted IR definitions  |

@@ -77,7 +77,6 @@ pub(crate) const SPAN_NAMES: &[&str] = &[
     "store.append",
     "store.get",
     "store.compact",
-    "store.supersede",
     "store.sync",
 ];
 

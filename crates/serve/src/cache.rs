@@ -6,7 +6,7 @@
 //! exactly least-recently-*used* (a hit and a put both count as a use), and
 //! hit/miss counters feed `/v1/metricsz`. Eviction is the only way out:
 //! every key names immutable content — a submitted workload's triple keys
-//! carry its admission number — so nothing is ever invalidated.
+//! carry its definition's digest — so nothing is ever invalidated.
 //!
 //! Every operation is O(1) under the lock: the entries sit in a dense slab
 //! threaded by index into one recency list, newest to oldest, and the map

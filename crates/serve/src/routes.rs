@@ -22,7 +22,7 @@ use cactus_profiler::csv;
 use crate::cache::CachedResponse;
 use crate::http::{Request, Response};
 use crate::server::ServerState;
-use crate::service::{Triple, WorkloadRejection, SCALE_SLUGS};
+use crate::service::{ServableWorkload, Triple, WorkloadRejection, SCALE_SLUGS};
 use crate::wire::{self, DeviceEntry};
 
 /// The endpoint family served under
@@ -103,7 +103,10 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
 ///
 /// `GET` answers the stored record verbatim whatever its version (repair
 /// copies bytes; relevance is the *receiver's* concern) and never falls
-/// through to simulation. `POST` ingests through
+/// through to simulation. A submitted workload's profiles are stored under
+/// its definition's digest (`<device>/<scale>/<name>@<digest>`): when the
+/// bare `<device>/<scale>/<name>` is absent and `<name>` is registered,
+/// `GET` reads the current definition's key. `POST` ingests through
 /// `ProfileService::ingest_record`: a canonical profile document at the
 /// key device's current
 /// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version),
@@ -135,7 +138,15 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
     }
     let mut span = ctx.child("store.get");
     span.tag("key", key.to_owned());
-    match state.service.store().get(key) {
+    let store = state.service.store();
+    let mut record = store.get(key);
+    if let (Ok(None), [device, scale, name]) = (&record, segments.as_slice()) {
+        match state.service.resolve_triple(device, scale, name) {
+            Ok(t) if matches!(t.workload, ServableWorkload::Wir(_)) => record = store.get(&t.key()),
+            _ => {}
+        }
+    }
+    match record {
         Ok(Some(record)) => {
             span.tag("version", record.version);
             match String::from_utf8(record.value) {
@@ -185,10 +196,9 @@ pub fn workload_rejection(rejection: &WorkloadRejection) -> Response {
 /// the definition source; it passes the whole admission stack before
 /// anything durable happens. A rejection answers [`workload_rejection`];
 /// acceptance persists the source and admits the workload into the triple
-/// routes. A re-submission under the same name replaces the definition
-/// under a new admission number, which the cache keys of its triples
-/// carry, so nothing cached for the old definition is read again (the
-/// service supersedes the stored profiles itself).
+/// routes. A re-submission under the same name replaces the definition;
+/// every key of its triples carries the new text's digest, so nothing
+/// cached or stored for the old definition is read again.
 fn submit_workload(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Response {
     let mut span = ctx.child("serve.workload");
     span.tag("bytes", req.body.len());
@@ -316,11 +326,11 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
         Ok(t) => t,
         Err(msg) => return Response::error(400, msg),
     };
-    // The one string a hit builds: `<endpoint>/<device>/<scale>/<workload>`.
+    // The one string a hit builds: `<endpoint>/` and the triple's key.
     let mut key = String::with_capacity(64);
     key.push_str(endpoint);
     key.push('/');
-    triple.push_flight_key(&mut key);
+    triple.push_key(&mut key);
     if endpoint == "dominant" {
         let _ = write!(key, "?t={threshold}");
     }

@@ -53,11 +53,10 @@ fn scale_slug(scale: SuiteScale) -> &'static str {
 
 /// A `cactus-wir` definition this service admitted.
 pub(crate) struct WirWorkload {
-    /// Drawn from the service's admission counter; the response-cache and
-    /// single-flight keys of the workload's triples carry it.
-    pub admission: u64,
-    /// Source text as submitted: the bytes stored under `wir/<name>`.
-    pub source: String,
+    /// FNV-1a of the source text as submitted (the bytes stored under
+    /// `wir/<name>`), computed once at admission; every key of the
+    /// workload's triples carries it ([`Triple::key`]).
+    pub digest: u64,
     /// The validated definition the interpreter executes.
     pub def: cactus_wir::WorkloadDef,
 }
@@ -110,11 +109,6 @@ pub(crate) fn workload_by_name(name: &str) -> Option<ServableWorkload> {
 /// durable store as profiles but in a disjoint key namespace — profile
 /// keys always start with a catalog device slug, never `wir/`.
 const WIR_KEY_PREFIX: &str = "wir/";
-
-/// Store version stamped on a profile record superseded by a workload
-/// re-submission. [`current_version`] is never 0 (`MODEL_VERSION` starts at
-/// 1 and only grows), so the record is always a store miss.
-const SUPERSEDED_VERSION: u32 = 0;
 
 /// The version a stored profile record must carry to be served: the
 /// [`record_version`](catalog::CatalogEntry::record_version) of the catalog
@@ -306,31 +300,29 @@ impl Triple {
         self.entry.device()
     }
 
-    /// The durable store's `device/scale/workload` key. It names the
-    /// workload, never an admission, so every backend, the
-    /// `/v1/store/record/…` routes and a restart agree on it.
+    /// The triple's one key, [`push_key`](Self::push_key) into a fresh
+    /// string.
     #[must_use]
     pub fn key(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.entry.id,
-            scale_slug(self.scale),
-            self.workload.name()
-        )
+        let mut key = String::with_capacity(48);
+        self.push_key(&mut key);
+        key
     }
 
-    /// Append the key the response cache and the single-flight group file
-    /// the triple under: [`Triple::key`], then `@<admission>` for a
-    /// submitted workload. A re-submission's triples thus key afresh, and
-    /// nothing derived from the replaced definition is looked up again.
-    pub(crate) fn push_flight_key(&self, out: &mut String) {
+    /// Append `device/scale/workload`, then `@<16 hex digits>` of the
+    /// definition's digest for a submitted workload. This one string names
+    /// the store record, the response-cache entry (after `<endpoint>/`),
+    /// the single-flight group and the `/v1/similar` ids, so a replacement's
+    /// triples key afresh and nothing derived from the replaced text is
+    /// reached again. Built-in keys carry no digest.
+    pub(crate) fn push_key(&self, out: &mut String) {
         out.push_str(self.entry.id);
         out.push('/');
         out.push_str(scale_slug(self.scale));
         out.push('/');
         out.push_str(self.workload.name());
         if let ServableWorkload::Wir(w) = &self.workload {
-            let _ = write!(out, "@{}", w.admission);
+            let _ = write!(out, "@{:016x}", w.digest);
         }
     }
 }
@@ -382,10 +374,9 @@ pub struct ProfileService {
     /// and inserts, never across a store write: resolving a name never
     /// waits on an fsync.
     wir: RankedMutex<BTreeMap<String, Arc<WirWorkload>>>,
-    /// The last admission number handed out. Its lock, ranked below the
-    /// store's, covers a definition's persist, supersede and registry swap,
-    /// and the check-then-append of a submitted workload's profile.
-    admissions: RankedMutex<u64>,
+    /// Held across a definition's persist and its registry swap, so the
+    /// `wir/<name>` record and the registry agree on the last one.
+    definitions: RankedMutex<()>,
     store_hits: Counter,
     simulations: Counter,
     workloads_submitted: Counter,
@@ -480,7 +471,7 @@ impl ProfileService {
             flight: SingleFlight::new(),
             store: Arc::new(durable),
             wir: RankedMutex::new(rank::WIR_REGISTRY, "serve.wir_registry", BTreeMap::new()),
-            admissions: RankedMutex::new(rank::WIR_ADMISSION, "serve.wir_admission", 0),
+            definitions: RankedMutex::new(rank::WIR_ADMISSION, "serve.wir_admission", ()),
             store_hits: registry
                 .counter(
                     "cactus_serve_store_hits_total",
@@ -563,9 +554,7 @@ impl ProfileService {
         let key = triple.key();
         let version = current_version(&key)
             .ok_or_else(|| format!("device {:?} is not in the catalog", triple.device_slug()))?;
-        let mut flight_key = String::with_capacity(key.len() + 8);
-        triple.push_flight_key(&mut flight_key);
-        let (result, leader) = self.flight.run(&flight_key, || {
+        let (result, leader) = self.flight.run(&key, || {
             let store_hit = {
                 let mut span = ctx.map(|c| c.child("serve.store"));
                 let profile = self.load_from_store(
@@ -590,7 +579,7 @@ impl ProfileService {
                 }
                 self.simulate(triple, span.as_ref().map(cactus_obs::SpanGuard::ctx))
             }?;
-            let document = self.append_to_store(&key, version, &profile, &triple.workload, ctx);
+            let document = self.append_to_store(&key, version, &profile, ctx);
             Ok((Arc::new(ResolvedProfile { profile, document }), false))
         });
         let (resolved, from_store) = result?;
@@ -643,15 +632,14 @@ impl ProfileService {
     /// Append a freshly simulated profile to the durable store and return
     /// the document it rendered. Failures are logged, not fatal — serving
     /// beats durability here, and the next identical request simply
-    /// simulates again. A submitted workload's profile is appended only if
-    /// its admission is still the registered one, checked under the
-    /// admission lock a replacement holds.
+    /// simulates again. A simulation that a replacement outlived appends
+    /// under its own definition's digest, which no request for the
+    /// replacement names.
     fn append_to_store(
         &self,
         key: &str,
         version: u32,
         profile: &Profile,
-        workload: &ServableWorkload,
         ctx: Option<SpanCtx<'_>>,
     ) -> String {
         let text = profile_store::write_profile(profile);
@@ -659,27 +647,12 @@ impl ProfileService {
         if let Some(span) = &mut span {
             span.tag("bytes", text.len());
         }
-        let admitted = match workload {
-            ServableWorkload::Wir(w) => {
-                let admissions = self.admissions.lock();
-                let current = self.wir_workload(&w.def.name);
-                if current.is_none_or(|c| c.admission != w.admission) {
-                    if let Some(span) = &mut span {
-                        span.tag("superseded", true);
-                    }
-                    return text;
-                }
-                Some(admissions)
-            }
-            ServableWorkload::Cactus(_) | ServableWorkload::Prt(_) => None,
-        };
         if let Err(e) = self.store.append(key, version, text.as_bytes()) {
             eprintln!("cactus-serve: store append {key} failed: {e}");
             if let Some(span) = &mut span {
                 span.tag("error", e.to_string());
             }
         }
-        drop(admitted);
         text
     }
 
@@ -745,7 +718,7 @@ impl ProfileService {
     }
 
     /// Persist a validated definition under `wir/<name>`, then
-    /// [`admit`](Self::admit) it, both under the admission lock.
+    /// [`admit`](Self::admit) it, both under the definitions lock.
     fn persist_and_admit(
         &self,
         def: cactus_wir::WorkloadDef,
@@ -753,7 +726,7 @@ impl ProfileService {
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<(String, bool), WorkloadRejection> {
         let name = def.name.clone();
-        let mut admissions = self.admissions.lock();
+        let _order = self.definitions.lock();
         {
             let mut span = ctx.map(|c| c.child("store.append"));
             if let Some(span) = &mut span {
@@ -772,49 +745,31 @@ impl ProfileService {
                 )));
             }
         }
-        let replaced = self.admit(&mut admissions, def, source, ctx);
-        Ok((name, replaced))
+        Ok((name, self.admit(def, source)))
     }
 
-    /// Admit a validated definition under the admission lock, held as
-    /// `admissions`. A byte-identical re-submission keeps the admitted
-    /// entry and its stored profiles. A changed one supersedes the name's
-    /// stored profiles *before* its new admission enters the registry, so
-    /// no request that resolves it can read them. Returns whether a
-    /// definition of that name was admitted before.
-    fn admit(
-        &self,
-        admissions: &mut u64,
-        def: cactus_wir::WorkloadDef,
-        source: &str,
-        ctx: Option<SpanCtx<'_>>,
-    ) -> bool {
-        let prev = self.wir_workload(&def.name);
-        if prev.as_ref().is_some_and(|p| p.source == source) {
-            return true;
-        }
-        if prev.is_some() {
-            self.supersede_profiles(&def.name, ctx);
-        }
-        *admissions += 1;
+    /// Register a validated definition under its name, with the digest of
+    /// `source`: a byte-identical re-submission keys its triples as before,
+    /// a changed one afresh. Returns whether a definition of that name was
+    /// admitted before.
+    fn admit(&self, def: cactus_wir::WorkloadDef, source: &str) -> bool {
         let workload = WirWorkload {
-            admission: *admissions,
-            source: source.to_owned(),
+            digest: cactus_store::fnv1a64(source.as_bytes()),
             def,
         };
         self.wir
             .lock()
-            .insert(workload.def.name.clone(), Arc::new(workload));
-        prev.is_some()
+            .insert(workload.def.name.clone(), Arc::new(workload))
+            .is_some()
     }
 
     /// Rebuild the registry at startup: each `wir/<name>` record at
     /// [`cactus_wir::FORMAT_VERSION`] passes [`validate_submission`] and
     /// the key's name check, then is admitted (no second persist). A
     /// record that fails stays in the store with a warning, so an upgraded
-    /// validator quarantines rather than destroys it.
+    /// validator quarantines rather than destroys it. It runs before the
+    /// service is shared, so it needs no definitions lock.
     fn reload_wir(&self) {
-        let mut admissions = self.admissions.lock();
         for entry in self.store.entries() {
             let Some(name) = entry.key.strip_prefix(WIR_KEY_PREFIX) else {
                 continue;
@@ -838,7 +793,7 @@ impl ProfileService {
             };
             match validate_submission(&source, None) {
                 Ok(def) if def.name == name => {
-                    self.admit(&mut admissions, def, &source, None);
+                    self.admit(def, &source);
                 }
                 Ok(def) => eprintln!(
                     "cactus-serve: stored definition {} names workload {:?}; skipping",
@@ -849,35 +804,6 @@ impl ProfileService {
                     entry.key
                 ),
             }
-        }
-    }
-
-    /// Mark every stored profile of `workload` stale by appending a
-    /// [`SUPERSEDED_VERSION`] placeholder over it. `load_from_store`
-    /// treats any version other than the key's [`current_version`] as a
-    /// miss, so the next request re-simulates under the replacement
-    /// definition and its fresh append supersedes the placeholder in turn.
-    fn supersede_profiles(&self, workload: &str, ctx: Option<SpanCtx<'_>>) {
-        let mut span = ctx.map(|c| c.child("store.supersede"));
-        let mut superseded = 0u32;
-        for device in catalog::device_ids() {
-            for scale in SCALE_SLUGS {
-                let key = format!("{device}/{scale}/{workload}");
-                if !matches!(self.store.get(&key), Ok(Some(_))) {
-                    continue;
-                }
-                match self
-                    .store
-                    .append(&key, SUPERSEDED_VERSION, b"superseded by re-submission\n")
-                {
-                    Ok(()) => superseded += 1,
-                    Err(e) => eprintln!("cactus-serve: supersede {key} failed: {e}"),
-                }
-            }
-        }
-        if let Some(span) = &mut span {
-            span.tag("workload", workload.to_owned());
-            span.tag("records", superseded);
         }
     }
 

@@ -739,7 +739,8 @@ fn similar_queries_ingest_search_and_trace_end_to_end() {
     assert!(metric(&client, "cactus_simindex_inserts_total") >= 1.0);
 
     // A demangled name holds commas and quotes, and a WIR `name` may hold
-    // a line break, even one followed by the table's header: the id comes
+    // a line break, even one followed by the table's header: the id (the
+    // triple's key, definition digest included, then the kernel name) comes
     // back verbatim, and the body's `# query` line carries the break
     // escaped, so it cannot forge the header.
     for (source, workload, kernel) in [
@@ -759,7 +760,8 @@ fn similar_queries_ingest_search_and_trace_end_to_end() {
                 k: Some(3),
             })
             .expect("similar on a quoted kernel name");
-        let own_id = format!("rtx-3080/tiny/{workload}/{kernel}");
+        let digest = cactus_store::fnv1a64(source.as_bytes());
+        let own_id = format!("rtx-3080/tiny/{workload}@{digest:016x}/{kernel}");
         assert!(
             quoted.iter().any(|h| h.id == own_id && h.distance == 0.0),
             "the quoted kernel must match itself verbatim: {quoted:?}"

@@ -999,9 +999,11 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a, 64-bit — the manifest digest.
+/// FNV-1a, 64-bit: the manifest digest, a submitted definition's digest
+/// in serve's profile keys, and the gateway ring's hash before its
+/// finalizer.
 #[must_use]
-fn fnv1a64(data: &[u8]) -> u64 {
+pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);
