@@ -4,14 +4,19 @@
 //! [`KernelDesc`]; [`capture`] dedups that log into kernel declarations
 //! (captured traces reuse one kernel *name* across differently shaped
 //! launches, so declarations get fresh ids and a `name "…"` override) and
-//! run-length-encodes the schedule into `repeat` blocks. The output is
-//! canonical printer form, validates with zero findings, and replays
-//! bit-identically through [`crate::exec`] — see `tests/equivalence.rs`.
+//! run-length-encodes the schedule into `repeat` blocks, then renders the
+//! resulting [`WorkloadDef`] with the one printer, [`crate::printer`]. The
+//! output validates with zero findings and replays bit-identically through
+//! [`crate::exec`] — see `tests/equivalence.rs`.
 
-use cactus_gpu::prelude::{AccessPattern, Direction, KernelDesc};
-use std::fmt::Write as _;
+use cactus_gpu::prelude::{AccessPattern, AccessStream, Direction, KernelDesc};
 
-/// Render a captured trace as a complete workload definition.
+use crate::ast::{
+    Expr, GeomKind, KernelDef, LaunchSpec, PatternSpec, Stmt, StreamSpec, WorkloadDef, MIX_CLASSES,
+};
+
+/// Render a captured trace as a complete workload definition: a
+/// [`WorkloadDef`] of literals, through [`crate::printer::print`].
 #[must_use]
 pub fn capture(name: &str, descs: &[KernelDesc]) -> String {
     // Dedup by full structural equality, first-appearance order.
@@ -27,11 +32,9 @@ pub fn capture(name: &str, descs: &[KernelDesc]) -> String {
         };
         schedule.push(idx);
     }
-    let ids: Vec<String> = unique
-        .iter()
-        .enumerate()
-        .map(|(i, d)| kernel_id(i, d.name()))
-        .collect();
+    // The engine's pattern model is analytic, so replay is exactly
+    // reproducible; the seed satisfies the determinism pass and keeps the
+    // contract visible in the text.
     let stochastic = unique.iter().any(|d| {
         d.streams().iter().any(|s| {
             matches!(
@@ -40,99 +43,108 @@ pub fn capture(name: &str, descs: &[KernelDesc]) -> String {
             )
         })
     });
-
-    let mut out = String::new();
-    let _ = writeln!(out, "workload \"{}\" {{", crate::lexer::escape(name));
-    if stochastic {
-        // The engine's pattern model is analytic, so replay is exactly
-        // reproducible; the seed satisfies the determinism pass and keeps
-        // the contract visible in the text.
-        let _ = writeln!(out, "  seed 0;");
-    }
-    for (i, d) in unique.iter().enumerate() {
-        let id = ids.get(i).cloned().unwrap_or_default();
-        let _ = writeln!(out, "  kernel {id} {{");
-        let _ = writeln!(out, "    name \"{}\";", crate::lexer::escape(d.name()));
-        let l = d.launch();
-        let _ = writeln!(
-            out,
-            "    launch grid({}, {}) regs {} smem {};",
-            l.grid_blocks, l.threads_per_block, l.registers_per_thread, l.shared_mem_per_block
-        );
-        let m = d.mix();
-        let entries: [(&str, u64); 9] = [
-            ("fp32", m.fp32),
-            ("special", m.special),
-            ("int", m.int),
-            ("branch", m.branch),
-            ("load", m.load),
-            ("store", m.store),
-            ("shared", m.shared),
-            ("sync", m.sync),
-            ("misc", m.misc),
-        ];
-        if entries.iter().any(|(_, v)| *v > 0) {
-            let _ = writeln!(out, "    mix {{");
-            for (class, v) in entries {
-                if v > 0 {
-                    let _ = writeln!(out, "      {class} = {v};");
-                }
-            }
-            let _ = writeln!(out, "    }}");
-        }
-        for s in d.streams() {
-            let dir = match s.direction {
-                Direction::Read => "read",
-                Direction::Write => "write",
-            };
-            let pattern = match s.pattern {
-                AccessPattern::Streaming => "streaming".to_owned(),
-                AccessPattern::RandomUniform { working_set_bytes } => {
-                    format!("random({working_set_bytes})")
-                }
-                AccessPattern::Sweep {
-                    working_set_bytes,
-                    sweeps,
-                } => format!("sweep({working_set_bytes}, {sweeps})"),
-                AccessPattern::HotCold {
-                    hot_fraction,
-                    hot_bytes,
-                    cold_bytes,
-                } => format!("hotcold({hot_fraction:?}, {hot_bytes}, {cold_bytes})"),
-                AccessPattern::Broadcast { bytes } => format!("broadcast({bytes})"),
-            };
-            let _ = writeln!(
-                out,
-                "    {dir} accesses {} tpa {:?} pattern {pattern};",
-                s.warp_accesses, s.transactions_per_access
-            );
-        }
-        let _ = writeln!(out, "    depend {:?};", d.dependency_fraction());
-        let _ = writeln!(out, "  }}");
-    }
-    let _ = writeln!(out, "  run {{");
+    let kernels: Vec<KernelDef> = unique
+        .iter()
+        .enumerate()
+        .map(|(i, d)| kernel_def(kernel_id(i, d.name()), d))
+        .collect();
     // Run-length-encode consecutive identical launches.
-    let mut i = 0usize;
-    while i < schedule.len() {
-        let cur = schedule.get(i).copied().unwrap_or(0);
-        let mut j = i + 1;
-        while schedule.get(j).copied() == Some(cur) {
-            j += 1;
-        }
-        let count = j - i;
-        let id = ids.get(cur).cloned().unwrap_or_default();
-        if count > 1 {
-            let _ = writeln!(out, "    repeat {count} {{");
-            let _ = writeln!(out, "      launch {id};");
-            let _ = writeln!(out, "    }}");
-        } else {
-            let _ = writeln!(out, "    launch {id};");
-        }
-        i = j;
+    let run = schedule
+        .chunk_by(|a, b| a == b)
+        .filter_map(|same| {
+            let launch = Stmt::Launch {
+                kernel: kernels.get(*same.first()?)?.id.clone(),
+                line: 0,
+            };
+            Some(match same.len() {
+                1 => launch,
+                n => Stmt::Repeat {
+                    count: Expr::Int(n as u64),
+                    body: vec![launch],
+                    line: 0,
+                },
+            })
+        })
+        .collect();
+    crate::printer::print(&WorkloadDef {
+        name: name.to_owned(),
+        line: 0,
+        seed: stochastic.then_some((0, 0)),
+        params: Vec::new(),
+        scales: Vec::new(),
+        classes: Vec::new(),
+        kernels,
+        phases: Vec::new(),
+        run,
+        run_line: 0,
+    })
+}
+
+/// One captured kernel as literals: every launch field, the non-zero mix
+/// classes, each stream, and the dependency fraction.
+fn kernel_def(id: String, d: &KernelDesc) -> KernelDef {
+    let l = d.launch();
+    let m = d.mix();
+    let counts = [
+        m.fp32, m.special, m.int, m.branch, m.load, m.store, m.shared, m.sync, m.misc,
+    ];
+    KernelDef {
+        id,
+        name: Some(d.name().to_owned()),
+        taxonomy: None,
+        launch: Some(LaunchSpec {
+            kind: GeomKind::Grid,
+            a: Expr::Int(l.grid_blocks),
+            b: Expr::Int(l.threads_per_block.into()),
+            regs: Some(Expr::Int(l.registers_per_thread.into())),
+            smem: Some(Expr::Int(l.shared_mem_per_block.into())),
+            line: 0,
+        }),
+        mix: MIX_CLASSES
+            .iter()
+            .zip(counts)
+            .filter(|&(_, v)| v > 0)
+            .map(|(class, v)| ((*class).to_owned(), Expr::Int(v), 0))
+            .collect(),
+        streams: d.streams().iter().map(stream_spec).collect(),
+        depend: Some((d.dependency_fraction(), 0)),
+        line: 0,
     }
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-    out
+}
+
+fn stream_spec(s: &AccessStream) -> StreamSpec {
+    let pattern = match s.pattern {
+        AccessPattern::Streaming => PatternSpec::Streaming,
+        AccessPattern::RandomUniform { working_set_bytes } => PatternSpec::Random {
+            working_set: Expr::Int(working_set_bytes),
+        },
+        AccessPattern::Sweep {
+            working_set_bytes,
+            sweeps,
+        } => PatternSpec::Sweep {
+            working_set: Expr::Int(working_set_bytes),
+            sweeps: Expr::Int(sweeps.into()),
+        },
+        AccessPattern::HotCold {
+            hot_fraction,
+            hot_bytes,
+            cold_bytes,
+        } => PatternSpec::HotCold {
+            hot_fraction,
+            hot: Expr::Int(hot_bytes),
+            cold: Expr::Int(cold_bytes),
+        },
+        AccessPattern::Broadcast { bytes } => PatternSpec::Broadcast {
+            bytes: Expr::Int(bytes),
+        },
+    };
+    StreamSpec {
+        write: matches!(s.direction, Direction::Write),
+        accesses: Expr::Int(s.warp_accesses),
+        tpa: s.transactions_per_access,
+        pattern,
+        line: 0,
+    }
 }
 
 /// Schedule identifier for the `i`-th unique kernel: `k<i>_<sanitized>`.
