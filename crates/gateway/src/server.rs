@@ -61,19 +61,14 @@ use crate::sync;
 
 const HEALTH_TICK: Duration = Duration::from_millis(50);
 
-/// Client-side read timeout (also the keep-alive idle timeout).
-const READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// `Retry-After` seconds advertised on a local `503`.
-const RETRY_AFTER_S: u32 = 1;
-
 /// The cross-device comparison route (`cactus-lint` checks served routes
 /// against client-consumed paths, so the pattern lives here as a literal).
 pub const COMPARE_ROUTE: &str = "/v1/compare/{scale}/{workload}";
 
 /// Gateway tuning knobs: the values a deployment sets. Everything else
-/// is a constant — the listener's read timeout (`READ_TIMEOUT`, 5 s) and
-/// `Retry-After` (`RETRY_AFTER_S`, 1 s), the pooled connections' I/O
+/// is a constant — the daemon's read timeout ([`daemon::READ_TIMEOUT`],
+/// 5 s) and `Retry-After` ([`daemon::RETRY_AFTER_S`], 1 s), the pooled
+/// connections' I/O
 /// timeout (60 s), dial and probe bound (`PROBE_TIMEOUT`, 500 ms) and idle
 /// cap (8 per backend), the retry policy (3 attempts, backoff from 10 ms
 /// capped at 200 ms), the hedge quantile (p90) and cap (`HEDGE_CAP`, 2 s),
@@ -232,8 +227,6 @@ impl Gateway {
             Limits {
                 workers: config.workers,
                 queue: config.queue,
-                read_timeout: READ_TIMEOUT,
-                retry_after_s: RETRY_AFTER_S,
             },
             GatewayHandler {
                 router,

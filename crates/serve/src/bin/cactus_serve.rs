@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cactus-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!              [--retry-after SECS] [--store-dir PATH] [--port-file PATH]
-//!              [--span-log PATH] [--devices ID,ID,...]
+//!              [--store-dir PATH] [--port-file PATH] [--span-log PATH]
+//!              [--devices ID,ID,...]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port), optionally writes the bound port
@@ -38,7 +38,6 @@ usage: cactus-serve [options]
   --workers N          worker threads (default 4)
   --queue N            accepted connections allowed to wait (default 64)
   --cache N            response-cache entries, 0 disables (default 256)
-  --retry-after SECS   Retry-After advertised on 503 (default 1)
   --store-dir PATH     profile-store directory, held exclusively while running
                        (default: CACTUS_PROFILE_STORE, else workspace
                        results/profiles — the one the fig/table bins use)
@@ -74,7 +73,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
             "--workers" => config.workers = parse_num(&flag, &value()?)?,
             "--queue" => config.queue = parse_num(&flag, &value()?)?,
             "--cache" => config.cache_capacity = parse_num(&flag, &value()?)?,
-            "--retry-after" => config.retry_after_s = parse_num(&flag, &value()?)?,
             "--store-dir" => config.store_dir = Some(value()?.into()),
             "--span-log" => config.span_log = Some(value()?.into()),
             "--devices" => {

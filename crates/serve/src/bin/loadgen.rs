@@ -8,8 +8,8 @@
 //!
 //! Spawns `--clients` closed-loop clients (each sends its next request only
 //! after the previous response arrives) over keep-alive connections,
-//! fanning `--requests` total requests round-robin across every `--target`
-//! (`--addr` is an alias for one target), then prints throughput, a latency
+//! fanning `--requests` total requests round-robin across every `--target`,
+//! then prints throughput, a latency
 //! summary (p50/p90/p99), a status histogram, and the per-target request
 //! distribution — so the same binary drives one daemon, a fleet, or the
 //! gateway in front of it. `503` responses are counted separately so
@@ -34,7 +34,6 @@ usage: loadgen --target HOST:PORT [--target HOST:PORT ...] [options]
 
   --target HOST:PORT server to load; repeat for several targets
                      (requests round-robin across all of them)
-  --addr HOST:PORT   alias for --target (kept for compatibility)
   --clients N        concurrent closed-loop clients (default 4)
   --requests N       total requests across all clients (default 200)
   --path PATH        request path (default /v1/profile/rtx-3080/tiny/GMS)
@@ -77,7 +76,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
             .next()
             .ok_or_else(|| format!("{flag} requires a value"))?;
         match flag.as_str() {
-            "--target" | "--addr" => {
+            "--target" => {
                 targets.push(
                     value
                         .parse()
@@ -117,7 +116,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
         }
     }
     if targets.is_empty() {
-        return Err("at least one --target (or --addr) is required".to_owned());
+        return Err("at least one --target is required".to_owned());
     }
     Ok(Some(Args {
         targets,

@@ -51,6 +51,14 @@ const REJECT_DRAIN: Duration = Duration::from_millis(250);
 /// a close, bounding how long a single client can pin a worker.
 pub const KEEP_ALIVE_MAX: usize = 256;
 
+/// Per-connection read timeout, on both tiers; doubles as the keep-alive
+/// idle timeout.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// `Retry-After` seconds advertised on the accept thread's `503`, on both
+/// tiers.
+pub const RETRY_AFTER_S: u32 = 1;
+
 /// What the loop tells its handler's metrics hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -87,7 +95,8 @@ pub trait Handler: Send + Sync + 'static {
 }
 
 /// Sizing of one daemon (the fields `ServeConfig` and `GatewayConfig`
-/// share, minus the address [`bind`] took).
+/// share, minus the address [`bind`] took). The read timeout and
+/// `Retry-After` are the constants [`READ_TIMEOUT`] and [`RETRY_AFTER_S`].
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Worker threads (at least one is spawned).
@@ -95,10 +104,6 @@ pub struct Limits {
     /// Accepted connections that may wait for a worker before the daemon
     /// starts answering `503`.
     pub queue: usize,
-    /// Per-connection read timeout; doubles as the keep-alive idle timeout.
-    pub read_timeout: Duration,
-    /// `Retry-After` seconds advertised on that `503`.
-    pub retry_after_s: u32,
 }
 
 /// A bound listener that is not yet served, so a tier can fail on a taken
@@ -140,14 +145,14 @@ impl Bound {
                 let (handler, rx, shutdown) =
                     (Arc::clone(&handler), Arc::clone(&rx), Arc::clone(&shutdown));
                 std::thread::spawn(move || {
-                    worker_loop(&*handler, &rx, limits.read_timeout, &shutdown);
+                    worker_loop(&*handler, &rx, &shutdown);
                 })
             })
             .collect();
         let accept = {
             let (handler, shutdown) = (Arc::clone(&handler), Arc::clone(&shutdown));
             std::thread::spawn(move || {
-                accept_loop(&*handler, &listener, &tx, limits.retry_after_s, &shutdown);
+                accept_loop(&*handler, &listener, &tx, &shutdown);
             })
         };
         Daemon {
@@ -231,7 +236,6 @@ fn accept_loop<H: Handler>(
     handler: &H,
     listener: &TcpListener,
     tx: &SyncSender<TcpStream>,
-    retry_after_s: u32,
     shutdown: &AtomicBool,
 ) {
     loop {
@@ -247,7 +251,7 @@ fn accept_loop<H: Handler>(
                 handler.observe(Event::Accepted);
                 match tx.try_send(stream) {
                     Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => reject_busy(handler, stream, retry_after_s),
+                    Err(TrySendError::Full(stream)) => reject_busy(handler, stream),
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
@@ -261,7 +265,7 @@ fn accept_loop<H: Handler>(
 }
 
 /// Answer `503 + Retry-After` without occupying a worker.
-fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream, retry_after_s: u32) {
+fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     // Drain the request head before answering: closing with unread bytes in
@@ -285,35 +289,29 @@ fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream, retry_after_s: u3
         }
     }
     handler.observe(Event::Rejected);
-    let _ = Response::busy(retry_after_s).write_to(&mut stream);
+    let _ = Response::busy(RETRY_AFTER_S).write_to(&mut stream);
 }
 
 fn worker_loop<H: Handler>(
     handler: &H,
     rx: &RankedMutex<Receiver<TcpStream>>,
-    read_timeout: Duration,
     shutdown: &AtomicBool,
 ) {
     loop {
         let next = rx.lock().recv();
         let Ok(stream) = next else { break };
         handler.observe(Event::Dequeued);
-        handle_connection(handler, &stream, read_timeout, shutdown);
+        handle_connection(handler, &stream, shutdown);
     }
 }
 
 /// Serve sequential keep-alive requests from one connection until the
 /// client closes (or asks to), an error or idle timeout occurs, the
 /// per-connection request cap is reached, or shutdown begins.
-fn handle_connection<H: Handler>(
-    handler: &H,
-    stream: &TcpStream,
-    read_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
+fn handle_connection<H: Handler>(handler: &H, stream: &TcpStream, shutdown: &AtomicBool) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
 
     // One request and one head buffer per connection, refilled in place.

@@ -40,11 +40,6 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Response-cache capacity (entries); 0 disables response caching.
     pub cache_capacity: usize,
-    /// `Retry-After` seconds advertised on `503`.
-    pub retry_after_s: u32,
-    /// Per-connection read timeout; doubles as the keep-alive idle timeout
-    /// (slow, silent, or idle clients).
-    pub read_timeout: Duration,
     /// Profile-store directory override (`None` =
     /// [`cactus_store::default_dir`]: `CACTUS_PROFILE_STORE`, else the
     /// workspace's `results/profiles/`, shared with the fig/table bins).
@@ -64,8 +59,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue: 64,
             cache_capacity: 256,
-            retry_after_s: 1,
-            read_timeout: Duration::from_secs(5),
             store_dir: None,
             devices: Vec::new(),
             span_log: None,
@@ -312,8 +305,6 @@ impl Server {
         let limits = Limits {
             workers: config.workers,
             queue: config.queue,
-            read_timeout: config.read_timeout,
-            retry_after_s: config.retry_after_s,
         };
         let state = ServerState {
             service,

@@ -300,8 +300,12 @@ impl Triple {
         self.entry.device()
     }
 
-    /// The triple's one key, [`push_key`](Self::push_key) into a fresh
-    /// string.
+    /// The triple's one key: `device/scale/workload`, then `@<16 hex
+    /// digits>` of the definition's digest for a submitted workload. It
+    /// names the store record, the response-cache entry (after
+    /// `<endpoint>/`), the single-flight group and the `/v1/similar` ids,
+    /// so a replacement's triples key afresh and nothing derived from the
+    /// replaced text is reached again. Built-in keys carry no digest.
     #[must_use]
     pub fn key(&self) -> String {
         let mut key = String::with_capacity(48);
@@ -309,12 +313,7 @@ impl Triple {
         key
     }
 
-    /// Append `device/scale/workload`, then `@<16 hex digits>` of the
-    /// definition's digest for a submitted workload. This one string names
-    /// the store record, the response-cache entry (after `<endpoint>/`),
-    /// the single-flight group and the `/v1/similar` ids, so a replacement's
-    /// triples key afresh and nothing derived from the replaced text is
-    /// reached again. Built-in keys carry no digest.
+    /// Append [`key`](Self::key) to `out`: the one writer of that string.
     pub(crate) fn push_key(&self, out: &mut String) {
         out.push_str(self.entry.id);
         out.push('/');

@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use cactus_obs::{ApiError, TraceId};
-use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits, KEEP_ALIVE_MAX};
+use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits, KEEP_ALIVE_MAX, RETRY_AFTER_S};
 use cactus_serve::http::{Request, Response};
 
 /// Answers `/ok` with the trace id it was handed, panics on `/boom`, and
@@ -46,12 +46,7 @@ impl Stub {
 }
 
 fn start(workers: usize, queue: usize) -> Daemon<Stub> {
-    let limits = Limits {
-        workers,
-        queue,
-        read_timeout: Duration::from_secs(2),
-        retry_after_s: 7,
-    };
+    let limits = Limits { workers, queue };
     let stub = Stub {
         events: Mutex::new(Vec::new()),
         entered: Barrier::new(2),
@@ -242,7 +237,11 @@ fn a_full_queue_answers_503_without_occupying_a_worker() {
     // does while the worker is still parked.
     let reply = Conn::open(&daemon).get("/ok");
     assert_eq!(reply.status, 503);
-    assert!(reply.has("retry-after: 7"), "{}", reply.head);
+    assert!(
+        reply.has(&format!("retry-after: {RETRY_AFTER_S}")),
+        "{}",
+        reply.head
+    );
     assert!(reply.has("connection: close"), "{}", reply.head);
     assert!(
         ApiError::from_json(&reply.body)

@@ -301,8 +301,6 @@ fn saturated_pool_returns_503_with_retry_after() {
     let server = Server::start(ServeConfig {
         workers: 1,
         queue: 1,
-        retry_after_s: 2,
-        read_timeout: Duration::from_secs(20),
         store_dir: Some(dir.clone()),
         ..ServeConfig::default()
     })
@@ -311,9 +309,14 @@ fn saturated_pool_returns_503_with_retry_after() {
 
     // Pin down the worker and fill the queue with connections that send
     // nothing: the worker blocks reading the first, the second waits in the
-    // queue.
+    // queue. The pause lets the worker take the first off the queue before
+    // the second arrives, which a full queue would refuse instead.
     let idle: Vec<TcpStream> = (0..2)
-        .map(|_| TcpStream::connect(addr).expect("idle connect"))
+        .map(|_| {
+            let stream = TcpStream::connect(addr).expect("idle connect");
+            std::thread::sleep(Duration::from_millis(100));
+            stream
+        })
         .collect();
     // Give the accept thread time to enqueue both.
     std::thread::sleep(Duration::from_millis(300));
@@ -323,7 +326,11 @@ fn saturated_pool_returns_503_with_retry_after() {
     for _ in 0..10 {
         match client.get("/v1/healthz") {
             Ok(reply) if reply.status == 503 => {
-                assert_eq!(reply.retry_after_s(), Some(2), "503 must carry Retry-After");
+                assert_eq!(
+                    reply.retry_after_s(),
+                    Some(cactus_serve::daemon::RETRY_AFTER_S),
+                    "503 must carry Retry-After"
+                );
                 saw_busy = true;
                 break;
             }
