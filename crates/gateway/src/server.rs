@@ -66,7 +66,7 @@ const HEALTH_TICK: Duration = Duration::from_millis(50);
 pub const COMPARE_ROUTE: &str = "/v1/compare/{scale}/{workload}";
 
 /// Gateway tuning knobs: the values a deployment sets. Everything else
-/// is a constant — the daemon's read timeout ([`daemon::READ_TIMEOUT`],
+/// is a constant — the daemon's read timeout (`daemon::READ_TIMEOUT`,
 /// 5 s) and `Retry-After` ([`daemon::RETRY_AFTER_S`], 1 s), the pooled
 /// connections' I/O
 /// timeout (60 s), dial and probe bound (`PROBE_TIMEOUT`, 500 ms) and idle

@@ -53,7 +53,7 @@ pub const KEEP_ALIVE_MAX: usize = 256;
 
 /// Per-connection read timeout, on both tiers; doubles as the keep-alive
 /// idle timeout.
-pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// `Retry-After` seconds advertised on the accept thread's `503`, on both
 /// tiers.
@@ -96,7 +96,7 @@ pub trait Handler: Send + Sync + 'static {
 
 /// Sizing of one daemon (the fields `ServeConfig` and `GatewayConfig`
 /// share, minus the address [`bind`] took). The read timeout and
-/// `Retry-After` are the constants [`READ_TIMEOUT`] and [`RETRY_AFTER_S`].
+/// `Retry-After` are the constants `READ_TIMEOUT` and [`RETRY_AFTER_S`].
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Worker threads (at least one is spawned).
