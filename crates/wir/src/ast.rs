@@ -135,7 +135,7 @@ pub struct StreamSpec {
 }
 
 /// `kernel id { … }` declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelDef {
     /// Schedule-visible identifier (`launch id;`).
     pub id: String,
@@ -177,7 +177,7 @@ pub enum Stmt {
 }
 
 /// One parsed `workload "name" { … }` definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadDef {
     pub name: String,
     pub line: u32,

@@ -23,25 +23,19 @@ pub fn capture(name: &str, descs: &[KernelDesc]) -> String {
     let mut unique: Vec<&KernelDesc> = Vec::new();
     let mut schedule: Vec<usize> = Vec::with_capacity(descs.len());
     for d in descs {
-        let idx = match unique.iter().position(|u| *u == d) {
-            Some(i) => i,
-            None => {
-                unique.push(d);
-                unique.len() - 1
-            }
-        };
-        schedule.push(idx);
+        schedule.push(unique.iter().position(|u| *u == d).unwrap_or_else(|| {
+            unique.push(d);
+            unique.len() - 1
+        }));
     }
     // The engine's pattern model is analytic, so replay is exactly
     // reproducible; the seed satisfies the determinism pass and keeps the
     // contract visible in the text.
-    let stochastic = unique.iter().any(|d| {
-        d.streams().iter().any(|s| {
-            matches!(
-                s.pattern,
-                AccessPattern::RandomUniform { .. } | AccessPattern::HotCold { .. }
-            )
-        })
+    let stochastic = unique.iter().flat_map(|d| d.streams()).any(|s| {
+        matches!(
+            s.pattern,
+            AccessPattern::RandomUniform { .. } | AccessPattern::HotCold { .. }
+        )
     });
     let kernels: Vec<KernelDef> = unique
         .iter()
@@ -68,15 +62,10 @@ pub fn capture(name: &str, descs: &[KernelDesc]) -> String {
         .collect();
     crate::printer::print(&WorkloadDef {
         name: name.to_owned(),
-        line: 0,
         seed: stochastic.then_some((0, 0)),
-        params: Vec::new(),
-        scales: Vec::new(),
-        classes: Vec::new(),
         kernels,
-        phases: Vec::new(),
         run,
-        run_line: 0,
+        ..WorkloadDef::default()
     })
 }
 
@@ -91,7 +80,6 @@ fn kernel_def(id: String, d: &KernelDesc) -> KernelDef {
     KernelDef {
         id,
         name: Some(d.name().to_owned()),
-        taxonomy: None,
         launch: Some(LaunchSpec {
             kind: GeomKind::Grid,
             a: Expr::Int(l.grid_blocks),
@@ -108,7 +96,7 @@ fn kernel_def(id: String, d: &KernelDesc) -> KernelDef {
             .collect(),
         streams: d.streams().iter().map(stream_spec).collect(),
         depend: Some((d.dependency_fraction(), 0)),
-        line: 0,
+        ..KernelDef::default()
     }
 }
 
@@ -149,14 +137,12 @@ fn stream_spec(s: &AccessStream) -> StreamSpec {
 
 /// Schedule identifier for the `i`-th unique kernel: `k<i>_<sanitized>`.
 fn kernel_id(i: usize, name: &str) -> String {
-    let mut san = String::new();
-    for c in name.chars().take(32) {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            san.push(c.to_ascii_lowercase());
-        } else {
-            san.push('_');
-        }
-    }
+    let keep = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let san: String = name
+        .chars()
+        .take(32)
+        .map(|c| if keep(c) { c.to_ascii_lowercase() } else { '_' })
+        .collect();
     if san.is_empty() {
         format!("k{i}")
     } else {
