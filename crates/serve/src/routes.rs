@@ -104,9 +104,10 @@ pub(crate) fn respond(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
 /// `GET` answers the stored record verbatim whatever its version (repair
 /// copies bytes; relevance is the *receiver's* concern) and never falls
 /// through to simulation. A submitted workload's profiles are stored under
-/// its definition's digest (`<device>/<scale>/<name>@<digest>`): when the
-/// bare `<device>/<scale>/<name>` is absent and `<name>` is registered,
-/// `GET` reads the current definition's key. `POST` ingests through
+/// its definition's digest (`<device>/<scale>/<name>@<digest>`): a bare
+/// `<device>/<scale>/<name>` whose `<name>` is registered reads the current
+/// definition's key, never a record an older binary stored under the bare
+/// name. `POST` ingests through
 /// `ProfileService::ingest_record`: a canonical profile document at the
 /// key device's current
 /// [`record_version`](cactus_gpu::catalog::CatalogEntry::record_version),
@@ -136,17 +137,19 @@ fn store_record(state: &ServerState, req: &Request, key: &str, ctx: SpanCtx<'_>)
             }
         };
     }
+    let current = match segments.as_slice() {
+        [device, scale, name] => state
+            .service
+            .resolve_triple(device, scale, name)
+            .ok()
+            .filter(|t| matches!(t.workload, ServableWorkload::Wir(_)))
+            .map(|t| t.key()),
+        _ => None,
+    };
+    let key = current.as_deref().unwrap_or(key);
     let mut span = ctx.child("store.get");
     span.tag("key", key.to_owned());
-    let store = state.service.store();
-    let mut record = store.get(key);
-    if let (Ok(None), [device, scale, name]) = (&record, segments.as_slice()) {
-        match state.service.resolve_triple(device, scale, name) {
-            Ok(t) if matches!(t.workload, ServableWorkload::Wir(_)) => record = store.get(&t.key()),
-            _ => {}
-        }
-    }
-    match record {
+    match state.service.store().get(key) {
         Ok(Some(record)) => {
             span.tag("version", record.version);
             match String::from_utf8(record.value) {

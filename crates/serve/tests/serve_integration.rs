@@ -1273,6 +1273,41 @@ fn a_replacement_has_no_stored_record_before_its_first_read() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store written before profile keys carried the definition's digest may
+/// hold a record under a submission's bare name — here the placeholder the
+/// old re-submission sweep wrote. The record route reads the current
+/// definition's profile instead, as the profile route does.
+#[test]
+fn a_bare_name_record_is_not_read_for_a_submission() {
+    let dir = fresh_dir();
+    cactus_store::Store::open(&dir)
+        .expect("open store")
+        .append("rtx-3080/tiny/swap", 0, b"superseded by re-submission\n")
+        .expect("seed store");
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        queue: 16,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let client = Client::new(server.addr()).with_timeout(Duration::from_secs(120));
+    let reply = client
+        .post_traced("/v1/workloads", SWAP_INT, None)
+        .expect("v1");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let record = client
+        .get("/v1/store/record/rtx-3080/tiny/swap")
+        .expect("record");
+    assert_eq!(record.status, 404, "{:?}", record.body);
+    let [profile, _, record] = swap_views(&client);
+    assert_eq!(record, profile, "the record is the served profile");
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The startup reload runs the whole admission stack: a stored definition
 /// that passes the language-level validator but not the serve policy (it
 /// declares two of the three scales) is not admitted, exactly as a POST
