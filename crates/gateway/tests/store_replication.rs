@@ -269,6 +269,142 @@ fn a_follower_restarted_inside_the_ejection_window_is_repaired() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Six tiny triples: the two tests below read each through every route
+/// that names it.
+const TRIPLES: [(&str, &str); 6] = [
+    ("rtx-3080", "GMS"),
+    ("a100", "GMS"),
+    ("gtx-1080", "GMS"),
+    ("rtx-2080-ti", "GMS"),
+    ("rtx-3060", "GMS"),
+    ("rtx-3080", "SPT"),
+];
+
+/// Every route that addresses one triple but its profile: the three other
+/// views and the similarity reference query.
+fn other_routes(device: &str, workload: &str) -> Vec<String> {
+    let mut routes: Vec<String> = ["kernels", "roofline", "dominant"]
+        .iter()
+        .map(|view| format!("/v1/{view}/{device}/tiny/{workload}"))
+        .collect();
+    routes.push(format!(
+        "/v1/similar?device={device}&scale=tiny&workload={workload}"
+    ));
+    routes
+}
+
+/// `cactus_serve_simulations_total` of each backend in `slots`.
+fn simulations(fleet: &Supervisor, slots: &[usize]) -> Vec<f64> {
+    let addrs = fleet.addrs();
+    slots
+        .iter()
+        .map(|&i| {
+            Client::new(addrs[i])
+                .with_timeout(Duration::from_secs(10))
+                .metrics()
+                .expect("backend metrics")
+                .get("cactus_serve_simulations_total")
+                .unwrap_or(0.0)
+        })
+        .collect()
+}
+
+/// Every route of a triple reaches the backend that owns the triple's
+/// key: with no repair pass to copy anything, each of six triples read
+/// through its four views and its similarity query is simulated once and
+/// stored on one backend.
+#[test]
+fn a_triples_views_and_similar_query_simulate_once() {
+    let dir = std::env::temp_dir().join(format!("cactus-store-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = Supervisor::spawn_fleet(3, &fleet_config(&dir)).expect("spawn fleet");
+    let config = GatewayConfig {
+        probe_interval: None,
+        ..gateway_config()
+    };
+    let gateway = Gateway::start(config, fleet.addrs()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(120));
+
+    for (device, workload) in TRIPLES {
+        let profile = format!("/v1/profile/{device}/tiny/{workload}");
+        for path in std::iter::once(profile).chain(other_routes(device, workload)) {
+            let reply = client.get(&path).expect("read");
+            assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+        }
+    }
+    let simulated: f64 = simulations(&fleet, &[0, 1, 2]).iter().sum();
+    let manifest = client
+        .get("/v1/store/manifest")
+        .expect("fleet manifest")
+        .body;
+    assert_eq!(simulated, 6.0, "one simulation per triple:\n{manifest}");
+    for (device, workload) in TRIPLES {
+        let key = format!("{device}/tiny/{workload}");
+        assert_eq!(holders_of(&manifest, &key).len(), 1, "{key}:\n{manifest}");
+    }
+
+    gateway.join();
+    fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Once repair has copied each record to its follower, losing the owner
+/// loses no route of its triples: every other view and the similarity
+/// query fail over to the follower, which answers from its store without
+/// simulating again.
+#[test]
+fn every_view_of_a_killed_owners_triple_is_served_by_its_follower() {
+    let dir = std::env::temp_dir().join(format!("cactus-store-views-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = Supervisor::spawn_fleet(3, &fleet_config(&dir)).expect("spawn fleet");
+    let gateway = Gateway::start(gateway_config(), fleet.addrs()).expect("start gateway");
+    let client = Client::new(gateway.addr()).with_timeout(Duration::from_secs(120));
+
+    for (device, workload) in TRIPLES {
+        let path = format!("/v1/profile/{device}/tiny/{workload}");
+        let reply = client.get(&path).expect("read");
+        assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let manifest = loop {
+        let manifest = client
+            .get("/v1/store/manifest")
+            .expect("fleet manifest")
+            .body;
+        if manifest.contains("\nmissing 0\n") {
+            break manifest;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the followers were not refilled within 5 s:\n{manifest}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    let owner_of = |(d, w): &(&str, &str)| replicas_of(&manifest, &format!("{d}/tiny/{w}"))[0];
+    let owner = (0..3)
+        .max_by_key(|&b| TRIPLES.iter().filter(|t| owner_of(t) == b).count())
+        .expect("three backends");
+    let survivors: Vec<usize> = (0..3).filter(|&b| b != owner).collect();
+
+    fleet.kill(owner);
+    let before = simulations(&fleet, &survivors);
+    for (device, workload) in TRIPLES.iter().filter(|t| owner_of(t) == owner) {
+        for path in other_routes(device, workload) {
+            let reply = client.get(&path).expect("read with the owner down");
+            assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+        }
+    }
+    assert_eq!(
+        simulations(&fleet, &survivors),
+        before,
+        "backends {survivors:?} simulated a triple owner {owner} had:\n{manifest}"
+    );
+
+    gateway.join();
+    fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A keep-alive stub backend that logs `METHOD path` for every request.
 /// A `GET` of the store manifest answers the stub's manifest; any other
 /// `GET` answers `200` with a profile or record body; a `POST` answers the
