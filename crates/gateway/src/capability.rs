@@ -72,37 +72,6 @@ impl CapabilityMap {
     }
 }
 
-/// Extract the catalog device id a request targets, if the path addresses
-/// one: triple endpoints (`/v1/<ep>/<device>/<scale>/<workload>`), the
-/// similarity endpoint (`/v1/similar?device=...`), and store record pushes
-/// (`/v1/store/record/<device>/<scale>/<workload>`). Borrowed from
-/// `target`: the gateway parses it once per forward and allocates nothing.
-#[must_use]
-pub(crate) fn device_for_target(target: &str) -> Option<&str> {
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (target, None),
-    };
-    // Seven slots tell every shape below from a longer path.
-    let mut segs = path.trim_matches('/').split('/');
-    let segs: [Option<&str>; 7] = std::array::from_fn(|_| segs.next());
-    match segs {
-        [Some("v1"), Some("similar"), None, ..] => query?.split('&').find_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            (k == "device" && !v.is_empty()).then_some(v)
-        }),
-        [Some("v1"), Some("store"), Some("record"), Some(device), Some(_), Some(_), None] => {
-            Some(device)
-        }
-        [Some("v1"), Some(ep), Some(device), Some(_), Some(_), None, None]
-            if ep != "store" && ep != "compare" =>
-        {
-            Some(device)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,24 +116,5 @@ mod tests {
         assert!(!map.capable(0, "a100"));
         assert!(map.capable(0, "gtx-1080"));
         map.record(7, vec!["a100".into()]); // out of range: no panic
-    }
-
-    #[test]
-    fn device_extraction_covers_the_routed_surface() {
-        for (target, want) in [
-            ("/v1/profile/rtx-3080/profile/GMS", Some("rtx-3080")),
-            ("/v1/roofline/uhd-630/tiny/BFS", Some("uhd-630")),
-            ("/v1/kernels/a100/profile/GMS", Some("a100")),
-            ("/v1/dominant/a100/profile/GMS", Some("a100")),
-            ("/v1/store/record/rtx-3060/tiny/GMS", Some("rtx-3060")),
-            ("/v1/similar?device=rtx-3080&scale=tiny", Some("rtx-3080")),
-            ("/v1/similar?scale=tiny", None),
-            ("/v1/compare/profile/GMS?devices=a,b", None),
-            ("/v1/healthz", None),
-            ("/v1/devices", None),
-            ("/v1/store/manifest", None),
-        ] {
-            assert_eq!(device_for_target(target), want, "target {target}");
-        }
     }
 }

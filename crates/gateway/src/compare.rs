@@ -32,7 +32,7 @@ use cactus_gpu::catalog::CatalogEntry;
 use cactus_obs::api::json_escape;
 use cactus_obs::SpanCtx;
 use cactus_profiler::{store as profile_store, Profile};
-use cactus_serve::http::{Request, Response};
+use cactus_serve::http::{query_param, Request, Response};
 use cactus_serve::routes::{CSV, JSON};
 use cactus_serve::wire::{self, CompareRow};
 use cactus_serve::DeviceId;
@@ -70,12 +70,7 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
         );
     };
 
-    let param = |name: &str| {
-        request.query()?.split('&').find_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            (k == name && !v.is_empty()).then_some(v)
-        })
-    };
+    let param = |name| query_param(request.query(), name).filter(|v| !v.is_empty());
     let format = param("format").unwrap_or("json");
     if format != "json" && format != "csv" {
         return Response::error(400, format!("unknown format {format:?}; use json or csv"));
@@ -114,8 +109,9 @@ fn compare_inner(router: &Arc<Router>, request: &Request, ctx: SpanCtx<'_>) -> R
     let leg_ctx = span.ctx();
 
     // One leg per device, raced in parallel. Each leg is an ordinary
-    // routed profile fetch: capability filtering keeps it on backends that
-    // model the device.
+    // routed profile fetch under its triple's key, so it reaches the
+    // triple's owner: capability filtering keeps it on backends that model
+    // the device.
     let mut outcomes: Vec<(usize, Response)> = std::thread::scope(|s| {
         let handles: Vec<_> = ids
             .iter()

@@ -5,10 +5,13 @@
 //! a single address with better tail latency and availability than any
 //! single backend:
 //!
-//! * **Consistent-hash routing** ([`ring`]) — each profile key (endpoint,
-//!   device, scale, workload) maps to a stable backend, so every shard's
-//!   response cache and engine memo cache stay hot for its slice of the
-//!   keyspace, and adding or losing a backend only remaps ~1/N of keys.
+//! * **Consistent-hash routing** ([`ring`]) — every route of a (device,
+//!   scale, workload) triple maps by the triple's one key to a stable
+//!   backend, the owner of its store record, so a triple is simulated once,
+//!   every shard's response cache and engine memo cache stay hot for its
+//!   slice of the keyspace, and adding or losing a backend only remaps
+//!   ~1/N of keys. The next backend on the ring, the failover and hedge
+//!   target, is the record's other replica.
 //! * **Health-checked failover** ([`health`]) — consecutive transport
 //!   failures eject a backend from rotation; after a cooldown it re-enters
 //!   half-open and one successful trial request re-admits it. Passive

@@ -105,23 +105,21 @@ impl Router {
         }
     }
 
-    /// The replica set for `key`: the first two *capable* backends in raw
-    /// ring order, independent of current health. Health-independence is
-    /// the point — the set names where a record *should* live, so the
-    /// repair pass can refill a backend that was down when the record was
-    /// written. Capability-dependence is equally the point: a backend that
-    /// does not model the key's device could never serve (or re-derive) the
-    /// record, so it is not a legitimate replica home.
+    /// The replica set for the triple key `<device>/<scale>/<workload>`:
+    /// the first two backends in raw ring order that model its device,
+    /// independent of current health — with every backend up, the first
+    /// two candidates a forward of any route of the triple tries.
+    /// Health-independence is the point — the set names where a record
+    /// *should* live, so the repair pass can refill a backend that was down
+    /// when the record was written. Capability-dependence is equally the
+    /// point: a backend that does not model the key's device could never
+    /// serve (or re-derive) the record, so it is not a legitimate replica
+    /// home.
     #[must_use]
-    pub(crate) fn replica_set(&self, key: &str) -> Vec<usize> {
-        // Replication keys are `profile/<device>/<scale>/<workload>`.
-        let mut segs = key.split('/');
-        let device = match std::array::from_fn::<_, 5, _>(|_| segs.next()) {
-            [Some("profile"), Some(device), Some(_), Some(_), None] => Some(device),
-            _ => None,
-        };
-        let mut set = self.ring.candidates(key);
-        set.retain(|&i| device.is_none_or(|d| self.capabilities.capable(i, d)));
+    pub(crate) fn replica_set(&self, triple: &str) -> Vec<usize> {
+        let device = triple.split('/').next().unwrap_or_default();
+        let mut set = self.ring.candidates(triple);
+        set.retain(|&i| self.capabilities.capable(i, device));
         set.truncate(2);
         set
     }
@@ -210,10 +208,9 @@ impl Router {
 
     /// Forward `GET path` for routing key `key` through the fleet,
     /// applying hedging and retries, on the backends that model `device`
-    /// (the path's [`device_for_target`](crate::capability::device_for_target),
-    /// which the caller has already parsed). Always produces a response: the
-    /// backend's verbatim reply, or a synthesized `502` envelope when every
-    /// attempt failed. `ctx` (when present) receives one `proxy.attempt`
+    /// (both parsed from `path` by the caller, once). Always produces a
+    /// response: the backend's verbatim reply, or a synthesized `502`
+    /// envelope when every attempt failed. `ctx` (when present) receives one `proxy.attempt`
     /// span per attempt and supplies the trace id forwarded to backends.
     pub(crate) fn forward(
         self: &Arc<Self>,
@@ -472,7 +469,7 @@ mod tests {
     #[test]
     fn candidates_push_ejected_backends_to_the_back() {
         let r = router(dead_addrs(3));
-        let key = "profile/rtx-3080/tiny/GMS";
+        let key = "rtx-3080/tiny/GMS";
         let order = r.candidates_for(key, None);
         let primary = order[0];
         r.health.report_failure(primary);
@@ -493,7 +490,7 @@ mod tests {
         r.capabilities.record(0, vec!["uhd-630".into()]);
         r.capabilities.record(1, vec!["rtx-3080".into()]);
         r.capabilities.record(2, vec!["rtx-3080".into()]);
-        let key = "profile/rtx-3080/tiny/GMS";
+        let key = "rtx-3080/tiny/GMS";
         let order = r.candidates_for(key, Some("rtx-3080"));
         assert!(!order.contains(&0), "incapable backend 0 in {order:?}");
         assert_eq!(order.len(), 2);
@@ -511,7 +508,7 @@ mod tests {
         let replicas = r.replica_set(key);
         assert_eq!(replicas.len(), 2);
         assert!(!replicas.contains(&0), "replica home must model the device");
-        assert_eq!(r.replica_set("profile/uhd-630/tiny/GMS"), vec![0]);
+        assert_eq!(r.replica_set("uhd-630/tiny/GMS"), vec![0]);
     }
 
     #[test]
@@ -521,7 +518,7 @@ mod tests {
         r.capabilities.record(1, vec!["rtx-3080".into()]);
         let out = r.forward(
             "/v1/profile/a100/tiny/GMS",
-            "profile/a100/tiny/GMS",
+            "a100/tiny/GMS",
             Some("a100"),
             None,
         );
@@ -559,7 +556,7 @@ mod tests {
             key in 0u32..1_000_000,
             with_device in 0u32..2,
         ) {
-            let key = format!("profile/rtx-3080/tiny/w{key}");
+            let key = format!("rtx-3080/tiny/w{key}");
             let n = states.len();
             let labels: Vec<String> =
                 dead_addrs(n).iter().map(ToString::to_string).collect();

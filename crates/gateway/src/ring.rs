@@ -4,9 +4,9 @@
 //! a key routes to the first point clockwise from its hash. Two properties
 //! make this the right shape for profile sharding:
 //!
-//! * **Cache affinity** — a given `(endpoint, device, scale, workload)` key
-//!   always lands on the same backend, so that shard's response cache and
-//!   engine memo cache stay hot for its slice of the keyspace.
+//! * **Cache affinity** — a given `(device, scale, workload)` triple key
+//!   always lands on the same backend, so that shard's store, response
+//!   cache and engine memo cache stay hot for its slice of the keyspace.
 //! * **Minimal disruption** — ejecting or adding one backend only remaps
 //!   the keys whose nearest point belonged to it (~1/N of the keyspace);
 //!   every other key keeps its shard and its warm caches.
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn routing_is_deterministic_and_covers_all_backends() {
         let ring = HashRing::new(&labels(3));
-        for key in ["a/b/c", "profile/rtx-3080/tiny/GMS", ""] {
+        for key in ["a/b/c", "rtx-3080/tiny/GMS", ""] {
             let c1 = ring.candidates(key);
             let c2 = ring.candidates(key);
             assert_eq!(c1, c2, "stable for {key:?}");
@@ -181,7 +181,7 @@ mod tests {
         for n in 1..8 {
             let ring = HashRing::new(&labels(n));
             for i in 0..500 {
-                let key = format!("profile/device-{}/tiny/wl-{i}", i % 5);
+                let key = format!("device-{}/tiny/wl-{i}", i % 5);
                 assert_eq!(
                     ring.candidates(&key),
                     seen_set_walk(&ring, &key),
@@ -203,7 +203,7 @@ mod tests {
             }
             splitmix64(h)
         };
-        for key in ["", "a", "127.0.0.1:7000#5", "profile/rtx-3080/tiny/GMS"] {
+        for key in ["", "a", "127.0.0.1:7000#5", "rtx-3080/tiny/GMS"] {
             assert_eq!(hash_str(key), inline(key), "{key:?}");
         }
     }

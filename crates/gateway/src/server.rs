@@ -45,12 +45,11 @@ use std::time::{Duration, Instant};
 
 use cactus_obs::{SpanCtx, TraceId, Tracer};
 use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits};
-use cactus_serve::http::{Request, Response};
+use cactus_serve::http::{query_param, Request, Response};
 use cactus_serve::routes::{tracez, workload_rejection, CSV, TEXT};
 use cactus_serve::server::TRACE_CAPACITY;
 use cactus_serve::wire::{self, parse_health_devices, DeviceEntry};
 
-use crate::capability::device_for_target;
 use crate::compare;
 use crate::connpool::ConnPool;
 use crate::health::{HealthState, HealthTracker};
@@ -301,10 +300,10 @@ fn respond(
             // The full target as sent, so query strings survive the trip
             // to the backend.
             let target = request.target();
+            let (key, device) = parse_target(target);
             // Edge catalog check: a device id the catalog has never heard
             // of can't be answered by any backend — reject here with the
             // envelope instead of spending fleet attempts on it.
-            let device = device_for_target(target);
             if let Some(device) = device {
                 if cactus_gpu::by_id(device).is_none() {
                     let known = cactus_gpu::catalog::device_ids().join(", ");
@@ -314,7 +313,7 @@ fn respond(
                     );
                 }
             }
-            router.forward(target, &routing_key(target), device, Some(ctx))
+            router.forward(target, &key, device, Some(ctx))
         }
     }
 }
@@ -409,36 +408,54 @@ fn fleet_devices(router: &Router, backend_addrs: &[SocketAddr]) -> String {
     out
 }
 
-/// The shard key for a request path. Profile endpoints
-/// (`/v1/<endpoint>/<device>/<scale>/<workload>`) key on the full tuple so
-/// every view of one profile lands on the same shard cache; similarity
-/// reference queries (`/v1/similar?device=&scale=&workload=`) key on that
-/// triple so repeated queries about one profile land on the backend whose
-/// index already ingested it; anything else keys on the whole path
-/// (inline-vector and stats queries thereby share one backend's index).
-/// Borrowed from `target` except for a similarity query's triple.
+/// The shard key for a request target. Every target that addresses one
+/// (device, scale, workload) triple keys on the triple's store key
+/// `<device>/<scale>/<workload>` (`Triple::key` without a submitted
+/// workload's `@digest`, which no path carries): the four views
+/// (`/v1/<view>/<device>/<scale>/<workload>`), a store record
+/// (`/v1/store/record/<device>/<scale>/<workload>`) and a similarity
+/// reference query (`/v1/similar[/stats]?device=&scale=&workload=`). So
+/// each of them reaches the owner of the triple's record first and its
+/// follower next, and a triple is simulated once. Anything else keys on
+/// its whole path (inline-vector and stats queries thereby share one
+/// backend's index). Borrowed from `target` except for a similarity
+/// query's triple.
 #[must_use]
 pub fn routing_key(target: &str) -> Cow<'_, str> {
+    parse_target(target).0
+}
+
+/// The one parse of a forwarded target: its [`routing_key`] and the
+/// catalog device it names, if any (empty counts as none).
+fn parse_target(target: &str) -> (Cow<'_, str>, Option<&str>) {
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
-    let trimmed = path.trim_matches('/');
-    if trimmed == "v1/similar" || trimmed == "v1/similar/stats" {
-        let param = |name: &str| {
-            query?.split('&').find_map(|pair| {
-                let (k, v) = pair.split_once('=')?;
-                (k == name).then_some(v)
-            })
+    let path = path.trim_matches('/');
+    let rest = path.strip_prefix("v1/").unwrap_or_default();
+    if rest == "similar" || rest == "similar/stats" {
+        let device = query_param(query, "device");
+        let key = match (
+            device,
+            query_param(query, "scale"),
+            query_param(query, "workload"),
+        ) {
+            (Some(d), Some(s), Some(w)) => Cow::Owned(format!("{d}/{s}/{w}")),
+            _ => Cow::Borrowed(path),
         };
-        if let (Some(d), Some(s), Some(w)) = (param("device"), param("scale"), param("workload")) {
-            return Cow::Owned(format!("similar/{d}/{s}/{w}"));
-        }
-        return Cow::Borrowed(trimmed);
+        return (key, device.filter(|d| !d.is_empty()));
     }
-    match trimmed.strip_prefix("v1/") {
-        Some(tuple) if tuple.split('/').count() == 4 => Cow::Borrowed(tuple),
-        _ => Cow::Borrowed(trimmed),
+    let triple = match rest.split_once('/') {
+        Some(("store", tail)) => tail.strip_prefix("record/"),
+        Some((view, tail)) if view != "compare" => Some(tail),
+        _ => None,
+    };
+    match triple {
+        Some(triple) if triple.split('/').count() == 3 => {
+            (Cow::Borrowed(triple), triple.split('/').next())
+        }
+        _ => (Cow::Borrowed(path), None),
     }
 }
 
@@ -499,30 +516,68 @@ mod tests {
     fn routing_key_extracts_profile_tuple() {
         assert_eq!(
             routing_key("/v1/profile/rtx-3080/tiny/GMS"),
-            "profile/rtx-3080/tiny/GMS"
+            "rtx-3080/tiny/GMS"
         );
-        assert_eq!(
-            routing_key("/v1/kernels/a100/small/PRT"),
-            "kernels/a100/small/PRT"
-        );
+        assert_eq!(routing_key("/v1/kernels/a100/small/PRT"), "a100/small/PRT");
         assert_eq!(routing_key("/v1/workloads"), "v1/workloads");
         assert_eq!(routing_key("/other/path"), "other/path");
+        // Every other route of a triple shares its key, borrowed.
+        for target in [
+            "/v1/dominant/a100/small/PRT?threshold=0.5",
+            "/v1/store/record/a100/small/PRT",
+        ] {
+            let key = routing_key(target);
+            assert!(matches!(key, Cow::Borrowed("a100/small/PRT")), "{target}");
+        }
+        assert_eq!(
+            routing_key("/v1/store/record/wir/gnn"),
+            "v1/store/record/wir/gnn"
+        );
+        assert_eq!(
+            routing_key("/v1/compare/small/PRT?devices=a100,rtx-3080"),
+            "v1/compare/small/PRT"
+        );
     }
 
     #[test]
     fn routing_key_shards_similar_queries_on_the_triple() {
         assert_eq!(
             routing_key("/v1/similar?device=rtx-3080&scale=tiny&workload=GMS&k=3"),
-            "similar/rtx-3080/tiny/GMS"
+            "rtx-3080/tiny/GMS"
         );
         assert_eq!(
             routing_key("/v1/similar/stats?device=rtx-3080&scale=tiny&workload=GMS"),
-            "similar/rtx-3080/tiny/GMS"
+            "rtx-3080/tiny/GMS"
         );
         // Vector and stats queries without a triple share the path key so
         // they reach one backend's (seeded) index consistently.
         assert_eq!(routing_key("/v1/similar?vector=1,2,3&k=2"), "v1/similar");
         assert_eq!(routing_key("/v1/similar/stats"), "v1/similar/stats");
+    }
+
+    #[test]
+    fn device_extraction_covers_the_routed_surface() {
+        for (target, want) in [
+            ("/v1/profile/rtx-3080/profile/GMS", Some("rtx-3080")),
+            ("/v1/roofline/uhd-630/tiny/BFS", Some("uhd-630")),
+            ("/v1/kernels/a100/profile/GMS", Some("a100")),
+            ("/v1/dominant/a100/profile/GMS", Some("a100")),
+            ("/v1/store/record/rtx-3060/tiny/GMS", Some("rtx-3060")),
+            ("/v1/similar?device=rtx-3080&scale=tiny", Some("rtx-3080")),
+            ("/v1/similar?scale=tiny", None),
+            ("/v1/compare/profile/GMS?devices=a,b", None),
+            ("/v1/healthz", None),
+            ("/v1/devices", None),
+            ("/v1/store/manifest", None),
+            (
+                "/v1/similar/stats?device=a100&scale=tiny&workload=GMS",
+                Some("a100"),
+            ),
+            ("/v1/similar?device=&scale=tiny&workload=GMS", None),
+            ("/v1/store/record/wir/gnn", None),
+        ] {
+            assert_eq!(parse_target(target).1, want, "target {target}");
+        }
     }
 
     #[test]

@@ -126,12 +126,9 @@ fn manifests(router: &Router, ask: impl Fn(usize) -> bool) -> Vec<Option<Vec<Ent
 
 /// The replica set of a profile key: `<device>/<scale>/<workload>`, plus
 /// `@<digest>` for a submitted workload, which is dropped so the record
-/// replicates to the owners of the route its triple is read on.
+/// replicates to the owners of the routes its triple is read on.
 fn profile_replicas(router: &Router) -> impl Fn(&str) -> Vec<usize> + '_ {
-    |key| {
-        let triple = key.split_once('@').map_or(key, |(triple, _)| triple);
-        router.replica_set(&format!("profile/{triple}"))
-    }
+    |key| router.replica_set(key.split_once('@').map_or(key, |(triple, _)| triple))
 }
 
 /// One repair pass over the backends available now: make the pushes
@@ -481,7 +478,7 @@ mod tests {
         );
         let replicas = profile_replicas(&router);
         for name in ["gnn", "swap", "x"] {
-            let route = router.replica_set(&format!("profile/rtx-3080/tiny/{name}"));
+            let route = router.replica_set(&format!("rtx-3080/tiny/{name}"));
             assert_eq!(replicas(&format!("rtx-3080/tiny/{name}")), route);
             assert_eq!(
                 replicas(&format!("rtx-3080/tiny/{name}@0123456789abcdef")),

@@ -208,7 +208,7 @@ fn a_follower_restarted_inside_the_ejection_window_is_repaired() {
     // fifteen triples, as some backend must.
     let labels: Vec<String> = fleet.addrs().iter().map(ToString::to_string).collect();
     let ring = HashRing::new(&labels);
-    let follower = |(d, w): &(&str, &str)| ring.candidates(&format!("profile/{d}/tiny/{w}"))[1];
+    let follower = |(d, w): &(&str, &str)| ring.candidates(&format!("{d}/tiny/{w}"))[1];
     let all: Vec<(&str, &str)> = ["GMS", "SPT", "LGT"]
         .iter()
         .flat_map(|&w| {
@@ -516,7 +516,7 @@ fn a_profile_read_is_one_backend_request() {
     let path = "/v1/profile/rtx-3080/tiny/GMS";
     let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
     // The stubs advertise no device set, so every backend is capable.
-    let owner = HashRing::new(&labels).candidates("profile/rtx-3080/tiny/GMS")[0];
+    let owner = HashRing::new(&labels).candidates("rtx-3080/tiny/GMS")[0];
     let reads = 8;
     for _ in 0..reads {
         assert_eq!(client.get(path).expect("read").status, 200);

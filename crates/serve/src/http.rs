@@ -219,6 +219,16 @@ impl Request {
     }
 }
 
+/// The value of the first `name=` pair in a query string (exact-key match,
+/// so `k` never swallows `kernel`); `Some("")` for `name=`.
+#[must_use]
+pub fn query_param<'q>(query: Option<&'q str>, name: &str) -> Option<&'q str> {
+    query?.split('&').find_map(|pair| {
+        let (key, value) = pair.split_once('=')?;
+        (key == name).then_some(value)
+    })
+}
+
 /// A parsed reply.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HttpReply {
@@ -724,6 +734,23 @@ mod tests {
         // Values containing ':' survive the first-colon split.
         assert_eq!(r.head.get("X-Ref"), Some("http://e:8080/p"));
         assert!(!r.wants_close());
+    }
+
+    #[test]
+    fn query_param_matches_exact_keys_only() {
+        let q = Some("kernel=force&k=7&device=rtx-3080");
+        assert_eq!(query_param(q, "k"), Some("7"));
+        assert_eq!(query_param(q, "kernel"), Some("force"));
+        assert_eq!(query_param(q, "device"), Some("rtx-3080"));
+        assert_eq!(query_param(q, "scale"), None);
+        assert_eq!(query_param(None, "k"), None);
+        // An empty value is present, the first pair wins, and the value
+        // runs from the first `=`.
+        assert_eq!(query_param(Some("scale=&scale=tiny"), "scale"), Some(""));
+        assert_eq!(
+            query_param(Some("threshold=0.5=x"), "threshold"),
+            Some("0.5=x")
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use cactus_profiler::csv;
 
 use crate::cache::CachedResponse;
-use crate::http::{Request, Response};
+use crate::http::{query_param, Request, Response};
 use crate::server::ServerState;
 use crate::service::{ServableWorkload, Triple, WorkloadRejection, SCALE_SLUGS};
 use crate::wire::{self, DeviceEntry};
@@ -383,18 +383,15 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
 }
 
 fn threshold_from_query(query: Option<&str>) -> Result<f64, String> {
-    let Some(query) = query else { return Ok(0.7) };
-    for pair in query.split('&') {
-        if let Some(value) = pair.strip_prefix("threshold=") {
-            return match value.parse::<f64>() {
-                Ok(t) if (0.0..=1.0).contains(&t) => Ok(t),
-                _ => Err(format!(
-                    "threshold must be a number in [0, 1], got {value:?}"
-                )),
-            };
-        }
+    let Some(value) = query_param(query, "threshold") else {
+        return Ok(0.7);
+    };
+    match value.parse::<f64>() {
+        Ok(t) if (0.0..=1.0).contains(&t) => Ok(t),
+        _ => Err(format!(
+            "threshold must be a number in [0, 1], got {value:?}"
+        )),
     }
-    Ok(0.7)
 }
 
 /// `/v1/devices`: the full device catalog with per-device roofline

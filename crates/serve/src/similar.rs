@@ -37,7 +37,7 @@ use cactus_obs::SpanCtx;
 use cactus_profiler::Profile;
 use cactus_simindex::{proxy, ClusterConfig, ClusterSet, Encoder, IndexStats, SimIndex};
 
-use crate::http::{Request, Response};
+use crate::http::{query_param, Request, Response};
 use crate::routes::{CSV, TEXT};
 use crate::server::ServerState;
 use crate::service::Triple;
@@ -351,7 +351,7 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     };
     let mut span = ctx.child("serve.similar");
 
-    if let Some(raw) = param(query, "vector") {
+    if let Some(raw) = query_param(query, "vector") {
         span.tag("form", "vector");
         let v = match parse_vector(raw) {
             Ok(v) => v,
@@ -364,9 +364,9 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     }
 
     let (device, scale, workload) = match (
-        param(query, "device"),
-        param(query, "scale"),
-        param(query, "workload"),
+        query_param(query, "device"),
+        query_param(query, "scale"),
+        query_param(query, "workload"),
     ) {
         (Some(d), Some(s), Some(w)) => (d, s, w),
         _ => {
@@ -407,7 +407,7 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     match state.sim.ingest_and_search(
         &triple,
         &resolved.profile,
-        param(query, "kernel"),
+        query_param(query, "kernel"),
         k,
         Some(span.ctx()),
     ) {
@@ -441,17 +441,8 @@ fn render_similar(report: &SimilarReport) -> String {
     out
 }
 
-/// The value of `name` in the query string (exact-key match, so `k` never
-/// swallows `kernel`).
-fn param<'q>(query: Option<&'q str>, name: &str) -> Option<&'q str> {
-    query?.split('&').find_map(|pair| {
-        let (key, value) = pair.split_once('=')?;
-        (key == name).then_some(value)
-    })
-}
-
 fn k_from_query(query: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = param(query, "k") else {
+    let Some(raw) = query_param(query, "k") else {
         return Ok(K_DEFAULT);
     };
     match raw.parse::<usize>() {
@@ -473,16 +464,6 @@ fn parse_vector(raw: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn param_matches_exact_keys_only() {
-        let q = Some("kernel=force&k=7&device=rtx-3080");
-        assert_eq!(param(q, "k"), Some("7"));
-        assert_eq!(param(q, "kernel"), Some("force"));
-        assert_eq!(param(q, "device"), Some("rtx-3080"));
-        assert_eq!(param(q, "scale"), None);
-        assert_eq!(param(None, "k"), None);
-    }
 
     #[test]
     fn k_parses_and_bounds() {
