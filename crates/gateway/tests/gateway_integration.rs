@@ -27,16 +27,19 @@ use cactus_profiler::store::write_profile;
 use cactus_serve::{Client, Connection, ServeConfig};
 use cactus_store::Store;
 
+/// The devices the sweep reads. Every view of a triple shares the triple's
+/// ring key, so four devices give the sweep's 30 workloads 120 distinct
+/// keys: enough that no shard owning more than half of them means a skewed
+/// ring, not an unlucky draw of ports.
+const DEVICES: [&str; 4] = ["rtx-3080", "a100", "gtx-1080", "rtx-3060"];
+
 /// Seed the three slot stores `spawn_fleet` will open under `dir` so every
-/// Cactus workload and 20 PRT benchmarks resolve at `rtx-3080/profile`
-/// scale without simulating, whichever backend a request lands on. The
-/// profile *content* is shared (one cheap tiny simulation) — the routing
-/// tier never looks inside it.
+/// Cactus workload and 20 PRT benchmarks resolve on each of [`DEVICES`] at
+/// `profile` scale without simulating, whichever backend a request lands
+/// on. The profile *content* is shared (one cheap tiny simulation) — the
+/// routing tier never looks inside it.
 fn seed_store(dir: &std::path::Path) -> Vec<String> {
     let record = write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
-    let version = cactus_gpu::by_id("rtx-3080")
-        .expect("catalog id")
-        .record_version();
     let names: Vec<String> = workloads::suite()
         .into_iter()
         .map(|w| w.abbr.to_owned())
@@ -49,14 +52,19 @@ fn seed_store(dir: &std::path::Path) -> Vec<String> {
         .collect();
     for slot in 0..3 {
         let store = Store::open(dir.join(format!("slot-{slot}"))).expect("open slot store");
-        for name in &names {
-            store
-                .append(
-                    &format!("rtx-3080/profile/{name}"),
-                    version,
-                    record.as_bytes(),
-                )
-                .expect("seed slot store");
+        for device in DEVICES {
+            let version = cactus_gpu::by_id(device)
+                .expect("catalog id")
+                .record_version();
+            for name in &names {
+                store
+                    .append(
+                        &format!("{device}/profile/{name}"),
+                        version,
+                        record.as_bytes(),
+                    )
+                    .expect("seed slot store");
+            }
         }
     }
     names
@@ -67,8 +75,10 @@ fn seed_store(dir: &std::path::Path) -> Vec<String> {
 fn sweep_paths(names: &[String]) -> Vec<String> {
     let mut paths = Vec::new();
     for endpoint in ["profile", "kernels", "roofline", "dominant"] {
-        for name in names {
-            paths.push(format!("/v1/{endpoint}/rtx-3080/profile/{name}"));
+        for device in DEVICES {
+            for name in names {
+                paths.push(format!("/v1/{endpoint}/{device}/profile/{name}"));
+            }
         }
     }
     paths
