@@ -106,8 +106,8 @@ fn serve_stub(mut stream: TcpStream, hits: &AtomicU64, slow_every: Option<u64>, 
     }
 }
 
-/// Find a request path whose consistent-hash primary is `backend`, using
-/// the same ring the gateway builds.
+/// Find a request path whose rendezvous-hash primary is `backend`, using
+/// the same ranking the gateway builds.
 fn path_routed_to(addrs: &[SocketAddr], backend: usize) -> String {
     let labels: Vec<String> = addrs.iter().map(ToString::to_string).collect();
     let ring = HashRing::new(&labels);

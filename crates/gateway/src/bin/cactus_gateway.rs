@@ -184,7 +184,7 @@ fn main() -> ExitCode {
 fn run(args: Args) -> ExitCode {
     signal::install_handlers();
 
-    // Supervised fleet first, so its addresses exist before the ring forms.
+    // Supervised fleet first, so its addresses exist before the gateway ranks them.
     let mut supervisor = None;
     let backends = if args.fleet > 0 {
         let base = ServeConfig {

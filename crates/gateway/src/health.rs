@@ -44,7 +44,7 @@ struct Backend {
     ejected_at: Option<Instant>,
 }
 
-/// Tracks health for a fixed fleet of backends, indexed by ring position.
+/// Tracks health for a fixed fleet of backends, indexed by backend.
 #[derive(Debug)]
 pub struct HealthTracker {
     backends: RankedMutex<Vec<Backend>>,

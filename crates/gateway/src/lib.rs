@@ -5,12 +5,12 @@
 //! a single address with better tail latency and availability than any
 //! single backend:
 //!
-//! * **Consistent-hash routing** ([`ring`]) — every route of a (device,
+//! * **Rendezvous-hash routing** ([`ring`]) — every route of a (device,
 //!   scale, workload) triple maps by the triple's one key to a stable
 //!   backend, the owner of its store record, so a triple is simulated once,
 //!   every shard's response cache and engine memo cache stay hot for its
 //!   slice of the keyspace, and adding or losing a backend only remaps
-//!   ~1/N of keys. The next backend on the ring, the failover and hedge
+//!   ~1/N of keys. The key's second-ranked backend, the failover and hedge
 //!   target, is the record's other replica.
 //! * **Health-checked failover** ([`health`]) — consecutive transport
 //!   failures eject a backend from rotation; after a cooldown it re-enters
@@ -18,10 +18,10 @@
 //!   (data-path) detection always runs; active `/v1/healthz` probing is
 //!   optional.
 //! * **Retries with jittered backoff** ([`proxy`]) — idempotent `GET`s that
-//!   hit a transport error or `503` move to the next backend on the ring.
+//!   hit a transport error or `503` move to the key's next-ranked backend.
 //! * **Hedged requests** ([`proxy`]) — when the primary backend exceeds a
 //!   latency threshold derived from its own recent window, a second
-//!   identical request races it on the next ring candidate; first response
+//!   identical request races it on the next-ranked candidate; first response
 //!   wins. This converts a slow shard's p99 into roughly its neighbour's
 //!   p50.
 //! * **Connection pooling** ([`connpool`]) — keep-alive connections to each

@@ -67,7 +67,7 @@ impl LatencyRing {
     pub(crate) fn record(&self, us: u64) {
         let mut guard = self.window.lock();
         let Window { ring, next, sorted } = &mut *guard;
-        let at = sorted.partition_point(|&x| x < us);
+        let at = sorted.binary_search(&us).unwrap_or_else(|i| i);
         if ring.len() < LATENCY_WINDOW {
             ring.push(us);
             sorted.insert(at, us);
@@ -149,7 +149,7 @@ pub struct GatewayMetrics {
     pub responses_5xx: Counter,
     /// Requests forwarded to some backend and answered (any status).
     pub forwarded: Counter,
-    /// Attempts re-routed to another ring candidate after a retryable
+    /// Attempts re-routed to another ranked candidate after a retryable
     /// failure.
     pub retries: Counter,
     /// Hedge requests launched.
@@ -171,7 +171,7 @@ pub struct GatewayMetrics {
     pub compare_failures: Counter,
     /// End-to-end gateway latency (request read to response written), µs.
     pub latency: Histogram,
-    /// Per-backend accounting, indexed by ring position.
+    /// Per-backend accounting, indexed by backend.
     pub backends: Vec<BackendMetrics>,
     scraped: Scraped,
 }
@@ -320,7 +320,7 @@ fn state_code(state: HealthState) -> u8 {
 /// Render the `/v1/metricsz` body: copy the externally-owned values (health
 /// states, pool counters, ring quantiles) into their scrape gauges, then
 /// hand the page to the shared registry renderer. The `# backend i = addr`
-/// comment lines map ring indices to fleet addresses (comments are skipped
+/// comment lines map backend indices to fleet addresses (comments are skipped
 /// by the exposition parser).
 #[must_use]
 pub(crate) fn render_metrics(

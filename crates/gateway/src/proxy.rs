@@ -1,8 +1,8 @@
 //! The forwarding engine: candidate selection, retries with jittered
 //! backoff, and latency-triggered hedging.
 //!
-//! Every request resolves to a routing key; the ring orders the fleet into
-//! a failover list for that key (primary first). The proxy then:
+//! Every request resolves to a routing key; rendezvous hashing ranks the
+//! fleet into a failover list for that key (primary first). The proxy then:
 //!
 //! 1. **Filters by health** — ejected backends sink to the end of the list
 //!    as a last resort (if every backend is ejected, trying one anyway beats
@@ -28,8 +28,8 @@
 //! one `proxy.attempt` span per backend attempt (tagged with the target,
 //! whether a hedge was launched, and the outcome), and propagates the trace
 //! id to the backend in the `x-cactus-trace` header so both tiers' span
-//! logs carry the same id. Synthesized errors (`no backends`, `all attempts
-//! failed`) are the shared JSON envelope.
+//! logs carry the same id. Synthesized errors (`no backend in the fleet
+//! models device`, `all attempts failed`) are the shared JSON envelope.
 
 use std::io;
 use std::sync::mpsc;
@@ -62,7 +62,7 @@ const HEDGE_QUANTILE: f64 = 0.9;
 /// Maximum hedge delay; a configured hedge floor may not exceed it.
 pub(crate) const HEDGE_CAP: Duration = Duration::from_secs(2);
 
-/// The shared routing state: ring + health + pool + counters.
+/// The shared routing state: ranking + health + pool + counters.
 #[derive(Debug)]
 pub struct Router {
     ring: HashRing,
@@ -70,7 +70,7 @@ pub struct Router {
     pub pool: Arc<ConnPool>,
     pub metrics: Arc<GatewayMetrics>,
     /// Which catalog devices each backend models; consulted before the
-    /// ring's failover order so requests never reach an incapable backend.
+    /// ranked failover order so requests never reach an incapable backend.
     pub capabilities: CapabilityMap,
     /// The minimum hedge delay; `None` when hedging is off.
     hedge_floor: Option<Duration>,
@@ -106,8 +106,8 @@ impl Router {
     }
 
     /// The replica set for the triple key `<device>/<scale>/<workload>`:
-    /// the first two backends in raw ring order that model its device,
-    /// independent of current health — with every backend up, the first
+    /// the first two backends in its rendezvous ranking that model its
+    /// device, independent of current health — with every backend up, the first
     /// two candidates a forward of any route of the triple tries.
     /// Health-independence is the point — the set names where a record
     /// *should* live, so the repair pass can refill a backend that was down
@@ -180,7 +180,7 @@ impl Router {
             .is_ok_and(|reply| reply.status == 200)
     }
 
-    /// The ring's failover order for `key`, with currently-ejected backends
+    /// The ranked failover order for `key`, with currently-ejected backends
     /// moved to the back (kept as last resorts rather than dropped), and,
     /// given a `device`, only the backends that model it. Incapable
     /// backends are *dropped*, not demoted: a backend without the device's
@@ -222,13 +222,12 @@ impl Router {
         let trace = ctx.map(|c| c.trace());
         let candidates = self.candidates_for(key, device);
         if candidates.is_empty() {
-            return match device {
-                Some(d) if !self.ring.is_empty() => Response::error(
-                    404,
-                    format!("no backend in the fleet models device {d:?} (see /v1/devices)"),
-                ),
-                _ => Response::error(502, "no backends configured"),
-            };
+            // The fleet is never empty, so only a device filter empties it.
+            let d = device.unwrap_or_default();
+            return Response::error(
+                404,
+                format!("no backend in the fleet models device {d:?} (see /v1/devices)"),
+            );
         }
         let mut rng = hash_str(key) | 1;
         let mut last_saturated: Option<HttpReply> = None;

@@ -13,7 +13,7 @@
 //!                    └───────────────────┬────────────────────────┘
 //!                                        ▼
 //! daemon workers ──► GatewayHandler::respond ──► Router::forward
-//!                                                  ring → health →
+//!                                                  rank → health →
 //!                                                  pool → hedge/retry
 //! ```
 //!
@@ -178,7 +178,7 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Bind the listener, build the ring over `backends`, run the first
+    /// Bind the listener, rank over `backends`, run the first
     /// probe round, and spawn the worker pool and health thread.
     ///
     /// # Errors
@@ -197,7 +197,7 @@ impl Gateway {
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
         let bound = daemon::bind(&config.addr)?;
 
-        // Ring labels are the backend address strings: stable across
+        // Rank labels are the backend address strings: stable across
         // restarts of the same fleet layout, independent of list order.
         let labels: Vec<String> = backends.iter().map(ToString::to_string).collect();
         let router = Arc::new(Router::new(
@@ -320,7 +320,7 @@ fn respond(
 
 /// `POST /v1/workloads`: validate the submitted IR definition at the edge,
 /// then broadcast it to every backend so the workload becomes routable
-/// wherever the hash ring may land its profile requests.
+/// wherever the ranking may land its profile requests.
 ///
 /// Pre-validation runs the one admission stack every backend runs
 /// ([`cactus_serve::service::validate_submission`]) and answers a refusal

@@ -4,7 +4,7 @@
 //! Each slot remembers its [`ServeConfig`] with the bound address **pinned**
 //! after the first start (an ephemeral `:0` bind is resolved once, then
 //! written back into the config), so a restarted backend reappears at the
-//! same address the ring hashed it to. Rebinding a just-killed port works
+//! same address the gateway ranks it by. Rebinding a just-killed port works
 //! because the serve listener sets `SO_REUSEADDR`; without it, lingering
 //! TIME_WAIT sockets would make every restart race a kernel timer.
 //!

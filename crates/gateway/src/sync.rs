@@ -173,7 +173,7 @@ pub(crate) fn repair(router: &Router, tracer: &Tracer) {
 }
 
 /// The gateway's `/v1/store/manifest`, rendered from the `plan` over every
-/// backend that gives a manifest now: one `backend` line per ring slot,
+/// backend that gives a manifest now: one `backend` line per fleet slot,
 /// one `k` line per key (replica set and holders), then `missing <n>` and
 /// `unsettled <n>`. `missing 0` with every backend reachable means the
 /// fleet has converged.
@@ -458,7 +458,7 @@ mod tests {
     }
 
     /// A submitted workload's record replicates to the owners of the route
-    /// its triple is read on: the digest is not part of the ring key.
+    /// its triple is read on: the digest is not part of the routing key.
     #[test]
     fn a_digest_keyed_record_replicates_with_its_route() {
         let addrs: Vec<SocketAddr> = (0..4)

@@ -33,14 +33,23 @@ fn dev(slug: &str) -> DeviceId {
     DeviceId::resolve(slug).expect("catalog id")
 }
 
-/// Seed `dir/slot-<i>` with every Cactus workload at Profile scale for each
-/// device the slot models, so every request resolves from the store
-/// without simulating.
+/// Seed `dir/slot-<i>` with every Cactus workload and 30 PRT benchmarks at
+/// Profile scale for each device the slot models, so every request
+/// resolves from the store without simulating. Every view of a triple
+/// shares the triple's routing key, so the 40 names are 40 distinct keys per
+/// device: enough that both rtx-3080 homes own some of them in every port
+/// layout short of a skewed ranking.
 fn seed_slots(dir: &std::path::Path, slot_devices: &[Vec<String>]) -> Vec<String> {
     let record = write_profile(&cactus_core::run("GMS", SuiteScale::Tiny));
     let names: Vec<String> = workloads::suite()
         .into_iter()
         .map(|w| w.abbr.to_owned())
+        .chain(
+            cactus_suites::all()
+                .into_iter()
+                .take(30)
+                .map(|b| b.name.to_owned()),
+        )
         .collect();
     for (i, devices) in slot_devices.iter().enumerate() {
         let store = Store::open(dir.join(format!("slot-{i}"))).expect("open slot store");
