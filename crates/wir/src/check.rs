@@ -7,7 +7,7 @@
 //! 1. `parse` — syntax (reported by [`crate::parser::parse`], surfaced
 //!    through [`analyze`]).
 //! 2. `types` — name resolution, duplicate declarations, mix-class and
-//!    taxonomy vocabulary, literal ranges (`tpa`, `depend`, hot fraction).
+//!    taxonomy vocabulary, literal ranges (`depend`, hot fraction, `tpa ≥ 1`).
 //! 3. `geometry` — launch geometry and bounds against the device catalog:
 //!    every kernel must be launchable on at least one catalog device, and
 //!    every expression must evaluate under every declared scale.
@@ -234,12 +234,12 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
             }
         }
         for s in &k.streams {
-            if !(1.0..=32.0).contains(&s.tpa) {
+            if s.tpa < 1.0 {
                 out.push(finding(
                     PASS,
                     s.line,
                     format!(
-                        "kernel `{}`: tpa {:?} outside [1, 32] (transactions per warp access)",
+                        "kernel `{}`: tpa {:?} below 1 (transactions per warp access)",
                         k.id, s.tpa
                     ),
                 ));
@@ -1138,6 +1138,38 @@ workload "clean" {
             assert_eq!(findings[0].pass, "cost");
             assert!(findings[0].message.contains(ceiling), "{findings:?}");
         }
+    }
+
+    /// `tpa` has the native floor of one transaction and no ceiling of its
+    /// own: 0.5 is one `types` finding at its line, and lbm's 152 passes
+    /// until the bytes it moves cross `max_bytes`.
+    #[test]
+    fn tpa_has_a_floor_of_one_and_only_the_byte_ceiling_above() {
+        let (pass, findings) = first_pass(
+            "workload \"f\" {\n  kernel k {\n    read accesses 8 tpa 0.5 pattern streaming;\n  }\n  \
+             run { launch k; }\n}",
+        );
+        assert_eq!(pass, "types", "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 3, "{findings:?}");
+
+        // 205 592 105 263 accesses × 152 transactions × 32 B fall 768 B
+        // short of the ceiling; a one-access stream of 24 transactions
+        // fills it, and one of 24.03125 goes one byte past.
+        assert_eq!(205_592_105_263 * 152 * 32 + 24 * 32, CEILING_BYTES);
+        let run = |topping: &str| {
+            analyze(&format!(
+                "workload \"w\" {{ kernel k {{ \
+                 read accesses 205592105263 tpa 152.0 pattern streaming; \
+                 read accesses 1 tpa {topping} pattern streaming; }} \
+                 run {{ launch k; }} }}"
+            ))
+        };
+        assert!(run("24.0").is_ok(), "{:?}", run("24.0"));
+        let findings = run("24.03125").expect_err("one byte past max_bytes");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].pass, "cost");
+        assert!(findings[0].message.contains("max_bytes"), "{findings:?}");
     }
 
     /// A `select` costs its worst arm: two arms that fit the instruction

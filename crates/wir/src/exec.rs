@@ -210,7 +210,7 @@ fn build_desc(k: &KernelDef, env: &Env) -> Result<KernelDesc, ExecError> {
                 Direction::Read
             },
             warp_accesses: accesses,
-            transactions_per_access: s.tpa.clamp(1.0, 32.0),
+            transactions_per_access: s.tpa,
             pattern,
         });
     }
@@ -380,6 +380,26 @@ workload "sel" {
         let err = run_with_limits(&def, None, &mut gpu, 10, 1_000).expect_err("step budget");
         assert!(err.message.contains("step budget"), "{err}");
         assert_eq!(gpu.records().len(), 0, "nothing may have launched");
+    }
+
+    /// A stream wider than one divergent instruction reaches the model as
+    /// written: lbm's 152 B-per-thread read captures as `tpa 152.0`,
+    /// validates, and replays to the native kernel's record.
+    #[test]
+    fn a_152_byte_stream_replays_to_its_native_record() {
+        let threads = 1 << 16;
+        let native = KernelDesc::builder("wide")
+            .launch(LaunchConfig::linear(threads, 256))
+            .stream(AccessStream::read(threads, 152, AccessPattern::Streaming))
+            .build();
+        let text = crate::capture::capture("wide", std::slice::from_ref(&native));
+        assert!(text.contains(" tpa 152.0 "), "{text}");
+        let def = crate::check::analyze(&text).expect("a 152-transaction stream validates");
+        let mut expected = Gpu::new(Device::rtx3080());
+        expected.launch(&native);
+        let mut replay = Gpu::new(Device::rtx3080());
+        run(&def, None, &mut replay).expect("replay");
+        assert_eq!(replay.records(), expected.records());
     }
 
     #[test]

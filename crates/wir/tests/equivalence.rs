@@ -1,101 +1,25 @@
-//! Engine-equivalence of the shipped family definitions.
+//! Capture exactness: a `cactus-wir` capture is a lossless,
+//! device-independent form of the launch stream it was lifted from.
 //!
-//! The committed `defs/{gms,gst,dcg}.wir` files are *captures*: the
-//! hardcoded runner executes at tiny scale with the engine's descriptor
-//! log enabled and the trace is lifted into canonical IR. These tests pin
-//! that relationship in both directions:
+//! For every Cactus workload, every Parboil/Rodinia/Tango benchmark and
+//! every shipped definition at `tiny`, one test per catalog device checks
+//! that the capture text equals the first device's, validates with no
+//! finding, and replays through `cactus_wir::run` to the native run's
+//! `LaunchRecord`s bit for bit, so IR-served profiles inherit
+//! `MODEL_VERSION` discipline unchanged.
 //!
-//! * the committed text is byte-identical to a fresh capture (so the
-//!   shipped defs can never drift from the runners they mirror — regen
-//!   with `CACTUS_WIR_REGEN=1 cargo test -p cactus-wir --test equivalence`);
-//! * interpreting the committed text on a fresh engine reproduces the
-//!   hardcoded runner's `LaunchRecord` trace **bit-identically**, so
-//!   IR-served profiles inherit `MODEL_VERSION` discipline unchanged.
+//! The committed `defs/{gms,gst,dcg}.wir` are such captures, written by
+//! `cargo run --release -p cactus-bench --bin traces`; a test checks that
+//! they equal a fresh one.
 
 use cactus_core::SuiteScale;
-use cactus_gpu::prelude::{Gpu, KernelDesc, LaunchRecord};
+use cactus_gpu::prelude::{Gpu, LaunchRecord};
 use cactus_gpu::{Device, CATALOG};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// (IR workload name, hardcoded family abbr) pairs for the captured defs.
-const FAMILIES: [(&str, &str); 3] = [("gms", "GMS"), ("gst", "GST"), ("dcg", "DCG")];
-
 fn defs_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("defs")
-}
-
-fn def_path(name: &str) -> PathBuf {
-    defs_dir().join(format!("{name}.wir"))
-}
-
-/// Run the hardcoded family at tiny scale, returning its trace and the
-/// launched descriptors.
-fn run_native(abbr: &str) -> (Vec<LaunchRecord>, Vec<KernelDesc>) {
-    let workload = cactus_core::workloads::by_abbr(abbr).expect("workload");
-    let mut gpu = Gpu::new(Device::rtx3080());
-    gpu.enable_desc_log();
-    workload.run(&mut gpu, SuiteScale::Tiny);
-    let descs = gpu.take_desc_log();
-    (gpu.records().to_vec(), descs)
-}
-
-#[test]
-fn committed_defs_match_fresh_captures() {
-    let regen = std::env::var("CACTUS_WIR_REGEN").is_ok();
-    for (name, abbr) in FAMILIES {
-        let (_, descs) = run_native(abbr);
-        let text = cactus_wir::capture::capture(name, &descs);
-        let path = def_path(name);
-        if regen {
-            std::fs::write(&path, &text).expect("write def");
-            continue;
-        }
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (run with CACTUS_WIR_REGEN=1)", path.display()));
-        assert_eq!(
-            committed,
-            text,
-            "{abbr}: committed {} has drifted from the hardcoded runner; \
-             regenerate with CACTUS_WIR_REGEN=1",
-            path.display()
-        );
-    }
-}
-
-#[test]
-fn interpreted_defs_replay_native_traces_bit_identically() {
-    for (name, abbr) in FAMILIES {
-        let (native, _) = run_native(abbr);
-        let text = std::fs::read_to_string(def_path(name)).expect("committed def");
-        let def = cactus_wir::parse(&text).expect("parse");
-        assert!(cactus_wir::check(&def).is_empty(), "{abbr} must validate");
-        let mut gpu = Gpu::new(Device::rtx3080());
-        cactus_wir::run(&def, None, &mut gpu).expect("exec");
-        let replayed = gpu.records().to_vec();
-        assert_eq!(native.len(), replayed.len(), "{abbr}: launch count differs");
-        // LaunchRecord derives PartialEq over name, metrics, and timing:
-        // equality here is bit-for-bit profile equivalence.
-        assert_eq!(native, replayed, "{abbr}: trace differs");
-    }
-}
-
-#[test]
-fn profiles_from_interpreted_traces_match_native_profiles() {
-    for (name, abbr) in FAMILIES {
-        let (native, _) = run_native(abbr);
-        let text = std::fs::read_to_string(def_path(name)).expect("committed def");
-        let def = cactus_wir::parse(&text).expect("parse");
-        let mut gpu = Gpu::new(Device::rtx3080());
-        cactus_wir::run(&def, None, &mut gpu).expect("exec");
-        let native_profile = cactus_profiler::Profile::from_records(&native);
-        let ir_profile = cactus_profiler::Profile::from_records(gpu.records());
-        assert_eq!(
-            format!("{native_profile:?}"),
-            format!("{ir_profile:?}"),
-            "{abbr}: aggregated profile differs"
-        );
-    }
 }
 
 /// A workload whose capture must be exact: its capture name and its run
@@ -148,15 +72,15 @@ fn capture_on(device: Device, (name, run): &Workload) -> (String, Vec<LaunchReco
     (text, gpu.records().to_vec())
 }
 
-/// Every workload's capture on the first catalog device, in
+/// Every workload's name and capture on the first catalog device, in
 /// [`workloads`] order: the text every other device's capture must equal.
-fn reference_captures() -> &'static [String] {
-    static CAPTURES: OnceLock<Vec<String>> = OnceLock::new();
+fn reference_captures() -> &'static [(String, String)] {
+    static CAPTURES: OnceLock<Vec<(String, String)>> = OnceLock::new();
     CAPTURES.get_or_init(|| {
         let device = CATALOG[0].device();
         workloads()
             .iter()
-            .map(|w| capture_on(device.clone(), w).0)
+            .map(|w| (w.0.clone(), capture_on(device.clone(), w).0))
             .collect()
     })
 }
@@ -168,8 +92,7 @@ fn captures_are_exact_on(id: &str) {
     let workloads = workloads();
     let mut faults = Vec::new();
     let mut inexact = 0;
-    for (w, reference) in workloads.iter().zip(reference_captures()) {
-        let name = &w.0;
+    for (w, (name, reference)) in workloads.iter().zip(reference_captures()) {
         let before = faults.len();
         let (text, native) = capture_on(entry.device(), w);
         if text != *reference {
@@ -192,6 +115,26 @@ fn captures_are_exact_on(id: &str) {
         workloads.len(),
         faults.join("\n")
     );
+}
+
+/// The committed `defs/{gms,gst,dcg}.wir` are the `tiny` captures of
+/// their Cactus workloads, byte for byte.
+#[test]
+fn committed_defs_match_fresh_captures() {
+    for name in ["gms", "gst", "dcg"] {
+        let path = defs_dir().join(format!("{name}.wir"));
+        let committed = std::fs::read_to_string(&path).expect("committed def");
+        let (_, fresh) = reference_captures()
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("a Cactus workload");
+        assert!(
+            committed == *fresh,
+            "{} has drifted from the native run; regenerate it with \
+             `cargo run --release -p cactus-bench --bin traces`",
+            path.display()
+        );
+    }
 }
 
 #[test]
