@@ -60,8 +60,6 @@ pub enum AccessPattern {
     },
 }
 
-impl AccessPattern {}
-
 /// One global-memory access stream of a kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessStream {
@@ -69,9 +67,15 @@ pub struct AccessStream {
     pub direction: Direction,
     /// Number of warp-level memory instructions in the stream.
     pub warp_accesses: u64,
-    /// Average 32-byte transactions generated per warp access, in `[1, 32]`.
+    /// Average 32-byte transactions generated per warp access, at least 1.
     /// 4 for a fully coalesced FP32 access (32 threads × 4 B = 128 B = 4
-    /// sectors); up to 32 for fully divergent scalar gathers.
+    /// sectors); 32 for a fully divergent scalar gather, the most one
+    /// divergent instruction generates and where [`Self::raw`] clamps.
+    /// [`Self::read`]/[`Self::write`] set no upper bound: `b` bytes per
+    /// thread is one access of `b` transactions (lbm's stream reaches 152),
+    /// which the instruction mix counts as one load or store. Splitting it
+    /// into accesses of at most 32 would raise those counts and move the
+    /// profiles, so the domain stays as it is and `cactus-wir` shares it.
     pub transactions_per_access: f64,
     /// Reuse pattern of the generated transactions.
     pub pattern: AccessPattern,
