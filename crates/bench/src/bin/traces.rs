@@ -35,11 +35,11 @@ fn main() {
             .collect();
         export(traces, &name, |gpu| b.run(gpu, cactus_suites::Scale::Tiny));
     }
+    let defs = Path::new("crates/wir/defs");
     for abbr in ["GMS", "GST", "DCG"] {
         let w = workloads::by_abbr(abbr).expect("a Cactus workload");
-        let name = abbr.to_lowercase();
-        export(Path::new("crates/wir/defs"), &name, |gpu| {
-            w.run(gpu, SuiteScale::Tiny);
+        export(defs, &abbr.to_lowercase(), |gpu| {
+            w.run(gpu, SuiteScale::Tiny)
         });
     }
     println!(
