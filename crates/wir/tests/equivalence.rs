@@ -9,8 +9,9 @@
 //! `MODEL_VERSION` discipline unchanged.
 //!
 //! The committed `defs/{gms,gst,dcg}.wir` are such captures, written by
-//! `cargo run --release -p cactus-bench --bin traces`; a test checks that
-//! they equal a fresh one.
+//! `cargo run --release -p cactus-bench --bin traces`; tests check that
+//! they equal a fresh one, and that the committed text replays to its
+//! workload's native records and aggregated profile on rtx-3080.
 
 use cactus_core::SuiteScale;
 use cactus_gpu::prelude::{Gpu, LaunchRecord};
@@ -133,6 +134,50 @@ fn committed_defs_match_fresh_captures() {
             "{} has drifted from the native run; regenerate it with \
              `cargo run --release -p cactus-bench --bin traces`",
             path.display()
+        );
+    }
+}
+
+/// The native `tiny` run of Cactus workload `abbr` on rtx-3080, and the
+/// replay of its committed definition on a fresh rtx-3080 engine.
+fn native_and_committed_replay(abbr: &str) -> (Vec<LaunchRecord>, Vec<LaunchRecord>) {
+    let workload = cactus_core::workloads::by_abbr(abbr).expect("workload");
+    let mut gpu = Gpu::new(Device::rtx3080());
+    workload.run(&mut gpu, SuiteScale::Tiny);
+    let path = defs_dir().join(format!("{}.wir", abbr.to_lowercase()));
+    let text = std::fs::read_to_string(&path).expect("committed def");
+    let def = cactus_wir::parse(&text).expect("parse");
+    assert!(cactus_wir::check(&def).is_empty(), "{abbr} must validate");
+    let mut replay = Gpu::new(Device::rtx3080());
+    cactus_wir::run(&def, None, &mut replay).expect("exec");
+    (gpu.records().to_vec(), replay.records().to_vec())
+}
+
+/// Replaying a committed definition reproduces its workload's native
+/// records, read from the file rather than from a fresh capture.
+#[test]
+fn interpreted_defs_replay_native_traces_bit_identically() {
+    for abbr in ["GMS", "GST", "DCG"] {
+        let (native, replayed) = native_and_committed_replay(abbr);
+        assert_eq!(native.len(), replayed.len(), "{abbr}: launch count differs");
+        // LaunchRecord derives PartialEq over name, metrics, and timing:
+        // equality here is bit-for-bit profile equivalence.
+        assert_eq!(native, replayed, "{abbr}: trace differs");
+    }
+}
+
+/// The profile aggregated from a committed definition's replay equals
+/// the native one.
+#[test]
+fn profiles_from_interpreted_traces_match_native_profiles() {
+    for abbr in ["GMS", "GST", "DCG"] {
+        let (native, replayed) = native_and_committed_replay(abbr);
+        let native_profile = cactus_profiler::Profile::from_records(&native);
+        let ir_profile = cactus_profiler::Profile::from_records(&replayed);
+        assert_eq!(
+            format!("{native_profile:?}"),
+            format!("{ir_profile:?}"),
+            "{abbr}: aggregated profile differs"
         );
     }
 }
