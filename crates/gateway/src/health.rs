@@ -188,6 +188,17 @@ mod tests {
         assert_eq!(h.ejections(), 2);
     }
 
+    /// Readmission is read off the clock: nothing but time passes between
+    /// the ejection and the check.
+    #[test]
+    fn cooldown_elapses_without_any_other_call() {
+        let h = HealthTracker::new(1, 1, Duration::from_millis(50));
+        h.report_failure(0);
+        assert_eq!(h.ejections(), 1);
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(h.available(0), "half-open once the cooldown has elapsed");
+    }
+
     #[test]
     fn tick_respects_cooldown() {
         let h = HealthTracker::new(1, 1, Duration::from_secs(3600));
