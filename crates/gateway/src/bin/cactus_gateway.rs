@@ -44,7 +44,8 @@ usage: cactus-gateway [options]
   --hedge-floor-ms MS       minimum hedge delay (default 20, at most the
                             2000 ms hedge cap)
   --eject-after N           consecutive failures before ejection (default 2)
-  --cooldown-ms MS          ejection cooldown before half-open (default 1000)
+  --cooldown-ms MS          ejection cooldown before half-open; 0 = no
+                            sit-out (default 1000)
   --health-interval-ms MS   active /v1/healthz probe interval, each round
                             followed by a store repair pass, the only
                             replica copy; 0 = passive only: no repair, so
@@ -245,6 +246,7 @@ fn run(args: Args) -> ExitCode {
     }
 
     while !signal::shutdown_requested() {
+        // lint:allow(no_tick_loop, a signal handler can only set a flag, so main polls it)
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("cactus-gateway: shutdown requested, draining in-flight requests");

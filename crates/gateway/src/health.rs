@@ -9,7 +9,7 @@
 //!            eject_after consecutive failures
 //!   Healthy ────────────────────────────────────▶ Ejected
 //!      ▲                                            │ cooldown elapses
-//!      │ trial request succeeds                     ▼ (via tick())
+//!      │ trial request succeeds                     ▼ (read off the clock)
 //!      └──────────────────────────────────────── HalfOpen
 //!                         │ trial request fails
 //!                         └───────▶ Ejected (cooldown restarts)
@@ -20,6 +20,11 @@
 //! recovery trial — one success re-admits the backend, one failure re-ejects
 //! it for another cooldown. This keeps recovery cheap: no separate trial
 //! machinery, just routing.
+//!
+//! The state itself is not stored: it is derived when read, from the
+//! backend's consecutive-failure count and the instant of its last
+//! ejection, so `HalfOpen` starts exactly at `ejected_at + cooldown` and no
+//! timer thread stands behind it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -39,8 +44,8 @@ pub enum HealthState {
 
 #[derive(Debug)]
 struct Backend {
-    state: HealthState,
     consecutive_failures: u32,
+    /// The last ejection; `None` until one, and again after a success.
     ejected_at: Option<Instant>,
 }
 
@@ -55,8 +60,8 @@ pub struct HealthTracker {
 
 impl HealthTracker {
     /// All backends start `Healthy`. `eject_after` consecutive failures
-    /// eject a backend; it becomes `HalfOpen` once `cooldown` has elapsed
-    /// (checked by [`tick`](Self::tick)).
+    /// eject a backend; it is `HalfOpen` once `cooldown` has elapsed since
+    /// (at once for a zero cooldown).
     #[must_use]
     pub(crate) fn new(backends: usize, eject_after: u32, cooldown: Duration) -> Self {
         Self {
@@ -65,7 +70,6 @@ impl HealthTracker {
                 "gateway.health",
                 (0..backends)
                     .map(|_| Backend {
-                        state: HealthState::Healthy,
                         consecutive_failures: 0,
                         ejected_at: None,
                     })
@@ -84,39 +88,27 @@ impl HealthTracker {
         let b = &mut backends[i];
         b.consecutive_failures = 0;
         b.ejected_at = None;
-        b.state = HealthState::Healthy;
     }
 
-    /// Record a failed exchange (transport error) with backend `i`.
-    /// `Healthy` backends eject after `eject_after` consecutive failures;
-    /// a `HalfOpen` backend fails its trial and re-ejects immediately.
-    pub(crate) fn report_failure(&self, i: usize) {
+    /// Record a failed exchange (transport error) with backend `i`, and
+    /// say whether it ejected the backend. `Healthy` backends eject after
+    /// `eject_after` consecutive failures; a `HalfOpen` backend fails its
+    /// trial and re-ejects immediately; a failure inside the cooldown
+    /// does not restart it.
+    pub(crate) fn report_failure(&self, i: usize) -> bool {
         let mut backends = self.backends.lock();
         let b = &mut backends[i];
         b.consecutive_failures = b.consecutive_failures.saturating_add(1);
-        let eject = match b.state {
+        let eject = match self.state_of(b.ejected_at) {
             HealthState::Healthy => b.consecutive_failures >= self.eject_after,
             HealthState::HalfOpen => true,
             HealthState::Ejected => false,
         };
         if eject {
-            b.state = HealthState::Ejected;
             b.ejected_at = Some(Instant::now());
             self.ejections.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Move every `Ejected` backend whose cooldown has elapsed to
-    /// `HalfOpen`. Called periodically by the gateway's health thread.
-    pub(crate) fn tick(&self) {
-        let mut backends = self.backends.lock();
-        for b in backends.iter_mut() {
-            if b.state == HealthState::Ejected
-                && b.ejected_at.is_some_and(|t| t.elapsed() >= self.cooldown)
-            {
-                b.state = HealthState::HalfOpen;
-            }
-        }
+        eject
     }
 
     /// Whether backend `i` may receive traffic (`Healthy` or `HalfOpen`).
@@ -128,13 +120,34 @@ impl HealthTracker {
     /// Backend `i`'s current state.
     #[must_use]
     pub fn state(&self, i: usize) -> HealthState {
-        self.backends.lock()[i].state
+        let ejected_at = self.backends.lock()[i].ejected_at;
+        self.state_of(ejected_at)
+    }
+
+    /// The state of a backend last ejected at `ejected_at`. The clock is
+    /// read only for a backend with an ejection on record, so routing over
+    /// a healthy fleet costs no clock read.
+    fn state_of(&self, ejected_at: Option<Instant>) -> HealthState {
+        match ejected_at {
+            None => HealthState::Healthy,
+            Some(t) if t.elapsed() < self.cooldown => HealthState::Ejected,
+            Some(_) => HealthState::HalfOpen,
+        }
     }
 
     /// Total transitions into `Ejected` since startup.
     #[must_use]
     pub fn ejections(&self) -> u64 {
         self.ejections.load(Ordering::Relaxed)
+    }
+
+    /// Move backend `i`'s recorded ejection `by` into the past, so a test
+    /// sets the time since it without sleeping.
+    #[cfg(test)]
+    pub(crate) fn backdate(&self, i: usize, by: Duration) {
+        if let Some(t) = &mut self.backends.lock()[i].ejected_at {
+            *t = t.checked_sub(by).expect("the clock reaches back that far");
+        }
     }
 }
 
@@ -159,12 +172,15 @@ mod tests {
         assert_eq!(h.ejections(), 1);
     }
 
+    /// A minute of cooldown: only a backdated ejection has served it.
+    const COOLDOWN: Duration = Duration::from_secs(60);
+
     #[test]
     fn cooldown_opens_trial_and_success_readmits() {
-        let h = HealthTracker::new(1, 1, Duration::from_millis(0));
+        let h = HealthTracker::new(1, 1, COOLDOWN);
         h.report_failure(0);
         assert_eq!(h.state(0), HealthState::Ejected);
-        h.tick();
+        h.backdate(0, COOLDOWN);
         assert_eq!(h.state(0), HealthState::HalfOpen);
         assert!(h.available(0), "half-open backends are routable");
         h.report_success(0);
@@ -174,10 +190,10 @@ mod tests {
 
     #[test]
     fn failed_trial_reejects_and_counts() {
-        let h = HealthTracker::new(1, 2, Duration::from_millis(0));
+        let h = HealthTracker::new(1, 2, COOLDOWN);
         h.report_failure(0);
         h.report_failure(0);
-        h.tick();
+        h.backdate(0, COOLDOWN);
         assert_eq!(h.state(0), HealthState::HalfOpen);
         h.report_failure(0);
         assert_eq!(
@@ -200,10 +216,26 @@ mod tests {
     }
 
     #[test]
-    fn tick_respects_cooldown() {
-        let h = HealthTracker::new(1, 1, Duration::from_secs(3600));
+    fn cooldown_holds_until_it_elapses() {
+        let h = HealthTracker::new(1, 1, COOLDOWN);
         h.report_failure(0);
-        h.tick();
+        h.backdate(0, COOLDOWN - Duration::from_secs(1));
         assert_eq!(h.state(0), HealthState::Ejected, "cooldown not elapsed");
+    }
+
+    #[test]
+    fn a_failure_inside_the_cooldown_does_not_restart_it() {
+        let h = HealthTracker::new(1, 1, COOLDOWN);
+        assert!(h.report_failure(0), "the first failure ejects");
+        h.backdate(0, COOLDOWN / 2);
+        assert!(!h.report_failure(0), "an ejected backend is not re-ejected");
+        assert_eq!(h.state(0), HealthState::Ejected);
+        h.backdate(0, COOLDOWN / 2);
+        assert_eq!(
+            h.state(0),
+            HealthState::HalfOpen,
+            "the cooldown runs from the first ejection"
+        );
+        assert_eq!(h.ejections(), 1);
     }
 }

@@ -235,6 +235,7 @@ impl Router {
             let target = candidates[attempt % candidates.len()];
             if attempt > 0 {
                 self.metrics.retries.inc();
+                // lint:allow(no_tick_loop, the jittered backoff before a retry)
                 std::thread::sleep(backoff(attempt, &mut rng));
             }
             let mut span = ctx.map(|c| c.child("proxy.attempt"));
@@ -372,8 +373,7 @@ impl Router {
             }
             Err(ClientError::Io(_) | ClientError::Parse(_)) => {
                 self.metrics.backends[i].failures.inc();
-                self.health.report_failure(i);
-                if !self.health.available(i) {
+                if self.health.report_failure(i) {
                     // Ejection invalidates pooled sockets; recovery trials
                     // should start from fresh dials.
                     self.pool.evict(i);
@@ -544,6 +544,8 @@ mod tests {
         all
     }
 
+    const COOLDOWN: Duration = Duration::from_secs(60);
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
@@ -561,20 +563,18 @@ mod tests {
                 dead_addrs(n).iter().map(ToString::to_string).collect();
             let r = Router::new(
                 HashRing::new(&labels),
-                // Zero cooldown: a tick moves every ejected backend to
-                // half-open, and no health thread ticks behind the test.
-                Arc::new(HealthTracker::new(n, 1, Duration::ZERO)),
+                // A minute of cooldown, served only by backdating the
+                // half-open backends' ejections.
+                Arc::new(HealthTracker::new(n, 1, COOLDOWN)),
                 Arc::new(ConnPool::new(dead_addrs(n))),
                 Arc::new(GatewayMetrics::new(n)),
                 None,
             );
             let device = (with_device == 1).then_some("rtx-3080");
-            for (want, tick) in [(2, true), (1, false)] {
-                for (i, _) in states.iter().enumerate().filter(|(_, s)| s.0 == want) {
-                    r.health.report_failure(i);
-                }
-                if tick {
-                    r.health.tick();
+            for (i, &(health, _)) in states.iter().enumerate().filter(|(_, s)| s.0 > 0) {
+                r.health.report_failure(i);
+                if health == 2 {
+                    r.health.backdate(i, COOLDOWN);
                 }
             }
             for (i, &(health, capability)) in states.iter().enumerate() {

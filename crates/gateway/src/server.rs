@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!                    ┌────────────── health thread ───────────────┐
-//!                    │ tick(): Ejected → HalfOpen after cooldown  │
+//!                    │ every probe interval:                      │
 //!                    │ probe round: GET /v1/healthz per backend   │
 //!                    │ (the first runs before serving; each probe │
 //!                    │ refreshes the capability map)              │
@@ -38,13 +38,11 @@ use std::borrow::Cow;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cactus_obs::{SpanCtx, TraceId, Tracer};
-use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits};
+use cactus_serve::daemon::{self, Daemon, Event, Handler, Limits, Periodic};
 use cactus_serve::http::{query_param, Request, Response};
 use cactus_serve::routes::{tracez, workload_rejection, CSV, TEXT};
 use cactus_serve::server::TRACE_CAPACITY;
@@ -52,13 +50,11 @@ use cactus_serve::wire::{self, parse_health_devices, DeviceEntry};
 
 use crate::compare;
 use crate::connpool::ConnPool;
-use crate::health::{HealthState, HealthTracker};
+use crate::health::HealthTracker;
 use crate::metrics::{render_metrics, GatewayMetrics};
 use crate::proxy::{Router, HEDGE_CAP};
 use crate::ring::HashRing;
 use crate::sync;
-
-const HEALTH_TICK: Duration = Duration::from_millis(50);
 
 /// The cross-device comparison route (`cactus-lint` checks served routes
 /// against client-consumed paths, so the pattern lives here as a literal).
@@ -83,7 +79,8 @@ pub struct GatewayConfig {
     pub queue: usize,
     /// Consecutive failures before a backend is ejected.
     pub eject_after: u32,
-    /// How long an ejected backend sits out before a half-open trial.
+    /// How long an ejected backend sits out before a half-open trial; zero
+    /// means no sit-out, so an ejected backend is half-open at once.
     pub cooldown: Duration,
     /// Interval between active `/v1/healthz` probe rounds, each followed by
     /// one store repair pass — the only code that copies store records
@@ -174,7 +171,8 @@ impl Handler for GatewayHandler {
 /// handle alone does not.
 pub struct Gateway {
     daemon: Daemon<GatewayHandler>,
-    health_thread: JoinHandle<()>,
+    /// The health thread; `None` without a probe interval.
+    health_thread: Option<Periodic>,
 }
 
 impl Gateway {
@@ -234,11 +232,10 @@ impl Gateway {
             },
         );
 
-        let health_thread = {
+        let health_thread = config.probe_interval.map(|interval| {
             let handler = Arc::clone(daemon.handler());
-            let shutdown = daemon.shutdown_flag();
-            std::thread::spawn(move || health_loop(&handler, config.probe_interval, &shutdown))
-        };
+            Periodic::spawn(interval, move || probe_and_repair(&handler))
+        });
         Ok(Self {
             daemon,
             health_thread,
@@ -266,8 +263,10 @@ impl Gateway {
     /// Shut down (if not already requested) and wait for every queued and
     /// in-flight request to be answered and all threads to exit.
     pub fn join(self) {
+        if let Some(health_thread) = self.health_thread {
+            health_thread.stop();
+        }
         self.daemon.join();
-        let _ = self.health_thread.join();
     }
 }
 
@@ -462,12 +461,12 @@ fn parse_target(target: &str) -> (Cow<'_, str>, Option<&str>) {
 /// One probe round: `GET /v1/healthz` on each of the `backends`, over the
 /// pool, reported to the health tracker. A `200` also records the device
 /// set its body advertises, so the capability map stays right across
-/// restarts that change a backend's devices. Ejected backends sit out
-/// their cooldown; probing them early would tell nothing `tick` doesn't.
+/// restarts that change a backend's devices. Ejected backends are not
+/// probed: they sit out their whole cooldown.
 fn probe_round(router: &Router, backends: usize) {
     let health = &router.health;
     for i in 0..backends {
-        if health.state(i) == HealthState::Ejected {
+        if !health.available(i) {
             continue;
         }
         match router.probe(i) {
@@ -477,35 +476,20 @@ fn probe_round(router: &Router, backends: usize) {
                     router.capabilities.record(i, devices);
                 }
             }
-            _ => health.report_failure(i),
+            _ => {
+                health.report_failure(i);
+            }
         }
     }
 }
 
-/// The health thread: promote cooled-down ejections to half-open and,
-/// every `probe_interval`, run a probe round so failures are noticed even
-/// when no traffic is flowing, then one store repair pass over the
-/// backends available after that round: the one place records are copied
-/// between replicas. Without a probe interval the thread only ticks: no
-/// probes, no repairs and so no replica copies.
-fn health_loop(gateway: &GatewayHandler, probe_interval: Option<Duration>, shutdown: &AtomicBool) {
-    let GatewayHandler {
-        router,
-        tracer,
-        backend_addrs,
-    } = gateway;
-    let mut last_probe = Instant::now();
-    while !shutdown.load(Ordering::SeqCst) {
-        router.health.tick();
-        if let Some(interval) = probe_interval {
-            if last_probe.elapsed() >= interval {
-                last_probe = Instant::now();
-                probe_round(router, backend_addrs.len());
-                sync::repair(router, tracer);
-            }
-        }
-        std::thread::sleep(HEALTH_TICK);
-    }
+/// The health thread's job, run every probe interval: a probe round, so
+/// failures are noticed even when no traffic is flowing, then one store
+/// repair pass over the backends available after that round — the one
+/// place records are copied between replicas.
+fn probe_and_repair(gateway: &GatewayHandler) {
+    probe_round(&gateway.router, gateway.backend_addrs.len());
+    sync::repair(&gateway.router, &gateway.tracer);
 }
 
 #[cfg(test)]

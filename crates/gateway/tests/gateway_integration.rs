@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use cactus_core::{workloads, SuiteScale};
 use cactus_gateway::{Gateway, GatewayConfig, HealthState, Supervisor};
 use cactus_profiler::store::write_profile;
-use cactus_serve::{Client, Connection, ServeConfig};
+use cactus_serve::{Client, Connection, ServeConfig, Server};
 use cactus_store::Store;
 
 /// The devices the sweep reads. Every view of a triple shares the triple's
@@ -304,5 +304,40 @@ fn gateway_proxies_non_shard_routes_verbatim() {
 
     gateway.join();
     fleet.shutdown_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Neither tier's background thread waits out its interval on the way
+/// down: the gateway's health thread sits between probe rounds a minute
+/// apart, serve's compactor between one-second passes, and each `join`
+/// still returns at once.
+#[test]
+fn both_tiers_join_without_waiting_out_an_interval() {
+    let dir = std::env::temp_dir().join(format!("cactus-gateway-it-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start backend");
+    let gateway = Gateway::start(
+        GatewayConfig {
+            workers: 2,
+            probe_interval: Some(Duration::from_secs(60)),
+            ..GatewayConfig::default()
+        },
+        vec![server.addr()],
+    )
+    .expect("start gateway");
+
+    let started = Instant::now();
+    gateway.join();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "gateway join took {took:?}");
+    let started = Instant::now();
+    server.join();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "serve join took {took:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,7 +29,7 @@ use std::io::{self, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -188,13 +188,6 @@ impl<H> Daemon<H> {
         &self.handler
     }
 
-    /// The flag [`Daemon::shutdown`] raises, for a tier's background
-    /// thread to stop on.
-    #[must_use]
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Begin graceful shutdown: stop accepting, let workers drain. The
     /// accept thread, blocked in `accept`, is woken by a connection to the
     /// listener, which it closes unserved.
@@ -210,12 +203,42 @@ impl<H> Daemon<H> {
         // A wake-up that could not connect (no free descriptor, say) is
         // retried until the accept thread has seen the flag.
         while !wake(self.addr) && !self.accept.is_finished() {
+            // lint:allow(no_tick_loop, a backoff between wake-up attempts, not a timer)
             std::thread::sleep(ACCEPT_BACKOFF);
         }
         let _ = self.accept.join();
         for worker in self.workers {
             let _ = worker.join();
         }
+    }
+}
+
+/// A tier's background thread: runs a job every interval until
+/// [`Periodic::stop`]. Between jobs it blocks on a channel whose sender
+/// `stop` drops, so stopping wakes it at once. Dropping the handle stops
+/// the thread without waiting for it.
+pub struct Periodic {
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Periodic {
+    /// Spawn the thread: wait `interval`, run `job`, repeat.
+    pub fn spawn(interval: Duration, mut job: impl FnMut() + Send + 'static) -> Self {
+        let (stop, stopped) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                job();
+            }
+        });
+        Self { stop, thread }
+    }
+
+    /// Wake the thread, let a job in progress finish, and wait for the
+    /// thread to exit.
+    pub fn stop(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
     }
 }
 
@@ -257,6 +280,7 @@ fn accept_loop<H: Handler>(
             }
             // Fd exhaustion or an aborted handshake: transient, but back
             // off rather than spin on it.
+            // lint:allow(no_tick_loop, a backoff after a failed accept, not a timer)
             Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }

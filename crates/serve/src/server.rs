@@ -8,16 +8,14 @@
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cactus_obs::{Gauge, MetricsRegistry, TraceId, Tracer};
 
 use crate::cache::ResponseCache;
 pub use crate::daemon::KEEP_ALIVE_MAX;
-use crate::daemon::{self, Daemon, Event, Handler, Limits};
+use crate::daemon::{self, Daemon, Event, Handler, Limits, Periodic};
 use crate::http::{Request, Response};
 use crate::metrics::ServerMetrics;
 use crate::routes;
@@ -278,7 +276,7 @@ impl Handler for ServerState {
 /// [`Server::shutdown`] then [`Server::join`].
 pub struct Server {
     daemon: Daemon<ServerState>,
-    compactor: JoinHandle<()>,
+    compactor: Periodic,
 }
 
 impl Server {
@@ -318,11 +316,8 @@ impl Server {
         };
         let daemon = bound.serve(limits, state);
 
-        let compactor = {
-            let state = Arc::clone(daemon.handler());
-            let shutdown = daemon.shutdown_flag();
-            std::thread::spawn(move || compactor_loop(&state, &shutdown))
-        };
+        let state = Arc::clone(daemon.handler());
+        let compactor = Periodic::spawn(COMPACT_INTERVAL, move || compact(&state));
         Ok(Self { daemon, compactor })
     }
 
@@ -346,42 +341,31 @@ impl Server {
     /// Shut down (if not already requested) and wait until every queued and
     /// in-flight request has been answered and all threads exited.
     pub fn join(self) {
+        self.compactor.stop();
         self.daemon.join();
-        let _ = self.compactor.join();
     }
 }
 
 /// How often the background compactor polls the store for reclaimable
 /// segments. Compaction itself only runs when `maybe_compact`'s dead-byte
-/// threshold trips, so the steady-state cost of the loop is one stats
+/// threshold trips, so the steady-state cost of the thread is one stats
 /// read per interval.
 const COMPACT_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Background compaction: poll `maybe_compact` until shutdown. Emits one
-/// `store.compact` span per pass that actually ran (or failed) — idle
-/// polls stay out of the trace ring.
-fn compactor_loop(state: &ServerState, shutdown: &AtomicBool) {
-    const TICK: Duration = Duration::from_millis(20);
-    let mut idle = Duration::ZERO;
-    while !shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(TICK);
-        idle += TICK;
-        if idle < COMPACT_INTERVAL {
-            continue;
+/// One compactor pass. Emits one `store.compact` span per pass that
+/// actually ran (or failed) — idle polls stay out of the trace ring.
+fn compact(state: &ServerState) {
+    match state.service.store().maybe_compact() {
+        Ok(None) => {}
+        Ok(Some(report)) => {
+            let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
+            span.tag("victims", report.victims);
+            span.tag("copied", report.copied);
+            span.tag("reclaimed_bytes", report.reclaimed_bytes);
         }
-        idle = Duration::ZERO;
-        match state.service.store().maybe_compact() {
-            Ok(None) => {}
-            Ok(Some(report)) => {
-                let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
-                span.tag("victims", report.victims);
-                span.tag("copied", report.copied);
-                span.tag("reclaimed_bytes", report.reclaimed_bytes);
-            }
-            Err(e) => {
-                let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
-                span.tag("error", e.to_string());
-            }
+        Err(e) => {
+            let mut span = state.tracer.ctx(TraceId::mint()).child("store.compact");
+            span.tag("error", e.to_string());
         }
     }
 }
