@@ -226,6 +226,15 @@ const ROWS: &[Row] = &[
                  workers that idle pooled connections hold",
     },
     Row {
+        rule: "no_tick_loop",
+        paths: &["crates/serve/src/**", "crates/gateway/src/**"],
+        except: &[],
+        shape: Shape::Tokens(Scope::NonTest, &["thread : : sleep"]),
+        reason: "a daemon thread does not wake on a timer to see whether time has passed: \
+                 read state off the clock when it is needed, wait on a stop signal \
+                 (daemon::Periodic), or lint:allow(no_tick_loop, reason) a deliberate wait",
+    },
+    Row {
         rule: "one_http_codec",
         paths: &["crates/serve/src/**", "crates/gateway/src/**"],
         except: &["crates/serve/src/http.rs"],

@@ -80,6 +80,7 @@ fn forbid_rows_fire_with_file_and_line() {
             ("one_daemon_loop", "crates/gateway/src/server.rs", 3),
             ("one_repair_decision", "crates/gateway/src/server.rs", 6),
             ("one_backend_path", "crates/gateway/src/server.rs", 10),
+            ("no_tick_loop", "crates/gateway/src/server.rs", 15),
             ("fft_arith", "crates/md/src/fft.rs", 9),
             ("per_cpu_code", "crates/md/src/fft.rs", 19),
             ("pme_arith", "crates/md/src/pme.rs", 4),
@@ -94,9 +95,9 @@ fn forbid_rows_fire_with_file_and_line() {
         "findings: {findings:?}"
     );
     assert!(
-        findings[7].message.contains("`mul_add`"),
+        findings[8].message.contains("`mul_add`"),
         "message names the match: {}",
-        findings[7].message
+        findings[8].message
     );
 }
 

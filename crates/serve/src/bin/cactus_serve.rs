@@ -118,6 +118,7 @@ fn run(config: ServeConfig, port_file: Option<String>) -> ExitCode {
     }
 
     while !signal::shutdown_requested() {
+        // lint:allow(no_tick_loop, a signal handler can only set a flag, so main polls it)
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("cactus-serve: shutdown requested, draining in-flight requests");
