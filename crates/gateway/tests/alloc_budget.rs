@@ -7,7 +7,7 @@
 //! `Gateway` with active probing off serve warm LRU hits over keep-alive
 //! connections; allocations per request are counted over windows of
 //! [`WINDOW`] requests, and the least of [`WINDOWS`] windows is held to the
-//! budget — a background tick or a keep-alive redial in one window is not
+//! budget — a compactor pass or a keep-alive redial in one window is not
 //! the read path.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -19,8 +19,9 @@
 //!    uncached triple cost exactly one simulation.
 //!
 //! The socket side ([`daemon`]) is std-only and shared with
-//! `cactus-gateway` — one skeleton, one [`daemon::Handler`] per tier: a
-//! nonblocking accept loop feeds a bounded queue drained by a worker pool;
+//! `cactus-gateway` — one skeleton, one [`daemon::Handler`] per tier: an
+//! accept thread, blocked in `accept` and woken at shutdown by a connection
+//! of its own, feeds a bounded queue drained by a worker pool;
 //! a full queue answers `503 + Retry-After` immediately (explicit
 //! backpressure instead of unbounded queueing), a panicking handler is a
 //! `500`, and shutdown drains in-flight requests before threads exit.
