@@ -274,6 +274,18 @@ mod tests {
     }
 
     #[test]
+    fn a_non_ascii_character_outside_a_string_is_one_error_token() {
+        let src = "workload \"x\" { é 🌵 }";
+        let toks = lex(src);
+        let errors: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Error)
+            .map(|t| t.text(src))
+            .collect();
+        assert_eq!(errors, ["é", "🌵"]);
+    }
+
+    #[test]
     fn escape_round_trips_through_unescape() {
         for s in ["plain", "a\"b", "back\\slash", "nl\nnl", "tab\there"] {
             let quoted = format!("\"{}\"", escape(s));

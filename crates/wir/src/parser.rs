@@ -671,6 +671,16 @@ workload "mini" {
     }
 
     #[test]
+    fn unlexable_input_is_quoted_whole_in_the_finding() {
+        let err = parse("workload \"x\" { é }").expect_err("stray character");
+        assert!(
+            err.message.ends_with("(found unlexable input `é`)"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
     fn deep_nesting_is_bounded_not_fatal() {
         let mut src = String::from("workload \"x\" { run { ");
         for _ in 0..200 {
