@@ -43,8 +43,8 @@ impl Token {
     }
 }
 
-/// Lex `src` into tokens. Never fails: unknown bytes become
-/// [`TokenKind::Error`] tokens and the scan continues on the next byte.
+/// Lex `src` into tokens. Never fails: each unknown character becomes one
+/// [`TokenKind::Error`] token and the scan continues after it.
 #[must_use]
 pub(crate) fn lex(src: &str) -> Vec<Token> {
     let bytes = src.as_bytes();
@@ -129,7 +129,13 @@ pub(crate) fn lex(src: &str) -> Vec<Token> {
             i += 1;
             TokenKind::Punct
         } else {
-            i += 1;
+            // Outside a string every token ends on a character boundary,
+            // so `b` starts a character: cover all of it, never one byte
+            // of a multi-byte one.
+            i += src
+                .get(i..)
+                .and_then(|rest| rest.chars().next())
+                .map_or(1, char::len_utf8);
             TokenKind::Error
         };
         tokens.push(Token {
