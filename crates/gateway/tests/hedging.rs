@@ -511,3 +511,29 @@ fn a_compare_leg_whose_body_is_not_a_profile_answers_502_naming_its_device() {
     assert_eq!(fleet.primary.hits() + fleet.neighbour.hits(), 2);
     fleet.stop();
 }
+
+/// A backend that answers `/v1/healthz` but never `/v1/store/manifest`: the
+/// repair pass's manifest read gives up at its first-byte bound, so the
+/// health thread never sits out the 60 s backend timeout and `join` returns
+/// within the bound plus one probe interval.
+#[test]
+fn a_backend_that_never_answers_its_manifest_does_not_hold_join() {
+    let mute = Stub::spawn("mute");
+    mute.set(Mode::Hold);
+    let gateway = Gateway::start(
+        GatewayConfig {
+            workers: 2,
+            queue: 16,
+            probe_interval: Some(Duration::from_millis(100)),
+            ..GatewayConfig::default()
+        },
+        vec![mute.addr],
+    )
+    .expect("start gateway");
+    wait_until("the repair pass's manifest read", || mute.hits() >= 1);
+    let started = Instant::now();
+    gateway.join();
+    let waited = started.elapsed();
+    mute.set(Mode::Fast);
+    assert!(waited < Duration::from_secs(2), "join waited {waited:?}");
+}
