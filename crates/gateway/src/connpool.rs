@@ -21,9 +21,11 @@ use cactus_serve::Connection;
 /// once connected. Cold profile simulations can be slow, so it is generous.
 const BACKEND_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// How long a health probe waits for its reply to begin, and the bound on
-/// every pooled dial: a backend whose accept queue is full costs a probe
-/// round (or a forward attempt) this long, not [`BACKEND_TIMEOUT`].
+/// How long a health probe or a repair pass's read or push waits for its
+/// reply to begin, and the bound on every pooled dial: a backend whose
+/// accept queue is full, or that answers probes but stalls the rest, costs
+/// a probe round, a repair exchange (or a forward attempt) this long, not
+/// [`BACKEND_TIMEOUT`].
 pub(crate) const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Idle keep-alive connections pooled per backend.

@@ -158,15 +158,22 @@ impl Router {
             .ok()
     }
 
-    /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise.
+    /// `GET path` from backend `i`: `Some(body)` on a 200, `None` otherwise,
+    /// also when the reply does not begin within [`PROBE_TIMEOUT`]. The
+    /// repair pass reads through here on the health thread, which a backend
+    /// that answers probes but not this read must not hold.
     #[must_use]
     pub(crate) fn fetch(&self, i: usize, path: &str, trace: Option<TraceId>) -> Option<String> {
-        let reply = self.exchange(i, "GET", path, "", trace, None).ok()?;
+        let reply = self
+            .exchange(i, "GET", path, "", trace, Some(PROBE_TIMEOUT))
+            .ok()?;
         (reply.status == 200).then_some(reply.body)
     }
 
     /// Push one store record to backend `i` via
-    /// `POST /v1/store/record/<key>`. True when the backend stored it.
+    /// `POST /v1/store/record/<key>`. True when the backend stored it and
+    /// its reply began within [`PROBE_TIMEOUT`], the bound [`Self::fetch`]
+    /// has for the same reason.
     #[must_use]
     pub(crate) fn push_record(
         &self,
@@ -176,7 +183,7 @@ impl Router {
         trace: Option<TraceId>,
     ) -> bool {
         let path = format!("/v1/store/record/{key}");
-        self.exchange(i, "POST", &path, body, trace, None)
+        self.exchange(i, "POST", &path, body, trace, Some(PROBE_TIMEOUT))
             .is_ok_and(|reply| reply.status == 200)
     }
 
