@@ -11,6 +11,7 @@ use crate::ast::{
 };
 use crate::lexer::{lex, unescape, Token, TokenKind};
 use crate::Finding;
+use std::marker::PhantomData;
 
 /// Maximum statement/expression nesting depth. Far above any legitimate
 /// definition; exists so a pathological submission errors instead of
@@ -19,11 +20,17 @@ const MAX_DEPTH: u32 = 64;
 
 /// Parse one workload definition. The entire input must be consumed.
 pub fn parse(src: &str) -> Result<WorkloadDef, Finding> {
-    let mut p = Parser {
+    parse_tokens::<Digits>(src, lex(src))
+}
+
+/// Parse `toks`, lexed from `src`, reading literals with `L`.
+fn parse_tokens<L: Literals>(src: &str, toks: Vec<Token>) -> Result<WorkloadDef, Finding> {
+    let mut p = Parser::<L> {
         src,
-        toks: lex(src),
+        toks,
         pos: 0,
         depth: 0,
+        literals: PhantomData,
     };
     let def = p.workload()?;
     if let Some(t) = p.peek() {
@@ -32,14 +39,49 @@ pub fn parse(src: &str) -> Result<WorkloadDef, Finding> {
     Ok(def)
 }
 
-struct Parser<'a> {
+/// How the text of an `Int` or `Float` token (digits, `_` separators, and
+/// for a float one `.`) becomes a number; `None` when it is out of range.
+/// The tests also run the parser on the readers [`Digits`] replaced.
+trait Literals {
+    fn int(text: &str) -> Option<u64>;
+    fn float(text: &str) -> Option<f64>;
+}
+
+/// Reads literals in place: an integer digit by digit with checked
+/// arithmetic, a float straight from its text. Only a float spelled with
+/// `_`, which the printer never writes, is copied to drop them.
+struct Digits;
+
+impl Literals for Digits {
+    fn int(text: &str) -> Option<u64> {
+        text.bytes().filter(|&b| b != b'_').try_fold(0u64, |v, b| {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            v.checked_mul(10)?.checked_add(u64::from(digit))
+        })
+    }
+
+    fn float(text: &str) -> Option<f64> {
+        let v = if text.contains('_') {
+            text.replace('_', "").parse::<f64>()
+        } else {
+            text.parse::<f64>()
+        };
+        v.ok().filter(|v| v.is_finite())
+    }
+}
+
+struct Parser<'a, L> {
     src: &'a str,
     toks: Vec<Token>,
     pos: usize,
     depth: u32,
+    literals: PhantomData<L>,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, L: Literals> Parser<'a, L> {
     fn peek(&self) -> Option<&Token> {
         self.toks.get(self.pos)
     }
@@ -135,14 +177,13 @@ impl<'a> Parser<'a> {
     fn expect_int(&mut self, what: &str) -> Result<(u64, u32), Finding> {
         match self.peek() {
             Some(t) if t.kind == TokenKind::Int => {
-                let text = t.text(self.src).replace('_', "");
                 let line = t.line;
-                match text.parse::<u64>() {
-                    Ok(v) => {
+                match L::int(t.text(self.src)) {
+                    Some(v) => {
                         self.pos += 1;
                         Ok((v, line))
                     }
-                    Err(_) => Err(self.err_at(line, format!("{what} literal out of range"))),
+                    None => Err(self.err_at(line, format!("{what} literal out of range"))),
                 }
             }
             _ => Err(self.err_here(format!("expected an integer {what}"))),
@@ -154,14 +195,13 @@ impl<'a> Parser<'a> {
     fn expect_float(&mut self, what: &str) -> Result<(f64, u32), Finding> {
         match self.peek() {
             Some(t) if t.kind == TokenKind::Float || t.kind == TokenKind::Int => {
-                let text = t.text(self.src).replace('_', "");
                 let line = t.line;
-                match text.parse::<f64>() {
-                    Ok(v) if v.is_finite() => {
+                match L::float(t.text(self.src)) {
+                    Some(v) => {
                         self.pos += 1;
                         Ok((v, line))
                     }
-                    _ => Err(self.err_at(line, format!("{what} literal out of range"))),
+                    None => Err(self.err_at(line, format!("{what} literal out of range"))),
                 }
             }
             _ => Err(self.err_here(format!("expected a number for {what}"))),
@@ -623,6 +663,36 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The parser as it was before [`Digits`]: the same grammar over the
+/// reference lexer's tokens, reading each literal through a copy without
+/// its `_` separators. The oracle of the tests that compare parses.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{parse_tokens, Literals};
+    use crate::ast::WorkloadDef;
+    use crate::lexer::reference::lex;
+    use crate::Finding;
+
+    pub(super) struct Replace;
+
+    impl Literals for Replace {
+        fn int(text: &str) -> Option<u64> {
+            text.replace('_', "").parse::<u64>().ok()
+        }
+
+        fn float(text: &str) -> Option<f64> {
+            match text.replace('_', "").parse::<f64>() {
+                Ok(v) if v.is_finite() => Some(v),
+                _ => None,
+            }
+        }
+    }
+
+    pub(crate) fn parse(src: &str) -> Result<WorkloadDef, Finding> {
+        parse_tokens::<Replace>(src, lex(src))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,5 +758,59 @@ workload "mini" {
         }
         let err = parse(&src).expect_err("deep nesting");
         assert!(err.message.contains("nesting too deep"), "{}", err.message);
+    }
+
+    /// One literal token's text: digits and `_` after a leading digit, and
+    /// for a float a `.` before a digit; long enough to pass `u64::MAX`.
+    fn literal() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let part = || {
+            prop::collection::vec(
+                prop_oneof![
+                    Just('_'),
+                    (0u32..10).prop_map(|d| char::from(b'0' + d as u8))
+                ],
+                0..24,
+            )
+        };
+        (0u32..10, part(), proptest::option::of((0u32..10, part()))).prop_map(
+            |(lead, int, frac)| {
+                let mut text = char::from(b'0' + lead as u8).to_string();
+                text.extend(int);
+                if let Some((first, rest)) = frac {
+                    text.push('.');
+                    text.push(char::from(b'0' + first as u8));
+                    text.extend(rest);
+                }
+                text
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The in-place readers read every literal as the copying ones did.
+        #[test]
+        fn literals_read_as_the_reference_reads_them(text in literal()) {
+            use reference::Replace;
+            proptest::prop_assert_eq!(Digits::int(&text), Replace::int(&text), "{}", text);
+            let (new, old) = (Digits::float(&text), Replace::float(&text));
+            proptest::prop_assert_eq!(new.map(f64::to_bits), old.map(f64::to_bits), "{}", text);
+        }
+    }
+
+    #[test]
+    fn integer_literals_end_at_u64_max() {
+        for (text, value) in [
+            ("18446744073709551615", Some(u64::MAX)),
+            ("18_446_744_073_709_551_615", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("99999999999999999999", None),
+            ("0_0", Some(0)),
+        ] {
+            assert_eq!(Digits::int(text), value, "{text}");
+            assert_eq!(reference::Replace::int(text), value, "{text}");
+        }
     }
 }
