@@ -20,11 +20,12 @@
 //!
 //! Passes 2–6 are pure functions of the AST; none executes the workload.
 
-use crate::ast::{KernelDef, PatternSpec, Stmt, WorkloadDef, MIX_CLASSES, TAXONOMIES};
+use crate::ast::{Expr, KernelDef, PatternSpec, Stmt, WorkloadDef, MIX_CLASSES, TAXONOMIES};
 use crate::eval::{build_env, collect_vars, eval, eval_u32, eval_u64, Env};
 use crate::parser::parse;
 use crate::Finding;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Pass names, in execution order.
 pub const PASSES: [&str; 6] = [
@@ -83,14 +84,23 @@ fn finding(pass: &'static str, line: u32, message: impl Into<String>) -> Finding
 
 // ---------------------------------------------------------------- types --
 
-fn types(def: &WorkloadDef) -> Vec<Finding> {
+// Nearly every name resolves, so the pass builds nothing per expression:
+// each check runs over borrowed names first, and a finding's text — and
+// any set that orders or dedups findings — is built only once it fails.
+
+fn types<'a>(def: &'a WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "types";
     let mut out = Vec::new();
-    let mut seen: HashMap<String, &'static str> = HashMap::new();
-    let mut dup = |out: &mut Vec<Finding>, kind: &'static str, name: &str, line: u32| {
+    let declared = def.params.len()
+        + def.scales.len()
+        + def.classes.len()
+        + def.kernels.len()
+        + def.phases.len();
+    let mut seen: HashMap<&str, &'static str> = HashMap::with_capacity(declared);
+    let mut dup = |out: &mut Vec<Finding>, kind: &'static str, name: &'a str, line: u32| {
         // Distinct namespaces would be defensible, but one flat namespace
         // keeps `launch x;` vs `phase x;` confusions impossible.
-        if let Some(prev) = seen.insert(name.to_owned(), kind) {
+        if let Some(prev) = seen.insert(name, kind) {
             out.push(finding(
                 PASS,
                 line,
@@ -98,14 +108,15 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
             ));
         }
     };
+    let mut names: HashSet<&str> = HashSet::new();
     for p in &def.params {
         dup(&mut out, "param", &p.name, p.line);
     }
     for s in &def.scales {
         dup(&mut out, "scale", &s.name, s.line);
-        let mut vars = HashSet::new();
+        names.clear();
         for v in &s.vars {
-            if !vars.insert(v.name.as_str()) {
+            if !names.insert(v.name.as_str()) {
                 out.push(finding(
                     PASS,
                     v.line,
@@ -127,76 +138,43 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
     // Variable resolution. Params see earlier params; scale vars see params
     // and earlier vars of the same block; everything else sees the full
     // environment of *every* scale.
-    let params: HashSet<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
-    let mut earlier: HashSet<&str> = HashSet::new();
+    let scopes = Scopes::new(def);
+    names.clear();
     for p in &def.params {
-        check_vars(&mut out, &p.expr, &earlier, p.line, "param", &p.name);
-        earlier.insert(p.name.as_str());
+        check_vars(
+            &mut out,
+            &p.expr,
+            |v| names.contains(v),
+            p.line,
+            "param",
+            &p.name,
+        );
+        names.insert(p.name.as_str());
     }
     for s in &def.scales {
-        let mut scope: HashSet<&str> = params.clone();
+        names.clear();
         for v in &s.vars {
-            check_vars(&mut out, &v.expr, &scope, v.line, "scale variable", &v.name);
-            scope.insert(v.name.as_str());
+            let visible = |name: &str| scopes.params.contains(name) || names.contains(name);
+            check_vars(
+                &mut out,
+                &v.expr,
+                visible,
+                v.line,
+                "scale variable",
+                &v.name,
+            );
+            names.insert(v.name.as_str());
         }
     }
-    // (var, scope description) pairs for full-environment expressions.
-    let scopes: Vec<(Option<&str>, HashSet<&str>)> = if def.scales.is_empty() {
-        vec![(None, params.clone())]
-    } else {
-        def.scales
-            .iter()
-            .map(|s| {
-                let mut scope = params.clone();
-                scope.extend(s.vars.iter().map(|v| v.name.as_str()));
-                (Some(s.name.as_str()), scope)
-            })
-            .collect()
-    };
-    let check_full = |out: &mut Vec<Finding>, e: &crate::ast::Expr, line: u32, what: String| {
-        let mut vars = Vec::new();
-        collect_vars(e, &mut vars);
-        let mut reported = HashSet::new();
-        for v in vars {
-            if !reported.insert(v) {
-                continue;
-            }
-            for (scale, scope) in &scopes {
-                if !scope.contains(v) {
-                    let place = match scale {
-                        Some(s) => format!(" in scale `{s}`"),
-                        None => String::new(),
-                    };
-                    out.push(finding(
-                        PASS,
-                        line,
-                        format!("{what}: unknown variable `{v}`{place}"),
-                    ));
-                    break;
-                }
-            }
-        }
-    };
     for c in &def.classes {
         if let Some(cond) = &c.cond {
-            let what = format!("class `{}` condition", c.name);
-            check_full(&mut out, &cond.lhs, c.line, what.clone());
-            check_full(&mut out, &cond.rhs, c.line, what);
+            let site = Site::Class(&c.name);
+            scopes.check(&mut out, &cond.lhs, c.line, site);
+            scopes.check(&mut out, &cond.rhs, c.line, site);
         }
     }
     for k in &def.kernels {
-        let mut exprs: Vec<(&crate::ast::Expr, u32)> = Vec::new();
-        if let Some(l) = &k.launch {
-            exprs.push((&l.a, l.line));
-            exprs.push((&l.b, l.line));
-            if let Some(r) = &l.regs {
-                exprs.push((r, l.line));
-            }
-            if let Some(s) = &l.smem {
-                exprs.push((s, l.line));
-            }
-        }
-        for (class, e, line) in &k.mix {
+        for (class, _, line) in &k.mix {
             if !MIX_CLASSES.contains(&class.as_str()) {
                 out.push(finding(
                     PASS,
@@ -208,11 +186,21 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
                     ),
                 ));
             }
-            exprs.push((e, *line));
         }
-        let mut mix_seen = HashSet::new();
+        // One bit per vocabulary class; only an unknown class, already a
+        // finding, needs a set.
+        let mut known = 0u32;
+        let mut unknown: HashSet<&str> = HashSet::new();
         for (class, _, line) in &k.mix {
-            if !mix_seen.insert(class.as_str()) {
+            let first = match MIX_CLASSES.iter().position(|c| c == class) {
+                Some(i) => {
+                    let first = known & (1 << i) == 0;
+                    known |= 1 << i;
+                    first
+                }
+                None => unknown.insert(class.as_str()),
+            };
+            if !first {
                 out.push(finding(
                     PASS,
                     *line,
@@ -256,23 +244,6 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
                     ));
                 }
             }
-            exprs.push((&s.accesses, s.line));
-            match &s.pattern {
-                PatternSpec::Streaming => {}
-                PatternSpec::Random { working_set } => exprs.push((working_set, s.line)),
-                PatternSpec::Sweep {
-                    working_set,
-                    sweeps,
-                } => {
-                    exprs.push((working_set, s.line));
-                    exprs.push((sweeps, s.line));
-                }
-                PatternSpec::HotCold { hot, cold, .. } => {
-                    exprs.push((hot, s.line));
-                    exprs.push((cold, s.line));
-                }
-                PatternSpec::Broadcast { bytes } => exprs.push((bytes, s.line)),
-            }
         }
         if let Some((d, line)) = k.depend {
             if !(0.0..=1.0).contains(&d) {
@@ -283,52 +254,22 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
                 ));
             }
         }
-        for (e, line) in exprs {
-            check_full(&mut out, e, line, format!("kernel `{}`", k.id));
-        }
+        kernel_exprs(k, |e, line| {
+            scopes.check(&mut out, e, line, Site::Kernel(&k.id))
+        });
     }
 
     // Statement references and repeat-count variables.
-    let kernels: HashSet<&str> = def.kernels.iter().map(|k| k.id.as_str()).collect();
-    let phases: HashSet<&str> = def.phases.iter().map(|(n, _, _)| n.as_str()).collect();
-    let classes: HashSet<&str> = def.classes.iter().map(|c| c.name.as_str()).collect();
-    let walk = |out: &mut Vec<Finding>, body: &[Stmt]| {
-        let mut stack: Vec<&Stmt> = body.iter().collect();
-        while let Some(s) = stack.pop() {
-            match s {
-                Stmt::Launch { kernel, line } => {
-                    if !kernels.contains(kernel.as_str()) {
-                        out.push(finding(PASS, *line, format!("unknown kernel `{kernel}`")));
-                    }
-                }
-                Stmt::Call { phase, line } => {
-                    if !phases.contains(phase.as_str()) {
-                        out.push(finding(PASS, *line, format!("unknown phase `{phase}`")));
-                    }
-                }
-                Stmt::Repeat { count, body, line } => {
-                    check_full(out, count, *line, "repeat count".to_owned());
-                    stack.extend(body.iter());
-                }
-                Stmt::Select { arms, line } => {
-                    for (class, arm) in arms {
-                        if !classes.contains(class.as_str()) {
-                            out.push(finding(
-                                PASS,
-                                *line,
-                                format!("select arm references undeclared class `{class}`"),
-                            ));
-                        }
-                        stack.push(arm);
-                    }
-                }
-            }
-        }
+    let refs = Refs {
+        kernels: def.kernels.iter().map(|k| k.id.as_str()).collect(),
+        phases: def.phases.iter().map(|(n, _, _)| n.as_str()).collect(),
+        classes: def.classes.iter().map(|c| c.name.as_str()).collect(),
+        scopes: &scopes,
     };
     for (_, body, _) in &def.phases {
-        walk(&mut out, body);
+        refs.body(&mut out, body);
     }
-    walk(&mut out, &def.run);
+    refs.body(&mut out, &def.run);
     if def.run.is_empty() {
         out.push(finding(
             PASS,
@@ -339,19 +280,208 @@ fn types(def: &WorkloadDef) -> Vec<Finding> {
     out
 }
 
+/// Where an expression that sees the full environment sits, named in its
+/// findings.
+#[derive(Clone, Copy)]
+enum Site<'a> {
+    Class(&'a str),
+    Kernel(&'a str),
+    Repeat,
+}
+
+impl std::fmt::Display for Site<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Site::Class(name) => write!(f, "class `{name}` condition"),
+            Site::Kernel(id) => write!(f, "kernel `{id}`"),
+            Site::Repeat => f.write_str("repeat count"),
+        }
+    }
+}
+
+/// The full environment of every scale: the params plus, per declared
+/// scale, that scale's variables (one scale-less environment without any).
+struct Scopes<'a> {
+    params: HashSet<&'a str>,
+    scales: Vec<(&'a str, HashSet<&'a str>)>,
+}
+
+impl<'a> Scopes<'a> {
+    fn new(def: &'a WorkloadDef) -> Self {
+        Scopes {
+            params: def.params.iter().map(|p| p.name.as_str()).collect(),
+            scales: def
+                .scales
+                .iter()
+                .map(|s| {
+                    (
+                        s.name.as_str(),
+                        s.vars.iter().map(|v| v.name.as_str()).collect(),
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// The first environment `v` is unbound in — `Some(None)` for the
+    /// scale-less one — or `None` when every environment binds it.
+    fn unbound_in(&self, v: &str) -> Option<Option<&'a str>> {
+        if self.params.contains(v) {
+            return None;
+        }
+        if self.scales.is_empty() {
+            return Some(None);
+        }
+        self.scales
+            .iter()
+            .find(|(_, vars)| !vars.contains(v))
+            .map(|&(scale, _)| Some(scale))
+    }
+
+    /// One finding per distinct variable of `e` that some environment does
+    /// not bind, naming the first such scale.
+    fn check(&self, out: &mut Vec<Finding>, e: &Expr, line: u32, site: Site<'_>) {
+        if every_var(e, &|v| self.unbound_in(v).is_none()) {
+            return;
+        }
+        let mut vars = Vec::new();
+        collect_vars(e, &mut vars);
+        let mut reported = HashSet::new();
+        for v in vars {
+            if !reported.insert(v) {
+                continue;
+            }
+            if let Some(scale) = self.unbound_in(v) {
+                let place = match scale {
+                    Some(s) => format!(" in scale `{s}`"),
+                    None => String::new(),
+                };
+                out.push(finding(
+                    "types",
+                    line,
+                    format!("{site}: unknown variable `{v}`{place}"),
+                ));
+            }
+        }
+    }
+}
+
+/// What statements may name, and where repeat counts resolve.
+struct Refs<'a> {
+    kernels: HashSet<&'a str>,
+    phases: HashSet<&'a str>,
+    classes: HashSet<&'a str>,
+    scopes: &'a Scopes<'a>,
+}
+
+impl Refs<'_> {
+    /// Check `body` last statement first, each statement before the ones
+    /// it nests: the order its findings have always been reported in.
+    fn body(&self, out: &mut Vec<Finding>, body: &[Stmt]) {
+        for s in body.iter().rev() {
+            self.stmt(out, s);
+        }
+    }
+
+    fn stmt(&self, out: &mut Vec<Finding>, s: &Stmt) {
+        const PASS: &str = "types";
+        match s {
+            Stmt::Launch { kernel, line } => {
+                if !self.kernels.contains(kernel.as_str()) {
+                    out.push(finding(PASS, *line, format!("unknown kernel `{kernel}`")));
+                }
+            }
+            Stmt::Call { phase, line } => {
+                if !self.phases.contains(phase.as_str()) {
+                    out.push(finding(PASS, *line, format!("unknown phase `{phase}`")));
+                }
+            }
+            Stmt::Repeat { count, body, line } => {
+                self.scopes.check(out, count, *line, Site::Repeat);
+                self.body(out, body);
+            }
+            Stmt::Select { arms, line } => {
+                for (class, _) in arms {
+                    if !self.classes.contains(class.as_str()) {
+                        out.push(finding(
+                            PASS,
+                            *line,
+                            format!("select arm references undeclared class `{class}`"),
+                        ));
+                    }
+                }
+                for (_, arm) in arms.iter().rev() {
+                    self.stmt(out, arm);
+                }
+            }
+        }
+    }
+}
+
+/// Visit a kernel's expressions with their lines: launch geometry, regs
+/// and smem, the mix, then each stream's accesses and pattern operands.
+fn kernel_exprs<'a>(k: &'a KernelDef, mut visit: impl FnMut(&'a Expr, u32)) {
+    if let Some(l) = &k.launch {
+        visit(&l.a, l.line);
+        visit(&l.b, l.line);
+        if let Some(r) = &l.regs {
+            visit(r, l.line);
+        }
+        if let Some(s) = &l.smem {
+            visit(s, l.line);
+        }
+    }
+    for (_, e, line) in &k.mix {
+        visit(e, *line);
+    }
+    for s in &k.streams {
+        visit(&s.accesses, s.line);
+        match &s.pattern {
+            PatternSpec::Streaming => {}
+            PatternSpec::Random { working_set } => visit(working_set, s.line),
+            PatternSpec::Sweep {
+                working_set,
+                sweeps,
+            } => {
+                visit(working_set, s.line);
+                visit(sweeps, s.line);
+            }
+            PatternSpec::HotCold { hot, cold, .. } => {
+                visit(hot, s.line);
+                visit(cold, s.line);
+            }
+            PatternSpec::Broadcast { bytes } => visit(bytes, s.line),
+        }
+    }
+}
+
+/// Whether `bound` holds for every variable `e` names.
+fn every_var(e: &Expr, bound: &impl Fn(&str) -> bool) -> bool {
+    match e {
+        Expr::Int(_) => true,
+        Expr::Var(name) => bound(name),
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) | Expr::Mod(a, b) => {
+            every_var(a, bound) && every_var(b, bound)
+        }
+    }
+}
+
 fn check_vars(
     out: &mut Vec<Finding>,
-    e: &crate::ast::Expr,
-    scope: &HashSet<&str>,
+    e: &Expr,
+    visible: impl Fn(&str) -> bool,
     line: u32,
     kind: &str,
     name: &str,
 ) {
+    if every_var(e, &visible) {
+        return;
+    }
     let mut vars = Vec::new();
     collect_vars(e, &mut vars);
     let mut reported = HashSet::new();
     for v in vars {
-        if !scope.contains(v) && reported.insert(v) {
+        if !visible(v) && reported.insert(v) {
             out.push(finding(
                 "types",
                 line,
@@ -366,18 +496,22 @@ fn check_vars(
 // ------------------------------------------------------------- geometry --
 
 /// The loosest limits across the device catalog: a kernel must be
-/// launchable on at least one modeled device.
+/// launchable on at least one modeled device. Built once: each catalog
+/// entry builds a whole `Device` to read three numbers off it.
 fn catalog_limits() -> (u32, u32, u32) {
-    let mut max_tpb = 32u32;
-    let mut max_regs = 0u32;
-    let mut max_smem = 0u32;
-    for entry in cactus_gpu::CATALOG {
-        let d = entry.device();
-        max_tpb = max_tpb.max(d.max_threads_per_block);
-        max_regs = max_regs.max(d.registers_per_sm);
-        max_smem = max_smem.max(d.shared_mem_per_sm);
-    }
-    (max_tpb, max_regs, max_smem)
+    static LIMITS: OnceLock<(u32, u32, u32)> = OnceLock::new();
+    *LIMITS.get_or_init(|| {
+        let mut max_tpb = 32u32;
+        let mut max_regs = 0u32;
+        let mut max_smem = 0u32;
+        for entry in cactus_gpu::CATALOG {
+            let d = entry.device();
+            max_tpb = max_tpb.max(d.max_threads_per_block);
+            max_regs = max_regs.max(d.registers_per_sm);
+            max_smem = max_smem.max(d.shared_mem_per_sm);
+        }
+        (max_tpb, max_regs, max_smem)
+    })
 }
 
 fn geometry(def: &WorkloadDef) -> Vec<Finding> {
@@ -385,7 +519,7 @@ fn geometry(def: &WorkloadDef) -> Vec<Finding> {
     let mut out = Vec::new();
     let (max_tpb, max_regs, max_smem) = catalog_limits();
     for (scale, env) in scale_envs(def, &mut out, PASS) {
-        let ctx = |what: &str| match scale.as_deref() {
+        let ctx = |what: &str| match scale {
             Some(s) => format!("{what} (scale `{s}`)"),
             None => what.to_owned(),
         };
@@ -504,26 +638,24 @@ fn geometry(def: &WorkloadDef) -> Vec<Finding> {
                         ctx(&format!("kernel `{}`: accesses: {e}", k.id)),
                     ));
                 }
-                let mut footprints: Vec<(&str, &crate::ast::Expr)> = Vec::new();
-                match &s.pattern {
-                    PatternSpec::Streaming => {}
+                let footprints: [Option<(&str, &Expr)>; 2] = match &s.pattern {
+                    PatternSpec::Streaming => [None, None],
                     PatternSpec::Random { working_set } => {
-                        footprints.push(("working set", working_set));
+                        [Some(("working set", working_set)), None]
                     }
                     PatternSpec::Sweep {
                         working_set,
                         sweeps,
-                    } => {
-                        footprints.push(("working set", working_set));
-                        footprints.push(("sweep count", sweeps));
-                    }
+                    } => [
+                        Some(("working set", working_set)),
+                        Some(("sweep count", sweeps)),
+                    ],
                     PatternSpec::HotCold { hot, cold, .. } => {
-                        footprints.push(("hot bytes", hot));
-                        footprints.push(("cold bytes", cold));
+                        [Some(("hot bytes", hot)), Some(("cold bytes", cold))]
                     }
-                    PatternSpec::Broadcast { bytes } => footprints.push(("broadcast bytes", bytes)),
-                }
-                for (what, e) in footprints {
+                    PatternSpec::Broadcast { bytes } => [Some(("broadcast bytes", bytes)), None],
+                };
+                for (what, e) in footprints.into_iter().flatten() {
                     match eval_u64(e, &env) {
                         Ok(0) => out.push(finding(
                             PASS,
@@ -564,11 +696,11 @@ fn geometry(def: &WorkloadDef) -> Vec<Finding> {
 
 /// Build one environment per declared scale (or a single scale-less one),
 /// converting build failures into findings for `pass`.
-fn scale_envs(
-    def: &WorkloadDef,
+fn scale_envs<'a>(
+    def: &'a WorkloadDef,
     out: &mut Vec<Finding>,
     pass: &'static str,
-) -> Vec<(Option<String>, Env)> {
+) -> Vec<(Option<&'a str>, Env)> {
     let mut envs = Vec::new();
     if def.scales.is_empty() {
         match build_env(def, None) {
@@ -579,7 +711,7 @@ fn scale_envs(
     }
     for s in &def.scales {
         match build_env(def, Some(&s.name)) {
-            Ok(env) => envs.push((Some(s.name.clone()), env)),
+            Ok(env) => envs.push((Some(s.name.as_str()), env)),
             Err((line, msg)) => out.push(finding(pass, line, msg)),
         }
     }
@@ -765,17 +897,14 @@ fn cost(def: &WorkloadDef) -> Vec<Finding> {
     const PASS: &str = "cost";
     let mut out = Vec::new();
     for (scale, env) in scale_envs(def, &mut out, PASS) {
-        let label = scale
-            .as_deref()
-            .map(|s| format!("scale `{s}`: "))
-            .unwrap_or_default();
+        let label = Label(scale);
         // Per-launch cost of each kernel, mirroring KernelDesc::build's
         // reconciliation of declared streams into the instruction mix.
-        let mut per_kernel: HashMap<&str, Cost> = HashMap::new();
+        let mut per_kernel: HashMap<&str, Cost> = HashMap::with_capacity(def.kernels.len());
         for k in &def.kernels {
-            per_kernel.insert(k.id.as_str(), kernel_cost(k, &env, &mut out, &label));
+            per_kernel.insert(k.id.as_str(), kernel_cost(k, &env, &mut out, label));
         }
-        let mut memo: HashMap<&str, Cost> = HashMap::new();
+        let mut memo: HashMap<&str, Cost> = HashMap::with_capacity(def.phases.len());
         let total = body_cost(
             def,
             &def.run,
@@ -783,7 +912,7 @@ fn cost(def: &WorkloadDef) -> Vec<Finding> {
             &per_kernel,
             &mut memo,
             &mut out,
-            &label,
+            label,
             0,
         );
         if total.launches > u128::from(CEILING_LAUNCHES) {
@@ -821,7 +950,21 @@ fn cost(def: &WorkloadDef) -> Vec<Finding> {
     out
 }
 
-fn kernel_cost(k: &KernelDef, env: &Env, out: &mut Vec<Finding>, label: &str) -> Cost {
+/// The `scale `<name>`: ` prefix of a cost finding under a declared scale,
+/// written only into a finding's text.
+#[derive(Clone, Copy)]
+struct Label<'a>(Option<&'a str>);
+
+impl std::fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(s) => write!(f, "scale `{s}`: "),
+            None => Ok(()),
+        }
+    }
+}
+
+fn kernel_cost(k: &KernelDef, env: &Env, out: &mut Vec<Finding>, label: Label<'_>) -> Cost {
     const PASS: &str = "cost";
     let mut mix_total = 0u128;
     let mut load = 0u128;
@@ -878,7 +1021,7 @@ fn body_cost<'a>(
     per_kernel: &HashMap<&str, Cost>,
     memo: &mut HashMap<&'a str, Cost>,
     out: &mut Vec<Finding>,
-    label: &str,
+    label: Label<'_>,
     depth: u32,
 ) -> Cost {
     const PASS: &str = "cost";
@@ -987,6 +1130,738 @@ fn determinism(def: &WorkloadDef) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// The passes as they were before they built findings only on failure,
+/// kept as the oracle of the tests that compare findings.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{
+        determinism, finding, selection, Cost, CEILING_BYTES, CEILING_LAUNCHES,
+        CEILING_WARP_INSTRUCTIONS,
+    };
+    use crate::ast::{KernelDef, PatternSpec, Stmt, WorkloadDef, MIX_CLASSES, TAXONOMIES};
+    use crate::eval::{build_env, collect_vars, eval, eval_u32, eval_u64, Env};
+    use crate::Finding;
+    use std::collections::{HashMap, HashSet};
+
+    pub(crate) fn check(def: &WorkloadDef) -> Vec<Finding> {
+        let passes: [fn(&WorkloadDef) -> Vec<Finding>; 5] =
+            [types, geometry, selection, cost, determinism];
+        for pass in passes {
+            let findings = pass(def);
+            if !findings.is_empty() {
+                return findings;
+            }
+        }
+        Vec::new()
+    }
+
+    // ---------------------------------------------------------------- types --
+
+    fn types(def: &WorkloadDef) -> Vec<Finding> {
+        const PASS: &str = "types";
+        let mut out = Vec::new();
+        let mut seen: HashMap<String, &'static str> = HashMap::new();
+        let mut dup = |out: &mut Vec<Finding>, kind: &'static str, name: &str, line: u32| {
+            // Distinct namespaces would be defensible, but one flat namespace
+            // keeps `launch x;` vs `phase x;` confusions impossible.
+            if let Some(prev) = seen.insert(name.to_owned(), kind) {
+                out.push(finding(
+                    PASS,
+                    line,
+                    format!("duplicate declaration `{name}` (already declared as a {prev})"),
+                ));
+            }
+        };
+        for p in &def.params {
+            dup(&mut out, "param", &p.name, p.line);
+        }
+        for s in &def.scales {
+            dup(&mut out, "scale", &s.name, s.line);
+            let mut vars = HashSet::new();
+            for v in &s.vars {
+                if !vars.insert(v.name.as_str()) {
+                    out.push(finding(
+                        PASS,
+                        v.line,
+                        format!("duplicate variable `{}` in scale `{}`", v.name, s.name),
+                    ));
+                }
+            }
+        }
+        for c in &def.classes {
+            dup(&mut out, "class", &c.name, c.line);
+        }
+        for k in &def.kernels {
+            dup(&mut out, "kernel", &k.id, k.line);
+        }
+        for (name, _, line) in &def.phases {
+            dup(&mut out, "phase", name, *line);
+        }
+
+        // Variable resolution. Params see earlier params; scale vars see params
+        // and earlier vars of the same block; everything else sees the full
+        // environment of *every* scale.
+        let params: HashSet<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
+        let mut earlier: HashSet<&str> = HashSet::new();
+        for p in &def.params {
+            check_vars(&mut out, &p.expr, &earlier, p.line, "param", &p.name);
+            earlier.insert(p.name.as_str());
+        }
+        for s in &def.scales {
+            let mut scope: HashSet<&str> = params.clone();
+            for v in &s.vars {
+                check_vars(&mut out, &v.expr, &scope, v.line, "scale variable", &v.name);
+                scope.insert(v.name.as_str());
+            }
+        }
+        // (var, scope description) pairs for full-environment expressions.
+        let scopes: Vec<(Option<&str>, HashSet<&str>)> = if def.scales.is_empty() {
+            vec![(None, params.clone())]
+        } else {
+            def.scales
+                .iter()
+                .map(|s| {
+                    let mut scope = params.clone();
+                    scope.extend(s.vars.iter().map(|v| v.name.as_str()));
+                    (Some(s.name.as_str()), scope)
+                })
+                .collect()
+        };
+        let check_full = |out: &mut Vec<Finding>, e: &crate::ast::Expr, line: u32, what: String| {
+            let mut vars = Vec::new();
+            collect_vars(e, &mut vars);
+            let mut reported = HashSet::new();
+            for v in vars {
+                if !reported.insert(v) {
+                    continue;
+                }
+                for (scale, scope) in &scopes {
+                    if !scope.contains(v) {
+                        let place = match scale {
+                            Some(s) => format!(" in scale `{s}`"),
+                            None => String::new(),
+                        };
+                        out.push(finding(
+                            PASS,
+                            line,
+                            format!("{what}: unknown variable `{v}`{place}"),
+                        ));
+                        break;
+                    }
+                }
+            }
+        };
+        for c in &def.classes {
+            if let Some(cond) = &c.cond {
+                let what = format!("class `{}` condition", c.name);
+                check_full(&mut out, &cond.lhs, c.line, what.clone());
+                check_full(&mut out, &cond.rhs, c.line, what);
+            }
+        }
+        for k in &def.kernels {
+            let mut exprs: Vec<(&crate::ast::Expr, u32)> = Vec::new();
+            if let Some(l) = &k.launch {
+                exprs.push((&l.a, l.line));
+                exprs.push((&l.b, l.line));
+                if let Some(r) = &l.regs {
+                    exprs.push((r, l.line));
+                }
+                if let Some(s) = &l.smem {
+                    exprs.push((s, l.line));
+                }
+            }
+            for (class, e, line) in &k.mix {
+                if !MIX_CLASSES.contains(&class.as_str()) {
+                    out.push(finding(
+                        PASS,
+                        *line,
+                        format!(
+                            "kernel `{}`: unknown mix class `{class}` (expected one of {})",
+                            k.id,
+                            MIX_CLASSES.join(", ")
+                        ),
+                    ));
+                }
+                exprs.push((e, *line));
+            }
+            let mut mix_seen = HashSet::new();
+            for (class, _, line) in &k.mix {
+                if !mix_seen.insert(class.as_str()) {
+                    out.push(finding(
+                        PASS,
+                        *line,
+                        format!("kernel `{}`: duplicate mix class `{class}`", k.id),
+                    ));
+                }
+            }
+            if let Some((tag, line)) = &k.taxonomy {
+                if !TAXONOMIES.contains(&tag.as_str()) {
+                    out.push(finding(
+                        PASS,
+                        *line,
+                        format!(
+                            "kernel `{}`: unknown taxonomy `{tag}` (expected one of {})",
+                            k.id,
+                            TAXONOMIES.join(", ")
+                        ),
+                    ));
+                }
+            }
+            for s in &k.streams {
+                if s.tpa < 1.0 {
+                    out.push(finding(
+                        PASS,
+                        s.line,
+                        format!(
+                            "kernel `{}`: tpa {:?} below 1 (transactions per warp access)",
+                            k.id, s.tpa
+                        ),
+                    ));
+                }
+                if let PatternSpec::HotCold { hot_fraction, .. } = &s.pattern {
+                    if !(0.0..=1.0).contains(hot_fraction) {
+                        out.push(finding(
+                            PASS,
+                            s.line,
+                            format!(
+                                "kernel `{}`: hot fraction {hot_fraction:?} outside [0, 1]",
+                                k.id
+                            ),
+                        ));
+                    }
+                }
+                exprs.push((&s.accesses, s.line));
+                match &s.pattern {
+                    PatternSpec::Streaming => {}
+                    PatternSpec::Random { working_set } => exprs.push((working_set, s.line)),
+                    PatternSpec::Sweep {
+                        working_set,
+                        sweeps,
+                    } => {
+                        exprs.push((working_set, s.line));
+                        exprs.push((sweeps, s.line));
+                    }
+                    PatternSpec::HotCold { hot, cold, .. } => {
+                        exprs.push((hot, s.line));
+                        exprs.push((cold, s.line));
+                    }
+                    PatternSpec::Broadcast { bytes } => exprs.push((bytes, s.line)),
+                }
+            }
+            if let Some((d, line)) = k.depend {
+                if !(0.0..=1.0).contains(&d) {
+                    out.push(finding(
+                        PASS,
+                        line,
+                        format!("kernel `{}`: depend {d:?} outside [0, 1]", k.id),
+                    ));
+                }
+            }
+            for (e, line) in exprs {
+                check_full(&mut out, e, line, format!("kernel `{}`", k.id));
+            }
+        }
+
+        // Statement references and repeat-count variables.
+        let kernels: HashSet<&str> = def.kernels.iter().map(|k| k.id.as_str()).collect();
+        let phases: HashSet<&str> = def.phases.iter().map(|(n, _, _)| n.as_str()).collect();
+        let classes: HashSet<&str> = def.classes.iter().map(|c| c.name.as_str()).collect();
+        let walk = |out: &mut Vec<Finding>, body: &[Stmt]| {
+            let mut stack: Vec<&Stmt> = body.iter().collect();
+            while let Some(s) = stack.pop() {
+                match s {
+                    Stmt::Launch { kernel, line } => {
+                        if !kernels.contains(kernel.as_str()) {
+                            out.push(finding(PASS, *line, format!("unknown kernel `{kernel}`")));
+                        }
+                    }
+                    Stmt::Call { phase, line } => {
+                        if !phases.contains(phase.as_str()) {
+                            out.push(finding(PASS, *line, format!("unknown phase `{phase}`")));
+                        }
+                    }
+                    Stmt::Repeat { count, body, line } => {
+                        check_full(out, count, *line, "repeat count".to_owned());
+                        stack.extend(body.iter());
+                    }
+                    Stmt::Select { arms, line } => {
+                        for (class, arm) in arms {
+                            if !classes.contains(class.as_str()) {
+                                out.push(finding(
+                                    PASS,
+                                    *line,
+                                    format!("select arm references undeclared class `{class}`"),
+                                ));
+                            }
+                            stack.push(arm);
+                        }
+                    }
+                }
+            }
+        };
+        for (_, body, _) in &def.phases {
+            walk(&mut out, body);
+        }
+        walk(&mut out, &def.run);
+        if def.run.is_empty() {
+            out.push(finding(
+                PASS,
+                def.run_line,
+                "run block is empty or missing — the workload launches nothing",
+            ));
+        }
+        out
+    }
+
+    fn check_vars(
+        out: &mut Vec<Finding>,
+        e: &crate::ast::Expr,
+        scope: &HashSet<&str>,
+        line: u32,
+        kind: &str,
+        name: &str,
+    ) {
+        let mut vars = Vec::new();
+        collect_vars(e, &mut vars);
+        let mut reported = HashSet::new();
+        for v in vars {
+            if !scope.contains(v) && reported.insert(v) {
+                out.push(finding(
+                    "types",
+                    line,
+                    format!(
+                        "{kind} `{name}`: unknown variable `{v}` (only earlier bindings are visible)"
+                    ),
+                ));
+            }
+        }
+    }
+
+    /// The loosest limits across the device catalog: a kernel must be
+    /// launchable on at least one modeled device.
+    fn catalog_limits() -> (u32, u32, u32) {
+        let mut max_tpb = 32u32;
+        let mut max_regs = 0u32;
+        let mut max_smem = 0u32;
+        for entry in cactus_gpu::CATALOG {
+            let d = entry.device();
+            max_tpb = max_tpb.max(d.max_threads_per_block);
+            max_regs = max_regs.max(d.registers_per_sm);
+            max_smem = max_smem.max(d.shared_mem_per_sm);
+        }
+        (max_tpb, max_regs, max_smem)
+    }
+
+    fn geometry(def: &WorkloadDef) -> Vec<Finding> {
+        const PASS: &str = "geometry";
+        let mut out = Vec::new();
+        let (max_tpb, max_regs, max_smem) = catalog_limits();
+        for (scale, env) in scale_envs(def, &mut out, PASS) {
+            let ctx = |what: &str| match scale.as_deref() {
+                Some(s) => format!("{what} (scale `{s}`)"),
+                None => what.to_owned(),
+            };
+            for k in &def.kernels {
+                if let Some(l) = &k.launch {
+                    let a = eval_u64(&l.a, &env);
+                    let b = eval_u64(&l.b, &env);
+                    match (&a, &b) {
+                        (Ok(a), Ok(b)) => {
+                            let tpb = *b;
+                            if *a == 0 {
+                                out.push(finding(
+                                    PASS,
+                                    l.line,
+                                    ctx(&format!(
+                                        "kernel `{}`: launch size must be at least 1",
+                                        k.id
+                                    )),
+                                ));
+                            }
+                            if !(32..=u64::from(max_tpb)).contains(&tpb) {
+                                out.push(finding(
+                                    PASS,
+                                    l.line,
+                                    ctx(&format!(
+                                        "kernel `{}`: threads_per_block {tpb} outside [32, {max_tpb}] \
+                                         — not launchable on any catalog device",
+                                        k.id
+                                    )),
+                                ));
+                            } else {
+                                if let Some(r) = &l.regs {
+                                    match eval_u32(r, &env) {
+                                        Ok(regs) => {
+                                            if regs < 16 {
+                                                out.push(finding(
+                                                    PASS,
+                                                    l.line,
+                                                    ctx(&format!(
+                                                        "kernel `{}`: registers_per_thread {regs} \
+                                                         below the model's floor of 16",
+                                                        k.id
+                                                    )),
+                                                ));
+                                            } else if u64::from(regs) * tpb > u64::from(max_regs) {
+                                                out.push(finding(
+                                                    PASS,
+                                                    l.line,
+                                                    ctx(&format!(
+                                                        "kernel `{}`: {regs} regs × {tpb} threads = {} \
+                                                         exceeds every catalog register file (max {max_regs})",
+                                                        k.id,
+                                                        u64::from(regs) * tpb
+                                                    )),
+                                                ));
+                                            }
+                                        }
+                                        Err(e) => out.push(finding(
+                                            PASS,
+                                            l.line,
+                                            ctx(&format!("kernel `{}`: regs: {e}", k.id)),
+                                        )),
+                                    }
+                                }
+                                if let Some(s) = &l.smem {
+                                    match eval_u32(s, &env) {
+                                        Ok(smem) => {
+                                            if smem > max_smem {
+                                                out.push(finding(
+                                                    PASS,
+                                                    l.line,
+                                                    ctx(&format!(
+                                                        "kernel `{}`: shared_mem_per_block {smem} \
+                                                         exceeds every catalog device (max {max_smem})",
+                                                        k.id
+                                                    )),
+                                                ));
+                                            }
+                                        }
+                                        Err(e) => out.push(finding(
+                                            PASS,
+                                            l.line,
+                                            ctx(&format!("kernel `{}`: smem: {e}", k.id)),
+                                        )),
+                                    }
+                                }
+                            }
+                        }
+                        _ => {
+                            for r in [a, b] {
+                                if let Err(e) = r {
+                                    out.push(finding(
+                                        PASS,
+                                        l.line,
+                                        ctx(&format!("kernel `{}`: launch geometry: {e}", k.id)),
+                                    ));
+                                }
+                            }
+                        }
+                    }
+                }
+                for (_, e, line) in &k.mix {
+                    if let Err(e) = eval_u64(e, &env) {
+                        out.push(finding(
+                            PASS,
+                            *line,
+                            ctx(&format!("kernel `{}`: mix: {e}", k.id)),
+                        ));
+                    }
+                }
+                for s in &k.streams {
+                    if let Err(e) = eval_u64(&s.accesses, &env) {
+                        out.push(finding(
+                            PASS,
+                            s.line,
+                            ctx(&format!("kernel `{}`: accesses: {e}", k.id)),
+                        ));
+                    }
+                    let mut footprints: Vec<(&str, &crate::ast::Expr)> = Vec::new();
+                    match &s.pattern {
+                        PatternSpec::Streaming => {}
+                        PatternSpec::Random { working_set } => {
+                            footprints.push(("working set", working_set));
+                        }
+                        PatternSpec::Sweep {
+                            working_set,
+                            sweeps,
+                        } => {
+                            footprints.push(("working set", working_set));
+                            footprints.push(("sweep count", sweeps));
+                        }
+                        PatternSpec::HotCold { hot, cold, .. } => {
+                            footprints.push(("hot bytes", hot));
+                            footprints.push(("cold bytes", cold));
+                        }
+                        PatternSpec::Broadcast { bytes } => {
+                            footprints.push(("broadcast bytes", bytes))
+                        }
+                    }
+                    for (what, e) in footprints {
+                        match eval_u64(e, &env) {
+                            Ok(0) => out.push(finding(
+                                PASS,
+                                s.line,
+                                ctx(&format!(
+                                    "kernel `{}`: {what} must be at least 1 (a zero-byte footprint \
+                                     degenerates the cache model)",
+                                    k.id
+                                )),
+                            )),
+                            Ok(_) => {}
+                            Err(e) => out.push(finding(
+                                PASS,
+                                s.line,
+                                ctx(&format!("kernel `{}`: {what}: {e}", k.id)),
+                            )),
+                        }
+                    }
+                }
+            }
+            // Class conditions must also evaluate under every scale.
+            for c in &def.classes {
+                if let Some(cond) = &c.cond {
+                    for e in [&cond.lhs, &cond.rhs] {
+                        if let Err(e) = eval(e, &env) {
+                            out.push(finding(
+                                PASS,
+                                c.line,
+                                ctx(&format!("class `{}` condition: {e}", c.name)),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Build one environment per declared scale (or a single scale-less one),
+    /// converting build failures into findings for `pass`.
+    fn scale_envs(
+        def: &WorkloadDef,
+        out: &mut Vec<Finding>,
+        pass: &'static str,
+    ) -> Vec<(Option<String>, Env)> {
+        let mut envs = Vec::new();
+        if def.scales.is_empty() {
+            match build_env(def, None) {
+                Ok(env) => envs.push((None, env)),
+                Err((line, msg)) => out.push(finding(pass, line, msg)),
+            }
+            return envs;
+        }
+        for s in &def.scales {
+            match build_env(def, Some(&s.name)) {
+                Ok(env) => envs.push((Some(s.name.clone()), env)),
+                Err((line, msg)) => out.push(finding(pass, line, msg)),
+            }
+        }
+        envs
+    }
+
+    fn cost(def: &WorkloadDef) -> Vec<Finding> {
+        const PASS: &str = "cost";
+        let mut out = Vec::new();
+        for (scale, env) in scale_envs(def, &mut out, PASS) {
+            let label = scale
+                .as_deref()
+                .map(|s| format!("scale `{s}`: "))
+                .unwrap_or_default();
+            // Per-launch cost of each kernel, mirroring KernelDesc::build's
+            // reconciliation of declared streams into the instruction mix.
+            let mut per_kernel: HashMap<&str, Cost> = HashMap::new();
+            for k in &def.kernels {
+                per_kernel.insert(k.id.as_str(), kernel_cost(k, &env, &mut out, &label));
+            }
+            let mut memo: HashMap<&str, Cost> = HashMap::new();
+            let total = body_cost(
+                def,
+                &def.run,
+                &env,
+                &per_kernel,
+                &mut memo,
+                &mut out,
+                &label,
+                0,
+            );
+            if total.launches > u128::from(CEILING_LAUNCHES) {
+                out.push(finding(
+                    PASS,
+                    def.run_line,
+                    format!(
+                        "{label}estimated {} kernel launches exceeds the ceiling of {} (max_launches)",
+                        total.launches, CEILING_LAUNCHES
+                    ),
+                ));
+            }
+            if total.warp_instructions > u128::from(CEILING_WARP_INSTRUCTIONS) {
+                out.push(finding(
+                    PASS,
+                    def.run_line,
+                    format!(
+                        "{label}estimated {} warp instructions exceeds the ceiling of {} \
+                         (max_warp_instructions)",
+                        total.warp_instructions, CEILING_WARP_INSTRUCTIONS
+                    ),
+                ));
+            }
+            if total.bytes > u128::from(CEILING_BYTES) {
+                out.push(finding(
+                    PASS,
+                    def.run_line,
+                    format!(
+                        "{label}estimated {} bytes moved exceeds the ceiling of {} (max_bytes)",
+                        total.bytes, CEILING_BYTES
+                    ),
+                ));
+            }
+        }
+        out
+    }
+
+    fn kernel_cost(k: &KernelDef, env: &Env, out: &mut Vec<Finding>, label: &str) -> Cost {
+        const PASS: &str = "cost";
+        let mut mix_total = 0u128;
+        let mut load = 0u128;
+        let mut store = 0u128;
+        for (class, e, _) in &k.mix {
+            if let Ok(v) = eval_u64(e, env) {
+                let v = u128::from(v);
+                mix_total = mix_total.saturating_add(v);
+                match class.as_str() {
+                    "load" => load = load.saturating_add(v),
+                    "store" => store = store.saturating_add(v),
+                    _ => {}
+                }
+            }
+        }
+        let mut read = 0u128;
+        let mut write = 0u128;
+        let mut bytes = 0f64;
+        for s in &k.streams {
+            if let Ok(accesses) = eval_u64(&s.accesses, env) {
+                let a = u128::from(accesses);
+                if s.write {
+                    write = write.saturating_add(a);
+                } else {
+                    read = read.saturating_add(a);
+                }
+                bytes += accesses as f64 * s.tpa * 32.0;
+            }
+        }
+        // KernelDesc::build raises mix.load/store to the stream-declared sums.
+        let raised = read
+            .saturating_sub(load)
+            .saturating_add(write.saturating_sub(store));
+        if !bytes.is_finite() || bytes < 0.0 {
+            out.push(finding(
+                PASS,
+                k.line,
+                format!("{label}kernel `{}`: byte estimate is not finite", k.id),
+            ));
+            bytes = 0.0;
+        }
+        Cost {
+            launches: 1,
+            warp_instructions: mix_total.saturating_add(raised),
+            bytes: bytes as u128,
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn body_cost<'a>(
+        def: &'a WorkloadDef,
+        body: &'a [Stmt],
+        env: &Env,
+        per_kernel: &HashMap<&str, Cost>,
+        memo: &mut HashMap<&'a str, Cost>,
+        out: &mut Vec<Finding>,
+        label: &str,
+        depth: u32,
+    ) -> Cost {
+        const PASS: &str = "cost";
+        if depth > 64 {
+            return Cost::default(); // cycles are a selection-pass finding
+        }
+        let mut total = Cost::default();
+        for s in body {
+            let c = match s {
+                Stmt::Launch { kernel, .. } => {
+                    per_kernel.get(kernel.as_str()).copied().unwrap_or_default()
+                }
+                Stmt::Call { phase, .. } => {
+                    if let Some(c) = memo.get(phase.as_str()) {
+                        *c
+                    } else if let Some((name, inner, _)) =
+                        def.phases.iter().find(|(n, _, _)| n == phase)
+                    {
+                        let c = body_cost(def, inner, env, per_kernel, memo, out, label, depth + 1);
+                        memo.insert(name.as_str(), c);
+                        c
+                    } else {
+                        Cost::default()
+                    }
+                }
+                Stmt::Repeat { count, body, line } => {
+                    let n = match eval(count, env) {
+                        Ok(n) if n >= 0 => n as u128,
+                        Ok(n) => {
+                            out.push(finding(
+                                PASS,
+                                *line,
+                                format!(
+                                    "{label}repeat count evaluates to {n} (must be non-negative)"
+                                ),
+                            ));
+                            0
+                        }
+                        Err(e) => {
+                            out.push(finding(PASS, *line, format!("{label}repeat count: {e}")));
+                            0
+                        }
+                    };
+                    let inner = body_cost(def, body, env, per_kernel, memo, out, label, depth + 1);
+                    // A loop that does no modeled work is never legitimate: it
+                    // scores 0 against every ceiling however large `n` is, yet
+                    // the interpreter would still walk all n iterations.
+                    if n > 0 && inner.is_zero() {
+                        out.push(finding(
+                            PASS,
+                            *line,
+                            format!(
+                                "{label}repeat of {n} iteration(s) has a zero-cost body: the loop \
+                                 does no modeled work, so its count evades every cost ceiling"
+                            ),
+                        ));
+                    }
+                    inner.scale(n)
+                }
+                Stmt::Select { arms, .. } => {
+                    // Static bound: the worst arm.
+                    let mut worst = Cost::default();
+                    for (_, arm) in arms {
+                        let c = body_cost(
+                            def,
+                            std::slice::from_ref(arm),
+                            env,
+                            per_kernel,
+                            memo,
+                            out,
+                            label,
+                            depth + 1,
+                        );
+                        worst = worst.max(c);
+                    }
+                    worst
+                }
+            };
+            total = total.add(c);
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -1193,6 +2068,216 @@ workload "clean" {
             let findings = sel(a, b).expect_err("one arm is over the ceiling");
             assert_eq!(findings.len(), 1, "{findings:?}");
             assert!(findings[0].message.contains("warp instructions"));
+        }
+    }
+
+    // ------------------------------------------- front end vs references --
+
+    /// Every committed text the front end reads: the shipped definitions,
+    /// every capture under `results/traces`, and this module's definition.
+    fn corpus() -> Vec<String> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut paths = Vec::new();
+        for dir in [root.join("defs"), root.join("../../results/traces")] {
+            for entry in std::fs::read_dir(&dir).expect("corpus dir") {
+                let path = entry.expect("corpus entry").path();
+                if path.extension().is_some_and(|e| e == "wir") {
+                    paths.push(path);
+                }
+            }
+        }
+        paths.sort();
+        assert_eq!(paths.len(), 46, "4 definitions and 42 captures");
+        let mut texts: Vec<String> = paths
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("read corpus text"))
+            .collect();
+        texts.push(CLEAN.to_owned());
+        texts
+    }
+
+    /// Lex, parse and check `src` with the front end and with the
+    /// references it replaced: tokens, the parse (definition or finding)
+    /// and the findings must all be equal.
+    fn assert_same_as_reference(src: &str) {
+        assert_eq!(
+            crate::lexer::lex(src),
+            crate::lexer::reference::lex(src),
+            "tokens of {src:?}"
+        );
+        let parsed = parse(src);
+        assert_eq!(
+            parsed,
+            crate::parser::reference::parse(src),
+            "parse of {src:?}"
+        );
+        if let Ok(def) = parsed {
+            assert_eq!(check(&def), reference::check(&def), "findings of {src:?}");
+        }
+    }
+
+    /// Stand-ins for one token: names declared elsewhere in the text and
+    /// undeclared ones, literals with `_` and past their range, keywords,
+    /// punctuation, open strings and unlexable characters.
+    const STAND_INS: [&str; 24] = [
+        "zz",
+        "n",
+        "steps",
+        "layer",
+        "sparse",
+        "tiny",
+        "k",
+        "0",
+        "7",
+        "1_0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "2.5",
+        "1_000.0_5",
+        "1e5",
+        "else",
+        "repeat",
+        "}",
+        "{",
+        ";",
+        "\"x\"",
+        "\"open",
+        "é",
+        "@",
+    ];
+
+    /// `src`, lexed into `toks`, with its `at`-th token (wrapping)
+    /// replaced by `with`.
+    fn replace_token(src: &str, toks: &[crate::lexer::Token], at: usize, with: &str) -> String {
+        let Some(t) = toks.get(at % toks.len().max(1)) else {
+            return src.to_owned();
+        };
+        format!("{}{with}{}", &src[..t.start], &src[t.end..])
+    }
+
+    /// `src` with its `at`-th line (wrapping) dropped or written twice.
+    fn edit_line(src: &str, at: usize, twice: bool) -> String {
+        let lines: Vec<&str> = src.split_inclusive('\n').collect();
+        let at = at % lines.len().max(1);
+        let mut out = String::with_capacity(src.len() * 2);
+        for (i, line) in lines.iter().enumerate() {
+            if i != at || twice {
+                out.push_str(line);
+            }
+            if i == at && twice {
+                out.push_str(line);
+            }
+        }
+        out
+    }
+
+    /// `src` with the byte at `at` (wrapping, moved back to a character
+    /// boundary) replaced by `with`.
+    fn edit_byte(src: &str, at: usize, with: &str) -> String {
+        let mut at = at % src.len().max(1);
+        while !src.is_char_boundary(at) {
+            at -= 1;
+        }
+        let end = src[at..].chars().next().map_or(at, |c| at + c.len_utf8());
+        format!("{}{with}{}", &src[..at], &src[end..])
+    }
+
+    #[test]
+    fn the_committed_texts_read_as_the_references_read_them() {
+        for src in corpus() {
+            assert_same_as_reference(&src);
+        }
+    }
+
+    /// Each token of `gnn.wir`, the shipped definition that uses every
+    /// construct, in turn replaced by each of a few stand-ins: an unknown
+    /// variable, a phase or scale name, a zero, a `_` literal and one past
+    /// `u64` or spelled as a float in every expression position; a name of
+    /// another kind in every name position; and a syntax error everywhere.
+    #[test]
+    fn every_token_swapped_for_a_stand_in_reads_as_the_references_read_it() {
+        let src = include_str!("../defs/gnn.wir");
+        let toks = crate::lexer::lex(src);
+        let stand_ins = [
+            "zz",
+            "layer",
+            "tiny",
+            "0",
+            "1_0",
+            "18446744073709551616",
+            "1_000.0_5",
+            "é",
+        ];
+        for at in 0..toks.len() {
+            for with in stand_ins {
+                assert_same_as_reference(&replace_token(src, &toks, at, with));
+            }
+        }
+    }
+
+    /// Each line dropped (an undeclared name, a class set without `else`,
+    /// a missing `seed`) or written twice (duplicate declarations, scale
+    /// variables, mix classes and select arms), and each quote removed.
+    #[test]
+    fn every_line_dropped_or_doubled_reads_as_the_references_read_it() {
+        let gnn = include_str!("../defs/gnn.wir");
+        let gms = include_str!("../defs/gms.wir");
+        for src in [gnn, gms, CLEAN] {
+            for at in 0..src.lines().count() {
+                assert_same_as_reference(&edit_line(src, at, false));
+                assert_same_as_reference(&edit_line(src, at, true));
+            }
+            for (at, _) in src.match_indices('"') {
+                assert_same_as_reference(&edit_byte(src, at, ""));
+            }
+        }
+    }
+
+    /// Nesting up to and past the parser's depth bound, in statements and
+    /// in expressions.
+    #[test]
+    fn deep_nesting_reads_as_the_references_read_it() {
+        for depth in [1, 30, 62, 63, 64, 65, 66, 200] {
+            let repeats = format!(
+                "workload \"d\" {{ kernel k {{ }} run {{ {} launch k; {} }} }}",
+                "repeat 2 { ".repeat(depth),
+                "} ".repeat(depth)
+            );
+            assert_same_as_reference(&repeats);
+            let parens = format!(
+                "workload \"d\" {{ kernel k {{ launch linear({}1{}, 32); }} run {{ launch k; }} }}",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            );
+            assert_same_as_reference(&parens);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A committed text after one to three random edits — a token
+        /// swapped for a stand-in, a line dropped or doubled, a byte
+        /// replaced — reads as the references read it.
+        #[test]
+        fn edited_texts_read_as_the_references_read_them(
+            which in 0usize..47,
+            edits in proptest::prop::collection::vec(
+                (0u32..4, 0usize..1 << 20, 0usize..STAND_INS.len()),
+                1..4,
+            ),
+        ) {
+            let texts = corpus();
+            let mut src = texts[which % texts.len()].clone();
+            for (kind, at, with) in edits {
+                src = match kind {
+                    0 => replace_token(&src, &crate::lexer::lex(&src), at, STAND_INS[with]),
+                    1 => edit_line(&src, at, false),
+                    2 => edit_line(&src, at, true),
+                    _ => edit_byte(&src, at, STAND_INS[with]),
+                };
+            }
+            assert_same_as_reference(&src);
         }
     }
 }
