@@ -2253,6 +2253,27 @@ workload "clean" {
         }
     }
 
+    /// Every access pattern with every operand zero under one scale and
+    /// valid under the other, so `geometry` and `cost` report each operand
+    /// in its order, under its scale's label.
+    #[test]
+    fn every_pattern_with_zero_operands_reads_as_the_references_read_it() {
+        for pattern in [
+            "streaming",
+            "random(n)",
+            "sweep(n, n)",
+            "hotcold(0.5, n, n)",
+            "broadcast(n)",
+            "sweep(n / n, n - 1)",
+        ] {
+            assert_same_as_reference(&format!(
+                "workload \"f\" {{ seed 1; scale a {{ n = 0; }} scale b {{ n = 1; }} \
+                 kernel k {{ launch linear(n, 32); read accesses n tpa 4.0 pattern {pattern}; }} \
+                 run {{ repeat n - 1 {{ launch k; }} }} }}"
+            ));
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
