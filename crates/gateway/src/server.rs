@@ -64,7 +64,7 @@ pub const COMPARE_ROUTE: &str = "/v1/compare/{scale}/{workload}";
 /// is a constant — the daemon's read timeout (`daemon::READ_TIMEOUT`,
 /// 5 s) and `Retry-After` ([`daemon::RETRY_AFTER_S`], 1 s), the pooled
 /// connections' I/O
-/// timeout (60 s), dial and probe bound (`PROBE_TIMEOUT`, 500 ms) and idle
+/// timeout (60 s), dial, probe and repair bound (`PROBE_TIMEOUT`, 500 ms) and idle
 /// cap (8 per backend), the retry policy (3 attempts, backoff from 10 ms
 /// capped at 200 ms), the hedge quantile (p90) and cap (`HEDGE_CAP`, 2 s),
 /// and the `/v1/tracez` ring ([`TRACE_CAPACITY`] spans).
