@@ -459,10 +459,21 @@ fn a_reply_past_the_message_bounds_fails_over_and_charges_the_primary() {
     for mode in [Mode::HugeLength, Mode::HugeHead] {
         let mut fleet = Fleet::start(QUIET_FLOOR);
         fleet.primary.set(mode);
+        let conns = fleet.primary.conns();
         assert_eq!(
             fleet.get(),
             fleet.neighbour.body(&fleet.path, 1),
             "{mode:?}: the healthy backend's 200"
+        );
+        assert_eq!(
+            fleet.primary.hits(),
+            1,
+            "{mode:?}: the forward was sent once"
+        );
+        assert_eq!(
+            fleet.primary.conns(),
+            conns,
+            "{mode:?}: over the pooled connection, not a redial"
         );
         assert_eq!(fleet.primary_failures(), 1, "{mode:?}");
         assert_eq!(fleet.counter(|m| m.retries.get()), 1, "{mode:?}");

@@ -713,6 +713,7 @@ mod tests {
     use std::io::Read;
     use std::net::TcpListener;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     #[test]
     fn parses_reply_head_and_body() {
@@ -1038,6 +1039,38 @@ mod tests {
         kill.send(()).expect("kill");
         assert_eq!(conn.finish().expect("second").body, "two\n");
         assert_eq!((conn.dials(), conn.reuses()), (2, 0));
+    }
+
+    /// A peer that reads the request on a reused stream and never answers
+    /// costs one timeout: a timeout is no sign of a stale stream, so the
+    /// request is not sent a second time.
+    #[test]
+    fn a_stalled_reused_stream_costs_one_timeout_and_is_sent_once() {
+        let (read_tx, reads) = mpsc::channel::<()>();
+        let addr = scripted_server(move |listener| {
+            let mut first = accept(&listener);
+            read_request(&mut first);
+            answer(&mut first, "one\n", "keep-alive");
+            read_request(&mut first);
+            read_tx.send(()).expect("count");
+            // Never answered. A redial would connect here, be counted and
+            // stall the same way.
+            let mut held = vec![first];
+            for mut redialed in listener.incoming().flatten() {
+                read_request(&mut redialed);
+                read_tx.send(()).expect("count");
+                held.push(redialed);
+            }
+        });
+        let timeout = Duration::from_millis(300);
+        let mut conn = Connection::new(addr, timeout);
+        assert_eq!(conn.get("/x").expect("first").body, "one\n");
+        let started = Instant::now();
+        assert!(conn.get("/x").is_err(), "the stalled exchange fails");
+        let waited = started.elapsed();
+        assert!(waited < timeout * 3 / 2, "waited {waited:?}");
+        assert_eq!(conn.dials(), 1);
+        assert_eq!(reads.try_iter().count(), 1, "the request was read once");
     }
 
     #[test]
