@@ -3,14 +3,14 @@
 //!
 //! One transport: [`Connection`] keeps one `TcpStream` alive across
 //! sequential requests, honoring the server's `Connection: close` and
-//! transparently redialing once when a pooled stream turns out to have been
-//! reaped by the server's idle timeout; a [`Client`] call is one exchange on
-//! a fresh `Connection`. Replies are read by `crate::http::read_reply_into`,
-//! under the same head and body bounds the server applies to requests, so
-//! a malformed, oversized or unframeable reply is [`ClientError::Parse`].
-//! The profile endpoint's body is the bit-exact
-//! `cactus_profiler::store` serialization, so [`Client::profile`] hands
-//! back a fully typed [`Profile`] without a JSON layer.
+//! redialing once when a reused stream turns out to have been closed by the
+//! server (its idle timeout) before any reply byte; a [`Client`] call is one
+//! exchange on a fresh `Connection`. Replies are read by
+//! `crate::http::read_reply_into`, under the same head and body bounds the
+//! server applies to requests, so a malformed, oversized or unframeable
+//! reply is [`ClientError::Parse`]. The profile endpoint's body is the
+//! bit-exact `cactus_profiler::store` serialization, so [`Client::profile`]
+//! hands back a fully typed [`Profile`] without a JSON layer.
 //!
 //! Replies on the `/v1` surface carry structured errors: a non-200 whose
 //! body parses as the shared JSON envelope surfaces as
@@ -438,10 +438,12 @@ pub enum Sent {
 ///
 /// The stream dials lazily on the first request. After each reply the
 /// connection stays open unless the server answered `Connection: close`, in
-/// which case the next request redials. A request that fails on a *reused*
-/// stream (the server may have reaped it between requests) is retried once
-/// on a fresh dial; failures on fresh streams surface immediately, so a
-/// dead server is never masked.
+/// which case the next request redials. One rule redials mid-request, in
+/// [`send`](Self::send) alone and at most once: when a *reused* stream
+/// shows that the server had closed it (`owes_redial`). A fresh dial's
+/// failure, a timeout and a malformed reply surface at once, so a dead or
+/// stalled server is never masked and costs one bound, and a request the
+/// server may have read is not sent again (RFC 9110 §9.2.2).
 ///
 /// An exchange is two halves — [`send`](Self::send) writes the request and
 /// waits for the reply to begin, [`finish`](Self::finish) reads it — so a
@@ -460,10 +462,8 @@ pub struct Connection {
     /// The last request written; while `in_flight`, the one not yet
     /// answered.
     wire: String,
-    /// Whether a request is written but not yet answered, and if so whether
-    /// the stream it went out on predates it — i.e. whether the one
-    /// stale-stream redial is still unspent.
-    in_flight: Option<bool>,
+    /// Whether a request is written but its reply not yet read.
+    in_flight: bool,
     /// The last reply's head.
     head: Head,
     dials: u64,
@@ -481,7 +481,7 @@ impl Connection {
             dial_timeout: timeout,
             stream: None,
             wire: String::new(),
-            in_flight: None,
+            in_flight: false,
             head: Head::default(),
             dials: 0,
             reuses: 0,
@@ -506,7 +506,7 @@ impl Connection {
     /// will reuse it instead of dialing).
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        self.stream.is_some() && self.in_flight.is_none()
+        self.stream.is_some() && !self.in_flight
     }
 
     /// TCP connections dialed over this connection's lifetime.
@@ -525,8 +525,8 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket errors (after the one stale-stream retry) and unparseable
-    /// response heads.
+    /// Socket errors and unparseable replies (see [`Connection`] for the
+    /// one redial).
     pub fn get(&mut self, path: &str) -> Result<HttpReply, ClientError> {
         self.get_traced(path, None)
     }
@@ -536,8 +536,8 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket errors (after the one stale-stream retry) and unparseable
-    /// response heads.
+    /// Socket errors and unparseable replies (see [`Connection`] for the
+    /// one redial).
     pub fn get_traced(
         &mut self,
         path: &str,
@@ -552,8 +552,8 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket errors (after the one stale-stream retry) and unparseable
-    /// response heads.
+    /// Socket errors and unparseable replies (see [`Connection`] for the
+    /// one redial).
     pub fn post_traced(
         &mut self,
         path: &str,
@@ -568,8 +568,8 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket errors (after the one stale-stream retry) and unparseable
-    /// response heads.
+    /// Socket errors and unparseable replies (see [`Connection`] for the
+    /// one redial).
     pub fn request(
         &mut self,
         method: &str,
@@ -588,9 +588,9 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// Socket errors, after the one redial a reused stream is owed. A wait
-    /// that outlasts the full timeout is an error; outlasting `stall` is
-    /// [`Sent::InFlight`].
+    /// Socket errors, after the one redial a stale reused stream is owed
+    /// (`owes_redial`). A wait that outlasts the full timeout is an
+    /// error; outlasting `stall` is [`Sent::InFlight`].
     pub fn send(
         &mut self,
         method: &str,
@@ -599,51 +599,49 @@ impl Connection {
         trace: Option<TraceId>,
         stall: Option<Duration>,
     ) -> Result<Sent, ClientError> {
-        if self.in_flight.take().is_some() {
+        if std::mem::take(&mut self.in_flight) {
             // An abandoned exchange left its reply unread on the stream.
             self.stream = None;
         }
         request_wire(&mut self.wire, method, path, self.addr, trace, body);
-        let mut reused = self.stream.is_some();
-        let mut sent = self.begin(stall);
-        if sent.is_err() && reused {
-            // A reused stream may have been closed server-side between
-            // requests; retry exactly once on a fresh dial.
-            reused = false;
-            sent = self.begin(stall);
-        }
-        if sent.is_ok() {
-            self.in_flight = Some(reused);
-        }
-        Ok(sent?)
+        let reused = self.stream.is_some();
+        let sent = match self.begin(stall) {
+            Err(e) if owes_redial(reused, &e) => self.begin(stall),
+            sent => {
+                self.reuses += u64::from(reused && sent.is_ok());
+                sent
+            }
+        };
+        self.in_flight = sent.is_ok();
+        sent
     }
 
     /// Second half of an exchange: read the reply to the request
-    /// [`send`](Self::send) wrote, under the connection's full timeout.
+    /// [`send`](Self::send) wrote, under the connection's full timeout,
+    /// keeping the stream open unless the server said `Connection: close`
+    /// or the read failed. Never redials: the server may have read the
+    /// request.
     ///
     /// # Errors
     ///
-    /// Socket errors (after the one stale-stream retry, when `send` did not
-    /// already spend it) and unparseable response heads; an error when no
-    /// request is in flight.
+    /// Socket errors and unparseable replies; an error when no request is
+    /// in flight.
     pub fn finish(&mut self) -> Result<HttpReply, ClientError> {
-        let Some(reused) = self.in_flight.take() else {
+        let (true, Some(reader)) = (std::mem::take(&mut self.in_flight), &mut self.stream) else {
             return Err(ClientError::Io(std::io::Error::other(
                 "finish() without a request in flight",
             )));
         };
-        match self.read(reused) {
-            Err(_) if reused => {
-                self.begin(None)?;
-                self.read(false)
-            }
-            reply => reply,
+        let reply = read_reply_into(reader, &mut self.head).map_err(ClientError::from);
+        if !matches!(&reply, Ok(r) if !r.connection_close()) {
+            self.stream = None;
         }
+        reply
     }
 
     /// [`write_and_wait`] of the request in `wire` on the open stream,
     /// dialing when there is none. The stream is dropped on any error.
-    fn begin(&mut self, stall: Option<Duration>) -> std::io::Result<Sent> {
+    fn begin(&mut self, stall: Option<Duration>) -> Result<Sent, ClientError> {
         let reader = match &mut self.stream {
             Some(reader) => reader,
             empty => {
@@ -657,22 +655,20 @@ impl Connection {
         if sent.is_err() {
             self.stream = None;
         }
-        sent
+        Ok(sent?)
     }
+}
 
-    /// Read one reply off the stream, keeping it open unless the server
-    /// said `Connection: close` or the read failed.
-    fn read(&mut self, reused: bool) -> Result<HttpReply, ClientError> {
-        let Some(reader) = &mut self.stream else {
-            return Err(ClientError::Io(ErrorKind::NotConnected.into()));
-        };
-        let reply = read_reply_into(reader, &mut self.head).map_err(ClientError::from);
-        match &reply {
-            Ok(r) if !r.connection_close() => self.reuses += u64::from(reused),
-            _ => self.stream = None,
-        }
-        reply
-    }
+/// Whether a failed [`Connection::send`] is owed its one redial: only on a
+/// reused stream whose failure shows the server had closed it — EOF, a
+/// reset, an abort or a broken pipe, met by the write or before the reply's
+/// first byte. A timeout is a live server that may have read the request,
+/// and a parse error is a reply; neither is sent again.
+fn owes_redial(reused: bool, err: &ClientError) -> bool {
+    use ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    reused
+        && matches!(err, ClientError::Io(e)
+            if matches!(e.kind(), UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe))
 }
 
 /// Write `wire` and block until the reply's first byte is buffered,
@@ -944,6 +940,17 @@ mod tests {
         stream.write_all(wire.as_bytes()).expect("answer");
     }
 
+    /// Accept every later connection, read its request, count it on
+    /// `reads` and hold it unanswered: what a redial would meet.
+    fn count_redials(listener: &TcpListener, reads: &mpsc::Sender<()>) {
+        let mut held = Vec::new();
+        for mut redialed in listener.incoming().flatten() {
+            read_request(&mut redialed);
+            reads.send(()).expect("count");
+            held.push(redialed);
+        }
+    }
+
     /// Serve one canned response on an ephemeral port, return its address.
     fn one_shot_server(body: &'static str) -> SocketAddr {
         scripted_server(move |listener| {
@@ -1018,27 +1025,47 @@ mod tests {
         assert_eq!((conn.dials(), conn.reuses()), (2, 1));
     }
 
+    /// Once the wait half has returned, the server may have read the
+    /// request: a stream that dies after that is an error, not a redial.
     #[test]
-    fn a_reused_stream_that_dies_in_flight_is_redialed_once_by_finish() {
+    fn a_reused_stream_that_dies_in_flight_surfaces_without_a_redial() {
         let (kill, killed) = mpsc::channel::<()>();
+        let (read_tx, reads) = mpsc::channel::<()>();
         let addr = scripted_server(move |listener| {
             let mut first = accept(&listener);
             read_request(&mut first);
             answer(&mut first, "one\n", "keep-alive");
             read_request(&mut first);
+            read_tx.send(()).expect("count");
             killed.recv().expect("kill");
             drop(first);
-            let mut second = accept(&listener);
-            read_request(&mut second);
-            answer(&mut second, "two\n", "keep-alive");
+            count_redials(&listener, &read_tx);
         });
         let mut conn = connection(addr);
         assert_eq!(conn.get("/x").expect("first").body, "one\n");
         let sent = conn.send("GET", "/x", "", None, STALL).expect("send");
         assert_eq!(sent, Sent::InFlight);
         kill.send(()).expect("kill");
-        assert_eq!(conn.finish().expect("second").body, "two\n");
-        assert_eq!((conn.dials(), conn.reuses()), (2, 0));
+        assert!(conn.finish().is_err(), "the stream died in flight");
+        assert_eq!(conn.dials(), 1);
+        assert_eq!(reads.try_iter().count(), 1, "the request was read once");
+    }
+
+    #[test]
+    fn only_a_reused_stream_the_server_closed_owes_a_redial() {
+        let io = |kind: ErrorKind| ClientError::Io(kind.into());
+        for (err, stale) in [
+            (io(ErrorKind::UnexpectedEof), true),
+            (io(ErrorKind::ConnectionReset), true),
+            (io(ErrorKind::ConnectionAborted), true),
+            (io(ErrorKind::BrokenPipe), true),
+            (io(ErrorKind::TimedOut), false),
+            (io(ErrorKind::WouldBlock), false),
+            (ClientError::Parse("head past the bound".to_owned()), false),
+        ] {
+            assert_eq!(owes_redial(true, &err), stale, "reused: {err:?}");
+            assert!(!owes_redial(false, &err), "fresh: {err:?}");
+        }
     }
 
     /// A peer that reads the request on a reused stream and never answers
@@ -1053,14 +1080,8 @@ mod tests {
             answer(&mut first, "one\n", "keep-alive");
             read_request(&mut first);
             read_tx.send(()).expect("count");
-            // Never answered. A redial would connect here, be counted and
-            // stall the same way.
-            let mut held = vec![first];
-            for mut redialed in listener.incoming().flatten() {
-                read_request(&mut redialed);
-                read_tx.send(()).expect("count");
-                held.push(redialed);
-            }
+            // Held open unanswered, and so is a redial.
+            count_redials(&listener, &read_tx);
         });
         let timeout = Duration::from_millis(300);
         let mut conn = Connection::new(addr, timeout);
