@@ -47,6 +47,12 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 /// How long a refused connection's request head is drained, in total.
 const REJECT_DRAIN: Duration = Duration::from_millis(250);
 
+/// Write timeout on a refused connection's `503`.
+const REJECT_WRITE: Duration = Duration::from_secs(1);
+
+/// Bound on the loopback connect that wakes a blocked `accept`.
+const WAKE_CONNECT: Duration = Duration::from_secs(1);
+
 /// Requests served over one keep-alive connection before the daemon forces
 /// a close, bounding how long a single client can pin a worker.
 pub const KEEP_ALIVE_MAX: usize = 256;
@@ -54,6 +60,9 @@ pub const KEEP_ALIVE_MAX: usize = 256;
 /// Per-connection read timeout, on both tiers; doubles as the keep-alive
 /// idle timeout.
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection write timeout on a worker's replies, on both tiers.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// `Retry-After` seconds advertised on the accept thread's `503`, on both
 /// tiers.
@@ -252,7 +261,7 @@ fn wake(addr: SocketAddr) -> bool {
             SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
         });
     }
-    TcpStream::connect_timeout(&target, Duration::from_secs(1)).is_ok()
+    TcpStream::connect_timeout(&target, WAKE_CONNECT).is_ok()
 }
 
 fn accept_loop<H: Handler>(
@@ -291,7 +300,7 @@ fn accept_loop<H: Handler>(
 /// Answer `503 + Retry-After` without occupying a worker.
 fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = stream.set_write_timeout(Some(REJECT_WRITE));
     // Drain the request head before answering: closing with unread bytes in
     // the receive buffer sends an RST that can discard the in-flight 503.
     // The whole drain is bounded, so a client that trickles its head holds
@@ -336,7 +345,7 @@ fn handle_connection<H: Handler>(handler: &H, stream: &TcpStream, shutdown: &Ato
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
     // One request and one head buffer per connection, refilled in place.
     let mut reader = BufReader::new(stream);
