@@ -30,6 +30,9 @@
 //! At `tiny` and `small` the only rebuild precedes the first force
 //! evaluation, and no value reaches the stream (`tests/value_free.rs`).
 //!
+//! No workload runs `PairStyle::LjCut`; the `LJ_CUT` digests pin its bits
+//! on `MdConfig::default()` over a plain LJ fluid.
+//!
 //! GMS and LMR charge only their first particles, which the lattice places
 //! in a few x-slabs, so most of their PME grid stays `+0.0`. The dense run
 //! (every particle charged) and the reciprocal-space digests below also pin
@@ -42,7 +45,7 @@ use cactus_gpu::{Device, Gpu};
 use cactus_md::pme::{PmeParams, PmeWorkspace};
 use cactus_md::system::SystemBuilder;
 use cactus_md::workloads::{gromacs_npt, lammps_colloid, lammps_rhodopsin, MdScale};
-use cactus_md::{MdEngine, ParticleSystem};
+use cactus_md::{MdConfig, MdEngine, ParticleSystem};
 use cactus_profiler::store::write_profile;
 use cactus_profiler::Profile;
 
@@ -56,6 +59,7 @@ const GMS_PROFILE: u64 = 0xb3a1_8a30_7266_4d90;
 const LMR_PROFILE: u64 = 0x8ea4_72bc_e958_ae45;
 const LMC_PROFILE: u64 = 0x29d3_6d93_121b_655f;
 const DENSE_PROFILE: u64 = 0x48b5_ea02_7668_a5e0;
+const LJ_CUT_PROFILE: u64 = 0x8e4a_77bd_2054_59ad;
 const GMS_TINY_PROFILE: u64 = 0x0fb0_a175_1a16_2c1f;
 const LMR_TINY_PROFILE: u64 = 0x3170_2e38_ce4d_73e6;
 const LMC_TINY_PROFILE: u64 = 0xe26b_a1e3_3bdc_fa6d;
@@ -69,6 +73,7 @@ const GMS_STATE: u64 = 0xb33c_8612_c4a5_7dd4;
 const LMR_STATE: u64 = 0x26b2_a6df_7c0c_9233;
 const LMC_STATE: u64 = 0x1c7d_dc22_11f7_a9f2;
 const DENSE_STATE: u64 = 0x3ca1_9f9b_3722_2981;
+const LJ_CUT_STATE: u64 = 0x50c4_35c2_8fc1_b353;
 const RECIPROCAL: [(&str, u64); 4] = [
     ("chain", 0x5945_1fdf_dfe7_83e8),
     ("fluid", 0xe9db_5958_6489_8f0d),
@@ -168,6 +173,13 @@ fn dense_charge_engine() -> MdEngine {
     MdEngine::new(charged_fluid(SCALE.atoms), config)
 }
 
+/// The default configuration (`PairStyle::LjCut`, no PME, no coupling) on
+/// an uncharged LJ fluid.
+fn lj_cut_engine() -> MdEngine {
+    let sys = SystemBuilder::new(SCALE.atoms).seed(41).build_lj_fluid();
+    MdEngine::new(sys, MdConfig::default())
+}
+
 /// The four layouts the reciprocal-space digests run on.
 fn reciprocal_layout(name: &str) -> ParticleSystem {
     match name {
@@ -257,6 +269,11 @@ fn dense_charge_state_and_profile_bits_are_pinned() {
 }
 
 #[test]
+fn lj_cut_state_and_profile_bits_are_pinned() {
+    assert_run_pinned(lj_cut_engine(), LJ_CUT_PROFILE, LJ_CUT_STATE);
+}
+
+#[test]
 fn tiny_scale_md_profiles_are_pinned() {
     // What `suite-local` hashes into its `body_digest` for the MD families.
     for (abbr, want) in [
@@ -314,6 +331,7 @@ fn print_goldens() {
         ("LMR", lammps_rhodopsin(SCALE, 43)),
         ("LMC", lammps_colloid(SCALE, 44)),
         ("DENSE", dense_charge_engine()),
+        ("LJ_CUT", lj_cut_engine()),
     ]
     .map(|(name, engine)| (name, run_digests(engine)));
     for (name, (profile, _)) in runs {
