@@ -191,14 +191,18 @@ const ROWS: &[Row] = &[
     },
     Row {
         rule: "per_cpu_code",
-        paths: &["crates/md/src/fft.rs", "crates/md/src/pme.rs"],
+        paths: &[
+            "crates/md/src/fft.rs",
+            "crates/md/src/pme.rs",
+            "crates/md/src/forces.rs",
+        ],
         except: &[],
         shape: Shape::Tokens(
             Scope::All,
             &["unsafe", "target_feature", "is_x86_feature_detected"],
         ),
-        reason: "the MD model's bits may not depend on the host CPU: the transform and the \
-                 PME solve have no per-CPU path and no unchecked code",
+        reason: "the MD model's bits may not depend on the host CPU: the transform, the \
+                 PME solve and the pair loop have no per-CPU path and no unchecked code",
     },
     Row {
         rule: "ffi_home",

@@ -29,62 +29,12 @@ pub struct ForceStats {
 #[must_use]
 pub fn lj_cut(sys: &mut ParticleSystem, nl: &NeighborList, cutoff: f64) -> ForceStats {
     let rc2 = cutoff * cutoff;
-    let mut stats = ForceStats::default();
-    let box_len = sys.box_len;
-    let inv_box = 1.0 / box_len;
-    let n = sys.positions.len();
-    // Split borrows: positions/sigmas read-only, forces written.
-    let positions = &sys.positions;
-    let sigmas = &sys.sigmas;
-    let forces = &mut sys.forces;
-    // One bounds proof for the whole evaluation: every neighbor index the
-    // list stores is < num_particles, and all per-particle arrays have
-    // that length, so the inner loop can use unchecked indexing.
-    assert_eq!(nl.num_particles(), n, "list built for a different system");
-    assert!(sigmas.len() == n && forces.len() == n);
-    for i in 0..n {
-        let pi = positions[i];
-        let sigma_i = sigmas[i];
-        let neigh = nl.neighbors_of(i);
-        stats.pairs_examined += neigh.len() as u64;
-        // Accumulate particle i's force locally; one read-modify-write per
-        // particle instead of one per pair.
-        let mut fi = [0.0f64; 3];
-        for &j in neigh {
-            let j = j as usize;
-            // SAFETY: j < num_particles == n == length of every array,
-            // asserted above.
-            let (pj, sigma_j) = unsafe { (positions.get_unchecked(j), *sigmas.get_unchecked(j)) };
-            let d = min_image_disp(&pi, pj, box_len, inv_box);
-            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if r2 >= rc2 || r2 <= 0.0 {
-                continue;
-            }
-            stats.pairs_in_cutoff += 1;
-            let sigma = 0.5 * (sigma_i + sigma_j);
-            // One reciprocal per pair; both the σ²/r² ratio and the F/r
-            // denominator reuse it.
-            let inv_r2 = 1.0 / r2;
-            let s2 = sigma * sigma * inv_r2;
-            let s6 = s2 * s2 * s2;
-            let s12 = s6 * s6;
-            // F/r magnitude; ε = 1.
-            let f_over_r = 24.0 * (2.0 * s12 - s6) * inv_r2;
-            stats.potential_energy += 4.0 * (s12 - s6);
-            // SAFETY: as above.
-            let fj = unsafe { forces.get_unchecked_mut(j) };
-            for a in 0..3 {
-                let f = f_over_r * d[a];
-                fi[a] -= f;
-                fj[a] += f;
-            }
+    pair_loop(sys, nl, |_, _, _, r2, sigma, energy| {
+        if r2 >= rc2 {
+            return None;
         }
-        let f = &mut forces[i];
-        for a in 0..3 {
-            f[a] += fi[a];
-        }
-    }
-    stats
+        Some(lj(r2, sigma, energy).0)
+    })
 }
 
 /// CHARMM-style LJ + erfc-damped short-range Coulomb (the real-space part
@@ -97,75 +47,30 @@ pub fn lj_coulomb_cut(
     alpha: f64,
 ) -> ForceStats {
     let rc2 = cutoff * cutoff;
-    let mut stats = ForceStats::default();
     let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
-    let box_len = sys.box_len;
-    let inv_box = 1.0 / box_len;
-    let n = sys.positions.len();
-    let positions = &sys.positions;
-    let sigmas = &sys.sigmas;
-    let charges = &sys.charges;
-    let forces = &mut sys.forces;
-    // One bounds proof for the whole evaluation (see `lj_cut`).
-    assert_eq!(nl.num_particles(), n, "list built for a different system");
-    assert!(sigmas.len() == n && charges.len() == n && forces.len() == n);
-    for i in 0..n {
-        let pi = positions[i];
-        let sigma_i = sigmas[i];
+    pair_loop(sys, nl, |charges, i, j, r2, sigma, energy| {
+        if r2 >= rc2 {
+            return None;
+        }
+        let (mut f_over_r, inv_r2) = lj(r2, sigma, energy);
+        // `q_i == 0` rows skip the charge load entirely (predictable
+        // per-row); charged pairs share one exp(-α²r²) between erfc and
+        // the real-space force term instead of computing it twice.
         let q_i = charges[i];
-        let neigh = nl.neighbors_of(i);
-        stats.pairs_examined += neigh.len() as u64;
-        let mut fi = [0.0f64; 3];
-        for &j in neigh {
-            let j = j as usize;
-            // SAFETY: j < num_particles == n == length of every array,
-            // asserted above.
-            let (pj, sigma_j) = unsafe { (positions.get_unchecked(j), *sigmas.get_unchecked(j)) };
-            let d = min_image_disp(&pi, pj, box_len, inv_box);
-            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if r2 >= rc2 || r2 <= 0.0 {
-                continue;
-            }
-            stats.pairs_in_cutoff += 1;
-            let sigma = 0.5 * (sigma_i + sigma_j);
-            let inv_r2 = 1.0 / r2;
-            let s2 = sigma * sigma * inv_r2;
-            let s6 = s2 * s2 * s2;
-            let s12 = s6 * s6;
-            let mut f_over_r = 24.0 * (2.0 * s12 - s6) * inv_r2;
-            stats.potential_energy += 4.0 * (s12 - s6);
-
-            // `q_i == 0` rows skip the charge load entirely (predictable
-            // per-row); charged pairs share one exp(-α²r²) between erfc
-            // and the real-space force term instead of computing it twice.
-            if q_i != 0.0 {
-                // SAFETY: as above.
-                let qq = q_i * unsafe { *charges.get_unchecked(j) };
-                if qq.abs() > 0.0 {
-                    let r = r2.sqrt();
-                    let x = alpha * r;
-                    let gauss = (-x * x).exp();
-                    let erfc_ar = erfc_scaled(x) * gauss;
-                    let inv_r = 1.0 / r;
-                    let coul_e = qq * erfc_ar * inv_r;
-                    stats.potential_energy += coul_e;
-                    f_over_r += qq * (erfc_ar * inv_r + two_over_sqrt_pi * alpha * gauss) * inv_r2;
-                }
-            }
-            // SAFETY: as above.
-            let fj = unsafe { forces.get_unchecked_mut(j) };
-            for a in 0..3 {
-                let f = f_over_r * d[a];
-                fi[a] -= f;
-                fj[a] += f;
+        if q_i != 0.0 {
+            let qq = q_i * charges[j];
+            if qq.abs() > 0.0 {
+                let r = r2.sqrt();
+                let x = alpha * r;
+                let gauss = (-x * x).exp();
+                let erfc_ar = erfc_scaled(x) * gauss;
+                let inv_r = 1.0 / r;
+                *energy += qq * erfc_ar * inv_r;
+                f_over_r += qq * (erfc_ar * inv_r + two_over_sqrt_pi * alpha * gauss) * inv_r2;
             }
         }
-        let f = &mut forces[i];
-        for a in 0..3 {
-            f[a] += fi[a];
-        }
-    }
-    stats
+        Some(f_over_r)
+    })
 }
 
 /// Colloid pair style: LJ with arithmetic σ mixing, so that big-big,
@@ -174,43 +79,69 @@ pub fn lj_coulomb_cut(
 /// kernel mix different from rhodopsin's).
 #[must_use]
 pub fn colloid(sys: &mut ParticleSystem, nl: &NeighborList, cutoff_factor: f64) -> ForceStats {
-    let mut stats = ForceStats::default();
-    let box_len = sys.box_len;
-    let inv_box = 1.0 / box_len;
-    let n = sys.positions.len();
-    let positions = &sys.positions;
-    let sigmas = &sys.sigmas;
-    let forces = &mut sys.forces;
-    // One bounds proof for the whole evaluation (see `lj_cut`).
+    pair_loop(sys, nl, |_, _, _, r2, sigma, energy| {
+        let rc = cutoff_factor * sigma;
+        if r2 >= rc * rc {
+            return None;
+        }
+        Some(lj(r2, sigma, energy).0)
+    })
+}
+
+/// LJ at contact distance `sigma` and ε = 1: adds `4(s¹² − s⁶)` to
+/// `energy` and returns F/r with the `1/r²` it shares with the caller.
+#[inline(always)]
+fn lj(r2: f64, sigma: f64, energy: &mut f64) -> (f64, f64) {
+    // One reciprocal per pair; both the σ²/r² ratio and the F/r
+    // denominator reuse it.
+    let inv_r2 = 1.0 / r2;
+    let s2 = sigma * sigma * inv_r2;
+    let s6 = s2 * s2 * s2;
+    let s12 = s6 * s6;
+    *energy += 4.0 * (s12 - s6);
+    (24.0 * (2.0 * s12 - s6) * inv_r2, inv_r2)
+}
+
+/// The one walk over the half neighbor list. For every stored pair `(i,
+/// j)` at nonzero distance it forms the min-image displacement, `r²` and
+/// the mixed `σ = (σᵢ + σⱼ)/2`, and asks `pair(charges, i, j, r², σ,
+/// energy)` for the pair's F/r: `None` means the pair lies outside the
+/// style's cutoff, and the closure adds to `energy` only when it returns
+/// `Some`. The force goes to both particles (Newton's third law). The
+/// charges reach the closure as a borrow split from the forces it writes.
+#[inline(always)]
+fn pair_loop(
+    sys: &mut ParticleSystem,
+    nl: &NeighborList,
+    mut pair: impl FnMut(&[f64], usize, usize, f64, f64, &mut f64) -> Option<f64>,
+) -> ForceStats {
+    let (positions, sigmas, charges) = (&sys.positions, &sys.sigmas, &sys.charges);
+    let (forces, box_len, n) = (&mut sys.forces, sys.box_len, sys.positions.len());
     assert_eq!(nl.num_particles(), n, "list built for a different system");
-    assert!(sigmas.len() == n && forces.len() == n);
+    assert!(sigmas.len() == n && charges.len() == n && forces.len() == n);
+    let inv_box = 1.0 / box_len;
+    let mut stats = ForceStats::default();
     for i in 0..n {
         let pi = positions[i];
         let sigma_i = sigmas[i];
         let neigh = nl.neighbors_of(i);
         stats.pairs_examined += neigh.len() as u64;
+        // Accumulate particle i's force locally; one read-modify-write per
+        // particle instead of one per pair.
         let mut fi = [0.0f64; 3];
         for &j in neigh {
             let j = j as usize;
-            // SAFETY: j < num_particles == n == length of every array,
-            // asserted above.
-            let (pj, sigma_j) = unsafe { (positions.get_unchecked(j), *sigmas.get_unchecked(j)) };
-            let d = min_image_disp(&pi, pj, box_len, inv_box);
+            let d = min_image_disp(&pi, &positions[j], box_len, inv_box);
             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            let sigma = 0.5 * (sigma_i + sigma_j);
-            let rc = cutoff_factor * sigma;
-            if r2 >= rc * rc || r2 <= 0.0 {
+            if r2 <= 0.0 {
                 continue;
             }
+            let sigma = 0.5 * (sigma_i + sigmas[j]);
+            let Some(f_over_r) = pair(charges, i, j, r2, sigma, &mut stats.potential_energy) else {
+                continue;
+            };
             stats.pairs_in_cutoff += 1;
-            let inv_r2 = 1.0 / r2;
-            let s2 = sigma * sigma * inv_r2;
-            let s6 = s2 * s2 * s2;
-            let s12 = s6 * s6;
-            let f_over_r = 24.0 * (2.0 * s12 - s6) * inv_r2;
-            stats.potential_energy += 4.0 * (s12 - s6);
-            // SAFETY: as above.
-            let fj = unsafe { forces.get_unchecked_mut(j) };
+            let fj = &mut forces[j];
             for a in 0..3 {
                 let f = f_over_r * d[a];
                 fi[a] -= f;
