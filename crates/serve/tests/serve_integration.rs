@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use cactus_core::SuiteScale;
+use cactus_obs::ApiError;
 use cactus_serve::client::ClientError;
 use cactus_serve::{Client, DeviceId, ProfileQuery, ServeConfig, Server, SimilarQuery};
 
@@ -840,14 +841,23 @@ fn device_subset_is_advertised_and_gated() {
             workload: "GMS",
         })
         .expect_err("unmodeled device");
-    match err {
+    let message = match err {
         ClientError::Api(e) => {
             assert_eq!(e.code, 404);
             assert!(e.message.contains("not modeled"), "{}", e.message);
             assert!(e.message.contains("rtx-3060"), "{}", e.message);
+            e.message
         }
         other => panic!("expected the JSON envelope, got {other:?}"),
-    }
+    };
+    // `/v1/similar`'s reference form gates the same triple with the same
+    // 404 envelope.
+    let similar = client
+        .get("/v1/similar?device=rtx-3080&scale=tiny&workload=GMS")
+        .expect("similar reply");
+    assert_eq!(similar.status, 404, "{}", similar.body);
+    let envelope = ApiError::from_json(&similar.body).expect("envelope");
+    assert_eq!(envelope.message, message);
     assert_eq!(metric(&client, "cactus_serve_simulations_total"), 0.0);
 
     // A modeled device simulates as usual.
