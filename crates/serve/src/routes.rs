@@ -305,21 +305,10 @@ fn route_triple(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> Respons
             ),
         );
     }
-    let triple = match state.service.resolve_triple(device, scale, workload) {
+    let triple = match state.service.modeled_triple(device, scale, workload) {
         Ok(t) => t,
         Err(msg) => return Response::error(404, msg),
     };
-    if !state.service.models(triple.device_slug()) {
-        return Response::error(
-            404,
-            format!(
-                "device {:?} is in the catalog but not modeled by this backend; modeled \
-                 devices: {} (see /v1/devices)",
-                triple.device_slug(),
-                state.service.modeled().join(", "),
-            ),
-        );
-    }
 
     // The dominance threshold is the one endpoint parameter; the key carries
     // it exactly (`Display` is the shortest string that reads back as the

@@ -823,6 +823,32 @@ impl ProfileService {
         })
     }
 
+    /// [`Self::resolve_triple`], then refuse a catalog device this backend
+    /// does not model: the one lookup behind every route that names a
+    /// triple.
+    ///
+    /// # Errors
+    ///
+    /// Returns the route's `404` message: the unknown segment, or the
+    /// unmodeled device and the modeled ones.
+    pub(crate) fn modeled_triple(
+        &self,
+        device: &str,
+        scale: &str,
+        workload: &str,
+    ) -> Result<Triple, String> {
+        let triple = self.resolve_triple(device, scale, workload)?;
+        if !self.models(triple.device_slug()) {
+            return Err(format!(
+                "device {:?} is in the catalog but not modeled by this backend; modeled \
+                 devices: {} (see /v1/devices)",
+                triple.device_slug(),
+                self.modeled().join(", "),
+            ));
+        }
+        Ok(triple)
+    }
+
     /// Look up one submitted definition by name.
     #[must_use]
     pub(crate) fn wir_workload(&self, name: &str) -> Option<Arc<WirWorkload>> {

@@ -377,21 +377,10 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
             )
         }
     };
-    let triple = match state.service.resolve_triple(device, scale, workload) {
+    let triple = match state.service.modeled_triple(device, scale, workload) {
         Ok(t) => t,
         Err(msg) => return Response::error(404, msg),
     };
-    if !state.service.models(triple.device_slug()) {
-        return Response::error(
-            404,
-            format!(
-                "device {:?} is in the catalog but not modeled by this backend; modeled \
-                 devices: {} (see /v1/devices)",
-                triple.device_slug(),
-                state.service.modeled().join(", "),
-            ),
-        );
-    }
     span.tag("form", "reference");
     span.tag("key", triple.key());
 
