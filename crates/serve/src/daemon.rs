@@ -2,9 +2,9 @@
 //! pool, backpressure, keep-alive connection loop, and graceful drain.
 //!
 //! ```text
-//! accept thread ──try_send──► bounded queue ──recv──► worker pool (N threads)
-//!      │                        (cap = Q)                 │
-//!      └── queue full: write `503 Retry-After`            └── Handler::respond
+//! accept thread ──send──► queue ──recv──► worker pool (N threads)
+//!      │                                       │
+//!      └── N + Q open: write `503 Retry-After` └── Handler::respond
 //! ```
 //!
 //! `cactus-serve` and `cactus-gateway` are two [`Handler`]s on this one
@@ -28,8 +28,8 @@
 use std::io::{self, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,8 +74,8 @@ pub enum Event {
     /// A connection came off the listener and is about to be offered to
     /// the queue; exactly one of `Dequeued` or `Rejected` follows.
     Accepted,
-    /// The queue was full: the connection was answered `503` by the accept
-    /// thread and closed.
+    /// Every worker was busy and the queue full: the connection was
+    /// answered `503` by the accept thread and closed.
     Rejected,
     /// A worker took the connection off the queue.
     Dequeued,
@@ -142,26 +142,35 @@ impl Bound {
         let Bound { listener, addr } = self;
         let handler = Arc::new(handler);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(limits.queue.max(1));
+        let workers = limits.workers.max(1);
+        // Admission is by count (`accept_loop`), so the channel itself
+        // never holds more than `capacity` connections.
+        let capacity = workers + limits.queue.max(1);
+        let open = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(RankedMutex::new(
             rank::WORKER_QUEUE,
             "daemon.worker_queue",
             rx,
         ));
 
-        let workers = (0..limits.workers.max(1))
+        let workers = (0..workers)
             .map(|_| {
-                let (handler, rx, shutdown) =
-                    (Arc::clone(&handler), Arc::clone(&rx), Arc::clone(&shutdown));
+                let (handler, rx, open, shutdown) = (
+                    Arc::clone(&handler),
+                    Arc::clone(&rx),
+                    Arc::clone(&open),
+                    Arc::clone(&shutdown),
+                );
                 std::thread::spawn(move || {
-                    worker_loop(&*handler, &rx, &shutdown);
+                    worker_loop(&*handler, &rx, &open, &shutdown);
                 })
             })
             .collect();
         let accept = {
             let (handler, shutdown) = (Arc::clone(&handler), Arc::clone(&shutdown));
             std::thread::spawn(move || {
-                accept_loop(&*handler, &listener, &tx, &shutdown);
+                accept_loop(&*handler, &listener, &tx, &open, capacity, &shutdown);
             })
         };
         Daemon {
@@ -264,10 +273,16 @@ fn wake(addr: SocketAddr) -> bool {
     TcpStream::connect_timeout(&target, WAKE_CONNECT).is_ok()
 }
 
+/// Admit connections while fewer than `capacity` (workers + queue) are
+/// open, that is accepted and not yet finished by a worker; refuse the
+/// rest. Counting open connections instead of free queue slots admits a
+/// burst that an idle worker has not yet begun to drain.
 fn accept_loop<H: Handler>(
     handler: &H,
     listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
+    tx: &Sender<TcpStream>,
+    open: &AtomicUsize,
+    capacity: usize,
     shutdown: &AtomicBool,
 ) {
     loop {
@@ -281,10 +296,15 @@ fn accept_loop<H: Handler>(
         match accepted {
             Ok((stream, _peer)) => {
                 handler.observe(Event::Accepted);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => reject_busy(handler, stream),
-                    Err(TrySendError::Disconnected(_)) => break,
+                // Only this thread adds to `open`, so the count cannot pass
+                // `capacity` between the check and the add.
+                if open.load(Ordering::SeqCst) >= capacity {
+                    reject_busy(handler, stream);
+                    continue;
+                }
+                open.fetch_add(1, Ordering::SeqCst);
+                if tx.send(stream).is_err() {
+                    break;
                 }
             }
             // Fd exhaustion or an aborted handshake: transient, but back
@@ -328,6 +348,7 @@ fn reject_busy<H: Handler>(handler: &H, mut stream: TcpStream) {
 fn worker_loop<H: Handler>(
     handler: &H,
     rx: &RankedMutex<Receiver<TcpStream>>,
+    open: &AtomicUsize,
     shutdown: &AtomicBool,
 ) {
     loop {
@@ -335,6 +356,7 @@ fn worker_loop<H: Handler>(
         let Ok(stream) = next else { break };
         handler.observe(Event::Dequeued);
         handle_connection(handler, &stream, shutdown);
+        open.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -264,6 +264,38 @@ fn a_full_queue_answers_503_without_occupying_a_worker() {
     assert_eq!(stub.count(|e| matches!(e, Event::Request { .. })), 2);
 }
 
+/// A burst of `queue + 1` connections is never refused while a worker is
+/// idle: with one worker and one queue slot, the worker takes the first
+/// of two idle connections and the slot holds the second, however soon
+/// the second follows the first. Only a third is refused. The race this
+/// pins (a slot still held by a connection that a woken worker has not
+/// yet taken) is timing-dependent, so the burst is repeated.
+#[test]
+fn a_burst_is_never_refused_while_a_worker_is_idle() {
+    for round in 0..50 {
+        let daemon = start(1, 1);
+        let idle = [Conn::open(&daemon), Conn::open(&daemon)];
+        let mut third = Conn::open(&daemon);
+        // The accept thread takes connections in order: once it has taken
+        // the third, it has admitted or refused the first two.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon.handler().count(|e| *e == Event::Accepted) < 3 {
+            assert!(Instant::now() < deadline, "round {round}: accept stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            daemon.handler().count(|e| *e == Event::Rejected),
+            0,
+            "round {round}: refused while the worker was idle"
+        );
+        assert_eq!(third.get("/ok").status, 503, "round {round}");
+        drop((idle, third));
+        let stub = Arc::clone(daemon.handler());
+        daemon.join();
+        assert_eq!(stub.count(|e| *e == Event::Rejected), 1, "round {round}");
+    }
+}
+
 /// A refused client that trickles its head, a byte every 100 ms and never
 /// the blank line, holds the accept thread for a bounded drain only: a
 /// fresh client is refused promptly while the trickle goes on.

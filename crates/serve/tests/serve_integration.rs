@@ -310,14 +310,9 @@ fn saturated_pool_returns_503_with_retry_after() {
 
     // Pin down the worker and fill the queue with connections that send
     // nothing: the worker blocks reading the first, the second waits in the
-    // queue. The pause lets the worker take the first off the queue before
-    // the second arrives, which a full queue would refuse instead.
+    // queue.
     let idle: Vec<TcpStream> = (0..2)
-        .map(|_| {
-            let stream = TcpStream::connect(addr).expect("idle connect");
-            std::thread::sleep(Duration::from_millis(100));
-            stream
-        })
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
     // Give the accept thread time to enqueue both.
     std::thread::sleep(Duration::from_millis(300));
