@@ -48,7 +48,7 @@ pub fn lj_coulomb_cut(
 ) -> ForceStats {
     let rc2 = cutoff * cutoff;
     let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
-    pair_loop(sys, nl, |charges, i, j, r2, sigma, energy| {
+    pair_loop(sys, nl, |charges, q_i, j, r2, sigma, energy| {
         if r2 >= rc2 {
             return None;
         }
@@ -56,7 +56,6 @@ pub fn lj_coulomb_cut(
         // `q_i == 0` rows skip the charge load entirely (predictable
         // per-row); charged pairs share one exp(-α²r²) between erfc and
         // the real-space force term instead of computing it twice.
-        let q_i = charges[i];
         if q_i != 0.0 {
             let qq = q_i * charges[j];
             if qq.abs() > 0.0 {
@@ -104,16 +103,17 @@ fn lj(r2: f64, sigma: f64, energy: &mut f64) -> (f64, f64) {
 
 /// The one walk over the half neighbor list. For every stored pair `(i,
 /// j)` at nonzero distance it forms the min-image displacement, `r²` and
-/// the mixed `σ = (σᵢ + σⱼ)/2`, and asks `pair(charges, i, j, r², σ,
+/// the mixed `σ = (σᵢ + σⱼ)/2`, and asks `pair(charges, q_i, j, r², σ,
 /// energy)` for the pair's F/r: `None` means the pair lies outside the
 /// style's cutoff, and the closure adds to `energy` only when it returns
 /// `Some`. The force goes to both particles (Newton's third law). The
-/// charges reach the closure as a borrow split from the forces it writes.
+/// charges reach the closure as a borrow split from the forces it writes;
+/// `q_i` is loaded once per row.
 #[inline(always)]
 fn pair_loop(
     sys: &mut ParticleSystem,
     nl: &NeighborList,
-    mut pair: impl FnMut(&[f64], usize, usize, f64, f64, &mut f64) -> Option<f64>,
+    mut pair: impl FnMut(&[f64], f64, usize, f64, f64, &mut f64) -> Option<f64>,
 ) -> ForceStats {
     let (positions, sigmas, charges) = (&sys.positions, &sys.sigmas, &sys.charges);
     let (forces, box_len, n) = (&mut sys.forces, sys.box_len, sys.positions.len());
@@ -123,7 +123,7 @@ fn pair_loop(
     let mut stats = ForceStats::default();
     for i in 0..n {
         let pi = positions[i];
-        let sigma_i = sigmas[i];
+        let (sigma_i, q_i) = (sigmas[i], charges[i]);
         let neigh = nl.neighbors_of(i);
         stats.pairs_examined += neigh.len() as u64;
         // Accumulate particle i's force locally; one read-modify-write per
@@ -137,7 +137,8 @@ fn pair_loop(
                 continue;
             }
             let sigma = 0.5 * (sigma_i + sigmas[j]);
-            let Some(f_over_r) = pair(charges, i, j, r2, sigma, &mut stats.potential_energy) else {
+            let Some(f_over_r) = pair(charges, q_i, j, r2, sigma, &mut stats.potential_energy)
+            else {
                 continue;
             };
             stats.pairs_in_cutoff += 1;
