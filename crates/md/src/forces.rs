@@ -8,8 +8,10 @@
 //! * [`colloid`] — size-asymmetric LJ with per-pair σ mixing, a compact
 //!   stand-in for LAMMPS' integrated-Hamaker colloid style.
 //!
-//! All kernels accumulate Newton's-third-law symmetric forces and return
-//! potential energies, so conservation properties are testable.
+//! The three share one walk of the half neighbor list (`pair_loop`); each
+//! supplies only its per-pair physics. All kernels accumulate
+//! Newton's-third-law symmetric forces and return potential energies, so
+//! conservation properties are testable.
 
 use crate::neighbor::NeighborList;
 use crate::system::{min_image_disp, ParticleSystem};
