@@ -150,8 +150,45 @@ pub(crate) fn che_two_class(f: f64, dh: f64, dc: f64, c: f64) -> (f64, f64) {
 }
 
 #[cfg(test)]
+mod reference {
+    //! The Che solve as a fixed 200-step bisection, kept verbatim as the
+    //! oracle: however `che_two_class` ends its bisection, it must return
+    //! these bits.
+
+    /// Che's approximation for a two-class IRM, bisected 200 times.
+    pub(super) fn che_two_class(f: f64, dh: f64, dc: f64, c: f64) -> (f64, f64) {
+        let ph = if dh > 0.0 { f / dh } else { 0.0 };
+        let pc = if dc > 0.0 { (1.0 - f) / dc } else { 0.0 };
+        let occupied = |t: f64| dh * (1.0 - (-ph * t).exp()) + dc * (1.0 - (-pc * t).exp());
+
+        // The cache can hold everything: all warm accesses hit.
+        if dh + dc <= c {
+            return (1.0, 1.0);
+        }
+
+        // Bisection for T with occupied(T) = c; occupied is increasing in T.
+        let mut lo = 0.0;
+        let mut hi = 1.0;
+        while occupied(hi) < c && hi < 1e18 {
+            hi *= 2.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if occupied(mid) < c {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let t = 0.5 * (lo + hi);
+        ((1.0 - (-ph * t).exp()), (1.0 - (-pc * t).exp()))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn streaming_never_hits() {
@@ -206,6 +243,67 @@ mod tests {
         let (hh, hc) = che_two_class(0.9, 256.0, 65536.0, 1024.0);
         assert!(hh > 0.95, "hot hit {hh}");
         assert!(hc < 0.35, "cold hit {hc}");
+    }
+
+    /// `che_two_class` against the 200-step oracle, both outputs bit for bit.
+    fn assert_che_matches_reference(f: f64, dh: f64, dc: f64, c: f64) {
+        let (hh, hc) = che_two_class(f, dh, dc, c);
+        let (rh, rc) = reference::che_two_class(f, dh, dc, c);
+        assert_eq!(
+            (hh.to_bits(), hc.to_bits()),
+            (rh.to_bits(), rc.to_bits()),
+            "f={f} dh={dh} dc={dc} c={c}: ({hh}, {hc}) vs the oracle's ({rh}, {rc})"
+        );
+    }
+
+    #[test]
+    fn che_matches_the_reference_on_the_edges() {
+        let rows = [
+            // All accesses cold, all hot.
+            (0.0, 256.0, 65536.0, 1024.0),
+            (1.0, 256.0, 65536.0, 1024.0),
+            (0.0, 1.0, 1.0, 1.0),
+            (1.0, 1.0, 1.0, 1.0),
+            // One block in a class.
+            (0.9, 1.0, 65536.0, 1024.0),
+            (0.1, 65536.0, 1.0, 1024.0),
+            (0.5, 1.0, 1.0, 1.5),
+            // One block short of holding everything.
+            (0.9, 256.0, 65536.0, 256.0 + 65536.0 - 1.0),
+            (0.3, 4096.0, 4096.0, 8191.0),
+            // A cache of one block or less (c = 0 runs all 200 steps).
+            (0.9, 256.0, 65536.0, 1.0),
+            (0.9, 256.0, 65536.0, 0.5),
+            (0.9, 256.0, 65536.0, 0.0),
+            // A cold class so large that `hi` stops doubling at the 1e18 cap.
+            (0.5, 16.0, 1e30, 1e20),
+            (0.0, 1.0, 1e300, 1e200),
+        ];
+        for (f, dh, dc, c) in rows {
+            assert_che_matches_reference(f, dh, dc, c);
+        }
+        // The cap row really reaches the cap.
+        let pc = 0.5 / 1e30;
+        let occupied =
+            16.0 * (1.0 - (-0.5 / 16.0 * 1e18f64).exp()) + 1e30 * (1.0 - (-pc * 1e18f64).exp());
+        assert!(occupied < 1e20, "{occupied}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+        /// Random two-class streams: class sizes from 1 to 2^40 blocks,
+        /// caches from empty to larger than both classes.
+        #[test]
+        fn che_matches_the_reference_bit_for_bit(
+            f in 0.0f64..1.0,
+            log_dh in 0.0f64..40.0,
+            log_dc in 0.0f64..40.0,
+            fill in 0.0f64..1.2,
+        ) {
+            let (dh, dc) = (log_dh.exp2(), log_dc.exp2());
+            assert_che_matches_reference(f, dh, dc, fill * (dh + dc));
+        }
     }
 
     #[test]
