@@ -132,18 +132,21 @@ pub(crate) fn che_two_class(f: f64, dh: f64, dc: f64, c: f64) -> (f64, f64) {
     }
 
     // Bisection for T with occupied(T) = c; occupied is increasing in T.
-    let mut lo = 0.0;
-    let mut hi = 1.0;
+    // A step is a pure function of the bracket `(lo, hi)`, so once one
+    // leaves it bitwise unchanged every later step would too: stopping there
+    // returns the bits the full 200 steps return (`reference` below).
+    let mut lo: f64 = 0.0;
+    let mut hi: f64 = 1.0;
     while occupied(hi) < c && hi < 1e18 {
         hi *= 2.0;
     }
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if occupied(mid) < c {
-            lo = mid;
-        } else {
-            hi = mid;
+        let end = if occupied(mid) < c { &mut lo } else { &mut hi };
+        if end.to_bits() == mid.to_bits() {
+            break;
         }
+        *end = mid;
     }
     let t = 0.5 * (lo + hi);
     ((1.0 - (-ph * t).exp()), (1.0 - (-pc * t).exp()))
