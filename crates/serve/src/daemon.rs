@@ -57,9 +57,9 @@ const WAKE_CONNECT: Duration = Duration::from_secs(1);
 /// a close, bounding how long a single client can pin a worker.
 pub const KEEP_ALIVE_MAX: usize = 256;
 
-/// Per-connection read timeout, on both tiers; doubles as the keep-alive
-/// idle timeout.
-pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a request may take to arrive, head and body, from its first
+/// byte, on both tiers; doubles as the keep-alive idle timeout.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Per-connection write timeout on a worker's replies, on both tiers.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -360,6 +360,62 @@ fn worker_loop<H: Handler>(
     }
 }
 
+/// A worker's connection as the reader of its requests: one deadline per
+/// request, [`READ_TIMEOUT`] after its first byte, bounds the whole of its
+/// head and body. Until that byte the socket keeps its `READ_TIMEOUT`
+/// timeout (the idle wait); each later read of the same request first
+/// shortens it to the time left. A request that arrives in one read never
+/// touches the timeout, and one that did gets it restored at its end.
+struct RequestClock<'a> {
+    stream: &'a TcpStream,
+    /// When the request being read must be complete; `None` before its
+    /// first byte.
+    deadline: Option<Instant>,
+    /// Whether the socket's timeout was shortened for this request.
+    rearmed: bool,
+}
+
+impl<'a> RequestClock<'a> {
+    fn new(stream: &'a TcpStream) -> Self {
+        Self {
+            stream,
+            deadline: None,
+            rearmed: false,
+        }
+    }
+
+    /// A request starts; `started` when its first byte is already read.
+    fn begin(&mut self, started: bool) {
+        self.deadline = started.then(|| Instant::now() + READ_TIMEOUT);
+    }
+
+    /// The request was read, or failed to be.
+    fn end(&mut self) {
+        if self.rearmed {
+            self.rearmed = false;
+            let _ = self.stream.set_read_timeout(Some(READ_TIMEOUT));
+        }
+    }
+}
+
+impl Read for RequestClock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+            self.rearmed = true;
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + READ_TIMEOUT);
+        }
+        Ok(n)
+    }
+}
+
 /// Serve sequential keep-alive requests from one connection until the
 /// client closes (or asks to), an error or idle timeout occurs, the
 /// per-connection request cap is reached, or shutdown begins.
@@ -370,13 +426,19 @@ fn handle_connection<H: Handler>(handler: &H, stream: &TcpStream, shutdown: &Ato
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
     // One request and one head buffer per connection, refilled in place.
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(RequestClock::new(stream));
     let mut request = Request::default();
     let mut head = Vec::new();
     let mut served = 0usize;
     loop {
-        let parsed = match http::read_request_into(&mut reader, &mut request) {
-            // Clean close or idle timeout between requests: nothing to answer.
+        // A pipelined request already buffered has had its first byte.
+        let buffered = !reader.buffer().is_empty();
+        reader.get_mut().begin(buffered);
+        let read = http::read_request_into(&mut reader, &mut request);
+        reader.get_mut().end();
+        let parsed = match read {
+            // Clean close, idle timeout between requests, or a request that
+            // missed its deadline: nothing to answer.
             Err(HttpError::ClosedEarly | HttpError::Io(_)) => return,
             parsed => parsed,
         };
@@ -413,5 +475,60 @@ fn handle_connection<H: Handler>(handler: &H, stream: &TcpStream, shutdown: &Ato
         if !keep_alive || written.is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use super::*;
+
+    /// One request read through a [`RequestClock`] on a socket whose
+    /// timeout is `READ_TIMEOUT`, the client's bytes in the given parts.
+    /// Returns whether the read re-armed the timeout, and the timeout
+    /// before and after [`RequestClock::end`].
+    fn read_in(parts: &'static [&'static [u8]]) -> (bool, Duration, Duration) {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (served, _) = listener.accept().expect("accept");
+        served
+            .set_read_timeout(Some(READ_TIMEOUT))
+            .expect("timeout");
+        client.write_all(parts[0]).expect("first part");
+        let writer = std::thread::spawn(move || {
+            for part in &parts[1..] {
+                std::thread::sleep(Duration::from_millis(20));
+                client.write_all(part).expect("later part");
+            }
+            client
+        });
+
+        let mut reader = BufReader::new(RequestClock::new(&served));
+        let mut request = Request::default();
+        reader.get_mut().begin(false);
+        http::read_request_into(&mut reader, &mut request).expect("a request");
+        assert_eq!(request.path, "/r");
+        let timeout = || served.read_timeout().expect("timeout").expect("set");
+        let (rearmed, during) = (reader.get_ref().rearmed, timeout());
+        reader.get_mut().end();
+        drop(writer.join().expect("writer"));
+        (rearmed, during, timeout())
+    }
+
+    #[test]
+    fn only_a_request_read_in_parts_touches_the_socket_timeout() {
+        let whole = read_in(&[b"POST /r HTTP/1.1\r\ncontent-length: 2\r\n\r\nok"]);
+        assert_eq!(whole, (false, READ_TIMEOUT, READ_TIMEOUT));
+
+        let (rearmed, during, after) = read_in(&[
+            b"POST /r HTT",
+            b"P/1.1\r\ncontent-length: 2\r\n\r\n",
+            b"o",
+            b"k",
+        ]);
+        assert!(rearmed);
+        assert!(during < READ_TIMEOUT, "{during:?}");
+        assert_eq!(after, READ_TIMEOUT);
     }
 }

@@ -336,6 +336,67 @@ fn a_trickling_refused_client_does_not_hold_the_accept_thread() {
     daemon.join();
 }
 
+/// A served client that trickles its head, a byte every 500 ms and never
+/// the blank line, holds its worker until the request's one deadline,
+/// `READ_TIMEOUT` after its first byte, however often a byte arrives: then
+/// it sees EOF, and the client queued behind it on the only worker is
+/// answered.
+#[test]
+fn a_trickling_served_client_holds_its_worker_for_one_read_timeout() {
+    let daemon = start(1, 1);
+    let mut trickled = TcpStream::connect(daemon.addr()).expect("connect");
+    trickled
+        .set_read_timeout(Some(daemon::READ_TIMEOUT + Duration::from_secs(2)))
+        .expect("read timeout");
+    let first_byte = Instant::now();
+    trickled.write_all(b"G").expect("first byte");
+
+    let trickling = Arc::new(AtomicBool::new(true));
+    let trickler = {
+        let mut stream = trickled.try_clone().expect("clone");
+        let trickling = Arc::clone(&trickling);
+        std::thread::spawn(move || {
+            // Off by half a period from the first byte, so no byte lands
+            // on the deadline itself.
+            std::thread::sleep(Duration::from_millis(250));
+            let head = b"ET /ok HTTP/1.1\r\nx-trickle: ".iter();
+            for &byte in head.chain(std::iter::repeat(&b'a')) {
+                if !trickling.load(Ordering::SeqCst) || stream.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        })
+    };
+    let mut queued = Conn::open(&daemon);
+    queued.send("GET /ok HTTP/1.1\r\nhost: t\r\n\r\n");
+
+    let bound = daemon::READ_TIMEOUT + Duration::from_secs(1);
+    let read = trickled.read(&mut [0u8; 64]);
+    let cut = first_byte.elapsed();
+    trickling.store(false, Ordering::SeqCst);
+    assert!(
+        matches!(read, Ok(0)),
+        "the trickled head was not cut after {cut:?}: {read:?}"
+    );
+    assert!(
+        cut >= daemon::READ_TIMEOUT,
+        "cut before its deadline, after {cut:?}"
+    );
+    assert!(cut < bound, "cut after {cut:?}");
+    let reply = queued.reply().expect("the queued reply");
+    let answered = first_byte.elapsed();
+    assert_eq!(reply.status, 200);
+    assert!(answered < bound, "the queued client waited {answered:?}");
+
+    trickler.join().expect("trickler thread");
+    drop(queued);
+    let stub = Arc::clone(daemon.handler());
+    daemon.join();
+    // The cut head never reached the request path.
+    assert_eq!(stub.count(|e| matches!(e, Event::Request { .. })), 1);
+}
+
 #[test]
 fn a_trace_id_is_adopted_when_sent_and_minted_when_not() {
     let daemon = start(1, 8);
