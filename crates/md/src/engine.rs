@@ -16,7 +16,7 @@ use crate::system::ParticleSystem;
 /// Short-range pair interaction style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairStyle {
-    /// Plain truncated LJ.
+    /// Plain truncated LJ. No workload runs it: `MdConfig::default()` picks it for tests.
     LjCut,
     /// CHARMM-style LJ + erfc-damped Coulomb (pairs with PME).
     LjCoulombCharmm,
