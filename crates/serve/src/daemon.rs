@@ -363,15 +363,18 @@ fn worker_loop<H: Handler>(
 /// A worker's connection as the reader of its requests: one deadline per
 /// request, [`READ_TIMEOUT`] after its first byte, bounds the whole of its
 /// head and body. Until that byte the socket keeps its `READ_TIMEOUT`
-/// timeout (the idle wait); each later read of the same request first
-/// shortens it to the time left. A request that arrives in one read never
-/// touches the timeout, and one that did gets it restored at its end.
+/// timeout (the idle wait), and the read after it has the whole budget
+/// left; each later read of the same request first shortens the timeout to
+/// the time left. A request that arrives in one read neither reads the
+/// clock nor touches the timeout, and one that did gets it restored at its
+/// end.
 struct RequestClock<'a> {
     stream: &'a TcpStream,
-    /// When the request being read must be complete; `None` before its
-    /// first byte.
+    /// Whether the request being read has had its first byte.
+    started: bool,
+    /// When it must be complete, from the read after its first byte on.
     deadline: Option<Instant>,
-    /// Whether the socket's timeout was shortened for this request.
+    /// Whether the socket's timeout was shortened for it.
     rearmed: bool,
 }
 
@@ -379,6 +382,7 @@ impl<'a> RequestClock<'a> {
     fn new(stream: &'a TcpStream) -> Self {
         Self {
             stream,
+            started: false,
             deadline: None,
             rearmed: false,
         }
@@ -386,7 +390,8 @@ impl<'a> RequestClock<'a> {
 
     /// A request starts; `started` when its first byte is already read.
     fn begin(&mut self, started: bool) {
-        self.deadline = started.then(|| Instant::now() + READ_TIMEOUT);
+        self.started = started;
+        self.deadline = None;
     }
 
     /// The request was read, or failed to be.
@@ -400,18 +405,24 @@ impl<'a> RequestClock<'a> {
 
 impl Read for RequestClock<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(io::ErrorKind::TimedOut.into());
+        if self.started {
+            let now = Instant::now();
+            match self.deadline {
+                // The first byte came in the read just before this one: the
+                // socket's timeout is this read's whole budget.
+                None => self.deadline = Some(now + READ_TIMEOUT),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(now);
+                    if left.is_zero() {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    self.stream.set_read_timeout(Some(left))?;
+                    self.rearmed = true;
+                }
             }
-            self.stream.set_read_timeout(Some(left))?;
-            self.rearmed = true;
         }
         let n = self.stream.read(buf)?;
-        if n > 0 && self.deadline.is_none() {
-            self.deadline = Some(Instant::now() + READ_TIMEOUT);
-        }
+        self.started |= n > 0;
         Ok(n)
     }
 }
