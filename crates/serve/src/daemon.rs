@@ -495,51 +495,59 @@ mod tests {
 
     use super::*;
 
-    /// One request read through a [`RequestClock`] on a socket whose
-    /// timeout is `READ_TIMEOUT`, the client's bytes in the given parts.
-    /// Returns whether the read re-armed the timeout, and the timeout
-    /// before and after [`RequestClock::end`].
-    fn read_in(parts: &'static [&'static [u8]]) -> (bool, Duration, Duration) {
+    /// A loopback pair: the client's end, and the served end with the
+    /// daemon's idle timeout.
+    fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
         let (served, _) = listener.accept().expect("accept");
         served
             .set_read_timeout(Some(READ_TIMEOUT))
             .expect("timeout");
-        client.write_all(parts[0]).expect("first part");
-        let writer = std::thread::spawn(move || {
-            for part in &parts[1..] {
-                std::thread::sleep(Duration::from_millis(20));
-                client.write_all(part).expect("later part");
-            }
-            client
-        });
+        (client, served)
+    }
 
+    fn timeout(stream: &TcpStream) -> Duration {
+        stream.read_timeout().expect("get").expect("set")
+    }
+
+    #[test]
+    fn a_request_in_one_read_reads_no_clock_and_keeps_the_timeout() {
+        let (mut client, served) = pair();
+        client
+            .write_all(b"POST /r HTTP/1.1\r\ncontent-length: 2\r\n\r\nok")
+            .expect("write");
         let mut reader = BufReader::new(RequestClock::new(&served));
         let mut request = Request::default();
         reader.get_mut().begin(false);
         http::read_request_into(&mut reader, &mut request).expect("a request");
-        assert_eq!(request.path, "/r");
-        let timeout = || served.read_timeout().expect("timeout").expect("set");
-        let (rearmed, during) = (reader.get_ref().rearmed, timeout());
+        assert_eq!((request.path.as_str(), request.body.as_str()), ("/r", "ok"));
+        assert_eq!(reader.get_ref().deadline, None);
+        assert!(!reader.get_ref().rearmed);
         reader.get_mut().end();
-        drop(writer.join().expect("writer"));
-        (rearmed, during, timeout())
+        assert_eq!(timeout(&served), READ_TIMEOUT);
     }
 
     #[test]
-    fn only_a_request_read_in_parts_touches_the_socket_timeout() {
-        let whole = read_in(&[b"POST /r HTTP/1.1\r\ncontent-length: 2\r\n\r\nok"]);
-        assert_eq!(whole, (false, READ_TIMEOUT, READ_TIMEOUT));
-
-        let (rearmed, during, after) = read_in(&[
-            b"POST /r HTT",
-            b"P/1.1\r\ncontent-length: 2\r\n\r\n",
-            b"o",
-            b"k",
-        ]);
-        assert!(rearmed);
-        assert!(during < READ_TIMEOUT, "{during:?}");
-        assert_eq!(after, READ_TIMEOUT);
+    fn later_reads_of_one_request_shorten_the_timeout_until_its_end() {
+        let (mut client, served) = pair();
+        let mut clock = RequestClock::new(&served);
+        clock.begin(false);
+        let mut buf = [0u8; 64];
+        // The first read finds the first byte, the second starts the
+        // deadline with the whole budget, the third is the first to
+        // shorten the timeout: by at least the 20 ms slept before it, more
+        // than the kernel's rounding of a timeout up to whole ticks.
+        for (part, rearmed) in [(&b"GET"[..], false), (b" /r", false), (b" HTTP/1.1", true)] {
+            if rearmed {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            client.write_all(part).expect("write");
+            assert_eq!(clock.read(&mut buf).expect("read"), part.len());
+            assert_eq!(clock.rearmed, rearmed);
+        }
+        assert!(timeout(&served) < READ_TIMEOUT);
+        clock.end();
+        assert_eq!(timeout(&served), READ_TIMEOUT);
     }
 }
