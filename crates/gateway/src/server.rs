@@ -62,8 +62,8 @@ pub const COMPARE_ROUTE: &str = "/v1/compare/{scale}/{workload}";
 
 /// Gateway tuning knobs: the values a deployment sets. Everything else
 /// is a constant — the daemon's idle timeout and request deadline
-/// ([`daemon::READ_TIMEOUT`], 5 s) and `Retry-After` ([`daemon::RETRY_AFTER_S`], 1 s), the pooled
-/// connections' I/O
+/// ([`daemon::READ_TIMEOUT`], 5 s) and `Retry-After`
+/// ([`daemon::RETRY_AFTER_S`], 1 s), the pooled connections' I/O
 /// timeout (60 s), dial, probe and repair bound (`PROBE_TIMEOUT`, 500 ms) and idle
 /// cap (8 per backend), the retry policy (3 attempts, backoff from 10 ms
 /// capped at 200 ms), the hedge quantile (p90) and cap (`HEDGE_CAP`, 2 s),
