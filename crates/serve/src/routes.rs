@@ -569,6 +569,73 @@ mod tests {
             })
     }
 
+    /// The kernels view with one `format!` per float: `{:e}` for times,
+    /// transactions and metrics, `{:.6}` for the time share.
+    fn kernels_oracle(workload: &str, profile: &Profile) -> String {
+        let total = profile.total_time_s();
+        let mut out = format!("{}\n", csv::kernel_header());
+        for k in profile.kernels() {
+            out.push_str(&format!(
+                "{},{},{},{:e},{:.6},{},{:e}",
+                escape_oracle(workload),
+                escape_oracle(&k.name),
+                k.invocations,
+                k.total_time_s,
+                k.time_share(total),
+                k.warp_instructions,
+                k.dram_transactions,
+            ));
+            for id in cactus_gpu::metrics::MetricId::ALL {
+                out.push_str(&format!(",{:e}", k.metrics.get(id)));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Every float of the three CSV views of the 42 built-in workloads on
+    /// all six catalog devices at `tiny` — the values the fleet serves —
+    /// against `format!`.
+    #[test]
+    fn every_view_of_the_tiny_corpus_matches_format() {
+        let scale = cactus_core::SuiteScale::Tiny;
+        for entry in cactus_gpu::CATALOG {
+            let mut runs: Vec<(String, Profile)> = Vec::new();
+            for w in cactus_core::suite() {
+                let mut gpu = cactus_gpu::prelude::Gpu::new(entry.device());
+                w.run(&mut gpu, scale);
+                runs.push((w.abbr.to_owned(), Profile::from_records(gpu.records())));
+            }
+            for b in cactus_suites::all() {
+                let mut gpu = cactus_gpu::prelude::Gpu::new(entry.device());
+                b.run(&mut gpu, cactus_suites::Scale::Tiny);
+                runs.push((b.name.to_owned(), Profile::from_records(gpu.records())));
+            }
+            assert_eq!(runs.len(), 42);
+            for (name, profile) in &runs {
+                let triple = Triple::resolve(entry.id, "tiny", name).expect("resolve");
+                let at = format!("{}/tiny/{name}", entry.id);
+                assert_eq!(
+                    csv::to_csv(name, profile),
+                    kernels_oracle(name, profile),
+                    "{at} kernels"
+                );
+                assert_eq!(
+                    roofline_csv(&triple, profile),
+                    roofline_oracle(&triple, profile),
+                    "{at} roofline"
+                );
+                for threshold in [0.7, 1.0] {
+                    assert_eq!(
+                        dominant_csv(name, profile, threshold),
+                        dominant_oracle(name, profile, threshold),
+                        "{at} dominant {threshold}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 

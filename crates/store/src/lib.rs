@@ -1012,10 +1012,83 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
+/// The byte-at-a-time table loop every segment on disk was first written
+/// with, over a table it builds itself: the oracle for [`crc32`].
+#[cfg(test)]
+mod reference {
+    pub(crate) fn crc32(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in (0u32..).zip(table.iter_mut()) {
+            let mut c = i;
+            for _ in 0..8 {
+                c = if c & 1 == 1 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut crc = u32::MAX;
+        for &b in data {
+            crc = table[usize::from((crc as u8) ^ b)] ^ (crc >> 8);
+        }
+        !crc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `len` bytes of a xorshift stream: no period a word loop could hide.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_reference_at_every_length_to_4096() {
+        let bytes = noise(4096, 0x9E37_79B9_7F4A_7C15);
+        for len in 0..=bytes.len() {
+            let data = &bytes[..len];
+            assert_eq!(crc32(data), reference::crc32(data), "length {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn crc32_equals_the_reference_on_random_content(
+            bytes in prop::collection::vec(0u32..256, 0..24_000usize),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            prop_assert_eq!(crc32(&bytes), reference::crc32(&bytes));
+        }
+
+        /// Lengths `24k + r` for every residue `r`: whole 24-byte blocks
+        /// and every tail after them, up to 14 KB.
+        #[test]
+        fn crc32_equals_the_reference_at_every_residue_of_24(
+            k in 0usize..600,
+            seed in 0u64..u64::MAX,
+        ) {
+            let bytes = noise(24 * k + 23, seed);
+            for r in 0..24 {
+                let data = &bytes[..24 * k + r];
+                prop_assert_eq!(crc32(data), reference::crc32(data), "k {} r {}", k, r);
+            }
+        }
+    }
 
     fn temp_store_dir(tag: &str) -> PathBuf {
         let dir =
