@@ -935,6 +935,9 @@ fn le_u16(b: &[u8]) -> u16 {
     u16::from_le_bytes(raw)
 }
 
+/// The CRC-32 polynomial, reflected: bit 31 is the coefficient of `x^0`.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
 /// The classic byte-at-a-time CRC-32 table: entry `b` is the CRC of byte `b`.
 const CRC_BYTE_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -944,7 +947,7 @@ const CRC_BYTE_TABLE: [u32; 256] = {
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 == 1 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -974,29 +977,131 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight bytes per
-/// step (slice-by-8); the values are those of the bytewise table loop.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
-    let at = |table: &[u32; 256], word: u64, shift: u32| table[usize::from((word >> shift) as u8)];
+/// `a·b mod P` over GF(2), both operands in the reflected order of
+/// [`CRC_POLY`] (bit 31 is the coefficient of `x^0`). The carry-less
+/// product, four bits of `a` per step, holds `x^d` at bit `62 − d`; one
+/// bit up, its high word is the part of degree `< 32` and its low word
+/// `h` the part `x^32·h`, which four zero-byte folds reduce mod P.
+const fn crc_mul(a: u32, b: u32) -> u32 {
+    let mut multiples = [0u64; 16];
+    let mut k = 1;
+    while k < 16 {
+        multiples[k] = if k % 2 == 0 {
+            multiples[k / 2] << 1
+        } else {
+            multiples[k - 1] ^ b as u64
+        };
+        k += 1;
+    }
+    let mut product = 0u64;
+    let mut n = 0;
+    while n < 8 {
+        product ^= multiples[((a >> (4 * n)) & 15) as usize] << (4 * n);
+        n += 1;
+    }
+    let product = product << 1;
+    let (high, low) = ((product >> 32) as u32, product as u32);
+    let t = &CRC_TABLES;
+    high ^ t[3][(low & 0xFF) as usize]
+        ^ t[2][((low >> 8) & 0xFF) as usize]
+        ^ t[1][((low >> 16) & 0xFF) as usize]
+        ^ t[0][(low >> 24) as usize]
+}
+
+/// `x^(2^k) mod P` for `k` in `0..32` (zlib's `x2n_table`). The powers
+/// repeat with period 32 (`x^(2^32) = x mod P`), so `k` wraps.
+static CRC_X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = crc_mul(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    assert!(
+        crc_mul(table[31], table[31]) == table[0],
+        "x^(2^32) = x mod P"
+    );
+    table
+};
+
+/// `x^(8n) mod P`: what appending `n` zero bytes multiplies a CRC register
+/// by (zlib's `x2nmodp(n, 3)`).
+fn crc_shift_op(mut n: usize) -> u32 {
+    let mut op = 1 << 31; // x^0
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 == 1 {
+            op = crc_mul(CRC_X2N[k & 31], op);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    op
+}
+
+/// Fold `data` into the CRC register `crc` (no pre- or post-inversion):
+/// eight bytes per step, then the tail a byte at a time.
+fn crc_fold(mut crc: u32, data: &[u8]) -> u32 {
     let (words, tail) = data.as_chunks::<8>();
-    let mut crc = u32::MAX;
     for w in words {
-        let w = u64::from_le_bytes(*w) ^ u64::from(crc);
-        crc = at(t7, w, 0)
-            ^ at(t6, w, 8)
-            ^ at(t5, w, 16)
-            ^ at(t4, w, 24)
-            ^ at(t3, w, 32)
-            ^ at(t2, w, 40)
-            ^ at(t1, w, 48)
-            ^ at(t0, w, 56);
+        crc = crc_fold_word(crc, w);
     }
     for &b in tail {
-        crc = at(t0, u64::from(crc ^ u32::from(b)), 0) ^ (crc >> 8);
+        crc = CRC_TABLES[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// One slice-by-8 step.
+#[inline(always)]
+fn crc_fold_word(crc: u32, word: &[u8; 8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let at = |table: &[u32; 256], word: u64, shift: u32| table[usize::from((word >> shift) as u8)];
+    let w = u64::from_le_bytes(*word) ^ u64::from(crc);
+    at(t7, w, 0)
+        ^ at(t6, w, 8)
+        ^ at(t5, w, 16)
+        ^ at(t4, w, 24)
+        ^ at(t3, w, 32)
+        ^ at(t2, w, 40)
+        ^ at(t1, w, 48)
+        ^ at(t0, w, 56)
+}
+
+/// Words per lane below which [`crc32`] folds in one lane: there the
+/// combine costs more than the interleaving saves.
+const CRC_MIN_LANE_WORDS: usize = 8;
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`); the values
+/// are those of the bytewise table loop.
+///
+/// The leading `24·L` bytes are three lanes of `L` eight-byte words,
+/// folded slice-by-8 side by side in one loop so that the three lanes'
+/// lookup chains overlap. The lanes are then joined with the CRC's shift
+/// operator (zlib's `crc32_combine`), and the last `< 24` bytes are
+/// folded onto the joined register. Below eight words per lane the input
+/// folds in one lane.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    let words = data.as_chunks::<8>().0;
+    let lane = words.len() / 3;
+    if lane < CRC_MIN_LANE_WORDS {
+        return !crc_fold(u32::MAX, data);
+    }
+    let (a, rest) = words.split_at(lane);
+    let (b, c) = rest.split_at(lane);
+    let (mut x, mut y, mut z) = (u32::MAX, 0, 0);
+    for ((wa, wb), wc) in a.iter().zip(b).zip(&c[..lane]) {
+        x = crc_fold_word(x, wa);
+        y = crc_fold_word(y, wb);
+        z = crc_fold_word(z, wc);
+    }
+    // The register after lanes a and b, then after all three: each time
+    // the register so far is shifted past the next lane's 8·L bytes.
+    let op = crc_shift_op(8 * lane);
+    let crc = crc_mul(op, crc_mul(op, x) ^ y) ^ z;
+    !crc_fold(crc, &data[24 * lane..])
 }
 
 /// FNV-1a, 64-bit: the manifest digest, a submitted definition's digest
