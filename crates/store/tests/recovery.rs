@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use cactus_store::{Store, StoreOptions};
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
@@ -186,4 +187,104 @@ fn the_undamaged_fixture_reopens_whole() {
     assert_eq!(store.stats().truncations, 0);
     drop(store);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Byte offsets into a payload of `len` bytes that start or end one of
+/// `crc32`'s three lanes (the input's first `24·L` bytes as three runs of
+/// `L` eight-byte words, `L = ⌊len/8⌋ / 3`), and the first and last byte
+/// of the tail after them.
+fn lane_edges(len: usize) -> Vec<usize> {
+    let lane = 8 * (len / 8 / 3);
+    let mut at = Vec::new();
+    for i in 0..3 {
+        if lane > 0 {
+            at.extend([
+                i * lane,
+                i * lane + 7,
+                (i + 1) * lane - 8,
+                (i + 1) * lane - 1,
+            ]);
+        }
+    }
+    at.extend([3 * lane, len - 1]);
+    at.retain(|&a| a < len);
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
+/// Payloads of `24k − 1 … 24k + 8` bytes, around the lane threshold and
+/// at record sizes the fleet serves: each appends, reads back and reopens
+/// whole. One flipped byte at any lane's first or last word, or in the
+/// tail, fails `get` with `InvalidData`, and the reopened store truncates
+/// the segment at that record: the record before it survives, it and the
+/// record after it do not.
+#[test]
+fn lane_edges_are_checked_by_get_and_by_recovery() {
+    let opts = || StoreOptions {
+        segment_max_bytes: 1 << 20,
+        compact_min_dead_bytes: u64::MAX,
+    };
+    for k in [1usize, 8, 9, 100, 427] {
+        for len in 24 * k - 1..=24 * k + 8 {
+            let key = format!("lane/{k}/{len}");
+            // Payload: key length (2), key, version (4), value.
+            let value: Vec<u8> = (0..len - 6 - key.len())
+                .map(|i| (i * 131 + len) as u8)
+                .collect();
+            let dir = case_dir("lanes");
+            let store = Store::open_with(&dir, opts()).expect("open");
+            store.append("before", 1, b"kept").expect("append");
+            let mut files = segment_files(&dir);
+            assert_eq!(files.len(), 1, "one segment");
+            let (name, record_at) = files.pop().expect("one segment");
+            store.append(&key, 2, &value).expect("append");
+            store
+                .append("after", 3, b"dropped with it")
+                .expect("append");
+            let got = store.get(&key).expect("get").expect("present");
+            assert_eq!((got.version, &got.value), (2, &value), "{key}");
+            drop(store);
+            let store = Store::open_with(&dir, opts()).expect("reopen");
+            assert_eq!(store.stats().truncations, 0, "{key}");
+            assert_eq!(store.get(&key).expect("get").expect("present").value, value);
+            drop(store);
+
+            let segment = dir.join("segments").join(&name);
+            let pristine = fs::read(&segment).expect("read segment");
+            let payload_at = record_at as usize + 8;
+            for at in lane_edges(len) {
+                let mut bytes = pristine.clone();
+                bytes[payload_at + at] ^= 0x20;
+                fs::write(&segment, &bytes).expect("flip");
+                let store = Store::open_with(&dir, opts()).expect("reopen flipped");
+                assert!(store.get("before").expect("get").is_some(), "{key} @{at}");
+                assert!(store.get(&key).expect("get").is_none(), "{key} @{at}");
+                assert!(store.get("after").expect("get").is_none(), "{key} @{at}");
+                assert_eq!(store.stats().truncations, 1, "{key} @{at}");
+                drop(store);
+                assert_eq!(
+                    fs::metadata(&segment).expect("stat").len(),
+                    record_at,
+                    "{key} @{at}: truncated at the flipped record"
+                );
+            }
+
+            // The same flips under a live store: the index still points at
+            // the record, and `get` refuses it.
+            fs::write(&segment, &pristine).expect("restore");
+            let store = Store::open_with(&dir, opts()).expect("reopen restored");
+            for at in lane_edges(len) {
+                let mut bytes = pristine.clone();
+                bytes[payload_at + at] ^= 0x20;
+                fs::write(&segment, &bytes).expect("flip");
+                let err = store.get(&key).expect_err("a flipped record fails");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{key} @{at}");
+            }
+            fs::write(&segment, &pristine).expect("restore");
+            assert_eq!(store.get(&key).expect("get").expect("present").value, value);
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
 }
