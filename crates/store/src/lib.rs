@@ -1001,27 +1001,24 @@ const fn crc_mul(a: u32, b: u32) -> u32 {
     }
     let product = product << 1;
     let (high, low) = ((product >> 32) as u32, product as u32);
-    let t = &CRC_TABLES;
-    high ^ t[3][(low & 0xFF) as usize]
-        ^ t[2][((low >> 8) & 0xFF) as usize]
-        ^ t[1][((low >> 16) & 0xFF) as usize]
-        ^ t[0][(low >> 24) as usize]
+    let [t0, t1, t2, t3, ..] = &CRC_TABLES;
+    high ^ t3[(low & 0xFF) as usize]
+        ^ t2[((low >> 8) & 0xFF) as usize]
+        ^ t1[((low >> 16) & 0xFF) as usize]
+        ^ t0[(low >> 24) as usize]
 }
 
 /// `x^(2^k) mod P` for `k` in `0..32` (zlib's `x2n_table`). The powers
 /// repeat with period 32 (`x^(2^32) = x mod P`), so `k` wraps.
 static CRC_X2N: [u32; 32] = {
-    let mut table = [0u32; 32];
-    table[0] = 1 << 30; // x^1
+    let mut table = [1 << 30; 32]; // x^1
     let mut k = 1;
     while k < 32 {
         table[k] = crc_mul(table[k - 1], table[k - 1]);
         k += 1;
     }
-    assert!(
-        crc_mul(table[31], table[31]) == table[0],
-        "x^(2^32) = x mod P"
-    );
+    let [x, .., x_2_31] = table;
+    assert!(crc_mul(x_2_31, x_2_31) == x, "x^(2^32) = x mod P");
     table
 };
 
@@ -1047,8 +1044,9 @@ fn crc_fold(mut crc: u32, data: &[u8]) -> u32 {
     for w in words {
         crc = crc_fold_word(crc, w);
     }
+    let [t0, ..] = &CRC_TABLES;
     for &b in tail {
-        crc = CRC_TABLES[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+        crc = t0[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     crc
 }
