@@ -2,10 +2,15 @@
 //! files that its Python/R plotting scripts consume — and the one RFC-4180
 //! field codec every CSV body of the fleet is written and read with:
 //! [`push_field`] quotes a field, [`read_table`] reads the records back,
-//! quoted commas, doubled quotes and line breaks included.
+//! quoted commas, doubled quotes and line breaks included. Float fields
+//! are written by [`push_exp`] (`{:e}`) and [`push_fixed6`] (`{:.6}`).
 
 use std::fmt::Write as _;
 use std::sync::LazyLock;
+
+mod float;
+
+pub use float::{push_exp, push_fixed6};
 
 use cactus_gpu::metrics::MetricId;
 
@@ -37,17 +42,15 @@ pub fn push_kernel_rows(out: &mut String, workload: &str, profile: &Profile) {
         push_field(out, workload);
         out.push(',');
         push_field(out, &k.name);
-        let _ = write!(
-            out,
-            ",{},{:e},{:.6},{},{:e}",
-            k.invocations,
-            k.total_time_s,
-            k.time_share(total),
-            k.warp_instructions,
-            k.dram_transactions
-        );
+        let _ = write!(out, ",{},", k.invocations);
+        push_exp(out, k.total_time_s);
+        out.push(',');
+        push_fixed6(out, k.time_share(total));
+        let _ = write!(out, ",{},", k.warp_instructions);
+        push_exp(out, k.dram_transactions);
         for id in MetricId::ALL {
-            let _ = write!(out, ",{:e}", k.metrics.get(id));
+            out.push(',');
+            push_exp(out, k.metrics.get(id));
         }
         out.push('\n');
     }

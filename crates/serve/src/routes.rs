@@ -426,17 +426,23 @@ fn roofline_csv(triple: &Triple, profile: &cactus_profiler::Profile) -> String {
         String::from("kernel,instruction_intensity,gips,time_share,intensity_class,boundedness\n");
     for k in profile.kernels() {
         csv::push_field(&mut out, &k.name);
-        let _ = writeln!(
-            out,
-            ",{:.6},{:.6},{:.6},{},{}",
+        for x in [
             k.metrics.instruction_intensity,
             k.metrics.gips,
             k.time_share(total),
+        ] {
+            out.push(',');
+            csv::push_fixed6(&mut out, x);
+        }
+        out.push(',');
+        out.push_str(
             roofline
                 .intensity_class(k.metrics.instruction_intensity)
                 .label(),
-            roofline.boundedness_class(k.metrics.gips).label(),
         );
+        out.push(',');
+        out.push_str(roofline.boundedness_class(k.metrics.gips).label());
+        out.push('\n');
     }
     out
 }
@@ -453,14 +459,13 @@ fn dominant_csv(workload: &str, profile: &cactus_profiler::Profile, threshold: f
         csv::push_field(&mut out, workload);
         out.push(',');
         csv::push_field(&mut out, &k.name);
-        let _ = writeln!(
-            out,
-            ",{},{:e},{:.6},{:.6}",
-            k.invocations,
-            k.total_time_s,
-            k.time_share(total),
-            cumulative,
-        );
+        let _ = write!(out, ",{},", k.invocations);
+        csv::push_exp(&mut out, k.total_time_s);
+        for x in [k.time_share(total), cumulative] {
+            out.push(',');
+            csv::push_fixed6(&mut out, x);
+        }
+        out.push('\n');
     }
     out
 }
