@@ -13,7 +13,8 @@
 //!   between devices, i.e. where moving hardware moves the wall.
 //!
 //! Rendered as JSON (default) or CSV (`format=csv`). The CSV's per-kernel
-//! columns are formatted by the same `{:.6}` rules as a single backend's
+//! columns are written by the same float writer
+//! (`cactus_profiler::csv::push_fixed6`, `{:.6}`) as a single backend's
 //! `/v1/roofline` rows, so a device's slice of the comparison is
 //! byte-identical to asking that backend directly — the comparison adds
 //! information, it never re-derives it.
@@ -31,7 +32,7 @@ use cactus_gpu::by_id;
 use cactus_gpu::catalog::CatalogEntry;
 use cactus_obs::api::json_escape;
 use cactus_obs::SpanCtx;
-use cactus_profiler::{store as profile_store, Profile};
+use cactus_profiler::{csv, store as profile_store, Profile};
 use cactus_serve::http::{query_param, Request, Response};
 use cactus_serve::routes::{CSV, JSON};
 use cactus_serve::wire::{self, CompareRow};
@@ -227,12 +228,11 @@ fn render_csv(scale: &str, workload: &str, legs: &[Leg]) -> String {
     ));
     for leg in legs {
         let total = leg.profile.total_time_s();
-        out.push_str(&format!("# total_time_s {} {:e}\n", leg.id, total));
-        out.push_str(&format!(
-            "# speedup_vs_baseline {} {:.6}\n",
-            leg.id,
-            speedup(baseline_total, total)
-        ));
+        out.push_str(&format!("# total_time_s {} ", leg.id));
+        csv::push_exp(&mut out, total);
+        out.push_str(&format!("\n# speedup_vs_baseline {} ", leg.id));
+        csv::push_fixed6(&mut out, speedup(baseline_total, total));
+        out.push('\n');
         // A profile lists its kernels in dominance order: the first dominates.
         if let Some(name) = leg
             .profile
@@ -264,11 +264,14 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
         }
         let total = leg.profile.total_time_s();
         out.push_str(&format!(
-            "{{\"device\":\"{}\",\"total_time_s\":{:e},\"speedup_vs_baseline\":{:.6},\
-             \"dominant_kernel\":{}}}",
-            json_escape(leg.id.as_str()),
-            total,
-            speedup(baseline_total, total),
+            "{{\"device\":\"{}\",\"total_time_s\":",
+            json_escape(leg.id.as_str())
+        ));
+        csv::push_exp(&mut out, total);
+        out.push_str(",\"speedup_vs_baseline\":");
+        csv::push_fixed6(&mut out, speedup(baseline_total, total));
+        out.push_str(&format!(
+            ",\"dominant_kernel\":{}}}",
             leg.profile.kernels().first().map_or_else(
                 || "null".to_owned(),
                 |k| format!("\"{}\"", json_escape(&k.name))
@@ -301,12 +304,19 @@ fn render_json(scale: &str, workload: &str, legs: &[Leg]) -> String {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"device\":\"{}\",\"instruction_intensity\":{:.6},\"gips\":{:.6},\
-                 \"time_share\":{:.6},\"intensity_class\":\"{}\",\"boundedness\":\"{}\"}}",
-                json_escape(r.device.as_str()),
-                r.instruction_intensity,
-                r.gips,
-                r.time_share,
+                "{{\"device\":\"{}\"",
+                json_escape(r.device.as_str())
+            ));
+            for (name, x) in [
+                ("instruction_intensity", r.instruction_intensity),
+                ("gips", r.gips),
+                ("time_share", r.time_share),
+            ] {
+                out.push_str(&format!(",\"{name}\":"));
+                csv::push_fixed6(&mut out, x);
+            }
+            out.push_str(&format!(
+                ",\"intensity_class\":\"{}\",\"boundedness\":\"{}\"}}",
                 json_escape(&r.intensity_class),
                 json_escape(&r.boundedness),
             ));
@@ -337,6 +347,159 @@ mod tests {
             id: DeviceId::from(entry),
             roofline: Roofline::for_device(&entry.device()),
             profile: cactus_core::run(workload, cactus_core::SuiteScale::Tiny),
+        }
+    }
+
+    // The two renderers with one `format!` per float, and the compare
+    // table as `wire::write_compare` wrote it: the oracles the float
+    // writer must match byte for byte.
+
+    fn escape_oracle(s: &str) -> String {
+        if s.contains([',', '"', '\n']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_owned()
+        }
+    }
+
+    fn render_csv_oracle(scale: &str, workload: &str, legs: &[Leg]) -> String {
+        let Some(baseline) = legs.first() else {
+            return String::new();
+        };
+        let baseline_total = baseline.profile.total_time_s();
+        let mut out = format!("# compare: {scale}/{workload}\n");
+        out.push_str(&format!(
+            "# devices: {}\n# baseline: {}\n",
+            legs.iter()
+                .map(|l| l.id.as_str())
+                .collect::<Vec<_>>()
+                .join(" "),
+            baseline.id
+        ));
+        for leg in legs {
+            let total = leg.profile.total_time_s();
+            out.push_str(&format!("# total_time_s {} {:e}\n", leg.id, total));
+            out.push_str(&format!(
+                "# speedup_vs_baseline {} {:.6}\n",
+                leg.id,
+                speedup(baseline_total, total)
+            ));
+            // A profile lists its kernels in dominance order: the first dominates.
+            if let Some(name) = leg
+                .profile
+                .kernels()
+                .first()
+                .map(|k| wire::comment_text(&k.name))
+            {
+                out.push_str(&format!("# dominant_kernel {} {name}\n", leg.id));
+            }
+        }
+        out.push_str(
+            "device,kernel,instruction_intensity,gips,time_share,intensity_class,\
+             boundedness,bottleneck_shift\n",
+        );
+        for r in compare_rows(legs) {
+            out.push_str(&format!(
+                "{},{},{:.6},{:.6},{:.6},{},{},{}\n",
+                r.device,
+                escape_oracle(&r.kernel),
+                r.instruction_intensity,
+                r.gips,
+                r.time_share,
+                escape_oracle(&r.intensity_class),
+                escape_oracle(&r.boundedness),
+                r.bottleneck_shift
+            ));
+        }
+        out
+    }
+
+    fn render_json_oracle(scale: &str, workload: &str, legs: &[Leg]) -> String {
+        let Some(baseline) = legs.first() else {
+            return "{}".to_owned();
+        };
+        let baseline_total = baseline.profile.total_time_s();
+        let mut out = format!(
+            "{{\"scale\":\"{}\",\"workload\":\"{}\",\"baseline\":\"{}\",\"devices\":[",
+            json_escape(scale),
+            json_escape(workload),
+            json_escape(baseline.id.as_str())
+        );
+        for (i, leg) in legs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let total = leg.profile.total_time_s();
+            out.push_str(&format!(
+                "{{\"device\":\"{}\",\"total_time_s\":{:e},\"speedup_vs_baseline\":{:.6},\
+                 \"dominant_kernel\":{}}}",
+                json_escape(leg.id.as_str()),
+                total,
+                speedup(baseline_total, total),
+                leg.profile.kernels().first().map_or_else(
+                    || "null".to_owned(),
+                    |k| format!("\"{}\"", json_escape(&k.name))
+                ),
+            ));
+        }
+        out.push_str("],\"kernels\":[");
+        // Kernels in order of first appearance: the baseline's profile order,
+        // then any kernel the baseline lacks, in the order other devices list
+        // it; each with its rows in device order.
+        let rows = compare_rows(legs);
+        let mut kernels: Vec<&str> = Vec::new();
+        for r in &rows {
+            if !kernels.contains(&r.kernel.as_str()) {
+                kernels.push(&r.kernel);
+            }
+        }
+        for (ki, kernel) in kernels.into_iter().enumerate() {
+            if ki > 0 {
+                out.push(',');
+            }
+            let per_device: Vec<&CompareRow> = rows.iter().filter(|r| r.kernel == kernel).collect();
+            out.push_str(&format!(
+                "{{\"kernel\":\"{}\",\"bottleneck_shift\":{},\"per_device\":[",
+                json_escape(kernel),
+                per_device.first().is_some_and(|r| r.bottleneck_shift)
+            ));
+            for (i, r) in per_device.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!(
+                    "{{\"device\":\"{}\",\"instruction_intensity\":{:.6},\"gips\":{:.6},\
+                     \"time_share\":{:.6},\"intensity_class\":\"{}\",\"boundedness\":\"{}\"}}",
+                    json_escape(r.device.as_str()),
+                    r.instruction_intensity,
+                    r.gips,
+                    r.time_share,
+                    json_escape(&r.intensity_class),
+                    json_escape(&r.boundedness),
+                ));
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+        out
+    }
+
+    #[test]
+    fn renderers_match_their_format_oracles() {
+        for workload in ["GMS", "DCG", "GRU"] {
+            let legs = [
+                leg("rtx-3080", workload),
+                leg("uhd-630", workload),
+                leg("a100", workload),
+            ];
+            assert_eq!(
+                render_csv("tiny", workload, &legs),
+                render_csv_oracle("tiny", workload, &legs)
+            );
+            assert_eq!(
+                render_json("tiny", workload, &legs),
+                render_json_oracle("tiny", workload, &legs)
+            );
         }
     }
 

@@ -3,12 +3,13 @@
 //! `/v1/compare?format=csv`, `/v1/similar` and `/v1/healthz`. Fields go
 //! through `cactus_profiler::csv`, so names come back verbatim; a reader
 //! skips the `#` preamble a route may write before the header. Floats print
-//! `{:.6}`, so the property kept is `write(read(write(x))) == write(x)`.
+//! as `{:.6}` does (`cactus_profiler::csv::push_fixed6`), so the property
+//! kept is `write(read(write(x))) == write(x)`.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use cactus_profiler::csv::{push_field, read_table};
+use cactus_profiler::csv::{push_field, push_fixed6, read_table};
 
 use crate::client::{ClientError, DeviceId};
 
@@ -119,16 +120,17 @@ pub fn write_devices(out: &mut String, rows: &[DeviceEntry]) {
         push_field(out, &r.name);
         out.push(',');
         push_field(out, &r.store_version);
-        let _ = writeln!(
-            out,
-            ",{},{:.6},{:.6},{:.6},{:.6},{}",
-            r.sm_count,
+        let _ = write!(out, ",{}", r.sm_count);
+        for x in [
             r.peak_gips,
             r.peak_gtxn_per_s,
             r.elbow_intensity,
             r.dram_bandwidth_gbps,
-            r.l2_bytes,
-        );
+        ] {
+            out.push(',');
+            push_fixed6(out, x);
+        }
+        let _ = writeln!(out, ",{}", r.l2_bytes);
     }
 }
 
@@ -191,11 +193,11 @@ pub fn write_compare(out: &mut String, rows: &[CompareRow]) {
     for r in rows {
         let _ = write!(out, "{},", r.device);
         push_field(out, &r.kernel);
-        let _ = write!(
-            out,
-            ",{:.6},{:.6},{:.6},",
-            r.instruction_intensity, r.gips, r.time_share
-        );
+        for x in [r.instruction_intensity, r.gips, r.time_share] {
+            out.push(',');
+            push_fixed6(out, x);
+        }
+        out.push(',');
         push_field(out, &r.intensity_class);
         out.push(',');
         push_field(out, &r.boundedness);
@@ -246,7 +248,9 @@ pub(crate) fn write_similar(out: &mut String, hits: &[SimilarHit]) {
     for h in hits {
         let _ = write!(out, "{},", h.rank);
         push_field(out, &h.id);
-        let _ = writeln!(out, ",{:.6}", h.distance);
+        out.push(',');
+        push_fixed6(out, h.distance);
+        out.push('\n');
     }
 }
 
