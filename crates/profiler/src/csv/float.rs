@@ -9,7 +9,8 @@ use std::fmt::Write as _;
 /// Bits of an `f64`'s stored significand.
 const MANTISSA_BITS: u32 = 52;
 
-/// The exponent bias, plus the significand bits: `x = m · 2^(e − 1075)`.
+/// The exponent bias plus the significand bits: a normal float is
+/// `m · 2^(biased − EXPONENT_OFFSET)`.
 const EXPONENT_OFFSET: i32 = 1023 + MANTISSA_BITS as i32;
 
 /// The width every [`POW5`] entry is scaled to (Ryū's
@@ -73,26 +74,33 @@ fn mul_shift(m: u64, mul: u128, j: i32) -> u64 {
     (((low >> 64) + high) >> (j - 64)) as u64
 }
 
-/// The shortest `digits · 10^exp` that reads back as the positive finite
-/// float with these bits, and of those the closest to it, ties rounded up
-/// as `core::fmt` rounds them: Ryū's `d2d` for its `e2 < 0` half (`e2`
-/// counts the interval's quarter steps), that is every float below
-/// `2^54`. `None` from `2^54` up.
-fn shortest(bits: u64) -> Option<(u64, i32)> {
+/// `(m, e)` with `|x| = m · 2^e` and `m < 2^53` for the float with these
+/// bits; an infinity or a NaN comes out with `e = 972`.
+fn decompose(bits: u64) -> (u64, i32) {
     let stored = bits & ((1 << MANTISSA_BITS) - 1);
-    let biased = (bits >> MANTISSA_BITS) as i32;
-    let (e2, m2) = if biased == 0 {
-        (1 - EXPONENT_OFFSET - 2, stored)
+    let biased = ((bits >> MANTISSA_BITS) & 0x7FF) as i32;
+    if biased == 0 {
+        (stored, 1 - EXPONENT_OFFSET)
     } else {
-        (biased - EXPONENT_OFFSET - 2, stored | 1 << MANTISSA_BITS)
-    };
+        (stored | 1 << MANTISSA_BITS, biased - EXPONENT_OFFSET)
+    }
+}
+
+/// The shortest `digits · 10^exp` that reads back as the nonzero float
+/// `m · 2^e`, and of those the closest to it, ties rounded up as
+/// `core::fmt` rounds them: Ryū's `d2d` for its `e2 < 0` half (`e2 = e − 2`
+/// counts the interval's quarter steps), that is every float below
+/// `2^54`. `None` from `2^54` up, infinities and NaNs included.
+fn shortest(m2: u64, e: i32) -> Option<(u64, i32)> {
+    let e2 = e - 2;
     if e2 >= 0 {
         return None;
     }
     let even = m2 & 1 == 0;
     let mv = 4 * m2;
-    // The interval below reaches half as far when m2 is a power of two.
-    let mm_shift = u64::from(stored != 0 || biased <= 1);
+    // The gap to the float below is half as wide at a power of two
+    // (m2 = 2^52), except at the smallest normal.
+    let mm_shift = u64::from(m2 != 1 << MANTISSA_BITS || e == 1 - EXPONENT_OFFSET);
 
     let q = log10_pow5(-e2) - i32::from(-e2 > 1);
     let e10 = q + e2;
@@ -149,21 +157,15 @@ static DIGIT_PAIRS: [[u8; 2]; 100] = {
 /// where they start. Two digits a step; a number of nine digits or more
 /// as its low eight, zero-padded, and the rest, so the two chains of
 /// divisions are independent.
-fn put_digits(buf: &mut [u8], end: usize, n: u64) -> usize {
-    let mut end = end;
-    let mut n = if n >= 100_000_000 {
+fn put_digits(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    if n >= 100_000_000 {
         let mut low = n % 100_000_000;
         for _ in 0..4 {
             end -= 2;
             buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[(low % 100) as usize]);
             low /= 100;
         }
-        n / 100_000_000
-    } else {
-        n
-    };
-    if n >= 100_000_000 {
-        return put_digits(buf, end, n);
+        return put_digits(buf, end, n / 100_000_000);
     }
     while n >= 100 {
         end -= 2;
@@ -185,13 +187,14 @@ fn push_ascii(out: &mut String, bytes: &[u8]) {
 }
 
 /// Append `x` as `{:e}` writes it: `[-]d[.ddd]e[-]x` with the shortest
-/// significand that reads back as `x`, `0e0`, `inf`, `NaN`.
+/// significand that reads back as `x`, or `[-]0e0`. From `2^54` up, and
+/// for infinities and NaNs, through `core::fmt`.
 pub fn push_exp(out: &mut String, x: f64) {
-    let bits = x.to_bits() & !(1 << 63);
-    let (digits, exp) = if bits == 0 {
+    let (m, e) = decompose(x.to_bits());
+    let (digits, exp) = if m == 0 {
         (0, 0)
     } else {
-        match shortest(bits).filter(|_| x.is_finite()) {
+        match shortest(m, e) {
             Some(d) => d,
             None => {
                 let _ = write!(out, "{x:e}");
@@ -228,17 +231,11 @@ pub fn push_exp(out: &mut String, x: f64) {
 
 /// Append `x` as `{:.6}` writes it: `[-]int.dddddd`, the exact value
 /// rounded to six decimals, half to even. Computed as `m · 10^6 / 2^s`
-/// in integers for `|x| < 2^64 / 10^6`, through `core::fmt` beyond.
+/// in integers for `|x| < 2^64 / 10^6`; larger values, infinities and
+/// NaNs go through `core::fmt`.
 pub fn push_fixed6(out: &mut String, x: f64) {
-    let bits = x.to_bits();
-    let biased = ((bits >> MANTISSA_BITS) & 0x7FF) as i32;
-    let stored = bits & ((1 << MANTISSA_BITS) - 1);
-    let (m, e) = if biased == 0 {
-        (stored, 1 - EXPONENT_OFFSET)
-    } else {
-        (stored | 1 << MANTISSA_BITS, biased - EXPONENT_OFFSET)
-    };
-    let micros = if biased == 0x7FF || e > 0 {
+    let (m, e) = decompose(x.to_bits());
+    let micros = if e > 0 {
         None
     } else {
         // x·10^6 = m·10^6 / 2^s with m·10^6 < 2^73: below 2^(s−1), that
@@ -314,8 +311,10 @@ mod tests {
     fn the_integer_paths_end_where_they_say() {
         // 2^54 is the first float Ryū's other half would print.
         let x = 2f64.powi(54);
-        assert!(shortest(x.to_bits()).is_none());
-        assert!(shortest(x.next_down().to_bits()).is_some());
+        let (m, e) = decompose(x.to_bits());
+        assert!(shortest(m, e).is_none());
+        let (m, e) = decompose(x.next_down().to_bits());
+        assert!(shortest(m, e).is_some());
         // The last six-decimal value that fits in u64 micros.
         let edge = (u64::MAX / 1_000_000) as f64;
         assert_eq!(fixed6(edge), format!("{edge:.6}"));
