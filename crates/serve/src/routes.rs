@@ -434,15 +434,14 @@ fn roofline_csv(triple: &Triple, profile: &cactus_profiler::Profile) -> String {
             out.push(',');
             csv::push_fixed6(&mut out, x);
         }
-        out.push(',');
-        out.push_str(
+        let _ = writeln!(
+            out,
+            ",{},{}",
             roofline
                 .intensity_class(k.metrics.instruction_intensity)
                 .label(),
+            roofline.boundedness_class(k.metrics.gips).label(),
         );
-        out.push(',');
-        out.push_str(roofline.boundedness_class(k.metrics.gips).label());
-        out.push('\n');
     }
     out
 }
