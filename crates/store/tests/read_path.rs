@@ -1,6 +1,6 @@
-//! The read path's contract: the slice-by-8 CRC computes the values the
-//! bytewise loop did (so segments are interchangeable with every earlier
-//! binary's), a `get` is one positional read on a kept-open handle, readers
+//! The read path's contract: the three-lane slice-by-8 CRC computes the
+//! values the bytewise loop did (so segments are interchangeable with every
+//! earlier binary's), a `get` is one positional read on a kept-open handle, readers
 //! never lose a race with compaction, and none of that weakened the
 //! corruption check.
 
@@ -63,6 +63,19 @@ fn value_of(i: usize, round: u32) -> Vec<u8> {
     v
 }
 
+/// `len` bytes of a xorshift stream: no period a word loop could hide.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed | 1;
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 24) as u8
+        })
+        .collect()
+}
+
 #[test]
 fn ieee_vectors() {
     assert_eq!(crc32(b""), 0);
@@ -74,6 +87,43 @@ fn ieee_vectors() {
     );
     assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
     assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+}
+
+/// Every length from the empty input through 170 three-lane words, so
+/// each lane length and each tail after it is taken.
+#[test]
+fn crc32_equals_the_bytewise_reference_at_every_length_to_4096() {
+    let bytes = noise(4096, 0x9E37_79B9_7F4A_7C15);
+    for len in 0..=bytes.len() {
+        let data = &bytes[..len];
+        assert_eq!(crc32(data), crc32_bytewise(data), "length {len}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_random_content(
+        bytes in prop::collection::vec(0u32..256, 0..24_000usize),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
+    /// Lengths `24k + r` for every residue `r`: whole 24-byte blocks and
+    /// every tail after them, up to 14 KB.
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_residue_of_24(
+        k in 0usize..600,
+        seed in 0u64..u64::MAX,
+    ) {
+        let bytes = noise(24 * k + 23, seed);
+        for r in 0..24 {
+            let data = &bytes[..24 * k + r];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data), "k {} r {}", k, r);
+        }
+    }
 }
 
 proptest! {
