@@ -273,12 +273,6 @@ pub fn push_fixed6(out: &mut String, x: f64) {
 mod tests {
     use super::*;
 
-    fn exp(x: f64) -> String {
-        let mut out = String::new();
-        push_exp(&mut out, x);
-        out
-    }
-
     fn fixed6(x: f64) -> String {
         let mut out = String::new();
         push_fixed6(&mut out, x);
@@ -296,14 +290,6 @@ mod tests {
         }
         for (i, &entry) in POW5.iter().enumerate() {
             assert_eq!(128 - entry.leading_zeros(), 125, "5^{i} is 125 bits");
-        }
-    }
-
-    #[test]
-    fn reads_like_core_fmt_on_a_few_values() {
-        for x in [0.0, -0.0, 1.0, -1.5, 0.1, 123.456, 1e-7, 5e-324, 1e16, 2e16] {
-            assert_eq!(exp(x), format!("{x:e}"), "{x:?}");
-            assert_eq!(fixed6(x), format!("{x:.6}"), "{x:?}");
         }
     }
 

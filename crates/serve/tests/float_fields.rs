@@ -132,6 +132,10 @@ fn zeros_subnormals_extremes_infinities_and_nans() {
         f64::NAN,
         f64::from_bits(0x7ff8_0000_dead_beef),
         f64::from_bits(0x7ff0_0000_0000_0001),
+        // A plain half, a short decimal, and an even integer past 2^54.
+        1.5,
+        123.456,
+        2e16,
     ];
     for x in values {
         for y in with_neighbours(x) {
