@@ -1,6 +1,6 @@
 //! The ten Cactus workloads (Table I) wired onto the substrate crates.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 use cactus_md::workloads::MdScale;
 use cactus_tensor::apps::dcgan::{Dcgan, MlScale};
 use cactus_tensor::apps::neural_style::NeuralStyle;
@@ -45,12 +45,12 @@ pub struct Workload {
     /// Paper data set (what this reproduction substitutes for it is
     /// documented in DESIGN.md).
     pub dataset: &'static str,
-    runner: fn(&mut Gpu, SuiteScale),
+    runner: fn(&mut dyn LaunchSink, SuiteScale),
 }
 
 impl Workload {
-    /// Execute the workload on `gpu`.
-    pub fn run(&self, gpu: &mut Gpu, scale: SuiteScale) {
+    /// Execute the workload, launching its kernels into `gpu`.
+    pub fn run(&self, gpu: &mut dyn LaunchSink, scale: SuiteScale) {
         (self.runner)(gpu, scale);
     }
 }
@@ -143,19 +143,19 @@ fn md_scale(scale: SuiteScale) -> (MdScale, u32) {
     (MdScale { atoms, steps }, steps)
 }
 
-fn gms(gpu: &mut Gpu, scale: SuiteScale) {
+fn gms(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let (s, steps) = md_scale(scale);
     let mut e = cactus_md::workloads::gromacs_npt(s, 42);
     let _ = e.run(gpu, steps);
 }
 
-fn lmr(gpu: &mut Gpu, scale: SuiteScale) {
+fn lmr(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let (s, steps) = md_scale(scale);
     let mut e = cactus_md::workloads::lammps_rhodopsin(s, 43);
     let _ = e.run(gpu, steps);
 }
 
-fn lmc(gpu: &mut Gpu, scale: SuiteScale) {
+fn lmc(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let (mut s, steps) = md_scale(scale);
     // The colloid system's large interaction radius makes its CPU cost per
     // atom much higher; run it at half the protein systems' atom count.
@@ -164,7 +164,7 @@ fn lmc(gpu: &mut Gpu, scale: SuiteScale) {
     let _ = e.run(gpu, steps);
 }
 
-fn gst(gpu: &mut Gpu, scale: SuiteScale) {
+fn gst(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let g = cactus_graph::generators::social_network(scale.social_scale(), 45);
     // Source: a vertex of moderate degree so the frontier ramps through
     // all the load-balancing regimes.
@@ -181,7 +181,7 @@ fn gst(gpu: &mut Gpu, scale: SuiteScale) {
     let _ = cactus_graph::bfs::gunrock_bfs_with_config(gpu, &g, src, &cfg);
 }
 
-fn gru(gpu: &mut Gpu, scale: SuiteScale) {
+fn gru(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let side = scale.road_side();
     let g = cactus_graph::generators::road_network(side, side, 46);
     let _ = cactus_graph::gunrock_bfs(gpu, &g, 0);
@@ -196,17 +196,17 @@ fn ml_scale(scale: SuiteScale) -> MlScale {
     }
 }
 
-fn dcg(gpu: &mut Gpu, scale: SuiteScale) {
+fn dcg(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let mut app = Dcgan::new(ml_scale(scale), 47);
     let _ = app.run(gpu);
 }
 
-fn nst(gpu: &mut Gpu, scale: SuiteScale) {
+fn nst(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let mut app = NeuralStyle::new(ml_scale(scale), 48);
     let _ = app.run(gpu);
 }
 
-fn rfl(gpu: &mut Gpu, scale: SuiteScale) {
+fn rfl(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let mut app = DqnFlappy::new(ml_scale(scale), 49);
     if scale == SuiteScale::Profile {
         // Fewer environment ticks per replay fit: the profiled region is
@@ -217,12 +217,12 @@ fn rfl(gpu: &mut Gpu, scale: SuiteScale) {
     let _ = app.run(gpu);
 }
 
-fn spt(gpu: &mut Gpu, scale: SuiteScale) {
+fn spt(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let mut app = SpatialTransformer::new(ml_scale(scale), 50);
     let _ = app.run(gpu);
 }
 
-fn lgt(gpu: &mut Gpu, scale: SuiteScale) {
+fn lgt(gpu: &mut dyn LaunchSink, scale: SuiteScale) {
     let seq = match scale {
         SuiteScale::Tiny => SeqScale::tiny(),
         SuiteScale::Small => SeqScale {
@@ -241,14 +241,14 @@ fn lgt(gpu: &mut Gpu, scale: SuiteScale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
     use cactus_profiler::Profile;
     use std::collections::BTreeSet;
 
     fn kernel_names(abbr: &str) -> BTreeSet<String> {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        by_abbr(abbr).unwrap().run(&mut gpu, SuiteScale::Tiny);
-        gpu.records().iter().map(|r| r.name.clone()).collect()
+        let mut launches = Vec::new();
+        by_abbr(abbr).unwrap().run(&mut launches, SuiteScale::Tiny);
+        launches.iter().map(|d| d.name().to_owned()).collect()
     }
 
     #[test]

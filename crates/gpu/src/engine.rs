@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use crate::cache::{MemoryModel, StreamTraffic};
 use crate::device::Device;
-use crate::kernel::KernelDesc;
+use crate::kernel::{KernelDesc, LaunchSink};
 use crate::metrics::KernelMetrics;
 use crate::timing::{self, Timing};
 
@@ -279,8 +279,10 @@ impl Gpu {
     }
 
     /// Start logging every launched descriptor (cleared of prior entries).
-    /// Workload capture uses this to lift hardcoded runners into the IR;
-    /// it is off by default because descriptors are heap-heavy.
+    /// Off by default because descriptors are heap-heavy. A launch stream
+    /// leaves a derivation through a `Vec<KernelDesc>` [`LaunchSink`];
+    /// this log stays only for the benchmark's probes and the golden and
+    /// equivalence tests that name it.
     pub fn enable_desc_log(&mut self) {
         self.desc_log = Some(Vec::new());
     }
@@ -335,6 +337,12 @@ impl Gpu {
     /// post-warm-up run replays warm-up kernels from cache.
     pub fn reset_trace(&mut self) {
         self.records.clear();
+    }
+}
+
+impl LaunchSink for Gpu {
+    fn launch(&mut self, kernel: &KernelDesc) {
+        Gpu::launch(self, kernel);
     }
 }
 

@@ -140,6 +140,20 @@ impl KernelDescBuilder {
     }
 }
 
+/// Where a derivation sends its launches. Workload code takes
+/// `&mut dyn LaunchSink` and sees no device: a [`crate::engine::Gpu`]
+/// prices each launch, a `Vec<KernelDesc>` keeps the launch stream.
+pub trait LaunchSink {
+    /// Accept one kernel launch.
+    fn launch(&mut self, kernel: &KernelDesc);
+}
+
+impl LaunchSink for Vec<KernelDesc> {
+    fn launch(&mut self, kernel: &KernelDesc) {
+        self.push(kernel.clone());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

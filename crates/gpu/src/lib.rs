@@ -29,16 +29,19 @@
 //! * [`timing`] — a wave-based SM timing model with occupancy-driven latency
 //!   hiding, inspired by the MWP/CWP analytic-GPU-model literature.
 //! * [`metrics`] — the Nsight-style per-kernel metric record.
-//! * [`kernel`] — the kernel descriptor assembled by workloads.
+//! * [`kernel`] — the kernel descriptor assembled by workloads, and the
+//!   [`kernel::LaunchSink`] they launch it into.
 //! * [`engine`] — the [`engine::Gpu`] device that executes launches and
 //!   records an execution trace, memoizing repeated launch configurations.
 //! * [`par`] — deterministic parallel fan-out used by the suite runners.
 //! * [`pool`] — a thread-safe checkout pool of engines whose memo caches
 //!   stay warm across requests (the substrate of the `cactus-serve` daemon).
 //!
-//! A run's launch stream leaves the engine as [`engine::Gpu::take_desc_log`]
-//! and is serialized by `cactus-wir`'s `capture` (the paper's future-work
-//! "simulator-compatible instruction traces").
+//! Workload code launches into a [`kernel::LaunchSink`] and never sees a
+//! device: [`engine::Gpu`] is the sink that prices each launch, and a
+//! `Vec<KernelDesc>` is the sink that keeps the launch stream. That stream
+//! is how a run leaves its derivation; `cactus-wir`'s `capture` serializes
+//! it (the paper's future-work "simulator-compatible instruction traces").
 //!
 //! ## Example
 //!
@@ -87,7 +90,7 @@ pub mod prelude {
     pub use crate::device::Device;
     pub use crate::engine::{Gpu, LaunchRecord};
     pub use crate::instmix::InstructionMix;
-    pub use crate::kernel::{KernelDesc, KernelDescBuilder};
+    pub use crate::kernel::{KernelDesc, KernelDescBuilder, LaunchSink};
     pub use crate::launch::LaunchConfig;
     pub use crate::metrics::KernelMetrics;
 }
@@ -95,3 +98,4 @@ pub mod prelude {
 pub use crate::catalog::{by_id, CatalogEntry, CATALOG};
 pub use crate::device::Device;
 pub use crate::engine::Gpu;
+pub use crate::kernel::LaunchSink;

@@ -24,7 +24,7 @@ use cactus_gpu::access::{AccessPattern, AccessStream, Direction};
 use cactus_gpu::instmix::InstructionMix;
 use cactus_gpu::kernel::KernelDesc;
 use cactus_gpu::launch::LaunchConfig;
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::csr::CsrGraph;
 
@@ -91,9 +91,9 @@ pub(crate) fn reference_bfs(g: &CsrGraph, src: u32) -> Vec<i32> {
     dist
 }
 
-/// Run Gunrock-style BFS on `gpu` with default thresholds.
+/// Run Gunrock-style BFS, launching into `gpu`, with default thresholds.
 #[must_use]
-pub fn gunrock_bfs(gpu: &mut Gpu, g: &CsrGraph, src: u32) -> BfsRun {
+pub fn gunrock_bfs(gpu: &mut dyn LaunchSink, g: &CsrGraph, src: u32) -> BfsRun {
     gunrock_bfs_with_config(gpu, g, src, &BfsConfig::default())
 }
 
@@ -103,7 +103,12 @@ pub fn gunrock_bfs(gpu: &mut Gpu, g: &CsrGraph, src: u32) -> BfsRun {
 ///
 /// Panics if `src` is out of range.
 #[must_use]
-pub fn gunrock_bfs_with_config(gpu: &mut Gpu, g: &CsrGraph, src: u32, cfg: &BfsConfig) -> BfsRun {
+pub fn gunrock_bfs_with_config(
+    gpu: &mut dyn LaunchSink,
+    g: &CsrGraph,
+    src: u32,
+    cfg: &BfsConfig,
+) -> BfsRun {
     assert!(src < g.num_vertices(), "source vertex out of range");
     let n = g.num_vertices() as usize;
     let v_bytes = 4 * n as u64;
@@ -467,33 +472,29 @@ fn stats_reduce_kernel(n: usize) -> KernelDesc {
 mod tests {
     use super::*;
     use crate::generators;
-    use cactus_gpu::Device;
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
+    use cactus_gpu::kernel::KernelDesc;
 
     #[test]
     fn distances_match_reference_on_road() {
         let g = generators::road_network(40, 25, 11);
-        let mut gpu = gpu();
-        let run = gunrock_bfs(&mut gpu, &g, 0);
+        let mut launches = Vec::new();
+        let run = gunrock_bfs(&mut launches, &g, 0);
         assert_eq!(run.distances, reference_bfs(&g, 0));
     }
 
     #[test]
     fn distances_match_reference_on_rmat() {
         let g = generators::rmat(10, 8, 5);
-        let mut gpu = gpu();
-        let run = gunrock_bfs(&mut gpu, &g, 3);
+        let mut launches = Vec::new();
+        let run = gunrock_bfs(&mut launches, &g, 3);
         assert_eq!(run.distances, reference_bfs(&g, 3));
     }
 
     #[test]
     fn bottom_up_switch_does_not_change_distances() {
         let g = generators::rmat(10, 8, 9);
-        let mut gpu1 = gpu();
-        let mut gpu2 = gpu();
+        let mut gpu1 = Vec::new();
+        let mut gpu2 = Vec::new();
         let never_pull = BfsConfig {
             bottom_up_fraction: 2.0, // never triggers
             ..BfsConfig::default()
@@ -507,8 +508,8 @@ mod tests {
     fn road_has_many_more_levels_than_social() {
         let road = generators::road_network(60, 60, 1);
         let social = generators::rmat(12, 16, 1);
-        let mut g1 = gpu();
-        let mut g2 = gpu();
+        let mut g1 = Vec::new();
+        let mut g2 = Vec::new();
         let r = gunrock_bfs(&mut g1, &road, 0);
         let s = gunrock_bfs(&mut g2, &social, 0);
         assert!(
@@ -524,12 +525,12 @@ mod tests {
         use std::collections::BTreeSet;
         let road = generators::road_network(120, 120, 2);
         let social = generators::rmat(13, 16, 2);
-        let mut g1 = gpu();
-        let mut g2 = gpu();
+        let mut g1 = Vec::new();
+        let mut g2 = Vec::new();
         let _ = gunrock_bfs(&mut g1, &road, 0);
         let _ = gunrock_bfs(&mut g2, &social, 0);
-        let road_kernels: BTreeSet<&str> = g1.records().iter().map(|r| r.name.as_str()).collect();
-        let social_kernels: BTreeSet<&str> = g2.records().iter().map(|r| r.name.as_str()).collect();
+        let road_kernels: BTreeSet<&str> = g1.iter().map(KernelDesc::name).collect();
+        let social_kernels: BTreeSet<&str> = g2.iter().map(KernelDesc::name).collect();
         assert_ne!(road_kernels, social_kernels);
         // The pull-phase kernels only appear on the social input.
         assert!(social_kernels.contains("bfs_advance_bottom_up"));
@@ -541,16 +542,16 @@ mod tests {
     fn unreachable_vertices_stay_minus_one() {
         // Two disconnected edges.
         let g = CsrGraph::from_edges_undirected(4, &[(0, 1), (2, 3)]);
-        let mut gpu = gpu();
-        let run = gunrock_bfs(&mut gpu, &g, 0);
+        let mut launches = Vec::new();
+        let run = gunrock_bfs(&mut launches, &g, 0);
         assert_eq!(run.distances, vec![0, 1, -1, -1]);
     }
 
     #[test]
     fn edge_count_is_plausible() {
         let g = generators::road_network(30, 30, 3);
-        let mut gpu = gpu();
-        let run = gunrock_bfs(&mut gpu, &g, 0);
+        let mut launches = Vec::new();
+        let run = gunrock_bfs(&mut launches, &g, 0);
         // Push-only BFS on a connected graph relaxes every edge exactly
         // once per direction.
         assert!(run.edges_processed <= g.num_edges() * 2);
@@ -561,7 +562,7 @@ mod tests {
     #[should_panic(expected = "source vertex out of range")]
     fn invalid_source_panics() {
         let g = generators::road_network(5, 5, 1);
-        let mut gpu = gpu();
-        let _ = gunrock_bfs(&mut gpu, &g, 1000);
+        let mut launches = Vec::new();
+        let _ = gunrock_bfs(&mut launches, &g, 1000);
     }
 }

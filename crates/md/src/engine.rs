@@ -5,7 +5,7 @@ use cactus_gpu::access::{AccessPattern, AccessStream, Direction};
 use cactus_gpu::instmix::InstructionMix;
 use cactus_gpu::kernel::KernelDesc;
 use cactus_gpu::launch::LaunchConfig;
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::forces::{self, ForceStats};
 use crate::integrate;
@@ -140,9 +140,9 @@ impl MdEngine {
         &self.config
     }
 
-    /// Run `steps` steps, launching kernels on `gpu`; returns the stats of
+    /// Run `steps` steps, launching kernels into `gpu`; returns the stats of
     /// the final step.
-    pub fn run(&mut self, gpu: &mut Gpu, steps: u32) -> StepStats {
+    pub fn run(&mut self, gpu: &mut dyn LaunchSink, steps: u32) -> StepStats {
         let mut last = StepStats::default();
         for _ in 0..steps {
             last = self.step(gpu);
@@ -151,7 +151,7 @@ impl MdEngine {
     }
 
     /// Advance one step.
-    pub(crate) fn step(&mut self, gpu: &mut Gpu) -> StepStats {
+    pub(crate) fn step(&mut self, gpu: &mut dyn LaunchSink) -> StepStats {
         let n = self.sys.len();
         let taxonomy = self.config.taxonomy;
         let mut potential = 0.0;
@@ -735,22 +735,18 @@ fn reduce_kernel(tax: KernelTaxonomy, n: usize) -> KernelDesc {
 mod tests {
     use super::*;
     use crate::system::SystemBuilder;
-    use cactus_gpu::Device;
+    use cactus_gpu::kernel::KernelDesc;
     use std::collections::BTreeSet;
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
 
     #[test]
     fn lj_engine_steps_and_launches_kernels() {
         let sys = SystemBuilder::new(200).density(0.6).build_lj_fluid();
         let mut engine = MdEngine::new(sys, MdConfig::default());
-        let mut gpu = gpu();
-        let stats = engine.run(&mut gpu, 5);
+        let mut launches = Vec::new();
+        let stats = engine.run(&mut launches, 5);
         assert_eq!(engine.step_count, 5);
         assert!(stats.pairs > 0);
-        assert!(!gpu.records().is_empty());
+        assert!(!launches.is_empty());
     }
 
     #[test]
@@ -767,8 +763,8 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let mut gpu = gpu();
-        let stats = engine.run(&mut gpu, 60);
+        let mut launches = Vec::new();
+        let stats = engine.run(&mut launches, 60);
         assert!(
             (stats.temperature - 1.0).abs() < 0.25,
             "T = {}",
@@ -797,9 +793,9 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let mut gpu = gpu();
-        let _ = engine.run(&mut gpu, 12);
-        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
+        let mut launches = Vec::new();
+        let _ = engine.run(&mut launches, 12);
+        let names: BTreeSet<&str> = launches.iter().map(KernelDesc::name).collect();
         assert!(names.contains("nbnxn_kernel_ElecEw_VdwLJ_F_cuda"));
         assert!(names.contains("pme_spread_kernel"));
         assert!(names.contains("npt_scale_kernel"));
@@ -829,9 +825,9 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let mut gpu = gpu();
-        let _ = engine.run(&mut gpu, 12);
-        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
+        let mut launches = Vec::new();
+        let _ = engine.run(&mut launches, 12);
+        let names: BTreeSet<&str> = launches.iter().map(KernelDesc::name).collect();
         assert!(names.contains("pair_coul_long_kernel"));
         assert!(names.contains("pppm_fft_forward"));
         assert_eq!(names.len(), 15, "{names:?}");
@@ -851,9 +847,9 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let mut gpu = gpu();
-        let _ = engine.run(&mut gpu, 25);
-        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
+        let mut launches = Vec::new();
+        let _ = engine.run(&mut launches, 25);
+        let names: BTreeSet<&str> = launches.iter().map(KernelDesc::name).collect();
         assert!(names.contains("pair_colloid_kernel"));
         assert!(names.contains("pair_lj_cut_kernel"));
         assert!(!names.iter().any(|n| n.starts_with("pppm")));
@@ -871,11 +867,10 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let mut gpu = gpu();
-        let _ = engine.run(&mut gpu, 3);
-        assert!(!gpu
-            .records()
+        let mut launches = Vec::new();
+        let _ = engine.run(&mut launches, 3);
+        assert!(!launches
             .iter()
-            .any(|r| r.name.starts_with("pppm") || r.name.starts_with("pme")));
+            .any(|d| d.name().starts_with("pppm") || d.name().starts_with("pme")));
     }
 }

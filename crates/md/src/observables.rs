@@ -60,11 +60,6 @@ mod tests {
     use super::*;
     use crate::engine::{MdConfig, MdEngine, Thermostat};
     use crate::system::SystemBuilder;
-    use cactus_gpu::{Device, Gpu};
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
 
     #[test]
     fn equilibrated_lj_fluid_has_first_shell_near_sigma() {
@@ -81,7 +76,7 @@ mod tests {
             ..MdConfig::default()
         };
         let mut engine = MdEngine::new(sys, config);
-        let _ = engine.run(&mut gpu(), 60);
+        let _ = engine.run(&mut Vec::new(), 60);
 
         let (bins, r_max) = (30, 3.0);
         let g = radial_distribution(engine.system(), r_max, bins);
@@ -111,7 +106,7 @@ mod tests {
         let mut engine = MdEngine::new(sys, MdConfig::default());
         let zero = mean_squared_displacement(engine.system(), &reference);
         assert!(zero.abs() < 1e-12);
-        let _ = engine.run(&mut gpu(), 30);
+        let _ = engine.run(&mut Vec::new(), 30);
         let later = mean_squared_displacement(engine.system(), &reference);
         assert!(later > 1e-4, "particles must move, MSD = {later}");
     }

@@ -129,36 +129,33 @@ mod tests {
         steps: 8,
     };
 
-    fn kernel_names(engine: &mut MdEngine, steps: u32) -> (BTreeSet<String>, Profile) {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        let _ = engine.run(&mut gpu, steps);
-        let names = gpu
-            .records()
-            .iter()
-            .map(|r| r.name.clone())
-            .collect::<BTreeSet<_>>();
-        (names, Profile::from_records(gpu.records()))
+    fn kernel_names(engine: &mut MdEngine, steps: u32) -> BTreeSet<String> {
+        let mut launches = Vec::new();
+        let _ = engine.run(&mut launches, steps);
+        launches.iter().map(|d| d.name().to_owned()).collect()
     }
 
     #[test]
     fn gms_executes_nine_kernels() {
         let mut e = gromacs_npt(TINY, 1);
-        let (names, profile) = kernel_names(&mut e, 12);
+        let mut gpu = Gpu::new(Device::rtx3080());
+        let _ = e.run(&mut gpu, 12);
+        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names.len(), 9, "{names:?}");
-        assert_eq!(profile.kernel_count(), 9);
+        assert_eq!(Profile::from_records(gpu.records()).kernel_count(), 9);
     }
 
     #[test]
     fn lmr_executes_fifteen_kernels() {
         let mut e = lammps_rhodopsin(TINY, 2);
-        let (names, _) = kernel_names(&mut e, 12);
+        let names = kernel_names(&mut e, 12);
         assert_eq!(names.len(), 15, "{names:?}");
     }
 
     #[test]
     fn lmc_executes_nine_kernels() {
         let mut e = lammps_colloid(TINY, 3);
-        let (names, _) = kernel_names(&mut e, 25);
+        let names = kernel_names(&mut e, 25);
         assert_eq!(names.len(), 9, "{names:?}");
     }
 
@@ -168,8 +165,8 @@ mod tests {
         // inputs → different kernel sets.
         let mut r = lammps_rhodopsin(TINY, 4);
         let mut c = lammps_colloid(TINY, 4);
-        let (rn, _) = kernel_names(&mut r, 10);
-        let (cn, _) = kernel_names(&mut c, 10);
+        let rn = kernel_names(&mut r, 10);
+        let cn = kernel_names(&mut c, 10);
         assert_ne!(rn, cn);
         assert!(rn.contains("pppm_make_rho"));
         assert!(!cn.contains("pppm_make_rho"));
@@ -179,13 +176,13 @@ mod tests {
 
     #[test]
     fn workloads_stay_numerically_sane() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         for mut engine in [
             gromacs_npt(TINY, 7),
             lammps_rhodopsin(TINY, 7),
             lammps_colloid(TINY, 7),
         ] {
-            let stats = engine.run(&mut gpu, 15);
+            let stats = engine.run(&mut launches, 15);
             assert!(stats.temperature.is_finite() && stats.temperature > 0.0);
             assert!(stats.potential_energy.is_finite());
         }

@@ -7,12 +7,11 @@
 //! force has moved a particle, and the stream is fixed before PME first
 //! runs. Each test runs one workload at the suite's seed with the Ewald
 //! splitting `alpha` at 0.80 (the suite's) and at 0.85, which changes
-//! every reciprocal-space force: the logged streams must be equal and the
+//! every reciprocal-space force: the launched streams must be equal and the
 //! final positions must differ. DESIGN.md §5h records what this licenses.
 
 use cactus_core::SuiteScale;
 use cactus_gpu::kernel::KernelDesc;
-use cactus_gpu::{Device, Gpu};
 use cactus_md::pme::PmeParams;
 use cactus_md::system::Vec3;
 use cactus_md::workloads::{gromacs_npt, lammps_rhodopsin, MdScale};
@@ -31,10 +30,9 @@ fn run(
     let mut config = suite.config().clone();
     config.pme = config.pme.map(|p| PmeParams { alpha, ..p });
     let mut engine = MdEngine::new(suite.system().clone(), config);
-    let mut gpu = Gpu::new(Device::rtx3080());
-    gpu.enable_desc_log();
-    let _ = engine.run(&mut gpu, steps);
-    (gpu.take_desc_log(), engine.system().positions.clone())
+    let mut launches = Vec::new();
+    let _ = engine.run(&mut launches, steps);
+    (launches, engine.system().positions.clone())
 }
 
 fn assert_stream_is_force_free(workload: fn(MdScale, u64) -> MdEngine, seed: u64) {

@@ -871,7 +871,7 @@ impl ProfileService {
         let mut gpu = pool.checkout();
         let mut span = ctx.map(|c| c.child("engine.launch"));
         match &triple.workload {
-            ServableWorkload::Cactus(w) => w.run(&mut gpu, triple.scale),
+            ServableWorkload::Cactus(w) => w.run(&mut *gpu, triple.scale),
             ServableWorkload::Prt(b) => {
                 // The comparison suites define only tiny and profile scales;
                 // small maps to tiny.
@@ -879,18 +879,19 @@ impl ProfileService {
                     SuiteScale::Profile => cactus_suites::Scale::Profile,
                     SuiteScale::Tiny | SuiteScale::Small => cactus_suites::Scale::Tiny,
                 };
-                b.run(&mut gpu, scale);
+                b.run(&mut *gpu, scale);
             }
             ServableWorkload::Wir(w) => {
+                let scale = scale_slug(triple.scale);
                 let mut exec = span
                     .as_ref()
                     .map(|s| s.ctx().child("wir.exec"))
                     .or_else(|| ctx.map(|c| c.child("wir.exec")));
                 if let Some(exec) = &mut exec {
                     exec.tag("workload", w.def.name.clone());
-                    exec.tag("scale", scale_slug(triple.scale));
+                    exec.tag("scale", scale);
                 }
-                let launches = cactus_wir::run(&w.def, Some(scale_slug(triple.scale)), &mut gpu)
+                let launches = cactus_wir::run(&w.def, Some(scale), &mut *gpu)
                     .map_err(|e| format!("wir exec failed at line {}: {}", e.line, e.message))?;
                 self.wir_exec_kernels.add(launches);
                 if let Some(exec) = &mut exec {

@@ -17,7 +17,7 @@ pub mod parboil;
 pub mod rodinia;
 pub mod tango;
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 /// Which suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +57,7 @@ pub struct Benchmark {
     pub name: &'static str,
     /// Owning suite.
     pub suite: Suite,
-    runner: fn(&mut Gpu, Scale),
+    runner: fn(&mut dyn LaunchSink, Scale),
 }
 
 impl std::fmt::Debug for Benchmark {
@@ -70,8 +70,8 @@ impl std::fmt::Debug for Benchmark {
 }
 
 impl Benchmark {
-    /// Execute the benchmark, launching its kernels on `gpu`.
-    pub fn run(&self, gpu: &mut Gpu, scale: Scale) {
+    /// Execute the benchmark, launching its kernels into `gpu`.
+    pub fn run(&self, gpu: &mut dyn LaunchSink, scale: Scale) {
         (self.runner)(gpu, scale);
     }
 }
@@ -95,7 +95,7 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
     use cactus_profiler::Profile;
 
     #[test]

@@ -2,7 +2,7 @@
 //! reduced-scale computational core and the kernel decomposition of the
 //! original CUDA sources.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +41,7 @@ pub(crate) fn benchmarks() -> Vec<Benchmark> {
 
 /// Parboil `bfs` (1 M-node queue-based BFS): one dominant gather kernel
 /// per BFS phase plus a small single-block variant for tiny frontiers.
-fn bfs(gpu: &mut Gpu, scale: Scale) {
+fn bfs(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 1 << 10, 1 << 18);
     // Real core: BFS over a synthetic out-degree-4 ring-with-chords graph.
     let mut dist = vec![-1i32; n];
@@ -80,7 +80,7 @@ fn bfs(gpu: &mut Gpu, scale: Scale) {
 
 /// `cutcp`: cutoff Coulombic potential on a lattice — a single
 /// compute-dense kernel.
-fn cutcp(gpu: &mut Gpu, scale: Scale) {
+fn cutcp(gpu: &mut dyn LaunchSink, scale: Scale) {
     let atoms = n_of(scale, 64, 1024);
     let grid = n_of(scale, 16, 48);
     let mut rng = StdRng::seed_from_u64(11);
@@ -118,7 +118,7 @@ fn cutcp(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `histo`: a 4-kernel histogram pipeline, all memory-intensive.
-fn histo(gpu: &mut Gpu, scale: Scale) {
+fn histo(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 1 << 12, 1 << 22);
     let mut rng = StdRng::seed_from_u64(12);
     let mut bins = [0u32; 256];
@@ -140,7 +140,7 @@ fn histo(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `lbm`: lattice-Boltzmann stream-collide, one bandwidth-bound kernel.
-fn lbm(gpu: &mut Gpu, scale: Scale) {
+fn lbm(gpu: &mut dyn LaunchSink, scale: Scale) {
     let side = n_of(scale, 8, 64);
     // Real core: one D3Q19-ish relaxation step on a small grid.
     let cells = side * side * side;
@@ -162,7 +162,7 @@ fn lbm(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `mri-gridding`: binning + gridding scatter, memory-dominant.
-fn mri_gridding(gpu: &mut Gpu, scale: Scale) {
+fn mri_gridding(gpu: &mut dyn LaunchSink, scale: Scale) {
     let samples = n_of(scale, 1 << 10, 1 << 19);
     let grid = 64usize;
     let mut rng = StdRng::seed_from_u64(13);
@@ -186,7 +186,7 @@ fn mri_gridding(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `mri-q`: Q-matrix computation, compute-dense trigonometric kernels.
-fn mri_q(gpu: &mut Gpu, scale: Scale) {
+fn mri_q(gpu: &mut dyn LaunchSink, scale: Scale) {
     let voxels = n_of(scale, 1 << 10, 1 << 17);
     let k_samples = n_of(scale, 64, 2048);
     // Real core (subsampled): Q accumulation with sin/cos.
@@ -213,7 +213,7 @@ fn mri_q(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `sad`: sum-of-absolute-differences over macroblocks, streaming.
-fn sad(gpu: &mut Gpu, scale: Scale) {
+fn sad(gpu: &mut dyn LaunchSink, scale: Scale) {
     let w = n_of(scale, 32, 1920);
     let h = n_of(scale, 32, 1072);
     // Real core: SAD of one 16×16 block pair.
@@ -235,7 +235,7 @@ fn sad(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `sgemm`: one tiled compute-bound GEMM kernel.
-fn sgemm(gpu: &mut Gpu, scale: Scale) {
+fn sgemm(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 24, 128);
     // Real core: C = A·B, checked against a second ordering.
     let mut rng = StdRng::seed_from_u64(15);
@@ -264,7 +264,7 @@ fn sgemm(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `spmv`: JDS sparse matrix-vector product, irregular gather.
-fn spmv(gpu: &mut Gpu, scale: Scale) {
+fn spmv(gpu: &mut dyn LaunchSink, scale: Scale) {
     let rows = n_of(scale, 1 << 10, 1 << 19);
     // Real core: CSR SpMV on a small banded matrix.
     let small = rows.min(2048);
@@ -287,7 +287,7 @@ fn spmv(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `stencil`: 7-point 3-D Jacobi stencil, one bandwidth-bound kernel.
-fn stencil(gpu: &mut Gpu, scale: Scale) {
+fn stencil(gpu: &mut dyn LaunchSink, scale: Scale) {
     let side = n_of(scale, 10, 64);
     // Real core: one sweep, checked for the interior average property.
     let n3 = side * side * side;
@@ -317,7 +317,7 @@ fn stencil(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `tpacf`: two-point angular correlation, compute-dense histogramming.
-fn tpacf(gpu: &mut Gpu, scale: Scale) {
+fn tpacf(gpu: &mut dyn LaunchSink, scale: Scale) {
     let points = n_of(scale, 128, 4096);
     let mut rng = StdRng::seed_from_u64(16);
     let pts: Vec<[f32; 3]> = (0..points.min(256))
@@ -349,13 +349,13 @@ fn tpacf(gpu: &mut Gpu, scale: Scale) {
 mod tests {
     use super::*;
     use cactus_analysis::roofline::{Intensity, Roofline};
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
     use cactus_profiler::Profile;
 
     fn profile_of(name: &str) -> (Profile, Roofline) {
         let mut gpu = Gpu::new(Device::rtx3080());
         crate::by_name(name).unwrap().run(&mut gpu, Scale::Profile);
-        let r = Roofline::for_device(gpu.device());
+        let r = Roofline::for_device(&Device::rtx3080());
         (Profile::from_records(gpu.records()), r)
     }
 

@@ -2,7 +2,7 @@
 //! with a real reduced-scale computational core and the kernel
 //! decomposition of the original CUDA sources.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,7 +48,7 @@ pub(crate) fn benchmarks() -> Vec<Benchmark> {
 
 /// `b+tree`: bulk key lookups — per the paper, all kernels
 /// compute-intensive (pointer chasing resolved in on-chip caches).
-fn btree(gpu: &mut Gpu, scale: Scale) {
+fn btree(gpu: &mut dyn LaunchSink, scale: Scale) {
     let keys = n_of(scale, 256, 1 << 16);
     // Real core: build a sorted array "tree" and binary-search it.
     let table: Vec<u32> = (0..1024u32).map(|i| i * 3).collect();
@@ -65,7 +65,7 @@ fn btree(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `backprop`: two memory-bound layer kernels.
-fn backprop(gpu: &mut Gpu, scale: Scale) {
+fn backprop(gpu: &mut dyn LaunchSink, scale: Scale) {
     let units = n_of(scale, 1 << 10, 1 << 20);
     // Real core: one forward + weight-adjust pass on a 16→4 layer.
     let mut rng = StdRng::seed_from_u64(21);
@@ -85,7 +85,7 @@ fn backprop(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// Rodinia `bfs`: two memory-bound frontier kernels.
-fn bfs(gpu: &mut Gpu, scale: Scale) {
+fn bfs(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 1 << 10, 1 << 20);
     // Real core mirrors Parboil's but with the Rodinia two-kernel shape.
     let mut visited = vec![false; n.min(1 << 14)];
@@ -107,7 +107,7 @@ fn bfs(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `cfd`: unstructured Euler solver — flux kernel dominates, compute side.
-fn cfd(gpu: &mut Gpu, scale: Scale) {
+fn cfd(gpu: &mut dyn LaunchSink, scale: Scale) {
     let cells = n_of(scale, 1 << 10, 1 << 18);
     // Real core: a flux update on a 1-D tube.
     let m = cells.min(4096);
@@ -123,7 +123,7 @@ fn cfd(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `dwt2d`: 5/3 wavelet, memory-bound.
-fn dwt2d(gpu: &mut Gpu, scale: Scale) {
+fn dwt2d(gpu: &mut dyn LaunchSink, scale: Scale) {
     let side = n_of(scale, 32, 2048);
     // Real core: one 1-D Haar pass; perfectly reconstructible.
     let x: Vec<f32> = (0..64).map(|i| (i as f32 * 0.3).sin()).collect();
@@ -136,7 +136,7 @@ fn dwt2d(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `gaussian` (4 K): elimination with a dominant memory-bound Fan2.
-fn gaussian(gpu: &mut Gpu, scale: Scale) {
+fn gaussian(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 16, 512);
     // Real core: eliminate a small SPD-ish system and verify the result.
     let m = 8usize;
@@ -183,7 +183,7 @@ fn gaussian(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `heartwall`: one large compute-bound tracking kernel.
-fn heartwall(gpu: &mut Gpu, scale: Scale) {
+fn heartwall(gpu: &mut dyn LaunchSink, scale: Scale) {
     let points = n_of(scale, 64, 4096);
     // Real core: template matching by normalized correlation on a strip.
     let t: Vec<f32> = (0..32).map(|i| (i as f32).sin()).collect();
@@ -205,7 +205,7 @@ fn heartwall(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `hotspot3d`: thermal stencil, memory-bound.
-fn hotspot3d(gpu: &mut Gpu, scale: Scale) {
+fn hotspot3d(gpu: &mut dyn LaunchSink, scale: Scale) {
     let side = n_of(scale, 16, 256);
     let m = side.min(16);
     let mut temp = vec![60.0f32; m * m];
@@ -221,7 +221,7 @@ fn hotspot3d(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `huffman`: VLC encoding, memory-side kernels.
-fn huffman(gpu: &mut Gpu, scale: Scale) {
+fn huffman(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 1 << 10, 1 << 21);
     // Real core: canonical prefix encode/decode of a tiny alphabet.
     let code = [(0b0u32, 1u32), (0b10, 2), (0b110, 3), (0b111, 3)];
@@ -238,7 +238,7 @@ fn huffman(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `kmeans`: both kernels memory-intensive (paper Observation 4).
-fn kmeans(gpu: &mut Gpu, scale: Scale) {
+fn kmeans(gpu: &mut dyn LaunchSink, scale: Scale) {
     let points = n_of(scale, 1 << 10, 1 << 20);
     let dims = 16u64;
     let k = 8usize;
@@ -283,7 +283,7 @@ fn kmeans(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `lavamd`: particle interactions within boxes, one compute kernel.
-fn lavamd(gpu: &mut Gpu, scale: Scale) {
+fn lavamd(gpu: &mut dyn LaunchSink, scale: Scale) {
     let boxes = n_of(scale, 8, 1000);
     let per_box = 100u64;
     // Real core: forces between particles of two boxes.
@@ -306,7 +306,7 @@ fn lavamd(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `leukocyte`: cell tracking — compute-dense kernels.
-fn leukocyte(gpu: &mut Gpu, scale: Scale) {
+fn leukocyte(gpu: &mut dyn LaunchSink, scale: Scale) {
     let cells = n_of(scale, 4, 36);
     let frame_px = n_of(scale, 1 << 10, 1 << 18) as u64;
     // Real core: gradient-inverse-coefficient-of-variation on a patch.
@@ -331,7 +331,7 @@ fn leukocyte(gpu: &mut Gpu, scale: Scale) {
 
 /// `lud`: the paper's mixed-behaviour exception — a memory-intensive
 /// diagonal/perimeter phase plus a compute-intensive internal phase.
-fn lud(gpu: &mut Gpu, scale: Scale) {
+fn lud(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 8, 2048);
     // Real core: LU-factorize a small diagonally-dominant matrix and
     // verify L·U reconstructs it.
@@ -380,7 +380,7 @@ fn lud(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `nn`: nearest neighbor, one streaming distance kernel.
-fn nn(gpu: &mut Gpu, scale: Scale) {
+fn nn(gpu: &mut dyn LaunchSink, scale: Scale) {
     let records = n_of(scale, 1 << 10, 1 << 21);
     // Real core: Euclidean nearest among a handful.
     let target = [3.0f32, 4.0];
@@ -400,7 +400,7 @@ fn nn(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `nw`: Needleman–Wunsch DP, two anti-diagonal memory-side kernels.
-fn nw(gpu: &mut Gpu, scale: Scale) {
+fn nw(gpu: &mut dyn LaunchSink, scale: Scale) {
     let n = n_of(scale, 64, 4096);
     // Real core: align "GATTACA" vs "GCATGCU" with match=1, indel/mis=-1.
     let (s1, s2) = (b"GATTACA", b"GCATGCU");
@@ -443,7 +443,7 @@ fn nw(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `pathfinder`: row-by-row DP, one memory-side kernel.
-fn pathfinder(gpu: &mut Gpu, scale: Scale) {
+fn pathfinder(gpu: &mut dyn LaunchSink, scale: Scale) {
     let cols = n_of(scale, 1 << 10, 1 << 20);
     // Real core: min-path DP over a small grid.
     let grid = [[1, 3, 1], [1, 5, 1], [4, 2, 1]];
@@ -465,7 +465,7 @@ fn pathfinder(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `srad_v1`: all four kernels memory-intensive (paper Observation 4).
-fn srad(gpu: &mut Gpu, scale: Scale) {
+fn srad(gpu: &mut dyn LaunchSink, scale: Scale) {
     let px = n_of(scale, 1 << 10, 1 << 21) as u64;
     // Real core: one SRAD diffusion update on a small image.
     let m = 16usize;
@@ -487,7 +487,7 @@ fn srad(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// `streamcluster`: cost evaluation, memory-side.
-fn streamcluster(gpu: &mut Gpu, scale: Scale) {
+fn streamcluster(gpu: &mut dyn LaunchSink, scale: Scale) {
     let points = n_of(scale, 1 << 10, 1 << 18);
     let dims = 32u32;
     // Real core: assignment cost of points to one median.
@@ -511,13 +511,13 @@ fn streamcluster(gpu: &mut Gpu, scale: Scale) {
 mod tests {
     use super::*;
     use cactus_analysis::roofline::{Intensity, Roofline};
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
     use cactus_profiler::Profile;
 
     fn profile_of(name: &str) -> (Profile, Roofline) {
         let mut gpu = Gpu::new(Device::rtx3080());
         crate::by_name(name).unwrap().run(&mut gpu, Scale::Profile);
-        let r = Roofline::for_device(gpu.device());
+        let r = Roofline::for_device(&Device::rtx3080());
         (Profile::from_records(gpu.records()), r)
     }
 

@@ -9,7 +9,7 @@
 //! kernels are all compute-intensive, while AN has three kernels of which
 //! two are compute- and one memory-intensive.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,7 +69,7 @@ fn direct_conv_core(seed: u64) -> f32 {
 
 /// AN: custom conv (compute) + FC GEMV (compute) + pooling/normalization
 /// (memory) — the paper's three-kernel mixed case.
-fn alexnet(gpu: &mut Gpu, scale: Scale) {
+fn alexnet(gpu: &mut dyn LaunchSink, scale: Scale) {
     assert!(direct_conv_core(31).is_finite());
     let px = n_of(scale, 1 << 12, 1 << 20);
     gpu.launch(&compute_kernel("conv2D_kernel_batched", px * 4, 350, px));
@@ -78,7 +78,7 @@ fn alexnet(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// RN: residual blocks — all kernels compute-intensive.
-fn resnet(gpu: &mut Gpu, scale: Scale) {
+fn resnet(gpu: &mut dyn LaunchSink, scale: Scale) {
     assert!(direct_conv_core(32).is_finite());
     let px = n_of(scale, 1 << 12, 1 << 20);
     gpu.launch(&compute_kernel("conv2D_kernel_3x3", px * 6, 420, px));
@@ -86,7 +86,7 @@ fn resnet(gpu: &mut Gpu, scale: Scale) {
 }
 
 /// SN: fire modules — all kernels compute-intensive.
-fn squeezenet(gpu: &mut Gpu, scale: Scale) {
+fn squeezenet(gpu: &mut dyn LaunchSink, scale: Scale) {
     assert!(direct_conv_core(33).is_finite());
     let px = n_of(scale, 1 << 12, 1 << 20);
     gpu.launch(&compute_kernel("fire_squeeze_1x1_kernel", px * 2, 260, px));
@@ -97,13 +97,13 @@ fn squeezenet(gpu: &mut Gpu, scale: Scale) {
 mod tests {
     use super::*;
     use cactus_analysis::roofline::{Intensity, Roofline};
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
     use cactus_profiler::Profile;
 
     fn classes(name: &str) -> Vec<Intensity> {
         let mut gpu = Gpu::new(Device::rtx3080());
         crate::by_name(name).unwrap().run(&mut gpu, Scale::Profile);
-        let r = Roofline::for_device(gpu.device());
+        let r = Roofline::for_device(&Device::rtx3080());
         Profile::from_records(gpu.records())
             .kernels()
             .iter()

@@ -9,7 +9,7 @@
 //! of repeated forward/backward passes through a conv stack plus Gram-matrix
 //! GEMMs) is unchanged by the weights' provenance (see DESIGN.md).
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::apps::dcgan::MlScale;
 use crate::datasets;
@@ -40,7 +40,12 @@ impl FeatureNet {
 
     /// Forward through the fixed extractor; returns (shallow, mid, deep)
     /// feature maps.
-    fn forward(&self, g: &mut Graph, gpu: &mut Gpu, img: VarId) -> (VarId, VarId, VarId) {
+    fn forward(
+        &self,
+        g: &mut Graph,
+        gpu: &mut dyn LaunchSink,
+        img: VarId,
+    ) -> (VarId, VarId, VarId) {
         let w1 = g.input(self.w1.clone());
         let c1 = g.conv2d(gpu, img, w1, 1, 1);
         let g1 = g.input(self.gamma[0].clone());
@@ -65,7 +70,7 @@ impl FeatureNet {
 }
 
 /// Gram matrix of an `[1, c, h, w]` feature map: `F·Fᵀ / (c·h·w)`.
-fn gram(g: &mut Graph, gpu: &mut Gpu, feat: VarId) -> VarId {
+fn gram(g: &mut Graph, gpu: &mut dyn LaunchSink, feat: VarId) -> VarId {
     let shape = g.value(feat).shape().to_vec();
     let (c, h, w) = (shape[1], shape[2], shape[3]);
     let flat = g.reshape(feat, &[c, h * w]);
@@ -95,9 +100,10 @@ impl NeuralStyle {
         let content = datasets::content_image(scale.image, seed + 10);
         let style = datasets::style_image(scale.image, seed + 11);
 
-        // Precompute the fixed targets with a scratch graph/device.
-        let mut scratch_gpu = Gpu::new(cactus_gpu::Device::rtx3080());
-        let gpu = &mut scratch_gpu;
+        // Precompute the fixed targets with a scratch graph; their
+        // launches are not part of the workload's stream.
+        let mut scratch = Vec::new();
+        let gpu = &mut scratch;
 
         let mut g = Graph::new();
         let cimg = g.input(content.clone());
@@ -123,7 +129,7 @@ impl NeuralStyle {
     }
 
     /// One optimization iteration; returns the combined loss.
-    pub fn train_iteration(&mut self, gpu: &mut Gpu) -> f32 {
+    pub fn train_iteration(&mut self, gpu: &mut dyn LaunchSink) -> f32 {
         let mut g = Graph::new();
         let img = g.param(self.image.clone());
         let (f1, f2, f3) = self.net.forward(&mut g, gpu, img);
@@ -152,7 +158,7 @@ impl NeuralStyle {
     }
 
     /// Run the configured iterations; returns the loss trajectory.
-    pub fn run(&mut self, gpu: &mut Gpu) -> Vec<f32> {
+    pub fn run(&mut self, gpu: &mut dyn LaunchSink) -> Vec<f32> {
         (0..self.scale.iterations)
             .map(|_| self.train_iteration(gpu))
             .collect()
@@ -162,12 +168,12 @@ impl NeuralStyle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
+    use cactus_gpu::kernel::KernelDesc;
     use std::collections::BTreeSet;
 
     #[test]
     fn style_loss_decreases() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = NeuralStyle::new(
             MlScale {
                 batch: 1,
@@ -176,7 +182,7 @@ mod tests {
             },
             1,
         );
-        let losses = app.run(&mut gpu);
+        let losses = app.run(&mut launches);
         assert!(losses.iter().all(|l| l.is_finite()));
         // Iteration 0 starts exactly at the content image (near-zero
         // content loss); Adam's first step trades it for style loss, and
@@ -189,10 +195,10 @@ mod tests {
 
     #[test]
     fn style_kernels_include_gram_gemms_and_instance_norm() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = NeuralStyle::new(MlScale::tiny(), 2);
-        let _ = app.train_iteration(&mut gpu);
-        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
+        let _ = app.train_iteration(&mut launches);
+        let names: BTreeSet<&str> = launches.iter().map(KernelDesc::name).collect();
         assert!(names
             .iter()
             .any(|n| n.contains("sgemm") || n.contains("gemv")));
@@ -203,10 +209,10 @@ mod tests {
 
     #[test]
     fn image_actually_changes() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = NeuralStyle::new(MlScale::tiny(), 3);
         let before = app.image.clone();
-        let _ = app.train_iteration(&mut gpu);
+        let _ = app.train_iteration(&mut launches);
         let delta: f32 = app
             .image
             .data()

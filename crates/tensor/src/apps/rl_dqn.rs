@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::apps::dcgan::MlScale;
 use crate::graph::{Graph, VarId};
@@ -195,7 +195,13 @@ impl DqnFlappy {
         }
     }
 
-    fn q_forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId, batch: usize) -> VarId {
+    fn q_forward(
+        &mut self,
+        g: &mut Graph,
+        gpu: &mut dyn LaunchSink,
+        x: VarId,
+        batch: usize,
+    ) -> VarId {
         let s4 = self.scale.image / 4;
         let c1 = self.conv1.forward(g, gpu, x);
         let r1 = g.relu(gpu, c1);
@@ -209,13 +215,13 @@ impl DqnFlappy {
     }
 
     /// Greedy Q values for one state (detached forward pass).
-    fn q_values(&mut self, gpu: &mut Gpu, state: &Tensor) -> [f32; 2] {
+    fn q_values(&mut self, gpu: &mut dyn LaunchSink, state: &Tensor) -> [f32; 2] {
         self.q_values_batch(gpu, std::slice::from_ref(state))[0]
     }
 
     /// Detached Q values for a batch of states in a single forward pass
     /// (how the replay targets are evaluated in practice).
-    fn q_values_batch(&mut self, gpu: &mut Gpu, states: &[Tensor]) -> Vec<[f32; 2]> {
+    fn q_values_batch(&mut self, gpu: &mut dyn LaunchSink, states: &[Tensor]) -> Vec<[f32; 2]> {
         let b = states.len();
         let size = self.scale.image;
         let mut data = Vec::with_capacity(b * size * size);
@@ -233,7 +239,7 @@ impl DqnFlappy {
     /// One training iteration: act in the environment for
     /// `steps_per_iteration` ticks (ε-greedy), then fit one replay
     /// minibatch. Returns the TD loss.
-    pub fn train_iteration(&mut self, gpu: &mut Gpu) -> f32 {
+    pub fn train_iteration(&mut self, gpu: &mut dyn LaunchSink) -> f32 {
         let size = self.scale.image;
 
         // --- Act ------------------------------------------------------
@@ -305,7 +311,7 @@ impl DqnFlappy {
     }
 
     /// Run the configured number of iterations; returns the TD-loss series.
-    pub fn run(&mut self, gpu: &mut Gpu) -> Vec<f32> {
+    pub fn run(&mut self, gpu: &mut dyn LaunchSink) -> Vec<f32> {
         (0..self.scale.iterations)
             .map(|_| self.train_iteration(gpu))
             .collect()
@@ -315,7 +321,6 @@ impl DqnFlappy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
 
     #[test]
     fn env_physics_gravity_and_flap() {
@@ -354,9 +359,9 @@ mod tests {
 
     #[test]
     fn dqn_trains_and_loss_is_finite() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = DqnFlappy::new(MlScale::tiny(), 4);
-        let losses = app.run(&mut gpu);
+        let losses = app.run(&mut launches);
         assert_eq!(losses.len(), 2);
         assert!(losses.iter().all(|l| l.is_finite()));
     }
@@ -371,10 +376,9 @@ mod tests {
                 app.conv1 = Conv2d::new(1, 16, 4, 2, 1, 1050);
                 app.fc2 = Linear::new(64, 2, 1053);
             }
-            let mut gpu = Gpu::new(Device::rtx3080());
-            gpu.enable_desc_log();
-            let losses = app.run(&mut gpu);
-            (losses, gpu.take_desc_log())
+            let mut launches = Vec::new();
+            let losses = app.run(&mut launches);
+            (losses, launches)
         };
         let (base, perturbed) = (run(false), run(true));
         assert_ne!(base.0, perturbed.0, "the new weights change the losses");
@@ -383,14 +387,13 @@ mod tests {
 
     #[test]
     fn dqn_launches_many_small_forward_passes() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = DqnFlappy::new(MlScale::tiny(), 5);
-        let _ = app.train_iteration(&mut gpu);
+        let _ = app.train_iteration(&mut launches);
         // Acting alone requires ≥ steps_per_iteration batch-1 forwards.
-        let conv_launches = gpu
-            .records()
+        let conv_launches = launches
             .iter()
-            .filter(|r| r.name.contains("winograd") || r.name.contains("implicit"))
+            .filter(|d| d.name().contains("winograd") || d.name().contains("implicit"))
             .count();
         assert!(
             conv_launches >= 2 * app.steps_per_iteration,

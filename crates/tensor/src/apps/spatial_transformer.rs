@@ -7,7 +7,7 @@
 //! and a small CNN classifies the result. Trained end-to-end with SGD on
 //! softmax cross-entropy.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::apps::dcgan::MlScale;
 use crate::datasets;
@@ -86,7 +86,7 @@ impl SpatialTransformer {
         )
     }
 
-    fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    fn forward(&mut self, g: &mut Graph, gpu: &mut dyn LaunchSink, x: VarId) -> VarId {
         let b = self.scale.batch;
         let s = self.scale.image;
         let s4 = s / 4;
@@ -118,7 +118,7 @@ impl SpatialTransformer {
     }
 
     /// One SGD training iteration; returns the cross-entropy loss.
-    pub fn train_iteration(&mut self, gpu: &mut Gpu) -> f32 {
+    pub fn train_iteration(&mut self, gpu: &mut dyn LaunchSink) -> f32 {
         let (images, labels) = self.batch();
         let mut g = Graph::new();
         let x = g.input(images);
@@ -140,7 +140,7 @@ impl SpatialTransformer {
     }
 
     /// Run the configured iterations; returns the loss series.
-    pub fn run(&mut self, gpu: &mut Gpu) -> Vec<f32> {
+    pub fn run(&mut self, gpu: &mut dyn LaunchSink) -> Vec<f32> {
         (0..self.scale.iterations)
             .map(|_| self.train_iteration(gpu))
             .collect()
@@ -150,12 +150,12 @@ impl SpatialTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
+    use cactus_gpu::kernel::KernelDesc;
     use std::collections::BTreeSet;
 
     #[test]
     fn stn_trains_and_loss_decreases() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = SpatialTransformer::new(
             MlScale {
                 batch: 8,
@@ -164,7 +164,7 @@ mod tests {
             },
             1,
         );
-        let losses = app.run(&mut gpu);
+        let losses = app.run(&mut launches);
         assert!(losses.iter().all(|l| l.is_finite()));
         let head: f32 = losses[..5].iter().sum::<f32>() / 5.0;
         let tail: f32 = losses[losses.len() - 5..].iter().sum::<f32>() / 5.0;
@@ -173,10 +173,10 @@ mod tests {
 
     #[test]
     fn stn_uses_grid_sampler_kernels() {
-        let mut gpu = Gpu::new(Device::rtx3080());
+        let mut launches = Vec::new();
         let mut app = SpatialTransformer::new(MlScale::tiny(), 2);
-        let _ = app.train_iteration(&mut gpu);
-        let names: BTreeSet<&str> = gpu.records().iter().map(|r| r.name.as_str()).collect();
+        let _ = app.train_iteration(&mut launches);
+        let names: BTreeSet<&str> = launches.iter().map(KernelDesc::name).collect();
         assert!(names.contains("grid_sampler_2d_kernel"));
         assert!(names.contains("grid_sampler_2d_backward_kernel"));
         assert!(names.contains("affine_grid_generator_kernel"));

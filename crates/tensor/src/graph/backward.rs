@@ -1,6 +1,6 @@
 //! The reverse pass: per-op gradient math plus backward-kernel lowering.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use super::conv;
 use super::{bilinear_sample, conv_shape, map_tensor, matmul_into, normalized_coords, zip_same};
@@ -16,7 +16,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `loss` is not a single-element tensor.
-    pub fn backward(&mut self, gpu: &mut Gpu, loss: VarId) {
+    pub fn backward(&mut self, gpu: &mut dyn LaunchSink, loss: VarId) {
         assert_eq!(self.nodes[loss].value.len(), 1, "loss must be scalar");
         self.acc_grad(loss, Tensor::full(&[1], 1.0));
 
@@ -33,7 +33,7 @@ impl Graph {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn backward_op(&mut self, gpu: &mut Gpu, op: &Op, gout: &Tensor, out: VarId) {
+    fn backward_op(&mut self, gpu: &mut dyn LaunchSink, op: &Op, gout: &Tensor, out: VarId) {
         match op {
             Op::MatMul { a, b } => {
                 let av = self.nodes[*a].value.clone();

@@ -14,7 +14,7 @@ mod backward;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::kernels;
 use crate::tensor::Tensor;
@@ -240,7 +240,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn matmul(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn matmul(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let (av, bv) = (&self.nodes[a].value, &self.nodes[b].value);
         let (m, k) = (av.shape()[0], av.shape()[1]);
         let (k2, n) = (bv.shape()[0], bv.shape()[1]);
@@ -256,35 +256,35 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Elementwise sum of same-shape tensors.
-    pub fn add(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn add(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let out = zip_same(&self.nodes[a].value, &self.nodes[b].value, |x, y| x + y);
         kernels::elementwise(gpu, "add", out.len(), 2, 1);
         self.push_op(Op::Add { a, b }, out)
     }
 
     /// Elementwise difference.
-    pub fn sub(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn sub(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let out = zip_same(&self.nodes[a].value, &self.nodes[b].value, |x, y| x - y);
         kernels::elementwise(gpu, "sub", out.len(), 2, 1);
         self.push_op(Op::Sub { a, b }, out)
     }
 
     /// Elementwise (Hadamard) product.
-    pub fn mul(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn mul(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let out = zip_same(&self.nodes[a].value, &self.nodes[b].value, |x, y| x * y);
         kernels::elementwise(gpu, "mul", out.len(), 2, 1);
         self.push_op(Op::Mul { a, b }, out)
     }
 
     /// Multiply by a scalar.
-    pub fn scale(&mut self, gpu: &mut Gpu, a: VarId, factor: f32) -> VarId {
+    pub fn scale(&mut self, gpu: &mut dyn LaunchSink, a: VarId, factor: f32) -> VarId {
         let out = map_tensor(&self.nodes[a].value, |x| x * factor);
         kernels::elementwise(gpu, "mul_scalar", out.len(), 1, 1);
         self.push_op(Op::Scale { a, factor }, out)
     }
 
     /// Add a `[f]` bias to every row of a `[n,f]` matrix.
-    pub fn add_bias_rows(&mut self, gpu: &mut Gpu, a: VarId, bias: VarId) -> VarId {
+    pub fn add_bias_rows(&mut self, gpu: &mut dyn LaunchSink, a: VarId, bias: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let bv = &self.nodes[bias].value;
         let (n, f) = (av.shape()[0], av.shape()[1]);
@@ -300,7 +300,7 @@ impl Graph {
     }
 
     /// Add a `[c]` bias to every channel of an NCHW tensor.
-    pub fn add_bias_nchw(&mut self, gpu: &mut Gpu, a: VarId, bias: VarId) -> VarId {
+    pub fn add_bias_nchw(&mut self, gpu: &mut dyn LaunchSink, a: VarId, bias: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let bv = &self.nodes[bias].value;
         let (n, c, h, w) = conv::dims4(av);
@@ -320,14 +320,14 @@ impl Graph {
     }
 
     /// ReLU.
-    pub fn relu(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn relu(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let out = map_tensor(&self.nodes[a].value, |x| x.max(0.0));
         kernels::elementwise(gpu, "relu", out.len(), 1, 1);
         self.push_op(Op::Relu { a }, out)
     }
 
     /// Leaky ReLU with the given negative slope.
-    pub fn leaky_relu(&mut self, gpu: &mut Gpu, a: VarId, slope: f32) -> VarId {
+    pub fn leaky_relu(&mut self, gpu: &mut dyn LaunchSink, a: VarId, slope: f32) -> VarId {
         let out = map_tensor(
             &self.nodes[a].value,
             |x| if x > 0.0 { x } else { slope * x },
@@ -337,21 +337,21 @@ impl Graph {
     }
 
     /// Hyperbolic tangent.
-    pub fn tanh(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn tanh(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let out = map_tensor(&self.nodes[a].value, f32::tanh);
         kernels::elementwise(gpu, "tanh", out.len(), 1, 3);
         self.push_op(Op::Tanh { a }, out)
     }
 
     /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn sigmoid(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let out = map_tensor(&self.nodes[a].value, |x| 1.0 / (1.0 + (-x).exp()));
         kernels::elementwise(gpu, "sigmoid", out.len(), 1, 3);
         self.push_op(Op::Sigmoid { a }, out)
     }
 
     /// Training-mode dropout with keep-scale `1/(1−p)`.
-    pub fn dropout(&mut self, gpu: &mut Gpu, a: VarId, p: f32, seed: u64) -> VarId {
+    pub fn dropout(&mut self, gpu: &mut dyn LaunchSink, a: VarId, p: f32, seed: u64) -> VarId {
         let p = p.clamp(0.0, 0.95);
         let mut rng = StdRng::seed_from_u64(seed);
         let scale = 1.0 / (1.0 - p);
@@ -375,7 +375,7 @@ impl Graph {
     }
 
     /// Matrix transpose `[m,n] → [n,m]`.
-    pub fn transpose2d(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn transpose2d(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let (m, n) = (av.shape()[0], av.shape()[1]);
         let mut out = Tensor::zeros(&[n, m]);
@@ -389,7 +389,7 @@ impl Graph {
     }
 
     /// Row-wise sum: `[n,f] → [n,1]`.
-    pub fn sum_rows(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn sum_rows(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let (n, f) = (av.shape()[0], av.shape()[1]);
         let mut out = Tensor::zeros(&[n, 1]);
@@ -401,7 +401,7 @@ impl Graph {
     }
 
     /// Row-wise softmax over a `[n,f]` matrix (attention weights).
-    pub fn softmax_rows(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn softmax_rows(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let (n, f) = (av.shape()[0], av.shape()[1]);
         let mut probs = Tensor::zeros(&[n, f]);
@@ -420,7 +420,7 @@ impl Graph {
     }
 
     /// Multiply every column of `[n,f]` by the `[n,1]` column vector.
-    pub fn mul_col_broadcast(&mut self, gpu: &mut Gpu, a: VarId, col: VarId) -> VarId {
+    pub fn mul_col_broadcast(&mut self, gpu: &mut dyn LaunchSink, a: VarId, col: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let cv = &self.nodes[col].value;
         let (n, f) = (av.shape()[0], av.shape()[1]);
@@ -437,7 +437,7 @@ impl Graph {
     }
 
     /// Concatenate two matrices along columns: `[n,ca] ++ [n,cb] → [n,ca+cb]`.
-    pub fn concat_cols(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn concat_cols(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let bv = &self.nodes[b].value;
         let (n, ca) = (av.shape()[0], av.shape()[1]);
@@ -459,7 +459,13 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the column range is out of bounds or empty.
-    pub fn slice_cols(&mut self, gpu: &mut Gpu, a: VarId, start: usize, end: usize) -> VarId {
+    pub fn slice_cols(
+        &mut self,
+        gpu: &mut dyn LaunchSink,
+        a: VarId,
+        start: usize,
+        end: usize,
+    ) -> VarId {
         let av = &self.nodes[a].value;
         let (n, f) = (av.shape()[0], av.shape()[1]);
         assert!(
@@ -483,7 +489,7 @@ impl Graph {
     /// 2-D convolution: `x[n,ic,h,w] ⊛ w[oc,ic,kh,kw]`.
     pub fn conv2d(
         &mut self,
-        gpu: &mut Gpu,
+        gpu: &mut dyn LaunchSink,
         x: VarId,
         w: VarId,
         stride: usize,
@@ -499,7 +505,7 @@ impl Graph {
     /// Transposed 2-D convolution: `x[n,ci,h,w]`, `w[ci,co,kh,kw]`.
     pub fn conv_transpose2d(
         &mut self,
-        gpu: &mut Gpu,
+        gpu: &mut dyn LaunchSink,
         x: VarId,
         w: VarId,
         stride: usize,
@@ -518,7 +524,7 @@ impl Graph {
     }
 
     /// Max pooling with square window `k` and stride `k`.
-    pub fn maxpool2d(&mut self, gpu: &mut Gpu, x: VarId, k: usize) -> VarId {
+    pub fn maxpool2d(&mut self, gpu: &mut dyn LaunchSink, x: VarId, k: usize) -> VarId {
         let xv = &self.nodes[x].value;
         let (n, c, h, w) = conv::dims4(xv);
         let (oh, ow) = (h / k, w / k);
@@ -556,18 +562,30 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Batch normalization (training mode, batch statistics).
-    pub fn batchnorm2d(&mut self, gpu: &mut Gpu, x: VarId, gamma: VarId, beta: VarId) -> VarId {
+    pub fn batchnorm2d(
+        &mut self,
+        gpu: &mut dyn LaunchSink,
+        x: VarId,
+        gamma: VarId,
+        beta: VarId,
+    ) -> VarId {
         self.norm_impl(gpu, x, gamma, beta, NormScope::Batch)
     }
 
     /// Instance normalization (per sample and channel).
-    pub fn instancenorm2d(&mut self, gpu: &mut Gpu, x: VarId, gamma: VarId, beta: VarId) -> VarId {
+    pub fn instancenorm2d(
+        &mut self,
+        gpu: &mut dyn LaunchSink,
+        x: VarId,
+        gamma: VarId,
+        beta: VarId,
+    ) -> VarId {
         self.norm_impl(gpu, x, gamma, beta, NormScope::Instance)
     }
 
     fn norm_impl(
         &mut self,
-        gpu: &mut Gpu,
+        gpu: &mut dyn LaunchSink,
         x: VarId,
         gamma: VarId,
         beta: VarId,
@@ -648,7 +666,7 @@ impl Graph {
     /// Panics if `targets.len()` differs from the batch size.
     pub fn softmax_cross_entropy(
         &mut self,
-        gpu: &mut Gpu,
+        gpu: &mut dyn LaunchSink,
         logits: VarId,
         targets: &[usize],
     ) -> VarId {
@@ -682,7 +700,12 @@ impl Graph {
 
     /// Binary cross-entropy on logits against a same-shape target tensor;
     /// returns a scalar mean loss.
-    pub fn bce_with_logits(&mut self, gpu: &mut Gpu, logits: VarId, targets: Tensor) -> VarId {
+    pub fn bce_with_logits(
+        &mut self,
+        gpu: &mut dyn LaunchSink,
+        logits: VarId,
+        targets: Tensor,
+    ) -> VarId {
         let lv = &self.nodes[logits].value;
         assert_eq!(lv.shape(), targets.shape(), "target shape");
         let mut loss = 0.0f32;
@@ -699,7 +722,7 @@ impl Graph {
     }
 
     /// Mean-squared-error between two same-shape tensors (scalar output).
-    pub fn mse_loss(&mut self, gpu: &mut Gpu, a: VarId, b: VarId) -> VarId {
+    pub fn mse_loss(&mut self, gpu: &mut dyn LaunchSink, a: VarId, b: VarId) -> VarId {
         let av = &self.nodes[a].value;
         let bv = &self.nodes[b].value;
         assert_eq!(av.shape(), bv.shape(), "mse shapes");
@@ -716,7 +739,7 @@ impl Graph {
     }
 
     /// Mean of all elements (scalar output).
-    pub fn mean(&mut self, gpu: &mut Gpu, a: VarId) -> VarId {
+    pub fn mean(&mut self, gpu: &mut dyn LaunchSink, a: VarId) -> VarId {
         let m = self.nodes[a].value.mean();
         kernels::reduce(gpu, "mean", self.nodes[a].value.len());
         self.push_op(Op::Mean { a }, Tensor::from_vec(&[1], vec![m]))
@@ -727,7 +750,12 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Embedding lookup: gather `indices` rows from a `[vocab, dim]` table.
-    pub fn embedding(&mut self, gpu: &mut Gpu, table: VarId, indices: &[usize]) -> VarId {
+    pub fn embedding(
+        &mut self,
+        gpu: &mut dyn LaunchSink,
+        table: VarId,
+        indices: &[usize],
+    ) -> VarId {
         let tv = &self.nodes[table].value;
         let (vocab, dim) = (tv.shape()[0], tv.shape()[1]);
         let mut out = Tensor::zeros(&[indices.len(), dim]);
@@ -751,7 +779,7 @@ impl Graph {
     /// bilinear interpolation (zero padding outside the input).
     pub fn spatial_transform(
         &mut self,
-        gpu: &mut Gpu,
+        gpu: &mut dyn LaunchSink,
         x: VarId,
         theta: VarId,
         oh: usize,
@@ -895,16 +923,11 @@ pub(crate) fn bilinear_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
 
     #[test]
     fn matmul_known_values() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let a = g.input(Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]));
         let b = g.input(Tensor::from_vec(&[2, 2], vec![5.0, 6.0, 7.0, 8.0]));
         let c = g.matmul(&mut gp, a, b);
@@ -914,7 +937,7 @@ mod tests {
     #[test]
     fn elementwise_values() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let a = g.input(Tensor::from_vec(&[3], vec![-1.0, 0.0, 2.0]));
         let r = g.relu(&mut gp, a);
         assert_eq!(g.value(r).data(), &[0.0, 0.0, 2.0]);
@@ -927,7 +950,7 @@ mod tests {
     #[test]
     fn softmax_ce_of_uniform_logits_is_log_c() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let logits = g.input(Tensor::zeros(&[4, 10]));
         let loss = g.softmax_cross_entropy(&mut gp, logits, &[0, 1, 2, 3]);
         assert!((g.value(loss).data()[0] - 10.0f32.ln()).abs() < 1e-5);
@@ -936,7 +959,7 @@ mod tests {
     #[test]
     fn embedding_gathers_rows() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let table = g.param(Tensor::from_vec(
             &[3, 2],
             vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
@@ -948,7 +971,7 @@ mod tests {
     #[test]
     fn identity_spatial_transform_reproduces_input() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let x = g.input(Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]));
         // Identity affine: [1 0 0; 0 1 0].
         let theta = g.input(Tensor::from_vec(
@@ -964,7 +987,7 @@ mod tests {
     #[test]
     fn maxpool_picks_maxima() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let x = g.input(Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 5.0, 3.0, 2.0]));
         let y = g.maxpool2d(&mut gp, x, 2);
         assert_eq!(g.value(y).data(), &[5.0]);
@@ -973,7 +996,7 @@ mod tests {
     #[test]
     fn batchnorm_normalizes() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let x = g.input(Tensor::randn(&[4, 3, 4, 4], 5.0, 1));
         let gamma = g.param(Tensor::full(&[3], 1.0));
         let beta = g.param(Tensor::zeros(&[3]));
@@ -987,7 +1010,7 @@ mod tests {
     #[test]
     fn concat_cols_layout() {
         let mut g = Graph::new();
-        let mut gp = gpu();
+        let mut gp = Vec::new();
         let a = g.input(Tensor::from_vec(&[2, 1], vec![1.0, 3.0]));
         let b = g.input(Tensor::from_vec(&[2, 2], vec![9.0, 8.0, 7.0, 6.0]));
         let c = g.concat_cols(&mut gp, a, b);

@@ -13,7 +13,7 @@ use cactus_gpu::access::{AccessPattern, AccessStream, Direction};
 use cactus_gpu::instmix::InstructionMix;
 use cactus_gpu::kernel::KernelDesc;
 use cactus_gpu::launch::LaunchConfig;
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 fn warps(n: u64) -> u64 {
     n.div_ceil(32).max(1)
@@ -21,7 +21,7 @@ fn warps(n: u64) -> u64 {
 
 /// GEMM: `C[m×n] += A[m×k] · B[k×n]`, with cuBLAS-style tile selection and
 /// `nn`/`tn`/`nt` layout suffixes.
-pub(crate) fn gemm(gpu: &mut Gpu, m: usize, n: usize, k: usize, ta: bool, tb: bool) {
+pub(crate) fn gemm(gpu: &mut dyn LaunchSink, m: usize, n: usize, k: usize, ta: bool, tb: bool) {
     let (m64, n64, k64) = (m as u64, n as u64, k as u64);
     let layout = match (ta, tb) {
         (false, false) => "nn",
@@ -225,7 +225,7 @@ fn conv_kernel(name: String, s: &ConvShape, flop_scale: f64) -> KernelDesc {
 }
 
 /// Forward convolution.
-pub(crate) fn conv2d_fwd(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_fwd(gpu: &mut dyn LaunchSink, s: &ConvShape) {
     let (name, scale) = match conv_algo(s.kh, s.kw, s.stride) {
         ConvAlgo::ImplicitGemm1x1 => ("ampere_scudnn_128x64_relu_interior_nn".to_owned(), 1.0),
         ConvAlgo::Winograd => (
@@ -239,19 +239,19 @@ pub(crate) fn conv2d_fwd(gpu: &mut Gpu, s: &ConvShape) {
 
 /// Backward-data convolution (also used as the forward pass of transposed
 /// convolutions, as cuDNN does).
-pub(crate) fn conv2d_dgrad(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_dgrad(gpu: &mut dyn LaunchSink, s: &ConvShape) {
     gpu.launch(&conv_kernel("dgrad2d_alg1_1_engine".to_owned(), s, 1.0));
 }
 
 /// Backward-filter convolution.
-pub(crate) fn conv2d_wgrad(gpu: &mut Gpu, s: &ConvShape) {
+pub(crate) fn conv2d_wgrad(gpu: &mut dyn LaunchSink, s: &ConvShape) {
     gpu.launch(&conv_kernel("wgrad_alg0_engine_NHWC".to_owned(), s, 1.0));
 }
 
 /// Elementwise kernel over `n` elements reading `arity` inputs and
 /// performing `flops` FP32 ops per element. PyTorch's TensorIterator emits
 /// a vectorized variant when the size is 4-aligned.
-pub(crate) fn elementwise(gpu: &mut Gpu, op: &str, n: usize, arity: usize, flops: u64) {
+pub(crate) fn elementwise(gpu: &mut dyn LaunchSink, op: &str, n: usize, arity: usize, flops: u64) {
     let n64 = n as u64;
     let w = warps(n64);
     let name = if n.is_multiple_of(4) {
@@ -282,7 +282,7 @@ pub(crate) fn elementwise(gpu: &mut Gpu, op: &str, n: usize, arity: usize, flops
 }
 
 /// Reduction of `n` elements; big reductions run the two-pass variant.
-pub(crate) fn reduce(gpu: &mut Gpu, what: &str, n: usize) {
+pub(crate) fn reduce(gpu: &mut dyn LaunchSink, what: &str, n: usize) {
     let n64 = (n as u64).max(1);
     let w = warps(n64);
     let name = if n64 > 1 << 16 {
@@ -311,7 +311,13 @@ pub(crate) fn reduce(gpu: &mut Gpu, what: &str, n: usize) {
 }
 
 /// Softmax over `rows × cols`; small rows use the warp-level kernel.
-pub(crate) fn softmax(gpu: &mut Gpu, rows: usize, cols: usize, backward: bool, log: bool) {
+pub(crate) fn softmax(
+    gpu: &mut dyn LaunchSink,
+    rows: usize,
+    cols: usize,
+    backward: bool,
+    log: bool,
+) {
     let total = (rows * cols) as u64;
     let w = warps(total);
     let dir = if backward { "backward" } else { "forward" };
@@ -340,7 +346,7 @@ pub(crate) fn softmax(gpu: &mut Gpu, rows: usize, cols: usize, backward: bool, l
 
 /// Batch/instance-norm forward: statistics collection + transform
 /// (two launches, matching cuDNN).
-pub(crate) fn batchnorm_fwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
+pub(crate) fn batchnorm_fwd(gpu: &mut dyn LaunchSink, n: usize, c: usize, hw: usize) {
     let total = (n * c * hw) as u64;
     let w = warps(total);
     gpu.launch(
@@ -380,7 +386,7 @@ pub(crate) fn batchnorm_fwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
 }
 
 /// Batch/instance-norm backward: gradient reduction + elementwise apply.
-pub(crate) fn batchnorm_bwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
+pub(crate) fn batchnorm_bwd(gpu: &mut dyn LaunchSink, n: usize, c: usize, hw: usize) {
     let total = (n * c * hw) as u64;
     let w = warps(total);
     gpu.launch(
@@ -416,7 +422,7 @@ pub(crate) fn batchnorm_bwd(gpu: &mut Gpu, n: usize, c: usize, hw: usize) {
 
 /// Embedding gather: `n_idx` Zipf-skewed lookups of `dim`-wide rows from a
 /// `vocab × dim` table.
-pub(crate) fn embedding_fwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
+pub(crate) fn embedding_fwd(gpu: &mut dyn LaunchSink, n_idx: usize, dim: usize, vocab: usize) {
     let total = (n_idx * dim) as u64;
     let w = warps(total);
     let kd = KernelDesc::builder("indexSelectLargeIndex_kernel")
@@ -443,7 +449,7 @@ pub(crate) fn embedding_fwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usiz
 }
 
 /// Embedding backward: scatter-add of gradients into the table.
-pub(crate) fn embedding_bwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usize) {
+pub(crate) fn embedding_bwd(gpu: &mut dyn LaunchSink, n_idx: usize, dim: usize, vocab: usize) {
     let total = (n_idx * dim) as u64;
     let w = warps(total);
     let kd = KernelDesc::builder("embedding_backward_feature_kernel")
@@ -471,7 +477,7 @@ pub(crate) fn embedding_bwd(gpu: &mut Gpu, n_idx: usize, dim: usize, vocab: usiz
 }
 
 /// Max-pool forward (`backward` flips to the backward kernel).
-pub(crate) fn maxpool(gpu: &mut Gpu, n_out: usize, window: usize, backward: bool) {
+pub(crate) fn maxpool(gpu: &mut dyn LaunchSink, n_out: usize, window: usize, backward: bool) {
     let total = n_out as u64;
     let w = warps(total);
     let name = if backward {
@@ -498,7 +504,12 @@ pub(crate) fn maxpool(gpu: &mut Gpu, n_out: usize, window: usize, backward: bool
 }
 
 /// Grid-sample (bilinear) forward/backward for spatial transformers.
-pub(crate) fn grid_sample(gpu: &mut Gpu, n_out: usize, input_bytes: u64, backward: bool) {
+pub(crate) fn grid_sample(
+    gpu: &mut dyn LaunchSink,
+    n_out: usize,
+    input_bytes: u64,
+    backward: bool,
+) {
     let total = n_out as u64;
     let w = warps(total);
     let name = if backward {
@@ -529,7 +540,7 @@ pub(crate) fn grid_sample(gpu: &mut Gpu, n_out: usize, input_bytes: u64, backwar
 }
 
 /// Affine grid generation for spatial transformers.
-pub(crate) fn affine_grid(gpu: &mut Gpu, n_points: usize) {
+pub(crate) fn affine_grid(gpu: &mut dyn LaunchSink, n_points: usize) {
     let total = n_points as u64;
     let kd = KernelDesc::builder("affine_grid_generator_kernel")
         .launch(LaunchConfig::linear(total, 256))
@@ -545,7 +556,7 @@ pub(crate) fn affine_grid(gpu: &mut Gpu, n_points: usize) {
 }
 
 /// Tensor copy / concatenation.
-pub(crate) fn copy(gpu: &mut Gpu, what: &str, n: usize) {
+pub(crate) fn copy(gpu: &mut dyn LaunchSink, what: &str, n: usize) {
     let total = (n as u64).max(1);
     let kd = KernelDesc::builder(format!("CatArrayBatchedCopy_{what}"))
         .launch(LaunchConfig::linear(total, 256))
@@ -559,7 +570,7 @@ pub(crate) fn copy(gpu: &mut Gpu, what: &str, n: usize) {
 /// Fused Adam parameter update over `n` parameters: reads parameter,
 /// gradient and both moments, writes all but the gradient — the heavily
 /// memory-bound optimizer kernel that dominates LGT-style training.
-pub(crate) fn adam_step(gpu: &mut Gpu, n: usize) {
+pub(crate) fn adam_step(gpu: &mut dyn LaunchSink, n: usize) {
     let total = (n as u64).max(1);
     let w = warps(total);
     let kd = KernelDesc::builder("multi_tensor_apply_adam_kernel")
@@ -583,7 +594,7 @@ pub(crate) fn adam_step(gpu: &mut Gpu, n: usize) {
 }
 
 /// Fused SGD (+momentum) update.
-pub(crate) fn sgd_step(gpu: &mut Gpu, n: usize) {
+pub(crate) fn sgd_step(gpu: &mut dyn LaunchSink, n: usize) {
     let total = (n as u64).max(1);
     let w = warps(total);
     let kd = KernelDesc::builder("sgd_momentum_update_kernel")
@@ -600,7 +611,7 @@ pub(crate) fn sgd_step(gpu: &mut Gpu, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
 
     fn gpu() -> Gpu {
         Gpu::new(Device::rtx3080())

@@ -8,7 +8,7 @@
 //! 2. compute a loss, call [`Graph::backward`],
 //! 3. `opt.begin_step()`, then call each layer's `update` in a fixed order.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::graph::{Graph, VarId};
 use crate::optim::Optimizer;
@@ -17,7 +17,7 @@ use crate::tensor::Tensor;
 fn update_param(
     g: &Graph,
     opt: &mut dyn Optimizer,
-    gpu: &mut Gpu,
+    gpu: &mut dyn LaunchSink,
     id: Option<VarId>,
     param: &mut Tensor,
 ) {
@@ -52,7 +52,7 @@ impl Linear {
     }
 
     /// Forward `x[n,in] → [n,out]`.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut dyn LaunchSink, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -62,7 +62,7 @@ impl Linear {
     }
 
     /// Apply accumulated gradients.
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
@@ -106,7 +106,7 @@ impl Conv2d {
     }
 
     /// Forward NCHW convolution.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut dyn LaunchSink, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -116,7 +116,7 @@ impl Conv2d {
     }
 
     /// Apply accumulated gradients.
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
@@ -160,7 +160,7 @@ impl ConvTranspose2d {
     }
 
     /// Forward NCHW transposed convolution.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut dyn LaunchSink, x: VarId) -> VarId {
         let w = g.param(self.weight.clone());
         let b = g.param(self.bias.clone());
         self.w_id = Some(w);
@@ -170,7 +170,7 @@ impl ConvTranspose2d {
     }
 
     /// Apply accumulated gradients.
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         update_param(g, opt, gpu, self.w_id.take(), &mut self.weight);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.bias);
     }
@@ -200,7 +200,7 @@ impl Norm2d {
     }
 
     /// Forward normalization.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId) -> VarId {
+    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut dyn LaunchSink, x: VarId) -> VarId {
         let gamma = g.param(self.gamma.clone());
         let beta = g.param(self.beta.clone());
         self.g_id = Some(gamma);
@@ -209,7 +209,7 @@ impl Norm2d {
     }
 
     /// Apply accumulated gradients.
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         update_param(g, opt, gpu, self.g_id.take(), &mut self.gamma);
         update_param(g, opt, gpu, self.b_id.take(), &mut self.beta);
     }
@@ -234,14 +234,19 @@ impl Embedding {
     }
 
     /// Gather `indices` → `[len, dim]`.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, indices: &[usize]) -> VarId {
+    pub(crate) fn forward(
+        &mut self,
+        g: &mut Graph,
+        gpu: &mut dyn LaunchSink,
+        indices: &[usize],
+    ) -> VarId {
         let t = g.param(self.table.clone());
         self.t_id = Some(t);
         g.embedding(gpu, t, indices)
     }
 
     /// Apply accumulated gradients.
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         update_param(g, opt, gpu, self.t_id.take(), &mut self.table);
     }
 }
@@ -279,7 +284,13 @@ impl GruCell {
     }
 
     /// One step: `h' = h̃ + z ⊙ (h − h̃)`.
-    pub(crate) fn forward(&mut self, g: &mut Graph, gpu: &mut Gpu, x: VarId, h: VarId) -> VarId {
+    pub(crate) fn forward(
+        &mut self,
+        g: &mut Graph,
+        gpu: &mut dyn LaunchSink,
+        x: VarId,
+        h: VarId,
+    ) -> VarId {
         let z_in = self.wz.forward(g, gpu, x);
         let z_h = self.uz.forward(g, gpu, h);
         let z_pre = g.add(gpu, z_in, z_h);
@@ -303,7 +314,7 @@ impl GruCell {
     }
 
     /// Apply accumulated gradients (fixed order: z, r, h gates).
-    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut Gpu) {
+    pub(crate) fn update(&mut self, g: &Graph, opt: &mut dyn Optimizer, gpu: &mut dyn LaunchSink) {
         self.wz.update(g, opt, gpu);
         self.uz.update(g, opt, gpu);
         self.wr.update(g, opt, gpu);
@@ -317,16 +328,11 @@ impl GruCell {
 mod tests {
     use super::*;
     use crate::optim::Sgd;
-    use cactus_gpu::Device;
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
 
     /// A linear layer must be able to fit y = 2x + 1.
     #[test]
     fn linear_fits_affine_function() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut layer = Linear::new(1, 1, 42);
         let mut opt = Sgd::new(0.05, 0.0);
         let mut last_loss = f32::INFINITY;
@@ -336,11 +342,11 @@ mod tests {
             let ys = Tensor::from_vec(&[4, 1], vec![-1.0, 1.0, 3.0, 5.0]);
             let x = g.input(xs);
             let y = g.input(ys);
-            let pred = layer.forward(&mut g, &mut gpu, x);
-            let loss = g.mse_loss(&mut gpu, pred, y);
-            g.backward(&mut gpu, loss);
+            let pred = layer.forward(&mut g, &mut launches, x);
+            let loss = g.mse_loss(&mut launches, pred, y);
+            g.backward(&mut launches, loss);
             opt.begin_step();
-            layer.update(&g, &mut opt, &mut gpu);
+            layer.update(&g, &mut opt, &mut launches);
             last_loss = g.value(loss).data()[0];
             if step % 100 == 0 {
                 assert!(last_loss.is_finite());
@@ -353,32 +359,32 @@ mod tests {
 
     #[test]
     fn conv_layer_shapes() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut g = Graph::new();
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, 7);
         let x = g.input(Tensor::randn(&[2, 3, 8, 8], 1.0, 1));
-        let y = conv.forward(&mut g, &mut gpu, x);
+        let y = conv.forward(&mut g, &mut launches, x);
         assert_eq!(g.value(y).shape(), &[2, 8, 8, 8]);
     }
 
     #[test]
     fn conv_transpose_upsamples() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut g = Graph::new();
         let mut convt = ConvTranspose2d::new(8, 4, 4, 2, 1, 7);
         let x = g.input(Tensor::randn(&[2, 8, 4, 4], 1.0, 1));
-        let y = convt.forward(&mut g, &mut gpu, x);
+        let y = convt.forward(&mut g, &mut launches, x);
         assert_eq!(g.value(y).shape(), &[2, 4, 8, 8]);
     }
 
     #[test]
     fn gru_cell_output_is_bounded_blend() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut g = Graph::new();
         let mut cell = GruCell::new(4, 6, 11);
         let x = g.input(Tensor::randn(&[3, 4], 1.0, 2));
         let h = g.input(Tensor::zeros(&[3, 6]));
-        let h2 = cell.forward(&mut g, &mut gpu, x, h);
+        let h2 = cell.forward(&mut g, &mut launches, x, h);
         assert_eq!(g.value(h2).shape(), &[3, 6]);
         // With h = 0 the new state is (1−z)·tanh(...) ∈ (−1, 1).
         assert!(g.value(h2).max_abs() < 1.0);
@@ -386,27 +392,27 @@ mod tests {
 
     #[test]
     fn gru_gradients_reach_all_gates() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut g = Graph::new();
         let mut cell = GruCell::new(3, 5, 13);
         let x = g.input(Tensor::randn(&[2, 3], 1.0, 3));
         let h = g.input(Tensor::randn(&[2, 5], 0.5, 4));
-        let h2 = cell.forward(&mut g, &mut gpu, x, h);
-        let loss = g.mean(&mut gpu, h2);
-        g.backward(&mut gpu, loss);
+        let h2 = cell.forward(&mut g, &mut launches, x, h);
+        let loss = g.mean(&mut launches, h2);
+        g.backward(&mut launches, loss);
         let mut opt = Sgd::new(0.1, 0.0);
         opt.begin_step();
         // Must not panic and must consume 12 slots (6 linears × w,b).
-        cell.update(&g, &mut opt, &mut gpu);
+        cell.update(&g, &mut opt, &mut launches);
     }
 
     #[test]
     fn norm_layer_roundtrip() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut g = Graph::new();
         let mut bn = Norm2d::batch(4);
         let x = g.input(Tensor::randn(&[2, 4, 4, 4], 3.0, 5));
-        let y = bn.forward(&mut g, &mut gpu, x);
+        let y = bn.forward(&mut g, &mut launches, x);
         assert!(g.value(y).mean().abs() < 1e-4);
     }
 }

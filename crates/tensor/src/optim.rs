@@ -6,7 +6,7 @@
 //! must update their layers in a fixed order every iteration — the same
 //! contract PyTorch's parameter groups impose.
 
-use cactus_gpu::Gpu;
+use cactus_gpu::LaunchSink;
 
 use crate::kernels;
 use crate::tensor::Tensor;
@@ -17,7 +17,7 @@ pub(crate) trait Optimizer {
     /// advances time-dependent state such as Adam's bias correction).
     fn begin_step(&mut self);
     /// Apply the gradient to one parameter tensor.
-    fn update(&mut self, gpu: &mut Gpu, param: &mut Tensor, grad: &Tensor);
+    fn update(&mut self, gpu: &mut dyn LaunchSink, param: &mut Tensor, grad: &Tensor);
     /// Consume a slot without updating (parameter had no gradient this
     /// step). Keeps slot keying stable.
     fn skip(&mut self);
@@ -50,7 +50,7 @@ impl Optimizer for Sgd {
         self.slot = 0;
     }
 
-    fn update(&mut self, gpu: &mut Gpu, param: &mut Tensor, grad: &Tensor) {
+    fn update(&mut self, gpu: &mut dyn LaunchSink, param: &mut Tensor, grad: &Tensor) {
         assert_eq!(param.len(), grad.len(), "param/grad size");
         if self.velocity.len() <= self.slot {
             self.velocity.resize(self.slot + 1, Vec::new());
@@ -121,7 +121,7 @@ impl Optimizer for Adam {
         self.t += 1;
     }
 
-    fn update(&mut self, gpu: &mut Gpu, param: &mut Tensor, grad: &Tensor) {
+    fn update(&mut self, gpu: &mut dyn LaunchSink, param: &mut Tensor, grad: &Tensor) {
         assert_eq!(param.len(), grad.len(), "param/grad size");
         if self.m.len() <= self.slot {
             self.m.resize(self.slot + 1, Vec::new());
@@ -156,20 +156,15 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cactus_gpu::Device;
-
-    fn gpu() -> Gpu {
-        Gpu::new(Device::rtx3080())
-    }
 
     /// Minimize f(x) = (x − 3)² with each optimizer.
     fn minimize(opt: &mut dyn Optimizer, iters: usize) -> f32 {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut x = Tensor::from_vec(&[1], vec![0.0]);
         for _ in 0..iters {
             let g = Tensor::from_vec(&[1], vec![2.0 * (x.data()[0] - 3.0)]);
             opt.begin_step();
-            opt.update(&mut gpu, &mut x, &g);
+            opt.update(&mut launches, &mut x, &g);
         }
         x.data()[0]
     }
@@ -197,14 +192,14 @@ mod tests {
 
     #[test]
     fn slots_track_multiple_params() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut opt = Adam::new(0.1);
         let mut a = Tensor::from_vec(&[2], vec![0.0, 0.0]);
         let mut b = Tensor::from_vec(&[3], vec![0.0, 0.0, 0.0]);
         for _ in 0..5 {
             opt.begin_step();
-            opt.update(&mut gpu, &mut a, &Tensor::full(&[2], 1.0));
-            opt.update(&mut gpu, &mut b, &Tensor::full(&[3], -1.0));
+            opt.update(&mut launches, &mut a, &Tensor::full(&[2], 1.0));
+            opt.update(&mut launches, &mut b, &Tensor::full(&[3], -1.0));
         }
         assert!(a.data()[0] < 0.0);
         assert!(b.data()[0] > 0.0);
@@ -212,19 +207,19 @@ mod tests {
 
     #[test]
     fn skip_preserves_slot_alignment() {
-        let mut gpu = gpu();
+        let mut launches = Vec::new();
         let mut opt = Sgd::new(0.1, 0.9);
         let mut a = Tensor::from_vec(&[1], vec![0.0]);
         let mut b = Tensor::from_vec(&[1], vec![0.0]);
         // Step 1: update both.
         opt.begin_step();
-        opt.update(&mut gpu, &mut a, &Tensor::full(&[1], 1.0));
-        opt.update(&mut gpu, &mut b, &Tensor::full(&[1], 1.0));
+        opt.update(&mut launches, &mut a, &Tensor::full(&[1], 1.0));
+        opt.update(&mut launches, &mut b, &Tensor::full(&[1], 1.0));
         // Step 2: skip a, update b — b's momentum must continue, not a's.
         let b_before = b.data()[0];
         opt.begin_step();
         opt.skip();
-        opt.update(&mut gpu, &mut b, &Tensor::full(&[1], 1.0));
+        opt.update(&mut launches, &mut b, &Tensor::full(&[1], 1.0));
         // With momentum 0.9 and two accumulated gradients, b moves more
         // than a fresh slot would (0.1 · (0.9 + 1) vs 0.1 · 1).
         assert!((b_before - b.data()[0]) > 0.15);
@@ -232,11 +227,11 @@ mod tests {
 
     #[test]
     fn optimizers_launch_their_kernels() {
-        let mut g = gpu();
+        let mut g = Vec::new();
         let mut adam = Adam::new(0.1);
         let mut p = Tensor::zeros(&[64]);
         adam.begin_step();
         adam.update(&mut g, &mut p, &Tensor::full(&[64], 0.1));
-        assert!(g.records().iter().any(|r| r.name.contains("adam")));
+        assert!(g.iter().any(|d| d.name().contains("adam")));
     }
 }

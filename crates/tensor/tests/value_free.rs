@@ -4,13 +4,12 @@
 //! family whose control flow never reads a value launches the same
 //! descriptors whatever its weights and data hold. Each test builds one
 //! family twice at the same scale with different seeds (weights, data and
-//! the family's own RNG all change) and compares the logged streams: equal
+//! the family's own RNG all change) and compares the launched streams: equal
 //! means nothing but the shapes decides the stream. A change that moves a
 //! family across that line fails here. DESIGN.md §5h records the table and
 //! what it licenses.
 
 use cactus_gpu::kernel::KernelDesc;
-use cactus_gpu::{Device, Gpu};
 use cactus_tensor::apps::dcgan::{Dcgan, MlScale};
 use cactus_tensor::apps::neural_style::NeuralStyle;
 use cactus_tensor::apps::rl_dqn::DqnFlappy;
@@ -19,16 +18,15 @@ use cactus_tensor::apps::spatial_transformer::SpatialTransformer;
 
 /// The descriptor streams of one family run at the suite's seed and at
 /// another.
-fn streams(run: impl Fn(&mut Gpu, u64), seed: u64) -> [Vec<KernelDesc>; 2] {
+fn streams(run: impl Fn(&mut Vec<KernelDesc>, u64), seed: u64) -> [Vec<KernelDesc>; 2] {
     [seed, seed + 1000].map(|s| {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        gpu.enable_desc_log();
-        run(&mut gpu, s);
-        gpu.take_desc_log()
+        let mut launches = Vec::new();
+        run(&mut launches, s);
+        launches
     })
 }
 
-fn assert_value_free(run: impl Fn(&mut Gpu, u64), seed: u64) {
+fn assert_value_free(run: impl Fn(&mut Vec<KernelDesc>, u64), seed: u64) {
     let [a, b] = streams(run, seed);
     assert!(!a.is_empty(), "the run launches kernels");
     assert!(a == b, "the launch stream depends on values");
@@ -37,8 +35,8 @@ fn assert_value_free(run: impl Fn(&mut Gpu, u64), seed: u64) {
 #[test]
 fn dcgan_is_value_free() {
     assert_value_free(
-        |gpu, seed| {
-            let _ = Dcgan::new(MlScale::tiny(), seed).run(gpu);
+        |launches, seed| {
+            let _ = Dcgan::new(MlScale::tiny(), seed).run(launches);
         },
         47,
     );
@@ -47,8 +45,8 @@ fn dcgan_is_value_free() {
 #[test]
 fn neural_style_is_value_free() {
     assert_value_free(
-        |gpu, seed| {
-            let _ = NeuralStyle::new(MlScale::tiny(), seed).run(gpu);
+        |launches, seed| {
+            let _ = NeuralStyle::new(MlScale::tiny(), seed).run(launches);
         },
         48,
     );
@@ -57,8 +55,8 @@ fn neural_style_is_value_free() {
 #[test]
 fn spatial_transformer_is_value_free() {
     assert_value_free(
-        |gpu, seed| {
-            let _ = SpatialTransformer::new(MlScale::tiny(), seed).run(gpu);
+        |launches, seed| {
+            let _ = SpatialTransformer::new(MlScale::tiny(), seed).run(launches);
         },
         50,
     );
@@ -67,8 +65,8 @@ fn spatial_transformer_is_value_free() {
 #[test]
 fn seq2seq_is_value_free() {
     assert_value_free(
-        |gpu, seed| {
-            let _ = Seq2Seq::new(SeqScale::tiny(), seed).run(gpu);
+        |launches, seed| {
+            let _ = Seq2Seq::new(SeqScale::tiny(), seed).run(launches);
         },
         51,
     );
@@ -82,8 +80,8 @@ fn seq2seq_is_value_free() {
 #[test]
 fn dqn_stream_follows_the_seed() {
     let [a, b] = streams(
-        |gpu, seed| {
-            let _ = DqnFlappy::new(MlScale::tiny(), seed).run(gpu);
+        |launches, seed| {
+            let _ = DqnFlappy::new(MlScale::tiny(), seed).run(launches);
         },
         49,
     );

@@ -1,10 +1,12 @@
 //! Lift an executed kernel trace into canonical IR text.
 //!
-//! `cactus_gpu::Gpu::enable_desc_log` records every launched
-//! [`KernelDesc`]; [`capture`] dedups that log into kernel declarations
-//! (captured traces reuse one kernel *name* across differently shaped
-//! launches, so declarations get fresh ids and a `name "…"` override) and
-//! run-length-encodes the schedule into `repeat` blocks, then renders the
+//! A derivation's launch stream leaves it through a
+//! `cactus_gpu::LaunchSink`; run into a `Vec<KernelDesc>`, it is the list
+//! of every launched [`KernelDesc`]. [`capture`] dedups that list into
+//! kernel declarations (captured traces reuse one kernel *name* across
+//! differently shaped launches, so declarations get fresh ids and a
+//! `name "…"` override) and run-length-encodes the schedule into `repeat`
+//! blocks, then renders the
 //! resulting [`WorkloadDef`] with the one printer, [`crate::printer`]. The
 //! output validates with zero findings and replays bit-identically through
 //! [`crate::exec`] — see `tests/equivalence.rs`.

@@ -1,6 +1,8 @@
-//! The IR interpreter: walks a validated definition's schedule and drives
-//! a `cactus_gpu::Gpu`, producing the same `LaunchRecord` trace a
-//! hardcoded workload runner would.
+//! The IR interpreter: walks a validated definition's schedule and sends
+//! each launch to a [`LaunchSink`], the same stream a hardcoded workload
+//! runner sends. The sink is how that stream leaves the interpreter: an
+//! engine prices it into the runner's `LaunchRecord` trace, a
+//! `Vec<KernelDesc>` keeps it as descriptors.
 //!
 //! Execution is meant to follow a clean [`crate::check`](fn@crate::check)
 //! run; it still defends itself (launch budget, step budget, recursion
@@ -13,7 +15,7 @@
 use crate::ast::{GeomKind, KernelDef, PatternSpec, Stmt, WorkloadDef};
 use crate::eval::{build_env, eval, eval_cond, eval_u32, eval_u64, Env};
 use cactus_gpu::prelude::{
-    AccessPattern, AccessStream, Direction, Gpu, InstructionMix, KernelDesc, LaunchConfig,
+    AccessPattern, AccessStream, Direction, InstructionMix, KernelDesc, LaunchConfig, LaunchSink,
 };
 use std::collections::HashMap;
 
@@ -42,10 +44,14 @@ impl std::fmt::Display for ExecError {
     }
 }
 
-/// Execute `def` on `gpu` under the named scale (ignored when the
+/// Execute `def` into `gpu` under the named scale (ignored when the
 /// definition declares no scales). Returns the number of kernel launches
 /// issued.
-pub fn run(def: &WorkloadDef, scale: Option<&str>, gpu: &mut Gpu) -> Result<u64, ExecError> {
+pub fn run(
+    def: &WorkloadDef,
+    scale: Option<&str>,
+    gpu: &mut dyn LaunchSink,
+) -> Result<u64, ExecError> {
     run_with_limits(def, scale, gpu, MAX_LAUNCHES, MAX_STEPS)
 }
 
@@ -54,7 +60,7 @@ pub fn run(def: &WorkloadDef, scale: Option<&str>, gpu: &mut Gpu) -> Result<u64,
 fn run_with_limits(
     def: &WorkloadDef,
     scale: Option<&str>,
-    gpu: &mut Gpu,
+    gpu: &mut dyn LaunchSink,
     launches: u64,
     steps: u64,
 ) -> Result<u64, ExecError> {
@@ -227,7 +233,7 @@ fn exec_body(
     env: &Env,
     class: Option<&str>,
     descs: &HashMap<&str, KernelDesc>,
-    gpu: &mut Gpu,
+    gpu: &mut dyn LaunchSink,
     budget: &mut Budget,
     depth: u32,
 ) -> Result<(), ExecError> {
@@ -314,7 +320,7 @@ fn exec_body(
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use cactus_gpu::Device;
+    use cactus_gpu::{Device, Gpu};
 
     const SELECTING: &str = r#"
 workload "sel" {

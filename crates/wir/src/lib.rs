@@ -18,8 +18,8 @@
 //! message, renderable as text or JSON.
 //!
 //! [`capture`] closes the loop with the hardcoded families: run any
-//! existing workload with the engine's descriptor log enabled and lift
-//! the trace into canonical IR, which the interpreter replays
+//! existing workload into a `Vec<KernelDesc>` launch sink and lift that
+//! stream into canonical IR, which the interpreter replays
 //! bit-identically (see `tests/equivalence.rs`).
 
 pub mod ast;
