@@ -275,6 +275,22 @@ const ROWS: &[Row] = &[
                  the conv microkernel would change every ML profile",
     },
     Row {
+        rule: "launch_sink",
+        paths: &[
+            "crates/md/src/**",
+            "crates/tensor/src/**",
+            "crates/suites/src/**",
+            "crates/graph/src/**",
+            "crates/core/src/workloads.rs",
+            "crates/wir/src/exec.rs",
+        ],
+        except: &[],
+        shape: Shape::Tokens(Scope::NonTest, &["Gpu"]),
+        reason: "derivation decides which kernels launch and never sees a device: take \
+                 `&mut dyn cactus_gpu::LaunchSink` and let the caller pass an engine or a \
+                 Vec<KernelDesc>",
+    },
+    Row {
         rule: "cache_oracle",
         paths: &["crates/*/src/**"],
         except: &[
