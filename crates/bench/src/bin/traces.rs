@@ -12,11 +12,12 @@
 //! A capture name keeps only the characters a workload name may hold, so
 //! `b+tree` is written as `btree`. Before writing, each capture is checked
 //! to validate with zero findings and to replay through `cactus_wir::run`
-//! to the native run's launch records, bit for bit.
+//! to the captured launch stream, descriptor for descriptor. No device
+//! model runs: equal descriptors price to equal records on every device.
 
 use cactus_bench::header;
 use cactus_core::{suite, workloads, SuiteScale};
-use cactus_gpu::{Device, Gpu};
+use cactus_gpu::kernel::KernelDesc;
 use std::path::Path;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
     std::fs::create_dir_all(traces).expect("create results/traces");
     for w in suite() {
         let name = w.abbr.to_lowercase();
-        export(traces, &name, |gpu| w.run(gpu, SuiteScale::Small));
+        export(traces, &name, |sink| w.run(sink, SuiteScale::Small));
     }
     for b in cactus_suites::all() {
         let name: String = b
@@ -33,13 +34,15 @@ fn main() {
             .chars()
             .filter(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_' || *c == '-')
             .collect();
-        export(traces, &name, |gpu| b.run(gpu, cactus_suites::Scale::Tiny));
+        export(traces, &name, |sink| {
+            b.run(sink, cactus_suites::Scale::Tiny)
+        });
     }
     let defs = Path::new("crates/wir/defs");
     for abbr in ["GMS", "GST", "DCG"] {
         let w = workloads::by_abbr(abbr).expect("a Cactus workload");
-        export(defs, &abbr.to_lowercase(), |gpu| {
-            w.run(gpu, SuiteScale::Tiny)
+        export(defs, &abbr.to_lowercase(), |sink| {
+            w.run(sink, SuiteScale::Tiny)
         });
     }
     println!(
@@ -47,21 +50,19 @@ fn main() {
     );
 }
 
-/// Capture `run` on an RTX 3080, self-check the capture, and write it to
+/// Capture `run`'s launch stream, self-check the capture, and write it to
 /// `dir/<name>.wir`.
-fn export(dir: &Path, name: &str, run: impl FnOnce(&mut Gpu)) {
-    let mut gpu = Gpu::new(Device::rtx3080());
-    gpu.enable_desc_log();
-    run(&mut gpu);
-    let descs = gpu.take_desc_log();
+fn export(dir: &Path, name: &str, run: impl FnOnce(&mut Vec<KernelDesc>)) {
+    let mut descs = Vec::new();
+    run(&mut descs);
     let text = cactus_wir::capture::capture(name, &descs);
 
     let def = cactus_wir::parse(&text).expect("capture must parse");
     let findings = cactus_wir::check(&def);
     assert!(findings.is_empty(), "{name}: {findings:?}");
-    let mut replay = Gpu::new(Device::rtx3080());
+    let mut replay = Vec::new();
     cactus_wir::run(&def, None, &mut replay).expect("capture must replay");
-    assert_eq!(replay.records(), gpu.records(), "{name}: replay differs");
+    assert!(replay == descs, "{name}: replay differs");
 
     let path = dir.join(format!("{name}.wir"));
     std::fs::write(&path, &text).expect("write trace");
