@@ -1,6 +1,7 @@
 //! Workspace scanning: find the `.rs` files, lex them, and annotate each
 //! with the facts every rule needs — which byte ranges are `#[cfg(test)]`
-//! items, whether the file lives in a test/bench/example tree, and where
+//! items (a whole file when its parent declares it `#[cfg(test)] mod
+//! name;`), whether the file lives in a test/bench/example tree, and where
 //! the `// lint:allow(rule, reason)` escape hatches are.
 
 use std::fs;
@@ -42,7 +43,7 @@ pub struct SourceFile {
     pub text: String,
     pub tokens: Vec<Token>,
     /// Byte ranges of `#[cfg(test)]` items (attribute through closing
-    /// brace or semicolon).
+    /// brace or semicolon); the whole file when its parent gates it.
     pub test_regions: Vec<(usize, usize)>,
     /// Lives under a `tests/`, `benches/`, or `examples/` directory.
     pub in_test_dir: bool,
@@ -134,6 +135,17 @@ impl Workspace {
             };
             let rel = rel_path(root, &path);
             files.push(SourceFile::from_text(path, rel, text));
+        }
+        let gated: Vec<String> = files.iter().flat_map(gated_modules).collect();
+        for f in &mut files {
+            let in_gated = gated.iter().any(|m| {
+                f.rel
+                    .strip_prefix(m.as_str())
+                    .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+            });
+            if in_gated {
+                f.test_regions = vec![(0, f.text.len())];
+            }
         }
         Ok(Self {
             root: root.to_path_buf(),
@@ -242,6 +254,53 @@ fn find_test_regions(text: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
         i += 1;
     }
     regions
+}
+
+/// The root-relative module paths (without `.rs`) that `f` declares with
+/// `#[cfg(test)] mod name;`. Such a module compiles only under test, and so
+/// does every file in it: `<path>.rs`, `<path>/mod.rs` and its submodules
+/// under `<path>/`.
+fn gated_modules(f: &SourceFile) -> Vec<String> {
+    let text = f.text.as_str();
+    let sig: Vec<&Token> = f.tokens.iter().filter(|t| !t.is_trivia()).collect();
+    let word = |j: usize| sig.get(j).map(|t| t.text(text));
+    // A crate root or `mod.rs` keeps its modules beside it; `foo.rs` keeps
+    // them under `foo/`.
+    let (parent, file) = f.rel.rsplit_once('/').unwrap_or(("", f.rel.as_str()));
+    let dir = if matches!(file, "lib.rs" | "main.rs" | "mod.rs")
+        || parent.rsplit('/').next() == Some("bin")
+    {
+        parent
+    } else {
+        f.rel.strip_suffix(".rs").unwrap_or(&f.rel)
+    };
+    let mut out = Vec::new();
+    for i in 0..sig.len() {
+        if !is_cfg_test_attr(text, &sig, i) {
+            continue;
+        }
+        let mut j = skip_attr(text, &sig, i);
+        while word(j) == Some("#") {
+            j = skip_attr(text, &sig, j);
+        }
+        if word(j) == Some("pub") {
+            j += 1;
+            if word(j) == Some("(") {
+                while word(j).is_some_and(|w| w != ")") {
+                    j += 1;
+                }
+                j += 1;
+            }
+        }
+        if let (Some("mod"), Some(name), Some(";")) = (word(j), word(j + 1), word(j + 2)) {
+            out.push(if dir.is_empty() {
+                name.to_owned()
+            } else {
+                format!("{dir}/{name}")
+            });
+        }
+    }
+    out
 }
 
 /// Does `#` at significant-token index `i` open a `#[cfg(test)]`-style
@@ -380,6 +439,30 @@ mod tests {
         assert!(f.in_test_region(src.find("torn").unwrap_or(0)));
         assert!(!f.in_test_region(src.find("live").unwrap_or(0)));
         assert!(!f.in_test_region(src.find("after").unwrap_or(0)));
+    }
+
+    #[test]
+    fn gated_mod_declarations_name_their_files() {
+        let at = |rel: &str, src: &str| {
+            gated_modules(&SourceFile::from_text(
+                PathBuf::from("mem.rs"),
+                rel.into(),
+                src.into(),
+            ))
+        };
+        let src = "mod live;\n#[cfg(test)]\nmod observables;\n#[cfg(test)]\npub(crate) mod oracle;\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(
+            at("crates/md/src/lib.rs", src),
+            ["crates/md/src/observables", "crates/md/src/oracle"]
+        );
+        assert_eq!(
+            at("crates/md/src/fft.rs", src),
+            ["crates/md/src/fft/observables", "crates/md/src/fft/oracle"]
+        );
+        assert_eq!(
+            at("crates/x/src/bin/tool.rs", src),
+            ["crates/x/src/bin/observables", "crates/x/src/bin/oracle"]
+        );
     }
 
     #[test]

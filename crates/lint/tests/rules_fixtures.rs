@@ -110,6 +110,14 @@ fn forbid_ignores_comments_strings_and_test_code() {
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
+/// A file its parent declares with `#[cfg(test)] mod name;` is test code
+/// from end to end, though nothing inside it says so.
+#[test]
+fn forbid_ignores_a_module_file_its_parent_gates_on_test() {
+    let findings = fixture("ws_forbid_gated_mod");
+    assert!(findings.is_empty(), "findings: {findings:?}");
+}
+
 #[test]
 fn lock_cycle_is_reported_with_both_sites() {
     let findings = fixture("ws_lock_cycle");
