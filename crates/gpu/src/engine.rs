@@ -22,10 +22,9 @@ use crate::timing::{self, Timing};
 ///
 /// Every launch needs a fingerprint (to consult the memo cache) and every
 /// memo miss resolves the kernel's access streams; both used to allocate
-/// per call. The scratch keeps those temporaries alive on the [`Gpu`] so a
-/// long-lived engine — in particular one cycling through a
-/// [`crate::pool::GpuPool`] — touches the allocator only when a memo miss
-/// inserts a new cache key.
+/// per call. The scratch keeps those temporaries alive on the [`Gpu`] for
+/// the length of one run, so after its first launch an engine touches the
+/// allocator only when a memo miss inserts a new cache key.
 #[derive(Debug, Clone, Default)]
 struct LaunchScratch {
     /// Fingerprint words staged here before the memo lookup; boxed into a
@@ -33,47 +32,6 @@ struct LaunchScratch {
     fingerprint: Vec<u64>,
     /// Per-stream traffic staging for [`MemoryModel::resolve_with`].
     streams: Vec<StreamTraffic>,
-}
-
-/// Snapshot of a device's launch-memoization counters.
-///
-/// `hits + misses` equals the number of launches issued while memoization
-/// was enabled; `misses` is also the number of *distinct* kernel
-/// configurations simulated (each miss populates one cache entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Launches answered from the memo cache.
-    pub hits: u64,
-    /// Launches that ran the full simulation.
-    pub misses: u64,
-}
-
-impl MemoStats {
-    /// Total memoized-path launches.
-    #[must_use]
-    pub fn launches(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of launches answered from the cache (0 when none ran).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.launches();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counter-wise sum of two snapshots.
-    #[must_use]
-    pub fn merged(&self, other: &Self) -> Self {
-        Self {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-        }
-    }
 }
 
 /// Record of one executed kernel launch.
@@ -305,15 +263,6 @@ impl Gpu {
         self.memo_misses
     }
 
-    /// Both memo counters as one snapshot.
-    #[must_use]
-    pub(crate) fn memo_stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.memo_hits,
-            misses: self.memo_misses,
-        }
-    }
-
     /// Distinct launch fingerprints currently cached.
     #[must_use]
     pub fn memo_len(&self) -> usize {
@@ -330,13 +279,6 @@ impl Gpu {
     #[must_use]
     pub fn total_gpu_time_s(&self) -> f64 {
         self.records.iter().map(|r| r.metrics.duration_s).sum()
-    }
-
-    /// Drop the trace (e.g. after a warm-up phase, mirroring how the paper
-    /// profiles only a steady-state region). The memo cache survives — a
-    /// post-warm-up run replays warm-up kernels from cache.
-    pub fn reset_trace(&mut self) {
-        self.records.clear();
     }
 }
 
@@ -385,15 +327,6 @@ mod tests {
             .records()
             .iter()
             .any(|r| r.metrics.warp_instructions > 0));
-    }
-
-    #[test]
-    fn reset_trace_clears() {
-        let mut gpu = Gpu::new(Device::rtx3080());
-        gpu.launch(&copy_kernel(1 << 20));
-        gpu.reset_trace();
-        assert!(gpu.records().is_empty());
-        assert_eq!(gpu.total_gpu_time_s(), 0.0);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!   [`kernel::LaunchSink`] they launch it into.
 //! * [`engine`] — the [`engine::Gpu`] device that executes launches and
 //!   records an execution trace, memoizing repeated launch configurations.
+//!   The `cactus-serve` daemon prices every simulation on a fresh engine,
+//!   so no memo entry outlives its request.
 //! * [`par`] — deterministic parallel fan-out used by the suite runners.
-//! * [`pool`] — a thread-safe checkout pool of engines whose memo caches
-//!   stay warm across requests (the substrate of the `cactus-serve` daemon).
 //!
 //! Workload code launches into a [`kernel::LaunchSink`] and never sees a
 //! device: [`engine::Gpu`] is the sink that prices each launch, and a
@@ -70,7 +70,6 @@ pub mod kernel;
 pub mod launch;
 pub mod metrics;
 pub mod par;
-pub mod pool;
 pub mod timing;
 
 /// Version of the performance model's parameters and equations. Bump this

@@ -7,7 +7,7 @@
 //!   the shapes forbidden there and the reason. Token rows match lexed
 //!   `.rs` code (`no_panic`: daemon paths — the `serve`, `gateway`, `obs`,
 //!   `simindex`, `store` and `wir` crates plus the `gpu` cold-simulate
-//!   files `pool` and `engine` — must not `unwrap()`, `expect()`, `panic!`
+//!   file `engine` — must not `unwrap()`, `expect()`, `panic!`
 //!   or index by integer literal outside `#[cfg(test)]` code; further rows
 //!   pin the daemon loop, the MD/tensor arithmetic, the cache oracle and
 //!   the store internals to where they belong). A hit yields to a

@@ -61,12 +61,11 @@ struct Row {
 /// Daemon paths: a panic here unwinds a worker thread and silently
 /// shrinks the pool. The six crates' whole `src/` trees (the similarity
 /// index, the store and the WIR validator run inside serve workers), the
-/// two `gpu` files the cold-simulate path enters through (the engine pool
-/// and the launch engine), and the two `profiler` codecs every body a
-/// daemon reads off the wire goes through (the profile document and the
-/// CSV fields). The engine resolves memory traffic through
-/// `cache::hierarchy` → `cache::analytic`; the trace-driven simulator is a
-/// test oracle no daemon links.
+/// `gpu` launch engine the cold-simulate path enters through, and the two
+/// `profiler` codecs every body a daemon reads off the wire goes through
+/// (the profile document and the CSV fields). The engine resolves memory
+/// traffic through `cache::hierarchy` → `cache::analytic`; the
+/// trace-driven simulator is a test oracle no daemon links.
 const DAEMON: &[&str] = &[
     "crates/serve/src/**",
     "crates/gateway/src/**",
@@ -74,7 +73,6 @@ const DAEMON: &[&str] = &[
     "crates/simindex/src/**",
     "crates/store/src/**",
     "crates/wir/src/**",
-    "crates/gpu/src/pool.rs",
     "crates/gpu/src/engine.rs",
     "crates/profiler/src/store.rs",
     "crates/profiler/src/csv.rs",

@@ -1,6 +1,5 @@
 //! `cactus-obs` — the shared observability layer of the Cactus serving
-//! stack (`cactus-serve`, `cactus-gateway`, and the engine pool beneath
-//! them).
+//! stack (`cactus-serve` and `cactus-gateway`).
 //!
 //! The paper this repo reproduces is a *measurement* methodology; the
 //! serving tiers deserve the same rigor the simulated kernels get. Before

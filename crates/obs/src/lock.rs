@@ -50,8 +50,6 @@ pub const CHECK_ENABLED: bool = cfg!(any(debug_assertions, feature = "lock-check
 /// |   42 | `STORE_WRITER`      | `store` active-segment writer              |
 /// |   45 | `STORE_INDEX`       | `store` key→location index                 |
 /// |   47 | `WIR_REGISTRY`      | `serve::service` submitted IR definitions  |
-/// |   50 | `ENGINE_POOL_IDLE`  | `gpu::pool` idle-engine list               |
-/// |   55 | `ENGINE_POOL_STATS` | `gpu::pool` checkout counters              |
 /// |   60 | `CONN_POOL`         | `gateway::connpool` per-backend idle list  |
 /// |   62 | `CAPABILITY`        | `gateway::capability` modeled-device map   |
 /// |   70 | `HEALTH`            | `gateway::health` backend states           |
@@ -69,8 +67,6 @@ pub mod rank {
     pub const STORE_WRITER: u32 = 42;
     pub const STORE_INDEX: u32 = 45;
     pub const WIR_REGISTRY: u32 = 47;
-    pub const ENGINE_POOL_IDLE: u32 = 50;
-    pub const ENGINE_POOL_STATS: u32 = 55;
     pub const CONN_POOL: u32 = 60;
     pub const CAPABILITY: u32 = 62;
     pub const HEALTH: u32 = 70;

@@ -47,8 +47,8 @@ use crate::lock::{rank, RankedMutex};
 /// | `serve.workload`| serve, one `POST /v1/workloads` submission         |
 /// | `wir.parse`     | serve, parsing a submitted IR definition           |
 /// | `wir.check`     | serve, static validation of a submitted definition |
-/// | `wir.exec`      | serve, IR interpretation against a pooled engine   |
-/// | `engine.launch` | engine pool, one simulated kernel launch           |
+/// | `wir.exec`      | serve, one whole IR interpretation on a fresh engine |
+/// | `engine.launch` | serve, one whole simulated run on a fresh engine   |
 /// | `simindex.encode` | simindex, FAMD projection of a kernel profile    |
 /// | `simindex.search` | simindex, pruned k-NN probe of the vector index  |
 /// | `simindex.recluster` | simindex, bounded local re-cluster pass       |

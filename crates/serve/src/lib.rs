@@ -13,8 +13,9 @@
 //!    this daemon, replicated by the gateway, or written by the fig/table
 //!    bins, which share the default directory) are decoded instead of
 //!    re-simulated. One process holds a store directory at a time.
-//! 3. **Live simulation** ([`service`] → `cactus_gpu::pool::GpuPool`) — a
-//!    pool of memoizing engines runs the workload, with **single-flight
+//! 3. **Live simulation** ([`service`] → `cactus_gpu::Gpu`) — a fresh
+//!    memoizing engine for the triple's device runs the workload, so a
+//!    profile depends on the triple alone, with **single-flight
 //!    coalescing** ([`singleflight`]): N concurrent requests for the same
 //!    uncached triple cost exactly one simulation.
 //!

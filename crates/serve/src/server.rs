@@ -42,8 +42,8 @@ pub struct ServeConfig {
     /// [`cactus_store::default_dir`]: `CACTUS_PROFILE_STORE`, else the
     /// workspace's `results/profiles/`, shared with the fig/table bins).
     pub store_dir: Option<PathBuf>,
-    /// Catalog ids this backend models (one engine pool each, advertised on
-    /// `/v1/healthz` and `/v1/devices`); empty = the full catalog.
+    /// Catalog ids this backend models (advertised on `/v1/healthz` and
+    /// `/v1/devices`); empty = the full catalog.
     pub devices: Vec<String>,
     /// Append every finished span as one JSON line to this file (`None`
     /// disables the log; the in-memory ring is always on).
@@ -202,8 +202,7 @@ impl ServerState {
         self.scraped.cache_hits.set(self.cache.hits() as f64);
         self.scraped.cache_misses.set(self.cache.misses() as f64);
         self.scraped.cache_entries.set(self.cache.len() as f64);
-        let memo = self.service.engine_memo_stats();
-        self.scraped.memo_hit_rate.set(memo.hit_rate());
+        self.scraped.memo_hit_rate.set(self.service.memo_hit_rate());
         self.scraped
             .wir_definitions
             .set(self.service.wir_names().len() as f64);

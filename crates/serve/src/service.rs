@@ -1,7 +1,7 @@
 //! The profile service: resolves (device preset, scale, workload) triples
 //! to [`Profile`]s through the two lower levels of the serving hierarchy —
 //! the durable `cactus-store` segment log, then live simulation coalesced
-//! by single-flight and executed on pooled memoizing engines. Simulated
+//! by single-flight and executed on a fresh memoizing engine. Simulated
 //! profiles are appended back to the store (fsync'd before the index
 //! admits them), so a restart serves yesterday's corpus instead of
 //! starting cold.
@@ -13,9 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use cactus_core::{workloads, SuiteScale, Workload};
 use cactus_gpu::catalog::{self, CatalogEntry};
-use cactus_gpu::engine::MemoStats;
-use cactus_gpu::pool::{GpuPool, PoolInstruments};
-use cactus_gpu::Device;
+use cactus_gpu::{Device, Gpu};
 use cactus_obs::lock::{rank, RankedMutex};
 use cactus_obs::{Counter, MetricsRegistry, SpanCtx};
 use cactus_profiler::store as profile_store;
@@ -293,8 +291,8 @@ impl Triple {
         self.entry.id
     }
 
-    /// The device descriptor, built on each call: only rendering a miss
-    /// and fitting a similarity encoder need one.
+    /// The device descriptor, built on each call: only simulating or
+    /// rendering a miss and fitting a similarity encoder need one.
     #[must_use]
     pub(crate) fn device(&self) -> Device {
         self.entry.device()
@@ -331,7 +329,7 @@ impl Triple {
 pub enum ProfileSource {
     /// Loaded from the on-disk profile store.
     Store,
-    /// Simulated live on a pooled engine.
+    /// Simulated live on a fresh engine.
     Simulated,
     /// Coalesced onto a concurrent identical request (no own work).
     Coalesced,
@@ -365,7 +363,8 @@ pub struct ResolvedProfile {
 /// The store + simulation levels of the serving hierarchy, shared across
 /// worker threads.
 pub struct ProfileService {
-    pools: Vec<(&'static str, GpuPool)>,
+    /// The catalog entries this backend models, in construction order.
+    modeled: Vec<&'static CatalogEntry>,
     /// In-flight lookups; the value carries whether the store satisfied it.
     flight: SingleFlight<(Arc<ResolvedProfile>, bool)>,
     store: Arc<Store>,
@@ -378,6 +377,8 @@ pub struct ProfileService {
     definitions: RankedMutex<()>,
     store_hits: Counter,
     simulations: Counter,
+    memo_hits: Counter,
+    memo_misses: Counter,
     workloads_submitted: Counter,
     workloads_rejected: Counter,
     wir_exec_kernels: Counter,
@@ -397,15 +398,14 @@ impl ProfileService {
     }
 
     /// A service whose counters (store hits, simulations, engine memo
-    /// traffic, engines created) register in `registry` under
-    /// `cactus_serve_*` names. Opens (creating if needed) the durable store
-    /// under `store_dir` and holds its single-writer lock until the service
-    /// drops.
+    /// traffic) register in `registry` under `cactus_serve_*` names. Opens
+    /// (creating if needed) the durable store under `store_dir` and holds
+    /// its single-writer lock until the service drops.
     ///
-    /// `devices` names the catalog ids this backend models — one engine
-    /// pool per id; an empty slice models the full catalog. Requests for
-    /// other catalog devices are refused, which is what lets a gateway
-    /// route them to a capable peer instead.
+    /// `devices` names the catalog ids this backend models; an empty slice
+    /// models the full catalog. Requests for other catalog devices are
+    /// refused, which is what lets a gateway route them to a capable peer
+    /// instead.
     ///
     /// # Errors
     ///
@@ -418,27 +418,7 @@ impl ProfileService {
         registry: &MetricsRegistry,
     ) -> Result<Self, String> {
         let reg = |e: cactus_obs::RegistryError| e.to_string();
-        let instruments = PoolInstruments {
-            memo_hits: registry
-                .counter(
-                    "cactus_serve_engine_memo_hits_total",
-                    "launches replayed from a warm memo cache",
-                )
-                .map_err(reg)?,
-            memo_misses: registry
-                .counter(
-                    "cactus_serve_engine_memo_misses_total",
-                    "launches simulated from scratch",
-                )
-                .map_err(reg)?,
-            engines_created: registry
-                .counter(
-                    "cactus_serve_engines_created_total",
-                    "engines created across all pools",
-                )
-                .map_err(reg)?,
-        };
-        let modeled: Vec<&'static catalog::CatalogEntry> = if devices.is_empty() {
+        let modeled: Vec<&'static CatalogEntry> = if devices.is_empty() {
             catalog::CATALOG.iter().collect()
         } else {
             devices
@@ -453,20 +433,11 @@ impl ProfileService {
                 })
                 .collect::<Result<Vec<_>, String>>()?
         };
-        let pools = modeled
-            .iter()
-            .map(|entry| {
-                (
-                    entry.id,
-                    GpuPool::new(entry.device()).instrument(instruments.clone()),
-                )
-            })
-            .collect();
         let dir = store_dir.unwrap_or_else(cactus_store::default_dir);
         let durable = Store::open(&dir)
             .map_err(|e| format!("cannot open profile store at {}: {e}", dir.display()))?;
         let service = Self {
-            pools,
+            modeled,
             flight: SingleFlight::new(),
             store: Arc::new(durable),
             wir: RankedMutex::new(rank::WIR_REGISTRY, "serve.wir_registry", BTreeMap::new()),
@@ -481,6 +452,18 @@ impl ProfileService {
                 .counter(
                     "cactus_serve_simulations_total",
                     "profiles computed by live simulation",
+                )
+                .map_err(reg)?,
+            memo_hits: registry
+                .counter(
+                    "cactus_serve_engine_memo_hits_total",
+                    "launches replayed from a warm memo cache",
+                )
+                .map_err(reg)?,
+            memo_misses: registry
+                .counter(
+                    "cactus_serve_engine_memo_misses_total",
+                    "launches simulated from scratch",
                 )
                 .map_err(reg)?,
             workloads_submitted: registry
@@ -516,15 +499,15 @@ impl ProfileService {
     /// The catalog ids this backend models, in construction order.
     #[must_use]
     pub(crate) fn modeled(&self) -> Vec<&'static str> {
-        self.pools.iter().map(|(id, _)| *id).collect()
+        self.modeled.iter().map(|entry| entry.id).collect()
     }
 
     /// Whether this backend models the given catalog id.
     #[must_use]
     pub(crate) fn models(&self, device_slug: &str) -> bool {
-        self.pools
+        self.modeled
             .iter()
-            .any(|(id, _)| id.eq_ignore_ascii_case(device_slug))
+            .any(|entry| entry.id.eq_ignore_ascii_case(device_slug))
     }
 
     /// Resolve one triple to a profile: profile store first, then live
@@ -861,17 +844,17 @@ impl ProfileService {
         self.wir.lock().keys().cloned().collect()
     }
 
-    /// Run the triple's workload on a pooled engine. Built-in workloads are
+    /// Run the triple's workload on a fresh engine for its device, so a
+    /// profile depends on the triple alone. Built-in workloads are
     /// infallible; IR definitions are interpreted under a `wir.exec` span
     /// and surface interpreter failures (the static validator makes these
     /// unreachable for registered definitions, but the error path stays —
     /// the interpreter is the final authority).
     fn simulate(&self, triple: &Triple, ctx: Option<SpanCtx<'_>>) -> Result<Profile, String> {
-        let pool = self.pool(triple.device_slug());
-        let mut gpu = pool.checkout();
+        let mut gpu = Gpu::new(triple.device());
         let mut span = ctx.map(|c| c.child("engine.launch"));
         match &triple.workload {
-            ServableWorkload::Cactus(w) => w.run(&mut *gpu, triple.scale),
+            ServableWorkload::Cactus(w) => w.run(&mut gpu, triple.scale),
             ServableWorkload::Prt(b) => {
                 // The comparison suites define only tiny and profile scales;
                 // small maps to tiny.
@@ -879,19 +862,16 @@ impl ProfileService {
                     SuiteScale::Profile => cactus_suites::Scale::Profile,
                     SuiteScale::Tiny | SuiteScale::Small => cactus_suites::Scale::Tiny,
                 };
-                b.run(&mut *gpu, scale);
+                b.run(&mut gpu, scale);
             }
             ServableWorkload::Wir(w) => {
                 let scale = scale_slug(triple.scale);
-                let mut exec = span
-                    .as_ref()
-                    .map(|s| s.ctx().child("wir.exec"))
-                    .or_else(|| ctx.map(|c| c.child("wir.exec")));
+                let mut exec = span.as_ref().map(|s| s.ctx().child("wir.exec"));
                 if let Some(exec) = &mut exec {
                     exec.tag("workload", w.def.name.clone());
                     exec.tag("scale", scale);
                 }
-                let launches = cactus_wir::run(&w.def, Some(scale), &mut *gpu)
+                let launches = cactus_wir::run(&w.def, Some(scale), &mut gpu)
                     .map_err(|e| format!("wir exec failed at line {}: {}", e.line, e.message))?;
                 self.wir_exec_kernels.add(launches);
                 if let Some(exec) = &mut exec {
@@ -899,23 +879,14 @@ impl ProfileService {
                 }
             }
         }
+        self.memo_hits.add(gpu.memo_hits());
+        self.memo_misses.add(gpu.memo_misses());
         if let Some(span) = &mut span {
-            let delta = gpu.memo_delta();
             span.tag("device", triple.device_slug());
-            span.tag("memo_hits", delta.hits);
-            span.tag("memo_misses", delta.misses);
+            span.tag("memo_hits", gpu.memo_hits());
+            span.tag("memo_misses", gpu.memo_misses());
         }
         Ok(Profile::from_records(gpu.records()))
-    }
-
-    fn pool(&self, device_slug: &str) -> &GpuPool {
-        &self
-            .pools
-            .iter()
-            .find(|(slug, _)| *slug == device_slug)
-            // lint:allow(no_panic, profile() refuses unmodeled devices before simulate runs)
-            .expect("modeled device has a pool")
-            .1
     }
 
     /// Profiles answered from the on-disk store.
@@ -930,15 +901,17 @@ impl ProfileService {
         self.simulations.get()
     }
 
-    /// Aggregated launch-memo counters across every engine pool (completed
-    /// checkouts only).
+    /// Fraction of simulated launches replayed from their engine's memo
+    /// (0 before the first simulation).
     #[must_use]
-    pub(crate) fn engine_memo_stats(&self) -> MemoStats {
-        self.pools
-            .iter()
-            .fold(MemoStats::default(), |acc, (_, pool)| {
-                acc.merged(&pool.memo_stats())
-            })
+    pub(crate) fn memo_hit_rate(&self) -> f64 {
+        let hits = self.memo_hits.get();
+        let launches = hits + self.memo_misses.get();
+        if launches == 0 {
+            0.0
+        } else {
+            hits as f64 / launches as f64
+        }
     }
 }
 
@@ -997,10 +970,16 @@ mod tests {
         let t = Triple::resolve("rtx-3080", "tiny", "GMS").expect("resolve");
         let (p, source) = svc.profile(&t, None).expect("profile");
         assert_eq!(source, ProfileSource::Simulated);
-        assert_eq!(p.profile, cactus_core::run("GMS", SuiteScale::Tiny));
+        let direct = cactus_core::run("GMS", SuiteScale::Tiny);
+        assert_eq!(p.profile, direct);
         assert_eq!(svc.simulations(), 1);
         assert_eq!(svc.store_hits(), 0);
-        assert!(svc.engine_memo_stats().launches() > 0);
+        // The simulation counted each launch of the run once, as a memo hit
+        // or a miss on its own engine.
+        let memo = || (svc.memo_hits.get(), svc.memo_misses.get());
+        let launches: u64 = direct.kernels().iter().map(|k| k.invocations).sum();
+        let after_simulation = memo();
+        assert_eq!(after_simulation.0 + after_simulation.1, launches);
 
         // The simulation was appended to the durable store, so a second
         // call (a fresh flight — no response cache at this layer) is a
@@ -1011,14 +990,7 @@ mod tests {
         assert_eq!(p2.document, p.document);
         assert_eq!(svc.simulations(), 1, "store hit did not re-simulate");
         assert_eq!(svc.store_hits(), 1);
-        assert_eq!(
-            svc.pools
-                .iter()
-                .map(|(_, pool)| pool.engines())
-                .sum::<u64>(),
-            1,
-            "engine was reused, not recreated"
-        );
+        assert_eq!(memo(), after_simulation, "a store hit prices nothing");
 
         // And the corpus survives a restart: a fresh service over the same
         // directory recovers the record without simulating.

@@ -17,7 +17,7 @@
 //! * `?device=&scale=&workload=[&kernel=][&k=N]` — a reference query:
 //!   the triple resolves through `ProfileService` (store → coalesced
 //!   simulation) *before* the simindex lock is taken (lock order: the
-//!   single-flight and pool ranks all sit below `SIMINDEX`), the
+//!   single-flight and store ranks all sit below `SIMINDEX`), the
 //!   profile's kernels are idempotently ingested under ids
 //!   `device/scale/workload/kernel`, and the named (default: dominant)
 //!   kernel is searched.
@@ -385,7 +385,7 @@ pub(crate) fn similar(state: &ServerState, req: &Request, ctx: SpanCtx<'_>) -> R
     span.tag("key", triple.key());
 
     // Resolve the profile *before* taking the simindex lock: the
-    // single-flight and engine-pool ranks sit below SIMINDEX, and the
+    // single-flight and store ranks sit below SIMINDEX, and the
     // ranked-lock checker would flag the inverted order deterministically.
     let (resolved, source) = match state.service.profile(&triple, Some(span.ctx())) {
         Ok(p) => p,

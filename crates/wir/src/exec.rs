@@ -349,7 +349,7 @@ workload "sel" {
         let n = run(&def, Some("lo"), &mut gpu).expect("run lo");
         assert_eq!(n, 2);
         assert!(gpu.records().iter().all(|r| r.name == "a"));
-        gpu.reset_trace();
+        let mut gpu = Gpu::new(Device::rtx3080());
         run(&def, Some("hi"), &mut gpu).expect("run hi");
         assert!(gpu.records().iter().all(|r| r.name == "b"));
     }
@@ -378,7 +378,7 @@ workload "sel" {
     fn step_budget_stops_loops_that_never_launch() {
         // A zero-cost body scores 0 against every cost ceiling and never
         // decrements the launch budget, so only the step budget stands
-        // between this repeat and ~10^18 iterations on a pooled engine.
+        // between this repeat and ~10^18 iterations on a serving engine.
         let src = "workload \"spin\" { kernel k { } \
                    run { repeat 9000000000000000000 { repeat 0 { launch k; } } } }";
         let def = parse(src).expect("parse");

@@ -85,15 +85,15 @@ fn md_steady_state_slices_are_representative() {
         },
         3,
     );
-    let mut gpu = gpu();
-    // Warm up, then profile two consecutive windows with trace resets.
-    let _ = engine.run(&mut gpu, 10);
-    gpu.reset_trace();
-    let _ = engine.run(&mut gpu, 10);
-    let window1 = Profile::from_records(gpu.records());
-    gpu.reset_trace();
-    let _ = engine.run(&mut gpu, 10);
-    let window2 = Profile::from_records(gpu.records());
+    // Warm up, then profile two consecutive windows, each on its own
+    // engine.
+    let _ = engine.run(&mut gpu(), 10);
+    let mut gpu1 = gpu();
+    let _ = engine.run(&mut gpu1, 10);
+    let window1 = Profile::from_records(gpu1.records());
+    let mut gpu2 = gpu();
+    let _ = engine.run(&mut gpu2, 10);
+    let window2 = Profile::from_records(gpu2.records());
 
     // Periodic kernels (energy reductions every 20 steps) can fall on one
     // side of a 10-step window boundary, so allow a one-kernel difference.
